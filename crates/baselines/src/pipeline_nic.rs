@@ -16,6 +16,7 @@ use std::collections::VecDeque;
 
 use engines::engine::{Offload, Output};
 use packet::message::{Message, Priority};
+use sim_core::clock::Driven;
 use sim_core::stats::Histogram;
 use sim_core::time::{Cycle, Cycles};
 use trace::{MetricsRegistry, Tracer, TrackId};
@@ -311,22 +312,19 @@ impl PipelineNic {
         }
         hint
     }
+}
 
-    /// Runs `cycles` cycles from `start` with quiescence fast-forward,
-    /// byte-identical to the stepped loop. Returns `(end, skipped)`.
-    pub fn run_ff(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        let end = Cycle(start.0 + cycles);
-        let mut skipped = 0u64;
-        let mut now = start;
-        while now < end {
-            self.tick(now);
-            let next = now.next();
-            let target = self.next_activity(now).unwrap_or(end).max(next).min(end);
-            // Idle ticks mutate nothing here: no skip_idle replay needed.
-            skipped += target.0 - next.0;
-            now = target;
+/// Quiescence fast-forward through [`sim_core::clock::drive`]: an idle
+/// tick mutates nothing here, so `skip_idle` keeps its no-op default.
+impl Driven for PipelineNic {
+    fn step(&mut self, now: Cycle) {
+        self.tick(now);
+    }
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        if let Some(t) = self.next_activity(now) {
+            post(t);
         }
-        (end, skipped)
+        true
     }
 }
 
@@ -336,6 +334,7 @@ mod tests {
     use engines::engine::NullOffload;
     use packet::chain::EngineClass;
     use packet::message::{MessageId, MessageKind};
+    use sim_core::clock::{drive, Advance};
     use workloads::frames::FrameFactory;
 
     fn frame_msg(id: u64, port: u16, priority: Priority, now: Cycle) -> Message {
@@ -355,12 +354,7 @@ mod tests {
     }
 
     fn run(nic: &mut PipelineNic, from: Cycle, cycles: u64) -> Cycle {
-        let mut now = from;
-        for _ in 0..cycles {
-            nic.tick(now);
-            now = now.next();
-        }
-        now
+        drive(nic, from, cycles, Advance::Stepped).0
     }
 
     #[test]
@@ -517,7 +511,7 @@ mod tests {
         run(&mut stepped, Cycle(0), 1000);
         let t2 = Tracer::ring(256);
         let mut ff = build(&t2);
-        let (end, skipped) = ff.run_ff(Cycle(0), 1000);
+        let (end, skipped) = drive(&mut ff, Cycle(0), 1000, Advance::Merged);
         assert_eq!(end, Cycle(1000));
         assert!(skipped > 500, "only skipped {skipped}");
         let a = stepped.take_egress();

@@ -23,6 +23,7 @@ use rmt::parse::ParseGraph;
 use rmt::pipeline::{PipelineConfig, RmtPipeline};
 use rmt::program::{ProgramBuilder, RmtProgram};
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
+use sim_core::clock::Driven;
 use sim_core::stats::Histogram;
 use sim_core::time::{Cycle, Cycles};
 use sim_core::EventQueue;
@@ -235,34 +236,25 @@ impl RmtOnlyNic {
         }
         hint
     }
+}
 
-    /// Replays the per-cycle bookkeeping of `[from, to)` idle ticks.
-    ///
+/// Quiescence fast-forward through [`sim_core::clock::drive`].
+impl Driven for RmtOnlyNic {
+    fn step(&mut self, now: Cycle) {
+        self.tick(now);
+    }
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        if let Some(t) = self.next_activity(now) {
+            post(t);
+        }
+        true
+    }
     /// Unlike the other baselines, an idle tick here is *not* free: the
     /// inner RMT pipeline accrues `idle_slots` (and, when traced, a
     /// backlog counter sample) every cycle. Delegating keeps a
     /// fast-forwarded run byte-identical to the stepped one.
-    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         self.pipeline.skip_idle(from, to);
-    }
-
-    /// Runs `cycles` cycles from `start` with quiescence fast-forward,
-    /// byte-identical to the stepped loop. Returns `(end, skipped)`.
-    pub fn run_ff(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        let end = Cycle(start.0 + cycles);
-        let mut skipped = 0u64;
-        let mut now = start;
-        while now < end {
-            self.tick(now);
-            let next = now.next();
-            let target = self.next_activity(now).unwrap_or(end).max(next).min(end);
-            if target > next {
-                self.skip_idle(next, target);
-                skipped += target.0 - next.0;
-            }
-            now = target;
-        }
-        (end, skipped)
     }
 }
 
@@ -273,6 +265,7 @@ mod tests {
         build_esp_frame, ethertype, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr,
     };
     use packet::message::{MessageId, MessageKind};
+    use sim_core::clock::{drive, Advance};
     use sim_core::time::Freq;
     use workloads::frames::FrameFactory;
 
@@ -321,12 +314,7 @@ mod tests {
     }
 
     fn run(nic: &mut RmtOnlyNic, from: Cycle, cycles: u64) -> Cycle {
-        let mut now = from;
-        for _ in 0..cycles {
-            nic.tick(now);
-            now = now.next();
-        }
-        now
+        drive(nic, from, cycles, Advance::Stepped).0
     }
 
     #[test]
@@ -441,7 +429,7 @@ mod tests {
         run(&mut stepped, Cycle(0), 8000);
         let t2 = Tracer::ring(8192);
         let mut ff = build(&t2);
-        let (end, skipped) = ff.run_ff(Cycle(0), 8000);
+        let (end, skipped) = drive(&mut ff, Cycle(0), 8000, Advance::Merged);
         assert_eq!(end, Cycle(8000));
         assert!(skipped > 2000, "only skipped {skipped}");
         assert_eq!(

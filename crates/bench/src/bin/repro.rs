@@ -57,7 +57,7 @@ fn print_catalog(all: &[experiments::Experiment]) {
 }
 
 fn print_help(all: &[experiments::Experiment]) {
-    eprintln!("usage: repro [flags] <experiment>... | all | bench\n");
+    eprintln!("usage: repro [flags] <experiment>... | all\n");
     eprintln!("flags:");
     eprintln!("  -q, --quick        shortened simulations (CI-sized)");
     eprintln!("  --trace <path>     write a Chrome trace_event JSON of the observed");
@@ -88,22 +88,11 @@ fn print_help(all: &[experiments::Experiment]) {
     eprintln!("                     experiment or names components absent from the fabric");
     eprintln!("  --threads <n>      worker threads for multi-NIC fabric experiments");
     eprintln!("                     (rack, rack-chaos; byte-identical output for every n —");
-    eprintln!("                     see docs/FABRIC.md) and the bench sweep runner");
+    eprintln!("                     see docs/FABRIC.md)");
     eprintln!("  --no-fastforward   step every cycle instead of jumping provably idle");
     eprintln!("                     gaps (byte-identical output; debugging/measurement");
     eprintln!("                     aid — see docs/PERF.md)");
     eprintln!("  -h, --help         this catalog\n");
-    eprintln!("bench subcommand (simulator performance, see docs/PERF.md):");
-    eprintln!("  repro bench [--quick] [--saturated] [--out <path>] [--check <path>]");
-    eprintln!("              [--threads <n>]");
-    eprintln!("    times the stepped vs fast-forward vs event-driven loops on a");
-    eprintln!("    gap-dominated workload and the serial vs parallel sweep runner;");
-    eprintln!("    writes BENCH_PR4.json (--out, default ./BENCH_PR4.json). With");
-    eprintln!("    --check <path>, compares against the committed baseline instead of");
-    eprintln!("    writing: fails on a >5x cycles/sec regression or a speedup below 3x,");
-    eprintln!("    printing the failing metric, its baseline, and the measured value.");
-    eprintln!("    With --saturated, runs the non-gap-dominated steady-state workload");
-    eprintln!("    instead and writes/checks BENCH_PR9.json (tick-loop throughput).\n");
     print_catalog(all);
 }
 
@@ -114,9 +103,6 @@ struct Args {
     metrics: Option<String>,
     faults: Option<faults::FaultArg>,
     no_fastforward: bool,
-    bench_saturated: bool,
-    bench_out: Option<String>,
-    bench_check: Option<String>,
     threads: Option<usize>,
     selected: Vec<String>,
 }
@@ -128,9 +114,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
         metrics: None,
         faults: None,
         no_fastforward: false,
-        bench_saturated: false,
-        bench_out: None,
-        bench_check: None,
         threads: None,
         selected: Vec::new(),
     };
@@ -152,8 +135,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
             out.quick = true;
         } else if a == "--no-fastforward" {
             out.no_fastforward = true;
-        } else if a == "--saturated" {
-            out.bench_saturated = true;
         } else if a == "--help" || a == "-h" {
             print_help(all);
             std::process::exit(0);
@@ -162,10 +143,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
         } else if let Some(v) = flag_with_value("--metrics", &a, "a path argument (\"-\" = stdout)")
         {
             out.metrics = Some(v);
-        } else if let Some(v) = flag_with_value("--out", &a, "a path argument") {
-            out.bench_out = Some(v);
-        } else if let Some(v) = flag_with_value("--check", &a, "a path argument") {
-            out.bench_check = Some(v);
         } else if let Some(v) = flag_with_value("--threads", &a, "a positive integer") {
             match v.parse::<usize>() {
                 Ok(n) if n > 0 => out.threads = Some(n),
@@ -203,57 +180,6 @@ fn write_artifact(path: &str, contents: &str) {
     }
 }
 
-/// Baseline validator produced by one bench run, applied to the
-/// committed artifact when `--check` is given.
-type BaselineCheck = Box<dyn Fn(&str) -> Result<(), String>>;
-
-/// `repro bench`: time stepped vs fast-forward vs event-driven and the
-/// parallel sweep runner (or, with `--saturated`, the non-gap-dominated
-/// steady-state workload); write (or, with `--check`, validate against)
-/// the `BENCH_PR4.json` / `BENCH_PR9.json` perf baseline.
-fn run_bench_command(args: &Args) -> ! {
-    let (markdown, json, check): (String, String, BaselineCheck) = if args.bench_saturated {
-        let report = panic_bench::perf::run_saturated_bench(args.quick);
-        (
-            report.render_markdown(),
-            report.to_json(),
-            Box::new(move |committed| panic_bench::perf::check_saturated(&report, committed)),
-        )
-    } else {
-        let report = panic_bench::perf::run_bench(args.quick, args.threads);
-        (
-            report.render_markdown(),
-            report.to_json(),
-            Box::new(move |committed| panic_bench::perf::check(&report, committed)),
-        )
-    };
-    print!("{markdown}");
-    if let Some(baseline_path) = &args.bench_check {
-        let committed = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("--check: cannot read {baseline_path}: {e}");
-            std::process::exit(1);
-        });
-        match check(&committed) {
-            Ok(()) => {
-                eprintln!("perf check against {baseline_path}: ok");
-                std::process::exit(0);
-            }
-            Err(problems) => {
-                eprintln!("perf check against {baseline_path} FAILED:\n{problems}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let default_out = if args.bench_saturated {
-        "BENCH_PR9.json"
-    } else {
-        "BENCH_PR4.json"
-    };
-    let out = args.bench_out.as_deref().unwrap_or(default_out);
-    write_artifact(out, &json);
-    std::process::exit(0);
-}
-
 fn main() {
     let all = experiments::all();
     let args = parse_args(&all);
@@ -261,14 +187,6 @@ fn main() {
     if args.selected.is_empty() {
         print_help(&all);
         std::process::exit(2);
-    }
-
-    if args.selected.iter().any(|s| s == "bench") {
-        if args.selected.len() > 1 {
-            eprintln!("`bench` runs alone (it times the simulator, not an experiment)");
-            std::process::exit(2);
-        }
-        run_bench_command(&args);
     }
 
     // Experiment ids use hyphens; accept underscores as a convenience

@@ -19,8 +19,6 @@
 pub mod experiments;
 pub mod fmt;
 pub mod obs;
-pub mod perf;
-pub mod sweep;
 
 pub use fmt::TableFmt;
 pub use obs::RunCtx;

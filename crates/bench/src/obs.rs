@@ -44,12 +44,12 @@ pub struct RunCtx {
     /// Whether scenario-driven experiments may use quiescence
     /// fast-forward (`repro --no-fastforward` clears it). Fast-forward
     /// is byte-identical to stepped execution — the flag exists for
-    /// debugging the fast-forward machinery itself, and for measuring
-    /// its benefit (`repro bench` times both modes).
+    /// debugging the fast-forward machinery itself (`benchmark/run.sh`
+    /// measures its benefit).
     pub fastforward: bool,
     /// Worker threads for experiments that run a multi-NIC fabric
-    /// (`repro --threads <n>`; also the `bench` sweep width). Fabric
-    /// results are byte-identical for every value — see docs/FABRIC.md.
+    /// (`repro --threads <n>`). Fabric results are byte-identical for
+    /// every value — see docs/FABRIC.md.
     pub threads: usize,
 }
 

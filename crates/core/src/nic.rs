@@ -35,9 +35,9 @@ use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
 use rmt::action::Verdict;
 use rmt::pipeline::{PipelineConfig, RmtPipeline};
 use rmt::program::RmtProgram;
+use sim_core::clock::{drive, Advance, Driven};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
-use sim_core::wheel::TimerWheel;
 use tenancy::{ExitKind, SubmitSource, TenancyConfig, TenancyRuntime, TenantConservation};
 use trace::{MetricsRegistry, Tracer, TrackId};
 
@@ -508,16 +508,6 @@ impl NicBuilder {
             }),
             tenancy: self.tenancy.map(|c| Box::new(TenancyRuntime::new(c))),
         }
-    }
-}
-
-/// Minimum of two optional fast-forward hints, where `None` means
-/// "quiescent / no constraint".
-fn merge_hint(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
     }
 }
 
@@ -1753,75 +1743,32 @@ impl PanicNic {
             })
     }
 
-    /// Runs `cycles` cycles from `start`, returning the next cycle.
+    /// Runs `cycles` cycles from `start`, one tick per cycle, returning
+    /// the next cycle.
     pub fn run(&mut self, start: Cycle, cycles: u64) -> Cycle {
-        let mut now = start;
-        for _ in 0..cycles {
-            self.tick(now);
-            now = now.next();
-        }
-        now
+        drive(self, start, cycles, Advance::Stepped).0
     }
 
-    /// Runs `cycles` cycles from `start` with quiescence fast-forward:
-    /// after each tick the NIC computes the earliest cycle at which any
-    /// component could act ([`PanicNic::next_activity`]) and jumps the
-    /// clock there, replaying the skipped idle ticks' bookkeeping via
-    /// [`PanicNic::skip_idle`] so traces, metrics, and conservation
-    /// counts stay byte-identical to a stepped run (see `docs/PERF.md`).
+    /// Runs `cycles` cycles from `start` with quiescence fast-forward
+    /// ([`Advance::Merged`]): after each tick the clock jumps to
+    /// [`PanicNic::next_activity`], replaying the skipped idle ticks'
+    /// bookkeeping via [`PanicNic::skip_idle`] so traces, metrics, and
+    /// conservation counts stay byte-identical to a stepped run (see
+    /// `docs/PERF.md`).
     ///
     /// Returns the next cycle and the number of cycles skipped.
     pub fn run_ff(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        let end = Cycle(start.0 + cycles);
-        let mut now = start;
-        let mut skipped = 0u64;
-        while now < end {
-            self.tick(now);
-            let hint = self.next_activity(now).unwrap_or(end);
-            let next = now.next();
-            let target = hint.max(next).min(end);
-            if target > next {
-                self.skip_idle(next, target);
-                skipped += target.0 - next.0;
-            }
-            now = target;
-        }
-        (now, skipped)
+        drive(self, start, cycles, Advance::Merged)
     }
 
-    /// Runs `cycles` cycles from `start` event-driven: wake-up hints
-    /// from [`PanicNic::next_activity`] are posted to a hierarchical
-    /// [`TimerWheel`] and the clock sleeps until the earliest pending
-    /// wake instead of re-deriving a jump target inline. Observable
-    /// state — traces, metrics, conservation counts — is byte-identical
-    /// to [`PanicNic::run`] and [`PanicNic::run_ff`]; only the skip
-    /// count may differ (a stale wheel entry costs at worst a spurious
-    /// idle tick, which stepped runs perform anyway). See
-    /// [`sim_core::run_for_event`] for the full argument.
+    /// Runs `cycles` cycles from `start` event-driven
+    /// ([`Advance::Wheel`]). Observable state is byte-identical to
+    /// [`PanicNic::run`] and [`PanicNic::run_ff`]; only the skip count
+    /// may differ.
     ///
     /// Returns the next cycle and the number of cycles skipped.
     pub fn run_event(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        let end = Cycle(start.0 + cycles);
-        let mut now = start;
-        let mut skipped = 0u64;
-        let mut wheel: TimerWheel<()> = TimerWheel::new();
-        while now < end {
-            self.tick(now);
-            if let Some(t) = self.next_activity(now) {
-                wheel.schedule(t.max(now.next()), ());
-            }
-            // Retire wakes at or before the cycle just ticked.
-            while wheel.pop_due(now).is_some() {}
-            let hint = wheel.next_event_time(end).unwrap_or(end);
-            let next = now.next();
-            let target = hint.max(next).min(end);
-            if target > next {
-                self.skip_idle(next, target);
-                skipped += target.0 - next.0;
-            }
-            now = target;
-        }
-        (now, skipped)
+        drive(self, start, cycles, Advance::Wheel)
     }
 
     /// Fast-forward hint: the earliest future cycle at which any NIC
@@ -1841,18 +1788,18 @@ impl PanicNic {
     ///   while any coalescer holds pending events).
     #[must_use]
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut hint = merge_hint(
+        let mut hint = Cycle::earliest(
             self.network.next_activity(now),
             self.pipeline.next_activity(now),
         );
         for slot in self.tiles.iter() {
             if let TileSlot::Engine(t) = slot {
-                hint = merge_hint(hint, t.next_activity(now));
+                hint = Cycle::earliest(hint, t.next_activity(now));
             }
         }
-        hint = merge_hint(hint, self.fault_plane_next_activity(now));
-        hint = merge_hint(hint, self.pcie_flush_next_activity(now));
-        hint = merge_hint(
+        hint = Cycle::earliest(hint, self.fault_plane_next_activity(now));
+        hint = Cycle::earliest(hint, self.pcie_flush_next_activity(now));
+        hint = Cycle::earliest(
             hint,
             self.tenancy.as_ref().and_then(|t| t.next_activity(now)),
         );
@@ -1925,7 +1872,7 @@ impl PanicNic {
             if relevant {
                 let interval = wd.config().check_interval.count().max(1);
                 let next_check = Cycle((now.0 / interval + 1) * interval);
-                hint = merge_hint(hint, Some(next_check));
+                hint = Cycle::earliest(hint, Some(next_check));
             }
         }
         hint
@@ -1979,6 +1926,22 @@ impl PanicNic {
                 TileSlot::RmtPortal => true,
             })
             && self.tenancy.as_ref().is_none_or(|t| t.pending_total() == 0)
+    }
+}
+
+/// The NIC alone: no workload, one wake source, never done.
+impl Driven for PanicNic {
+    fn step(&mut self, now: Cycle) {
+        self.tick(now);
+    }
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        if let Some(t) = self.next_activity(now) {
+            post(t);
+        }
+        true
+    }
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        PanicNic::skip_idle(self, from, to);
     }
 }
 

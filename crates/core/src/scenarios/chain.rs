@@ -20,10 +20,10 @@ use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
 use rmt::program::{ProgramBuilder, RmtProgram};
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
+use sim_core::clock::{drive, Driven};
 use sim_core::rng::SimRng;
 use sim_core::stats::Summary;
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
-use sim_core::wheel::TimerWheel;
 use workloads::arrivals::ArrivalProcess;
 use workloads::frames::FrameFactory;
 
@@ -143,6 +143,8 @@ pub struct ChainScenario {
     /// instead of inline fast-forward; takes precedence over
     /// `fastforward`. Byte-identical either way.
     event_driven: bool,
+    /// Set by [`ChainScenario::drain`]: arrivals off, stop at quiescence.
+    draining: bool,
     /// Cycles skipped by fast-forward so far.
     skipped: u64,
     /// Reusable egress drain buffer (steady-state runs allocate
@@ -417,6 +419,7 @@ impl ChainScenario {
             now: Cycle::ZERO,
             fastforward: true,
             event_driven: false,
+            draining: false,
             skipped: 0,
             wire_scratch: Vec::new(),
             config,
@@ -433,10 +436,10 @@ impl ChainScenario {
 
     /// Selects the event-driven kernel for subsequent
     /// [`ChainScenario::run`]/[`ChainScenario::drain`] calls: wake-ups
-    /// go through a [`TimerWheel`] instead of the inline fast-forward
-    /// jump. Off by default; overrides `set_fastforward` when on. All
-    /// three modes produce byte-identical traces, metrics, and reports
-    /// (`tests/fastforward_equiv.rs` holds the line).
+    /// go through a [`sim_core::TimerWheel`] instead of the inline
+    /// fast-forward jump. Off by default; overrides `set_fastforward`
+    /// when on. All three modes produce byte-identical traces, metrics,
+    /// and reports (`tests/fastforward_equiv.rs` holds the line).
     pub fn set_event_driven(&mut self, on: bool) {
         self.event_driven = on;
     }
@@ -465,224 +468,27 @@ impl ChainScenario {
         self.nic.export_metrics(m);
     }
 
-    /// One simulated cycle: optional arrivals, a NIC tick, and an
-    /// egress drain (into a reusable buffer — steady state allocates
-    /// nothing per cycle).
-    fn step(&mut self, inject: bool) {
-        if inject {
-            for (i, arr) in self.arrivals.iter_mut().enumerate() {
-                if arr.poll(&mut self.rng) {
-                    let frame = self.factory.min_frame(i as u16, 80);
-                    self.nic.rx_frame(
-                        self.ports[i],
-                        frame,
-                        TenantId(i as u16),
-                        Priority::Normal,
-                        self.now,
-                    );
-                    self.offered += 1;
-                }
-            }
-        }
-        self.nic.tick(self.now);
-        self.now = self.now.next();
-        // Egressed frames just leave; drain so memory stays flat.
-        self.wire_scratch.clear();
-        self.nic.drain_wire_tx_into(&mut self.wire_scratch);
-    }
-
     /// Runs for `cycles` cycles, fast-forwarding over provably idle
     /// gaps unless [`ChainScenario::set_fastforward`] disabled it.
     pub fn run(&mut self, cycles: u64) {
-        if self.event_driven {
-            let _ = self.run_event(cycles);
-        } else if self.fastforward {
-            let _ = self.run_ff(cycles);
-        } else {
-            self.run_stepped(cycles);
-        }
+        self.draining = false;
+        self.advance(cycles);
     }
 
-    /// Runs for `cycles` cycles, one tick per cycle (the reference
-    /// semantics fast-forward must reproduce byte-for-byte).
-    pub fn run_stepped(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step(true);
-        }
-    }
-
-    /// Runs for `cycles` cycles with quiescence fast-forward: when
-    /// neither the NIC nor any arrival process can act before cycle
-    /// `t`, jump straight to `t` (replaying per-cycle bookkeeping via
-    /// `skip_idle`). Returns the number of cycles skipped. Traces,
-    /// metrics, and reports are byte-identical to
-    /// [`ChainScenario::run_stepped`]; see `docs/PERF.md`.
-    pub fn run_ff(&mut self, cycles: u64) -> u64 {
-        let end = Cycle(self.now.0 + cycles);
-        let before = self.skipped;
-        while self.now < end {
-            let prev = self.now;
-            self.step(true);
-            let next = self.now;
-            let mut hint = self.nic.next_activity(prev);
-            let mut skippable = true;
-            for a in &self.arrivals {
-                match a.cycles_to_next() {
-                    // Stochastic arrivals draw RNG every cycle; no
-                    // cycle is skippable without changing the stream.
-                    None => {
-                        skippable = false;
-                        break;
-                    }
-                    Some(u64::MAX) => {}
-                    Some(k) => {
-                        let at = Cycle(prev.0.saturating_add(k));
-                        hint = Some(hint.map_or(at, |h| h.min(at)));
-                    }
-                }
-            }
-            if !skippable {
-                continue;
-            }
-            let target = hint.unwrap_or(end).max(next).min(end);
-            if target > next {
-                let delta = target.0 - next.0;
-                self.nic.skip_idle(next, target);
-                for a in &mut self.arrivals {
-                    a.skip(delta);
-                }
-                self.skipped += delta;
-                self.now = target;
-            }
-        }
-        self.skipped - before
-    }
-
-    /// Runs for `cycles` cycles event-driven: the NIC's
-    /// `next_activity` hint and every deterministic arrival's next
-    /// firing cycle are posted to a [`TimerWheel`], and the clock jumps
-    /// to the wheel's earliest pending wake. Returns cycles skipped.
-    /// Byte-identical to [`ChainScenario::run_stepped`] and
-    /// [`ChainScenario::run_ff`] (a stale wheel entry costs at worst a
-    /// spurious idle tick, which the stepped reference performs
-    /// anyway); see `docs/PERF.md`.
-    pub fn run_event(&mut self, cycles: u64) -> u64 {
-        let end = Cycle(self.now.0 + cycles);
-        let before = self.skipped;
-        let mut wheel: TimerWheel<()> = TimerWheel::new();
-        while self.now < end {
-            let prev = self.now;
-            self.step(true);
-            let next = self.now;
-            if let Some(h) = self.nic.next_activity(prev) {
-                wheel.schedule(h.max(next), ());
-            }
-            let mut skippable = true;
-            for a in &self.arrivals {
-                match a.cycles_to_next() {
-                    None => {
-                        skippable = false;
-                        break;
-                    }
-                    Some(u64::MAX) => {}
-                    Some(k) => wheel.schedule(Cycle(prev.0.saturating_add(k)).max(next), ()),
-                }
-            }
-            // Retire wakes for the cycle just ticked.
-            while wheel.pop_due(prev).is_some() {}
-            if !skippable {
-                continue;
-            }
-            let target = wheel.next_event_time(end).unwrap_or(end).max(next).min(end);
-            if target > next {
-                let delta = target.0 - next.0;
-                self.nic.skip_idle(next, target);
-                for a in &mut self.arrivals {
-                    a.skip(delta);
-                }
-                self.skipped += delta;
-                self.now = target;
-            }
-        }
-        self.skipped - before
-    }
-
-    /// Drains in-flight traffic (no new arrivals) for up to
-    /// `max_cycles`, fast-forwarding unless disabled.
+    /// Drains in-flight traffic (no new arrivals) until the NIC is
+    /// quiescent or `max_cycles` have passed, in the same run mode as
+    /// [`ChainScenario::run`].
     pub fn drain(&mut self, max_cycles: u64) {
-        if self.event_driven {
-            let _ = self.drain_event(max_cycles);
-        } else if self.fastforward {
-            let _ = self.drain_ff(max_cycles);
-        } else {
-            self.drain_stepped(max_cycles);
-        }
+        self.draining = true;
+        self.advance(max_cycles);
     }
 
-    /// Drains in-flight traffic one tick per cycle.
-    pub fn drain_stepped(&mut self, max_cycles: u64) {
-        for _ in 0..max_cycles {
-            if self.nic.is_quiescent() {
-                break;
-            }
-            self.step(false);
-        }
-    }
-
-    /// Drains with quiescence fast-forward; returns cycles skipped.
-    pub fn drain_ff(&mut self, max_cycles: u64) -> u64 {
-        let end = Cycle(self.now.0 + max_cycles);
-        let before = self.skipped;
-        while self.now < end {
-            if self.nic.is_quiescent() {
-                break;
-            }
-            let prev = self.now;
-            self.step(false);
-            let next = self.now;
-            if let Some(hint) = self.nic.next_activity(prev) {
-                let target = hint.max(next).min(end);
-                if target > next {
-                    self.nic.skip_idle(next, target);
-                    self.skipped += target.0 - next.0;
-                    self.now = target;
-                }
-            }
-        }
-        self.skipped - before
-    }
-
-    /// Drains event-driven (see [`ChainScenario::run_event`]); returns
-    /// cycles skipped.
-    pub fn drain_event(&mut self, max_cycles: u64) -> u64 {
-        let end = Cycle(self.now.0 + max_cycles);
-        let before = self.skipped;
-        let mut wheel: TimerWheel<()> = TimerWheel::new();
-        while self.now < end {
-            if self.nic.is_quiescent() {
-                break;
-            }
-            let prev = self.now;
-            self.step(false);
-            let next = self.now;
-            if let Some(h) = self.nic.next_activity(prev) {
-                wheel.schedule(h.max(next), ());
-            }
-            while wheel.pop_due(prev).is_some() {}
-            if self.nic.is_quiescent() {
-                // Stop exactly where the fast-forward drain stops:
-                // stale wheel entries must not push the clock (and its
-                // idle bookkeeping) past the quiescent point.
-                continue;
-            }
-            let target = wheel.next_event_time(end).unwrap_or(end).max(next).min(end);
-            if target > next {
-                self.nic.skip_idle(next, target);
-                self.skipped += target.0 - next.0;
-                self.now = target;
-            }
-        }
-        self.skipped - before
+    fn advance(&mut self, cycles: u64) {
+        let mode = super::advance_mode(self.fastforward, self.event_driven);
+        let start = self.now;
+        let (now, skipped) = drive(self, start, cycles, mode);
+        self.now = now;
+        self.skipped += skipped;
     }
 
     /// Builds the report for everything run so far.
@@ -715,6 +521,67 @@ impl ChainScenario {
     #[must_use]
     pub fn chain_len(&self) -> usize {
         self.config.chain_len
+    }
+}
+
+/// The NIC plus its per-port arrival processes; [`ChainScenario::drain`]
+/// turns the arrivals off and stops at quiescence.
+impl Driven for ChainScenario {
+    /// One simulated cycle: arrivals (unless draining), a NIC tick, and
+    /// an egress drain (into a reusable buffer — steady state allocates
+    /// nothing per cycle).
+    fn step(&mut self, now: Cycle) {
+        if !self.draining {
+            for (i, arr) in self.arrivals.iter_mut().enumerate() {
+                if arr.poll(&mut self.rng) {
+                    let frame = self.factory.min_frame(i as u16, 80);
+                    self.nic.rx_frame(
+                        self.ports[i],
+                        frame,
+                        TenantId(i as u16),
+                        Priority::Normal,
+                        now,
+                    );
+                    self.offered += 1;
+                }
+            }
+        }
+        self.nic.tick(now);
+        // Egressed frames just leave; drain so memory stays flat.
+        self.wire_scratch.clear();
+        self.nic.drain_wire_tx_into(&mut self.wire_scratch);
+    }
+
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        if let Some(h) = self.nic.next_activity(now) {
+            post(h);
+        }
+        if self.draining {
+            return true;
+        }
+        for a in &self.arrivals {
+            match a.cycles_to_next() {
+                // Stochastic arrivals draw RNG every cycle; no cycle
+                // is skippable without changing the stream.
+                None => return false,
+                Some(u64::MAX) => {}
+                Some(k) => post(Cycle(now.0.saturating_add(k))),
+            }
+        }
+        true
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.nic.skip_idle(from, to);
+        if !self.draining {
+            for a in &mut self.arrivals {
+                a.skip(to.0 - from.0);
+            }
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.draining && self.nic.is_quiescent()
     }
 }
 

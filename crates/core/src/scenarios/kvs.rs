@@ -37,10 +37,10 @@ use packet::kvs::{KvsOp, KvsRequest};
 use packet::message::{MessageKind, Priority, TenantId};
 use rmt::pipeline::PipelineConfig;
 use sched::admission::AdmissionPolicy;
+use sim_core::clock::{drive, Driven};
 use sim_core::events::EventQueue;
 use sim_core::stats::{Histogram, Summary};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
-use sim_core::wheel::TimerWheel;
 use workloads::kvs::{KvsWorkload, KvsWorkloadConfig, TenantSpec};
 
 use crate::nic::{NicBuilder, NicConfig, PanicNic};
@@ -457,10 +457,10 @@ impl KvsScenario {
     }
 
     /// Selects the event-driven kernel for subsequent
-    /// [`KvsScenario::run`] calls: wake-ups go through a [`TimerWheel`]
-    /// instead of the inline fast-forward jump. Off by default;
-    /// overrides `set_fastforward` when on. All three modes produce
-    /// byte-identical traces, metrics, and reports
+    /// [`KvsScenario::run`] calls: wake-ups go through a
+    /// [`sim_core::TimerWheel`] instead of the inline fast-forward
+    /// jump. Off by default; overrides `set_fastforward` when on. All
+    /// three modes produce byte-identical traces, metrics, and reports
     /// (`tests/fastforward_equiv.rs` holds the line).
     pub fn set_event_driven(&mut self, on: bool) {
         self.event_driven = on;
@@ -530,9 +530,7 @@ impl KvsScenario {
     }
 
     /// One simulation cycle.
-    pub fn tick(&mut self) {
-        let now = self.now;
-
+    fn tick(&mut self, now: Cycle) {
         // 1. New client requests.
         for event in self.workload.tick() {
             let port = if event.wan {
@@ -638,8 +636,6 @@ impl KvsScenario {
                 self.host_latency.record(lat);
             }
         }
-
-        self.now = self.now.next();
     }
 
     fn peek_kvs(frame: &[u8]) -> Option<KvsRequest> {
@@ -655,100 +651,11 @@ impl KvsScenario {
     /// Runs `cycles` cycles, fast-forwarding over provably idle gaps
     /// unless [`KvsScenario::set_fastforward`] disabled it.
     pub fn run(&mut self, cycles: u64) {
-        if self.event_driven {
-            let _ = self.run_event(cycles);
-        } else if self.fastforward {
-            let _ = self.run_ff(cycles);
-        } else {
-            self.run_stepped(cycles);
-        }
-    }
-
-    /// Runs `cycles` cycles, one tick per cycle (the reference
-    /// semantics fast-forward must reproduce byte-for-byte).
-    pub fn run_stepped(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
-        }
-    }
-
-    /// Runs `cycles` cycles with quiescence fast-forward: when the
-    /// NIC, the host-software event queue, and every tenant's arrival
-    /// process are all provably idle until cycle `t`, jump straight to
-    /// `t` (replaying per-cycle bookkeeping via `skip_idle`). Returns
-    /// the cycles skipped. Byte-identical to
-    /// [`KvsScenario::run_stepped`]; see `docs/PERF.md`.
-    pub fn run_ff(&mut self, cycles: u64) -> u64 {
-        let end = Cycle(self.now.0 + cycles);
-        let before = self.skipped;
-        while self.now < end {
-            let prev = self.now;
-            self.tick();
-            let next = self.now;
-            // Stochastic tenants draw RNG every cycle: unskippable.
-            let Some(k) = self.workload.cycles_to_next() else {
-                continue;
-            };
-            let mut hint = self.nic.next_activity(prev);
-            if k < u64::MAX {
-                let at = Cycle(prev.0.saturating_add(k));
-                hint = Some(hint.map_or(at, |h| h.min(at)));
-            }
-            if let Some(due) = self.host_events.next_due() {
-                let at = due.max(next);
-                hint = Some(hint.map_or(at, |h| h.min(at)));
-            }
-            let target = hint.unwrap_or(end).max(next).min(end);
-            if target > next {
-                let delta = target.0 - next.0;
-                self.nic.skip_idle(next, target);
-                self.workload.skip(delta);
-                self.skipped += delta;
-                self.now = target;
-            }
-        }
-        self.skipped - before
-    }
-
-    /// Runs for `cycles` cycles event-driven: the NIC's
-    /// `next_activity` hint, the workload's next deterministic
-    /// arrival, and the next host-software completion are posted to a
-    /// [`TimerWheel`], and the clock jumps to the wheel's earliest
-    /// pending wake. Returns cycles skipped. Byte-identical to
-    /// [`KvsScenario::run_stepped`] and [`KvsScenario::run_ff`]; see
-    /// `docs/PERF.md`.
-    pub fn run_event(&mut self, cycles: u64) -> u64 {
-        let end = Cycle(self.now.0 + cycles);
-        let before = self.skipped;
-        let mut wheel: TimerWheel<()> = TimerWheel::new();
-        while self.now < end {
-            let prev = self.now;
-            self.tick();
-            let next = self.now;
-            // Stochastic tenants draw RNG every cycle: unskippable.
-            let Some(k) = self.workload.cycles_to_next() else {
-                continue;
-            };
-            if let Some(h) = self.nic.next_activity(prev) {
-                wheel.schedule(h.max(next), ());
-            }
-            if k < u64::MAX {
-                wheel.schedule(Cycle(prev.0.saturating_add(k)).max(next), ());
-            }
-            if let Some(due) = self.host_events.next_due() {
-                wheel.schedule(due.max(next), ());
-            }
-            while wheel.pop_due(prev).is_some() {}
-            let target = wheel.next_event_time(end).unwrap_or(end).max(next).min(end);
-            if target > next {
-                let delta = target.0 - next.0;
-                self.nic.skip_idle(next, target);
-                self.workload.skip(delta);
-                self.skipped += delta;
-                self.now = target;
-            }
-        }
-        self.skipped - before
+        let mode = super::advance_mode(self.fastforward, self.event_driven);
+        let start = self.now;
+        let (now, skipped) = drive(self, start, cycles, mode);
+        self.now = now;
+        self.skipped += skipped;
     }
 
     /// Builds the report.
@@ -782,6 +689,36 @@ impl KvsScenario {
             unanswered: self.outstanding.len() as u64,
             interrupts: pcie.map_or(0, |p| p.interrupts),
         }
+    }
+}
+
+/// The NIC plus the tenants' arrival processes and the host-software
+/// completion queue.
+impl Driven for KvsScenario {
+    fn step(&mut self, now: Cycle) {
+        self.tick(now);
+    }
+
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        // Stochastic tenants draw RNG every cycle: unskippable.
+        let Some(k) = self.workload.cycles_to_next() else {
+            return false;
+        };
+        if let Some(h) = self.nic.next_activity(now) {
+            post(h);
+        }
+        if k < u64::MAX {
+            post(Cycle(now.0.saturating_add(k)));
+        }
+        if let Some(due) = self.host_events.next_due() {
+            post(due);
+        }
+        true
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.nic.skip_idle(from, to);
+        self.workload.skip(to.0 - from.0);
     }
 }
 

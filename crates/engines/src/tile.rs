@@ -446,7 +446,7 @@ impl EngineTile {
         self.out_scratch = scratch;
     }
 
-    /// Fast-forward hint (see `sim_core::Clocked::next_activity` for the
+    /// Fast-forward hint (see `sim_core::Driven::wakes` for the
     /// contract): the next cycle at which this tile's `tick` would do
     /// anything observable, or `None` when it never will without
     /// external input.

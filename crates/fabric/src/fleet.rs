@@ -7,6 +7,7 @@ use packet::message::Message;
 use packet::EngineId;
 use panic_core::{Conservation, NicBuilder, PanicNic};
 use panic_verify::{verify_fabric, FabricSpec, LinkSpec, Report};
+use sim_core::clock::{drive, Advance};
 use sim_core::time::Cycle;
 use trace::{MetricsRegistry, Tracer};
 
@@ -492,7 +493,7 @@ impl Fabric {
     /// Runs `cycles` cycles from `start` with per-member stepped
     /// execution (no fast-forward anywhere). Returns the next cycle.
     pub fn run(&mut self, start: Cycle, cycles: u64) -> Cycle {
-        self.run_inner(start, cycles, RunMode::Stepped).0
+        self.run_inner(start, cycles, Advance::Stepped).0
     }
 
     /// Runs `cycles` cycles from `start` with quiescence fast-forward
@@ -505,7 +506,7 @@ impl Fabric {
     /// Returns the next cycle and total cycles skipped (member-level
     /// skips plus fleet-level jumps).
     pub fn run_ff(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        self.run_inner(start, cycles, RunMode::Ff)
+        self.run_inner(start, cycles, Advance::Merged)
     }
 
     /// Like [`Fabric::run_ff`], but event-driven at both levels: each
@@ -517,10 +518,10 @@ impl Fabric {
     ///
     /// Returns the next cycle and total cycles skipped.
     pub fn run_event(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        self.run_inner(start, cycles, RunMode::Event)
+        self.run_inner(start, cycles, Advance::Wheel)
     }
 
-    fn run_inner(&mut self, start: Cycle, cycles: u64, run: RunMode) -> (Cycle, u64) {
+    fn run_inner(&mut self, start: Cycle, cycles: u64, run: Advance) -> (Cycle, u64) {
         let end = Cycle(start.0 + cycles);
         let mut now = start;
         let mut skipped = 0u64;
@@ -529,7 +530,7 @@ impl Fabric {
             if self.chaos.is_some() {
                 self.chaos_apply(now);
             }
-            if run != RunMode::Stepped {
+            if run != Advance::Stepped {
                 if let Some(target) = self.fleet_jump_target(start, now, end) {
                     for m in &mut self.members {
                         m.nic.skip_idle(now, target);
@@ -717,17 +718,17 @@ impl Fabric {
         }
         let mut next: Option<Cycle> = None;
         for (i, m) in self.members.iter().enumerate() {
-            next = merge_hint(next, m.nic.next_activity(now));
+            next = Cycle::earliest(next, m.nic.next_activity(now));
             // A non-Up member's driver is suppressed: its backlog
             // bursts in at recovery (hinted by the chaos wake), so it
             // must not drag the jump target earlier than that.
             let driving = self.chaos.as_ref().is_none_or(|c| c.is_up(i));
             if let (true, Some(d)) = (driving, &m.driver) {
-                next = merge_hint(next, d.next_arrival(now));
+                next = Cycle::earliest(next, d.next_arrival(now));
             }
         }
         if let Some(c) = &self.chaos {
-            next = merge_hint(next, c.next_wake(now));
+            next = Cycle::earliest(next, c.next_wake(now));
         }
         // Nothing will ever happen again: jump straight to the end.
         let raw = next.unwrap_or(end).min(end);
@@ -1090,7 +1091,7 @@ impl Fabric {
 
     /// Runs every member over `[from, to)`, in parallel when allowed.
     /// Returns the members' summed fast-forward skip counts.
-    fn run_members(&mut self, from: Cycle, to: Cycle, run: RunMode) -> u64 {
+    fn run_members(&mut self, from: Cycle, to: Cycle, run: Advance) -> u64 {
         let modes: Vec<MemberMode> = match &self.chaos {
             None => vec![MemberMode::Run; self.members.len()],
             Some(c) => c
@@ -1417,21 +1418,6 @@ impl Fabric {
     }
 }
 
-/// How the clock advances inside an epoch — all three modes produce
-/// byte-identical traces and metrics; they differ only in how many
-/// idle cycles are actually ticked (see `docs/PERF.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    /// Tick every member every cycle.
-    Stepped,
-    /// Quiescence fast-forward: re-derive the jump target inline after
-    /// every tick ([`PanicNic::run_ff`]).
-    Ff,
-    /// Event-driven: members sleep on timer-wheel wake-ups
-    /// ([`PanicNic::run_event`]).
-    Event,
-}
-
 /// How one member executes an epoch, set by its chaos phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemberMode {
@@ -1450,7 +1436,7 @@ enum MemberMode {
 
 /// Runs one member over `[from, to)`, interleaving its driver's
 /// injections with (fast-forwarded) execution. Returns cycles skipped.
-fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: RunMode, mode: MemberMode) -> u64 {
+fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: Advance, mode: MemberMode) -> u64 {
     if mode == MemberMode::Skip {
         m.nic.skip_idle(from, to);
         return 0;
@@ -1464,19 +1450,9 @@ fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: RunMode, mode: Member
             .filter(|a| *a < to);
         let chunk_end = next_arr.unwrap_or(to);
         if chunk_end > now {
-            match run {
-                RunMode::Stepped => now = m.nic.run(now, chunk_end.0 - now.0),
-                RunMode::Ff => {
-                    let (next, s) = m.nic.run_ff(now, chunk_end.0 - now.0);
-                    skipped += s;
-                    now = next;
-                }
-                RunMode::Event => {
-                    let (next, s) = m.nic.run_event(now, chunk_end.0 - now.0);
-                    skipped += s;
-                    now = next;
-                }
-            }
+            let (next, s) = drive(&mut m.nic, now, chunk_end.0 - now.0, run);
+            skipped += s;
+            now = next;
         } else {
             // An arrival due right now: inject, then keep going. The
             // driver contract guarantees next_arrival then advances.
@@ -1485,15 +1461,6 @@ fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: RunMode, mode: Member
         }
     }
     skipped
-}
-
-/// Minimum of two optional hints (`None` = no constraint).
-fn merge_hint(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
-    }
 }
 
 /// Emits one chaos instant event, creating the `fabric.chaos` track

@@ -652,7 +652,7 @@ impl MeshNetwork {
         self.touched_scratch = touched;
     }
 
-    /// Fast-forward hint (see [`sim_core::Clocked::next_activity`] for
+    /// Fast-forward hint (see [`sim_core::Driven::wakes`] for
     /// the contract): `None` while the network is quiescent — with no
     /// flit anywhere, ticking is a pure no-op until the next
     /// [`MeshNetwork::send`] — otherwise `Some(now + 1)`, because an

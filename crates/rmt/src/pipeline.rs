@@ -256,7 +256,7 @@ impl RmtPipeline {
         out
     }
 
-    /// Fast-forward hint (see [`sim_core::Clocked::next_activity`] for
+    /// Fast-forward hint (see [`sim_core::Driven::wakes`] for
     /// the contract): with a backlog the pipeline accepts every cycle
     /// (`now + 1`); with only in-flight messages nothing observable
     /// happens until the earliest one emerges; empty means quiescent.

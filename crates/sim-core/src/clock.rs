@@ -1,197 +1,157 @@
-//! The two-phase clocked-component protocol.
+//! The one clock driver.
 //!
-//! Hardware evaluates combinational logic from the *current* register
-//! state everywhere, then latches new state everywhere at the clock
-//! edge. A software simulator that updates components one by one would
-//! instead leak same-cycle effects between components, and results would
-//! depend on iteration order. We avoid that the way NoC simulators like
-//! booksim do, with a two-phase tick:
-//!
-//! 1. [`Clocked::compute`] — read shared state, decide what to do, stage
-//!    outputs. Must not make this cycle's outputs visible to others.
-//! 2. [`Clocked::commit`] — latch staged outputs into externally visible
-//!    state.
-//!
-//! The driver calls `compute` on every component, then `commit` on every
-//! component, once per cycle. Any ordering of components within a phase
-//! yields the same result as long as components follow the contract.
+//! Everything that owns a simulated clock — the NIC, the scenarios that
+//! wrap it with a workload, the baselines, a fabric member inside an
+//! epoch — advances it through [`drive`]. A component describes itself
+//! with the [`Driven`] trait; [`Advance`] picks how idle cycles are
+//! treated. All three policies leave the component in byte-identical
+//! observable state (traces, metrics, reports); they differ only in how
+//! many provably idle cycles are actually stepped.
 //!
 //! # Quiescence fast-forward
 //!
-//! Evaluating every component every cycle is wasteful when the whole
-//! system is idle between widely spaced arrivals. The protocol therefore
-//! carries an *activity hint*: [`Clocked::next_activity`] names the next
-//! cycle at which ticking the component could change any observable
-//! state. The default, `Some(now + 1)`, opts a component out of
-//! fast-forward entirely — hints are strictly opt-in, and a wrong hint
-//! can only ever make the simulation slower-but-correct if it is
-//! *earlier* than necessary; a hint later than the component's true next
-//! activity is a contract violation.
+//! Stepping every cycle is wasteful when the system is idle between
+//! widely spaced arrivals. After each step the driver therefore asks the
+//! component for its *wakes* — the future cycles at which stepping it
+//! could change observable state — and jumps the clock to the earliest
+//! one, clamped to `[now + 1, end]`. A wake *earlier* than necessary is
+//! always safe (one spurious idle step, which a stepped run performs
+//! anyway); a wake *later* than the component's true next activity is a
+//! contract violation. The skipped span `[from, to)` is handed to
+//! [`Driven::skip_idle`] so per-cycle bookkeeping (idle-slot counters,
+//! progress watermarks) matches a stepped run byte for byte.
 //!
-//! A driver that jumps over cycles `[from, to)` must give every skipped
-//! component the chance to account for them via [`Clocked::skip_idle`],
-//! so per-cycle bookkeeping (idle-slot counters, progress watermarks)
-//! stays byte-identical with a stepped run. See `docs/PERF.md` for the
-//! full contract and its interaction with the two-phase tick.
+//! # Stop rule
+//!
+//! A bounded run stops at `start + cycles`. A drain additionally stops
+//! as soon as [`Driven::done`] holds; it is checked before the first
+//! step and after every step — that is, before every further step *and*
+//! before every jump — so all three policies stop on the same cycle even
+//! while wakes are still pending.
+//!
+//! See `docs/PERF.md` for the contract in full.
 
 use crate::time::Cycle;
 use crate::wheel::TimerWheel;
 
-/// A component advanced by the global clock.
-pub trait Clocked {
-    /// Phase 1: observe inputs as of the start of `now` and stage
-    /// internal updates. Implementations must not expose new outputs to
-    /// other components during this phase.
-    fn compute(&mut self, now: Cycle);
+/// A component whose clock [`drive`] advances.
+pub trait Driven {
+    /// Everything that happens at cycle `now`: inject input due now,
+    /// tick, collect output.
+    fn step(&mut self, now: Cycle);
 
-    /// Phase 2: make staged updates externally visible.
-    fn commit(&mut self, now: Cycle);
-
-    /// The earliest future cycle at which ticking this component could
-    /// have any observable effect, given no external input arrives
-    /// first. Contract:
+    /// Posts, after the step at `now`, every future cycle at which
+    /// stepping could have an observable effect given no outside input
+    /// arrives first — one `post` per wake source; posting nothing
+    /// means quiescent until `end`. Wakes at or before `now` are
+    /// clamped to `now + 1`.
     ///
-    /// * `None` — fully quiescent: ticking at *any* future cycle is a
-    ///   no-op until new input is offered from outside.
-    /// * `Some(t)` with `t > now` — ticking during `(now, t)` is a
-    ///   no-op (after [`Clocked::skip_idle`] compensation); the driver
-    ///   may jump straight to `t`.
-    ///
-    /// The default is `Some(now + 1)` — "tick me every cycle" — so
-    /// components opt in explicitly. Returning a hint *earlier* than
-    /// necessary is always safe; returning one later than the true next
-    /// activity breaks equivalence with a stepped run.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        Some(now.next())
-    }
+    /// Returns whether the cycles up to the earliest wake may be
+    /// skipped at all: `false` marks a *polled* source (e.g. a
+    /// stochastic arrival process drawing RNG every cycle), which
+    /// forces a step at `now + 1` whatever was posted.
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool;
 
-    /// Account for the skipped cycles `[from, to)` as if the component
-    /// had been ticked through them while idle. Implementations that
-    /// maintain per-cycle bookkeeping (idle-slot counters, progress
-    /// watermarks) must replay it here so a fast-forwarded run stays
-    /// byte-identical with a stepped one. The default is a no-op, which
-    /// is correct for components whose idle ticks touch no state.
+    /// Accounts for the skipped cycles `[from, to)` as if the component
+    /// had been stepped through them while idle. Must not change
+    /// [`Driven::done`]. The default is a no-op, which is correct for
+    /// components whose idle steps touch no state.
     fn skip_idle(&mut self, _from: Cycle, _to: Cycle) {}
-}
 
-/// Runs `components` for `cycles` cycles starting at `start`, returning
-/// the first cycle *after* the run (i.e. the next `now`).
-///
-/// This helper suits homogeneous collections; full NIC models own their
-/// sub-components directly and implement [`Clocked`] themselves, then a
-/// single top-level call drives everything.
-pub fn run_for<C: Clocked + ?Sized>(components: &mut [&mut C], start: Cycle, cycles: u64) -> Cycle {
-    let mut now = start;
-    for _ in 0..cycles {
-        for c in components.iter_mut() {
-            c.compute(now);
-        }
-        for c in components.iter_mut() {
-            c.commit(now);
-        }
-        now = now.next();
+    /// True once a drain has nothing left to do; [`drive`] then stops
+    /// early. The default never stops before `end`.
+    fn done(&self) -> bool {
+        false
     }
-    now
 }
 
-/// Like [`run_for`], but fast-forwards over cycles where every
-/// component's [`Clocked::next_activity`] hint says nothing can happen.
-/// Returns `(next_now, skipped)` where `skipped` counts the cycles that
-/// were jumped over rather than ticked.
+/// How [`drive`] treats idle cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Advance {
+    /// Step every cycle — the reference semantics.
+    Stepped,
+    /// Quiescence fast-forward: after every step, jump to the minimum
+    /// of the freshly posted wakes.
+    Merged,
+    /// Event-driven: wakes accumulate in a [`TimerWheel`] and the clock
+    /// jumps to its earliest pending entry. A stale entry (a source
+    /// re-posting earlier than a wake it already posted) costs at worst
+    /// a spurious idle step, so only the skip count may differ from
+    /// [`Advance::Merged`]. Measured 1.04–1.28× slower than `Merged` on
+    /// every benchmark workload (`docs/PERF.md`); kept as the arm the
+    /// equivalence tests and the benchmark gate exercise.
+    Wheel,
+}
+
+/// Advances `d` from `start` for up to `cycles` cycles under `advance`.
+/// Returns the next cycle (`start + cycles`, or earlier if
+/// [`Driven::done`] stopped the run) and the number of cycles skipped
+/// rather than stepped.
+pub fn drive<D: Driven>(d: &mut D, start: Cycle, cycles: u64, advance: Advance) -> (Cycle, u64) {
+    match advance {
+        Advance::Stepped => run(d, start, cycles, |_, _, _| None),
+        Advance::Merged => run(d, start, cycles, |d, now, end| {
+            let mut hint = None;
+            d.wakes(now, &mut |t| hint = Cycle::earliest(hint, Some(t)))
+                .then(|| hint.unwrap_or(end))
+        }),
+        Advance::Wheel => drive_on_wheel(d, start, cycles, &mut TimerWheel::new()),
+    }
+}
+
+/// [`drive`] under [`Advance::Wheel`] on a caller-owned wheel, so a
+/// caller that pre-[`reserve`](TimerWheel::reserve)s it and reuses it
+/// across calls allocates nothing once warm (`tests/zero_alloc.rs`).
+/// The wheel's cursor is monotonic: successive calls must not go back
+/// in time.
 ///
-/// The run is observably identical to [`run_for`]: components are
-/// ticked at exactly the cycles where they could act, and skipped spans
-/// are replayed through [`Clocked::skip_idle`] so per-cycle bookkeeping
-/// matches a stepped run byte for byte.
-pub fn run_for_ff<C: Clocked + ?Sized>(
-    components: &mut [&mut C],
+/// Out of line so the wheel's bulk stays out of the stepped and merged
+/// loops' register allocation — measured ~1.5 % on the driver-bound
+/// `chain_gap` benchmark workload.
+#[inline(never)]
+pub fn drive_on_wheel<D: Driven>(
+    d: &mut D,
     start: Cycle,
     cycles: u64,
+    wheel: &mut TimerWheel<()>,
 ) -> (Cycle, u64) {
-    let end = Cycle(start.0 + cycles);
-    let mut now = start;
-    let mut skipped = 0u64;
-    while now < end {
-        for c in components.iter_mut() {
-            c.compute(now);
-        }
-        for c in components.iter_mut() {
-            c.commit(now);
-        }
-        // The earliest cycle at which any component can act again.
-        // `None` from every component means "idle until external input":
-        // inside a bounded run with no external input that is the end.
-        let hint = components
-            .iter()
-            .filter_map(|c| c.next_activity(now))
-            .min()
-            .unwrap_or(end);
-        let next = now.next();
-        let target = hint.max(next).min(end);
-        if target > next {
-            for c in components.iter_mut() {
-                c.skip_idle(next, target);
-            }
-            skipped += target.0 - next.0;
-        }
-        now = target;
-    }
-    (now, skipped)
-}
-
-/// Like [`run_for_ff`], but event-driven: instead of re-deriving the
-/// jump target from scratch each cycle, wake-up hints are posted to a
-/// [`TimerWheel`] and the driver sleeps until the earliest pending wake.
-/// Returns `(next_now, skipped)` like [`run_for_ff`].
-///
-/// Observable component state is byte-identical to [`run_for`] and
-/// [`run_for_ff`]: at every wake the driver ticks *all* components
-/// (exactly as the fast-forward driver does at every non-skipped
-/// cycle), and skipped spans are replayed through
-/// [`Clocked::skip_idle`]. Stale wheel entries — a component re-hinting
-/// earlier than a wake it already posted — cause at worst a *spurious
-/// wake*: an idle tick that a stepped run would have performed anyway,
-/// with the surrounding skip spans split around it. Because stepped ≡
-/// fast-forwarded already proves idle ticks are fully compensated,
-/// spurious wakes cannot change observable state; only the `skipped`
-/// count may differ from [`run_for_ff`]'s.
-pub fn run_for_event<C: Clocked + ?Sized>(
-    components: &mut [&mut C],
-    start: Cycle,
-    cycles: u64,
-) -> (Cycle, u64) {
-    let end = Cycle(start.0 + cycles);
-    let mut now = start;
-    let mut skipped = 0u64;
-    let mut wheel: TimerWheel<()> = TimerWheel::new();
-    while now < end {
-        for c in components.iter_mut() {
-            c.compute(now);
-        }
-        for c in components.iter_mut() {
-            c.commit(now);
-        }
-        // Post each component's wake. `None` posts nothing: a fully
-        // quiescent component is woken only by another's activity (all
-        // quiescent → the wheel drains empty → jump to the end).
-        for c in components.iter() {
-            if let Some(t) = c.next_activity(now) {
-                wheel.schedule(t.max(now.next()), ());
-            }
-        }
-        // Retire wakes at or before the cycle just ticked; they are
+    run(d, start, cycles, |d, now, end| {
+        let skippable = d.wakes(now, &mut |t| wheel.schedule(t.max(now.next()), ()));
+        // Retire wakes at or before the cycle just stepped: they are
         // satisfied (or stale — both mean "already handled").
         while wheel.pop_due(now).is_some() {}
-        let hint = wheel.next_event_time(end).unwrap_or(end);
+        skippable.then(|| wheel.next_event_time(end).unwrap_or(end))
+    })
+}
+
+/// The clock-advance algorithm. `wake(d, now, end)` is the policy: the
+/// earliest cycle after the step at `now` that needs stepping, or
+/// `None` to step `now + 1` unconditionally.
+fn run<D: Driven>(
+    d: &mut D,
+    start: Cycle,
+    cycles: u64,
+    mut wake: impl FnMut(&mut D, Cycle, Cycle) -> Option<Cycle>,
+) -> (Cycle, u64) {
+    let end = Cycle(start.0 + cycles);
+    let mut now = start;
+    let mut skipped = 0u64;
+    if d.done() {
+        return (now, skipped);
+    }
+    while now < end {
+        d.step(now);
         let next = now.next();
-        let target = hint.max(next).min(end);
-        if target > next {
-            for c in components.iter_mut() {
-                c.skip_idle(next, target);
-            }
-            skipped += target.0 - next.0;
+        let target = wake(d, now, end).map_or(next, |t| t.max(next).min(end));
+        now = next;
+        if d.done() {
+            break;
         }
-        now = target;
+        if target > next {
+            d.skip_idle(next, target);
+            skipped += target.0 - next.0;
+            now = target;
+        }
     }
     (now, skipped)
 }
@@ -200,250 +160,126 @@ pub fn run_for_event<C: Clocked + ?Sized>(
 mod tests {
     use super::*;
 
-    /// A component that, each cycle, reads a shared-style input latched
-    /// last cycle and produces output — used to prove phase separation.
-    struct Stage {
-        input: u64,
-        staged: u64,
-        output: u64,
-        computes: u64,
-        commits: u64,
-    }
+    const POLICIES: [Advance; 3] = [Advance::Stepped, Advance::Merged, Advance::Wheel];
 
-    impl Clocked for Stage {
-        fn compute(&mut self, _now: Cycle) {
-            self.staged = self.input + 1;
-            self.computes += 1;
-        }
-        fn commit(&mut self, _now: Cycle) {
-            self.output = self.staged;
-            self.commits += 1;
-        }
-    }
-
-    #[test]
-    fn run_for_advances_time_and_phases() {
-        let mut a = Stage {
-            input: 10,
-            staged: 0,
-            output: 0,
-            computes: 0,
-            commits: 0,
-        };
-        let mut b = Stage {
-            input: 20,
-            staged: 0,
-            output: 0,
-            computes: 0,
-            commits: 0,
-        };
-        let end = run_for(&mut [&mut a, &mut b], Cycle(0), 3);
-        assert_eq!(end, Cycle(3));
-        assert_eq!(a.computes, 3);
-        assert_eq!(a.commits, 3);
-        assert_eq!(a.output, 11);
-        assert_eq!(b.output, 21);
-    }
-
-    #[test]
-    fn order_independence_within_cycle() {
-        // Two "wired" stages: each reads the other's *output* register.
-        // With two-phase ticking, a cycle's outputs depend only on last
-        // cycle's outputs, so processing order must not matter.
-        fn run(order_swapped: bool) -> (u64, u64) {
-            let mut out = [1u64, 100u64]; // output registers
-            let mut staged = [0u64, 0u64];
-            for _ in 0..5 {
-                let idx: [usize; 2] = if order_swapped { [1, 0] } else { [0, 1] };
-                // compute phase: each reads the *other's* output.
-                for &i in &idx {
-                    staged[i] = out[1 - i] * 2;
-                }
-                // commit phase.
-                for &i in &idx {
-                    out[i] = staged[i];
-                }
-            }
-            (out[0], out[1])
-        }
-        assert_eq!(run(false), run(true));
-    }
-
-    /// A component that wakes every `period` cycles, counts its ticks,
-    /// and accounts skipped idle cycles — to prove `run_for_ff` calls
-    /// it at exactly the right cycles and replays the gaps.
-    struct Waker {
-        period: u64,
-        active_ticks: u64,
-        idle_ticks: u64,
+    /// Wake sources firing every `periods[i]` cycles. Counts active and
+    /// idle steps and accounts every cycle (stepped or replayed), to
+    /// prove [`drive`] steps exactly where it must and replays the rest.
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    struct Wakers {
+        periods: Vec<u64>,
+        /// A source that must be stepped every cycle.
+        polled: bool,
+        /// `done()` once this many active steps have happened.
+        stop_after: Option<u64>,
+        active_steps: u64,
+        idle_steps: u64,
         accounted: u64,
     }
 
-    impl Clocked for Waker {
-        fn compute(&mut self, now: Cycle) {
-            if now.0.is_multiple_of(self.period) {
-                self.active_ticks += 1;
+    impl Driven for Wakers {
+        fn step(&mut self, now: Cycle) {
+            if self.periods.iter().any(|p| now.0.is_multiple_of(*p)) {
+                self.active_steps += 1;
             } else {
-                self.idle_ticks += 1;
-                self.accounted += 1;
+                self.idle_steps += 1;
             }
+            self.accounted += 1;
         }
-        fn commit(&mut self, _now: Cycle) {}
-        fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-            Some(Cycle((now.0 / self.period + 1) * self.period))
+        fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+            for p in &self.periods {
+                post(Cycle((now.0 / p + 1) * p));
+            }
+            !self.polled
         }
         fn skip_idle(&mut self, from: Cycle, to: Cycle) {
             self.accounted += to.0 - from.0;
         }
+        fn done(&self) -> bool {
+            self.stop_after.is_some_and(|n| self.active_steps >= n)
+        }
     }
 
     #[test]
-    fn run_for_ff_matches_stepped_run() {
-        let mut stepped = Waker {
-            period: 10,
-            active_ticks: 0,
-            idle_ticks: 0,
-            accounted: 0,
+    fn policies_agree_on_interleaved_wakes_and_really_skip() {
+        // Coprime periods: each source is regularly woken "early" by
+        // the other, so its earlier-posted wheel entry goes stale —
+        // the spurious-wake path of the wheel policy.
+        let fresh = Wakers {
+            periods: vec![7, 10],
+            ..Wakers::default()
         };
-        let mut ff = Waker {
-            period: 10,
-            active_ticks: 0,
-            idle_ticks: 0,
-            accounted: 0,
-        };
-        let end_a = run_for(&mut [&mut stepped], Cycle(0), 95);
-        let (end_b, skipped) = run_for_ff(&mut [&mut ff], Cycle(0), 95);
-        assert_eq!(end_a, end_b);
-        assert_eq!(stepped.active_ticks, ff.active_ticks);
-        // The fast-forwarded run never ticked an idle cycle...
-        assert_eq!(ff.idle_ticks, 0);
-        assert!(skipped > 0, "expected skipping, got none");
-        // ...but the per-cycle accounting is identical.
-        assert_eq!(stepped.accounted, ff.accounted);
-        assert_eq!(skipped, stepped.idle_ticks);
+        let mut stepped = fresh.clone();
+        assert_eq!(
+            drive(&mut stepped, Cycle(0), 223, Advance::Stepped),
+            (Cycle(223), 0)
+        );
+        assert!(stepped.idle_steps > 100);
+        for advance in [Advance::Merged, Advance::Wheel] {
+            let mut w = fresh.clone();
+            let (end, skipped) = drive(&mut w, Cycle(0), 223, advance);
+            assert_eq!(end, Cycle(223));
+            assert_eq!(w.active_steps, stepped.active_steps, "{advance:?}");
+            assert_eq!(w.accounted, stepped.accounted, "{advance:?}");
+            assert_eq!(w.idle_steps + skipped, stepped.idle_steps, "{advance:?}");
+            assert!(skipped > 100, "{advance:?} only skipped {skipped}");
+        }
     }
 
     #[test]
-    fn run_for_event_matches_stepped_and_ff() {
-        // Two wakers with coprime periods: their wakes interleave, so
-        // each is regularly woken "early" by the other's activity and
-        // its earlier-posted wheel entry goes stale — exercising the
-        // spurious-wake path of the event driver.
-        fn fresh() -> (Waker, Waker) {
-            let w = |period| Waker {
-                period,
-                active_ticks: 0,
-                idle_ticks: 0,
-                accounted: 0,
+    fn done_with_wakes_pending_stops_every_policy_on_the_same_cycle() {
+        // The third active step is at cycle 20; the next wake (30) is
+        // still pending when done() goes true. A loop that checks
+        // done() only before stepping would jump to 30 first.
+        for advance in POLICIES {
+            let mut w = Wakers {
+                periods: vec![10],
+                stop_after: Some(3),
+                ..Wakers::default()
             };
-            (w(7), w(10))
-        }
-        let (mut s1, mut s2) = fresh();
-        let (mut f1, mut f2) = fresh();
-        let (mut e1, mut e2) = fresh();
-        let end_s = run_for(&mut [&mut s1, &mut s2], Cycle(0), 223);
-        let (end_f, _) = run_for_ff(&mut [&mut f1, &mut f2], Cycle(0), 223);
-        let (end_e, skipped) = run_for_event(&mut [&mut e1, &mut e2], Cycle(0), 223);
-        assert_eq!(end_s, end_e);
-        assert_eq!(end_f, end_e);
-        for (s, e) in [(&s1, &e1), (&s2, &e2)] {
-            assert_eq!(s.active_ticks, e.active_ticks);
-            // Ticks at the other waker's wake cycles are idle but real;
-            // total per-cycle accounting must still match stepped.
-            assert_eq!(s.accounted, e.accounted);
-        }
-        assert!(skipped > 0, "expected event-driven skipping, got none");
-        for (f, e) in [(&f1, &e1), (&f2, &e2)] {
-            assert_eq!(f.active_ticks, e.active_ticks);
-            assert_eq!(f.accounted, e.accounted);
+            let (end, _) = drive(&mut w, Cycle(0), 1000, advance);
+            assert_eq!(end, Cycle(21), "{advance:?}");
+            assert_eq!(w.accounted, 21, "{advance:?}");
+            // Already done: a further call steps nothing.
+            assert_eq!(drive(&mut w, end, 1000, advance), (end, 0), "{advance:?}");
+            assert_eq!(w.accounted, 21, "{advance:?}");
         }
     }
 
     #[test]
-    fn run_for_event_all_quiescent_jumps_to_end() {
-        struct Idle {
-            ticks: u64,
-            replayed: u64,
+    fn polled_source_is_never_skipped() {
+        for advance in POLICIES {
+            let mut w = Wakers {
+                periods: vec![50],
+                polled: true,
+                ..Wakers::default()
+            };
+            assert_eq!(drive(&mut w, Cycle(3), 120, advance), (Cycle(123), 0));
+            assert_eq!(w.active_steps + w.idle_steps, 120, "{advance:?}");
         }
-        impl Clocked for Idle {
-            fn compute(&mut self, _now: Cycle) {
-                self.ticks += 1;
-            }
-            fn commit(&mut self, _now: Cycle) {}
-            fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-                None
-            }
-            fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-                self.replayed += to.0 - from.0;
-            }
-        }
-        let mut c = Idle {
-            ticks: 0,
-            replayed: 0,
-        };
-        let (end, skipped) = run_for_event(&mut [&mut c], Cycle(0), 1000);
-        assert_eq!(end, Cycle(1000));
-        assert_eq!(c.ticks, 1, "one probe tick, then a jump to the end");
-        assert_eq!(skipped, 999);
-        assert_eq!(c.replayed, 999);
     }
 
     #[test]
-    fn run_for_ff_default_hint_means_no_skipping() {
-        let mut a = Stage {
-            input: 10,
-            staged: 0,
-            output: 0,
-            computes: 0,
-            commits: 0,
-        };
-        let (end, skipped) = run_for_ff(&mut [&mut a], Cycle(0), 7);
-        assert_eq!(end, Cycle(7));
-        assert_eq!(skipped, 0);
-        assert_eq!(a.computes, 7);
+    fn all_quiescent_jumps_to_end_after_one_probe_step() {
+        for advance in [Advance::Merged, Advance::Wheel] {
+            let mut w = Wakers::default();
+            assert_eq!(
+                drive(&mut w, Cycle(0), 1000, advance),
+                (Cycle(1000), 999),
+                "{advance:?}"
+            );
+            assert_eq!(w.idle_steps, 1, "{advance:?}: one probe step, then a jump");
+            assert_eq!(
+                w.accounted, 1000,
+                "{advance:?}: span replayed via skip_idle"
+            );
+        }
     }
 
     #[test]
-    fn run_for_ff_all_quiescent_jumps_to_end() {
-        struct Idle {
-            ticks: u64,
-            replayed: u64,
-        }
-        impl Clocked for Idle {
-            fn compute(&mut self, _now: Cycle) {
-                self.ticks += 1;
-            }
-            fn commit(&mut self, _now: Cycle) {}
-            fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
-                None
-            }
-            fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-                self.replayed += to.0 - from.0;
-            }
-        }
-        let mut c = Idle {
-            ticks: 0,
-            replayed: 0,
-        };
-        let (end, skipped) = run_for_ff(&mut [&mut c], Cycle(0), 1000);
-        assert_eq!(end, Cycle(1000));
-        assert_eq!(c.ticks, 1, "one probe tick, then a jump to the end");
-        assert_eq!(skipped, 999);
-        assert_eq!(c.replayed, 999, "skipped span replayed via skip_idle");
-    }
-
-    #[test]
-    fn run_for_zero_cycles_is_identity() {
-        let mut a = Stage {
-            input: 0,
-            staged: 0,
-            output: 7,
-            computes: 0,
-            commits: 0,
-        };
-        let end = run_for(&mut [&mut a], Cycle(9), 0);
-        assert_eq!(end, Cycle(9));
-        assert_eq!(a.output, 7);
-        assert_eq!(a.computes, 0);
+    fn zero_cycles_is_identity() {
+        let mut w = Wakers::default();
+        assert_eq!(drive(&mut w, Cycle(9), 0, Advance::Merged), (Cycle(9), 0));
+        assert_eq!(w.accounted, 0);
     }
 }

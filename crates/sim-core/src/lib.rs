@@ -17,8 +17,9 @@
 //!   counters, the building block for lossless on-chip flow control.
 //! * [`stats`] — counters, rate meters, and log-bucketed histograms used
 //!   to report throughput and latency percentiles.
-//! * [`clock`] — the two-phase `Clocked` component trait and a tiny
-//!   driver for running a set of components for N cycles.
+//! * [`clock`] — the one clock driver: the `Driven` component trait and
+//!   `drive`, which steps, fast-forwards, or event-drives it.
+//! * [`wheel`] — the hierarchical timer wheel behind `Advance::Wheel`.
 //!
 //! Nothing in this crate knows about packets or NICs; it is a generic
 //! discrete-time kernel.
@@ -35,7 +36,7 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use clock::{run_for, run_for_event, run_for_ff, Clocked};
+pub use clock::{drive, drive_on_wheel, Advance, Driven};
 pub use events::EventQueue;
 pub use queue::{BoundedQueue, CreditCounter};
 pub use rng::{SimRng, SplitMix64};

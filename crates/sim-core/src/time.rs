@@ -54,6 +54,17 @@ impl Cycle {
     pub fn next(self) -> Cycle {
         Cycle(self.0 + 1)
     }
+
+    /// The earlier of two optional wake-up hints, where `None` means
+    /// "quiescent / no constraint".
+    #[must_use]
+    pub fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
+        match (a, b) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, None) => x,
+            (None, y) => y,
+        }
+    }
 }
 
 impl Cycles {

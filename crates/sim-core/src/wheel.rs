@@ -3,7 +3,7 @@
 //! [`EventQueue`](crate::events::EventQueue) is a binary heap —
 //! `O(log n)` per schedule/pop, and a driver that wants "the next cycle
 //! anything happens" re-heapifies on every operation. The event-driven
-//! run mode (see [`crate::clock::run_for_event`] and `docs/PERF.md`)
+//! run mode (see [`crate::clock::Advance::Wheel`] and `docs/PERF.md`)
 //! instead keeps its wake-ups in a [`TimerWheel`]: the classic
 //! hierarchical timing wheel (Varghese & Lauck, SOSP '87) with
 //!

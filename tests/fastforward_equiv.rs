@@ -45,22 +45,14 @@ use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKind, Table};
+use sim_core::clock::{drive, Advance, Driven};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
-use sim_core::wheel::TimerWheel;
 use workloads::frames::FrameFactory;
 
 /// The three clock-advance strategies under test. All must be
 /// observably indistinguishable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Tick every cycle — the reference semantics.
-    Stepped,
-    /// Inline quiescence fast-forward (`run_ff`).
-    Ff,
-    /// Timer-wheel event kernel (`run_event`).
-    Event,
-}
-use Mode::{Event, Ff, Stepped};
+type Mode = Advance;
+use Advance::{Merged as Ff, Stepped, Wheel as Event};
 
 // ---------------------------------------------------------------------------
 // Chain scenario
@@ -249,76 +241,81 @@ fn fault_universe() -> FaultUniverse {
     FaultUniverse::new(vec![EngineId(1), EngineId(2)], Cycle(FRAMES * GAP * 3 / 4))
 }
 
-/// Drives `nic` to quiescence-with-faults-settled, injecting one frame
-/// every [`GAP`] cycles — stepping every cycle, jumping provably idle
-/// gaps inline, or sleeping on timer-wheel wake-ups, per `mode`.
-/// Returns the cycles skipped.
-///
-/// The injection schedule is deterministic, so the fast drivers fold
-/// the next injection cycle into the jump target exactly like the
-/// scenarios fold their arrival processes in.
-fn drive(nic: &mut PanicNic, eth: EngineId, mode: Mode) -> u64 {
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    let mut sent = 0u64;
-    let mut skipped = 0u64;
-    let mut wheel: TimerWheel<()> = TimerWheel::new();
-    while now.0 < BOUND {
-        if sent < FRAMES && now.0.is_multiple_of(GAP) {
-            nic.rx_frame(
-                eth,
-                factory.min_frame(sent as u16, 80),
-                TenantId(1),
+/// The NIC plus a periodic injector — one frame every [`GAP`] cycles,
+/// [`FRAMES`] in total, rotating over tenant ids `1..=tenants` — as
+/// one [`Driven`] component. The injection schedule is deterministic,
+/// so it is posted as a wake source exactly like the scenarios post
+/// their arrival processes.
+struct Injected<'a> {
+    nic: &'a mut PanicNic,
+    eth: EngineId,
+    factory: FrameFactory,
+    sent: u64,
+    tenants: u64,
+    /// What "drained" means for this run, once every frame is sent.
+    quiet: fn(&PanicNic) -> bool,
+}
+
+impl Driven for Injected<'_> {
+    fn step(&mut self, now: Cycle) {
+        if self.sent < FRAMES && now.0.is_multiple_of(GAP) {
+            self.nic.rx_frame(
+                self.eth,
+                self.factory.min_frame(self.sent as u16, 80),
+                TenantId(1 + (self.sent % self.tenants) as u16),
                 Priority::Normal,
                 now,
             );
-            sent += 1;
+            self.sent += 1;
         }
-        nic.tick(now);
-        if sent == FRAMES && nic.is_quiescent() && nic.faults_settled() {
-            return skipped;
-        }
-        let next = now.next();
-        if mode == Stepped {
-            now = next;
-            continue;
+        self.nic.tick(now);
+    }
+
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        if let Some(h) = self.nic.next_activity(now) {
+            post(h);
         }
         // Next injection: the smallest multiple of GAP >= now + 1.
-        let inject_at = (sent < FRAMES).then(|| Cycle((now.0 / GAP + 1) * GAP));
-        let target = match mode {
-            Stepped => unreachable!(),
-            Ff => {
-                let mut hint = nic.next_activity(now);
-                if let Some(at) = inject_at {
-                    hint = Some(hint.map_or(at, |h| h.min(at)));
-                }
-                hint.unwrap_or(Cycle(BOUND)).max(next).min(Cycle(BOUND))
-            }
-            Event => {
-                if let Some(h) = nic.next_activity(now) {
-                    wheel.schedule(h.max(next), ());
-                }
-                if let Some(at) = inject_at {
-                    wheel.schedule(at, ());
-                }
-                while wheel.pop_due(now).is_some() {}
-                wheel
-                    .next_event_time(Cycle(BOUND))
-                    .unwrap_or(Cycle(BOUND))
-                    .max(next)
-                    .min(Cycle(BOUND))
-            }
-        };
-        if target > next {
-            nic.skip_idle(next, target);
-            skipped += target.0 - next.0;
+        if self.sent < FRAMES {
+            post(Cycle((now.0 / GAP + 1) * GAP));
         }
-        now = target;
+        true
     }
-    panic!(
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.nic.skip_idle(from, to);
+    }
+
+    fn done(&self) -> bool {
+        self.sent == FRAMES && (self.quiet)(self.nic)
+    }
+}
+
+/// Drives `nic` under the injector until `quiet`, stepping every
+/// cycle, jumping provably idle gaps inline, or sleeping on
+/// timer-wheel wake-ups, per `mode`. Returns the cycles skipped.
+fn drive_injected(
+    nic: &mut PanicNic,
+    eth: EngineId,
+    tenants: u64,
+    quiet: fn(&PanicNic) -> bool,
+    mode: Mode,
+) -> u64 {
+    let mut d = Injected {
+        nic,
+        eth,
+        factory: FrameFactory::for_nic_port(0),
+        sent: 0,
+        tenants,
+        quiet,
+    };
+    let (_, skipped) = drive(&mut d, Cycle(0), BOUND, mode);
+    assert!(
+        d.done(),
         "did not drain within {BOUND} cycles:\n{}",
-        nic.conservation()
+        d.nic.conservation()
     );
+    skipped
 }
 
 /// One observed fault run: (Chrome trace, conservation report,
@@ -329,7 +326,8 @@ fn fault_artifacts(seed: u64, intensity: u32, mode: Mode) -> (String, String, St
     let tracer = trace::Tracer::chrome();
     nic.attach_tracer(&tracer);
     nic.enable_faults(plan);
-    let skipped = drive(&mut nic, eth, mode);
+    let settled = |nic: &PanicNic| nic.is_quiescent() && nic.faults_settled();
+    let skipped = drive_injected(&mut nic, eth, 1, settled, mode);
     let s = nic.stats();
     let counters = format!(
         "tx={} fb={} re={} fail={} dup={} down={:?}",
@@ -474,64 +472,7 @@ fn tenancy_artifacts(shaped_gap: u64, mode: Mode) -> (String, String, String, u6
     let (mut nic, eth) = tenanted_watchdog_nic(shaped_gap);
     let tracer = trace::Tracer::chrome();
     nic.attach_tracer(&tracer);
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    let mut sent = 0u64;
-    let mut skipped = 0u64;
-    let mut wheel: TimerWheel<()> = TimerWheel::new();
-    loop {
-        assert!(now.0 < BOUND, "tenancy run did not drain within {BOUND}");
-        if sent < FRAMES && now.0.is_multiple_of(GAP) {
-            let tenant = TenantId(1 + (sent % 2) as u16);
-            nic.rx_frame(
-                eth,
-                factory.min_frame(sent as u16, 80),
-                tenant,
-                Priority::Normal,
-                now,
-            );
-            sent += 1;
-        }
-        nic.tick(now);
-        if sent == FRAMES && nic.is_quiescent() {
-            break;
-        }
-        let next = now.next();
-        if mode == Stepped {
-            now = next;
-            continue;
-        }
-        let inject_at = (sent < FRAMES).then(|| Cycle((now.0 / GAP + 1) * GAP));
-        let target = match mode {
-            Stepped => unreachable!(),
-            Ff => {
-                let mut hint = nic.next_activity(now);
-                if let Some(at) = inject_at {
-                    hint = Some(hint.map_or(at, |h| h.min(at)));
-                }
-                hint.unwrap_or(Cycle(BOUND)).max(next).min(Cycle(BOUND))
-            }
-            Event => {
-                if let Some(h) = nic.next_activity(now) {
-                    wheel.schedule(h.max(next), ());
-                }
-                if let Some(at) = inject_at {
-                    wheel.schedule(at, ());
-                }
-                while wheel.pop_due(now).is_some() {}
-                wheel
-                    .next_event_time(Cycle(BOUND))
-                    .unwrap_or(Cycle(BOUND))
-                    .max(next)
-                    .min(Cycle(BOUND))
-            }
-        };
-        if target > next {
-            nic.skip_idle(next, target);
-            skipped += target.0 - next.0;
-        }
-        now = target;
-    }
+    let skipped = drive_injected(&mut nic, eth, 2, PanicNic::is_quiescent, mode);
     let mut m = trace::MetricsRegistry::new();
     nic.export_metrics(&mut m);
     let cons = format!(

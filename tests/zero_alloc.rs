@@ -30,7 +30,8 @@
 //! documents.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
@@ -46,6 +47,7 @@ use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKind, Table};
+use sim_core::clock::{drive, drive_on_wheel, Advance, Driven};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use sim_core::wheel::TimerWheel;
 use workloads::frames::FrameFactory;
@@ -54,24 +56,36 @@ use workloads::frames::FrameFactory;
 /// everything to the system allocator.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+// The counter is per thread: the tests in this binary run on parallel
+// threads, and one test's warm-up must not land in another's counted
+// window. `const`-initialised `Cell`s have no lazy init and no
+// destructor, so touching them inside `alloc` is safe.
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 /// Debug aid: set `ZERO_ALLOC_PANIC=1` to panic (with a backtrace) at
 /// the first counted allocation instead of tallying. Latched once in
 /// [`counted`] — reading the environment inside `alloc` would itself
 /// allocate.
 static PANIC_ON_ALLOC: AtomicBool = AtomicBool::new(false);
 
+/// Tallies one allocation of `size` bytes if this thread is armed.
+fn count(size: usize) -> bool {
+    let armed = ARMED.get();
+    if armed {
+        ALLOCS.set(ALLOCS.get() + 1);
+        BYTES.set(BYTES.get() + size as u64);
+    }
+    armed
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            if PANIC_ON_ALLOC.load(Ordering::Relaxed) {
-                ARMED.store(false, Ordering::SeqCst);
-                panic!("counted allocation of {} bytes", layout.size());
-            }
+        if count(layout.size()) && PANIC_ON_ALLOC.load(Ordering::Relaxed) {
+            ARMED.set(false);
+            panic!("counted allocation of {} bytes", layout.size());
         }
         System.alloc(layout)
     }
@@ -81,10 +95,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -92,23 +103,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Runs `f` with the counter armed; returns (result, allocations,
-/// bytes requested).
+/// Runs `f` with this thread's counter armed; returns (result,
+/// allocations, bytes requested).
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     PANIC_ON_ALLOC.store(
         std::env::var_os("ZERO_ALLOC_PANIC").is_some(),
         Ordering::SeqCst,
     );
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ALLOCS.set(0);
+    BYTES.set(0);
+    ARMED.set(true);
     let r = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (
-        r,
-        ALLOCS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-    )
+    ARMED.set(false);
+    (r, ALLOCS.get(), BYTES.get())
 }
 
 /// A busy little NIC: two offload hops then back out the port, RMT
@@ -168,34 +175,90 @@ fn chain_nic() -> (PanicNic, EngineId) {
     (b.build(), eth)
 }
 
-/// One simulated cycle of the measured loop: inject (uncounted —
-/// workload-side allocation), then tick and drain the wire (counted
-/// when armed).
-fn step(
-    nic: &mut PanicNic,
+const INJECT_EVERY: u64 = 24;
+const WARMUP: u64 = 6_000;
+const MEASURE: u64 = 6_000;
+
+/// The measured component: the busy NIC plus a periodic injector, one
+/// frame every [`INJECT_EVERY`] cycles, driven by the production
+/// [`drive`] loop.
+struct BusyNic {
+    nic: PanicNic,
     eth: EngineId,
-    factory: &mut FrameFactory,
-    scratch: &mut Vec<Message>,
-    now: Cycle,
-    inject_every: u64,
-) -> u64 {
-    let mut delivered = 0;
-    if now.0.is_multiple_of(inject_every) {
-        let was = ARMED.swap(false, Ordering::SeqCst);
-        nic.rx_frame(
+    factory: FrameFactory,
+    scratch: Vec<Message>,
+    delivered: u64,
+}
+
+impl BusyNic {
+    fn new() -> BusyNic {
+        let (nic, eth) = chain_nic();
+        BusyNic {
+            nic,
             eth,
-            factory.min_frame((now.0 % 4096) as u16, 80),
-            TenantId(1),
-            Priority::Normal,
-            now,
-        );
-        ARMED.store(was, Ordering::SeqCst);
+            factory: FrameFactory::for_nic_port(0),
+            scratch: Vec::new(),
+            delivered: 0,
+        }
     }
-    nic.tick(now);
-    scratch.clear();
-    nic.drain_wire_tx_into(scratch);
-    delivered += scratch.len() as u64;
-    delivered
+}
+
+impl Driven for BusyNic {
+    /// One simulated cycle: inject (uncounted — workload-side
+    /// allocation), then tick and drain the wire (counted when armed).
+    fn step(&mut self, now: Cycle) {
+        if now.0.is_multiple_of(INJECT_EVERY) {
+            let was = ARMED.replace(false);
+            self.nic.rx_frame(
+                self.eth,
+                self.factory.min_frame((now.0 % 4096) as u16, 80),
+                TenantId(1),
+                Priority::Normal,
+                now,
+            );
+            ARMED.set(was);
+        }
+        self.nic.tick(now);
+        self.scratch.clear();
+        self.nic.drain_wire_tx_into(&mut self.scratch);
+        self.delivered += self.scratch.len() as u64;
+    }
+
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        if let Some(t) = self.nic.next_activity(now) {
+            post(t);
+        }
+        // The injection clock is a wake source the NIC can't see.
+        post(Cycle((now.0 / INJECT_EVERY + 1) * INJECT_EVERY));
+        true
+    }
+
+    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.nic.skip_idle(from, to);
+    }
+}
+
+/// Warms `busy` up for [`WARMUP`] cycles, then counts allocations over
+/// the next [`MEASURE`], advancing the clock with `run`. Returns
+/// (allocations, bytes).
+fn measure(
+    busy: &mut BusyNic,
+    mut run: impl FnMut(&mut BusyNic, Cycle, u64) -> (Cycle, u64),
+) -> (u64, u64) {
+    // Warm-up: scratch buffers, pools, and queues reach steady state
+    // (see the module-level allowlist).
+    let (now, _) = run(busy, Cycle(0), WARMUP);
+    assert!(busy.delivered > 0, "warm-up must reach the wire");
+    busy.delivered = 0;
+
+    // Measurement: the same loop, counted.
+    let (_, allocs, bytes) = counted(|| run(busy, now, MEASURE));
+    assert!(
+        busy.delivered > MEASURE / INJECT_EVERY / 2,
+        "measured window must stay busy (delivered {})",
+        busy.delivered
+    );
+    (allocs, bytes)
 }
 
 /// The headline claim: once warm, a busy steady-state cycle — frames
@@ -203,90 +266,14 @@ fn step(
 /// the wire drain — performs zero heap allocations.
 #[test]
 fn steady_state_tick_allocates_nothing() {
-    const INJECT_EVERY: u64 = 24;
-    const WARMUP: u64 = 6_000;
-    const MEASURE: u64 = 6_000;
-
-    let (mut nic, eth) = chain_nic();
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut scratch: Vec<Message> = Vec::new();
-    let mut delivered = 0u64;
-
-    // Warm-up: scratch buffers, pools, and queues reach steady state
-    // (see the module-level allowlist).
-    for c in 0..WARMUP {
-        delivered += step(
-            &mut nic,
-            eth,
-            &mut factory,
-            &mut scratch,
-            Cycle(c),
-            INJECT_EVERY,
-        );
-    }
-    assert!(delivered > 0, "warm-up must reach the wire");
-
-    // Measurement: the same loop, counted.
-    let (delivered, allocs, bytes) = counted(|| {
-        let mut d = 0u64;
-        for c in WARMUP..WARMUP + MEASURE {
-            d += step(
-                &mut nic,
-                eth,
-                &mut factory,
-                &mut scratch,
-                Cycle(c),
-                INJECT_EVERY,
-            );
-        }
-        d
+    let (allocs, bytes) = measure(&mut BusyNic::new(), |busy, start, cycles| {
+        drive(busy, start, cycles, Advance::Stepped)
     });
-    assert!(
-        delivered > MEASURE / INJECT_EVERY / 2,
-        "measured window must stay busy (delivered {delivered})"
-    );
     assert_eq!(
         allocs, 0,
         "steady-state ticks allocated {allocs} times ({bytes} bytes) over \
          {MEASURE} cycles — the zero-alloc hot path has regressed"
     );
-}
-
-/// One turn of the wake-on-event loop, mirroring
-/// `PanicNic::run_event`: tick at `now` (via [`step`], so injection
-/// stays uncounted), re-arm the NIC's `next_activity` wake plus the
-/// workload's injection clock in the wheel, retire due wakes, then
-/// jump straight to the next wake, replaying idle bookkeeping with
-/// `skip_idle`.
-#[allow(clippy::too_many_arguments)]
-fn event_turn(
-    nic: &mut PanicNic,
-    eth: EngineId,
-    factory: &mut FrameFactory,
-    scratch: &mut Vec<Message>,
-    wheel: &mut TimerWheel<()>,
-    now: &mut Cycle,
-    end: Cycle,
-    inject_every: u64,
-) -> u64 {
-    let delivered = step(nic, eth, factory, scratch, *now, inject_every);
-    if let Some(t) = nic.next_activity(*now) {
-        wheel.schedule(t.max(now.next()), ());
-    }
-    // The injection clock is a wake source the NIC can't see. Armed
-    // once per period (at injection time) so the wheel isn't flooded
-    // with duplicate wakes while the NIC ticks every cycle.
-    if now.0.is_multiple_of(inject_every) {
-        wheel.schedule(Cycle(now.0 + inject_every), ());
-    }
-    while wheel.pop_due(*now).is_some() {}
-    let next = now.next();
-    let target = wheel.next_event_time(end).unwrap_or(end).max(next).min(end);
-    if target > next {
-        nic.skip_idle(next, target);
-    }
-    *now = target;
-    delivered
 }
 
 /// The event kernel's steady state is allocation-free too: the same
@@ -301,55 +288,16 @@ fn event_turn(
 /// wheel/queue unit tests themselves.
 #[test]
 fn event_kernel_steady_state_allocates_nothing() {
-    const INJECT_EVERY: u64 = 24;
-    const WARMUP: u64 = 6_000;
-    const MEASURE: u64 = 6_000;
-
-    let (mut nic, eth) = chain_nic();
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut scratch: Vec<Message> = Vec::new();
     let mut wheel: TimerWheel<()> = TimerWheel::new();
     // Bucket capacity is part of the warm-up allowlist; `reserve`
     // front-loads it so cursor-position-dependent bucket growth can't
-    // leak into the measured window.
-    wheel.reserve(8);
-    let mut now = Cycle(0);
-    let mut delivered = 0u64;
-
-    while now < Cycle(WARMUP) {
-        delivered += event_turn(
-            &mut nic,
-            eth,
-            &mut factory,
-            &mut scratch,
-            &mut wheel,
-            &mut now,
-            Cycle(WARMUP),
-            INJECT_EVERY,
-        );
-    }
-    assert!(delivered > 0, "warm-up must reach the wire");
-
-    let (delivered, allocs, bytes) = counted(|| {
-        let mut d = 0u64;
-        while now < Cycle(WARMUP + MEASURE) {
-            d += event_turn(
-                &mut nic,
-                eth,
-                &mut factory,
-                &mut scratch,
-                &mut wheel,
-                &mut now,
-                Cycle(WARMUP + MEASURE),
-                INJECT_EVERY,
-            );
-        }
-        d
+    // leak into the measured window. While the NIC steps every cycle
+    // the injection wake is re-posted each step, so one bucket holds
+    // up to INJECT_EVERY copies of it plus a few NIC wakes.
+    wheel.reserve(INJECT_EVERY as usize + 8);
+    let (allocs, bytes) = measure(&mut BusyNic::new(), |busy, start, cycles| {
+        drive_on_wheel(busy, start, cycles, &mut wheel)
     });
-    assert!(
-        delivered > MEASURE / INJECT_EVERY / 2,
-        "measured window must stay busy (delivered {delivered})"
-    );
     assert_eq!(
         allocs, 0,
         "event-kernel steady state allocated {allocs} times ({bytes} bytes) \
