@@ -10,7 +10,13 @@
 //!   tile's ejection buffer, yielding a [`Message`] when its tail
 //!   arrives (the engine's RX interface);
 //! * [`MeshNetwork::tick`] — advance the whole network one cycle in
-//!   two phases (all routers compute, then all transfers commit).
+//!   two phases (all non-idle routers plan, then all transfers commit).
+//!
+//! A message in the mesh is stored once, in the network's in-flight
+//! slab, from `send` until its tail is ejected; source queues, router
+//! FIFOs and ejection buffers hold 8-byte [`FlitHandle`]s naming its
+//! slot. Which routers hold a flit is an `active` tile bitmask, so a
+//! tick touches only those.
 //!
 //! The network is lossless end to end: the only place a message can
 //! wait indefinitely is a source queue, which models the engine-side
@@ -19,12 +25,12 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use packet::{EngineId, Flit, Message, MessageId, MessagePool, TenantId};
+use packet::{EngineId, Flit, FlitKind, Message, TenantId};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricsRegistry, Tracer, TrackId};
 
-use crate::router::{PortDir, RoutePlan, Router, RouterConfig};
+use crate::router::{FlitHandle, PortDir, RoutePlan, Router, RouterConfig};
 use crate::topology::{Coord, Placement, RouteLut, Topology};
 
 /// Network configuration.
@@ -127,26 +133,57 @@ struct NetFaults {
     lost_by_tenant: BTreeMap<TenantId, u64>,
 }
 
+/// `neighbor_idx` entry of a port with no link.
+const NO_TILE: u16 = u16::MAX;
+
+/// One in-flight message: stored once in the slab while its flits —
+/// handles naming this slot — cross the mesh.
+#[derive(Debug)]
+struct InFlight {
+    msg: Message,
+    /// When `send` accepted it (for `noc.latency` / `noc.msg`).
+    sent: Cycle,
+}
+
+/// Iterates the positions of the set bits of a mask, lowest first.
+#[inline]
+fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(bit)
+    })
+}
+
 /// The mesh network of routers.
 #[derive(Debug)]
 pub struct MeshNetwork {
     config: NetworkConfig,
     placement: Placement,
     /// Dense engine→coord/tile tables snapshotted from `placement` —
-    /// the per-flit routing path never touches the hash maps.
+    /// `send` and `poll_ejected` never touch the hash maps.
     lut: RouteLut,
     /// `neighbor_idx[tile][port]` — downstream tile index per output
-    /// port (`u32::MAX` where no link exists; own tile for Local).
-    neighbor_idx: Vec<[u32; PortDir::COUNT]>,
+    /// port ([`NO_TILE`] where no link exists; own tile for Local).
+    neighbor_idx: Vec<[u16; PortDir::COUNT]>,
     routers: Vec<Router>,
     /// Per-tile source (injection) queues. Unbounded: they model the
     /// sending engine's own buffering; occupancy is observable so
     /// experiments can detect source-queue growth (= saturation).
-    source: Vec<VecDeque<Flit>>,
+    source: Vec<VecDeque<FlitHandle>>,
     /// Per-tile ejection buffers, bounded in practice by Local credits.
-    ejection: Vec<VecDeque<Flit>>,
-    /// Send timestamps for in-flight messages (for latency accounting).
-    in_flight: HashMap<MessageId, Cycle>,
+    ejection: Vec<VecDeque<FlitHandle>>,
+    /// The in-flight slab: every message between `send` and the
+    /// ejection of its tail, indexed by [`FlitHandle::slot`]. Each copy
+    /// of a message has its own slot, so a re-issued duplicate racing
+    /// its original keeps its own send stamp.
+    slab: Vec<Option<InFlight>>,
+    /// Vacant slab slots, reused LIFO; sized with the slab so a
+    /// steady-state eject → send cycle never allocates.
+    free_slots: Vec<u32>,
     stats: NetworkStats,
     /// Trace handle (disabled by default; see [`MeshNetwork::attach_tracer`]).
     tracer: Tracer,
@@ -155,18 +192,20 @@ pub struct MeshNetwork {
     /// Fault-injection state; `None` (no cost, no metrics) until a
     /// `fault_*` method is called.
     faults: Option<Box<NetFaults>>,
-    /// Free-list arena for the boxed message copies tail flits carry;
-    /// keeps the steady-state send/eject path allocation-free.
-    pool: MessagePool,
-    /// Per-router switch-allocation plans reused every cycle (phase 1
-    /// writes, phase 2 executes). Hoisted out of [`MeshNetwork::tick`]
-    /// so the hot loop performs no per-cycle allocation.
-    plan_scratch: Vec<RoutePlan>,
-    /// Tiles whose router computed this cycle (phase 2 only visits
-    /// these; idle routers stage nothing and are skipped entirely).
-    touched_scratch: Vec<u32>,
-    /// Bitmask of tiles whose source queue is non-empty (one u64 word
-    /// per 64 tiles), so injection visits only tiles with traffic.
+    /// Per-router switch-allocation plans (phase 1 writes, phase 2
+    /// executes); only the entries of this cycle's planned tiles are
+    /// meaningful.
+    plans: Vec<RoutePlan>,
+    /// Bitmask of tiles whose router holds at least one flit (one u64
+    /// word per 64 tiles): set on every accept, cleared when a commit
+    /// leaves the router empty. Idle routers are never visited.
+    active: Vec<u64>,
+    /// Snapshot of `active` taken after injection: the tiles phase 1
+    /// planned, which are the tiles phase 2 commits (commits change
+    /// `active` as flits move).
+    planned: Vec<u64>,
+    /// Bitmask of tiles whose source queue is non-empty, same layout
+    /// as `active`, so injection visits only tiles with traffic.
     source_pending: Vec<u64>,
     /// Bitmask of tiles whose ejection buffer is non-empty, same
     /// layout as `source_pending`, so the NIC's ejection pass visits
@@ -191,20 +230,23 @@ impl MeshNetwork {
             .map(|c| Router::new(c, config.topology, config.router))
             .collect();
         let n = config.topology.nodes();
+        let words = n.div_ceil(64);
         let lut = RouteLut::build(&placement, config.topology);
         let neighbor_idx = config
             .topology
             .coords()
             .enumerate()
             .map(|(tile, c)| {
-                let mut row = [u32::MAX; PortDir::COUNT];
+                // At most 255 × 255 tiles, so an index never collides
+                // with `NO_TILE`.
+                let mut row = [NO_TILE; PortDir::COUNT];
                 for &p in &PortDir::ALL {
                     row[p.index()] = match p.direction() {
                         Some(d) => config
                             .topology
                             .neighbor(c, d)
-                            .map_or(u32::MAX, |nc| config.topology.index(nc) as u32),
-                        None => tile as u32,
+                            .map_or(NO_TILE, |nc| config.topology.index(nc) as u16),
+                        None => tile as u16,
                     };
                 }
                 row
@@ -221,16 +263,17 @@ impl MeshNetwork {
             routers,
             source: (0..n).map(|_| VecDeque::new()).collect(),
             ejection: (0..n).map(|_| VecDeque::with_capacity(eject_cap)).collect(),
-            in_flight: HashMap::new(),
+            slab: Vec::new(),
+            free_slots: Vec::new(),
             stats: NetworkStats::new(),
             tracer: Tracer::disabled(),
             tracks: Vec::new(),
             faults: None,
-            pool: MessagePool::new(),
-            plan_scratch: vec![RoutePlan::default(); n],
-            source_pending: vec![0u64; n.div_ceil(64)],
-            ejection_pending: vec![0u64; n.div_ceil(64)],
-            touched_scratch: Vec::with_capacity(n),
+            plans: vec![RoutePlan::default(); n],
+            active: vec![0u64; words],
+            planned: vec![0u64; words],
+            source_pending: vec![0u64; words],
+            ejection_pending: vec![0u64; words],
             resident_flits: 0,
             active_cycles: 0,
         }
@@ -427,19 +470,47 @@ impl MeshNetwork {
     /// Panics if either engine is not placed.
     pub fn send(&mut self, from: EngineId, to: EngineId, msg: Message, now: Cycle) {
         let tile = self.tile_of(from);
-        // Destination must be resolvable at send time; `tile_of` panics
-        // on unplaced destinations when routing, so check here where
-        // the error is attributable to the sender.
-        let _ = self.tile_of(to);
-        self.in_flight.insert(msg.id, now);
+        // The destination is resolved to a coordinate once, here, where
+        // an unplaced engine is attributable to the sender; routers
+        // then route on the coordinate alone.
+        let dest = self
+            .lut
+            .coord_of(to)
+            .unwrap_or_else(|| panic!("engine {to} not placed"));
+        let total = Flit::flits_for(&msg, self.config.width_bits);
+        let slot = self.slab_insert(InFlight { msg, sent: now });
         self.stats.injected_messages += 1;
-        let source = &mut self.source[tile];
-        let before = source.len();
-        Flit::segment_with(msg, to, self.config.width_bits, &mut self.pool, |flit| {
-            source.push_back(flit);
-        });
-        self.resident_flits += (source.len() - before) as u64;
+        self.source[tile].extend((0..total).map(|seq| FlitHandle {
+            slot,
+            dest,
+            kind: FlitKind::at(seq, total),
+        }));
+        self.resident_flits += u64::from(total);
         self.source_pending[tile / 64] |= 1 << (tile % 64);
+    }
+
+    /// Stores `entry` in a vacant slab slot, growing the slab (and the
+    /// free list's capacity with it) only when none is vacant.
+    fn slab_insert(&mut self, entry: InFlight) -> u32 {
+        if let Some(slot) = self.free_slots.pop() {
+            self.slab[slot as usize] = Some(entry);
+            return slot;
+        }
+        let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 messages in flight");
+        self.slab.push(Some(entry));
+        // `free_slots` is empty here; room for every slot means the
+        // ejection path never grows it.
+        self.free_slots.reserve(self.slab.len());
+        slot
+    }
+
+    /// Vacates `slot`, returning the message a tail flit closes.
+    fn slab_remove(&mut self, slot: u32) -> InFlight {
+        let entry = self.slab[slot as usize]
+            .take()
+            .expect("tail flit names a live slab slot");
+        self.free_slots.push(slot);
+        entry
     }
 
     /// Flits waiting in `engine`'s source queue (growth here means the
@@ -482,56 +553,44 @@ impl MeshNetwork {
         if self.ejection[tile].is_empty() {
             self.ejection_pending[tile / 64] &= !(1 << (tile % 64));
         }
+        if !flit.kind.is_tail() {
+            self.routers[tile].refill_credit(PortDir::Local);
+            return None;
+        }
+        let InFlight { msg, sent } = self.slab_remove(flit.slot);
         // Injected ejection drop: destroy the message at the tail (the
         // earlier flits of the message were drained and credited
         // normally) and leak the tail's Local credit — the canonical
         // lost-packet-plus-leaked-credit failure.
-        if flit.kind.is_tail() {
-            if let Some(faults) = self.faults.as_deref_mut() {
-                if let Some(armed) = faults.drop_armed.get_mut(&tile) {
-                    if *armed > 0 {
-                        *armed -= 1;
-                        faults.lost_messages += 1;
-                        faults.leaked_credits += 1;
-                        *faults.lost_by_tenant.entry(flit.tenant).or_insert(0) += 1;
-                        let msg = flit.take_message(&mut self.pool);
-                        self.in_flight.remove(&msg.id);
-                        if self.tracer.enabled() {
-                            self.tracer.instant_arg(
-                                self.tracks[tile],
-                                "fault.drop",
-                                now,
-                                "msg",
-                                msg.id.0,
-                            );
-                        }
-                        return None;
+        if let Some(faults) = self.faults.as_deref_mut() {
+            if let Some(armed) = faults.drop_armed.get_mut(&tile) {
+                if *armed > 0 {
+                    *armed -= 1;
+                    faults.lost_messages += 1;
+                    faults.leaked_credits += 1;
+                    *faults.lost_by_tenant.entry(msg.tenant).or_insert(0) += 1;
+                    if self.tracer.enabled() {
+                        self.tracer.instant_arg(
+                            self.tracks[tile],
+                            "fault.drop",
+                            now,
+                            "msg",
+                            msg.id.0,
+                        );
                     }
+                    return None;
                 }
             }
         }
         self.routers[tile].refill_credit(PortDir::Local);
-        if flit.kind.is_tail() {
-            let msg = flit.take_message(&mut self.pool);
-            if let Some(sent) = self.in_flight.remove(&msg.id) {
-                let dur = now.since(sent);
-                self.stats.latency.record(dur.count());
-                if self.tracer.enabled() {
-                    self.tracer.complete_arg(
-                        self.tracks[tile],
-                        "noc.msg",
-                        sent,
-                        dur,
-                        "msg",
-                        msg.id.0,
-                    );
-                }
-            }
-            self.stats.delivered_messages += 1;
-            Some(msg)
-        } else {
-            None
+        let dur = now.since(sent);
+        self.stats.latency.record(dur.count());
+        if self.tracer.enabled() {
+            self.tracer
+                .complete_arg(self.tracks[tile], "noc.msg", sent, dur, "msg", msg.id.0);
         }
+        self.stats.delivered_messages += 1;
+        Some(msg)
     }
 
     /// Drains everything already in `engine`'s ejection buffer,
@@ -555,8 +614,6 @@ impl MeshNetwork {
         if self.resident_flits > 0 {
             self.active_cycles += 1;
         }
-        let n = self.routers.len();
-        let topo = self.config.topology;
         let traced = self.tracer.enabled();
 
         // Injection: each tile's Local input accepts at most one flit
@@ -564,48 +621,42 @@ impl MeshNetwork {
         // flit wide, like every other channel). The pending bitmask
         // visits only tiles that actually hold queued traffic.
         for word in 0..self.source_pending.len() {
-            let mut bits = self.source_pending[word];
-            while bits != 0 {
-                let tile = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for bit in set_bits(self.source_pending[word]) {
+                let tile = word * 64 + bit;
                 if self.routers[tile].input_space(PortDir::Local) > 0 {
                     let flit = self.source[tile].pop_front().expect("non-empty");
                     self.routers[tile].accept(PortDir::Local, flit);
+                    self.active[word] |= 1 << bit;
                     if self.source[tile].is_empty() {
-                        self.source_pending[word] &= !(1 << (tile % 64));
+                        self.source_pending[word] &= !(1 << bit);
                     }
                 }
             }
         }
 
-        // Phase 1: routers holding flits allocate and stage into the
-        // reused per-router scratch buffers (no per-cycle allocation).
-        // An idle router (all input FIFOs empty) can stage neither a
-        // flit, a credit return, nor a stall, so it is skipped and its
-        // scratch entry — consumed by its last commit — stays clean.
-        let mut plans = std::mem::take(&mut self.plan_scratch);
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        debug_assert_eq!(plans.len(), n);
-        touched.clear();
-        for (tile, (r, p)) in self.routers.iter_mut().zip(plans.iter_mut()).enumerate() {
-            if r.is_idle() {
-                continue;
+        // Phase 1: every router holding a flit allocates its switch
+        // from pre-tick state. An idle router can grant neither a flit
+        // nor a credit return nor a stall, so it is not visited at all.
+        self.planned.copy_from_slice(&self.active);
+        for word in 0..self.planned.len() {
+            for bit in set_bits(self.planned[word]) {
+                let tile = word * 64 + bit;
+                self.plans[tile] = self.routers[tile].plan();
             }
-            r.plan_into(topo, &self.lut, p, traced);
-            touched.push(tile as u32);
         }
 
         // Phase 2: execute the plans — move each winning flit straight
         // from its input FIFO to the downstream buffer (one move per
         // hop) and return one credit to the upstream router it vacated.
-        for &tile_u in &touched {
-            let tile = tile_u as usize;
-            let plan = plans[tile];
-            // Credit stalls: outputs that wanted to send but were
-            // blocked by a full downstream buffer.
-            if traced {
-                for (p, &s) in plan.stalled.iter().enumerate() {
-                    if s {
+        // Tiles and outputs ascend, which fixes the trace event order.
+        for word in 0..self.planned.len() {
+            for bit in set_bits(self.planned[word]) {
+                let tile = word * 64 + bit;
+                let plan = self.plans[tile];
+                // Credit stalls: outputs that wanted to send but were
+                // blocked by a full downstream buffer.
+                if traced {
+                    for p in set_bits(u64::from(plan.stalled)) {
                         self.tracer.instant_arg(
                             self.tracks[tile],
                             "noc.credit_stall",
@@ -615,41 +666,42 @@ impl MeshNetwork {
                         );
                     }
                 }
-            }
-            for (o, winner) in plan.winner.iter().enumerate() {
-                let Some(i) = winner else { continue };
-                let i = usize::from(*i);
-                let flit = self.routers[tile].commit_pop(i);
-                // Credit return to the upstream router the flit vacated
-                // (Local input drains come from the source queue, which
-                // is not credited).
-                if i != PortDir::Local.index() {
-                    let up_idx = self.neighbor_idx[tile][i];
-                    debug_assert_ne!(up_idx, u32::MAX, "credit from a port with no link");
-                    self.routers[up_idx as usize].refill_credit(PortDir::ALL[i].opposite());
+                for o in set_bits(u64::from(plan.granted)) {
+                    let i = usize::from(plan.winner[o]);
+                    let flit = self.routers[tile].commit_pop(i);
+                    // Credit return to the upstream router the flit
+                    // vacated (Local input drains come from the source
+                    // queue, which is not credited).
+                    if i != PortDir::Local.index() {
+                        let up = self.neighbor_idx[tile][i];
+                        debug_assert_ne!(up, NO_TILE, "credit from a port with no link");
+                        self.routers[usize::from(up)].refill_credit(PortDir::ALL[i].opposite());
+                    }
+                    if traced {
+                        let msg = &self.slab[flit.slot as usize]
+                            .as_ref()
+                            .expect("flit in the mesh names a live slab slot")
+                            .msg;
+                        self.tracer
+                            .instant_arg(self.tracks[tile], "noc.hop", now, "msg", msg.id.0);
+                    }
+                    if o == PortDir::Local.index() {
+                        self.stats.delivered_flits += 1;
+                        self.ejection[tile].push_back(flit);
+                        self.ejection_pending[word] |= 1 << bit;
+                    } else {
+                        let down = self.neighbor_idx[tile][o];
+                        debug_assert_ne!(down, NO_TILE, "granted flit toward a missing link");
+                        let down = usize::from(down);
+                        self.routers[down].accept(PortDir::ALL[o].opposite(), flit);
+                        self.active[down / 64] |= 1 << (down % 64);
+                    }
                 }
-                if traced {
-                    self.tracer.instant_arg(
-                        self.tracks[tile],
-                        "noc.hop",
-                        now,
-                        "msg",
-                        flit.msg_id.0,
-                    );
-                }
-                if o == PortDir::Local.index() {
-                    self.stats.delivered_flits += 1;
-                    self.ejection[tile].push_back(flit);
-                    self.ejection_pending[tile / 64] |= 1 << (tile % 64);
-                } else {
-                    let down_idx = self.neighbor_idx[tile][o];
-                    debug_assert_ne!(down_idx, u32::MAX, "staged flit toward a missing link");
-                    self.routers[down_idx as usize].accept(PortDir::ALL[o].opposite(), flit);
+                if self.routers[tile].is_idle() {
+                    self.active[word] &= !(1 << bit);
                 }
             }
         }
-        self.plan_scratch = plans;
-        self.touched_scratch = touched;
     }
 
     /// Fast-forward hint (see [`sim_core::Driven::wakes`] for
@@ -682,6 +734,13 @@ impl MeshNetwork {
                 && self.routers.iter().all(|r| r.buffered_flits() == 0),
             "resident-flit counter out of sync with buffer occupancy"
         );
+        debug_assert!(
+            self.routers
+                .iter()
+                .enumerate()
+                .all(|(t, r)| r.is_idle() == (self.active[t / 64] & (1 << (t % 64)) == 0)),
+            "active-tile mask out of sync with router occupancy"
+        );
         self.resident_flits == 0
     }
 
@@ -710,7 +769,7 @@ impl MeshNetwork {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use packet::{MessageBuilder, MessageKind};
+    use packet::{MessageBuilder, MessageId, MessageKind};
     use sim_core::rng::SimRng;
 
     fn msg(id: u64, payload: usize) -> Message {
@@ -990,6 +1049,63 @@ mod tests {
     }
 
     #[test]
+    fn two_copies_of_one_id_in_flight_each_record_their_own_sample() {
+        use trace::EventKind;
+        // A watchdog re-issue racing its late original: same
+        // `MessageId`, two sends, both delivered. Each copy has its own
+        // slab slot and so its own send stamp.
+        let mut net = net_3x3();
+        let tracer = Tracer::ring(4096);
+        net.attach_tracer(&tracer);
+        net.send(EngineId(0), EngineId(8), msg(7, 64), Cycle(0));
+        net.send(EngineId(1), EngineId(8), msg(7, 64), Cycle(0));
+        let mut now = Cycle(0);
+        let mut got = 0;
+        for _ in 0..200 {
+            net.tick(now);
+            now = now.next();
+            got += usize::from(net.poll_ejected(EngineId(8), now).is_some());
+        }
+        assert_eq!(got, 2);
+        assert_eq!(net.stats().latency.count(), 2);
+        let spans = tracer
+            .ring_snapshot()
+            .unwrap()
+            .iter()
+            .filter(|e| e.name == "noc.msg" && matches!(e.kind, EventKind::Complete { .. }))
+            .count();
+        assert_eq!(spans, 2);
+        assert!(net.is_quiescent());
+    }
+
+    #[test]
+    fn slab_slots_are_reused_not_grown() {
+        let mut net = net_3x3();
+        let mut now = Cycle(0);
+        for round in 0..50u64 {
+            for e in 0..3u16 {
+                net.send(
+                    EngineId(e),
+                    EngineId(8),
+                    msg(round * 3 + u64::from(e), 16),
+                    now,
+                );
+            }
+            while !net.is_quiescent() {
+                net.tick(now);
+                now = now.next();
+                let _ = net.poll_ejected(EngineId(8), now);
+            }
+        }
+        assert_eq!(
+            net.slab.len(),
+            3,
+            "three messages were ever in flight at once"
+        );
+        assert_eq!(net.free_slots.len(), 3);
+    }
+
+    #[test]
     fn ejection_drop_loses_message_and_leaks_exactly_one_credit() {
         let mut net = net_3x3();
         net.fault_drop_next_ejection(EngineId(8));
@@ -1104,5 +1220,167 @@ mod tests {
             plain.stats().delivered_flits
         );
         assert_eq!(traced.total_flit_hops(), plain.total_flit_hops());
+    }
+
+    /// What the property test remembers about a message it sent.
+    struct Sent {
+        from: Coord,
+        to: Coord,
+        flits: u64,
+        at: Cycle,
+        payload: Bytes,
+    }
+
+    impl MeshNetwork {
+        /// True when every structure that can hold a flit or a message
+        /// is empty — what `is_quiescent()` summarises in one counter.
+        fn holds_nothing(&self) -> bool {
+            self.active.iter().all(|&w| w == 0)
+                && self.source_pending.iter().all(|&w| w == 0)
+                && self.ejection_pending.iter().all(|&w| w == 0)
+                && self.slab.iter().all(Option::is_none)
+        }
+    }
+
+    /// What holds for any correct wormhole mesh, under random traffic
+    /// with link slowdowns, credit holds and ejection drops armed: every
+    /// message not destroyed by a drop arrives exactly once with its
+    /// bytes intact, each flit makes exactly XY-distance + 1 hops, no
+    /// message beats its distance, credits come home, and the
+    /// quiescence counter agrees with every structure it summarises on
+    /// every cycle.
+    fn check_mesh(w: u8, h: u8, width_bits: u64, input_buffer_flits: usize, seed: u64) {
+        let topo = Topology::mesh(w, h);
+        let cfg = NetworkConfig {
+            topology: topo,
+            width_bits,
+            router: RouterConfig {
+                input_buffer_flits,
+                ejection_buffer_flits: 2 * input_buffer_flits,
+            },
+        };
+        let mut net = MeshNetwork::new(cfg.clone(), Placement::row_major(topo));
+        let mut rng = SimRng::new(seed);
+        let engines = topo.nodes() as u64;
+        let engine = |rng: &mut SimRng| EngineId(rng.gen_range(engines) as u16);
+
+        // Faults: slowdowns and holds that end inside the run, and
+        // at most one drop per tile (fewer than its Local credits).
+        let mut faults_end = Cycle(0);
+        for _ in 0..rng.gen_range(4) {
+            let until = Cycle(1 + rng.gen_range(400));
+            faults_end = faults_end.max(until);
+            let port = PortDir::ALL[rng.gen_range(5) as usize];
+            if rng.gen_range(2) == 0 {
+                net.fault_link_slow(engine(&mut rng), port, until, 2 + rng.gen_range(3));
+            } else {
+                net.fault_hold_credits(
+                    engine(&mut rng),
+                    port,
+                    1 + rng.gen_range(8) as usize,
+                    until,
+                );
+            }
+        }
+        let mut drop_at: Vec<EngineId> = (0..rng.gen_range(3)).map(|_| engine(&mut rng)).collect();
+        drop_at.sort_unstable();
+        drop_at.dedup();
+        for &e in &drop_at {
+            net.fault_drop_next_ejection(e);
+        }
+
+        let mut sent: Vec<Sent> = Vec::new();
+        let mut delivered: Vec<bool> = Vec::new();
+        let mut now = Cycle(0);
+        let send_window = 50 + rng.gen_range(250);
+        while now.0 < 50_000 {
+            if now.0 < send_window && rng.gen_range(3) == 0 {
+                let (from, to) = (engine(&mut rng), engine(&mut rng));
+                let id = sent.len() as u64;
+                let payload: Vec<u8> = (0..rng.gen_range(200))
+                    .map(|k| (id * 31 + k) as u8)
+                    .collect();
+                let m = Message::builder(MessageId(id), MessageKind::EthernetFrame)
+                    .payload(Bytes::from(payload))
+                    .build();
+                sent.push(Sent {
+                    from: net.coord_of(from),
+                    to: net.coord_of(to),
+                    flits: u64::from(Flit::flits_for(&m, cfg.width_bits)),
+                    at: now,
+                    payload: m.payload.clone(),
+                });
+                delivered.push(false);
+                net.send(from, to, m, now);
+            }
+            net.tick(now);
+            now = now.next();
+            for e in 0..engines as u16 {
+                if let Some(m) = net.poll_ejected(EngineId(e), now) {
+                    let s = &sent[m.id.0 as usize];
+                    assert_eq!(
+                        net.coord_of(EngineId(e)),
+                        s.to,
+                        "delivered to the wrong tile"
+                    );
+                    assert!(
+                        !std::mem::replace(&mut delivered[m.id.0 as usize], true),
+                        "delivered twice"
+                    );
+                    assert_eq!(&m.payload, &s.payload);
+                    assert!(now.since(s.at).count() >= u64::from(s.from.distance(s.to)));
+                }
+            }
+            assert_eq!(net.is_quiescent(), net.holds_nothing());
+            if now.0 >= send_window && now > faults_end && net.is_quiescent() {
+                break;
+            }
+        }
+        assert!(net.is_quiescent(), "mesh never drained");
+
+        let arrived = delivered.iter().filter(|&&d| d).count() as u64;
+        assert_eq!(arrived + net.lost_messages(), sent.len() as u64);
+        assert_eq!(net.stats().delivered_messages, arrived);
+        assert_eq!(net.stats().latency.count(), arrived);
+        assert!(net.lost_messages() <= drop_at.len() as u64);
+        let hops: u64 = sent
+            .iter()
+            .map(|s| s.flits * (u64::from(s.from.distance(s.to)) + 1))
+            .sum();
+        assert_eq!(net.total_flit_hops(), hops);
+
+        // Every credit is home again, except the Local credits the
+        // drops leaked.
+        let mut leaked = 0;
+        for r in &net.routers {
+            for &p in &PortDir::ALL {
+                let missing = r.link_capacity(p).unwrap_or(0) - r.credits(p);
+                if missing > 0 {
+                    let victim = net
+                        .placement
+                        .engine_at(r.coord())
+                        .expect("row-major placement");
+                    assert!(p == PortDir::Local && drop_at.contains(&victim));
+                    assert_eq!(missing, 1);
+                    leaked += 1;
+                }
+            }
+        }
+        assert_eq!(leaked, net.leaked_credits());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn any_mesh_delivers_conserves_hops_and_returns_credits(
+            w in 3u8..=6,
+            h in 3u8..=6,
+            wide in proptest::any::<bool>(),
+            input_buffer_flits in 2usize..=8,
+            seed in proptest::any::<u64>(),
+        ) {
+            check_mesh(w, h, if wide { 128 } else { 64 }, input_buffer_flits, seed);
+        }
     }
 }

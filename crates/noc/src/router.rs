@@ -14,14 +14,17 @@
 //! * one flit per output per cycle, one cycle per hop (§3.1.2: "the
 //!   routers add one cycle of latency at each hop").
 //!
-//! The router stages its decisions in [`Router::compute`]; the owning
-//! [`MeshNetwork`](crate::network::MeshNetwork) moves staged flits and
-//! credits between routers in the commit phase, preserving the
-//! two-phase discipline of [`sim_core::clock`].
+//! The router decides in [`Router::plan`] which input drains through
+//! which output; the owning [`MeshNetwork`](crate::network::MeshNetwork)
+//! pops the winners ([`Router::commit_pop`]) and moves flits and credits
+//! between routers in the commit phase, preserving the two-phase
+//! discipline of [`sim_core::clock`]. What moves is an 8-byte
+//! [`FlitHandle`]; the message it belongs to stays put in the network's
+//! in-flight slab.
 
-use packet::{EngineId, Flit};
+use packet::FlitKind;
 
-use crate::topology::{Coord, Direction, RouteLut, Topology};
+use crate::topology::{Coord, Direction, Topology};
 
 /// A router port: four mesh directions plus the local engine port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,94 +121,126 @@ impl Default for RouterConfig {
     }
 }
 
-/// One cycle's staged output from a router: a flit leaving through each
-/// output port, and credits to return upstream for each input that
-/// drained a flit.
-#[derive(Debug, Default)]
-pub struct StagedOutputs {
-    /// `staged[p]`: flit leaving through port `p` this cycle.
-    pub flits: [Option<Flit>; PortDir::COUNT],
-    /// `credits[p]`: true if input port `p` drained a flit this cycle
-    /// (one credit to return to the upstream on that side).
-    pub credits: [bool; PortDir::COUNT],
-    /// `stalled[p]`: true if output port `p` had traffic that wanted to
-    /// leave this cycle but was blocked by exhausted credits (the
-    /// downstream buffer is full). The network surfaces these as
-    /// `noc.credit_stall` trace events; they are the per-hop signature
-    /// of head-of-line blocking and backpressure (§3.1.2).
-    pub stalled: [bool; PortDir::COUNT],
+/// An 8-byte handle to one flit of an in-flight message.
+///
+/// The mesh moves handles, not messages: `slot` names the message's
+/// entry in the network's in-flight slab (which holds, once per message,
+/// the [`Message`](packet::Message) itself, its send stamp and — through
+/// the message — id and tenant), and the handle carries only what a
+/// router reads every hop: where the flit is going and whether it opens
+/// or closes a wormhole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlitHandle {
+    /// The message's slot in the network's in-flight slab.
+    pub slot: u32,
+    /// Destination tile, resolved from the destination engine once at
+    /// send time.
+    pub dest: Coord,
+    /// Head/body/tail position.
+    pub kind: FlitKind,
 }
 
-impl StagedOutputs {
-    /// Resets to the empty (all-idle) state so the buffer can be reused
-    /// next cycle without reallocating.
-    pub fn clear(&mut self) {
-        for f in &mut self.flits {
-            *f = None;
-        }
-        self.credits = [false; PortDir::COUNT];
-        self.stalled = [false; PortDir::COUNT];
+// Layout guards: five 8-flit rings of handles are 320 B and a router's
+// control state fits two cache lines, so a 6×6 mesh stays L1-resident
+// (`docs/PERF.md`, "The mesh hot path"). A new field must not quietly
+// undo that.
+const _: () = assert!(std::mem::size_of::<FlitHandle>() == 8);
+const _: () = assert!(std::mem::size_of::<Router>() <= 128);
+
+/// One cycle's switch-allocation decisions, by reference: for every
+/// output in `granted`, `winner[o]` names the input whose front flit
+/// traverses output `o` this cycle.
+///
+/// The router only records *which* input won each output; the network
+/// moves each flit once, straight from the winning input FIFO to the
+/// downstream buffer, in the commit phase ([`Router::commit_pop`]).
+/// Credits to return upstream are implied (a grant to input `i` means
+/// input `i` drains one flit).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoutePlan {
+    /// Bit `o` set: output port `o` forwards a flit this cycle.
+    pub granted: u8,
+    /// `winner[o]`: input index draining through output `o`; meaningful
+    /// only where `granted` has bit `o` set.
+    pub winner: [u8; PortDir::COUNT],
+    /// Bit `o` set: output `o` had traffic that wanted to leave this
+    /// cycle but was blocked by exhausted credits (the downstream buffer
+    /// is full) or a fault mask. The network surfaces these as
+    /// `noc.credit_stall` trace events; they are the per-hop signature
+    /// of head-of-line blocking and backpressure (§3.1.2).
+    pub stalled: u8,
+}
+
+/// `in_route` value of an input that holds no wormhole.
+const NO_PORT: u8 = u8::MAX;
+
+/// Next port index in round-robin order.
+#[inline]
+fn next_port(i: usize) -> u8 {
+    if i + 1 == PortDir::COUNT {
+        0
+    } else {
+        i as u8 + 1
     }
 }
 
-/// One cycle's switch-allocation decisions, by reference: `winner[o]`
-/// names the input whose front flit traverses output `o` this cycle.
-///
-/// This is the hot-path counterpart of [`StagedOutputs`]: instead of
-/// popping flits into a staging buffer during the compute phase (one
-/// flit copy in, one out), the router only records *which* input won
-/// each output and the network moves each flit once, straight from the
-/// winning input FIFO to the downstream buffer, in the commit phase.
-/// Credits to return upstream are implied (`winner[o] == Some(i)`
-/// means input `i` drained one flit).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoutePlan {
-    /// `winner[o]`: input index draining through output port `o`.
-    pub winner: [Option<u8>; PortDir::COUNT],
-    /// `stalled[o]`: output `o` had traffic blocked on credits (see
-    /// [`StagedOutputs::stalled`]); recorded only when the caller asks.
-    pub stalled: [bool; PortDir::COUNT],
+/// Narrows a configured buffer size to the router's `u16` counters.
+fn counter(flits: usize, what: &str) -> u16 {
+    u16::try_from(flits).unwrap_or_else(|_| {
+        panic!(
+            "{what} = {flits} flits exceeds the router's 16-bit counters \
+             (max {}; lint PV102)",
+            u16::MAX
+        )
+    })
 }
 
 /// The wormhole router at one tile.
 ///
 /// Input FIFOs and credit counters are stored flat — one contiguous
-/// flit arena for all five inputs and plain per-port count arrays —
-/// instead of one heap queue per port. The mesh ticks every non-idle
-/// router every cycle, so router state is the hottest data in the
-/// simulator and pointer-chasing five scattered `VecDeque`s per router
-/// dominated the tick loop before this layout (see `docs/PERF.md`).
+/// ring of 8-byte [`FlitHandle`]s for all five inputs and narrow
+/// per-port count arrays — so a router is under two cache lines of
+/// state plus `40 × input_buffer_flits` bytes of ring, and a whole 6×6
+/// mesh (≈14 KB) lives in L1. The mesh plans and commits every
+/// non-idle router every cycle, so router state is the hottest data in
+/// the simulator (see `docs/PERF.md`).
 #[derive(Debug)]
 pub struct Router {
-    coord: Coord,
-    /// Flit storage for all five input FIFOs: input `i` is a ring
+    /// Handle storage for all five input FIFOs: input `i` is a ring
     /// buffer over `buf[i * cap .. (i + 1) * cap]`.
-    buf: Box<[Option<Flit>]>,
+    buf: Box<[FlitHandle]>,
+    /// Flits forwarded (any output) over the router's lifetime.
+    forwarded: u64,
+    coord: Coord,
+    topology: Topology,
     /// Capacity of each input FIFO, in flits.
-    cap: u32,
+    cap: u16,
     /// Ring head (index of the oldest flit) per input, relative to the
     /// input's slice of `buf`.
-    head: [u32; PortDir::COUNT],
+    head: [u16; PortDir::COUNT],
     /// Current occupancy per input.
-    len: [u32; PortDir::COUNT],
+    len: [u16; PortDir::COUNT],
     /// Credits toward each downstream buffer per output port.
-    credit: [u32; PortDir::COUNT],
+    credit: [u16; PortDir::COUNT],
     /// Initial (maximum) credit count per output; `0` where no link
     /// exists (mesh edge) — a real link always has a non-zero buffer
     /// (lint PV102).
-    credit_init: [u32; PortDir::COUNT],
-    /// Wormhole ownership: input index currently holding each output.
-    out_owner: [Option<usize>; PortDir::COUNT],
+    credit_init: [u16; PortDir::COUNT],
+    /// Wormhole ownership, seen from the input: the output held by the
+    /// message currently entering on input `i` (set when its head wins
+    /// arbitration, cleared when its tail is granted), or [`NO_PORT`].
+    in_route: [u8; PortDir::COUNT],
     /// Round-robin pointer per output port.
-    rr: [usize; PortDir::COUNT],
-    /// Flits forwarded (any output) over the router's lifetime.
-    forwarded: u64,
+    rr: [u8; PortDir::COUNT],
+    /// Bit `i` set: input FIFO `i` holds at least one flit.
+    nonempty: u8,
+    /// Wormhole ownership, seen from the output: bit `o` set while some
+    /// input's `in_route` is `o`.
+    owned: u8,
     /// Fault injection: outputs masked off this cycle (link-slowdown
     /// faults). A blocked output behaves exactly like one with no
     /// credits — traffic wanting it stalls, credits are conserved.
-    /// All-false by default; the fault-free path pays one bool read
-    /// per output per cycle.
-    blocked: [bool; PortDir::COUNT],
+    blocked: u8,
 }
 
 impl Router {
@@ -213,83 +248,52 @@ impl Router {
     ///
     /// # Panics
     /// Panics if `config.input_buffer_flits` is zero — a zero-capacity
-    /// input FIFO can never make progress (lint PV102).
+    /// input FIFO can never make progress — or if either buffer size
+    /// exceeds `u16::MAX` flits, the range of the router's occupancy
+    /// and credit counters (both lint PV102).
     #[must_use]
     pub fn new(coord: Coord, topology: Topology, config: RouterConfig) -> Router {
         assert!(config.input_buffer_flits > 0, "zero-capacity input FIFO");
-        let cap = config.input_buffer_flits;
-        let buf = std::iter::repeat_with(|| None)
-            .take(cap * PortDir::COUNT)
-            .collect();
-        let mut credit_init = [0u32; PortDir::COUNT];
+        let cap = counter(config.input_buffer_flits, "input_buffer_flits");
+        let eject = counter(config.ejection_buffer_flits, "ejection_buffer_flits");
+        let empty = FlitHandle {
+            slot: u32::MAX,
+            dest: coord,
+            kind: FlitKind::HeadTail,
+        };
+        let mut credit_init = [0u16; PortDir::COUNT];
         for (p, init) in credit_init.iter_mut().enumerate() {
             *init = match PortDir::ALL[p].direction() {
                 Some(d) => match topology.neighbor(coord, d) {
-                    Some(_) => config.input_buffer_flits as u32,
+                    Some(_) => cap,
                     None => 0,
                 },
-                None => config.ejection_buffer_flits as u32,
+                None => eject,
             };
         }
         Router {
+            buf: vec![empty; usize::from(cap) * PortDir::COUNT].into_boxed_slice(),
+            forwarded: 0,
             coord,
-            buf,
-            cap: cap as u32,
+            topology,
+            cap,
             head: [0; PortDir::COUNT],
             len: [0; PortDir::COUNT],
             credit: credit_init,
             credit_init,
-            out_owner: [None; PortDir::COUNT],
+            in_route: [NO_PORT; PortDir::COUNT],
             rr: [0; PortDir::COUNT],
-            forwarded: 0,
-            blocked: [false; PortDir::COUNT],
+            nonempty: 0,
+            owned: 0,
+            blocked: 0,
         }
     }
 
-    /// Oldest flit queued on input `i`, if any.
+    /// Oldest flit queued on input `i` (which must be non-empty).
     #[inline]
-    fn q_front(&self, i: usize) -> Option<&Flit> {
-        if self.len[i] == 0 {
-            return None;
-        }
-        self.buf[i * self.cap as usize + self.head[i] as usize].as_ref()
-    }
-
-    /// Pops the oldest flit from input `i`.
-    #[inline]
-    fn q_pop(&mut self, i: usize) -> Option<Flit> {
-        if self.len[i] == 0 {
-            return None;
-        }
-        let slot = i * self.cap as usize + self.head[i] as usize;
-        let flit = self.buf[slot].take();
-        debug_assert!(flit.is_some(), "occupied ring slot holds a flit");
-        // Conditional wrap instead of `%`: `cap` is a runtime value, so
-        // a modulo here would be a hardware divide on the hottest path.
-        self.head[i] = if self.head[i] + 1 == self.cap {
-            0
-        } else {
-            self.head[i] + 1
-        };
-        self.len[i] -= 1;
-        flit
-    }
-
-    /// Appends `flit` to input `i`; `false` when the FIFO is full.
-    #[inline]
-    fn q_push(&mut self, i: usize, flit: Flit) -> bool {
-        if self.len[i] >= self.cap {
-            return false;
-        }
-        let mut off = self.head[i] + self.len[i];
-        if off >= self.cap {
-            off -= self.cap;
-        }
-        let slot = i * self.cap as usize + off as usize;
-        debug_assert!(self.buf[slot].is_none(), "free ring slot is empty");
-        self.buf[slot] = Some(flit);
-        self.len[i] += 1;
-        true
+    fn front(&self, i: usize) -> FlitHandle {
+        debug_assert!(self.len[i] > 0, "front of an empty input");
+        self.buf[i * usize::from(self.cap) + usize::from(self.head[i])]
     }
 
     /// Credit capacity of the downstream buffer behind `port`, or
@@ -297,7 +301,14 @@ impl Router {
     #[must_use]
     pub fn link_capacity(&self, port: PortDir) -> Option<usize> {
         let init = self.credit_init[port.index()];
-        (init > 0).then_some(init as usize)
+        (init > 0).then_some(usize::from(init))
+    }
+
+    /// Credits currently held toward the downstream buffer behind
+    /// `port` (0 where no link exists).
+    #[must_use]
+    pub fn credits(&self, port: PortDir) -> usize {
+        usize::from(self.credit[port.index()])
     }
 
     /// Fault injection: masks output `port` on (`true`) or off. While
@@ -305,7 +316,12 @@ impl Router {
     /// link-slowdown driver toggles this per cycle to model a link
     /// running at a fraction of nominal bandwidth.
     pub fn set_fault_blocked(&mut self, port: PortDir, blocked: bool) {
-        self.blocked[port.index()] = blocked;
+        let bit = 1 << port.index();
+        if blocked {
+            self.blocked |= bit;
+        } else {
+            self.blocked &= !bit;
+        }
     }
 
     /// Fault injection: confiscates up to `n` credits from output
@@ -318,9 +334,9 @@ impl Router {
         if self.credit_init[p] == 0 {
             return 0;
         }
-        let taken = (self.credit[p] as usize).min(n);
-        self.credit[p] -= taken as u32;
-        taken
+        let taken = self.credit[p].min(u16::try_from(n).unwrap_or(u16::MAX));
+        self.credit[p] -= taken;
+        usize::from(taken)
     }
 
     /// Fault injection: returns `n` previously confiscated credits to
@@ -337,11 +353,11 @@ impl Router {
             "credit return on a port with no link"
         );
         assert!(
-            self.credit[p] + n as u32 <= self.credit_init[p],
+            n <= usize::from(self.credit_init[p] - self.credit[p]),
             "credit overflow: refill beyond initial {}",
             self.credit_init[p]
         );
-        self.credit[p] += n as u32;
+        self.credit[p] += n as u16;
     }
 
     /// This tile's coordinate.
@@ -360,13 +376,13 @@ impl Router {
     /// Local port's space to draw from the tile's source queue).
     #[must_use]
     pub fn input_space(&self, port: PortDir) -> usize {
-        (self.cap - self.len[port.index()]) as usize
+        usize::from(self.cap - self.len[port.index()])
     }
 
     /// Total flits currently buffered in all input FIFOs.
     #[must_use]
     pub fn buffered_flits(&self) -> usize {
-        self.len.iter().map(|&l| l as usize).sum()
+        self.len.iter().map(|&l| usize::from(l)).sum()
     }
 
     /// Delivers a flit into the input FIFO on `port`.
@@ -374,13 +390,25 @@ impl Router {
     /// # Panics
     /// Panics if the FIFO is full — with credit flow control a delivery
     /// into a full buffer is a protocol violation, not backpressure.
-    pub fn accept(&mut self, port: PortDir, flit: Flit) {
-        if !self.q_push(port.index(), flit) {
+    #[inline]
+    pub fn accept(&mut self, port: PortDir, flit: FlitHandle) {
+        let i = port.index();
+        let cap = usize::from(self.cap);
+        if self.len[i] >= self.cap {
             panic!(
                 "router {}: input overrun on {:?} (credit protocol violated)",
                 self.coord, port
             );
         }
+        // Conditional wrap instead of `%`: `cap` is a runtime value, so
+        // a modulo here would be a hardware divide on the hottest path.
+        let mut off = usize::from(self.head[i]) + usize::from(self.len[i]);
+        if off >= cap {
+            off -= cap;
+        }
+        self.buf[i * cap + off] = flit;
+        self.len[i] += 1;
+        self.nonempty |= 1 << i;
     }
 
     /// Returns one credit for the downstream buffer behind `port`
@@ -391,6 +419,7 @@ impl Router {
     /// Panics if `port` has no link, or if the refill would exceed the
     /// downstream buffer's capacity — a phantom credit means the flow
     /// control protocol double-counted a drain.
+    #[inline]
     pub fn refill_credit(&mut self, port: PortDir) {
         let p = port.index();
         assert!(
@@ -405,113 +434,97 @@ impl Router {
         self.credit[p] += 1;
     }
 
-    /// The output port a flit at this tile should leave through.
+    /// The output port a flit bound for tile `dest` leaves through.
     #[inline]
-    fn route(&self, dest: EngineId, topology: Topology, lut: &RouteLut) -> PortDir {
-        let dest_coord = lut
-            .coord_of(dest)
-            .unwrap_or_else(|| panic!("routing to unplaced engine {dest}"));
-        match topology.route_xy(self.coord, dest_coord) {
-            Some(d) => PortDir::from_direction(d),
-            None => PortDir::Local,
+    fn route(&self, dest: Coord) -> usize {
+        match self.topology.route_xy(self.coord, dest) {
+            Some(d) => PortDir::from_direction(d).index(),
+            None => PortDir::Local.index(),
         }
-    }
-
-    /// Route of the head flit at the front of input `i`, or `None`
-    /// when the input is empty or its front is a body/tail flit (those
-    /// only move via wormhole ownership, never via arbitration).
-    #[inline]
-    fn head_route(&self, i: usize, topology: Topology, lut: &RouteLut) -> Option<PortDir> {
-        self.q_front(i).and_then(|head| {
-            head.kind
-                .is_head()
-                .then(|| self.route(head.dest, topology, lut))
-        })
-    }
-
-    /// Phase 1: switch allocation and traversal for one cycle.
-    ///
-    /// Reads only this router's own input FIFOs and credit counters;
-    /// all externally visible effects are in the returned
-    /// [`StagedOutputs`], which the network applies in the commit phase.
-    ///
-    /// Convenience wrapper over [`Router::compute_into`]; the network's
-    /// hot loop reuses one staging buffer per router instead (see
-    /// `docs/PERF.md`).
-    pub fn compute(&mut self, topology: Topology, lut: &RouteLut) -> StagedOutputs {
-        let mut staged = StagedOutputs::default();
-        self.compute_into(topology, lut, &mut staged, true);
-        staged
     }
 
     /// True when no flit is buffered in any input FIFO — the router
     /// cannot do anything until a neighbor or the local source delivers
-    /// one. Quiescent routers contribute `None` to the network's
-    /// fast-forward hint.
+    /// one.
+    #[inline]
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.len == [0; PortDir::COUNT]
+        self.nonempty == 0
     }
 
-    /// Phase 1 into a caller-owned staging buffer (cleared first).
-    ///
-    /// Equivalent to [`Router::plan_into`] followed by materializing
-    /// the planned flits into `staged` — kept for tests and callers
-    /// that want the staged flits by value; the network's hot loop
-    /// uses [`Router::plan_into`] directly so each flit is moved once.
-    pub fn compute_into(
-        &mut self,
-        topology: Topology,
-        lut: &RouteLut,
-        staged: &mut StagedOutputs,
-        record_stalls: bool,
-    ) {
-        let mut plan = RoutePlan::default();
-        self.plan_into(topology, lut, &mut plan, record_stalls);
-        staged.clear();
-        staged.stalled = plan.stalled;
-        for o in 0..PortDir::COUNT {
-            if let Some(i) = plan.winner[o] {
-                let i = i as usize;
-                let flit = self.q_pop(i).expect("planned winner input non-empty");
-                staged.credits[i] = true;
-                staged.flits[o] = Some(flit);
-            }
-        }
-    }
-
-    /// Pops the flit a [`Router::plan_into`] winner promised for this
-    /// cycle (commit phase; the network moves it downstream).
+    /// Pops the flit a [`Router::plan`] winner promised for this cycle
+    /// (commit phase; the network moves it downstream).
     ///
     /// # Panics
     /// Panics if input `i` is empty — the plan staged a flit that is no
     /// longer there, which is a commit-ordering bug.
-    pub fn commit_pop(&mut self, i: usize) -> Flit {
-        self.q_pop(i).expect("planned winner input non-empty")
+    #[inline]
+    pub fn commit_pop(&mut self, i: usize) -> FlitHandle {
+        assert!(self.len[i] > 0, "planned winner input non-empty");
+        let flit = self.front(i);
+        self.head[i] = if self.head[i] + 1 == self.cap {
+            0
+        } else {
+            self.head[i] + 1
+        };
+        self.len[i] -= 1;
+        if self.len[i] == 0 {
+            self.nonempty &= !(1 << i);
+        }
+        flit
+    }
+
+    /// True when output `o` holds a credit and is not fault-masked.
+    #[inline]
+    fn can_send(&self, o: usize) -> bool {
+        self.credit[o] > 0 && self.blocked & (1 << o) == 0
+    }
+
+    /// Grants output `o` to the front flit of input `i`: one credit
+    /// spent, wormhole ownership opened by a head and closed by a tail.
+    #[inline]
+    fn grant(&mut self, plan: &mut RoutePlan, o: usize, i: usize, kind: FlitKind) {
+        if kind.is_tail() {
+            self.in_route[i] = NO_PORT;
+            self.owned &= !(1 << o);
+            // Advance round-robin past the input that just finished.
+            self.rr[o] = next_port(i);
+        } else {
+            self.in_route[i] = o as u8;
+            self.owned |= 1 << o;
+        }
+        self.credit[o] -= 1;
+        self.forwarded += 1;
+        plan.winner[o] = i as u8;
+        plan.granted |= 1 << o;
     }
 
     /// Phase 1: switch allocation for one cycle, by reference.
     ///
     /// Decides which input (if any) traverses each output port this
     /// cycle, updating wormhole ownership, round-robin pointers, and
-    /// output credits, and records the winners in `plan`. Flits are
-    /// *not* popped here — the commit phase pops each winner exactly
-    /// once via [`Router::commit_pop`], so a flit is moved a single
-    /// time per hop. Reads only pre-tick input state, preserving the
-    /// two-phase discipline.
+    /// output credits, and returns the winners. Flits are *not* popped
+    /// here — the commit phase pops each winner exactly once via
+    /// [`Router::commit_pop`], so a flit is moved a single time per
+    /// hop. Reads only pre-tick input state, preserving the two-phase
+    /// discipline.
     ///
-    /// `record_stalls` controls whether creditless outputs scan their
-    /// inputs to distinguish a stall from an idle port. The stall flags
-    /// feed only the `noc.credit_stall` trace event, so the network
-    /// passes `false` whenever the tracer is disabled and the scan
-    /// would be unobservable work.
-    pub fn plan_into(
-        &mut self,
-        topology: Topology,
-        lut: &RouteLut,
-        plan: &mut RoutePlan,
-        record_stalls: bool,
-    ) {
+    /// The allocation is input-centric, because a router holds a flit
+    /// or two, not twenty-five input × output candidates. Every front
+    /// flit wants exactly one output, so no input can be claimed twice
+    /// and the two passes below decide exactly what an output-by-output
+    /// scan would:
+    ///
+    /// 1. over the non-empty inputs: a body/tail front follows the
+    ///    wormhole its head opened (`in_route`), needing only a credit
+    ///    and an unmasked link; a head front registers in `want[o]`;
+    /// 2. over the outputs some head wants: round-robin arbitration
+    ///    from `rr[o]`, skipping outputs that are owned, already
+    ///    granted in pass 1, link-less, creditless or fault-masked.
+    ///
+    /// The `stalled` flags fall out of the same passes, so the traced
+    /// and untraced runs share one planner.
+    pub fn plan(&mut self) -> RoutePlan {
         // Runtime shadow of the static credit lints: a credit counter
         // must stay within [0, buffer capacity] (capacity 0 would make
         // the link permanently mute — panic-verify PV102; the capacity
@@ -527,114 +540,116 @@ impl Router {
              (see lints PV102/PV103)",
             self.coord
         );
-        plan.winner = [None; PortDir::COUNT];
-        plan.stalled = [false; PortDir::COUNT];
-
-        // Inputs not yet claimed by an earlier output this cycle.
-        let mut avail: u32 = (1 << PortDir::COUNT) - 1;
+        let mut plan = RoutePlan::default();
         // want[o]: bitmask of inputs whose front flit is a *head*
-        // routing to output o. Body/tail fronts belong to a wormhole
-        // owned by some output (ownership persists until tail) and
-        // only move via that ownership, never via arbitration. Pops
-        // are deferred to the commit phase, so fronts are stable for
-        // the whole plan: one eager pass over the inputs replaces a
-        // per-output rescan.
-        let mut want: [u32; PortDir::COUNT] = [0; PortDir::COUNT];
-        for i in 0..PortDir::COUNT {
-            if self.len[i] > 0 {
-                if let Some(out) = self.head_route(i, topology, lut) {
-                    want[out.index()] |= 1 << i;
-                }
+        // routing to output o; `wanted` has bit o set where want[o] is
+        // non-zero.
+        let mut want = [0u8; PortDir::COUNT];
+        let mut wanted = 0u8;
+        let mut inputs = self.nonempty;
+        while inputs != 0 {
+            let i = inputs.trailing_zeros() as usize;
+            inputs &= inputs - 1;
+            let front = self.front(i);
+            if front.kind.is_head() {
+                let o = self.route(front.dest);
+                want[o] |= 1 << i;
+                wanted |= 1 << o;
+                continue;
+            }
+            // Wormhole continuation: pops are deferred to the commit
+            // phase and a message's flits arrive contiguously, so the
+            // front is the next flit of the message whose head set
+            // `in_route[i]`.
+            let o = usize::from(self.in_route[i]);
+            debug_assert!(
+                o < PortDir::COUNT && self.owned & (1 << o) != 0,
+                "body flit without a wormhole"
+            );
+            if self.can_send(o) {
+                self.grant(&mut plan, o, i, front.kind);
+            } else {
+                plan.stalled |= 1 << o;
             }
         }
-        // `o` indexes five parallel per-output arrays, not just `want`.
-        #[allow(clippy::needless_range_loop)]
-        for o in 0..PortDir::COUNT {
+        // An owned output idles while its owner's input runs dry, and a
+        // tail granted above frees its output only from the next cycle
+        // (one flit per output per cycle).
+        let mut outputs = wanted & !(self.owned | plan.granted);
+        while outputs != 0 {
+            let o = outputs.trailing_zeros() as usize;
+            outputs &= outputs - 1;
             // No link: this output idles.
             if self.credit_init[o] == 0 {
                 continue;
             }
-            if self.credit[o] == 0 || self.blocked[o] {
-                // Out of credits (or fault-masked): record whether
-                // traffic actually wanted this output, so the cycle
-                // shows up as a credit stall rather than an idle port.
-                if record_stalls {
-                    plan.stalled[o] = match self.out_owner[o] {
-                        Some(i) => self.len[i] > 0,
-                        None => (want[o] & avail) != 0,
-                    };
-                }
+            if !self.can_send(o) {
+                plan.stalled |= 1 << o;
                 continue;
             }
-
-            // Wormhole continuation: the owner input sends its next
-            // flit. Otherwise arbitrate round-robin from rr[o] among
-            // the inputs whose head flit routes here; the 5-bit rotate
-            // finds the first candidate at or after rr[o] without a
-            // scan, so an uncontended output costs a couple of ALU ops.
-            let winner = match self.out_owner[o] {
-                Some(i) => (avail & (1 << i) != 0 && self.len[i] > 0).then_some(i),
-                None => {
-                    let b = want[o] & avail;
-                    if b == 0 {
-                        None
-                    } else {
-                        let p = self.rr[o] as u32;
-                        let rot = ((b >> p) | (b << (PortDir::COUNT as u32 - p)))
-                            & ((1 << PortDir::COUNT) - 1);
-                        Some((self.rr[o] + rot.trailing_zeros() as usize) % PortDir::COUNT)
-                    }
-                }
-            };
-
-            let Some(i) = winner else { continue };
-            // Peek the winning flit for wormhole bookkeeping; the pop
-            // itself is deferred to the commit phase.
-            let kind = self.q_front(i).expect("winner input non-empty").kind;
-            avail &= !(1 << i);
-
-            // Update wormhole ownership.
-            if kind.is_tail() {
-                self.out_owner[o] = None;
-                // Advance round-robin past the input that just finished.
-                self.rr[o] = (i + 1) % PortDir::COUNT;
-            } else {
-                self.out_owner[o] = Some(i);
-            }
-
-            self.credit[o] -= 1;
-            plan.winner[o] = Some(i as u8);
-            self.forwarded += 1;
+            // The 5-bit rotate finds the first candidate at or after
+            // rr[o] without a scan.
+            let b = u32::from(want[o]);
+            let p = u32::from(self.rr[o]);
+            let rot = ((b >> p) | (b << (PortDir::COUNT as u32 - p))) & ((1 << PortDir::COUNT) - 1);
+            let i = (p + rot.trailing_zeros()) as usize % PortDir::COUNT;
+            let kind = self.front(i).kind;
+            self.grant(&mut plan, o, i, kind);
         }
+        plan
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use packet::{Message, MessageId, MessageKind};
 
     fn topo() -> Topology {
         Topology::mesh(3, 3)
     }
 
-    fn place() -> RouteLut {
-        RouteLut::build(&crate::topology::Placement::row_major(topo()), topo())
+    /// The handles of an `n`-flit message in slab slot `slot` bound for
+    /// tile `dest`.
+    fn flits_for(dest: Coord, n: u32, slot: u32) -> Vec<FlitHandle> {
+        (0..n)
+            .map(|seq| FlitHandle {
+                slot,
+                dest,
+                kind: FlitKind::at(seq, n),
+            })
+            .collect()
     }
 
-    fn flits_for(dest: EngineId, payload: usize, id: u64) -> Vec<Flit> {
-        let msg = Message::builder(MessageId(id), MessageKind::EthernetFrame)
-            .payload(Bytes::from(vec![0u8; payload]))
-            .build();
-        Flit::segment(msg, dest, 64)
+    /// A single-flit message.
+    fn single(dest: Coord, slot: u32) -> FlitHandle {
+        flits_for(dest, 1, slot)[0]
     }
+
+    /// One cycle as the network runs it: plan, then pop every winner.
+    /// Returns the plan and the flit that left through each output.
+    fn step(r: &mut Router) -> (RoutePlan, [Option<FlitHandle>; PortDir::COUNT]) {
+        let plan = r.plan();
+        let mut out = [None; PortDir::COUNT];
+        for (o, sent) in out.iter_mut().enumerate() {
+            if plan.granted & (1 << o) != 0 {
+                *sent = Some(r.commit_pop(usize::from(plan.winner[o])));
+            }
+        }
+        (plan, out)
+    }
+
+    const EAST: usize = 2;
+    const E_OF_CENTER: Coord = Coord::new(2, 1);
 
     #[test]
     fn port_index_and_opposite() {
         for (i, p) in PortDir::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
         }
+        assert_eq!(PortDir::East.index(), EAST);
         assert_eq!(PortDir::North.opposite(), PortDir::South);
         assert_eq!(PortDir::East.opposite(), PortDir::West);
         assert_eq!(PortDir::Local.opposite(), PortDir::Local);
@@ -643,51 +658,56 @@ mod tests {
 
     #[test]
     fn routes_flit_toward_destination_x_first() {
-        // Router at center (1,1); destination engine 8 at (2,2):
-        // XY routing goes East first.
+        // Router at center (1,1); destination (2,2): XY routing goes
+        // East first.
         let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        let flits = flits_for(EngineId(8), 4, 1); // single HeadTail flit
-        assert_eq!(flits.len(), 1);
-        r.accept(PortDir::West, flits.into_iter().next().unwrap());
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
-        assert!(staged.credits[PortDir::West.index()]);
+        r.accept(PortDir::West, single(Coord::new(2, 2), 1));
+        let (plan, out) = step(&mut r);
+        assert_eq!(plan.granted, 1 << EAST);
+        assert_eq!(plan.winner[EAST], PortDir::West.index() as u8);
+        assert_eq!(out[EAST].map(|f| f.slot), Some(1));
         assert_eq!(r.flits_forwarded(), 1);
+        assert!(r.is_idle());
     }
 
     #[test]
     fn local_delivery_when_at_destination() {
-        // Router at (2,2) hosting engine 8.
         let mut r = Router::new(Coord::new(2, 2), topo(), RouterConfig::default());
-        let f = flits_for(EngineId(8), 4, 1).remove(0);
-        r.accept(PortDir::North, f);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::Local.index()].is_some());
+        r.accept(PortDir::North, single(Coord::new(2, 2), 1));
+        let (plan, _) = step(&mut r);
+        assert_eq!(plan.granted, 1 << PortDir::Local.index());
     }
 
     #[test]
     fn wormhole_keeps_message_contiguous() {
-        // A 2-flit message and a competing 1-flit message to the same
+        // A 3-flit message and a competing 1-flit message to the same
         // output: the second message must not interleave.
         let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        let long = flits_for(EngineId(5), 16, 1); // 16+2 bytes -> 3 flits
-        assert_eq!(long.len(), 3);
-        for f in long {
+        for f in flits_for(E_OF_CENTER, 3, 1) {
             r.accept(PortDir::North, f);
         }
-        let short = flits_for(EngineId(5), 4, 2).remove(0);
-        r.accept(PortDir::West, short);
-
-        // Destination engine 5 is at (2,1): East. Three cycles of the
-        // long message, then the short one.
-        let mut order = Vec::new();
-        for _ in 0..4 {
-            let staged = r.compute(topo(), &place());
-            if let Some(f) = &staged.flits[PortDir::East.index()] {
-                order.push(f.msg_id.0);
-            }
-        }
+        r.accept(PortDir::West, single(E_OF_CENTER, 2));
+        // Three cycles of the long message, then the short one.
+        let order: Vec<u32> = (0..4)
+            .filter_map(|_| step(&mut r).1[EAST].map(|f| f.slot))
+            .collect();
         assert_eq!(order, vec![1, 1, 1, 2]);
+    }
+
+    #[test]
+    fn owned_output_idles_while_its_wormhole_runs_dry() {
+        // The head has gone through but its body has not arrived yet:
+        // East stays reserved, a competing head waits without a stall.
+        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
+        let long = flits_for(E_OF_CENTER, 2, 1);
+        r.accept(PortDir::North, long[0]);
+        assert_eq!(step(&mut r).1[EAST], Some(long[0]));
+        r.accept(PortDir::West, single(E_OF_CENTER, 2));
+        let (plan, _) = step(&mut r);
+        assert_eq!((plan.granted, plan.stalled), (0, 0));
+        r.accept(PortDir::North, long[1]);
+        assert_eq!(step(&mut r).1[EAST], Some(long[1]));
+        assert_eq!(step(&mut r).1[EAST].map(|f| f.slot), Some(2));
     }
 
     #[test]
@@ -697,48 +717,39 @@ mod tests {
             ejection_buffer_flits: 2,
         };
         let mut r = Router::new(Coord::new(1, 1), topo(), cfg);
-        // Two single-flit messages heading East (engine 5 at (2,1)).
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0));
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 2).remove(0));
         // Credits toward East: 2. Consume both.
-        assert!(r.compute(topo(), &place()).flits[PortDir::East.index()].is_some());
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 3).remove(0));
-        assert!(r.compute(topo(), &place()).flits[PortDir::East.index()].is_some());
+        r.accept(PortDir::West, single(E_OF_CENTER, 1));
+        r.accept(PortDir::West, single(E_OF_CENTER, 2));
+        assert!(step(&mut r).1[EAST].is_some());
+        r.accept(PortDir::West, single(E_OF_CENTER, 3));
+        assert!(step(&mut r).1[EAST].is_some());
+        assert_eq!(r.credits(PortDir::East), 0);
         // No credits left: output stalls even though input has a flit,
         // and the stall is reported for the tracer.
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_none());
-        assert!(staged.stalled[PortDir::East.index()]);
-        assert!(!staged.stalled[PortDir::North.index()], "idle != stalled");
+        let (plan, _) = step(&mut r);
+        assert_eq!(plan.granted, 0);
+        assert_eq!(plan.stalled, 1 << EAST, "East stalled; idle != stalled");
         // Refill one credit: the stalled flit moves.
         r.refill_credit(PortDir::East);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
+        assert!(step(&mut r).1[EAST].is_some());
     }
 
     #[test]
     fn round_robin_shares_an_output() {
         let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
         // Single-flit messages from two different inputs, all to East.
-        for id in [1u64, 3] {
-            r.accept(PortDir::North, flits_for(EngineId(5), 4, id).remove(0));
+        for slot in [1, 3] {
+            r.accept(PortDir::North, single(E_OF_CENTER, slot));
         }
-        for id in [2u64, 4] {
-            r.accept(PortDir::South, flits_for(EngineId(5), 4, id).remove(0));
+        for slot in [2, 4] {
+            r.accept(PortDir::South, single(E_OF_CENTER, slot));
         }
-        let mut order = Vec::new();
-        for _ in 0..4 {
-            let staged = r.compute(topo(), &place());
-            if let Some(f) = &staged.flits[PortDir::East.index()] {
-                order.push(f.msg_id.0);
-            }
-        }
-        order.sort_unstable();
+        let order: Vec<u32> = (0..4)
+            .filter_map(|_| step(&mut r).1[EAST].map(|f| f.slot))
+            .collect();
+        // Strict alternation: neither input sends twice before the
+        // other has sent once.
         assert_eq!(order, vec![1, 2, 3, 4]);
-        // Fairness: neither input sent both of its flits before the
-        // other sent one. (With RR the interleave is strict.)
-        // Reconstruct actual order by rerunning is overkill; strictness
-        // is asserted by the wormhole test above.
     }
 
     #[test]
@@ -746,13 +757,10 @@ mod tests {
         // Two single-flit messages queued on ONE input, destined for
         // different outputs: only one may leave per cycle.
         let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0)); // East
-        r.accept(PortDir::West, flits_for(EngineId(7), 4, 2).remove(0)); // South (7 is at (1,2))
-        let staged = r.compute(topo(), &place());
-        let sent = staged.flits.iter().flatten().count();
-        assert_eq!(sent, 1);
-        let staged = r.compute(topo(), &place());
-        assert_eq!(staged.flits.iter().flatten().count(), 1);
+        r.accept(PortDir::West, single(E_OF_CENTER, 1)); // East
+        r.accept(PortDir::West, single(Coord::new(1, 2), 2)); // South
+        assert_eq!(step(&mut r).0.granted.count_ones(), 1);
+        assert_eq!(step(&mut r).0.granted.count_ones(), 1);
     }
 
     #[test]
@@ -763,25 +771,62 @@ mod tests {
             ejection_buffer_flits: 1,
         };
         let mut r = Router::new(Coord::new(0, 0), topo(), cfg);
-        r.accept(PortDir::East, flits_for(EngineId(0), 4, 1).remove(0));
-        r.accept(PortDir::East, flits_for(EngineId(0), 4, 2).remove(0));
+        r.accept(PortDir::East, single(Coord::new(0, 0), 1));
+        r.accept(PortDir::East, single(Coord::new(0, 0), 2));
+    }
+
+    #[test]
+    fn counters_cover_the_whole_u16_range() {
+        // The largest accepted buffers fill, wrap and drain without a
+        // counter wrapping.
+        let cfg = RouterConfig {
+            input_buffer_flits: usize::from(u16::MAX),
+            ejection_buffer_flits: usize::from(u16::MAX),
+        };
+        let mut r = Router::new(Coord::new(1, 1), topo(), cfg);
+        assert_eq!(r.credits(PortDir::Local), usize::from(u16::MAX));
+        // Start the ring off zero so filling it wraps mid-way.
+        r.accept(PortDir::West, single(Coord::new(1, 1), 0));
+        step(&mut r);
+        r.refill_credit(PortDir::Local);
+        for round in 0..2 {
+            for n in 0..u32::from(u16::MAX) {
+                r.accept(PortDir::West, single(Coord::new(1, 1), n));
+            }
+            assert_eq!(r.input_space(PortDir::West), 0);
+            for n in 0..u32::from(u16::MAX) {
+                let (_, out) = step(&mut r);
+                assert_eq!(out[PortDir::Local.index()].map(|f| f.slot), Some(n));
+                if round == 0 {
+                    r.refill_credit(PortDir::Local);
+                }
+            }
+            assert!(r.is_idle());
+        }
+        assert_eq!(r.credits(PortDir::Local), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the router's 16-bit counters")]
+    fn buffer_beyond_the_counters_is_refused_not_wrapped() {
+        let cfg = RouterConfig {
+            input_buffer_flits: usize::from(u16::MAX) + 1,
+            ejection_buffer_flits: 16,
+        };
+        let _ = Router::new(Coord::new(0, 0), topo(), cfg);
     }
 
     #[test]
     fn blocked_output_stalls_and_resumes() {
         let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0)); // East
+        r.accept(PortDir::West, single(E_OF_CENTER, 1));
         r.set_fault_blocked(PortDir::East, true);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_none());
-        assert!(
-            staged.stalled[PortDir::East.index()],
-            "blocked looks stalled"
-        );
+        let (plan, _) = step(&mut r);
+        assert_eq!(plan.granted, 0);
+        assert_eq!(plan.stalled, 1 << EAST, "blocked looks stalled");
         // Unblock: the flit moves, credits were conserved throughout.
         r.set_fault_blocked(PortDir::East, false);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
+        assert!(step(&mut r).1[EAST].is_some());
     }
 
     #[test]
@@ -793,17 +838,22 @@ mod tests {
         let mut r = Router::new(Coord::new(1, 1), topo(), cfg);
         // Take both East credits; asking for more only gets what exists.
         assert_eq!(r.fault_take_credits(PortDir::East, 5), 2);
-        r.accept(PortDir::West, flits_for(EngineId(5), 4, 1).remove(0));
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_none());
-        assert!(staged.stalled[PortDir::East.index()]);
+        r.accept(PortDir::West, single(E_OF_CENTER, 1));
+        let (plan, _) = step(&mut r);
+        assert_eq!((plan.granted, plan.stalled), (0, 1 << EAST));
         // Return them: traffic flows again.
         r.fault_return_credits(PortDir::East, 2);
-        let staged = r.compute(topo(), &place());
-        assert!(staged.flits[PortDir::East.index()].is_some());
+        assert!(step(&mut r).1[EAST].is_some());
         // A port with no link yields nothing to confiscate.
         let mut corner = Router::new(Coord::new(0, 0), topo(), cfg);
         assert_eq!(corner.fault_take_credits(PortDir::North, 3), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "credit overflow")]
+    fn returning_credits_never_taken_panics() {
+        let mut r = Router::new(Coord::new(1, 1), topo(), RouterConfig::default());
+        r.fault_return_credits(PortDir::East, usize::from(u16::MAX) + 1);
     }
 
     #[test]
@@ -815,5 +865,6 @@ mod tests {
         assert_eq!(r.link_capacity(PortDir::East), Some(8));
         assert_eq!(r.link_capacity(PortDir::South), Some(8));
         assert_eq!(r.link_capacity(PortDir::Local), Some(16));
+        assert_eq!(r.credits(PortDir::North), 0);
     }
 }

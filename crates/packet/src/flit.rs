@@ -24,6 +24,24 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
+    /// Position of flit `seq` (0-based) in a message of `total` flits —
+    /// the one definition of head/body/tail classification, shared by
+    /// [`Flit::segment_with`] and the NoC's flit-handle segmentation.
+    ///
+    /// # Panics
+    /// Panics (debug builds) if `seq >= total`.
+    #[inline]
+    #[must_use]
+    pub fn at(seq: u32, total: u32) -> FlitKind {
+        debug_assert!(seq < total, "flit {seq} of a {total}-flit message");
+        match (seq == 0, seq + 1 == total) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        }
+    }
+
     /// True if this flit opens a wormhole (Head or HeadTail).
     #[must_use]
     pub fn is_head(self) -> bool {
@@ -107,15 +125,10 @@ impl Flit {
         let total = Self::flits_for(&msg, width_bits);
         let msg_id = msg.id;
         let tenant = msg.tenant;
-        for seq in 0..total.saturating_sub(1) {
-            let kind = if seq == 0 {
-                FlitKind::Head
-            } else {
-                FlitKind::Body
-            };
+        for seq in 0..total - 1 {
             push(Flit {
                 msg_id,
-                kind,
+                kind: FlitKind::at(seq, total),
                 dest,
                 seq,
                 total,
@@ -126,11 +139,7 @@ impl Flit {
         // The tail flit carries the message object.
         push(Flit {
             msg_id,
-            kind: if total == 1 {
-                FlitKind::HeadTail
-            } else {
-                FlitKind::Tail
-            },
+            kind: FlitKind::at(total - 1, total),
             dest,
             seq: total - 1,
             total,
@@ -259,6 +268,15 @@ mod tests {
             assert_eq!(f.total, 9);
             assert_eq!(f.msg_id, MessageId(9));
         }
+    }
+
+    #[test]
+    fn kind_at_classifies_every_position() {
+        assert_eq!(FlitKind::at(0, 1), FlitKind::HeadTail);
+        assert_eq!(FlitKind::at(0, 2), FlitKind::Head);
+        assert_eq!(FlitKind::at(1, 2), FlitKind::Tail);
+        assert_eq!(FlitKind::at(1, 3), FlitKind::Body);
+        assert_eq!(FlitKind::at(2, 3), FlitKind::Tail);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! The buffer lints are about credits: a zero-capacity buffer means a
 //! link that can never be granted a credit, i.e. a wire that carries
-//! nothing, which in this simulator manifests as a silent stall
-//! (PV102). Small-but-nonzero buffers are legal but throttle the link
-//! (PV103).
+//! nothing, which in this simulator manifests as a silent stall, and a
+//! buffer beyond `u16::MAX` flits is more than a router's credit
+//! counter can hold (both PV102). Small-but-nonzero buffers are legal
+//! but throttle the link (PV103).
 
 use std::collections::HashMap;
 
@@ -190,6 +191,26 @@ fn check_buffers(spec: &NicSpec, out: &mut Vec<Diagnostic>) {
             "ejection buffers hold zero flits: no packet can ever leave the mesh".to_string(),
         ));
     }
+    // The router counts occupancy and credits in 16 bits
+    // (`noc::Router`); a larger buffer is refused here rather than
+    // wrapped there.
+    for (field, flits) in [
+        ("input_buffer_flits", r.input_buffer_flits),
+        ("ejection_buffer_flits", r.ejection_buffer_flits),
+    ] {
+        if flits > usize::from(u16::MAX) {
+            out.push(Diagnostic::new(
+                Code::PV102,
+                Severity::Error,
+                Span::at("noc", field),
+                format!(
+                    "{field} = {flits} flits exceeds the router's 16-bit occupancy and \
+                     credit counters (max {})",
+                    u16::MAX
+                ),
+            ));
+        }
+    }
     if r.input_buffer_flits == 1 {
         out.push(Diagnostic::new(
             Code::PV103,
@@ -268,6 +289,31 @@ mod tests {
         let mut s = spec(4);
         s.router.ejection_buffer_flits = 0;
         assert!(check_noc(&s).iter().any(|d| d.code == Code::PV102));
+    }
+
+    #[test]
+    fn pv102_buffers_beyond_the_router_counters() {
+        // u16::MAX flits is the largest buffer a router can count...
+        let mut s = spec(4);
+        s.router.input_buffer_flits = usize::from(u16::MAX);
+        s.router.ejection_buffer_flits = usize::from(u16::MAX);
+        assert!(!check_noc(&s).iter().any(|d| d.code == Code::PV102));
+        // ...one more is denied, per field, not silently wrapped.
+        for field in ["input_buffer_flits", "ejection_buffer_flits"] {
+            let mut s = spec(4);
+            let too_big = usize::from(u16::MAX) + 1;
+            match field {
+                "input_buffer_flits" => s.router.input_buffer_flits = too_big,
+                _ => s.router.ejection_buffer_flits = too_big,
+            }
+            let diags = check_noc(&s);
+            let d = diags
+                .iter()
+                .find(|d| d.code == Code::PV102)
+                .unwrap_or_else(|| panic!("PV102 for {field}"));
+            assert_eq!(d.severity, Severity::Error);
+            assert!(d.message.contains(field) && d.message.contains("65535"));
+        }
     }
 
     #[test]

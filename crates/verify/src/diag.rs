@@ -143,7 +143,10 @@ impl Code {
             Code::PV003 => "statically-known slack budget below the target engine's service time",
             Code::PV004 => "engine placement infeasible (tile count, bounds, duplicates)",
             Code::PV101 => "channel-dependency graph of the routing function has a cycle",
-            Code::PV102 => "zero-credit link: a router buffer has zero capacity",
+            Code::PV102 => {
+                "router buffer capacity no credit counter can represent: zero \
+                 (a link that never gets a credit) or beyond u16::MAX flits"
+            }
             Code::PV103 => "router input buffer too small (credit stall / multi-hop packets)",
             Code::PV201 => "parse graph contains a cycle",
             Code::PV202 => "PHV field read before any parser layer or earlier stage writes it",

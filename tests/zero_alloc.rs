@@ -2,10 +2,11 @@
 //! root because the counting `#[global_allocator]` needs `unsafe`,
 //! which the library crates forbid; see `docs/PERF.md`).
 //!
-//! The hot loop was de-allocated in layers — router `compute_into`
-//! scratch, staged network buffers, the flit [`packet`] `MessagePool`
-//! arena, engine `process_into`, and the scenarios' reusable drain
-//! buffers — and this test is what keeps it that way: after a warm-up
+//! The hot loop was de-allocated in layers — by-value router plans,
+//! network-owned tile masks, the NoC's in-flight message slab (flits
+//! are 8-byte handles into it), engine `process_into`, and the
+//! scenarios' reusable drain buffers — and this test is what keeps it
+//! that way: after a warm-up
 //! window, every `tick` (and wire drain) of a busy NIC must allocate
 //! nothing.
 //!
@@ -16,8 +17,9 @@
 //! * scratch buffers growing to their steady-state capacity (router
 //!   route scratch, network stage buffers, the NIC's wire/host drain
 //!   buffers);
-//! * the `MessagePool` arena minting its working set of flit
-//!   buffers (recycled, never freed, thereafter);
+//! * the NoC's in-flight slab, its free list and the per-tile source
+//!   rings growing to their working set (slots are reused, never
+//!   freed, thereafter);
 //! * per-tile queue and scheduler storage reaching peak occupancy;
 //! * lazily built engine state (e.g. a MAC's first-use histograms);
 //! * the event kernel's [`TimerWheel`] slot buckets and due buffer
