@@ -19,7 +19,7 @@ use packet::message::{Message, Priority};
 use sim_core::clock::Driven;
 use sim_core::stats::Histogram;
 use sim_core::time::{Cycle, Cycles};
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 /// One stage of the pipeline.
 pub struct StageSpec {
@@ -156,17 +156,17 @@ impl PipelineNic {
     }
 
     /// Exports counters and latency histograms under `prefix`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        m.counter_set(&format!("{prefix}.accepted"), self.accepted);
-        m.counter_set(&format!("{prefix}.drops"), self.drops);
-        m.counter_set(&format!("{prefix}.consumed"), self.consumed);
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
+        m.counter(format_args!("{prefix}.accepted"), self.accepted);
+        m.counter(format_args!("{prefix}.drops"), self.drops);
+        m.counter(format_args!("{prefix}.consumed"), self.consumed);
         for (name, h) in [
             ("latency", &self.latency[0]),
             ("normal", &self.latency[1]),
             ("bulk", &self.latency[2]),
         ] {
             if h.count() > 0 {
-                m.merge_histogram(&format!("{prefix}.latency.{name}"), h);
+                m.histogram(format_args!("{prefix}.latency.{name}"), h);
             }
         }
     }
@@ -335,6 +335,7 @@ mod tests {
     use packet::chain::EngineClass;
     use packet::message::{MessageId, MessageKind};
     use sim_core::clock::{drive, Advance};
+    use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
 
     fn frame_msg(id: u64, port: u16, priority: Priority, now: Cycle) -> Message {

@@ -27,7 +27,7 @@ use sim_core::clock::Driven;
 use sim_core::stats::Histogram;
 use sim_core::time::{Cycle, Cycles};
 use sim_core::EventQueue;
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 /// What the RMT-only NIC does with packets it cannot express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,11 +131,11 @@ impl RmtOnlyNic {
 
     /// Exports counters and latency histograms under `prefix`; the
     /// inner pipeline exports under `{prefix}.rmt`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        m.counter_set(&format!("{prefix}.accepted"), self.accepted);
-        m.counter_set(&format!("{prefix}.punted"), self.punted);
-        m.counter_set(
-            &format!("{prefix}.recirculation_passes"),
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
+        m.counter(format_args!("{prefix}.accepted"), self.accepted);
+        m.counter(format_args!("{prefix}.punted"), self.punted);
+        m.counter(
+            format_args!("{prefix}.recirculation_passes"),
             self.recirculation_passes,
         );
         for (name, h) in [
@@ -144,10 +144,11 @@ impl RmtOnlyNic {
             ("bulk", &self.latency[2]),
         ] {
             if h.count() > 0 {
-                m.merge_histogram(&format!("{prefix}.latency.{name}"), h);
+                m.histogram(format_args!("{prefix}.latency.{name}"), h);
             }
         }
-        self.pipeline.export_metrics(m, &format!("{prefix}.rmt"));
+        self.pipeline
+            .export_metrics(m, format_args!("{prefix}.rmt"));
     }
 
     /// Offers a packet.
@@ -267,6 +268,7 @@ mod tests {
     use packet::message::{MessageId, MessageKind};
     use sim_core::clock::{drive, Advance};
     use sim_core::time::Freq;
+    use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
 
     fn cfg(complex: ComplexPolicy) -> RmtOnlyConfig {

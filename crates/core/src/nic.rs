@@ -39,7 +39,7 @@ use sim_core::clock::{drive, Advance, Driven};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use tenancy::{ExitKind, SubmitSource, TenancyConfig, TenancyRuntime, TenantConservation};
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 use crate::faultplane::{Conservation, FaultRuntime};
 
@@ -727,65 +727,92 @@ impl PanicNic {
     /// schema: NIC counters and per-priority latency histograms under
     /// `nic.*`, mesh traffic under `noc.*`, pipeline counters under
     /// `rmt.*`, and per-tile counters under `engine.<id>.<offload>.*`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry) {
-        m.counter_set("nic.rx_frames", self.stats.rx_frames);
-        m.counter_set("nic.tx_wire", self.stats.tx_wire);
-        m.counter_set("nic.host_deliveries", self.stats.host_deliveries);
-        m.counter_set("nic.consumed", self.stats.consumed);
-        m.counter_set("nic.control_completed", self.stats.control_completed);
-        m.counter_set("nic.unrouted", self.stats.unrouted);
+    ///
+    /// `m` is any [`MetricSink`] — a `trace::MetricsRegistry` at the
+    /// end of a run, the control endpoint's telemetry cursor every
+    /// cycle. Each subtree (`nic.`, `tenancy.`, `perf.layer.`, `noc.`,
+    /// `rmt.`, `engine.`) is visited only if the sink
+    /// [wants](MetricSink::wants) it, so a sink reading one subtree
+    /// pays for one.
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S) {
+        if m.wants("nic.") {
+            self.export_nic_metrics(m);
+        }
+        // Tenancy counters exist only when the tenancy plane is
+        // engaged.
+        if let Some(tn) = &self.tenancy {
+            tn.export_metrics(m);
+        }
+        // Per-layer cycle attribution: where simulated time goes when
+        // the NIC is busy. The tenancy share appears only when the
+        // tenancy plane is engaged, like the rest of its counters.
+        if m.wants("perf.layer.") {
+            let layer = &self.stats.layer;
+            m.counter(format_args!("perf.layer.noc"), self.network.active_cycles());
+            m.counter(format_args!("perf.layer.rmt"), layer.rmt);
+            m.counter(format_args!("perf.layer.engines"), layer.engines);
+            m.counter(format_args!("perf.layer.sched"), layer.sched);
+            if self.tenancy.is_some() {
+                m.counter(format_args!("perf.layer.tenancy"), layer.tenancy);
+            }
+        }
+        if m.wants("noc.") {
+            self.network.export_metrics(m, "noc");
+        }
+        if m.wants("rmt.") {
+            self.pipeline.export_metrics(m, "rmt");
+        }
+        if m.wants("engine.") {
+            for (id, slot) in self.tile_ids.iter().zip(&self.tiles) {
+                if let TileSlot::Engine(tile) = slot {
+                    tile.export_metrics(m, format_args!("engine.{}.{}", id.0, tile.offload_name()));
+                }
+            }
+        }
+    }
+
+    /// The `nic.*` subtree of [`PanicNic::export_metrics`].
+    fn export_nic_metrics<S: MetricSink + ?Sized>(&self, m: &mut S) {
+        let s = &self.stats;
+        m.counter(format_args!("nic.rx_frames"), s.rx_frames);
+        m.counter(format_args!("nic.tx_wire"), s.tx_wire);
+        m.counter(format_args!("nic.host_deliveries"), s.host_deliveries);
+        m.counter(format_args!("nic.consumed"), s.consumed);
+        m.counter(format_args!("nic.control_completed"), s.control_completed);
+        m.counter(format_args!("nic.unrouted"), s.unrouted);
         // Fault-plane counters exist only when the fault plane is
         // engaged, keeping fault-free metrics output byte-identical.
         if self.faults.is_some() {
-            m.counter_set("nic.injected_internal", self.stats.injected_internal);
-            m.counter_set("nic.reissued", self.stats.reissued);
-            m.counter_set("nic.failed", self.stats.failed);
-            m.counter_set("nic.duplicates", self.stats.duplicates);
-            m.counter_set("nic.host_fallback", self.stats.host_fallback);
-            m.counter_set("nic.downed_engines", self.downed_engines().len() as u64);
-            if self.stats.recovery.count() > 0 {
-                m.merge_histogram("nic.recovery", &self.stats.recovery);
+            m.counter(format_args!("nic.injected_internal"), s.injected_internal);
+            m.counter(format_args!("nic.reissued"), s.reissued);
+            m.counter(format_args!("nic.failed"), s.failed);
+            m.counter(format_args!("nic.duplicates"), s.duplicates);
+            m.counter(format_args!("nic.host_fallback"), s.host_fallback);
+            m.counter(
+                format_args!("nic.downed_engines"),
+                self.downed_engines().len() as u64,
+            );
+            if s.recovery.count() > 0 {
+                m.histogram(format_args!("nic.recovery"), &s.recovery);
             }
-            if self.stats.time_to_failover.count() > 0 {
-                m.merge_histogram("nic.time_to_failover", &self.stats.time_to_failover);
+            if s.time_to_failover.count() > 0 {
+                m.histogram(format_args!("nic.time_to_failover"), &s.time_to_failover);
             }
         }
         // Fabric counters exist only once fabric traffic flowed, so a
         // 1-NIC fabric run exports byte-identically to a bare NIC.
-        if self.stats.remote_tx > 0 || self.stats.remote_rx > 0 {
-            m.counter_set("nic.remote_tx", self.stats.remote_tx);
-            m.counter_set("nic.remote_rx", self.stats.remote_rx);
-        }
-        // Tenancy counters likewise exist only when the tenancy plane
-        // is engaged.
-        if let Some(tn) = &self.tenancy {
-            tn.export_metrics(m);
+        if s.remote_tx > 0 || s.remote_rx > 0 {
+            m.counter(format_args!("nic.remote_tx"), s.remote_tx);
+            m.counter(format_args!("nic.remote_rx"), s.remote_rx);
         }
         for (name, p) in [
             ("latency", Priority::Latency),
             ("normal", Priority::Normal),
             ("bulk", Priority::Bulk),
         ] {
-            let h = self.stats.latency_of(p);
+            let h = s.latency_of(p);
             if h.count() > 0 {
-                m.merge_histogram(&format!("nic.latency.{name}"), h);
-            }
-        }
-        // Per-layer cycle attribution: where simulated time goes when
-        // the NIC is busy. The tenancy share appears only when the
-        // tenancy plane is engaged, like the rest of its counters.
-        m.counter_set("perf.layer.noc", self.network.active_cycles());
-        m.counter_set("perf.layer.rmt", self.stats.layer.rmt);
-        m.counter_set("perf.layer.engines", self.stats.layer.engines);
-        m.counter_set("perf.layer.sched", self.stats.layer.sched);
-        if self.tenancy.is_some() {
-            m.counter_set("perf.layer.tenancy", self.stats.layer.tenancy);
-        }
-        self.network.export_metrics(m, "noc");
-        self.pipeline.export_metrics(m, "rmt");
-        for (id, slot) in self.tile_ids.iter().zip(&self.tiles) {
-            if let TileSlot::Engine(tile) = slot {
-                tile.export_metrics(m, &format!("engine.{}.{}", id.0, tile.offload_name()));
+                m.histogram(format_args!("nic.latency.{name}"), h);
             }
         }
     }
@@ -1955,6 +1982,7 @@ mod tests {
     use rmt::program::ProgramBuilder;
     use rmt::table::{MatchKind, Table};
     use sim_core::time::Cycles;
+    use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
 
     /// A minimal NIC: one "eth" null engine (frames end here and fall

@@ -462,9 +462,9 @@ impl ChainScenario {
         self.nic.attach_tracer(tracer);
     }
 
-    /// Exports the NIC's full metrics registry
+    /// Exports the NIC's metrics into `m`
     /// (see [`PanicNic::export_metrics`]).
-    pub fn export_metrics(&self, m: &mut trace::MetricsRegistry) {
+    pub fn export_metrics<S: trace::MetricSink + ?Sized>(&self, m: &mut S) {
         self.nic.export_metrics(m);
     }
 

@@ -40,7 +40,7 @@
 //! endpoint serviced every cycle is byte-identical to a run without
 //! one (asserted by `tests/armed_empty.rs`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use packet::TenantId;
 use panic_core::PanicNic;
@@ -49,7 +49,8 @@ use rmt::RmtProgram;
 use sim_core::Cycle;
 use tenancy::{TenancyConfig, VNicSpec};
 
-use crate::proto::{CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse, MetricUpdate};
+use crate::proto::{CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse};
+use crate::telemetry::Telemetry;
 
 /// A mutation waiting for its drain before the epoch can switch.
 #[derive(Debug)]
@@ -86,10 +87,8 @@ pub struct CtrlEndpoint {
     inbox: VecDeque<Vec<u8>>,
     outbox: VecDeque<Vec<u8>>,
     pending: Option<Pending>,
-    /// Active subscription prefixes (empty: telemetry off).
-    subs: Vec<String>,
-    /// Last streamed value per subscribed counter.
-    last: BTreeMap<String, u64>,
+    /// The active subscription and its change cursor.
+    telemetry: Telemetry,
 }
 
 impl CtrlEndpoint {
@@ -110,8 +109,7 @@ impl CtrlEndpoint {
             inbox: VecDeque::new(),
             outbox: VecDeque::new(),
             pending: None,
-            subs: Vec::new(),
-            last: BTreeMap::new(),
+            telemetry: Telemetry::default(),
         }
     }
 
@@ -136,7 +134,7 @@ impl CtrlEndpoint {
         self.inbox.is_empty()
             && self.outbox.is_empty()
             && self.pending.is_none()
-            && self.subs.is_empty()
+            && self.telemetry.is_off()
     }
 
     /// Queues one encoded frame for the next [`CtrlEndpoint::service`].
@@ -167,8 +165,9 @@ impl CtrlEndpoint {
     /// One management-plane step, run at a cycle boundary: finalize a
     /// drained mutation, process queued requests (until one starts a
     /// drain), and stream telemetry deltas. A guaranteed no-op when
-    /// [`CtrlEndpoint::idle`].
-    pub fn service(&mut self, nic: &mut PanicNic, now: Cycle) {
+    /// [`CtrlEndpoint::idle`]. `_now` is the boundary's cycle; nothing
+    /// the endpoint does today depends on it.
+    pub fn service(&mut self, nic: &mut PanicNic, _now: Cycle) {
         self.finalize_pending(nic);
         while self.pending.is_none() {
             let Some(raw) = self.inbox.pop_front() else {
@@ -176,7 +175,7 @@ impl CtrlEndpoint {
             };
             self.process_frame(nic, &raw);
         }
-        self.stream_telemetry(nic, now);
+        self.stream_telemetry(nic);
     }
 
     /// Completes a drain-gated mutation whose drain condition now
@@ -272,8 +271,7 @@ impl CtrlEndpoint {
 
         // Subscriptions carry no admission question.
         if let CtrlRequest::Subscribe { prefixes } = req {
-            self.subs = prefixes;
-            self.last.clear();
+            self.telemetry.subscribe(prefixes);
             self.respond(seq, CtrlResponse::Ok { epoch: self.epoch });
             return;
         }
@@ -380,35 +378,18 @@ impl CtrlEndpoint {
         }
     }
 
-    /// Streams counter deltas for the active subscription. Emits one
+    /// Streams counter deltas for the active subscription: one
     /// telemetry frame per service step in which at least one
-    /// subscribed counter changed; byte-deterministic (counter names
-    /// iterate in sorted order).
-    fn stream_telemetry(&mut self, nic: &PanicNic, _now: Cycle) {
-        if self.subs.is_empty() {
+    /// subscribed counter changed, updates in counter-name order (see
+    /// [`crate::telemetry`]). A step without a change emits nothing and
+    /// allocates nothing.
+    fn stream_telemetry(&mut self, nic: &PanicNic) {
+        if self.telemetry.is_off() {
             return;
         }
-        let mut m = trace::MetricsRegistry::new();
-        nic.export_metrics(&mut m);
-        let mut updates = Vec::new();
-        for (name, value) in m.counters() {
-            if !self.subs.iter().any(|p| name.starts_with(p.as_str())) {
-                continue;
-            }
-            let prev = self.last.get(name).copied();
-            if prev != Some(value) {
-                updates.push(MetricUpdate {
-                    name: name.to_string(),
-                    value,
-                    delta: value.saturating_sub(prev.unwrap_or(0)),
-                });
-                self.last.insert(name.to_string(), value);
-            }
-        }
-        if !updates.is_empty() {
-            self.outbox.push_back(
-                CtrlFrame::response(self.member, 0, CtrlResponse::Telemetry { updates }).encode(),
-            );
+        let updates = self.telemetry.step(nic);
+        for frame in CtrlFrame::telemetry(self.member, updates) {
+            self.outbox.push_back(frame.encode());
         }
     }
 }
@@ -465,4 +446,58 @@ fn tenancy_of(spec: &mut NicSpec) -> Result<&mut TenancyConfig, String> {
     spec.tenancy
         .as_mut()
         .ok_or_else(|| "tenancy plane is off (add a vNIC first)".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_rig::{self as common, LATE};
+
+    fn submit(ep: &mut CtrlEndpoint, seq: u32, req: CtrlRequest) {
+        ep.submit(&CtrlFrame::request(0, seq, req).encode());
+    }
+
+    /// Add/remove churn under fresh names must not grow the cursor's
+    /// memory: once a removal finalises, the vNIC's counters are gone
+    /// from it.
+    #[test]
+    fn telemetry_memory_returns_to_its_size_after_a_removal() {
+        let mut r = common::rig();
+        let mut ep = CtrlEndpoint::new(r.spec.clone());
+        let mut now = Cycle(0);
+        submit(
+            &mut ep,
+            1,
+            CtrlRequest::Subscribe {
+                prefixes: vec!["tenancy.".into()],
+            },
+        );
+        ep.service(&mut r.nic, now);
+        let before = ep.telemetry.remembered();
+        assert!(before > 0, "the build-time vNIC is remembered");
+
+        for round in 0..5u32 {
+            let vnic = VNicSpec::new(LATE, format!("churn-{round}"), 4).credit_quota(16);
+            submit(&mut ep, 2 + 2 * round, CtrlRequest::AddVnic(vnic));
+            for step in 0..300 {
+                if step % 40 == 0 {
+                    r.inject(LATE, step, now);
+                }
+                ep.service(&mut r.nic, now);
+                now = r.tick(now);
+            }
+            assert!(ep.telemetry.remembered() > before);
+            submit(
+                &mut ep,
+                3 + 2 * round,
+                CtrlRequest::RemoveVnic { tenant: LATE },
+            );
+            for _ in 0..5_000 {
+                ep.service(&mut r.nic, now);
+                now = r.tick(now);
+            }
+            assert!(ep.pending.is_none(), "the removal finalised");
+            assert_eq!(ep.telemetry.remembered(), before, "round {round}");
+        }
+    }
 }

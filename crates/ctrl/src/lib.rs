@@ -19,7 +19,11 @@
 //!    `panic-verify` pass against the *post-mutation* spec before
 //!    commit, rejecting with the lint findings serialized in the
 //!    response — the static verifier as an online gatekeeper — plus a
-//!    `subscribe` opcode streaming framed metric deltas.
+//!    `subscribe` opcode streaming framed metric deltas. Streaming
+//!    visits the NIC's metrics through a [`trace::MetricSink`] that
+//!    prunes unsubscribed subtrees and walks a positional change
+//!    cursor, so a step in which nothing subscribed changed allocates
+//!    nothing.
 //!
 //! An armed but silent endpoint is a pure no-op: a run with a
 //! [`endpoint::CtrlEndpoint`] attached and no messages is
@@ -33,6 +37,13 @@
 
 pub mod endpoint;
 pub mod proto;
+mod telemetry;
+
+/// The integration tests' reference NIC, for unit tests that need a
+/// live one.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod test_rig;
 
 pub use endpoint::CtrlEndpoint;
 pub use proto::{CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse, DecodeError, MetricUpdate};

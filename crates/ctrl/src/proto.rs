@@ -22,7 +22,10 @@
 //! decoder derives each table entry's key shape from the table's own
 //! [`MatchKind`], making arity and shape mismatches unrepresentable
 //! on the wire, and rejects zero-valued [`RateSpec`] components that
-//! `RateSpec::per_cycles` would panic on.
+//! `RateSpec::per_cycles` would panic on. Names the NIC later embeds
+//! in counter names (vNIC and table names; action and program names
+//! share the rule) are bounded at [`MAX_NAME_LEN`] bytes, so a counter
+//! name always fits a telemetry frame's 16-bit string length.
 
 use packet::{Field, TenantId};
 use rmt::action::{priority_code, priority_from_code};
@@ -38,6 +41,11 @@ pub const MAGIC: [u8; 4] = *b"PNIC";
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 16;
+
+/// Longest vNIC, table, action or program name the decoder accepts, in
+/// bytes — [`VNicSpec::MAX_NAME_LEN`], which lint PV605 enforces
+/// offline.
+pub const MAX_NAME_LEN: usize = VNicSpec::MAX_NAME_LEN;
 
 const LAYERS: [Layer; 6] = [
     Layer::Ethernet,
@@ -120,7 +128,8 @@ pub enum CtrlRequest {
     /// Hot-swap the RMT pipeline program after a drain (opcode `0x06`).
     SwapProgram(RmtProgram),
     /// Subscribe to framed metric deltas (opcode `0x07`). Prefixes
-    /// select counters, e.g. `tenancy.`, `fault.`, `perf.layer.`.
+    /// select counters, e.g. `tenancy.`, `nic.`, `perf.layer.`; an
+    /// empty list unsubscribes.
     Subscribe {
         /// Counter-name prefixes to stream.
         prefixes: Vec<String>,
@@ -165,7 +174,8 @@ pub struct MetricUpdate {
     pub name: String,
     /// Absolute counter value at the sample cycle.
     pub value: u64,
-    /// Increase since the previous telemetry frame.
+    /// Increase since the value last streamed for this counter,
+    /// saturating at zero (a gauge that fell reports `0`).
     pub delta: u64,
 }
 
@@ -252,6 +262,28 @@ impl CtrlFrame {
             seq,
             body: CtrlBody::Response(resp),
         }
+    }
+
+    /// The pushed telemetry frames carrying `updates`, in order: none
+    /// for an empty batch, and a batch beyond the wire's `u16` update
+    /// count continues in further frames rather than failing to
+    /// encode.
+    pub(crate) fn telemetry(
+        member: u16,
+        mut updates: Vec<MetricUpdate>,
+    ) -> impl Iterator<Item = CtrlFrame> {
+        std::iter::from_fn(move || {
+            if updates.is_empty() {
+                return None;
+            }
+            let rest = updates.split_off(updates.len().min(usize::from(u16::MAX)));
+            let head = std::mem::replace(&mut updates, rest);
+            Some(CtrlFrame::response(
+                member,
+                0,
+                CtrlResponse::Telemetry { updates: head },
+            ))
+        })
     }
 
     /// Serializes the frame to wire bytes.
@@ -412,6 +444,15 @@ impl<'a> Reader<'a> {
         let len = self.u16()? as usize;
         let raw = self.bytes(len)?;
         String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::BadPayload("invalid utf-8"))
+    }
+    /// A short string naming a vNIC, table, action or program: at most
+    /// [`MAX_NAME_LEN`] bytes.
+    fn name(&mut self) -> Result<String, DecodeError> {
+        let name = self.str_short()?;
+        if name.len() > MAX_NAME_LEN {
+            return Err(DecodeError::BadPayload("name too long"));
+        }
+        Ok(name)
     }
     fn str_long(&mut self) -> Result<String, DecodeError> {
         let len = self.u32()? as usize;
@@ -582,7 +623,7 @@ fn encode_vnic(w: &mut Writer, spec: &VNicSpec) {
 fn decode_vnic(r: &mut Reader<'_>) -> Result<VNicSpec, DecodeError> {
     use packet::EngineId;
     let tenant = TenantId(r.u16()?);
-    let name = r.str_short()?;
+    let name = r.name()?;
     let weight = r.u64()?;
     let rate = decode_rate_opt(r)?;
     let credit_quota = r.u64()?;
@@ -710,7 +751,7 @@ fn encode_action(w: &mut Writer, action: &Action) {
 
 fn decode_action(r: &mut Reader<'_>) -> Result<Action, DecodeError> {
     use packet::EngineId;
-    let name = r.str_short()?;
+    let name = r.name()?;
     let n = r.count()?;
     let mut prims = Vec::with_capacity(n);
     for _ in 0..n {
@@ -869,7 +910,7 @@ fn encode_table(w: &mut Writer, table: &Table) {
 }
 
 fn decode_table(r: &mut Reader<'_>) -> Result<Table, DecodeError> {
-    let name = r.str_short()?;
+    let name = r.name()?;
     let kind = decode_kind(r)?;
     let default_action = decode_action(r)?;
     let mut table = Table::new(name, kind, default_action);
@@ -904,7 +945,7 @@ fn encode_program(w: &mut Writer, program: &RmtProgram) {
 }
 
 fn decode_program(r: &mut Reader<'_>) -> Result<RmtProgram, DecodeError> {
-    let name = r.str_short()?;
+    let name = r.name()?;
     let start = decode_layer(r)?;
     let mut parser = ParseGraph::starting_at(start);
     let n_edges = r.count()?;
@@ -1151,6 +1192,71 @@ mod tests {
             CtrlFrame::decode(&bad).unwrap_err(),
             DecodeError::BadPayload("zero rate component")
         );
+    }
+
+    #[test]
+    fn rejects_names_beyond_the_limit() {
+        let named = |len: usize| {
+            let mut vnic = sample_vnic();
+            vnic.name = "n".repeat(len);
+            CtrlFrame::request(0, 1, CtrlRequest::AddVnic(vnic)).encode()
+        };
+        roundtrip(&CtrlFrame::decode(&named(MAX_NAME_LEN)).expect("at the limit"));
+        // The encoder will carry anything that fits a u16; the decoder
+        // is where outside bytes enter, and it refuses.
+        for len in [MAX_NAME_LEN + 1, 65_520] {
+            assert_eq!(
+                CtrlFrame::decode(&named(len)).unwrap_err(),
+                DecodeError::BadPayload("name too long")
+            );
+        }
+        // Table names reach `rmt.stage.<i>.<table>.hits` the same way.
+        let long_table = Table::new(
+            "t".repeat(MAX_NAME_LEN + 1),
+            MatchKind::Exact(vec![Field::L4DstPort]),
+            Action::named("a", vec![Primitive::NoOp]),
+        );
+        let program = ProgramBuilder::new("p", ParseGraph::standard(11211))
+            .stage(long_table)
+            .build();
+        let bytes = CtrlFrame::request(0, 1, CtrlRequest::SwapProgram(program)).encode();
+        assert_eq!(
+            CtrlFrame::decode(&bytes).unwrap_err(),
+            DecodeError::BadPayload("name too long")
+        );
+    }
+
+    #[test]
+    fn telemetry_batches_split_at_the_wire_count_limit() {
+        let updates = |n: usize| -> Vec<MetricUpdate> {
+            (0..n)
+                .map(|i| MetricUpdate {
+                    name: format!("c{i}"),
+                    value: i as u64,
+                    delta: 1,
+                })
+                .collect()
+        };
+        assert_eq!(CtrlFrame::telemetry(0, Vec::new()).count(), 0);
+        let max = usize::from(u16::MAX);
+        for (n, frames) in [(1, 1), (max, 1), (max + 1, 2), (2 * max + 7, 3)] {
+            let mut carried = Vec::new();
+            let mut count = 0;
+            for frame in CtrlFrame::telemetry(3, updates(n)) {
+                count += 1;
+                assert_eq!((frame.member, frame.seq), (3, 0));
+                // Every frame encodes (no count overflow) and decodes.
+                match roundtrip(&frame).body {
+                    CtrlBody::Response(CtrlResponse::Telemetry { updates }) => {
+                        assert!(!updates.is_empty() && updates.len() <= max);
+                        carried.extend(updates);
+                    }
+                    other => panic!("wrong body: {other:?}"),
+                }
+            }
+            assert_eq!(count, frames, "{n} updates");
+            assert_eq!(carried, updates(n), "order and content survive the split");
+        }
     }
 
     #[test]

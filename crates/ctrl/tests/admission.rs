@@ -216,3 +216,106 @@ fn subscribe_streams_tenancy_deltas() {
         "subscribed tx_wire counter must stream deltas"
     );
 }
+
+/// The wire carries a vNIC name behind a 16-bit length, but a name
+/// that long makes `tenancy.<name>.submitted` too long for a telemetry
+/// frame — the parent commit admitted it and then panicked encoding
+/// the next frame. The decoder refuses it with a typed error; the
+/// subscription keeps streaming.
+#[test]
+fn oversized_vnic_name_is_refused_at_decode_and_telemetry_survives() {
+    let mut r = rig();
+    let mut ep = CtrlEndpoint::new(r.spec.clone());
+    let subscribe = CtrlRequest::Subscribe {
+        prefixes: vec!["tenancy.".into()],
+    };
+    ep.submit(&CtrlFrame::request(0, 1, subscribe).encode());
+    let huge = VNicSpec::new(LATE, "n".repeat(65_520), 4).credit_quota(16);
+    ep.submit(&CtrlFrame::request(0, 2, CtrlRequest::AddVnic(huge)).encode());
+
+    let mut now = Cycle(0);
+    let mut responses = Vec::new();
+    for step in 0..400 {
+        if step % 40 == 0 {
+            r.inject(TENANT, step, now);
+        }
+        ep.service(&mut r.nic, now);
+        while let Some(frame) = ep.poll_decoded() {
+            responses.push(frame);
+        }
+        now = r.tick(now);
+    }
+    let error = responses
+        .iter()
+        .find_map(|f| match &f.body {
+            CtrlBody::Response(CtrlResponse::Error { message }) => Some(message.as_str()),
+            _ => None,
+        })
+        .expect("the oversized frame is answered with an error");
+    assert_eq!(error, "bad payload: name too long");
+    assert_eq!(ep.epoch(), 0, "nothing committed");
+    assert!(!r.nic.tenancy().expect("tenancy on").knows(LATE));
+    let telemetry = responses
+        .iter()
+        .filter(|f| matches!(f.body, CtrlBody::Response(CtrlResponse::Telemetry { .. })))
+        .count();
+    assert!(telemetry > 1, "the subscription kept streaming");
+}
+
+/// A name exactly at the limit is legal: admitted, and its counters
+/// stream (every frame the endpoint emits decodes again).
+#[test]
+fn vnic_name_at_the_limit_is_admitted_and_streams() {
+    let mut r = rig();
+    let mut ep = CtrlEndpoint::new(r.spec.clone());
+    let name = "n".repeat(VNicSpec::MAX_NAME_LEN);
+    let subscribe = CtrlRequest::Subscribe {
+        prefixes: vec!["tenancy.n".into()],
+    };
+    ep.submit(&CtrlFrame::request(0, 1, subscribe).encode());
+    let vnic = VNicSpec::new(LATE, name.clone(), 4).credit_quota(16);
+    ep.submit(&CtrlFrame::request(0, 2, CtrlRequest::AddVnic(vnic)).encode());
+    ep.service(&mut r.nic, Cycle(0));
+    let mut streamed = Vec::new();
+    while let Some(frame) = ep.poll_decoded() {
+        if let CtrlBody::Response(CtrlResponse::Telemetry { updates }) = frame.body {
+            streamed.extend(updates.into_iter().map(|u| u.name));
+        }
+    }
+    assert_eq!(ep.epoch(), 1, "the add committed");
+    assert!(streamed.contains(&format!("tenancy.{name}.submitted")));
+}
+
+/// The same bound offline and online: a spec that already carries an
+/// over-long name (built in-process, where no decoder stands guard) is
+/// denied by PV605, and the online rejection is byte-identical to what
+/// `panic-lint --json` says about that spec.
+#[test]
+fn overlong_name_in_the_spec_is_denied_online_as_offline() {
+    let mut r = rig();
+    let mut spec = r.spec.clone();
+    let tc = spec.tenancy.as_mut().expect("rig has a tenancy plane");
+    tc.vnics[0].name = "n".repeat(VNicSpec::MAX_NAME_LEN + 1);
+    let mut ep = CtrlEndpoint::new(spec.clone());
+
+    let mut offline = spec;
+    offline.tenancy.as_mut().unwrap().vnics[0].weight = 3;
+    let report = panic_verify::verify(&offline);
+    assert!(!report.is_clean());
+    let expected = report.render_json_enveloped("ctl:set-weight", u32::from(PROTO_VERSION));
+
+    let req = CtrlRequest::SetWeight {
+        tenant: TENANT,
+        weight: 3,
+    };
+    ep.submit(&CtrlFrame::request(0, 1, req).encode());
+    ep.service(&mut r.nic, Cycle(0));
+    match ep.poll_decoded().expect("a response").body {
+        CtrlBody::Response(CtrlResponse::Rejected { findings }) => {
+            assert!(findings.contains("PV605"), "{findings}");
+            assert_eq!(findings, expected);
+        }
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+    assert_eq!(ep.epoch(), 0);
+}

@@ -6,7 +6,7 @@
 
 use packet::TenantId;
 use panic_core::programs::chain_program;
-use panic_ctrl::{CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse};
+use panic_ctrl::{CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse, DecodeError};
 use proptest::prelude::*;
 use tenancy::{RateSpec, VNicSpec};
 
@@ -23,14 +23,26 @@ fn assert_roundtrip(frame: &CtrlFrame) {
 
 /// A frame with every codec in play: a vNIC payload (strings, option
 /// rate, entitlement and chain lists) is the richest request short of
-/// a full program.
-fn rich_vnic_frame(member: u16, seq: u32, tenant: u16) -> CtrlFrame {
-    let vnic = VNicSpec::new(TenantId(tenant), format!("t{tenant}"), 3)
-        .rate(RateSpec::per_cycles(1, 7, 4))
-        .credit_quota(9)
-        .entitled_to([packet::EngineId(1), packet::EngineId(2)])
-        .chain([packet::EngineId(1)]);
+/// a full program. The name is `t<tenant>` padded with `-` to
+/// `name_len` bytes (never shorter than itself).
+fn named_vnic_frame(member: u16, seq: u32, tenant: u16, name_len: usize) -> CtrlFrame {
+    let vnic = VNicSpec::new(
+        TenantId(tenant),
+        format!("{:-<name_len$}", format!("t{tenant}")),
+        3,
+    )
+    .rate(RateSpec::per_cycles(1, 7, 4))
+    .credit_quota(9)
+    .entitled_to([packet::EngineId(1), packet::EngineId(2)])
+    .chain([packet::EngineId(1)]);
     CtrlFrame::request(member, seq, CtrlRequest::AddVnic(vnic))
+}
+
+/// [`named_vnic_frame`] with a name length drawn from the tenant id:
+/// short, one under the limit, and exactly at it.
+fn rich_vnic_frame(member: u16, seq: u32, tenant: u16) -> CtrlFrame {
+    let name_len = [0, VNicSpec::MAX_NAME_LEN - 1, VNicSpec::MAX_NAME_LEN][usize::from(tenant) % 3];
+    named_vnic_frame(member, seq, tenant, name_len)
 }
 
 /// A frame exercising the program codec end to end.
@@ -63,7 +75,7 @@ proptest! {
             1 => CtrlRequest::SetWeight { tenant, weight },
             2 => CtrlRequest::SetCreditQuota { tenant, quota },
             _ => CtrlRequest::Subscribe {
-                prefixes: vec![format!("tenancy.{weight}"), "fault.".into()],
+                prefixes: vec![format!("tenancy.{weight}"), "nic.".into()],
             },
         };
         assert_roundtrip(&CtrlFrame::request(member, seq, req));
@@ -132,6 +144,22 @@ proptest! {
             other => panic!("decoded to the wrong body: {other:?}"),
         }
         assert_eq!(back.encode(), bytes);
+    }
+
+    /// Names up to the limit decode; one byte more, up to the most a
+    /// 16-bit length can announce, is a typed payload error.
+    #[test]
+    fn vnic_name_limit_is_exact(
+        tenant in any::<u16>(),
+        under in 0usize..=VNicSpec::MAX_NAME_LEN,
+        over in VNicSpec::MAX_NAME_LEN + 1..=usize::from(u16::MAX),
+    ) {
+        assert_roundtrip(&named_vnic_frame(1, 2, tenant, under));
+        let bytes = named_vnic_frame(1, 2, tenant, over).encode();
+        assert_eq!(
+            CtrlFrame::decode(&bytes).unwrap_err(),
+            DecodeError::BadPayload("name too long")
+        );
     }
 
     /// Every strict prefix of a valid frame is an error: the header's

@@ -15,6 +15,7 @@
 //! queue's admission policy (§4.3).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use packet::chain::EngineId;
 use packet::message::{Message, TenantId};
@@ -22,7 +23,7 @@ use sched::admission::{Admission, AdmissionPolicy};
 use sched::queue::SchedQueue;
 use sim_core::stats::Histogram;
 use sim_core::time::{Cycle, Cycles};
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 use crate::engine::{EgressKind, Offload, Output};
 
@@ -216,18 +217,18 @@ impl EngineTile {
     /// `<prefix>.dropped`, `<prefix>.busy_cycles`, the
     /// `<prefix>.service` histogram, and the scheduling queue's
     /// metrics under `<prefix>.sched`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        m.counter_set(&format!("{prefix}.processed"), self.stats.processed);
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: impl fmt::Display) {
+        m.counter(format_args!("{prefix}.processed"), self.stats.processed);
         // Sourced from the queue (the only dropper) — see [`TileStats`].
-        m.counter_set(&format!("{prefix}.dropped"), self.drops());
-        m.counter_set(&format!("{prefix}.busy_cycles"), self.stats.busy_cycles);
-        m.merge_histogram(&format!("{prefix}.service"), &self.stats.service);
+        m.counter(format_args!("{prefix}.dropped"), self.drops());
+        m.counter(format_args!("{prefix}.busy_cycles"), self.stats.busy_cycles);
+        m.histogram(format_args!("{prefix}.service"), &self.stats.service);
         // Fault-plane counters appear only once a fault touched this
         // tile, keeping fault-free metrics output byte-identical.
         if self.faulted {
-            m.counter_set(&format!("{prefix}.flushed"), self.stats.flushed);
+            m.counter(format_args!("{prefix}.flushed"), self.stats.flushed);
         }
-        self.queue.export_metrics(m, &format!("{prefix}.sched"));
+        self.queue.export_metrics(m, format_args!("{prefix}.sched"));
     }
 
     /// The tile's engine address.
@@ -643,6 +644,7 @@ mod tests {
     use bytes::Bytes;
     use packet::chain::{ChainHeader, EngineClass, Slack};
     use packet::message::{MessageId, MessageKind};
+    use trace::MetricsRegistry;
 
     fn tile(service: u64) -> EngineTile {
         EngineTile::new(

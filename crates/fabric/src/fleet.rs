@@ -2,14 +2,16 @@
 //! synchronization, and fleet-wide conservation.
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use packet::message::Message;
 use packet::EngineId;
 use panic_core::{Conservation, NicBuilder, PanicNic};
 use panic_verify::{verify_fabric, FabricSpec, LinkSpec, Report};
 use sim_core::clock::{drive, Advance};
+use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
-use trace::{MetricsRegistry, Tracer};
+use trace::{MetricSink, Tracer};
 
 pub use crate::chaos::ChaosStats;
 use crate::chaos::{ChaosRuntime, MemberSig, Parked, Phase};
@@ -1371,26 +1373,30 @@ impl Fabric {
     /// (no prefix, no fabric counters unless a link carried traffic) —
     /// the metrics half of the byte-identity golden test. Members of a
     /// larger fabric export under `nic<i>.`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry) {
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S) {
         if self.members.len() == 1 {
             self.members[0].nic.export_metrics(m);
         } else {
-            for (i, member) in self.members.iter().enumerate() {
-                let mut tmp = MetricsRegistry::new();
-                member.nic.export_metrics(&mut tmp);
-                for (name, v) in tmp.counters() {
-                    m.counter_set(&format!("nic{i}.{name}"), v);
-                }
-                for (name, h) in tmp.histograms() {
-                    m.merge_histogram(&format!("nic{i}.{name}"), h);
-                }
+            for (index, member) in self.members.iter().enumerate() {
+                member
+                    .nic
+                    .export_metrics(&mut MemberSink { inner: m, index });
             }
         }
+        if !m.wants("fabric.") {
+            return;
+        }
         if self.stats.forwarded > 0 || self.stats.delivered > 0 {
-            m.counter_set("fabric.forwarded", self.stats.forwarded);
-            m.counter_set("fabric.delivered", self.stats.delivered);
-            m.counter_set("fabric.backpressured", self.stats.backpressured);
-            m.counter_set("fabric.fabric_unrouted", self.stats.fabric_unrouted);
+            m.counter(format_args!("fabric.forwarded"), self.stats.forwarded);
+            m.counter(format_args!("fabric.delivered"), self.stats.delivered);
+            m.counter(
+                format_args!("fabric.backpressured"),
+                self.stats.backpressured,
+            );
+            m.counter(
+                format_args!("fabric.fabric_unrouted"),
+                self.stats.fabric_unrouted,
+            );
         }
         // Chaos counters appear only once a fault has actually fired,
         // so an armed-but-silent fault plane exports byte-identical
@@ -1398,23 +1404,55 @@ impl Fabric {
         if let Some(c) = &self.chaos {
             if c.stats.any() {
                 let (retries, dup, parked, lost, fallback) = c.conservation_terms();
-                m.counter_set("fabric.chaos.events", c.stats.events_fired);
-                m.counter_set("fabric.chaos.retries", retries);
-                m.counter_set("fabric.chaos.dup_suppressed", dup);
-                m.counter_set("fabric.chaos.parked", parked);
-                m.counter_set("fabric.chaos.lost_link", lost);
-                m.counter_set("fabric.chaos.host_fallback", fallback);
-                m.counter_set("fabric.chaos.replica_rewrites", c.stats.replica_rewrites);
-                m.counter_set("fabric.chaos.reroutes", c.stats.reroutes);
-                m.counter_set(
-                    "fabric.chaos.recovered_by_retry",
+                m.counter(format_args!("fabric.chaos.events"), c.stats.events_fired);
+                m.counter(format_args!("fabric.chaos.retries"), retries);
+                m.counter(format_args!("fabric.chaos.dup_suppressed"), dup);
+                m.counter(format_args!("fabric.chaos.parked"), parked);
+                m.counter(format_args!("fabric.chaos.lost_link"), lost);
+                m.counter(format_args!("fabric.chaos.host_fallback"), fallback);
+                m.counter(
+                    format_args!("fabric.chaos.replica_rewrites"),
+                    c.stats.replica_rewrites,
+                );
+                m.counter(format_args!("fabric.chaos.reroutes"), c.stats.reroutes);
+                m.counter(
+                    format_args!("fabric.chaos.recovered_by_retry"),
                     c.stats.recovered_by_retry,
                 );
-                m.counter_set("fabric.chaos.member_crashes", c.stats.member_crashes);
-                m.counter_set("fabric.chaos.member_recoveries", c.stats.member_recoveries);
-                m.merge_histogram("fabric.chaos.reroute_wait", &c.reroute_wait);
+                m.counter(
+                    format_args!("fabric.chaos.member_crashes"),
+                    c.stats.member_crashes,
+                );
+                m.counter(
+                    format_args!("fabric.chaos.member_recoveries"),
+                    c.stats.member_recoveries,
+                );
+                m.histogram(format_args!("fabric.chaos.reroute_wait"), &c.reroute_wait);
             }
         }
+    }
+}
+
+/// The sink a fabric member exports into: files every metric under
+/// `nic<index>.` in the fabric's own sink.
+struct MemberSink<'a, S: ?Sized> {
+    inner: &'a mut S,
+    index: usize,
+}
+
+impl<S: MetricSink + ?Sized> MetricSink for MemberSink<'_, S> {
+    fn wants(&self, subtree: &str) -> bool {
+        self.inner.wants(&format!("nic{}.{subtree}", self.index))
+    }
+
+    fn counter(&mut self, name: fmt::Arguments<'_>, value: u64) {
+        self.inner
+            .counter(format_args!("nic{}.{name}", self.index), value);
+    }
+
+    fn histogram(&mut self, name: fmt::Arguments<'_>, h: &Histogram) {
+        self.inner
+            .histogram(format_args!("nic{}.{name}", self.index), h);
     }
 }
 

@@ -24,11 +24,12 @@
 //! (§4.3).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt;
 
 use packet::{EngineId, Flit, FlitKind, Message, TenantId};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 use crate::router::{FlitHandle, PortDir, RoutePlan, Router, RouterConfig};
 use crate::topology::{Coord, Placement, RouteLut, Topology};
@@ -299,26 +300,29 @@ impl MeshNetwork {
     /// `<prefix>.delivered_messages`, `<prefix>.delivered_flits`,
     /// `<prefix>.flit_hops`, and the `<prefix>.latency` histogram
     /// (send → tail ejected, cycles).
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        m.counter_set(
-            &format!("{prefix}.injected_messages"),
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: impl fmt::Display) {
+        m.counter(
+            format_args!("{prefix}.injected_messages"),
             self.stats.injected_messages,
         );
-        m.counter_set(
-            &format!("{prefix}.delivered_messages"),
+        m.counter(
+            format_args!("{prefix}.delivered_messages"),
             self.stats.delivered_messages,
         );
-        m.counter_set(
-            &format!("{prefix}.delivered_flits"),
+        m.counter(
+            format_args!("{prefix}.delivered_flits"),
             self.stats.delivered_flits,
         );
-        m.counter_set(&format!("{prefix}.flit_hops"), self.total_flit_hops());
-        m.merge_histogram(&format!("{prefix}.latency"), &self.stats.latency);
+        m.counter(format_args!("{prefix}.flit_hops"), self.total_flit_hops());
+        m.histogram(format_args!("{prefix}.latency"), &self.stats.latency);
         // Fault counters appear only when the fault plane was engaged,
         // so fault-free metrics output stays byte-identical.
         if let Some(faults) = &self.faults {
-            m.counter_set(&format!("{prefix}.lost_messages"), faults.lost_messages);
-            m.counter_set(&format!("{prefix}.leaked_credits"), faults.leaked_credits);
+            m.counter(format_args!("{prefix}.lost_messages"), faults.lost_messages);
+            m.counter(
+                format_args!("{prefix}.leaked_credits"),
+                faults.leaked_credits,
+            );
         }
     }
 
@@ -771,6 +775,7 @@ mod tests {
     use bytes::Bytes;
     use packet::{MessageBuilder, MessageId, MessageKind};
     use sim_core::rng::SimRng;
+    use trace::MetricsRegistry;
 
     fn msg(id: u64, payload: usize) -> Message {
         Message::builder(MessageId(id), MessageKind::EthernetFrame)

@@ -16,11 +16,12 @@
 //! the `parallel` / `depth` trade-off in [`PipelineConfig`].
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use packet::message::Message;
 use sim_core::events::EventQueue;
 use sim_core::time::{Cycle, Cycles, Freq};
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 use crate::action::Verdict;
 use crate::compile::CompiledProgram;
@@ -164,20 +165,23 @@ impl RmtPipeline {
     /// `<prefix>.dropped`, `<prefix>.recirculated`,
     /// `<prefix>.idle_slots`, and per-stage
     /// `<prefix>.stage.<i>.<table>.hits` / `.misses`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        m.counter_set(&format!("{prefix}.accepted"), self.stats.accepted);
-        m.counter_set(&format!("{prefix}.emitted"), self.stats.emitted);
-        m.counter_set(&format!("{prefix}.dropped"), self.stats.dropped);
-        m.counter_set(&format!("{prefix}.recirculated"), self.stats.recirculated);
-        m.counter_set(&format!("{prefix}.idle_slots"), self.stats.idle_slots);
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: impl fmt::Display) {
+        m.counter(format_args!("{prefix}.accepted"), self.stats.accepted);
+        m.counter(format_args!("{prefix}.emitted"), self.stats.emitted);
+        m.counter(format_args!("{prefix}.dropped"), self.stats.dropped);
+        m.counter(
+            format_args!("{prefix}.recirculated"),
+            self.stats.recirculated,
+        );
+        m.counter(format_args!("{prefix}.idle_slots"), self.stats.idle_slots);
         for (i, table) in self.program.tables().iter().enumerate() {
             let name = table.name();
-            m.counter_set(
-                &format!("{prefix}.stage.{i}.{name}.hits"),
+            m.counter(
+                format_args!("{prefix}.stage.{i}.{name}.hits"),
                 self.stage_hits[i],
             );
-            m.counter_set(
-                &format!("{prefix}.stage.{i}.{name}.misses"),
+            m.counter(
+                format_args!("{prefix}.stage.{i}.{name}.misses"),
                 self.stage_misses[i],
             );
         }
@@ -400,6 +404,7 @@ mod tests {
     };
     use packet::message::{MessageId, MessageKind};
     use packet::phv::Field;
+    use trace::MetricsRegistry;
 
     fn frame(port: u16) -> Bytes {
         build_udp_frame(

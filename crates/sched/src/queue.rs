@@ -5,11 +5,12 @@
 //! with a configurable admission policy and wait-time accounting.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use packet::message::{Message, TenantId};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 use crate::admission::{Admission, AdmissionPolicy};
 use crate::pifo::Pifo;
@@ -140,15 +141,15 @@ impl SchedQueue {
     /// `"engine.3.sched"`): counters `<prefix>.accepted`,
     /// `<prefix>.dropped`, `<prefix>.refused`, `<prefix>.peak_depth`,
     /// and the `<prefix>.wait` histogram (enqueue → pop, cycles).
-    pub fn export_metrics(&self, m: &mut MetricsRegistry, prefix: &str) {
-        m.counter_set(&format!("{prefix}.accepted"), self.stats.accepted);
-        m.counter_set(&format!("{prefix}.dropped"), self.stats.dropped);
-        m.counter_set(&format!("{prefix}.refused"), self.stats.refused);
-        m.counter_set(
-            &format!("{prefix}.peak_depth"),
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: impl fmt::Display) {
+        m.counter(format_args!("{prefix}.accepted"), self.stats.accepted);
+        m.counter(format_args!("{prefix}.dropped"), self.stats.dropped);
+        m.counter(format_args!("{prefix}.refused"), self.stats.refused);
+        m.counter(
+            format_args!("{prefix}.peak_depth"),
             self.stats.peak_depth as u64,
         );
-        m.merge_histogram(&format!("{prefix}.wait"), &self.stats.wait);
+        m.histogram(format_args!("{prefix}.wait"), &self.stats.wait);
     }
 
     /// The admission policy.
@@ -312,6 +313,7 @@ mod tests {
     use bytes::Bytes;
     use packet::chain::{ChainHeader, EngineId, Slack};
     use packet::message::{MessageId, MessageKind};
+    use trace::MetricsRegistry;
 
     fn msg(id: u64, slack: Slack) -> Message {
         Message::builder(MessageId(id), MessageKind::EthernetFrame)

@@ -37,7 +37,7 @@ use std::fmt;
 use packet::{Message, TenantId};
 use sched::Pifo;
 use sim_core::{Cycle, Cycles, Histogram};
-use trace::{MetricsRegistry, Tracer, TrackId};
+use trace::{MetricSink, Tracer, TrackId};
 
 use crate::spec::{TenancyConfig, VNicSpec};
 
@@ -838,12 +838,15 @@ impl TenancyRuntime {
 
     /// Exports every tenant's counters and histograms into `m` under
     /// `tenancy.{vnic-name}.*`.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry) {
+    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S) {
+        if !m.wants("tenancy.") {
+            return;
+        }
         for state in self.tenants.values() {
             let name = &state.spec.name;
             let l = &state.ledger;
-            let set = |m: &mut MetricsRegistry, key: &str, v: u64| {
-                m.counter_set(&format!("tenancy.{name}.{key}"), v);
+            let set = |m: &mut S, key: &str, v: u64| {
+                m.counter(format_args!("tenancy.{name}.{key}"), v);
             };
             set(m, "submitted", l.submitted());
             set(m, "released", l.released);
@@ -867,10 +870,10 @@ impl TenancyRuntime {
             set(m, "pending", state.pending.len() as u64);
             set(m, "credits_in_use", state.credits_in_use);
             if state.latency.count() > 0 {
-                m.merge_histogram(&format!("tenancy.{name}.latency"), &state.latency);
+                m.histogram(format_args!("tenancy.{name}.latency"), &state.latency);
             }
             if state.queue_wait.count() > 0 {
-                m.merge_histogram(&format!("tenancy.{name}.queue_wait"), &state.queue_wait);
+                m.histogram(format_args!("tenancy.{name}.queue_wait"), &state.queue_wait);
             }
         }
     }
@@ -882,6 +885,7 @@ mod tests {
     use crate::spec::{RateSpec, VNicSpec};
     use bytes::Bytes;
     use packet::{MessageId, MessageKind};
+    use trace::MetricsRegistry;
 
     fn msg(id: u64, tenant: TenantId, payload: usize) -> Message {
         Message::builder(MessageId(id), MessageKind::EthernetFrame)

@@ -2,7 +2,7 @@
 //!
 //! A tenant's share of the NIC is described up front as plain data —
 //! the same philosophy as `panic-verify`'s `NicSpec`: every field is
-//! public so the static lints (PV601–PV604) can inspect the whole
+//! public so the static lints (PV601–PV605) can inspect the whole
 //! tenancy configuration before a single queue exists. The runtime
 //! ([`crate::runtime::TenancyRuntime`]) is built *from* a
 //! [`TenancyConfig`] and never mutates it.
@@ -81,6 +81,12 @@ pub struct VNicSpec {
 }
 
 impl VNicSpec {
+    /// Longest vNIC name, in bytes. The name is part of every
+    /// `tenancy.<name>.*` counter, and a counter name must fit the
+    /// control wire's 16-bit string length with room to spare; the
+    /// control decoder and lint PV605 both enforce this bound.
+    pub const MAX_NAME_LEN: usize = 255;
+
     /// A vNIC for `tenant` with the common defaults: unshaped, a
     /// 16-message credit quota, entitled to every engine, no declared
     /// chains.

@@ -20,6 +20,9 @@
 //! * [`MetricsRegistry`] — named counters and cycle histograms
 //!   (p50/p99/max), the uniform end-of-run schema every experiment
 //!   reports through (`repro ... --metrics out.json`).
+//! * [`MetricSink`] — what every layer's `export_metrics` writes to.
+//!   The registry is one sink; a streaming consumer implements its own
+//!   and prunes the subtrees it does not read.
 //!
 //! The full trace format — event taxonomy, pid/tid mapping, and the
 //! histogram JSON schema — is specified in `docs/TRACING.md`.
@@ -57,13 +60,17 @@
 //! ## Example: the metrics registry
 //!
 //! ```
-//! use trace::MetricsRegistry;
+//! use sim_core::stats::Histogram;
+//! use trace::{MetricSink, MetricsRegistry};
 //!
-//! let mut m = MetricsRegistry::new();
-//! m.counter_add("nic.tx_wire", 3);
+//! let mut service = Histogram::new();
 //! for v in [10, 20, 30] {
-//!     m.record("engine.crc.service", v);
+//!     service.record(v);
 //! }
+//! // What a component's `export_metrics(&mut m)` does:
+//! let mut m = MetricsRegistry::new();
+//! MetricSink::counter(&mut m, format_args!("nic.tx_wire"), 3);
+//! MetricSink::histogram(&mut m, format_args!("engine.{}.service", "crc"), &service);
 //! assert_eq!(m.counter("nic.tx_wire"), Some(3));
 //! assert_eq!(m.histogram("engine.crc.service").unwrap().p50(), 20);
 //! assert!(m.to_json().contains("\"p99\""));
@@ -80,6 +87,6 @@ pub mod sink;
 pub mod tracer;
 
 pub use event::{Event, EventKind, TrackId};
-pub use metrics::MetricsRegistry;
+pub use metrics::{MetricSink, MetricsRegistry};
 pub use sink::{ChromeTraceSink, NullSink, RingSink, TraceSink};
 pub use tracer::Tracer;

@@ -6,12 +6,94 @@
 //! (`component.instance.metric`), so every experiment — PANIC and the
 //! §2.3 baselines alike — reports the *same* histogram schema:
 //! `count/mean/min/p50/p90/p99/p999/max`, cycle-valued.
+//!
+//! Export is a *visit*: every layer's `export_metrics` is generic over
+//! a [`MetricSink`] and hands it each metric in turn. The registry is
+//! the sink that keeps everything; a sink that wants less (the control
+//! endpoint's telemetry cursor) prunes whole subtrees through
+//! [`MetricSink::wants`] and never pays for a name it does not read.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt;
 
 use sim_core::stats::Histogram;
 
+/// Where a layer's `export_metrics` sends its metrics.
+///
+/// Names arrive as [`fmt::Arguments`] — unformatted — so a sink decides
+/// what a name costs: [`MetricsRegistry`] renders it into a map key, a
+/// streaming sink can compare it against bytes it already holds, and a
+/// sink that ignores histograms never formats a histogram's name.
+///
+/// # The `wants` contract
+///
+/// Before visiting a subtree an exporter asks `wants("noc.")` (the
+/// subtree's name prefix, trailing dot included) and skips the subtree
+/// on `false`. A sink answering `false` promises it would have ignored
+/// every metric whose name starts with that prefix. `true` promises
+/// nothing: the sink still sees, and may still ignore, each metric of
+/// the subtree, so a sink filtering by name prefixes must answer `true`
+/// both when a filter covers the subtree (`"tenancy."` covers
+/// `"tenancy.web."`) and when a filter lies inside it
+/// (`"tenancy.web.tx"` lies inside `"tenancy."`).
+///
+/// # Example: a sink that only counts
+///
+/// ```
+/// use trace::{MetricSink, MetricsRegistry};
+///
+/// #[derive(Default)]
+/// struct CountNoc(usize);
+/// impl MetricSink for CountNoc {
+///     fn wants(&self, subtree: &str) -> bool {
+///         subtree.starts_with("noc.")
+///     }
+///     fn counter(&mut self, _name: std::fmt::Arguments<'_>, _value: u64) {
+///         self.0 += 1;
+///     }
+///     fn histogram(&mut self, _: std::fmt::Arguments<'_>, _: &sim_core::stats::Histogram) {}
+/// }
+///
+/// // An exporter, generic over its sink like every `export_metrics`.
+/// fn export<S: MetricSink + ?Sized>(m: &mut S) {
+///     if m.wants("noc.") {
+///         m.counter(format_args!("noc.{}", "flit_hops"), 12);
+///     }
+///     if m.wants("rmt.") {
+///         m.counter(format_args!("rmt.{}", "accepted"), 3);
+///     }
+/// }
+///
+/// let mut n = CountNoc::default();
+/// export(&mut n);
+/// assert_eq!(n.0, 1);
+///
+/// let mut all = MetricsRegistry::new();
+/// export(&mut all);
+/// assert_eq!(all.counter("rmt.accepted"), Some(3));
+/// ```
+pub trait MetricSink {
+    /// May this sink read a metric whose name starts with `subtree`?
+    /// See the trait docs for what each answer promises.
+    fn wants(&self, subtree: &str) -> bool {
+        let _ = subtree;
+        true
+    }
+
+    /// Counter `name` currently reads `value`.
+    fn counter(&mut self, name: fmt::Arguments<'_>, value: u64);
+
+    /// Histogram `name` currently holds the samples of `h`.
+    fn histogram(&mut self, name: fmt::Arguments<'_>, h: &Histogram);
+}
+
 /// Named counters and cycle histograms with a stable JSON export.
+///
+/// Filled through its [`MetricSink`] impl — by a layer's
+/// `export_metrics(&mut registry)`, or directly with
+/// `MetricSink::counter(&mut registry, format_args!("a.b"), 1)` — and
+/// read back through the inherent getters.
 ///
 /// Names are dotted paths (`"nic.tx_wire"`,
 /// `"engine.crc.service_cycles"`); the registry imposes no hierarchy
@@ -28,39 +110,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Adds `n` to counter `name` (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Sets counter `name` to `value` (last write wins).
-    pub fn counter_set(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
-    }
-
-    /// Records one sample into histogram `name` (creating it empty).
-    pub fn record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    }
-
-    /// Merges an existing histogram into `name` — the export path for
-    /// components that already kept a [`Histogram`] during the run.
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
     }
 
     /// Current value of counter `name`.
@@ -162,33 +211,61 @@ impl MetricsRegistry {
     }
 }
 
+impl MetricSink for MetricsRegistry {
+    fn counter(&mut self, name: fmt::Arguments<'_>, value: u64) {
+        self.counters.insert(name.to_string(), value);
+    }
+
+    /// Merges, so exporting two components under one name adds their
+    /// samples; the first export of a name is a plain copy.
+    fn histogram(&mut self, name: fmt::Arguments<'_>, h: &Histogram) {
+        match self.histograms.entry(name.to_string()) {
+            Entry::Vacant(slot) => {
+                slot.insert(h.clone());
+            }
+            Entry::Occupied(mut slot) => slot.get_mut().merge(h),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
 
+    fn hist(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    fn set(m: &mut MetricsRegistry, name: &str, value: u64) {
+        MetricSink::counter(m, format_args!("{name}"), value);
+    }
+
+    fn merge(m: &mut MetricsRegistry, name: &str, samples: &[u64]) {
+        MetricSink::histogram(m, format_args!("{name}"), &hist(samples));
+    }
+
     #[test]
     fn counters_accumulate_and_set() {
         let mut m = MetricsRegistry::new();
-        assert!(m.is_empty());
-        m.counter_add("a.b", 2);
-        m.counter_add("a.b", 3);
-        m.counter_set("a.c", 7);
-        m.counter_set("a.c", 9);
+        set(&mut m, "a.c", 7);
+        set(&mut m, "a.c", 9);
+        MetricSink::counter(&mut m, format_args!("a.{}", "b"), 5);
         assert_eq!(m.counter("a.b"), Some(5));
         assert_eq!(m.counter("a.c"), Some(9));
         assert_eq!(m.counter("missing"), None);
-        assert!(!m.is_empty());
     }
 
     #[test]
     fn histograms_record_and_merge() {
         let mut m = MetricsRegistry::new();
-        m.record("lat", 100);
-        m.record("lat", 300);
-        let mut extern_h = Histogram::new();
-        extern_h.record(200);
-        m.merge_histogram("lat", &extern_h);
+        merge(&mut m, "lat", &[100, 300]);
+        assert_eq!(m.histogram("lat").unwrap().count(), 2);
+        MetricSink::histogram(&mut m, format_args!("l{}", "at"), &hist(&[200]));
         let h = m.histogram("lat").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 100);
@@ -196,11 +273,18 @@ mod tests {
     }
 
     #[test]
+    fn registry_wants_every_subtree() {
+        let m = MetricsRegistry::new();
+        assert!(m.wants("noc."));
+        assert!(m.wants(""));
+    }
+
+    #[test]
     fn json_export_is_valid_and_sorted() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("z.last", 1);
-        m.counter_add("a.first", 2);
-        m.record("engine.\"q\".wait", 50);
+        set(&mut m, "z.last", 1);
+        set(&mut m, "a.first", 2);
+        merge(&mut m, "engine.\"q\".wait", &[50]);
         let j = m.to_json();
         json::validate(&j).unwrap();
         assert!(j.contains("panic-metrics/v1"));
@@ -211,8 +295,8 @@ mod tests {
     #[test]
     fn markdown_report_lists_everything() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("nic.rx", 4);
-        m.record("svc", 10);
+        set(&mut m, "nic.rx", 4);
+        merge(&mut m, "svc", &[10]);
         let md = m.render_markdown();
         assert!(md.contains("### Counters"));
         assert!(md.contains("nic.rx"));
@@ -223,10 +307,10 @@ mod tests {
     #[test]
     fn iterators_are_name_ordered() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("b", 1);
-        m.counter_add("a", 1);
-        m.record("y", 1);
-        m.record("x", 1);
+        set(&mut m, "b", 1);
+        set(&mut m, "a", 1);
+        merge(&mut m, "y", &[1]);
+        merge(&mut m, "x", &[1]);
         let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
         let names: Vec<&str> = m.histograms().map(|(k, _)| k).collect();

@@ -23,10 +23,17 @@
 //!   is the tenancy plane's capability model: an empty entitlement
 //!   list means "all engines", otherwise every chain hop must appear
 //!   in it.
+//! * **PV605** (Error): a vNIC's name is longer than
+//!   [`VNicSpec::MAX_NAME_LEN`] bytes. The name is embedded in every
+//!   `tenancy.<name>.*` counter, and the control wire carries counter
+//!   names behind a 16-bit length; the control decoder refuses such a
+//!   name with the same bound, so offline lint and online admission
+//!   agree.
 
 use std::collections::BTreeSet;
 
 use packet::TenantId;
+use tenancy::VNicSpec;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::spec::NicSpec;
@@ -138,6 +145,27 @@ pub fn check_tenancy(spec: &NicSpec) -> Vec<Diagnostic> {
         }
     }
 
+    // PV605: names that cannot be carried in a telemetry frame.
+    for v in &tc.vnics {
+        if v.name.len() > VNicSpec::MAX_NAME_LEN {
+            // The span and message quote a prefix: the finding itself
+            // must stay small enough to ship.
+            let head: String = v.name.chars().take(32).collect();
+            diags.push(Diagnostic::new(
+                Code::PV605,
+                Severity::Error,
+                Span::at("tenancy", format!("{head}…")),
+                format!(
+                    "vNIC '{head}…' (tenant {}) has a {}-byte name; the limit \
+                     is {} bytes",
+                    v.tenant.0,
+                    v.name.len(),
+                    VNicSpec::MAX_NAME_LEN
+                ),
+            ));
+        }
+    }
+
     diags
 }
 
@@ -234,6 +262,19 @@ mod tests {
         let pv603: Vec<_> = diags.iter().filter(|d| d.code == Code::PV603).collect();
         assert_eq!(pv603.len(), 1, "{diags:?}");
         assert_eq!(pv603[0].severity, Severity::Info);
+    }
+
+    #[test]
+    fn pv605_flags_names_beyond_the_limit_only() {
+        let named =
+            |len: usize| TenancyConfig::new(vec![VNicSpec::new(TenantId(1), "n".repeat(len), 1)]);
+        assert!(check_tenancy(&spec_with(named(VNicSpec::MAX_NAME_LEN))).is_empty());
+        let diags = check_tenancy(&spec_with(named(VNicSpec::MAX_NAME_LEN + 1)));
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::PV605);
+        assert_eq!(diags[0].severity, Severity::Error);
+        // The finding quotes a prefix of the name, not all of it.
+        assert!(diags[0].message.len() < 200, "{}", diags[0].message);
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub enum Code {
     PV602,
     PV603,
     PV604,
+    PV605,
     PV701,
     PV702,
     PV703,
@@ -60,7 +61,7 @@ pub enum Code {
 
 impl Code {
     /// Every code the verifier can emit, in numeric order.
-    pub const ALL: [Code; 30] = [
+    pub const ALL: [Code; 31] = [
         Code::PV001,
         Code::PV002,
         Code::PV003,
@@ -83,6 +84,7 @@ impl Code {
         Code::PV602,
         Code::PV603,
         Code::PV604,
+        Code::PV605,
         Code::PV701,
         Code::PV702,
         Code::PV703,
@@ -119,6 +121,7 @@ impl Code {
             Code::PV602 => "PV602",
             Code::PV603 => "PV603",
             Code::PV604 => "PV604",
+            Code::PV605 => "PV605",
             Code::PV701 => "PV701",
             Code::PV702 => "PV702",
             Code::PV703 => "PV703",
@@ -181,6 +184,10 @@ impl Code {
             Code::PV604 => {
                 "a vNIC's declared offload chain references an engine the \
                  tenant is not entitled to (or that does not exist)"
+            }
+            Code::PV605 => {
+                "a vNIC's name is longer than VNicSpec::MAX_NAME_LEN bytes: \
+                 its `tenancy.<name>.*` counters would not fit a telemetry frame"
             }
             Code::PV701 => {
                 "dangling remote hop: a chain addresses a fabric member or \

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `--check-fixtures` lints a set of deliberately broken
-//! configurations — tenancy (one per PV601–PV604), rack-fabric (one
+//! configurations — tenancy (one per PV601–PV605), rack-fabric (one
 //! per PV701–PV704), and fabric fault plane (one per PV801–PV804) —
 //! and *fails unless each one fires its expected diagnostic* — the
 //! lint pass's own negative test, runnable in CI against the shipped
@@ -122,6 +122,14 @@ fn fixtures() -> Vec<Fixture> {
             )
             .entitled_to([EngineId(0)])
             .chain([EngineId(0), EngineId(1)])]))
+        }),
+        ("fixture-pv605", "PV605", || {
+            // A name one byte past what a telemetry frame can carry.
+            kvs_with_tenancy(TenancyConfig::new(vec![VNicSpec::new(
+                TenantId(1),
+                "x".repeat(VNicSpec::MAX_NAME_LEN + 1),
+                1,
+            )]))
         }),
     ]
 }

@@ -33,8 +33,8 @@ fn pv6xx_pv7xx_and_pv8xx_fixtures_all_fire() {
     let (ok, text) = lint(&["--check-fixtures"]);
     assert!(ok, "a lint fixture failed to fire:\n{text}");
     for code in [
-        "PV601", "PV602", "PV603", "PV604", "PV701", "PV702", "PV703", "PV704", "PV801", "PV802",
-        "PV803", "PV804",
+        "PV601", "PV602", "PV603", "PV604", "PV605", "PV701", "PV702", "PV703", "PV704", "PV801",
+        "PV802", "PV803", "PV804",
     ] {
         let line = text
             .lines()

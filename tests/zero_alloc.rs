@@ -26,6 +26,11 @@
 //!   growing to their working set (buckets are taken and restored,
 //!   never freed, thereafter).
 //!
+//! The control endpoint's telemetry step is held to the same standard
+//! (`docs/PERF.md` §7): with a live subscription, a `service` call in
+//! which no subscribed counter changed allocates nothing, and a busy
+//! subscription allocates only in the calls that emit a frame.
+//!
 //! Frame *injection* allocates by design (fresh payload bytes per
 //! frame — that is workload state, not simulator state) and is
 //! excluded from the counted region, exactly as `docs/PERF.md`
@@ -43,7 +48,8 @@ use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
 use packet::message::{Message, Priority, TenantId};
 use packet::phv::Field;
-use panic_core::nic::{NicConfig, PanicNic};
+use panic_core::nic::{NicBuilder, NicConfig, PanicNic};
+use panic_ctrl::{CtrlEndpoint, CtrlFrame, CtrlRequest};
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
@@ -52,6 +58,7 @@ use rmt::table::{MatchKind, Table};
 use sim_core::clock::{drive, drive_on_wheel, Advance, Driven};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use sim_core::wheel::TimerWheel;
+use tenancy::{TenancyConfig, VNicSpec};
 use workloads::frames::FrameFactory;
 
 /// Counts allocations (and reallocations) while armed; forwards
@@ -124,6 +131,12 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 /// portal, everything the real scenarios exercise except the fault
 /// plane (covered separately below).
 fn chain_nic() -> (PanicNic, EngineId) {
+    let (b, eth) = chain_builder();
+    (b.build(), eth)
+}
+
+/// [`chain_nic`] before `build`, so a test can add a plane to it.
+fn chain_builder() -> (NicBuilder, EngineId) {
     let freq = Freq::mhz(500);
     let mut b = PanicNic::builder(NicConfig {
         topology: Topology::mesh(3, 3),
@@ -174,7 +187,7 @@ fn chain_nic() -> (PanicNic, EngineId) {
             ))
             .build(),
     );
-    (b.build(), eth)
+    (b, eth)
 }
 
 const INJECT_EVERY: u64 = 24;
@@ -323,4 +336,120 @@ fn idle_tick_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "idle ticks allocated {allocs}x / {bytes}B");
+}
+
+/// The tenant with a vNIC (`tenancy.watched.*`); [`BusyNic`]'s tenant 1
+/// has none, so its frames bypass the tenancy plane.
+const WATCHED: TenantId = TenantId(7);
+
+/// [`chain_nic`] with a one-vNIC tenancy plane, and an endpoint
+/// subscribed to `tenancy.` (the subscription already answered).
+fn watched_nic() -> (BusyNic, CtrlEndpoint) {
+    let (mut b, eth) = chain_builder();
+    b.tenancy(TenancyConfig::new(vec![VNicSpec::new(
+        WATCHED, "watched", 1,
+    )]));
+    let mut ep = CtrlEndpoint::new(b.to_spec());
+    let subscribe = CtrlRequest::Subscribe {
+        prefixes: vec!["tenancy.".into()],
+    };
+    ep.submit(&CtrlFrame::request(0, 1, subscribe).encode());
+    let busy = BusyNic {
+        nic: b.build(),
+        eth,
+        factory: FrameFactory::for_nic_port(0),
+        scratch: Vec::new(),
+        delivered: 0,
+    };
+    (busy, ep)
+}
+
+/// Services `ep` at every cycle boundary of `[start, start + cycles)`
+/// with only `service` counted; `inject` offers that cycle's frames
+/// first. Returns `(allocations, frames emitted)` per cycle.
+fn serviced(
+    busy: &mut BusyNic,
+    ep: &mut CtrlEndpoint,
+    start: u64,
+    cycles: u64,
+    mut inject: impl FnMut(&mut BusyNic, Cycle),
+) -> Vec<(u64, u64)> {
+    (start..start + cycles)
+        .map(|c| {
+            let now = Cycle(c);
+            inject(busy, now);
+            let ((), allocs, _) = counted(|| ep.service(&mut busy.nic, now));
+            let mut frames = 0;
+            while ep.poll_response().is_some() {
+                frames += 1;
+            }
+            busy.step(now);
+            (allocs, frames)
+        })
+        .collect()
+}
+
+/// Watching a NIC must not cost more than running it: a live
+/// `tenancy.` subscription on a busy NIC whose traffic is all another
+/// tenant's — no subscribed counter moves — is serviced for
+/// [`MEASURE`] cycles without a single allocation and without a frame.
+#[test]
+fn telemetry_allocates_nothing_while_no_subscribed_counter_changes() {
+    let (mut busy, mut ep) = watched_nic();
+    // `BusyNic::step` injects tenant 1's frame every INJECT_EVERY.
+    let warm = serviced(&mut busy, &mut ep, 0, WARMUP, |_, _| {});
+    assert!(busy.delivered > 0, "warm-up must reach the wire");
+    let frames: u64 = warm.iter().map(|&(_, f)| f).sum();
+    assert_eq!(frames, 2, "the Ok and the baseline frame, nothing after");
+
+    busy.delivered = 0;
+    let quiet = serviced(&mut busy, &mut ep, WARMUP, MEASURE, |_, _| {});
+    assert!(
+        busy.delivered > MEASURE / INJECT_EVERY / 2,
+        "NIC stays busy"
+    );
+    let (allocs, frames) = quiet
+        .iter()
+        .fold((0, 0), |(a, f), &(da, df)| (a + da, f + df));
+    assert_eq!(frames, 0, "no subscribed counter changed");
+    assert_eq!(
+        allocs, 0,
+        "service allocated {allocs} times over {MEASURE} change-free cycles"
+    );
+}
+
+/// With the watched tenant itself sending, frames flow — and
+/// allocation is confined to the service calls that emit one (names
+/// and the frame's bytes), a bounded amount each.
+#[test]
+fn busy_telemetry_allocates_only_when_it_emits_a_frame() {
+    let (mut busy, mut ep) = watched_nic();
+    let eth = busy.eth;
+    let offer = |busy: &mut BusyNic, now: Cycle| {
+        if now.0.is_multiple_of(50) {
+            let frame = busy.factory.min_frame((now.0 % 4096) as u16, 80);
+            busy.nic
+                .rx_frame(eth, frame, WATCHED, Priority::Normal, now);
+        }
+    };
+    let _ = serviced(&mut busy, &mut ep, 0, WARMUP, offer);
+    let run = serviced(&mut busy, &mut ep, WARMUP, MEASURE, offer);
+    let emitting = run.iter().filter(|&&(_, f)| f > 0).count() as u64;
+    assert!(
+        (MEASURE / 50..MEASURE / 2).contains(&emitting),
+        "frames on some cycles, not all: {emitting}"
+    );
+    for (i, &(allocs, frames)) in run.iter().enumerate() {
+        assert!(frames <= 1, "one frame per service step");
+        if frames == 0 {
+            assert_eq!(allocs, 0, "cycle {}: allocated without emitting", i);
+        } else {
+            // An update list, a name per update, the frame's buffer.
+            assert!(
+                allocs <= 64,
+                "cycle {}: {allocs} allocations for one frame",
+                i
+            );
+        }
+    }
 }
