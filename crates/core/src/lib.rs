@@ -10,11 +10,20 @@
 //! 3. **a logical scheduler** — slack values computed by the pipeline
 //!    program and enforced by every tile's [`sched`] queue.
 //!
-//! * [`nic`] — [`nic::PanicNic`] and its builder: placement,
-//!   per-cycle orchestration, egress capture, and statistics.
-//! * [`faultplane`] — runtime state behind the deterministic fault
-//!   plane ([`faults`] plans, watchdog ledger, failover table) and the
-//!   [`Conservation`] identity that must close under any fault plan.
+//! * [`nic`] — [`nic::PanicNic`], a *datapath* plus optional *planes*,
+//!   one file per question:
+//!
+//!   | question | `src/nic/` |
+//!   |---|---|
+//!   | what is the NIC's state, and when is it idle? | `mod.rs` (the shell) |
+//!   | how is a NIC assembled and linted? | `builder.rs` |
+//!   | how does a copy **enter** (`ingress`), move (`tick`) and **leave** (`exit`)? | `datapath.rs` |
+//!   | how does a copy get **re-issued**, an engine isolated, a fault fired — and does [`Conservation`] close? | `faultplane.rs` |
+//!   | how does a copy get **admitted** and released, its tenant's ledger closed? | `datapath.rs` (`ingress`, `exit`), `tenants.rs` |
+//!   | how does a copy cross to another NIC? | `fabric.rs` |
+//!   | what may the management plane change mid-run? | `ctrl.rs` |
+//!   | what is exported under which metric name? | `metrics.rs` |
+//!
 //! * [`programs`] — canonical RMT programs: the §3.2 KVS program, a
 //!   chain-everything program for topology experiments, and a plain
 //!   host-delivery program.
@@ -26,13 +35,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod faultplane;
 pub mod nic;
 pub mod programs;
 pub mod scenarios;
 
-pub use faultplane::Conservation;
-pub use nic::{NicBuilder, NicConfig, NicStats, PanicNic};
+pub use nic::{Conservation, NicBuilder, NicConfig, NicStats, PanicNic};
 pub use programs::{
     chain_program, host_delivery_program, kvs_program, KvsProgramSpec, SlackProfile,
 };

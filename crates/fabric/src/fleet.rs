@@ -94,7 +94,7 @@ pub struct FleetStats {
 /// Fleet-wide copy conservation: every member's per-NIC identity plus
 /// the cross-NIC closure.
 ///
-/// The per-NIC identity (see `panic_core::faultplane::Conservation`)
+/// The per-NIC identity (see `panic_core::Conservation`)
 /// treats `remote_tx` as a sink and `remote_rx` as a source, so each
 /// member balances on its own. The *fabric* identity is what ties the
 /// members together:
@@ -569,14 +569,20 @@ impl Fabric {
                 .is_some_and(|f| f.arrival <= now)
             {
                 let flight = self.links[li].in_flight.pop_front().expect("checked front");
-                let to = self.links[li].spec.to;
-                let uplink = self.members[to].uplink;
-                let ok = self.members[to].nic.rx_remote(flight.msg, uplink, now);
-                self.stats.delivered += 1;
-                if !ok {
-                    self.stats.rejected += 1;
-                }
+                self.deliver(self.links[li].spec.to, flight.msg, now);
             }
+        }
+    }
+
+    /// Hands `msg` to member `to` at its uplink tile — the one place a
+    /// copy leaves the fabric for a NIC, on the fault-free and chaos
+    /// paths alike.
+    fn deliver(&mut self, to: usize, msg: Message, now: Cycle) {
+        let uplink = self.members[to].uplink;
+        let ok = self.members[to].nic.rx_remote(msg, uplink, now);
+        self.stats.delivered += 1;
+        if !ok {
+            self.stats.rejected += 1;
         }
     }
 
@@ -648,21 +654,9 @@ impl Fabric {
                 if redirected {
                     chaos.reroute_wait.record_cycles(waited);
                 }
-                let uplink = self.members[to].uplink;
-                let ok = self.members[to].nic.rx_remote(msg, uplink, now);
-                self.stats.delivered += 1;
-                if !ok {
-                    self.stats.rejected += 1;
-                }
+                self.deliver(to, msg, now);
             }
-            HopOutcome::Untracked => {
-                let uplink = self.members[to].uplink;
-                let ok = self.members[to].nic.rx_remote(msg, uplink, now);
-                self.stats.delivered += 1;
-                if !ok {
-                    self.stats.rejected += 1;
-                }
-            }
+            HopOutcome::Untracked => self.deliver(to, msg, now),
         }
     }
 
@@ -1076,19 +1070,35 @@ impl Fabric {
             // lands in the time-to-reroute distribution.
             chaos.ledgers[item.origin].note_redirected(item.msg.id);
         }
-        let spec = self.links[li].spec;
-        let departure = boundary.max(self.members[i].uplink_free_at);
-        let ser = item.msg.wire_size().0.div_ceil(spec.bytes_per_cycle).max(1);
-        self.members[i].uplink_free_at = Cycle(departure.0 + ser);
-        let lat = spec.latency.0 * chaos.links[li].lag_factor(departure);
-        let arrival = Cycle(departure.0 + ser + lat);
+        let lag = |departure| chaos.links[li].lag_factor(departure);
+        let arrival = self.serialize(i, li, &item.msg, boundary, lag);
         self.links[li].in_flight.push_back(Flight {
             arrival,
             msg: item.msg,
             origin: item.origin,
             generation: item.generation,
         });
+    }
+
+    /// Claims member `i`'s uplink for `msg`, bound for link `li`, and
+    /// returns the cycle it lands: departure when the uplink frees,
+    /// `ser` cycles on the wire at the link's width, then the link
+    /// latency times `lag(departure)` (1 on a healthy link). Counts the
+    /// copy as forwarded; the caller puts it in flight.
+    fn serialize(
+        &mut self,
+        i: usize,
+        li: usize,
+        msg: &Message,
+        boundary: Cycle,
+        lag: impl FnOnce(Cycle) -> u64,
+    ) -> Cycle {
+        let spec = self.links[li].spec;
+        let departure = boundary.max(self.members[i].uplink_free_at);
+        let ser = msg.wire_size().0.div_ceil(spec.bytes_per_cycle).max(1);
+        self.members[i].uplink_free_at = Cycle(departure.0 + ser);
         self.stats.forwarded += 1;
+        Cycle(departure.0 + ser + spec.latency.0 * lag(departure))
     }
 
     /// Runs every member over `[from, to)`, in parallel when allowed.
@@ -1149,7 +1159,7 @@ impl Fabric {
             return;
         }
         for i in 0..self.members.len() {
-            while let Some(head) = self.members[i].nic.remote_egress().first() {
+            while let Some(head) = self.members[i].nic.remote_egress().front() {
                 let dest = head
                     .chain
                     .current()
@@ -1180,18 +1190,13 @@ impl Fabric {
                     .nic
                     .pop_remote_egress()
                     .expect("head observed above");
-                let spec = self.links[li].spec;
-                let departure = boundary.max(self.members[i].uplink_free_at);
-                let ser = msg.wire_size().0.div_ceil(spec.bytes_per_cycle).max(1);
-                self.members[i].uplink_free_at = Cycle(departure.0 + ser);
-                let arrival = Cycle(departure.0 + ser + spec.latency.0);
+                let arrival = self.serialize(i, li, &msg, boundary, |_| 1);
                 self.links[li].in_flight.push_back(Flight {
                     arrival,
                     msg,
                     origin: i,
                     generation: 0,
                 });
-                self.stats.forwarded += 1;
             }
         }
     }
@@ -1235,7 +1240,7 @@ impl Fabric {
             // 3. Fresh egress. The head is only popped once its fate
             //    is decided, so credit backpressure keeps the exact
             //    head-of-line semantics of the fault-free exchange.
-            while let Some(head) = self.members[i].nic.remote_egress().first() {
+            while let Some(head) = self.members[i].nic.remote_egress().front() {
                 let dest = head
                     .chain
                     .current()

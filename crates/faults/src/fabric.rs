@@ -475,7 +475,8 @@ fn parse_fabric_clause(clause: &str) -> Result<FabricFaultEvent, String> {
             let (dur, factor) = tail
                 .split_once('x')
                 .ok_or_else(|| err("expected `+<dur>x<mult>`"))?;
-            let factor = parse_u64(factor, "factor")? as u32;
+            let factor = u32::try_from(parse_u64(factor, "factor")?)
+                .map_err(|_| err(&format!("factor out of range ({factor:?})")))?;
             if factor < 2 {
                 return Err(err("factor must be >= 2"));
             }

@@ -371,8 +371,11 @@ impl FaultPlan {
     /// | `slow:<e>:<port>@<at>+<dur>/<period>` | link at 1/`period` rate |
     /// | `hold:<e>:<port>@<at>+<dur>x<n>` | confiscate `n` credits |
     ///
-    /// `<e>` is a numeric `EngineId`, `<port>` a router output index
-    /// (0=N 1=S 2=E 3=W 4=Local). Whitespace around separators is
+    /// `<e>` is a numeric `EngineId` (0..=65535), `<port>` a router
+    /// output index (0=N 1=S 2=E 3=W 4=Local), `<mult>` and `<n>` fit in
+    /// 32 bits, every other number in 64, and a window must end on the
+    /// clock (`at + dur` fits in 64 bits). Out-of-range values are
+    /// errors, never truncated. Whitespace around separators is
     /// ignored.
     ///
     /// # Errors
@@ -419,7 +422,26 @@ fn parse_clause(clause: &str) -> Result<FaultEvent, String> {
             .parse::<u64>()
             .map_err(|_| err(&format!("{what} is not a number ({s:?})")))
     };
-    let engine_of = |s: &str| parse_u64(s, "engine id").map(|e| EngineId(e as u16));
+    // Narrower fields parse wide and are then range-checked: a value
+    // that does not fit is an error, never a silent truncation.
+    let out_of_range = |s: &str, what: &str| err(&format!("{what} out of range ({s:?})"));
+    let parse_u32 =
+        |s: &str, what: &str| u32::try_from(parse_u64(s, what)?).map_err(|_| out_of_range(s, what));
+    let engine_of = |s: &str| {
+        u16::try_from(parse_u64(s, "engine id")?)
+            .map(EngineId)
+            .map_err(|_| out_of_range(s, "engine id"))
+    };
+    // A fault window must end on the clock: `at + dur` fits in 64 bits.
+    let duration_of = |at: Cycle, dur: &str| {
+        let cycles = parse_u64(dur, "duration")?;
+        match at.0.checked_add(cycles) {
+            Some(_) => Ok(Cycles(cycles)),
+            None => Err(err(&format!(
+                "duration out of range ({dur:?}: `at + dur` must fit in 64 bits)"
+            ))),
+        }
+    };
     match kind_name.trim() {
         "crash" => Ok(FaultEvent {
             at: Cycle(parse_u64(timing, "cycle")?),
@@ -438,8 +460,8 @@ fn parse_clause(clause: &str) -> Result<FaultEvent, String> {
                 .split_once('+')
                 .ok_or_else(|| err("expected `@<at>+<dur>`"))?;
             let engine = engine_of(target)?;
-            let duration = Cycles(parse_u64(dur, "duration")?);
             let at = Cycle(parse_u64(at, "cycle")?);
+            let duration = duration_of(at, dur)?;
             let kind = if kind_name.trim() == "stall" {
                 FaultKind::EngineStall { engine, duration }
             } else {
@@ -451,7 +473,7 @@ fn parse_clause(clause: &str) -> Result<FaultEvent, String> {
             let (at, factor) = timing
                 .split_once('x')
                 .ok_or_else(|| err("expected `@<at>x<mult>`"))?;
-            let factor = parse_u64(factor, "factor")? as u32;
+            let factor = parse_u32(factor, "factor")?;
             if factor == 0 {
                 return Err(err("factor must be >= 1"));
             }
@@ -488,14 +510,14 @@ fn parse_clause(clause: &str) -> Result<FaultEvent, String> {
                 FaultKind::LinkSlow {
                     engine,
                     port,
-                    duration: Cycles(parse_u64(dur, "duration")?),
+                    duration: duration_of(at, dur)?,
                     period,
                 }
             } else {
                 let (dur, credits) = tail
                     .split_once('x')
                     .ok_or_else(|| err("expected `+<dur>x<credits>`"))?;
-                let credits = parse_u64(credits, "credits")? as u32;
+                let credits = parse_u32(credits, "credits")?;
                 if credits == 0 {
                     return Err(err("credits must be >= 1"));
                 }
@@ -503,7 +525,7 @@ fn parse_clause(clause: &str) -> Result<FaultEvent, String> {
                     engine,
                     port,
                     credits,
-                    duration: Cycles(parse_u64(dur, "duration")?),
+                    duration: duration_of(at, dur)?,
                 }
             };
             Ok(FaultEvent { at, kind })

@@ -250,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_set() {
+    fn counter_writes_are_last_write_wins() {
         let mut m = MetricsRegistry::new();
         set(&mut m, "a.c", 7);
         set(&mut m, "a.c", 9);
