@@ -24,11 +24,10 @@ impl PanicNic {
     /// Copies of `tenant`'s traffic that left the datapath *implicitly*
     /// so far — destroyed inside a component, which counts them in its
     /// own per-tenant stats rather than reporting an exit: scheduler
-    /// drops, watchdog flushes, NoC losses. The credit reconciliation
-    /// runs this for every tenant every tick — most of a rack member's
-    /// tick — so it stays the plain single-accumulator loop it was:
-    /// going through `engine_tiles()` or summing per bucket measured
-    /// 5–12 % off `rack_ring4`.
+    /// drops, watchdog flushes, NoC losses. Two map probes per engine
+    /// tile, so the credit reconciliation asks only on a tick where
+    /// [`PanicNic::implicit_exit_total`] moved (and `ctrl_add_vnic`
+    /// once, for the new vNIC's baseline).
     pub(super) fn implicit_exit_count(&self, tenant: TenantId) -> u64 {
         let mut implicit = self.network.lost_of(tenant);
         for slot in &self.tiles {
@@ -40,13 +39,29 @@ impl PanicNic {
         implicit
     }
 
+    /// Every implicit exit so far, whoever it belonged to: the scalar
+    /// each component keeps beside its per-tenant map and bumps at the
+    /// same `record_*` site, so it is `Σ implicit_exit_count(t)` over
+    /// every tenant id ever seen, without a map probe. Runs every
+    /// executed tick of a tenanted NIC.
+    pub(super) fn implicit_exit_total(&self) -> u64 {
+        let mut total = self.network.lost_messages();
+        for slot in &self.tiles {
+            if let TileSlot::Engine(tile) = slot {
+                total += tile.queue_stats().dropped + tile.stats().flushed;
+            }
+        }
+        total
+    }
+
     /// One tenancy-plane step. First reconciles *implicit* exits —
     /// per-tenant scheduler drops, watchdog flushes, and NoC losses
     /// counted by the components themselves — so the buffer credits
-    /// those copies held return to their tenants. Then runs the
-    /// release scheduler (token-bucket rate → credit admission → DRR
-    /// deficit → SFQ rank spreading), launching each released message
-    /// exactly as the direct ingress path would.
+    /// those copies held return to their tenants; the per-tenant walk
+    /// runs only when the component-wide total moved since the last
+    /// one. Then runs the release scheduler (token-bucket rate → credit
+    /// admission → DRR deficit → SFQ rank spreading), launching each
+    /// released message exactly as the direct ingress path would.
     ///
     /// The runtime is taken out of the NIC for the duration of the
     /// step so the closures can borrow the rest of the NIC.
@@ -54,7 +69,7 @@ impl PanicNic {
         let Some(mut tn) = self.tenancy.take() else {
             return;
         };
-        tn.sync_implicit_all(|t| self.implicit_exit_count(t));
+        tn.sync_implicit_all(self.implicit_exit_total(), |t| self.implicit_exit_count(t));
         tn.release(now, |_, msg| self.launch(msg, now));
         self.tenancy = Some(tn);
     }

@@ -760,3 +760,157 @@ fn untenanted_nic_has_no_tenancy_artifacts() {
     );
     assert!(nic.tenant_conservation(TenantId(1)).is_none());
 }
+
+// ---- implicit-exit reconciliation gate --------------------------
+
+/// The ungated reconciliation: every tenant asked for its cumulative
+/// count before the tick, whether or not any total moved. The tick's
+/// own gated pass then has nothing left to find — unless the gate in
+/// the twin NIC skipped a walk it owed.
+fn tick_ungated(nic: &mut PanicNic, now: Cycle) {
+    let mut tn = nic.tenancy.take().expect("tenanted NIC");
+    for t in tn.tenants().collect::<Vec<_>>() {
+        tn.sync_implicit(t, nic.implicit_exit_count(t));
+    }
+    nic.tenancy = Some(tn);
+    nic.tick(now);
+}
+
+#[test]
+fn implicit_exit_gate_matches_the_ungated_reconciliation() {
+    // Offloads with a two-slot tail-drop queue and slow service, so
+    // bursts overflow (scheduler drops); `drop:` destroys messages at
+    // off0's NoC ejection port; `crash:` gets off0 flushed and its
+    // traffic failed over to the replica.
+    let build = || {
+        let mut b = PanicNic::builder(mesh3_config());
+        let eth = add_mac(&mut b);
+        let tiny_queue = TileConfig {
+            queue_capacity: 2,
+            ..TileConfig::default()
+        };
+        let [off0, _] = ["off0", "off1"].map(|name| {
+            b.engine(
+                Box::new(NullOffload::new(name, EngineClass::Asic, Cycles(12))),
+                tiny_queue,
+            )
+        });
+        let _ = b.rmt_portal();
+        b.program(two_hop_program("gate", off0, eth));
+        b.watchdog(chaos_watchdog());
+        b.tenancy(two_tenant_config().shared_credits(12));
+        let mut nic = b.build();
+        nic.enable_faults(faults::FaultPlan::parse("drop:1@300,drop:1@310").unwrap());
+        (nic, eth)
+    };
+    let (mut gated, eth) = build();
+    let (mut ungated, _) = build();
+    let ids = [TenantId(1), TenantId(2), TenantId(9)];
+    let books = |nic: &PanicNic| {
+        let tn = nic.tenancy().unwrap();
+        let mut m = MetricsRegistry::new();
+        tn.export_metrics(&mut m); // ledgers, pending, credits_in_use
+        (tn.shared_in_use(), m.to_json())
+    };
+
+    let mut f = FrameFactory::for_nic_port(0);
+    let mut now = Cycle(0);
+    // The script clock: stands still at 400 while the NIC drains.
+    let mut t = 0u64;
+    let mut sent = 0u16;
+    let (mut baseline, mut removed) = (None, false);
+    loop {
+        // Tenant 9 has no vNIC at first — its drops are nobody's
+        // credits — and gets one live, once a pause has drained every
+        // copy it sent without one. The second half of the fault plan
+        // is armed from there.
+        if t == 400 && baseline.is_none() && gated.is_quiescent() && gated.faults_settled() {
+            let late = tenancy::VNicSpec::new(TenantId(9), "late", 2).credit_quota(4);
+            let plan = format!("drop:1@{},crash:1@{}", now.0 + 100, now.0 + 400);
+            for nic in [&mut gated, &mut ungated] {
+                baseline = Some(nic.implicit_exit_count(TenantId(9)));
+                assert!(nic.ctrl_add_vnic(late.clone()));
+                nic.enable_faults(faults::FaultPlan::parse(&plan).unwrap());
+            }
+            assert!(baseline > Some(0), "nothing for the baseline to shield");
+        }
+        let running = t != 400 || baseline.is_some();
+        // Bursts of four every 40 cycles, tenants in rotation; tenant 2
+        // stops sending at 1000 and is removed at 1400.
+        if running && t < 2000 && t.is_multiple_of(40) {
+            for _ in 0..4 {
+                let tenant = ids[usize::from(sent) % 3];
+                sent += 1;
+                if tenant == TenantId(2) && t >= 1000 {
+                    continue;
+                }
+                let frame = f.min_frame(sent, 80);
+                for nic in [&mut gated, &mut ungated] {
+                    nic.rx_frame(eth, frame.clone(), tenant, Priority::Normal, now);
+                }
+            }
+        }
+        for nic in [&mut gated, &mut ungated] {
+            let tn = nic.tenancy_mut().unwrap();
+            if running && t == 1400 {
+                assert!(tn.begin_remove(TenantId(2)));
+            }
+            if tn.removal_drained(TenantId(2)) {
+                let c = nic.tenant_conservation(TenantId(2)).unwrap();
+                assert!(c.holds(), "{c}");
+                assert!(nic.tenancy_mut().unwrap().finalize_remove(TenantId(2)));
+            }
+        }
+        gated.tick(now);
+        tick_ungated(&mut ungated, now);
+        assert_eq!(books(&gated), books(&ungated), "cycle {}", now.0);
+        removed |= !gated.tenancy().unwrap().knows(TenantId(2));
+        t += u64::from(running);
+        now = now.next();
+        if t > 2000 && gated.is_quiescent() && gated.faults_settled() {
+            break;
+        }
+        assert!(
+            now.0 < 100_000,
+            "failed to drain:\n{}",
+            gated.conservation()
+        );
+    }
+    assert!(removed, "tenant 2's removal drained and finalized");
+
+    // All three implicit-exit kinds happened, and every component's
+    // scalar total — what the gate watches — is the sum of the
+    // per-tenant counts the walk reads.
+    let (mut drops, mut flushes) = (0, 0);
+    for (_, tile) in gated.engine_tiles() {
+        let (q, s) = (tile.queue_stats(), tile.stats());
+        assert_eq!(q.dropped, q.dropped_by_tenant.values().sum::<u64>());
+        assert_eq!(s.flushed, s.flushed_by_tenant.values().sum::<u64>());
+        drops += q.dropped;
+        flushes += s.flushed;
+    }
+    let lost = gated.network().lost_messages();
+    assert_eq!(
+        lost,
+        ids.iter().map(|&t| gated.network().lost_of(t)).sum::<u64>()
+    );
+    assert!(
+        drops > 0 && flushes > 0 && lost > 0,
+        "{drops} {flushes} {lost}"
+    );
+    assert_eq!(
+        gated.implicit_exit_total(),
+        ids.iter()
+            .map(|&t| gated.implicit_exit_count(t))
+            .sum::<u64>()
+    );
+
+    let c = gated.tenant_conservation(TenantId(1)).unwrap();
+    assert!(c.holds(), "{c}");
+    assert!(c.sched_drops > 0 && c.flushed > 0 && c.lost_noc > 0, "{c}");
+    // Tenant 9's books open at its baseline: the copies its id lost
+    // before the vNIC existed are in the component counts only.
+    let c = gated.tenant_conservation(TenantId(9)).unwrap();
+    assert_eq!(c.sources() + baseline.unwrap(), c.sinks(), "{c}");
+    assert_eq!(gated.tenancy().unwrap().shared_in_use(), 0);
+}

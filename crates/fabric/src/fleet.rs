@@ -1104,26 +1104,17 @@ impl Fabric {
     /// Runs every member over `[from, to)`, in parallel when allowed.
     /// Returns the members' summed fast-forward skip counts.
     fn run_members(&mut self, from: Cycle, to: Cycle, run: Advance) -> u64 {
-        let modes: Vec<MemberMode> = match &self.chaos {
-            None => vec![MemberMode::Run; self.members.len()],
-            Some(c) => c
-                .phases
-                .iter()
-                .map(|p| match p {
-                    Phase::Up => MemberMode::Run,
-                    Phase::Draining { .. } => MemberMode::Drain,
-                    Phase::Down { .. } => MemberMode::Skip,
-                })
-                .collect(),
-        };
+        // Each member's chaos phase, read in place (no per-epoch list).
+        let phases = self.chaos.as_ref().map(|c| c.phases.as_slice());
+        let phase_of = |i: usize| phases.map_or(Phase::Up, |p| p[i]);
         let threads = if self.traced { 1 } else { self.threads };
         let threads = threads.min(self.members.len().max(1));
         if threads <= 1 {
             return self
                 .members
                 .iter_mut()
-                .zip(&modes)
-                .map(|(m, &mode)| run_member(m, from, to, run, mode))
+                .enumerate()
+                .map(|(i, m)| run_member(m, from, to, run, phase_of(i)))
                 .sum();
         }
         let chunk = self.members.len().div_ceil(threads);
@@ -1131,13 +1122,13 @@ impl Fabric {
             let handles: Vec<_> = self
                 .members
                 .chunks_mut(chunk)
-                .zip(modes.chunks(chunk))
-                .map(|(slice, modes)| {
+                .enumerate()
+                .map(|(c, slice)| {
                     s.spawn(move || {
                         slice
                             .iter_mut()
-                            .zip(modes)
-                            .map(|(m, &mode)| run_member(m, from, to, run, mode))
+                            .enumerate()
+                            .map(|(i, m)| run_member(m, from, to, run, phase_of(c * chunk + i)))
                             .sum::<u64>()
                     })
                 })
@@ -1461,33 +1452,25 @@ impl<S: MetricSink + ?Sized> MetricSink for MemberSink<'_, S> {
     }
 }
 
-/// How one member executes an epoch, set by its chaos phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemberMode {
-    /// Healthy: driver injects, NIC runs.
-    Run,
-    /// Crashed, draining: NIC runs its in-flight work, driver
-    /// suppressed. The driver's pending arrivals burst in on
-    /// recovery — `next_arrival` keeps returning them, so the first
-    /// `Run` epoch injects the whole backlog at its opening cycle,
-    /// deterministically.
-    Drain,
-    /// Fully down: the NIC is skipped over, in *both* run modes, so
-    /// stepped and fast-forwarded execution stay trivially identical.
-    Skip,
-}
-
 /// Runs one member over `[from, to)`, interleaving its driver's
 /// injections with (fast-forwarded) execution. Returns cycles skipped.
-fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: Advance, mode: MemberMode) -> u64 {
-    if mode == MemberMode::Skip {
+///
+/// The member's chaos `phase` sets how: `Up` — the driver injects and
+/// the NIC runs; `Draining` — the NIC runs its in-flight work with the
+/// driver suppressed (its pending arrivals burst in on recovery:
+/// `next_arrival` keeps returning them, so the first `Up` epoch injects
+/// the whole backlog at its opening cycle, deterministically); `Down` —
+/// the NIC is skipped over, in *both* run modes, so stepped and
+/// fast-forwarded execution stay trivially identical.
+fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: Advance, phase: Phase) -> u64 {
+    if matches!(phase, Phase::Down { .. }) {
         m.nic.skip_idle(from, to);
         return 0;
     }
     let mut now = from;
     let mut skipped = 0u64;
     while now < to {
-        let next_arr = (mode == MemberMode::Run)
+        let next_arr = (phase == Phase::Up)
             .then(|| m.driver.as_ref().and_then(|d| d.next_arrival(now)))
             .flatten()
             .filter(|a| *a < to);

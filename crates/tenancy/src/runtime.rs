@@ -20,10 +20,18 @@
 //!    within a cycle is itself weighted-fair ("rank spreading").
 //! 3. **Credits return at exits.** The NIC shell reports every
 //!    terminal event ([`TenancyRuntime::note_exit`] for explicit
-//!    egress/consumption, [`TenancyRuntime::sync_implicit`] for
+//!    egress/consumption, [`TenancyRuntime::sync_implicit_all`] for
 //!    fault-plane drops/flushes/losses it discovers in component
 //!    stats), which frees the credit and feeds the per-tenant ledger
 //!    and latency histograms.
+//!
+//! A vNIC with no backlog and no new loss costs nothing per cycle:
+//! the release round, the fast-forward hint and the skip replay walk
+//! the backlogged tenants (`active`), refills walk the rate-limited
+//! ones (`shaped`), [`TenancyRuntime::pending_total`] is a maintained
+//! count, and the implicit-exit reconciliation walks every tenant only
+//! on a cycle where the components' total moved. The walk-everything
+//! versions live on in `runtime/reference.rs` as a test oracle.
 //!
 //! The per-tenant ledger closes a conservation identity
 //! ([`TenantConservation`]) extending the fault plane's copy-level
@@ -322,23 +330,72 @@ impl TenantState {
         }
     }
 
-    /// Replays `cycles` worth of per-tick accrual (token refill, DRR
-    /// grant, stall accounting) without releasing anything. Only valid
-    /// while the tenant could not have released — the fast-forward
-    /// hint guarantees that.
-    fn accrue(&mut self, cycles: u64, quantum_bytes: u64, any_positive_backlogged: bool) {
+    /// `cycles` worth of token-bucket refill, capped at the bucket
+    /// depth. A no-op for an unshaped tenant, which is why only the
+    /// runtime's `shaped` list is ever asked.
+    fn refill(&mut self, cycles: u64) {
         if let Some(r) = self.spec.rate {
             self.tokens = (self.tokens + r.num * cycles).min(r.burst * r.den);
         }
-        if !self.pending.is_empty() {
-            debug_assert!(
-                self.spec.rate.is_some(),
-                "skip window with a backlogged, unshaped tenant (hint bug)"
-            );
-            let grant = self.grant(quantum_bytes, any_positive_backlogged);
-            self.deficit = (self.deficit + grant * cycles).min(grant + DEFICIT_HEADROOM_BYTES);
-            self.ledger.rate_stalls += cycles;
+    }
+
+    /// Replays `cycles` worth of a *backlogged* tenant's per-tick
+    /// accrual (DRR grant, stall accounting) without releasing
+    /// anything. Only valid while the tenant could not have released —
+    /// the fast-forward hint guarantees that.
+    fn accrue_backlogged(
+        &mut self,
+        cycles: u64,
+        quantum_bytes: u64,
+        any_positive_backlogged: bool,
+    ) {
+        debug_assert!(!self.pending.is_empty(), "accrual for an idle tenant");
+        debug_assert!(
+            self.spec.rate.is_some(),
+            "skip window with a backlogged, unshaped tenant (hint bug)"
+        );
+        let grant = self.grant(quantum_bytes, any_positive_backlogged);
+        self.deficit = (self.deficit + grant * cycles).min(grant + DEFICIT_HEADROOM_BYTES);
+        self.ledger.rate_stalls += cycles;
+    }
+
+    /// The earliest cycle after `now` at which this *backlogged*
+    /// tenant's head could release: a purely rate-blocked head yields
+    /// its token-refill wake-up, anything else is "next cycle".
+    fn wake(&self, now: Cycle) -> Cycle {
+        match self.spec.rate {
+            Some(r) if self.tokens < r.den => {
+                // First cycle whose refill brings the balance to a
+                // full token. Credits can only free up while some
+                // other component is active, and active components
+                // pin the merged hint to `now + 1` themselves.
+                let missing = r.den - self.tokens;
+                Cycle(now.0 + missing.div_ceil(r.num)).max(now.next())
+            }
+            _ => now.next(),
         }
+    }
+
+    /// Returns up to `n` credits; the count actually given back is
+    /// what the caller owes the shared pool. Saturating: under fault
+    /// plans a lost original plus an exiting reissue can both try to
+    /// return the same credit, and a copy that entered over the fabric
+    /// never charged one here.
+    fn return_credits(&mut self, n: u64) -> u64 {
+        let returned = n.min(self.credits_in_use);
+        self.credits_in_use -= returned;
+        returned
+    }
+
+    /// Brings the ledger up to a *cumulative* implicit-exit count and
+    /// returns the credits the new exits gave back.
+    fn reconcile_implicit(&mut self, cumulative: u64) -> u64 {
+        let delta = cumulative.saturating_sub(self.ledger.implicit_exits);
+        if delta == 0 {
+            return 0;
+        }
+        self.ledger.implicit_exits = cumulative;
+        self.return_credits(delta)
     }
 }
 
@@ -350,10 +407,21 @@ impl TenantState {
 pub struct TenancyRuntime {
     config: TenancyConfig,
     tenants: BTreeMap<TenantId, TenantState>,
-    /// Backlogged tenants in DRR visit order.
+    /// Backlogged tenants in DRR visit order. Between `release` calls
+    /// this is exactly the set of tenants with a non-empty queue, so
+    /// the hint and the skip replay walk it instead of `tenants`.
     active: VecDeque<TenantId>,
-    /// Shared-pool credits currently in use across all tenants.
+    /// Tenants with a token-bucket rate, in no particular order: the
+    /// only ones a refill can change (kept by `new` / `add_vnic` /
+    /// `finalize_remove` / `set_rate`).
+    shaped: Vec<TenantId>,
+    /// Messages parked across all vNIC queues (`Σ pending.len()`).
+    pending: u64,
+    /// Shared-pool credits currently in use: always `Σ credits_in_use`.
     shared_in_use: u64,
+    /// The component-wide implicit-exit total at the last
+    /// reconciliation walk ([`TenancyRuntime::sync_implicit_all`]).
+    implicit_seen: u64,
     /// Global virtual time: the rank of the last message popped from
     /// the spreading PIFO.
     vnow: u64,
@@ -373,11 +441,18 @@ impl TenancyRuntime {
                 .entry(vnic.tenant)
                 .or_insert_with(|| TenantState::new(vnic.clone()));
         }
+        let shaped = tenants
+            .iter()
+            .filter_map(|(&t, s)| s.spec.rate.map(|_| t))
+            .collect();
         TenancyRuntime {
             config,
             tenants,
             active: VecDeque::new(),
+            shaped,
+            pending: 0,
             shared_in_use: 0,
+            implicit_seen: 0,
             vnow: 0,
             pifo: Pifo::new(),
             tracer: Tracer::disabled(),
@@ -434,6 +509,9 @@ impl TenancyRuntime {
         let mut state = TenantState::new(spec.clone());
         state.ledger.implicit_exits = implicit_baseline;
         state.track = self.tracer.track(&format!("tenancy.{}", state.spec.name));
+        if spec.rate.is_some() {
+            self.shaped.push(spec.tenant);
+        }
         self.tenants.insert(spec.tenant, state);
         self.config.vnics.push(spec);
         true
@@ -471,6 +549,7 @@ impl TenancyRuntime {
             return false;
         }
         self.tenants.remove(&tenant);
+        self.shaped.retain(|&t| t != tenant);
         self.config.vnics.retain(|v| v.tenant != tenant);
         true
     }
@@ -485,8 +564,14 @@ impl TenancyRuntime {
             return false;
         };
         state.tokens = match (state.spec.rate, rate) {
-            (_, None) => 0,
-            (None, Some(r)) => r.burst * r.den,
+            (_, None) => {
+                self.shaped.retain(|&t| t != tenant);
+                0
+            }
+            (None, Some(r)) => {
+                self.shaped.push(tenant);
+                r.burst * r.den
+            }
             (Some(_), Some(r)) => state.tokens.min(r.burst * r.den),
         };
         state.spec.rate = rate;
@@ -548,6 +633,7 @@ impl TenancyRuntime {
             SubmitSource::Injected => state.ledger.submitted_injected += 1,
         }
         state.pending.push_back((now, msg));
+        self.pending += 1;
         if !state.in_active {
             state.in_active = true;
             self.active.push_back(tenant);
@@ -558,15 +644,26 @@ impl TenancyRuntime {
     /// DRR deficits, release every head that clears rate + credit +
     /// deficit, then drain the rank-spreading PIFO into `emit` in
     /// weighted-fair order.
-    pub fn release(&mut self, now: Cycle, mut emit: impl FnMut(TenantId, Message)) {
-        // Token refill happens for every tenant every cycle, backlogged
-        // or not (mirrored by `skip_idle`).
-        for state in self.tenants.values_mut() {
-            if let Some(r) = state.spec.rate {
-                state.tokens = (state.tokens + r.num).min(r.burst * r.den);
-            }
-        }
+    pub fn release(&mut self, now: Cycle, emit: impl FnMut(TenantId, Message)) {
+        // Token refill happens for every shaped tenant every cycle,
+        // backlogged or not (mirrored by `skip_idle`).
+        self.refill_shaped(1);
+        self.serve(now, emit);
+    }
 
+    /// `cycles` worth of token refill for every tenant that has a rate.
+    fn refill_shaped(&mut self, cycles: u64) {
+        for t in &self.shaped {
+            self.tenants
+                .get_mut(t)
+                .expect("shaped tenant exists")
+                .refill(cycles);
+        }
+    }
+
+    /// The part of [`TenancyRuntime::release`] after the refill: one
+    /// DRR round, then the spreading PIFO drained into `emit`.
+    fn serve(&mut self, now: Cycle, mut emit: impl FnMut(TenantId, Message)) {
         let any_positive_backlogged = self.active.iter().any(|t| self.tenants[t].spec.weight > 0);
 
         // One DRR round over the tenants that were backlogged at the
@@ -597,6 +694,7 @@ impl TenancyRuntime {
                 }
                 let submitted_at = *submitted_at;
                 let (_, msg) = state.pending.pop_front().expect("head exists");
+                self.pending -= 1;
                 if let Some(r) = state.spec.rate {
                     state.tokens -= r.den;
                 }
@@ -658,10 +756,7 @@ impl TenancyRuntime {
         if let Some(lat) = latency {
             state.latency.record(lat.0);
         }
-        // Saturating: under fault plans a lost original plus an exiting
-        // reissue can both try to return the same credit.
-        state.credits_in_use = state.credits_in_use.saturating_sub(1);
-        self.shared_in_use = self.shared_in_use.saturating_sub(1);
+        self.shared_in_use -= state.return_credits(1);
     }
 
     /// Records a copy of `tenant`'s traffic *entering* this NIC over
@@ -689,36 +784,33 @@ impl TenancyRuntime {
     /// reads out of component stats. The delta since the last sync
     /// returns that many credits.
     pub fn sync_implicit(&mut self, tenant: TenantId, cumulative: u64) {
-        let Some(state) = self.tenants.get_mut(&tenant) else {
-            return;
-        };
-        let delta = cumulative.saturating_sub(state.ledger.implicit_exits);
-        if delta > 0 {
-            state.ledger.implicit_exits = cumulative;
-            state.credits_in_use = state.credits_in_use.saturating_sub(delta);
-            self.shared_in_use = self.shared_in_use.saturating_sub(delta);
+        if let Some(state) = self.tenants.get_mut(&tenant) {
+            self.shared_in_use -= state.reconcile_implicit(cumulative);
         }
     }
 
     /// Runs [`TenancyRuntime::sync_implicit`] for every configured
-    /// tenant, asking `cumulative_of` for each tenant's current
-    /// cumulative implicit-exit count. Allocation-free convenience for
-    /// the per-tick reconciliation in the NIC shell.
-    pub fn sync_implicit_all(&mut self, mut cumulative_of: impl FnMut(TenantId) -> u64) {
-        // `tenants` keys are fixed after construction, so mutate
-        // in-place per entry rather than going through `sync_implicit`
-        // (which would re-borrow the map per tenant).
-        let mut shared_returned = 0u64;
-        for (&t, state) in &mut self.tenants {
-            let cumulative = cumulative_of(t);
-            let delta = cumulative.saturating_sub(state.ledger.implicit_exits);
-            if delta > 0 {
-                state.ledger.implicit_exits = cumulative;
-                state.credits_in_use = state.credits_in_use.saturating_sub(delta);
-                shared_returned += delta;
-            }
+    /// tenant — but only when an implicit exit happened since the last
+    /// walk. `total` is the component-wide implicit-exit count (every
+    /// scheduler drop, tile flush and NoC loss, whoever it belonged
+    /// to); the components bump it at the same site as the per-tenant
+    /// counts `cumulative_of` reads, so an unmoved total means every
+    /// per-tenant delta is zero and the walk is skipped. A vNIC added
+    /// in between is covered too: its baseline *is* its current count.
+    /// Allocation-free, for the per-tick reconciliation in the NIC
+    /// shell.
+    pub fn sync_implicit_all(
+        &mut self,
+        total: u64,
+        mut cumulative_of: impl FnMut(TenantId) -> u64,
+    ) {
+        if total == self.implicit_seen {
+            return;
         }
-        self.shared_in_use = self.shared_in_use.saturating_sub(shared_returned);
+        self.implicit_seen = total;
+        for (&t, state) in &mut self.tenants {
+            self.shared_in_use -= state.reconcile_implicit(cumulative_of(t));
+        }
     }
 
     /// The tenant's cumulative ledger.
@@ -750,7 +842,7 @@ impl TenancyRuntime {
     /// Messages parked across all vNIC queues.
     #[must_use]
     pub fn pending_total(&self) -> u64 {
-        self.tenants.values().map(|s| s.pending.len() as u64).sum()
+        self.pending
     }
 
     /// Credits currently drawn from the shared pool.
@@ -794,25 +886,17 @@ impl TenancyRuntime {
     #[must_use]
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         debug_assert!(self.pifo.is_empty(), "spreading PIFO not drained");
-        let mut best: Option<Cycle> = None;
-        for state in self.tenants.values() {
-            if state.pending.is_empty() {
-                continue;
-            }
-            let candidate = match state.spec.rate {
-                Some(r) if state.tokens < r.den => {
-                    // First cycle whose refill brings the balance to a
-                    // full token. Credits can only free up while some
-                    // other component is active, and active components
-                    // pin the merged hint to `now + 1` themselves.
-                    let missing = r.den - state.tokens;
-                    Cycle(now.0 + missing.div_ceil(r.num)).max(now.next())
-                }
-                _ => now.next(),
-            };
-            best = Some(best.map_or(candidate, |b| b.min(candidate)));
-        }
-        best
+        debug_assert!(self.active_is_exact(), "active list out of step");
+        self.active.iter().map(|t| self.tenants[t].wake(now)).min()
+    }
+
+    /// The invariant the hint and the skip replay rest on: outside
+    /// `release`, `active` holds exactly the backlogged tenants, once.
+    fn active_is_exact(&self) -> bool {
+        let backlogged = |s: &TenantState| !s.pending.is_empty();
+        self.active.len() == self.tenants.values().filter(|s| backlogged(s)).count()
+            && self.active.iter().all(|t| backlogged(&self.tenants[t]))
+            && self.tenants.values().all(|s| s.in_active == backlogged(s))
     }
 
     /// Replays the idle bookkeeping for the skipped window `[from,
@@ -831,8 +915,12 @@ impl TenancyRuntime {
         }
         let any_positive_backlogged = self.active.iter().any(|t| self.tenants[t].spec.weight > 0);
         let quantum = self.config.quantum_bytes;
-        for state in self.tenants.values_mut() {
-            state.accrue(cycles, quantum, any_positive_backlogged);
+        self.refill_shaped(cycles);
+        for t in &self.active {
+            self.tenants
+                .get_mut(t)
+                .expect("active tenant exists")
+                .accrue_backlogged(cycles, quantum, any_positive_backlogged);
         }
     }
 
@@ -878,6 +966,9 @@ impl TenancyRuntime {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1072,6 +1163,30 @@ mod tests {
         rt.sync_implicit(TenantId(1), 4);
         assert_eq!(rt.shared_in_use(), 0);
         assert_eq!(rt.ledger(TenantId(1)).unwrap().implicit_exits, 4);
+    }
+
+    #[test]
+    fn foreign_exits_cannot_free_a_held_shared_credit() {
+        // Shared pool of one, held by tenant 1's in-flight message.
+        let mut rt = two_tenants(8, 1);
+        rt.submit(SubmitSource::Rx, msg(0, TenantId(1), 32), Cycle(0));
+        rt.submit(SubmitSource::Rx, msg(1, TenantId(1), 32), Cycle(0));
+        assert_eq!(release_ids(&mut rt, Cycle(0)), vec![(TenantId(1), 0)]);
+        // Copies of tenant 2 that never charged a credit here — one
+        // that entered over the fabric, two destroyed in components —
+        // leave: tenant 2 holds nothing, so the pool gets nothing back.
+        rt.note_remote_rx(TenantId(2));
+        rt.note_exit(TenantId(2), ExitKind::Wire, None);
+        rt.sync_implicit(TenantId(2), 1);
+        rt.sync_implicit_all(2, |t| if t == TenantId(2) { 2 } else { 0 });
+        assert_eq!(rt.ledger(TenantId(2)).unwrap().implicit_exits, 2);
+        assert_eq!(rt.shared_in_use(), 1, "tenant 1 still holds the credit");
+        assert!(
+            release_ids(&mut rt, Cycle(1)).is_empty(),
+            "a second message in flight past shared_credits = 1"
+        );
+        rt.note_exit(TenantId(1), ExitKind::Wire, Some(Cycles(4)));
+        assert_eq!(release_ids(&mut rt, Cycle(2)), vec![(TenantId(1), 1)]);
     }
 
     #[test]

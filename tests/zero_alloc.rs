@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
 use engines::tile::TileConfig;
+use fabric::{Fabric, FabricBuilder, LinkSpec};
 use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
@@ -208,6 +209,11 @@ struct BusyNic {
 impl BusyNic {
     fn new() -> BusyNic {
         let (nic, eth) = chain_nic();
+        BusyNic::over(nic, eth)
+    }
+
+    /// The injector and wire drain around an already-built NIC.
+    fn over(nic: PanicNic, eth: EngineId) -> BusyNic {
         BusyNic {
             nic,
             eth,
@@ -338,6 +344,100 @@ fn idle_tick_allocates_nothing() {
     assert_eq!(allocs, 0, "idle ticks allocated {allocs}x / {bytes}B");
 }
 
+/// [`chain_builder`] behind a 32-vNIC tenancy plane (the rack member's
+/// shape): [`BusyNic`]'s tenant 1 has a vNIC, so every frame parks in
+/// its queue and enters the mesh through the release scheduler, beside
+/// 31 vNICs with nothing to do.
+fn tenanted_builder() -> (NicBuilder, EngineId) {
+    let (mut b, eth) = chain_builder();
+    b.tenancy(TenancyConfig::new(
+        (1..=32)
+            .map(|t| VNicSpec::new(TenantId(t), format!("t{t}"), 1))
+            .collect(),
+    ));
+    (b, eth)
+}
+
+/// The tenancy plane keeps the steady state allocation-free, busy tick
+/// or idle, stepped or fast-forwarded: vNIC queues and the spreading
+/// PIFO reach their working set in warm-up, and neither the implicit-
+/// exit reconciliation nor the hint and skip replay touch the heap.
+#[test]
+fn tenanted_steady_state_allocates_nothing() {
+    for advance in [Advance::Stepped, Advance::Merged] {
+        let (b, eth) = tenanted_builder();
+        let mut busy = BusyNic::over(b.build(), eth);
+        let (allocs, bytes) = measure(&mut busy, |busy, start, cycles| {
+            drive(busy, start, cycles, advance)
+        });
+        let tn = busy.nic.tenancy().expect("tenanted");
+        let released = tn.ledger(TenantId(1)).expect("vNIC 1").released;
+        assert!(
+            released >= (WARMUP + MEASURE) / INJECT_EVERY - 1,
+            "frames must go through the tenancy plane (released {released})"
+        );
+        assert_eq!(
+            allocs, 0,
+            "{advance:?}: a tenanted NIC allocated {allocs} times ({bytes} bytes) \
+             over {MEASURE} steady-state cycles"
+        );
+    }
+}
+
+/// A serial fabric epoch in which nothing crosses costs no allocation:
+/// two tenanted members with local traffic in flight, stepped epoch by
+/// epoch (member runs, boundary exchange with empty egress queues).
+#[test]
+fn quiet_fabric_epoch_allocates_nothing() {
+    let mut fb = FabricBuilder::new();
+    let mut eths = Vec::new();
+    for _ in 0..2 {
+        let (b, eth) = tenanted_builder();
+        eths.push((fb.member(b, eth), eth));
+    }
+    fb.link_pair(0, 1, LinkSpec::new(0, 0));
+    let mut fabric: Fabric = fb.build();
+    let epoch = fabric.epoch_len().expect("linked fabric has an epoch");
+    let mut factory = FrameFactory::for_nic_port(0);
+    let mut now = Cycle(0);
+    // Two epochs per round, a fresh local frame per member before each
+    // (injection is workload-side allocation, uncounted as above).
+    let (mut wire, mut delivered) = (Vec::new(), 0);
+    let mut round = |fabric: &mut Fabric, now: Cycle| {
+        for &(i, eth) in &eths {
+            let frame = factory.min_frame((now.0 % 4096) as u16, 80);
+            let nic = fabric.member_mut(i);
+            nic.rx_frame(eth, frame, TenantId(1), Priority::Normal, now);
+            wire.clear();
+            nic.drain_wire_tx_into(&mut wire);
+            delivered += wire.len() as u64;
+        }
+        counted(|| fabric.run(now, 2 * epoch))
+    };
+    for _ in 0..WARMUP / (2 * epoch) {
+        (now, _, _) = round(&mut fabric, now);
+    }
+    let epochs_before = fabric.stats().epochs;
+    let (mut allocs, mut bytes) = (0, 0);
+    let rounds = MEASURE / (2 * epoch);
+    for _ in 0..rounds {
+        let (next, a, b) = round(&mut fabric, now);
+        (now, allocs, bytes) = (next, allocs + a, bytes + b);
+    }
+    assert_eq!(fabric.stats().epochs - epochs_before, 2 * rounds);
+    assert_eq!(fabric.stats().forwarded, 0, "nothing may cross");
+    assert!(
+        delivered >= 2 * rounds,
+        "local traffic must flow ({delivered})"
+    );
+    assert_eq!(
+        allocs,
+        0,
+        "{} quiet fabric epochs allocated {allocs} times ({bytes} bytes)",
+        2 * rounds
+    );
+}
+
 /// The tenant with a vNIC (`tenancy.watched.*`); [`BusyNic`]'s tenant 1
 /// has none, so its frames bypass the tenancy plane.
 const WATCHED: TenantId = TenantId(7);
@@ -354,14 +454,7 @@ fn watched_nic() -> (BusyNic, CtrlEndpoint) {
         prefixes: vec!["tenancy.".into()],
     };
     ep.submit(&CtrlFrame::request(0, 1, subscribe).encode());
-    let busy = BusyNic {
-        nic: b.build(),
-        eth,
-        factory: FrameFactory::for_nic_port(0),
-        scratch: Vec::new(),
-        delivered: 0,
-    };
-    (busy, ep)
+    (BusyNic::over(b.build(), eth), ep)
 }
 
 /// Services `ep` at every cycle boundary of `[start, start + cycles)`
