@@ -7,8 +7,8 @@
 //! check per tick). Its fields are private to this file: the rest of
 //! the NIC reaches the plane only through the hooks below. It carries:
 //!
-//! * the injection **plan** cursor — which [`faults::FaultEvent`]s have
-//!   already fired;
+//! * the injection **schedule** ([`faults::Schedule`]) — the plan and
+//!   which of its [`faults::FaultEvent`]s have already fired;
 //! * the **watchdog** ledger ([`faults::Watchdog`]) when one is
 //!   configured;
 //! * **engine-health** strike counters feeding the DOWN decision;
@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use engines::tile::EngineTile;
-use faults::{CompleteOutcome, ExpiryAction, FaultEvent, FaultKind, FaultPlan, Watchdog};
+use faults::{CompleteOutcome, ExpiryAction, FaultKind, FaultPlan, Schedule, Watchdog};
 use noc::router::PortDir;
 use packet::chain::EngineId;
 use packet::message::{Message, MessageId};
@@ -39,10 +39,8 @@ use super::PanicNic;
 /// [`PanicNic::conservation`].
 #[derive(Debug)]
 pub(super) struct FaultRuntime {
-    /// The injection schedule (sorted by cycle).
-    plan: FaultPlan,
-    /// Index of the next unfired event in `plan`.
-    cursor: usize,
+    /// The injection plan and how far it has fired.
+    schedule: Schedule<FaultKind>,
     /// Descriptor-deadline ledger; `None` when only raw injection is
     /// wanted (no detection/recovery).
     watchdog: Option<Watchdog>,
@@ -62,24 +60,13 @@ pub(super) struct FaultRuntime {
 impl FaultRuntime {
     pub(super) fn new(plan: FaultPlan, watchdog: Option<Watchdog>) -> FaultRuntime {
         FaultRuntime {
-            plan,
-            cursor: 0,
+            schedule: Schedule::new(plan),
             watchdog,
             strikes: HashMap::new(),
             downed: Vec::new(),
             failover: HashMap::new(),
             track: None,
         }
-    }
-
-    /// True once every planned event has fired.
-    fn plan_exhausted(&self) -> bool {
-        self.cursor >= self.plan.len()
-    }
-
-    /// The planned events that have not fired yet.
-    fn unfired(&self) -> &[FaultEvent] {
-        &self.plan.events()[self.cursor..]
     }
 
     /// Emits an instant on the `faults` track, creating the track on
@@ -100,14 +87,7 @@ impl PanicNic {
     /// Merges with any previously enabled plan/watchdog.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
         match &mut self.faults {
-            Some(fr) => {
-                // Keep only the unfired tail of the old plan; events
-                // whose cycle already passed fire on the next tick.
-                let merged: Vec<FaultEvent> =
-                    fr.unfired().iter().chain(plan.events()).copied().collect();
-                fr.plan = FaultPlan::new(merged);
-                fr.cursor = 0;
-            }
+            Some(fr) => fr.schedule.merge(plan),
             None => self.faults = Some(Box::new(FaultRuntime::new(plan, None))),
         }
     }
@@ -134,7 +114,7 @@ impl PanicNic {
         match &self.faults {
             None => true,
             Some(fr) => {
-                fr.plan_exhausted() && fr.watchdog.as_ref().is_none_or(|w| w.pending() == 0)
+                fr.schedule.exhausted() && fr.watchdog.as_ref().is_none_or(|w| w.pending() == 0)
             }
         }
     }
@@ -227,8 +207,7 @@ impl PanicNic {
         };
 
         // 1. Injection plan.
-        while let Some(ev) = fr.unfired().first().copied().filter(|ev| ev.at <= now) {
-            fr.cursor += 1;
+        while let Some(ev) = fr.schedule.pop_due(now) {
             self.apply_fault(&mut fr, ev.kind, now);
         }
 
@@ -421,7 +400,7 @@ impl PanicNic {
         let fr = self.faults.as_ref()?;
         // Next planned injection (events whose cycle already passed
         // fire on the next tick).
-        let mut hint = fr.unfired().first().map(|ev| ev.at.max(now.next()));
+        let mut hint = fr.schedule.next_due(now);
         if let Some(wd) = &fr.watchdog {
             // A watchdog check only mutates state while descriptors are
             // tracked, strikes are accruing, or some tile holds work (a
@@ -609,9 +588,9 @@ mod tests {
     #[test]
     fn runtime_plan_cursor() {
         let fr = FaultRuntime::new(FaultPlan::default(), None);
-        assert!(fr.plan_exhausted());
+        assert!(fr.schedule.exhausted());
         let plan = FaultPlan::parse("crash:1@10").unwrap();
         let fr = FaultRuntime::new(plan, None);
-        assert!(!fr.plan_exhausted());
+        assert!(!fr.schedule.exhausted());
     }
 }

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use faults::{FabricFaultConfig, HopLedger};
+use faults::{FabricFaultConfig, FabricFaultKind, HopLedger, Schedule};
 use packet::message::Message;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
@@ -141,8 +141,8 @@ pub(crate) type MemberSig = BTreeSet<(u16, String)>;
 pub(crate) struct ChaosRuntime {
     /// The armed configuration (plan, retry policy, failover policy).
     pub config: FabricFaultConfig,
-    /// Next unapplied plan event (events are sorted by `at`).
-    pub cursor: usize,
+    /// What is left to fire of `config.plan`.
+    pub schedule: Schedule<FabricFaultKind>,
     /// Per-member failure phase.
     pub phases: Vec<Phase>,
     /// Per-link fault windows (parallel to `Fabric::links`).
@@ -169,7 +169,7 @@ pub(crate) struct ChaosRuntime {
 impl std::fmt::Debug for ChaosRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ChaosRuntime")
-            .field("cursor", &self.cursor)
+            .field("schedule", &self.schedule)
             .field("phases", &self.phases)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -181,8 +181,8 @@ impl ChaosRuntime {
     pub fn new(config: FabricFaultConfig, n: usize, links: usize, sigs: Vec<MemberSig>) -> Self {
         ChaosRuntime {
             ledgers: (0..n).map(|_| HopLedger::new(config.retry)).collect(),
+            schedule: Schedule::new(config.plan.clone()),
             config,
-            cursor: 0,
             phases: vec![Phase::Up; n],
             links: vec![LinkChaos::default(); links],
             parked: (0..n).map(|_| VecDeque::new()).collect(),
@@ -234,10 +234,7 @@ impl ChaosRuntime {
                 }
             }
         };
-        if let Some(e) = self.config.plan.events().get(self.cursor) {
-            // An event at or before `now` fires at the next boundary.
-            merge(Some(e.at.max(Cycle(now.0 + 1))));
-        }
+        merge(self.schedule.next_due(now));
         for l in &self.ledgers {
             merge(l.next_deadline());
         }

@@ -770,12 +770,7 @@ impl Fabric {
                 _ => {}
             }
         }
-        while let Some(e) = chaos.config.plan.events().get(chaos.cursor) {
-            if e.at > now {
-                break;
-            }
-            let e = *e;
-            chaos.cursor += 1;
+        while let Some(e) = chaos.schedule.pop_due(now) {
             chaos.stats.events_fired += 1;
             self.chaos_fire(&mut chaos, &e, now);
         }
@@ -832,9 +827,11 @@ impl Fabric {
                 member,
                 recover_epochs,
             } => {
-                let len = self.epoch.unwrap_or(1);
+                // A recovery that falls past the end of the clock never
+                // comes: the member is lost, as by `mloss`.
+                let delay = recover_epochs.checked_mul(self.epoch.unwrap_or(1));
                 chaos.phases[member] = Phase::Draining {
-                    recover_at: Some(Cycle(now.0.saturating_add(recover_epochs * len))),
+                    recover_at: delay.and_then(|d| now.0.checked_add(d)).map(Cycle),
                 };
                 chaos.stats.member_crashes += 1;
                 chaos_mark(
@@ -1322,7 +1319,7 @@ impl Fabric {
     #[must_use]
     pub fn faults_pending(&self) -> bool {
         self.chaos.as_ref().is_some_and(|c| {
-            c.cursor < c.config.plan.len()
+            !c.schedule.exhausted()
                 || c.phases.iter().any(|p| {
                     matches!(
                         p,

@@ -246,6 +246,29 @@ fn permanent_member_loss_drains_clean() {
     assert_eq!(stats.member_recoveries, 0, "a loss never recovers");
 }
 
+/// A recovery delay is counted in epochs, so `epochs × epoch length`
+/// can run past the end of the clock. Then the recovery never comes —
+/// the member is lost, as by `mloss`, and the fleet still drains —
+/// where it once overflowed: a panic in the dev profile, and in
+/// `--release` a wrap to zero that "recovered" the member at the very
+/// next boundary.
+#[test]
+fn member_crash_recovery_past_the_end_of_the_clock_never_comes() {
+    let plan = FabricFaultPlan::parse("mcrash:2@300+9223372036854775808").unwrap();
+    let mut fabric = ring(4, Some(FabricFaultConfig::new(plan)));
+    drain(&mut fabric);
+
+    let stats = fabric.chaos_stats().expect("armed");
+    assert_eq!(stats.member_crashes, 1);
+    assert_eq!(
+        stats.member_recoveries, 0,
+        "2^63 epochs of {LATENCY} cycles end past the clock, not now"
+    );
+    let (injected, delivered) = injected_and_delivered(&fabric);
+    assert!(injected < 4 * COUNT, "the lost member stops injecting");
+    assert_eq!(delivered + stats.redirected, injected);
+}
+
 /// A chaotic run is byte-identical across worker-thread counts: all
 /// chaos state changes live in the serial boundary exchange.
 #[test]

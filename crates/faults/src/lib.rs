@@ -6,24 +6,30 @@
 //! the fault-free case only. A production NIC must keep those
 //! guarantees when an engine wedges, a link degrades, or credits leak.
 //! This crate supplies the machinery the simulator uses to re-validate
-//! every conservation and isolation claim *under injected faults*:
+//! every conservation and isolation claim *under injected faults*.
 //!
-//! * [`FaultPlan`] — a deterministic, seeded (or hand-written) schedule
-//!   of [`FaultKind`] events covering engines (stall / crash /
-//!   degradation), the NoC (link slowdown, flit drop with credit leak,
-//!   router buffer pressure), and the scheduler (refusal bursts).
-//! * [`Watchdog`] — a per-descriptor in-flight ledger with
-//!   exponential-backoff re-issue, the recovery half of the story.
-//! * [`WatchdogConfig`] — deadlines, retry budgets, and the engine
-//!   health / failover policy knobs, also consumed by the static
-//!   verifier's PV4xx lints.
-//! * [`FabricFaultPlan`] / [`FabricFaultConfig`] / [`HopLedger`]
-//!   ([`fabric`]) — the rack-scale layer: link flaps / latency
-//!   degrades / credit freezes / partitions and whole-member crashes,
-//!   plus per-member deadline tracking with retransmission and
-//!   receiver-side duplicate suppression for cross-NIC hops.
-//!   `crates/fabric` threads these through the ToR; the PV8xx lints
-//!   check the configuration.
+//! Three mechanisms, each written once, and two instantiations of
+//! them — one NIC, and a rack of NICs:
+//!
+//! * **Plan + schedule** ([`schedule`]): a [`Plan`] of [`Event`]s over
+//!   some [`Kind`] of fault — stable order by cycle, a spec DSL with
+//!   one clause scanner and one range table, a `Display` round trip —
+//!   and the [`Schedule`] a runtime fires it from. [`FaultPlan`]
+//!   ([`plan`]: engine stall / crash / degradation, scheduler refusal,
+//!   NoC link slowdown / credit hold / flit drop with credit leak) and
+//!   [`FabricFaultPlan`] ([`fabric`]: link flaps / latency degrades /
+//!   credit freezes / partitions, whole-member crashes) are the two
+//!   kind enums plus their seeded generators.
+//! * **Retry ledger** (private `ledger`): per-id deadlines on a wheel,
+//!   bounded exponential-backoff re-issue, first terminal report wins.
+//!   [`Watchdog`] tracks descriptors inside a NIC and *fails* one whose
+//!   budget runs out; [`HopLedger`] tracks cross-NIC crossings, only
+//!   disarms them, and opens a new generation when a message crosses
+//!   again.
+//! * **Policy knobs**: [`WatchdogConfig`] (deadlines, retry budget,
+//!   engine health / failover; PV4xx lints) and [`FabricFaultConfig`]
+//!   (plan, [`HopRetryConfig`], host fallback, replica pins; PV8xx
+//!   lints). `crates/fabric` threads the latter through the ToR.
 //!
 //! The crate is deliberately *mechanism only*: it owns no simulator
 //! state. `panic-core` threads the plan into the datapath and drives
@@ -37,7 +43,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod fabric;
+mod ledger;
 pub mod plan;
+pub mod schedule;
 pub mod watchdog;
 
 pub use fabric::{
@@ -45,6 +53,7 @@ pub use fabric::{
     HopLedger, HopOutcome, HopRetry, HopRetryConfig,
 };
 pub use plan::{FaultArg, FaultEvent, FaultKind, FaultPlan, FaultUniverse};
+pub use schedule::{Event, Kind, Plan, Schedule};
 pub use watchdog::{CompleteOutcome, Expiry, ExpiryAction, Watchdog, WatchdogConfig};
 
 /// The offload-type stem of an engine name: the name with any trailing

@@ -1,7 +1,10 @@
-//! Fault plans: deterministic schedules of injected faults.
+//! The NIC-level fault vocabulary: [`FaultKind`], the [`FaultPlan`]
+//! generator over a [`FaultUniverse`], and the `--faults` front door
+//! ([`FaultArg`]).
 //!
-//! A [`FaultPlan`] is an ordered list of [`FaultEvent`]s — *when* and
-//! *what* goes wrong. Plans come from two places:
+//! A [`FaultPlan`] is [`crate::schedule::Plan`] over [`FaultKind`] — an
+//! ordered list of [`FaultEvent`]s, *when* and *what* goes wrong.
+//! Plans come from two places:
 //!
 //! * **Seeded generation** ([`FaultPlan::generate`]): a seed plus a
 //!   [`FaultUniverse`] (which engines exist, how long the run is, how
@@ -29,6 +32,9 @@ use std::str::FromStr;
 use packet::EngineId;
 use sim_core::rng::SimRng;
 use sim_core::time::{Cycle, Cycles};
+
+use crate::fabric::{FabricFaultKind, FabricFaultPlan};
+use crate::schedule::{opens_with, Clause, Event, Grammar, Kind, Plan};
 
 /// One kind of injected fault.
 ///
@@ -115,20 +121,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Short stable label for traces and metrics (`fault.<label>`).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::EngineCrash { .. } => "crash",
-            FaultKind::EngineStall { .. } => "stall",
-            FaultKind::EngineDegrade { .. } => "degrade",
-            FaultKind::SchedRefuse { .. } => "refuse",
-            FaultKind::LinkSlow { .. } => "slow",
-            FaultKind::CreditHold { .. } => "hold",
-            FaultKind::FlitDrop { .. } => "drop",
-        }
-    }
-
     /// The engine/tile this fault targets.
     #[must_use]
     pub fn engine(&self) -> EngineId {
@@ -144,60 +136,131 @@ impl FaultKind {
     }
 }
 
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            FaultKind::EngineCrash { engine } => write!(f, "crash:{}", engine.0),
-            FaultKind::EngineStall { engine, duration } => {
-                write!(f, "stall:{}+{}", engine.0, duration.0)
-            }
-            FaultKind::EngineDegrade { engine, factor } => {
-                write!(f, "degrade:{}x{}", engine.0, factor)
-            }
-            FaultKind::SchedRefuse { engine, duration } => {
-                write!(f, "refuse:{}+{}", engine.0, duration.0)
-            }
-            FaultKind::LinkSlow {
-                engine,
-                port,
-                duration,
-                period,
-            } => write!(f, "slow:{}:{}+{}/{}", engine.0, port, duration.0, period),
-            FaultKind::CreditHold {
-                engine,
-                port,
-                credits,
-                duration,
-            } => write!(f, "hold:{}:{}+{}x{}", engine.0, port, duration.0, credits),
-            FaultKind::FlitDrop { engine } => write!(f, "drop:{}", engine.0),
+impl Kind for FaultKind {
+    const FAMILY: &'static str = "fault";
+
+    /// Short stable label for traces and metrics (`fault.<label>`).
+    fn label(&self) -> &'static str {
+        match self {
+            FaultKind::EngineCrash { .. } => "crash",
+            FaultKind::EngineStall { .. } => "stall",
+            FaultKind::EngineDegrade { .. } => "degrade",
+            FaultKind::SchedRefuse { .. } => "refuse",
+            FaultKind::LinkSlow { .. } => "slow",
+            FaultKind::CreditHold { .. } => "hold",
+            FaultKind::FlitDrop { .. } => "drop",
         }
     }
-}
 
-/// A fault scheduled at an absolute cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Cycle at which the fault fires (checked at the top of the NIC
-    /// tick, so a fault at cycle `c` is visible to everything that
-    /// happens during cycle `c`).
-    pub at: Cycle,
-    /// What goes wrong.
-    pub kind: FaultKind,
-}
-
-impl fmt::Display for FaultEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `stall:5+64@200` — the same shape `FaultPlan::parse` accepts.
-        let kind = self.kind.to_string();
-        match kind.split_once('+') {
-            Some((head, tail)) => write!(f, "{head}@{}+{tail}", self.at.0),
-            None => match kind.split_once('x') {
-                Some((head, tail)) => write!(f, "{head}@{}x{tail}", self.at.0),
-                None => write!(f, "{kind}@{}", self.at.0),
+    fn grammar(name: &str) -> Option<Grammar<FaultKind>> {
+        fn engine_of(c: &Clause<'_>, s: &str) -> Result<EngineId, String> {
+            c.narrow(s, "engine id").map(EngineId)
+        }
+        Some(match name {
+            "crash" | "drop" => |c| {
+                let at = c.at(c.timing)?;
+                let engine = engine_of(c, c.target)?;
+                let kind = match c.kind {
+                    "crash" => FaultKind::EngineCrash { engine },
+                    _ => FaultKind::FlitDrop { engine },
+                };
+                Ok(Event { at, kind })
             },
+            "stall" | "refuse" => |c| {
+                let (at, dur) = c.split(c.timing, '+', "`@<at>+<dur>`")?;
+                let engine = engine_of(c, c.target)?;
+                let at = c.at(at)?;
+                let duration = c.window(at, dur)?;
+                let kind = match c.kind {
+                    "stall" => FaultKind::EngineStall { engine, duration },
+                    _ => FaultKind::SchedRefuse { engine, duration },
+                };
+                Ok(Event { at, kind })
+            },
+            "degrade" => |c| {
+                let (at, factor) = c.split(c.timing, 'x', "`@<at>x<mult>`")?;
+                let factor = c.narrow(factor, "factor")?;
+                if factor == 0 {
+                    return Err(c.err("factor must be >= 1"));
+                }
+                let at = c.at(at)?;
+                let engine = engine_of(c, c.target)?;
+                let kind = FaultKind::EngineDegrade { engine, factor };
+                Ok(Event { at, kind })
+            },
+            "slow" | "hold" => |c| {
+                let (engine, port) = c.split(c.target, ':', "`<engine>:<port>`")?;
+                let engine = engine_of(c, engine)?;
+                let port = match c.number(port, "port")? {
+                    port @ 0..=4 => port as u8,
+                    _ => return Err(c.err("port must be 0..=4")),
+                };
+                let (at, tail) = c.split(c.timing, '+', "`@<at>+<dur>...`")?;
+                let at = c.at(at)?;
+                let kind = if c.kind == "slow" {
+                    let (dur, period) = c.split(tail, '/', "`+<dur>/<period>`")?;
+                    let period = c.number(period, "period")?;
+                    if period < 2 {
+                        return Err(c.err("period must be >= 2"));
+                    }
+                    let duration = c.window(at, dur)?;
+                    FaultKind::LinkSlow {
+                        engine,
+                        port,
+                        duration,
+                        period,
+                    }
+                } else {
+                    let (dur, credits) = c.split(tail, 'x', "`+<dur>x<credits>`")?;
+                    let credits = c.narrow(credits, "credits")?;
+                    if credits == 0 {
+                        return Err(c.err("credits must be >= 1"));
+                    }
+                    let duration = c.window(at, dur)?;
+                    FaultKind::CreditHold {
+                        engine,
+                        port,
+                        credits,
+                        duration,
+                    }
+                };
+                Ok(Event { at, kind })
+            },
+            _ => return None,
+        })
+    }
+
+    fn fmt_target(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.engine().0)?;
+        match self {
+            FaultKind::LinkSlow { port, .. } | FaultKind::CreditHold { port, .. } => {
+                write!(f, ":{port}")
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn fmt_tail(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FaultKind::EngineCrash { .. } | FaultKind::FlitDrop { .. } => Ok(()),
+            FaultKind::EngineStall { duration, .. } | FaultKind::SchedRefuse { duration, .. } => {
+                write!(f, "+{}", duration.0)
+            }
+            FaultKind::EngineDegrade { factor, .. } => write!(f, "x{factor}"),
+            FaultKind::LinkSlow {
+                duration, period, ..
+            } => write!(f, "+{}/{period}", duration.0),
+            FaultKind::CreditHold {
+                duration, credits, ..
+            } => write!(f, "+{}x{credits}", duration.0),
         }
     }
 }
+
+/// A NIC-level fault scheduled at an absolute cycle (checked at the
+/// top of the NIC tick, so a fault at cycle `c` is visible to
+/// everything that happens during cycle `c`).
+pub type FaultEvent = Event<FaultKind>;
 
 /// What the seeded generator is allowed to break: the population of
 /// engines, the run horizon, and the damage caps that keep a random
@@ -241,39 +304,26 @@ impl FaultUniverse {
     }
 }
 
-/// A deterministic schedule of fault events, sorted by firing cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-}
+/// A deterministic schedule of NIC-level fault events, sorted by
+/// firing cycle. [`FaultPlan::parse`] accepts, per clause:
+///
+/// | form | meaning |
+/// |---|---|
+/// | `crash:<e>@<at>` | permanent engine crash |
+/// | `stall:<e>@<at>+<dur>` | engine freeze for `dur` cycles |
+/// | `degrade:<e>@<at>x<mult>` | service time × `mult` from `at` on |
+/// | `refuse:<e>@<at>+<dur>` | queue refuses offers for `dur` |
+/// | `drop:<e>@<at>` | drop next ejection at tile `e`, leak credit |
+/// | `slow:<e>:<port>@<at>+<dur>/<period>` | link at 1/`period` rate |
+/// | `hold:<e>:<port>@<at>+<dur>x<n>` | confiscate `n` credits |
+///
+/// `<e>` is a numeric `EngineId` (0..=65535), `<port>` a router
+/// output index (0=N 1=S 2=E 3=W 4=Local), `<mult>` and `<n>` fit in
+/// 32 bits, every other number in 64, and a window must end on the
+/// clock (`at + dur` fits in 64 bits).
+pub type FaultPlan = Plan<FaultKind>;
 
-impl FaultPlan {
-    /// A plan from explicit events; sorts by cycle (stable, so same-
-    /// cycle events keep their given order).
-    #[must_use]
-    pub fn new(mut events: Vec<FaultEvent>) -> FaultPlan {
-        events.sort_by_key(|e| e.at);
-        FaultPlan { events }
-    }
-
-    /// The events, in firing order.
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// True if the plan schedules nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
+impl Plan<FaultKind> {
     /// Generates a reproducible random plan: `intensity` events drawn
     /// from `universe`, honouring the crash and drop caps (an event
     /// that would exceed a cap degrades to a transient stall, so the
@@ -357,181 +407,6 @@ impl FaultPlan {
         }
         FaultPlan::new(events)
     }
-
-    /// Parses the hand-written spec DSL: events separated by `,` or
-    /// `;`, each one of
-    ///
-    /// | form | meaning |
-    /// |---|---|
-    /// | `crash:<e>@<at>` | permanent engine crash |
-    /// | `stall:<e>@<at>+<dur>` | engine freeze for `dur` cycles |
-    /// | `degrade:<e>@<at>x<mult>` | service time × `mult` from `at` on |
-    /// | `refuse:<e>@<at>+<dur>` | queue refuses offers for `dur` |
-    /// | `drop:<e>@<at>` | drop next ejection at tile `e`, leak credit |
-    /// | `slow:<e>:<port>@<at>+<dur>/<period>` | link at 1/`period` rate |
-    /// | `hold:<e>:<port>@<at>+<dur>x<n>` | confiscate `n` credits |
-    ///
-    /// `<e>` is a numeric `EngineId` (0..=65535), `<port>` a router
-    /// output index (0=N 1=S 2=E 3=W 4=Local), `<mult>` and `<n>` fit in
-    /// 32 bits, every other number in 64, and a window must end on the
-    /// clock (`at + dur` fits in 64 bits). Out-of-range values are
-    /// errors, never truncated. Whitespace around separators is
-    /// ignored.
-    ///
-    /// # Errors
-    /// Returns a human-readable message naming the offending clause.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut events = Vec::new();
-        for clause in spec.split([',', ';']) {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            events.push(parse_clause(clause)?);
-        }
-        if events.is_empty() {
-            return Err("empty fault spec".to_string());
-        }
-        Ok(FaultPlan::new(events))
-    }
-}
-
-impl fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{ev}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Parses one `kind:args@at...` clause.
-fn parse_clause(clause: &str) -> Result<FaultEvent, String> {
-    let err = |why: &str| format!("bad fault clause {clause:?}: {why}");
-    let (kind_name, rest) = clause
-        .split_once(':')
-        .ok_or_else(|| err("expected `kind:...`"))?;
-    let (target, timing) = rest
-        .split_once('@')
-        .ok_or_else(|| err("expected `...@<cycle>`"))?;
-    let parse_u64 = |s: &str, what: &str| {
-        s.trim()
-            .parse::<u64>()
-            .map_err(|_| err(&format!("{what} is not a number ({s:?})")))
-    };
-    // Narrower fields parse wide and are then range-checked: a value
-    // that does not fit is an error, never a silent truncation.
-    let out_of_range = |s: &str, what: &str| err(&format!("{what} out of range ({s:?})"));
-    let parse_u32 =
-        |s: &str, what: &str| u32::try_from(parse_u64(s, what)?).map_err(|_| out_of_range(s, what));
-    let engine_of = |s: &str| {
-        u16::try_from(parse_u64(s, "engine id")?)
-            .map(EngineId)
-            .map_err(|_| out_of_range(s, "engine id"))
-    };
-    // A fault window must end on the clock: `at + dur` fits in 64 bits.
-    let duration_of = |at: Cycle, dur: &str| {
-        let cycles = parse_u64(dur, "duration")?;
-        match at.0.checked_add(cycles) {
-            Some(_) => Ok(Cycles(cycles)),
-            None => Err(err(&format!(
-                "duration out of range ({dur:?}: `at + dur` must fit in 64 bits)"
-            ))),
-        }
-    };
-    match kind_name.trim() {
-        "crash" => Ok(FaultEvent {
-            at: Cycle(parse_u64(timing, "cycle")?),
-            kind: FaultKind::EngineCrash {
-                engine: engine_of(target)?,
-            },
-        }),
-        "drop" => Ok(FaultEvent {
-            at: Cycle(parse_u64(timing, "cycle")?),
-            kind: FaultKind::FlitDrop {
-                engine: engine_of(target)?,
-            },
-        }),
-        "stall" | "refuse" => {
-            let (at, dur) = timing
-                .split_once('+')
-                .ok_or_else(|| err("expected `@<at>+<dur>`"))?;
-            let engine = engine_of(target)?;
-            let at = Cycle(parse_u64(at, "cycle")?);
-            let duration = duration_of(at, dur)?;
-            let kind = if kind_name.trim() == "stall" {
-                FaultKind::EngineStall { engine, duration }
-            } else {
-                FaultKind::SchedRefuse { engine, duration }
-            };
-            Ok(FaultEvent { at, kind })
-        }
-        "degrade" => {
-            let (at, factor) = timing
-                .split_once('x')
-                .ok_or_else(|| err("expected `@<at>x<mult>`"))?;
-            let factor = parse_u32(factor, "factor")?;
-            if factor == 0 {
-                return Err(err("factor must be >= 1"));
-            }
-            Ok(FaultEvent {
-                at: Cycle(parse_u64(at, "cycle")?),
-                kind: FaultKind::EngineDegrade {
-                    engine: engine_of(target)?,
-                    factor,
-                },
-            })
-        }
-        "slow" | "hold" => {
-            let (engine, port) = target
-                .split_once(':')
-                .ok_or_else(|| err("expected `<engine>:<port>`"))?;
-            let engine = engine_of(engine)?;
-            let port = parse_u64(port, "port")?;
-            if port >= 5 {
-                return Err(err("port must be 0..=4"));
-            }
-            let port = port as u8;
-            let (at, tail) = timing
-                .split_once('+')
-                .ok_or_else(|| err("expected `@<at>+<dur>...`"))?;
-            let at = Cycle(parse_u64(at, "cycle")?);
-            let kind = if kind_name.trim() == "slow" {
-                let (dur, period) = tail
-                    .split_once('/')
-                    .ok_or_else(|| err("expected `+<dur>/<period>`"))?;
-                let period = parse_u64(period, "period")?;
-                if period < 2 {
-                    return Err(err("period must be >= 2"));
-                }
-                FaultKind::LinkSlow {
-                    engine,
-                    port,
-                    duration: duration_of(at, dur)?,
-                    period,
-                }
-            } else {
-                let (dur, credits) = tail
-                    .split_once('x')
-                    .ok_or_else(|| err("expected `+<dur>x<credits>`"))?;
-                let credits = parse_u32(credits, "credits")?;
-                if credits == 0 {
-                    return Err(err("credits must be >= 1"));
-                }
-                FaultKind::CreditHold {
-                    engine,
-                    port,
-                    credits,
-                    duration: duration_of(at, dur)?,
-                }
-            };
-            Ok(FaultEvent { at, kind })
-        }
-        other => Err(err(&format!("unknown fault kind {other:?}"))),
-    }
 }
 
 /// The `--faults` CLI argument: a seed for the deterministic
@@ -555,7 +430,7 @@ pub enum FaultArg {
     /// Use this explicit NIC-level plan.
     Plan(FaultPlan),
     /// Use this explicit fabric-level plan.
-    Fabric(crate::fabric::FabricFaultPlan),
+    Fabric(FabricFaultPlan),
 }
 
 impl FromStr for FaultArg {
@@ -574,17 +449,13 @@ impl FromStr for FaultArg {
                 .map(FaultArg::Seed)
                 .map_err(|_| format!("fault seed out of range {s:?}"));
         }
-        // The kind names are disjoint between the two DSLs, so report
-        // the error from the family the first clause belongs to.
-        const FABRIC_KINDS: [&str; 6] = ["flap:", "lag:", "freeze:", "part:", "mcrash:", "mloss:"];
-        let looks_fabric = FABRIC_KINDS.iter().any(|k| s.starts_with(k));
-        match (
-            FaultPlan::parse(s),
-            crate::fabric::FabricFaultPlan::parse(s),
-        ) {
-            (Ok(p), _) => Ok(FaultArg::Plan(p)),
-            (_, Ok(p)) => Ok(FaultArg::Fabric(p)),
-            (Err(nic), Err(fab)) => Err(if looks_fabric { fab } else { nic }),
+        // The kind names are disjoint between the two DSLs, so the
+        // first clause's kind picks the family that parses (and words
+        // the error for) the whole spec; an unknown kind reads as NIC.
+        if opens_with::<FabricFaultKind>(s) {
+            FabricFaultPlan::parse(s).map(FaultArg::Fabric)
+        } else {
+            FaultPlan::parse(s).map(FaultArg::Plan)
         }
     }
 }

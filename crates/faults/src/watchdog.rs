@@ -28,11 +28,16 @@
 //! The ledger is pure bookkeeping — it never touches the datapath
 //! itself. `panic-core` owns re-injection, tracing, and the decision
 //! of *where* a reissued message goes (possibly a failover replica).
-
-use std::collections::{BTreeMap, HashMap};
+//!
+//! The deadline wheel, the backoff and first-terminal-wins are the
+//! shared `ledger` core; the watchdog's policy on top of it:
+//! a descriptor is tracked once (twice is a model bug), and running
+//! out of budget *fails* it on the spot — exhaustion is sticky.
 
 use packet::{EngineId, Message, MessageId};
 use sim_core::time::{Cycle, Cycles};
+
+use crate::ledger::{self, Ledger, Terminal};
 
 /// Watchdog and failover policy knobs.
 ///
@@ -89,8 +94,7 @@ impl WatchdogConfig {
     /// `retries` times: `deadline × backoff^retries`, saturating.
     #[must_use]
     pub fn deadline_after(&self, retries: u32) -> Cycles {
-        let mult = u64::from(self.backoff).saturating_pow(retries);
-        Cycles(self.deadline.0.saturating_mul(mult))
+        ledger::deadline_after(self.deadline, self.backoff, retries)
     }
 }
 
@@ -140,32 +144,13 @@ pub enum CompleteOutcome {
     Untracked,
 }
 
-/// Terminal state of a ledger entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryState {
-    /// In flight, deadline armed.
-    Pending,
-    /// Completed (first copy arrived).
-    Completed,
-    /// Retry budget exhausted.
-    Failed,
-}
-
-/// One tracked descriptor.
-#[derive(Debug, Clone)]
-struct Entry {
-    /// Pristine copy for re-issue.
-    template: Message,
+/// What the watchdog keeps per descriptor beside the shared entry.
+#[derive(Debug)]
+struct Descriptor {
     /// Ingress port to re-inject from.
     source: EngineId,
-    /// Current armed deadline.
-    deadline: Cycle,
-    /// Retries performed so far.
-    retries: u32,
     /// Cycle of the first timeout, for recovery-time measurement.
     first_timeout: Option<Cycle>,
-    /// Pending / Completed / Failed.
-    state: EntryState,
 }
 
 /// The per-descriptor in-flight ledger. See the module docs for the
@@ -174,11 +159,7 @@ struct Entry {
 #[derive(Debug)]
 pub struct Watchdog {
     config: WatchdogConfig,
-    entries: HashMap<MessageId, Entry>,
-    /// Deadline wheel: cycle → descriptors whose deadline is that
-    /// cycle. Entries are lazily invalidated (completion does not
-    /// unlink), so `expired` re-checks the ledger before acting.
-    wheel: BTreeMap<Cycle, Vec<MessageId>>,
+    ledger: Ledger<Descriptor>,
     tracked: u64,
     completed: u64,
     failed: u64,
@@ -191,8 +172,7 @@ impl Watchdog {
     pub fn new(config: WatchdogConfig) -> Watchdog {
         Watchdog {
             config,
-            entries: HashMap::new(),
-            wheel: BTreeMap::new(),
+            ledger: Ledger::new(config.deadline, config.max_retries, config.backoff, true),
             tracked: 0,
             completed: 0,
             failed: 0,
@@ -213,20 +193,12 @@ impl Watchdog {
     /// # Panics
     /// Panics (debug builds) if `msg.id` is already tracked.
     pub fn track(&mut self, msg: &Message, source: EngineId, now: Cycle) {
-        let deadline = now + self.config.deadline;
-        let prev = self.entries.insert(
-            msg.id,
-            Entry {
-                template: msg.clone(),
-                source,
-                deadline,
-                retries: 0,
-                first_timeout: None,
-                state: EntryState::Pending,
-            },
-        );
-        debug_assert!(prev.is_none(), "descriptor {:?} tracked twice", msg.id);
-        self.wheel.entry(deadline).or_default().push(msg.id);
+        let descriptor = Descriptor {
+            source,
+            first_timeout: None,
+        };
+        let generation = self.ledger.track(msg, now, descriptor);
+        debug_assert_eq!(generation, 0, "descriptor {:?} tracked twice", msg.id);
         self.tracked += 1;
     }
 
@@ -236,79 +208,46 @@ impl Watchdog {
     /// be applied (re-injected / charged) by the caller.
     pub fn expired(&mut self, now: Cycle) -> Vec<Expiry> {
         let mut out = Vec::new();
-        // Split off the still-future part of the wheel; what remains
-        // keyed <= now is due.
-        let future = self.wheel.split_off(&now.next());
-        let due = std::mem::replace(&mut self.wheel, future);
-        for id in due.into_values().flatten() {
-            let Some(entry) = self.entries.get_mut(&id) else {
-                continue;
+        self.ledger.expire(now, |id, entry, attempt| {
+            entry.extra.first_timeout.get_or_insert(now);
+            let action = match attempt {
+                Some(attempt) => {
+                    self.reissued += 1;
+                    ExpiryAction::Reissue {
+                        msg: Box::new(entry.template().clone()),
+                        source: entry.extra.source,
+                        attempt,
+                    }
+                }
+                None => {
+                    self.failed += 1;
+                    ExpiryAction::Fail
+                }
             };
-            // Lazily-invalidated wheel slots: the entry may have
-            // completed, or been rearmed with a later deadline.
-            if entry.state != EntryState::Pending || entry.deadline > now {
-                continue;
-            }
-            entry.first_timeout.get_or_insert(now);
-            if entry.retries < self.config.max_retries {
-                entry.retries += 1;
-                let deadline = now + self.config.deadline_after(entry.retries);
-                entry.deadline = deadline;
-                self.wheel.entry(deadline).or_default().push(id);
-                self.reissued += 1;
-                out.push(Expiry {
-                    id,
-                    action: ExpiryAction::Reissue {
-                        msg: Box::new(entry.template.clone()),
-                        source: entry.source,
-                        attempt: entry.retries,
-                    },
-                });
-            } else {
-                entry.state = EntryState::Failed;
-                self.failed += 1;
-                out.push(Expiry {
-                    id,
-                    action: ExpiryAction::Fail,
-                });
-            }
-        }
+            out.push(Expiry { id, action });
+        });
         out
     }
 
     /// Reports that a copy of descriptor `id` reached a completion
     /// point. The first report wins; see [`CompleteOutcome`].
     pub fn on_complete(&mut self, id: MessageId, now: Cycle) -> CompleteOutcome {
-        match self.entries.get_mut(&id) {
-            None => CompleteOutcome::Untracked,
-            Some(entry) if entry.state == EntryState::Pending => {
-                entry.state = EntryState::Completed;
+        match self.ledger.terminate(id, None) {
+            Terminal::Unknown => CompleteOutcome::Untracked,
+            Terminal::Late => CompleteOutcome::Duplicate,
+            Terminal::First(entry) => {
                 self.completed += 1;
                 CompleteOutcome::First {
-                    recovery: entry.first_timeout.map(|t| now.saturating_since(t)),
+                    recovery: entry.extra.first_timeout.map(|t| now.saturating_since(t)),
                 }
             }
-            Some(_) => CompleteOutcome::Duplicate,
         }
     }
 
     /// Descriptors still pending (tracked, not yet terminal).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.state == EntryState::Pending)
-            .count()
-    }
-
-    /// The next armed deadline, if any descriptor is pending.
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<Cycle> {
-        self.entries
-            .values()
-            .filter(|e| e.state == EntryState::Pending)
-            .map(|e| e.deadline)
-            .min()
+        self.ledger.live()
     }
 
     /// Total descriptors ever tracked.
@@ -339,8 +278,10 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::reference;
     use bytes::Bytes;
     use packet::MessageKind;
+    use proptest::prelude::*;
 
     fn msg(id: u64) -> Message {
         Message::builder(MessageId(id), MessageKind::EthernetFrame)
@@ -471,13 +412,105 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_tracks_minimum_pending() {
+    fn completed_descriptors_keep_their_id_but_not_their_template() {
         let mut wd = Watchdog::new(small_config());
-        assert_eq!(wd.next_deadline(), None);
-        wd.track(&msg(1), EngineId(0), Cycle(0));
-        wd.track(&msg(2), EngineId(0), Cycle(3));
-        assert_eq!(wd.next_deadline(), Some(Cycle(10)));
-        wd.on_complete(MessageId(1), Cycle(4));
-        assert_eq!(wd.next_deadline(), Some(Cycle(13)));
+        for id in 0..1000 {
+            wd.track(&msg(id), EngineId(0), Cycle(id));
+            assert_eq!(wd.ledger.templates(), 1, "only the pending descriptor");
+            assert_eq!(
+                wd.on_complete(MessageId(id), Cycle(id + 3)),
+                CompleteOutcome::First { recovery: None }
+            );
+        }
+        // One that fails instead of completing drops its template too.
+        wd.track(&msg(1000), EngineId(0), Cycle(2000));
+        assert_eq!(wd.pending(), 1);
+        for now in [2010, 2030, 2070] {
+            assert_eq!(wd.expired(Cycle(now)).len(), 1);
+        }
+        assert_eq!(wd.pending(), 0);
+        assert_eq!(wd.ledger.templates(), 0, "memory follows what is pending");
+        assert_eq!(wd.ledger.next_deadline(), None);
+        assert_eq!(
+            (wd.tracked(), wd.completed(), wd.failed(), wd.reissued()),
+            (1001, 1000, 1, 2)
+        );
+        // The ids stay: that is the duplicate filter.
+        for id in [0, 999, 1000] {
+            assert_eq!(
+                wd.on_complete(MessageId(id), Cycle(5000)),
+                CompleteOutcome::Duplicate
+            );
+        }
+    }
+
+    /// What a batch of expiries says, in comparable form: per
+    /// descriptor its id, where to re-inject and which attempt (0 =
+    /// failed).
+    fn digest(batch: &[Expiry]) -> Vec<(u64, u16, u32)> {
+        batch
+            .iter()
+            .map(|e| match &e.action {
+                ExpiryAction::Reissue {
+                    msg,
+                    source,
+                    attempt,
+                } => {
+                    assert_eq!((msg.id, msg.injected_at), (e.id, Cycle(5)));
+                    (e.id.0, source.0, *attempt)
+                }
+                ExpiryAction::Fail => (e.id.0, 0, 0),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random scripts against the watchdog as it stood before it
+        /// shared the ledger core: the same answer to every call, in
+        /// the same order, and the same books after every step.
+        #[test]
+        fn matches_the_parent_watchdog_step_for_step(
+            deadline in 0u64..6,
+            max_retries in 0u32..4,
+            backoff in 1u32..5,
+            script in proptest::collection::vec((0u8..6, 0u64..64, 0u64..5), 0..96),
+        ) {
+            let config = WatchdogConfig {
+                deadline: Cycles(deadline),
+                max_retries,
+                backoff,
+                ..WatchdogConfig::default()
+            };
+            let mut new = Watchdog::new(config);
+            let mut old = reference::Watchdog::new(config);
+            let mut now = Cycle(0);
+            let mut tracked = 0u64;
+            for (op, pick, dt) in script {
+                now += Cycles(dt); // 0 repeats the previous `now`
+                match op {
+                    // Fresh ids only: tracking one twice is a model bug.
+                    0 | 1 => {
+                        let source = EngineId(pick as u16);
+                        new.track(&msg(tracked), source, now);
+                        old.track(&msg(tracked), source, now);
+                        tracked += 1;
+                    }
+                    2 | 3 => prop_assert_eq!(digest(&new.expired(now)), digest(&old.expired(now))),
+                    // Pending, completed, failed and never-tracked ids.
+                    _ => {
+                        let id = MessageId(pick % (tracked + 2));
+                        prop_assert_eq!(new.on_complete(id, now), old.on_complete(id, now));
+                    }
+                }
+                prop_assert_eq!(
+                    (new.tracked(), new.completed(), new.failed(), new.reissued()),
+                    (old.tracked(), old.completed(), old.failed(), old.reissued())
+                );
+                prop_assert_eq!(new.pending(), old.pending());
+                prop_assert_eq!(new.ledger.next_deadline(), old.next_deadline());
+            }
+        }
     }
 }
