@@ -243,26 +243,27 @@ pub(crate) fn frames_per_nic(quick: bool) -> u64 {
 /// deferred work (retry deadlines, parked copies, member recoveries) —
 /// and asserts the fleet conservation identity. Returns the drain
 /// cycle.
-pub(crate) fn drain(fabric: &mut Fabric, frames_per_nic: u64) -> Cycle {
+///
+/// # Errors
+/// The fabric's [`fabric::DrainError`] when a fault window outlasts the
+/// drain budget.
+pub(crate) fn drain(fabric: &mut Fabric, frames_per_nic: u64) -> Result<Cycle, fabric::DrainError> {
     let horizon = (frames_per_nic + 2) * PERIOD + 50_000;
-    let mut now = fabric.run_ff(Cycle(0), horizon).0;
-    // Chaos plans can hold work far past the nominal horizon (a
-    // crashed member recovers, a retry backoff expires, a partition
-    // window closes); the fast-forwarded chunks make the long tail
-    // cheap.
-    for _ in 0..1024 {
-        if fabric.is_quiescent() && !fabric.faults_pending() {
-            break;
-        }
-        now = fabric.run_ff(now, 10_000).0;
-    }
-    assert!(
-        fabric.is_quiescent() && !fabric.faults_pending(),
-        "rack failed to drain"
-    );
+    let now = fabric.run_ff(Cycle(0), horizon).0;
+    let now = fabric.drain(now)?;
     let c = fabric.conservation();
     assert!(c.holds(), "fleet conservation violated:\n{c}");
-    now
+    Ok(now)
+}
+
+/// Unwraps a drained result, or takes the `repro` exit for a `--faults`
+/// plan that parses and lints clean but holds work past any drain: the
+/// reason on stderr, status 2.
+pub(crate) fn or_exit<T>(drained: Result<T, fabric::DrainError>) -> T {
+    drained.unwrap_or_else(|e| {
+        eprintln!("--faults: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Runs one rack configuration to quiescence.
@@ -271,7 +272,7 @@ pub fn rack_point(nics: usize, threads: usize, quick: bool) -> RackPoint {
     let frames = frames_per_nic(quick);
     let mut fabric = build_rack(nics, frames, None);
     fabric.set_threads(threads);
-    drain(&mut fabric, frames);
+    drain(&mut fabric, frames).expect("a fault-free rack drains");
     point_of(&fabric, frames * nics as u64)
 }
 
@@ -397,7 +398,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
         if armed {
             let mut fabric = build_rack(nics, frames, row_faults(&mode, nics, frames));
             fabric.set_threads(ctx.threads);
-            drain(&mut fabric, frames);
+            or_exit(drain(&mut fabric, frames));
             let p = point_of(&fabric, frames * nics as u64);
             let cs = fabric.chaos_stats().unwrap_or_default();
             let c = fabric.conservation();
@@ -431,13 +432,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
         let mut fabric = build_rack(2, frames, row_faults(&mode, 2, frames));
         fabric.set_threads(ctx.threads);
         fabric.attach_tracer(&ctx.tracer);
-        let mut now = fabric.run_ff(Cycle(0), (frames + 2) * PERIOD + 50_000).0;
-        for _ in 0..1024 {
-            if fabric.is_quiescent() && !fabric.faults_pending() {
-                break;
-            }
-            now = fabric.run_ff(now, 10_000).0;
-        }
+        or_exit(drain(&mut fabric, frames));
         if ctx.collect_metrics {
             fabric.export_metrics(&mut ctx.metrics);
         }

@@ -66,25 +66,28 @@ pub(crate) struct ChaosOutcome {
 
 /// Builds, faults, drains, and collapses one ring. Fleet conservation
 /// under faults is asserted inside [`rack::drain`].
+///
+/// # Errors
+/// [`rack::drain`]'s, for a plan whose windows outlast the drain.
 pub(crate) fn chaos_outcome(
     nics: usize,
     threads: usize,
     frames_per_nic: u64,
     cfg: FabricFaultConfig,
-) -> ChaosOutcome {
+) -> Result<ChaosOutcome, fabric::DrainError> {
     let mut fabric = rack::build_rack(nics, frames_per_nic, Some(cfg));
     fabric.set_threads(threads);
-    let makespan = rack::drain(&mut fabric, frames_per_nic);
+    let makespan = rack::drain(&mut fabric, frames_per_nic)?;
     let point = rack::point_of(&fabric, frames_per_nic * nics as u64);
     let c = fabric.conservation();
-    ChaosOutcome {
+    Ok(ChaosOutcome {
         point,
         stats: fabric.chaos_stats().unwrap_or_default(),
         retries: c.retries,
         dup_suppressed: c.dup_suppressed,
         reroute: fabric.reroute_summary(),
         makespan,
-    }
+    })
 }
 
 /// The seeded config for one sweep cell.
@@ -143,13 +146,8 @@ fn observe(ctx: &mut crate::obs::RunCtx, cfg: FabricFaultConfig) {
     let mut fabric = rack::build_rack(4, frames, Some(cfg));
     fabric.set_threads(ctx.threads);
     fabric.attach_tracer(&ctx.tracer);
-    let mut now = Cycle(0);
-    for _ in 0..1024 {
-        now = fabric.run_ff(now, 10_000).0;
-        if fabric.is_quiescent() && !fabric.faults_pending() {
-            break;
-        }
-    }
+    let now = fabric.run_ff(Cycle(0), 10_000).0;
+    rack::or_exit(fabric.drain(now));
     if ctx.collect_metrics {
         fabric.export_metrics(&mut ctx.metrics);
     }
@@ -166,16 +164,12 @@ fn sweep(ctx: &mut crate::obs::RunCtx, seed: u64) -> String {
     );
     for nics in SIZES {
         for intensity in INTENSITIES {
-            let o = chaos_outcome(
-                nics,
-                ctx.threads,
-                frames,
-                cell_config(seed, nics, frames, intensity),
-            );
+            let cfg = cell_config(seed, nics, frames, intensity);
+            let o = rack::or_exit(chaos_outcome(nics, ctx.threads, frames, cfg));
             row(&mut t, format!("{nics} x{intensity}"), &o);
         }
     }
-    let accept = chaos_outcome(4, ctx.threads, frames, acceptance_config());
+    let accept = rack::or_exit(chaos_outcome(4, ctx.threads, frames, acceptance_config()));
     assert_eq!(
         accept.point.delivered, accept.point.offered,
         "pinned rack-chaos scenario must deliver everything"
@@ -215,7 +209,7 @@ fn explicit(ctx: &mut crate::obs::RunCtx, plan: &FabricFaultPlan) -> String {
         &HEADERS,
     );
     let cfg = FabricFaultConfig::new(plan.clone());
-    let o = chaos_outcome(nics, ctx.threads, frames, cfg.clone());
+    let o = rack::or_exit(chaos_outcome(nics, ctx.threads, frames, cfg.clone()));
     row(&mut t, format!("{nics}"), &o);
     if ctx.observing() {
         observe(ctx, cfg);
@@ -251,7 +245,7 @@ mod tests {
     /// `--threads` values and across runs.
     #[test]
     fn pinned_scenario_delivers_everything_and_is_deterministic() {
-        let a = chaos_outcome(4, 1, 300, acceptance_config());
+        let a = chaos_outcome(4, 1, 300, acceptance_config()).expect("drains");
         assert_eq!(a.point.delivered, a.point.offered, "100% delivery");
         assert_eq!(a.stats.events_fired, 2, "flap + crash both fired");
         assert_eq!(a.stats.member_crashes, 1);
@@ -259,13 +253,13 @@ mod tests {
         assert!(a.stats.reroutes > 0, "flap forces the long way around");
         assert!(a.stats.replica_rewrites > 0, "crash forces failover");
 
-        let b = chaos_outcome(4, 4, 300, acceptance_config());
+        let b = chaos_outcome(4, 4, 300, acceptance_config()).expect("drains");
         assert_eq!(a.point, b.point, "threads 1 vs 4");
         assert_eq!(a.stats, b.stats);
         assert_eq!((a.retries, a.dup_suppressed), (b.retries, b.dup_suppressed));
         assert_eq!(a.makespan, b.makespan);
 
-        let c = chaos_outcome(4, 1, 300, acceptance_config());
+        let c = chaos_outcome(4, 1, 300, acceptance_config()).expect("drains");
         assert_eq!(a.point, c.point, "run-to-run");
         assert_eq!(a.stats, c.stats);
     }
@@ -275,7 +269,7 @@ mod tests {
     /// the tightest spot for parked traffic.
     #[test]
     fn heavy_seeded_cell_drains_clean() {
-        let o = chaos_outcome(2, 1, 300, cell_config(CHAOS_SEED, 2, 300, 12));
+        let o = chaos_outcome(2, 1, 300, cell_config(CHAOS_SEED, 2, 300, 12)).expect("drains");
         assert_eq!(o.stats.events_fired, 12);
         assert_eq!(
             o.point.delivered + o.stats.redirected,

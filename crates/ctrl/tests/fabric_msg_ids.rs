@@ -170,13 +170,7 @@ fn msg_ids_stay_unique_and_monotonic_across_crash_and_live_add() {
     assert!(added, "the live add must have happened mid-run");
 
     // Drain everything, including the fault plane's deferred work.
-    for _ in 0..1024 {
-        now = fabric.run_ff(now, 10_000).0;
-        if fabric.is_quiescent() && !fabric.faults_pending() {
-            break;
-        }
-    }
-    assert!(fabric.is_quiescent() && !fabric.faults_pending());
+    fabric.drain(now).expect("the crashy pair drains");
     marks = check_watermarks(&fabric, marks);
 
     // The crash really happened and recovered — this run exercises

@@ -243,12 +243,6 @@ impl EngineTile {
         self.offload.name()
     }
 
-    /// Mutable access to the wrapped offload (for configuration —
-    /// e.g. installing KVS cache entries).
-    pub fn offload_mut(&mut self) -> &mut dyn Offload {
-        self.offload.as_mut()
-    }
-
     /// Immutable access to the wrapped offload.
     #[must_use]
     pub fn offload(&self) -> &dyn Offload {

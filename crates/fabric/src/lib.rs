@@ -38,19 +38,31 @@
 //!
 //! # Fault plane
 //!
-//! [`FabricBuilder::fault_plane`] arms a rack-scale chaos runtime
-//! (`faults::FabricFaultConfig`): seeded link flaps / latency
+//! Every fabric owns one simulated ToR (`tor.rs`) and runs the same
+//! boundary exchange over it; [`FabricBuilder::fault_plane`] arms it
+//! with a `faults::FabricFaultConfig`: seeded link flaps / latency
 //! degrades / credit freezes / partitions and whole-member crashes
-//! with drain-before-down and recovery. Every cross-NIC hop gets a
-//! deadline in its origin member's `faults::HopLedger`
+//! with drain-before-down and recovery. Armed, every cross-NIC hop
+//! gets a deadline in its origin member's `faults::HopLedger`
 //! (exponential-backoff retransmission, receiver-side duplicate
 //! suppression); the ToR reroutes around down links when the topology
 //! offers an alternate path, re-points chains addressed to a crashed
-//! member at a same-signature replica (or the host-fallback path),
-//! and parks what it cannot move. The conservation identity gains
-//! matching terms and still closes exactly at every instant — and a
-//! fabric whose armed plan never fires stays byte-identical to an
-//! unarmed one, traces and metrics included.
+//! or permanently cut-off member at a same-signature replica (or the
+//! host-fallback path), and parks what it cannot move. The
+//! conservation identity gains matching terms and its fabric closure
+//! still holds at every instant — and a fabric whose armed plan never
+//! fires stays byte-identical to an unarmed one, traces and metrics
+//! included. [`Fabric::drain`] runs a fabric to quiescence, or returns
+//! a [`DrainError`] saying what still holds work.
+//!
+//! # Files
+//!
+//! `builder.rs` ([`FabricBuilder`]), `fleet.rs` ([`Fabric`]: the epoch
+//! loop, the member threads, drain, quiescence, conservation,
+//! metrics), `tor.rs` (links, fault windows, member phases, hop
+//! ledgers, parked copies: deliver / apply / exchange),
+//! `conservation.rs` ([`FleetStats`], [`ChaosStats`],
+//! [`FleetConservation`]), `driver.rs` ([`NicDriver`]).
 //!
 //! # Configuration
 //!
@@ -64,11 +76,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod chaos;
+mod builder;
+mod conservation;
 mod driver;
 mod fleet;
+mod tor;
 
-pub use chaos::ChaosStats;
+pub use builder::FabricBuilder;
+pub use conservation::{ChaosStats, FleetConservation, FleetStats};
 pub use driver::{NicDriver, PeriodicDriver};
-pub use fleet::{Fabric, FabricBuilder, FleetConservation, FleetStats};
+pub use fleet::{DrainError, Fabric};
 pub use panic_verify::{FabricSpec, LinkSpec};

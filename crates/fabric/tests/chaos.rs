@@ -1,151 +1,31 @@
 //! Fabric fault-plane integration tests: the armed-but-empty golden
 //! byte-identity (traces and metrics, across thread counts), eventual
 //! delivery under link flaps and member crashes, failover to replica
-//! members, and the proptest that any seeded fabric fault plan over a
-//! ring drains to quiescence with the fleet conservation-under-faults
-//! identity closing exactly.
+//! members, a permanently partitioned member's traffic draining, the
+//! typed error for a plan that never drains, one row per fault-DSL
+//! form, and the proptest that any seeded fabric fault plan over a
+//! ring drains to quiescence with the fabric closure holding after
+//! every epoch and the whole identity at the end.
 
-use engines::engine::NullOffload;
-use engines::mac::MacEngine;
-use engines::tile::TileConfig;
-use fabric::{Fabric, FabricBuilder, LinkSpec, PeriodicDriver};
+mod common;
+
+use common::{injected_and_delivered, ring, ring_pairs, COUNT, LATENCY, PERIOD};
+use fabric::Fabric;
 use faults::{FabricFaultConfig, FabricFaultPlan, FabricFaultUniverse};
-use noc::router::RouterConfig;
-use noc::topology::Topology;
-use packet::chain::EngineClass;
-use packet::message::{Priority, TenantId};
-use packet::EngineId;
-use panic_core::nic::{NicBuilder, NicConfig, PanicNic};
-use panic_core::programs::chain_program;
+use packet::message::Priority;
 use proptest::prelude::*;
-use rmt::pipeline::PipelineConfig;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycle;
 use trace::{MetricsRegistry, Tracer};
-use workloads::frames::FrameFactory;
-
-/// Ring link propagation latency (cycles) — also the fabric epoch.
-const LATENCY: u64 = 12;
-/// Frames each member's driver injects.
-const COUNT: u64 = 30;
-/// Injection period per member.
-const PERIOD: u64 = 90;
-
-/// One member NIC: MAC uplink, CRC-class offload, two RMT portals —
-/// identical engine declarations on every member, so local engine ids
-/// address the neighbors' too (and every member is a same-signature
-/// replica of every other).
-fn member() -> (NicBuilder, EngineId, EngineId) {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
-    let crc = b.engine(
-        Box::new(NullOffload::new("crc", EngineClass::Asic, Cycles(8))),
-        TileConfig {
-            queue_capacity: 256,
-            ..TileConfig::default()
-        },
-    );
-    let _ = b.rmt_portal();
-    let _ = b.rmt_portal();
-    (b, eth, crc)
-}
-
-/// An `nics`-member ring with every member's chain tail on the next
-/// member, optionally arming the fault plane.
-fn ring(nics: usize, faults: Option<FabricFaultConfig>) -> Fabric {
-    let mut fb = FabricBuilder::new();
-    let mut uplinks = Vec::new();
-    for i in 0..nics {
-        let (mut b, eth, crc) = member();
-        let next = (i + 1) % nics;
-        b.program(chain_program(
-            &[crc, EngineId::remote(next, crc)],
-            EngineId::remote(next, eth),
-            Some(5_000),
-        ));
-        uplinks.push((fb.member(b, eth), eth));
-    }
-    for (a, b) in ring_pairs(nics) {
-        fb.link_pair(a, b, LinkSpec::new(0, 0).latency(LATENCY).credits(8));
-    }
-    for (i, (mi, eth)) in uplinks.iter().enumerate() {
-        let eth = *eth;
-        let mut factory = FrameFactory::for_nic_port(i as u32);
-        fb.driver(
-            *mi,
-            Box::new(PeriodicDriver::new(
-                (i as u64) * 7,
-                PERIOD,
-                COUNT,
-                move |nic: &mut PanicNic, now: Cycle, k: u64| {
-                    nic.rx_frame(
-                        eth,
-                        factory.min_frame((k % 50) as u16, 80),
-                        TenantId(0),
-                        Priority::Normal,
-                        now,
-                    );
-                },
-            )),
-        );
-    }
-    if let Some(cfg) = faults {
-        fb.fault_plane(cfg);
-    }
-    fb.build()
-}
-
-/// The ring's deduplicated unordered link pairs.
-fn ring_pairs(nics: usize) -> Vec<(usize, usize)> {
-    let pairs: std::collections::BTreeSet<(usize, usize)> = (0..nics)
-        .map(|i| {
-            let next = (i + 1) % nics;
-            (i.min(next), i.max(next))
-        })
-        .collect();
-    pairs.into_iter().collect()
-}
 
 /// Runs to full quiescence — including the fault plane's deferred
 /// work — and asserts the conservation identity.
 fn drain(fabric: &mut Fabric) {
-    let mut now = Cycle(0);
-    for _ in 0..1024 {
-        now = fabric.run_ff(now, 10_000).0;
-        if fabric.is_quiescent() && !fabric.faults_pending() {
-            break;
-        }
-    }
-    assert!(
-        fabric.is_quiescent() && !fabric.faults_pending(),
-        "fabric failed to drain"
-    );
+    // Nothing is injected yet at cycle 0, so the fabric is quiescent
+    // there: start the drivers first.
+    let now = fabric.run_ff(Cycle(0), 10_000).0;
+    fabric.drain(now).expect("fabric failed to drain");
     let c = fabric.conservation();
     assert!(c.holds(), "fleet conservation violated:\n{c}");
-}
-
-/// Frames actually injected / delivered to a wire, fleet-wide.
-fn injected_and_delivered(fabric: &Fabric) -> (u64, u64) {
-    let mut injected = 0;
-    let mut delivered = 0;
-    for i in 0..fabric.len() {
-        injected += fabric.member(i).stats().rx_frames;
-        delivered += fabric.member(i).stats().tx_wire;
-    }
-    (injected, delivered)
 }
 
 /// An armed fault plane with an empty plan.
@@ -285,31 +165,305 @@ fn chaotic_runs_are_byte_identical_across_thread_counts() {
     assert_eq!(run(1), run(4), "chaos must not depend on the thread count");
 }
 
+/// PV803's promise: an unbounded `part` is only rejected when host
+/// fallback is off, so with it on — the `FabricFaultConfig::new`
+/// default — the cut-off member's traffic must still drain. Copies to
+/// or from a member that is Up but isolated for good meet the fate of
+/// copies addressed to a lost member: a replica the ToR can still
+/// reach (here every member is one, the sender included), else the
+/// host. They used to park forever.
+#[test]
+fn permanent_partition_with_host_fallback_drains_clean() {
+    let cfg = FabricFaultConfig::new(FabricFaultPlan::parse("part:0@100").unwrap());
+    assert!(cfg.host_fallback, "the default PV803 relies on");
+    let mut fabric = ring(4, Some(cfg.clone()));
+    drain(&mut fabric);
+    let (injected, delivered) = injected_and_delivered(&fabric);
+    let stats = fabric.chaos_stats().expect("armed");
+    assert_eq!(injected, 4 * COUNT, "a partition never blocks injection");
+    assert_eq!(delivered, injected, "every chain ran on a replica");
+    assert!(
+        stats.replica_rewrites >= 2 * COUNT - 2,
+        "0's and 3's chains"
+    );
+
+    // No replica to be had: member 1 alone declares `extra`, so its
+    // signature matches nobody's, and 0's traffic for it goes to the
+    // host once the cut makes 1 unreachable for good.
+    let (mut a, eth_a, crc_a) = common::member();
+    let (mut b, eth_b, crc_b) = common::member();
+    let idle = engines::engine::NullOffload::new(
+        "extra",
+        packet::chain::EngineClass::Asic,
+        sim_core::time::Cycles(1),
+    );
+    let _ = b.engine(Box::new(idle), engines::tile::TileConfig::default());
+    a.program(panic_core::programs::chain_program(
+        &[crc_a, packet::EngineId::remote(1, crc_b)],
+        packet::EngineId::remote(1, eth_b),
+        Some(5_000),
+    ));
+    b.program(panic_core::programs::chain_program(
+        &[crc_b],
+        eth_b,
+        Some(5_000),
+    ));
+    let mut fb = fabric::FabricBuilder::new();
+    let (ia, ib) = (fb.member(a, eth_a), fb.member(b, eth_b));
+    fb.link_pair(ia, ib, fabric::LinkSpec::new(0, 0).latency(LATENCY));
+    fb.driver(
+        ia,
+        Box::new(common::frame_driver(eth_a, 0, 0, PERIOD, COUNT)),
+    );
+    fb.fault_plane(cfg);
+    let mut fabric = fb.build();
+    drain(&mut fabric);
+    let (injected, delivered) = injected_and_delivered(&fabric);
+    let stats = fabric.chaos_stats().expect("armed");
+    assert_eq!(injected, COUNT);
+    assert_eq!(stats.replica_rewrites, 0);
+    assert!(stats.redirected > 0, "the host absorbs what cannot cross");
+    assert_eq!(delivered + stats.redirected, injected);
+}
+
+/// A plan can parse, lint clean and still hold work past any drain:
+/// this freeze outlasts the budget, so member 0's egress for member 1
+/// stays backpressured. `Fabric::drain` says so in a typed error — the
+/// hand-rolled loops it replaced ended in an `assert!` and a backtrace.
+#[test]
+fn undrainable_plan_is_a_typed_error_not_a_panic() {
+    let plan = FabricFaultPlan::parse("freeze:0-1@0+99999999").unwrap();
+    let mut fabric = ring(2, Some(FabricFaultConfig::new(plan)));
+    let e = fabric.drain(Cycle(0)).expect_err("the window outlasts it");
+    assert_eq!(e.busy_members, [0, 1], "both directions are frozen");
+    assert_eq!((e.on_links, e.parked, e.armed), (0, 0, 0));
+    assert_eq!(e.next_wake, Some(Cycle(99_999_999)));
+    assert!(
+        !e.faults_pending,
+        "the one event fired; only its window is open"
+    );
+    assert!(e.to_string().contains("did not drain"), "{e}");
+    assert!(fabric.conservation().holds(), "stuck, not leaking");
+}
+
+/// Found by the 64-case proptest below: member 2's copy for crashed
+/// member 3 is re-pointed at replica 0 and leaves by 2→1→0 — member 2
+/// has no link to 0 — and the flap destroys it on 1→0. Its
+/// retransmissions start over at member 2, still addressed to 0, and
+/// used to be dropped there one after another as crossings with no
+/// declared link (`fabric_unrouted`, the PV704 counter), losing the
+/// frame with the books balanced.
+#[test]
+fn retransmission_of_a_redirected_crossing_finds_its_way_again() {
+    let got = seen(4, "mcrash:3@476+12,flap:0-1@645+974");
+    assert_eq!(got.retries_dups, (1, 0));
+    assert_eq!((got.frames.0, got.frames.1), (4 * COUNT, 4 * COUNT));
+}
+
+/// `(ring size, plan, what it leaves behind)`.
+const TABLE: &[(usize, &str, Seen)] = &[
+    (
+        4,
+        "flap:0-1@312+400",
+        Seen {
+            chaos: [1, 1, 0, 0, 8, 1, 0, 0],
+            retries_dups: (1, 0),
+            fleet: [129, 120, 0],
+            frames: (120, 120, 1122),
+        },
+    ),
+    (
+        4,
+        "lag:1-2@300+600x100",
+        Seen {
+            chaos: [1, 0, 0, 0, 0, 8, 0, 0],
+            retries_dups: (8, 8),
+            fleet: [128, 120, 91],
+            frames: (120, 120, 1289),
+        },
+    ),
+    (
+        4,
+        "freeze:0-1@300+600",
+        Seen {
+            chaos: [1, 0, 0, 0, 0, 0, 0, 0],
+            retries_dups: (0, 0),
+            fleet: [120, 120, 49],
+            frames: (120, 120, 678),
+        },
+    ),
+    (
+        4,
+        "part:3@336+500",
+        Seen {
+            chaos: [1, 2, 0, 0, 0, 2, 0, 0],
+            retries_dups: (2, 0),
+            fleet: [122, 120, 0],
+            frames: (120, 120, 1132),
+        },
+    ),
+    (
+        4,
+        "part:3@336",
+        Seen {
+            chaos: [1, 2, 0, 54, 27, 2, 0, 0],
+            retries_dups: (2, 0),
+            fleet: [122, 120, 0],
+            frames: (120, 120, 1168),
+        },
+    ),
+    (
+        4,
+        "mcrash:1@400+8",
+        Seen {
+            chaos: [1, 0, 0, 2, 0, 0, 1, 1],
+            retries_dups: (0, 0),
+            fleet: [120, 120, 0],
+            frames: (120, 120, 132),
+        },
+    ),
+    (
+        4,
+        "mloss:2@700",
+        Seen {
+            chaos: [1, 0, 0, 22, 0, 0, 1, 0],
+            retries_dups: (0, 0),
+            fleet: [98, 98, 0],
+            frames: (98, 98, 101),
+        },
+    ),
+    (
+        3,
+        "flap:0-1@312+400",
+        Seen {
+            chaos: [1, 1, 0, 0, 4, 1, 0, 0],
+            retries_dups: (1, 0),
+            fleet: [95, 90, 0],
+            frames: (90, 90, 1122),
+        },
+    ),
+];
+
+/// What one faulted run shows, for [`every_fault_kind_does_what_the_docs_say`].
+#[derive(Debug, PartialEq, Eq)]
+struct Seen {
+    /// `ChaosStats`: events, lost_link, redirected (host fallback),
+    /// replica_rewrites, reroutes, recovered_by_retry, crashes,
+    /// recoveries.
+    chaos: [u64; 8],
+    /// Ledger retransmissions and suppressed duplicates.
+    retries_dups: (u64, u64),
+    /// `FleetStats`: forwarded, delivered, backpressured.
+    fleet: [u64; 3],
+    /// Frames injected, frames that reached a wire, and the slowest
+    /// one's latency.
+    frames: (u64, u64, u64),
+}
+
+fn seen(nics: usize, plan: &str) -> Seen {
+    let plan = FabricFaultPlan::parse(plan).unwrap();
+    let mut fabric = ring(nics, Some(FabricFaultConfig::new(plan)));
+    drain(&mut fabric);
+    let c = fabric.chaos_stats().expect("armed");
+    let f = fabric.stats();
+    let cons = fabric.conservation();
+    let (injected, wire) = injected_and_delivered(&fabric);
+    let slowest = (0..nics)
+        .map(|i| {
+            let latency = fabric.member(i).stats().latency_of(Priority::Normal);
+            latency.summary().max
+        })
+        .max();
+    Seen {
+        chaos: [
+            c.events_fired,
+            c.lost_link,
+            c.redirected,
+            c.replica_rewrites,
+            c.reroutes,
+            c.recovered_by_retry,
+            c.member_crashes,
+            c.member_recoveries,
+        ],
+        retries_dups: (cons.retries, cons.dup_suppressed),
+        fleet: [f.forwarded, f.delivered, f.backpressured],
+        frames: (injected, wire, slowest.unwrap_or(0)),
+    }
+}
+
+/// One row per fault-DSL form, plus a reroute whose only way round is
+/// two hops through a transit member: the counters each leaves behind,
+/// as 14e65e1 printed them (the unbounded `part` as the fix does — it
+/// never drained there). Read against docs/FAULTS.md: a flap destroys
+/// what is on the wire, reroutes the rest and retransmits; lag only
+/// stretches latency; a freeze only backpressures; a bounded partition
+/// parks (nothing can route around an isolated member) and retransmits;
+/// an unbounded one fails over like a loss; a crash fails over and
+/// recovers; a loss fails over and forfeits the lost member's unfired
+/// arrivals.
+#[test]
+fn every_fault_kind_does_what_the_docs_say() {
+    for (nics, plan, want) in TABLE {
+        assert_eq!(&seen(*nics, plan), want, "{nics}-ring under `{plan}`");
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The satellite property: *any* seeded fabric fault plan over a
-    /// ring topology drains to quiescence with the fleet
-    /// conservation-under-faults identity closing exactly (asserted
-    /// inside `drain`), and nothing injected is silently lost.
+    /// ring topology — permanent member loss and an unbounded
+    /// partition included — drains to quiescence with nothing injected
+    /// silently lost, and the fleet conservation-under-faults identity
+    /// closes exactly at every epoch boundary on the way: mid-flap,
+    /// mid-drain, mid-retry.
     #[test]
     fn seeded_fabric_plan_drains_and_closes(
         seed in any::<u64>(),
         nics in 2usize..=5,
         intensity in 1u32..=10,
+        permanent in any::<bool>(),
+        cut in (0usize..10, 1..COUNT * PERIOD),
     ) {
-        let universe = FabricFaultUniverse::new(
+        let mut universe = FabricFaultUniverse::new(
             nics,
             ring_pairs(nics),
             Cycle(COUNT * PERIOD),
         );
-        let plan = FabricFaultPlan::generate(seed, &universe, intensity);
-        let mut fabric = ring(nics, Some(FabricFaultConfig::new(plan)));
-        drain(&mut fabric);
+        universe.allow_permanent = permanent;
+        let mut plan = FabricFaultPlan::generate(seed, &universe, intensity).to_string();
+        let (member, at) = cut;
+        // The generator never draws an unbounded partition.
+        let cuts = u32::from(permanent && member < nics);
+        if cuts == 1 {
+            plan += &format!(",part:{member}@{at}");
+        }
+        let plan = FabricFaultPlan::parse(&plan).unwrap();
+        let mut fabric = ring(nics, Some(FabricFaultConfig::new(plan.clone())));
+        let mut now = Cycle(0);
+        while !fabric.is_quiescent() || fabric.faults_pending() || now < Cycle(COUNT * PERIOD) {
+            prop_assert!(now < Cycle(1_000_000), "`{plan}` failed to drain");
+            now = fabric.run_ff(now, fabric.epoch_len().expect("linked")).0;
+            // The members' own identities only settle at quiescence
+            // (a copy on a mesh is on neither side); the closure that
+            // ties them together never opens.
+            let c = fabric.conservation();
+            prop_assert_eq!(
+                c.remote_tx + c.retries,
+                c.remote_rx + c.dup_suppressed + c.link_in_flight + c.egress_backlog
+                    + c.parked + c.lost_link + c.redirected + c.fabric_unrouted,
+                "`{}` at {:?}: fabric closure open:\n{}", plan, now, c
+            );
+        }
+        let c = fabric.conservation();
+        prop_assert!(c.holds(), "`{plan}`: fleet conservation violated:\n{c}");
 
         let (injected, delivered) = injected_and_delivered(&fabric);
         let stats = fabric.chaos_stats().expect("armed");
-        prop_assert_eq!(stats.events_fired, u64::from(intensity));
-        prop_assert_eq!(delivered + stats.redirected, injected);
+        prop_assert_eq!(stats.events_fired, u64::from(intensity + cuts));
+        prop_assert_eq!(
+            delivered + stats.redirected, injected,
+            "`{}`: {:?}\n{}", plan, stats, c
+        );
     }
 }

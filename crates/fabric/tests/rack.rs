@@ -2,93 +2,21 @@
 //! criterion, the 1-NIC golden byte-identity, thread-count
 //! determinism, and the run ≡ run_ff contract at fabric level.
 
-use engines::engine::NullOffload;
-use engines::mac::MacEngine;
-use engines::tile::TileConfig;
-use fabric::{Fabric, FabricBuilder, LinkSpec, PeriodicDriver};
-use noc::router::RouterConfig;
-use noc::topology::Topology;
-use packet::chain::EngineClass;
+mod common;
+
+use common::member;
+use fabric::{Fabric, FabricBuilder, LinkSpec};
 use packet::message::{Priority, TenantId};
 use packet::EngineId;
-use panic_core::nic::{NicBuilder, NicConfig, PanicNic};
 use panic_core::programs::chain_program;
-use rmt::pipeline::PipelineConfig;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycle;
 use trace::{MetricsRegistry, Tracer};
 use workloads::frames::FrameFactory;
 
-/// CRC-class engine service time (cycles/packet).
-const CRC_SERVICE: u64 = 8;
-
-/// One member NIC: a MAC engine (`eth`, the fabric uplink), a
-/// CRC-class offload (`crc`), and two RMT portals. Engine ids are
-/// assigned in declaration order, so every member built through this
-/// helper shares the same local ids — which is what lets one member's
-/// pipeline encode hops that run on another.
-fn member() -> (NicBuilder, EngineId, EngineId) {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
-    let crc = b.engine(
-        Box::new(NullOffload::new(
-            "crc",
-            EngineClass::Asic,
-            Cycles(CRC_SERVICE),
-        )),
-        TileConfig {
-            queue_capacity: 256,
-            ..TileConfig::default()
-        },
-    );
-    let _ = b.rmt_portal();
-    let _ = b.rmt_portal();
-    (b, eth, crc)
-}
-
 /// A driver injecting `count` frames into `eth`, one every `period`
 /// cycles starting at `start`.
-fn frame_driver(
-    eth: EngineId,
-    start: u64,
-    period: u64,
-    count: u64,
-) -> PeriodicDriver<impl FnMut(&mut PanicNic, Cycle, u64) + Send> {
-    let mut factory = FrameFactory::for_nic_port(0);
-    PeriodicDriver::new(start, period, count, move |nic: &mut PanicNic, now, k| {
-        nic.rx_frame(
-            eth,
-            factory.min_frame((k % 50) as u16, 80),
-            TenantId(0),
-            Priority::Normal,
-            now,
-        );
-    })
-}
-
-/// Runs the fabric to quiescence (bounded), returning the cycle clock.
-fn drain(fabric: &mut Fabric, mut now: Cycle) -> Cycle {
-    for _ in 0..64 {
-        if fabric.is_quiescent() {
-            break;
-        }
-        now = fabric.run_ff(now, 10_000).0;
-    }
-    assert!(fabric.is_quiescent(), "fabric failed to drain");
-    now
+fn frame_driver(eth: EngineId, start: u64, period: u64, count: u64) -> impl fabric::NicDriver {
+    common::frame_driver(eth, 0, start, period, count)
 }
 
 /// Two members, a symmetric link pair, and member 0's pipeline
@@ -121,8 +49,7 @@ fn two_nic_fabric(latency: u64, credits: usize) -> Fabric {
 fn cross_nic_chain_completes_and_fleet_conservation_closes() {
     let mut fabric = two_nic_fabric(16, 16);
     let now = fabric.run_ff(Cycle(0), 50_000).0;
-    let now = drain(&mut fabric, now);
-    let _ = now;
+    fabric.drain(now).expect("drains");
 
     // Every frame injected at member 0 crossed and egressed at member 1.
     assert_eq!(fabric.member(0).stats().rx_frames, 50);
@@ -173,7 +100,7 @@ fn credit_backpressure_delays_but_never_drops() {
     let mut fabric = fb.build();
 
     let now = fabric.run_ff(Cycle(0), 50_000).0;
-    drain(&mut fabric, now);
+    fabric.drain(now).expect("drains");
 
     assert!(
         fabric.stats().backpressured > 0,
@@ -286,7 +213,7 @@ fn rack_runs_are_byte_identical_across_thread_counts() {
         let mut fabric = fb.build();
         fabric.set_threads(threads);
         let now = fabric.run_ff(Cycle(0), 60_000).0;
-        drain(&mut fabric, now);
+        fabric.drain(now).expect("drains");
         let c = fabric.conservation();
         assert!(c.holds(), "threads={threads}: conservation violated:\n{c}");
         let mut m = MetricsRegistry::new();
@@ -353,7 +280,7 @@ fn unroutable_crossing_is_counted_not_lost() {
     let mut fabric = fb.build_unvalidated();
 
     let now = fabric.run_ff(Cycle(0), 20_000).0;
-    drain(&mut fabric, now);
+    fabric.drain(now).expect("drains");
 
     assert_eq!(fabric.stats().fabric_unrouted, 10);
     assert_eq!(fabric.stats().forwarded, 0);

@@ -56,16 +56,6 @@ impl NetworkConfig {
             router: RouterConfig::default(),
         }
     }
-
-    /// The larger Table 3 configuration: 8×8 mesh, 128-bit channels.
-    #[must_use]
-    pub fn panic_8x8_128b() -> NetworkConfig {
-        NetworkConfig {
-            topology: Topology::mesh8x8(),
-            width_bits: 128,
-            router: RouterConfig::default(),
-        }
-    }
 }
 
 /// Aggregate traffic statistics.
@@ -538,13 +528,6 @@ impl MeshNetwork {
     #[must_use]
     pub fn ejection_pending_word(&self, word: usize) -> u64 {
         self.ejection_pending[word]
-    }
-
-    /// Number of words in the ejection-pending bitmask.
-    #[inline]
-    #[must_use]
-    pub fn ejection_pending_words(&self) -> usize {
-        self.ejection_pending.len()
     }
 
     /// Drains one flit from `engine`'s ejection buffer (the tile's

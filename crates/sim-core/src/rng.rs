@@ -98,11 +98,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32 bits (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform integer in `[0, bound)` using Lemire's unbiased method.
     ///
     /// # Panics

@@ -297,18 +297,6 @@ impl Time {
     pub fn as_picos(self) -> u128 {
         self.picos
     }
-
-    /// Nanoseconds (fractional).
-    #[must_use]
-    pub fn as_nanos_f64(self) -> f64 {
-        self.picos as f64 / 1e3
-    }
-
-    /// Microseconds (fractional).
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.picos as f64 / 1e6
-    }
 }
 
 impl Add for Time {
