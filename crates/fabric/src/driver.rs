@@ -19,7 +19,8 @@ use sim_core::time::Cycle;
 /// done), and after [`NicDriver::inject`] runs at cycle `c`,
 /// `next_arrival(c)` must return a *later* cycle (or `None`) — the
 /// fabric would otherwise spin. `Send` is required because members
-/// (driver included) run their epochs on worker threads.
+/// (driver included) run their epochs on worker threads; a driver that
+/// panics there panics the `run` call, as it would on one thread.
 pub trait NicDriver: Send {
     /// Earliest cycle `>= now` with work to inject, `None` when done.
     fn next_arrival(&self, now: Cycle) -> Option<Cycle>;

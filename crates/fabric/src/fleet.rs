@@ -1,6 +1,10 @@
 //! The [`Fabric`]: N member NICs around one simulated ToR
 //! (`crate::tor`), the epoch loop that keeps them in lockstep, and the
 //! fleet-wide views — quiescence, conservation, metrics.
+//!
+//! There is one epoch loop, [`epoch_loop`], written against
+//! [`Members`]: on one thread that is the member slice itself, on more
+//! it is the worker crew hired for the call (`crate::crew`).
 
 use std::fmt;
 
@@ -13,6 +17,7 @@ use trace::{MetricSink, Tracer};
 
 use crate::builder::FabricBuilder;
 use crate::conservation::{ChaosStats, FleetConservation, FleetStats};
+use crate::crew::with_crew;
 use crate::driver::NicDriver;
 use crate::tor::{Phase, Tor};
 
@@ -31,6 +36,36 @@ impl fmt::Debug for Member {
             .field("uplink", &self.uplink)
             .field("has_driver", &self.driver.is_some())
             .finish_non_exhaustive()
+    }
+}
+
+/// The members as the epoch loop and the ToR reach them: by index at a
+/// boundary, all at once for an epoch. Implemented by the member slice
+/// (one thread) and by the worker crew (`crate::crew::Crew`), so one
+/// loop and one exchange serve every thread count.
+pub(crate) trait Members {
+    /// Number of members.
+    fn count(&self) -> usize;
+
+    /// The member at `index`. Only called between epochs.
+    fn at(&mut self, index: usize) -> &mut Member;
+
+    /// Runs every member over `[from, to)`, member `i` under
+    /// `phases[i]`. Returns the members' summed fast-forward skips.
+    fn run_epoch(&mut self, phases: &[Phase], from: Cycle, to: Cycle, run: Advance) -> u64;
+}
+
+impl Members for [Member] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn at(&mut self, index: usize) -> &mut Member {
+        &mut self[index]
+    }
+
+    fn run_epoch(&mut self, phases: &[Phase], from: Cycle, to: Cycle, run: Advance) -> u64 {
+        run_chunk(self, phases, from, to, run)
     }
 }
 
@@ -147,28 +182,31 @@ impl Fabric {
         self.tor.epoch
     }
 
-    /// Sets how many worker threads the per-epoch member loop may use.
-    /// Results are byte-identical for every value — members share
-    /// nothing within an epoch, and the exchange is serial. Ignored
-    /// (forced to 1) while a tracer is attached, so trace event order
-    /// stays deterministic too.
+    /// Sets how many threads run the members: a `run` / `run_ff` /
+    /// `run_event` call on more than one hires that many (less the
+    /// calling thread, and never more than one per member) for its
+    /// whole duration, each pinned to a contiguous, balanced share of
+    /// the members. Results are byte-identical for every value —
+    /// members share nothing within an epoch, and the exchange is
+    /// serial, on the calling thread. Ignored (forced to 1) while a
+    /// tracer is attached, so trace event order stays deterministic
+    /// too.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
-    /// Attaches `tracer` to every member. Track names are shared
-    /// across members, so per-component tracks merge; chaos events
-    /// emit through it onto a lazily created `fabric.chaos` track.
-    /// Runs with a tracer attached execute the member loop serially
-    /// (see [`Fabric::set_threads`]): tracing interleaves events from
-    /// all members through one sink.
+    /// Attaches `tracer` to every member and the ToR, replacing any
+    /// tracer attached before ([`Tracer::disabled`] detaches). Track
+    /// names are shared across members, so per-component tracks merge;
+    /// chaos events emit through it onto a lazily created
+    /// `fabric.chaos` track. Runs with a tracer attached execute the
+    /// member loop on one thread (see [`Fabric::set_threads`]): tracing
+    /// interleaves events from all members through one sink.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         for m in &mut self.members {
             m.nic.attach_tracer(tracer);
         }
-        if tracer.enabled() {
-            self.tor.tracer = tracer.clone();
-        }
+        self.tor.attach_tracer(tracer);
     }
 
     /// Fault-plane counters, when a fault plane is armed.
@@ -250,100 +288,20 @@ impl Fabric {
         Ok(now)
     }
 
-    /// The epoch loop. Each epoch: deliver due link arrivals, apply the
-    /// fault plane, run every member to the boundary, exchange.
+    /// Runs the epoch loop over `[start, start + cycles)`: on the member
+    /// slice itself, or on a crew hired for the call.
     fn run_inner(&mut self, start: Cycle, cycles: u64, run: Advance) -> (Cycle, u64) {
-        let end = Cycle(start.0 + cycles);
-        let mut now = start;
-        let mut skipped = 0u64;
-        while now < end {
-            self.tor.deliver_due(&mut self.members, now);
-            self.tor.apply(&self.members, now);
-            if run != Advance::Stepped {
-                if let Some(target) = self.fleet_jump_target(start, now, end) {
-                    for m in &mut self.members {
-                        m.nic.skip_idle(now, target);
-                    }
-                    skipped += target.0 - now.0;
-                    self.tor.fleet.fleet_skipped += target.0 - now.0;
-                    now = target;
-                    continue;
-                }
-            }
-            let boundary = match self.tor.epoch {
-                Some(len) => Cycle((now.0 + len).min(end.0)),
-                None => end,
-            };
-            skipped += self.run_members(now, boundary, run);
-            self.tor.fleet.epochs += 1;
-            now = boundary;
-            self.tor.exchange(&mut self.members, now);
+        let Fabric {
+            members,
+            tor,
+            threads,
+        } = self;
+        let threads = if tor.traced() { 1 } else { *threads };
+        if threads.min(members.len()) <= 1 {
+            return epoch_loop(tor, members.as_mut_slice(), start, cycles, run);
         }
-        (now, skipped)
-    }
-
-    /// When the whole fleet is quiescent, the epoch-grid-aligned cycle
-    /// to jump to (strictly past `now`), or `None` to run normally.
-    fn fleet_jump_target(&self, start: Cycle, now: Cycle, end: Cycle) -> Option<Cycle> {
-        if !self.is_quiescent() {
-            return None;
-        }
-        let mut next = self.tor.next_wake(now);
-        for (i, m) in self.members.iter().enumerate() {
-            next = Cycle::earliest(next, m.nic.next_activity(now));
-            // A non-Up member's driver is suppressed: its backlog
-            // bursts in at recovery (hinted by the ToR's wake), so it
-            // must not drag the jump target earlier than that.
-            if let (true, Some(d)) = (self.tor.is_up(i), &m.driver) {
-                next = Cycle::earliest(next, d.next_arrival(now));
-            }
-        }
-        // Nothing will ever happen again: jump straight to the end.
-        let raw = next.unwrap_or(end).min(end);
-        // Land on the epoch grid (anchored at this call's `start`) so
-        // the exchange schedule matches the non-fast-forwarded run.
-        let target = match self.tor.epoch {
-            Some(len) => Cycle(start.0 + (raw.0.saturating_sub(start.0) / len) * len),
-            None => raw,
-        };
-        (target > now).then_some(target)
-    }
-
-    /// Runs every member over `[from, to)`, in parallel when allowed.
-    /// Returns the members' summed fast-forward skip counts.
-    fn run_members(&mut self, from: Cycle, to: Cycle, run: Advance) -> u64 {
-        let phases = &self.tor.phases;
-        let traced = self.tor.tracer.enabled();
-        let threads = if traced { 1 } else { self.threads };
-        let threads = threads.min(self.members.len().max(1));
-        if threads <= 1 {
-            return self
-                .members
-                .iter_mut()
-                .zip(phases)
-                .map(|(m, &phase)| run_member(m, from, to, run, phase))
-                .sum();
-        }
-        let chunk = self.members.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .members
-                .chunks_mut(chunk)
-                .zip(phases.chunks(chunk))
-                .map(|(slice, phases)| {
-                    s.spawn(move || {
-                        slice
-                            .iter_mut()
-                            .zip(phases)
-                            .map(|(m, &phase)| run_member(m, from, to, run, phase))
-                            .sum::<u64>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fabric worker panicked"))
-                .sum()
+        with_crew(members, threads, |crew| {
+            epoch_loop(tor, crew, start, cycles, run)
         })
     }
 
@@ -451,6 +409,79 @@ impl Fabric {
     }
 }
 
+/// The epoch loop. Each epoch: deliver due link arrivals, apply the
+/// fault plane, run every member to the boundary, exchange. All but the
+/// third step are the ToR's and run here, on the calling thread.
+fn epoch_loop<M: Members + ?Sized>(
+    tor: &mut Tor,
+    members: &mut M,
+    start: Cycle,
+    cycles: u64,
+    run: Advance,
+) -> (Cycle, u64) {
+    let end = Cycle(start.0 + cycles);
+    let mut now = start;
+    let mut skipped = 0u64;
+    while now < end {
+        tor.deliver_due(members, now);
+        tor.apply(members, now);
+        if run != Advance::Stepped {
+            if let Some(target) = fleet_jump_target(tor, members, start, now, end) {
+                for i in 0..members.count() {
+                    members.at(i).nic.skip_idle(now, target);
+                }
+                skipped += target.0 - now.0;
+                tor.fleet.fleet_skipped += target.0 - now.0;
+                now = target;
+                continue;
+            }
+        }
+        let boundary = match tor.epoch {
+            Some(len) => Cycle((now.0 + len).min(end.0)),
+            None => end,
+        };
+        skipped += members.run_epoch(&tor.phases, now, boundary, run);
+        tor.fleet.epochs += 1;
+        now = boundary;
+        tor.exchange(members, now);
+    }
+    (now, skipped)
+}
+
+/// When the whole fleet is quiescent, the epoch-grid-aligned cycle to
+/// jump to (strictly past `now`), or `None` to run normally.
+fn fleet_jump_target<M: Members + ?Sized>(
+    tor: &Tor,
+    members: &mut M,
+    start: Cycle,
+    now: Cycle,
+    end: Cycle,
+) -> Option<Cycle> {
+    if !tor.quiet() || !(0..members.count()).all(|i| members.at(i).nic.is_quiescent()) {
+        return None;
+    }
+    let mut next = tor.next_wake(now);
+    for i in 0..members.count() {
+        let m = members.at(i);
+        next = Cycle::earliest(next, m.nic.next_activity(now));
+        // A non-Up member's driver is suppressed: its backlog
+        // bursts in at recovery (hinted by the ToR's wake), so it
+        // must not drag the jump target earlier than that.
+        if let (true, Some(d)) = (tor.is_up(i), &m.driver) {
+            next = Cycle::earliest(next, d.next_arrival(now));
+        }
+    }
+    // Nothing will ever happen again: jump straight to the end.
+    let raw = next.unwrap_or(end).min(end);
+    // Land on the epoch grid (anchored at this call's `start`) so
+    // the exchange schedule matches the non-fast-forwarded run.
+    let target = match tor.epoch {
+        Some(len) => Cycle(start.0 + (raw.0.saturating_sub(start.0) / len) * len),
+        None => raw,
+    };
+    (target > now).then_some(target)
+}
+
 /// The sink a fabric member exports into: files every metric under
 /// `nic<index>.` in the fabric's own sink.
 struct MemberSink<'a, S: ?Sized> {
@@ -472,6 +503,22 @@ impl<S: MetricSink + ?Sized> MetricSink for MemberSink<'_, S> {
         self.inner
             .histogram(format_args!("nic{}.{name}", self.index), h);
     }
+}
+
+/// Runs `members` over `[from, to)`, each under its phase, on the
+/// calling thread. Returns their summed fast-forward skips.
+pub(crate) fn run_chunk(
+    members: &mut [Member],
+    phases: &[Phase],
+    from: Cycle,
+    to: Cycle,
+    run: Advance,
+) -> u64 {
+    members
+        .iter_mut()
+        .zip(phases)
+        .map(|(m, &phase)| run_member(m, from, to, run, phase))
+        .sum()
 }
 
 /// Runs one member over `[from, to)`, interleaving its driver's

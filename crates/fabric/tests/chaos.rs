@@ -9,13 +9,18 @@
 
 mod common;
 
-use common::{injected_and_delivered, ring, ring_pairs, COUNT, LATENCY, PERIOD};
+use std::any::Any;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread;
+
+use common::{injected_and_delivered, ring, ring_pairs, ring_with, Hooked, COUNT, LATENCY, PERIOD};
 use fabric::Fabric;
 use faults::{FabricFaultConfig, FabricFaultPlan, FabricFaultUniverse};
 use packet::message::Priority;
 use proptest::prelude::*;
 use sim_core::time::Cycle;
-use trace::{MetricsRegistry, Tracer};
+use trace::{Event, MetricsRegistry, TraceSink, Tracer, TrackId};
 
 /// Runs to full quiescence — including the fault plane's deferred
 /// work — and asserts the conservation identity.
@@ -163,6 +168,96 @@ fn chaotic_runs_are_byte_identical_across_thread_counts() {
         m.to_json()
     }
     assert_eq!(run(1), run(4), "chaos must not depend on the thread count");
+}
+
+/// What a [`Spy`] sink was handed: every track registration, and the
+/// track of every `fabric.*` chaos mark.
+#[derive(Debug, Default)]
+struct Spied {
+    tracks: Vec<(TrackId, String)>,
+    marks: Vec<TrackId>,
+}
+
+#[derive(Debug)]
+struct Spy(Arc<Mutex<Spied>>);
+
+impl TraceSink for Spy {
+    fn register_track(&mut self, id: TrackId, name: &str) {
+        self.0.lock().unwrap().tracks.push((id, name.to_string()));
+    }
+
+    fn record(&mut self, event: Event) {
+        if event.name.starts_with("fabric.") {
+            self.0.lock().unwrap().marks.push(event.track);
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// `attach_tracer` replaces the tracer everywhere, the ToR included:
+/// detaching (attaching the disabled tracer) stops the chaos marks and
+/// lets the members back onto worker threads, and a second tracer gets
+/// a `fabric.chaos` track of its own rather than the first one's id.
+#[test]
+fn a_reattached_tracer_replaces_the_tors_too() {
+    let plan = "flap:0-1@300+100,flap:1-2@900+100,flap:2-3@1500+100";
+    let plan = FabricFaultPlan::parse(plan).unwrap();
+    let injectors = Arc::new(Mutex::new(HashSet::new()));
+    // Every driver notes which thread injects for it.
+    let mut fabric = ring_with(4, COUNT, Some(FabricFaultConfig::new(plan)), |_, inner| {
+        let threads = Arc::clone(&injectors);
+        let hook = move |_| {
+            threads.lock().unwrap().insert(thread::current().id());
+        };
+        Box::new(Hooked { inner, hook })
+    });
+    fabric.set_threads(2);
+    let spy = || {
+        let seen = Arc::new(Mutex::new(Spied::default()));
+        (Tracer::with_sink(Box::new(Spy(Arc::clone(&seen)))), seen)
+    };
+    let chaos_tracks = |seen: &Mutex<Spied>| -> Vec<TrackId> {
+        let tracks = &seen.lock().unwrap().tracks;
+        let chaos = tracks.iter().filter(|(_, name)| name == "fabric.chaos");
+        chaos.map(|&(id, _)| id).collect()
+    };
+    let me = HashSet::from([thread::current().id()]);
+
+    // A tracer pins the members to the calling thread.
+    let (first, first_seen) = spy();
+    fabric.attach_tracer(&first);
+    let now = fabric.run_ff(Cycle(0), 600).0;
+    let marked = first_seen.lock().unwrap().marks.len();
+    assert!(marked > 0, "the first flap must leave marks");
+    assert_eq!(*injectors.lock().unwrap(), me);
+
+    // Detached: the second flap marks nothing, anywhere, and the last
+    // two members' drivers run on a worker.
+    fabric.attach_tracer(&Tracer::disabled());
+    let now = fabric.run_ff(now, 600).0;
+    assert_eq!(fabric.chaos_stats().expect("armed").events_fired, 2);
+    assert_eq!(first_seen.lock().unwrap().marks.len(), marked);
+    assert_eq!(injectors.lock().unwrap().len(), 2);
+
+    // A second tracer interns its own chaos track, and the third
+    // flap's marks land on it.
+    let (second, second_seen) = spy();
+    fabric.attach_tracer(&second);
+    fabric.run_ff(now, 600);
+    assert_eq!(fabric.chaos_stats().expect("armed").events_fired, 3);
+    let track = chaos_tracks(&second_seen);
+    assert_eq!(
+        track.len(),
+        1,
+        "the second tracer was never asked for a track"
+    );
+    let second_seen = second_seen.lock().unwrap();
+    assert!(!second_seen.marks.is_empty());
+    assert!(second_seen.marks.iter().all(|&t| t == track[0]));
+    assert_eq!(first_seen.lock().unwrap().marks.len(), marked);
 }
 
 /// PV803's promise: an unbounded `part` is only rejected when host

@@ -3,14 +3,16 @@
 //! beside the chaos one. Each case hashes everything a run exposes
 //! (Chrome trace, metrics JSON, `FleetStats` / `ChaosStats` /
 //! `conservation()` `Debug`), stepped and fast-forwarded, and is
-//! re-run untraced on 4 threads to the same metrics and counters.
+//! re-run untraced on 2, 3, 4 and more-than-members threads — even and
+//! uneven chunks, Draining and Down members on worker threads — to the
+//! same metrics and counters.
 
 mod common;
 
-use common::{ring_of, ring_pairs, COUNT, PERIOD};
+use common::{counters, ring_of, ring_pairs, COUNT, PERIOD};
 use faults::{FabricFaultConfig, FabricFaultPlan, FabricFaultUniverse};
 use sim_core::time::Cycle;
-use trace::{MetricsRegistry, Tracer};
+use trace::Tracer;
 
 /// The benchmark's and `repro rack-chaos`'s pinned acceptance plan.
 const PINNED: &str = "flap:0-1@6000+2000,mcrash:2@9000+64";
@@ -55,15 +57,7 @@ fn observe(
         }
     }
     assert!(quiet, "{nics}-ring under `{plan}` failed to drain");
-    let mut m = MetricsRegistry::new();
-    fabric.export_metrics(&mut m);
-    let counters = format!(
-        "{}\n{:?}\n{:?}\n{:?}\n",
-        m.to_json(),
-        fabric.stats(),
-        fabric.chaos_stats(),
-        fabric.conservation()
-    );
+    let counters = counters(&fabric);
     let trace = if traced {
         tracer.chrome_json().expect("chrome sink")
     } else {
@@ -72,16 +66,19 @@ fn observe(
     (trace, counters)
 }
 
-/// `(stepped, fast-forwarded)` hashes of one case.
-fn hashes(nics: usize, count: u64, plan: &FabricFaultPlan) -> (u64, u64) {
+/// `(stepped, fast-forwarded)` hashes of one case, each held to the
+/// same counters on every thread count in `threads`.
+fn hashes(nics: usize, count: u64, plan: &FabricFaultPlan, threads: &[usize]) -> (u64, u64) {
     let hash = |stepped: bool| {
         let (trace, counters) = observe(nics, count, plan, stepped, 1, true);
-        let (_, threaded) = observe(nics, count, plan, stepped, 4, false);
-        assert_eq!(
-            counters, threaded,
-            "{nics}-ring under `{plan}` (stepped: {stepped}): 4 untraced threads \
-             must match 1 traced thread"
-        );
+        for &threads in threads {
+            let (_, threaded) = observe(nics, count, plan, stepped, threads, false);
+            assert_eq!(
+                counters, threaded,
+                "{nics}-ring under `{plan}` (stepped: {stepped}): {threads} untraced \
+                 threads must match 1 traced thread"
+            );
+        }
         fnv1a(&(trace + &counters))
     };
     (hash(true), hash(false))
@@ -137,11 +134,12 @@ const GOLDEN: &[(usize, u64, u64, u64)] = &[
 fn exchange_matches_the_pre_merge_goldens() {
     let pinned = FabricFaultPlan::parse(PINNED).expect("pinned plan parses");
     let mut actual = Vec::new();
-    let (s, f) = hashes(4, PINNED_COUNT, &pinned);
+    let threads = |nics: usize| [2, 3, 4, nics + 3];
+    let (s, f) = hashes(4, PINNED_COUNT, &pinned, &threads(4));
     actual.push((4, 0, s, f));
     for nics in 2..=5 {
         for seed in 1..=8 {
-            let (s, f) = hashes(nics, COUNT, &seeded(nics, seed));
+            let (s, f) = hashes(nics, COUNT, &seeded(nics, seed), &threads(nics));
             actual.push((nics, seed, s, f));
         }
     }
