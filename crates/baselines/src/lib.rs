@@ -14,9 +14,25 @@
 //!   with no engines; complex offloads are inexpressible and must be
 //!   emulated by recirculation or punted to the host (§2.3.3).
 //!
-//! Each model reports the same shape of results (delivered count,
-//! latency summaries, drops) so benches can place them side by side
-//! with PANIC.
+//! The three are wirings of shared parts, not three programs:
+//!
+//! ```text
+//!            shell::Baseline<D>  ledger · tracer · metrics · conservation · impl Driven
+//!           ┌────────────────────────────┼─────────────────────────────┐
+//!   PipelineNic                     ManycoreNic                    RmtOnlyNic
+//!   rx ─▶[S]─▶[S]─▶[S]─▶ wire       rx ─hash─▶[S] core ─┐          rx ─▶ RmtPipeline ─▶ wire
+//!    fixed line, tail-first                   [S] core ─┼▶[S]▶[S]▶ wire     │  ▲     │
+//!    walk, 1-cycle bypass                     [S] core ─┘ shared hw         │  └─────┤ recirculate
+//!                                                                           └▶ host ─┘ punt
+//!   [S] = station::Station<T>: one FIFO queue + one server, complete-then-start each tick
+//! ```
+//!
+//! [`shell::Baseline`] owns what every incumbent reports — accepted /
+//! refused / dropped / consumed / delivered counts, per-class latency,
+//! the egress stream, trace tracks, `export_metrics`, the
+//! [`shell::BaselineConservation`] identities and the one
+//! `impl Driven` — so benches place them side by side with PANIC; a
+//! [`shell::Design`] only says how packets move.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +41,10 @@
 pub mod manycore;
 pub mod pipeline_nic;
 pub mod rmt_only;
+pub mod shell;
+mod station;
 
 pub use manycore::{ManycoreConfig, ManycoreNic};
 pub use pipeline_nic::{PipelineNic, PipelineNicConfig, StageSpec};
 pub use rmt_only::{RmtOnlyConfig, RmtOnlyNic};
+pub use shell::{Baseline, BaselineConservation};

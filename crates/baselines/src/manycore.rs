@@ -19,14 +19,13 @@
 //! latency and the core pool throughput ceiling `cores /
 //! orchestration_cycles`.
 
-use std::collections::VecDeque;
-
-use engines::engine::{Offload, Output};
-use packet::message::{Message, Priority};
-use sim_core::clock::Driven;
-use sim_core::stats::Histogram;
+use engines::engine::Offload;
+use packet::message::Message;
 use sim_core::time::{Cycle, Cycles};
-use trace::{MetricSink, Tracer, TrackId};
+use trace::{Tracer, TrackId};
+
+use crate::shell::{applies, Baseline, Design, Ledger, Trace};
+use crate::station::Station;
 
 /// A shared hardware engine plus the UDP ports it applies to
 /// (`None` = every packet visits it).
@@ -57,50 +56,20 @@ impl std::fmt::Debug for ManycoreConfig {
     }
 }
 
-struct Core {
-    queue: VecDeque<Message>,
-    /// Busy with software from the first cycle until the second; the
-    /// message then moves to its engine sequence.
-    busy: Option<(Message, Cycle, Cycle)>,
-}
-
-struct HwEngine {
-    offload: Box<dyn Offload>,
-    ports: Option<Vec<u16>>,
-    queue: VecDeque<(Message, usize)>, // (msg, next engine index after this)
-    /// `(msg, next_engine, started_at, done_at)`.
-    in_service: Option<(Message, usize, Cycle, Cycle)>,
+/// The manycore wiring: a station per embedded core (service time =
+/// software orchestration) feeding a station per shared hardware
+/// engine, whose jobs are `(packet, first engine index it may visit
+/// next)`. Core `c` traces on track `baseline.core{c}`, engine `i` on
+/// `baseline.hw{i}.{offload}`.
+#[derive(Debug)]
+pub struct Manycore {
+    config: ManycoreConfig,
+    cores: Vec<Station<Message>>,
+    hw: Vec<Station<(Message, usize)>>,
 }
 
 /// The manycore NIC.
-pub struct ManycoreNic {
-    cores: Vec<Core>,
-    hw: Vec<HwEngine>,
-    orchestration: Cycles,
-    core_queue_capacity: usize,
-    egress: Vec<Message>,
-    latency: [Histogram; 3],
-    /// Packets dropped at full core queues.
-    pub drops: u64,
-    /// Packets consumed by engines.
-    pub consumed: u64,
-    /// Packets accepted.
-    pub accepted: u64,
-    tracer: Tracer,
-    /// One track per embedded core.
-    core_tracks: Vec<TrackId>,
-    /// One track per shared hardware engine.
-    hw_tracks: Vec<TrackId>,
-}
-
-impl std::fmt::Debug for ManycoreNic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ManycoreNic")
-            .field("cores", &self.cores.len())
-            .field("hw", &self.hw.len())
-            .finish_non_exhaustive()
-    }
-}
+pub type ManycoreNic = Baseline<Manycore>;
 
 fn flow_hash(msg: &Message) -> u64 {
     use packet::headers::{EthernetHeader, Ipv4Header};
@@ -115,19 +84,7 @@ fn flow_hash(msg: &Message) -> u64 {
     sim_core::rng::SplitMix64::new(h).next_u64()
 }
 
-fn udp_dst_port(frame: &[u8]) -> Option<u16> {
-    use packet::headers::{EthernetHeader, Ipv4Header, UdpHeader};
-    let (_, n1) = EthernetHeader::parse(frame).ok()?;
-    let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-    if ip.protocol != packet::headers::ipproto::UDP {
-        return None;
-    }
-    UdpHeader::parse(&frame[n1 + n2..])
-        .ok()
-        .map(|(u, _)| u.dst_port)
-}
-
-impl ManycoreNic {
+impl Baseline<Manycore> {
     /// Builds the manycore NIC.
     ///
     /// # Panics
@@ -135,244 +92,85 @@ impl ManycoreNic {
     #[must_use]
     pub fn new(config: ManycoreConfig) -> ManycoreNic {
         assert!(config.cores > 0, "zero cores");
-        ManycoreNic {
-            cores: (0..config.cores)
-                .map(|_| Core {
-                    queue: VecDeque::new(),
-                    busy: None,
-                })
-                .collect(),
-            hw: config
-                .engines
-                .into_iter()
-                .map(|(offload, ports)| HwEngine {
-                    offload,
-                    ports,
-                    queue: VecDeque::new(),
-                    in_service: None,
-                })
-                .collect(),
-            orchestration: Cycles(config.orchestration_cycles),
-            core_queue_capacity: config.core_queue_capacity.max(1),
-            egress: Vec::new(),
-            latency: [Histogram::new(), Histogram::new(), Histogram::new()],
-            drops: 0,
-            consumed: 0,
-            accepted: 0,
-            tracer: Tracer::disabled(),
-            core_tracks: Vec::new(),
-            hw_tracks: Vec::new(),
-        }
-    }
-
-    /// Attaches a tracer: one track per core (`baseline.core{c}`) and
-    /// per shared hardware engine (`baseline.hw{i}.{offload}`).
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-        self.core_tracks = (0..self.cores.len())
-            .map(|c| tracer.track(&format!("baseline.core{c}")))
-            .collect();
-        self.hw_tracks = self
-            .hw
-            .iter()
-            .enumerate()
-            .map(|(i, e)| tracer.track(&format!("baseline.hw{i}.{}", e.offload.name())))
-            .collect();
-    }
-
-    /// Exports counters and latency histograms under `prefix`.
-    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
-        m.counter(format_args!("{prefix}.accepted"), self.accepted);
-        m.counter(format_args!("{prefix}.drops"), self.drops);
-        m.counter(format_args!("{prefix}.consumed"), self.consumed);
-        for (name, h) in [
-            ("latency", &self.latency[0]),
-            ("normal", &self.latency[1]),
-            ("bulk", &self.latency[2]),
-        ] {
-            if h.count() > 0 {
-                m.histogram(format_args!("{prefix}.latency.{name}"), h);
-            }
-        }
-    }
-
-    /// Offers a packet to the dispatcher.
-    pub fn rx(&mut self, msg: Message) {
-        let core = (flow_hash(&msg) % self.cores.len() as u64) as usize;
-        if self.cores[core].queue.len() >= self.core_queue_capacity {
-            self.drops += 1;
-            return;
-        }
-        self.accepted += 1;
-        self.cores[core].queue.push_back(msg);
-    }
-
-    fn finish(&mut self, msg: Message, now: Cycle) {
-        let idx = match msg.priority {
-            Priority::Latency => 0,
-            Priority::Normal => 1,
-            Priority::Bulk => 2,
-        };
-        self.latency[idx].record(now.saturating_since(msg.injected_at).count());
-        self.egress.push(msg);
-    }
-
-    /// Drains completed packets.
-    pub fn take_egress(&mut self) -> Vec<Message> {
-        std::mem::take(&mut self.egress)
-    }
-
-    /// Latency histogram for a priority class.
-    #[must_use]
-    pub fn latency_of(&self, p: Priority) -> &Histogram {
-        match p {
-            Priority::Latency => &self.latency[0],
-            Priority::Normal => &self.latency[1],
-            Priority::Bulk => &self.latency[2],
-        }
-    }
-
-    /// First engine index ≥ `from` that applies to `msg`, or the
-    /// engine count (= egress).
-    fn next_engine_for(&self, msg: &Message, from: usize) -> usize {
-        let port = udp_dst_port(&msg.payload);
-        for (i, e) in self.hw.iter().enumerate().skip(from) {
-            match &e.ports {
-                None => return i,
-                Some(ps) => {
-                    if port.is_some_and(|p| ps.contains(&p)) {
-                        return i;
-                    }
-                }
-            }
-        }
-        self.hw.len()
-    }
-
-    fn dispatch_to_engine_or_finish(&mut self, msg: Message, from: usize, now: Cycle) {
-        let target = self.next_engine_for(&msg, from);
-        if target >= self.hw.len() {
-            self.finish(msg, now);
-        } else {
-            self.hw[target].queue.push_back((msg, target + 1));
-        }
-    }
-
-    /// Advances one cycle.
-    pub fn tick(&mut self, now: Cycle) {
-        // Hardware engines.
-        for i in 0..self.hw.len() {
-            if let Some((_, _, _, done)) = &self.hw[i].in_service {
-                if now >= *done {
-                    let (msg, next, started_at, _) = self.hw[i].in_service.take().expect("checked");
-                    self.tracer.complete_arg(
-                        self.hw_tracks.get(i).copied().unwrap_or(TrackId(0)),
-                        "baseline.service",
-                        started_at,
-                        now.since(started_at),
-                        "msg",
-                        msg.id.0,
-                    );
-                    for out in self.hw[i].offload.process(msg, now) {
-                        match out {
-                            Output::Forward(m)
-                            | Output::ForwardTo(_, m)
-                            | Output::ToPipeline(m) => {
-                                self.dispatch_to_engine_or_finish(m, next, now);
-                            }
-                            Output::Egress(_, m) => self.finish(m, now),
-                            Output::Consumed => self.consumed += 1,
-                        }
-                    }
-                }
-            }
-            if self.hw[i].in_service.is_none() {
-                if let Some((msg, next)) = self.hw[i].queue.pop_front() {
-                    let st = self.hw[i].offload.service_time(&msg);
-                    self.hw[i].in_service = Some((msg, next, now, now + st));
-                }
-            }
-        }
-
-        // Cores.
-        for c in 0..self.cores.len() {
-            if let Some((_, _, done)) = &self.cores[c].busy {
-                if now >= *done {
-                    let (msg, started_at, _) = self.cores[c].busy.take().expect("checked");
-                    // The 10 µs the paper complains about: every packet's
-                    // span on a core track is the orchestration time.
-                    self.tracer.complete_arg(
-                        self.core_tracks.get(c).copied().unwrap_or(TrackId(0)),
-                        "baseline.orchestration",
-                        started_at,
-                        now.since(started_at),
-                        "msg",
-                        msg.id.0,
-                    );
-                    // Orchestration finished: issue to the first engine
-                    // this packet needs (or straight to egress).
-                    self.dispatch_to_engine_or_finish(msg, 0, now);
-                }
-            }
-            if self.cores[c].busy.is_none() {
-                if let Some(msg) = self.cores[c].queue.pop_front() {
-                    self.cores[c].busy = Some((msg, now, now + self.orchestration));
-                }
-            }
-        }
-    }
-
-    /// True when idle everywhere.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.cores
-            .iter()
-            .all(|c| c.queue.is_empty() && c.busy.is_none())
-            && self
-                .hw
-                .iter()
-                .all(|e| e.queue.is_empty() && e.in_service.is_none())
-    }
-
-    /// Fast-forward hint: the earliest cycle at which ticking can
-    /// change state. `None` = quiescent. An idle tick mutates nothing
-    /// and emits nothing, so skipped cycles need no replay (see
-    /// `docs/PERF.md`).
-    #[must_use]
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut hint: Option<Cycle> = None;
-        let mut merge = |at: Cycle| {
-            hint = Some(hint.map_or(at, |h: Cycle| h.min(at)));
-        };
-        for c in &self.cores {
-            if !c.queue.is_empty() {
-                merge(now.next());
-            } else if let Some((_, _, done)) = &c.busy {
-                merge((*done).max(now.next()));
-            }
-        }
-        for e in &self.hw {
-            if !e.queue.is_empty() {
-                merge(now.next());
-            } else if let Some((_, _, _, done)) = &e.in_service {
-                merge((*done).max(now.next()));
-            }
-        }
-        hint
+        Baseline::wrap(Manycore {
+            cores: (0..config.cores).map(|_| Station::new()).collect(),
+            hw: config.engines.iter().map(|_| Station::new()).collect(),
+            config,
+        })
     }
 }
 
-/// Quiescence fast-forward through [`sim_core::clock::drive`]: an idle
-/// tick mutates nothing here, so `skip_idle` keeps its no-op default.
-impl Driven for ManycoreNic {
-    fn step(&mut self, now: Cycle) {
-        self.tick(now);
-    }
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
-        if let Some(t) = self.next_activity(now) {
-            post(t);
+impl Manycore {
+    /// Issues `msg` to the first engine at index ≥ `from` that applies
+    /// to it, or to the wire when none is left.
+    fn dispatch(&mut self, msg: Message, from: usize, now: Cycle, ledger: &mut Ledger) {
+        let mut engines = self.config.engines.iter().skip(from);
+        let target = engines.position(|(_, ports)| applies(ports, &msg.payload));
+        match target {
+            Some(offset) => self.hw[from + offset].push((msg, from + offset + 1)),
+            None => ledger.finish(msg, now),
         }
-        true
+    }
+}
+
+impl Design for Manycore {
+    /// Core tracks first, then engine tracks.
+    fn tracks(&mut self, tracer: &Tracer) -> Vec<TrackId> {
+        let cores = (0..self.cores.len()).map(|c| format!("baseline.core{c}"));
+        let engines = self.config.engines.iter().enumerate();
+        let hw = engines.map(|(i, (offload, _))| format!("baseline.hw{i}.{}", offload.name()));
+        cores.chain(hw).map(|name| tracer.track(&name)).collect()
+    }
+
+    fn rx(&mut self, msg: Message, _ledger: &mut Ledger) -> bool {
+        let core = (flow_hash(&msg) % self.cores.len() as u64) as usize;
+        let admitted = self.cores[core].queued() < self.config.core_queue_capacity.max(1);
+        if admitted {
+            self.cores[core].push(msg);
+        }
+        admitted
+    }
+
+    fn tick(&mut self, now: Cycle, ledger: &mut Ledger, trace: &Trace) {
+        // Hardware engines.
+        for i in 0..self.hw.len() {
+            if let Some(((msg, next), started_at)) = self.hw[i].complete(now) {
+                let track = self.cores.len() + i;
+                trace.span(track, "baseline.service", started_at, now, &msg);
+                let outputs = self.config.engines[i].0.process(msg, now);
+                ledger.settle(outputs, now, |m, ledger| {
+                    self.dispatch(m, next, now, ledger)
+                });
+            }
+            let offload = &self.config.engines[i].0;
+            self.hw[i].start(now, |(msg, _)| offload.service_time(msg));
+        }
+
+        // Cores.
+        let orchestration = Cycles(self.config.orchestration_cycles);
+        for c in 0..self.cores.len() {
+            if let Some((msg, started_at)) = self.cores[c].complete(now) {
+                // The 10 µs the paper complains about: every packet's
+                // span on a core track is the orchestration time.
+                trace.span(c, "baseline.orchestration", started_at, now, &msg);
+                // Orchestration finished: issue to the first engine
+                // this packet needs (or straight to egress).
+                self.dispatch(msg, 0, now, ledger);
+            }
+            self.cores[c].start(now, |_| orchestration);
+        }
+    }
+
+    fn in_flight(&self) -> usize {
+        let cores: usize = self.cores.iter().map(Station::held).sum();
+        let hw: usize = self.hw.iter().map(Station::held).sum();
+        cores + hw
+    }
+
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        let cores = self.cores.iter().filter_map(|c| c.wake(now));
+        let hw = self.hw.iter().filter_map(|e| e.wake(now));
+        cores.chain(hw).min()
     }
 }
 
@@ -381,7 +179,7 @@ mod tests {
     use super::*;
     use engines::engine::NullOffload;
     use packet::chain::EngineClass;
-    use packet::message::{MessageId, MessageKind};
+    use packet::message::{MessageId, MessageKind, Priority};
     use sim_core::clock::{drive, Advance};
     use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
@@ -466,7 +264,8 @@ mod tests {
         for i in 0..10 {
             nic.rx(frame_msg(i, 80, Cycle(0)));
         }
-        assert!(nic.drops >= 7, "drops {}", nic.drops);
+        let refused = nic.conservation().refused;
+        assert!(refused >= 7, "refused {refused}");
     }
 
     #[test]

@@ -12,14 +12,13 @@
 //!    would bypass the stage entirely. There is no scheduler to
 //!    reorder: that is precisely what this design lacks.
 
-use std::collections::VecDeque;
-
-use engines::engine::{Offload, Output};
-use packet::message::{Message, Priority};
-use sim_core::clock::Driven;
-use sim_core::stats::Histogram;
+use engines::engine::Offload;
+use packet::message::Message;
 use sim_core::time::{Cycle, Cycles};
-use trace::{MetricSink, Tracer, TrackId};
+use trace::{Tracer, TrackId};
+
+use crate::shell::{applies, Baseline, Design, Ledger, Trace};
+use crate::station::Station;
 
 /// One stage of the pipeline.
 pub struct StageSpec {
@@ -59,281 +58,120 @@ impl std::fmt::Debug for PipelineNicConfig {
     }
 }
 
-struct Stage {
-    offload: Box<dyn Offload>,
-    applies_to_ports: Option<Vec<u16>>,
-    queue: VecDeque<Message>,
-    /// `(msg, started_at, done_at, applied)`.
-    in_service: Option<(Message, Cycle, Cycle, bool)>,
-}
-
-impl Stage {
-    fn applies(&self, msg: &Message) -> bool {
-        match &self.applies_to_ports {
-            None => true,
-            Some(ports) => udp_dst_port(&msg.payload).is_some_and(|p| ports.contains(&p)),
-        }
-    }
-}
-
-fn udp_dst_port(frame: &[u8]) -> Option<u16> {
-    use packet::headers::{EthernetHeader, Ipv4Header, UdpHeader};
-    let (_, n1) = EthernetHeader::parse(frame).ok()?;
-    let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-    if ip.protocol != packet::headers::ipproto::UDP {
-        return None;
-    }
-    UdpHeader::parse(&frame[n1 + n2..])
-        .ok()
-        .map(|(u, _)| u.dst_port)
+/// The pipeline wiring: one station per configured stage, in a fixed
+/// line; jobs are `(packet, whether the stage's offload applies)`.
+/// Stage `i` traces on track `baseline.pipe.stage{i}.{offload}`.
+#[derive(Debug)]
+pub struct Pipeline {
+    config: PipelineNicConfig,
+    stations: Vec<Station<(Message, bool)>>,
 }
 
 /// The pipelined NIC.
-pub struct PipelineNic {
-    stages: Vec<Stage>,
-    bypass_logic: bool,
-    stage_queue_capacity: usize,
-    /// Packets that completed the pipeline.
-    egress: Vec<Message>,
-    /// End-to-end latency by priority class.
-    latency: [Histogram; 3],
-    /// Packets dropped at full stage queues.
-    pub drops: u64,
-    /// Packets consumed by offloads (policy drops).
-    pub consumed: u64,
-    /// Packets accepted.
-    pub accepted: u64,
-    tracer: Tracer,
-    /// One trace track per stage (empty until [`PipelineNic::attach_tracer`]).
-    tracks: Vec<TrackId>,
-}
+pub type PipelineNic = Baseline<Pipeline>;
 
-impl std::fmt::Debug for PipelineNic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineNic")
-            .field("stages", &self.stages.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl PipelineNic {
+impl Baseline<Pipeline> {
     /// Builds the pipeline NIC.
     #[must_use]
     pub fn new(config: PipelineNicConfig) -> PipelineNic {
-        PipelineNic {
-            stages: config
-                .stages
-                .into_iter()
-                .map(|s| Stage {
-                    offload: s.offload,
-                    applies_to_ports: s.applies_to_ports,
-                    queue: VecDeque::new(),
-                    in_service: None,
-                })
-                .collect(),
-            bypass_logic: config.bypass_logic,
-            stage_queue_capacity: config.stage_queue_capacity.max(1),
-            egress: Vec::new(),
-            latency: [Histogram::new(), Histogram::new(), Histogram::new()],
-            drops: 0,
-            consumed: 0,
-            accepted: 0,
-            tracer: Tracer::disabled(),
-            tracks: Vec::new(),
-        }
-    }
-
-    /// Attaches a tracer; each stage gets its own track named
-    /// `baseline.pipe.stage{i}.{offload}`.
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-        self.tracks = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, s)| tracer.track(&format!("baseline.pipe.stage{i}.{}", s.offload.name())))
-            .collect();
-    }
-
-    /// Exports counters and latency histograms under `prefix`.
-    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
-        m.counter(format_args!("{prefix}.accepted"), self.accepted);
-        m.counter(format_args!("{prefix}.drops"), self.drops);
-        m.counter(format_args!("{prefix}.consumed"), self.consumed);
-        for (name, h) in [
-            ("latency", &self.latency[0]),
-            ("normal", &self.latency[1]),
-            ("bulk", &self.latency[2]),
-        ] {
-            if h.count() > 0 {
-                m.histogram(format_args!("{prefix}.latency.{name}"), h);
-            }
-        }
-    }
-
-    /// Offers a packet to the head of the pipeline.
-    pub fn rx(&mut self, msg: Message) {
-        if self.stages.is_empty() {
-            let at = msg.injected_at;
-            self.finish(msg, at);
-            return;
-        }
-        if self.stages[0].queue.len() >= self.stage_queue_capacity {
-            self.drops += 1;
-            return;
-        }
-        self.accepted += 1;
-        self.stages[0].queue.push_back(msg);
-    }
-
-    fn finish(&mut self, msg: Message, now: Cycle) {
-        let idx = match msg.priority {
-            Priority::Latency => 0,
-            Priority::Normal => 1,
-            Priority::Bulk => 2,
-        };
-        self.latency[idx].record(now.saturating_since(msg.injected_at).count());
-        self.egress.push(msg);
-    }
-
-    /// Drains packets that completed the pipeline.
-    pub fn take_egress(&mut self) -> Vec<Message> {
-        std::mem::take(&mut self.egress)
-    }
-
-    /// Latency histogram for a priority class.
-    #[must_use]
-    pub fn latency_of(&self, p: Priority) -> &Histogram {
-        match p {
-            Priority::Latency => &self.latency[0],
-            Priority::Normal => &self.latency[1],
-            Priority::Bulk => &self.latency[2],
-        }
-    }
-
-    /// Advances one cycle.
-    pub fn tick(&mut self, now: Cycle) {
-        // Walk stages from the tail so a completing packet can move
-        // into the next stage's queue in the same cycle it frees up.
-        for i in (0..self.stages.len()).rev() {
-            // Complete service.
-            if let Some((_, _, done_at, _)) = &self.stages[i].in_service {
-                if now >= *done_at {
-                    let (msg, started_at, _, applied) =
-                        self.stages[i].in_service.take().expect("checked");
-                    if self.tracer.enabled() {
-                        // "baseline.bypass" spans make the HoL pathology
-                        // visible: a 1-cycle bypass that started late was
-                        // stuck behind the slow packet ahead of it.
-                        let name = if applied {
-                            "baseline.stage"
-                        } else {
-                            "baseline.bypass"
-                        };
-                        self.tracer.complete_arg(
-                            self.tracks[i],
-                            name,
-                            started_at,
-                            now.since(started_at),
-                            "msg",
-                            msg.id.0,
-                        );
-                    }
-                    let outputs = if applied {
-                        self.stages[i].offload.process(msg, now)
-                    } else {
-                        vec![Output::Forward(msg)]
-                    };
-                    for out in outputs {
-                        match out {
-                            Output::Forward(m)
-                            | Output::ForwardTo(_, m)
-                            | Output::ToPipeline(m) => {
-                                // Fixed topology: next stage or egress.
-                                if i + 1 < self.stages.len() {
-                                    if self.stages[i + 1].queue.len() >= self.stage_queue_capacity {
-                                        self.drops += 1;
-                                    } else {
-                                        self.stages[i + 1].queue.push_back(m);
-                                    }
-                                } else {
-                                    self.finish(m, now);
-                                }
-                            }
-                            Output::Egress(_, m) => self.finish(m, now),
-                            Output::Consumed => self.consumed += 1,
-                        }
-                    }
-                }
-            }
-            // Start service (FIFO — no reordering is the point).
-            if self.stages[i].in_service.is_none() {
-                if let Some(msg) = self.stages[i].queue.pop_front() {
-                    let applies = self.stages[i].applies(&msg);
-                    let st = if applies {
-                        self.stages[i].offload.service_time(&msg)
-                    } else if self.bypass_logic {
-                        Cycles(1)
-                    } else {
-                        // No bypass logic: the stage processes it
-                        // anyway (checksum engines recompute, crypto
-                        // engines pass unknown traffic at full cost).
-                        self.stages[i].offload.service_time(&msg)
-                    };
-                    self.stages[i].in_service = Some((msg, now, now + st.max(Cycles(1)), applies));
-                }
-            }
-        }
-    }
-
-    /// True when nothing is queued or in service.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.stages
-            .iter()
-            .all(|s| s.queue.is_empty() && s.in_service.is_none())
-    }
-
-    /// Fast-forward hint: the earliest cycle at which ticking can
-    /// change state. `None` = quiescent. An idle tick of this NIC
-    /// mutates nothing and emits nothing, so skipped cycles need no
-    /// replay (see `docs/PERF.md`).
-    #[must_use]
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut hint: Option<Cycle> = None;
-        for s in &self.stages {
-            if !s.queue.is_empty() {
-                return Some(now.next());
-            }
-            if let Some((_, _, done_at, _)) = &s.in_service {
-                let at = (*done_at).max(now.next());
-                hint = Some(hint.map_or(at, |h| h.min(at)));
-            }
-        }
-        hint
+        let stations = config.stages.iter().map(|_| Station::new()).collect();
+        Baseline::wrap(Pipeline { config, stations })
     }
 }
 
-/// Quiescence fast-forward through [`sim_core::clock::drive`]: an idle
-/// tick mutates nothing here, so `skip_idle` keeps its no-op default.
-impl Driven for PipelineNic {
-    fn step(&mut self, now: Cycle) {
-        self.tick(now);
-    }
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
-        if let Some(t) = self.next_activity(now) {
-            post(t);
+impl Pipeline {
+    /// Queues `msg` at stage `i`; `false` (and the packet is gone) if
+    /// that queue is full.
+    fn enqueue(&mut self, i: usize, msg: Message) -> bool {
+        let room = self.stations[i].queued() < self.config.stage_queue_capacity.max(1);
+        if room {
+            let applies = applies(&self.config.stages[i].applies_to_ports, &msg.payload);
+            self.stations[i].push((msg, applies));
         }
-        true
+        room
+    }
+
+    /// Fixed topology: out of stage `i` means into stage `i + 1`, or
+    /// onto the wire after the last.
+    fn pass_on(&mut self, i: usize, msg: Message, now: Cycle, ledger: &mut Ledger) {
+        if i + 1 == self.stations.len() {
+            ledger.finish(msg, now);
+        } else if !self.enqueue(i + 1, msg) {
+            ledger.counts.dropped += 1;
+        }
+    }
+}
+
+impl Design for Pipeline {
+    fn tracks(&mut self, tracer: &Tracer) -> Vec<TrackId> {
+        let stages = self.config.stages.iter().enumerate();
+        stages
+            .map(|(i, s)| tracer.track(&format!("baseline.pipe.stage{i}.{}", s.offload.name())))
+            .collect()
+    }
+
+    fn rx(&mut self, msg: Message, ledger: &mut Ledger) -> bool {
+        if self.stations.is_empty() {
+            // No stages: a wire.
+            let at = msg.injected_at;
+            ledger.finish(msg, at);
+            return true;
+        }
+        self.enqueue(0, msg)
+    }
+
+    fn tick(&mut self, now: Cycle, ledger: &mut Ledger, trace: &Trace) {
+        // Walk stages from the tail so a completing packet can move
+        // into the next stage's queue in the same cycle it frees up.
+        for i in (0..self.stations.len()).rev() {
+            if let Some(((msg, applied), started_at)) = self.stations[i].complete(now) {
+                // "baseline.bypass" spans make the HoL pathology
+                // visible: a 1-cycle bypass that started late was
+                // stuck behind the slow packet ahead of it.
+                let name = if applied {
+                    "baseline.stage"
+                } else {
+                    "baseline.bypass"
+                };
+                trace.span(i, name, started_at, now, &msg);
+                if applied {
+                    let outputs = self.config.stages[i].offload.process(msg, now);
+                    ledger.settle(outputs, now, |m, ledger| self.pass_on(i, m, now, ledger));
+                } else {
+                    self.pass_on(i, msg, now, ledger);
+                }
+            }
+            // Start service (FIFO — no reordering is the point).
+            let (offload, bypass_logic) =
+                (&self.config.stages[i].offload, self.config.bypass_logic);
+            self.stations[i].start(now, |(msg, applies)| {
+                if *applies || !bypass_logic {
+                    // No bypass logic: the stage processes it anyway
+                    // (checksum engines recompute, crypto engines pass
+                    // unknown traffic at full cost).
+                    offload.service_time(msg)
+                } else {
+                    Cycles(1)
+                }
+            });
+        }
+    }
+
+    fn in_flight(&self) -> usize {
+        self.stations.iter().map(Station::held).sum()
+    }
+
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        self.stations.iter().filter_map(|s| s.wake(now)).min()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engines::engine::NullOffload;
+    use engines::engine::{NullOffload, Output};
     use packet::chain::EngineClass;
-    use packet::message::{MessageId, MessageKind};
+    use packet::message::{MessageId, MessageKind, Priority};
     use sim_core::clock::{drive, Advance};
     use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
@@ -432,7 +270,8 @@ mod tests {
         for i in 0..10 {
             nic.rx(frame_msg(i, 80, Priority::Normal, Cycle(0)));
         }
-        assert!(nic.drops >= 7, "drops {}", nic.drops);
+        let refused = nic.conservation().refused;
+        assert!(refused >= 7, "refused {refused}");
     }
 
     #[test]
@@ -468,7 +307,7 @@ mod tests {
         });
         nic.rx(frame_msg(1, 80, Priority::Normal, Cycle(0)));
         run(&mut nic, Cycle(0), 10);
-        assert_eq!(nic.consumed, 1);
+        assert_eq!(nic.conservation().consumed, 1);
         assert!(nic.take_egress().is_empty());
     }
 
@@ -552,5 +391,9 @@ mod tests {
         nic.rx(frame_msg(1, 80, Priority::Normal, Cycle(5)));
         let out = nic.take_egress();
         assert_eq!(out.len(), 1);
+        // A wire still accepts what it delivers.
+        let c = nic.conservation();
+        assert_eq!((c.accepted, c.delivered), (1, 1));
+        assert!(c.holds(), "{c:?}");
     }
 }

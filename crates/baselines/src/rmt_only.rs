@@ -17,17 +17,17 @@
 //!   that line-rate traffic needed (§2.3.1's recirculation-bandwidth
 //!   caveat applies to RMT NICs too).
 
-use packet::message::{Message, Priority};
-use rmt::action::{Action, Primitive};
+use packet::message::Message;
+use rmt::action::{Action, Primitive, Verdict};
 use rmt::parse::ParseGraph;
 use rmt::pipeline::{PipelineConfig, RmtPipeline};
 use rmt::program::{ProgramBuilder, RmtProgram};
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
-use sim_core::clock::Driven;
-use sim_core::stats::Histogram;
 use sim_core::time::{Cycle, Cycles};
 use sim_core::EventQueue;
 use trace::{MetricSink, Tracer, TrackId};
+
+use crate::shell::{Baseline, Design, Ledger, Trace};
 
 /// What the RMT-only NIC does with packets it cannot express.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,190 +72,117 @@ fn program() -> RmtProgram {
         .build()
 }
 
-/// The RMT-only NIC.
-pub struct RmtOnlyNic {
+/// The RMT-only wiring: the pipeline, and a host that punted packets
+/// come back from. No stations — there are no engines to queue at.
+/// Punt and host-return events land on the `baseline.rmtonly` track;
+/// the pipeline's own stage events on `rmt.pipeline`, its metrics
+/// under `{prefix}.rmt`.
+#[derive(Debug)]
+pub struct RmtOnly {
     pipeline: RmtPipeline,
     complex: ComplexPolicy,
     /// Punted packets complete at their scheduled host time.
     host: EventQueue<Message>,
-    /// Remaining passes for recirculating packets (keyed per message
-    /// via the message's own pass counter).
-    egress: Vec<Message>,
-    latency: [Histogram; 3],
     /// Packets punted to the host CPU.
     pub punted: u64,
     /// Total pipeline passes consumed by complex traffic.
     pub recirculation_passes: u64,
-    /// Packets accepted.
-    pub accepted: u64,
-    tracer: Tracer,
-    track: TrackId,
 }
 
-impl std::fmt::Debug for RmtOnlyNic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RmtOnlyNic")
-            .field("punted", &self.punted)
-            .field("recirculation_passes", &self.recirculation_passes)
-            .field("accepted", &self.accepted)
-            .finish_non_exhaustive()
-    }
-}
+/// The RMT-only NIC.
+pub type RmtOnlyNic = Baseline<RmtOnly>;
 
-impl RmtOnlyNic {
+impl Baseline<RmtOnly> {
     /// Builds the NIC.
     #[must_use]
     pub fn new(config: RmtOnlyConfig) -> RmtOnlyNic {
-        RmtOnlyNic {
+        Baseline::wrap(RmtOnly {
             pipeline: RmtPipeline::new(config.pipeline, program()),
             complex: config.complex,
             host: EventQueue::new(),
-            egress: Vec::new(),
-            latency: [Histogram::new(), Histogram::new(), Histogram::new()],
             punted: 0,
             recirculation_passes: 0,
-            accepted: 0,
-            tracer: Tracer::disabled(),
-            track: TrackId(0),
-        }
+        })
     }
+}
 
-    /// Attaches a tracer to the NIC and its inner pipeline. Punt and
-    /// host-return events land on the `baseline.rmtonly` track; the
-    /// pipeline's own stage events on `rmt.pipeline`.
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = tracer.clone();
-        self.track = tracer.track("baseline.rmtonly");
-        self.pipeline.attach_tracer(tracer);
-    }
-
-    /// Exports counters and latency histograms under `prefix`; the
-    /// inner pipeline exports under `{prefix}.rmt`.
-    pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
-        m.counter(format_args!("{prefix}.accepted"), self.accepted);
-        m.counter(format_args!("{prefix}.punted"), self.punted);
-        m.counter(
-            format_args!("{prefix}.recirculation_passes"),
-            self.recirculation_passes,
-        );
-        for (name, h) in [
-            ("latency", &self.latency[0]),
-            ("normal", &self.latency[1]),
-            ("bulk", &self.latency[2]),
-        ] {
-            if h.count() > 0 {
-                m.histogram(format_args!("{prefix}.latency.{name}"), h);
-            }
-        }
-        self.pipeline
-            .export_metrics(m, format_args!("{prefix}.rmt"));
-    }
-
-    /// Offers a packet.
-    pub fn rx(&mut self, msg: Message) {
-        self.accepted += 1;
-        self.pipeline.submit(msg);
-    }
-
-    fn finish(&mut self, msg: Message, now: Cycle) {
-        let idx = match msg.priority {
-            Priority::Latency => 0,
-            Priority::Normal => 1,
-            Priority::Bulk => 2,
-        };
-        self.latency[idx].record(now.saturating_since(msg.injected_at).count());
-        self.egress.push(msg);
-    }
-
-    /// Drains completed packets.
-    pub fn take_egress(&mut self) -> Vec<Message> {
-        std::mem::take(&mut self.egress)
-    }
-
-    /// Latency histogram for a priority class.
-    #[must_use]
-    pub fn latency_of(&self, p: Priority) -> &Histogram {
-        match p {
-            Priority::Latency => &self.latency[0],
-            Priority::Normal => &self.latency[1],
-            Priority::Bulk => &self.latency[2],
-        }
-    }
-
+impl RmtOnly {
     /// Pipeline backlog (growth = offered load above `F × P`).
     #[must_use]
     pub fn backlog(&self) -> usize {
         self.pipeline.backlog()
     }
+}
 
-    /// Advances one cycle.
-    pub fn tick(&mut self, now: Cycle) {
+impl Design for RmtOnly {
+    fn tracks(&mut self, tracer: &Tracer) -> Vec<TrackId> {
+        let track = tracer.track("baseline.rmtonly");
+        self.pipeline.attach_tracer(tracer);
+        vec![track]
+    }
+
+    /// The pipeline's input queue is unbounded (its growth is the
+    /// measurement), so nothing is ever refused.
+    fn rx(&mut self, msg: Message, _ledger: &mut Ledger) -> bool {
+        self.pipeline.submit(msg);
+        true
+    }
+
+    fn tick(&mut self, now: Cycle, ledger: &mut Ledger, trace: &Trace) {
         for out in self.pipeline.tick(now) {
             let msg = out.msg;
             match out.verdict {
-                rmt::action::Verdict::Forward => self.finish(msg, now),
-                rmt::action::Verdict::Recirculate => match self.complex {
+                Verdict::Forward => ledger.finish(msg, now),
+                Verdict::Recirculate => match self.complex {
                     ComplexPolicy::Punt { host_cycles } => {
                         self.punted += 1;
-                        self.tracer
-                            .instant_arg(self.track, "baseline.punt", now, "msg", msg.id.0);
+                        trace.instant(0, "baseline.punt", now, &msg);
                         self.host.schedule(now + Cycles(host_cycles), msg);
                     }
                     ComplexPolicy::Recirculate { passes } => {
                         self.recirculation_passes += 1;
                         if msg.pipeline_passes >= passes {
-                            self.finish(msg, now);
+                            ledger.finish(msg, now);
                         } else {
                             self.pipeline.submit(msg);
                         }
                     }
                 },
-                rmt::action::Verdict::Drop => unreachable!("program never drops"),
+                Verdict::Drop => unreachable!("program never drops"),
             }
         }
         while let Some(msg) = self.host.pop_due(now) {
-            self.tracer
-                .instant_arg(self.track, "baseline.host_return", now, "msg", msg.id.0);
-            self.finish(msg, now);
+            trace.instant(0, "baseline.host_return", now, &msg);
+            ledger.finish(msg, now);
         }
     }
 
-    /// True when idle.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.pipeline.backlog() == 0 && self.pipeline.occupancy() == 0 && self.host.is_empty()
+    fn in_flight(&self) -> usize {
+        self.pipeline.backlog() + self.pipeline.occupancy() + self.host.len()
     }
 
-    /// Fast-forward hint: min of the inner pipeline's hint and the
-    /// next host-return due time. `None` = quiescent.
-    #[must_use]
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut hint = self.pipeline.next_activity(now);
-        if let Some(due) = self.host.next_due() {
-            let at = due.max(now.next());
-            hint = Some(hint.map_or(at, |h| h.min(at)));
-        }
-        hint
+    /// Min of the inner pipeline's hint and the next host return.
+    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+        let host = self.host.next_due().map(|due| due.max(now.next()));
+        Cycle::earliest(self.pipeline.next_activity(now), host)
     }
-}
 
-/// Quiescence fast-forward through [`sim_core::clock::drive`].
-impl Driven for RmtOnlyNic {
-    fn step(&mut self, now: Cycle) {
-        self.tick(now);
-    }
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
-        if let Some(t) = self.next_activity(now) {
-            post(t);
-        }
-        true
-    }
-    /// Unlike the other baselines, an idle tick here is *not* free: the
-    /// inner RMT pipeline accrues `idle_slots` (and, when traced, a
+    /// Unlike the other incumbents, an idle tick here is *not* free:
+    /// the inner RMT pipeline accrues `idle_slots` (and, when traced, a
     /// backlog counter sample) every cycle. Delegating keeps a
     /// fast-forwarded run byte-identical to the stepped one.
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         self.pipeline.skip_idle(from, to);
+    }
+
+    fn export_extra<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
+        m.counter(format_args!("{prefix}.punted"), self.punted);
+        m.counter(
+            format_args!("{prefix}.recirculation_passes"),
+            self.recirculation_passes,
+        );
+        self.pipeline
+            .export_metrics(m, format_args!("{prefix}.rmt"));
     }
 }
 
@@ -265,7 +192,7 @@ mod tests {
     use packet::headers::{
         build_esp_frame, ethertype, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr,
     };
-    use packet::message::{MessageId, MessageKind};
+    use packet::message::{MessageId, MessageKind, Priority};
     use sim_core::clock::{drive, Advance};
     use sim_core::time::Freq;
     use trace::MetricsRegistry;
@@ -327,7 +254,7 @@ mod tests {
         }
         run(&mut nic, Cycle(0), 120);
         assert_eq!(nic.take_egress().len(), 100);
-        assert_eq!(nic.punted, 0);
+        assert_eq!(nic.design().punted, 0);
         // 1/cycle throughput: max latency ~ 100 + depth.
         assert!(nic.latency_of(Priority::Normal).max() <= 110);
     }
@@ -340,7 +267,7 @@ mod tests {
         run(&mut nic, Cycle(0), 6000);
         let out = nic.take_egress();
         assert_eq!(out.len(), 2);
-        assert_eq!(nic.punted, 1);
+        assert_eq!(nic.design().punted, 1);
         // The punted packet paid the host penalty.
         assert!(nic.latency_of(Priority::Normal).max() >= 5000);
         assert!(nic.is_quiescent());
@@ -362,7 +289,7 @@ mod tests {
         run(&mut nic, Cycle(0), 220);
         let done_at_220 = nic.take_egress().len();
         assert!(done_at_220 < 150, "done {done_at_220}");
-        assert!(nic.recirculation_passes > 100);
+        assert!(nic.design().recirculation_passes > 100);
         // Eventually everything drains.
         run(&mut nic, Cycle(220), 2000);
         assert!(nic.is_quiescent());
@@ -465,6 +392,10 @@ mod tests {
             nic.tick(now);
             now = now.next();
         }
-        assert!(nic.backlog() > 500, "backlog {}", nic.backlog());
+        assert!(
+            nic.design().backlog() > 500,
+            "backlog {}",
+            nic.design().backlog()
+        );
     }
 }

@@ -11,9 +11,11 @@
 //!
 //! `--trace` and `--metrics` attach a tracer/metrics registry to the
 //! selected experiments' observed windows (see `docs/TRACING.md`).
-//! Experiments without an instrumented window run unchanged; `table3`
-//! additionally runs a full-NIC chain-scenario window so the artifact
-//! contains router, engine, scheduler, and RMT events.
+//! Experiments without an instrumented window run unchanged, and the
+//! run warns on stderr if that leaves a requested artifact empty;
+//! `table3` additionally runs a full-NIC chain-scenario window so the
+//! artifact contains router, engine, scheduler, and RMT events, and
+//! `hol` re-runs its 50 % row on the pipeline NIC and on PANIC.
 
 #![forbid(unsafe_code)]
 
@@ -169,14 +171,23 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
     out
 }
 
-fn write_artifact(path: &str, contents: &str) {
+/// Writes a `--trace` / `--metrics` artifact. `empty` means no
+/// selected experiment fed it: the file is still written (scripts may
+/// expect it), but the run says so instead of a bare "wrote".
+fn write_artifact(flag: &str, path: &str, contents: &str, empty: bool) {
     if path == "-" {
         println!("{contents}");
     } else if let Err(e) = std::fs::write(path, contents) {
         eprintln!("failed to write {path}: {e}");
         std::process::exit(1);
-    } else {
+    } else if !empty {
         eprintln!("wrote {path}");
+    }
+    if empty {
+        eprintln!(
+            "warning: {flag} captured nothing: no selected experiment has an observed \
+             window (docs/TRACING.md lists the ones that do)"
+        );
     }
 }
 
@@ -259,16 +270,21 @@ fn main() {
     }
 
     if let Some(path) = &args.trace {
+        // Empty = what a tracer nobody attached renders.
+        let unused = trace::Tracer::chrome().chrome_json();
         match ctx.tracer.chrome_json() {
-            Some(json) => write_artifact(path, &json),
+            Some(json) => write_artifact("--trace", path, &json, Some(&json) == unused.as_ref()),
             None => eprintln!("--trace: no trace captured (internal error)"),
         }
     }
     if let Some(path) = &args.metrics {
-        if path == "-" {
-            println!("{}", ctx.metrics.render_markdown());
+        let empty =
+            ctx.metrics.counters().next().is_none() && ctx.metrics.histograms().next().is_none();
+        let contents = if path == "-" {
+            ctx.metrics.render_markdown()
         } else {
-            write_artifact(path, &ctx.metrics.to_json());
-        }
+            ctx.metrics.to_json()
+        };
+        write_artifact("--metrics", path, &contents, empty);
     }
 }

@@ -16,12 +16,11 @@ use bytes::Bytes;
 use packet::headers::{
     build_esp_frame, ethertype, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr,
 };
-use packet::message::{Message, MessageId, MessageKind};
 use panic_core::scenarios::chain::{ChainScenario, ChainScenarioConfig};
 use rmt::pipeline::PipelineConfig;
-use sim_core::time::{Cycle, Freq};
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{feed, Offer};
 
 fn esp_frame() -> Bytes {
     build_esp_frame(
@@ -49,31 +48,22 @@ fn esp_frame() -> Bytes {
 #[must_use]
 pub fn pipeline_switched_fraction(passes: u32, cycles: u64) -> f64 {
     let mut nic = RmtOnlyNic::new(RmtOnlyConfig {
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq: Freq::mhz(500),
-        },
+        pipeline: PipelineConfig::panic_default(),
         complex: ComplexPolicy::Recirculate { passes },
     });
     let frame = esp_frame();
-    let mut offered = 0u64;
     let mut delivered = 0u64;
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        if step % 4 == 0 {
-            nic.rx(
-                Message::builder(MessageId(step), MessageKind::EthernetFrame)
-                    .payload(frame.clone())
-                    .injected_at(now)
-                    .build(),
-            );
-            offered += 1;
-        }
-        nic.tick(now);
-        now = now.next();
-        delivered += nic.take_egress().len() as u64;
-    }
+    let offered = feed(
+        &mut nic,
+        cycles,
+        0,
+        |step, out| {
+            if step % 4 == 0 {
+                out.push(Offer::plain(frame.clone()));
+            }
+        },
+        |_| delivered += 1,
+    );
     delivered as f64 / offered as f64
 }
 

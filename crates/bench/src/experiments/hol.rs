@@ -10,23 +10,22 @@
 
 use baselines::pipeline_nic::{PipelineNic, PipelineNicConfig, StageSpec};
 use engines::engine::NullOffload;
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
-use noc::topology::Topology;
-use packet::chain::EngineClass;
-use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
+use packet::chain::{EngineClass, EngineId};
+use packet::message::{Priority, TenantId};
 use packet::phv::Field;
-use panic_core::nic::{NicConfig, PanicNic};
+use panic_core::nic::PanicNic;
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
-use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
 use sim_core::rng::SimRng;
 use sim_core::stats::Summary;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycles;
 use workloads::frames::FrameFactory;
+
+use crate::fmt::TableFmt;
+use crate::rig::{feed, panic_builder, Offer};
 
 const SLOW_SERVICE: u64 = 60;
 /// Bernoulli per-cycle arrival probability (randomized so queueing
@@ -35,10 +34,31 @@ const ARRIVAL_P: f64 = 1.0 / 75.0;
 const CRYPTO_PORT: u16 = 443;
 const PROBE_PORT: u16 = 80;
 
-/// Victim (probe) latency under the pipeline NIC.
-#[must_use]
-pub fn pipeline_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summary {
-    let mut nic = PipelineNic::new(PipelineNicConfig {
+/// The offered load, for every design: Bernoulli arrivals, each a
+/// bulk crypto frame with probability `crypto_share`, else a latency
+/// probe.
+fn offered_load(crypto_share: f64, seed: u64) -> impl FnMut(u64, &mut Vec<Offer>) {
+    let mut rng = SimRng::new(seed);
+    let mut factory = FrameFactory::for_nic_port(0);
+    move |_step, out| {
+        if rng.gen_bool(ARRIVAL_P) {
+            let crypto = rng.gen_bool(crypto_share);
+            out.push(Offer {
+                tenant: TenantId(u16::from(crypto)),
+                priority: if crypto {
+                    Priority::Bulk
+                } else {
+                    Priority::Latency
+                },
+                frame: factory.min_frame(1, if crypto { CRYPTO_PORT } else { PROBE_PORT }),
+            });
+        }
+    }
+}
+
+/// The pipeline NIC: one slow crypto stage, bypass logic on.
+fn pipeline_nic() -> PipelineNic {
+    PipelineNic::new(PipelineNicConfig {
         stages: vec![StageSpec {
             offload: Box::new(NullOffload::new(
                 "crypto",
@@ -49,54 +69,13 @@ pub fn pipeline_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Sum
         }],
         bypass_logic: true,
         stage_queue_capacity: 256,
-    });
-    let mut rng = SimRng::new(seed);
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        let _ = step;
-        if rng.gen_bool(ARRIVAL_P) {
-            let crypto = rng.gen_bool(crypto_share);
-            let port = if crypto { CRYPTO_PORT } else { PROBE_PORT };
-            let priority = if crypto {
-                Priority::Bulk
-            } else {
-                Priority::Latency
-            };
-            nic.rx(
-                Message::builder(MessageId(step), MessageKind::EthernetFrame)
-                    .payload(factory.min_frame(1, port))
-                    .priority(priority)
-                    .injected_at(now)
-                    .build(),
-            );
-        }
-        nic.tick(now);
-        now = now.next();
-        let _ = nic.take_egress();
-    }
-    nic.latency_of(Priority::Latency).summary()
+    })
 }
 
-/// Victim (probe) latency under PANIC with the same engines and load.
-#[must_use]
-pub fn panic_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summary {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 64,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
+/// PANIC with the same slow engine, and the Ethernet port it receives
+/// on.
+fn panic_nic() -> (PanicNic, EngineId) {
+    let (mut b, eth) = panic_builder(64);
     let slow = b.engine(
         Box::new(NullOffload::new(
             "crypto",
@@ -145,34 +124,53 @@ pub fn panic_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summar
             .stage(route)
             .build(),
     );
-    let mut nic = b.build();
+    (b.build(), eth)
+}
 
-    let mut rng = SimRng::new(seed);
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        let _ = step;
-        if rng.gen_bool(ARRIVAL_P) {
-            let crypto = rng.gen_bool(crypto_share);
-            let port = if crypto { CRYPTO_PORT } else { PROBE_PORT };
-            let priority = if crypto {
-                Priority::Bulk
-            } else {
-                Priority::Latency
-            };
-            nic.rx_frame(
-                eth,
-                factory.min_frame(1, port),
-                TenantId(u16::from(crypto)),
-                priority,
-                now,
-            );
-        }
-        nic.tick(now);
-        now = now.next();
-        let _ = nic.take_wire_tx();
+/// Victim (probe) latency under the pipeline NIC.
+#[must_use]
+pub fn pipeline_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summary {
+    let mut nic = pipeline_nic();
+    feed(
+        &mut nic,
+        cycles,
+        0,
+        offered_load(crypto_share, seed),
+        |_| {},
+    );
+    nic.latency_of(Priority::Latency).summary()
+}
+
+/// Victim (probe) latency under PANIC with the same engines and load.
+#[must_use]
+pub fn panic_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summary {
+    let mut dut = panic_nic();
+    feed(
+        &mut dut,
+        cycles,
+        0,
+        offered_load(crypto_share, seed),
+        |_| {},
+    );
+    dut.0.stats().latency_of(Priority::Latency).summary()
+}
+
+/// With `--trace` / `--metrics`: the 50 % row again on both designs,
+/// observed — the pipeline NIC's `baseline.bypass` spans that start
+/// late are probes stuck behind a crypto packet; PANIC's probes never
+/// appear on the crypto tile's track (docs/TRACING.md, step 5).
+fn observe(ctx: &mut crate::obs::RunCtx) {
+    let cycles = if ctx.quick { 3_000 } else { 10_000 };
+    let mut pipe = pipeline_nic();
+    pipe.attach_tracer(&ctx.tracer);
+    feed(&mut pipe, cycles, 0, offered_load(0.5, 3), |_| {});
+    let mut dut = panic_nic();
+    dut.0.attach_tracer(&ctx.tracer);
+    feed(&mut dut, cycles, 0, offered_load(0.5, 3), |_| {});
+    if ctx.collect_metrics {
+        pipe.export_metrics(&mut ctx.metrics, "baseline.pipe");
+        dut.0.export_metrics(&mut ctx.metrics);
     }
-    nic.stats().latency_of(Priority::Latency).summary()
 }
 
 /// Regenerates the HOL-blocking comparison.
@@ -207,14 +205,37 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
          crypto share; PANIC routes probes past the engine entirely — their latency is the \
          flat pipeline+mesh cost and does not grow.",
     );
+    if ctx.observing() {
+        observe(ctx);
+        t.note(
+            "Observed window: the 50% row ran again on both designs with the tracer attached; \
+             the --trace/--metrics artifacts hold the pipeline NIC's stage and bypass spans \
+             (baseline.pipe.*) beside PANIC's router, engine, scheduler and RMT events (nic.*).",
+        );
+    }
     t.render()
 }
-
-use crate::fmt::TableFmt;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both columns call `offered_load(share, seed)`; it must be a
+    /// pure function of those for the rows to compare like with like.
+    #[test]
+    fn both_designs_are_offered_the_same_frames() {
+        let a = crate::rig::offered(20_000, offered_load(0.5, 3));
+        assert_eq!(a, crate::rig::offered(20_000, offered_load(0.5, 3)));
+        let probes = a
+            .iter()
+            .filter(|(_, o)| o.priority == Priority::Latency)
+            .count();
+        assert!(
+            probes > 50 && a.len() - probes > 50,
+            "{probes} of {}",
+            a.len()
+        );
+    }
 
     #[test]
     fn pipeline_probe_latency_grows_with_crypto_share() {

@@ -25,22 +25,19 @@ use baselines::pipeline_nic::{PipelineNic, PipelineNicConfig, StageSpec};
 use baselines::rmt_only::{ComplexPolicy, RmtOnlyConfig, RmtOnlyNic};
 use engines::engine::NullOffload;
 use engines::ipsec::{encrypt_frame, SecurityAssoc, TunnelConfig};
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
-use noc::topology::Topology;
 use packet::chain::EngineClass;
 use packet::headers::{Ipv4Addr, MacAddr};
-use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
-use panic_core::nic::{NicConfig, PanicNic};
+use packet::message::{Priority, TenantId};
 use panic_core::programs::chain_program;
 use rmt::pipeline::PipelineConfig;
 use sim_core::stats::Summary;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycles;
 use tenancy::{TenancyConfig, VNicSpec};
 use workloads::frames::FrameFactory;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{feed, panic_builder, Dut, Offer};
 
 /// Crypto (IPSec-class) service time, cycles/packet.
 const CRYPTO_SERVICE: u64 = 40;
@@ -78,6 +75,81 @@ impl VictimPoint {
     }
 }
 
+/// The offered load, for every design: the victim's latency-class
+/// request every [`VICTIM_PERIOD`] cycles and, `with_aggressor`, a
+/// bulk crypto frame every [`AGGRESSOR_PERIOD`]. The aggressor's need
+/// for crypto is the port-443 chain everywhere an engine can serve it;
+/// `esp` says it instead arrives ESP-encapsulated — the only form an
+/// RMT-only NIC, with no engine to send it to, can recognise.
+fn offered_load(with_aggressor: bool, esp: bool) -> impl FnMut(u64, &mut Vec<Offer>) {
+    let mut factory = FrameFactory::for_nic_port(0);
+    let t = tunnel();
+    let mut seq = 0u32;
+    move |step, out| {
+        if step % VICTIM_PERIOD == 0 {
+            out.push(Offer {
+                tenant: VICTIM,
+                priority: Priority::Latency,
+                frame: factory.min_frame((step % 50) as u16, 80),
+            });
+        }
+        if with_aggressor && step % AGGRESSOR_PERIOD == 0 {
+            let plain = factory.min_frame((step % 64) as u16, 443);
+            out.push(Offer {
+                tenant: AGGRESSOR,
+                priority: Priority::Bulk,
+                frame: if esp {
+                    seq += 1;
+                    encrypt_frame(&plain, &t, seq)
+                } else {
+                    plain
+                },
+            });
+        }
+    }
+}
+
+/// Offers the load to `dut` and drains; counts the victim's offers,
+/// and its deliveries by tenant tag on the egress stream. `latency`
+/// reads the victim's latency summary off the design afterwards.
+fn victim_point<D: Dut>(
+    mut dut: D,
+    with_aggressor: bool,
+    esp: bool,
+    cycles: u64,
+    latency: impl Fn(&D) -> Summary,
+) -> VictimPoint {
+    let mut source = offered_load(with_aggressor, esp);
+    let (mut offered, mut delivered) = (0u64, 0u64);
+    feed(
+        &mut dut,
+        cycles,
+        DRAIN,
+        |step, out| {
+            source(step, out);
+            offered += out.iter().filter(|o| o.tenant == VICTIM).count() as u64;
+        },
+        |m| delivered += u64::from(m.tenant == VICTIM),
+    );
+    VictimPoint {
+        latency: latency(&dut),
+        offered,
+        delivered,
+    }
+}
+
+/// The shared chain's crypto engine, the same in every design.
+fn crypto_engine() -> Box<NullOffload> {
+    let service = Cycles(CRYPTO_SERVICE);
+    Box::new(NullOffload::new("ipsec", EngineClass::Asic, service))
+}
+
+/// The shared chain's compression engine, the same in every design.
+fn comp_engine() -> Box<NullOffload> {
+    let service = Cycles(COMP_SERVICE);
+    Box::new(NullOffload::new("comp", EngineClass::Asic, service))
+}
+
 /// The two-tenant vNIC table used by the PANIC run: the victim gets
 /// the weight and in-flight headroom of a paying latency tenant; the
 /// aggressor gets a best-effort weight and a 2-message credit quota,
@@ -94,39 +166,16 @@ pub fn isolation_tenancy() -> TenancyConfig {
 /// PANIC with the tenancy plane: victim latency, solo or contended.
 #[must_use]
 pub fn panic_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(128);
     let crypto = b.engine(
-        Box::new(NullOffload::new(
-            "ipsec",
-            EngineClass::Asic,
-            Cycles(CRYPTO_SERVICE),
-        )),
+        crypto_engine(),
         TileConfig {
             queue_capacity: 256,
             ..TileConfig::default()
         },
     );
     let comp = b.engine(
-        Box::new(NullOffload::new(
-            "comp",
-            EngineClass::Asic,
-            Cycles(COMP_SERVICE),
-        )),
+        comp_engine(),
         TileConfig {
             queue_capacity: 256,
             ..TileConfig::default()
@@ -138,143 +187,33 @@ pub fn panic_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
     // measured here is the tenancy plane's doing, not LSTF's.
     b.program(chain_program(&[crypto, comp], eth, Some(5_000)));
     b.tenancy(isolation_tenancy());
-    let mut nic = b.build();
-
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut offered = 0u64;
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        if step % VICTIM_PERIOD == 0 {
-            nic.rx_frame(
-                eth,
-                factory.min_frame((step % 50) as u16, 80),
-                VICTIM,
-                Priority::Normal,
-                now,
-            );
-            offered += 1;
-        }
-        if with_aggressor && step % AGGRESSOR_PERIOD == 0 {
-            nic.rx_frame(
-                eth,
-                factory.min_frame((step % 64) as u16, 443),
-                AGGRESSOR,
-                Priority::Normal,
-                now,
-            );
-        }
-        nic.tick(now);
-        now = now.next();
-        let _ = nic.take_wire_tx();
-    }
-    for _ in 0..DRAIN {
-        if nic.is_quiescent() {
-            break;
-        }
-        nic.tick(now);
-        now = now.next();
-        let _ = nic.take_wire_tx();
-    }
-    let tn = nic.tenancy().expect("tenancy plane is configured");
-    VictimPoint {
-        latency: tn.latency(VICTIM).expect("victim vNIC exists").summary(),
-        offered,
-        delivered: tn.ledger(VICTIM).expect("victim vNIC exists").tx_wire,
-    }
-}
-
-/// Drives a baseline through one closure that accepts this cycle's
-/// injections, ticks the NIC, and returns its egress; counts the
-/// victim's deliveries by tenant tag on the egress stream.
-fn drive_baseline(
-    cycles: u64,
-    with_aggressor: bool,
-    mut make_aggressor: impl FnMut(u64, &mut FrameFactory) -> bytes::Bytes,
-    mut step_fn: impl FnMut(Cycle, Vec<Message>) -> Vec<Message>,
-) -> (u64, u64) {
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut offered = 0u64;
-    let mut delivered = 0u64;
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        let mut inject = Vec::new();
-        if step % VICTIM_PERIOD == 0 {
-            inject.push(
-                Message::builder(MessageId(step), MessageKind::EthernetFrame)
-                    .payload(factory.min_frame((step % 50) as u16, 80))
-                    .tenant(VICTIM)
-                    .priority(Priority::Latency)
-                    .injected_at(now)
-                    .build(),
-            );
-            offered += 1;
-        }
-        if with_aggressor && step % AGGRESSOR_PERIOD == 0 {
-            let payload = make_aggressor(step, &mut factory);
-            inject.push(
-                Message::builder(MessageId(1_000_000 + step), MessageKind::EthernetFrame)
-                    .payload(payload)
-                    .tenant(AGGRESSOR)
-                    .priority(Priority::Bulk)
-                    .injected_at(now)
-                    .build(),
-            );
-        }
-        let out = step_fn(now, inject);
-        delivered += out.iter().filter(|m| m.tenant == VICTIM).count() as u64;
-        now = now.next();
-    }
-    for _ in 0..DRAIN {
-        let out = step_fn(now, Vec::new());
-        delivered += out.iter().filter(|m| m.tenant == VICTIM).count() as u64;
-        now = now.next();
-    }
-    (offered, delivered)
+    victim_point((b.build(), eth), with_aggressor, false, cycles, |dut| {
+        let tn = dut.0.tenancy().expect("tenancy plane is configured");
+        tn.latency(VICTIM).expect("victim vNIC exists").summary()
+    })
 }
 
 /// The pipeline NIC: both tenants share FIFO stage queues for the
 /// same crypto + compression stages. No tenant boundary exists.
 #[must_use]
 pub fn pipeline_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
-    let mut nic = PipelineNic::new(PipelineNicConfig {
+    let nic = PipelineNic::new(PipelineNicConfig {
         stages: vec![
             StageSpec {
-                offload: Box::new(NullOffload::new(
-                    "ipsec",
-                    EngineClass::Asic,
-                    Cycles(CRYPTO_SERVICE),
-                )),
+                offload: crypto_engine(),
                 applies_to_ports: None,
             },
             StageSpec {
-                offload: Box::new(NullOffload::new(
-                    "comp",
-                    EngineClass::Asic,
-                    Cycles(COMP_SERVICE),
-                )),
+                offload: comp_engine(),
                 applies_to_ports: None,
             },
         ],
         bypass_logic: false,
         stage_queue_capacity: 256,
     });
-    let (offered, delivered) = drive_baseline(
-        cycles,
-        with_aggressor,
-        |step, factory| factory.min_frame((step % 64) as u16, 443),
-        |now, inject| {
-            for m in inject {
-                nic.rx(m);
-            }
-            nic.tick(now);
-            nic.take_egress()
-        },
-    );
-    VictimPoint {
-        latency: nic.latency_of(Priority::Latency).summary(),
-        offered,
-        delivered,
-    }
+    victim_point(nic, with_aggressor, false, cycles, |nic| {
+        nic.latency_of(Priority::Latency).summary()
+    })
 }
 
 /// The manycore NIC: every packet pays software orchestration on a
@@ -282,46 +221,15 @@ pub fn pipeline_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
 /// the cores; the victim queues (and then drops) behind it.
 #[must_use]
 pub fn manycore_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
-    let mut nic = ManycoreNic::new(ManycoreConfig {
+    let nic = ManycoreNic::new(ManycoreConfig {
         cores: 16,
         orchestration_cycles: 5_000,
-        engines: vec![
-            (
-                Box::new(NullOffload::new(
-                    "ipsec",
-                    EngineClass::Asic,
-                    Cycles(CRYPTO_SERVICE),
-                )),
-                None,
-            ),
-            (
-                Box::new(NullOffload::new(
-                    "comp",
-                    EngineClass::Asic,
-                    Cycles(COMP_SERVICE),
-                )),
-                None,
-            ),
-        ],
+        engines: vec![(crypto_engine(), None), (comp_engine(), None)],
         core_queue_capacity: 256,
     });
-    let (offered, delivered) = drive_baseline(
-        cycles,
-        with_aggressor,
-        |step, factory| factory.min_frame((step % 64) as u16, 443),
-        |now, inject| {
-            for m in inject {
-                nic.rx(m);
-            }
-            nic.tick(now);
-            nic.take_egress()
-        },
-    );
-    VictimPoint {
-        latency: nic.latency_of(Priority::Latency).summary(),
-        offered,
-        delivered,
-    }
+    victim_point(nic, with_aggressor, false, cycles, |nic| {
+        nic.latency_of(Priority::Latency).summary()
+    })
 }
 
 fn tunnel() -> TunnelConfig {
@@ -343,36 +251,13 @@ fn tunnel() -> TunnelConfig {
 /// need a single pass, yet still drown.
 #[must_use]
 pub fn rmt_only_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
-    let mut nic = RmtOnlyNic::new(RmtOnlyConfig {
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq: Freq::mhz(500),
-        },
+    let nic = RmtOnlyNic::new(RmtOnlyConfig {
+        pipeline: PipelineConfig::panic_default(),
         complex: ComplexPolicy::Recirculate { passes: 24 },
     });
-    let t = tunnel();
-    let mut seq = 0u32;
-    let (offered, delivered) = drive_baseline(
-        cycles,
-        with_aggressor,
-        |step, factory| {
-            seq += 1;
-            encrypt_frame(&factory.min_frame((step % 64) as u16, 443), &t, seq)
-        },
-        |now, inject| {
-            for m in inject {
-                nic.rx(m);
-            }
-            nic.tick(now);
-            nic.take_egress()
-        },
-    );
-    VictimPoint {
-        latency: nic.latency_of(Priority::Latency).summary(),
-        offered,
-        delivered,
-    }
+    victim_point(nic, with_aggressor, true, cycles, |nic| {
+        nic.latency_of(Priority::Latency).summary()
+    })
 }
 
 /// Regenerates the isolation table.
@@ -441,6 +326,22 @@ mod tests {
     use super::*;
 
     const CYCLES: u64 = 40_000;
+
+    /// Every row calls `offered_load`; it must yield the same frames
+    /// each time, and the same steps, tenants and classes whether or
+    /// not the aggressor wraps its frames in ESP.
+    #[test]
+    fn every_design_is_offered_the_same_frames() {
+        let offered = |esp| crate::rig::offered(CYCLES, offered_load(true, esp));
+        assert_eq!(offered(false), offered(false));
+        let shape = |esp| -> Vec<(u64, TenantId, Priority)> {
+            let all = offered(esp).into_iter();
+            all.map(|(step, o)| (step, o.tenant, o.priority)).collect()
+        };
+        assert_eq!(shape(false), shape(true));
+        let victims = shape(true).iter().filter(|s| s.1 == VICTIM).count();
+        assert_eq!(victims as u64, CYCLES / VICTIM_PERIOD);
+    }
 
     /// The headline acceptance criterion: victim p99 on PANIC stays
     /// within 1.5× of its solo p99 under the saturating flood, with

@@ -9,23 +9,42 @@
 
 use baselines::manycore::{ManycoreConfig, ManycoreNic};
 use engines::engine::NullOffload;
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
-use noc::topology::Topology;
 use packet::chain::EngineClass;
-use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
-use panic_core::nic::{NicConfig, PanicNic};
+use packet::message::Priority;
 use panic_core::programs::chain_program;
-use rmt::pipeline::PipelineConfig;
 use sim_core::stats::Summary;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycles;
 use workloads::frames::FrameFactory;
+
+use crate::fmt::TableFmt;
+use crate::rig::{feed, panic_builder, Offer};
 
 /// Orchestration cost: 10 µs at 500 MHz.
 pub const ORCHESTRATION_CYCLES: u64 = 5000;
 /// Hardware offload service time used in both designs.
 const HW_SERVICE: u64 = 4;
+
+/// The offered load, for both designs: 1 request / 500 cycles — ~62%
+/// utilization of the manycore's core pool (16 cores x 5000
+/// cycles/packet), so the measurement is the orchestration floor plus
+/// moderate queueing, not unbounded overload.
+fn offered_load() -> impl FnMut(u64, &mut Vec<Offer>) {
+    let mut factory = FrameFactory::for_nic_port(0);
+    move |step, out| {
+        if step % 500 == 0 {
+            out.push(Offer::plain(factory.min_frame((step % 50) as u16, 80)));
+        }
+    }
+}
+
+fn hw_engine() -> Box<NullOffload> {
+    Box::new(NullOffload::new(
+        "hw",
+        EngineClass::Asic,
+        Cycles(HW_SERVICE),
+    ))
+}
 
 /// Request latency through the manycore NIC.
 #[must_use]
@@ -33,87 +52,24 @@ pub fn manycore_latency(cycles: u64) -> Summary {
     let mut nic = ManycoreNic::new(ManycoreConfig {
         cores: 16,
         orchestration_cycles: ORCHESTRATION_CYCLES,
-        engines: vec![(
-            Box::new(NullOffload::new(
-                "hw",
-                EngineClass::Asic,
-                Cycles(HW_SERVICE),
-            )),
-            None,
-        )],
+        engines: vec![(hw_engine(), None)],
         core_queue_capacity: 256,
     });
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        // 1 request / 500 cycles: ~62% utilization of the core pool
-        // (16 cores x 5000 cycles/packet), so the measurement is the
-        // orchestration floor plus moderate queueing, not unbounded
-        // overload.
-        if step % 500 == 0 {
-            nic.rx(
-                Message::builder(MessageId(step), MessageKind::EthernetFrame)
-                    .payload(factory.min_frame((step % 50) as u16, 80))
-                    .injected_at(now)
-                    .build(),
-            );
-        }
-        nic.tick(now);
-        now = now.next();
-        let _ = nic.take_egress();
-    }
+    feed(&mut nic, cycles, 0, offered_load(), |_| {});
     nic.latency_of(Priority::Normal).summary()
 }
 
 /// Request latency through PANIC with the same hardware engine.
 #[must_use]
 pub fn panic_latency(cycles: u64) -> Summary {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 64,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
-    let hw = b.engine(
-        Box::new(NullOffload::new(
-            "hw",
-            EngineClass::Asic,
-            Cycles(HW_SERVICE),
-        )),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(64);
+    let hw = b.engine(hw_engine(), TileConfig::default());
     let _ = b.rmt_portal();
     let _ = b.rmt_portal();
     b.program(chain_program(&[hw], eth, Some(500)));
-    let mut nic = b.build();
-
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    for step in 0..cycles {
-        if step % 500 == 0 {
-            nic.rx_frame(
-                eth,
-                factory.min_frame((step % 50) as u16, 80),
-                TenantId(0),
-                Priority::Normal,
-                now,
-            );
-        }
-        nic.tick(now);
-        now = now.next();
-        let _ = nic.take_wire_tx();
-    }
-    nic.stats().latency_of(Priority::Normal).summary()
+    let mut dut = (b.build(), eth);
+    feed(&mut dut, cycles, 0, offered_load(), |_| {});
+    dut.0.stats().latency_of(Priority::Normal).summary()
 }
 
 /// Regenerates the latency comparison.
@@ -154,11 +110,18 @@ fn us(cycles: u64) -> String {
     format!("{:.2}", cycles as f64 * 0.002)
 }
 
-use crate::fmt::TableFmt;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Both rows call `offered_load()`; it must yield the same frames
+    /// each time.
+    #[test]
+    fn both_designs_are_offered_the_same_frames() {
+        let a = crate::rig::offered(50_000, offered_load());
+        assert_eq!(a.len(), 100);
+        assert_eq!(a, crate::rig::offered(50_000, offered_load()));
+    }
 
     #[test]
     fn manycore_floor_is_orchestration() {

@@ -14,23 +14,20 @@
 
 use baselines::rmt_only::{ComplexPolicy, RmtOnlyConfig, RmtOnlyNic};
 use engines::ipsec::{encrypt_frame, IpsecEngine, SecurityAssoc, TunnelConfig};
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
-use noc::topology::Topology;
 use packet::headers::{Ipv4Addr, MacAddr};
-use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
+use packet::message::Priority;
 use packet::phv::Field;
-use panic_core::nic::{NicConfig, PanicNic};
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
-use sim_core::time::{Bandwidth, Cycle, Freq};
+use sim_core::stats::Histogram;
 use workloads::frames::FrameFactory;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{feed, panic_builder, Dut, Offer};
 
 const HOST_CYCLES: u64 = 5000;
 const EMULATION_PASSES: u32 = 24;
@@ -61,83 +58,69 @@ pub struct LimitsPoint {
     pub p99: u64,
 }
 
-/// Runs the RMT-only NIC at `esp_share` with the given policy.
-#[must_use]
-pub fn rmt_only_point(esp_share: f64, policy: ComplexPolicy, cycles: u64) -> LimitsPoint {
-    let mut nic = RmtOnlyNic::new(RmtOnlyConfig {
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq: Freq::mhz(500),
-        },
-        complex: policy,
-    });
+/// The offered load, for every design: one ~112-byte-class frame every
+/// 8 cycles, a fraction `esp_share` of them ESP-encrypted (error
+/// diffusion, so the mix is exact and periodic).
+fn offered_load(esp_share: f64) -> impl FnMut(u64, &mut Vec<Offer>) {
     let mut factory = FrameFactory::for_nic_port(0);
     let t = tunnel();
     let mut acc = 0.0;
-    let mut offered = 0u64;
-    let mut delivered = 0u64;
-    let mut now = Cycle(0);
     let mut seq = 0u32;
-    for step in 0..cycles {
+    move |step, out| {
         if step % 8 == 0 {
             acc += esp_share;
             let plain = factory.min_frame((step % 64) as u16, 80);
-            let payload = if acc >= 1.0 {
+            out.push(Offer::plain(if acc >= 1.0 {
                 acc -= 1.0;
                 seq += 1;
                 encrypt_frame(&plain, &t, seq)
             } else {
                 plain
-            };
-            nic.rx(
-                Message::builder(MessageId(step), MessageKind::EthernetFrame)
-                    .payload(payload)
-                    .injected_at(now)
-                    .build(),
-            );
-            offered += 1;
+            }));
         }
-        nic.tick(now);
-        now = now.next();
-        delivered += nic.take_egress().len() as u64;
     }
-    // Drain just long enough for punted packets to come back from the
-    // host; a capacity-collapsed backlog deliberately does NOT get to
-    // finish, so its delivered fraction stays below 1.
-    for _ in 0..(HOST_CYCLES + 2_000) {
-        if nic.is_quiescent() {
-            break;
-        }
-        nic.tick(now);
-        now = now.next();
-        delivered += nic.take_egress().len() as u64;
-    }
+}
+
+/// Offers the load to `dut`, then drains just long enough for punted
+/// packets to come back from the host; a capacity-collapsed backlog
+/// deliberately does NOT get to finish, so its delivered fraction
+/// stays below 1.
+fn point<D: Dut>(
+    mut dut: D,
+    esp_share: f64,
+    cycles: u64,
+    latency: impl Fn(&D) -> &Histogram,
+) -> LimitsPoint {
+    let mut delivered = 0u64;
+    let offered = feed(
+        &mut dut,
+        cycles,
+        HOST_CYCLES + 2_000,
+        offered_load(esp_share),
+        |_| delivered += 1,
+    );
     LimitsPoint {
         delivered_fraction: delivered as f64 / offered as f64,
-        p99: nic.latency_of(Priority::Normal).quantile(0.99),
+        p99: latency(&dut).quantile(0.99),
     }
+}
+
+/// Runs the RMT-only NIC at `esp_share` with the given policy.
+#[must_use]
+pub fn rmt_only_point(esp_share: f64, policy: ComplexPolicy, cycles: u64) -> LimitsPoint {
+    let nic = RmtOnlyNic::new(RmtOnlyConfig {
+        pipeline: PipelineConfig::panic_default(),
+        complex: policy,
+    });
+    point(nic, esp_share, cycles, |nic| {
+        nic.latency_of(Priority::Normal)
+    })
 }
 
 /// Runs PANIC with four real IPSec engines at `esp_share`.
 #[must_use]
 pub fn panic_point(esp_share: f64, cycles: u64) -> LimitsPoint {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(128);
     let mut ipsec_ids = Vec::new();
     for i in 0..4 {
         let mut e = IpsecEngine::new(format!("ipsec{i}"), 1, 2);
@@ -185,45 +168,9 @@ pub fn panic_point(esp_share: f64, cycles: u64) -> LimitsPoint {
             .stage(route)
             .build(),
     );
-    let mut nic = b.build();
-
-    let mut factory = FrameFactory::for_nic_port(0);
-    let t = tunnel();
-    let mut acc = 0.0;
-    let mut offered = 0u64;
-    let mut delivered = 0u64;
-    let mut now = Cycle(0);
-    let mut seq = 0u32;
-    for step in 0..cycles {
-        if step % 8 == 0 {
-            acc += esp_share;
-            let plain = factory.min_frame((step % 64) as u16, 80);
-            let payload = if acc >= 1.0 {
-                acc -= 1.0;
-                seq += 1;
-                encrypt_frame(&plain, &t, seq)
-            } else {
-                plain
-            };
-            nic.rx_frame(eth, payload, TenantId(0), Priority::Normal, now);
-            offered += 1;
-        }
-        nic.tick(now);
-        now = now.next();
-        delivered += nic.take_wire_tx().len() as u64;
-    }
-    for _ in 0..(HOST_CYCLES + 2_000) {
-        if nic.is_quiescent() {
-            break;
-        }
-        nic.tick(now);
-        now = now.next();
-        delivered += nic.take_wire_tx().len() as u64;
-    }
-    LimitsPoint {
-        delivered_fraction: delivered as f64 / offered as f64,
-        p99: nic.stats().latency_of(Priority::Normal).quantile(0.99),
-    }
+    point((b.build(), eth), esp_share, cycles, |dut| {
+        dut.0.stats().latency_of(Priority::Normal)
+    })
 }
 
 /// Regenerates the comparison across ESP shares.
@@ -275,6 +222,16 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// All three columns call `offered_load(share)`; it must yield the
+    /// same frames each time, with exactly `share` of them ESP.
+    #[test]
+    fn every_design_is_offered_the_same_frames() {
+        let a = crate::rig::offered(8_000, offered_load(0.25));
+        assert_eq!(a, crate::rig::offered(8_000, offered_load(0.25)));
+        let esp = a.iter().filter(|(_, o)| o.frame.len() > 64).count();
+        assert_eq!((a.len(), esp), (1_000, 250));
+    }
 
     #[test]
     fn recirculation_collapses_at_high_share() {

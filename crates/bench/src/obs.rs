@@ -24,7 +24,7 @@ use trace::{MetricsRegistry, Tracer};
 /// ```
 #[derive(Debug)]
 pub struct RunCtx {
-    /// Shortened simulations for CI / criterion; `false` is what the
+    /// Shortened simulations for CI; `false` is what the
     /// EXPERIMENTS.md numbers are produced with.
     pub quick: bool,
     /// Trace sink. [`Tracer::disabled`] (the default) costs one branch

@@ -13,10 +13,8 @@
 //!   function of its configuration.
 //! * [`events`] — a deterministic future-event queue for long-latency
 //!   completions (DMA round trips, host interrupts).
-//! * [`queue`] — bounded FIFOs with occupancy accounting and credit
-//!   counters, the building block for lossless on-chip flow control.
-//! * [`stats`] — counters, rate meters, and log-bucketed histograms used
-//!   to report throughput and latency percentiles.
+//! * [`stats`] — counters and log-bucketed histograms used to report
+//!   totals and latency percentiles.
 //! * [`clock`] — the one clock driver: the `Driven` component trait and
 //!   `drive`, which steps, fast-forwards, or event-drives it.
 //! * [`wheel`] — the hierarchical timer wheel behind `Advance::Wheel`.
@@ -30,7 +28,6 @@
 
 pub mod clock;
 pub mod events;
-pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -38,8 +35,7 @@ pub mod wheel;
 
 pub use clock::{drive, drive_on_wheel, Advance, Driven};
 pub use events::EventQueue;
-pub use queue::{BoundedQueue, CreditCounter};
 pub use rng::{SimRng, SplitMix64};
-pub use stats::{Counter, Histogram, RateMeter, Summary};
+pub use stats::{Counter, Histogram, Summary};
 pub use time::{Bandwidth, ByteSize, Cycle, Cycles, Freq, Time};
 pub use wheel::TimerWheel;

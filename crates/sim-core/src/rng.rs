@@ -125,22 +125,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Geometric inter-arrival sample for a Bernoulli-per-cycle process
-    /// with per-cycle success probability `p`: the number of cycles until
-    /// (and including) the next arrival. Returns `None` if `p <= 0`.
-    pub fn gen_geometric(&mut self, p: f64) -> Option<u64> {
-        if p <= 0.0 {
-            return None;
-        }
-        if p >= 1.0 {
-            return Some(1);
-        }
-        // Inverse-CDF: ceil(ln(U) / ln(1-p)), U in (0,1].
-        let u = 1.0 - self.gen_f64(); // (0, 1]
-        let n = (u.ln() / (1.0 - p).ln()).ceil();
-        Some(n.max(1.0) as u64)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -229,18 +213,6 @@ mod tests {
         let mut rng = SimRng::new(11);
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((2000..3000).contains(&hits), "got {hits}");
-    }
-
-    #[test]
-    fn geometric_mean_approximates_inverse_p() {
-        let mut rng = SimRng::new(13);
-        let p = 0.1;
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| rng.gen_geometric(p).unwrap()).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 10.0).abs() < 0.5, "mean {mean}");
-        assert_eq!(rng.gen_geometric(0.0), None);
-        assert_eq!(rng.gen_geometric(1.0), Some(1));
     }
 
     #[test]

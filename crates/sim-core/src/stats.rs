@@ -1,12 +1,12 @@
-//! Measurement: counters, rate meters, and latency histograms.
+//! Measurement: counters and latency histograms.
 //!
-//! Experiments report three kinds of numbers: totals (packets forwarded,
-//! drops), rates (packets/cycles ⇒ pps, Gbps), and latency distributions
-//! (mean, p50/p99/max in cycles or µs). The histogram uses logarithmic
+//! Experiments report totals (packets forwarded, drops) and latency
+//! distributions (mean, p50/p99/max in cycles or µs); rates are a
+//! division at the call site. The histogram uses logarithmic
 //! bucketing with linear sub-buckets (HDR-histogram style): bounded
 //! memory regardless of range, with relative quantile error under ~6%.
 
-use crate::time::{Cycle, Cycles};
+use crate::time::Cycles;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,83 +35,6 @@ impl Counter {
     #[must_use]
     pub fn get(self) -> u64 {
         self.value
-    }
-}
-
-/// Converts an event count over a simulated interval into a rate.
-///
-/// A `RateMeter` is windowless by design: simulations run for a fixed
-/// horizon and the rate of interest is `events / horizon`. The caller
-/// supplies the component clock frequency to express the rate per
-/// second.
-#[derive(Debug, Clone, Copy)]
-pub struct RateMeter {
-    events: u64,
-    units: u64,
-    start: Cycle,
-}
-
-impl RateMeter {
-    /// Starts measuring at `start`.
-    #[must_use]
-    pub fn new(start: Cycle) -> RateMeter {
-        RateMeter {
-            events: 0,
-            units: 0,
-            start,
-        }
-    }
-
-    /// Records one event carrying `units` of payload (e.g. bytes).
-    pub fn record(&mut self, units: u64) {
-        self.events += 1;
-        self.units += units;
-    }
-
-    /// Events recorded so far.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Payload units recorded so far.
-    #[must_use]
-    pub fn units(&self) -> u64 {
-        self.units
-    }
-
-    /// Events per cycle over `[start, now]`. Zero if no time elapsed.
-    #[must_use]
-    pub fn events_per_cycle(&self, now: Cycle) -> f64 {
-        let elapsed = now.saturating_since(self.start).count();
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.events as f64 / elapsed as f64
-        }
-    }
-
-    /// Payload units per cycle over `[start, now]`.
-    #[must_use]
-    pub fn units_per_cycle(&self, now: Cycle) -> f64 {
-        let elapsed = now.saturating_since(self.start).count();
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.units as f64 / elapsed as f64
-        }
-    }
-
-    /// Events per second given the component clock `freq_hz`.
-    #[must_use]
-    pub fn events_per_second(&self, now: Cycle, freq_hz: u64) -> f64 {
-        self.events_per_cycle(now) * freq_hz as f64
-    }
-
-    /// Payload bits per second, if units are bytes.
-    #[must_use]
-    pub fn bits_per_second(&self, now: Cycle, freq_hz: u64) -> f64 {
-        self.units_per_cycle(now) * 8.0 * freq_hz as f64
     }
 }
 
@@ -326,30 +249,6 @@ mod tests {
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn rate_meter_basic_rates() {
-        let mut m = RateMeter::new(Cycle(100));
-        for _ in 0..50 {
-            m.record(64);
-        }
-        let now = Cycle(200); // 100 cycles elapsed
-        assert!((m.events_per_cycle(now) - 0.5).abs() < 1e-12);
-        assert!((m.units_per_cycle(now) - 32.0).abs() < 1e-12);
-        // At 500MHz: 0.5 events/cycle = 250M events/s.
-        assert!((m.events_per_second(now, 500_000_000) - 250e6).abs() < 1.0);
-        // 32 B/cycle * 8 * 500MHz = 128 Gbps.
-        assert!((m.bits_per_second(now, 500_000_000) - 128e9).abs() < 1e3);
-        assert_eq!(m.events(), 50);
-        assert_eq!(m.units(), 3200);
-    }
-
-    #[test]
-    fn rate_meter_zero_elapsed_is_zero() {
-        let m = RateMeter::new(Cycle(5));
-        assert_eq!(m.events_per_cycle(Cycle(5)), 0.0);
-        assert_eq!(m.units_per_cycle(Cycle(3)), 0.0);
     }
 
     #[test]
