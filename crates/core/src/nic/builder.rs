@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use engines::engine::Offload;
+use engines::pcie::PcieEngine;
 use engines::tile::{EngineTile, TileConfig};
 use faults::{FaultPlan, Watchdog, WatchdogConfig};
 use noc::network::{MeshNetwork, NetworkConfig};
@@ -270,14 +271,37 @@ impl NicBuilder {
             .iter()
             .map(|id| topology.index(network.coord_of(*id)) as u32)
             .collect();
-        let tile_idle = vec![false; tiles.len()];
+        let mut noc_tile_slot = vec![u32::MAX; topology.nodes()];
+        for (slot, &tile) in slot_noc_tile.iter().enumerate() {
+            noc_tile_slot[tile as usize] = slot as u32;
+        }
+        let slot_words = tiles.len().div_ceil(64);
+        // With the timer off there is nothing for it to visit.
+        let flush = self.config.pcie_flush_interval;
+        let is_pcie = |slot: &TileSlot| {
+            let pcie = slot
+                .as_engine()
+                .and_then(EngineTile::offload_as::<PcieEngine>);
+            flush > 0 && pcie.is_some()
+        };
+        let pcie_slots: Vec<u32> = (0..tiles.len() as u32)
+            .filter(|&i| is_pcie(&tiles[i as usize]))
+            .collect();
         PanicNic {
             pipeline: RmtPipeline::new(self.config.pipeline, program),
             config: self.config,
             network,
             tiles,
             slot_noc_tile,
-            tile_idle,
+            noc_tile_slot,
+            occupied: vec![0; slot_words],
+            eject_scratch: vec![0; slot_words],
+            next_flush: if pcie_slots.is_empty() {
+                u64::MAX
+            } else {
+                flush
+            },
+            pcie_slots,
             tile_ids,
             pipeline_scratch: Vec::new(),
             emit_scratch: Vec::new(),

@@ -11,10 +11,11 @@
 use bytes::Bytes;
 use engines::engine::{EgressKind, Output};
 use engines::pcie::PcieEngine;
-use engines::tile::Emit;
+use engines::tile::{Emit, EngineTile};
 use packet::chain::{EngineId, Hop, Slack};
 use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
 use rmt::action::Verdict;
+use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
 use tenancy::{ExitKind, SubmitSource};
 
@@ -35,8 +36,11 @@ pub(super) enum Leaving {
 
 impl PanicNic {
     fn next_portal(&mut self) -> EngineId {
-        let p = self.portals[self.rr_portal % self.portals.len()];
+        let p = self.portals[self.rr_portal];
         self.rr_portal += 1;
+        if self.rr_portal == self.portals.len() {
+            self.rr_portal = 0;
+        }
         p
     }
 
@@ -263,7 +267,7 @@ impl PanicNic {
     }
 
     /// Handles a tile emission.
-    fn handle_emit(&mut self, from: EngineId, emit: Emit, now: Cycle) {
+    pub(super) fn handle_emit(&mut self, from: EngineId, emit: Emit, now: Cycle) {
         match emit {
             Emit::To(dest, msg) => self.send_resolved(from, dest, msg, now),
             Emit::ToPipeline(msg) if msg.kind == MessageKind::EthernetFrame => {
@@ -284,60 +288,9 @@ impl PanicNic {
         }
     }
 
-    /// Advances the NIC one cycle.
-    pub fn tick(&mut self, now: Cycle) {
-        // 0. Fault plane: fire due injection events, run the watchdog
-        //    (engine health + descriptor deadlines). Fault-free NICs
-        //    pay exactly this one branch.
-        if self.faults.is_some() {
-            self.drive_fault_plane(now);
-        }
-
-        // 0b. Tenancy plane: reconcile implicit exits (drops/flushes/
-        //     losses return credits), then release pending messages
-        //     that pass rate, credit, and deficit checks into the
-        //     mesh. Untenanted NICs pay exactly this one branch.
-        if self.tenancy.is_some() {
-            self.stats.layer.tenancy += u64::from(self.tenancy_holds_work());
-            self.drive_tenancy(now);
-        }
-
-        // 1. Ejections: tiles pull from the mesh, portals feed the
-        //    pipeline. The network's ejection-pending bitmask marks
-        //    exactly the tiles with a flit waiting; testing it per
-        //    slot skips the poll call for every idle tile while
-        //    keeping the id-sorted visit order.
-        for i in 0..self.tile_ids.len() {
-            let t = self.slot_noc_tile[i] as usize;
-            if self.network.ejection_pending_word(t / 64) & (1 << (t % 64)) == 0 {
-                continue;
-            }
-            let id = self.tile_ids[i];
-            match &mut self.tiles[i] {
-                TileSlot::Engine(tile) => {
-                    if tile.rx_ready() {
-                        if let Some(msg) = self.network.poll_ejected(id, now) {
-                            tile.accept(msg, now);
-                        }
-                    }
-                }
-                TileSlot::RmtPortal => {
-                    // Management-plane gate: during a program swap the
-                    // portal stops feeding the pipeline so it drains;
-                    // flits wait in the NoC ejection buffer (lossless
-                    // backpressure, and the network stays visibly
-                    // non-quiescent so fast-forward hints remain
-                    // conservative).
-                    if !self.pipeline_gated {
-                        if let Some(msg) = self.network.poll_ejected(id, now) {
-                            self.pipeline.submit(msg);
-                        }
-                    }
-                }
-            }
-        }
-
-        // 2. Pipeline (into the reused scratch buffer).
+    /// Tick step 2: advances the heavyweight pipeline (into the reused
+    /// scratch buffer) and routes what it emits onto the mesh.
+    pub(super) fn step_pipeline(&mut self, now: Cycle) {
         self.stats.layer.rmt += u64::from(self.pipeline_holds_work());
         let mut outputs = std::mem::take(&mut self.pipeline_scratch);
         self.pipeline.tick_into(now, &mut outputs);
@@ -360,53 +313,129 @@ impl PanicNic {
             self.route_onward(exit, msg, now);
         }
         self.pipeline_scratch = outputs;
+    }
 
-        // 3. Tiles (one reused emission buffer across all tiles).
-        //    Workless tiles are skipped outright: their tick is a pure
-        //    no-op apart from the progress-clock refresh, which
-        //    `catch_up_idle` replays just before the tile next acts
-        //    (the watchdog cannot observe the deferred clock meanwhile
-        //    because `wedged` gates on held work).
+    /// Advances the NIC one cycle.
+    pub fn tick(&mut self, now: Cycle) {
+        // 0. Fault plane: fire due injection events, run the watchdog
+        //    (engine health + descriptor deadlines). Fault-free NICs
+        //    pay exactly this one branch.
+        if self.faults.is_some() {
+            self.drive_fault_plane(now);
+        }
+
+        // 0b. Tenancy plane: reconcile implicit exits (drops/flushes/
+        //     losses return credits), then release pending messages
+        //     that pass rate, credit, and deficit checks into the
+        //     mesh. Untenanted NICs pay exactly this one branch.
+        if self.tenancy.is_some() {
+            self.stats.layer.tenancy += u64::from(self.tenancy_holds_work());
+            self.drive_tenancy(now);
+        }
+
+        // 1. Ejections: tiles pull from the mesh, portals feed the
+        //    pipeline. The network's ejection-pending bitmask marks
+        //    exactly the tiles with a flit waiting, in mesh order;
+        //    translated into slot order, its set bits are the visit
+        //    list, id-sorted as the traces expect.
+        for w in 0..self.noc_tile_slot.len().div_ceil(64) {
+            for bit in set_bits(self.network.ejection_pending_word(w)) {
+                let i = self.noc_tile_slot[w * 64 + bit] as usize;
+                self.eject_scratch[i / 64] |= 1 << (i % 64);
+            }
+        }
+        for w in 0..self.eject_scratch.len() {
+            for bit in set_bits(std::mem::take(&mut self.eject_scratch[w])) {
+                let i = w * 64 + bit;
+                let t = self.slot_noc_tile[i] as usize;
+                match &mut self.tiles[i] {
+                    TileSlot::Engine(tile) => {
+                        if tile.rx_ready() {
+                            if let Some(msg) = self.network.poll_ejected_at(t, now) {
+                                // Work landing on a workless tile: its
+                                // skipped ticks refreshed no progress
+                                // clock, so replay that first.
+                                if !tile.has_work() {
+                                    tile.catch_up_idle(now);
+                                }
+                                tile.accept(msg, now);
+                                self.occupied[w] |= 1 << bit;
+                            }
+                        }
+                    }
+                    TileSlot::RmtPortal => {
+                        // Management-plane gate: during a program swap
+                        // the portal stops feeding the pipeline so it
+                        // drains; flits wait in the NoC ejection buffer
+                        // (lossless backpressure, and the network stays
+                        // visibly non-quiescent so fast-forward hints
+                        // remain conservative).
+                        if !self.pipeline_gated {
+                            if let Some(msg) = self.network.poll_ejected_at(t, now) {
+                                self.pipeline.submit(msg);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // 2. Pipeline.
+        self.step_pipeline(now);
+
+        // 3. Tiles (one reused emission buffer across all tiles), the
+        //    occupied ones only: a workless tile's tick is a pure no-op
+        //    apart from the progress-clock refresh, which
+        //    `catch_up_idle` replays when work next lands on it (the
+        //    watchdog cannot observe the deferred clock meanwhile
+        //    because `wedged` gates on held work). A tile gives up its
+        //    bit the moment it holds no work — unless it is stalled,
+        //    because a stall's end is a wake `next_activity` owes.
         let mut emits = std::mem::take(&mut self.emit_scratch);
         let mut any_engine = false;
         let mut any_sched = false;
-        for i in 0..self.tile_ids.len() {
-            let id = self.tile_ids[i];
-            match &mut self.tiles[i] {
-                TileSlot::Engine(tile) => {
-                    if !tile.has_work() {
-                        self.tile_idle[i] = true;
-                        continue;
-                    }
+        for w in 0..self.occupied.len() {
+            for bit in set_bits(self.occupied[w]) {
+                let i = w * 64 + bit;
+                let Some(tile) = self.tiles[i].as_engine_mut() else {
+                    continue;
+                };
+                if tile.has_work() {
                     any_engine = true;
                     any_sched |= tile.queue_depth() > 0;
-                    if self.tile_idle[i] {
-                        self.tile_idle[i] = false;
-                        tile.catch_up_idle(now);
-                    }
                     tile.tick_into(now, &mut emits);
                 }
-                TileSlot::RmtPortal => continue,
-            }
-            for emit in emits.drain(..) {
-                self.handle_emit(id, emit, now);
+                if !tile.has_work() && tile.next_activity(now).is_none() {
+                    self.occupied[w] &= !(1 << bit);
+                }
+                let id = self.tile_ids[i];
+                for emit in emits.drain(..) {
+                    self.handle_emit(id, emit, now);
+                }
             }
         }
         self.emit_scratch = emits;
         self.stats.layer.engines += u64::from(any_engine);
         self.stats.layer.sched += u64::from(any_sched);
 
-        // 3b. PCIe coalescing flush timer.
-        let flush = self.config.pcie_flush_interval;
-        if flush > 0 && now.0 > 0 && now.0.is_multiple_of(flush) {
-            for i in 0..self.tiles.len() {
-                let pcie = self.tiles[i]
-                    .as_engine_mut()
-                    .and_then(|tile| tile.offload_as_mut::<PcieEngine>());
-                if let Some(Output::Egress(_, msg)) = pcie.and_then(PcieEngine::flush) {
-                    self.exit(Leaving::Originated(msg), ExitKind::Host, now);
+        // 3b. PCIe coalescing flush timer. Flush cycles are the
+        //     positive multiples of the interval; `next_flush` is the
+        //     first one not yet reached, so every cycle before it costs
+        //     one compare, and a clock that jumped over it (nothing was
+        //     pending, so nothing was missed) re-arms without flushing.
+        if now.0 >= self.next_flush {
+            let flush = self.config.pcie_flush_interval;
+            if now.0.is_multiple_of(flush) {
+                for k in 0..self.pcie_slots.len() {
+                    let pcie = self.tiles[self.pcie_slots[k] as usize]
+                        .as_engine_mut()
+                        .and_then(|tile| tile.offload_as_mut::<PcieEngine>());
+                    if let Some(Output::Egress(_, msg)) = pcie.and_then(PcieEngine::flush) {
+                        self.exit(Leaving::Originated(msg), ExitKind::Host, now);
+                    }
                 }
             }
+            self.next_flush = (now.0 / flush + 1) * flush;
         }
 
         // 4. Mesh.
@@ -418,15 +447,17 @@ impl PanicNic {
     /// (flushing an empty coalescer is a no-op, so idle multiples are
     /// safe to skip).
     pub(super) fn pcie_flush_next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let flush = self.config.pcie_flush_interval;
-        if flush == 0 {
-            return None;
-        }
-        let pending = self.engine_tiles().any(|(_, t)| {
-            t.offload_as::<PcieEngine>()
+        let pending = self.pcie_slots.iter().any(|&i| {
+            self.tiles[i as usize]
+                .as_engine()
+                .and_then(EngineTile::offload_as::<PcieEngine>)
                 .is_some_and(|p| p.pending() > 0)
         });
-        pending.then(|| Cycle((now.0 / flush + 1) * flush))
+        let flush = self.config.pcie_flush_interval;
+        pending.then(|| match self.next_flush {
+            next if next > now.0 => Cycle(next),
+            _ => Cycle((now.0 / flush + 1) * flush),
+        })
     }
 }
 

@@ -409,7 +409,7 @@ impl PanicNic {
             // to skip.
             let relevant = wd.pending() > 0
                 || !fr.strikes.is_empty()
-                || self.engine_tiles().any(|(_, t)| t.has_work());
+                || self.occupied_tiles().any(EngineTile::has_work);
             if relevant {
                 let interval = wd.config().check_interval.count().max(1);
                 let next_check = Cycle((now.0 / interval + 1) * interval);

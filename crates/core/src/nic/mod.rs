@@ -16,8 +16,8 @@
 //!    and portals into the pipeline;
 //! 2. advance the pipeline; route its outputs onto the mesh along the
 //!    chains it computed;
-//! 3. advance every tile; route its emissions (next hop, pipeline
-//!    fallback, or NIC egress);
+//! 3. advance every occupied tile; route its emissions (next hop,
+//!    pipeline fallback, or NIC egress);
 //! 4. advance the mesh one cycle.
 //!
 //! # Layout
@@ -38,6 +38,7 @@ use noc::topology::Topology;
 use packet::chain::EngineId;
 use packet::message::{Message, Priority};
 use rmt::pipeline::{PipelineConfig, RmtPipeline};
+use sim_core::bits::set_bits;
 use sim_core::clock::{drive, Advance, Driven};
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
@@ -204,13 +205,33 @@ pub struct PanicNic {
     network: MeshNetwork,
     /// Tile slots, parallel to `tile_ids` (id-sorted, fixed at build).
     tiles: Vec<TileSlot>,
-    /// Slot index -> NoC tile index, parallel to `tile_ids`, so the
-    /// ejection pass tests the network's ejection-pending bitmask
-    /// per slot without any per-id lookup.
+    /// Slot index -> NoC tile index, parallel to `tile_ids`: where the
+    /// ejection pass polls for the slot it is visiting.
     slot_noc_tile: Vec<u32>,
-    /// Per-slot flag: the tile was skipped as workless and owes a
-    /// [`EngineTile::catch_up_idle`] replay before its next tick.
-    tile_idle: Vec<bool>,
+    /// NoC tile index -> slot index (`u32::MAX` where nothing is
+    /// placed): turns the network's ejection-pending bits, which are in
+    /// mesh order, into the id-sorted slot order the traces depend on.
+    noc_tile_slot: Vec<u32>,
+    /// Slot-indexed occupancy mask (bit `i % 64` of word `i / 64`):
+    /// set wherever a tile can hold work — an accepted message, or
+    /// anything done through [`PanicNic::tile_mut`], the fault plane
+    /// included — and cleared by the tile pass once the tile holds
+    /// none and no stall still owes [`PanicNic::next_activity`] a wake.
+    /// Every per-tick and per-wake walk over tiles visits set bits
+    /// only, in slot order; a tile whose bit is clear is workless, is
+    /// not ticked, and has its progress clock replayed
+    /// ([`EngineTile::catch_up_idle`]) when work next lands on it.
+    occupied: Vec<u64>,
+    /// The ejection pass's pending mask in slot order, all zero
+    /// between ticks (reused so the translation allocates nothing).
+    eject_scratch: Vec<u64>,
+    /// Slots whose offload is a PCIe engine (fixed at build): the only
+    /// tiles the coalescing flush timer concerns.
+    pcie_slots: Vec<u32>,
+    /// The flush timer's next deadline: no cycle before it is a flush
+    /// cycle, so the tick compares instead of dividing. `u64::MAX`
+    /// when the timer is off or there is nothing to flush.
+    next_flush: u64,
     portals: Vec<EngineId>,
     pipeline: RmtPipeline,
     /// True while the management plane holds the pipeline gate shut
@@ -307,7 +328,7 @@ impl PanicNic {
         self.track = tracer.track("nic");
         self.network.attach_tracer(tracer);
         self.pipeline.attach_tracer(tracer);
-        for tile in self.engine_tiles_mut() {
+        for tile in self.tiles.iter_mut().filter_map(TileSlot::as_engine_mut) {
             tile.attach_tracer(tracer);
         }
         if let Some(tn) = self.tenancy.as_mut() {
@@ -333,13 +354,22 @@ impl PanicNic {
         self.tiles[self.tile_index(id)?].as_engine()
     }
 
-    /// Mutable tile access (for scenario setup).
+    /// Mutable tile access (scenario setup, fault injection). Marks
+    /// the tile occupied, since the caller may hand it work or a stall:
+    /// the next tick visits it and clears the mark again if it holds
+    /// neither. Work accepted this way skips the idle-clock replay a
+    /// message arriving over the mesh gets — inject through
+    /// [`PanicNic::inject_from`] where engine-health timing matters.
     pub fn tile_mut(&mut self, id: EngineId) -> Option<&mut EngineTile> {
         let i = self.tile_index(id)?;
-        self.tiles[i].as_engine_mut()
+        let tile = self.tiles[i].as_engine_mut()?;
+        self.occupied[i / 64] |= 1 << (i % 64);
+        Some(tile)
     }
 
     /// Every engine tile with its id, in id order (portals skipped).
+    /// For build-time, export and conservation walks; anything that
+    /// runs per tick or per wake uses [`PanicNic::occupied_tiles`].
     fn engine_tiles(&self) -> impl Iterator<Item = (EngineId, &EngineTile)> {
         self.tile_ids
             .iter()
@@ -347,9 +377,15 @@ impl PanicNic {
             .filter_map(|(&id, slot)| Some((id, slot.as_engine()?)))
     }
 
-    /// Mutable [`PanicNic::engine_tiles`], without the ids.
-    fn engine_tiles_mut(&mut self) -> impl Iterator<Item = &mut EngineTile> {
-        self.tiles.iter_mut().filter_map(TileSlot::as_engine_mut)
+    /// The tiles whose occupancy bit is set, in slot (= id) order:
+    /// every tile that holds work or a pending stall, and possibly a
+    /// few freshly marked ones that hold neither.
+    fn occupied_tiles(&self) -> impl Iterator<Item = &EngineTile> {
+        self.occupied
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word).map(move |bit| w * 64 + bit))
+            .filter_map(|i| self.tiles[i].as_engine())
     }
 
     /// True while the pipeline has backlog or a message inside a stage.
@@ -411,27 +447,31 @@ impl PanicNic {
     /// * the mesh (active whenever any flit is buffered anywhere);
     /// * the heavyweight pipeline (backlog → next cycle; in-flight
     ///   only → its earliest completion);
-    /// * every engine tile (queue/pending → next cycle; in service →
-    ///   completion; stalled → wake; DOWN/crashed → never);
+    /// * every occupied engine tile (queue/pending → next cycle; in
+    ///   service → completion; stalled → wake; DOWN/crashed → never) —
+    ///   a tile whose occupancy bit is clear has nothing to wake for;
     /// * the fault plane (next planned event; next watchdog check
     ///   while anything is tracked, striking, or holding work);
     /// * the PCIe flush timer (next multiple of the flush interval
     ///   while any coalescer holds pending events).
+    ///
+    /// No term is earlier than `now + 1`, so the terms are consulted in
+    /// the order above only until one of them says exactly that — with
+    /// a flit anywhere in the mesh, the first one does.
     #[must_use]
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let mut hint = Cycle::earliest(
-            self.network.next_activity(now),
-            self.pipeline.next_activity(now),
-        );
-        for (_, t) in self.engine_tiles() {
-            hint = Cycle::earliest(hint, t.next_activity(now));
-        }
-        hint = Cycle::earliest(hint, self.fault_plane_next_activity(now));
-        hint = Cycle::earliest(hint, self.pcie_flush_next_activity(now));
-        hint = Cycle::earliest(
-            hint,
-            self.tenancy.as_ref().and_then(|t| t.next_activity(now)),
-        );
+        let soonest = Some(now.next());
+        let mut hint = None;
+        let mut settled = |term: Option<Cycle>| {
+            hint = Cycle::earliest(hint, term);
+            hint == soonest
+        };
+        let _ = settled(self.network.next_activity(now))
+            || settled(self.pipeline.next_activity(now))
+            || self.occupied_tiles().any(|t| settled(t.next_activity(now)))
+            || settled(self.fault_plane_next_activity(now))
+            || settled(self.pcie_flush_next_activity(now))
+            || settled(self.tenancy.as_ref().and_then(|t| t.next_activity(now)));
         hint
     }
 
@@ -441,8 +481,19 @@ impl PanicNic {
     /// replay — see [`MeshNetwork::next_activity`].
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         self.pipeline.skip_idle(from, to);
-        for t in self.engine_tiles_mut() {
-            t.skip_idle(from, to);
+        // Only a tile that holds work has ticks to replay — the stepped
+        // tile pass does not tick a workless one either; its progress
+        // clock is replayed when work next lands on it.
+        let (mut any_engine, mut any_sched) = (false, false);
+        for w in 0..self.occupied.len() {
+            for bit in set_bits(self.occupied[w]) {
+                let tile = self.tiles[w * 64 + bit].as_engine_mut();
+                if let Some(t) = tile.filter(|t| t.has_work()) {
+                    t.skip_idle(from, to);
+                    any_engine = true;
+                    any_sched |= t.queue_depth() > 0;
+                }
+            }
         }
         if let Some(tn) = self.tenancy.as_mut() {
             tn.skip_idle(from, to);
@@ -454,11 +505,6 @@ impl PanicNic {
         let span = to.0 - from.0;
         self.stats.layer.rmt += span * u64::from(self.pipeline_holds_work());
         self.stats.layer.tenancy += span * u64::from(self.tenancy_holds_work());
-        let (mut any_engine, mut any_sched) = (false, false);
-        for (_, t) in self.engine_tiles() {
-            any_engine |= t.has_work();
-            any_sched |= t.queue_depth() > 0;
-        }
         self.stats.layer.engines += span * u64::from(any_engine);
         self.stats.layer.sched += span * u64::from(any_sched);
     }
@@ -467,10 +513,17 @@ impl PanicNic {
     /// queues/service, or the fabric-egress buffer).
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
+        debug_assert!(
+            self.tiles.iter().enumerate().all(|(i, slot)| {
+                let occupied = self.occupied[i / 64] & (1 << (i % 64)) != 0;
+                occupied || !slot.as_engine().is_some_and(EngineTile::has_work)
+            }),
+            "occupancy mask out of sync: a tile holds work with its bit clear"
+        );
         self.remote_egress.is_empty()
             && self.network.is_quiescent()
             && !self.pipeline_holds_work()
-            && self.engine_tiles().all(|(_, t)| !t.has_work())
+            && self.occupied_tiles().all(|t| !t.has_work())
             && !self.tenancy_holds_work()
     }
 }

@@ -14,6 +14,8 @@ use sim_core::time::Cycles;
 use trace::MetricsRegistry;
 use workloads::frames::FrameFactory;
 
+mod occupancy_mask;
+
 /// A minimal NIC: one "eth" null engine (frames end here and fall
 /// back to the pipeline — not used as egress), one pass-through
 /// offload, one sink engine that the program chains through.

@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
 use packet::{EngineId, Flit, FlitKind, Message, TenantId};
+use sim_core::bits::set_bits;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricSink, Tracer, TrackId};
@@ -134,19 +135,6 @@ struct InFlight {
     msg: Message,
     /// When `send` accepted it (for `noc.latency` / `noc.msg`).
     sent: Cycle,
-}
-
-/// Iterates the positions of the set bits of a mask, lowest first.
-#[inline]
-fn set_bits(mut bits: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        if bits == 0 {
-            return None;
-        }
-        let bit = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        Some(bit)
-    })
 }
 
 /// The mesh network of routers.
@@ -534,7 +522,13 @@ impl MeshNetwork {
     /// one-flit-per-cycle RX interface). Returns the assembled message
     /// when the drained flit is a tail.
     pub fn poll_ejected(&mut self, engine: EngineId, now: Cycle) -> Option<Message> {
-        let tile = self.tile_of(engine);
+        self.poll_ejected_at(self.tile_of(engine), now)
+    }
+
+    /// [`MeshNetwork::poll_ejected`] by tile index (a bit position in
+    /// [`MeshNetwork::ejection_pending_word`]), for a caller that walks
+    /// that mask and so already holds the index.
+    pub fn poll_ejected_at(&mut self, tile: usize, now: Cycle) -> Option<Message> {
         let flit = self.ejection[tile].pop_front()?;
         self.resident_flits -= 1;
         if self.ejection[tile].is_empty() {

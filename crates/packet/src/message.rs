@@ -108,6 +108,13 @@ pub struct Message {
     pub pipeline_passes: u32,
 }
 
+// A `Message` is moved by value about a dozen times per chain leg (NoC
+// slab → portal → pipeline → slab → tile queue → service → emit). It is
+// nine cache lines — `Option<Phv>` 384 bytes + `ChainHeader` 132 of the
+// 576 — so those moves are a visible share of the tick (docs/PERF.md
+// §5). Growing it has to be a decision, not an accident.
+const _: () = assert!(std::mem::size_of::<Message>() <= 576);
+
 impl Message {
     /// Starts building a message.
     #[must_use]

@@ -18,6 +18,8 @@
 //! * [`clock`] — the one clock driver: the `Driven` component trait and
 //!   `drive`, which steps, fast-forwards, or event-drives it.
 //! * [`wheel`] — the hierarchical timer wheel behind `Advance::Wheel`.
+//! * [`bits`] — set-bit iteration for the occupancy masks the mesh and
+//!   the NIC tick over.
 //!
 //! Nothing in this crate knows about packets or NICs; it is a generic
 //! discrete-time kernel.
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod bits;
 pub mod clock;
 pub mod events;
 pub mod rng;

@@ -132,15 +132,38 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
 /// portal, everything the real scenarios exercise except the fault
 /// plane (covered separately below).
 fn chain_nic() -> (PanicNic, EngineId) {
-    let (b, eth) = chain_builder();
+    let (b, eth) = chain_builder(Mesh::Small);
     (b.build(), eth)
 }
 
+/// The mesh [`chain_builder`] places its four tiles on.
+#[derive(Debug, Clone, Copy)]
+enum Mesh {
+    /// 3×3, tiles in mesh order: the NIC's tile-occupancy mask is one
+    /// word and slot order is mesh order.
+    Small,
+    /// 9×8 with all 72 tiles placed back to front (68 of them offloads
+    /// no chain visits): the mask is two words and the ejection pass
+    /// must translate mesh order into slot order — through a reused
+    /// buffer, or this file's counters see it.
+    Wide,
+}
+
 /// [`chain_nic`] before `build`, so a test can add a plane to it.
-fn chain_builder() -> (NicBuilder, EngineId) {
+fn chain_builder(mesh: Mesh) -> (NicBuilder, EngineId) {
     let freq = Freq::mhz(500);
+    let topology = match mesh {
+        Mesh::Small => Topology::mesh(3, 3),
+        Mesh::Wide => Topology::mesh(9, 8),
+    };
+    let mut coords: Vec<_> = topology.coords().collect();
+    if matches!(mesh, Mesh::Wide) {
+        coords.reverse();
+    }
+    let mut coords = coords.into_iter();
+    let mut at = || coords.next().expect("a free tile");
     let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(3, 3),
+        topology,
         width_bits: 64,
         router: RouterConfig::default(),
         pipeline: PipelineConfig {
@@ -150,19 +173,28 @@ fn chain_builder() -> (NicBuilder, EngineId) {
         },
         pcie_flush_interval: 0,
     });
-    let eth = b.engine(
+    let eth = b.engine_at(
+        at(),
         Box::new(MacEngine::new("eth0", Bandwidth::gbps(100), freq)),
         TileConfig::default(),
     );
-    let off0 = b.engine(
+    let off0 = b.engine_at(
+        at(),
         Box::new(NullOffload::new("off0", EngineClass::Asic, Cycles(2))),
         TileConfig::default(),
     );
-    let off1 = b.engine(
+    let off1 = b.engine_at(
+        at(),
         Box::new(NullOffload::new("off1", EngineClass::Asic, Cycles(3))),
         TileConfig::default(),
     );
-    let _ = b.rmt_portal();
+    let _ = b.rmt_portal_at(at());
+    if matches!(mesh, Mesh::Wide) {
+        for (i, coord) in coords.enumerate() {
+            let spare = NullOffload::new(format!("spare{i}"), EngineClass::Asic, Cycles(2));
+            b.engine_at(coord, Box::new(spare), TileConfig::default());
+        }
+    }
     b.program(
         ProgramBuilder::new("zero-alloc-chain", ParseGraph::standard(6379))
             .stage(Table::new(
@@ -208,8 +240,13 @@ struct BusyNic {
 
 impl BusyNic {
     fn new() -> BusyNic {
-        let (nic, eth) = chain_nic();
-        BusyNic::over(nic, eth)
+        BusyNic::on(Mesh::Small)
+    }
+
+    /// The same traffic over `mesh`.
+    fn on(mesh: Mesh) -> BusyNic {
+        let (b, eth) = chain_builder(mesh);
+        BusyNic::over(b.build(), eth)
     }
 
     /// The injector and wire drain around an already-built NIC.
@@ -284,17 +321,25 @@ fn measure(
 
 /// The headline claim: once warm, a busy steady-state cycle — frames
 /// in flight through the mesh, the RMT pipeline, three engines, and
-/// the wire drain — performs zero heap allocations.
+/// the wire drain — performs zero heap allocations. That includes the
+/// tile-occupancy mask under the ejection pass, the tile pass and the
+/// wake hint: one word on the small mesh, two words and a mesh-order →
+/// slot-order translation on the wide one.
 #[test]
 fn steady_state_tick_allocates_nothing() {
-    let (allocs, bytes) = measure(&mut BusyNic::new(), |busy, start, cycles| {
-        drive(busy, start, cycles, Advance::Stepped)
-    });
-    assert_eq!(
-        allocs, 0,
-        "steady-state ticks allocated {allocs} times ({bytes} bytes) over \
-         {MEASURE} cycles — the zero-alloc hot path has regressed"
-    );
+    for mesh in [Mesh::Small, Mesh::Wide] {
+        for advance in [Advance::Stepped, Advance::Merged] {
+            let (allocs, bytes) = measure(&mut BusyNic::on(mesh), |busy, start, cycles| {
+                drive(busy, start, cycles, advance)
+            });
+            assert_eq!(
+                allocs, 0,
+                "{mesh:?} {advance:?}: steady-state ticks allocated {allocs} times \
+                 ({bytes} bytes) over {MEASURE} cycles — the zero-alloc hot path \
+                 has regressed"
+            );
+        }
+    }
 }
 
 /// The event kernel's steady state is allocation-free too: the same
@@ -348,8 +393,8 @@ fn idle_tick_allocates_nothing() {
 /// shape): [`BusyNic`]'s tenant 1 has a vNIC, so every frame parks in
 /// its queue and enters the mesh through the release scheduler, beside
 /// 31 vNICs with nothing to do.
-fn tenanted_builder() -> (NicBuilder, EngineId) {
-    let (mut b, eth) = chain_builder();
+fn tenanted_builder(mesh: Mesh) -> (NicBuilder, EngineId) {
+    let (mut b, eth) = chain_builder(mesh);
     b.tenancy(TenancyConfig::new(
         (1..=32)
             .map(|t| VNicSpec::new(TenantId(t), format!("t{t}"), 1))
@@ -364,8 +409,11 @@ fn tenanted_builder() -> (NicBuilder, EngineId) {
 /// exit reconciliation nor the hint and skip replay touch the heap.
 #[test]
 fn tenanted_steady_state_allocates_nothing() {
-    for advance in [Advance::Stepped, Advance::Merged] {
-        let (b, eth) = tenanted_builder();
+    let cases = [Mesh::Small, Mesh::Wide]
+        .into_iter()
+        .flat_map(|mesh| [Advance::Stepped, Advance::Merged].map(|advance| (mesh, advance)));
+    for (mesh, advance) in cases {
+        let (b, eth) = tenanted_builder(mesh);
         let mut busy = BusyNic::over(b.build(), eth);
         let (allocs, bytes) = measure(&mut busy, |busy, start, cycles| {
             drive(busy, start, cycles, advance)
@@ -378,8 +426,8 @@ fn tenanted_steady_state_allocates_nothing() {
         );
         assert_eq!(
             allocs, 0,
-            "{advance:?}: a tenanted NIC allocated {allocs} times ({bytes} bytes) \
-             over {MEASURE} steady-state cycles"
+            "{mesh:?} {advance:?}: a tenanted NIC allocated {allocs} times \
+             ({bytes} bytes) over {MEASURE} steady-state cycles"
         );
     }
 }
@@ -392,7 +440,7 @@ fn quiet_fabric_epoch_allocates_nothing() {
     let mut fb = FabricBuilder::new();
     let mut eths = Vec::new();
     for _ in 0..2 {
-        let (b, eth) = tenanted_builder();
+        let (b, eth) = tenanted_builder(Mesh::Small);
         eths.push((fb.member(b, eth), eth));
     }
     fb.link_pair(0, 1, LinkSpec::new(0, 0));
@@ -446,7 +494,7 @@ fn quiet_fabric_epoch_allocates_nothing() {
 fn threaded_fabric_call_allocates_per_call_not_per_epoch() {
     let mut fb = FabricBuilder::new();
     for port in 0..2 {
-        let (b, eth) = tenanted_builder();
+        let (b, eth) = tenanted_builder(Mesh::Small);
         let i = fb.member(b, eth);
         let mut factory = FrameFactory::for_nic_port(port);
         let mut wire = Vec::new();
@@ -493,7 +541,7 @@ const WATCHED: TenantId = TenantId(7);
 /// [`chain_nic`] with a one-vNIC tenancy plane, and an endpoint
 /// subscribed to `tenancy.` (the subscription already answered).
 fn watched_nic() -> (BusyNic, CtrlEndpoint) {
-    let (mut b, eth) = chain_builder();
+    let (mut b, eth) = chain_builder(Mesh::Small);
     b.tenancy(TenancyConfig::new(vec![VNicSpec::new(
         WATCHED, "watched", 1,
     )]));
