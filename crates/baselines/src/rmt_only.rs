@@ -141,7 +141,7 @@ impl Design for RmtOnly {
                     }
                     ComplexPolicy::Recirculate { passes } => {
                         self.recirculation_passes += 1;
-                        if msg.pipeline_passes >= passes {
+                        if u32::from(msg.pipeline_passes) >= passes {
                             ledger.finish(msg, now);
                         } else {
                             self.pipeline.submit(msg);

@@ -19,6 +19,7 @@ use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
 use tenancy::{ExitKind, SubmitSource};
 
+use super::tenants::reckon_implicit;
 use super::{PanicNic, TileSlot};
 
 /// What is leaving the NIC in a [`PanicNic::exit`].
@@ -407,6 +408,11 @@ impl PanicNic {
                 }
                 if !tile.has_work() && tile.next_activity(now).is_none() {
                     self.occupied[w] &= !(1 << bit);
+                    reckon_implicit(
+                        tile,
+                        &mut self.implicit_seen[i],
+                        &mut self.implicit_in_tiles,
+                    );
                 }
                 let id = self.tile_ids[i];
                 for emit in emits.drain(..) {

@@ -222,6 +222,15 @@ pub struct PanicNic {
     /// not ticked, and has its progress clock replayed
     /// ([`EngineTile::catch_up_idle`]) when work next lands on it.
     occupied: Vec<u64>,
+    /// Implicit exits inside engine tiles (scheduler drops + watchdog
+    /// flushes): per slot as of the tile's last reckoning, and the sum
+    /// over slots. A tile's counters move only while its occupancy bit
+    /// is set, so a slot is reckoned when the tile pass clears its bit
+    /// and, while the bit stays set, whenever the tenancy plane asks
+    /// ([`PanicNic::implicit_exit_total`]) — which therefore reads the
+    /// occupied tiles, not all of them.
+    implicit_seen: Vec<u64>,
+    implicit_in_tiles: u64,
     /// The ejection pass's pending mask in slot order, all zero
     /// between ticks (reused so the translation allocates nothing).
     eject_scratch: Vec<u64>,

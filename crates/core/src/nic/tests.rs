@@ -866,6 +866,14 @@ fn implicit_exit_gate_matches_the_ungated_reconciliation() {
         gated.tick(now);
         tick_ungated(&mut ungated, now);
         assert_eq!(books(&gated), books(&ungated), "cycle {}", now.0);
+        // The running total the gate watches against the all-tiles walk
+        // it replaced (`tick` asserts the same, in debug builds only).
+        assert_eq!(
+            gated.implicit_exit_total(),
+            gated.implicit_exit_walk(),
+            "cycle {}",
+            now.0
+        );
         removed |= !gated.tenancy().unwrap().knows(TenantId(2));
         t += u64::from(running);
         now = now.next();

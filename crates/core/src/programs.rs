@@ -322,7 +322,7 @@ mod tests {
         // Latency-class slack applied.
         assert_eq!(m.chain.hops()[0].slack.0, 200);
         // RX queue selected from tenant.
-        assert_eq!(m.phv.as_ref().unwrap().get(Field::MetaRxQueue), Some(1));
+        assert_eq!(m.rx_queue, 1);
     }
 
     #[test]

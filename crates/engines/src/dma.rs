@@ -17,14 +17,18 @@
 //!   completion carries just the tag.
 //! * [`MessageKind::EthernetFrame`] — host delivery of a packet: the
 //!   frame is written to the receive-ring region chosen by the
-//!   pipeline ([`Field::MetaRxQueue`]) and egresses to the host; a
-//!   [`MessageKind::PcieEvent`] is forwarded to the PCIe engine for
-//!   interrupt generation (§3.2).
+//!   pipeline and egresses to the host; a [`MessageKind::PcieEvent`] is
+//!   forwarded to the PCIe engine for interrupt generation (§3.2).
+//!
+//! The ring choice arrives as a descriptor field, not a header vector:
+//! the PHV never leaves the pipeline, which stores the low 32 bits of
+//! `Field::MetaRxQueue` in [`Message::rx_queue`] (0 when no stage set
+//! one, or when the frame never went through a pass), and this engine
+//! delivers to ring `rx_queue % queues`.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use packet::chain::{EngineClass, EngineId};
 use packet::message::{Message, MessageKind};
-use packet::phv::Field;
 use sim_core::rng::SplitMix64;
 use sim_core::time::{Cycle, Cycles};
 
@@ -255,12 +259,7 @@ impl Offload for DmaEngine {
             }
             MessageKind::EthernetFrame => {
                 // Host delivery: append to the ring the pipeline chose.
-                let q = msg
-                    .phv
-                    .as_ref()
-                    .and_then(|p| p.get(Field::MetaRxQueue))
-                    .unwrap_or(0) as usize
-                    % self.rx_cursor.len();
+                let q = msg.rx_queue as usize % self.rx_cursor.len();
                 let addr = self.rx_ring_base + q as u64 * self.rx_ring_stride + self.rx_cursor[q];
                 self.host.write(addr, &msg.payload);
                 self.rx_cursor[q] += msg.payload.len() as u64;
@@ -286,7 +285,6 @@ mod tests {
     use super::*;
     use packet::chain::{ChainHeader, Slack};
     use packet::message::MessageId;
-    use packet::phv::Phv;
 
     fn dma() -> DmaEngine {
         DmaEngine::new("dma", 9, DmaConfig::default(), 4, Some(EngineId(13)))
@@ -360,12 +358,10 @@ mod tests {
     #[test]
     fn frame_delivery_writes_ring_and_notifies_pcie() {
         let mut dma = dma();
-        let mut phv = Phv::new();
-        phv.set(Field::MetaRxQueue, 2);
-        let msg = Message::builder(MessageId(3), MessageKind::EthernetFrame)
+        let mut msg = Message::builder(MessageId(3), MessageKind::EthernetFrame)
             .payload(Bytes::from(vec![0xAB; 100]))
-            .phv(phv)
             .build();
+        msg.rx_queue = 2;
         let out = dma.process(msg, Cycle(0));
         assert_eq!(out.len(), 2);
         assert!(matches!(
@@ -376,6 +372,24 @@ mod tests {
         assert_eq!(dma.deliveries, 1);
         assert_eq!(dma.ring_fill(2), 100);
         assert_eq!(dma.ring_fill(0), 0);
+    }
+
+    #[test]
+    fn ring_is_rx_queue_modulo_rings() {
+        // Four rings. A frame no pipeline pass described lands in ring
+        // 0; a descriptor past the ring count wraps.
+        let mut dma = dma();
+        for (id, rx_queue, len) in [(1, None, 10), (2, Some(6), 20), (3, Some(u32::MAX), 30)] {
+            let mut msg = Message::builder(MessageId(id), MessageKind::EthernetFrame)
+                .payload(Bytes::from(vec![0xCD; len]))
+                .build();
+            if let Some(q) = rx_queue {
+                msg.rx_queue = q;
+            }
+            dma.process(msg, Cycle(0));
+        }
+        let fills: Vec<u64> = (0..4).map(|q| dma.ring_fill(q)).collect();
+        assert_eq!(fills, [10, 0, 20, 30]);
     }
 
     #[test]

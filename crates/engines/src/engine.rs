@@ -41,6 +41,10 @@ pub enum Output {
     Consumed,
 }
 
+// A `Message` plus the tag word, moved by value out of every offload
+// (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<Output>() <= 200);
+
 /// Deterministic id source for engine-generated messages. Each engine
 /// gets a disjoint id space (`engine_id << 40 | counter`) so generated
 /// ids never collide with workload ids, which count up from zero.

@@ -80,6 +80,10 @@ pub enum Emit {
     Consumed(TenantId),
 }
 
+// A `Message` plus the tag word, moved by value out of every tile tick
+// (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<Emit>() <= 200);
+
 /// Tile counters.
 ///
 /// Drop/refusal accounting lives in the scheduling queue's

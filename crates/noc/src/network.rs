@@ -137,6 +137,10 @@ struct InFlight {
     sent: Cycle,
 }
 
+// A slab entry is a `Message` plus one word; the slab is written once
+// and read once per NoC leg (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<InFlight>() <= 200);
+
 /// The mesh network of routers.
 #[derive(Debug)]
 pub struct MeshNetwork {

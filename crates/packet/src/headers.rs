@@ -442,18 +442,36 @@ impl EspHeader {
 #[must_use]
 pub fn build_udp_frame(
     eth: EthernetHeader,
+    ip: Ipv4Header,
+    udp: UdpHeader,
+    payload: &[u8],
+) -> Bytes {
+    build_udp_frame_padded(eth, ip, udp, payload, 0)
+}
+
+/// [`build_udp_frame`] whose UDP payload is `payload` followed by `pad`
+/// zero bytes, written straight into the frame buffer — how the frame
+/// factory pads to a target frame size without building the padded
+/// body first.
+#[must_use]
+pub fn build_udp_frame_padded(
+    eth: EthernetHeader,
     mut ip: Ipv4Header,
     mut udp: UdpHeader,
     payload: &[u8],
+    pad: usize,
 ) -> Bytes {
+    let body = payload.len() + pad;
     ip.protocol = ipproto::UDP;
-    ip.total_len = (Ipv4Header::SIZE + UdpHeader::SIZE + payload.len()) as u16;
-    udp.len = (UdpHeader::SIZE + payload.len()) as u16;
+    ip.total_len = (Ipv4Header::SIZE + UdpHeader::SIZE + body) as u16;
+    udp.len = (UdpHeader::SIZE + body) as u16;
     let mut out = BytesMut::with_capacity(EthernetHeader::SIZE + ip.total_len as usize);
     eth.emit(&mut out);
     ip.emit(&mut out);
     udp.emit(&mut out);
     out.put_slice(payload);
+    // Not `put_bytes`: the vendored stand-in builds a `vec![0; pad]`.
+    out.resize(out.len() + pad, 0);
     out.freeze()
 }
 

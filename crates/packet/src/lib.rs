@@ -15,9 +15,13 @@
 //!   pipeline computes once so per-engine lookup tables can route
 //!   without another pipeline traversal (§3.1.2).
 //! * [`phv`] — the Packet Header Vector: parsed fields as typed values,
-//!   the working set of the RMT pipeline.
-//! * [`message`] — [`message::Message`] itself: identity,
-//!   payload bytes, metadata, and timestamps.
+//!   the working set of the RMT pipeline. The type lives here (engines
+//!   and the verifier name its fields); a *value* lives only in the
+//!   pipeline's scratch for the duration of a pass.
+//! * [`message`] — [`message::Message`] itself: identity, payload
+//!   bytes, the chain, the descriptor a pipeline pass writes (priority,
+//!   receive queue, pass count), and the injection timestamp — three
+//!   cache lines, pinned at compile time.
 //! * [`flit`] — segmentation of messages into link-width flits for the
 //!   wormhole-routed on-chip network.
 

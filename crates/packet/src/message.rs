@@ -12,7 +12,6 @@ use bytes::Bytes;
 use sim_core::time::{ByteSize, Cycle};
 
 use crate::chain::{ChainHeader, EngineId, Slack};
-use crate::phv::Phv;
 
 /// Unique message identity, assigned at injection. Purely diagnostic:
 /// no model behaviour may branch on it.
@@ -79,9 +78,12 @@ impl MessageKind {
 /// The unified message.
 ///
 /// A message carries: identity and provenance, the payload bytes, the
-/// PANIC chain header (where it still has to go), the parsed PHV (if it
-/// has been through a pipeline pass), tenant/priority metadata, and
-/// bookkeeping timestamps for latency measurement.
+/// PANIC chain header (where it still has to go), the descriptor the
+/// last pipeline pass wrote (priority, receive queue, pass count),
+/// tenant metadata, and the injection timestamp for latency
+/// measurement. The parsed header vector is *not* here: the PHV lives
+/// in the pipeline's scratch for the duration of a pass and never
+/// crosses the NoC.
 #[derive(Debug, Clone)]
 pub struct Message {
     /// Unique id (diagnostic only).
@@ -93,27 +95,33 @@ pub struct Message {
     /// Remaining offload chain (§3.1.2). Routing consults
     /// `chain.current()`.
     pub chain: ChainHeader,
-    /// Parsed header fields from the last pipeline pass, if any.
-    pub phv: Option<Phv>,
+    /// Cycle the message entered the NIC (for end-to-end latency).
+    pub injected_at: Cycle,
+    /// Receive descriptor queue the last pipeline pass selected (the
+    /// low 32 bits of `Field::MetaRxQueue`); 0 until a program sets
+    /// one. The DMA engine delivers to ring `rx_queue % queues`.
+    pub rx_queue: u32,
+    /// Number of heavyweight-pipeline passes so far (§3.1.2 targets one
+    /// for plaintext, two for encrypted).
+    pub pipeline_passes: u16,
     /// Owning tenant.
     pub tenant: TenantId,
     /// Coarse priority class.
     pub priority: Priority,
     /// Engine that injected the message into the NIC.
     pub source: EngineId,
-    /// Cycle the message entered the NIC (for end-to-end latency).
-    pub injected_at: Cycle,
-    /// Number of heavyweight-pipeline passes so far (§3.1.2 targets one
-    /// for plaintext, two for encrypted).
-    pub pipeline_passes: u32,
 }
 
 // A `Message` is moved by value about a dozen times per chain leg (NoC
-// slab → portal → pipeline → slab → tile queue → service → emit). It is
-// nine cache lines — `Option<Phv>` 384 bytes + `ChainHeader` 132 of the
-// 576 — so those moves are a visible share of the tick (docs/PERF.md
-// §5). Growing it has to be a decision, not an accident.
-const _: () = assert!(std::mem::size_of::<Message>() <= 576);
+// slab → portal → pipeline → slab → tile queue → service → emit), so
+// its size is a visible share of the tick (docs/PERF.md §11). It is
+// exactly three cache lines: id 8 + `Bytes` 32 + `ChainHeader` 132 +
+// stamp 8 + the 12 bytes of descriptor fields above. Growing it has to
+// be a decision, not an accident — the types that carry one by value
+// (`noc::network::InFlight`, `engines::engine::Output`,
+// `engines::tile::Emit`, `rmt::pipeline::PipelineOutput`) pin their own
+// sizes, so a new field shows up in five places at compile time.
+const _: () = assert!(std::mem::size_of::<Message>() <= 192);
 
 impl Message {
     /// Starts building a message.
@@ -125,12 +133,12 @@ impl Message {
                 kind,
                 payload: Bytes::new(),
                 chain: ChainHeader::empty(),
-                phv: None,
+                injected_at: Cycle::ZERO,
+                rx_queue: 0,
+                pipeline_passes: 0,
                 tenant: TenantId::default(),
                 priority: Priority::default(),
                 source: EngineId(0),
-                injected_at: Cycle::ZERO,
-                pipeline_passes: 0,
             },
         }
     }
@@ -226,13 +234,6 @@ impl MessageBuilder {
         self
     }
 
-    /// Attaches a pre-parsed PHV.
-    #[must_use]
-    pub fn phv(mut self, phv: Phv) -> Self {
-        self.msg.phv = Some(phv);
-        self
-    }
-
     /// Finishes the build.
     #[must_use]
     pub fn build(self) -> Message {
@@ -276,7 +277,7 @@ mod tests {
         assert_eq!(m.priority, Priority::Latency);
         assert_eq!(m.injected_at, Cycle(100));
         assert_eq!(m.pipeline_passes, 0);
-        assert!(m.phv.is_none());
+        assert_eq!(m.rx_queue, 0);
     }
 
     #[test]

@@ -25,15 +25,12 @@
 //! interpreter stays as the executable specification, and the tests
 //! below diff the two over every table kind and tie-break rule.
 
-use bytes::Bytes;
-use packet::chain::ChainHeader;
 use packet::message::Message;
 use packet::phv::{Field, Phv};
 
-use crate::action::{priority_code, priority_from_code, Action, Verdict};
-use crate::deparse::deparse_into;
+use crate::action::{Action, Verdict};
 use crate::parse::{extract_layer, Layer, ParseOutcome};
-use crate::program::{ProgramScratch, RmtProgram};
+use crate::program::{ProgramScratch, RmtProgram, Stage};
 use crate::table::{MatchKey, MatchKind, Table};
 
 /// Number of [`Layer`] variants — the width of the compiled parser's
@@ -272,6 +269,12 @@ impl CompiledStage {
             default_action: table.default_action().clone(),
         }
     }
+}
+
+impl Stage for CompiledStage {
+    fn name(&self) -> &str {
+        &self.name
+    }
 
     /// Semantics-identical to [`Table::lookup`].
     #[inline]
@@ -387,50 +390,16 @@ impl CompiledProgram {
     /// [`RmtProgram::process_scratch`] with identical observable
     /// behaviour: same observer callbacks `(stage, table_name, hit)`,
     /// same `Drop` short-circuit, same copy-on-change payload handling,
-    /// same metadata, chain, priority and PHV updates.
+    /// same metadata, chain, priority and receive-queue updates, same
+    /// PHV left in `scratch`.
     pub fn process_scratch(
         &self,
         msg: &mut Message,
         scratch: &mut ProgramScratch,
         observer: &mut dyn FnMut(usize, &str, bool),
     ) -> Verdict {
-        let (outcome, hops, deparse_buf) = scratch.parts_mut();
-        self.parser.parse_into(&msg.payload, outcome);
-        let mut phv = outcome.phv.clone();
-
-        phv.set(Field::MetaIngress, u64::from(msg.source.0));
-        phv.set(Field::MetaPasses, u64::from(msg.pipeline_passes));
-        phv.set(Field::MetaPriority, priority_code(msg.priority));
-
-        hops.clear();
-        let mut verdict = Verdict::Forward;
-        for (stage, compiled) in self.stages.iter().enumerate() {
-            let (action, hit) = compiled.lookup(&phv);
-            observer(stage, &compiled.name, hit);
-            match action.apply(&mut phv, hops) {
-                Verdict::Forward => {}
-                Verdict::Drop => {
-                    verdict = Verdict::Drop;
-                    break;
-                }
-                Verdict::Recirculate => verdict = Verdict::Recirculate,
-            }
-        }
-
-        msg.pipeline_passes += 1;
-        if verdict == Verdict::Drop {
-            return verdict;
-        }
-
-        deparse_into(&msg.payload, outcome, &phv, deparse_buf);
-        if deparse_buf.as_ref() != &msg.payload[..] {
-            msg.payload = Bytes::copy_from_slice(deparse_buf);
-        }
-        msg.chain =
-            ChainHeader::from_slice(hops).expect("programs cannot build chains beyond MAX_HOPS");
-        msg.priority = priority_from_code(phv.get_or_zero(Field::MetaPriority));
-        msg.phv = Some(phv);
-        verdict
+        self.parser.parse_into(&msg.payload, scratch.outcome_mut());
+        scratch.run(msg, &self.stages, observer)
     }
 }
 
@@ -523,22 +492,25 @@ mod tests {
         frames
     }
 
-    /// Runs `program` interpreted and compiled over the same message
-    /// and asserts every observable is identical: verdict, observer
-    /// call sequence, payload bytes, chain, priority, pass count, PHV.
+    /// Runs `program` interpreted and compiled over the same message,
+    /// each through its own scratch, and asserts every observable is
+    /// identical: verdict, observer call sequence, the descriptor on
+    /// the message (payload bytes, chain, priority, receive queue, pass
+    /// count) and the whole PHV each pass left in its scratch.
     fn assert_equivalent(program: &RmtProgram, frame: &Bytes) {
         let compiled = CompiledProgram::compile(program);
-        let mut scratch = ProgramScratch::default();
+        let mut ref_scratch = ProgramScratch::default();
+        let mut compiled_scratch = ProgramScratch::default();
 
         let mut m_ref = msg_of(frame.clone());
         let mut obs_ref: Vec<(usize, String, bool)> = Vec::new();
-        let v_ref = program.process_scratch(&mut m_ref, &mut scratch, &mut |s, n, h| {
+        let v_ref = program.process_scratch(&mut m_ref, &mut ref_scratch, &mut |s, n, h| {
             obs_ref.push((s, n.to_string(), h));
         });
 
         let mut m_c = msg_of(frame.clone());
         let mut obs_c: Vec<(usize, String, bool)> = Vec::new();
-        let v_c = compiled.process_scratch(&mut m_c, &mut scratch, &mut |s, n, h| {
+        let v_c = compiled.process_scratch(&mut m_c, &mut compiled_scratch, &mut |s, n, h| {
             obs_c.push((s, n.to_string(), h));
         });
 
@@ -547,8 +519,9 @@ mod tests {
         assert_eq!(&m_ref.payload[..], &m_c.payload[..], "payload diverged");
         assert_eq!(m_ref.chain.hops(), m_c.chain.hops(), "chain diverged");
         assert_eq!(m_ref.priority, m_c.priority, "priority diverged");
+        assert_eq!(m_ref.rx_queue, m_c.rx_queue, "receive queue diverged");
         assert_eq!(m_ref.pipeline_passes, m_c.pipeline_passes);
-        assert_eq!(m_ref.phv, m_c.phv, "PHV diverged");
+        assert_eq!(ref_scratch.phv(), compiled_scratch.phv(), "PHV diverged");
     }
 
     fn push_hop(engine: u16) -> Action {

@@ -14,7 +14,10 @@
 //! * [`action`] — the action primitives a stage can run, including the
 //!   chain-building and slack-computing primitives unique to PANIC.
 //! * [`program`] — an RMT program: parser + one table per stage, with
-//!   a builder ("P4-lite") used by the NIC models and tests.
+//!   a builder ("P4-lite") used by the NIC models and tests, and the
+//!   per-pipeline scratch the PHV lives in: parsed there, rewritten
+//!   there in place, deparsed from there. What leaves a pass is a
+//!   descriptor on the message, never the vector.
 //! * [`deparse`] — rewrites wire bytes from the PHV (recomputing the
 //!   IPv4 checksum).
 //! * [`pipeline`] — the timing model: `P` parallel pipelines accept one

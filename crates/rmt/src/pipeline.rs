@@ -83,6 +83,10 @@ pub struct PipelineOutput {
     pub verdict: Verdict,
 }
 
+// A `Message` plus the verdict word, moved into and out of the
+// in-flight queue once per pass (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<PipelineOutput>() <= 200);
+
 /// The heavyweight RMT pipeline.
 #[derive(Debug)]
 pub struct RmtPipeline {

@@ -9,17 +9,22 @@
 use bytes::{Bytes, BytesMut};
 use packet::chain::{ChainHeader, Hop};
 use packet::message::Message;
-use packet::phv::Field;
+use packet::phv::{Field, Phv};
 
-use crate::action::{priority_code, priority_from_code, Verdict};
+use crate::action::{priority_code, priority_from_code, Action, Verdict};
 use crate::deparse::deparse_into;
 use crate::parse::{ParseGraph, ParseOutcome};
 use crate::table::Table;
 
 /// Reusable per-pipeline scratch for [`RmtProgram::process_scratch`]:
-/// the parse outcome, the hop accumulator, and the deparse buffer all
+/// the parse outcome — whose PHV the stages rewrite **in place** and the
+/// deparser then reads — the hop accumulator, and the deparse buffer all
 /// keep their capacity across messages, so a warm pipeline processes a
 /// message without touching the heap (see `docs/PERF.md`).
+///
+/// The PHV never leaves this scratch: a pass writes a *descriptor*
+/// onto the message (chain, priority, receive queue, payload, pass
+/// count) and the next pass's parse resets the vector.
 #[derive(Debug, Default)]
 pub struct ProgramScratch {
     outcome: ParseOutcome,
@@ -28,12 +33,87 @@ pub struct ProgramScratch {
 }
 
 impl ProgramScratch {
-    /// Split borrow of the three scratch areas, for program executors
-    /// outside this module (the compiled dispatch in
-    /// [`crate::compile`] runs the same parse → match → deparse flow
-    /// over the same scratch).
-    pub(crate) fn parts_mut(&mut self) -> (&mut ParseOutcome, &mut Vec<Hop>, &mut BytesMut) {
-        (&mut self.outcome, &mut self.hops, &mut self.deparse_buf)
+    /// The header vector as the last pass left it: parsed fields,
+    /// standard metadata and every stage rewrite (up to and including
+    /// the stage that dropped, on a `Drop` verdict). This is what the
+    /// compiled-vs-interpreted differential compares — whole PHVs, not
+    /// just the descriptor that reaches the message.
+    #[must_use]
+    pub fn phv(&self) -> &Phv {
+        &self.outcome.phv
+    }
+
+    /// The parse target of the next pass (reset by the parser).
+    pub(crate) fn outcome_mut(&mut self) -> &mut ParseOutcome {
+        &mut self.outcome
+    }
+
+    /// One pass over a message already parsed into this scratch — the
+    /// part of `process_scratch` the interpreter ([`Table`] stages) and
+    /// the compiled dispatch ([`crate::compile`]'s lowered stages)
+    /// share: stamp the standard metadata, run the stages over the PHV
+    /// in place, count the pass and, unless a stage dropped, write the
+    /// descriptor onto `msg` — deparsed payload (kept refcounted when
+    /// the bytes did not change), chain, priority and receive queue.
+    #[inline]
+    pub(crate) fn run<S: Stage>(
+        &mut self,
+        msg: &mut Message,
+        stages: &[S],
+        observer: &mut dyn FnMut(usize, &str, bool),
+    ) -> Verdict {
+        let phv = &mut self.outcome.phv;
+        phv.set(Field::MetaIngress, u64::from(msg.source.0));
+        phv.set(Field::MetaPasses, u64::from(msg.pipeline_passes));
+        phv.set(Field::MetaPriority, priority_code(msg.priority));
+
+        self.hops.clear();
+        let mut verdict = Verdict::Forward;
+        for (index, stage) in stages.iter().enumerate() {
+            let (action, hit) = stage.lookup(phv);
+            observer(index, stage.name(), hit);
+            match action.apply(phv, &mut self.hops) {
+                Verdict::Forward => {}
+                Verdict::Drop => {
+                    verdict = Verdict::Drop;
+                    break;
+                }
+                Verdict::Recirculate => verdict = Verdict::Recirculate,
+            }
+        }
+
+        msg.pipeline_passes += 1;
+        if verdict == Verdict::Drop {
+            return verdict;
+        }
+
+        let phv = &self.outcome.phv;
+        deparse_into(&msg.payload, &self.outcome, phv, &mut self.deparse_buf);
+        if self.deparse_buf.as_ref() != &msg.payload[..] {
+            msg.payload = Bytes::copy_from_slice(&self.deparse_buf);
+        }
+        msg.chain = ChainHeader::from_slice(&self.hops)
+            .expect("programs cannot build chains beyond MAX_HOPS");
+        msg.priority = priority_from_code(phv.get_or_zero(Field::MetaPriority));
+        msg.rx_queue = phv.get_or_zero(Field::MetaRxQueue) as u32;
+        verdict
+    }
+}
+
+/// One match+action stage as [`ProgramScratch::run`] sees it: a name
+/// for the observer and a lookup yielding the action to apply.
+pub(crate) trait Stage {
+    fn name(&self) -> &str;
+    fn lookup(&self, phv: &Phv) -> (&Action, bool);
+}
+
+impl Stage for Table {
+    fn name(&self) -> &str {
+        Table::name(self)
+    }
+
+    fn lookup(&self, phv: &Phv) -> (&Action, bool) {
+        Table::lookup(self, phv)
     }
 }
 
@@ -73,9 +153,9 @@ impl RmtProgram {
 
     /// Runs the program over `msg` *functionally* (no timing):
     /// parse → match+action stages → deparse. On `Forward` /
-    /// `Recirculate` the message's payload, chain, priority, PHV and
-    /// pass count are updated in place; on `Drop` the message is left
-    /// untouched except for the pass count.
+    /// `Recirculate` the message's payload, chain, priority, receive
+    /// queue and pass count are updated in place; on `Drop` the message
+    /// is left untouched except for the pass count.
     pub fn process(&self, msg: &mut Message) -> Verdict {
         self.process_observed(msg, &mut |_, _, _| {})
     }
@@ -110,48 +190,7 @@ impl RmtProgram {
         observer: &mut dyn FnMut(usize, &str, bool),
     ) -> Verdict {
         self.parser.parse_into(&msg.payload, &mut scratch.outcome);
-        // `Phv` is a fixed inline array: this clone is a memcpy.
-        let mut phv = scratch.outcome.phv.clone();
-
-        // Standard metadata available to every program.
-        phv.set(Field::MetaIngress, u64::from(msg.source.0));
-        phv.set(Field::MetaPasses, u64::from(msg.pipeline_passes));
-        phv.set(Field::MetaPriority, priority_code(msg.priority));
-
-        scratch.hops.clear();
-        let mut verdict = Verdict::Forward;
-        for (stage, table) in self.tables.iter().enumerate() {
-            let (action, hit) = table.lookup(&phv);
-            observer(stage, table.name(), hit);
-            match action.apply(&mut phv, &mut scratch.hops) {
-                Verdict::Forward => {}
-                Verdict::Drop => {
-                    verdict = Verdict::Drop;
-                    break;
-                }
-                Verdict::Recirculate => verdict = Verdict::Recirculate,
-            }
-        }
-
-        msg.pipeline_passes += 1;
-        if verdict == Verdict::Drop {
-            return verdict;
-        }
-
-        deparse_into(
-            &msg.payload,
-            &scratch.outcome,
-            &phv,
-            &mut scratch.deparse_buf,
-        );
-        if scratch.deparse_buf.as_ref() != &msg.payload[..] {
-            msg.payload = Bytes::copy_from_slice(&scratch.deparse_buf);
-        }
-        msg.chain = ChainHeader::from_slice(&scratch.hops)
-            .expect("programs cannot build chains beyond MAX_HOPS");
-        msg.priority = priority_from_code(phv.get_or_zero(Field::MetaPriority));
-        msg.phv = Some(phv);
-        verdict
+        scratch.run(msg, &self.tables, observer)
     }
 }
 
@@ -316,7 +355,7 @@ mod tests {
         // Slack came from the ByPriority ladder with latency class.
         assert_eq!(m.chain.hops()[0].slack, Slack(50));
         assert_eq!(m.pipeline_passes, 1);
-        assert!(m.phv.is_some());
+        assert_eq!(m.rx_queue, 0, "no stage selected a receive queue");
     }
 
     #[test]

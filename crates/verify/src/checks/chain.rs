@@ -158,13 +158,23 @@ fn check_chain_length(spec: &NicSpec, program: &rmt::RmtProgram, out: &mut Vec<D
         })
     });
 
-    if worst > ChainHeader::MAX_HOPS {
+    // What the header must hold: the pass's own hops plus, for a
+    // recirculating program, the portal hop the NIC appends on
+    // `Verdict::Recirculate` (`step_pipeline`'s `chain.extend`). Each
+    // hop is also one traversal of the mesh.
+    let traversals = worst + usize::from(recirculates);
+    if traversals > ChainHeader::MAX_HOPS {
+        let portal = if recirculates {
+            " plus the recirculation portal hop"
+        } else {
+            ""
+        };
         out.push(Diagnostic::new(
             Code::PV002,
             Severity::Error,
             Span::at("chain", program.name().to_string()),
             format!(
-                "worst-case chain of {worst} hops exceeds the {}-hop header limit; \
+                "worst-case chain of {worst} hops{portal} exceeds the {}-hop header limit; \
                  building it would panic the pipeline",
                 ChainHeader::MAX_HOPS
             ),
@@ -172,9 +182,6 @@ fn check_chain_length(spec: &NicSpec, program: &rmt::RmtProgram, out: &mut Vec<D
         return;
     }
 
-    // Traversal load on the mesh: each hop is a traversal; a
-    // recirculating program pays one more (back through a portal).
-    let traversals = worst + usize::from(recirculates);
     let sustainable = analytic::chain_length(
         spec.topology,
         spec.width_bits,
@@ -311,6 +318,22 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.code == Code::PV002 && d.severity == Severity::Error));
+    }
+
+    #[test]
+    fn pv002_error_when_recirculation_needs_a_seventeenth_hop() {
+        // 16 pushes fill the header exactly; `Recirculate` makes the
+        // NIC append a portal hop to that chain, which would panic
+        // `step_pipeline` mid-run. Without the recirculation the same
+        // 16 hops fit (no Error).
+        let pushes = || (0..16).map(|_| push(1, SlackExpr::Bulk));
+        let is_error = |prims: Vec<Primitive>| {
+            check_chain(&spec_with(one_stage(Action::named("full", prims))))
+                .iter()
+                .any(|d| d.code == Code::PV002 && d.severity == Severity::Error)
+        };
+        assert!(!is_error(pushes().collect()));
+        assert!(is_error(pushes().chain([Primitive::Recirculate]).collect()));
     }
 
     #[test]

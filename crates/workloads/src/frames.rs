@@ -11,7 +11,7 @@
 
 use bytes::Bytes;
 use packet::headers::{
-    build_udp_frame, ethertype, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr, UdpHeader,
+    build_udp_frame_padded, ethertype, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr, UdpHeader,
 };
 
 /// Well-known UDP ports used across experiments.
@@ -71,11 +71,9 @@ impl FrameFactory {
     ) -> Bytes {
         let headers = 14 + 20 + 8;
         let target = frame_size.max(64).max(headers + payload.len());
-        let mut body = payload.to_vec();
-        body.resize(target - headers, 0);
         let ident = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1);
-        build_udp_frame(
+        build_udp_frame_padded(
             EthernetHeader {
                 dst: self.nic_mac,
                 src: MacAddr::for_port(0xffff),
@@ -96,7 +94,8 @@ impl FrameFactory {
                 len: 0,
                 checksum: 0,
             },
-            &body,
+            payload,
+            target - headers - payload.len(),
         )
     }
 
@@ -138,6 +137,54 @@ mod tests {
         );
         assert_eq!(frame.len(), 256);
         assert_eq!(&frame[42..47], b"hello");
+    }
+
+    #[test]
+    fn padding_in_place_matches_a_padded_body() {
+        // The factory used to build `payload + zeros` as a `Vec` and
+        // hand it to `build_udp_frame`; it now pads inside the frame
+        // buffer. Same bytes, every size and payload length.
+        let mut new = FrameFactory::for_nic_port(3);
+        let mut ident = 0u16;
+        for frame_size in 64..=1518 {
+            for payload_len in [0usize, 1, 21, 22, 23, 63, 64] {
+                let payload: Vec<u8> = (0..payload_len).map(|b| b as u8 ^ 0xa5).collect();
+                let mut body = payload.clone();
+                body.resize(frame_size.max(42 + payload_len) - 42, 0);
+                let old = packet::headers::build_udp_frame(
+                    EthernetHeader {
+                        dst: new.nic_mac,
+                        src: MacAddr::for_port(0xffff),
+                        ethertype: ethertype::IPV4,
+                    },
+                    Ipv4Header {
+                        tos: 0,
+                        total_len: 0,
+                        ident,
+                        ttl: 64,
+                        protocol: 0,
+                        src: FrameFactory::lan_client_ip(9),
+                        dst: new.nic_ip,
+                    },
+                    Udp {
+                        src_port: 5,
+                        dst_port: ports::BULK,
+                        len: 0,
+                        checksum: 0,
+                    },
+                    &body,
+                );
+                ident = ident.wrapping_add(1);
+                let got = new.inbound_udp(
+                    FrameFactory::lan_client_ip(9),
+                    5,
+                    ports::BULK,
+                    &payload,
+                    frame_size,
+                );
+                assert_eq!(got, old, "frame_size {frame_size}, payload {payload_len}");
+            }
+        }
     }
 
     #[test]

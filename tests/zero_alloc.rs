@@ -31,10 +31,12 @@
 //! which no subscribed counter changed allocates nothing, and a busy
 //! subscription allocates only in the calls that emit a frame.
 //!
-//! Frame *injection* allocates by design (fresh payload bytes per
-//! frame — that is workload state, not simulator state) and is
-//! excluded from the counted region, exactly as `docs/PERF.md`
-//! documents.
+//! Building a frame allocates by design (fresh payload bytes per frame
+//! — that is workload state, not simulator state): exactly twice, the
+//! frame buffer and the `Bytes` it freezes into (`docs/PERF.md` §4).
+//! The factory call is excluded from the counted region; `rx_frame` is
+//! inside it, and `a_frame_costs_two_allocations_ingress_to_exit`
+//! counts the factory too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,6 +128,15 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
     let r = f();
     ARMED.set(false);
     (r, ALLOCS.get(), BYTES.get())
+}
+
+/// Runs `f` with this thread's counter disarmed, inside or outside a
+/// [`counted`] window.
+fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    let was = ARMED.replace(false);
+    let r = f();
+    ARMED.set(was);
+    r
 }
 
 /// A busy little NIC: two offload hops then back out the port, RMT
@@ -234,6 +245,8 @@ struct BusyNic {
     nic: PanicNic,
     eth: EngineId,
     factory: FrameFactory,
+    /// Whether building a frame counts toward an armed window.
+    count_frames: bool,
     scratch: Vec<Message>,
     delivered: u64,
 }
@@ -255,6 +268,7 @@ impl BusyNic {
             nic,
             eth,
             factory: FrameFactory::for_nic_port(0),
+            count_frames: false,
             scratch: Vec::new(),
             delivered: 0,
         }
@@ -262,19 +276,19 @@ impl BusyNic {
 }
 
 impl Driven for BusyNic {
-    /// One simulated cycle: inject (uncounted — workload-side
-    /// allocation), then tick and drain the wire (counted when armed).
+    /// One simulated cycle: build a frame (workload-side allocation,
+    /// counted only under `count_frames`), then hand it to the NIC,
+    /// tick and drain the wire (all counted when armed).
     fn step(&mut self, now: Cycle) {
         if now.0.is_multiple_of(INJECT_EVERY) {
-            let was = ARMED.replace(false);
-            self.nic.rx_frame(
-                self.eth,
-                self.factory.min_frame((now.0 % 4096) as u16, 80),
-                TenantId(1),
-                Priority::Normal,
-                now,
-            );
-            ARMED.set(was);
+            let flow = (now.0 % 4096) as u16;
+            let frame = if self.count_frames {
+                self.factory.min_frame(flow, 80)
+            } else {
+                uncounted(|| self.factory.min_frame(flow, 80))
+            };
+            self.nic
+                .rx_frame(self.eth, frame, TenantId(1), Priority::Normal, now);
         }
         self.nic.tick(now);
         self.scratch.clear();
@@ -339,6 +353,31 @@ fn steady_state_tick_allocates_nothing() {
                  has regressed"
             );
         }
+    }
+}
+
+/// A frame, ingress to exit, with the injection *inside* the counted
+/// window: the frame factory allocates twice per frame (the frame
+/// buffer, and the `Bytes` it freezes into) and the simulator adds
+/// nothing between `rx_frame` and the wire — so the window's count is
+/// exactly two per injected frame.
+#[test]
+fn a_frame_costs_two_allocations_ingress_to_exit() {
+    for advance in [Advance::Stepped, Advance::Merged] {
+        let mut busy = BusyNic::new();
+        busy.count_frames = true;
+        let (allocs, bytes) = measure(&mut busy, |busy, start, cycles| {
+            drive(busy, start, cycles, advance)
+        });
+        // The window starts on an injection cycle and is a whole number
+        // of injection periods long.
+        let frames = MEASURE / INJECT_EVERY;
+        assert_eq!(
+            allocs,
+            2 * frames,
+            "{advance:?}: {frames} frames, injection counted, allocated {allocs} \
+             times ({bytes} bytes): more than the factory's two per frame"
+        );
     }
 }
 
@@ -498,15 +537,14 @@ fn threaded_fabric_call_allocates_per_call_not_per_epoch() {
         let i = fb.member(b, eth);
         let mut factory = FrameFactory::for_nic_port(port);
         let mut wire = Vec::new();
-        // Injection is workload-side allocation, uncounted as above
-        // (member 1's runs on a worker, whose counter is never armed).
+        // Building the frame is workload-side allocation, uncounted as
+        // above (member 1's runs on a worker, whose counter is never
+        // armed).
         let inject = move |nic: &mut PanicNic, now: Cycle, _| {
-            let was = ARMED.replace(false);
-            let frame = factory.min_frame((now.0 % 4096) as u16, 80);
+            let frame = uncounted(|| factory.min_frame((now.0 % 4096) as u16, 80));
             nic.rx_frame(eth, frame, TenantId(1), Priority::Normal, now);
             wire.clear();
             nic.drain_wire_tx_into(&mut wire);
-            ARMED.set(was);
         };
         let driver = PeriodicDriver::new(0, INJECT_EVERY, u64::MAX, inject);
         fb.driver(i, Box::new(driver));
