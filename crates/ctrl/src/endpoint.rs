@@ -49,7 +49,7 @@ use rmt::RmtProgram;
 use sim_core::Cycle;
 use tenancy::{TenancyConfig, VNicSpec};
 
-use crate::proto::{CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse};
+use crate::proto::{self, CtrlBody, CtrlFrame, CtrlRequest, CtrlResponse};
 use crate::telemetry::Telemetry;
 
 /// A mutation waiting for its drain before the epoch can switch.
@@ -387,9 +387,9 @@ impl CtrlEndpoint {
         if self.telemetry.is_off() {
             return;
         }
-        let updates = self.telemetry.step(nic);
-        for frame in CtrlFrame::telemetry(self.member, updates) {
-            self.outbox.push_back(frame.encode());
+        if let Some(updates) = self.telemetry.step(nic) {
+            self.outbox
+                .extend(proto::encode_telemetry(self.member, updates));
         }
     }
 }

@@ -22,8 +22,10 @@
 //!    `subscribe` opcode streaming framed metric deltas. Streaming
 //!    visits the NIC's metrics through a [`trace::MetricSink`] that
 //!    prunes unsubscribed subtrees and walks a positional change
-//!    cursor, so a step in which nothing subscribed changed allocates
-//!    nothing.
+//!    cursor — every name compared every step, as bytes wherever the
+//!    exporter holds it as a string — so a step in which nothing
+//!    subscribed changed formats nothing and allocates nothing, and a
+//!    step that emits writes its frame straight from the cursor.
 //!
 //! An armed but silent endpoint is a pure no-op: a run with a
 //! [`endpoint::CtrlEndpoint`] attached and no messages is

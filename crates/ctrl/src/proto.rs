@@ -264,49 +264,19 @@ impl CtrlFrame {
         }
     }
 
-    /// The pushed telemetry frames carrying `updates`, in order: none
-    /// for an empty batch, and a batch beyond the wire's `u16` update
-    /// count continues in further frames rather than failing to
-    /// encode.
-    pub(crate) fn telemetry(
-        member: u16,
-        mut updates: Vec<MetricUpdate>,
-    ) -> impl Iterator<Item = CtrlFrame> {
-        std::iter::from_fn(move || {
-            if updates.is_empty() {
-                return None;
-            }
-            let rest = updates.split_off(updates.len().min(usize::from(u16::MAX)));
-            let head = std::mem::replace(&mut updates, rest);
-            Some(CtrlFrame::response(
-                member,
-                0,
-                CtrlResponse::Telemetry { updates: head },
-            ))
-        })
-    }
-
     /// Serializes the frame to wire bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u8(crate::PROTO_VERSION);
         let opcode = match &self.body {
             CtrlBody::Request(r) => r.opcode(),
             CtrlBody::Response(r) => r.opcode(),
         };
-        w.u8(opcode);
-        w.u16(self.member);
-        w.u32(self.seq);
-        w.u32(0); // payload_len, patched below
+        let mut w = Writer::frame(opcode, self.member, self.seq);
         match &self.body {
             CtrlBody::Request(r) => encode_request(&mut w, r),
             CtrlBody::Response(r) => encode_response(&mut w, r),
         }
-        let payload_len = u32::try_from(w.buf.len() - HEADER_LEN).expect("payload fits u32");
-        w.buf[12..16].copy_from_slice(&payload_len.to_le_bytes());
-        w.buf
+        w.finish()
     }
 
     /// Parses one frame from `bytes`, which must contain exactly one
@@ -357,8 +327,29 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
+    /// Bytes a frame's buffer starts with: an `Ok`, an `Error` or a
+    /// telemetry frame of a few updates is written without growing it.
+    const FRAME_START: usize = 256;
+
+    /// A frame's header, its payload length still to come
+    /// ([`Writer::finish`]).
+    fn frame(opcode: u8, member: u16, seq: u32) -> Writer {
+        let mut w = Writer {
+            buf: Vec::with_capacity(Writer::FRAME_START),
+        };
+        w.bytes(&MAGIC);
+        w.u8(crate::PROTO_VERSION);
+        w.u8(opcode);
+        w.u16(member);
+        w.u32(seq);
+        w.u32(0); // payload_len, patched by `finish`
+        w
+    }
+    /// The frame's wire bytes, the header's payload length filled in.
+    fn finish(mut self) -> Vec<u8> {
+        let payload_len = u32::try_from(self.buf.len() - HEADER_LEN).expect("payload fits u32");
+        self.buf[12..16].copy_from_slice(&payload_len.to_le_bytes());
+        self.buf
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -531,15 +522,43 @@ fn encode_response(w: &mut Writer, resp: &CtrlResponse) {
         CtrlResponse::Ok { epoch } => w.u64(*epoch),
         CtrlResponse::Rejected { findings } => w.str_long(findings),
         CtrlResponse::Error { message } => w.str_long(message),
-        CtrlResponse::Telemetry { updates } => {
-            w.count(updates.len());
-            for u in updates {
-                w.str_short(&u.name);
-                w.u64(u.value);
-                w.u64(u.delta);
-            }
-        }
+        CtrlResponse::Telemetry { updates } => write_updates(
+            w,
+            updates.iter().map(|u| (u.name.as_str(), u.value, u.delta)),
+        ),
     }
+}
+
+/// A telemetry payload: the update count, then each `(name, value,
+/// delta)`.
+fn write_updates<'a>(w: &mut Writer, updates: impl Iterator<Item = (&'a str, u64, u64)>) {
+    let count_at = w.buf.len();
+    w.u16(0); // the count, patched below
+    let mut n = 0usize;
+    for (name, value, delta) in updates {
+        w.str_short(name);
+        w.u64(value);
+        w.u64(delta);
+        n += 1;
+    }
+    let n = u16::try_from(n).expect("count fits u16");
+    w.buf[count_at..count_at + 2].copy_from_slice(&n.to_le_bytes());
+}
+
+/// The pushed telemetry frames carrying `updates`, encoded, in order:
+/// none for no updates, and a batch beyond the wire's `u16` update
+/// count continues in further frames rather than failing to encode.
+pub(crate) fn encode_telemetry<'a>(
+    member: u16,
+    updates: impl Iterator<Item = (&'a str, u64, u64)>,
+) -> impl Iterator<Item = Vec<u8>> {
+    let mut updates = updates.peekable();
+    std::iter::from_fn(move || {
+        updates.peek()?;
+        let mut w = Writer::frame(0x84, member, 0);
+        write_updates(&mut w, updates.by_ref().take(usize::from(u16::MAX)));
+        Some(w.finish())
+    })
 }
 
 fn decode_response(opcode: u8, r: &mut Reader<'_>) -> Result<CtrlResponse, DecodeError> {
@@ -1237,18 +1256,28 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(CtrlFrame::telemetry(0, Vec::new()).count(), 0);
+        let frames_of = |updates: &[MetricUpdate]| -> Vec<Vec<u8>> {
+            let borrowed = updates.iter().map(|u| (u.name.as_str(), u.value, u.delta));
+            encode_telemetry(3, borrowed).collect()
+        };
+        assert!(frames_of(&[]).is_empty());
         let max = usize::from(u16::MAX);
         for (n, frames) in [(1, 1), (max, 1), (max + 1, 2), (2 * max + 7, 3)] {
             let mut carried = Vec::new();
             let mut count = 0;
-            for frame in CtrlFrame::telemetry(3, updates(n)) {
+            for raw in frames_of(&updates(n)) {
                 count += 1;
+                // Every frame decodes (no count overflow)…
+                let frame = CtrlFrame::decode(&raw).expect("decodes");
                 assert_eq!((frame.member, frame.seq), (3, 0));
-                // Every frame encodes (no count overflow) and decodes.
-                match roundtrip(&frame).body {
+                match frame.body {
                     CtrlBody::Response(CtrlResponse::Telemetry { updates }) => {
                         assert!(!updates.is_empty() && updates.len() <= max);
+                        // …to what `CtrlFrame::encode` writes for it.
+                        let again = CtrlResponse::Telemetry {
+                            updates: updates.clone(),
+                        };
+                        assert_eq!(CtrlFrame::response(3, 0, again).encode(), raw);
                         carried.extend(updates);
                     }
                     other => panic!("wrong body: {other:?}"),

@@ -12,9 +12,12 @@
 //! * **Cursor.** The subscribed counters are remembered *positionally*
 //!   — name and last streamed value, in the order the exporter visits
 //!   them. The common step walks the visit against that memory,
-//!   comparing each unformatted name to the remembered bytes through a
-//!   [`fmt::Write`] comparator. A step in which every name is where it
-//!   was and every value is what it was allocates nothing and emits
+//!   comparing every name to the remembered bytes: a name that arrives
+//!   as a string ([`MetricSink::counter_str`] — a layer that built its
+//!   names once, like `tenancy` — or a literal) is a length test and a
+//!   `memcmp`; only a name with arguments still to format goes through
+//!   a [`fmt::Write`] comparator. A step in which every name is where
+//!   it was and every value is what it was allocates nothing and emits
 //!   nothing.
 //! * **Rebuild.** Only when a subscribed counter shows up where the
 //!   memory does not expect it (a vNIC added or removed, a conditional
@@ -23,7 +26,9 @@
 //!   exported is forgotten, so one that comes back is streamed in full.
 //!
 //! Updates leave in counter-name order, one per distinct name with the
-//! last visit winning — exactly what iterating a registry produced.
+//! last visit winning — exactly what iterating a registry produced —
+//! as borrowed `(name, value, delta)` triples the endpoint encodes
+//! straight into a frame.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -31,8 +36,6 @@ use std::fmt::{self, Write as _};
 use panic_core::PanicNic;
 use sim_core::stats::Histogram;
 use trace::MetricSink;
-
-use crate::proto::MetricUpdate;
 
 /// An active subscription and what it last streamed.
 #[derive(Debug, Default)]
@@ -69,9 +72,15 @@ impl Telemetry {
         self.order.clear();
     }
 
-    /// The counters that changed since the last step, in name order.
-    /// Empty when nothing did; allocation-free in that case.
-    pub(crate) fn step(&mut self, nic: &PanicNic) -> Vec<MetricUpdate> {
+    /// The counters that changed since the last step, as `(name,
+    /// value, delta)` in name order. `None` — and no allocation — when
+    /// every subscribed counter is where it was with the value it had;
+    /// `Some` of nothing when what changed is not a distinct name's
+    /// winning visit.
+    pub(crate) fn step(
+        &mut self,
+        nic: &PanicNic,
+    ) -> Option<impl Iterator<Item = (&str, u64, u64)> + '_> {
         self.seen.clear();
         let mut cursor = Cursor {
             subs: &self.subs,
@@ -84,19 +93,17 @@ impl Telemetry {
         let moved = cursor.moved || self.seen.len() != self.names.len();
         if !moved {
             if self.seen == self.values {
-                return Vec::new();
+                return None;
             }
             // Same counters, new values: `seen` becomes the memory and
             // the old memory is each position's previous value.
             std::mem::swap(&mut self.values, &mut self.seen);
-            let prev = &self.seen;
-            return self.updates(|i| Some(prev[i]));
+            return Some(self.updates(Prev::SameLayout(&self.seen)));
         }
         let mut fresh = Collect {
             subs: &self.subs,
             names: Vec::with_capacity(self.names.len()),
             values: Vec::with_capacity(self.names.len()),
-            scratch: &mut self.scratch,
         };
         nic.export_metrics(&mut fresh);
         let (names, values) = (fresh.names, fresh.values);
@@ -112,30 +119,44 @@ impl Telemetry {
         self.names = names;
         self.values = values;
         self.order = name_order(&self.names);
-        self.updates(|i| prev[i])
+        Some(self.updates(Prev::Rebuilt(prev)))
     }
 
-    /// One update per distinct counter whose value differs from
-    /// `prev(position)`, in name order.
-    fn updates(&self, prev: impl Fn(usize) -> Option<u64>) -> Vec<MetricUpdate> {
-        self.order
-            .iter()
-            .filter_map(|&i| {
-                let i = i as usize;
-                let (value, prev) = (self.values[i], prev(i));
-                (prev != Some(value)).then(|| MetricUpdate {
-                    name: self.names[i].clone(),
-                    value,
-                    delta: value.saturating_sub(prev.unwrap_or(0)),
-                })
+    /// One `(name, value, delta)` per distinct counter whose value
+    /// differs from `prev.at(position)`, in name order.
+    fn updates<'a>(&'a self, prev: Prev<'a>) -> impl Iterator<Item = (&'a str, u64, u64)> + 'a {
+        self.order.iter().filter_map(move |&i| {
+            let i = i as usize;
+            let (value, prev) = (self.values[i], prev.at(i));
+            (prev != Some(value)).then(|| {
+                let delta = value.saturating_sub(prev.unwrap_or(0));
+                (self.names[i].as_str(), value, delta)
             })
-            .collect()
+        })
     }
 
     /// Counters currently remembered (tests: bounded-state check).
     #[cfg(test)]
     pub(crate) fn remembered(&self) -> usize {
         self.names.len()
+    }
+}
+
+/// What each remembered position last streamed, going into a step.
+enum Prev<'a> {
+    /// The layout did not move: every position has a previous value.
+    SameLayout(&'a [u64]),
+    /// The layout was rebuilt: a position whose name the old layout
+    /// did not hold has none.
+    Rebuilt(Vec<Option<u64>>),
+}
+
+impl Prev<'_> {
+    fn at(&self, i: usize) -> Option<u64> {
+        match self {
+            Prev::SameLayout(values) => Some(values[i]),
+            Prev::Rebuilt(values) => values[i],
+        }
     }
 }
 
@@ -208,6 +229,10 @@ impl MetricSink for Cursor<'_> {
     }
 
     fn counter(&mut self, name: fmt::Arguments<'_>, value: u64) {
+        // A literal name is already a string.
+        if let Some(name) = name.as_str() {
+            return self.counter_str(name, value);
+        }
         if self.moved {
             return;
         }
@@ -223,6 +248,19 @@ impl MetricSink for Cursor<'_> {
         self.moved = selects(self.subs, self.scratch);
     }
 
+    fn counter_str(&mut self, name: &str, value: u64) {
+        if self.moved {
+            return;
+        }
+        let expected = self.names.get(self.seen.len());
+        if expected.is_some_and(|n| n == name) {
+            self.seen.push(value);
+            return;
+        }
+        // As in `counter`: unselected, or the layout moved.
+        self.moved = selects(self.subs, name);
+    }
+
     fn histogram(&mut self, _name: fmt::Arguments<'_>, _h: &Histogram) {}
 }
 
@@ -231,7 +269,6 @@ struct Collect<'a> {
     subs: &'a [String],
     names: Vec<String>,
     values: Vec<u64>,
-    scratch: &'a mut String,
 }
 
 impl MetricSink for Collect<'_> {
@@ -240,10 +277,12 @@ impl MetricSink for Collect<'_> {
     }
 
     fn counter(&mut self, name: fmt::Arguments<'_>, value: u64) {
-        self.scratch.clear();
-        let _ = self.scratch.write_fmt(name);
-        if selects(self.subs, self.scratch) {
-            self.names.push(self.scratch.clone());
+        self.counter_str(&name.to_string(), value);
+    }
+
+    fn counter_str(&mut self, name: &str, value: u64) {
+        if selects(self.subs, name) {
+            self.names.push(name.to_owned());
             self.values.push(value);
         }
     }
@@ -279,6 +318,94 @@ mod tests {
             "tenancy.wex.tx3"
         ));
         assert!(formats_to(format_args!(""), ""));
+    }
+
+    /// Runs `visit` over a [`Cursor`] remembering `names`; returns what
+    /// it `(saw, concluded about the layout)`.
+    fn cursor_over(
+        subs: &[String],
+        names: &[String],
+        visit: impl FnOnce(&mut Cursor<'_>),
+    ) -> (Vec<u64>, bool) {
+        let (mut seen, mut scratch) = (Vec::new(), String::new());
+        let mut cursor = Cursor {
+            subs,
+            names,
+            seen: &mut seen,
+            scratch: &mut scratch,
+            moved: false,
+        };
+        visit(&mut cursor);
+        let moved = cursor.moved;
+        (seen, moved)
+    }
+
+    /// What a [`Collect`] keeps of `visit`.
+    fn collected(subs: &[String], visit: impl FnOnce(&mut Collect<'_>)) -> (Vec<String>, Vec<u64>) {
+        let mut collect = Collect {
+            subs,
+            names: Vec::new(),
+            values: Vec::new(),
+        };
+        visit(&mut collect);
+        (collect.names, collect.values)
+    }
+
+    /// A name handed over as a string, as a literal and as arguments
+    /// still to format is the same name to both sinks: accepted only
+    /// when it is the whole remembered name, byte for byte.
+    #[test]
+    fn a_name_is_compared_the_same_however_it_arrives() {
+        let filters = subs(&["tenancy.", "nic."]);
+        let remembered = subs(&["tenancy.web.tx", "nic.rx_frames", "tenancy.{}.tx"]);
+        // (visited second, still the remembered layout?) — as long as
+        // the remembered name in every row but the last two.
+        let second = [
+            ("nic.rx_frames", true),
+            ("nic.rx_framez", false),
+            ("nic.tx_frames", false),
+            ("noc.rx_frames", true), // unselected: skipped, not a move
+            ("nic.rx_frame", false),
+            ("nic.rx_frames.", false),
+        ];
+        for (name, same) in second {
+            let by_str = cursor_over(&filters, &remembered, |c| {
+                c.counter_str("tenancy.web.tx", 1);
+                c.counter_str(name, 2);
+            });
+            let by_fmt = cursor_over(&filters, &remembered, |c| {
+                c.counter(format_args!("tenancy.{}.tx", "web"), 1);
+                c.counter(format_args!("{name}"), 2);
+            });
+            assert_eq!(by_str, by_fmt, "{name}");
+            assert_eq!(by_str.1, !same, "{name}");
+            assert_eq!(
+                collected(&filters, |c| c.counter_str(name, 2)),
+                collected(&filters, |c| c.counter(format_args!("{name}"), 2)),
+                "{name}"
+            );
+        }
+        // Braces in a remembered name are bytes, not placeholders.
+        let (seen, moved) = cursor_over(&filters, &remembered[2..], |c| {
+            c.counter_str("tenancy.{}.tx", 9);
+        });
+        assert_eq!((seen, moved), (vec![9], false));
+    }
+
+    /// A literal name takes `counter`'s `as_str` road — and is still
+    /// compared, not trusted to be where it was.
+    #[test]
+    fn a_literal_name_is_compared_not_trusted() {
+        let filters = subs(&["nic."]);
+        let remembered = subs(&["nic.rx_frames"]);
+        let hit = cursor_over(&filters, &remembered, |c| {
+            c.counter(format_args!("nic.rx_frames"), 4);
+        });
+        assert_eq!(hit, (vec![4], false));
+        let miss = cursor_over(&filters, &remembered, |c| {
+            c.counter(format_args!("nic.tx_frames"), 4);
+        });
+        assert_eq!(miss, (vec![], true));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   from the registry-building endpoint this PR's parent shipped.
 //! * **The re-baseline rule**, the one place the stream intentionally
 //!   differs from the parent's: a vNIC removed and added again starts
-//!   from nothing, like a first `Subscribe`.
+//!   from nothing, like a first `Subscribe` — and so does a vNIC that
+//!   takes another's place within one service call, where names are
+//!   all that differ.
 
 mod common;
 
@@ -354,6 +356,66 @@ fn removed_then_readded_vnic_is_baselined_in_full() {
     let names: Vec<&str> = rebaseline.iter().map(|u| u.name.as_str()).collect();
     assert_eq!(names, baseline, "every counter again, in name order");
     assert!(rebaseline.iter().all(|u| u.value == 0 && u.delta == 0));
+}
+
+/// One vNIC replaces another inside a single `service` call: the
+/// drained removal of a never-used vNIC finalises and the add of a
+/// differently named one commits before that call's telemetry step.
+/// The visit is then as long as it was and every value is what it was
+/// (zero) — only the names differ, at equal length — so nothing but
+/// comparing every name, whole, on every step notices. The newcomer is
+/// baselined in full in that same step.
+#[test]
+fn a_vnic_replaced_within_one_service_call_is_baselined_in_that_step() {
+    let successor = TenantId(3);
+    let mut s = Session::new(None);
+    s.submit(subscribe(&["tenancy."]));
+    s.submit(CtrlRequest::AddVnic(
+        VNicSpec::new(LATE, "vnic-x", 4).credit_quota(16),
+    ));
+    for _ in 0..5 {
+        s.step();
+    }
+    // This step starts the drain; the vNIC is still exported.
+    s.submit(CtrlRequest::RemoveVnic { tenant: LATE });
+    s.step();
+    assert_eq!(s.unanswered, 1, "the removal waits for the next service");
+
+    let before = s.stream.len();
+    s.submit(CtrlRequest::AddVnic(
+        VNicSpec::new(successor, "vnic-y", 4).credit_quota(16),
+    ));
+    s.step();
+    let step = &s.stream[before..];
+    let bodies: Vec<CtrlBody> = step
+        .iter()
+        .map(|raw| CtrlFrame::decode(raw).expect("decodes").body)
+        .collect();
+    assert!(
+        matches!(
+            bodies[..],
+            [
+                CtrlBody::Response(CtrlResponse::Ok { .. }),
+                CtrlBody::Response(CtrlResponse::Ok { .. }),
+                CtrlBody::Response(CtrlResponse::Telemetry { .. }),
+            ]
+        ),
+        "removal finalised, add committed, then telemetry: {bodies:?}"
+    );
+    let tn = s.rig.nic.tenancy().expect("tenancy plane");
+    assert!(!tn.knows(LATE) && tn.knows(successor));
+
+    let mut want: Vec<String> = tenancy::COUNTER_KEYS
+        .iter()
+        .filter(|key| !key.starts_with("remote_"))
+        .map(|key| format!("tenancy.vnic-y.{key}"))
+        .collect();
+    want.sort();
+    assert_eq!(want.len(), 15);
+    let baseline = &telemetry_of(step)[0];
+    let names: Vec<&str> = baseline.iter().map(|u| u.name.as_str()).collect();
+    assert_eq!(names, want, "every counter of the newcomer, in name order");
+    assert!(baseline.iter().all(|u| u.value == 0 && u.delta == 0));
 }
 
 // ---------------------------------------------------------------------------

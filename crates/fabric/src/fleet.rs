@@ -557,3 +557,45 @@ fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: Advance, phase: Phase
     }
     skipped
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trace::MetricsRegistry;
+
+    /// A member's cached counter names reach the fabric's sink through
+    /// `MemberSink`'s defaulted `counter_str`: it must file them where
+    /// `counter` files the same name, whatever the name holds.
+    #[test]
+    fn member_sink_files_a_string_name_where_it_files_a_formatted_one() {
+        let long = "n".repeat(255);
+        let names = [
+            "",
+            "{}",
+            "{name}",
+            "}{",
+            "tenancy.web.tx_wire",
+            "..",
+            "tenancy.{.}.pending",
+            &long,
+            "tenancy.web.tx_wire",
+        ];
+        let (mut by_str, mut by_fmt) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for (value, name) in (0u64..).zip(names) {
+            let index = (value % 3) as usize;
+            MemberSink {
+                inner: &mut by_str,
+                index,
+            }
+            .counter_str(name, value);
+            MemberSink {
+                inner: &mut by_fmt,
+                index,
+            }
+            .counter(format_args!("{name}"), value);
+            assert_eq!(by_str.counter(&format!("nic{index}.{name}")), Some(value));
+        }
+        assert_eq!(by_str.to_json(), by_fmt.to_json());
+        assert_eq!(by_str.counters().count(), names.len());
+    }
+}

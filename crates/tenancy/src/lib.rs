@@ -42,5 +42,7 @@
 pub mod runtime;
 pub mod spec;
 
-pub use runtime::{ExitKind, SubmitSource, TenancyRuntime, TenantConservation, TenantLedger};
+pub use runtime::{
+    ExitKind, SubmitSource, TenancyRuntime, TenantConservation, TenantLedger, COUNTER_KEYS,
+};
 pub use spec::{RateSpec, TenancyConfig, VNicSpec};

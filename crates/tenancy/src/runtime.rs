@@ -54,6 +54,72 @@ use crate::spec::{TenancyConfig, VNicSpec};
 /// eventually clear the deficit gate.
 const DEFICIT_HEADROOM_BYTES: u64 = 16_384;
 
+/// The counter keys a vNIC exports, in export order: vNIC `web` reports
+/// them as `tenancy.web.<key>` (`docs/TENANCY.md` "Observability" says
+/// what each one counts). `remote_tx` and `remote_rx` appear only once
+/// the vNIC has seen a fabric crossing.
+pub const COUNTER_KEYS: [&str; 17] = [
+    "submitted",
+    "released",
+    "reissued",
+    "tx_wire",
+    "host",
+    "host_fallback",
+    "consumed",
+    "control",
+    "unrouted",
+    "duplicates",
+    "remote_tx",
+    "remote_rx",
+    "implicit_exits",
+    "rate_stalls",
+    "credit_stalls",
+    "pending",
+    "credits_in_use",
+];
+
+/// Positions of `remote_tx` and `remote_rx` in [`COUNTER_KEYS`].
+const REMOTE_KEYS: std::ops::Range<usize> = 10..12;
+
+/// One vNIC's full counter names, `tenancy.<vnic>.<key>` for every
+/// entry of [`COUNTER_KEYS`], built once when the vNIC is created so
+/// that exporting its counters formats nothing.
+#[derive(Debug)]
+struct CounterNames {
+    /// The names back to back, in [`COUNTER_KEYS`] order.
+    buf: Box<str>,
+    /// Where each name ends in `buf`. `u32`: the runtime takes any
+    /// name, lint PV605's 255-byte cap is not enforced here.
+    ends: [u32; COUNTER_KEYS.len()],
+}
+
+impl CounterNames {
+    fn new(vnic: &str) -> CounterNames {
+        let prefix = "tenancy.".len() + vnic.len() + ".".len();
+        let keys: usize = COUNTER_KEYS.iter().map(|key| key.len()).sum();
+        // Sized exactly: one allocation a vNIC.
+        let mut buf = String::with_capacity(COUNTER_KEYS.len() * prefix + keys);
+        let ends = COUNTER_KEYS.map(|key| {
+            buf.extend(["tenancy.", vnic, ".", key]);
+            u32::try_from(buf.len()).expect("a vNIC's counter names fit 4 GiB")
+        });
+        CounterNames {
+            buf: buf.into_boxed_str(),
+            ends,
+        }
+    }
+
+    /// The names, in [`COUNTER_KEYS`] order.
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let name = &self.buf[start..end as usize];
+            start = end as usize;
+            name
+        })
+    }
+}
+
 /// Where a submitted message came from, for the ledger's source side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitSource {
@@ -295,6 +361,8 @@ struct TenantState {
     /// Cycles spent parked in the vNIC queue before release.
     queue_wait: Histogram,
     track: TrackId,
+    /// The counter names of `spec.name`, which never changes.
+    names: CounterNames,
 }
 
 impl TenantState {
@@ -303,6 +371,7 @@ impl TenantState {
         // penalized for cycles before its first message.
         let tokens = spec.rate.map_or(0, |r| r.burst * r.den);
         TenantState {
+            names: CounterNames::new(&spec.name),
             spec,
             draining: false,
             pending: VecDeque::new(),
@@ -316,6 +385,30 @@ impl TenantState {
             queue_wait: Histogram::new(),
             track: TrackId(0),
         }
+    }
+
+    /// What each of [`COUNTER_KEYS`] reads right now, in that order.
+    fn counter_values(&self) -> [u64; COUNTER_KEYS.len()] {
+        let l = &self.ledger;
+        [
+            l.submitted(),
+            l.released,
+            l.reissued,
+            l.tx_wire,
+            l.host,
+            l.host_fallback,
+            l.consumed,
+            l.control,
+            l.unrouted,
+            l.duplicates,
+            l.remote_tx,
+            l.remote_rx,
+            l.implicit_exits,
+            l.rate_stalls,
+            l.credit_stalls,
+            self.pending.len() as u64,
+            self.credits_in_use,
+        ]
     }
 
     /// This cycle's deficit grant. Zero-weight tenants are served only
@@ -924,8 +1017,10 @@ impl TenancyRuntime {
         }
     }
 
-    /// Exports every tenant's counters and histograms into `m` under
-    /// `tenancy.{vnic-name}.*`.
+    /// Exports every tenant's counters ([`COUNTER_KEYS`]) and
+    /// histograms into `m` under `tenancy.{vnic-name}.*`. The counter
+    /// names were built with the vNIC, so the counters reach the sink
+    /// through [`MetricSink::counter_str`] and nothing is formatted.
     pub fn export_metrics<S: MetricSink + ?Sized>(&self, m: &mut S) {
         if !m.wants("tenancy.") {
             return;
@@ -933,30 +1028,15 @@ impl TenancyRuntime {
         for state in self.tenants.values() {
             let name = &state.spec.name;
             let l = &state.ledger;
-            let set = |m: &mut S, key: &str, v: u64| {
-                m.counter(format_args!("tenancy.{name}.{key}"), v);
-            };
-            set(m, "submitted", l.submitted());
-            set(m, "released", l.released);
-            set(m, "reissued", l.reissued);
-            set(m, "tx_wire", l.tx_wire);
-            set(m, "host", l.host);
-            set(m, "host_fallback", l.host_fallback);
-            set(m, "consumed", l.consumed);
-            set(m, "control", l.control);
-            set(m, "unrouted", l.unrouted);
-            set(m, "duplicates", l.duplicates);
             // Fabric crossings exist only once one happened, keeping
             // single-NIC metrics output byte-identical.
-            if l.remote_tx > 0 || l.remote_rx > 0 {
-                set(m, "remote_tx", l.remote_tx);
-                set(m, "remote_rx", l.remote_rx);
+            let crossed = l.remote_tx > 0 || l.remote_rx > 0;
+            for (i, (counter, value)) in state.names.iter().zip(state.counter_values()).enumerate()
+            {
+                if crossed || !REMOTE_KEYS.contains(&i) {
+                    m.counter_str(counter, value);
+                }
             }
-            set(m, "implicit_exits", l.implicit_exits);
-            set(m, "rate_stalls", l.rate_stalls);
-            set(m, "credit_stalls", l.credit_stalls);
-            set(m, "pending", state.pending.len() as u64);
-            set(m, "credits_in_use", state.credits_in_use);
             if state.latency.count() > 0 {
                 m.histogram(format_args!("tenancy.{name}.latency"), &state.latency);
             }
@@ -1292,6 +1372,61 @@ mod tests {
         assert_eq!(m.counter("tenancy.a.tx_wire"), Some(1));
         assert_eq!(m.counter("tenancy.b.submitted"), Some(0));
         assert!(m.histogram("tenancy.a.latency").is_some());
+    }
+
+    /// Each key reads its own ledger field or gauge — what the key
+    /// table in docs/TENANCY.md says — whichever order the values are
+    /// gathered in.
+    #[test]
+    fn every_counter_key_exports_its_own_field() {
+        let mut rt = two_tenants(8, 64);
+        let state = rt.tenants.get_mut(&TenantId(1)).unwrap();
+        state.ledger = TenantLedger {
+            submitted_rx: 1,
+            submitted_injected: 100,
+            released: 2,
+            reissued: 3,
+            tx_wire: 4,
+            host: 5,
+            host_fallback: 6,
+            consumed: 7,
+            control: 8,
+            unrouted: 9,
+            duplicates: 10,
+            remote_tx: 11,
+            remote_rx: 12,
+            implicit_exits: 13,
+            rate_stalls: 14,
+            credit_stalls: 15,
+        };
+        state.pending.push_back((Cycle(0), msg(0, TenantId(1), 32)));
+        state.credits_in_use = 17;
+        let mut m = MetricsRegistry::new();
+        rt.export_metrics(&mut m);
+        let want = [
+            ("submitted", 101),
+            ("released", 2),
+            ("reissued", 3),
+            ("tx_wire", 4),
+            ("host", 5),
+            ("host_fallback", 6),
+            ("consumed", 7),
+            ("control", 8),
+            ("unrouted", 9),
+            ("duplicates", 10),
+            ("remote_tx", 11),
+            ("remote_rx", 12),
+            ("implicit_exits", 13),
+            ("rate_stalls", 14),
+            ("credit_stalls", 15),
+            ("pending", 1),
+            ("credits_in_use", 17),
+        ];
+        assert_eq!(want.map(|(key, _)| key), COUNTER_KEYS);
+        for (key, value) in want {
+            assert_eq!(m.counter(&format!("tenancy.a.{key}")), Some(value), "{key}");
+        }
+        assert_eq!(m.counters().count(), 17 + 15, "b has seen no crossing");
     }
 
     #[test]

@@ -24,7 +24,13 @@ use sim_core::stats::Histogram;
 /// Names arrive as [`fmt::Arguments`] — unformatted — so a sink decides
 /// what a name costs: [`MetricsRegistry`] renders it into a map key, a
 /// streaming sink can compare it against bytes it already holds, and a
-/// sink that ignores histograms never formats a histogram's name.
+/// sink that ignores histograms never formats a histogram's name. An
+/// exporter that already holds a counter's whole name as a string (a
+/// layer that built its names when the component was created) hands it
+/// over through [`MetricSink::counter_str`] instead, which a sink may
+/// implement to skip `fmt` altogether; the default formats the string
+/// into [`MetricSink::counter`], so implementing `counter` alone is
+/// always enough.
 ///
 /// # The `wants` contract
 ///
@@ -83,6 +89,14 @@ pub trait MetricSink {
 
     /// Counter `name` currently reads `value`.
     fn counter(&mut self, name: fmt::Arguments<'_>, value: u64);
+
+    /// [`MetricSink::counter`] for a name the exporter already holds
+    /// as a string. Must leave the sink as
+    /// `counter(format_args!("{name}"), value)` would — which is the
+    /// default.
+    fn counter_str(&mut self, name: &str, value: u64) {
+        self.counter(format_args!("{name}"), value);
+    }
 
     /// Histogram `name` currently holds the samples of `h`.
     fn histogram(&mut self, name: fmt::Arguments<'_>, h: &Histogram);
@@ -216,6 +230,10 @@ impl MetricSink for MetricsRegistry {
         self.counters.insert(name.to_string(), value);
     }
 
+    fn counter_str(&mut self, name: &str, value: u64) {
+        self.counters.insert(name.to_owned(), value);
+    }
+
     /// Merges, so exporting two components under one name adds their
     /// samples; the first export of a name is a plain copy.
     fn histogram(&mut self, name: fmt::Arguments<'_>, h: &Histogram) {
@@ -258,6 +276,58 @@ mod tests {
         assert_eq!(m.counter("a.b"), Some(5));
         assert_eq!(m.counter("a.c"), Some(9));
         assert_eq!(m.counter("missing"), None);
+    }
+
+    /// A sink that implements `counter` alone and keeps what it is
+    /// told, so strings reach it through the default `counter_str`.
+    #[derive(Default, PartialEq, Debug)]
+    struct Told(Vec<(String, u64)>);
+
+    impl MetricSink for Told {
+        fn counter(&mut self, name: fmt::Arguments<'_>, value: u64) {
+            self.0.push((name.to_string(), value));
+        }
+        fn histogram(&mut self, _: fmt::Arguments<'_>, _: &Histogram) {}
+    }
+
+    /// Names a `counter_str` must carry untouched: empty, as long as a
+    /// vNIC name may be, full of what `fmt` treats specially, repeated,
+    /// and seeded random ones over that same alphabet.
+    fn awkward_names() -> Vec<String> {
+        let mut names: Vec<String> = ["", "{}", "{name}", "}{", "a.b.", "..", "{{x}}", "a.b."]
+            .iter()
+            .map(|n| (*n).to_string())
+            .collect();
+        names.push("n".repeat(255));
+        let alphabet: Vec<char> = "{}.%\\\"aé tenancy".chars().collect();
+        let mut rng = sim_core::rng::SimRng::new(0x5EED);
+        for _ in 0..200 {
+            let len = rng.gen_range(24) as usize;
+            names.push(
+                (0..len)
+                    .map(|_| *rng.choose(&alphabet).expect("non-empty"))
+                    .collect(),
+            );
+        }
+        names
+    }
+
+    #[test]
+    fn counter_str_leaves_a_sink_as_counter_does() {
+        let names = awkward_names();
+        let (mut native, mut formatted) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let (mut by_default, mut told) = (Told::default(), Told::default());
+        for (value, name) in (0u64..).zip(&names) {
+            native.counter_str(name, value);
+            MetricSink::counter(&mut formatted, format_args!("{name}"), value);
+            by_default.counter_str(name, value);
+            told.counter(format_args!("{name}"), value);
+            assert_eq!(told.0.last(), Some(&(name.clone(), value)));
+        }
+        assert_eq!(by_default, told);
+        assert_eq!(native.to_json(), formatted.to_json());
+        assert!(native.counters().eq(formatted.counters()));
+        assert_eq!(native.counter("a.b."), Some(7), "the last write won");
     }
 
     #[test]
