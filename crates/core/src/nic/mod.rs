@@ -419,6 +419,13 @@ impl PanicNic {
         out.append(&mut self.wire_tx);
     }
 
+    /// Drains host deliveries since the last call into `out`, keeping
+    /// the internal buffer's allocation (the twin of
+    /// [`PanicNic::drain_wire_tx_into`] for [`PanicNic::take_host_rx`]).
+    pub fn drain_host_rx_into(&mut self, out: &mut Vec<Message>) {
+        out.append(&mut self.host_rx);
+    }
+
     /// Runs `cycles` cycles from `start`, one tick per cycle, returning
     /// the next cycle.
     pub fn run(&mut self, start: Cycle, cycles: u64) -> Cycle {

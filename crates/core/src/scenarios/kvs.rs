@@ -34,7 +34,7 @@ use noc::topology::Topology;
 use packet::chain::EngineId;
 use packet::headers::{build_udp_frame, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr, UdpHeader};
 use packet::kvs::{KvsOp, KvsRequest};
-use packet::message::{MessageKind, Priority, TenantId};
+use packet::message::{Message, MessageKind, Priority, TenantId};
 use rmt::pipeline::PipelineConfig;
 use sched::admission::AdmissionPolicy;
 use sim_core::clock::{drive, Driven};
@@ -181,7 +181,9 @@ pub struct KvsScenario {
     pcie: EngineId,
     /// Client-side crypto state.
     client_tunnel: TunnelConfig,
-    nic_out_sa: SecurityAssoc,
+    /// The NIC → WAN-client association, as the table `decrypt_frame`
+    /// looks a reply's SPI up in.
+    client_sas: HashMap<u32, SecurityAssoc>,
     client_seq: u32,
     outstanding: HashMap<u32, Outstanding>,
     host_events: EventQueue<(Bytes, TenantId, Priority)>,
@@ -198,6 +200,10 @@ pub struct KvsScenario {
     event_driven: bool,
     /// Cycles skipped by fast-forward so far.
     skipped: u64,
+    /// Reused drain buffers for the NIC's host deliveries and wire
+    /// egress (empty between ticks).
+    host_scratch: Vec<Message>,
+    wire_scratch: Vec<Message>,
 }
 
 impl std::fmt::Debug for KvsScenario {
@@ -433,7 +439,7 @@ impl KvsScenario {
                 outer_src_ip: Ipv4Addr::new(198, 51, 0, 1),
                 outer_dst_ip: Ipv4Addr::new(10, 1, 0, 0),
             },
-            nic_out_sa: Self::nic_wan_sa(),
+            client_sas: HashMap::from([(Self::nic_wan_sa().spi, Self::nic_wan_sa())]),
             client_seq: 0,
             outstanding: HashMap::new(),
             host_events: EventQueue::new(),
@@ -444,6 +450,8 @@ impl KvsScenario {
             fastforward: true,
             event_driven: false,
             skipped: 0,
+            host_scratch: Vec::new(),
+            wire_scratch: Vec::new(),
             config,
         }
     }
@@ -571,7 +579,8 @@ impl KvsScenario {
         self.nic.tick(now);
 
         // 3. Host software: answer delivered GETs after a service time.
-        for msg in self.nic.take_host_rx() {
+        self.nic.drain_host_rx_into(&mut self.host_scratch);
+        for msg in &self.host_scratch {
             if msg.kind != MessageKind::EthernetFrame {
                 continue; // interrupts etc.
             }
@@ -597,19 +606,17 @@ impl KvsScenario {
                 }
             }
         }
+        self.host_scratch.clear();
         while let Some((reply, tenant, priority)) = self.host_events.pop_due(now) {
             self.nic.inject_from(self.dma, reply, tenant, priority, now);
         }
 
         // 4. Wire egress: decrypt, decode, verify.
-        for msg in self.nic.take_wire_tx() {
-            let inner: Bytes = {
-                let mut sas = HashMap::new();
-                sas.insert(self.nic_out_sa.spi, self.nic_out_sa);
-                match decrypt_frame(&msg.payload, &sas) {
-                    Some(plain) => plain,
-                    None => msg.payload.clone(), // plaintext LAN reply
-                }
+        self.nic.drain_wire_tx_into(&mut self.wire_scratch);
+        for msg in &self.wire_scratch {
+            let inner: Bytes = match decrypt_frame(&msg.payload, &self.client_sas) {
+                Some(plain) => plain,
+                None => msg.payload.clone(), // plaintext LAN reply
             };
             let Some(req) = Self::peek_kvs(&inner) else {
                 continue;
@@ -636,6 +643,7 @@ impl KvsScenario {
                 self.host_latency.record(lat);
             }
         }
+        self.wire_scratch.clear();
     }
 
     fn peek_kvs(frame: &[u8]) -> Option<KvsRequest> {

@@ -25,6 +25,15 @@
 //! `Field::MetaRxQueue` in [`Message::rx_queue`] (0 when no stage set
 //! one, or when the frame never went through a pass), and this engine
 //! delivers to ring `rx_queue % queues`.
+//!
+//! A ring is a ring: ring `q` owns `rx_ring_stride` bytes of host
+//! memory and its write address wraps there (a payload that straddles
+//! the end lands in two runs), so a long run neither spills into ring
+//! `q + 1` nor grows host memory by a page per 4 KiB delivered.
+//! [`DmaEngine::ring_fill`] stays cumulative. No simulated result reads
+//! ring memory — service time, completions and egress depend on the
+//! payload's length, never on where it landed — so every report is
+//! byte-identical to the unwrapped cursor's.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use packet::chain::{EngineClass, EngineId};
@@ -121,7 +130,8 @@ pub struct DmaEngine {
     /// `rx_ring_base + q * rx_ring_stride`.
     rx_ring_base: u64,
     rx_ring_stride: u64,
-    /// Per-ring write cursors.
+    /// Per-ring cumulative bytes delivered; the write offset is this
+    /// modulo `rx_ring_stride`.
     rx_cursor: Vec<u64>,
     /// Completed reads / writes / deliveries.
     pub reads: u64,
@@ -234,10 +244,10 @@ impl Offload for DmaEngine {
                     return;
                 };
                 self.reads += 1;
-                let data = self.host.read(desc.addr, desc.len as usize);
-                let mut completion = BytesMut::with_capacity(8 + data.len());
+                let len = desc.len as usize;
+                let mut completion = BytesMut::with_capacity(8 + len);
                 completion.put_u64(desc.tag);
-                completion.put_slice(&data);
+                self.host.read_into(desc.addr, len, &mut completion);
                 let mut fwd = msg;
                 fwd.kind = MessageKind::DmaCompletion;
                 fwd.payload = completion.freeze();
@@ -260,9 +270,16 @@ impl Offload for DmaEngine {
             MessageKind::EthernetFrame => {
                 // Host delivery: append to the ring the pipeline chose.
                 let q = msg.rx_queue as usize % self.rx_cursor.len();
-                let addr = self.rx_ring_base + q as u64 * self.rx_ring_stride + self.rx_cursor[q];
-                self.host.write(addr, &msg.payload);
-                self.rx_cursor[q] += msg.payload.len() as u64;
+                let ring = self.rx_ring_base + q as u64 * self.rx_ring_stride;
+                let mut rest = &msg.payload[..];
+                while !rest.is_empty() {
+                    let off = self.rx_cursor[q] % self.rx_ring_stride;
+                    let room = self.rx_ring_stride - off;
+                    let (run, tail) = rest.split_at((rest.len() as u64).min(room) as usize);
+                    self.host.write(ring + off, run);
+                    self.rx_cursor[q] += run.len() as u64;
+                    rest = tail;
+                }
                 self.deliveries += 1;
 
                 if let Some(pcie) = self.pcie {
@@ -390,6 +407,52 @@ mod tests {
         }
         let fills: Vec<u64> = (0..4).map(|q| dma.ring_fill(q)).collect();
         assert_eq!(fills, [10, 0, 20, 30]);
+    }
+
+    #[test]
+    fn ring_wraps_at_its_stride() {
+        let mut dma = dma();
+        let (base, stride) = (dma.rx_ring_base, dma.rx_ring_stride);
+        let deliver = |dma: &mut DmaEngine, id: u64, q: u32, fill: u8, len: usize| {
+            let mut msg = Message::builder(MessageId(id), MessageKind::EthernetFrame)
+                .payload(Bytes::from(vec![fill; len]))
+                .build();
+            msg.rx_queue = q;
+            dma.process(msg, Cycle(0));
+        };
+        // Ring 1 first; then more than two laps of ring 0 in frames
+        // whose length does not divide the stride, so some straddle.
+        deliver(&mut dma, 1, 1, 0x11, 300);
+        let frames = 2 * stride / 1500 + 1;
+        for i in 0..frames {
+            deliver(&mut dma, 2 + i, 0, 0xA0 | (i % 16) as u8, 1500);
+        }
+        let total = frames * 1500;
+        assert!(total > 2 * stride);
+        assert_eq!(dma.ring_fill(0), total, "fill stays cumulative");
+        assert_eq!(dma.ring_fill(1), 300);
+        let pages = (stride / 4096) as usize;
+        assert_eq!(
+            dma.host_mut().resident_pages(),
+            pages + 1,
+            "ring 0 + 1 page"
+        );
+        assert_eq!(dma.host_mut().read(base + stride, 300), vec![0x11; 300]);
+        assert_eq!(dma.host_mut().read(base + stride + 300, 8), vec![0; 8]);
+        // The last frame straddles the ring's end: its head sits at
+        // the top of the ring, its tail back at the base.
+        let last = 0xA0 | ((frames - 1) % 16) as u8;
+        let end = total % stride;
+        assert!(end < 1500, "the last frame crossed the ring's end");
+        let head = (1500 - end) as usize;
+        assert_eq!(
+            dma.host_mut().read(base, end as usize),
+            vec![last; end as usize]
+        );
+        assert_eq!(
+            dma.host_mut().read(base + stride - head as u64, head),
+            vec![last; head]
+        );
     }
 
     #[test]

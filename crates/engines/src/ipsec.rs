@@ -46,18 +46,24 @@ pub struct TunnelConfig {
     pub outer_dst_ip: Ipv4Addr,
 }
 
-fn keystream_xor(key: u64, seq: u32, data: &[u8]) -> Vec<u8> {
+/// XORs the (`key`, `seq`) keystream over `buf` in place, one 8-byte
+/// SplitMix64 word at a time (little-endian: byte `i` of the buffer
+/// meets byte `i % 8` of word `i / 8`); the last word covers a short
+/// tail.
+fn keystream_xor(key: u64, seq: u32, buf: &mut [u8]) {
     let mut sm = SplitMix64::new(key ^ (u64::from(seq).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-    let mut out = Vec::with_capacity(data.len());
-    let mut word = 0u64;
-    for (i, &b) in data.iter().enumerate() {
-        if i % 8 == 0 {
-            word = sm.next_u64();
-        }
-        out.push(b ^ (word >> ((i % 8) * 8)) as u8);
-        // keep clippy quiet about the last partial word
+    let mut words = buf.chunks_exact_mut(8);
+    for chunk in &mut words {
+        let word: &mut [u8; 8] = chunk.try_into().expect("chunks_exact_mut(8)");
+        *word = (u64::from_le_bytes(*word) ^ sm.next_u64()).to_le_bytes();
     }
-    out
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        let word = sm.next_u64().to_le_bytes();
+        for (b, k) in tail.iter_mut().zip(word) {
+            *b ^= k;
+        }
+    }
 }
 
 fn integrity_tag(data: &[u8]) -> [u8; 4] {
@@ -73,10 +79,10 @@ fn integrity_tag(data: &[u8]) -> [u8; 4] {
 /// Encrypts `inner_frame` into a tunnel-mode ESP frame.
 #[must_use]
 pub fn encrypt_frame(inner_frame: &[u8], tunnel: &TunnelConfig, seq: u32) -> Bytes {
-    let mut plaintext = BytesMut::with_capacity(inner_frame.len() + 4);
-    plaintext.put_slice(inner_frame);
-    plaintext.put_slice(&integrity_tag(inner_frame));
-    let ciphertext = keystream_xor(tunnel.sa.key, seq, &plaintext);
+    let mut ciphertext = BytesMut::with_capacity(inner_frame.len() + 4);
+    ciphertext.put_slice(inner_frame);
+    ciphertext.put_slice(&integrity_tag(inner_frame));
+    keystream_xor(tunnel.sa.key, seq, &mut ciphertext);
     build_esp_frame(
         EthernetHeader {
             dst: tunnel.outer_dst_mac,
@@ -108,15 +114,16 @@ pub fn decrypt_frame(outer: &[u8], sas: &HashMap<u32, SecurityAssoc>) -> Option<
     let (_, n2) = Ipv4Header::parse(&outer[n1..]).ok()?;
     let (esp, n3) = EspHeader::parse(&outer[n1 + n2..]).ok()?;
     let sa = sas.get(&esp.spi)?;
-    let plaintext = keystream_xor(sa.key, esp.seq, &outer[n1 + n2 + n3..]);
-    if plaintext.len() < 4 {
-        return None;
-    }
-    let (inner, tag) = plaintext.split_at(plaintext.len() - 4);
+    let ciphertext = &outer[n1 + n2 + n3..];
+    let inner_len = ciphertext.len().checked_sub(4)?;
+    let mut plaintext = ciphertext.to_vec();
+    keystream_xor(sa.key, esp.seq, &mut plaintext);
+    let (inner, tag) = plaintext.split_at(inner_len);
     if integrity_tag(inner) != tag {
         return None;
     }
-    Some(Bytes::copy_from_slice(inner))
+    plaintext.truncate(inner_len);
+    Some(Bytes::from(plaintext))
 }
 
 /// The IPSec engine: decrypts inbound ESP frames, encrypts everything
@@ -295,6 +302,76 @@ mod tests {
             },
             b"GET key",
         )
+    }
+
+    /// `keystream_xor` as it stood at commit d3c94ba, body verbatim:
+    /// a `Vec::push` and two `% 8` per byte. The oracle for the
+    /// word-wise one.
+    fn keystream_xor_per_byte(key: u64, seq: u32, data: &[u8]) -> Vec<u8> {
+        let mut sm = SplitMix64::new(key ^ (u64::from(seq).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let mut out = Vec::with_capacity(data.len());
+        let mut word = 0u64;
+        for (i, &b) in data.iter().enumerate() {
+            if i % 8 == 0 {
+                word = sm.next_u64();
+            }
+            out.push(b ^ (word >> ((i % 8) * 8)) as u8);
+            // keep clippy quiet about the last partial word
+        }
+        out
+    }
+
+    #[test]
+    fn keystream_matches_the_per_byte_cipher() {
+        let pairs = [
+            (0u64, 0u32),
+            (0, u32::MAX),
+            (u64::MAX, 0),
+            (u64::MAX, u32::MAX),
+            (0xfeed_f00d_dead_beef, 7),
+            (0x00c0_ffee_0000_aaaa, 1),
+            (0x00d0_0dad_0000_bbbb, 0x8000_0000),
+            (1, 0x1234_5678),
+        ];
+        for (key, seq) in pairs {
+            for len in 0..=67usize {
+                let data: Vec<u8> = (0..len).map(|i| (i * 37 + len) as u8).collect();
+                let mut buf = data.clone();
+                keystream_xor(key, seq, &mut buf);
+                assert_eq!(
+                    buf,
+                    keystream_xor_per_byte(key, seq, &data),
+                    "key {key:#x} seq {seq:#x} len {len}"
+                );
+            }
+        }
+    }
+
+    /// The ESP frames themselves, not just the cipher: FNV-1a over
+    /// every outer frame and every decrypted inner frame for each
+    /// Ethernet frame length, 64 to 1,518 bytes. The constant was
+    /// printed by this test at commit d3c94ba, before the keystream
+    /// went word-wise and `decrypt_frame` stopped copying twice.
+    #[test]
+    fn esp_frame_bytes_are_pinned_to_the_parent_commit() {
+        let t = tunnel();
+        let sas = HashMap::from([(t.sa.spi, t.sa)]);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for len in 64..=1518usize {
+            let inner: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let seq = (len as u32).wrapping_mul(0x9E37_79B1);
+            let outer = encrypt_frame(&inner, &t, seq);
+            let back = decrypt_frame(&outer, &sas).expect("round trip");
+            assert_eq!(&back[..], &inner[..], "len {len}");
+            eat(&outer);
+            eat(&back);
+        }
+        assert_eq!(h, 0x228a_b038_601d_be1b, "ESP bytes moved: {h:#018x}");
     }
 
     #[test]

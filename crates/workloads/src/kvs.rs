@@ -53,7 +53,9 @@ pub struct KvsWorkloadConfig {
     pub seed: u64,
     /// `true` carves one shared global key space into seeded,
     /// per-tenant [`PartitionedZipf`] stripes: tenants draw disjoint,
-    /// individually Zipfian key streams from independent RNG streams.
+    /// individually Zipfian key streams from independent RNG streams
+    /// (each stripe builds its Zipf CDF on its tenant's first arrival,
+    /// not in [`KvsWorkload::new`]).
     /// `false` (the legacy layout) namespaces keys by tenant id in the
     /// top 32 bits and draws ranks from the workload's single RNG.
     pub partitioned_keys: bool,

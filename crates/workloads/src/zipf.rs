@@ -81,9 +81,17 @@ impl Zipf {
 /// stream (derived from `seed` + the partition index), so two tenants
 /// built from the same seed still draw independent, individually
 /// Zipfian streams.
+///
+/// The rank → key permutation is built by [`PartitionedZipf::new`]; the
+/// Zipf CDF (a `powf` per key) only by the first
+/// [`PartitionedZipf::next_key`]. A stripe that is only ever asked
+/// [`PartitionedZipf::key_of_rank`] — the rack's per-member stripes —
+/// never pays for it (docs/PERF.md §13).
 #[derive(Debug, Clone)]
 pub struct PartitionedZipf {
-    zipf: Zipf,
+    /// `None` until the first sample.
+    zipf: Option<Zipf>,
+    theta: f64,
     rng: SimRng,
     /// Rank → global key (seeded permutation of the stripe).
     slots: Vec<u64>,
@@ -104,13 +112,20 @@ impl PartitionedZipf {
             partition < num_partitions,
             "partition {partition} out of {num_partitions}"
         );
+        // `Zipf::new`'s preconditions, checked here because the CDF is
+        // built later.
+        assert!(keys > 0, "empty key space");
+        assert!(theta >= 0.0, "negative exponent");
+        // The permutation stays eager: Fisher–Yates fixes rank 0 last,
+        // so even `key_of_rank(0)` needs the whole shuffle.
         let mut rng = SimRng::new(seed).derive(&format!("kvs-partition-{partition}"));
         let mut slots: Vec<u64> = (0..keys as u64)
             .map(|r| r * num_partitions + partition)
             .collect();
         rng.shuffle(&mut slots);
         PartitionedZipf {
-            zipf: Zipf::new(keys, theta),
+            zipf: None,
+            theta,
             rng,
             slots,
             num_partitions,
@@ -120,7 +135,10 @@ impl PartitionedZipf {
 
     /// Draws the next key from this partition's stream.
     pub fn next_key(&mut self) -> u64 {
-        self.slots[self.zipf.sample(&mut self.rng)]
+        let zipf = self
+            .zipf
+            .get_or_insert_with(|| Zipf::new(self.slots.len(), self.theta));
+        self.slots[zipf.sample(&mut self.rng)]
     }
 
     /// The global key this partition maps rank `r` to.
@@ -262,6 +280,72 @@ mod tests {
         assert_ne!(xs, zs, "different seed => different stream");
         assert_eq!(x.len(), 64);
         assert!(!x.is_empty());
+    }
+
+    /// `PartitionedZipf::new` as it stood at commit d3c94ba, body
+    /// verbatim: CDF and permutation both built up front.
+    fn eager(
+        seed: u64,
+        partition: u64,
+        num_partitions: u64,
+        keys: usize,
+        theta: f64,
+    ) -> PartitionedZipf {
+        let mut rng = SimRng::new(seed).derive(&format!("kvs-partition-{partition}"));
+        let mut slots: Vec<u64> = (0..keys as u64)
+            .map(|r| r * num_partitions + partition)
+            .collect();
+        rng.shuffle(&mut slots);
+        PartitionedZipf {
+            zipf: Some(Zipf::new(keys, theta)),
+            theta,
+            rng,
+            slots,
+            num_partitions,
+            partition,
+        }
+    }
+
+    #[test]
+    fn lazy_cdf_samples_like_its_eager_twin() {
+        let cases: [(u64, u64, u64, usize, f64); 12] = [
+            (0, 0, 1, 1, 0.0),
+            (1, 0, 1, 2, 0.99),
+            (7, 1, 3, 64, 0.9),
+            (42, 0, 2, 200, 0.99),
+            (42, 1, 2, 200, 0.99),
+            (0xC0FFEE, 3, 4, 1000, 0.99),
+            (0xC0FFEE, 0, 4, 1000, 0.5),
+            (u64::MAX, 7, 8, 333, 1.2),
+            (5, 2, 5, 4096, 0.0),
+            (6, 4, 5, 17, 2.0),
+            (1201, 1, 4, 2500, 0.99),
+            (9, 15, 16, 50, 0.7),
+        ];
+        for (seed, partition, n, keys, theta) in cases {
+            let mut lazy = PartitionedZipf::new(seed, partition, n, keys, theta);
+            let mut twin = eager(seed, partition, n, keys, theta);
+            assert!(lazy.zipf.is_none(), "construction builds no CDF");
+            // Ranks first, as the rack asks: they must not need (or
+            // build) the CDF.
+            for r in 0..keys {
+                assert_eq!(lazy.key_of_rank(r), twin.key_of_rank(r));
+            }
+            assert!(lazy.zipf.is_none(), "key_of_rank builds no CDF");
+            let mut copy = lazy.clone();
+            for i in 0..1000 {
+                let want = twin.next_key();
+                assert_eq!(lazy.next_key(), want, "draw {i} of {seed}/{partition}");
+                assert_eq!(copy.next_key(), want, "clone, draw {i}");
+            }
+            assert_eq!((lazy.len(), lazy.owns(lazy.key_of_rank(0))), (keys, true));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty key space")]
+    fn empty_partition_rejected_at_construction() {
+        let _ = PartitionedZipf::new(0, 0, 1, 0, 1.0);
     }
 
     #[test]
