@@ -17,7 +17,7 @@
 //! The three are wirings of shared parts, not three programs:
 //!
 //! ```text
-//!            shell::Baseline<D>  ledger · tracer · metrics · conservation · impl Driven
+//!            shell::Baseline<D>  ledger · tracer · metrics · conservation
 //!           ┌────────────────────────────┼─────────────────────────────┐
 //!   PipelineNic                     ManycoreNic                    RmtOnlyNic
 //!   rx ─▶[S]─▶[S]─▶[S]─▶ wire       rx ─hash─▶[S] core ─┐          rx ─▶ RmtPipeline ─▶ wire
@@ -30,9 +30,9 @@
 //! [`shell::Baseline`] owns what every incumbent reports — accepted /
 //! refused / dropped / consumed / delivered counts, per-class latency,
 //! the egress stream, trace tracks, `export_metrics`, the
-//! [`shell::BaselineConservation`] identities and the one
-//! `impl Driven` — so benches place them side by side with PANIC; a
-//! [`shell::Design`] only says how packets move.
+//! [`shell::BaselineConservation`] identities — so benches place them
+//! side by side with PANIC; a [`shell::Design`] only says how packets
+//! move.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -166,12 +166,6 @@ impl Design for Manycore {
         let hw: usize = self.hw.iter().map(Station::held).sum();
         cores + hw
     }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let cores = self.cores.iter().filter_map(|c| c.wake(now));
-        let hw = self.hw.iter().filter_map(|e| e.wake(now));
-        cores.chain(hw).min()
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +174,6 @@ mod tests {
     use engines::engine::NullOffload;
     use packet::chain::EngineClass;
     use packet::message::{MessageId, MessageKind, Priority};
-    use sim_core::clock::{drive, Advance};
     use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
 
@@ -193,7 +186,10 @@ mod tests {
     }
 
     fn run(nic: &mut ManycoreNic, from: Cycle, cycles: u64) -> Cycle {
-        drive(nic, from, cycles, Advance::Stepped).0
+        for c in from.0..from.0 + cycles {
+            nic.tick(Cycle(c));
+        }
+        Cycle(from.0 + cycles)
     }
 
     fn config(cores: usize, orch: u64) -> ManycoreConfig {
@@ -309,43 +305,6 @@ mod tests {
         let mut m = MetricsRegistry::new();
         nic.export_metrics(&mut m, "baseline.manycore");
         assert_eq!(m.counter("baseline.manycore.accepted"), Some(1));
-    }
-
-    #[test]
-    fn fast_forward_matches_stepped_run() {
-        let build = |tracer: &Tracer| {
-            let mut nic = ManycoreNic::new(config(2, 5000));
-            nic.attach_tracer(tracer);
-            nic.rx(frame_msg(1, 443, Cycle(0)));
-            nic.rx(frame_msg(2, 80, Cycle(0)));
-            nic
-        };
-        let t1 = Tracer::ring(256);
-        let mut stepped = build(&t1);
-        run(&mut stepped, Cycle(0), 8000);
-        let t2 = Tracer::ring(256);
-        let mut ff = build(&t2);
-        let (end, skipped) = drive(&mut ff, Cycle(0), 8000, Advance::Merged);
-        assert_eq!(end, Cycle(8000));
-        assert!(skipped > 4000, "only skipped {skipped}");
-        assert_eq!(
-            stepped
-                .take_egress()
-                .iter()
-                .map(|m| m.id)
-                .collect::<Vec<_>>(),
-            ff.take_egress().iter().map(|m| m.id).collect::<Vec<_>>()
-        );
-        let (mut m1, mut m2) = (MetricsRegistry::new(), MetricsRegistry::new());
-        stepped.export_metrics(&mut m1, "b");
-        ff.export_metrics(&mut m2, "b");
-        assert_eq!(m1.to_json(), m2.to_json());
-        assert_eq!(
-            t1.ring_snapshot().expect("ring"),
-            t2.ring_snapshot().expect("ring"),
-            "trace events must be byte-identical"
-        );
-        assert_eq!(ff.next_activity(Cycle(8000)), None, "quiescent at end");
     }
 
     #[test]

@@ -160,10 +160,6 @@ impl Design for Pipeline {
     fn in_flight(&self) -> usize {
         self.stations.iter().map(Station::held).sum()
     }
-
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.stations.iter().filter_map(|s| s.wake(now)).min()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +168,6 @@ mod tests {
     use engines::engine::{NullOffload, Output};
     use packet::chain::EngineClass;
     use packet::message::{MessageId, MessageKind, Priority};
-    use sim_core::clock::{drive, Advance};
     use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
 
@@ -193,7 +188,10 @@ mod tests {
     }
 
     fn run(nic: &mut PipelineNic, from: Cycle, cycles: u64) -> Cycle {
-        drive(nic, from, cycles, Advance::Stepped).0
+        for c in from.0..from.0 + cycles {
+            nic.tick(Cycle(c));
+        }
+        Cycle(from.0 + cycles)
     }
 
     #[test]
@@ -331,54 +329,6 @@ mod tests {
         nic.export_metrics(&mut m, "baseline.pipe");
         assert_eq!(m.counter("baseline.pipe.accepted"), Some(2));
         assert!(m.histogram("baseline.pipe.latency.normal").is_some());
-    }
-
-    #[test]
-    fn fast_forward_matches_stepped_run() {
-        let build = |tracer: &Tracer| {
-            let mut nic = PipelineNic::new(PipelineNicConfig {
-                stages: vec![null_stage(200, None), null_stage(3, None)],
-                bypass_logic: false,
-                stage_queue_capacity: 16,
-            });
-            nic.attach_tracer(tracer);
-            nic.rx(frame_msg(1, 80, Priority::Normal, Cycle(0)));
-            nic.rx(frame_msg(2, 80, Priority::Latency, Cycle(0)));
-            nic
-        };
-        let t1 = Tracer::ring(256);
-        let mut stepped = build(&t1);
-        run(&mut stepped, Cycle(0), 1000);
-        let t2 = Tracer::ring(256);
-        let mut ff = build(&t2);
-        let (end, skipped) = drive(&mut ff, Cycle(0), 1000, Advance::Merged);
-        assert_eq!(end, Cycle(1000));
-        assert!(skipped > 500, "only skipped {skipped}");
-        let a = stepped.take_egress();
-        let b = ff.take_egress();
-        assert_eq!(
-            a.iter().map(|m| m.id).collect::<Vec<_>>(),
-            b.iter().map(|m| m.id).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            stepped.latency_of(Priority::Latency).max(),
-            ff.latency_of(Priority::Latency).max()
-        );
-        assert_eq!(
-            t1.ring_snapshot().expect("ring"),
-            t2.ring_snapshot().expect("ring"),
-            "trace events must be byte-identical"
-        );
-    }
-
-    #[test]
-    fn next_activity_none_when_quiescent() {
-        let nic = PipelineNic::new(PipelineNicConfig {
-            stages: vec![null_stage(1, None)],
-            bypass_logic: false,
-            stage_queue_capacity: 4,
-        });
-        assert_eq!(nic.next_activity(Cycle(7)), None);
     }
 
     #[test]

@@ -161,20 +161,6 @@ impl Design for RmtOnly {
         self.pipeline.backlog() + self.pipeline.occupancy() + self.host.len()
     }
 
-    /// Min of the inner pipeline's hint and the next host return.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        let host = self.host.next_due().map(|due| due.max(now.next()));
-        Cycle::earliest(self.pipeline.next_activity(now), host)
-    }
-
-    /// Unlike the other incumbents, an idle tick here is *not* free:
-    /// the inner RMT pipeline accrues `idle_slots` (and, when traced, a
-    /// backlog counter sample) every cycle. Delegating keeps a
-    /// fast-forwarded run byte-identical to the stepped one.
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.pipeline.skip_idle(from, to);
-    }
-
     fn export_extra<S: MetricSink + ?Sized>(&self, m: &mut S, prefix: &str) {
         m.counter(format_args!("{prefix}.punted"), self.punted);
         m.counter(
@@ -193,7 +179,6 @@ mod tests {
         build_esp_frame, ethertype, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr,
     };
     use packet::message::{MessageId, MessageKind, Priority};
-    use sim_core::clock::{drive, Advance};
     use sim_core::time::Freq;
     use trace::MetricsRegistry;
     use workloads::frames::FrameFactory;
@@ -243,7 +228,10 @@ mod tests {
     }
 
     fn run(nic: &mut RmtOnlyNic, from: Cycle, cycles: u64) -> Cycle {
-        drive(nic, from, cycles, Advance::Stepped).0
+        for c in from.0..from.0 + cycles {
+            nic.tick(Cycle(c));
+        }
+        Cycle(from.0 + cycles)
     }
 
     #[test]
@@ -342,44 +330,6 @@ mod tests {
         nic.export_metrics(&mut m, "baseline.rmtonly");
         assert_eq!(m.counter("baseline.rmtonly.punted"), Some(1));
         assert!(m.counter("baseline.rmtonly.rmt.accepted").is_some());
-    }
-
-    #[test]
-    fn fast_forward_matches_stepped_run_including_idle_slots() {
-        let build = |tracer: &Tracer| {
-            let mut nic = RmtOnlyNic::new(cfg(ComplexPolicy::Punt { host_cycles: 5000 }));
-            nic.attach_tracer(tracer);
-            nic.rx(esp(1, Cycle(0)));
-            nic.rx(simple(2, Cycle(0)));
-            nic
-        };
-        let t1 = Tracer::ring(8192);
-        let mut stepped = build(&t1);
-        run(&mut stepped, Cycle(0), 8000);
-        let t2 = Tracer::ring(8192);
-        let mut ff = build(&t2);
-        let (end, skipped) = drive(&mut ff, Cycle(0), 8000, Advance::Merged);
-        assert_eq!(end, Cycle(8000));
-        assert!(skipped > 2000, "only skipped {skipped}");
-        assert_eq!(
-            stepped
-                .take_egress()
-                .iter()
-                .map(|m| m.id)
-                .collect::<Vec<_>>(),
-            ff.take_egress().iter().map(|m| m.id).collect::<Vec<_>>()
-        );
-        // idle_slots is the sharp edge: the inner pipeline accrues it
-        // every stepped idle cycle, so skip_idle must replay it.
-        let (mut m1, mut m2) = (MetricsRegistry::new(), MetricsRegistry::new());
-        stepped.export_metrics(&mut m1, "b");
-        ff.export_metrics(&mut m2, "b");
-        assert_eq!(m1.to_json(), m2.to_json());
-        assert_eq!(
-            t1.ring_snapshot().expect("ring"),
-            t2.ring_snapshot().expect("ring"),
-            "trace events must be byte-identical"
-        );
     }
 
     #[test]

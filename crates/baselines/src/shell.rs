@@ -1,10 +1,9 @@
 //! The shell every incumbent shares: one ledger, one tracer hookup,
-//! one metrics export, one `impl Driven` — around a [`Design`] that
-//! only says how packets move.
+//! one metrics export — around a [`Design`] that only says how packets
+//! move.
 
 use engines::engine::Output;
 use packet::message::{Message, Priority};
-use sim_core::clock::Driven;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricSink, Tracer, TrackId};
@@ -29,15 +28,6 @@ pub trait Design {
     /// Packets held anywhere inside: queued, in service, recirculating
     /// or out at the host.
     fn in_flight(&self) -> usize;
-
-    /// Fast-forward hint: the earliest cycle at which ticking can
-    /// change state; `None` when nothing is in flight.
-    fn next_activity(&self, now: Cycle) -> Option<Cycle>;
-
-    /// Replays the per-cycle bookkeeping of the skipped idle cycles
-    /// `[from, to)`. The default suits a design whose idle tick
-    /// mutates nothing.
-    fn skip_idle(&mut self, _from: Cycle, _to: Cycle) {}
 
     /// Counters (and inner components' metrics) beyond the ledger's.
     fn export_extra<S: MetricSink + ?Sized>(&self, _m: &mut S, _prefix: &str) {}
@@ -235,13 +225,6 @@ impl<D: Design> Baseline<D> {
         self.design.in_flight() == 0
     }
 
-    /// Fast-forward hint: the earliest cycle at which ticking can
-    /// change state. `None` = quiescent.
-    #[must_use]
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        self.design.next_activity(now)
-    }
-
     /// The conservation snapshot.
     #[must_use]
     pub fn conservation(&self) -> BaselineConservation {
@@ -275,22 +258,6 @@ impl<D: Design> Baseline<D> {
                 m.histogram(format_args!("{prefix}.latency.{name}"), h);
             }
         }
-    }
-}
-
-/// Quiescence fast-forward through [`sim_core::clock::drive`].
-impl<D: Design> Driven for Baseline<D> {
-    fn step(&mut self, now: Cycle) {
-        self.tick(now);
-    }
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
-        if let Some(t) = self.next_activity(now) {
-            post(t);
-        }
-        true
-    }
-    fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.design.skip_idle(from, to);
     }
 }
 

@@ -66,15 +66,4 @@ impl<T> Station<T> {
             }
         }
     }
-
-    /// Fast-forward hint: the earliest cycle after `now` at which
-    /// ticking this station can change state. `None` = nothing held.
-    pub(crate) fn wake(&self, now: Cycle) -> Option<Cycle> {
-        if !self.queue.is_empty() {
-            return Some(now.next());
-        }
-        self.serving
-            .as_ref()
-            .map(|(_, _, done_at)| (*done_at).max(now.next()))
-    }
 }

@@ -14,7 +14,6 @@ use packet::headers::{
 };
 use packet::message::{Message, MessageId, MessageKind, Priority};
 use rmt::pipeline::PipelineConfig;
-use sim_core::clock::{drive, Advance, Driven};
 use sim_core::rng::SimRng;
 use sim_core::time::{Cycle, Cycles, Freq};
 use workloads::frames::FrameFactory;
@@ -58,8 +57,8 @@ pub fn null(name: &str, service: u64) -> Box<dyn Offload> {
 }
 
 /// The seeded arrival schedule every case is offered: bursts (so the
-/// two-slot queues overflow) separated by gaps (so fast-forward has
-/// something to skip), mixed UDP ports, ESP and priority classes.
+/// two-slot queues overflow) separated by idle gaps (so queues drain
+/// and servers go idle), mixed UDP ports, ESP and priority classes.
 pub fn arrivals(seed: u64) -> Vec<(Cycle, Message)> {
     let mut rng = SimRng::new(seed);
     let mut factory = FrameFactory::for_nic_port(0);
@@ -113,19 +112,27 @@ pub fn arrivals(seed: u64) -> Vec<(Cycle, Message)> {
 }
 
 /// Offers the schedule (each arrival lands before its cycle's tick),
-/// then drains for 4,000 cycles. Returns the end cycle.
-pub fn offer<D: Driven>(
-    nic: &mut D,
+/// then drains for 4,000 cycles, calling `tick` once per cycle.
+/// Returns the end cycle.
+pub fn offer<N>(
+    nic: &mut N,
     seed: u64,
-    advance: Advance,
-    mut rx: impl FnMut(&mut D, Message),
+    mut tick: impl FnMut(&mut N, Cycle),
+    mut rx: impl FnMut(&mut N, Message),
 ) -> Cycle {
     let mut now = Cycle(0);
     for (at, msg) in arrivals(seed) {
-        now = drive(nic, now, at.0 - now.0, advance).0;
+        while now < at {
+            tick(nic, now);
+            now = now.next();
+        }
         rx(nic, msg);
     }
-    drive(nic, now, 4_000, advance).0
+    for _ in 0..4_000 {
+        tick(nic, now);
+        now = now.next();
+    }
+    now
 }
 
 /// crypto (443 only) → sieve (53 and 443) → checksum (everything),

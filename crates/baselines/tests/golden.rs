@@ -4,7 +4,7 @@
 //! and mid-pipeline overflow, bypass, a consuming offload, an early
 //! egress, punt, recirculate) whose whole observable surface — egress
 //! id order, the three latency histograms, every counter, the metrics
-//! JSON and the trace ring — is hashed, stepped and fast-forwarded.
+//! JSON and the trace ring — is hashed.
 //!
 //! The transcript is the parent's: `drops` is the pre-split total
 //! (`refused + dropped`), and counters this commit added to
@@ -19,7 +19,6 @@ use baselines::shell::Design;
 use baselines::Baseline;
 use common::{manycore_nic, offer, pipeline_nic, rmt_only_nic};
 use packet::message::Priority;
-use sim_core::clock::Advance;
 use sim_core::stats::Histogram;
 use trace::{MetricSink, MetricsRegistry, Tracer};
 
@@ -53,14 +52,13 @@ impl MetricSink for ParentNames {
 fn observe<D: Design>(
     mut nic: Baseline<D>,
     seed: u64,
-    advance: Advance,
     prefix: &str,
     new_names: &[&str],
     counters: impl Fn(&Baseline<D>) -> String,
 ) -> String {
     let tracer = Tracer::ring(1 << 16);
     nic.attach_tracer(&tracer);
-    offer(&mut nic, seed, advance, |n, m| n.rx(m));
+    offer(&mut nic, seed, |n, now| n.tick(now), |n, m| n.rx(m));
     assert!(nic.is_quiescent());
     let mut metrics = ParentNames {
         registry: MetricsRegistry::new(),
@@ -96,31 +94,25 @@ fn queueing_counters<D: Design>(nic: &Baseline<D>, expect_dropped: bool) -> Stri
     )
 }
 
-fn pipeline(bypass_logic: bool, advance: Advance) -> String {
+fn pipeline(bypass_logic: bool) -> String {
     // Only the 1-cycle bypass moves packets fast enough to overflow a
     // queue *between* stages.
     observe(
         pipeline_nic(bypass_logic),
         0xF162A,
-        advance,
         "baseline.pipe",
         &[],
         |nic| queueing_counters(nic, bypass_logic),
     )
 }
 
-fn manycore(advance: Advance) -> String {
-    observe(
-        manycore_nic(),
-        0xF162B,
-        advance,
-        "baseline.manycore",
-        &[],
-        |nic| queueing_counters(nic, false),
-    )
+fn manycore() -> String {
+    observe(manycore_nic(), 0xF162B, "baseline.manycore", &[], |nic| {
+        queueing_counters(nic, false)
+    })
 }
 
-fn rmt_only(complex: ComplexPolicy, advance: Advance) -> String {
+fn rmt_only(complex: ComplexPolicy) -> String {
     let counters = |nic: &Baseline<RmtOnly>| {
         let c = nic.conservation();
         assert!(c.holds() && c.in_flight == 0, "{c:?}");
@@ -136,16 +128,14 @@ fn rmt_only(complex: ComplexPolicy, advance: Advance) -> String {
     observe(
         rmt_only_nic(complex),
         0xF162C,
-        advance,
         "baseline.rmtonly",
         &["drops", "consumed"],
         counters,
     )
 }
 
-/// `(case, hash)`; stepped and fast-forwarded runs must both produce
-/// it. Printed by 2b9b21d (a mismatch prints the whole table as this
-/// commit computes it).
+/// `(case, hash)`, printed by 2b9b21d (a mismatch prints the whole
+/// table as this commit computes it).
 const GOLDEN: &[(&str, u64)] = &[
     ("pipeline/bypass", 0x83fac433ebee07a5),
     ("pipeline/pass-through", 0x46c1edb2362790b8),
@@ -168,32 +158,28 @@ fn coverage(case: &str) -> &'static [&'static str] {
 
 #[test]
 fn incumbents_match_the_pre_merge_goldens() {
-    type Case = (&'static str, Box<dyn Fn(Advance) -> String>);
-    let cases: Vec<Case> = vec![
-        ("pipeline/bypass", Box::new(|a| pipeline(true, a))),
-        ("pipeline/pass-through", Box::new(|a| pipeline(false, a))),
-        ("manycore", Box::new(manycore)),
+    let cases = [
+        ("pipeline/bypass", pipeline(true)),
+        ("pipeline/pass-through", pipeline(false)),
+        ("manycore", manycore()),
         (
             "rmt-only/punt",
-            Box::new(|a| rmt_only(ComplexPolicy::Punt { host_cycles: 90 }, a)),
+            rmt_only(ComplexPolicy::Punt { host_cycles: 90 }),
         ),
         (
             "rmt-only/recirculate",
-            Box::new(|a| rmt_only(ComplexPolicy::Recirculate { passes: 3 }, a)),
+            rmt_only(ComplexPolicy::Recirculate { passes: 3 }),
         ),
     ];
     let mut actual = Vec::new();
-    for (name, run) in &cases {
-        let stepped = run(Advance::Stepped);
-        assert_eq!(
-            stepped,
-            run(Advance::Merged),
-            "{name}: fast-forward must be byte-identical to stepping"
-        );
+    for (name, transcript) in &cases {
         for needle in coverage(name) {
-            assert!(stepped.contains(needle), "{name}: run never hit {needle}");
+            assert!(
+                transcript.contains(needle),
+                "{name}: run never hit {needle}"
+            );
         }
-        actual.push((*name, fnv1a(&stepped)));
+        actual.push((*name, fnv1a(transcript)));
     }
     if actual != GOLDEN {
         for (name, hash) in &actual {

@@ -122,9 +122,9 @@ impl TileSlot {
 ///
 /// A layer is charged whether or not it makes progress in a given
 /// cycle, so the charge for a quiescent-window cycle is always zero —
-/// which is what keeps the counters byte-identical across stepped,
-/// fast-forwarded, and event-driven runs: ticked idle cycles charge
-/// nothing, and skipped spans are replayed by [`PanicNic::skip_idle`]
+/// which is what keeps the counters byte-identical across stepped and
+/// fast-forwarded runs: ticked idle cycles charge nothing, and
+/// skipped spans are replayed by [`PanicNic::skip_idle`]
 /// against the same (window-constant) held-work conditions.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LayerCycles {
@@ -442,16 +442,6 @@ impl PanicNic {
     /// Returns the next cycle and the number of cycles skipped.
     pub fn run_ff(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
         drive(self, start, cycles, Advance::Merged)
-    }
-
-    /// Runs `cycles` cycles from `start` event-driven
-    /// ([`Advance::Wheel`]). Observable state is byte-identical to
-    /// [`PanicNic::run`] and [`PanicNic::run_ff`]; only the skip count
-    /// may differ.
-    ///
-    /// Returns the next cycle and the number of cycles skipped.
-    pub fn run_event(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        drive(self, start, cycles, Advance::Wheel)
     }
 
     /// Fast-forward hint: the earliest future cycle at which any NIC

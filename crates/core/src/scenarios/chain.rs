@@ -139,10 +139,6 @@ pub struct ChainScenario {
     /// over provably idle cycles (byte-identical either way; see
     /// `docs/PERF.md`).
     fastforward: bool,
-    /// Whether runs use the event-driven kernel (timer-wheel wake-ups)
-    /// instead of inline fast-forward; takes precedence over
-    /// `fastforward`. Byte-identical either way.
-    event_driven: bool,
     /// Set by [`ChainScenario::drain`]: arrivals off, stop at quiescence.
     draining: bool,
     /// Cycles skipped by fast-forward so far.
@@ -418,7 +414,6 @@ impl ChainScenario {
             offered: 0,
             now: Cycle::ZERO,
             fastforward: true,
-            event_driven: false,
             draining: false,
             skipped: 0,
             wire_scratch: Vec::new(),
@@ -434,15 +429,11 @@ impl ChainScenario {
         self.fastforward = on;
     }
 
-    /// Selects the event-driven kernel for subsequent
-    /// [`ChainScenario::run`]/[`ChainScenario::drain`] calls: wake-ups
-    /// go through a [`sim_core::TimerWheel`] instead of the inline
-    /// fast-forward jump. Off by default; overrides `set_fastforward`
-    /// when on. All three modes produce byte-identical traces, metrics,
-    /// and reports (`tests/fastforward_equiv.rs` holds the line).
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_driven = on;
-    }
+    /// No-op: the event kernel is gone. Kept only because
+    /// `benchmark/src/rigs/chain.rs` still calls it (its `Event` mode
+    /// then runs fast-forward); goes in the benchmark-only PR.
+    #[doc(hidden)]
+    pub fn set_event_driven(&mut self, _on: bool) {}
 
     /// Cycles fast-forward has skipped so far.
     #[must_use]
@@ -484,7 +475,7 @@ impl ChainScenario {
     }
 
     fn advance(&mut self, cycles: u64) {
-        let mode = super::advance_mode(self.fastforward, self.event_driven);
+        let mode = super::advance_mode(self.fastforward);
         let start = self.now;
         let (now, skipped) = drive(self, start, cycles, mode);
         self.now = now;

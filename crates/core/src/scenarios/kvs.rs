@@ -194,10 +194,6 @@ pub struct KvsScenario {
     /// Whether [`KvsScenario::run`] may jump over provably idle cycles
     /// (byte-identical either way; see `docs/PERF.md`).
     fastforward: bool,
-    /// Whether runs use the event-driven kernel (timer-wheel wake-ups)
-    /// instead of inline fast-forward; takes precedence over
-    /// `fastforward`. Byte-identical either way.
-    event_driven: bool,
     /// Cycles skipped by fast-forward so far.
     skipped: u64,
     /// Reused drain buffers for the NIC's host deliveries and wire
@@ -448,7 +444,6 @@ impl KvsScenario {
             host_latency: Histogram::new(),
             now: Cycle::ZERO,
             fastforward: true,
-            event_driven: false,
             skipped: 0,
             host_scratch: Vec::new(),
             wire_scratch: Vec::new(),
@@ -464,15 +459,11 @@ impl KvsScenario {
         self.fastforward = on;
     }
 
-    /// Selects the event-driven kernel for subsequent
-    /// [`KvsScenario::run`] calls: wake-ups go through a
-    /// [`sim_core::TimerWheel`] instead of the inline fast-forward
-    /// jump. Off by default; overrides `set_fastforward` when on. All
-    /// three modes produce byte-identical traces, metrics, and reports
-    /// (`tests/fastforward_equiv.rs` holds the line).
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_driven = on;
-    }
+    /// No-op: the event kernel is gone. Kept only because
+    /// `benchmark/src/rigs/kvs.rs` still calls it (its `Event` mode
+    /// then runs fast-forward); goes in the benchmark-only PR.
+    #[doc(hidden)]
+    pub fn set_event_driven(&mut self, _on: bool) {}
 
     /// Cycles fast-forward has skipped so far.
     #[must_use]
@@ -659,7 +650,7 @@ impl KvsScenario {
     /// Runs `cycles` cycles, fast-forwarding over provably idle gaps
     /// unless [`KvsScenario::set_fastforward`] disabled it.
     pub fn run(&mut self, cycles: u64) {
-        let mode = super::advance_mode(self.fastforward, self.event_driven);
+        let mode = super::advance_mode(self.fastforward);
         let start = self.now;
         let (now, skipped) = drive(self, start, cycles, mode);
         self.now = now;

@@ -31,14 +31,10 @@ pub(crate) fn arrival_lint_spec(
     }
 }
 
-/// The clock policy the scenarios' `set_fastforward` /
-/// `set_event_driven` switches select (event-driven overrides
-/// fast-forward when on).
-pub(crate) fn advance_mode(fastforward: bool, event_driven: bool) -> sim_core::clock::Advance {
+/// The clock policy the scenarios' `set_fastforward` switch selects.
+pub(crate) fn advance_mode(fastforward: bool) -> sim_core::clock::Advance {
     use sim_core::clock::Advance;
-    if event_driven {
-        Advance::Wheel
-    } else if fastforward {
+    if fastforward {
         Advance::Merged
     } else {
         Advance::Stepped

@@ -1,8 +1,8 @@
 //! The armed-but-empty satellite: a NIC with a control endpoint
 //! attached and serviced at every chunk boundary — but with no
 //! queued frames — produces byte-identical traces, metrics, and
-//! ledgers to a NIC with no endpoint at all, in all three run modes
-//! (stepped, fast-forward, event-driven).
+//! ledgers to a NIC with no endpoint at all, in both run modes
+//! (stepped, fast-forward).
 
 mod common;
 
@@ -18,7 +18,6 @@ const CHUNKS: u64 = 24;
 enum Mode {
     Stepped,
     FastForward,
-    Event,
 }
 
 /// One observed run: inject a frame at every chunk boundary, run the
@@ -40,7 +39,6 @@ fn observed(mode: Mode, with_endpoint: bool) -> (String, String, String) {
         now = match mode {
             Mode::Stepped => r.nic.run(now, CHUNK),
             Mode::FastForward => r.nic.run_ff(now, CHUNK).0,
-            Mode::Event => r.nic.run_event(now, CHUNK).0,
         };
         let _ = r.nic.take_wire_tx();
     }
@@ -62,11 +60,11 @@ fn observed(mode: Mode, with_endpoint: bool) -> (String, String, String) {
 }
 
 /// The satellite assertion: the silent endpoint changes nothing, in
-/// any run mode — and the three modes agree with each other.
+/// either run mode — and the two modes agree with each other.
 #[test]
 fn silent_endpoint_is_byte_identical_in_all_run_modes() {
     let base = observed(Mode::Stepped, false);
-    for mode in [Mode::Stepped, Mode::FastForward, Mode::Event] {
+    for mode in [Mode::Stepped, Mode::FastForward] {
         for with_endpoint in [false, true] {
             let got = observed(mode, with_endpoint);
             assert_eq!(

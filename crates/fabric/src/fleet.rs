@@ -182,11 +182,11 @@ impl Fabric {
         self.tor.epoch
     }
 
-    /// Sets how many threads run the members: a `run` / `run_ff` /
-    /// `run_event` call on more than one hires that many (less the
-    /// calling thread, and never more than one per member) for its
-    /// whole duration, each pinned to a contiguous, balanced share of
-    /// the members. Results are byte-identical for every value —
+    /// Sets how many threads run the members: a `run` / `run_ff` call
+    /// on more than one hires that many (less the calling thread, and
+    /// never more than one per member) for its whole duration, each
+    /// pinned to a contiguous, balanced share of the members. Results
+    /// are byte-identical for every value —
     /// members share nothing within an epoch, and the exchange is
     /// serial, on the calling thread. Ignored (forced to 1) while a
     /// tracer is attached, so trace event order stays deterministic
@@ -243,16 +243,12 @@ impl Fabric {
         self.run_inner(start, cycles, Advance::Merged)
     }
 
-    /// Like [`Fabric::run_ff`], but event-driven at both levels: each
-    /// member advances with [`PanicNic::run_event`] (timer-wheel
-    /// wake-ups instead of inline jump-target derivation), and whole-
-    /// fleet quiescent stretches jump on the epoch grid exactly as in
-    /// fast-forward. Boundary schedule, exchanges, traces, and metrics
-    /// are byte-identical to [`Fabric::run`] and [`Fabric::run_ff`].
-    ///
-    /// Returns the next cycle and total cycles skipped.
+    /// [`Fabric::run_ff`] under its old name: the event kernel is gone.
+    /// Kept only because `benchmark/src/rigs/rack.rs` still calls it
+    /// (its `Event` mode); goes in the benchmark-only PR.
+    #[doc(hidden)]
     pub fn run_event(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        self.run_inner(start, cycles, Advance::Wheel)
+        self.run_ff(start, cycles)
     }
 
     /// Runs fast-forwarded from `start` until the fleet is quiescent

@@ -4,7 +4,7 @@
 //! wrap it with a workload, the baselines, a fabric member inside an
 //! epoch — advances it through [`drive`]. A component describes itself
 //! with the [`Driven`] trait; [`Advance`] picks how idle cycles are
-//! treated. All three policies leave the component in byte-identical
+//! treated. Both policies leave the component in byte-identical
 //! observable state (traces, metrics, reports); they differ only in how
 //! many provably idle cycles are actually stepped.
 //!
@@ -26,13 +26,12 @@
 //! A bounded run stops at `start + cycles`. A drain additionally stops
 //! as soon as [`Driven::done`] holds; it is checked before the first
 //! step and after every step — that is, before every further step *and*
-//! before every jump — so all three policies stop on the same cycle even
+//! before every jump — so both policies stop on the same cycle even
 //! while wakes are still pending.
 //!
 //! See `docs/PERF.md` for the contract in full.
 
 use crate::time::Cycle;
-use crate::wheel::TimerWheel;
 
 /// A component whose clock [`drive`] advances.
 pub trait Driven {
@@ -73,14 +72,6 @@ pub enum Advance {
     /// Quiescence fast-forward: after every step, jump to the minimum
     /// of the freshly posted wakes.
     Merged,
-    /// Event-driven: wakes accumulate in a [`TimerWheel`] and the clock
-    /// jumps to its earliest pending entry. A stale entry (a source
-    /// re-posting earlier than a wake it already posted) costs at worst
-    /// a spurious idle step, so only the skip count may differ from
-    /// [`Advance::Merged`]. Measured 1.04–1.28× slower than `Merged` on
-    /// every benchmark workload (`docs/PERF.md`); kept as the arm the
-    /// equivalence tests and the benchmark gate exercise.
-    Wheel,
 }
 
 /// Advances `d` from `start` for up to `cycles` cycles under `advance`.
@@ -95,33 +86,7 @@ pub fn drive<D: Driven>(d: &mut D, start: Cycle, cycles: u64, advance: Advance) 
             d.wakes(now, &mut |t| hint = Cycle::earliest(hint, Some(t)))
                 .then(|| hint.unwrap_or(end))
         }),
-        Advance::Wheel => drive_on_wheel(d, start, cycles, &mut TimerWheel::new()),
     }
-}
-
-/// [`drive`] under [`Advance::Wheel`] on a caller-owned wheel, so a
-/// caller that pre-[`reserve`](TimerWheel::reserve)s it and reuses it
-/// across calls allocates nothing once warm (`tests/zero_alloc.rs`).
-/// The wheel's cursor is monotonic: successive calls must not go back
-/// in time.
-///
-/// Out of line so the wheel's bulk stays out of the stepped and merged
-/// loops' register allocation — measured ~1.5 % on the driver-bound
-/// `chain_gap` benchmark workload.
-#[inline(never)]
-pub fn drive_on_wheel<D: Driven>(
-    d: &mut D,
-    start: Cycle,
-    cycles: u64,
-    wheel: &mut TimerWheel<()>,
-) -> (Cycle, u64) {
-    run(d, start, cycles, |d, now, end| {
-        let skippable = d.wakes(now, &mut |t| wheel.schedule(t.max(now.next()), ()));
-        // Retire wakes at or before the cycle just stepped: they are
-        // satisfied (or stale — both mean "already handled").
-        while wheel.pop_due(now).is_some() {}
-        skippable.then(|| wheel.next_event_time(end).unwrap_or(end))
-    })
 }
 
 /// The clock-advance algorithm. `wake(d, now, end)` is the policy: the
@@ -131,7 +96,7 @@ fn run<D: Driven>(
     d: &mut D,
     start: Cycle,
     cycles: u64,
-    mut wake: impl FnMut(&mut D, Cycle, Cycle) -> Option<Cycle>,
+    mut wake: impl FnMut(&D, Cycle, Cycle) -> Option<Cycle>,
 ) -> (Cycle, u64) {
     let end = Cycle(start.0 + cycles);
     let mut now = start;
@@ -160,7 +125,7 @@ fn run<D: Driven>(
 mod tests {
     use super::*;
 
-    const POLICIES: [Advance; 3] = [Advance::Stepped, Advance::Merged, Advance::Wheel];
+    const POLICIES: [Advance; 2] = [Advance::Stepped, Advance::Merged];
 
     /// Wake sources firing every `periods[i]` cycles. Counts active and
     /// idle steps and accounts every cycle (stepped or replayed), to
@@ -203,8 +168,8 @@ mod tests {
     #[test]
     fn policies_agree_on_interleaved_wakes_and_really_skip() {
         // Coprime periods: each source is regularly woken "early" by
-        // the other, so its earlier-posted wheel entry goes stale —
-        // the spurious-wake path of the wheel policy.
+        // the other, so the jump target is the minimum of two live
+        // wakes, not the latest one posted.
         let fresh = Wakers {
             periods: vec![7, 10],
             ..Wakers::default()
@@ -215,15 +180,13 @@ mod tests {
             (Cycle(223), 0)
         );
         assert!(stepped.idle_steps > 100);
-        for advance in [Advance::Merged, Advance::Wheel] {
-            let mut w = fresh.clone();
-            let (end, skipped) = drive(&mut w, Cycle(0), 223, advance);
-            assert_eq!(end, Cycle(223));
-            assert_eq!(w.active_steps, stepped.active_steps, "{advance:?}");
-            assert_eq!(w.accounted, stepped.accounted, "{advance:?}");
-            assert_eq!(w.idle_steps + skipped, stepped.idle_steps, "{advance:?}");
-            assert!(skipped > 100, "{advance:?} only skipped {skipped}");
-        }
+        let mut w = fresh;
+        let (end, skipped) = drive(&mut w, Cycle(0), 223, Advance::Merged);
+        assert_eq!(end, Cycle(223));
+        assert_eq!(w.active_steps, stepped.active_steps);
+        assert_eq!(w.accounted, stepped.accounted);
+        assert_eq!(w.idle_steps + skipped, stepped.idle_steps);
+        assert!(skipped > 100, "only skipped {skipped}");
     }
 
     #[test]
@@ -261,19 +224,13 @@ mod tests {
 
     #[test]
     fn all_quiescent_jumps_to_end_after_one_probe_step() {
-        for advance in [Advance::Merged, Advance::Wheel] {
-            let mut w = Wakers::default();
-            assert_eq!(
-                drive(&mut w, Cycle(0), 1000, advance),
-                (Cycle(1000), 999),
-                "{advance:?}"
-            );
-            assert_eq!(w.idle_steps, 1, "{advance:?}: one probe step, then a jump");
-            assert_eq!(
-                w.accounted, 1000,
-                "{advance:?}: span replayed via skip_idle"
-            );
-        }
+        let mut w = Wakers::default();
+        assert_eq!(
+            drive(&mut w, Cycle(0), 1000, Advance::Merged),
+            (Cycle(1000), 999)
+        );
+        assert_eq!(w.idle_steps, 1, "one probe step, then a jump");
+        assert_eq!(w.accounted, 1000, "span replayed via skip_idle");
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! * [`stats`] — counters and log-bucketed histograms used to report
 //!   totals and latency percentiles.
 //! * [`clock`] — the one clock driver: the `Driven` component trait and
-//!   `drive`, which steps, fast-forwards, or event-drives it.
-//! * [`wheel`] — the hierarchical timer wheel behind `Advance::Wheel`.
+//!   `drive`, which steps or fast-forwards it.
+//! * [`wheel`] — a hierarchical timer wheel nothing in the simulator
+//!   schedules on; public only for the benchmark's
+//!   `sim-core.wheel_ns_per_event` kernel until the benchmark-only PR.
 //! * [`bits`] — set-bit iteration for the occupancy masks the mesh and
 //!   the NIC tick over.
 //!
@@ -36,9 +38,8 @@ pub mod stats;
 pub mod time;
 pub mod wheel;
 
-pub use clock::{drive, drive_on_wheel, Advance, Driven};
+pub use clock::{drive, Advance, Driven};
 pub use events::EventQueue;
 pub use rng::{SimRng, SplitMix64};
 pub use stats::{Counter, Histogram, Summary};
 pub use time::{Bandwidth, ByteSize, Cycle, Cycles, Freq, Time};
-pub use wheel::TimerWheel;

@@ -1,10 +1,12 @@
-//! Hierarchical timer wheel: the event kernel's wake scheduler.
+//! Hierarchical timer wheel — with no scheduler on it.
+//!
+//! Nothing in the simulator schedules on a wheel (`docs/PERF.md` §2).
+//! The module stays public only because the benchmark's
+//! `sim-core.wheel_ns_per_event` kernel (`benchmark/src/kernels.rs`)
+//! times it, and goes with that kernel in the benchmark-only PR.
 //!
 //! [`EventQueue`](crate::events::EventQueue) is a binary heap —
-//! `O(log n)` per schedule/pop, and a driver that wants "the next cycle
-//! anything happens" re-heapifies on every operation. The event-driven
-//! run mode (see [`crate::clock::Advance::Wheel`] and `docs/PERF.md`)
-//! instead keeps its wake-ups in a [`TimerWheel`]: the classic
+//! `O(log n)` per schedule/pop. A [`TimerWheel`] is the classic
 //! hierarchical timing wheel (Varghese & Lauck, SOSP '87) with
 //!
 //! * **O(1) schedule** — the target cycle's bit pattern names the
@@ -57,7 +59,8 @@ struct Entry<E> {
 /// exactly how a simulation clock uses it.
 ///
 /// ```
-/// use sim_core::{TimerWheel, Cycle};
+/// use sim_core::wheel::TimerWheel;
+/// use sim_core::Cycle;
 ///
 /// let mut w = TimerWheel::new();
 /// w.schedule(Cycle(10), "dma-done");
@@ -111,20 +114,6 @@ impl<E> TimerWheel<E> {
             next_seq: 0,
             len: 0,
         }
-    }
-
-    /// Pre-reserves `per_slot` entries of capacity in every slot
-    /// bucket plus the due and overflow buffers, so a steady-state
-    /// driver that never holds more than `per_slot` wakes in one
-    /// bucket allocates nothing after this call (buckets are taken
-    /// and restored on cascade, never freed). The zero-alloc suite
-    /// (`tests/zero_alloc.rs`) relies on this.
-    pub fn reserve(&mut self, per_slot: usize) {
-        for bucket in &mut self.slots {
-            bucket.reserve(per_slot);
-        }
-        self.due.reserve(per_slot * 2);
-        self.overflow.reserve(per_slot);
     }
 
     /// Number of pending (unfired) events.

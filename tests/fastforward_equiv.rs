@@ -1,13 +1,14 @@
-//! Fast-forward ≡ stepped ≡ event-driven execution (cross-crate,
-//! hence workspace root; see `docs/PERF.md` for the contract).
+//! Fast-forward ≡ stepped execution (cross-crate, hence workspace
+//! root; see `docs/PERF.md` for the contract).
 //!
-//! Quiescence fast-forward — and the event-driven kernel built on the
-//! same `next_activity`/`skip_idle` contract — is only admissible
-//! because it is *invisible*: every run mode must be byte-identical to
-//! the stepped run in every observable — Chrome traces (timestamps
-//! included), exported metrics, reports, conservation accounting, and
-//! RNG-dependent outcomes. These tests hold that line across all
-//! three modes (stepped, inline fast-forward, timer-wheel events):
+//! Quiescence fast-forward is only admissible because it is
+//! *invisible*: it must be byte-identical to the stepped run in every
+//! observable — Chrome traces (timestamps included), exported metrics,
+//! reports, conservation accounting, and RNG-dependent outcomes. These
+//! tests hold that line. The chain, KVS and ring tests also run the
+//! event switches `benchmark/` still flips (`set_event_driven(true)`,
+//! `Fabric::run_event`), which must be fast-forward under another
+//! name: same bytes, same skip count.
 //!
 //! 1. **Chain scenario** (proptest): random chain lengths, offered
 //!    loads, port counts, and seeds — identical traces, metrics, and
@@ -24,8 +25,8 @@
 //!    traces, exported metrics (including `tenancy.*` ledgers and
 //!    stall counters), and per-tenant conservation reports.
 //! 5. **Fabric ring** (proptest): a 2–4-NIC ring with cross-NIC
-//!    chains, run stepped / fast-forwarded / event-driven and at 1 vs
-//!    4 worker threads — identical metrics, fleet stats, and
+//!    chains, run stepped and fast-forwarded, fast-forwarded at 1 vs 4
+//!    worker threads — identical metrics, fleet stats, and
 //!    conservation everywhere.
 
 use engines::engine::NullOffload;
@@ -49,24 +50,26 @@ use sim_core::clock::{drive, Advance, Driven};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use workloads::frames::FrameFactory;
 
-/// The three clock-advance strategies under test. All must be
+/// The two clock-advance strategies under test. Both must be
 /// observably indistinguishable.
 type Mode = Advance;
-use Advance::{Merged as Ff, Stepped, Wheel as Event};
+use Advance::{Merged as Ff, Stepped};
 
 // ---------------------------------------------------------------------------
 // Chain scenario
 // ---------------------------------------------------------------------------
 
-/// Runs `config` in one mode and returns every observable: the Chrome
-/// trace, the exported metrics JSON, the report (debug-formatted —
-/// every field), and the skip count.
-fn chain_artifacts(config: &ChainScenarioConfig, mode: Mode) -> (String, String, String, u64) {
+/// Runs `config` with its run mode selected by `set_mode` and returns
+/// every observable: the Chrome trace, the exported metrics JSON, the
+/// report (debug-formatted — every field), and the skip count.
+fn chain_artifacts(
+    config: &ChainScenarioConfig,
+    set_mode: fn(&mut ChainScenario),
+) -> (String, String, String, u64) {
     let tracer = trace::Tracer::chrome();
     let mut s = ChainScenario::new(config.clone());
     s.attach_tracer(&tracer);
-    s.set_fastforward(mode == Ff);
-    s.set_event_driven(mode == Event);
+    set_mode(&mut s);
     s.run(4_000);
     s.drain(4_000);
     let mut m = trace::MetricsRegistry::new();
@@ -83,7 +86,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any chain configuration produces byte-identical traces,
-    /// metrics, and reports in all three execution modes.
+    /// metrics, and reports stepped and fast-forwarded — and the event
+    /// switch is fast-forward, skip count included.
     #[test]
     fn chain_fastforward_is_byte_identical(
         chain_len in 0usize..=3,
@@ -99,22 +103,21 @@ proptest! {
             seed,
             ..ChainScenarioConfig::default()
         };
-        let (trace_s, metrics_s, report_s, skipped_s) = chain_artifacts(&config, Stepped);
-        let (trace_f, metrics_f, report_f, skipped_f) = chain_artifacts(&config, Ff);
-        let (trace_e, metrics_e, report_e, skipped_e) = chain_artifacts(&config, Event);
-        prop_assert_eq!(skipped_s, 0, "stepped runs never skip");
-        prop_assert_eq!(&report_s, &report_f);
-        prop_assert_eq!(&metrics_s, &metrics_f);
-        prop_assert_eq!(&trace_s, &trace_f, "Chrome traces must be byte-identical");
-        prop_assert_eq!(&report_s, &report_e);
-        prop_assert_eq!(&metrics_s, &metrics_e);
-        prop_assert_eq!(&trace_s, &trace_e, "event-driven trace must be byte-identical");
+        let stepped = chain_artifacts(&config, |s| s.set_fastforward(false));
+        let ff = chain_artifacts(&config, |s| s.set_fastforward(true));
+        let (trace_s, metrics_s, report_s, skipped_s) = &stepped;
+        let (trace_f, metrics_f, report_f, skipped_f) = &ff;
+        prop_assert_eq!(*skipped_s, 0, "stepped runs never skip");
+        prop_assert_eq!(report_s, report_f);
+        prop_assert_eq!(metrics_s, metrics_f);
+        prop_assert_eq!(trace_s, trace_f, "Chrome traces must be byte-identical");
         // Gap-dominated points must actually skip something, or the
-        // fast paths have silently regressed into a stepped loop.
+        // fast path has silently regressed into a stepped loop.
         if offered_fraction <= 0.01 {
-            prop_assert!(skipped_f > 500, "ff only skipped {skipped_f} cycles");
-            prop_assert!(skipped_e > 500, "event only skipped {skipped_e} cycles");
+            prop_assert!(*skipped_f > 500, "ff only skipped {skipped_f} cycles");
         }
+        // What `benchmark/src/rigs/chain.rs` runs as its `Event` mode.
+        prop_assert_eq!(&chain_artifacts(&config, |s| s.set_event_driven(true)), &ff);
     }
 }
 
@@ -122,17 +125,16 @@ proptest! {
 // KVS scenario
 // ---------------------------------------------------------------------------
 
-/// Runs the KVS workload in one mode and returns (trace, metrics,
-/// report, skipped).
-fn kvs_artifacts(mode: Mode) -> (String, String, String, u64) {
+/// Runs the KVS workload with its run mode selected by `set_mode` and
+/// returns (trace, metrics, report, skipped).
+fn kvs_artifacts(set_mode: fn(&mut KvsScenario)) -> (String, String, String, u64) {
     let mut config = KvsScenarioConfig::two_tenant_default();
     config.keys_per_tenant = 60;
     config.cached_hot_keys = 12;
     let tracer = trace::Tracer::chrome();
     let mut s = KvsScenario::new(config);
     s.attach_tracer(&tracer);
-    s.set_fastforward(mode == Ff);
-    s.set_event_driven(mode == Event);
+    set_mode(&mut s);
     s.run(20_000);
     let mut m = trace::MetricsRegistry::new();
     s.export_metrics(&mut m);
@@ -149,20 +151,15 @@ fn kvs_artifacts(mode: Mode) -> (String, String, String, u64) {
 /// fast-forward, and the periodic tenants leave real gaps to skip.
 #[test]
 fn kvs_fastforward_is_byte_identical() {
-    let (trace_s, metrics_s, report_s, _) = kvs_artifacts(Stepped);
-    let (trace_f, metrics_f, report_f, skipped) = kvs_artifacts(Ff);
-    let (trace_e, metrics_e, report_e, skipped_e) = kvs_artifacts(Event);
-    assert_eq!(report_s, report_f);
-    assert_eq!(metrics_s, metrics_f);
-    assert_eq!(trace_s, trace_f, "Chrome traces must be byte-identical");
-    assert!(skipped > 1_000, "only skipped {skipped} cycles");
-    assert_eq!(report_s, report_e);
-    assert_eq!(metrics_s, metrics_e);
-    assert_eq!(
-        trace_s, trace_e,
-        "event-driven trace must be byte-identical"
-    );
-    assert!(skipped_e > 1_000, "event only skipped {skipped_e} cycles");
+    let (trace_s, metrics_s, report_s, _) = kvs_artifacts(|s| s.set_fastforward(false));
+    let ff = kvs_artifacts(|s| s.set_fastforward(true));
+    let (trace_f, metrics_f, report_f, skipped) = &ff;
+    assert_eq!(&report_s, report_f);
+    assert_eq!(&metrics_s, metrics_f);
+    assert_eq!(&trace_s, trace_f, "Chrome traces must be byte-identical");
+    assert!(*skipped > 1_000, "only skipped {skipped} cycles");
+    // What `benchmark/src/rigs/kvs.rs` runs as its `Event` mode.
+    assert_eq!(kvs_artifacts(|s| s.set_event_driven(true)), ff);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,8 +289,8 @@ impl Driven for Injected<'_> {
 }
 
 /// Drives `nic` under the injector until `quiet`, stepping every
-/// cycle, jumping provably idle gaps inline, or sleeping on
-/// timer-wheel wake-ups, per `mode`. Returns the cycles skipped.
+/// cycle or jumping provably idle gaps, per `mode`. Returns the cycles
+/// skipped.
 fn drive_injected(
     nic: &mut PanicNic,
     eth: EngineId,
@@ -349,21 +346,16 @@ fn fault_artifacts(seed: u64, intensity: u32, mode: Mode) -> (String, String, St
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Seeded chaos replays byte-identically under fast-forward and
-    /// the event kernel: crashes, stalls, degradations, watchdog
-    /// strikes, failover, and re-issues all land on the same cycles
-    /// with the same outcomes.
+    /// Seeded chaos replays byte-identically under fast-forward:
+    /// crashes, stalls, degradations, watchdog strikes, failover, and
+    /// re-issues all land on the same cycles with the same outcomes.
     #[test]
     fn seeded_fault_plans_are_ff_equivalent(seed in any::<u64>(), intensity in 1u32..=8) {
         let (trace_s, cons_s, counters_s, _) = fault_artifacts(seed, intensity, Stepped);
         let (trace_f, cons_f, counters_f, _) = fault_artifacts(seed, intensity, Ff);
-        let (trace_e, cons_e, counters_e, _) = fault_artifacts(seed, intensity, Event);
         prop_assert_eq!(&counters_s, &counters_f);
         prop_assert_eq!(&cons_s, &cons_f);
         prop_assert_eq!(&trace_s, &trace_f, "Chrome traces must be byte-identical");
-        prop_assert_eq!(&counters_s, &counters_e);
-        prop_assert_eq!(&cons_s, &cons_e);
-        prop_assert_eq!(&trace_s, &trace_e, "event-driven trace must be byte-identical");
     }
 }
 
@@ -374,16 +366,11 @@ proptest! {
 fn fault_plan_golden_seed_skips_and_matches() {
     let (trace_s, cons_s, counters_s, skipped_s) = fault_artifacts(0x00C0_FFEE, 8, Stepped);
     let (trace_f, cons_f, counters_f, skipped_f) = fault_artifacts(0x00C0_FFEE, 8, Ff);
-    let (trace_e, cons_e, counters_e, skipped_e) = fault_artifacts(0x00C0_FFEE, 8, Event);
     assert_eq!(skipped_s, 0, "stepped runs never skip");
     assert_eq!(counters_s, counters_f);
     assert_eq!(cons_s, cons_f);
     assert_eq!(trace_s, trace_f);
     assert!(skipped_f > 1_000, "ff only skipped {skipped_f} cycles");
-    assert_eq!(counters_e, counters_f);
-    assert_eq!(cons_e, cons_f);
-    assert_eq!(trace_e, trace_f);
-    assert!(skipped_e > 1_000, "event only skipped {skipped_e} cycles");
 }
 
 // ---------------------------------------------------------------------------
@@ -491,21 +478,16 @@ fn tenancy_artifacts(shaped_gap: u64, mode: Mode) -> (String, String, String, u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any shaping gap replays byte-identically under fast-forward and
-    /// the event kernel: token refills, DRR grants, rate-stall
-    /// counters, and release cycles land exactly where the stepped run
-    /// put them.
+    /// Any shaping gap replays byte-identically under fast-forward:
+    /// token refills, DRR grants, rate-stall counters, and release
+    /// cycles land exactly where the stepped run put them.
     #[test]
     fn tenancy_plane_is_ff_equivalent(shaped_gap in 1u64..=96) {
         let (trace_s, metrics_s, cons_s, _) = tenancy_artifacts(shaped_gap, Stepped);
         let (trace_f, metrics_f, cons_f, _) = tenancy_artifacts(shaped_gap, Ff);
-        let (trace_e, metrics_e, cons_e, _) = tenancy_artifacts(shaped_gap, Event);
         prop_assert_eq!(&cons_s, &cons_f);
         prop_assert_eq!(&metrics_s, &metrics_f);
         prop_assert_eq!(&trace_s, &trace_f, "Chrome traces must be byte-identical");
-        prop_assert_eq!(&cons_s, &cons_e);
-        prop_assert_eq!(&metrics_s, &metrics_e);
-        prop_assert_eq!(&trace_s, &trace_e, "event-driven trace must be byte-identical");
     }
 }
 
@@ -518,16 +500,11 @@ fn tenancy_golden_skips_and_matches() {
     // Shaping slower than the injection gap guarantees rate stalls.
     let (trace_s, metrics_s, cons_s, skipped_s) = tenancy_artifacts(3 * GAP, Stepped);
     let (trace_f, metrics_f, cons_f, skipped_f) = tenancy_artifacts(3 * GAP, Ff);
-    let (trace_e, metrics_e, cons_e, skipped_e) = tenancy_artifacts(3 * GAP, Event);
     assert_eq!(skipped_s, 0, "stepped runs never skip");
     assert_eq!(cons_s, cons_f);
     assert_eq!(metrics_s, metrics_f);
     assert_eq!(trace_s, trace_f);
     assert!(skipped_f > 1_000, "ff only skipped {skipped_f} cycles");
-    assert_eq!(cons_e, cons_f);
-    assert_eq!(metrics_e, metrics_f);
-    assert_eq!(trace_e, trace_f);
-    assert!(skipped_e > 1_000, "event only skipped {skipped_e} cycles");
     assert!(
         metrics_f.contains("\"tenancy.shaped.rate_stalls\":")
             && !metrics_f.contains("\"tenancy.shaped.rate_stalls\":0"),
@@ -541,10 +518,14 @@ fn tenancy_golden_skips_and_matches() {
 // ---------------------------------------------------------------------------
 
 /// An `nics`-member ring with cross-NIC chains (each member's chain
-/// finishes on its successor), run to quiescence in `mode` with
-/// `threads` worker threads. Returns (metrics JSON, fleet stats
-/// debug, total skipped).
-fn ring_artifacts(nics: usize, mode: Mode, threads: usize) -> (String, String, u64) {
+/// finishes on its successor), run to quiescence by `advance` (one of
+/// `Fabric`'s run methods) with `threads` worker threads. Returns
+/// (metrics JSON, fleet stats debug, total skipped).
+fn ring_artifacts(
+    nics: usize,
+    advance: fn(&mut fabric::Fabric, Cycle, u64) -> (Cycle, u64),
+    threads: usize,
+) -> (String, String, u64) {
     use engines::mac::MacEngine;
     use fabric::{FabricBuilder, LinkSpec, PeriodicDriver};
     use panic_core::nic::NicConfig;
@@ -613,11 +594,6 @@ fn ring_artifacts(nics: usize, mode: Mode, threads: usize) -> (String, String, u
     fabric.set_threads(threads);
     let mut skipped = 0u64;
     let mut now = Cycle(0);
-    let advance = |f: &mut fabric::Fabric, at: Cycle, cycles: u64| match mode {
-        Stepped => (f.run(at, cycles), 0),
-        Ff => f.run_ff(at, cycles),
-        Event => f.run_event(at, cycles),
-    };
     let (next, s) = advance(&mut fabric, now, 30_000);
     now = next;
     skipped += s;
@@ -641,23 +617,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// A 2–4-NIC ring with cross-NIC chains produces byte-identical
-    /// metrics and fleet stats stepped, fast-forwarded, and
-    /// event-driven — and, for the event kernel, at 1 vs 4 worker
-    /// threads.
+    /// metrics and fleet stats stepped and fast-forwarded, and
+    /// fast-forwarded at 1 vs 4 worker threads — and `run_event` is
+    /// `run_ff`, skip count included.
     #[test]
     fn fabric_ring_modes_and_threads_are_byte_identical(nics in 2usize..=4) {
-        let (m_s, _, skipped_s) = ring_artifacts(nics, Stepped, 1);
-        let (m_f, _, _) = ring_artifacts(nics, Ff, 1);
-        let (m_e1, f_e1, skipped_e) = ring_artifacts(nics, Event, 1);
-        let (m_e4, f_e4, _) = ring_artifacts(nics, Event, 4);
+        use fabric::Fabric;
+        let (m_s, _, skipped_s) = ring_artifacts(nics, |f, at, n| (f.run(at, n), 0), 1);
+        let ff = ring_artifacts(nics, Fabric::run_ff, 1);
+        let (m_f1, f_f1, skipped_f) = &ff;
+        let (m_f4, f_f4, _) = ring_artifacts(nics, Fabric::run_ff, 4);
         prop_assert_eq!(skipped_s, 0, "stepped runs never skip");
-        prop_assert_eq!(&m_s, &m_f);
-        prop_assert_eq!(&m_s, &m_e1, "event-driven metrics must be byte-identical");
+        prop_assert_eq!(&m_s, m_f1);
         // Fleet stats include mode-dependent execution counters
         // (epochs, fleet jumps), so they are compared only across
         // thread counts within a mode.
-        prop_assert_eq!(&m_e1, &m_e4, "metrics must not depend on the thread count");
-        prop_assert_eq!(&f_e1, &f_e4, "fleet stats must not depend on the thread count");
-        prop_assert!(skipped_e > 1_000, "event only skipped {} cycles", skipped_e);
+        prop_assert_eq!(m_f1, &m_f4, "metrics must not depend on the thread count");
+        prop_assert_eq!(f_f1, &f_f4, "fleet stats must not depend on the thread count");
+        prop_assert!(*skipped_f > 1_000, "ff only skipped {} cycles", skipped_f);
+        // What `benchmark/src/rigs/rack.rs` runs as its `Event` mode.
+        prop_assert_eq!(&ring_artifacts(nics, Fabric::run_event, 1), &ff);
     }
 }

@@ -21,10 +21,7 @@
 //!   rings growing to their working set (slots are reused, never
 //!   freed, thereafter);
 //! * per-tile queue and scheduler storage reaching peak occupancy;
-//! * lazily built engine state (e.g. a MAC's first-use histograms);
-//! * the event kernel's [`TimerWheel`] slot buckets and due buffer
-//!   growing to their working set (buckets are taken and restored,
-//!   never freed, thereafter).
+//! * lazily built engine state (e.g. a MAC's first-use histograms).
 //!
 //! The control endpoint's telemetry step is held to the same standard
 //! (`docs/PERF.md` §7): with a live subscription, a `service` call in
@@ -59,9 +56,8 @@ use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKind, Table};
-use sim_core::clock::{drive, drive_on_wheel, Advance, Driven};
+use sim_core::clock::{drive, Advance, Driven};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
-use sim_core::wheel::TimerWheel;
 use tenancy::{TenancyConfig, VNicSpec};
 use workloads::frames::FrameFactory;
 
@@ -380,36 +376,6 @@ fn a_frame_costs_two_allocations_ingress_to_exit() {
              times ({bytes} bytes): more than the factory's two per frame"
         );
     }
-}
-
-/// The event kernel's steady state is allocation-free too: the same
-/// busy chain driven through timer-wheel schedule/pop, exact
-/// `next_event_time` jumps, and `skip_idle` replay allocates nothing
-/// once warm. (`TimerWheel::new` and first-touch bucket growth are
-/// warm-up, like every scratch buffer in the allowlist above.)
-///
-/// Call-site audit for this test: **no** production
-/// `EventQueue::drain_due` call sites remain — every hot path drains
-/// through `drain_due_into`; the only `drain_due` uses left are the
-/// wheel/queue unit tests themselves.
-#[test]
-fn event_kernel_steady_state_allocates_nothing() {
-    let mut wheel: TimerWheel<()> = TimerWheel::new();
-    // Bucket capacity is part of the warm-up allowlist; `reserve`
-    // front-loads it so cursor-position-dependent bucket growth can't
-    // leak into the measured window. While the NIC steps every cycle
-    // the injection wake is re-posted each step, so one bucket holds
-    // up to INJECT_EVERY copies of it plus a few NIC wakes.
-    wheel.reserve(INJECT_EVERY as usize + 8);
-    let (allocs, bytes) = measure(&mut BusyNic::new(), |busy, start, cycles| {
-        drive_on_wheel(busy, start, cycles, &mut wheel)
-    });
-    assert_eq!(
-        allocs, 0,
-        "event-kernel steady state allocated {allocs} times ({bytes} bytes) \
-         over {MEASURE} cycles — the zero-alloc wake-on-event path has \
-         regressed"
-    );
 }
 
 /// Idle ticks are trivially allocation-free too (the cheap case the
