@@ -225,7 +225,13 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
 
     let (seed, pinned_plan) = match ctx.faults.clone() {
         Some(FaultArg::Seed(s)) => (s, None),
-        Some(FaultArg::Plan(p)) => (DEFAULT_SEED, Some(p)),
+        Some(FaultArg::Plan(p)) => {
+            if let Err(e) = p.validate(RouterConfig::default().ejection_buffer_flits) {
+                eprintln!("--faults: {e}");
+                std::process::exit(2);
+            }
+            (DEFAULT_SEED, Some(p))
+        }
         // A fabric-scope spec is rejected by the repro CLI before any
         // experiment runs; a NIC-scope experiment ignores it.
         Some(FaultArg::Fabric(_)) | None => (DEFAULT_SEED, None),
@@ -331,6 +337,28 @@ mod tests {
         assert!(
             (p.goodput + p.host_fallback as f64 / p.offered as f64 - 1.0).abs() < 1e-9,
             "every frame egressed exactly once: {p:?}"
+        );
+    }
+
+    /// A hand-written plan gets the generator's kind of budget: fifteen
+    /// drops at one tile of a sixteen-credit ejection buffer drain and
+    /// conserve; a sixteenth is refused before it can wedge the tile.
+    #[test]
+    fn hand_written_drops_stay_inside_the_ejection_credit_pool() {
+        let drops = |n: u64| {
+            let clauses: Vec<String> = (0..n).map(|k| format!("drop:1@{}", 101 + k)).collect();
+            FaultPlan::parse(&clauses.join(",")).unwrap()
+        };
+        let credits = RouterConfig::default().ejection_buffer_flits;
+        let fifteen = drops(15);
+        assert_eq!(fifteen.validate(credits), Ok(()));
+        let p = run_plan("15 drops", &fifteen, 240, 25, None);
+        assert!(p.drained && p.conserved, "{p:?}");
+        assert!((p.goodput - 1.0).abs() < 1e-9, "goodput {}", p.goodput);
+        let refused = drops(16).validate(credits).unwrap_err();
+        assert!(
+            refused.contains("16 ejection drops at tile 1") && refused.contains("holds 16 credits"),
+            "{refused}"
         );
     }
 

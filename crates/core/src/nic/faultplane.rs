@@ -85,7 +85,15 @@ impl PanicNic {
     /// the top of the [`PanicNic::tick`] whose cycle they name, in
     /// plan order — same plan, same seed, same trace, every run.
     /// Merges with any previously enabled plan/watchdog.
+    ///
+    /// # Panics
+    /// Panics if `plan` arms a tile with as many ejection drops as the
+    /// tile has ejection credits ([`FaultPlan::validate`]): each drop
+    /// leaks a credit, and the tile would never eject again.
     pub fn enable_faults(&mut self, plan: FaultPlan) {
+        if let Err(e) = plan.validate(self.config.router.ejection_buffer_flits) {
+            panic!("PanicNic::enable_faults: {e} (FaultPlan::validate)");
+        }
         match &mut self.faults {
             Some(fr) => fr.schedule.merge(plan),
             None => self.faults = Some(Box::new(FaultRuntime::new(plan, None))),

@@ -453,6 +453,14 @@ fn feed_and_drain(nic: &mut PanicNic, eth: EngineId, n: u64, gap: u64) -> Cycle 
 }
 
 #[test]
+#[should_panic(expected = "16 ejection drops at tile 1, but its ejection buffer holds 16 credits")]
+fn a_plan_that_would_drain_a_tiles_ejection_credits_is_refused() {
+    let (mut nic, _, _, _) = replicated_nic(chaos_watchdog());
+    let drops: Vec<String> = (0..16).map(|k| format!("drop:1@{}", 100 + k)).collect();
+    nic.enable_faults(faults::FaultPlan::parse(&drops.join(",")).unwrap());
+}
+
+#[test]
 fn crash_watchdog_failover_to_replica_conserves() {
     let (mut nic, eth, off0, off1) = replicated_nic(chaos_watchdog());
     nic.enable_faults(faults::FaultPlan::parse("crash:1@100").unwrap());

@@ -10,6 +10,8 @@
 
 pub mod chain;
 pub mod kvs;
+#[cfg(test)]
+mod streaming;
 
 /// Summarizes a live [`workloads::arrivals::ArrivalProcess`] into the
 /// plain-data [`panic_verify::ArrivalSpec`] the `PV5xx` fast-forward

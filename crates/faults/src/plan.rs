@@ -407,6 +407,43 @@ impl Plan<FaultKind> {
         }
         FaultPlan::new(events)
     }
+
+    /// Checks that no tile is armed with as many ejection drops as it
+    /// has Local ejection credits (`RouterConfig::ejection_buffer_flits`
+    /// in `noc`). Each drop leaks one credit for good, and a tile whose
+    /// pool runs dry never ejects again: the run wedges. Generated plans
+    /// stay under [`FaultUniverse::max_drops_per_tile`]; this holds a
+    /// hand-written plan to the same kind of budget. The NIC-plan twin
+    /// of `FabricFaultPlan::validate`.
+    ///
+    /// # Errors
+    /// Returns a message naming the first tile, in plan order, armed
+    /// with too many drops, its drop count and its credit pool — the
+    /// `repro --faults` exit-2 path.
+    pub fn validate(&self, ejection_credits: usize) -> Result<(), String> {
+        let mut drops: HashMap<EngineId, usize> = HashMap::new();
+        for ev in self.events() {
+            if let FaultKind::FlitDrop { engine } = ev.kind {
+                *drops.entry(engine).or_insert(0) += 1;
+            }
+        }
+        for ev in self.events() {
+            if let FaultKind::FlitDrop { engine } = ev.kind {
+                let n = drops[&engine];
+                if n >= ejection_credits {
+                    return Err(format!(
+                        "NIC fault plan arms {n} ejection drops at tile {}, but its \
+                         ejection buffer holds {ejection_credits} credits: each drop \
+                         leaks one for good, and a tile left with none never ejects \
+                         again (at most {} drops a tile)",
+                        engine.0,
+                        ejection_credits.saturating_sub(1)
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The `--faults` CLI argument: a seed for the deterministic
@@ -466,6 +503,23 @@ mod tests {
 
     fn universe() -> FaultUniverse {
         FaultUniverse::new((0..8).map(EngineId).collect(), Cycle(10_000))
+    }
+
+    #[test]
+    fn validate_keeps_each_tile_inside_its_ejection_credits() {
+        let plan = |spec: &str| FaultPlan::parse(spec).unwrap();
+        assert_eq!(plan("drop:3@10,drop:3@20,drop:4@30").validate(3), Ok(()));
+        let err = plan("crash:1@5,drop:4@10,drop:3@20,drop:3@30,drop:3@40")
+            .validate(3)
+            .unwrap_err();
+        assert!(err.contains("3 ejection drops at tile 3"), "{err}");
+        assert!(err.contains("holds 3 credits"), "{err}");
+        // Every seeded plan is inside the budget its universe caps.
+        let u = universe();
+        for seed in 0..32 {
+            let credits = u.max_drops_per_tile as usize + 1;
+            assert_eq!(FaultPlan::generate(seed, &u, 64).validate(credits), Ok(()));
+        }
     }
 
     #[test]

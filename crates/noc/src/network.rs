@@ -10,13 +10,22 @@
 //!   tile's ejection buffer, yielding a [`Message`] when its tail
 //!   arrives (the engine's RX interface);
 //! * [`MeshNetwork::tick`] — advance the whole network one cycle in
-//!   two phases (all non-idle routers plan, then all transfers commit).
+//!   two phases (routers plan, then transfers commit).
 //!
 //! A message in the mesh is stored once, in the network's in-flight
-//! slab, from `send` until its tail is ejected; source queues, router
-//! FIFOs and ejection buffers hold 8-byte [`FlitHandle`]s naming its
-//! slot. Which routers hold a flit is an `active` tile bitmask, so a
+//! slab, from `send` until its tail is ejected. A source queue holds
+//! each waiting message as one run (what is left of it, in flits);
+//! router FIFOs and ejection buffers hold 8-byte [`FlitHandle`]s naming
+//! its slot. Which routers hold a flit is an `active` tile bitmask, so a
 //! tick touches only those.
+//!
+//! A *worm* — a message's flits strung along its XY path — mostly
+//! *streams*: every router it crosses forwards its next flit each
+//! cycle. [`MeshNetwork::tick`] moves such a worm in one step at its
+//! two ends rather than a flit a hop, and plans only the routers with
+//! something else to decide. Streaming is a shortcut with no
+//! observable effect: `network/reference.rs` holds the flit-at-a-time
+//! mesh it replaced and steps both in lock-step.
 //!
 //! The network is lossless end to end: the only place a message can
 //! wait indefinitely is a source queue, which models the engine-side
@@ -32,7 +41,7 @@ use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricSink, Tracer, TrackId};
 
-use crate::router::{FlitHandle, PortDir, RoutePlan, Router, RouterConfig};
+use crate::router::{FlitHandle, PortDir, RoutePlan, Router, RouterConfig, NO_PORT};
 use crate::topology::{Coord, Placement, RouteLut, Topology};
 
 /// Network configuration.
@@ -128,6 +137,12 @@ struct NetFaults {
 /// `neighbor_idx` entry of a port with no link.
 const NO_TILE: u16 = u16::MAX;
 
+/// The port on which a neighbor receives a flit sent out of port `o`.
+const OPPOSITE: [u8; PortDir::COUNT] = [1, 0, 3, 2, 4];
+
+/// The Local port's index.
+const LOCAL: usize = 4;
+
 /// One in-flight message: stored once in the slab while its flits —
 /// handles naming this slot — cross the mesh.
 #[derive(Debug)]
@@ -140,6 +155,172 @@ struct InFlight {
 // A slab entry is a `Message` plus one word; the slab is written once
 // and read once per NoC leg (see the pin in `packet::message`).
 const _: () = assert!(std::mem::size_of::<InFlight>() <= 200);
+
+/// Where a message is among the routers, per slab slot.
+///
+/// A worm's flits sit in order along its XY path, which visits a tile at
+/// most once, so a tile alone names a hop, and each FIFO on the path
+/// holds one *run* of them (consecutive flits). `tail_*` is the input
+/// FIFO holding its tail-most run while any flit is in a router; `at` is
+/// the worm's index in `MeshNetwork::waiting` or `MeshNetwork::segs`,
+/// as `state` says.
+#[derive(Debug, Clone, Copy)]
+struct Worm {
+    at: u32,
+    tail_tile: u16,
+    tail_port: u8,
+    state: WormState,
+}
+
+/// Which list, if any, holds a worm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WormState {
+    /// No flit in a router: in a source queue, an ejection buffer or
+    /// gone.
+    Out,
+    /// In `waiting`: no hop streams, and the next walk may find one.
+    Waiting,
+    /// In `waiting`, and its last walk found its tail-most run behind
+    /// another message, behind its own waiting head, or short of a
+    /// credit toward the next router: no walk finds a segment before
+    /// that head wins an output, a FIFO it is in pops, or the run
+    /// moves.
+    Blocked,
+    /// In `segs`: its segment streams.
+    Streaming,
+}
+
+const _: () = assert!(std::mem::size_of::<Worm>() == 8);
+
+impl Worm {
+    const OUT: Worm = Worm {
+        at: u32::MAX,
+        tail_tile: NO_TILE,
+        tail_port: 0,
+        state: WormState::Out,
+    };
+}
+
+/// The hops a worm streams through: `hops` consecutive hops from input
+/// `first_in` of tile `first` (leaving through `first_out`) to input
+/// `last_in` of tile `last` (leaving through `last_out`).
+///
+/// A segment is kept from cycle to cycle and changes only at its two
+/// ends (see [`MeshNetwork::tick`]).
+#[derive(Debug, Clone, Copy)]
+struct Seg {
+    slot: u32,
+    hops: u16,
+    first: u16,
+    last: u16,
+    first_in: u8,
+    first_out: u8,
+    last_in: u8,
+    last_out: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Seg>() == 16);
+
+/// What is left of one message in a source queue: `left` flits, the
+/// next of them its head while `fresh`. The queue holds whole messages,
+/// so the last flit left is the message's tail.
+#[derive(Debug, Clone, Copy)]
+struct SourceRun {
+    slot: u32,
+    left: u32,
+    dest: Coord,
+    fresh: bool,
+}
+
+impl SourceRun {
+    /// Takes the next flit.
+    #[inline]
+    fn pop(&mut self) -> FlitHandle {
+        // A table, not a match: kinds vary flit to flit, so a branch on
+        // them mispredicts.
+        const KIND: [FlitKind; 4] = [
+            FlitKind::Body,
+            FlitKind::Tail,
+            FlitKind::Head,
+            FlitKind::HeadTail,
+        ];
+        let kind = KIND[usize::from(self.fresh) << 1 | usize::from(self.left == 1)];
+        self.left -= 1;
+        self.fresh = false;
+        FlitHandle {
+            slot: self.slot,
+            dest: self.dest,
+            kind,
+        }
+    }
+}
+
+/// A tile's source (injection) queue: whole messages, and the flits
+/// they hold. The message injecting now sits inline, so injection and a
+/// source-fed stream step reach it without a queue lookup.
+#[derive(Debug)]
+struct Source {
+    /// The front message; meaningless while `flits` is 0.
+    front: SourceRun,
+    /// The messages behind it.
+    behind: VecDeque<SourceRun>,
+    flits: usize,
+}
+
+impl Source {
+    fn new() -> Source {
+        Source {
+            front: SourceRun {
+                slot: u32::MAX,
+                left: 0,
+                dest: Coord::new(0, 0),
+                fresh: false,
+            },
+            behind: VecDeque::new(),
+            flits: 0,
+        }
+    }
+
+    /// Queues a whole message.
+    fn push(&mut self, run: SourceRun) {
+        if self.flits == 0 {
+            self.front = run;
+        } else {
+            self.behind.push_back(run);
+        }
+        self.flits += run.left as usize;
+    }
+
+    /// Takes the front message's next flit (the queue must not be
+    /// empty).
+    #[inline]
+    fn pop(&mut self) -> FlitHandle {
+        debug_assert!(self.flits > 0, "pop from an empty source queue");
+        let flit = self.front.pop();
+        self.flits -= 1;
+        if self.front.left == 0 {
+            if let Some(next) = self.behind.pop_front() {
+                self.front = next;
+            }
+        }
+        flit
+    }
+
+    /// True when the front message is `slot`'s.
+    #[inline]
+    fn feeds(&self, slot: u32) -> bool {
+        self.flits > 0 && self.front.slot == slot
+    }
+
+    /// The queued messages, front first.
+    #[cfg(test)]
+    fn runs(&self) -> impl Iterator<Item = &SourceRun> {
+        (self.flits > 0)
+            .then_some(&self.front)
+            .into_iter()
+            .chain(self.behind.iter())
+    }
+}
 
 /// The mesh network of routers.
 #[derive(Debug)]
@@ -156,7 +337,7 @@ pub struct MeshNetwork {
     /// Per-tile source (injection) queues. Unbounded: they model the
     /// sending engine's own buffering; occupancy is observable so
     /// experiments can detect source-queue growth (= saturation).
-    source: Vec<VecDeque<FlitHandle>>,
+    source: Vec<Source>,
     /// Per-tile ejection buffers, bounded in practice by Local credits.
     ejection: Vec<VecDeque<FlitHandle>>,
     /// The in-flight slab: every message between `send` and the
@@ -167,6 +348,21 @@ pub struct MeshNetwork {
     /// Vacant slab slots, reused LIFO; sized with the slab so a
     /// steady-state eject → send cycle never allocates.
     free_slots: Vec<u32>,
+    /// Per-slot worm records, parallel to `slab`.
+    worms: Vec<Worm>,
+    /// Slots of the worms in the routers without a segment; sized with
+    /// the slab.
+    waiting: Vec<u32>,
+    /// The streaming worms' segments; sized with the slab.
+    segs: Vec<Seg>,
+    /// Per tile, the inputs in some segment — left out of the plans.
+    streaming: Vec<u8>,
+    /// Tiles whose injection this tick was left to the stream step of
+    /// the segment starting at their Local input, same layout as
+    /// `active`.
+    deferred: Vec<u64>,
+    /// Flit-hops moved by stream steps rather than by router plans.
+    streamed: u64,
     stats: NetworkStats,
     /// Trace handle (disabled by default; see [`MeshNetwork::attach_tracer`]).
     tracer: Tracer,
@@ -175,7 +371,7 @@ pub struct MeshNetwork {
     /// Fault-injection state; `None` (no cost, no metrics) until a
     /// `fault_*` method is called.
     faults: Option<Box<NetFaults>>,
-    /// Per-router switch-allocation plans (phase 1 writes, phase 2
+    /// Per-router switch-allocation plans (phase 2 writes, phase 3
     /// executes); only the entries of this cycle's planned tiles are
     /// meaningful.
     plans: Vec<RoutePlan>,
@@ -183,8 +379,8 @@ pub struct MeshNetwork {
     /// word per 64 tiles): set on every accept, cleared when a commit
     /// leaves the router empty. Idle routers are never visited.
     active: Vec<u64>,
-    /// Snapshot of `active` taken after injection: the tiles phase 1
-    /// planned, which are the tiles phase 2 commits (commits change
+    /// The tiles phase 2 planned — active tiles with an input in no
+    /// segment — which are the tiles phase 3 commits (commits change
     /// `active` as flits move).
     planned: Vec<u64>,
     /// Bitmask of tiles whose source queue is non-empty, same layout
@@ -244,10 +440,16 @@ impl MeshNetwork {
             lut,
             neighbor_idx,
             routers,
-            source: (0..n).map(|_| VecDeque::new()).collect(),
+            source: (0..n).map(|_| Source::new()).collect(),
             ejection: (0..n).map(|_| VecDeque::with_capacity(eject_cap)).collect(),
             slab: Vec::new(),
             free_slots: Vec::new(),
+            worms: Vec::new(),
+            waiting: Vec::new(),
+            segs: Vec::new(),
+            streaming: vec![0; n],
+            deferred: vec![0u64; words],
+            streamed: 0,
             stats: NetworkStats::new(),
             tracer: Tracer::disabled(),
             tracks: Vec::new(),
@@ -266,7 +468,8 @@ impl MeshNetwork {
     /// carrying `noc.hop` instants (one per flit forwarded),
     /// `noc.credit_stall` instants (an output wanted to send but the
     /// downstream buffer was full), and `noc.msg` spans (send → tail
-    /// ejected, on the destination tile). See `docs/TRACING.md`.
+    /// ejected, on the destination tile). See `docs/TRACING.md`. A
+    /// traced mesh plans every hop: no worm streams.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = tracer.clone();
         self.tracks = self
@@ -466,17 +669,19 @@ impl MeshNetwork {
         let total = Flit::flits_for(&msg, self.config.width_bits);
         let slot = self.slab_insert(InFlight { msg, sent: now });
         self.stats.injected_messages += 1;
-        self.source[tile].extend((0..total).map(|seq| FlitHandle {
+        self.source[tile].push(SourceRun {
             slot,
+            left: total,
             dest,
-            kind: FlitKind::at(seq, total),
-        }));
+            fresh: true,
+        });
         self.resident_flits += u64::from(total);
         self.source_pending[tile / 64] |= 1 << (tile % 64);
     }
 
     /// Stores `entry` in a vacant slab slot, growing the slab (and the
-    /// free list's capacity with it) only when none is vacant.
+    /// free list, worm records, waiting list and segment list with it)
+    /// only when none is vacant.
     fn slab_insert(&mut self, entry: InFlight) -> u32 {
         if let Some(slot) = self.free_slots.pop() {
             self.slab[slot as usize] = Some(entry);
@@ -484,9 +689,12 @@ impl MeshNetwork {
         }
         let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 messages in flight");
         self.slab.push(Some(entry));
+        self.worms.push(Worm::OUT);
         // `free_slots` is empty here; room for every slot means the
-        // ejection path never grows it.
+        // ejection path never grows it, nor a tick the other two.
         self.free_slots.reserve(self.slab.len());
+        self.waiting.reserve(self.slab.len() - self.waiting.len());
+        self.segs.reserve(self.slab.len() - self.segs.len());
         slot
     }
 
@@ -503,7 +711,7 @@ impl MeshNetwork {
     /// network is saturated for this sender).
     #[must_use]
     pub fn source_depth(&self, engine: EngineId) -> usize {
-        self.source[self.tile_of(engine)].len()
+        self.source[self.tile_of(engine)].flits
     }
 
     /// Flits waiting in `engine`'s ejection buffer.
@@ -592,6 +800,33 @@ impl MeshNetwork {
     }
 
     /// Advances the network one cycle.
+    ///
+    /// Injection, then three phases, all deciding from pre-tick router
+    /// state. A worm's *segment* is a run of consecutive hops whose
+    /// FIFOs hold the worm's flits at their front, behind an open
+    /// wormhole, with a credit. Pass 1 of each of those routers' plans
+    /// would grant every such hop, and each hop would forward one flit
+    /// and receive the next, so the worm moves in one step at its two
+    /// ends: its first hop gives a flit, and the buffer past its last
+    /// hop — the input holding its head or a message stuck ahead of it,
+    /// or the ejection buffer — gains one. The FIFOs in between are not
+    /// touched: each holds only this worm's body flits, and the credit
+    /// toward it stands.
+    ///
+    /// 1. **Walk** the worms without a segment from their tail-most run
+    ///    to find one.
+    /// 2. **Plan** the routers with an input in no segment, leaving the
+    ///    segments' inputs out.
+    /// 3. **Commit** the plans, then step every segment and bring its
+    ///    ends up to date for the next tick: a last hop that lost its
+    ///    credit leaves it, the hop past it joins once it qualifies, and
+    ///    a first hop that ran dry leaves it.
+    ///
+    /// Everything that is not such a hop — a head that has to win an
+    /// output, contention, a hop without a credit — is planned and
+    /// committed a flit at a time. A traced mesh, or one with a slow
+    /// link or a credit hold active, keeps no segment, so `noc.hop` and
+    /// `noc.credit_stall` come from the plans alone.
     pub fn tick(&mut self, now: Cycle) {
         if self.faults.is_some() {
             self.drive_faults(now);
@@ -600,37 +835,66 @@ impl MeshNetwork {
             self.active_cycles += 1;
         }
         let traced = self.tracer.enabled();
+        let streamable = !traced
+            && self
+                .faults
+                .as_ref()
+                .is_none_or(|f| f.slow.is_empty() && f.holds.is_empty());
+        if !streamable && !self.segs.is_empty() {
+            self.streaming.fill(0);
+            while !self.segs.is_empty() {
+                self.dissolve(self.segs.len() - 1);
+            }
+        }
 
         // Injection: each tile's Local input accepts at most one flit
         // per cycle from the source queue (the local channel is one
         // flit wide, like every other channel). The pending bitmask
-        // visits only tiles that actually hold queued traffic.
+        // visits only tiles that actually hold queued traffic. Where a
+        // segment starts at that input, its stream step injects instead.
         for word in 0..self.source_pending.len() {
             for bit in set_bits(self.source_pending[word]) {
                 let tile = word * 64 + bit;
-                if self.routers[tile].input_space(PortDir::Local) > 0 {
-                    let flit = self.source[tile].pop_front().expect("non-empty");
-                    self.routers[tile].accept(PortDir::Local, flit);
-                    self.active[word] |= 1 << bit;
-                    if self.source[tile].is_empty() {
-                        self.source_pending[word] &= !(1 << bit);
-                    }
+                if self.streaming[tile] & (1 << LOCAL) != 0 {
+                    self.deferred[word] |= 1 << bit;
+                    continue;
+                }
+                self.inject(tile);
+            }
+        }
+
+        // Phase 1: walk the worms without a segment (the segments were
+        // brought up to date at the end of the last tick).
+        if streamable {
+            let mut k = 0;
+            while k < self.waiting.len() {
+                if !self.walk(k) {
+                    k += 1;
                 }
             }
         }
 
-        // Phase 1: every router holding a flit allocates its switch
-        // from pre-tick state. An idle router can grant neither a flit
-        // nor a credit return nor a stall, so it is not visited at all.
-        self.planned.copy_from_slice(&self.active);
+        // Phase 2: every router holding a flit outside the segments
+        // allocates its switch from pre-tick state, without the
+        // segments' inputs. An idle router can grant neither a flit nor
+        // a credit return nor a stall, so it is not visited at all.
         for word in 0..self.planned.len() {
-            for bit in set_bits(self.planned[word]) {
+            // Which tiles to plan is decided without a branch a tile:
+            // about a quarter are, in no pattern.
+            let mut planned = 0;
+            for bit in set_bits(self.active[word]) {
                 let tile = word * 64 + bit;
-                self.plans[tile] = self.routers[tile].plan();
+                let unstreamed = self.routers[tile].nonempty() & !self.streaming[tile];
+                planned |= u64::from(unstreamed != 0) << bit;
+            }
+            self.planned[word] = planned;
+            for bit in set_bits(planned) {
+                let tile = word * 64 + bit;
+                self.plans[tile] = self.routers[tile].plan_inputs(!self.streaming[tile]);
             }
         }
 
-        // Phase 2: execute the plans — move each winning flit straight
+        // Phase 3: execute the plans — move each winning flit straight
         // from its input FIFO to the downstream buffer (one move per
         // hop) and return one credit to the upstream router it vacated.
         // Tiles and outputs ascend, which fixes the trace event order.
@@ -653,14 +917,16 @@ impl MeshNetwork {
                 }
                 for o in set_bits(u64::from(plan.granted)) {
                     let i = usize::from(plan.winner[o]);
-                    let flit = self.routers[tile].commit_pop(i);
-                    // Credit return to the upstream router the flit
-                    // vacated (Local input drains come from the source
-                    // queue, which is not credited).
-                    if i != PortDir::Local.index() {
-                        let up = self.neighbor_idx[tile][i];
-                        debug_assert_ne!(up, NO_TILE, "credit from a port with no link");
-                        self.routers[usize::from(up)].refill_credit(PortDir::ALL[i].opposite());
+                    let (flit, emptied) = self.routers[tile].pop(i);
+                    self.vacate(tile, i);
+                    self.wake_back(tile, i);
+                    if flit.kind == FlitKind::Head {
+                        // The flits behind it now follow an open
+                        // wormhole.
+                        self.wake(flit.slot);
+                    }
+                    if emptied {
+                        self.run_left(flit.slot, tile, i, o);
                     }
                     if traced {
                         let msg = &self.slab[flit.slot as usize]
@@ -670,22 +936,423 @@ impl MeshNetwork {
                         self.tracer
                             .instant_arg(self.tracks[tile], "noc.hop", now, "msg", msg.id.0);
                     }
-                    if o == PortDir::Local.index() {
-                        self.stats.delivered_flits += 1;
-                        self.ejection[tile].push_back(flit);
-                        self.ejection_pending[word] |= 1 << bit;
-                    } else {
-                        let down = self.neighbor_idx[tile][o];
-                        debug_assert_ne!(down, NO_TILE, "granted flit toward a missing link");
-                        let down = usize::from(down);
-                        self.routers[down].accept(PortDir::ALL[o].opposite(), flit);
-                        self.active[down / 64] |= 1 << (down % 64);
-                    }
+                    self.forward(tile, o, flit);
                 }
                 if self.routers[tile].is_idle() {
                     self.active[word] &= !(1 << bit);
                 }
             }
+        }
+        // Then every segment's stream step.
+        let (mut k, mut streamed) = (0, 0);
+        while k < self.segs.len() {
+            streamed += u64::from(self.segs[k].hops);
+            if self.advance(k) {
+                k += 1;
+            }
+        }
+        self.streamed += streamed;
+        self.deferred.fill(0);
+    }
+
+    /// Moves one flit from `tile`'s source queue into its Local input,
+    /// if that has room.
+    #[inline]
+    fn inject(&mut self, tile: usize) {
+        if self.routers[tile].input_space(PortDir::Local) == 0 {
+            return;
+        }
+        let flit = self.take_source(tile);
+        self.routers[tile].accept(PortDir::Local, flit);
+        self.active[tile / 64] |= 1 << (tile % 64);
+        // The source is upstream of every router on the path, so the
+        // newest flit is always tail-most.
+        self.enter(flit.slot, tile, LOCAL);
+        if flit.kind == FlitKind::Head {
+            // Nothing streams behind a head that has not won an output.
+            self.worms[flit.slot as usize].state = WormState::Blocked;
+        }
+    }
+
+    /// Pops the next flit of `tile`'s source queue.
+    #[inline(always)]
+    fn take_source(&mut self, tile: usize) -> FlitHandle {
+        let source = &mut self.source[tile];
+        let flit = source.pop();
+        if source.flits == 0 {
+            self.source_pending[tile / 64] &= !(1 << (tile % 64));
+        }
+        flit
+    }
+
+    /// Grows segment `s` from input `input` of `tile` toward the head
+    /// while each hop holds the worm's run at the front of its FIFO,
+    /// behind an open wormhole, with a credit. It stops at an empty FIFO
+    /// (the worm's flits further on moved away), a run queued behind
+    /// another message, or the head itself still waiting for an output.
+    #[inline]
+    fn grow(&mut self, s: &mut Seg, mut tile: usize, mut input: usize) {
+        loop {
+            let router = &self.routers[tile];
+            if router.len(input) == 0 || router.front(input).slot != s.slot {
+                return;
+            }
+            let out = router.in_route(input);
+            if out == NO_PORT || !router.can_send(usize::from(out)) {
+                return;
+            }
+            self.streaming[tile] |= 1 << input;
+            if s.hops == 0 {
+                (s.first, s.first_in, s.first_out) = (tile as u16, input as u8, out);
+            }
+            s.hops += 1;
+            (s.last, s.last_in, s.last_out) = (tile as u16, input as u8, out);
+            if usize::from(out) == LOCAL {
+                return;
+            }
+            tile = usize::from(self.neighbor_idx[tile][usize::from(out)]);
+            input = usize::from(OPPOSITE[usize::from(out)]);
+        }
+    }
+
+    /// Phase 1 for the `k`th waiting worm: a walk from its tail-most
+    /// run; true when it found a segment (the worm then leaves
+    /// `waiting`).
+    fn walk(&mut self, k: usize) -> bool {
+        let slot = self.waiting[k];
+        let worm = self.worms[slot as usize];
+        if worm.state == WormState::Blocked {
+            return false;
+        }
+        let mut s = Seg {
+            slot,
+            hops: 0,
+            first: NO_TILE,
+            last: NO_TILE,
+            first_in: 0,
+            first_out: 0,
+            last_in: 0,
+            last_out: 0,
+        };
+        self.grow(
+            &mut s,
+            usize::from(worm.tail_tile),
+            usize::from(worm.tail_port),
+        );
+        if s.hops == 0 {
+            // Short of an ejection credit, the walk is tried again every
+            // tick; anything else waits for a pop (see `wake_back`).
+            let (tile, input) = (usize::from(worm.tail_tile), usize::from(worm.tail_port));
+            let router = &self.routers[tile];
+            if router.len(input) == 0
+                || router.front(input).slot != slot
+                || usize::from(router.in_route(input)) != LOCAL
+            {
+                self.worms[slot as usize].state = WormState::Blocked;
+            }
+            return false;
+        }
+        self.waiting.swap_remove(k);
+        if let Some(&moved) = self.waiting.get(k) {
+            self.worms[moved as usize].at = k as u32;
+        }
+        self.worms[slot as usize] = Worm {
+            at: self.segs.len() as u32,
+            state: WormState::Streaming,
+            ..worm
+        };
+        self.segs.push(s);
+        true
+    }
+
+    /// Removes segment `k` (its hops already unmarked) and puts its worm
+    /// back among the waiting ones.
+    fn dissolve(&mut self, k: usize) {
+        let s = self.segs.swap_remove(k);
+        if let Some(moved) = self.segs.get(k) {
+            self.worms[moved.slot as usize].at = k as u32;
+        }
+        let worm = &mut self.worms[s.slot as usize];
+        worm.state = WormState::Waiting;
+        worm.at = self.waiting.len() as u32;
+        self.waiting.push(s.slot);
+    }
+
+    /// Phase 3 for segment `k`: its first hop gives its front flit and
+    /// the buffer past its last hop gains one; then its ends are brought
+    /// up to date from the state this tick leaves. False when the
+    /// segment ran out of hops and was removed (another now sits at
+    /// `k`).
+    ///
+    /// The common case writes nothing back to `segs`: a segment changes
+    /// only when a hop leaves or joins it.
+    fn advance(&mut self, k: usize) -> bool {
+        let s = self.segs[k];
+        let (first, first_in) = (usize::from(s.first), usize::from(s.first_in));
+        let deferred = first_in == LOCAL && self.deferred[first / 64] & (1 << (first % 64)) != 0;
+        let (leaving, vacated) = if deferred {
+            self.source_step(first, s.slot)
+        } else {
+            self.pop_at(first, first_in)
+        };
+        if leaving.kind.is_tail() {
+            self.tail_passes(&s);
+        }
+        let (last, last_out) = (usize::from(s.last), usize::from(s.last_out));
+        self.routers[last].spend_credit(last_out);
+        // What enters the next buffer is the last hop's front flit: the
+        // first hop's own when the segment is one hop, a body flit else.
+        let kind = if s.hops == 1 {
+            leaving.kind
+        } else {
+            FlitKind::Body
+        };
+        self.forward(last, last_out, FlitHandle { kind, ..leaving });
+        if vacated && !self.shrink(k) {
+            return false;
+        }
+        // The head end, for the next tick: a last hop without a credit
+        // leaves the segment (it is planned and stalls, as it would
+        // have), and the hop past the last one joins once it qualifies.
+        // Polls, sends and fault changes between ticks can only add
+        // credits or end streaming for everyone.
+        if !self.routers[last].can_send(last_out) {
+            return self.trim(k);
+        }
+        if last_out != LOCAL {
+            let next = usize::from(self.neighbor_idx[last][last_out]);
+            let input = usize::from(OPPOSITE[last_out]);
+            if self.joins(s.slot, next, input) {
+                let mut grown = self.segs[k];
+                self.grow(&mut grown, next, input);
+                self.segs[k] = grown;
+            }
+        }
+        true
+    }
+
+    /// True when input `input` of `tile` can join worm `slot`'s
+    /// segment: its FIFO holds the worm's run at the front, behind an
+    /// open wormhole, with a credit.
+    #[inline(always)]
+    fn joins(&self, slot: u32, tile: usize, input: usize) -> bool {
+        let router = &self.routers[tile];
+        if router.len(input) == 0 || router.front(input).slot != slot {
+            return false;
+        }
+        let out = router.in_route(input);
+        out != NO_PORT && router.can_send(usize::from(out))
+    }
+
+    /// Segment `k`'s last hop lost its credit: it and every hop before it
+    /// without one leave the segment. False when no hop is left (the
+    /// segment is then removed).
+    #[cold]
+    fn trim(&mut self, k: usize) -> bool {
+        let mut s = self.segs[k];
+        while !self.routers[usize::from(s.last)].can_send(usize::from(s.last_out)) {
+            self.streaming[usize::from(s.last)] &= !(1 << s.last_in);
+            s.hops -= 1;
+            if s.hops == 0 {
+                self.segs[k] = s;
+                self.dissolve(k);
+                return false;
+            }
+            let up = self.neighbor_idx[usize::from(s.last)][usize::from(s.last_in)];
+            s.last_out = OPPOSITE[usize::from(s.last_in)];
+            s.last = up;
+            s.last_in = self.routers[usize::from(up)].owner(usize::from(s.last_out));
+        }
+        self.segs[k] = s;
+        true
+    }
+
+    /// Pops input `i` of `tile` for a segment's first hop and returns the
+    /// credit upstream.
+    #[inline(always)]
+    fn pop_at(&mut self, tile: usize, i: usize) -> (FlitHandle, bool) {
+        let popped = self.routers[tile].pop(i);
+        self.vacate(tile, i);
+        self.wake_back(tile, i);
+        if self.routers[tile].is_idle() {
+            self.active[tile / 64] &= !(1 << (tile % 64));
+        }
+        popped
+    }
+
+    /// The tail left segment `s`'s first hop: the wormhole there
+    /// closes, and past the first hop the tail joins a run whose count
+    /// stands (it forwards a flit and receives the tail).
+    #[inline]
+    fn tail_passes(&mut self, s: &Seg) {
+        let (first, first_in, first_out) = (
+            usize::from(s.first),
+            usize::from(s.first_in),
+            usize::from(s.first_out),
+        );
+        self.routers[first].release(first_out, first_in);
+        if s.hops > 1 {
+            let next = usize::from(self.neighbor_idx[first][first_out]);
+            self.routers[next].mark_back_tail(usize::from(OPPOSITE[first_out]));
+        }
+    }
+
+    /// Segment `k`'s first hop holds none of the worm now. A source
+    /// input the worm still injects into is fed again next tick, so it
+    /// stays, and stays the worm's tail-most position; any other leaves
+    /// the segment, and the tail-most run moves on if it was that one.
+    /// False when no hop is left (the segment is then removed).
+    fn shrink(&mut self, k: usize) -> bool {
+        let mut s = self.segs[k];
+        let (first, first_in, first_out) = (
+            usize::from(s.first),
+            usize::from(s.first_in),
+            usize::from(s.first_out),
+        );
+        if first_in == LOCAL && first_out != LOCAL && self.source[first].feeds(s.slot) {
+            return true;
+        }
+        self.streaming[first] &= !(1 << first_in);
+        s.hops -= 1;
+        if s.hops == 0 {
+            self.segs[k] = s;
+            self.dissolve(k);
+        } else {
+            let next = self.neighbor_idx[first][first_out];
+            s.first = next;
+            s.first_in = OPPOSITE[first_out];
+            s.first_out = self.routers[usize::from(next)].in_route(usize::from(s.first_in));
+            self.segs[k] = s;
+        }
+        self.run_left(s.slot, first, first_in, first_out);
+        s.hops > 0
+    }
+
+    /// A first hop at `tile`'s Local input whose injection this tick was
+    /// deferred to here: the hop forwards the worm's front flit and the
+    /// source injects, as the injection phase would have had it.
+    /// Returns the flit that leaves and whether the input holds none of
+    /// the worm afterwards.
+    #[inline(always)]
+    fn source_step(&mut self, tile: usize, slot: u32) -> (FlitHandle, bool) {
+        let held = self.routers[tile].len(LOCAL);
+        let space = self.routers[tile].input_space(PortDir::Local) > 0;
+        if space && self.source[tile].feeds(slot) {
+            // The worm feeds itself: the injected flit joins its run.
+            let injected = self.take_source(tile);
+            if held == 0 {
+                // It goes straight through; the input counts as vacated
+                // only once the source has no more of the worm.
+                return (injected, injected.kind.is_tail());
+            }
+            // The run forwards its front flit and takes the injected one
+            // at its back: its count stands.
+            if injected.kind.is_tail() {
+                self.routers[tile].mark_back_tail(LOCAL);
+            }
+            let leaving = FlitHandle {
+                kind: FlitKind::Body,
+                ..injected
+            };
+            return (leaving, false);
+        }
+        let popped = self.pop_at(tile, LOCAL);
+        if space {
+            // The next message queues behind.
+            self.inject(tile);
+        }
+        popped
+    }
+
+    /// Returns the credit for a flit that left input `i` of `tile` to
+    /// the upstream router (Local input drains come from the source
+    /// queue, which is not credited).
+    #[inline(always)]
+    fn vacate(&mut self, tile: usize, i: usize) {
+        if i != LOCAL {
+            let up = self.neighbor_idx[tile][i];
+            debug_assert_ne!(up, NO_TILE, "credit from a port with no link");
+            self.routers[usize::from(up)].refill_credit(PortDir::ALL[usize::from(OPPOSITE[i])]);
+        }
+    }
+
+    /// Moves `flit`, forwarded by `tile` through output `o`, into the
+    /// downstream router's input or the tile's ejection buffer.
+    #[inline(always)]
+    fn forward(&mut self, tile: usize, o: usize, flit: FlitHandle) {
+        if o == LOCAL {
+            self.stats.delivered_flits += 1;
+            self.ejection[tile].push_back(flit);
+            self.ejection_pending[tile / 64] |= 1 << (tile % 64);
+        } else {
+            let down = self.neighbor_idx[tile][o];
+            debug_assert_ne!(down, NO_TILE, "granted flit toward a missing link");
+            let down = usize::from(down);
+            self.routers[down].accept(PortDir::ALL[usize::from(OPPOSITE[o])], flit);
+            self.active[down / 64] |= 1 << (down % 64);
+        }
+    }
+
+    /// Worm `slot`'s run at input `i` of `tile` gave its last flit
+    /// through output `o`: if it was the tail-most run, the tail-most
+    /// run is now where that flit went, or the worm has left the
+    /// routers.
+    fn run_left(&mut self, slot: u32, tile: usize, i: usize, o: usize) {
+        let worm = self.worms[slot as usize];
+        if usize::from(worm.tail_tile) != tile || usize::from(worm.tail_port) != i {
+            return;
+        }
+        if o != LOCAL {
+            let down = usize::from(self.neighbor_idx[tile][o]);
+            self.enter(slot, down, usize::from(OPPOSITE[o]));
+            return;
+        }
+        debug_assert_ne!(
+            worm.state,
+            WormState::Streaming,
+            "a worm left the routers with a segment"
+        );
+        let at = worm.at as usize;
+        self.waiting.swap_remove(at);
+        if let Some(&moved) = self.waiting.get(at) {
+            self.worms[moved as usize].at = at as u32;
+        }
+        self.worms[slot as usize] = Worm::OUT;
+    }
+
+    /// A pop freed a place in input `i` of `tile`: the worm whose flits
+    /// entered it last — the one holding the output that feeds it — has
+    /// a credit there again, so if blocked it is walked again.
+    #[inline]
+    fn wake_back(&mut self, tile: usize, i: usize) {
+        if let Some(slot) = self.routers[tile].back_slot(i) {
+            self.wake(slot);
+        }
+    }
+
+    /// Worm `slot`, if blocked, is walked again.
+    #[inline]
+    fn wake(&mut self, slot: u32) {
+        let worm = &mut self.worms[slot as usize];
+        if worm.state == WormState::Blocked {
+            worm.state = WormState::Waiting;
+        }
+    }
+
+    /// Worm `slot`'s tail-most run is now at input `i` of `tile`; a
+    /// worm entering the routers starts out waiting.
+    fn enter(&mut self, slot: u32, tile: usize, i: usize) {
+        let worm = &mut self.worms[slot as usize];
+        worm.tail_tile = tile as u16;
+        worm.tail_port = i as u8;
+        match worm.state {
+            WormState::Out => {
+                worm.state = WormState::Waiting;
+                worm.at = self.waiting.len() as u32;
+                self.waiting.push(slot);
+            }
+            WormState::Blocked => worm.state = WormState::Waiting,
+            WormState::Waiting | WormState::Streaming => {}
         }
     }
 
@@ -714,7 +1381,7 @@ impl MeshNetwork {
     pub fn is_quiescent(&self) -> bool {
         debug_assert_eq!(
             self.resident_flits == 0,
-            self.source.iter().all(VecDeque::is_empty)
+            self.source.iter().all(|s| s.flits == 0)
                 && self.ejection.iter().all(VecDeque::is_empty)
                 && self.routers.iter().all(|r| r.buffered_flits() == 0),
             "resident-flit counter out of sync with buffer occupancy"
@@ -737,10 +1404,23 @@ impl MeshNetwork {
         self.active_cycles
     }
 
-    /// Total flits forwarded by all routers (≈ flit-hops).
+    /// Total flits forwarded by all routers (≈ flit-hops), planned and
+    /// streamed alike.
     #[must_use]
     pub fn total_flit_hops(&self) -> u64 {
-        self.routers.iter().map(Router::flits_forwarded).sum()
+        self.routers
+            .iter()
+            .map(Router::flits_forwarded)
+            .sum::<u64>()
+            + self.streamed
+    }
+
+    /// The part of [`MeshNetwork::total_flit_hops`] moved by stream
+    /// steps instead of router plans: a measure of the simulator's own
+    /// work, not of the simulated mesh, so no metric exports it.
+    #[must_use]
+    pub fn streamed_flit_hops(&self) -> u64 {
+        self.streamed
     }
 
     /// Coordinate of `engine`'s tile.
@@ -749,6 +1429,9 @@ impl MeshNetwork {
         self.placement.coord_of(engine).expect("engine placed")
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1190,6 +1873,36 @@ mod tests {
         let mut m2 = MetricsRegistry::new();
         clean.export_metrics(&mut m2, "noc");
         assert_eq!(m2.counter("noc.lost_messages"), None, "zero-cost when off");
+    }
+
+    #[test]
+    fn nothing_streams_while_a_slow_link_is_active() {
+        // Four long worms along row 0; a slow link elsewhere, until
+        // cycle 400, keeps every worm on the planned path until it
+        // expires.
+        let mut net = net_3x3();
+        net.fault_link_slow(EngineId(8), PortDir::North, Cycle(400), 2);
+        let mut now = Cycle(0);
+        let round = |net: &mut MeshNetwork, now: &mut Cycle| {
+            for i in 0..4 {
+                net.send(EngineId(0), EngineId(2), msg(i, 512), *now);
+            }
+            while !net.is_quiescent() {
+                net.tick(*now);
+                *now = now.next();
+                let _ = net.poll_ejected(EngineId(2), *now);
+            }
+        };
+        round(&mut net, &mut now);
+        assert!(now < Cycle(400), "the first round ran inside the window");
+        assert!(net.total_flit_hops() > 0);
+        assert_eq!(net.streamed_flit_hops(), 0);
+        now = Cycle(400);
+        round(&mut net, &mut now);
+        assert!(
+            net.streamed_flit_hops() > 0,
+            "streaming resumes once the link is healthy"
+        );
     }
 
     #[test]

@@ -21,6 +21,16 @@
 //! discipline of [`sim_core::clock`]. What moves is an 8-byte
 //! [`FlitHandle`]; the message it belongs to stays put in the network's
 //! in-flight slab.
+//!
+//! A FIFO keeps one handle per flit. Most of them belong to a worm that
+//! *streams* — every router it crosses forwards its next flit each
+//! cycle — and the network moves such a worm at its two ends without
+//! touching the FIFOs in between, so a FIFO's handles need not even
+//! shift; the inputs it streams through are left out of the plan
+//! (`Router::plan_inputs`). Runs of handles in place of handles were
+//! measured and lost: a FIFO holds about two flits, and the run
+//! bookkeeping cost more per push and pop than it saved (docs/PERF.md
+//! §14).
 
 use packet::FlitKind;
 
@@ -114,7 +124,10 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            // 8 flits: one minimal 64B packet at 64-bit channels.
+            // 8 flits: less than any message. `Flit::flits_for` counts
+            // the chain header too, so a chain-NIC message is 9–11
+            // flits at 64-bit channels and every worm spans at least
+            // two routers.
             input_buffer_flits: 8,
             ejection_buffer_flits: 16,
         }
@@ -172,7 +185,7 @@ pub struct RoutePlan {
 }
 
 /// `in_route` value of an input that holds no wormhole.
-const NO_PORT: u8 = u8::MAX;
+pub(crate) const NO_PORT: u8 = u8::MAX;
 
 /// Next port index in round-robin order.
 #[inline]
@@ -291,9 +304,82 @@ impl Router {
 
     /// Oldest flit queued on input `i` (which must be non-empty).
     #[inline]
-    fn front(&self, i: usize) -> FlitHandle {
+    pub(crate) fn front(&self, i: usize) -> FlitHandle {
         debug_assert!(self.len[i] > 0, "front of an empty input");
         self.buf[i * usize::from(self.cap) + usize::from(self.head[i])]
+    }
+
+    /// Flits queued on input `i`.
+    #[inline]
+    pub(crate) fn len(&self, i: usize) -> u16 {
+        self.len[i]
+    }
+
+    /// The output input `i`'s wormhole holds, or [`NO_PORT`].
+    #[inline]
+    pub(crate) fn in_route(&self, i: usize) -> u8 {
+        self.in_route[i]
+    }
+
+    /// The input whose wormhole holds output `o` (which must be owned).
+    pub(crate) fn owner(&self, o: usize) -> u8 {
+        debug_assert!(self.owned & (1 << o) != 0, "owner of a free output");
+        self.in_route
+            .iter()
+            .position(|&r| usize::from(r) == o)
+            .expect("an owned output has an owner") as u8
+    }
+
+    /// Bitmask of inputs holding at least one flit.
+    #[inline]
+    pub(crate) fn nonempty(&self) -> u8 {
+        self.nonempty
+    }
+
+    /// Input `i`'s flits, oldest first.
+    #[cfg(test)]
+    pub(crate) fn queued(&self, i: usize) -> impl Iterator<Item = FlitHandle> + '_ {
+        let cap = usize::from(self.cap);
+        (0..usize::from(self.len[i])).map(move |k| {
+            let mut off = usize::from(self.head[i]) + k;
+            if off >= cap {
+                off -= cap;
+            }
+            self.buf[i * cap + off]
+        })
+    }
+
+    /// Round-robin pointer of output `o`.
+    #[cfg(test)]
+    pub(crate) fn rr(&self, o: usize) -> u8 {
+        self.rr[o]
+    }
+
+    /// Marks the newest flit on input `i` as its message's tail: the tail
+    /// entered behind a body flit that left, and a streamed FIFO is not
+    /// otherwise touched (see [`MeshNetwork::tick`](crate::MeshNetwork::tick)).
+    #[inline]
+    pub(crate) fn mark_back_tail(&mut self, i: usize) {
+        debug_assert!(self.len[i] > 0, "tail mark on an empty input");
+        let back = self.back_at(i);
+        self.buf[back].kind = FlitKind::Tail;
+    }
+
+    /// The slot of the newest flit on input `i`, if any.
+    #[inline]
+    pub(crate) fn back_slot(&self, i: usize) -> Option<u32> {
+        (self.len[i] > 0).then(|| self.buf[self.back_at(i)].slot)
+    }
+
+    /// Ring index of input `i`'s newest flit (which must exist).
+    #[inline]
+    fn back_at(&self, i: usize) -> usize {
+        let cap = usize::from(self.cap);
+        let mut off = usize::from(self.head[i]) + usize::from(self.len[i]) - 1;
+        if off >= cap {
+            off -= cap;
+        }
+        i * cap + off
     }
 
     /// Credit capacity of the downstream buffer behind `port`, or
@@ -460,6 +546,15 @@ impl Router {
     /// longer there, which is a commit-ordering bug.
     #[inline]
     pub fn commit_pop(&mut self, i: usize) -> FlitHandle {
+        self.pop(i).0
+    }
+
+    /// [`Router::commit_pop`], also saying whether input `i` holds no
+    /// more of the flit's message: the flit was its tail, or the input
+    /// ran dry (a message's flits arrive contiguously, so a flit behind
+    /// a non-tail one is its message's next).
+    #[inline]
+    pub(crate) fn pop(&mut self, i: usize) -> (FlitHandle, bool) {
         assert!(self.len[i] > 0, "planned winner input non-empty");
         let flit = self.front(i);
         self.head[i] = if self.head[i] + 1 == self.cap {
@@ -471,13 +566,30 @@ impl Router {
         if self.len[i] == 0 {
             self.nonempty &= !(1 << i);
         }
-        flit
+        (flit, flit.kind.is_tail() | (self.len[i] == 0))
     }
 
     /// True when output `o` holds a credit and is not fault-masked.
     #[inline]
-    fn can_send(&self, o: usize) -> bool {
+    pub(crate) fn can_send(&self, o: usize) -> bool {
         self.credit[o] > 0 && self.blocked & (1 << o) == 0
+    }
+
+    /// Spends one credit of output `o` for a flit a streaming worm moves
+    /// through it (the network's stream step).
+    #[inline]
+    pub(crate) fn spend_credit(&mut self, o: usize) {
+        debug_assert!(self.can_send(o), "streamed through a closed output");
+        self.credit[o] -= 1;
+    }
+
+    /// Closes input `i`'s wormhole through output `o` behind its tail.
+    #[inline]
+    pub(crate) fn release(&mut self, o: usize, i: usize) {
+        self.in_route[i] = NO_PORT;
+        self.owned &= !(1 << o);
+        // Advance round-robin past the input that just finished.
+        self.rr[o] = next_port(i);
     }
 
     /// Grants output `o` to the front flit of input `i`: one credit
@@ -485,10 +597,7 @@ impl Router {
     #[inline]
     fn grant(&mut self, plan: &mut RoutePlan, o: usize, i: usize, kind: FlitKind) {
         if kind.is_tail() {
-            self.in_route[i] = NO_PORT;
-            self.owned &= !(1 << o);
-            // Advance round-robin past the input that just finished.
-            self.rr[o] = next_port(i);
+            self.release(o, i);
         } else {
             self.in_route[i] = o as u8;
             self.owned |= 1 << o;
@@ -525,6 +634,15 @@ impl Router {
     /// The `stalled` flags fall out of the same passes, so the traced
     /// and untraced runs share one planner.
     pub fn plan(&mut self) -> RoutePlan {
+        self.plan_inputs(self.nonempty)
+    }
+
+    /// [`Router::plan`] over the non-empty inputs in `inputs` only. The
+    /// network leaves out the inputs a streaming worm moves this cycle:
+    /// each is a wormhole continuation with a credit, which neither
+    /// stalls nor competes for an output a head wants, so leaving it out
+    /// changes nothing else.
+    pub(crate) fn plan_inputs(&mut self, inputs: u8) -> RoutePlan {
         // Runtime shadow of the static credit lints: a credit counter
         // must stay within [0, buffer capacity] (capacity 0 would make
         // the link permanently mute — panic-verify PV102; the capacity
@@ -546,7 +664,7 @@ impl Router {
         // non-zero.
         let mut want = [0u8; PortDir::COUNT];
         let mut wanted = 0u8;
-        let mut inputs = self.nonempty;
+        let mut inputs = inputs & self.nonempty;
         while inputs != 0 {
             let i = inputs.trailing_zeros() as usize;
             inputs &= inputs - 1;
@@ -599,9 +717,6 @@ impl Router {
         plan
     }
 }
-
-#[cfg(test)]
-mod reference;
 
 #[cfg(test)]
 mod tests {
