@@ -91,9 +91,6 @@ fn print_help(all: &[experiments::Experiment]) {
     eprintln!("  --threads <n>      worker threads for multi-NIC fabric experiments");
     eprintln!("                     (rack, rack-chaos; byte-identical output for every n —");
     eprintln!("                     see docs/FABRIC.md)");
-    eprintln!("  --no-fastforward   step every cycle instead of jumping provably idle");
-    eprintln!("                     gaps (byte-identical output; debugging/measurement");
-    eprintln!("                     aid — see docs/PERF.md)");
     eprintln!("  -h, --help         this catalog\n");
     print_catalog(all);
 }
@@ -104,7 +101,6 @@ struct Args {
     trace: Option<String>,
     metrics: Option<String>,
     faults: Option<faults::FaultArg>,
-    no_fastforward: bool,
     threads: Option<usize>,
     selected: Vec<String>,
 }
@@ -115,7 +111,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
         trace: None,
         metrics: None,
         faults: None,
-        no_fastforward: false,
         threads: None,
         selected: Vec::new(),
     };
@@ -135,8 +130,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
         };
         if a == "--quick" || a == "-q" {
             out.quick = true;
-        } else if a == "--no-fastforward" {
-            out.no_fastforward = true;
         } else if a == "--help" || a == "-h" {
             print_help(all);
             std::process::exit(0);
@@ -259,7 +252,6 @@ fn main() {
     };
     let mut ctx = RunCtx::observed(args.quick, tracer, args.metrics.is_some());
     ctx.faults = args.faults.clone();
-    ctx.fastforward = !args.no_fastforward;
     ctx.threads = args.threads.unwrap_or(1);
 
     for e in &all {

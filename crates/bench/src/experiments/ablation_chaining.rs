@@ -10,23 +10,20 @@
 //! the 18-cycle pipeline plus two extra mesh traversals).
 
 use engines::engine::NullOffload;
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
-use packet::message::{Priority, TenantId};
+use packet::message::Priority;
 use packet::phv::Field;
-use panic_core::nic::{NicConfig, PanicNic};
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
-use rmt::pipeline::PipelineConfig;
 use rmt::program::{ProgramBuilder, RmtProgram};
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycles;
 use workloads::frames::FrameFactory;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{feed, panic_builder, Offer};
 
 /// How hops are handed out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,22 +99,7 @@ fn chain_once_program(offloads: &[EngineId], egress: EngineId) -> RmtProgram {
 /// Runs one configuration: `chain_len` hops at `offered` pkts/cycle.
 #[must_use]
 pub fn run_mode(mode: ChainMode, chain_len: usize, period: u64, cycles: u64) -> ChainingPoint {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(5, 5),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(Topology::mesh(5, 5), 128);
     let offloads: Vec<EngineId> = (0..chain_len)
         .map(|i| {
             b.engine(
@@ -137,27 +119,22 @@ pub fn run_mode(mode: ChainMode, chain_len: usize, period: u64, cycles: u64) -> 
         ChainMode::LookupTables => chain_once_program(&offloads, eth),
         ChainMode::RecirculateEachHop => recirc_program(&offloads, eth),
     });
-    let mut nic = b.build();
+    let mut dut = (b.build(), eth);
 
     let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    let mut offered = 0u64;
     let mut delivered = 0u64;
-    for step in 0..cycles {
-        if step % period == 0 {
-            nic.rx_frame(
-                eth,
-                factory.min_frame((step % 256) as u16, 80),
-                TenantId(0),
-                Priority::Normal,
-                now,
-            );
-            offered += 1;
-        }
-        nic.tick(now);
-        now = now.next();
-        delivered += nic.take_wire_tx().len() as u64;
-    }
+    let offered = feed(
+        &mut dut,
+        cycles,
+        0,
+        |step, out| {
+            if step % period == 0 {
+                out.push(Offer::plain(factory.min_frame((step % 256) as u16, 80)));
+            }
+        },
+        |_| delivered += 1,
+    );
+    let nic = &dut.0;
     ChainingPoint {
         passes_per_packet: nic.pipeline().stats().accepted as f64 / delivered.max(1) as f64,
         delivered_fraction: delivered as f64 / offered.max(1) as f64,

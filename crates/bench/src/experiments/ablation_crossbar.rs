@@ -14,14 +14,14 @@
 //!   fraction of the crossbar's throughput, which is the argument for
 //!   accepting the mesh's latency to escape the crossbar's wiring.
 
-use bytes::Bytes;
 use noc::topology::Topology;
-use packet::{Message, MessageId, MessageKind};
-use sim_core::rng::SimRng;
+use packet::{Flit, Message, MessageKind};
+use sim_core::time::Cycle;
 use std::collections::VecDeque;
 
-use crate::experiments::table3::simulate_uniform_load;
+use crate::experiments::table3::{bits_after_warmup, eight_flit_traffic, simulate_uniform_load};
 use crate::fmt::{f, TableFmt};
+use crate::rig::Substrate;
 
 /// An idealized input-queued crossbar: every input can send one flit
 /// per cycle to its head-of-line destination if that output is free.
@@ -29,25 +29,20 @@ use crate::fmt::{f, TableFmt};
 /// ~58% under uniform traffic — the best a *simple* crossbar does.)
 #[derive(Debug)]
 pub struct Crossbar {
-    inputs: Vec<VecDeque<(u32, usize, Option<Message>)>>, // (flits_left, dest, msg)
+    inputs: Vec<VecDeque<(u32, usize, Message)>>, // (flits_left, dest, msg)
+    width_bits: u64,
     delivered_flits: u64,
-    delivered_msgs: u64,
 }
 
 impl Crossbar {
-    /// A crossbar with `n` ports.
+    /// A crossbar with `n` ports of `width_bits`-wide channels.
     #[must_use]
-    pub fn new(n: usize) -> Crossbar {
+    pub fn new(n: usize, width_bits: u64) -> Crossbar {
         Crossbar {
             inputs: (0..n).map(|_| VecDeque::new()).collect(),
+            width_bits,
             delivered_flits: 0,
-            delivered_msgs: 0,
         }
-    }
-
-    /// Queues a message of `flits` flits from `src` to `dst`.
-    pub fn send(&mut self, src: usize, dst: usize, flits: u32, msg: Message) {
-        self.inputs[src].push_back((flits, dst, Some(msg)));
     }
 
     /// Advances one cycle; returns messages fully delivered.
@@ -66,10 +61,7 @@ impl Crossbar {
             self.delivered_flits += 1;
             if flits <= 1 {
                 let (_, _, msg) = self.inputs[i].pop_front().expect("checked");
-                self.delivered_msgs += 1;
-                if let Some(m) = msg {
-                    done.push(m);
-                }
+                done.push(msg);
             } else {
                 let entry = self.inputs[i].front_mut().expect("checked");
                 entry.0 -= 1;
@@ -85,43 +77,36 @@ impl Crossbar {
     }
 }
 
-/// Measures crossbar saturation throughput (bits/cycle) under uniform
-/// random traffic of 8-flit messages at offered `load` flits/cycle/port.
+/// The crossbar's backlog is in messages, a message takes as many
+/// flits as on a mesh channel of the same width, and whatever the
+/// crossbar delivers leaves at once.
+impl Substrate for Crossbar {
+    fn source_depth(&self, src: usize, _: MessageKind) -> usize {
+        self.inputs[src].len()
+    }
+    fn send(&mut self, src: usize, dst: usize, msg: Message, _: Cycle) {
+        let flits = Flit::flits_for(&msg, self.width_bits);
+        self.inputs[src].push_back((flits, dst, msg));
+    }
+    fn step(&mut self, _: Cycle) {
+        let _ = self.tick();
+    }
+}
+
+/// Measures crossbar saturation throughput (bits/cycle) under the
+/// traffic Table 3 offers a mesh: uniform random 8-flit messages at
+/// `load` flits/cycle/port.
 #[must_use]
 pub fn crossbar_uniform_load(n: usize, width_bits: u64, load: f64, cycles: u64) -> f64 {
-    let mut xbar = Crossbar::new(n);
-    let mut rng = SimRng::new(42);
-    let msg_rate = load / 8.0;
-    let mut acc = vec![0f64; n];
-    let warmup = cycles / 5;
-    let mut base = 0u64;
-    let mut measured = 0u64;
-    for step in 0..cycles {
-        for (node, a) in acc.iter_mut().enumerate() {
-            *a += msg_rate;
-            if *a >= 1.0 {
-                *a -= 1.0;
-                if xbar.inputs[node].len() < 8 {
-                    let mut dst = rng.gen_range(n as u64) as usize;
-                    if dst == node {
-                        dst = (dst + 1) % n;
-                    }
-                    let m = Message::builder(MessageId(step), MessageKind::Internal)
-                        .payload(Bytes::new())
-                        .build();
-                    xbar.send(node, dst, 8, m);
-                }
-            }
-        }
-        let _ = xbar.tick();
-        if step == warmup {
-            base = xbar.delivered_flits();
-        }
-        if step >= warmup {
-            measured += 1;
-        }
-    }
-    (xbar.delivered_flits() - base) as f64 / measured as f64 * width_bits as f64
+    let mut xbar = Crossbar::new(n, width_bits);
+    let traffic = eight_flit_traffic(n, width_bits, load, 8, 42);
+    bits_after_warmup(
+        &mut xbar,
+        &traffic,
+        width_bits,
+        cycles,
+        Crossbar::delivered_flits,
+    )
 }
 
 /// Regenerates the mesh-vs-crossbar table.
@@ -185,14 +170,18 @@ mod tests {
 
     #[test]
     fn crossbar_delivers_messages_in_order_per_input() {
-        let mut x = Crossbar::new(2);
-        let m = |id| {
+        use bytes::Bytes;
+        use packet::MessageId;
+
+        let mut x = Crossbar::new(2, 64);
+        // 2 + `payload` bytes on the wire: 16 bytes are two 64-bit flits.
+        let m = |id, payload: usize| {
             Message::builder(MessageId(id), MessageKind::Internal)
-                .payload(Bytes::new())
+                .payload(Bytes::from(vec![0u8; payload]))
                 .build()
         };
-        x.send(0, 1, 2, m(1));
-        x.send(0, 1, 1, m(2));
+        x.send(0, 1, m(1, 14), Cycle(0));
+        x.send(0, 1, m(2, 0), Cycle(0));
         let mut got = Vec::new();
         for _ in 0..5 {
             got.extend(x.tick().into_iter().map(|m| m.id.0));

@@ -10,14 +10,11 @@
 //! experiment quantifies the NoC side of that trade.
 
 use bytes::Bytes;
-use noc::network::{MeshNetwork, NetworkConfig};
-use noc::router::RouterConfig;
-use noc::topology::{Placement, Topology};
-use packet::{EngineId, Message, MessageId, MessageKind};
-use sim_core::rng::SimRng;
-use sim_core::time::Cycle;
+use noc::topology::Topology;
+use packet::MessageKind;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{mesh, uniform_load, Uniform};
 
 /// One measurement.
 #[derive(Debug, Clone, Copy)]
@@ -32,49 +29,21 @@ pub struct PointerPoint {
 /// between uniformly random tiles at `msg_rate` messages/cycle/node.
 #[must_use]
 pub fn run_mode(bytes_on_wire: usize, msg_rate: f64, cycles: u64) -> PointerPoint {
-    let topo = Topology::mesh6x6();
-    let n = topo.nodes();
-    let mut net = MeshNetwork::new(
-        NetworkConfig {
-            topology: topo,
-            width_bits: 64,
-            router: RouterConfig::default(),
-        },
-        Placement::row_major(topo),
+    let mut net = mesh(Topology::mesh6x6(), 64);
+    let traffic = Uniform {
+        nodes: Topology::mesh6x6().nodes(),
+        msg_rate,
+        cap: 64,
+        payload: Bytes::from(vec![0u8; bytes_on_wire]),
+        seed: 3,
+    };
+    uniform_load(
+        &mut net,
+        &traffic,
+        cycles,
+        |_| MessageKind::Internal,
+        |_, _| {},
     );
-    let payload = Bytes::from(vec![0u8; bytes_on_wire]);
-    let mut rng = SimRng::new(3);
-    let mut acc = vec![0f64; n];
-    let mut now = Cycle(0);
-    let mut next_id = 0u64;
-    for _ in 0..cycles {
-        for (node, a) in acc.iter_mut().enumerate() {
-            *a += msg_rate;
-            if *a >= 1.0 {
-                *a -= 1.0;
-                if net.source_depth(EngineId(node as u16)) < 64 {
-                    let mut dst = rng.gen_range(n as u64) as usize;
-                    if dst == node {
-                        dst = (dst + 1) % n;
-                    }
-                    net.send(
-                        EngineId(node as u16),
-                        EngineId(dst as u16),
-                        Message::builder(MessageId(next_id), MessageKind::Internal)
-                            .payload(payload.clone())
-                            .build(),
-                        now,
-                    );
-                    next_id += 1;
-                }
-            }
-        }
-        net.tick(now);
-        now = now.next();
-        for node in 0..n {
-            let _ = net.poll_ejected(EngineId(node as u16), now);
-        }
-    }
     let stats = net.stats();
     PointerPoint {
         delivered_per_cycle: stats.delivered_messages as f64 / cycles as f64,

@@ -12,85 +12,68 @@
 //! the unified network turns them into throughput.
 
 use bytes::Bytes;
-use noc::network::{MeshNetwork, NetworkConfig};
-use noc::router::RouterConfig;
-use noc::topology::{Placement, Topology};
-use packet::{EngineId, Message, MessageId, MessageKind};
+use noc::network::MeshNetwork;
+use noc::topology::Topology;
+use packet::{Message, MessageKind};
 use sim_core::rng::SimRng;
 use sim_core::time::Cycle;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{mesh, uniform_load, Substrate, Uniform};
 
-fn new_net(width: u64) -> MeshNetwork {
-    let topo = Topology::mesh6x6();
-    MeshNetwork::new(
-        NetworkConfig {
-            topology: topo,
-            width_bits: width,
-            router: RouterConfig::default(),
-        },
-        Placement::row_major(topo),
-    )
+/// One 6×6 network for every class, or data frames on the first of two
+/// and control messages on the second.
+struct ClassNets(Vec<MeshNetwork>);
+
+impl ClassNets {
+    fn lane(&self, kind: MessageKind) -> usize {
+        usize::from(kind != MessageKind::EthernetFrame).min(self.0.len() - 1)
+    }
+}
+
+impl Substrate for ClassNets {
+    fn source_depth(&self, src: usize, kind: MessageKind) -> usize {
+        Substrate::source_depth(&self.0[self.lane(kind)], src, kind)
+    }
+    fn send(&mut self, src: usize, dst: usize, msg: Message, now: Cycle) {
+        let lane = self.lane(msg.kind);
+        Substrate::send(&mut self.0[lane], src, dst, msg, now);
+    }
+    fn step(&mut self, now: Cycle) {
+        self.0.iter_mut().for_each(|net| net.step(now));
+    }
 }
 
 /// Delivered bits/cycle for a `data_share`/control mix at saturation,
 /// on either one `2w`-bit network or two `w`-bit networks.
 #[must_use]
 pub fn run_config(unified: bool, data_share: f64, cycles: u64) -> f64 {
-    let n = Topology::mesh6x6().nodes();
-    let (mut nets, widths): (Vec<MeshNetwork>, Vec<u64>) = if unified {
-        (vec![new_net(128)], vec![128])
+    let topo = Topology::mesh6x6();
+    let mut nets = ClassNets(if unified {
+        vec![mesh(topo, 128)]
     } else {
-        (vec![new_net(64), new_net(64)], vec![64, 64])
+        vec![mesh(topo, 64), mesh(topo, 64)]
+    });
+    // Saturating offered load: every node has a message due every
+    // cycle, and the source cap keeps the queues bounded.
+    let traffic = Uniform {
+        nodes: topo.nodes(),
+        msg_rate: 1.0,
+        cap: 32,
+        payload: Bytes::from(vec![0u8; 126]), // 128B on wire: 8 or 16 flits
+        seed: 31,
     };
-    let payload = Bytes::from(vec![0u8; 126]); // 128B on wire: 8 or 16 flits
-    let mut rng = SimRng::new(31);
-    let mut now = Cycle(0);
-    let mut next_id = 0u64;
-    // Saturating offered load, split by class.
-    for _ in 0..cycles {
-        for node in 0..n {
-            // One message attempt per node per 8 cycles keeps sources
-            // saturated without unbounded queues (source cap below).
-            let is_data = rng.gen_bool(data_share);
-            let which = if unified { 0 } else { usize::from(!is_data) };
-            let src = EngineId(node as u16);
-            if nets[which].source_depth(src) < 32 {
-                let mut dst = rng.gen_range(n as u64) as usize;
-                if dst == node {
-                    dst = (dst + 1) % n;
-                }
-                nets[which].send(
-                    src,
-                    EngineId(dst as u16),
-                    Message::builder(
-                        MessageId(next_id),
-                        if is_data {
-                            MessageKind::EthernetFrame
-                        } else {
-                            MessageKind::Internal
-                        },
-                    )
-                    .payload(payload.clone())
-                    .build(),
-                    now,
-                );
-                next_id += 1;
-            }
+    let class = |rng: &mut SimRng| {
+        if rng.gen_bool(data_share) {
+            MessageKind::EthernetFrame
+        } else {
+            MessageKind::Internal
         }
-        for net in &mut nets {
-            net.tick(now);
-        }
-        now = now.next();
-        for node in 0..n {
-            for net in &mut nets {
-                let _ = net.poll_ejected(EngineId(node as u16), now);
-            }
-        }
-    }
-    nets.iter()
-        .zip(widths)
-        .map(|(net, w)| net.stats().delivered_flits as f64 * w as f64)
+    };
+    uniform_load(&mut nets, &traffic, cycles, class, |_, _| {});
+    nets.0
+        .iter()
+        .map(|net| net.stats().delivered_flits as f64 * net.config().width_bits as f64)
         .sum::<f64>()
         / cycles as f64
 }

@@ -71,12 +71,6 @@ pub fn pipeline_switched_fraction(passes: u32, cycles: u64) -> f64 {
 /// same offered load (0.25 packets/cycle across 2 ports).
 #[must_use]
 pub fn panic_fraction(chain_len: usize, cycles: u64) -> f64 {
-    panic_fraction_ctl(chain_len, cycles, true)
-}
-
-/// [`panic_fraction`] with explicit fast-forward control.
-#[must_use]
-pub fn panic_fraction_ctl(chain_len: usize, cycles: u64, fastforward: bool) -> f64 {
     let mut s = ChainScenario::new(ChainScenarioConfig {
         chain_len,
         // Table 3's larger configuration: 8x8 mesh, 128-bit channels,
@@ -89,7 +83,6 @@ pub fn panic_fraction_ctl(chain_len: usize, cycles: u64, fastforward: bool) -> f
         offered_fraction: 0.5, // 0.125 msgs/cycle/port of the 0.25/cycle min-frame rate
         ..ChainScenarioConfig::default()
     });
-    s.set_fastforward(fastforward);
     s.run(cycles);
     let r = s.report();
     r.delivered as f64 / r.offered as f64
@@ -109,7 +102,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
         ],
     );
     for len in [0usize, 1, 2, 4, 6, 8, 12] {
-        let panic_frac = panic_fraction_ctl(len, cycles, ctx.fastforward);
+        let panic_frac = panic_fraction(len, cycles);
         let rmt_frac = pipeline_switched_fraction(len as u32 + 1, cycles);
         t.row(vec![len.to_string(), f(panic_frac, 3), f(rmt_frac, 3)]);
     }

@@ -22,23 +22,17 @@
 //! deterministic down to the byte, and with an empty script the run
 //! is byte-identical to an uncontrolled one.
 
-use engines::engine::NullOffload;
-use engines::mac::MacEngine;
-use engines::tile::TileConfig;
-use noc::router::RouterConfig;
-use noc::topology::Topology;
-use packet::chain::EngineClass;
 use packet::message::{Priority, TenantId};
 use packet::EngineId;
-use panic_core::nic::{NicConfig, PanicNic};
+use panic_core::nic::PanicNic;
 use panic_core::programs::chain_program;
 use panic_ctrl::{CtrlBody, CtrlEndpoint, CtrlFrame, CtrlRequest, CtrlResponse, PROTO_VERSION};
-use rmt::pipeline::PipelineConfig;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycle;
 use tenancy::{RateSpec, TenancyConfig, VNicSpec};
 use trace::MetricsRegistry;
 use workloads::frames::FrameFactory;
 
+use crate::experiments::isolation::chain_nic;
 use crate::fmt::TableFmt;
 
 /// The tenant configured at build time.
@@ -94,42 +88,11 @@ struct Rig {
     factory: FrameFactory,
 }
 
-/// The reference NIC: MAC uplink, 40-cycle IPSec-class offload,
-/// 12-cycle compression, crypto→comp chain, one build-time tenant.
+/// The isolation experiment's NIC — MAC uplink, 40-cycle IPSec-class
+/// offload, 12-cycle compression, crypto→comp chain — with one
+/// build-time tenant.
 fn rig() -> Rig {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
-    let crypto = b.engine(
-        Box::new(NullOffload::new("ipsec", EngineClass::Asic, Cycles(40))),
-        TileConfig {
-            queue_capacity: 256,
-            ..TileConfig::default()
-        },
-    );
-    let comp = b.engine(
-        Box::new(NullOffload::new("comp", EngineClass::Asic, Cycles(12))),
-        TileConfig {
-            queue_capacity: 256,
-            ..TileConfig::default()
-        },
-    );
-    let _ = b.rmt_portal();
-    let _ = b.rmt_portal();
-    b.program(chain_program(&[crypto, comp], eth, Some(5_000)));
+    let (mut b, eth, comp) = chain_nic();
     b.tenancy(
         TenancyConfig::new(vec![VNicSpec::new(BASE, "base-kvs", 8).credit_quota(32)])
             .shared_credits(64),

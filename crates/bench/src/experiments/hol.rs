@@ -11,6 +11,7 @@
 use baselines::pipeline_nic::{PipelineNic, PipelineNicConfig, StageSpec};
 use engines::engine::NullOffload;
 use engines::tile::TileConfig;
+use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
 use packet::message::{Priority, TenantId};
 use packet::phv::Field;
@@ -43,15 +44,13 @@ fn offered_load(crypto_share: f64, seed: u64) -> impl FnMut(u64, &mut Vec<Offer>
     move |_step, out| {
         if rng.gen_bool(ARRIVAL_P) {
             let crypto = rng.gen_bool(crypto_share);
-            out.push(Offer {
-                tenant: TenantId(u16::from(crypto)),
-                priority: if crypto {
-                    Priority::Bulk
-                } else {
-                    Priority::Latency
-                },
-                frame: factory.min_frame(1, if crypto { CRYPTO_PORT } else { PROBE_PORT }),
-            });
+            let (priority, port) = if crypto {
+                (Priority::Bulk, CRYPTO_PORT)
+            } else {
+                (Priority::Latency, PROBE_PORT)
+            };
+            let frame = factory.min_frame(1, port);
+            out.push(Offer::new(TenantId(u16::from(crypto)), priority, frame));
         }
     }
 }
@@ -75,7 +74,7 @@ fn pipeline_nic() -> PipelineNic {
 /// PANIC with the same slow engine, and the Ethernet port it receives
 /// on.
 fn panic_nic() -> (PanicNic, EngineId) {
-    let (mut b, eth) = panic_builder(64);
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 64);
     let slow = b.engine(
         Box::new(NullOffload::new(
             "crypto",
@@ -131,13 +130,8 @@ fn panic_nic() -> (PanicNic, EngineId) {
 #[must_use]
 pub fn pipeline_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summary {
     let mut nic = pipeline_nic();
-    feed(
-        &mut nic,
-        cycles,
-        0,
-        offered_load(crypto_share, seed),
-        |_| {},
-    );
+    let load = offered_load(crypto_share, seed);
+    feed(&mut nic, cycles, 0, load, |_| {});
     nic.latency_of(Priority::Latency).summary()
 }
 
@@ -145,13 +139,8 @@ pub fn pipeline_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Sum
 #[must_use]
 pub fn panic_victim_latency(crypto_share: f64, cycles: u64, seed: u64) -> Summary {
     let mut dut = panic_nic();
-    feed(
-        &mut dut,
-        cycles,
-        0,
-        offered_load(crypto_share, seed),
-        |_| {},
-    );
+    let load = offered_load(crypto_share, seed);
+    feed(&mut dut, cycles, 0, load, |_| {});
     dut.0.stats().latency_of(Priority::Latency).summary()
 }
 

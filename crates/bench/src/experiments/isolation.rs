@@ -26,9 +26,11 @@ use baselines::rmt_only::{ComplexPolicy, RmtOnlyConfig, RmtOnlyNic};
 use engines::engine::NullOffload;
 use engines::ipsec::{encrypt_frame, SecurityAssoc, TunnelConfig};
 use engines::tile::TileConfig;
-use packet::chain::EngineClass;
+use noc::topology::Topology;
+use packet::chain::{EngineClass, EngineId};
 use packet::headers::{Ipv4Addr, MacAddr};
 use packet::message::{Priority, TenantId};
+use panic_core::nic::NicBuilder;
 use panic_core::programs::chain_program;
 use rmt::pipeline::PipelineConfig;
 use sim_core::stats::Summary;
@@ -87,24 +89,16 @@ fn offered_load(with_aggressor: bool, esp: bool) -> impl FnMut(u64, &mut Vec<Off
     let mut seq = 0u32;
     move |step, out| {
         if step % VICTIM_PERIOD == 0 {
-            out.push(Offer {
-                tenant: VICTIM,
-                priority: Priority::Latency,
-                frame: factory.min_frame((step % 50) as u16, 80),
-            });
+            let frame = factory.min_frame((step % 50) as u16, 80);
+            out.push(Offer::new(VICTIM, Priority::Latency, frame));
         }
         if with_aggressor && step % AGGRESSOR_PERIOD == 0 {
-            let plain = factory.min_frame((step % 64) as u16, 443);
-            out.push(Offer {
-                tenant: AGGRESSOR,
-                priority: Priority::Bulk,
-                frame: if esp {
-                    seq += 1;
-                    encrypt_frame(&plain, &t, seq)
-                } else {
-                    plain
-                },
-            });
+            let mut frame = factory.min_frame((step % 64) as u16, 443);
+            if esp {
+                seq += 1;
+                frame = encrypt_frame(&frame, &t, seq);
+            }
+            out.push(Offer::new(AGGRESSOR, Priority::Bulk, frame));
         }
     }
 }
@@ -163,29 +157,30 @@ pub fn isolation_tenancy() -> TenancyConfig {
     .shared_credits(64)
 }
 
-/// PANIC with the tenancy plane: victim latency, solo or contended.
-#[must_use]
-pub fn panic_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
-    let (mut b, eth) = panic_builder(128);
-    let crypto = b.engine(
-        crypto_engine(),
-        TileConfig {
-            queue_capacity: 256,
-            ..TileConfig::default()
-        },
-    );
-    let comp = b.engine(
-        comp_engine(),
-        TileConfig {
-            queue_capacity: 256,
-            ..TileConfig::default()
-        },
-    );
+/// PANIC with the shared chain, before its tenancy plane: the
+/// reference NIC at 128 bits, the crypto and compression engines, and
+/// the crypto→comp program. Returns the builder, the Ethernet port and
+/// the compression engine.
+pub(crate) fn chain_nic() -> (NicBuilder, EngineId, EngineId) {
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 128);
+    let tile = TileConfig {
+        queue_capacity: 256,
+        ..TileConfig::default()
+    };
+    let crypto = b.engine(crypto_engine(), tile);
+    let comp = b.engine(comp_engine(), tile);
     let _ = b.rmt_portal();
     let _ = b.rmt_portal();
     // Flat slack: the engine PIFOs degrade to FIFO, so any isolation
     // measured here is the tenancy plane's doing, not LSTF's.
     b.program(chain_program(&[crypto, comp], eth, Some(5_000)));
+    (b, eth, comp)
+}
+
+/// PANIC with the tenancy plane: victim latency, solo or contended.
+#[must_use]
+pub fn panic_point(with_aggressor: bool, cycles: u64) -> VictimPoint {
+    let (mut b, eth, _) = chain_nic();
     b.tenancy(isolation_tenancy());
     victim_point((b.build(), eth), with_aggressor, false, cycles, |dut| {
         let tn = dut.0.tenancy().expect("tenancy plane is configured");

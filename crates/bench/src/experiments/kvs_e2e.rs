@@ -10,21 +10,12 @@ use panic_core::scenarios::kvs::{KvsScenario, KvsScenarioConfig};
 
 use crate::fmt::{f, TableFmt};
 
-/// Runs one scenario configuration (fast-forward on; byte-identical
-/// to stepped execution either way).
+/// Runs one scenario configuration.
 #[must_use]
 pub fn run_once(cached_hot_keys: usize, cycles: u64) -> KvsScenario {
-    run_once_ctl(cached_hot_keys, cycles, true)
-}
-
-/// [`run_once`] with explicit fast-forward control (`repro
-/// --no-fastforward` steps every cycle).
-#[must_use]
-pub fn run_once_ctl(cached_hot_keys: usize, cycles: u64, fastforward: bool) -> KvsScenario {
     let mut cfg = KvsScenarioConfig::two_tenant_default();
     cfg.cached_hot_keys = cached_hot_keys;
     let mut s = KvsScenario::new(cfg);
-    s.set_fastforward(fastforward);
     s.run(cycles);
     s
 }
@@ -47,7 +38,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
         ],
     );
     for cached in [0usize, 50, 200] {
-        let s = run_once_ctl(cached, cycles, ctx.fastforward);
+        let s = run_once(cached, cycles);
         let r = s.report();
         let total = r.cache_hits + r.cache_misses;
         let bad: u64 = r.tenants.iter().map(|x| x.replies_bad).sum();

@@ -10,6 +10,7 @@
 use baselines::manycore::{ManycoreConfig, ManycoreNic};
 use engines::engine::NullOffload;
 use engines::tile::TileConfig;
+use noc::topology::Topology;
 use packet::chain::EngineClass;
 use packet::message::Priority;
 use panic_core::programs::chain_program;
@@ -62,7 +63,7 @@ pub fn manycore_latency(cycles: u64) -> Summary {
 /// Request latency through PANIC with the same hardware engine.
 #[must_use]
 pub fn panic_latency(cycles: u64) -> Summary {
-    let (mut b, eth) = panic_builder(64);
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 64);
     let hw = b.engine(hw_engine(), TileConfig::default());
     let _ = b.rmt_portal();
     let _ = b.rmt_portal();

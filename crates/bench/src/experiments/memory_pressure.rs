@@ -13,24 +13,21 @@
 //! remaining slack, so the latency class survives.
 
 use engines::engine::NullOffload;
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
 use packet::message::{Priority, TenantId};
 use packet::phv::Field;
-use panic_core::nic::{NicConfig, PanicNic};
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
-use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKind, Table};
 use sched::admission::AdmissionPolicy;
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::Cycles;
 use workloads::frames::FrameFactory;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{feed, panic_builder, Offer};
 
 /// Results of one overload run.
 #[derive(Debug, Clone, Copy)]
@@ -71,22 +68,7 @@ fn two_hop_program(slow: EngineId, eth: EngineId) -> rmt::program::RmtProgram {
 /// Runs the overload with the given admission policy at the slow tile.
 #[must_use]
 pub fn run_with_policy(policy: AdmissionPolicy, cycles: u64) -> PressurePoint {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 64,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 64);
     let slow = b.engine(
         Box::new(NullOffload::new("slow", EngineClass::Asic, Cycles(50))),
         TileConfig {
@@ -98,37 +80,36 @@ pub fn run_with_policy(policy: AdmissionPolicy, cycles: u64) -> PressurePoint {
     let _ = b.rmt_portal();
     let _ = b.rmt_portal();
     b.program(two_hop_program(slow, eth));
-    let mut nic = b.build();
+    let mut dut = (b.build(), eth);
 
     let mut factory = FrameFactory::for_nic_port(0);
     let mut rng = sim_core::rng::SimRng::new(17);
-    let mut now = Cycle(0);
     let mut offered = [0u64; 2]; // [latency, bulk]
     let mut delivered = [0u64; 2];
-    for step in 0..cycles {
-        let _ = step;
-        // 2x overload of the 1/50 engine: Bernoulli arrivals at 1/25
-        // per cycle (randomized — periodic arrivals phase-lock with
-        // service completions and hide the policy difference), one in
-        // eight latency-class.
-        if rng.gen_bool(1.0 / 25.0) {
-            let latency_class = rng.gen_bool(1.0 / 8.0);
-            let (tenant, priority, idx) = if latency_class {
-                (TenantId(1), Priority::Latency, 0)
-            } else {
-                (TenantId(2), Priority::Normal, 1)
-            };
-            nic.rx_frame(eth, factory.min_frame(tenant.0, 80), tenant, priority, now);
-            offered[idx] += 1;
-        }
-        nic.tick(now);
-        now = now.next();
-        for m in nic.take_wire_tx() {
-            let idx = usize::from(m.priority != Priority::Latency);
-            delivered[idx] += 1;
-        }
-    }
-    let tile = nic.tile(slow).expect("slow tile");
+    // 2x overload of the 1/50 engine: Bernoulli arrivals at 1/25 per
+    // cycle (randomized — periodic arrivals phase-lock with service
+    // completions and hide the policy difference), one in eight
+    // latency-class.
+    feed(
+        &mut dut,
+        cycles,
+        0,
+        |_, out| {
+            if rng.gen_bool(1.0 / 25.0) {
+                let latency_class = rng.gen_bool(1.0 / 8.0);
+                let (tenant, priority, idx) = if latency_class {
+                    (TenantId(1), Priority::Latency, 0)
+                } else {
+                    (TenantId(2), Priority::Normal, 1)
+                };
+                let frame = factory.min_frame(tenant.0, 80);
+                out.push(Offer::new(tenant, priority, frame));
+                offered[idx] += 1;
+            }
+        },
+        |m| delivered[usize::from(m.priority != Priority::Latency)] += 1,
+    );
+    let tile = dut.0.tile(slow).expect("slow tile");
     PressurePoint {
         latency_delivery: delivered[0] as f64 / offered[0].max(1) as f64,
         bulk_delivery: delivered[1] as f64 / offered[1].max(1) as f64,

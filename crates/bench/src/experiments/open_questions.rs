@@ -20,7 +20,6 @@ fn run_one(
     placement: PlacementStrategy,
     chain_len: usize,
     cycles: u64,
-    fastforward: bool,
 ) -> (f64, u64) {
     let mut s = ChainScenario::new(ChainScenarioConfig {
         topology,
@@ -32,7 +31,6 @@ fn run_one(
         placement,
         ..ChainScenarioConfig::default()
     });
-    s.set_fastforward(fastforward);
     s.run(cycles);
     let r = s.report();
     (r.delivered as f64 / r.offered.max(1) as f64, r.latency.p99)
@@ -78,7 +76,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
             PlacementStrategy::Spread,
         ),
     ] {
-        let (frac, p99) = run_one(topo, placement, 4, cycles, ctx.fastforward);
+        let (frac, p99) = run_one(topo, placement, 4, cycles);
         t.row(vec![name.into(), f(frac, 3), p99.to_string()]);
     }
     t.note(
@@ -97,20 +95,10 @@ mod tests {
 
     #[test]
     fn spread_placement_beats_row_major() {
-        let (spread, spread_p99) = run_one(
-            Topology::mesh6x6(),
-            PlacementStrategy::Spread,
-            4,
-            15_000,
-            true,
-        );
-        let (naive, naive_p99) = run_one(
-            Topology::mesh6x6(),
-            PlacementStrategy::RowMajor,
-            4,
-            15_000,
-            true,
-        );
+        let (spread, spread_p99) =
+            run_one(Topology::mesh6x6(), PlacementStrategy::Spread, 4, 15_000);
+        let (naive, naive_p99) =
+            run_one(Topology::mesh6x6(), PlacementStrategy::RowMajor, 4, 15_000);
         assert!(
             spread >= naive - 0.02,
             "spread {spread} vs row-major {naive}"
@@ -128,20 +116,8 @@ mod tests {
 
     #[test]
     fn square_mesh_beats_elongated() {
-        let (square, _) = run_one(
-            Topology::mesh6x6(),
-            PlacementStrategy::Spread,
-            4,
-            15_000,
-            true,
-        );
-        let (strip, _) = run_one(
-            Topology::mesh(2, 18),
-            PlacementStrategy::Spread,
-            4,
-            15_000,
-            true,
-        );
+        let (square, _) = run_one(Topology::mesh6x6(), PlacementStrategy::Spread, 4, 15_000);
+        let (strip, _) = run_one(Topology::mesh(2, 18), PlacementStrategy::Spread, 4, 15_000);
         assert!(
             square > strip + 0.02 || square > 0.99,
             "6x6 {square} vs 2x18 {strip}"

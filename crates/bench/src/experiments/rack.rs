@@ -28,25 +28,23 @@
 //! (see docs/FABRIC.md).
 
 use engines::engine::NullOffload;
-use engines::mac::MacEngine;
 use engines::tile::TileConfig;
 use fabric::{Fabric, FabricBuilder, LinkSpec, PeriodicDriver};
 use faults::{FabricFaultConfig, FabricFaultPlan, FaultArg};
-use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::EngineClass;
 use packet::message::{Priority, TenantId};
 use packet::EngineId;
-use panic_core::nic::{NicBuilder, NicConfig, PanicNic};
+use panic_core::nic::{NicBuilder, PanicNic};
 use panic_core::programs::chain_program;
-use rmt::pipeline::PipelineConfig;
 use sim_core::stats::{Histogram, Summary};
-use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use sim_core::time::{Cycle, Cycles};
 use tenancy::{TenancyConfig, VNicSpec};
 use workloads::frames::FrameFactory;
 use workloads::zipf::{PartitionedZipf, Zipf};
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::panic_builder;
 
 /// Global tenant key space striped across the rack (the "toward 10⁶
 /// vNICs" axis: addressable, not instantiated).
@@ -94,22 +92,7 @@ impl RackPoint {
 /// One member NIC: MAC uplink, CRC-class offload, two RMT portals,
 /// and a chain whose tail runs on member `(i + 1) % nics`.
 fn member(i: usize, nics: usize) -> (NicBuilder, EngineId) {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 128,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 128);
     let crc = b.engine(
         Box::new(NullOffload::new(
             "crc",

@@ -15,6 +15,7 @@
 use baselines::rmt_only::{ComplexPolicy, RmtOnlyConfig, RmtOnlyNic};
 use engines::ipsec::{encrypt_frame, IpsecEngine, SecurityAssoc, TunnelConfig};
 use engines::tile::TileConfig;
+use noc::topology::Topology;
 use packet::headers::{Ipv4Addr, MacAddr};
 use packet::message::Priority;
 use packet::phv::Field;
@@ -120,7 +121,7 @@ pub fn rmt_only_point(esp_share: f64, policy: ComplexPolicy, cycles: u64) -> Lim
 /// Runs PANIC with four real IPSec engines at `esp_share`.
 #[must_use]
 pub fn panic_point(esp_share: f64, cycles: u64) -> LimitsPoint {
-    let (mut b, eth) = panic_builder(128);
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 128);
     let mut ipsec_ids = Vec::new();
     for i in 0..4 {
         let mut e = IpsecEngine::new(format!("ipsec{i}"), 1, 2);

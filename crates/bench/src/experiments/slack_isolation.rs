@@ -15,18 +15,16 @@
 
 use engines::dma::{DmaConfig, DmaEngine};
 use engines::tile::TileConfig;
-use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::message::{Priority, TenantId};
-use panic_core::nic::{NicConfig, PanicNic};
 use panic_core::programs::{host_delivery_program, SlackProfile};
-use rmt::pipeline::PipelineConfig;
 use sched::admission::AdmissionPolicy;
 use sim_core::stats::Summary;
-use sim_core::time::{Cycle, Cycles, Freq};
+use sim_core::time::Cycles;
 use workloads::frames::{ports, FrameFactory};
 
 use crate::fmt::TableFmt;
+use crate::rig::{feed, panic_builder, Offer};
 
 /// Results of one isolation run.
 #[derive(Debug, Clone, Copy)]
@@ -43,26 +41,7 @@ pub struct IsolationPoint {
 /// Runs the contended-DMA experiment with the given slack profile.
 #[must_use]
 pub fn run_with_profile(profile: SlackProfile, cycles: u64) -> IsolationPoint {
-    let freq = Freq::PANIC_DEFAULT;
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(4, 4),
-        width_bits: 64,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 2,
-            depth: 18,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(engines::mac::MacEngine::new(
-            "eth",
-            sim_core::time::Bandwidth::gbps(100),
-            freq,
-        )),
-        TileConfig::default(),
-    );
+    let (mut b, eth) = panic_builder(Topology::mesh(4, 4), 64);
     // A DMA engine with host memory contention: 30% of operations pay
     // an extra 1500 cycles.
     let dma = b.engine(
@@ -87,41 +66,38 @@ pub fn run_with_profile(profile: SlackProfile, cycles: u64) -> IsolationPoint {
     let _ = b.rmt_portal();
     let _ = b.rmt_portal();
     b.program(host_delivery_program(dma, profile));
-    let mut nic = b.build();
+    let mut dut = (b.build(), eth);
 
     let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    let mut bulk_delivered = 0u64;
-    for step in 0..cycles {
-        // Bulk: a 1 KB frame every 190 cycles — ~0.96 utilization of
-        // the DMA engine once contention is averaged in.
-        if step % 190 == 0 {
-            let frame =
-                factory.inbound_udp(FrameFactory::lan_client_ip(2), 9, ports::BULK, &[], 1024);
-            nic.rx_frame(eth, frame, TenantId(2), Priority::Normal, now);
-        }
-        // Probe: a min frame every 400 cycles.
-        if step % 400 == 0 {
-            nic.rx_frame(
-                eth,
-                factory.min_frame(1, ports::ECHO),
-                TenantId(1),
-                Priority::Latency,
-                now,
-            );
-        }
-        nic.tick(now);
-        now = now.next();
-        bulk_delivered += nic
-            .take_host_rx()
-            .iter()
-            .filter(|m| m.tenant == TenantId(2))
-            .count() as u64;
-    }
+    feed(
+        &mut dut,
+        cycles,
+        0,
+        |step, out| {
+            // Bulk: a 1 KB frame every 190 cycles — ~0.96 utilization
+            // of the DMA engine once contention is averaged in.
+            if step % 190 == 0 {
+                let src = FrameFactory::lan_client_ip(2);
+                let frame = factory.inbound_udp(src, 9, ports::BULK, &[], 1024);
+                out.push(Offer::new(TenantId(2), Priority::Normal, frame));
+            }
+            // Probe: a min frame every 400 cycles.
+            if step % 400 == 0 {
+                let frame = factory.min_frame(1, ports::ECHO);
+                out.push(Offer::new(TenantId(1), Priority::Latency, frame));
+            }
+        },
+        |_| {},
+    );
+    let stats = dut.0.stats();
+    let bulk = stats.latency_of(Priority::Normal).summary();
     IsolationPoint {
-        probe: nic.stats().latency_of(Priority::Latency).summary(),
-        bulk: nic.stats().latency_of(Priority::Normal).summary(),
-        bulk_delivered,
+        probe: stats.latency_of(Priority::Latency).summary(),
+        bulk,
+        // The program delivers everything to the host, and bulk is the
+        // only normal-priority class: each sample is one bulk frame
+        // reaching the host.
+        bulk_delivered: bulk.count,
     }
 }
 

@@ -12,14 +12,58 @@
 
 use bytes::Bytes;
 use noc::analytic;
-use noc::network::{MeshNetwork, NetworkConfig};
-use noc::router::RouterConfig;
-use noc::topology::{Placement, Topology};
-use packet::{EngineId, Message, MessageId, MessageKind};
-use sim_core::rng::SimRng;
-use sim_core::time::{Cycle, Freq};
+use noc::topology::Topology;
+use packet::MessageKind;
+use sim_core::time::Freq;
 
 use crate::fmt::{f, TableFmt};
+use crate::rig::{mesh, uniform_load, Substrate, Uniform};
+
+/// Uniform traffic of 8-flit messages (8 × `width_bits` on the wire,
+/// the 2-byte empty chain header included) offered at `load`
+/// flits/cycle/node. The `cap` on a source's backlog models ingress
+/// backpressure; unbounded growth would just waste memory.
+pub(crate) fn eight_flit_traffic(
+    nodes: usize,
+    width_bits: u64,
+    load: f64,
+    cap: usize,
+    seed: u64,
+) -> Uniform {
+    Uniform {
+        nodes,
+        msg_rate: load / 8.0,
+        cap,
+        payload: Bytes::from(vec![0u8; (8 * width_bits / 8 - 2) as usize]),
+        seed,
+    }
+}
+
+/// Offers `traffic` to `net` for `cycles` cycles and returns the
+/// bits/cycle it delivered after the first fifth (the warm-up), as
+/// counted by `delivered_flits`.
+pub(crate) fn bits_after_warmup<S: Substrate>(
+    net: &mut S,
+    traffic: &Uniform,
+    width_bits: u64,
+    cycles: u64,
+    delivered_flits: impl Fn(&S) -> u64,
+) -> f64 {
+    let warmup = cycles / 5;
+    let mut base = 0;
+    uniform_load(
+        net,
+        traffic,
+        cycles,
+        |_| MessageKind::Internal,
+        |step, net| {
+            if step == warmup {
+                base = delivered_flits(net);
+            }
+        },
+    );
+    (delivered_flits(net) - base) as f64 / (cycles - warmup) as f64 * width_bits as f64
+}
 
 /// Measures delivered aggregate throughput (bits/cycle) of a mesh
 /// under uniform random traffic offered at `load` flits/cycle/node.
@@ -31,66 +75,11 @@ pub fn simulate_uniform_load(
     cycles: u64,
     seed: u64,
 ) -> f64 {
-    let n = topology.nodes();
-    let mut net = MeshNetwork::new(
-        NetworkConfig {
-            topology,
-            width_bits,
-            router: RouterConfig::default(),
-        },
-        Placement::row_major(topology),
-    );
-    let mut rng = SimRng::new(seed);
-    // Message sized to exactly 8 flits: 8*width bits total including
-    // the 2-byte empty chain header.
-    let payload_len = (8 * width_bits / 8 - 2) as usize;
-    let payload = Bytes::from(vec![0u8; payload_len]);
-    let msg_rate = load / 8.0; // messages/cycle/node
-    let mut acc = vec![0f64; n];
-    let mut now = Cycle(0);
-    let mut next_id = 0u64;
-    let warmup = cycles / 5;
-    let mut delivered_flits = 0u64;
-    let mut measured_cycles = 0u64;
-    for step in 0..cycles {
-        for (node, a) in acc.iter_mut().enumerate() {
-            *a += msg_rate;
-            if *a >= 1.0 {
-                *a -= 1.0;
-                // Cap source backlog: a saturated source queue models
-                // ingress backpressure; unbounded growth would just
-                // waste memory.
-                let src = EngineId(node as u16);
-                if net.source_depth(src) < 64 {
-                    let mut dest = rng.gen_range(n as u64) as usize;
-                    if dest == node {
-                        dest = (dest + 1) % n;
-                    }
-                    let msg = Message::builder(MessageId(next_id), MessageKind::Internal)
-                        .payload(payload.clone())
-                        .build();
-                    next_id += 1;
-                    net.send(src, EngineId(dest as u16), msg, now);
-                }
-            }
-        }
-        net.tick(now);
-        now = now.next();
-        let before = net.stats().delivered_flits;
-        for node in 0..n {
-            // Drain ejections every cycle (engines run at link rate).
-            let _ = net.poll_ejected(EngineId(node as u16), now);
-        }
-        let _ = before;
-        if step >= warmup {
-            measured_cycles += 1;
-        }
-        if step == warmup {
-            delivered_flits = net.stats().delivered_flits;
-        }
-    }
-    let flits = net.stats().delivered_flits - delivered_flits;
-    flits as f64 / measured_cycles as f64 * width_bits as f64
+    let mut net = mesh(topology, width_bits);
+    let traffic = eight_flit_traffic(topology.nodes(), width_bits, load, 64, seed);
+    bits_after_warmup(&mut net, &traffic, width_bits, cycles, |net| {
+        net.stats().delivered_flits
+    })
 }
 
 /// Finds the saturation throughput by offering full load.
@@ -166,7 +155,6 @@ fn observe_full_nic(ctx: &mut crate::obs::RunCtx) {
     use panic_core::scenarios::{ChainScenario, ChainScenarioConfig};
     let cycles = if ctx.quick { 2_000 } else { 10_000 };
     let mut s = ChainScenario::new(ChainScenarioConfig::default());
-    s.set_fastforward(ctx.fastforward);
     s.attach_tracer(&ctx.tracer);
     s.run(cycles);
     s.drain(cycles);

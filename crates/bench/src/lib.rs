@@ -11,8 +11,9 @@
 //! [`trace::MetricsRegistry`] (see `docs/TRACING.md`) that observing
 //! experiments feed.
 //!
-//! The experiments that place PANIC beside a §2.3 incumbent state
-//! their offered load once and feed every design through [`rig::feed`].
+//! An experiment that compares designs states its offered load once
+//! and feeds every design through [`rig::feed`] (whole NICs) or
+//! [`rig::uniform_load`] (bare meshes and the crossbar).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -41,12 +41,6 @@ pub struct RunCtx {
     /// seed their [`faults::FaultPlan`] from this; everything else
     /// ignores it.
     pub faults: Option<faults::FaultArg>,
-    /// Whether scenario-driven experiments may use quiescence
-    /// fast-forward (`repro --no-fastforward` clears it). Fast-forward
-    /// is byte-identical to stepped execution — the flag exists for
-    /// debugging the fast-forward machinery itself (`benchmark/run.sh`
-    /// measures its benefit).
-    pub fastforward: bool,
     /// Worker threads for experiments that run a multi-NIC fabric
     /// (`repro --threads <n>`). Fabric results are byte-identical for
     /// every value — see docs/FABRIC.md.
@@ -57,15 +51,7 @@ impl RunCtx {
     /// An unobserved run: tracing disabled, no metrics collection.
     #[must_use]
     pub fn new(quick: bool) -> RunCtx {
-        RunCtx {
-            quick,
-            tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::new(),
-            collect_metrics: false,
-            faults: None,
-            fastforward: true,
-            threads: 1,
-        }
+        RunCtx::observed(quick, Tracer::disabled(), false)
     }
 
     /// An observed run feeding `tracer` and (optionally) collecting
@@ -78,7 +64,6 @@ impl RunCtx {
             metrics: MetricsRegistry::new(),
             collect_metrics,
             faults: None,
-            fastforward: true,
             threads: 1,
         }
     }

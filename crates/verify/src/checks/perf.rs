@@ -17,9 +17,8 @@
 //!
 //!   Neither is a modeling mistake: stochastic load is exactly right
 //!   for saturation studies. The warning exists so nobody *expects* a
-//!   fast-forward speedup from such a run — `--no-fastforward` is
-//!   behaviorally identical and skips the (cheap, but nonzero)
-//!   per-cycle hint computation. See `docs/PERF.md`.
+//!   fast-forward speedup from such a run: it simulates at stepped
+//!   speed. See `docs/PERF.md`.
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::spec::{ArrivalKind, NicSpec};
@@ -37,8 +36,8 @@ pub fn check_perf(spec: &NicSpec) -> Vec<Diagnostic> {
                 Span::at("perf", a.name.clone()),
                 format!(
                     "source '{}' is stochastic (one RNG draw per cycle): \
-                     fast-forward can never skip while it is live; run with \
-                     --no-fastforward or expect a stepped-speed simulation",
+                     fast-forward can never skip while it is live; expect a \
+                     stepped-speed simulation",
                     a.name
                 ),
             )),
@@ -50,8 +49,7 @@ pub fn check_perf(spec: &NicSpec) -> Vec<Diagnostic> {
                     format!(
                         "source '{}' arrives every cycle (min gap {} cycle): \
                          there is no idle window for fast-forward to skip; \
-                         run with --no-fastforward or expect a stepped-speed \
-                         simulation",
+                         expect a stepped-speed simulation",
                         a.name, min_gap_cycles
                     ),
                 ));
@@ -106,7 +104,9 @@ mod tests {
         assert_eq!(diags[0].severity, Severity::Warn);
         assert_eq!(diags[0].span.subject, "tenant1");
         assert!(
-            diags[0].message.contains("--no-fastforward"),
+            diags[0]
+                .message
+                .ends_with("expect a stepped-speed simulation"),
             "{}",
             diags[0].message
         );

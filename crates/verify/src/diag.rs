@@ -169,8 +169,8 @@ impl Code {
             }
             Code::PV501 => {
                 "workload makes quiescence fast-forward a no-op (stochastic \
-                 arrivals or per-cycle gaps); run with --no-fastforward or \
-                 expect no speedup"
+                 arrivals or per-cycle gaps); expect a stepped-speed \
+                 simulation"
             }
             Code::PV601 => "two virtual NICs claim the same tenant id",
             Code::PV602 => {
