@@ -445,12 +445,11 @@ impl PanicNic {
     }
 
     /// Fast-forward hint: the earliest future cycle at which any NIC
-    /// component could do observable work, or `None` when the whole NIC
-    /// is quiescent (no in-flight message anywhere, no pending fault
-    /// event, no armed timer).
+    /// component could do observable work, or `None` when nothing will
+    /// happen without outside input (no in-flight message that can
+    /// move, no pending fault event, no armed timer).
     ///
     /// The hint is the minimum over:
-    /// * the mesh (active whenever any flit is buffered anywhere);
     /// * the heavyweight pipeline (backlog → next cycle; in-flight
     ///   only → its earliest completion);
     /// * every occupied engine tile (queue/pending → next cycle; in
@@ -459,33 +458,46 @@ impl PanicNic {
     /// * the fault plane (next planned event; next watchdog check
     ///   while anything is tracked, striking, or holding work);
     /// * the PCIe flush timer (next multiple of the flush interval
-    ///   while any coalescer holds pending events).
+    ///   while any coalescer holds pending events);
+    /// * the tenancy plane;
+    /// * the mesh: the poll of the first tail while every message in
+    ///   it is in clear transit toward a tile the ejection pass polls
+    ///   every cycle, else the next cycle ([`MeshNetwork::next_activity`]).
     ///
     /// No term is earlier than `now + 1`, so the terms are consulted in
-    /// the order above only until one of them says exactly that — with
-    /// a flit anywhere in the mesh, the first one does.
+    /// the order above only until one of them says exactly that; the
+    /// mesh, the one whose answer costs a walk, comes last, unless one
+    /// look tells it must tick ([`MeshNetwork::must_tick`]).
     #[must_use]
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let soonest = Some(now.next());
+        if self.network.must_tick() {
+            return soonest;
+        }
         let mut hint = None;
         let mut settled = |term: Option<Cycle>| {
             hint = Cycle::earliest(hint, term);
             hint == soonest
         };
-        let _ = settled(self.network.next_activity(now))
-            || settled(self.pipeline.next_activity(now))
+        let polled = polled_tiles(&self.tiles, &self.noc_tile_slot, self.pipeline_gated);
+        let _ = settled(self.pipeline.next_activity(now))
             || self.occupied_tiles().any(|t| settled(t.next_activity(now)))
             || settled(self.fault_plane_next_activity(now))
             || settled(self.pcie_flush_next_activity(now))
-            || settled(self.tenancy.as_ref().and_then(|t| t.next_activity(now)));
+            || settled(self.tenancy.as_ref().and_then(|t| t.next_activity(now)))
+            || settled(self.network.next_activity(now, polled));
         hint
     }
 
-    /// Replays the per-cycle bookkeeping of the skipped idle cycles
-    /// `[from, to)` (pipeline idle-slot accounting and traced backlog
-    /// samples, tile busy/progress clocks). The mesh has nothing to
-    /// replay — see [`MeshNetwork::next_activity`].
+    /// Advances the NIC over the skipped cycles `[from, to)`: the mesh
+    /// glides its messages through them ([`MeshNetwork::glide`]) — the
+    /// one plane whose skipped steps move functional state — and every
+    /// other plane replays its per-cycle bookkeeping (pipeline idle-slot
+    /// accounting and traced backlog samples, tile busy/progress clocks,
+    /// tenancy accrual, per-layer cycle attribution).
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        let polled = polled_tiles(&self.tiles, &self.noc_tile_slot, self.pipeline_gated);
+        self.network.glide(from, to, polled);
         self.pipeline.skip_idle(from, to);
         // Only a tile that holds work has ticks to replay — the stepped
         // tile pass does not tick a workless one either; its progress
@@ -531,6 +543,23 @@ impl PanicNic {
             && !self.pipeline_holds_work()
             && self.occupied_tiles().all(|t| !t.has_work())
             && !self.tenancy_holds_work()
+    }
+}
+
+/// Whether the ejection pass polls mesh tile `tile` on every cycle in
+/// which nothing else happens: an engine tile ready to take a message,
+/// or a portal while the pipeline gate is open (see [`PanicNic::tick`]).
+fn polled_tiles<'a>(
+    tiles: &'a [TileSlot],
+    noc_tile_slot: &'a [u32],
+    pipeline_gated: bool,
+) -> impl Fn(usize) -> bool + 'a {
+    move |tile| match noc_tile_slot[tile] {
+        u32::MAX => false,
+        slot => match &tiles[slot as usize] {
+            TileSlot::Engine(t) => t.rx_ready(),
+            TileSlot::RmtPortal => !pipeline_gated,
+        },
     }
 }
 

@@ -155,11 +155,12 @@ impl ScanEverything {
     }
 
     /// `PanicNic::next_activity` and `pcie_flush_next_activity` as of
-    /// 56120d7.
+    /// 56120d7, with the mesh told which tiles the ejection pass polls.
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let nic = &self.nic;
+        let polled = polled_tiles(&nic.tiles, &nic.noc_tile_slot, nic.pipeline_gated);
         let mut hint = Cycle::earliest(
-            nic.network.next_activity(now),
+            nic.network.next_activity(now, polled),
             nic.pipeline.next_activity(now),
         );
         for (_, t) in nic.engine_tiles() {

@@ -526,9 +526,16 @@ pub(crate) fn run_chunk(
 /// `next_arrival` keeps returning them, so the first `Up` epoch injects
 /// the whole backlog at its opening cycle, deterministically); `Down` —
 /// the NIC is skipped over, in *both* run modes, so stepped and
-/// fast-forwarded execution stay trivially identical.
+/// fast-forwarded execution stay trivially identical. The ToR marks a
+/// member Down only once it drained quiescent, and hands a Down member
+/// nothing, so that `skip_idle` — which glides a mesh through its
+/// window — is a freeze.
 fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: Advance, phase: Phase) -> u64 {
     if matches!(phase, Phase::Down { .. }) {
+        debug_assert!(
+            m.nic.is_quiescent(),
+            "a Down member holds work its skipped epoch would move"
+        );
         m.nic.skip_idle(from, to);
         return 0;
     }

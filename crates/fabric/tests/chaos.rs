@@ -110,6 +110,56 @@ fn member_crash_fails_over_and_recovers() {
     );
 }
 
+/// A member that goes Down is frozen until it recovers. The ToR lets a
+/// crashed member drain first and marks it Down only once it is
+/// quiescent, and hands it nothing while it is, so the `skip_idle` each
+/// Down epoch gives it — which glides a mesh through the window — has
+/// nothing to move (`fleet::run_member` debug-asserts the same). The run
+/// is untraced, so the mesh would glide: from the first epoch boundary
+/// at which the crashed member is quiescent to its recovery, its books
+/// and its mesh's counters stand still (only idle bookkeeping, such as
+/// the pipeline's idle slots, goes on).
+#[test]
+fn a_down_member_is_frozen_until_it_recovers() {
+    let plan = FabricFaultPlan::parse("mcrash:1@400+8").unwrap();
+    let mut fabric = ring(4, Some(FabricFaultConfig::new(plan)));
+    let metrics = |fabric: &Fabric| {
+        let nic = fabric.member(1);
+        let net = nic.network();
+        let mesh = [
+            net.stats().delivered_flits,
+            net.total_flit_hops(),
+            net.active_cycles(),
+            net.glided_cycles(),
+        ];
+        format!("{:?} {mesh:?}", nic.stats())
+    };
+    let (mut now, mut frozen, mut still) = (Cycle(0), None, 0);
+    loop {
+        now = fabric.run_ff(now, LATENCY).0;
+        let stats = fabric.chaos_stats().expect("armed");
+        if stats.member_recoveries > 0 {
+            break;
+        }
+        assert!(now < Cycle(10_000), "member 1 never recovered");
+        if stats.member_crashes == 0 {
+            continue;
+        }
+        match &frozen {
+            None if fabric.member(1).is_quiescent() => frozen = Some(metrics(&fabric)),
+            None => {}
+            Some(m) => {
+                assert_eq!(&metrics(&fabric), m, "member 1 moved by cycle {}", now.0);
+                still += 1;
+            }
+        }
+    }
+    assert!(
+        still >= 6,
+        "member 1 was frozen for {still} epochs of its 8 down"
+    );
+}
+
 /// A permanent member loss: the fleet still drains (the lost member
 /// goes Down forever, its unfired driver arrivals are forfeited), the
 /// survivors' traffic fails over, and the books still close.

@@ -10,7 +10,11 @@
 //!   tile's ejection buffer, yielding a [`Message`] when its tail
 //!   arrives (the engine's RX interface);
 //! * [`MeshNetwork::tick`] — advance the whole network one cycle in
-//!   two phases (routers plan, then transfers commit).
+//!   two phases (routers plan, then transfers commit);
+//! * [`MeshNetwork::next_activity`] and [`MeshNetwork::glide`] — the
+//!   fast-forward pair: while every message is in clear transit, the
+//!   cycle its first tail is polled, and the mesh advanced to any cycle
+//!   before it in one step (`network/glide.rs`).
 //!
 //! A message in the mesh is stored once, in the network's in-flight
 //! slab, from `send` until its tail is ejected. A source queue holds
@@ -23,15 +27,16 @@
 //! *streams*: every router it crosses forwards its next flit each
 //! cycle. [`MeshNetwork::tick`] moves such a worm in one step at its
 //! two ends rather than a flit a hop, and plans only the routers with
-//! something else to decide. Streaming is a shortcut with no
-//! observable effect: `network/reference.rs` holds the flit-at-a-time
-//! mesh it replaced and steps both in lock-step.
+//! something else to decide. Streaming and gliding are shortcuts with
+//! no observable effect: `network/reference.rs` holds the flit-at-a-time
+//! mesh they replaced and steps it in lock-step with both.
 //!
 //! The network is lossless end to end: the only place a message can
 //! wait indefinitely is a source queue, which models the engine-side
 //! buffering the paper assigns to engines that don't run at line rate
 //! (§4.3).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
@@ -232,19 +237,25 @@ struct SourceRun {
     fresh: bool,
 }
 
+/// A flit's kind from whether it opens and whether it closes its worm.
+/// A table, not a match: kinds vary flit to flit, so a branch on them
+/// mispredicts.
+#[inline]
+fn kind(head: bool, tail: bool) -> FlitKind {
+    const KIND: [FlitKind; 4] = [
+        FlitKind::Body,
+        FlitKind::Tail,
+        FlitKind::Head,
+        FlitKind::HeadTail,
+    ];
+    KIND[usize::from(head) << 1 | usize::from(tail)]
+}
+
 impl SourceRun {
     /// Takes the next flit.
     #[inline]
     fn pop(&mut self) -> FlitHandle {
-        // A table, not a match: kinds vary flit to flit, so a branch on
-        // them mispredicts.
-        const KIND: [FlitKind; 4] = [
-            FlitKind::Body,
-            FlitKind::Tail,
-            FlitKind::Head,
-            FlitKind::HeadTail,
-        ];
-        let kind = KIND[usize::from(self.fresh) << 1 | usize::from(self.left == 1)];
+        let kind = kind(self.fresh, self.left == 1);
         self.left -= 1;
         self.fresh = false;
         FlitHandle {
@@ -292,18 +303,19 @@ impl Source {
     }
 
     /// Takes the front message's next flit (the queue must not be
-    /// empty).
+    /// empty), and says whether the message behind it moved up front.
     #[inline]
-    fn pop(&mut self) -> FlitHandle {
+    fn pop(&mut self) -> (FlitHandle, bool) {
         debug_assert!(self.flits > 0, "pop from an empty source queue");
         let flit = self.front.pop();
         self.flits -= 1;
         if self.front.left == 0 {
             if let Some(next) = self.behind.pop_front() {
                 self.front = next;
+                return (flit, true);
             }
         }
-        flit
+        (flit, false)
     }
 
     /// True when the front message is `slot`'s.
@@ -338,6 +350,16 @@ pub struct MeshNetwork {
     /// sending engine's own buffering; occupancy is observable so
     /// experiments can detect source-queue growth (= saturation).
     source: Vec<Source>,
+    /// Messages queued behind another in a source queue, all tiles
+    /// together: while any is, two messages share a Local input, and
+    /// nothing glides.
+    queued_behind: usize,
+    /// Per tile, the messages between `send` and the poll of their tail
+    /// bound for it; and how many tiles more than one is bound for.
+    /// While any is, two messages share an ejection buffer, and nothing
+    /// glides.
+    bound: Vec<u32>,
+    shared_dests: usize,
     /// Per-tile ejection buffers, bounded in practice by Local credits.
     ejection: Vec<VecDeque<FlitHandle>>,
     /// The in-flight slab: every message between `send` and the
@@ -363,6 +385,13 @@ pub struct MeshNetwork {
     deferred: Vec<u64>,
     /// Flit-hops moved by stream steps rather than by router plans.
     streamed: u64,
+    /// Flit-hops and cycles [`MeshNetwork::glide`] advanced without a
+    /// tick.
+    glided_hops: u64,
+    glided_cycles: u64,
+    /// The glide [`MeshNetwork::next_activity`] planned, for the
+    /// [`MeshNetwork::glide`] that follows it.
+    plan: RefCell<glide::Gliders>,
     stats: NetworkStats,
     /// Trace handle (disabled by default; see [`MeshNetwork::attach_tracer`]).
     tracer: Tracer,
@@ -441,6 +470,9 @@ impl MeshNetwork {
             neighbor_idx,
             routers,
             source: (0..n).map(|_| Source::new()).collect(),
+            queued_behind: 0,
+            bound: vec![0; n],
+            shared_dests: 0,
             ejection: (0..n).map(|_| VecDeque::with_capacity(eject_cap)).collect(),
             slab: Vec::new(),
             free_slots: Vec::new(),
@@ -450,6 +482,9 @@ impl MeshNetwork {
             streaming: vec![0; n],
             deferred: vec![0u64; words],
             streamed: 0,
+            glided_hops: 0,
+            glided_cycles: 0,
+            plan: RefCell::new(glide::Gliders::NONE),
             stats: NetworkStats::new(),
             tracer: Tracer::disabled(),
             tracks: Vec::new(),
@@ -667,8 +702,12 @@ impl MeshNetwork {
             .coord_of(to)
             .unwrap_or_else(|| panic!("engine {to} not placed"));
         let total = Flit::flits_for(&msg, self.config.width_bits);
+        let to_tile = self.tile_of(to);
+        self.bound[to_tile] += 1;
+        self.shared_dests += usize::from(self.bound[to_tile] == 2);
         let slot = self.slab_insert(InFlight { msg, sent: now });
         self.stats.injected_messages += 1;
+        self.queued_behind += usize::from(self.source[tile].flits > 0);
         self.source[tile].push(SourceRun {
             slot,
             left: total,
@@ -750,6 +789,8 @@ impl MeshNetwork {
             self.routers[tile].refill_credit(PortDir::Local);
             return None;
         }
+        self.bound[tile] -= 1;
+        self.shared_dests -= usize::from(self.bound[tile] == 1);
         let InFlight { msg, sent } = self.slab_remove(flit.slot);
         // Injected ejection drop: destroy the message at the tail (the
         // earlier flits of the message were drained and credited
@@ -831,9 +872,12 @@ impl MeshNetwork {
         if self.faults.is_some() {
             self.drive_faults(now);
         }
-        if self.resident_flits > 0 {
-            self.active_cycles += 1;
+        if self.resident_flits == 0 {
+            // Nothing to inject, walk, plan or step, and no segment.
+            debug_assert!(self.waiting.is_empty() && self.segs.is_empty());
+            return;
         }
+        self.active_cycles += 1;
         let traced = self.tracer.enabled();
         let streamable = !traced
             && self
@@ -978,7 +1022,8 @@ impl MeshNetwork {
     #[inline(always)]
     fn take_source(&mut self, tile: usize) -> FlitHandle {
         let source = &mut self.source[tile];
-        let flit = source.pop();
+        let (flit, moved_up) = source.pop();
+        self.queued_behind -= usize::from(moved_up);
         if source.flits == 0 {
             self.source_pending[tile / 64] &= !(1 << (tile % 64));
         }
@@ -1356,22 +1401,34 @@ impl MeshNetwork {
         }
     }
 
-    /// Fast-forward hint (see [`sim_core::Driven::wakes`] for
-    /// the contract): `None` while the network is quiescent — with no
-    /// flit anywhere, ticking is a pure no-op until the next
-    /// [`MeshNetwork::send`] — otherwise `Some(now + 1)`, because an
-    /// active network moves flits every cycle.
+    /// Fast-forward hint (see [`sim_core::Driven::wakes`] for the
+    /// contract), given `polled`: true for each tile whose ejection
+    /// buffer the caller polls every cycle until its next activity, and
+    /// false for a tile it never polls meanwhile.
+    ///
+    /// `None` while the network is quiescent — with no flit anywhere,
+    /// ticking is a pure no-op until the next [`MeshNetwork::send`] —
+    /// and while nothing in it can move: every message sits in the
+    /// ejection buffer of a tile that is not polled. Otherwise, when
+    /// every message is in *clear transit* (see [`MeshNetwork::glide`]),
+    /// the cycle on which the first tail is polled; and `Some(now + 1)`
+    /// when one is not.
     ///
     /// Pending fault expirations (slow-link unmask, credit-hold return)
-    /// do not pin the hint: they only matter once a flit wants the
-    /// affected link, and [`MeshNetwork::tick`] re-derives their state
-    /// from `now` on the next active cycle.
+    /// do not pin the hint: a slow link or credit hold still on the
+    /// books stops gliding, so the mesh is ticked, and
+    /// [`MeshNetwork::tick`] re-derives their state from `now`.
     #[must_use]
-    pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+    pub fn next_activity(&self, now: Cycle, polled: impl Fn(usize) -> bool) -> Option<Cycle> {
         if self.is_quiescent() {
-            None
-        } else {
-            Some(now.next())
+            return None;
+        }
+        let mut plan = self.plan.borrow_mut();
+        match self.plan_into(&mut plan, &polled) {
+            Some(()) => plan
+                .horizon()
+                .map(|tail| Cycle(now.0 + 1 + u64::from(tail))),
+            None => Some(now.next()),
         }
     }
 
@@ -1393,6 +1450,16 @@ impl MeshNetwork {
                 .all(|(t, r)| r.is_idle() == (self.active[t / 64] & (1 << (t % 64)) == 0)),
             "active-tile mask out of sync with router occupancy"
         );
+        debug_assert_eq!(
+            self.queued_behind,
+            self.source.iter().map(|s| s.behind.len()).sum::<usize>(),
+            "backlog counter out of sync with the source queues"
+        );
+        debug_assert_eq!(
+            self.shared_dests,
+            self.bound.iter().filter(|&&n| n > 1).count(),
+            "shared-destination counter out of sync with the bound counts"
+        );
         self.resident_flits == 0
     }
 
@@ -1404,8 +1471,8 @@ impl MeshNetwork {
         self.active_cycles
     }
 
-    /// Total flits forwarded by all routers (≈ flit-hops), planned and
-    /// streamed alike.
+    /// Total flits forwarded by all routers (≈ flit-hops), planned,
+    /// streamed and glided alike.
     #[must_use]
     pub fn total_flit_hops(&self) -> u64 {
         self.routers
@@ -1413,6 +1480,7 @@ impl MeshNetwork {
             .map(Router::flits_forwarded)
             .sum::<u64>()
             + self.streamed
+            + self.glided_hops
     }
 
     /// The part of [`MeshNetwork::total_flit_hops`] moved by stream
@@ -1423,12 +1491,29 @@ impl MeshNetwork {
         self.streamed
     }
 
+    /// The part of [`MeshNetwork::total_flit_hops`] moved by
+    /// [`MeshNetwork::glide`], apart from the streamed part. Like it, no
+    /// metric exports it.
+    #[must_use]
+    pub fn glided_flit_hops(&self) -> u64 {
+        self.glided_hops
+    }
+
+    /// The part of [`MeshNetwork::active_cycles`] that
+    /// [`MeshNetwork::glide`] advanced without a tick.
+    #[must_use]
+    pub fn glided_cycles(&self) -> u64 {
+        self.glided_cycles
+    }
+
     /// Coordinate of `engine`'s tile.
     #[must_use]
     pub fn coord_of(&self, engine: EngineId) -> Coord {
         self.placement.coord_of(engine).expect("engine placed")
     }
 }
+
+mod glide;
 
 #[cfg(test)]
 mod reference;

@@ -13,7 +13,11 @@
 //! input's flits in order, credits, owners, round-robin pointers, the
 //! ejection buffer and the source queue — plus the messages delivered,
 //! the network counters and `total_flit_hops`, naming the first cycle
-//! and tile that differ.
+//! and tile that differ. A second proptest glides the worm mesh through
+//! random prefixes of the windows its hint opens while `RefMesh` steps
+//! the same cycles, and compares the same snapshot at every landing.
+//! (`RefMesh` counts `active_cycles` too; nothing else is added to the
+//! verbatim copy.)
 
 use bytes::Bytes;
 use packet::{MessageId, MessageKind};
@@ -443,6 +447,9 @@ struct RefMesh {
     source_pending: Vec<u64>,
     ejection_pending: Vec<u64>,
     resident_flits: u64,
+    /// Ticks that found a flit resident (the one counter added to the
+    /// verbatim copy, so that a glide's `active_cycles` has a twin).
+    active_cycles: u64,
 }
 
 impl RefMesh {
@@ -472,6 +479,7 @@ impl RefMesh {
             source_pending: vec![0u64; words],
             ejection_pending: vec![0u64; words],
             resident_flits: 0,
+            active_cycles: 0,
         }
     }
 
@@ -611,6 +619,7 @@ impl RefMesh {
         if self.faults.is_some() {
             self.drive_faults(now);
         }
+        self.active_cycles += u64::from(self.resident_flits > 0);
         for word in 0..self.source_pending.len() {
             for bit in set_bits(self.source_pending[word]) {
                 let tile = word * 64 + bit;
@@ -725,7 +734,7 @@ fn tile_diff(net: &MeshNetwork, old: &RefMesh, t: usize) -> Option<String> {
 }
 
 /// Network-wide state that must agree: counters, masks and hops.
-fn mesh_state(net: &MeshNetwork) -> [u64; 8] {
+fn mesh_state(net: &MeshNetwork) -> [u64; 9] {
     let word = |w: &[u64]| w.iter().fold(0u64, |h, &x| h.rotate_left(7) ^ x);
     [
         net.stats.injected_messages,
@@ -733,13 +742,14 @@ fn mesh_state(net: &MeshNetwork) -> [u64; 8] {
         net.stats.delivered_flits,
         net.resident_flits,
         net.total_flit_hops(),
+        net.active_cycles,
         word(&net.active),
         word(&net.source_pending),
         word(&net.ejection_pending),
     ]
 }
 
-fn ref_state(old: &RefMesh) -> [u64; 8] {
+fn ref_state(old: &RefMesh) -> [u64; 9] {
     let word = |w: &[u64]| w.iter().fold(0u64, |h, &x| h.rotate_left(7) ^ x);
     [
         old.stats.injected_messages,
@@ -747,114 +757,295 @@ fn ref_state(old: &RefMesh) -> [u64; 8] {
         old.stats.delivered_flits,
         old.resident_flits,
         old.total_flit_hops(),
+        old.active_cycles,
         word(&old.active),
         word(&old.source_pending),
         word(&old.ejection_pending),
     ]
 }
 
-/// One lock-step run; returns the flit-hops the mesh streamed.
-fn lockstep(seed: u64) -> u64 {
-    let mut rng = SimRng::new(seed);
-    let topology = Topology::mesh(3 + rng.gen_range(6) as u8, 3 + rng.gen_range(6) as u8);
-    let input_buffer_flits = 2 + rng.gen_range(15) as usize;
-    let config = NetworkConfig {
-        topology,
-        width_bits: if rng.gen_range(2) == 0 { 64 } else { 128 },
-        router: RouterConfig {
-            input_buffer_flits,
-            ejection_buffer_flits: 2 + rng.gen_range(2 * input_buffer_flits as u64) as usize,
-        },
-    };
-    let mut net = MeshNetwork::new(config, Placement::row_major(topology));
-    let mut old = RefMesh::beside(&net);
-    let tiles = topology.nodes();
-    let engine = |rng: &mut SimRng| EngineId(rng.gen_range(tiles as u64) as u16);
+/// A random mesh and its oracle twin, driven by one stream of random
+/// sends, fault windows and ejection drops.
+struct Pair {
+    net: MeshNetwork,
+    old: RefMesh,
+    topology: Topology,
+    /// Sends happen before this cycle; every fault window has ended by
+    /// `faults_end`.
+    send_window: u64,
+    faults_end: Cycle,
+    /// Per-mille chance of one more send, again and again, each cycle,
+    /// and how many messages a send is.
+    load: u64,
+    burst: u64,
+    next_id: u64,
+}
 
-    // Fault windows that end inside the send window (streaming waits
-    // for the last one), and at most one drop per tile on a few tiles
-    // (fewer than any tile's Local credits).
-    let send_window = 100 + rng.gen_range(600);
-    let mut faults_end = Cycle(0);
-    for _ in 0..rng.gen_range(5) {
-        let until = Cycle(1 + rng.gen_range(send_window));
-        faults_end = faults_end.max(until);
-        let (e, port) = (engine(&mut rng), PortDir::ALL[rng.gen_range(5) as usize]);
-        if rng.gen_range(2) == 0 {
-            let period = 2 + rng.gen_range(3);
-            net.fault_link_slow(e, port, until, period);
-            old.fault_link_slow(e, port, until, period);
-        } else {
-            let n = 1 + rng.gen_range(8) as usize;
-            prop_assert_eq!(
-                net.fault_hold_credits(e, port, n, until),
-                old.fault_hold_credits(e, port, n, until)
-            );
-        }
-    }
-    let mut drops: Vec<EngineId> = (0..rng.gen_range(4)).map(|_| engine(&mut rng)).collect();
-    drops.sort_unstable();
-    drops.dedup();
-    for &e in &drops {
-        net.fault_drop_next_ejection(e);
-        old.fault_drop_next_ejection(e);
-    }
+impl Pair {
+    /// 3×3 to 8×8, 64- or 128-bit channels, 2–16-flit input buffers;
+    /// fault windows that end inside the send window (streaming and
+    /// gliding wait for the last one), and at most one drop per tile on
+    /// a few tiles (fewer than any tile's Local credits).
+    fn new(rng: &mut SimRng) -> Pair {
+        let topology = Topology::mesh(3 + rng.gen_range(6) as u8, 3 + rng.gen_range(6) as u8);
+        let input_buffer_flits = 2 + rng.gen_range(15) as usize;
+        let config = NetworkConfig {
+            topology,
+            width_bits: if rng.gen_range(2) == 0 { 64 } else { 128 },
+            router: RouterConfig {
+                input_buffer_flits,
+                ejection_buffer_flits: 2 + rng.gen_range(2 * input_buffer_flits as u64) as usize,
+            },
+        };
+        let mut net = MeshNetwork::new(config, Placement::row_major(topology));
+        let mut old = RefMesh::beside(&net);
+        let tiles = topology.nodes() as u64;
+        let engine = |rng: &mut SimRng| EngineId(rng.gen_range(tiles) as u16);
 
-    // A load between a trickle and several messages a cycle, and a
-    // receiver that polls each tile on some cycles only, so ejection
-    // buffers fill and Local credits run out.
-    let load = 1 + rng.gen_range(60);
-    let poll = 3 + rng.gen_range(8);
-    let mut now = Cycle(0);
-    let mut next_id = 0u64;
-    while now.0 < 40_000 {
-        if now.0 < send_window {
-            while rng.gen_range(100) < load {
-                let (from, to) = (engine(&mut rng), engine(&mut rng));
-                let payload: Vec<u8> = (0..rng.gen_range(300)).map(|k| k as u8).collect();
-                let msg = Message::builder(MessageId(next_id), MessageKind::EthernetFrame)
-                    .payload(Bytes::from(payload))
-                    .build();
-                next_id += 1;
-                old.send(from, to, msg.clone(), now);
-                net.send(from, to, msg, now);
+        let send_window = 100 + rng.gen_range(600);
+        let mut faults_end = Cycle(0);
+        for _ in 0..rng.gen_range(5) {
+            let until = Cycle(1 + rng.gen_range(send_window));
+            faults_end = faults_end.max(until);
+            let (e, port) = (engine(rng), PortDir::ALL[rng.gen_range(5) as usize]);
+            if rng.gen_range(2) == 0 {
+                let period = 2 + rng.gen_range(3);
+                net.fault_link_slow(e, port, until, period);
+                old.fault_link_slow(e, port, until, period);
+            } else {
+                let n = 1 + rng.gen_range(8) as usize;
+                prop_assert_eq!(
+                    net.fault_hold_credits(e, port, n, until),
+                    old.fault_hold_credits(e, port, n, until)
+                );
             }
         }
-        net.tick(now);
-        old.tick(now);
-        now = now.next();
-        for t in 0..tiles {
-            if rng.gen_range(10) < poll {
-                let ours = net.poll_ejected_at(t, now).map(|m| m.id);
-                let theirs = old.poll_ejected_at(t, now).map(|m| m.id);
-                prop_assert_eq!(ours, theirs, "cycle {} tile {}: delivered", now.0, t);
+        let mut drops: Vec<EngineId> = (0..rng.gen_range(4)).map(|_| engine(rng)).collect();
+        drops.sort_unstable();
+        drops.dedup();
+        for &e in &drops {
+            net.fault_drop_next_ejection(e);
+            old.fault_drop_next_ejection(e);
+        }
+        Pair {
+            net,
+            old,
+            topology,
+            send_window,
+            faults_end,
+            // Between a trickle and several messages a cycle.
+            load: 10 * (1 + rng.gen_range(60)),
+            burst: 1,
+            next_id: 0,
+        }
+    }
+
+    fn tiles(&self) -> usize {
+        self.topology.nodes()
+    }
+
+    /// This cycle's random sends, to both meshes.
+    fn send(&mut self, rng: &mut SimRng, now: Cycle) {
+        if now.0 >= self.send_window {
+            return;
+        }
+        let tiles = self.tiles() as u64;
+        while rng.gen_range(1000) < self.load {
+            for _ in 0..self.burst {
+                self.send_one(rng, now, tiles);
             }
         }
-        for t in 0..tiles {
-            if let Some(diff) = tile_diff(&net, &old, t) {
+    }
+
+    /// One random message, to both meshes.
+    fn send_one(&mut self, rng: &mut SimRng, now: Cycle, tiles: u64) {
+        let (from, to) = (
+            EngineId(rng.gen_range(tiles) as u16),
+            EngineId(rng.gen_range(tiles) as u16),
+        );
+        let payload: Vec<u8> = (0..rng.gen_range(300)).map(|k| k as u8).collect();
+        let msg = Message::builder(MessageId(self.next_id), MessageKind::EthernetFrame)
+            .payload(Bytes::from(payload))
+            .build();
+        self.next_id += 1;
+        self.old.send(from, to, msg.clone(), now);
+        self.net.send(from, to, msg, now);
+    }
+
+    /// Polls tile `t` of both meshes, which must deliver alike.
+    fn poll(&mut self, t: usize, now: Cycle) {
+        let ours = self.net.poll_ejected_at(t, now).map(|m| m.id);
+        let theirs = self.old.poll_ejected_at(t, now).map(|m| m.id);
+        prop_assert_eq!(ours, theirs, "cycle {} tile {}: delivered", now.0, t);
+    }
+
+    /// Everything that must agree once the cycles before `now` have run,
+    /// the first difference named by cycle and tile.
+    fn check(&self, now: Cycle, what: &str) {
+        for t in 0..self.tiles() {
+            if let Some(diff) = tile_diff(&self.net, &self.old, t) {
                 panic!(
-                    "first divergence at cycle {} tile {t} {}: {diff}",
+                    "first divergence {what} at cycle {} tile {t} {}: {diff}",
                     now.0,
-                    topology.coord(t)
+                    self.topology.coord(t)
                 );
             }
         }
         prop_assert_eq!(
-            mesh_state(&net),
-            ref_state(&old),
-            "cycle {}: counters or masks",
+            mesh_state(&self.net),
+            ref_state(&self.old),
+            "{} at cycle {}: counters or masks",
+            what,
             now.0
         );
         prop_assert_eq!(
-            net.lost_messages(),
-            old.faults.as_ref().map_or(0, |f| f.lost_messages)
+            self.net.lost_messages(),
+            self.old.faults.as_ref().map_or(0, |f| f.lost_messages)
         );
-        if now.0 >= send_window && now > faults_end && net.is_quiescent() {
+    }
+
+    /// Past the send window and every fault, with nothing left.
+    fn drained(&self, now: Cycle) -> bool {
+        now.0 >= self.send_window && now > self.faults_end && self.net.is_quiescent()
+    }
+}
+
+/// One lock-step run; returns the flit-hops the mesh streamed.
+fn lockstep(seed: u64) -> u64 {
+    let mut rng = SimRng::new(seed);
+    let mut pair = Pair::new(&mut rng);
+    // A receiver that polls each tile on some cycles only, so ejection
+    // buffers fill and Local credits run out.
+    let poll = 3 + rng.gen_range(8);
+    let mut now = Cycle(0);
+    while now.0 < 40_000 {
+        pair.send(&mut rng, now);
+        pair.net.tick(now);
+        pair.old.tick(now);
+        now = now.next();
+        for t in 0..pair.tiles() {
+            if rng.gen_range(10) < poll {
+                pair.poll(t, now);
+            }
+        }
+        pair.check(now, "stepped");
+        if pair.drained(now) {
             break;
         }
     }
-    prop_assert!(net.is_quiescent(), "mesh never drained");
-    net.streamed_flit_hops()
+    prop_assert!(pair.net.is_quiescent(), "mesh never drained");
+    pair.net.streamed_flit_hops()
+}
+
+/// How a glide in [`glide_lockstep`] comes by its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Plan {
+    /// The one the hint just made.
+    Hinted,
+    /// None: the glide plans afresh.
+    Dropped,
+    /// One the hint made before this cycle's sends, polls and tick; the
+    /// window comes from a plan made on the side. The glide must notice
+    /// the mesh moved since and plan afresh.
+    Stale,
+}
+
+/// The hint [`MeshNetwork::next_activity`] would give, from a plan made
+/// on the side, leaving the mesh's own plan alone.
+fn side_hint(net: &MeshNetwork, now: Cycle, polled: &impl Fn(usize) -> bool) -> Option<Cycle> {
+    if net.is_quiescent() {
+        return None;
+    }
+    let mut side = super::glide::Gliders::NONE;
+    match net.plan_into(&mut side, polled) {
+        Some(()) => side
+            .horizon()
+            .map(|tail| Cycle(now.0 + 1 + u64::from(tail))),
+        None => Some(now.next()),
+    }
+}
+
+/// One glide run; returns the flit-hops the mesh glided.
+///
+/// Three runs in four offer a sparse load (a send every 20–200 executed
+/// cycles, of one to three messages whose routes may cross) for
+/// thousands of cycles after the fault windows close, which is where
+/// glides are long. Each executed cycle sends,
+/// polls every tile of a random mask and each other tile at random, and
+/// ticks both meshes. Wherever the worm mesh's hint for that mask then
+/// passes the next cycle, the worm mesh glides a random prefix of the
+/// window — with the hint's plan, with none, or with a stale one, at
+/// random — while the oracle steps the same cycles polling the mask's
+/// tiles, and no other; where the hint is `None` (nothing can move) it
+/// glides up to 64 cycles — over a quiescent mesh only now and then,
+/// which lets the fault windows expire inside a glide and still keeps
+/// the sends coming. Inside a window no oracle poll may deliver: a tail
+/// polled there is a late hint.
+fn glide_lockstep(seed: u64) -> u64 {
+    let mut rng = SimRng::new(seed);
+    let mut pair = Pair::new(&mut rng);
+    if rng.gen_range(4) != 0 {
+        pair.load = 5 + rng.gen_range(45);
+        pair.burst = 1 + rng.gen_range(3);
+        pair.send_window += 2000 + rng.gen_range(4000);
+    }
+    let mut mask = vec![false; pair.tiles()];
+    let mut remask_at = Cycle(0);
+    let mut now = Cycle(0);
+    while now.0 < 40_000 {
+        if now >= remask_at {
+            // Mostly polled: a tile that is not stops every glide toward
+            // it, and a glide past one that is sits idle there.
+            mask.iter_mut().for_each(|m| *m = rng.gen_range(4) != 0);
+            remask_at = Cycle(now.0 + 50 + rng.gen_range(300));
+        }
+        let plan = [Plan::Hinted, Plan::Dropped, Plan::Stale][rng.gen_range(3) as usize];
+        let polled = |t: usize| mask[t];
+        if plan == Plan::Stale {
+            let _ = pair
+                .net
+                .next_activity(Cycle(now.0.saturating_sub(1)), polled);
+        }
+        pair.send(&mut rng, now);
+        for (t, &polled) in mask.iter().enumerate() {
+            if polled || rng.gen_range(2) == 0 {
+                pair.poll(t, now);
+            }
+        }
+        pair.net.tick(now);
+        pair.old.tick(now);
+        let next = now.next();
+        pair.check(next, "stepped");
+        let hint = match plan {
+            Plan::Stale => side_hint(&pair.net, now, &polled),
+            Plan::Hinted | Plan::Dropped => pair.net.next_activity(now, polled),
+        };
+        let to = match hint {
+            Some(hint) => Cycle(next.0 + rng.gen_range(hint.0 - now.0)),
+            None if pair.net.is_quiescent() && rng.gen_range(4) != 0 => next,
+            None => Cycle(next.0 + rng.gen_range(65)),
+        };
+        if to > next {
+            if plan == Plan::Dropped {
+                *pair.net.plan.borrow_mut() = super::glide::Gliders::NONE;
+            }
+            pair.net.glide(next, to, polled);
+            for c in (next.0..to.0).map(Cycle) {
+                for t in (0..pair.tiles()).filter(|&t| mask[t]) {
+                    let got = pair.old.poll_ejected_at(t, c).map(|m| m.id);
+                    prop_assert_eq!(got, None, "a tail polled at cycle {} tile {}", c.0, t);
+                }
+                pair.old.tick(c);
+            }
+            pair.check(to, "landing a glide");
+        }
+        now = to;
+        if pair.drained(now) {
+            break;
+        }
+    }
+    prop_assert!(pair.net.is_quiescent(), "mesh never drained");
+    pair.net.glided_flit_hops()
 }
 
 proptest! {
@@ -870,6 +1061,15 @@ proptest! {
     fn worm_mesh_matches_the_flit_mesh_in_lock_step(seed in any::<u64>()) {
         lockstep(seed);
     }
+
+    /// The same, with the worm mesh gliding wherever its hint allows:
+    /// at every landing its buffers, credits, owners, round-robin
+    /// pointers, source queues and counters are the stepped oracle's,
+    /// and no tail is polled inside a window.
+    #[test]
+    fn a_glide_lands_where_the_flit_mesh_steps_to(seed in any::<u64>()) {
+        glide_lockstep(seed);
+    }
 }
 
 /// The lock-step runs above are only worth something if worms do
@@ -878,4 +1078,12 @@ proptest! {
 fn lock_step_runs_exercise_streaming() {
     let streamed = (0..16u64).filter(|&seed| lockstep(seed) > 0).count();
     assert!(streamed >= 12, "only {streamed} of 16 runs streamed");
+}
+
+/// Likewise the glide runs: most seeds must glide flits, not just
+/// idle cycles.
+#[test]
+fn glide_runs_exercise_gliding() {
+    let glided = (0..16u64).filter(|&seed| glide_lockstep(seed) > 0).count();
+    assert!(glided > 8, "only {glided} of 16 runs glided a flit");
 }

@@ -583,6 +583,55 @@ impl Router {
         self.credit[o] -= 1;
     }
 
+    /// Refills input `i` with `n` flits, the `k`th of them `flit(k)`: a
+    /// glide's rewrite of a FIFO that holds one worm's flits only (see
+    /// `MeshNetwork::glide`).
+    pub(crate) fn reset_input(&mut self, i: usize, n: usize, flit: impl Fn(usize) -> FlitHandle) {
+        let cap = usize::from(self.cap);
+        debug_assert!(n <= cap, "a glide overfilled input {i}");
+        for (k, slot) in self.buf[i * cap..i * cap + n].iter_mut().enumerate() {
+            *slot = flit(k);
+        }
+        self.head[i] = 0;
+        self.len[i] = n as u16;
+        if n > 0 {
+            self.nonempty |= 1 << i;
+        } else {
+            self.nonempty &= !(1 << i);
+        }
+    }
+
+    /// Opens input `i`'s wormhole through output `o`, or closes it
+    /// ([`NO_PORT`]), without touching the round-robin pointer: the
+    /// ownership a glide leaves behind a head it carried past this
+    /// router.
+    pub(crate) fn set_route(&mut self, i: usize, o: u8) {
+        let old = self.in_route[i];
+        if old != NO_PORT {
+            self.owned &= !(1 << old);
+        }
+        self.in_route[i] = o;
+        if o != NO_PORT {
+            self.owned |= 1 << o;
+        }
+    }
+
+    /// Moves output `o`'s credits by `delta`: what a glide's pops and
+    /// pushes of the buffer behind `o` returned and spent.
+    ///
+    /// # Panics
+    /// Panics if that leaves the credits outside `[0, capacity]` — the
+    /// glide moved flits the credit protocol would not have.
+    pub(crate) fn shift_credits(&mut self, o: usize, delta: i32) {
+        let credit = i32::from(self.credit[o]) + delta;
+        assert!(
+            (0..=i32::from(self.credit_init[o])).contains(&credit),
+            "router {}: a glide left output {o} with {credit} credits",
+            self.coord
+        );
+        self.credit[o] = credit as u16;
+    }
+
     /// Closes input `i`'s wormhole through output `o` behind its tail.
     #[inline]
     pub(crate) fn release(&mut self, o: usize, i: usize) {

@@ -27,7 +27,12 @@
 //! 5. **Fabric ring** (proptest): a 2–4-NIC ring with cross-NIC
 //!    chains, run stepped and fast-forwarded, fast-forwarded at 1 vs 4
 //!    worker threads — identical metrics, fleet stats, and
-//!    conservation everywhere.
+//!    conservation everywhere. It is untraced, so its meshes glide.
+//! 6. **Untraced chain and KVS** (golden): a tracer stops the mesh
+//!    from gliding, so arms 1 and 2 never glide; `chain_gap`'s shape
+//!    and `kvs_mixed`'s three tenants run without one — identical
+//!    metrics, reports and conservation, and the fast-forwarded run
+//!    glided, like the ring's.
 
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
@@ -520,12 +525,13 @@ fn tenancy_golden_skips_and_matches() {
 /// An `nics`-member ring with cross-NIC chains (each member's chain
 /// finishes on its successor), run to quiescence by `advance` (one of
 /// `Fabric`'s run methods) with `threads` worker threads. Returns
-/// (metrics JSON, fleet stats debug, total skipped).
+/// (metrics JSON, fleet stats debug, total skipped, fleet conservation,
+/// cycles the members' meshes glided).
 fn ring_artifacts(
     nics: usize,
     advance: fn(&mut fabric::Fabric, Cycle, u64) -> (Cycle, u64),
     threads: usize,
-) -> (String, String, u64) {
+) -> (String, String, u64, String, u64) {
     use engines::mac::MacEngine;
     use fabric::{FabricBuilder, LinkSpec, PeriodicDriver};
     use panic_core::nic::NicConfig;
@@ -610,7 +616,16 @@ fn ring_artifacts(
     assert!(c.holds(), "fleet conservation violated:\n{c}");
     let mut m = trace::MetricsRegistry::new();
     fabric.export_metrics(&mut m);
-    (m.to_json(), format!("{:?}", fabric.stats()), skipped)
+    let glided = (0..fabric.len())
+        .map(|i| fabric.member(i).network().glided_cycles())
+        .sum();
+    (
+        m.to_json(),
+        format!("{:?}", fabric.stats()),
+        skipped,
+        c.to_string(),
+        glided,
+    )
 }
 
 proptest! {
@@ -623,19 +638,105 @@ proptest! {
     #[test]
     fn fabric_ring_modes_and_threads_are_byte_identical(nics in 2usize..=4) {
         use fabric::Fabric;
-        let (m_s, _, skipped_s) = ring_artifacts(nics, |f, at, n| (f.run(at, n), 0), 1);
+        let (m_s, _, skipped_s, c_s, glided_s) =
+            ring_artifacts(nics, |f, at, n| (f.run(at, n), 0), 1);
         let ff = ring_artifacts(nics, Fabric::run_ff, 1);
-        let (m_f1, f_f1, skipped_f) = &ff;
-        let (m_f4, f_f4, _) = ring_artifacts(nics, Fabric::run_ff, 4);
+        let (m_f1, f_f1, skipped_f, c_f1, glided_f) = &ff;
+        let (m_f4, f_f4, _, c_f4, _) = ring_artifacts(nics, Fabric::run_ff, 4);
         prop_assert_eq!(skipped_s, 0, "stepped runs never skip");
+        prop_assert_eq!(glided_s, 0, "stepped runs never glide");
         prop_assert_eq!(&m_s, m_f1);
+        prop_assert_eq!(&c_s, c_f1);
         // Fleet stats include mode-dependent execution counters
         // (epochs, fleet jumps), so they are compared only across
         // thread counts within a mode.
         prop_assert_eq!(m_f1, &m_f4, "metrics must not depend on the thread count");
         prop_assert_eq!(f_f1, &f_f4, "fleet stats must not depend on the thread count");
+        prop_assert_eq!(c_f1, &c_f4);
         prop_assert!(*skipped_f > 1_000, "ff only skipped {} cycles", skipped_f);
+        prop_assert!(*glided_f > 0, "the untraced ring's meshes never glided");
         // What `benchmark/src/rigs/rack.rs` runs as its `Event` mode.
         prop_assert_eq!(&ring_artifacts(nics, Fabric::run_event, 1), &ff);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Untraced chain and KVS
+// ---------------------------------------------------------------------------
+
+/// What an untraced run leaves behind: (metrics JSON, report debug,
+/// conservation report, cycles the mesh glided).
+type Untraced = (String, String, String, u64);
+
+/// Compares an untraced run stepped with the same run fast-forwarded,
+/// and wants the fast-forwarded one to have glided.
+fn assert_untraced_equivalent(run: fn(Mode) -> Untraced) {
+    let (metrics_s, report_s, cons_s, glided_s) = run(Stepped);
+    let (metrics_f, report_f, cons_f, glided_f) = run(Ff);
+    assert_eq!(report_s, report_f);
+    assert_eq!(metrics_s, metrics_f);
+    assert_eq!(cons_s, cons_f);
+    assert_eq!(glided_s, 0, "stepped runs never glide");
+    assert!(glided_f > 0, "the fast-forwarded mesh never glided");
+}
+
+/// `chain_gap`'s shape — two ports at 0.002 of line rate, two-hop
+/// chains — without a tracer, so its mesh may glide.
+fn chain_gap_untraced(mode: Mode) -> Untraced {
+    let mut s = ChainScenario::new(ChainScenarioConfig {
+        offered_fraction: 0.002,
+        ports: 2,
+        ..ChainScenarioConfig::default()
+    });
+    s.set_fastforward(mode == Ff);
+    s.run(60_000);
+    s.drain(10_000);
+    let mut m = trace::MetricsRegistry::new();
+    s.export_metrics(&mut m);
+    let nic = s.nic();
+    (
+        m.to_json(),
+        format!("{:?}", s.report()),
+        nic.conservation().to_string(),
+        nic.network().glided_cycles(),
+    )
+}
+
+#[test]
+fn untraced_chain_gap_glides_and_matches_stepped() {
+    assert_untraced_equivalent(chain_gap_untraced);
+}
+
+/// `kvs_mixed`'s shape — the two-tenant default plus a tenant of 512 B
+/// writes — without a tracer.
+fn kvs_mixed_untraced(mode: Mode) -> Untraced {
+    use workloads::arrivals::ArrivalProcess;
+    use workloads::kvs::TenantSpec;
+    let mut config = KvsScenarioConfig::two_tenant_default();
+    config.tenants.push(TenantSpec {
+        tenant: TenantId(3),
+        arrivals: ArrivalProcess::periodic(1, 250),
+        priority: Priority::Normal,
+        get_ratio: 0.1,
+        wan: false,
+        value_size: 512,
+        zipf_theta: Some(0.0),
+    });
+    let mut s = KvsScenario::new(config);
+    s.set_fastforward(mode == Ff);
+    s.run(40_000);
+    let mut m = trace::MetricsRegistry::new();
+    s.export_metrics(&mut m);
+    let nic = s.nic();
+    (
+        m.to_json(),
+        format!("{:?}", s.report()),
+        nic.conservation().to_string(),
+        nic.network().glided_cycles(),
+    )
+}
+
+#[test]
+fn untraced_kvs_mixed_glides_and_matches_stepped() {
+    assert_untraced_equivalent(kvs_mixed_untraced);
 }

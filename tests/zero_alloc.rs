@@ -50,6 +50,7 @@ use packet::chain::{EngineClass, EngineId};
 use packet::message::{Message, Priority, TenantId};
 use packet::phv::Field;
 use panic_core::nic::{NicBuilder, NicConfig, PanicNic};
+use panic_core::scenarios::{ChainScenario, ChainScenarioConfig};
 use panic_ctrl::{CtrlEndpoint, CtrlFrame, CtrlRequest};
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
@@ -393,6 +394,44 @@ fn idle_tick_allocates_nothing() {
         }
     });
     assert_eq!(allocs, 0, "idle ticks allocated {allocs}x / {bytes}B");
+}
+
+/// The gap regime: `chain_gap`'s configuration (the 6×6 chain NIC at
+/// 0.2 % of line rate) fast-forwarded, its mesh gliding through clear
+/// transit between the NIC's events. Each frame costs the factory's two
+/// allocations, which `ChainScenario::run` makes inside the counted
+/// window; the glides — the plan the hint makes, the count arrays, the
+/// worms left to find their segments again — add none.
+#[test]
+fn gliding_gap_regime_allocates_only_its_frames() {
+    let mut s = ChainScenario::new(ChainScenarioConfig {
+        chain_len: 2,
+        offered_fraction: 0.002,
+        seed: 1,
+        ..ChainScenarioConfig::default()
+    });
+    s.run(100_000);
+    let counters = |s: &ChainScenario| {
+        let nic = s.nic();
+        (nic.stats().rx_frames, nic.network().glided_cycles())
+    };
+    let (frames, glided) = counters(&s);
+    let ((), allocs, bytes) = counted(|| s.run(200_000));
+    let (frames, glided) = {
+        let now = counters(&s);
+        (now.0 - frames, now.1 - glided)
+    };
+    assert!(
+        frames >= 100,
+        "the window must carry traffic ({frames} frames)"
+    );
+    assert!(glided > 0, "the window must glide");
+    assert_eq!(
+        allocs,
+        2 * frames,
+        "{frames} frames glided through {glided} cycles allocated {allocs} times \
+         ({bytes} bytes): more than the factory's two per frame"
+    );
 }
 
 /// [`chain_builder`] behind a 32-vNIC tenancy plane (the rack member's
