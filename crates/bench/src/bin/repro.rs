@@ -88,9 +88,6 @@ fn print_help(all: &[experiments::Experiment]) {
     );
     eprintln!("                     — exit 2 if a plan's scope cannot match the selected");
     eprintln!("                     experiment or names components absent from the fabric");
-    eprintln!("  --threads <n>      worker threads for multi-NIC fabric experiments");
-    eprintln!("                     (rack, rack-chaos; byte-identical output for every n —");
-    eprintln!("                     see docs/FABRIC.md)");
     eprintln!("  -h, --help         this catalog\n");
     print_catalog(all);
 }
@@ -101,7 +98,6 @@ struct Args {
     trace: Option<String>,
     metrics: Option<String>,
     faults: Option<faults::FaultArg>,
-    threads: Option<usize>,
     selected: Vec<String>,
 }
 
@@ -111,7 +107,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
         trace: None,
         metrics: None,
         faults: None,
-        threads: None,
         selected: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -138,14 +133,6 @@ fn parse_args(all: &[experiments::Experiment]) -> Args {
         } else if let Some(v) = flag_with_value("--metrics", &a, "a path argument (\"-\" = stdout)")
         {
             out.metrics = Some(v);
-        } else if let Some(v) = flag_with_value("--threads", &a, "a positive integer") {
-            match v.parse::<usize>() {
-                Ok(n) if n > 0 => out.threads = Some(n),
-                _ => {
-                    eprintln!("--threads requires a positive integer");
-                    std::process::exit(2);
-                }
-            }
         } else if let Some(v) = flag_with_value("--faults", &a, "a seed or plan spec") {
             match v.parse::<faults::FaultArg>() {
                 Ok(arg) => out.faults = Some(arg),
@@ -252,7 +239,6 @@ fn main() {
     };
     let mut ctx = RunCtx::observed(args.quick, tracer, args.metrics.is_some());
     ctx.faults = args.faults.clone();
-    ctx.threads = args.threads.unwrap_or(1);
 
     for e in &all {
         if run_all || selected.iter().any(|s| s.as_str() == e.id) {

@@ -23,9 +23,8 @@
 //! extrapolates to a rack.
 //!
 //! Everything is seeded and periodic: `repro rack` is deterministic
-//! down to the byte, **including across `--threads` values** — members
-//! share nothing within an epoch and the boundary exchange is serial
-//! (see docs/FABRIC.md).
+//! down to the byte — members share nothing within an epoch and cross
+//! only in the boundary exchange (see docs/FABRIC.md).
 
 use engines::engine::NullOffload;
 use engines::tile::TileConfig;
@@ -251,10 +250,9 @@ pub(crate) fn or_exit<T>(drained: Result<T, fabric::DrainError>) -> T {
 
 /// Runs one rack configuration to quiescence.
 #[must_use]
-pub fn rack_point(nics: usize, threads: usize, quick: bool) -> RackPoint {
+pub fn rack_point(nics: usize, quick: bool) -> RackPoint {
     let frames = frames_per_nic(quick);
     let mut fabric = build_rack(nics, frames, None);
-    fabric.set_threads(threads);
     drain(&mut fabric, frames).expect("a fault-free rack drains");
     point_of(&fabric, frames * nics as u64)
 }
@@ -380,7 +378,6 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
     for nics in [1usize, 2, 4, 8] {
         if armed {
             let mut fabric = build_rack(nics, frames, row_faults(&mode, nics, frames));
-            fabric.set_threads(ctx.threads);
             or_exit(drain(&mut fabric, frames));
             let p = point_of(&fabric, frames * nics as u64);
             let cs = fabric.chaos_stats().unwrap_or_default();
@@ -396,7 +393,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
                 f(p.delivered_fraction(), 2),
             ]);
         } else {
-            let p = rack_point(nics, ctx.threads, quick);
+            let p = rack_point(nics, quick);
             t.row(vec![
                 nics.to_string(),
                 p.vnics.to_string(),
@@ -408,12 +405,10 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
         }
     }
     // The observed window: a 2-NIC rack with the tracer/metrics
-    // attached (tracing forces the serial member loop; the numbers are
-    // identical either way).
+    // attached.
     if ctx.observing() {
         let frames: u64 = if quick { 100 } else { 400 };
         let mut fabric = build_rack(2, frames, row_faults(&mode, 2, frames));
-        fabric.set_threads(ctx.threads);
         fabric.attach_tracer(&ctx.tracer);
         or_exit(drain(&mut fabric, frames));
         if ctx.collect_metrics {
@@ -429,7 +424,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
              fabric to break). Retries are ledger retransmissions, Rewrites are chains \
              re-pointed at a replica of a crashed member, Lost are copies destroyed on a \
              downed link (all re-sent). Fleet conservation under faults is asserted on every \
-             row; same seed + same plan is byte-identical for any --threads value."
+             row; same seed + same plan is byte-identical."
                 .to_string(),
         );
         return t.render();
@@ -441,7 +436,7 @@ pub fn run(ctx: &mut crate::obs::RunCtx) -> String {
          latency step from row 1 to row 2 is the ToR crossing itself. Tenants are striped, not \
          instantiated: each member owns a disjoint PartitionedZipf stripe of the 10^6-key space \
          and instantiates vNICs for its {ACTIVE} hottest keys. Fleet conservation is asserted \
-         on every row; output is byte-identical for any --threads value."
+         on every row; output is byte-identical."
     ));
     t.render()
 }
@@ -455,7 +450,7 @@ mod tests {
     /// `rack_point`).
     #[test]
     fn two_nic_rack_delivers_everything_via_crossings() {
-        let p = rack_point(2, 1, true);
+        let p = rack_point(2, true);
         assert_eq!(p.delivered, p.offered, "lossless rack");
         assert_eq!(p.crossings, p.offered, "every frame crosses once");
     }
@@ -464,17 +459,9 @@ mod tests {
     /// locally.
     #[test]
     fn one_nic_rack_stays_local() {
-        let p = rack_point(1, 1, true);
+        let p = rack_point(1, true);
         assert_eq!(p.crossings, 0);
         assert_eq!(p.delivered, p.offered);
-    }
-
-    /// `repro rack` is byte-identical across thread counts.
-    #[test]
-    fn rack_point_is_thread_count_invariant() {
-        let serial = rack_point(4, 1, true);
-        let parallel = rack_point(4, 4, true);
-        assert_eq!(serial, parallel);
     }
 
     /// Striping is disjoint: no global key appears in two members'

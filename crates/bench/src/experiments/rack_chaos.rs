@@ -10,8 +10,7 @@
 //! failover for crashed members — buys back. The sweep crosses ring
 //! sizes with seeded fault intensities; every cell drains to
 //! quiescence with the fleet conservation-under-faults identity
-//! asserted, and the same seed is byte-identical across runs and
-//! `--threads` values.
+//! asserted, and the same seed is byte-identical across runs.
 //!
 //! The **pinned acceptance scenario** (the repo's rack-chaos
 //! acceptance criterion, also exercised by the CI `rack-chaos` job) is
@@ -71,12 +70,10 @@ pub(crate) struct ChaosOutcome {
 /// [`rack::drain`]'s, for a plan whose windows outlast the drain.
 pub(crate) fn chaos_outcome(
     nics: usize,
-    threads: usize,
     frames_per_nic: u64,
     cfg: FabricFaultConfig,
 ) -> Result<ChaosOutcome, fabric::DrainError> {
     let mut fabric = rack::build_rack(nics, frames_per_nic, Some(cfg));
-    fabric.set_threads(threads);
     let makespan = rack::drain(&mut fabric, frames_per_nic)?;
     let point = rack::point_of(&fabric, frames_per_nic * nics as u64);
     let c = fabric.conservation();
@@ -144,7 +141,6 @@ const HEADERS: [&str; 9] = [
 fn observe(ctx: &mut crate::obs::RunCtx, cfg: FabricFaultConfig) {
     let frames: u64 = if ctx.quick { 100 } else { 400 };
     let mut fabric = rack::build_rack(4, frames, Some(cfg));
-    fabric.set_threads(ctx.threads);
     fabric.attach_tracer(&ctx.tracer);
     let now = fabric.run_ff(Cycle(0), 10_000).0;
     rack::or_exit(fabric.drain(now));
@@ -165,11 +161,11 @@ fn sweep(ctx: &mut crate::obs::RunCtx, seed: u64) -> String {
     for nics in SIZES {
         for intensity in INTENSITIES {
             let cfg = cell_config(seed, nics, frames, intensity);
-            let o = rack::or_exit(chaos_outcome(nics, ctx.threads, frames, cfg));
+            let o = rack::or_exit(chaos_outcome(nics, frames, cfg));
             row(&mut t, format!("{nics} x{intensity}"), &o);
         }
     }
-    let accept = rack::or_exit(chaos_outcome(4, ctx.threads, frames, acceptance_config()));
+    let accept = rack::or_exit(chaos_outcome(4, frames, acceptance_config()));
     assert_eq!(
         accept.point.delivered, accept.point.offered,
         "pinned rack-chaos scenario must deliver everything"
@@ -182,7 +178,7 @@ fn sweep(ctx: &mut crate::obs::RunCtx, seed: u64) -> String {
         "Seed 0x{seed:X}: each cell draws its own deterministic plan (link flaps dominate; \
          member crashes capped at one) over that ring's links; every cell drains to quiescence \
          with the fleet conservation-under-faults identity closing exactly, and output is \
-         byte-identical across runs and --threads values. The pinned row is the acceptance \
+         byte-identical across runs. The pinned row is the acceptance \
          scenario `{ACCEPTANCE_PLAN}` — a mid-traffic flap (ring traffic reroutes the long way \
          and destroyed copies retransmit) plus a member crash with recovery (chains re-point at \
          a same-signature replica; the crashed driver's backlog bursts in on recovery) — \
@@ -209,14 +205,14 @@ fn explicit(ctx: &mut crate::obs::RunCtx, plan: &FabricFaultPlan) -> String {
         &HEADERS,
     );
     let cfg = FabricFaultConfig::new(plan.clone());
-    let o = rack::or_exit(chaos_outcome(nics, ctx.threads, frames, cfg.clone()));
+    let o = rack::or_exit(chaos_outcome(nics, frames, cfg.clone()));
     row(&mut t, format!("{nics}"), &o);
     if ctx.observing() {
         observe(ctx, cfg);
     }
     t.note(format!(
         "Plan `{plan}` armed over the 4-NIC ring; fleet conservation under faults asserted, \
-         output byte-identical across runs and --threads values."
+         output byte-identical across runs."
     ));
     t.render()
 }
@@ -242,10 +238,10 @@ mod tests {
     /// flap + member-crash scenario delivers every offered frame via
     /// retry/redirect (conservation is asserted inside the drain), the
     /// chaos actually happened, and the outcome is identical across
-    /// `--threads` values and across runs.
+    /// runs.
     #[test]
     fn pinned_scenario_delivers_everything_and_is_deterministic() {
-        let a = chaos_outcome(4, 1, 300, acceptance_config()).expect("drains");
+        let a = chaos_outcome(4, 300, acceptance_config()).expect("drains");
         assert_eq!(a.point.delivered, a.point.offered, "100% delivery");
         assert_eq!(a.stats.events_fired, 2, "flap + crash both fired");
         assert_eq!(a.stats.member_crashes, 1);
@@ -253,15 +249,11 @@ mod tests {
         assert!(a.stats.reroutes > 0, "flap forces the long way around");
         assert!(a.stats.replica_rewrites > 0, "crash forces failover");
 
-        let b = chaos_outcome(4, 4, 300, acceptance_config()).expect("drains");
-        assert_eq!(a.point, b.point, "threads 1 vs 4");
+        let b = chaos_outcome(4, 300, acceptance_config()).expect("drains");
+        assert_eq!(a.point, b.point, "run-to-run");
         assert_eq!(a.stats, b.stats);
         assert_eq!((a.retries, a.dup_suppressed), (b.retries, b.dup_suppressed));
         assert_eq!(a.makespan, b.makespan);
-
-        let c = chaos_outcome(4, 1, 300, acceptance_config()).expect("drains");
-        assert_eq!(a.point, c.point, "run-to-run");
-        assert_eq!(a.stats, c.stats);
     }
 
     /// Seeded sweep cells drain and close the identity (asserted in
@@ -269,7 +261,7 @@ mod tests {
     /// the tightest spot for parked traffic.
     #[test]
     fn heavy_seeded_cell_drains_clean() {
-        let o = chaos_outcome(2, 1, 300, cell_config(CHAOS_SEED, 2, 300, 12)).expect("drains");
+        let o = chaos_outcome(2, 300, cell_config(CHAOS_SEED, 2, 300, 12)).expect("drains");
         assert_eq!(o.stats.events_fired, 12);
         assert_eq!(
             o.point.delivered + o.stats.redirected,

@@ -41,10 +41,6 @@ pub struct RunCtx {
     /// seed their [`faults::FaultPlan`] from this; everything else
     /// ignores it.
     pub faults: Option<faults::FaultArg>,
-    /// Worker threads for experiments that run a multi-NIC fabric
-    /// (`repro --threads <n>`). Fabric results are byte-identical for
-    /// every value — see docs/FABRIC.md.
-    pub threads: usize,
 }
 
 impl RunCtx {
@@ -64,7 +60,6 @@ impl RunCtx {
             metrics: MetricsRegistry::new(),
             collect_metrics,
             faults: None,
-            threads: 1,
         }
     }
 

@@ -34,7 +34,7 @@ use crate::nic::{NicBuilder, NicConfig, PanicNic};
 /// Picks `count` evenly spaced coordinates from `pool` (keeps traffic
 /// from concentrating on a few mesh rows, which row-major placement
 /// would cause).
-fn spread<const CHECK: bool>(pool: &[Coord], count: usize) -> Vec<Coord> {
+fn spread(pool: &[Coord], count: usize) -> Vec<Coord> {
     assert!(count <= pool.len(), "not enough tiles to place engines");
     (0..count)
         .map(|i| pool[i * pool.len() / count.max(1)])
@@ -285,7 +285,7 @@ impl ChainScenario {
             .coords()
             .filter(|c| !perimeter.contains(c))
             .collect();
-        let port_coords = spread::<true>(&perimeter, config.ports);
+        let port_coords = spread(&perimeter, config.ports);
         let n_portals = config.portals.max(1);
         // On skinny meshes every tile is on the perimeter; in that case
         // portals draw from whatever tiles the ports didn't take.
@@ -320,7 +320,7 @@ impl ChainScenario {
             .coords()
             .filter(|c| !port_coords.contains(c) && !portal_coords.contains(c))
             .collect();
-        let offload_coords = spread::<true>(&offload_pool, config.num_offloads);
+        let offload_coords = spread(&offload_pool, config.num_offloads);
 
         let ports: Vec<EngineId> = (0..config.ports)
             .map(|i| {

@@ -74,10 +74,10 @@ impl MsgIdGen {
 
 /// A self-contained offload engine (§3.1.1).
 ///
-/// `Send` is part of the contract: the rack fabric (`crates/fabric`)
-/// ticks whole NICs — tiles, and therefore boxed engines — on worker
-/// threads. Engines are plain state machines (no `Rc`, no thread
-/// handles), so every implementation satisfies it for free.
+/// `Send` is part of the contract: it keeps a whole NIC — tiles, and
+/// therefore boxed engines — movable to another thread. Engines are
+/// plain state machines (no `Rc`, no thread handles), so every
+/// implementation satisfies it for free.
 pub trait Offload: Send {
     /// Engine name for diagnostics and placement maps.
     fn name(&self) -> &str;

@@ -2,10 +2,10 @@
 //! interleave with fast-forwarded execution.
 //!
 //! A fabric run cannot hand the cycle loop back to the experiment on
-//! every cycle — members tick inside epochs, possibly on worker
-//! threads. Instead each member may carry a [`NicDriver`]: the fabric
-//! asks it for the next arrival cycle, fast-forwards the member up to
-//! that cycle, lets the driver inject, and continues. Deterministic
+//! every cycle — members tick inside epochs. Instead each member may
+//! carry a [`NicDriver`]: the fabric asks it for the next arrival
+//! cycle, fast-forwards the member up to that cycle, lets the driver
+//! inject, and continues. Deterministic
 //! arrival schedules thereby compose with quiescence fast-forward
 //! exactly as they do on a standalone NIC.
 
@@ -18,9 +18,9 @@ use sim_core::time::Cycle;
 /// `>= now` at which the driver wants to inject (or `None` when it is
 /// done), and after [`NicDriver::inject`] runs at cycle `c`,
 /// `next_arrival(c)` must return a *later* cycle (or `None`) — the
-/// fabric would otherwise spin. `Send` is required because members
-/// (driver included) run their epochs on worker threads; a driver that
-/// panics there panics the `run` call, as it would on one thread.
+/// fabric would otherwise spin. `Send` keeps a [`crate::Fabric`]
+/// `Send`, so a caller may build a rack on one thread and run it on
+/// another; a driver that panics panics the `run` call.
 pub trait NicDriver: Send {
     /// Earliest cycle `>= now` with work to inject, `None` when done.
     fn next_arrival(&self, now: Cycle) -> Option<Cycle>;

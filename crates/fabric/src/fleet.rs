@@ -1,10 +1,6 @@
 //! The [`Fabric`]: N member NICs around one simulated ToR
 //! (`crate::tor`), the epoch loop that keeps them in lockstep, and the
 //! fleet-wide views — quiescence, conservation, metrics.
-//!
-//! There is one epoch loop, [`epoch_loop`], written against
-//! [`Members`]: on one thread that is the member slice itself, on more
-//! it is the worker crew hired for the call (`crate::crew`).
 
 use std::fmt;
 
@@ -17,7 +13,6 @@ use trace::{MetricSink, Tracer};
 
 use crate::builder::FabricBuilder;
 use crate::conservation::{ChaosStats, FleetConservation, FleetStats};
-use crate::crew::with_crew;
 use crate::driver::NicDriver;
 use crate::tor::{Phase, Tor};
 
@@ -36,36 +31,6 @@ impl fmt::Debug for Member {
             .field("uplink", &self.uplink)
             .field("has_driver", &self.driver.is_some())
             .finish_non_exhaustive()
-    }
-}
-
-/// The members as the epoch loop and the ToR reach them: by index at a
-/// boundary, all at once for an epoch. Implemented by the member slice
-/// (one thread) and by the worker crew (`crate::crew::Crew`), so one
-/// loop and one exchange serve every thread count.
-pub(crate) trait Members {
-    /// Number of members.
-    fn count(&self) -> usize;
-
-    /// The member at `index`. Only called between epochs.
-    fn at(&mut self, index: usize) -> &mut Member;
-
-    /// Runs every member over `[from, to)`, member `i` under
-    /// `phases[i]`. Returns the members' summed fast-forward skips.
-    fn run_epoch(&mut self, phases: &[Phase], from: Cycle, to: Cycle, run: Advance) -> u64;
-}
-
-impl Members for [Member] {
-    fn count(&self) -> usize {
-        self.len()
-    }
-
-    fn at(&mut self, index: usize) -> &mut Member {
-        &mut self[index]
-    }
-
-    fn run_epoch(&mut self, phases: &[Phase], from: Cycle, to: Cycle, run: Advance) -> u64 {
-        run_chunk(self, phases, from, to, run)
     }
 }
 
@@ -126,7 +91,6 @@ impl std::error::Error for DrainError {}
 pub struct Fabric {
     members: Vec<Member>,
     tor: Tor,
-    threads: usize,
 }
 
 impl Fabric {
@@ -137,11 +101,7 @@ impl Fabric {
     }
 
     pub(crate) fn new(members: Vec<Member>, tor: Tor) -> Fabric {
-        Fabric {
-            members,
-            tor,
-            threads: 1,
-        }
+        Fabric { members, tor }
     }
 
     /// Number of member NICs.
@@ -182,26 +142,17 @@ impl Fabric {
         self.tor.epoch
     }
 
-    /// Sets how many threads run the members: a `run` / `run_ff` call
-    /// on more than one hires that many (less the calling thread, and
-    /// never more than one per member) for its whole duration, each
-    /// pinned to a contiguous, balanced share of the members. Results
-    /// are byte-identical for every value —
-    /// members share nothing within an epoch, and the exchange is
-    /// serial, on the calling thread. Ignored (forced to 1) while a
-    /// tracer is attached, so trace event order stays deterministic
-    /// too.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
+    /// Does nothing: the members run on the calling thread. Kept only
+    /// because `benchmark/src/rigs/rack.rs` still calls it (its
+    /// `rack_ring4_mt` workload); goes in the benchmark-only PR.
+    #[doc(hidden)]
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Attaches `tracer` to every member and the ToR, replacing any
     /// tracer attached before ([`Tracer::disabled`] detaches). Track
     /// names are shared across members, so per-component tracks merge;
     /// chaos events emit through it onto a lazily created
-    /// `fabric.chaos` track. Runs with a tracer attached execute the
-    /// member loop on one thread (see [`Fabric::set_threads`]): tracing
-    /// interleaves events from all members through one sink.
+    /// `fabric.chaos` track.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         for m in &mut self.members {
             m.nic.attach_tracer(tracer);
@@ -227,7 +178,14 @@ impl Fabric {
     /// Runs `cycles` cycles from `start` with per-member stepped
     /// execution (no fast-forward anywhere). Returns the next cycle.
     pub fn run(&mut self, start: Cycle, cycles: u64) -> Cycle {
-        self.run_inner(start, cycles, Advance::Stepped).0
+        epoch_loop(
+            &mut self.tor,
+            &mut self.members,
+            start,
+            cycles,
+            Advance::Stepped,
+        )
+        .0
     }
 
     /// Runs `cycles` cycles from `start` with quiescence fast-forward
@@ -240,7 +198,13 @@ impl Fabric {
     /// Returns the next cycle and total cycles skipped (member-level
     /// skips plus fleet-level jumps).
     pub fn run_ff(&mut self, start: Cycle, cycles: u64) -> (Cycle, u64) {
-        self.run_inner(start, cycles, Advance::Merged)
+        epoch_loop(
+            &mut self.tor,
+            &mut self.members,
+            start,
+            cycles,
+            Advance::Merged,
+        )
     }
 
     /// [`Fabric::run_ff`] under its old name: the event kernel is gone.
@@ -282,23 +246,6 @@ impl Fabric {
             now = self.run_ff(now, DRAIN_STRIDE).0;
         }
         Ok(now)
-    }
-
-    /// Runs the epoch loop over `[start, start + cycles)`: on the member
-    /// slice itself, or on a crew hired for the call.
-    fn run_inner(&mut self, start: Cycle, cycles: u64, run: Advance) -> (Cycle, u64) {
-        let Fabric {
-            members,
-            tor,
-            threads,
-        } = self;
-        let threads = if tor.traced() { 1 } else { *threads };
-        if threads.min(members.len()) <= 1 {
-            return epoch_loop(tor, members.as_mut_slice(), start, cycles, run);
-        }
-        with_crew(members, threads, |crew| {
-            epoch_loop(tor, crew, start, cycles, run)
-        })
     }
 
     /// True when no member holds in-flight work and the ToR holds none
@@ -405,12 +352,12 @@ impl Fabric {
     }
 }
 
-/// The epoch loop. Each epoch: deliver due link arrivals, apply the
-/// fault plane, run every member to the boundary, exchange. All but the
-/// third step are the ToR's and run here, on the calling thread.
-fn epoch_loop<M: Members + ?Sized>(
+/// The epoch loop over `[start, start + cycles)`. Each epoch: deliver
+/// due link arrivals, apply the fault plane, run every member to the
+/// boundary, exchange. All but the third step are the ToR's.
+fn epoch_loop(
     tor: &mut Tor,
-    members: &mut M,
+    members: &mut [Member],
     start: Cycle,
     cycles: u64,
     run: Advance,
@@ -423,8 +370,8 @@ fn epoch_loop<M: Members + ?Sized>(
         tor.apply(members, now);
         if run != Advance::Stepped {
             if let Some(target) = fleet_jump_target(tor, members, start, now, end) {
-                for i in 0..members.count() {
-                    members.at(i).nic.skip_idle(now, target);
+                for m in members.iter_mut() {
+                    m.nic.skip_idle(now, target);
                 }
                 skipped += target.0 - now.0;
                 tor.fleet.fleet_skipped += target.0 - now.0;
@@ -436,7 +383,11 @@ fn epoch_loop<M: Members + ?Sized>(
             Some(len) => Cycle((now.0 + len).min(end.0)),
             None => end,
         };
-        skipped += members.run_epoch(&tor.phases, now, boundary, run);
+        skipped += members
+            .iter_mut()
+            .zip(&tor.phases)
+            .map(|(m, &phase)| run_member(m, now, boundary, run, phase))
+            .sum::<u64>();
         tor.fleet.epochs += 1;
         now = boundary;
         tor.exchange(members, now);
@@ -446,19 +397,18 @@ fn epoch_loop<M: Members + ?Sized>(
 
 /// When the whole fleet is quiescent, the epoch-grid-aligned cycle to
 /// jump to (strictly past `now`), or `None` to run normally.
-fn fleet_jump_target<M: Members + ?Sized>(
+fn fleet_jump_target(
     tor: &Tor,
-    members: &mut M,
+    members: &[Member],
     start: Cycle,
     now: Cycle,
     end: Cycle,
 ) -> Option<Cycle> {
-    if !tor.quiet() || !(0..members.count()).all(|i| members.at(i).nic.is_quiescent()) {
+    if !tor.quiet() || !members.iter().all(|m| m.nic.is_quiescent()) {
         return None;
     }
     let mut next = tor.next_wake(now);
-    for i in 0..members.count() {
-        let m = members.at(i);
+    for (i, m) in members.iter().enumerate() {
         next = Cycle::earliest(next, m.nic.next_activity(now));
         // A non-Up member's driver is suppressed: its backlog
         // bursts in at recovery (hinted by the ToR's wake), so it
@@ -499,22 +449,6 @@ impl<S: MetricSink + ?Sized> MetricSink for MemberSink<'_, S> {
         self.inner
             .histogram(format_args!("nic{}.{name}", self.index), h);
     }
-}
-
-/// Runs `members` over `[from, to)`, each under its phase, on the
-/// calling thread. Returns their summed fast-forward skips.
-pub(crate) fn run_chunk(
-    members: &mut [Member],
-    phases: &[Phase],
-    from: Cycle,
-    to: Cycle,
-    run: Advance,
-) -> u64 {
-    members
-        .iter_mut()
-        .zip(phases)
-        .map(|(m, &phase)| run_member(m, from, to, run, phase))
-        .sum()
 }
 
 /// Runs one member over `[from, to)`, interleaving its driver's

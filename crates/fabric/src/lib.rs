@@ -21,17 +21,12 @@
 //! simulates an epoch completely independently (its own cycle loop,
 //! its own quiescence fast-forward — the PR that introduced
 //! `run_ff` proved chunked calls byte-identical to one long call),
-//! and messages cross NICs only in the serial exchange at each
-//! boundary. Because members share nothing *within* an epoch, a run
-//! call may spread them over threads ([`Fabric::set_threads`]) with
-//! results byte-identical to the serial order — the determinism the
-//! `rack` experiment's golden tests pin. There is one epoch loop for
-//! every thread count: on one thread it walks the member slice; on
-//! more, the call hires a crew once — the calling thread plus `n − 1`
-//! scoped workers, each pinned to a balanced chunk of members for the
-//! whole call — and every epoch is one trip through a spin-then-park
-//! gate, with the boundary exchange still serial on the calling
-//! thread. See `docs/FABRIC.md` for the full synchronization argument.
+//! and messages cross NICs only in the exchange at each boundary.
+//! One epoch loop runs every member in index order on the calling
+//! thread, then the ToR's exchange; members share nothing *within* an
+//! epoch, so that order is the only one there is — the determinism the
+//! `rack` experiment's golden tests pin. See `docs/FABRIC.md` for the
+//! full synchronization argument.
 //!
 //! # Conservation
 //!
@@ -62,9 +57,8 @@
 //! # Files
 //!
 //! `builder.rs` ([`FabricBuilder`]), `fleet.rs` ([`Fabric`]: the epoch
-//! loop, drain, quiescence, conservation, metrics), `crew.rs` (the
-//! worker crew a threaded call hires: balanced chunks, the epoch gate,
-//! panic propagation), `tor.rs` (links, fault windows, member phases,
+//! loop, drain, quiescence, conservation, metrics), `tor.rs` (links,
+//! fault windows, member phases,
 //! hop ledgers, parked copies: deliver / apply / exchange),
 //! `conservation.rs` ([`FleetStats`], [`ChaosStats`],
 //! [`FleetConservation`]), `driver.rs` ([`NicDriver`]).
@@ -83,7 +77,6 @@
 
 mod builder;
 mod conservation;
-mod crew;
 mod driver;
 mod fleet;
 mod tor;

@@ -8,11 +8,8 @@
 //! arming (`FabricBuilder::fault_plane`) changes only whether a
 //! crossing is tracked in its origin's hop ledger (and so whether its
 //! delivery asks the ledger first). All ToR state changes happen in the
-//! serial epoch-boundary steps, on the thread that called `run`, so
-//! they need no synchronization and cannot perturb the parallel member
-//! loop — the byte-identity argument of `docs/FABRIC.md` is untouched.
-//! Those steps reach a member through `Members::at`: the member slice
-//! on one thread, the crew's held chunks on more (`crate::crew`).
+//! epoch-boundary steps, between member epochs, so no member ever sees
+//! the ToR mid-update (`docs/FABRIC.md`).
 //!
 //! `docs/FAULTS.md` § "The rack-scale fault plane" defines the terms
 //! used below: a link is down, lagged or frozen; a member is Up,
@@ -29,7 +26,7 @@ use trace::{Tracer, TrackId};
 
 use crate::builder::MemberSig;
 use crate::conservation::{ChaosStats, FleetStats};
-use crate::fleet::Members;
+use crate::fleet::Member;
 
 /// "Until" of a window that never closes.
 const FOREVER: Cycle = Cycle(u64::MAX);
@@ -302,11 +299,6 @@ impl Tor {
         self.track = None;
     }
 
-    /// True while an enabled tracer is attached.
-    pub fn traced(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// Emits one chaos instant event, creating the `fabric.chaos` track
     /// on first use.
     fn mark(&mut self, name: &'static str, now: Cycle, v: u64) {
@@ -396,7 +388,7 @@ impl Tor {
     /// before `now`, in link order then FIFO order — into its
     /// destination member, onward when it is a transit hop of a
     /// reroute, or to the fate of a copy landing at a crashed member.
-    pub fn deliver_due<M: Members + ?Sized>(&mut self, members: &mut M, now: Cycle) {
+    pub fn deliver_due(&mut self, members: &mut [Member], now: Cycle) {
         for li in 0..self.links.len() {
             let to = self.links[li].spec.to;
             let due = |(arrival, _): &mut (Cycle, Crossing)| *arrival <= now;
@@ -415,13 +407,7 @@ impl Tor {
 
     /// A copy at the port of member `to`, its destination: delivered
     /// if `to` is Up, else decided at the port.
-    fn land<M: Members + ?Sized>(
-        &mut self,
-        members: &mut M,
-        copy: Crossing,
-        to: usize,
-        now: Cycle,
-    ) {
+    fn land(&mut self, members: &mut [Member], copy: Crossing, to: usize, now: Cycle) {
         if self.is_up(to) {
             self.deliver(members, copy, to, now);
         } else {
@@ -433,13 +419,7 @@ impl Tor {
     /// place a copy leaves the fabric for a NIC. A tracked crossing
     /// asks its origin's ledger first, so exactly one copy of it
     /// enters the destination mesh.
-    fn deliver<M: Members + ?Sized>(
-        &mut self,
-        members: &mut M,
-        copy: Crossing,
-        to: usize,
-        now: Cycle,
-    ) {
+    fn deliver(&mut self, members: &mut [Member], copy: Crossing, to: usize, now: Cycle) {
         if copy.tracked {
             match self.ledgers[copy.origin].on_delivered(copy.msg.id, copy.generation, now) {
                 HopOutcome::Duplicate => {
@@ -459,7 +439,7 @@ impl Tor {
                 HopOutcome::Untracked => {}
             }
         }
-        let m = members.at(to);
+        let m = &mut members[to];
         let ok = m.nic.rx_remote(copy.msg, m.uplink, now);
         self.fleet.delivered += 1;
         self.fleet.rejected += u64::from(!ok);
@@ -497,10 +477,10 @@ impl Tor {
     /// Step 2 of an epoch: phase transitions (drain-complete,
     /// recovery) first, then every plan event whose fire cycle has
     /// been reached.
-    pub fn apply<M: Members + ?Sized>(&mut self, members: &mut M, now: Cycle) {
-        for i in 0..members.count() {
+    pub fn apply(&mut self, members: &[Member], now: Cycle) {
+        for (i, m) in members.iter().enumerate() {
             match self.phases[i] {
-                Phase::Draining { recover_at } if members.at(i).nic.is_quiescent() => {
+                Phase::Draining { recover_at } if m.nic.is_quiescent() => {
                     self.phases[i] = Phase::Down { recover_at };
                     self.mark("fabric.member_down", now, i as u64);
                 }
@@ -608,8 +588,8 @@ impl Tor {
     /// uplink serialization and per-link credit backpressure
     /// (head-of-line: a blocked head holds the whole queue until the
     /// next boundary).
-    pub fn exchange<M: Members + ?Sized>(&mut self, members: &mut M, boundary: Cycle) {
-        let count = members.count();
+    pub fn exchange(&mut self, members: &mut [Member], boundary: Cycle) {
+        let count = members.len();
         for i in 0..count {
             for r in self.ledgers[i].expired(boundary) {
                 self.mark("fabric.retry", boundary, r.msg.id.0);
@@ -627,7 +607,7 @@ impl Tor {
                 self.dispatch(members, i, copy, boundary);
             }
             // The head is only popped once its fate is decided.
-            while let Some(head) = members.at(i).nic.remote_egress().front() {
+            while let Some(head) = members[i].nic.remote_egress().front() {
                 let dest = remote_dest(head).filter(|&d| d < count && d != i);
                 // Past the member list or self-addressed: unroutable at
                 // the ToR, the dynamic PV701 case.
@@ -636,7 +616,7 @@ impl Tor {
                     self.fleet.backpressured += 1;
                     break;
                 }
-                let msg = members.at(i).nic.pop_remote_egress();
+                let msg = members[i].nic.pop_remote_egress();
                 let copy = Crossing::fresh(msg.expect("head observed above"), i);
                 match route {
                     Route::Unrouted => self.fleet.fabric_unrouted += 1,
@@ -656,14 +636,8 @@ impl Tor {
     /// parked copy, a transit hop, or a fresh copy off its nominal
     /// path) from member `i`'s uplink. A copy that cannot move waits at
     /// the back of `i`'s parked queue for the next boundary.
-    fn dispatch<M: Members + ?Sized>(
-        &mut self,
-        members: &mut M,
-        i: usize,
-        mut copy: Crossing,
-        boundary: Cycle,
-    ) {
-        let Some(d) = remote_dest(&copy.msg).filter(|&d| d < members.count()) else {
+    fn dispatch(&mut self, members: &mut [Member], i: usize, mut copy: Crossing, boundary: Cycle) {
+        let Some(d) = remote_dest(&copy.msg).filter(|&d| d < members.len()) else {
             // Dangling address (dynamic PV701): drop at the ToR. A
             // tracked entry stays armed — its retries meet the same
             // fate until the budget runs out.

@@ -1,20 +1,18 @@
 //! Fabric fault-plane integration tests: the armed-but-empty golden
-//! byte-identity (traces and metrics, across thread counts), eventual
-//! delivery under link flaps and member crashes, failover to replica
-//! members, a permanently partitioned member's traffic draining, the
-//! typed error for a plan that never drains, one row per fault-DSL
-//! form, and the proptest that any seeded fabric fault plan over a
-//! ring drains to quiescence with the fabric closure holding after
-//! every epoch and the whole identity at the end.
+//! byte-identity (traces and metrics), eventual delivery under link
+//! flaps and member crashes, failover to replica members, a permanently
+//! partitioned member's traffic draining, the typed error for a plan
+//! that never drains, many one-epoch calls against one long call, one
+//! row per fault-DSL form, and the proptest that any seeded fabric
+//! fault plan over a ring drains to quiescence with the fabric closure
+//! holding after every epoch and the whole identity at the end.
 
 mod common;
 
 use std::any::Any;
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
-use std::thread;
 
-use common::{injected_and_delivered, ring, ring_pairs, ring_with, Hooked, COUNT, LATENCY, PERIOD};
+use common::{counters, injected_and_delivered, ring, ring_pairs, COUNT, LATENCY, PERIOD};
 use fabric::Fabric;
 use faults::{FabricFaultConfig, FabricFaultPlan, FabricFaultUniverse};
 use packet::message::Priority;
@@ -39,9 +37,8 @@ fn armed_empty() -> FabricFaultConfig {
 }
 
 /// One observed run: Chrome trace JSON + metrics JSON.
-fn observed(faults: Option<FabricFaultConfig>, threads: usize) -> (String, String) {
+fn observed(faults: Option<FabricFaultConfig>) -> (String, String) {
     let mut fabric = ring(4, faults);
-    fabric.set_threads(threads);
     let tracer = Tracer::chrome();
     fabric.attach_tracer(&tracer);
     drain(&mut fabric);
@@ -52,19 +49,13 @@ fn observed(faults: Option<FabricFaultConfig>, threads: usize) -> (String, Strin
 
 /// The golden byte-identity satellite: arming the fault plane with an
 /// *empty* plan changes nothing — Chrome traces and metrics are
-/// byte-identical to the unarmed fabric, at 1 worker thread and at 4.
+/// byte-identical to the unarmed fabric.
 #[test]
 fn armed_but_empty_fault_plane_is_byte_identical_to_unarmed() {
-    let (trace_base, metrics_base) = observed(None, 1);
-    for (label, faults, threads) in [
-        ("unarmed x4", None, 4),
-        ("armed x1", Some(armed_empty()), 1),
-        ("armed x4", Some(armed_empty()), 4),
-    ] {
-        let (t, m) = observed(faults, threads);
-        assert_eq!(trace_base, t, "{label}: trace must be byte-identical");
-        assert_eq!(metrics_base, m, "{label}: metrics must be byte-identical");
-    }
+    let (trace_base, metrics_base) = observed(None);
+    let (t, m) = observed(Some(armed_empty()));
+    assert_eq!(trace_base, t, "trace must be byte-identical");
+    assert_eq!(metrics_base, m, "metrics must be byte-identical");
 }
 
 /// A flap-only plan (the CI `rack-chaos` job's scenario shape): copies
@@ -204,20 +195,39 @@ fn member_crash_recovery_past_the_end_of_the_clock_never_comes() {
     assert_eq!(delivered + stats.redirected, injected);
 }
 
-/// A chaotic run is byte-identical across worker-thread counts: all
-/// chaos state changes live in the serial boundary exchange.
+/// Many short calls ≡ one long call: the 5-ring run one epoch per call
+/// ends where a single call over the same span does, stepped and
+/// fast-forwarded, with a link flapping and a member crashing and
+/// recovering on the way — a call boundary leaves no trace.
 #[test]
-fn chaotic_runs_are_byte_identical_across_thread_counts() {
-    fn run(threads: usize) -> String {
-        let plan = FabricFaultPlan::parse("flap:0-1@300+400,mcrash:2@600+8").unwrap();
-        let mut fabric = ring(4, Some(FabricFaultConfig::new(plan)));
-        fabric.set_threads(threads);
-        drain(&mut fabric);
-        let mut m = MetricsRegistry::new();
-        fabric.export_metrics(&mut m);
-        m.to_json()
+fn many_one_epoch_calls_equal_one_long_call() {
+    const EPOCHS: u64 = 600;
+    let plan = FabricFaultPlan::parse("flap:0-1@600+400,mcrash:3@1500+40").expect("plan parses");
+    let build = || ring(5, Some(FabricFaultConfig::new(plan.clone())));
+    let epoch = build().epoch_len().expect("linked");
+    for stepped in [true, false] {
+        let advance = |fabric: &mut Fabric, now: Cycle, cycles: u64| {
+            if stepped {
+                fabric.run(now, cycles)
+            } else {
+                fabric.run_ff(now, cycles).0
+            }
+        };
+        let mut long = build();
+        let end = advance(&mut long, Cycle(0), EPOCHS * epoch);
+        let mut short = build();
+        let mut now = Cycle(0);
+        for _ in 0..EPOCHS {
+            now = advance(&mut short, now, epoch);
+        }
+        assert_eq!(now, end);
+        assert_eq!(long.chaos_stats().expect("armed").member_recoveries, 1);
+        assert!(
+            long.is_quiescent() && !long.faults_pending(),
+            "horizon too short"
+        );
+        assert_eq!(counters(&short), counters(&long), "stepped: {stepped}");
     }
-    assert_eq!(run(1), run(4), "chaos must not depend on the thread count");
 }
 
 /// What a [`Spy`] sink was handed: every track registration, and the
@@ -248,23 +258,14 @@ impl TraceSink for Spy {
 }
 
 /// `attach_tracer` replaces the tracer everywhere, the ToR included:
-/// detaching (attaching the disabled tracer) stops the chaos marks and
-/// lets the members back onto worker threads, and a second tracer gets
-/// a `fabric.chaos` track of its own rather than the first one's id.
+/// detaching (attaching the disabled tracer) stops the chaos marks, and
+/// a second tracer gets a `fabric.chaos` track of its own rather than
+/// the first one's id.
 #[test]
 fn a_reattached_tracer_replaces_the_tors_too() {
     let plan = "flap:0-1@300+100,flap:1-2@900+100,flap:2-3@1500+100";
     let plan = FabricFaultPlan::parse(plan).unwrap();
-    let injectors = Arc::new(Mutex::new(HashSet::new()));
-    // Every driver notes which thread injects for it.
-    let mut fabric = ring_with(4, COUNT, Some(FabricFaultConfig::new(plan)), |_, inner| {
-        let threads = Arc::clone(&injectors);
-        let hook = move |_| {
-            threads.lock().unwrap().insert(thread::current().id());
-        };
-        Box::new(Hooked { inner, hook })
-    });
-    fabric.set_threads(2);
+    let mut fabric = ring(4, Some(FabricFaultConfig::new(plan)));
     let spy = || {
         let seen = Arc::new(Mutex::new(Spied::default()));
         (Tracer::with_sink(Box::new(Spy(Arc::clone(&seen)))), seen)
@@ -274,23 +275,18 @@ fn a_reattached_tracer_replaces_the_tors_too() {
         let chaos = tracks.iter().filter(|(_, name)| name == "fabric.chaos");
         chaos.map(|&(id, _)| id).collect()
     };
-    let me = HashSet::from([thread::current().id()]);
 
-    // A tracer pins the members to the calling thread.
     let (first, first_seen) = spy();
     fabric.attach_tracer(&first);
     let now = fabric.run_ff(Cycle(0), 600).0;
     let marked = first_seen.lock().unwrap().marks.len();
     assert!(marked > 0, "the first flap must leave marks");
-    assert_eq!(*injectors.lock().unwrap(), me);
 
-    // Detached: the second flap marks nothing, anywhere, and the last
-    // two members' drivers run on a worker.
+    // Detached: the second flap marks nothing, anywhere.
     fabric.attach_tracer(&Tracer::disabled());
     let now = fabric.run_ff(now, 600).0;
     assert_eq!(fabric.chaos_stats().expect("armed").events_fired, 2);
     assert_eq!(first_seen.lock().unwrap().marks.len(), marked);
-    assert_eq!(injectors.lock().unwrap().len(), 2);
 
     // A second tracer interns its own chaos track, and the third
     // flap's marks land on it.

@@ -7,7 +7,7 @@
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use fabric::{Fabric, FabricBuilder, LinkSpec, NicDriver, PeriodicDriver};
+use fabric::{Fabric, FabricBuilder, LinkSpec, PeriodicDriver};
 use faults::FabricFaultConfig;
 use noc::router::RouterConfig;
 use noc::topology::Topology;
@@ -106,17 +106,6 @@ pub fn ring_pairs(nics: usize) -> Vec<(usize, usize)> {
 /// member and `count` frames offered per member, optionally arming the
 /// fault plane.
 pub fn ring_of(nics: usize, count: u64, faults: Option<FabricFaultConfig>) -> Fabric {
-    ring_with(nics, count, faults, |_, driver| driver)
-}
-
-/// [`ring_of`] with member `i`'s frame driver passed through
-/// `wrap(i, driver)` first, so a test can watch or sabotage it.
-pub fn ring_with(
-    nics: usize,
-    count: u64,
-    faults: Option<FabricFaultConfig>,
-    mut wrap: impl FnMut(usize, Box<dyn NicDriver>) -> Box<dyn NicDriver>,
-) -> Fabric {
     let mut fb = FabricBuilder::new();
     let mut uplinks = Vec::new();
     for i in 0..nics {
@@ -134,7 +123,7 @@ pub fn ring_with(
     }
     for (i, (mi, eth)) in uplinks.into_iter().enumerate() {
         let driver = frame_driver(eth, i as u32, (i as u64) * 7, PERIOD, count);
-        fb.driver(mi, wrap(i, Box::new(driver)));
+        fb.driver(mi, Box::new(driver));
     }
     if let Some(cfg) = faults {
         fb.fault_plane(cfg);
@@ -145,25 +134,6 @@ pub fn ring_with(
 /// [`ring_of`] with the default [`COUNT`] frames per member.
 pub fn ring(nics: usize, faults: Option<FabricFaultConfig>) -> Fabric {
     ring_of(nics, COUNT, faults)
-}
-
-/// A driver that calls `hook(now)` before each of `inner`'s injections —
-/// for a test to watch where and when a member is driven, or to panic
-/// there.
-pub struct Hooked<H> {
-    pub inner: Box<dyn NicDriver>,
-    pub hook: H,
-}
-
-impl<H: FnMut(Cycle) + Send> NicDriver for Hooked<H> {
-    fn next_arrival(&self, now: Cycle) -> Option<Cycle> {
-        self.inner.next_arrival(now)
-    }
-
-    fn inject(&mut self, nic: &mut PanicNic, now: Cycle) {
-        (self.hook)(now);
-        self.inner.inject(nic, now);
-    }
 }
 
 /// Everything a run exposes but its trace: metrics JSON, `FleetStats`,

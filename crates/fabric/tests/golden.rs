@@ -3,9 +3,8 @@
 //! beside the chaos one. Each case hashes everything a run exposes
 //! (Chrome trace, metrics JSON, `FleetStats` / `ChaosStats` /
 //! `conservation()` `Debug`), stepped and fast-forwarded, and is
-//! re-run untraced on 2, 3, 4 and more-than-members threads — even and
-//! uneven chunks, Draining and Down members on worker threads — to the
-//! same metrics and counters.
+//! re-run untraced to the same metrics and counters: an untraced mesh
+//! streams and glides, a traced one does not.
 
 mod common;
 
@@ -27,18 +26,16 @@ fn fnv1a(text: &str) -> u64 {
 
 /// Runs one ring to full quiescence in 10,000-cycle chunks and returns
 /// `(trace JSON, metrics JSON + counters)`; the trace is empty when
-/// `traced` is off (a tracer pins the member loop to one thread).
+/// `traced` is off.
 fn observe(
     nics: usize,
     count: u64,
     plan: &FabricFaultPlan,
     stepped: bool,
-    threads: usize,
     traced: bool,
 ) -> (String, String) {
     let cfg = FabricFaultConfig::new(plan.clone());
     let mut fabric = ring_of(nics, count, Some(cfg));
-    fabric.set_threads(threads);
     let tracer = Tracer::chrome();
     if traced {
         fabric.attach_tracer(&tracer);
@@ -67,18 +64,16 @@ fn observe(
 }
 
 /// `(stepped, fast-forwarded)` hashes of one case, each held to the
-/// same counters on every thread count in `threads`.
-fn hashes(nics: usize, count: u64, plan: &FabricFaultPlan, threads: &[usize]) -> (u64, u64) {
+/// same counters untraced.
+fn hashes(nics: usize, count: u64, plan: &FabricFaultPlan) -> (u64, u64) {
     let hash = |stepped: bool| {
-        let (trace, counters) = observe(nics, count, plan, stepped, 1, true);
-        for &threads in threads {
-            let (_, threaded) = observe(nics, count, plan, stepped, threads, false);
-            assert_eq!(
-                counters, threaded,
-                "{nics}-ring under `{plan}` (stepped: {stepped}): {threads} untraced \
-                 threads must match 1 traced thread"
-            );
-        }
+        let (trace, counters) = observe(nics, count, plan, stepped, true);
+        let (_, untraced) = observe(nics, count, plan, stepped, false);
+        assert_eq!(
+            counters, untraced,
+            "{nics}-ring under `{plan}` (stepped: {stepped}): the untraced run must match \
+             the traced one"
+        );
         fnv1a(&(trace + &counters))
     };
     (hash(true), hash(false))
@@ -134,12 +129,11 @@ const GOLDEN: &[(usize, u64, u64, u64)] = &[
 fn exchange_matches_the_pre_merge_goldens() {
     let pinned = FabricFaultPlan::parse(PINNED).expect("pinned plan parses");
     let mut actual = Vec::new();
-    let threads = |nics: usize| [2, 3, 4, nics + 3];
-    let (s, f) = hashes(4, PINNED_COUNT, &pinned, &threads(4));
+    let (s, f) = hashes(4, PINNED_COUNT, &pinned);
     actual.push((4, 0, s, f));
     for nics in 2..=5 {
         for seed in 1..=8 {
-            let (s, f) = hashes(nics, COUNT, &seeded(nics, seed), &threads(nics));
+            let (s, f) = hashes(nics, COUNT, &seeded(nics, seed));
             actual.push((nics, seed, s, f));
         }
     }

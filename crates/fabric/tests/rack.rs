@@ -1,6 +1,6 @@
 //! Rack-fabric integration tests: the cross-NIC chain acceptance
-//! criterion, the 1-NIC golden byte-identity, thread-count
-//! determinism, and the run ≡ run_ff contract at fabric level.
+//! criterion, the 1-NIC golden byte-identity, and the run ≡ run_ff
+//! contract at fabric level.
 
 mod common;
 
@@ -181,50 +181,6 @@ fn one_nic_fabric_is_byte_identical_to_bare_nic() {
         fabric_tracer.chrome_json().expect("chrome sink"),
         "traces must be byte-identical"
     );
-}
-
-/// A 4-member ring with cross traffic on every member: metrics, fleet
-/// stats, and conservation are byte-identical at 1 worker thread and
-/// at 4 — the exchange is serial and members share nothing inside an
-/// epoch.
-#[test]
-fn rack_runs_are_byte_identical_across_thread_counts() {
-    fn ring(threads: usize) -> (String, fabric::FleetStats) {
-        let mut fb = FabricBuilder::new();
-        let mut uplinks = Vec::new();
-        for i in 0..4 {
-            let (mut b, eth, crc) = member();
-            let next = (i + 1) % 4;
-            // Every member declares engines in the same order, so this
-            // member's crc/eth ids also address its neighbor's.
-            b.program(chain_program(
-                &[crc, EngineId::remote(next, crc)],
-                EngineId::remote(next, eth),
-                Some(5_000),
-            ));
-            uplinks.push((fb.member(b, eth), eth));
-        }
-        for i in 0..4 {
-            fb.link_pair(i, (i + 1) % 4, LinkSpec::new(0, 0).latency(12).credits(8));
-        }
-        for (i, (mi, eth)) in uplinks.iter().enumerate() {
-            fb.driver(*mi, Box::new(frame_driver(*eth, (i as u64) * 7, 90, 30)));
-        }
-        let mut fabric = fb.build();
-        fabric.set_threads(threads);
-        let now = fabric.run_ff(Cycle(0), 60_000).0;
-        fabric.drain(now).expect("drains");
-        let c = fabric.conservation();
-        assert!(c.holds(), "threads={threads}: conservation violated:\n{c}");
-        let mut m = MetricsRegistry::new();
-        fabric.export_metrics(&mut m);
-        (m.to_json(), *fabric.stats())
-    }
-
-    let (m1, s1) = ring(1);
-    let (m4, s4) = ring(4);
-    assert_eq!(m1, m4, "metrics must not depend on the thread count");
-    assert_eq!(s1, s4, "fleet stats must not depend on the thread count");
 }
 
 /// `run` (stepped epochs) and `run_ff` (member fast-forward plus

@@ -35,8 +35,8 @@ use crate::schedule::{Clause, Event, Grammar, Kind, Plan};
 /// physical cable, so both directed links of the pair are affected.
 /// Durations are relative to the event's scheduled cycle; events fire
 /// at the first epoch boundary at or after their cycle (fabric state
-/// only changes at boundaries, which is what keeps chaos runs
-/// byte-identical across `--threads` values).
+/// only changes at boundaries, which is what keeps stepped and
+/// fast-forwarded chaos runs byte-identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricFaultKind {
     /// The link goes dark for `duration` cycles: nothing new is

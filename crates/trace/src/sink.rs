@@ -20,8 +20,8 @@ use crate::json;
 /// `ts` order sort on render).
 ///
 /// `Send` is required so a [`Tracer`](crate::Tracer) — and any NIC
-/// holding one — can move to a fabric worker thread; sinks are plain
-/// data, so this costs implementations nothing.
+/// holding one — can move to another thread; sinks are plain data, so
+/// this costs implementations nothing.
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Called once per interned track, before any event on it.
     fn register_track(&mut self, id: TrackId, name: &str);

@@ -34,10 +34,10 @@ impl std::fmt::Debug for Inner {
 /// benchmarked against.
 ///
 /// Clones share the same sink behind a mutex, so a `Tracer` (and any
-/// component holding one) is `Send`: the rack fabric shards NICs
-/// across threads (`crates/fabric`), and a NIC must be movable to its
-/// worker. Within one NIC the simulation stays single-threaded, so
-/// the lock is uncontended; the disabled tracer never takes it.
+/// component holding one — a NIC, a rack) is `Send` and may be built on
+/// one thread and run on another. The simulation itself is
+/// single-threaded, so the lock is uncontended; the disabled tracer
+/// never takes it.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<Inner>>>,

@@ -25,9 +25,8 @@
 //!    traces, exported metrics (including `tenancy.*` ledgers and
 //!    stall counters), and per-tenant conservation reports.
 //! 5. **Fabric ring** (proptest): a 2–4-NIC ring with cross-NIC
-//!    chains, run stepped and fast-forwarded, fast-forwarded at 1 vs 4
-//!    worker threads — identical metrics, fleet stats, and
-//!    conservation everywhere. It is untraced, so its meshes glide.
+//!    chains, run stepped and fast-forwarded — identical metrics and
+//!    conservation. It is untraced, so its meshes glide.
 //! 6. **Untraced chain and KVS** (golden): a tracer stops the mesh
 //!    from gliding, so arms 1 and 2 never glide; `chain_gap`'s shape
 //!    and `kvs_mixed`'s three tenants run without one — identical
@@ -524,13 +523,12 @@ fn tenancy_golden_skips_and_matches() {
 
 /// An `nics`-member ring with cross-NIC chains (each member's chain
 /// finishes on its successor), run to quiescence by `advance` (one of
-/// `Fabric`'s run methods) with `threads` worker threads. Returns
-/// (metrics JSON, fleet stats debug, total skipped, fleet conservation,
-/// cycles the members' meshes glided).
+/// `Fabric`'s run methods). Returns (metrics JSON, fleet stats debug,
+/// total skipped, fleet conservation, cycles the members' meshes
+/// glided).
 fn ring_artifacts(
     nics: usize,
     advance: fn(&mut fabric::Fabric, Cycle, u64) -> (Cycle, u64),
-    threads: usize,
 ) -> (String, String, u64, String, u64) {
     use engines::mac::MacEngine;
     use fabric::{FabricBuilder, LinkSpec, PeriodicDriver};
@@ -597,7 +595,6 @@ fn ring_artifacts(
         );
     }
     let mut fabric = fb.build();
-    fabric.set_threads(threads);
     let mut skipped = 0u64;
     let mut now = Cycle(0);
     let (next, s) = advance(&mut fabric, now, 30_000);
@@ -632,31 +629,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// A 2–4-NIC ring with cross-NIC chains produces byte-identical
-    /// metrics and fleet stats stepped and fast-forwarded, and
-    /// fast-forwarded at 1 vs 4 worker threads — and `run_event` is
-    /// `run_ff`, skip count included.
+    /// metrics and conservation stepped and fast-forwarded — and
+    /// `run_event` is `run_ff`, skip count included. (Fleet stats hold
+    /// mode-dependent execution counters — epochs, fleet jumps — so
+    /// they are not compared across modes.)
     #[test]
     fn fabric_ring_modes_and_threads_are_byte_identical(nics in 2usize..=4) {
         use fabric::Fabric;
         let (m_s, _, skipped_s, c_s, glided_s) =
-            ring_artifacts(nics, |f, at, n| (f.run(at, n), 0), 1);
-        let ff = ring_artifacts(nics, Fabric::run_ff, 1);
-        let (m_f1, f_f1, skipped_f, c_f1, glided_f) = &ff;
-        let (m_f4, f_f4, _, c_f4, _) = ring_artifacts(nics, Fabric::run_ff, 4);
+            ring_artifacts(nics, |f, at, n| (f.run(at, n), 0));
+        let ff = ring_artifacts(nics, Fabric::run_ff);
+        let (m_f, _, skipped_f, c_f, glided_f) = &ff;
         prop_assert_eq!(skipped_s, 0, "stepped runs never skip");
         prop_assert_eq!(glided_s, 0, "stepped runs never glide");
-        prop_assert_eq!(&m_s, m_f1);
-        prop_assert_eq!(&c_s, c_f1);
-        // Fleet stats include mode-dependent execution counters
-        // (epochs, fleet jumps), so they are compared only across
-        // thread counts within a mode.
-        prop_assert_eq!(m_f1, &m_f4, "metrics must not depend on the thread count");
-        prop_assert_eq!(f_f1, &f_f4, "fleet stats must not depend on the thread count");
-        prop_assert_eq!(c_f1, &c_f4);
+        prop_assert_eq!(&m_s, m_f);
+        prop_assert_eq!(&c_s, c_f);
         prop_assert!(*skipped_f > 1_000, "ff only skipped {} cycles", skipped_f);
         prop_assert!(*glided_f > 0, "the untraced ring's meshes never glided");
         // What `benchmark/src/rigs/rack.rs` runs as its `Event` mode.
-        prop_assert_eq!(&ring_artifacts(nics, Fabric::run_event, 1), &ff);
+        prop_assert_eq!(&ring_artifacts(nics, Fabric::run_event), &ff);
     }
 }
 

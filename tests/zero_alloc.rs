@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
 use engines::tile::TileConfig;
-use fabric::{Fabric, FabricBuilder, LinkSpec, PeriodicDriver};
+use fabric::{Fabric, FabricBuilder, LinkSpec};
 use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
@@ -529,53 +529,6 @@ fn quiet_fabric_epoch_allocates_nothing() {
         "{} quiet fabric epochs allocated {allocs} times ({bytes} bytes)",
         2 * rounds
     );
-}
-
-/// A call on a crew allocates to hire it — chunks, handles, the
-/// threads themselves — and nothing after: on the calling thread (which
-/// runs member 0, the gate and every boundary exchange) a call of 4E
-/// epochs allocates exactly what a call of E epochs does.
-#[test]
-fn threaded_fabric_call_allocates_per_call_not_per_epoch() {
-    let mut fb = FabricBuilder::new();
-    for port in 0..2 {
-        let (b, eth) = tenanted_builder(Mesh::Small);
-        let i = fb.member(b, eth);
-        let mut factory = FrameFactory::for_nic_port(port);
-        let mut wire = Vec::new();
-        // Building the frame is workload-side allocation, uncounted as
-        // above (member 1's runs on a worker, whose counter is never
-        // armed).
-        let inject = move |nic: &mut PanicNic, now: Cycle, _| {
-            let frame = uncounted(|| factory.min_frame((now.0 % 4096) as u16, 80));
-            nic.rx_frame(eth, frame, TenantId(1), Priority::Normal, now);
-            wire.clear();
-            nic.drain_wire_tx_into(&mut wire);
-        };
-        let driver = PeriodicDriver::new(0, INJECT_EVERY, u64::MAX, inject);
-        fb.driver(i, Box::new(driver));
-    }
-    fb.link_pair(0, 1, LinkSpec::new(0, 0));
-    let mut fabric: Fabric = fb.build();
-    fabric.set_threads(2);
-    let epoch = fabric.epoch_len().expect("linked fabric has an epoch");
-
-    let mut now = fabric.run(Cycle(0), WARMUP);
-    let mut call = |epochs: u64| {
-        let before = fabric.stats().epochs;
-        let (next, allocs, _) = counted(|| fabric.run(now, epochs * epoch));
-        now = next;
-        assert_eq!(fabric.stats().epochs - before, epochs);
-        allocs
-    };
-    let (short, long) = (call(100), call(400));
-    assert!(short > 0, "hiring a crew allocates; was one hired?");
-    assert_eq!(
-        short, long,
-        "400 epochs on a crew allocated {long} times, 100 epochs {short}"
-    );
-    let delivered = fabric.member(0).stats().tx_wire;
-    assert!(delivered > WARMUP / INJECT_EVERY, "traffic must flow");
 }
 
 /// The tenant with a vNIC (`tenancy.watched.*`); [`BusyNic`]'s tenant 1
