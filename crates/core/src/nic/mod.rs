@@ -568,11 +568,10 @@ impl Driven for PanicNic {
     fn step(&mut self, now: Cycle) {
         self.tick(now);
     }
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) {
         if let Some(t) = self.next_activity(now) {
             post(t);
         }
-        true
     }
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         PanicNic::skip_idle(self, from, to);

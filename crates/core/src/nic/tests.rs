@@ -120,6 +120,80 @@ fn frame_flows_port_to_pipeline_to_chain_to_wire() {
     assert!(nic.is_quiescent());
 }
 
+/// Answers each workload frame twice: the frame goes on along its
+/// chain, and a copy with an id of the engine's own goes back to the
+/// pipeline as a new frame — the shape of an offload that acknowledges
+/// what it forwards.
+#[derive(Debug)]
+struct Answerer {
+    ids: engines::engine::MsgIdGen,
+    answered: u64,
+}
+
+impl engines::Offload for Answerer {
+    fn name(&self) -> &str {
+        "answerer"
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+    fn class(&self) -> EngineClass {
+        EngineClass::Asic
+    }
+    fn service_time(&self, _msg: &Message) -> Cycles {
+        Cycles(2)
+    }
+    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<engines::Output>) {
+        // Workload ids count up from zero; the answers' do not.
+        if msg.id.0 < 1 << 40 {
+            let mut answer = msg.clone();
+            answer.id = self.ids.next_id();
+            answer.chain = packet::chain::ChainHeader::empty();
+            self.answered += 1;
+            out.push(engines::Output::ToPipeline(answer));
+        }
+        out.push(engines::Output::Forward(msg));
+    }
+}
+
+#[test]
+fn an_engine_answer_and_the_frame_it_forwards_both_leave_on_the_wire() {
+    let mut b = PanicNic::builder(mesh3_config());
+    let eth = add_mac(&mut b);
+    let answerer = Answerer {
+        ids: engines::engine::MsgIdGen::for_engine(1),
+        answered: 0,
+    };
+    let ans = b.engine(Box::new(answerer), TileConfig::default());
+    let _ = b.rmt_portal();
+    b.program(two_hop_program("answer", ans, eth));
+    let mut nic = b.build();
+    let mut f = FrameFactory::for_nic_port(0);
+    let mut now = Cycle(0);
+    for flow in 0..3 {
+        let frame = f.min_frame(flow, 80);
+        nic.rx_frame(eth, frame, TenantId(1), Priority::Normal, now);
+    }
+    let mut tx = Vec::new();
+    for _ in 0..5_000 {
+        nic.tick(now);
+        now = now.next();
+        tx.extend(nic.take_wire_tx());
+    }
+    assert!(nic.is_quiescent());
+    // Three forwarded frames and three answers, each answer classified
+    // afresh by the pipeline and sent out through the MAC.
+    let answers = tx.iter().filter(|m| m.id.0 >= 1 << 40).count();
+    assert_eq!((tx.len(), answers), (6, 3));
+    assert_eq!(nic.stats().tx_wire, 6);
+    let tile = nic.tile(ans).unwrap();
+    assert_eq!(tile.offload_as::<Answerer>().unwrap().answered, 3);
+    assert_eq!(tile.stats().processed, 6, "answers pass the answerer once");
+}
+
 #[test]
 fn many_frames_all_accounted() {
     let (mut nic, eth, _, _) = tiny_nic();

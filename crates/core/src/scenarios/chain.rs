@@ -21,7 +21,6 @@ use rmt::pipeline::PipelineConfig;
 use rmt::program::{ProgramBuilder, RmtProgram};
 use rmt::table::{MatchKey, MatchKind, Table, TableEntry};
 use sim_core::clock::{drive, Driven};
-use sim_core::rng::SimRng;
 use sim_core::stats::Summary;
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use workloads::arrivals::ArrivalProcess;
@@ -83,7 +82,9 @@ pub struct ChainScenarioConfig {
     pub slack: Option<u32>,
     /// Engine-to-tile assignment strategy.
     pub placement: PlacementStrategy,
-    /// RNG seed.
+    /// Inert: chain traffic is periodic, so nothing reads it. Kept only
+    /// because `benchmark/src/rigs/chain.rs` sets it; goes in the
+    /// benchmark-only PR.
     pub seed: u64,
 }
 
@@ -132,7 +133,6 @@ pub struct ChainScenario {
     offloads: Vec<EngineId>,
     arrivals: Vec<ArrivalProcess>,
     factory: FrameFactory,
-    rng: SimRng,
     offered: u64,
     now: Cycle,
     /// Whether [`ChainScenario::run`]/[`ChainScenario::drain`] may jump
@@ -372,7 +372,10 @@ impl ChainScenario {
         spec.arrivals = Self::arrival_processes(config)
             .iter()
             .enumerate()
-            .map(|(p, a)| super::arrival_lint_spec(format!("port{p}"), a))
+            .map(|(p, a)| {
+                let (num, den) = a.rate();
+                panic_verify::ArrivalSpec::periodic(format!("port{p}"), num, den)
+            })
             .collect();
         spec
     }
@@ -410,7 +413,6 @@ impl ChainScenario {
             offloads,
             arrivals,
             factory: FrameFactory::for_nic_port(0),
-            rng: SimRng::new(config.seed),
             offered: 0,
             now: Cycle::ZERO,
             fastforward: true,
@@ -524,7 +526,7 @@ impl Driven for ChainScenario {
     fn step(&mut self, now: Cycle) {
         if !self.draining {
             for (i, arr) in self.arrivals.iter_mut().enumerate() {
-                if arr.poll(&mut self.rng) {
+                if arr.poll() {
                     let frame = self.factory.min_frame(i as u16, 80);
                     self.nic.rx_frame(
                         self.ports[i],
@@ -543,23 +545,18 @@ impl Driven for ChainScenario {
         self.nic.drain_wire_tx_into(&mut self.wire_scratch);
     }
 
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) {
         if let Some(h) = self.nic.next_activity(now) {
             post(h);
         }
         if self.draining {
-            return true;
+            return;
         }
+        // A zero-rate port's "never" saturates to `Cycle(u64::MAX)`,
+        // which the driver clamps to the end of the run.
         for a in &self.arrivals {
-            match a.cycles_to_next() {
-                // Stochastic arrivals draw RNG every cycle; no cycle
-                // is skippable without changing the stream.
-                None => return false,
-                Some(u64::MAX) => {}
-                Some(k) => post(Cycle(now.0.saturating_add(k))),
-            }
+            post(Cycle(now.0.saturating_add(a.cycles_to_next())));
         }
-        true
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
@@ -678,6 +675,26 @@ mod tests {
             t2.chrome_json().expect("chrome tracer"),
             "Chrome traces must be byte-identical"
         );
+    }
+
+    /// `seed` is inert: chain traffic is periodic and draws nothing.
+    #[test]
+    fn seed_changes_no_output() {
+        let run = |seed: u64| {
+            let mut s = ChainScenario::new(ChainScenarioConfig {
+                offered_fraction: 0.3,
+                seed,
+                ..ChainScenarioConfig::default()
+            });
+            s.run(5_000);
+            s.drain(5_000);
+            let mut m = trace::MetricsRegistry::new();
+            s.export_metrics(&mut m);
+            (format!("{:?}", s.report()), m.to_json())
+        };
+        let (report, metrics) = run(1);
+        assert!(report.contains("delivered: "), "{report}");
+        assert_eq!(run(0xDEAD_BEEF), (report, metrics));
     }
 
     #[test]

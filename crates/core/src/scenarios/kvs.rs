@@ -346,7 +346,10 @@ impl KvsScenario {
         spec.arrivals = config
             .tenants
             .iter()
-            .map(|t| super::arrival_lint_spec(format!("tenant{}", t.tenant.0), &t.arrivals))
+            .map(|t| {
+                let (num, den) = t.arrivals.rate();
+                panic_verify::ArrivalSpec::periodic(format!("tenant{}", t.tenant.0), num, den)
+            })
             .collect();
         spec
     }
@@ -698,21 +701,15 @@ impl Driven for KvsScenario {
         self.tick(now);
     }
 
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
-        // Stochastic tenants draw RNG every cycle: unskippable.
-        let Some(k) = self.workload.cycles_to_next() else {
-            return false;
-        };
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) {
         if let Some(h) = self.nic.next_activity(now) {
             post(h);
         }
-        if k < u64::MAX {
-            post(Cycle(now.0.saturating_add(k)));
-        }
+        // "Never" saturates to `Cycle(u64::MAX)`, clamped to the run's end.
+        post(Cycle(now.0.saturating_add(self.workload.cycles_to_next())));
         if let Some(due) = self.host_events.next_due() {
             post(due);
         }
-        true
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
@@ -735,27 +732,25 @@ mod tests {
         c
     }
 
-    /// PV501 end-to-end: a tenant on stochastic arrivals pins the run
-    /// to stepped speed, and `lint_spec` surfaces that; the shipped
-    /// periodic defaults stay clean.
+    /// PV501 and the clock driver agree: a configuration `lint_spec`
+    /// flags skips no cycle while its every-cycle source is live, and
+    /// the shipped default is clean and does skip.
     #[test]
-    fn lint_spec_flags_stochastic_tenants_with_pv501() {
+    fn pv501_agrees_with_the_driver() {
         use workloads::arrivals::ArrivalProcess;
-        let mut c = small_config();
-        c.tenants[1].arrivals = ArrivalProcess::bernoulli(0.01);
-        let report = panic_verify::verify(&KvsScenario::lint_spec(&c));
-        assert!(
-            report.has(panic_verify::Code::PV501),
-            "{}",
-            report.render_human()
-        );
-        assert!(report.is_clean(), "PV501 is a warning, not an error");
-        let clean = panic_verify::verify(&KvsScenario::lint_spec(&small_config()));
-        assert!(
-            !clean.has(panic_verify::Code::PV501),
-            "{}",
-            clean.render_human()
-        );
+        let run = |c: KvsScenarioConfig| {
+            let report = panic_verify::verify(&KvsScenario::lint_spec(&c));
+            assert!(report.is_clean(), "PV501 is a warning, not an error");
+            let mut s = KvsScenario::new(c);
+            s.run(3_000);
+            (report.has(panic_verify::Code::PV501), s.cycles_skipped())
+        };
+        let mut flooded = small_config();
+        flooded.tenants[1].arrivals = ArrivalProcess::periodic(1, 1);
+        assert_eq!(run(flooded), (true, 0));
+        let (flagged, skipped) = run(KvsScenarioConfig::two_tenant_default());
+        assert!(!flagged);
+        assert!(skipped > 0, "skipped {skipped}");
     }
 
     #[test]

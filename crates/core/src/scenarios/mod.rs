@@ -13,26 +13,6 @@ pub mod kvs;
 #[cfg(test)]
 mod streaming;
 
-/// Summarizes a live [`workloads::arrivals::ArrivalProcess`] into the
-/// plain-data [`panic_verify::ArrivalSpec`] the `PV5xx` fast-forward
-/// lints inspect. The scenarios' `lint_spec` builders use this so
-/// `repro`'s preflight lint can warn when a configuration pins the
-/// simulation to stepped speed (see `docs/PERF.md`).
-pub(crate) fn arrival_lint_spec(
-    name: impl Into<String>,
-    arrivals: &workloads::arrivals::ArrivalProcess,
-) -> panic_verify::ArrivalSpec {
-    use workloads::arrivals::ArrivalProcess;
-    match arrivals {
-        ArrivalProcess::Periodic { num, den, .. } => {
-            panic_verify::ArrivalSpec::periodic(name, *num, *den)
-        }
-        ArrivalProcess::Bernoulli { .. } | ArrivalProcess::OnOff { .. } => {
-            panic_verify::ArrivalSpec::stochastic(name)
-        }
-    }
-}
-
 /// The clock policy the scenarios' `set_fastforward` switch selects.
 pub(crate) fn advance_mode(fastforward: bool) -> sim_core::clock::Advance {
     use sim_core::clock::Advance;

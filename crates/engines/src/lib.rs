@@ -13,35 +13,29 @@
 //!   to the pipeline, §3.1.2), and busy/service accounting.
 //! * [`host`] — the host-memory model behind the DMA engine.
 //! * Concrete engines: [`mac`], [`dma`], [`pcie`], [`ipsec`],
-//!   [`kvs_cache`], [`rdma`], [`tcp`], [`checksum`], [`compress`],
-//!   [`firewall`], [`ratelimit`], [`counter`].
+//!   [`kvs_cache`], [`rdma`] — the six that experiments build. Any
+//!   other offload is an [`engine::NullOffload`] service-time model.
 //! * [`taxonomy`] — the offload classification of Table 1.
 //!
 //! Engines transform *real bytes* (the IPSec engine really decrypts,
 //! the KVS cache really serves values) so that chained pipelines are
-//! end-to-end checkable, but their crypto/compression algorithms are
-//! deliberately toy-grade: the architecture cares about service rates
-//! and chaining, not cryptographic strength.
+//! end-to-end checkable, but their crypto is deliberately toy-grade:
+//! the architecture cares about service rates and chaining, not
+//! cryptographic strength.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checksum;
-pub mod compress;
-pub mod counter;
 pub mod dma;
 pub mod engine;
-pub mod firewall;
 pub mod host;
 pub mod ipsec;
 pub mod kvs_cache;
 pub mod mac;
 pub mod pcie;
-pub mod ratelimit;
 pub mod rdma;
 pub mod taxonomy;
-pub mod tcp;
 pub mod tile;
 
 pub use engine::{EgressKind, Offload, Output};

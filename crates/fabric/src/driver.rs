@@ -16,9 +16,11 @@ use sim_core::time::Cycle;
 ///
 /// Contract: [`NicDriver::next_arrival`] returns the earliest cycle
 /// `>= now` at which the driver wants to inject (or `None` when it is
-/// done), and after [`NicDriver::inject`] runs at cycle `c`,
-/// `next_arrival(c)` must return a *later* cycle (or `None`) — the
-/// fabric would otherwise spin. `Send` keeps a [`crate::Fabric`]
+/// done). Each [`NicDriver::inject`] uses up the arrival it was handed,
+/// and after finitely many injects at one cycle `c`, `next_arrival(c)`
+/// returns a later cycle or `None`. Several injects at one cycle are
+/// allowed: [`PeriodicDriver`] injects an overdue backlog all at the
+/// cycle a member recovers. `Send` keeps a [`crate::Fabric`]
 /// `Send`, so a caller may build a rack on one thread and run it on
 /// another; a driver that panics panics the `run` call.
 pub trait NicDriver: Send {

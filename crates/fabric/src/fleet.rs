@@ -487,7 +487,7 @@ fn run_member(m: &mut Member, from: Cycle, to: Cycle, run: Advance, phase: Phase
             now = next;
         } else {
             // An arrival due right now: inject, then keep going. The
-            // driver contract guarantees next_arrival then advances.
+            // driver contract bounds the injects at one cycle.
             let driver = m.driver.as_mut().expect("filtered Some above");
             driver.inject(&mut m.nic, now);
         }

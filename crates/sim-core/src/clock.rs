@@ -43,13 +43,8 @@ pub trait Driven {
     /// stepping could have an observable effect given no outside input
     /// arrives first — one `post` per wake source; posting nothing
     /// means quiescent until `end`. Wakes at or before `now` are
-    /// clamped to `now + 1`.
-    ///
-    /// Returns whether the cycles up to the earliest wake may be
-    /// skipped at all: `false` marks a *polled* source (e.g. a
-    /// stochastic arrival process drawing RNG every cycle), which
-    /// forces a step at `now + 1` whatever was posted.
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool;
+    /// clamped to `now + 1`, and wakes past `end` to `end`.
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle));
 
     /// Accounts for the skipped cycles `[from, to)` as if the component
     /// had been stepped through them while idle. Must not change
@@ -80,23 +75,23 @@ pub enum Advance {
 /// rather than stepped.
 pub fn drive<D: Driven>(d: &mut D, start: Cycle, cycles: u64, advance: Advance) -> (Cycle, u64) {
     match advance {
-        Advance::Stepped => run(d, start, cycles, |_, _, _| None),
+        Advance::Stepped => run(d, start, cycles, |_, now, _| now.next()),
         Advance::Merged => run(d, start, cycles, |d, now, end| {
-            let mut hint = None;
-            d.wakes(now, &mut |t| hint = Cycle::earliest(hint, Some(t)))
-                .then(|| hint.unwrap_or(end))
+            let mut hint = end;
+            d.wakes(now, &mut |t| hint = hint.min(t));
+            hint
         }),
     }
 }
 
 /// The clock-advance algorithm. `wake(d, now, end)` is the policy: the
-/// earliest cycle after the step at `now` that needs stepping, or
-/// `None` to step `now + 1` unconditionally.
+/// earliest cycle after the step at `now` that needs stepping (clamped
+/// to `[now + 1, end]`).
 fn run<D: Driven>(
     d: &mut D,
     start: Cycle,
     cycles: u64,
-    mut wake: impl FnMut(&D, Cycle, Cycle) -> Option<Cycle>,
+    mut wake: impl FnMut(&D, Cycle, Cycle) -> Cycle,
 ) -> (Cycle, u64) {
     let end = Cycle(start.0 + cycles);
     let mut now = start;
@@ -107,7 +102,7 @@ fn run<D: Driven>(
     while now < end {
         d.step(now);
         let next = now.next();
-        let target = wake(d, now, end).map_or(next, |t| t.max(next).min(end));
+        let target = wake(d, now, end).max(next).min(end);
         now = next;
         if d.done() {
             break;
@@ -133,8 +128,6 @@ mod tests {
     #[derive(Debug, Default, Clone, PartialEq, Eq)]
     struct Wakers {
         periods: Vec<u64>,
-        /// A source that must be stepped every cycle.
-        polled: bool,
         /// `done()` once this many active steps have happened.
         stop_after: Option<u64>,
         active_steps: u64,
@@ -151,11 +144,10 @@ mod tests {
             }
             self.accounted += 1;
         }
-        fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+        fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) {
             for p in &self.periods {
                 post(Cycle((now.0 / p + 1) * p));
             }
-            !self.polled
         }
         fn skip_idle(&mut self, from: Cycle, to: Cycle) {
             self.accounted += to.0 - from.0;
@@ -206,19 +198,6 @@ mod tests {
             // Already done: a further call steps nothing.
             assert_eq!(drive(&mut w, end, 1000, advance), (end, 0), "{advance:?}");
             assert_eq!(w.accounted, 21, "{advance:?}");
-        }
-    }
-
-    #[test]
-    fn polled_source_is_never_skipped() {
-        for advance in POLICIES {
-            let mut w = Wakers {
-                periods: vec![50],
-                polled: true,
-                ..Wakers::default()
-            };
-            assert_eq!(drive(&mut w, Cycle(3), 120, advance), (Cycle(123), 0));
-            assert_eq!(w.active_steps + w.idle_steps, 120, "{advance:?}");
         }
     }
 

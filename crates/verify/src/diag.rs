@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use trace::json::escape;
+
 /// Stable diagnostic codes. Codes are never reused or renumbered;
 /// retired checks leave holes. The block structure mirrors the check
 /// families:
@@ -168,9 +170,8 @@ impl Code {
                  worst-case service time (guaranteed spurious re-issues)"
             }
             Code::PV501 => {
-                "workload makes quiescence fast-forward a no-op (stochastic \
-                 arrivals or per-cycle gaps); expect a stepped-speed \
-                 simulation"
+                "workload makes quiescence fast-forward a no-op (a source \
+                 arrives every cycle); expect a stepped-speed simulation"
             }
             Code::PV601 => "two virtual NICs claim the same tenant id",
             Code::PV602 => {
@@ -345,24 +346,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Minimal JSON string escaping (the diagnostic text contains no
-/// exotic content, but engine names are caller-controlled).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The result of a verification pass: all findings, ordered by
 /// severity (errors first) then code.
 #[derive(Debug, Clone, Default)]
@@ -456,9 +439,9 @@ impl Report {
                 "{{\"code\":\"{}\",\"severity\":\"{}\",\"scope\":\"{}\",\"subject\":\"{}\",\"message\":\"{}\"}}",
                 d.code,
                 d.severity,
-                json_escape(d.span.scope),
-                json_escape(&d.span.subject),
-                json_escape(&d.message)
+                escape(d.span.scope),
+                escape(&d.span.subject),
+                escape(&d.message)
             ));
         }
         out.push_str("]}");
@@ -477,7 +460,7 @@ impl Report {
     pub fn render_json_enveloped(&self, scenario: &str, proto_version: u32) -> String {
         format!(
             "{{\"scenario\":\"{}\",\"proto_version\":{},\"report\":{}}}",
-            json_escape(scenario),
+            escape(scenario),
             proto_version,
             self.render_json()
         )
@@ -529,6 +512,7 @@ mod tests {
         assert!(json.contains("\\n"), "{json}");
         assert!(json.contains("\"code\":\"PV001\""), "{json}");
         assert!(json.contains("\"errors\":0"), "{json}");
+        trace::json::validate(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!   (PV403).
 //! * **`PV5xx` — simulator performance** ([`checks::perf`], declared
 //!   workloads only): the traffic sources leave idle windows for
-//!   quiescence fast-forward to skip — stochastic sources and
-//!   every-cycle periodic sources pin the run to stepped speed
-//!   (PV501; see `docs/PERF.md`).
+//!   quiescence fast-forward to skip — a periodic source arriving
+//!   every cycle pins the run to stepped speed (PV501; see
+//!   `docs/PERF.md`).
 //! * **`PV7xx` — rack fabric** ([`checks::fabric`], [`FabricSpec`]s
 //!   only, via [`verify_fabric`]): remote chain hops resolve to real
 //!   members and engines (PV701), inter-NIC links are routable
@@ -73,9 +73,7 @@ pub use checks::{
     check_tenancy, verify, verify_fabric,
 };
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
-pub use spec::{
-    ArrivalKind, ArrivalSpec, EngineSpec, FabricSpec, LinkSpec, NicSpec, RoutingKind, SchedSpec,
-};
+pub use spec::{ArrivalSpec, EngineSpec, FabricSpec, LinkSpec, NicSpec, RoutingKind, SchedSpec};
 
 #[cfg(test)]
 mod tests {
@@ -97,7 +95,7 @@ mod tests {
             max_retries: 0, // PV402 (failover defaults to enabled)
             ..faults::WatchdogConfig::default()
         }); // the lone "dma" engine also has no replica -> PV401
-        spec.arrivals = vec![ArrivalSpec::stochastic("burst")]; // PV501
+        spec.arrivals = vec![ArrivalSpec::periodic("burst", 1, 1)]; // PV501
         let report = verify(&spec);
         for code in [
             Code::PV101,

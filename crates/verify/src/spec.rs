@@ -106,35 +106,18 @@ impl EngineSpec {
     }
 }
 
-/// The coarse shape of one traffic source, as far as the quiescence
-/// fast-forward machinery cares (see `docs/PERF.md`): deterministic
-/// sources expose their inter-arrival gap and are skippable;
-/// stochastic sources consume one RNG draw per cycle and pin the
-/// simulation to stepped execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArrivalKind {
-    /// Deterministic periodic source. `min_gap_cycles` is the smallest
-    /// inter-arrival gap the accumulator can produce (`den / num` for a
-    /// `num/den` per-cycle rate; `u64::MAX` for a zero-rate source).
-    Periodic {
-        /// Smallest gap between consecutive arrivals, in cycles.
-        min_gap_cycles: u64,
-    },
-    /// Bernoulli or Markov on/off source: one RNG draw *every* cycle,
-    /// so no cycle is skippable without changing the RNG stream.
-    Stochastic,
-}
-
-/// One traffic source feeding the NIC, summarized for the `PV5xx`
-/// performance lints. Populated by the scenarios' `lint_spec`
+/// One periodic traffic source feeding the NIC, summarized for the
+/// `PV5xx` performance lints. Populated by the scenarios' `lint_spec`
 /// builders; an empty [`NicSpec::arrivals`] list means "workload
 /// unknown" and keeps the `PV5xx` checks silent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalSpec {
     /// Human name for diagnostics (port, tenant).
     pub name: String,
-    /// Deterministic-or-stochastic shape.
-    pub kind: ArrivalKind,
+    /// The smallest inter-arrival gap the source's accumulator can
+    /// produce, in cycles: `den / num` for a `num/den` per-cycle rate,
+    /// `u64::MAX` for a zero-rate source (see `docs/PERF.md`).
+    pub min_gap_cycles: u64,
 }
 
 impl ArrivalSpec {
@@ -147,18 +130,7 @@ impl ArrivalSpec {
         assert!(den > 0, "zero denominator");
         ArrivalSpec {
             name: name.into(),
-            kind: ArrivalKind::Periodic {
-                min_gap_cycles: den.checked_div(num).unwrap_or(u64::MAX),
-            },
-        }
-    }
-
-    /// A stochastic (Bernoulli / on-off) source.
-    #[must_use]
-    pub fn stochastic(name: impl Into<String>) -> ArrivalSpec {
-        ArrivalSpec {
-            name: name.into(),
-            kind: ArrivalKind::Stochastic,
+            min_gap_cycles: den.checked_div(num).unwrap_or(u64::MAX),
         }
     }
 }
@@ -432,21 +404,10 @@ mod tests {
     #[test]
     fn arrival_spec_gap_arithmetic() {
         let a = ArrivalSpec::periodic("port0", 1000, 250_000);
-        assert_eq!(
-            a.kind,
-            ArrivalKind::Periodic {
-                min_gap_cycles: 250
-            }
-        );
+        assert_eq!(a.min_gap_cycles, 250);
         // Zero-rate sources never fire.
         let z = ArrivalSpec::periodic("silent", 0, 100);
-        assert_eq!(
-            z.kind,
-            ArrivalKind::Periodic {
-                min_gap_cycles: u64::MAX
-            }
-        );
-        assert_eq!(ArrivalSpec::stochastic("t1").kind, ArrivalKind::Stochastic);
+        assert_eq!(z.min_gap_cycles, u64::MAX);
         // Fresh specs carry no workload information.
         assert!(NicSpec::new(Topology::mesh(2, 2)).arrivals.is_empty());
     }

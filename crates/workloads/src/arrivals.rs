@@ -1,55 +1,20 @@
 //! Arrival processes.
 //!
-//! Each process answers one question per cycle: does a packet arrive
-//! now? Three shapes cover the experiments:
-//!
-//! * [`ArrivalProcess::Periodic`] — exactly `num/den` packets per
-//!   cycle on a deterministic accumulator; this is how "line rate" is
-//!   offered (e.g. a min-size 100 G stream at a 500 MHz NIC is
-//!   num/den = 125/420... expressed exactly, with zero jitter).
-//! * [`ArrivalProcess::Bernoulli`] — independent per-cycle arrivals
-//!   with probability `p` (the discrete analogue of Poisson traffic,
-//!   and the standard load model for NoC saturation studies).
-//! * [`ArrivalProcess::OnOff`] — a two-state Markov source: bursts at
-//!   line rate during ON, silence during OFF. Burstiness is what makes
-//!   scheduler isolation interesting.
+//! Every workload offers traffic through one shape: exactly `num/den`
+//! packets per cycle on a deterministic accumulator. This is how "line
+//! rate" is offered (e.g. a min-size 100 G stream at a 500 MHz NIC is
+//! num/den = 125/420... expressed exactly, with zero jitter). The
+//! process draws no randomness, so its next arrival is known in advance
+//! ([`ArrivalProcess::cycles_to_next`]) and the polls before it can be
+//! replayed at once ([`ArrivalProcess::skip`]) — which is what lets
+//! quiescence fast-forward jump the gaps between arrivals.
 
-use sim_core::rng::SimRng;
-
-/// A per-cycle arrival process.
+/// Deterministic `num/den` arrivals per cycle (`num <= den`).
 #[derive(Debug, Clone)]
-pub enum ArrivalProcess {
-    /// Deterministic `num/den` arrivals per cycle (`num <= den`).
-    Periodic {
-        /// Numerator of the per-cycle rate.
-        num: u64,
-        /// Denominator of the per-cycle rate.
-        den: u64,
-        /// Internal accumulator.
-        acc: u64,
-    },
-    /// One arrival with probability `p` each cycle.
-    Bernoulli {
-        /// Per-cycle arrival probability.
-        p: f64,
-    },
-    /// Markov on/off: in ON, arrivals at rate `num/den`; transitions
-    /// ON→OFF with probability `p_off`, OFF→ON with `p_on`, evaluated
-    /// per cycle.
-    OnOff {
-        /// Per-cycle rate while ON (numerator).
-        num: u64,
-        /// Per-cycle rate while ON (denominator).
-        den: u64,
-        /// P(ON → OFF) per cycle.
-        p_off: f64,
-        /// P(OFF → ON) per cycle.
-        p_on: f64,
-        /// Current state.
-        on: bool,
-        /// Internal accumulator.
-        acc: u64,
-    },
+pub struct ArrivalProcess {
+    num: u64,
+    den: u64,
+    acc: u64,
 }
 
 impl ArrivalProcess {
@@ -61,132 +26,48 @@ impl ArrivalProcess {
     pub fn periodic(num: u64, den: u64) -> ArrivalProcess {
         assert!(den > 0, "zero denominator");
         assert!(num <= den, "rate above one arrival per cycle");
-        ArrivalProcess::Periodic { num, den, acc: 0 }
+        ArrivalProcess { num, den, acc: 0 }
     }
 
-    /// A Bernoulli process with per-cycle probability `p`.
+    /// The per-cycle rate as `(num, den)`.
     #[must_use]
-    pub fn bernoulli(p: f64) -> ArrivalProcess {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        ArrivalProcess::Bernoulli { p }
-    }
-
-    /// A Markov on/off process, starting ON.
-    #[must_use]
-    pub fn on_off(num: u64, den: u64, p_off: f64, p_on: f64) -> ArrivalProcess {
-        assert!(den > 0 && num <= den, "bad on-rate");
-        ArrivalProcess::OnOff {
-            num,
-            den,
-            p_off,
-            p_on,
-            on: true,
-            acc: 0,
-        }
-    }
-
-    /// The long-run average rate in packets per cycle.
-    #[must_use]
-    pub fn mean_rate(&self) -> f64 {
-        match self {
-            ArrivalProcess::Periodic { num, den, .. } => *num as f64 / *den as f64,
-            ArrivalProcess::Bernoulli { p } => *p,
-            ArrivalProcess::OnOff {
-                num,
-                den,
-                p_off,
-                p_on,
-                ..
-            } => {
-                let duty = p_on / (p_on + p_off);
-                (*num as f64 / *den as f64) * duty
-            }
-        }
+    pub fn rate(&self) -> (u64, u64) {
+        (self.num, self.den)
     }
 
     /// Fast-forward hint: how many polls from now until the next
-    /// arrival, given the current state.
-    ///
-    /// * `Some(k)` (Periodic only): the next `k - 1` polls
-    ///   deterministically return `false` and consume no randomness;
-    ///   the `k`-th returns `true`. A zero-rate process returns
-    ///   `Some(u64::MAX)` ("never").
-    /// * `None` (Bernoulli, OnOff): the process consumes one RNG draw
-    ///   *every* poll, so no cycle is skippable — skipping would change
-    ///   the RNG stream and break byte-identical replay (see
-    ///   `docs/PERF.md`).
+    /// arrival. The next `k - 1` polls return `false`; the `k`-th
+    /// returns `true`. A zero-rate process returns `u64::MAX`
+    /// ("never").
     #[must_use]
-    pub fn cycles_to_next(&self) -> Option<u64> {
-        match self {
-            ArrivalProcess::Periodic { num, den, acc } => {
-                if *num == 0 {
-                    return Some(u64::MAX);
-                }
-                // Smallest k >= 1 with acc + k*num >= den.
-                Some((den - acc).div_ceil(*num))
-            }
-            ArrivalProcess::Bernoulli { .. } | ArrivalProcess::OnOff { .. } => None,
+    pub fn cycles_to_next(&self) -> u64 {
+        if self.num == 0 {
+            return u64::MAX;
         }
+        // Smallest k >= 1 with acc + k*num >= den.
+        (self.den - self.acc).div_ceil(self.num)
     }
 
-    /// Replays `cycles` arrival-free polls at once (Periodic only):
-    /// advances the accumulator exactly as `cycles` calls to
+    /// Replays `cycles` arrival-free polls at once: advances the
+    /// accumulator exactly as `cycles` calls to
     /// [`ArrivalProcess::poll`] would have, provided none of them would
     /// have produced an arrival (`cycles < cycles_to_next()`).
     ///
     /// # Panics
-    /// Debug-asserts that no skipped poll would have fired, and that
-    /// the process is not stochastic (stochastic processes have no
-    /// skippable cycles).
+    /// Debug-asserts that no skipped poll would have fired.
     pub fn skip(&mut self, cycles: u64) {
-        match self {
-            ArrivalProcess::Periodic { num, den, acc } => {
-                *acc += num.saturating_mul(cycles);
-                debug_assert!(*acc < *den, "skip crossed an arrival (hint bug)");
-            }
-            ArrivalProcess::Bernoulli { .. } | ArrivalProcess::OnOff { .. } => {
-                debug_assert!(cycles == 0, "stochastic arrivals cannot skip cycles");
-            }
-        }
+        self.acc += self.num.saturating_mul(cycles);
+        debug_assert!(self.acc < self.den, "skip crossed an arrival (hint bug)");
     }
 
     /// Polls the process for this cycle: `true` = one packet arrives.
-    pub fn poll(&mut self, rng: &mut SimRng) -> bool {
-        match self {
-            ArrivalProcess::Periodic { num, den, acc } => {
-                *acc += *num;
-                if *acc >= *den {
-                    *acc -= *den;
-                    true
-                } else {
-                    false
-                }
-            }
-            ArrivalProcess::Bernoulli { p } => rng.gen_bool(*p),
-            ArrivalProcess::OnOff {
-                num,
-                den,
-                p_off,
-                p_on,
-                on,
-                acc,
-            } => {
-                if *on {
-                    if rng.gen_bool(*p_off) {
-                        *on = false;
-                    }
-                } else if rng.gen_bool(*p_on) {
-                    *on = true;
-                }
-                if *on {
-                    *acc += *num;
-                    if *acc >= *den {
-                        *acc -= *den;
-                        return true;
-                    }
-                }
-                false
-            }
+    pub fn poll(&mut self) -> bool {
+        self.acc += self.num;
+        if self.acc >= self.den {
+            self.acc -= self.den;
+            true
+        } else {
+            false
         }
     }
 }
@@ -195,86 +76,32 @@ impl ArrivalProcess {
 mod tests {
     use super::*;
 
-    fn count(p: &mut ArrivalProcess, rng: &mut SimRng, cycles: u64) -> u64 {
-        (0..cycles).filter(|_| p.poll(rng)).count() as u64
+    fn count(p: &mut ArrivalProcess, cycles: u64) -> u64 {
+        (0..cycles).filter(|_| p.poll()).count() as u64
     }
 
     #[test]
     fn periodic_is_exact() {
-        let mut rng = SimRng::new(1);
         let mut p = ArrivalProcess::periodic(3, 7);
         // Over 7000 cycles: exactly 3000 arrivals.
-        assert_eq!(count(&mut p, &mut rng, 7000), 3000);
-        assert!((p.mean_rate() - 3.0 / 7.0).abs() < 1e-12);
+        assert_eq!(count(&mut p, 7000), 3000);
     }
 
     #[test]
     fn periodic_full_rate_every_cycle() {
-        let mut rng = SimRng::new(1);
         let mut p = ArrivalProcess::periodic(1, 1);
-        assert_eq!(count(&mut p, &mut rng, 100), 100);
+        assert_eq!(count(&mut p, 100), 100);
     }
 
     #[test]
     fn periodic_spacing_is_even() {
-        let mut rng = SimRng::new(1);
         let mut p = ArrivalProcess::periodic(1, 4);
-        let pattern: Vec<bool> = (0..12).map(|_| p.poll(&mut rng)).collect();
+        let pattern: Vec<bool> = (0..12).map(|_| p.poll()).collect();
         // Exactly every 4th cycle.
         assert_eq!(
             pattern,
             vec![false, false, false, true, false, false, false, true, false, false, false, true]
         );
-    }
-
-    #[test]
-    fn bernoulli_rate_approximates_p() {
-        let mut rng = SimRng::new(2);
-        let mut p = ArrivalProcess::bernoulli(0.3);
-        let c = count(&mut p, &mut rng, 100_000);
-        assert!((29_000..31_000).contains(&c), "{c}");
-        assert!((p.mean_rate() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn on_off_duty_cycle() {
-        let mut rng = SimRng::new(3);
-        // Mean ON period 100 cycles, OFF 300: duty 25%, on-rate 1.
-        let mut p = ArrivalProcess::on_off(1, 1, 0.01, 1.0 / 300.0);
-        let c = count(&mut p, &mut rng, 400_000);
-        let rate = c as f64 / 400_000.0;
-        assert!((rate - 0.25).abs() < 0.05, "rate {rate}");
-        assert!((p.mean_rate() - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn on_off_produces_bursts() {
-        let mut rng = SimRng::new(4);
-        let mut p = ArrivalProcess::on_off(1, 1, 0.02, 0.02);
-        // Look for at least one run of >= 10 consecutive arrivals —
-        // overwhelmingly likely with mean burst length 50.
-        let mut best = 0;
-        let mut cur = 0;
-        for _ in 0..10_000 {
-            if p.poll(&mut rng) {
-                cur += 1;
-                best = best.max(cur);
-            } else {
-                cur = 0;
-            }
-        }
-        assert!(best >= 10, "longest burst {best}");
-    }
-
-    #[test]
-    fn determinism_per_seed() {
-        let run = |seed: u64| {
-            let mut rng = SimRng::new(seed);
-            let mut p = ArrivalProcess::bernoulli(0.5);
-            (0..64).map(|_| p.poll(&mut rng)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(9), run(9));
-        assert_ne!(run(9), run(10));
     }
 
     #[test]
@@ -285,50 +112,39 @@ mod tests {
 
     #[test]
     fn cycles_to_next_predicts_periodic_firing() {
-        let mut rng = SimRng::new(1);
         let mut p = ArrivalProcess::periodic(1, 4);
         // Fresh state: the 4th poll fires.
-        assert_eq!(p.cycles_to_next(), Some(4));
+        assert_eq!(p.cycles_to_next(), 4);
         for expect in [false, false, false, true] {
-            assert_eq!(p.poll(&mut rng), expect);
+            assert_eq!(p.poll(), expect);
         }
         // Right after an arrival: four again.
-        assert_eq!(p.cycles_to_next(), Some(4));
-        assert!(!p.poll(&mut rng));
+        assert_eq!(p.cycles_to_next(), 4);
+        assert!(!p.poll());
         // One poll in: three to go.
-        assert_eq!(p.cycles_to_next(), Some(3));
+        assert_eq!(p.cycles_to_next(), 3);
     }
 
     #[test]
     fn cycles_to_next_zero_rate_never_fires() {
         let p = ArrivalProcess::periodic(0, 5);
-        assert_eq!(p.cycles_to_next(), Some(u64::MAX));
-    }
-
-    #[test]
-    fn stochastic_processes_are_unskippable() {
-        assert_eq!(ArrivalProcess::bernoulli(0.5).cycles_to_next(), None);
-        assert_eq!(
-            ArrivalProcess::on_off(1, 2, 0.1, 0.1).cycles_to_next(),
-            None
-        );
+        assert_eq!(p.cycles_to_next(), u64::MAX);
     }
 
     #[test]
     fn skip_is_equivalent_to_arrival_free_polls() {
-        let mut rng = SimRng::new(7);
         // Two clones of the same periodic process: one stepped, one
         // fast-forwarded. After skip(k-1) + poll they must agree on
         // every subsequent poll.
         let mut stepped = ArrivalProcess::periodic(3, 11);
         let mut skipped = stepped.clone();
         for _ in 0..5 {
-            let k = stepped.cycles_to_next().unwrap();
+            let k = stepped.cycles_to_next();
             for i in 0..k {
-                assert_eq!(stepped.poll(&mut rng), i == k - 1, "only the k-th fires");
+                assert_eq!(stepped.poll(), i == k - 1, "only the k-th fires");
             }
             skipped.skip(k - 1);
-            assert!(skipped.poll(&mut rng), "skipped process fires on poll k");
+            assert!(skipped.poll(), "skipped process fires on poll k");
         }
         // Internal state converged: hints agree from here on.
         assert_eq!(stepped.cycles_to_next(), skipped.cycles_to_next());

@@ -163,20 +163,15 @@ impl KvsWorkload {
 
     /// Fast-forward hint: how many ticks from now until the next
     /// request from *any* tenant, mirroring
-    /// [`ArrivalProcess::cycles_to_next`]. `None` when any tenant's
-    /// arrivals are stochastic (every tick then consumes RNG and no
-    /// tick is skippable); `Some(u64::MAX)` when no tenant will ever
-    /// fire again.
+    /// [`ArrivalProcess::cycles_to_next`]; `u64::MAX` when no tenant
+    /// will ever fire again.
     #[must_use]
-    pub fn cycles_to_next(&self) -> Option<u64> {
-        let mut min = u64::MAX;
-        for t in &self.tenants {
-            match t.arrivals.cycles_to_next() {
-                None => return None,
-                Some(k) => min = min.min(k),
-            }
-        }
-        Some(min)
+    pub fn cycles_to_next(&self) -> u64 {
+        self.tenants
+            .iter()
+            .map(|t| t.arrivals.cycles_to_next())
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Replays `cycles` arrival-free ticks at once (valid only when
@@ -192,7 +187,7 @@ impl KvsWorkload {
     pub fn tick(&mut self) -> Vec<KvsEvent> {
         let mut events = Vec::new();
         for idx in 0..self.tenants.len() {
-            let arrived = self.tenants[idx].arrivals.poll(&mut self.rng);
+            let arrived = self.tenants[idx].arrivals.poll();
             if !arrived {
                 continue;
             }
@@ -388,7 +383,7 @@ mod tests {
         let mut stepped = KvsWorkload::new(config());
         let mut skipped = KvsWorkload::new(config());
         for _ in 0..50 {
-            let k = stepped.cycles_to_next().expect("periodic tenants");
+            let k = stepped.cycles_to_next();
             assert!(k < u64::MAX);
             let mut events = Vec::new();
             for _ in 0..k {

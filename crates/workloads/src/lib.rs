@@ -6,8 +6,8 @@
 //! component (§2.2, §3.2). This crate generates all of them,
 //! deterministically from a seed:
 //!
-//! * [`arrivals`] — arrival processes: periodic (line-rate), Bernoulli
-//!   (Poisson-like), and Markov on/off (bursty).
+//! * [`arrivals`] — the periodic arrival process every workload offers
+//!   its traffic through: an exact `num/den` packets per cycle.
 //! * [`zipf`] — Zipf-distributed key popularity, the standard KVS
 //!   skew model, plus seeded per-tenant key-space partitioning
 //!   ([`zipf::PartitionedZipf`]) for the tenancy experiments.

@@ -272,7 +272,7 @@ impl Driven for Injected<'_> {
         self.nic.tick(now);
     }
 
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) {
         if let Some(h) = self.nic.next_activity(now) {
             post(h);
         }
@@ -280,7 +280,6 @@ impl Driven for Injected<'_> {
         if self.sent < FRAMES {
             post(Cycle((now.0 / GAP + 1) * GAP));
         }
-        true
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {

@@ -80,15 +80,6 @@ proptest! {
         prop_assert_eq!(parsed, h);
     }
 
-    /// The RLE codec is lossless for arbitrary bytes, and expansion is
-    /// bounded by 1 + n/127 (+2 slack).
-    #[test]
-    fn compression_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let c = engines::compress::compress(&data);
-        prop_assert_eq!(engines::compress::decompress(&c).unwrap(), data.clone());
-        prop_assert!(c.len() <= data.len() + data.len() / 127 + 2);
-    }
-
     /// The toy ESP transform is invertible for arbitrary inner frames
     /// and keys, and never invertible under the wrong key (tag check).
     #[test]

@@ -294,13 +294,12 @@ impl Driven for BusyNic {
         self.delivered += self.scratch.len() as u64;
     }
 
-    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) -> bool {
+    fn wakes(&self, now: Cycle, post: &mut impl FnMut(Cycle)) {
         if let Some(t) = self.nic.next_activity(now) {
             post(t);
         }
         // The injection clock is a wake source the NIC can't see.
         post(Cycle((now.0 / INJECT_EVERY + 1) * INJECT_EVERY));
-        true
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
