@@ -83,7 +83,6 @@ pub fn chaos_watchdog() -> WatchdogConfig {
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
-        failover: true,
     }
 }
 

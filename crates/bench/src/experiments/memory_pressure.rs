@@ -74,7 +74,6 @@ pub fn run_with_policy(policy: AdmissionPolicy, cycles: u64) -> PressurePoint {
         TileConfig {
             queue_capacity: 32,
             admission: policy,
-            ..TileConfig::default()
         },
     );
     let _ = b.rmt_portal();

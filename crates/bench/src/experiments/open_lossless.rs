@@ -51,7 +51,6 @@ pub fn run_flood(flood_rate: f64, cycles: u64) -> LosslessPoint {
         TileConfig {
             queue_capacity: 32,
             admission: AdmissionPolicy::TailDrop,
-            ..TileConfig::default()
         },
     );
     let mut rng = SimRng::new(77);

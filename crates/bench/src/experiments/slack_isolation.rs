@@ -60,7 +60,6 @@ pub fn run_with_profile(profile: SlackProfile, cycles: u64) -> IsolationPoint {
         TileConfig {
             queue_capacity: 512,
             admission: AdmissionPolicy::TailDrop,
-            ..TileConfig::default()
         },
     );
     let _ = b.rmt_portal();

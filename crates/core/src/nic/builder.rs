@@ -154,13 +154,10 @@ impl NicBuilder {
                     e.service_cycles = offload.nominal_service_cycles();
                     e.queue_capacity = cfg.queue_capacity;
                     e.admission = cfg.admission;
-                    e.lossless = cfg.lossless;
                     e
                 }
                 SlotSpec::Portal => {
-                    let mut e = panic_verify::EngineSpec::new(*id, "rmt-portal", EngineClass::Rmt);
-                    e.is_portal = true;
-                    e
+                    panic_verify::EngineSpec::new(*id, "rmt-portal", EngineClass::Rmt)
                 }
             };
             e.coord = *coord;
@@ -193,9 +190,8 @@ impl NicBuilder {
     /// error-severity diagnostic: a missing portal (PV204), a chain hop
     /// to a nonexistent engine (PV001), an over-long worst-case chain
     /// (PV002), a placement conflict or overflow (PV004), unbufferable
-    /// routers (PV102), an over-capacity program (PV203), or a lossless
-    /// engine without backpressure admission (PV303), among others. The
-    /// panic message carries the rendered diagnostics.
+    /// routers (PV102), or an over-capacity program (PV203), among
+    /// others. The panic message carries the rendered diagnostics.
     #[must_use]
     pub fn build(self) -> PanicNic {
         assert!(self.program.is_some(), "NIC built without a program");

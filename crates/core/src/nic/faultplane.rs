@@ -309,7 +309,6 @@ impl PanicNic {
         };
         let timeout = wd.config().engine_timeout;
         let down_after = wd.config().down_after.max(1);
-        let failover_enabled = wd.config().failover;
 
         // 1. Health: consecutive wedged observations accumulate
         //    strikes; any progress clears them. `down_after` strikes
@@ -334,11 +333,7 @@ impl PanicNic {
             self.stats
                 .time_to_failover
                 .record(now.saturating_since(first_wedge).count());
-            let replica = if failover_enabled {
-                self.find_replica(id)
-            } else {
-                None
-            };
+            let replica = self.find_replica(id);
             let flushed = self.tile_mut(id).map_or(0, EngineTile::watchdog_down);
             fr.downed.push(id);
             fr.failover.insert(id, replica);

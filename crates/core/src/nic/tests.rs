@@ -401,7 +401,7 @@ fn builder_spec_reflects_configuration() {
         sim_core::time::Bandwidth::gbps(100),
         "line rate lifted from the MAC"
     );
-    assert!(spec.engines.iter().any(|e| e.is_portal));
+    assert!(spec.engines.iter().any(panic_verify::EngineSpec::is_portal));
     assert!(spec.program.is_some());
     let report = b.validate();
     assert_eq!(report.error_count(), 0, "{}", report.render_human());
@@ -492,7 +492,6 @@ pub(super) fn chaos_watchdog() -> WatchdogConfig {
         engine_timeout: sim_core::time::Cycles(64),
         down_after: 2,
         check_interval: sim_core::time::Cycles(16),
-        failover: true,
     }
 }
 

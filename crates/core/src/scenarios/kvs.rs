@@ -304,7 +304,6 @@ impl KvsScenario {
                 TileConfig {
                     queue_capacity: 256,
                     admission: config.dma_admission,
-                    ..TileConfig::default()
                 },
             ),
             dma_id

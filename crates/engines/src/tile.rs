@@ -34,12 +34,6 @@ pub struct TileConfig {
     pub queue_capacity: usize,
     /// Full-queue behaviour.
     pub admission: AdmissionPolicy,
-    /// Declares this engine lossless: it must never drop a message.
-    /// The declaration is *checked, not enforced* — the static verifier
-    /// rejects (PV303) any lossless tile whose `admission` is not
-    /// [`AdmissionPolicy::Backpressure`], since every other policy can
-    /// drop under a full queue.
-    pub lossless: bool,
 }
 
 impl Default for TileConfig {
@@ -47,20 +41,6 @@ impl Default for TileConfig {
         TileConfig {
             queue_capacity: 64,
             admission: AdmissionPolicy::TailDrop,
-            lossless: false,
-        }
-    }
-}
-
-impl TileConfig {
-    /// A lossless tile: backpressure admission plus the lossless
-    /// declaration the verifier checks (PV303).
-    #[must_use]
-    pub fn lossless(queue_capacity: usize) -> TileConfig {
-        TileConfig {
-            queue_capacity,
-            admission: AdmissionPolicy::Backpressure,
-            lossless: true,
         }
     }
 }
@@ -728,7 +708,6 @@ mod tests {
         let cfg = TileConfig {
             queue_capacity: 2,
             admission: AdmissionPolicy::TailDrop,
-            ..TileConfig::default()
         };
         let mut t = EngineTile::new(
             EngineId(5),
@@ -746,7 +725,10 @@ mod tests {
 
     #[test]
     fn backpressure_holds_message_and_blocks_rx() {
-        let cfg = TileConfig::lossless(1);
+        let cfg = TileConfig {
+            queue_capacity: 1,
+            admission: AdmissionPolicy::Backpressure,
+        };
         let mut t = EngineTile::new(
             EngineId(5),
             Box::new(NullOffload::new("slow", EngineClass::Dma, Cycles(1000))),
@@ -768,7 +750,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "accept while busy")]
     fn accept_past_backpressure_panics() {
-        let cfg = TileConfig::lossless(1);
+        let cfg = TileConfig {
+            queue_capacity: 1,
+            admission: AdmissionPolicy::Backpressure,
+        };
         let mut t = EngineTile::new(
             EngineId(5),
             Box::new(NullOffload::new("slow", EngineClass::Dma, Cycles(1000))),
@@ -1055,7 +1040,10 @@ mod tests {
 
     #[test]
     fn pending_rx_pins_the_hint() {
-        let cfg = TileConfig::lossless(1);
+        let cfg = TileConfig {
+            queue_capacity: 1,
+            admission: AdmissionPolicy::Backpressure,
+        };
         let mut t = EngineTile::new(
             EngineId(5),
             Box::new(NullOffload::new("slow", EngineClass::Dma, Cycles(1000))),

@@ -462,15 +462,14 @@ impl Tor {
     }
 
     /// A copy at the port of member `to`, its destination, which is
-    /// not Up: re-point it at a replica, absorb it into the
-    /// host-fallback path, or park it until the member recovers.
+    /// not Up: re-point it at a replica and park it for the next
+    /// dispatch, or absorb it into the host-fallback path.
     fn absorb_at_down_member(&mut self, mut copy: Crossing, to: usize, now: Cycle) {
-        if let Some(replica) = self.replica_for(to, to) {
-            self.redirect(&mut copy, to, replica, now);
-            self.ledgers[copy.origin].note_redirected(copy.msg.id);
-        } else if self.config.host_fallback {
+        let Some(replica) = self.replica_for(to, to) else {
             return self.fall_back_to_host(&copy, now);
-        }
+        };
+        self.redirect(&mut copy, to, replica, now);
+        self.ledgers[copy.origin].note_redirected(copy.msg.id);
         self.parked[to].push_back(copy);
     }
 
@@ -652,15 +651,14 @@ impl Tor {
         // left its nominal path — not the PV704 case.
         let mut route = self.route(i, d, copy.via || copy.tracked, boundary);
         if matches!(route, Route::Never) {
-            if let Some(replica) = self.replica_for(d, i) {
-                self.redirect(&mut copy, d, replica, boundary);
-                if replica == i {
-                    return self.deliver(members, copy, i, boundary);
-                }
-                route = self.route(i, replica, true, boundary);
-            } else if self.config.host_fallback {
+            let Some(replica) = self.replica_for(d, i) else {
                 return self.fall_back_to_host(&copy, boundary);
+            };
+            self.redirect(&mut copy, d, replica, boundary);
+            if replica == i {
+                return self.deliver(members, copy, i, boundary);
             }
+            route = self.route(i, replica, true, boundary);
         }
         match route {
             Route::Link(li, rerouted) if !self.links[li].shut(boundary) => {

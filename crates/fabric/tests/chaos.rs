@@ -306,17 +306,13 @@ fn a_reattached_tracer_replaces_the_tors_too() {
     assert_eq!(first_seen.lock().unwrap().marks.len(), marked);
 }
 
-/// PV803's promise: an unbounded `part` is only rejected when host
-/// fallback is off, so with it on — the `FabricFaultConfig::new`
-/// default — the cut-off member's traffic must still drain. Copies to
-/// or from a member that is Up but isolated for good meet the fate of
-/// copies addressed to a lost member: a replica the ToR can still
-/// reach (here every member is one, the sender included), else the
-/// host. They used to park forever.
+/// An unbounded `part` drains: copies to or from a member that is Up
+/// but isolated for good meet the fate of copies addressed to a lost
+/// member — a replica the ToR can still reach (here every member is
+/// one, the sender included), else the host.
 #[test]
 fn permanent_partition_with_host_fallback_drains_clean() {
     let cfg = FabricFaultConfig::new(FabricFaultPlan::parse("part:0@100").unwrap());
-    assert!(cfg.host_fallback, "the default PV803 relies on");
     let mut fabric = ring(4, Some(cfg.clone()));
     drain(&mut fabric);
     let (injected, delivered) = injected_and_delivered(&fabric);

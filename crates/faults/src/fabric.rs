@@ -416,23 +416,6 @@ impl Plan<FabricFaultKind> {
         }
         Ok(())
     }
-
-    /// The first member a *permanent partition* (a `part` with no
-    /// duration) cuts off for good, if the plan has one. Its traffic
-    /// parks forever unless the host-fallback path absorbs it — the
-    /// PV803 lint. A member loss (`mloss`) is not reported here: a lost
-    /// member's traffic is redirected to a replica or the host, and
-    /// the plan still drains.
-    #[must_use]
-    pub fn has_permanent_isolation(&self) -> Option<usize> {
-        self.events().iter().find_map(|e| match e.kind {
-            FabricFaultKind::Partition {
-                member,
-                duration: None,
-            } => Some(member),
-            _ => None,
-        })
-    }
 }
 
 /// Retry policy for cross-NIC hops: how long the [`HopLedger`] waits
@@ -450,13 +433,6 @@ pub struct HopRetryConfig {
     pub max_retries: u32,
     /// Deadline multiplier per retry (exponential backoff; 1 = flat).
     pub backoff: u32,
-    /// Declares that the receiver suppresses duplicate copies. The
-    /// [`HopLedger`] always does — nothing in it reads this flag, so
-    /// `false` does not switch suppression off; the field exists for
-    /// the PV801 lint, which rejects a retry budget declared without
-    /// it (retry without suppression would deliver the same hop twice
-    /// into the destination mesh).
-    pub dedup: bool,
 }
 
 impl Default for HopRetryConfig {
@@ -465,7 +441,6 @@ impl Default for HopRetryConfig {
             timeout: Cycles(1024),
             max_retries: 4,
             backoff: 2,
-            dedup: true,
         }
     }
 }
@@ -489,10 +464,6 @@ pub struct FabricFaultConfig {
     pub plan: FabricFaultPlan,
     /// Cross-NIC hop retry policy.
     pub retry: HopRetryConfig,
-    /// When a chain is addressed to a crashed member and no replica
-    /// can take it, hand the message to the attachment host
-    /// (`redirected` sink) instead of dropping it unrouted.
-    pub host_fallback: bool,
     /// Explicit replica pins `(member, replica)`: chains addressed to
     /// a crashed `member` are rewritten to `replica`. Members without
     /// a pin fail over to the lowest-indexed live member that declares
@@ -502,15 +473,13 @@ pub struct FabricFaultConfig {
 }
 
 impl FabricFaultConfig {
-    /// A config running `plan` with default retry policy and
-    /// host-fallback enabled.
+    /// A config running `plan` with the default retry policy and no
+    /// replica pins.
     #[must_use]
     pub fn new(plan: FabricFaultPlan) -> FabricFaultConfig {
         FabricFaultConfig {
             plan,
-            retry: HopRetryConfig::default(),
-            host_fallback: true,
-            replicas: Vec::new(),
+            ..FabricFaultConfig::default()
         }
     }
 
@@ -748,7 +717,6 @@ mod tests {
         assert_eq!(FabricFaultPlan::parse(&rendered).unwrap(), plan);
         // Sorted by cycle, so the freeze at 50 leads.
         assert!(rendered.starts_with("freeze:2-3@50+64"));
-        assert_eq!(plan.has_permanent_isolation(), Some(2));
     }
 
     #[test]
@@ -781,12 +749,19 @@ mod tests {
     }
 
     #[test]
+    fn fault_config_has_one_default() {
+        assert_eq!(
+            FabricFaultConfig::default(),
+            FabricFaultConfig::new(FabricFaultPlan::default())
+        );
+    }
+
+    #[test]
     fn ledger_retries_with_backoff_then_exhausts() {
         let cfg = HopRetryConfig {
             timeout: Cycles(100),
             max_retries: 2,
             backoff: 2,
-            dedup: true,
         };
         let mut ledger = HopLedger::new(cfg);
         let m = msg(1);
@@ -884,7 +859,6 @@ mod tests {
             timeout: Cycles(100),
             max_retries: 3,
             backoff: 4,
-            dedup: true,
         };
         assert_eq!(cfg.deadline_after(0), Cycles(100));
         assert_eq!(cfg.deadline_after(1), Cycles(400));
@@ -914,7 +888,6 @@ mod tests {
                 timeout: Cycles(timeout),
                 max_retries,
                 backoff,
-                dedup: true,
             };
             let mut new = HopLedger::new(config);
             let mut old = reference::HopLedger::new(config);

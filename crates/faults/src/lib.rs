@@ -27,9 +27,8 @@
 //!   disarms them, and opens a new generation when a message crosses
 //!   again.
 //! * **Policy knobs**: [`WatchdogConfig`] (deadlines, retry budget,
-//!   engine health / failover; PV4xx lints) and [`FabricFaultConfig`]
-//!   (plan, [`HopRetryConfig`], host fallback, replica pins; PV8xx
-//!   lints). `crates/fabric` threads the latter through the ToR.
+//!   engine health; PV4xx lints) and [`FabricFaultConfig`] (plan,
+//!   [`HopRetryConfig`], replica pins; PV8xx lints). `crates/fabric` threads the latter through the ToR.
 //!
 //! The crate is deliberately *mechanism only*: it owns no simulator
 //! state. `panic-core` threads the plan into the datapath and drives

@@ -39,7 +39,7 @@ use sim_core::time::{Cycle, Cycles};
 
 use crate::ledger::{self, Ledger, Terminal};
 
-/// Watchdog and failover policy knobs.
+/// Watchdog policy knobs.
 ///
 /// Consumed by the core's fault runtime and audited by the PV4xx lints
 /// in `panic-verify` (e.g. PV403: `deadline` must exceed the slowest
@@ -53,8 +53,8 @@ pub struct WatchdogConfig {
     pub deadline: Cycles,
     /// Retry budget per descriptor. After this many re-issues the
     /// descriptor is failed. `0` disables re-issue entirely (every
-    /// timeout is an immediate failure) — nonsensical with `failover`
-    /// enabled, which is what lint PV402 catches.
+    /// timeout is an immediate failure), so re-issued traffic never
+    /// reaches a failover replica — what lint PV402 catches.
     pub max_retries: u32,
     /// Deadline multiplier per retry: retry `n` waits
     /// `deadline × backoff^n`. Must be ≥ 1; 2 is the classic choice.
@@ -68,11 +68,6 @@ pub struct WatchdogConfig {
     /// How often (in cycles) engine health is sampled. Sampling is
     /// cheap but not free; 64 is a good default.
     pub check_interval: Cycles,
-    /// When true, chain hops naming a DOWN engine are rewritten to a
-    /// live replica of the same offload type (same name stem + engine
-    /// class); with no replica available the packet degrades to the
-    /// host-fallback path. When false, such packets are failed.
-    pub failover: bool,
 }
 
 impl Default for WatchdogConfig {
@@ -84,7 +79,6 @@ impl Default for WatchdogConfig {
             engine_timeout: Cycles(512),
             down_after: 3,
             check_interval: Cycles(64),
-            failover: true,
         }
     }
 }

@@ -121,8 +121,6 @@ pub enum EngineClass {
     Fpga,
     /// Fixed-function ASIC offload.
     Asic,
-    /// TCP offload engine.
-    Tcp,
     /// RDMA engine.
     Rdma,
 }
@@ -137,7 +135,6 @@ impl fmt::Display for EngineClass {
             EngineClass::Core => "core",
             EngineClass::Fpga => "fpga",
             EngineClass::Asic => "asic",
-            EngineClass::Tcp => "tcp",
             EngineClass::Rdma => "rdma",
         };
         f.write_str(s)

@@ -71,14 +71,10 @@ impl<T> Pifo<T> {
         let popped = self.heap.pop().map(|Reverse(e)| (e.rank, e.item));
         popped.map(|(rank, item)| {
             // Rank monotonicity: nothing still queued outranks what just
-            // popped. The heap invariant guarantees this *unless* a rank
-            // computation overflowed the fixed-width rank word and
-            // wrapped — the runtime shadow of the static rank-width lint
-            // (panic-verify PV301).
+            // popped — the heap invariant on full `u64` ranks.
             debug_assert!(
                 self.peek_rank().is_none_or(|next| next >= rank),
-                "PIFO popped rank {rank} but a smaller rank remains \
-                 queued — rank wrapped its width? (see lint PV301)"
+                "PIFO popped rank {rank} but a smaller rank remains queued"
             );
             item
         })

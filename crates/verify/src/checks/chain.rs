@@ -277,8 +277,7 @@ mod tests {
 
     fn spec_with(program: RmtProgram) -> NicSpec {
         let mut s = NicSpec::new(Topology::mesh(4, 4));
-        let mut e0 = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
-        e0.is_portal = true;
+        let e0 = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
         let mut e1 = EngineSpec::new(EngineId(1), "crypto", EngineClass::Asic);
         e1.service_cycles = Cycles(400);
         s.engines.push(e0);

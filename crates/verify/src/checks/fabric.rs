@@ -28,13 +28,9 @@
 //! When the spec arms a fabric fault plane ([`FabricSpec::faults`]),
 //! the `PV8xx` family lints the chaos configuration itself:
 //!
-//! * **PV801** (Error): a hop retry budget without duplicate
-//!   suppression — retransmissions would double-deliver.
 //! * **PV802** (Error): a pinned failover replica that cannot take
 //!   traffic — out of range, the failed member itself, or a member no
 //!   other member has a link into.
-//! * **PV803** (Error): the plan permanently isolates a member while
-//!   host fallback is disabled — its traffic can never drain.
 //! * **PV804** (Error): the hop retry timeout is shorter than the
 //!   round trip the slowest declared link implies, so every crossing
 //!   on that link would retransmit spuriously.
@@ -259,20 +255,6 @@ fn check_fault_plane(
 ) {
     let n = spec.members.len();
 
-    // PV801: retries without receiver-side dedup double-deliver.
-    if cfg.retry.max_retries > 0 && !cfg.retry.dedup {
-        out.push(Diagnostic::new(
-            Code::PV801,
-            Severity::Error,
-            Span::at("fabric", "faults.retry"),
-            format!(
-                "hop retry budget of {} with duplicate suppression disabled: \
-                 a late original plus its retransmission would both deliver",
-                cfg.retry.max_retries
-            ),
-        ));
-    }
-
     // PV802: every pinned replica must be a distinct, in-range member
     // that at least one *other* member has a link into — otherwise the
     // redirect target can never receive the redirected traffic.
@@ -316,22 +298,6 @@ fn check_fault_plane(
                     ),
                 ));
             }
-        }
-    }
-
-    // PV803: a permanently isolated member with nowhere to fall back.
-    if let Some(m) = cfg.plan.has_permanent_isolation() {
-        if !cfg.host_fallback {
-            out.push(Diagnostic::new(
-                Code::PV803,
-                Severity::Error,
-                Span::at("fabric", "faults.plan"),
-                format!(
-                    "the plan permanently partitions nic{m} while host \
-                     fallback is disabled: traffic addressed to it can \
-                     neither deliver nor drain"
-                ),
-            ));
         }
     }
 
@@ -388,9 +354,8 @@ mod tests {
 
     fn member() -> NicSpec {
         let mut spec = NicSpec::new(Topology::mesh(2, 2));
-        let mut portal = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
-        portal.is_portal = true;
-        spec.engines.push(portal);
+        spec.engines
+            .push(EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt));
         spec.engines
             .push(EngineSpec::new(EngineId(1), "crc", EngineClass::Asic));
         spec
@@ -534,29 +499,15 @@ mod tests {
     }
 
     #[test]
-    fn pv801_flags_retries_without_dedup() {
-        let cfg = faults::FabricFaultConfig {
-            retry: faults::HopRetryConfig {
-                dedup: false,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let diags = check_fabric(&armed(two_nic_fabric(), cfg));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, Code::PV801);
-        assert_eq!(diags[0].severity, Severity::Error);
-
-        // Zero retries never retransmit, so dedup-off is then fine.
-        let cfg = faults::FabricFaultConfig {
-            retry: faults::HopRetryConfig {
-                dedup: false,
-                max_retries: 0,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        assert!(check_fabric(&armed(two_nic_fabric(), cfg)).is_empty());
+    fn partitions_pass_because_fallback_is_unconditional() {
+        // A permanent partition is clean: the isolated member's traffic
+        // always falls back to the host and the fabric drains. A bounded
+        // one recovers on its own.
+        for plan in ["part:1@50", "part:1@50+200"] {
+            let cfg = faults::FabricFaultConfig::new(faults::FabricFaultPlan::parse(plan).unwrap());
+            let diags = check_fabric(&armed(two_nic_fabric(), cfg));
+            assert!(diags.is_empty(), "{plan}: {diags:?}");
+        }
     }
 
     #[test]
@@ -600,28 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn pv803_flags_permanent_isolation_without_fallback() {
-        let plan = faults::FabricFaultPlan::parse("part:1@50").unwrap();
-        let mut cfg = faults::FabricFaultConfig::new(plan.clone());
-        cfg.host_fallback = false;
-        let diags = check_fabric(&armed(two_nic_fabric(), cfg));
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].code, Code::PV803);
-        assert!(diags[0].message.contains("nic1"), "{}", diags[0].message);
-
-        // With host fallback the isolated member's traffic can drain.
-        let cfg = faults::FabricFaultConfig::new(plan);
-        assert!(check_fabric(&armed(two_nic_fabric(), cfg)).is_empty());
-
-        // A *bounded* partition recovers on its own.
-        let mut cfg = faults::FabricFaultConfig::new(
-            faults::FabricFaultPlan::parse("part:1@50+200").unwrap(),
-        );
-        cfg.host_fallback = false;
-        assert!(check_fabric(&armed(two_nic_fabric(), cfg)).is_empty());
-    }
-
-    #[test]
     fn pv804_flags_timeout_under_link_rtt() {
         let mut fabric = two_nic_fabric();
         for l in &mut fabric.links {
@@ -637,7 +566,7 @@ mod tests {
     #[test]
     fn member_findings_are_prefixed() {
         let mut fabric = two_nic_fabric();
-        fabric.members[1].engines.retain(|e| !e.is_portal); // PV204 on nic1
+        fabric.members[1].engines.retain(|e| !e.is_portal()); // PV204 on nic1
         let report = verify_fabric(&fabric);
         assert!(!report.is_clean());
         let d = report

@@ -4,16 +4,16 @@
 //! ([`crate::NicSpec::watchdog`] is `Some`): a fault-free NIC has no
 //! fault-plane configuration to get wrong.
 //!
-//! * **PV401** (Warn): failover is enabled but some offload type has
-//!   no replica. The runtime failover policy re-routes traffic for a
+//! * **PV401** (Warn): some offload type has no replica. The
+//!   runtime failover policy re-routes traffic for a
 //!   DOWN engine to a healthy engine of the same type — same
 //!   [`packet::EngineClass`] and the same name stem (`crc0`/`crc1`).
 //!   A singleton engine can only degrade to host fallback, which is
 //!   legitimate but worth knowing before a chaos run.
-//! * **PV402** (Error): the retry budget is zero while failover is
-//!   enabled. A descriptor then fails permanently at its *first*
-//!   deadline, so the re-issue path that would exercise the replica
-//!   is unreachable — the failover configuration is dead code.
+//! * **PV402** (Error): the retry budget is zero. A descriptor then
+//!   fails permanently at its *first* deadline, so the re-issue path
+//!   that would exercise the replica is unreachable — failover is
+//!   dead code.
 //! * **PV403** (Error): the base descriptor deadline is not longer
 //!   than the slowest engine's worst-case service time. Every message
 //!   that queues behind one service at that engine would time out and
@@ -33,8 +33,8 @@ pub fn check_faultplane(spec: &NicSpec) -> Vec<Diagnostic> {
     };
     let mut diags = Vec::new();
 
-    // PV402: zero retries + failover = unreachable recovery path.
-    if wd.failover && wd.max_retries == 0 {
+    // PV402: zero retries = unreachable recovery path.
+    if wd.max_retries == 0 {
         diags.push(Diagnostic::new(
             Code::PV402,
             Severity::Error,
@@ -51,7 +51,7 @@ pub fn check_faultplane(spec: &NicSpec) -> Vec<Diagnostic> {
     if let Some(slowest) = spec
         .engines
         .iter()
-        .filter(|e| !e.is_portal && e.service_cycles.count() > 0)
+        .filter(|e| !e.is_portal() && e.service_cycles.count() > 0)
         .max_by_key(|e| e.service_cycles.count())
     {
         if wd.deadline.count() <= slowest.service_cycles.count() {
@@ -71,33 +71,31 @@ pub fn check_faultplane(spec: &NicSpec) -> Vec<Diagnostic> {
         }
     }
 
-    // PV401: offload types without a replica (failover only).
-    if wd.failover {
-        for e in spec.engines.iter().filter(|e| !e.is_portal) {
-            let replicas = spec
-                .engines
-                .iter()
-                .filter(|o| {
-                    !o.is_portal
-                        && o.id != e.id
-                        && o.class == e.class
-                        && name_stem(&o.name) == name_stem(&e.name)
-                })
-                .count();
-            if replicas == 0 {
-                diags.push(Diagnostic::new(
-                    Code::PV401,
-                    Severity::Warn,
-                    Span::at("fault", e.name.clone()),
-                    format!(
-                        "offload type '{}' ({:?}) has no replica: if engine \
-                         {} goes DOWN its traffic degrades to host fallback",
-                        name_stem(&e.name),
-                        e.class,
-                        e.id
-                    ),
-                ));
-            }
+    // PV401: offload types without a replica.
+    for e in spec.engines.iter().filter(|e| !e.is_portal()) {
+        let replicas = spec
+            .engines
+            .iter()
+            .filter(|o| {
+                !o.is_portal()
+                    && o.id != e.id
+                    && o.class == e.class
+                    && name_stem(&o.name) == name_stem(&e.name)
+            })
+            .count();
+        if replicas == 0 {
+            diags.push(Diagnostic::new(
+                Code::PV401,
+                Severity::Warn,
+                Span::at("fault", e.name.clone()),
+                format!(
+                    "offload type '{}' ({:?}) has no replica: if engine \
+                     {} goes DOWN its traffic degrades to host fallback",
+                    name_stem(&e.name),
+                    e.class,
+                    e.id
+                ),
+            ));
         }
     }
 
@@ -168,16 +166,6 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.code == Code::PV402 && d.severity == Severity::Error));
-        // Without failover, zero retries is a legitimate fail-fast
-        // configuration.
-        spec.watchdog = Some(WatchdogConfig {
-            max_retries: 0,
-            failover: false,
-            ..WatchdogConfig::default()
-        });
-        assert!(!check_faultplane(&spec)
-            .iter()
-            .any(|d| d.code == Code::PV402));
     }
 
     #[test]

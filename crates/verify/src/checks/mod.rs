@@ -1,8 +1,8 @@
 //! The check families, individually callable.
 //!
-//! [`verify`] runs everything; the per-family functions exist so that
-//! callers configuring only a slice of the NIC (e.g. the baselines,
-//! which have no RMT program) can lint exactly the part they use.
+//! [`verify`] runs every single-NIC family and [`verify_fabric`] adds
+//! the rack checks; the per-family functions are public so a caller
+//! can lint one slice of a spec, as this crate's unit tests do.
 
 pub mod chain;
 pub mod fabric;
@@ -10,7 +10,6 @@ pub mod faultplane;
 pub mod noc;
 pub mod perf;
 pub mod rmt;
-pub mod sched;
 pub mod tenancy;
 
 pub use chain::check_chain;
@@ -19,7 +18,6 @@ pub use faultplane::check_faultplane;
 pub use noc::check_noc;
 pub use perf::check_perf;
 pub use rmt::check_rmt;
-pub use sched::check_sched;
 pub use tenancy::check_tenancy;
 
 use crate::diag::Report;
@@ -32,7 +30,6 @@ pub fn verify(spec: &NicSpec) -> Report {
     diags.extend(check_chain(spec));
     diags.extend(check_noc(spec));
     diags.extend(check_rmt(spec));
-    diags.extend(check_sched(spec));
     diags.extend(check_faultplane(spec));
     diags.extend(check_perf(spec));
     diags.extend(check_tenancy(spec));

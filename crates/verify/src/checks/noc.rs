@@ -2,12 +2,11 @@
 //!
 //! A switched NoC with credit flow control deadlocks iff its
 //! channel-dependency graph (CDG) has a cycle (Dally & Seitz). The
-//! checker builds the CDG induced by the configured routing function —
-//! nodes are directed mesh channels, an edge `c1 → c2` means some route
-//! holds `c1` while waiting for `c2` — and proves it acyclic with a
-//! DFS, or reports a witness cycle (PV101). Dimension-ordered XY
-//! routing always passes; a minimal fully-adaptive function with no
-//! escape virtual channels always fails on meshes of 2×2 or larger.
+//! checker builds the CDG induced by the routing function the router
+//! implements, dimension-ordered XY — nodes are directed mesh
+//! channels, an edge `c1 → c2` means some route holds `c1` while
+//! waiting for `c2` — and proves it acyclic with a DFS, or reports a
+//! witness cycle (PV101).
 //!
 //! The buffer lints are about credits: a zero-capacity buffer means a
 //! link that can never be granted a credit, i.e. a wire that carries
@@ -22,10 +21,18 @@ use noc::topology::Direction;
 use noc::{Coord, Topology};
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::spec::{NicSpec, RoutingKind};
+use crate::spec::NicSpec;
 
 /// A directed mesh channel: the link from one router to an adjacent one.
 type Channel = (Coord, Coord);
+
+/// Largest Ethernet frame the NIC must carry, in bytes.
+const MAX_FRAME_BYTES: u64 = 1518;
+
+/// Flits needed to carry the largest frame.
+fn max_frame_flits(spec: &NicSpec) -> u64 {
+    MAX_FRAME_BYTES.div_ceil(spec.flit_bytes())
+}
 
 /// Runs the `PV1xx` family against `spec`.
 #[must_use]
@@ -81,33 +88,6 @@ fn xy_edges(topo: Topology) -> Vec<(Channel, Channel)> {
     edges
 }
 
-/// CDG edges under minimal fully-adaptive routing with no escape VCs:
-/// at every router, any input channel may wait on any output channel
-/// except the U-turn back where it came from. This is the sound
-/// over-approximation of "the route may turn any direction that makes
-/// progress" — and it closes turn cycles on any mesh with a 2×2
-/// sub-mesh, which is exactly the classical result the lint encodes.
-fn adaptive_edges(topo: Topology) -> Vec<(Channel, Channel)> {
-    let mut edges = Vec::new();
-    for mid in topo.coords() {
-        for din in Direction::ALL {
-            let Some(a) = topo.neighbor(mid, din) else {
-                continue;
-            };
-            for dout in Direction::ALL {
-                let Some(b) = topo.neighbor(mid, dout) else {
-                    continue;
-                };
-                if b == a {
-                    continue; // no U-turns in minimal routing
-                }
-                edges.push(((a, mid), (mid, b)));
-            }
-        }
-    }
-    edges
-}
-
 /// DFS cycle detection over the CDG. Returns a witness channel on a
 /// cycle, `None` when acyclic.
 fn find_cycle(nodes: &[Channel], edges: &[(Channel, Channel)]) -> Option<Channel> {
@@ -146,28 +126,26 @@ fn find_cycle(nodes: &[Channel], edges: &[(Channel, Channel)]) -> Option<Channel
     None
 }
 
-/// PV101: prove the routing function deadlock-free, or report the
-/// witness cycle.
+/// PV101: prove XY routing deadlock-free, or report the witness cycle.
 fn check_deadlock(spec: &NicSpec, out: &mut Vec<Diagnostic>) {
     let topo = spec.topology;
-    let nodes = channels(topo);
-    let (edges, kind) = match spec.routing {
-        RoutingKind::XyDimensionOrdered => (xy_edges(topo), "XY dimension-ordered"),
-        RoutingKind::FullyAdaptiveMinimal => (adaptive_edges(topo), "fully-adaptive minimal"),
-    };
-    if let Some((a, b)) = find_cycle(&nodes, &edges) {
-        out.push(Diagnostic::new(
-            Code::PV101,
-            Severity::Error,
-            Span::at("noc", format!("channel {a}->{b}")),
-            format!(
-                "{kind} routing on the {} mesh has a cyclic channel-dependency \
-                 graph (witness cycle through channel {a}->{b}): credit deadlock is \
-                 reachable; use XY routing or add escape virtual channels",
-                topo
-            ),
-        ));
-    }
+    out.extend(deadlock(topo, &xy_edges(topo)));
+}
+
+/// The PV101 finding for the CDG `edges` over `topo`'s channels, if
+/// it has a cycle.
+fn deadlock(topo: Topology, edges: &[(Channel, Channel)]) -> Option<Diagnostic> {
+    let (a, b) = find_cycle(&channels(topo), edges)?;
+    Some(Diagnostic::new(
+        Code::PV101,
+        Severity::Error,
+        Span::at("noc", format!("channel {a}->{b}")),
+        format!(
+            "routing on the {topo} mesh has a cyclic channel-dependency \
+             graph (witness cycle through channel {a}->{b}): credit deadlock is \
+             reachable"
+        ),
+    ))
 }
 
 /// PV102 / PV103: buffer and credit sizing.
@@ -220,7 +198,7 @@ fn check_buffers(spec: &NicSpec, out: &mut Vec<Diagnostic>) {
              link stalls one cycle per flit, halving channel bandwidth"
                 .to_string(),
         ));
-    } else if (r.input_buffer_flits as u64) < spec.max_frame_flits() {
+    } else if (r.input_buffer_flits as u64) < max_frame_flits(spec) {
         out.push(Diagnostic::new(
             Code::PV103,
             Severity::Info,
@@ -231,8 +209,8 @@ fn check_buffers(spec: &NicSpec, out: &mut Vec<Diagnostic>) {
                  in flight, which is correct (wormhole) but couples their \
                  blocking behavior",
                 r.input_buffer_flits,
-                spec.max_frame_flits(),
-                spec.max_frame_bytes
+                max_frame_flits(spec),
+                MAX_FRAME_BYTES
             ),
         ));
     }
@@ -258,23 +236,20 @@ mod tests {
     }
 
     #[test]
-    fn pv101_adaptive_routing_without_escape_vcs() {
-        let mut s = spec(2);
-        s.routing = RoutingKind::FullyAdaptiveMinimal;
-        let diags = check_noc(&s);
-        let d = diags.iter().find(|d| d.code == Code::PV101).expect("PV101");
+    fn pv101_reports_a_cyclic_dependency_graph() {
+        // The four turns around a 2x2 mesh — the cycle a minimal
+        // adaptive function without escape VCs closes — are refuted
+        // with a witness channel on the cycle.
+        let topo = Topology::mesh(2, 2);
+        let ring = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)].map(|(x, y)| Coord::new(x, y));
+        let chans: Vec<Channel> = ring.windows(2).map(|w| (w[0], w[1])).collect();
+        let edges: Vec<_> = (0..4).map(|i| (chans[i], chans[(i + 1) % 4])).collect();
+        let d = deadlock(topo, &edges).expect("PV101");
+        assert_eq!(d.code, Code::PV101);
         assert_eq!(d.severity, Severity::Error);
         assert!(d.message.contains("witness"), "{}", d.message);
-    }
-
-    #[test]
-    fn adaptive_on_a_line_is_fine() {
-        // A 1xN "mesh" has no turns, so even adaptive routing cannot
-        // close a cycle: the checker reasons from the graph, not the
-        // routing-kind label.
-        let mut s = NicSpec::new(Topology::mesh(1, 4));
-        s.routing = RoutingKind::FullyAdaptiveMinimal;
-        assert!(!check_noc(&s).iter().any(|d| d.code == Code::PV101));
+        // Drop one turn and the graph is acyclic again.
+        assert!(deadlock(topo, &edges[1..]).is_none());
     }
 
     #[test]
@@ -327,8 +302,10 @@ mod tests {
 
     #[test]
     fn pv103_sub_frame_buffer_is_informational() {
-        // The default 8-flit buffer is smaller than a 1518 B frame:
-        // that is the normal wormhole regime, Info not Warn.
+        // The default 8-flit buffer is smaller than a 1518 B frame
+        // (190 8-byte flits): that is the normal wormhole regime, Info
+        // not Warn.
+        assert_eq!(max_frame_flits(&spec(4)), 190);
         let diags = check_noc(&spec(4));
         let d = diags.iter().find(|d| d.code == Code::PV103).expect("PV103");
         assert_eq!(d.severity, Severity::Info);

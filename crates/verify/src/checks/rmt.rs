@@ -20,7 +20,7 @@ use rmt::table::{MatchKey, MatchKind, Table};
 use rmt::RmtProgram;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
-use crate::spec::NicSpec;
+use crate::spec::{EngineSpec, NicSpec};
 
 /// Runs the `PV2xx` family against `spec`.
 #[must_use]
@@ -43,7 +43,7 @@ fn check_portals(spec: &NicSpec, out: &mut Vec<Diagnostic>) {
         // the builder integration always populates engines.
         return;
     }
-    if !spec.engines.iter().any(|e| e.is_portal) {
+    if !spec.engines.iter().any(EngineSpec::is_portal) {
         out.push(Diagnostic::new(
             Code::PV204,
             Severity::Error,
@@ -196,9 +196,12 @@ fn check_def_use(program: &RmtProgram, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Per-table entry capacity of an RMT match stage's SRAM.
+const TABLE_ENTRY_CAPACITY: usize = 1024;
+
 /// PV203: the program must fit the pipeline. Stage budget is
 /// `depth − 2` (one cycle each for parser and deparser); entry counts
-/// are bounded per stage by the configured table SRAM.
+/// are bounded per stage by the table SRAM.
 fn check_capacity(spec: &NicSpec, program: &RmtProgram, out: &mut Vec<Diagnostic>) {
     let stage_budget = spec.pipeline.depth.saturating_sub(2) as usize;
     if program.stages() > stage_budget {
@@ -215,7 +218,7 @@ fn check_capacity(spec: &NicSpec, program: &RmtProgram, out: &mut Vec<Diagnostic
         ));
     }
     for table in program.tables() {
-        if table.len() > spec.table_entry_capacity {
+        if table.len() > TABLE_ENTRY_CAPACITY {
             out.push(Diagnostic::new(
                 Code::PV203,
                 Severity::Error,
@@ -224,7 +227,7 @@ fn check_capacity(spec: &NicSpec, program: &RmtProgram, out: &mut Vec<Diagnostic
                     "table '{}' holds {} entries but each stage's SRAM fits {}",
                     table.name(),
                     table.len(),
-                    spec.table_entry_capacity
+                    TABLE_ENTRY_CAPACITY
                 ),
             ));
         }
@@ -234,7 +237,6 @@ fn check_capacity(spec: &NicSpec, program: &RmtProgram, out: &mut Vec<Diagnostic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::EngineSpec;
     use noc::Topology;
     use packet::headers::{ethertype, ipproto};
     use packet::{EngineClass, EngineId};
@@ -247,9 +249,8 @@ mod tests {
 
     fn spec_with(program: RmtProgram) -> NicSpec {
         let mut s = NicSpec::new(Topology::mesh(4, 4));
-        let mut portal = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
-        portal.is_portal = true;
-        s.engines.push(portal);
+        s.engines
+            .push(EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt));
         s.program = Some(program);
         s
     }
@@ -379,25 +380,24 @@ mod tests {
     #[test]
     fn pv203_table_entry_overflow() {
         let mut t = exact_table("big", vec![Field::L4DstPort]);
-        for port in 0..40u64 {
+        for port in 0..1025u64 {
             t.insert(TableEntry {
                 key: MatchKey::Exact(vec![port]),
                 priority: 0,
                 action: Action::noop(),
             });
         }
-        let mut spec = spec_with(standard_program(vec![t]));
-        spec.table_entry_capacity = 32;
+        let spec = spec_with(standard_program(vec![t]));
         assert!(check_rmt(&spec).iter().any(|d| d.code == Code::PV203
             && d.severity == Severity::Error
-            && d.message.contains("40 entries")));
+            && d.message.contains("1025 entries")));
     }
 
     #[test]
     fn pv204_no_portal() {
         let p = standard_program(vec![exact_table("t", vec![Field::EthType])]);
         let mut spec = spec_with(p);
-        spec.engines[0].is_portal = false;
+        spec.engines[0].class = EngineClass::Asic;
         let diags = check_rmt(&spec);
         let d = diags.iter().find(|d| d.code == Code::PV204).expect("PV204");
         assert!(

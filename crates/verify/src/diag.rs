@@ -18,13 +18,13 @@ use trace::json::escape;
 /// * `PV0xx` — offload-chain / placement checks,
 /// * `PV1xx` — NoC deadlock and buffer checks,
 /// * `PV2xx` — RMT program checks,
-/// * `PV3xx` — scheduler checks,
+/// * `PV3xx` — retired (scheduler checks),
 /// * `PV4xx` — fault-plane / watchdog checks,
 /// * `PV5xx` — simulator-performance checks (fast-forward efficacy),
 /// * `PV6xx` — tenancy-plane checks (vNIC catalog soundness),
 /// * `PV7xx` — rack-fabric checks (inter-NIC links and remote hops),
-/// * `PV8xx` — fabric fault-plane checks (hop retry policy, failover
-///   reachability, partition survivability).
+/// * `PV8xx` — fabric fault-plane checks (failover reachability, hop
+///   retry timeout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // the variants are documented by `explain`
 pub enum Code {
@@ -39,9 +39,6 @@ pub enum Code {
     PV202,
     PV203,
     PV204,
-    PV301,
-    PV302,
-    PV303,
     PV401,
     PV402,
     PV403,
@@ -55,15 +52,13 @@ pub enum Code {
     PV702,
     PV703,
     PV704,
-    PV801,
     PV802,
-    PV803,
     PV804,
 }
 
 impl Code {
     /// Every code the verifier can emit, in numeric order.
-    pub const ALL: [Code; 31] = [
+    pub const ALL: [Code; 26] = [
         Code::PV001,
         Code::PV002,
         Code::PV003,
@@ -75,9 +70,6 @@ impl Code {
         Code::PV202,
         Code::PV203,
         Code::PV204,
-        Code::PV301,
-        Code::PV302,
-        Code::PV303,
         Code::PV401,
         Code::PV402,
         Code::PV403,
@@ -91,9 +83,7 @@ impl Code {
         Code::PV702,
         Code::PV703,
         Code::PV704,
-        Code::PV801,
         Code::PV802,
-        Code::PV803,
         Code::PV804,
     ];
 
@@ -112,9 +102,6 @@ impl Code {
             Code::PV202 => "PV202",
             Code::PV203 => "PV203",
             Code::PV204 => "PV204",
-            Code::PV301 => "PV301",
-            Code::PV302 => "PV302",
-            Code::PV303 => "PV303",
             Code::PV401 => "PV401",
             Code::PV402 => "PV402",
             Code::PV403 => "PV403",
@@ -128,15 +115,14 @@ impl Code {
             Code::PV702 => "PV702",
             Code::PV703 => "PV703",
             Code::PV704 => "PV704",
-            Code::PV801 => "PV801",
             Code::PV802 => "PV802",
-            Code::PV803 => "PV803",
             Code::PV804 => "PV804",
         }
     }
 
-    /// One-line description of what the check catches (used by
-    /// `panic-lint --explain` and the docs).
+    /// One-line description of what the check catches, for callers of
+    /// the library; within this workspace only this module's tests
+    /// read it.
     #[must_use]
     pub fn explain(self) -> &'static str {
         match self {
@@ -157,14 +143,11 @@ impl Code {
             Code::PV202 => "PHV field read before any parser layer or earlier stage writes it",
             Code::PV203 => "program exceeds pipeline stage or table-entry capacity",
             Code::PV204 => "NIC needs at least one RMT portal on the mesh",
-            Code::PV301 => "PIFO rank width cannot represent the scheduling horizon",
-            Code::PV302 => "DRR quantum is zero (Error) or below the maximum frame size (Warn)",
-            Code::PV303 => "engine declared lossless but admission policy can drop",
             Code::PV401 => {
-                "failover enabled but an offload type has no replica \
-                 (a failure degrades to host fallback)"
+                "an offload type has no failover replica (a failure \
+                 degrades to host fallback)"
             }
-            Code::PV402 => "watchdog retry budget is zero while failover is enabled",
+            Code::PV402 => "watchdog retry budget is zero, so no re-issue reaches a replica",
             Code::PV403 => {
                 "watchdog deadline not longer than the slowest engine's \
                  worst-case service time (guaranteed spurious re-issues)"
@@ -208,19 +191,10 @@ impl Code {
                 "a remote hop crosses between two fabric members that no \
                  declared link connects"
             }
-            Code::PV801 => {
-                "hop retry budget without duplicate suppression: retransmitted \
-                 crossings would be delivered twice into the destination mesh"
-            }
             Code::PV802 => {
                 "replica redirect target with no route: a failover pin names a \
                  member that is out of range, the member itself, or one no \
                  other member has a link to"
-            }
-            Code::PV803 => {
-                "a permanent partition isolates a member while host fallback \
-                 is disabled: traffic addressed to it parks forever and the \
-                 fabric can never drain"
             }
             Code::PV804 => {
                 "hop retry timeout shorter than the round trip implied by \
@@ -271,7 +245,8 @@ impl fmt::Display for Severity {
 /// name, field name) — span-like context without source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Check-family scope: `chain`, `noc`, `rmt`, or `sched`.
+    /// Check-family scope: `chain`, `noc`, `rmt`, `fault`, `perf`,
+    /// `tenancy` or `fabric`.
     pub scope: &'static str,
     /// The specific engine / stage / table / field, when known.
     pub subject: String,
@@ -480,13 +455,13 @@ mod tests {
         let r = Report::new(vec![
             diag(Code::PV103, Severity::Info),
             diag(Code::PV101, Severity::Error),
-            diag(Code::PV302, Severity::Warn),
+            diag(Code::PV203, Severity::Warn),
         ]);
         assert_eq!(r.diagnostics()[0].code, Code::PV101);
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warn_count(), 1);
         assert!(!r.is_clean());
-        assert!(r.has(Code::PV302));
+        assert!(r.has(Code::PV203));
         assert!(!r.has(Code::PV001));
     }
 

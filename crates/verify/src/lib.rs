@@ -3,9 +3,9 @@
 //!
 //! Hardware teams lint their configurations before tape-out; this crate
 //! does the moral equivalent for the simulated NIC. Given a plain-data
-//! [`NicSpec`] describing the mesh, the routing function, the engines,
-//! the scheduler parameters and (optionally) the RMT program, it runs
-//! its families of checks and returns a [`Report`] of
+//! [`NicSpec`] describing the mesh, the engines and (optionally) the
+//! RMT program, the watchdog, the workload and the tenancy plane, it
+//! runs its families of checks and returns a [`Report`] of
 //! [`Diagnostic`]s with stable codes:
 //!
 //! * **`PV0xx` — chains & placement** ([`checks::chain`]): hop targets
@@ -13,7 +13,7 @@
 //!   mesh's analytically sustainable length — the Table 3 model
 //!   (PV002), slack budgets are feasible against engine service times
 //!   (PV003), and the engine set physically fits the mesh (PV004).
-//! * **`PV1xx` — NoC** ([`checks::noc`]): the routing function's
+//! * **`PV1xx` — NoC** ([`checks::noc`]): XY routing's
 //!   channel-dependency graph is proved acyclic per Dally & Seitz
 //!   (PV101), and router buffers grant at least one credit (PV102)
 //!   with sane sizing (PV103).
@@ -21,24 +21,29 @@
 //!   DAG (PV201), match keys read fields something writes (PV202), the
 //!   program fits the pipeline's stages and table SRAM (PV203), and
 //!   the NIC has at least one portal tile (PV204).
-//! * **`PV3xx` — scheduler** ([`checks::sched`]): PIFO rank width
-//!   covers the scheduling horizon (PV301), DRR quanta are frame-sized
-//!   (PV302), and lossless engines use backpressure admission (PV303).
 //! * **`PV4xx` — fault plane** ([`checks::faultplane`], armed
 //!   watchdogs only): failover has replicas to fail over *to* (PV401),
-//!   a non-zero retry budget when failover is on (PV402), and a
-//!   descriptor deadline clearing the slowest engine's service time
-//!   (PV403).
+//!   a non-zero retry budget (PV402), and a descriptor deadline
+//!   clearing the slowest engine's service time (PV403).
 //! * **`PV5xx` — simulator performance** ([`checks::perf`], declared
 //!   workloads only): the traffic sources leave idle windows for
 //!   quiescence fast-forward to skip — a periodic source arriving
 //!   every cycle pins the run to stepped speed (PV501; see
 //!   `docs/PERF.md`).
+//! * **`PV6xx` — tenancy** ([`checks::tenancy`], tenanted NICs only):
+//!   tenant ids are unique (PV601), some vNIC has a non-zero weight
+//!   (PV602), credit quotas fit the shared pool (PV603), vNIC chains
+//!   name only entitled engines (PV604), and vNIC names fit a
+//!   telemetry frame (PV605).
 //! * **`PV7xx` — rack fabric** ([`checks::fabric`], [`FabricSpec`]s
 //!   only, via [`verify_fabric`]): remote chain hops resolve to real
 //!   members and engines (PV701), inter-NIC links are routable
 //!   (PV702), declared in both directions (PV703), and every remote
 //!   crossing has a link to carry it (PV704); see `docs/FABRIC.md`.
+//! * **`PV8xx` — fabric fault plane** ([`checks::fabric`], armed
+//!   [`FabricSpec::faults`] only): failover pins name a reachable
+//!   replica (PV802), and the hop retry timeout clears the slowest
+//!   link's round trip (PV804).
 //!
 //! Severities: an `Error` means the simulation would deadlock, panic,
 //! or silently break a modeled hardware invariant; a `Warn` means the
@@ -54,9 +59,7 @@
 //! use panic_verify::{verify, EngineSpec, NicSpec};
 //!
 //! let mut spec = NicSpec::new(Topology::mesh(4, 4));
-//! let mut portal = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
-//! portal.is_portal = true;
-//! spec.engines.push(portal);
+//! spec.engines.push(EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt));
 //! let report = verify(&spec);
 //! assert!(report.is_clean(), "{}", report.render_human());
 //! ```
@@ -69,11 +72,11 @@ pub mod diag;
 pub mod spec;
 
 pub use checks::{
-    check_chain, check_fabric, check_faultplane, check_noc, check_perf, check_rmt, check_sched,
-    check_tenancy, verify, verify_fabric,
+    check_chain, check_fabric, check_faultplane, check_noc, check_perf, check_rmt, check_tenancy,
+    verify, verify_fabric,
 };
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
-pub use spec::{ArrivalSpec, EngineSpec, FabricSpec, LinkSpec, NicSpec, RoutingKind, SchedSpec};
+pub use spec::{ArrivalSpec, EngineSpec, FabricSpec, LinkSpec, NicSpec};
 
 #[cfg(test)]
 mod tests {
@@ -85,24 +88,18 @@ mod tests {
     #[test]
     fn verify_aggregates_all_families() {
         let mut spec = NicSpec::new(Topology::mesh(2, 2));
-        spec.routing = RoutingKind::FullyAdaptiveMinimal; // PV101
         spec.router.input_buffer_flits = 0; // PV102
-        spec.sched.drr_quantum = Some(0); // PV302
-        let mut e = EngineSpec::new(EngineId(0), "dma", EngineClass::Dma);
-        e.lossless = true; // PV303 (admission defaults to TailDrop)
-        spec.engines.push(e); // no portal -> PV204
+        let dma = EngineSpec::new(EngineId(0), "dma", EngineClass::Dma);
+        spec.engines.push(dma); // no portal -> PV204
         spec.watchdog = Some(faults::WatchdogConfig {
-            max_retries: 0, // PV402 (failover defaults to enabled)
+            max_retries: 0, // PV402
             ..faults::WatchdogConfig::default()
         }); // the lone "dma" engine also has no replica -> PV401
         spec.arrivals = vec![ArrivalSpec::periodic("burst", 1, 1)]; // PV501
         let report = verify(&spec);
         for code in [
-            Code::PV101,
             Code::PV102,
             Code::PV204,
-            Code::PV302,
-            Code::PV303,
             Code::PV401,
             Code::PV402,
             Code::PV501,
@@ -122,9 +119,8 @@ mod tests {
     #[test]
     fn reference_config_has_no_errors() {
         let mut spec = NicSpec::new(Topology::mesh(4, 4));
-        let mut portal = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
-        portal.is_portal = true;
-        spec.engines.push(portal);
+        spec.engines
+            .push(EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt));
         let report = verify(&spec);
         assert!(report.is_clean(), "{}", report.render_human());
         assert_eq!(report.warn_count(), 0, "{}", report.render_human());

@@ -17,51 +17,6 @@ use rmt::{PipelineConfig, RmtProgram};
 use sched::AdmissionPolicy;
 use sim_core::{Bandwidth, Cycles, Freq};
 
-/// Which routing function the mesh uses. The verifier proves (or
-/// refutes) deadlock freedom from the channel-dependency graph this
-/// induces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingKind {
-    /// Dimension-ordered X-then-Y routing — what [`noc::Router`]
-    /// implements. Its channel-dependency graph is acyclic, so the
-    /// checker certifies it deadlock-free on any mesh.
-    XyDimensionOrdered,
-    /// Fully adaptive minimal routing with no extra virtual channels —
-    /// a hypothetical alternative the checker *rejects*: any minimal
-    /// adaptive function without VC escape paths closes turn cycles on
-    /// meshes of at least 2×2 (Dally & Seitz / Glass & Ni turn model).
-    FullyAdaptiveMinimal,
-}
-
-/// Scheduler-level parameters shared by every engine's local queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedSpec {
-    /// Width of the PIFO rank field in bits. The paper's PIFO block
-    /// \[34\] stores ranks in fixed-width SRAM words; ranks past
-    /// `2^width − 1` alias and break LSTF ordering.
-    pub rank_width_bits: u32,
-    /// The scheduling horizon: the largest cycle count at which the
-    /// simulation still enqueues ranked messages (`arrival + slack`
-    /// deadlines must fit in the rank field up to this point).
-    pub horizon_cycles: u64,
-    /// DRR quantum in bytes, when a deficit round-robin stage fronts
-    /// the PIFO. `None` when pure LSTF is used.
-    pub drr_quantum: Option<u64>,
-}
-
-impl Default for SchedSpec {
-    fn default() -> SchedSpec {
-        SchedSpec {
-            // u48 rank SRAM word, as in the PIFO block's reference RTL.
-            rank_width_bits: 48,
-            // A generous default horizon: ~2s of simulated time at
-            // 500 MHz, far past any shipped experiment.
-            horizon_cycles: 1 << 30,
-            drr_quantum: None,
-        }
-    }
-}
-
 /// One engine (compute tile) on the mesh.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSpec {
@@ -71,8 +26,6 @@ pub struct EngineSpec {
     pub name: String,
     /// Broad engine class (Figure 3c legend).
     pub class: EngineClass,
-    /// True for RMT portal tiles (heavyweight-pipeline access points).
-    pub is_portal: bool,
     /// Explicit placement, or `None` for automatic row-major placement.
     pub coord: Option<Coord>,
     /// Nominal per-message service time, used by the slack-feasibility
@@ -82,27 +35,29 @@ pub struct EngineSpec {
     pub queue_capacity: usize,
     /// What the local queue does when full.
     pub admission: AdmissionPolicy,
-    /// Declared lossless: the engine must never drop a message. Only
-    /// [`AdmissionPolicy::Backpressure`] honors that (PV303).
-    pub lossless: bool,
 }
 
 impl EngineSpec {
     /// An engine spec with the common defaults: auto placement,
-    /// unknown service time, a 64-entry tail-drop queue, lossy.
+    /// unknown service time, a 64-entry tail-drop queue.
     #[must_use]
     pub fn new(id: EngineId, name: impl Into<String>, class: EngineClass) -> EngineSpec {
         EngineSpec {
             id,
             name: name.into(),
             class,
-            is_portal: class == EngineClass::Rmt,
             coord: None,
             service_cycles: Cycles(0),
             queue_capacity: 64,
             admission: AdmissionPolicy::TailDrop,
-            lossless: false,
         }
+    }
+
+    /// True for RMT portal tiles (heavyweight-pipeline access points):
+    /// the engines of class [`EngineClass::Rmt`].
+    #[must_use]
+    pub fn is_portal(&self) -> bool {
+        self.class == EngineClass::Rmt
     }
 }
 
@@ -152,14 +107,6 @@ pub struct NicSpec {
     pub router: RouterConfig,
     /// Heavyweight RMT pipeline configuration.
     pub pipeline: PipelineConfig,
-    /// Routing function (for the deadlock proof).
-    pub routing: RoutingKind,
-    /// Largest Ethernet frame the NIC must carry, in bytes.
-    pub max_frame_bytes: u64,
-    /// Per-table entry capacity of the RMT match stages.
-    pub table_entry_capacity: usize,
-    /// Scheduler parameters.
-    pub sched: SchedSpec,
     /// All engines/tiles, portals included.
     pub engines: Vec<EngineSpec>,
     /// The RMT program, when known statically.
@@ -177,9 +124,8 @@ pub struct NicSpec {
 
 impl NicSpec {
     /// A spec over `topology` with the paper's reference parameters:
-    /// 64-bit channels at 500 MHz, one 100 Gbps port, XY routing,
-    /// default router buffers, standard 1518-byte frames, and no
-    /// engines or program yet.
+    /// 64-bit channels at 500 MHz, one 100 Gbps port, default router
+    /// buffers, and no engines or program yet.
     #[must_use]
     pub fn new(topology: Topology) -> NicSpec {
         NicSpec {
@@ -190,10 +136,6 @@ impl NicSpec {
             ports: 1,
             router: RouterConfig::default(),
             pipeline: PipelineConfig::panic_default(),
-            routing: RoutingKind::XyDimensionOrdered,
-            max_frame_bytes: 1518,
-            table_entry_capacity: 1024,
-            sched: SchedSpec::default(),
             engines: Vec::new(),
             program: None,
             watchdog: None,
@@ -212,12 +154,6 @@ impl NicSpec {
     #[must_use]
     pub fn flit_bytes(&self) -> u64 {
         (self.width_bits / 8).max(1)
-    }
-
-    /// Flits needed to carry the largest frame.
-    #[must_use]
-    pub fn max_frame_flits(&self) -> u64 {
-        self.max_frame_bytes.div_ceil(self.flit_bytes())
     }
 }
 
@@ -311,9 +247,7 @@ impl LinkSpec {
 /// // Two identical members, each with one portal tile.
 /// let member = {
 ///     let mut spec = NicSpec::new(Topology::mesh(2, 2));
-///     let mut portal = EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt);
-///     portal.is_portal = true;
-///     spec.engines.push(portal);
+///     spec.engines.push(EngineSpec::new(EngineId(0), "portal", EngineClass::Rmt));
 ///     spec
 /// };
 /// let fabric = FabricSpec::full_mesh(vec![member.clone(), member], LinkSpec::new(0, 0));
@@ -394,10 +328,7 @@ mod tests {
         assert_eq!(s.width_bits, 64);
         assert_eq!(s.freq, Freq::PANIC_DEFAULT);
         assert_eq!(s.line_rate, Bandwidth::gbps(100));
-        assert_eq!(s.sched.rank_width_bits, 48);
         assert_eq!(s.flit_bytes(), 8);
-        // 1518-byte frame over 8-byte flits.
-        assert_eq!(s.max_frame_flits(), 190);
         assert!(s.engines.is_empty());
     }
 

@@ -5,7 +5,7 @@
 //! diagnostics with stable codes (`PV001`…):
 //!
 //! ```text
-//! panic-lint                 # list scenarios
+//! panic-lint                 # usage and the scenario list (exit 2)
 //! panic-lint all             # lint every shipped scenario
 //! panic-lint kvs chain       # lint a subset
 //! panic-lint --json all      # machine-readable diagnostics
@@ -15,14 +15,15 @@
 //!
 //! `--check-fixtures` lints a set of deliberately broken
 //! configurations — tenancy (one per PV601–PV605), rack-fabric (one
-//! per PV701–PV704), and fabric fault plane (one per PV801–PV804) —
-//! and *fails unless each one fires its expected diagnostic* — the
-//! lint pass's own negative test, runnable in CI against the shipped
+//! per PV701–PV704), and fabric fault plane (PV802 and PV804) — and
+//! *fails unless each one fires its expected diagnostic* — the lint
+//! pass's own negative test, runnable in CI against the shipped
 //! binary.
 //!
 //! Exit status: `0` when no scenario has error-severity diagnostics
 //! (or, with `--deny-warnings`, no warnings either), `1` otherwise,
-//! `2` on usage errors.
+//! `2` on usage errors: no scenario, an unknown scenario, or an
+//! unknown flag.
 
 #![forbid(unsafe_code)]
 
@@ -159,8 +160,8 @@ fn fabric_with_chain(hops: Vec<EngineId>) -> FabricSpec {
     fabric
 }
 
-/// Deliberately broken rack configurations, one per PV7xx lint.
-/// Exercised by `--check-fixtures` alongside the PV6xx set.
+/// Deliberately broken rack configurations, one per PV7xx and PV8xx
+/// lint. Exercised by `--check-fixtures` alongside the PV6xx set.
 fn fabric_fixtures() -> Vec<FabricFixture> {
     vec![
         ("fixture-pv701", "PV701", Severity::Error, || {
@@ -185,19 +186,6 @@ fn fabric_fixtures() -> Vec<FabricFixture> {
             fabric.links.clear();
             fabric
         }),
-        ("fixture-pv801", "PV801", Severity::Error, || {
-            // Retransmission armed without receiver-side duplicate
-            // suppression: every retry risks double delivery.
-            let mut fabric = two_kvs_fabric();
-            fabric.faults = Some(faults::FabricFaultConfig {
-                retry: faults::HopRetryConfig {
-                    dedup: false,
-                    ..faults::HopRetryConfig::default()
-                },
-                ..faults::FabricFaultConfig::default()
-            });
-            fabric
-        }),
         ("fixture-pv802", "PV802", Severity::Error, || {
             // Member 0 pinned to fail over to member 2, but the only
             // other member (1) has no link into the replica: failed-over
@@ -211,16 +199,6 @@ fn fabric_fixtures() -> Vec<FabricFixture> {
                     ..faults::FabricFaultConfig::default()
                 }),
             }
-        }),
-        ("fixture-pv803", "PV803", Severity::Error, || {
-            // A permanent partition isolates member 1, and the
-            // host-fallback path is disabled: its traffic parks forever.
-            let mut fabric = two_kvs_fabric();
-            fabric.faults = Some(faults::FabricFaultConfig {
-                plan: faults::FabricFaultPlan::parse("part:1@50").expect("fixture plan"),
-                ..faults::FabricFaultConfig::default()
-            });
-            fabric
         }),
         ("fixture-pv804", "PV804", Severity::Error, || {
             // A hop-retry timeout shorter than the round trip the
@@ -275,8 +253,19 @@ fn check_fixtures() -> bool {
     ok
 }
 
+/// The flags `main` parses; any other `-`-prefixed argument is a
+/// usage error.
+const FLAGS: [&str; 4] = ["--json", "--deny-warnings", "-W", "--check-fixtures"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(a) = args
+        .iter()
+        .find(|a| a.starts_with('-') && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("unknown flag `{a}`; run with no args for usage");
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--check-fixtures") {
         std::process::exit(i32::from(!check_fixtures()));
     }
@@ -286,7 +275,9 @@ fn main() {
 
     let all = scenarios();
     if selected.is_empty() {
-        eprintln!("usage: panic-lint [--json] [--deny-warnings] <scenario>... | all\n");
+        eprintln!(
+            "usage: panic-lint [--json] [--deny-warnings] <scenario>... | all | --check-fixtures\n"
+        );
         eprintln!("scenarios:");
         for (id, desc, _) in &all {
             eprintln!("  {id:<16} {desc}");

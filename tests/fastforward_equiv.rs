@@ -227,7 +227,6 @@ fn watchdog_nic() -> (PanicNic, EngineId) {
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
-        failover: true,
     });
     (b.build(), eth)
 }
@@ -442,7 +441,6 @@ fn tenanted_watchdog_nic(shaped_gap: u64) -> (PanicNic, EngineId) {
             engine_timeout: Cycles(64),
             down_after: 2,
             check_interval: Cycles(16),
-            failover: true,
         });
         (b, eth)
     };

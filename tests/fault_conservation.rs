@@ -87,7 +87,6 @@ fn replicated_nic() -> (PanicNic, EngineId) {
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
-        failover: true,
     });
     (b.build(), eth)
 }
@@ -220,7 +219,6 @@ fn tenanted_nic() -> (PanicNic, EngineId) {
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
-        failover: true,
     });
     b.tenancy(TenancyConfig::new(vec![
         VNicSpec::new(TenantId(1), "heavy", 3).credit_quota(12),

@@ -1,7 +1,7 @@
-//! Negative-fixture self-test for `panic-lint` (satellite of the
-//! tenancy-plane PR): the shipped binary must (a) stay green on the
-//! shipped scenarios and (b) fail each deliberately broken PV6xx
-//! tenancy fixture with the expected diagnostic.
+//! Negative-fixture self-test for `panic-lint`: the shipped binary
+//! must (a) stay green on the shipped scenarios, (b) fail each
+//! deliberately broken PV6xx–PV8xx fixture with the expected
+//! diagnostic, and (c) refuse a command line it does not parse.
 //!
 //! Exercising the *binary* (via `CARGO_BIN_EXE_panic-lint`) rather
 //! than the library keeps the CLI surface — argument parsing, exit
@@ -9,7 +9,7 @@
 
 use std::process::Command;
 
-fn lint(args: &[&str]) -> (bool, String) {
+fn run(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_panic-lint"))
         .args(args)
         .output()
@@ -19,7 +19,12 @@ fn lint(args: &[&str]) -> (bool, String) {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    (out.status.success(), text)
+    (out.status.code(), text)
+}
+
+fn lint(args: &[&str]) -> (bool, String) {
+    let (code, text) = run(args);
+    (code == Some(0), text)
 }
 
 #[test]
@@ -33,8 +38,8 @@ fn pv6xx_pv7xx_and_pv8xx_fixtures_all_fire() {
     let (ok, text) = lint(&["--check-fixtures"]);
     assert!(ok, "a lint fixture failed to fire:\n{text}");
     for code in [
-        "PV601", "PV602", "PV603", "PV604", "PV605", "PV701", "PV702", "PV703", "PV704", "PV801",
-        "PV802", "PV803", "PV804",
+        "PV601", "PV602", "PV603", "PV604", "PV605", "PV701", "PV702", "PV703", "PV704", "PV802",
+        "PV804",
     ] {
         let line = text
             .lines()
@@ -42,6 +47,27 @@ fn pv6xx_pv7xx_and_pv8xx_fixtures_all_fire() {
             .unwrap_or_else(|| panic!("no fixture line for {code}:\n{text}"));
         assert!(line.contains("ok"), "fixture for {code} missing:\n{text}");
     }
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    for args in [
+        &["--jsn", "all"][..],
+        &["--explain", "PV101"],
+        &["--check-fixtures", "-x"],
+    ] {
+        let (code, text) = run(args);
+        assert_eq!(code, Some(2), "{args:?}:\n{text}");
+        assert!(text.contains("unknown flag"), "{args:?}:\n{text}");
+    }
+}
+
+#[test]
+fn no_arguments_prints_usage() {
+    let (code, text) = run(&[]);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.starts_with("usage: panic-lint"), "{text}");
+    assert!(text.contains("--check-fixtures"), "{text}");
 }
 
 /// The offline `--json` output uses the same envelope — scenario,
