@@ -320,7 +320,7 @@ mod tests {
         assert_eq!(m.chain.len(), 1);
         assert_eq!(m.chain.hops()[0].engine, EngineId(11));
         // Latency-class slack applied.
-        assert_eq!(m.chain.hops()[0].slack.0, 200);
+        assert_eq!({ m.chain.hops()[0].slack }.0, 200);
         // RX queue selected from tenant.
         assert_eq!(m.rx_queue, 1);
     }
@@ -340,7 +340,7 @@ mod tests {
         let mut m = msg_of(frame);
         prog.process(&mut m);
         assert_eq!(m.priority, Priority::Normal);
-        assert_eq!(m.chain.hops()[0].slack.0, 2000);
+        assert_eq!({ m.chain.hops()[0].slack }.0, 2000);
     }
 
     #[test]
@@ -473,7 +473,7 @@ mod tests {
         let mut m = msg_of(f.min_frame(0, 80));
         prog.process(&mut m);
         assert_eq!(m.chain.len(), 1);
-        assert_eq!(m.chain.hops()[0].slack, packet::chain::Slack::BULK);
+        assert_eq!({ m.chain.hops()[0].slack }, packet::chain::Slack::BULK);
     }
 
     #[test]

@@ -263,7 +263,7 @@ mod tests {
                 assert_eq!(m.chain.hops()[0].engine, DMA);
                 assert_eq!(m.chain.hops()[1].engine, SELF);
                 // Slack inherited from the request.
-                assert_eq!(m.chain.hops()[0].slack, Slack(40));
+                assert_eq!({ m.chain.hops()[0].slack }, Slack(40));
             }
             other => panic!("expected ForwardTo dma, got {other:?}"),
         }

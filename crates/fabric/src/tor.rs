@@ -57,8 +57,9 @@ pub(crate) enum Phase {
 struct Crossing {
     msg: Message,
     /// Member whose hop ledger tracks this crossing (the original
-    /// sender; transit copies keep it across intermediate hops).
-    origin: usize,
+    /// sender; transit copies keep it across intermediate hops). A
+    /// fabric has at most 32 members, so a byte holds it.
+    origin: u8,
     /// Crossing generation (valid when `tracked`).
     generation: u32,
     /// Whether the origin's ledger has the crossing armed (from first
@@ -71,16 +72,27 @@ struct Crossing {
     via: bool,
 }
 
+// A `Message` plus one word, moved by value through every boundary
+// exchange: at most 128 bytes, the largest move LLVM does inline on
+// baseline x86-64 rather than through a `memcpy` call (see the pin in
+// `packet::message`).
+const _: () = assert!(std::mem::size_of::<Crossing>() <= 128);
+
 impl Crossing {
     /// A copy just popped from `origin`'s fabric egress.
     fn fresh(msg: Message, origin: usize) -> Crossing {
         Crossing {
             msg,
-            origin,
+            origin: u8::try_from(origin).expect("a fabric member index fits a byte"),
             generation: 0,
             tracked: false,
             via: false,
         }
+    }
+
+    /// The member whose hop ledger tracks this crossing.
+    fn origin(&self) -> usize {
+        usize::from(self.origin)
     }
 }
 
@@ -421,7 +433,7 @@ impl Tor {
     /// enters the destination mesh.
     fn deliver(&mut self, members: &mut [Member], copy: Crossing, to: usize, now: Cycle) {
         if copy.tracked {
-            match self.ledgers[copy.origin].on_delivered(copy.msg.id, copy.generation, now) {
+            match self.ledgers[copy.origin()].on_delivered(copy.msg.id, copy.generation, now) {
                 HopOutcome::Duplicate => {
                     self.mark("fabric.dup_suppressed", now, copy.msg.id.0);
                     return;
@@ -456,7 +468,7 @@ impl Tor {
     /// The host-fallback fate: the copy is terminally absorbed and its
     /// ledger entry closed.
     fn fall_back_to_host(&mut self, copy: &Crossing, now: Cycle) {
-        self.ledgers[copy.origin].complete_terminal(copy.msg.id);
+        self.ledgers[copy.origin()].complete_terminal(copy.msg.id);
         self.chaos.redirected += 1;
         self.mark("fabric.host_fallback", now, copy.msg.id.0);
     }
@@ -469,7 +481,7 @@ impl Tor {
             return self.fall_back_to_host(&copy, now);
         };
         self.redirect(&mut copy, to, replica, now);
-        self.ledgers[copy.origin].note_redirected(copy.msg.id);
+        self.ledgers[copy.origin()].note_redirected(copy.msg.id);
         self.parked[to].push_back(copy);
     }
 
@@ -676,7 +688,7 @@ impl Tor {
     /// link latency — times the lag factor at departure — later.
     fn serialize(&mut self, i: usize, mut copy: Crossing, li: usize, rerouted: bool, at: Cycle) {
         if self.armed && !copy.tracked {
-            copy.generation = self.ledgers[copy.origin].track(&copy.msg, at);
+            copy.generation = self.ledgers[copy.origin()].track(&copy.msg, at);
             copy.tracked = true;
         }
         if rerouted {
@@ -687,7 +699,7 @@ impl Tor {
         if copy.via {
             // Off-nominal path: mark the crossing so its delivery
             // lands in the time-to-reroute distribution.
-            self.ledgers[copy.origin].note_redirected(copy.msg.id);
+            self.ledgers[copy.origin()].note_redirected(copy.msg.id);
         }
         let link = &mut self.links[li];
         let departure = at.max(self.uplink_free_at[i]);

@@ -602,7 +602,10 @@ impl MeshNetwork {
         };
         let (flits, distance) = tally(&count);
         let ejected = u64::from(count[0]);
-        let before = count;
+        // Only the FIFOs between the ends decide steadiness: snapshot
+        // those, a fixed 128 bytes that move inline, not the whole
+        // 132-byte array (a `memcpy` call).
+        let between: [u32; MAX_FIFOS] = count[1..].try_into().expect("MAX_FIFOS positions");
         advance(&mut count[..=m], g.front as usize, t);
         let (flits_after, distance_after) = tally(&count);
 
@@ -613,7 +616,7 @@ impl MeshNetwork {
         let steady = local == g.local
             && queued > 0
             && !(g.head && g.front > 0)
-            && count[1..m] == before[1..m];
+            && count[1..m] == between[..m - 1];
         let head = (g.head && g.front >= t).then(|| (g.front - t) as usize);
         let tail = (1..=m).rev().find(|&q| count[q] > 0).unwrap_or(0);
         let flit = |q: usize, n: u32, k: u32| FlitHandle {

@@ -180,7 +180,13 @@ impl fmt::Display for Slack {
 
 /// One hop in an offload chain: destination engine plus the slack budget
 /// at that engine.
+///
+/// Packed to 2-byte alignment so a hop is the 6 bytes it costs on the
+/// wire (not 8), which is what lets nine of them ride inline in a
+/// [`ChainHeader`]. Read the fields by value (`hop.slack`); a reference
+/// to `slack` would be unaligned and does not compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(2))]
 pub struct Hop {
     /// Which engine processes the message at this step.
     pub engine: EngineId,
@@ -188,12 +194,18 @@ pub struct Hop {
     pub slack: Slack,
 }
 
-/// Chain capacity, as a module const so the inline array below can name
+const _: () = assert!(std::mem::size_of::<Hop>() == 6);
+
+/// Chain capacity, as a module const so the spill array below can name
 /// it; re-exported as [`ChainHeader::MAX_HOPS`].
 const MAX_HOPS: usize = 16;
 
-/// Filler value for unused inline slots — never observable through the
-/// public API, which only ever exposes `hops[..len]`.
+/// Hops a chain keeps inline. Every chain the benchmark workloads build
+/// fits; a longer one moves to one boxed `[Hop; MAX_HOPS]`.
+const INLINE_HOPS: usize = 9;
+
+/// Filler value for unused slots — never observable through the public
+/// API, which only ever exposes the live prefix.
 const FILLER: Hop = Hop {
     engine: EngineId(0),
     slack: Slack::BULK,
@@ -207,24 +219,35 @@ const FILLER: Hop = Hop {
 /// hop — that is how "the RMT pipeline includes itself as a nexthop...so
 /// that it can generate the remainder of the chain" (§3.1.2) is encoded.
 ///
-/// Hops are stored **inline** (a fixed `[Hop; MAX_HOPS]` array, mirroring
-/// the fixed-size header a real NIC would carve out of the message) so
-/// that building, cloning, and dropping a chain never touches the heap —
-/// a requirement of the zero-allocation steady-state tick loop (see
-/// `docs/PERF.md`). Equality and `Debug` consider only the live prefix.
+/// Up to nine hops are stored **inline** (mirroring the fixed-size
+/// header a real NIC would carve out of the message), so building,
+/// cloning, and dropping such a chain never touches the heap — a
+/// requirement of the zero-allocation steady-state tick loop (see
+/// `docs/PERF.md`). A chain that grows past that *spills*: all its hops
+/// move to one boxed `[Hop; MAX_HOPS]`, one allocation per chain (and
+/// per clone of it). The header is 64 bytes either way, which keeps a
+/// [`crate::Message`] within the size the compiler still moves inline.
+/// Equality, `Debug` and the wire encoding consider only the live
+/// prefix, so where the hops live is not observable.
 #[derive(Clone)]
 pub struct ChainHeader {
-    hops: [Hop; MAX_HOPS],
+    inline: [Hop; INLINE_HOPS],
     len: u8,
     next: u8,
+    /// All the hops once the chain outgrows `inline` (which then goes
+    /// unused); `None` until then.
+    spill: Option<Box<[Hop; MAX_HOPS]>>,
 }
+
+const _: () = assert!(std::mem::size_of::<ChainHeader>() == 64);
 
 impl Default for ChainHeader {
     fn default() -> ChainHeader {
         ChainHeader {
-            hops: [FILLER; MAX_HOPS],
+            inline: [FILLER; INLINE_HOPS],
             len: 0,
             next: 0,
+            spill: None,
         }
     }
 }
@@ -293,7 +316,8 @@ impl ChainHeader {
             return Err(ChainError::TooLong);
         }
         let mut h = ChainHeader::default();
-        h.hops[..hops.len()].copy_from_slice(hops);
+        h.reserve(hops.len());
+        h.slots_mut()[..hops.len()].copy_from_slice(hops);
         h.len = hops.len() as u8;
         Ok(h)
     }
@@ -313,7 +337,8 @@ impl ChainHeader {
             return Err(ChainError::TooLong);
         }
         let mut h = ChainHeader::default();
-        for (slot, &engine) in h.hops.iter_mut().zip(engines) {
+        h.reserve(engines.len());
+        for (slot, &engine) in h.slots_mut().iter_mut().zip(engines) {
             *slot = Hop { engine, slack };
         }
         h.len = engines.len() as u8;
@@ -363,7 +388,39 @@ impl ChainHeader {
     /// All hops (visited and pending).
     #[must_use]
     pub fn hops(&self) -> &[Hop] {
-        &self.hops[..usize::from(self.len)]
+        &self.slots()[..usize::from(self.len)]
+    }
+
+    /// Every slot of the storage the hops live in, live or not.
+    fn slots(&self) -> &[Hop] {
+        match &self.spill {
+            Some(spill) => &spill[..],
+            None => &self.inline,
+        }
+    }
+
+    /// [`ChainHeader::slots`], mutably.
+    fn slots_mut(&mut self) -> &mut [Hop] {
+        match &mut self.spill {
+            Some(spill) => &mut spill[..],
+            None => &mut self.inline,
+        }
+    }
+
+    /// The pending hops (cursor position onward), mutably.
+    fn pending_mut(&mut self) -> &mut [Hop] {
+        let (next, len) = (usize::from(self.next), usize::from(self.len));
+        &mut self.slots_mut()[next..len]
+    }
+
+    /// Makes room for `len` hops (at most `MAX_HOPS`): spills the chain
+    /// to the heap the first time it outgrows the inline slots.
+    fn reserve(&mut self, len: usize) {
+        if len > INLINE_HOPS && self.spill.is_none() {
+            let mut spill = Box::new([FILLER; MAX_HOPS]);
+            spill[..INLINE_HOPS].copy_from_slice(&self.inline);
+            self.spill = Some(spill);
+        }
     }
 
     /// Appends hops produced by a later pipeline pass (the "RMT includes
@@ -376,7 +433,8 @@ impl ChainHeader {
         if len + more.len() > Self::MAX_HOPS {
             return Err(ChainError::TooLong);
         }
-        self.hops[len..len + more.len()].copy_from_slice(more);
+        self.reserve(len + more.len());
+        self.slots_mut()[len..len + more.len()].copy_from_slice(more);
         self.len = (len + more.len()) as u8;
         Ok(())
     }
@@ -392,7 +450,7 @@ impl ChainHeader {
     /// lightweight, locally-patchable structure §3.1.2 intends.
     pub fn rewrite_pending(&mut self, from: EngineId, to: EngineId) -> usize {
         let mut rewritten = 0;
-        for hop in &mut self.hops[usize::from(self.next)..usize::from(self.len)] {
+        for hop in self.pending_mut() {
             if hop.engine == from {
                 hop.engine = to;
                 rewritten += 1;
@@ -413,7 +471,7 @@ impl ChainHeader {
     /// addressed to other members are untouched.
     pub fn rewrite_pending_nic(&mut self, from_nic: usize, to_nic: usize) -> usize {
         let mut rewritten = 0;
-        for hop in &mut self.hops[usize::from(self.next)..usize::from(self.len)] {
+        for hop in self.pending_mut() {
             if hop.engine.remote_nic() == Some(from_nic) {
                 hop.engine = EngineId::remote(to_nic, hop.engine.local_part());
                 rewritten += 1;
@@ -433,10 +491,7 @@ impl ChainHeader {
     /// address *other* NICs (or re-address this one) and stay encoded
     /// until their own delivery.
     pub fn localize_current(&mut self, to: EngineId) -> Option<EngineId> {
-        let hop = self.hops.get_mut(usize::from(self.next))?;
-        if self.next >= self.len {
-            return None;
-        }
+        let hop = self.pending_mut().first_mut()?;
         let old = hop.engine;
         hop.engine = to;
         Some(old)
@@ -462,7 +517,7 @@ impl ChainHeader {
         let mut out = Vec::with_capacity(self.wire_bytes());
         out.push(self.remaining() as u8);
         out.push(0);
-        for hop in &self.hops[usize::from(self.next)..usize::from(self.len)] {
+        for hop in &self.hops()[usize::from(self.next)..] {
             out.extend_from_slice(&hop.engine.0.to_be_bytes());
             out.extend_from_slice(&hop.slack.0.to_be_bytes());
         }
@@ -484,7 +539,8 @@ impl ChainHeader {
             return Err(ChainError::Truncated);
         }
         let mut h = ChainHeader::default();
-        for i in 0..count {
+        h.reserve(count);
+        for (i, slot) in h.slots_mut()[..count].iter_mut().enumerate() {
             let off = Self::FIXED_BYTES + i * Self::HOP_BYTES;
             let engine = EngineId(u16::from_be_bytes([data[off], data[off + 1]]));
             let slack = Slack(u32::from_be_bytes([
@@ -493,7 +549,7 @@ impl ChainHeader {
                 data[off + 4],
                 data[off + 5],
             ]));
-            h.hops[i] = Hop { engine, slack };
+            *slot = Hop { engine, slack };
         }
         h.len = count as u8;
         h.next = next.min(count) as u8;

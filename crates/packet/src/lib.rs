@@ -20,8 +20,8 @@
 //!   pipeline's scratch for the duration of a pass.
 //! * [`message`] — [`message::Message`] itself: identity, payload
 //!   bytes, the chain, the descriptor a pipeline pass writes (priority,
-//!   receive queue, pass count), and the injection timestamp — three
-//!   cache lines, pinned at compile time.
+//!   receive queue, pass count), and the injection timestamp — 120
+//!   bytes, pinned at compile time.
 //! * [`flit`] — segmentation of messages into link-width flits for the
 //!   wormhole-routed on-chip network.
 

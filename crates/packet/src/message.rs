@@ -112,16 +112,19 @@ pub struct Message {
     pub source: EngineId,
 }
 
-// A `Message` is moved by value about a dozen times per chain leg (NoC
-// slab → portal → pipeline → slab → tile queue → service → emit), so
-// its size is a visible share of the tick (docs/PERF.md §11). It is
-// exactly three cache lines: id 8 + `Bytes` 32 + `ChainHeader` 132 +
-// stamp 8 + the 12 bytes of descriptor fields above. Growing it has to
-// be a decision, not an accident — the types that carry one by value
+// A `Message` is moved by value about 27 times per NoC leg (NoC slab →
+// portal → pipeline → slab → tile queue → service → emit), and so is
+// every type that carries one. LLVM moves a value of at most 128 bytes
+// with inline loads and stores on the workspace's baseline x86-64
+// target and calls `memcpy` above that; the call, not the bytes, is what
+// costs (docs/PERF.md §16). So a `Message` is 120 bytes: id 8 + `Bytes`
+// 24 + `ChainHeader` 64 + stamp 8 + the 12 bytes of descriptor fields
+// above, which leaves a word for the tag or stamp of each carrier
 // (`noc::network::InFlight`, `engines::engine::Output`,
-// `engines::tile::Emit`, `rmt::pipeline::PipelineOutput`) pin their own
-// sizes, so a new field shows up in five places at compile time.
-const _: () = assert!(std::mem::size_of::<Message>() <= 192);
+// `engines::tile::Emit`, `rmt::pipeline::PipelineOutput`,
+// `sched::queue::Queued`, the tenancy queues' entries), each pinned at
+// 128. A new field shows up at compile time in all of them.
+const _: () = assert!(std::mem::size_of::<Message>() <= 120);
 
 impl Message {
     /// Starts building a message.

@@ -272,8 +272,8 @@ mod tests {
         a.apply(&mut phv, &mut chain);
         assert_eq!(chain.len(), 2);
         assert_eq!(chain[0].engine, EngineId(4));
-        assert_eq!(chain[0].slack, Slack(100));
-        assert_eq!(chain[1].slack, Slack::BULK);
+        assert_eq!({ chain[0].slack }, Slack(100));
+        assert_eq!({ chain[1].slack }, Slack::BULK);
 
         Action::named("clr", vec![Primitive::ClearChain]).apply(&mut phv, &mut chain);
         assert!(chain.is_empty());
@@ -316,7 +316,7 @@ mod tests {
             ],
         )
         .apply(&mut phv, &mut chain);
-        assert_eq!(chain[0].slack, Slack(200));
+        assert_eq!({ chain[0].slack }, Slack(200));
     }
 
     #[test]

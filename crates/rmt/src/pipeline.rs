@@ -19,7 +19,6 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use packet::message::Message;
-use sim_core::events::EventQueue;
 use sim_core::time::{Cycle, Cycles, Freq};
 use trace::{MetricSink, Tracer, TrackId};
 
@@ -84,8 +83,10 @@ pub struct PipelineOutput {
 }
 
 // A `Message` plus the verdict word, moved into and out of the
-// in-flight queue once per pass (see the pin in `packet::message`).
-const _: () = assert!(std::mem::size_of::<PipelineOutput>() <= 200);
+// in-flight queue once per pass: at most 128 bytes, the largest move
+// LLVM does inline on baseline x86-64 rather than through a `memcpy`
+// call (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<PipelineOutput>() <= 128);
 
 /// The heavyweight RMT pipeline.
 #[derive(Debug)]
@@ -104,7 +105,12 @@ pub struct RmtPipeline {
     /// baseline this queue's growth is itself the measurement).
     input: VecDeque<Message>,
     /// In-flight messages, completing `depth` cycles after acceptance.
-    in_flight: EventQueue<PipelineOutput>,
+    /// Every message takes the same `depth`, so they complete in the
+    /// order they were accepted: a FIFO, not a priority queue.
+    in_flight: VecDeque<PipelineOutput>,
+    /// Completion cycle of each `in_flight` entry, front to back (kept
+    /// apart so an entry stays within the inline-move size).
+    due: VecDeque<Cycle>,
     stats: PipelineStats,
     /// Per-stage table hits, indexed by stage ([`PipelineStats`] is
     /// `Copy`, so the variable-length stage counters live here).
@@ -133,7 +139,8 @@ impl RmtPipeline {
             compiled: CompiledProgram::compile(&program),
             program,
             input: VecDeque::new(),
-            in_flight: EventQueue::new(),
+            in_flight: VecDeque::new(),
+            due: VecDeque::new(),
             stats: PipelineStats::default(),
             stage_hits: vec![0; stages],
             stage_misses: vec![0; stages],
@@ -280,7 +287,7 @@ impl RmtPipeline {
             // After `tick(now)` every event due at or before `now` has
             // drained, so the earliest pending completion is in the
             // future.
-            self.in_flight.next_due().map(|due| due.max(now.next()))
+            self.due.front().map(|&due| due.max(now.next()))
         }
     }
 
@@ -299,7 +306,7 @@ impl RmtPipeline {
             "skip_idle with a non-empty pipeline backlog"
         );
         debug_assert!(
-            self.in_flight.next_due().is_none_or(|due| due >= to),
+            self.due.front().is_none_or(|&due| due >= to),
             "skip_idle across a pending pipeline completion"
         );
         let skipped = to.0.saturating_sub(from.0);
@@ -358,10 +365,13 @@ impl RmtPipeline {
                             if v == Verdict::Recirculate {
                                 self.stats.recirculated += 1;
                             }
-                            self.in_flight.schedule(
-                                now + Cycles(u64::from(self.config.depth)),
-                                PipelineOutput { msg, verdict: v },
+                            let due = now + Cycles(u64::from(self.config.depth));
+                            debug_assert!(
+                                self.due.back().is_none_or(|&last| last <= due),
+                                "pipeline ticked backwards"
                             );
+                            self.due.push_back(due);
+                            self.in_flight.push_back(PipelineOutput { msg, verdict: v });
                         }
                     }
                 }
@@ -369,7 +379,10 @@ impl RmtPipeline {
             }
         }
         // Emit.
-        self.in_flight.drain_due_into(now, out);
+        while self.due.front().is_some_and(|&due| due <= now) {
+            self.due.pop_front();
+            out.extend(self.in_flight.pop_front());
+        }
         self.stats.emitted += out.len() as u64;
         if self.tracer.enabled() {
             // Each emerging message spent exactly `depth` cycles inside
@@ -393,6 +406,9 @@ impl RmtPipeline {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

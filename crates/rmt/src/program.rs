@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(m.chain.len(), 2);
         assert_eq!(m.chain.hops()[0].engine, EngineId(4));
         // Slack came from the ByPriority ladder with latency class.
-        assert_eq!(m.chain.hops()[0].slack, Slack(50));
+        assert_eq!({ m.chain.hops()[0].slack }, Slack(50));
         assert_eq!(m.pipeline_passes, 1);
         assert_eq!(m.rx_queue, 0, "no stage selected a receive queue");
     }
@@ -365,7 +365,7 @@ mod tests {
         assert_eq!(m.priority, Priority::Bulk);
         assert_eq!(m.chain.len(), 1);
         assert_eq!(m.chain.hops()[0].engine, EngineId(9));
-        assert_eq!(m.chain.hops()[0].slack, Slack::BULK);
+        assert_eq!({ m.chain.hops()[0].slack }, Slack::BULK);
     }
 
     #[test]

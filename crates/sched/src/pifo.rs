@@ -10,36 +10,22 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// An entry with its rank and a stable insertion sequence number.
-#[derive(Debug)]
-struct Entry<T> {
-    rank: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.rank == other.rank && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank.cmp(&other.rank).then(self.seq.cmp(&other.seq))
-    }
-}
+/// The heap's view of an entry: its rank, its insertion sequence
+/// number (unique, so it alone breaks ties), and the slot holding the
+/// item. Ordered by `(rank, seq)`; the slot never decides.
+type Key = (u64, u64, u32);
 
 /// A Push-In-First-Out queue: pop always returns the minimum-rank
 /// element, FIFO within equal ranks.
+///
+/// The heap orders 24-byte keys, not items: an item is written once
+/// into a slot when pushed and read once when popped, however far the
+/// heap sifts its key, and freed slots are reused last-in first-out.
 #[derive(Debug)]
 pub struct Pifo<T> {
-    heap: BinaryHeap<Reverse<Entry<T>>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -55,6 +41,8 @@ impl<T> Pifo<T> {
     pub fn new() -> Pifo<T> {
         Pifo {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -63,33 +51,51 @@ impl<T> Pifo<T> {
     pub fn push(&mut self, rank: u64, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { rank, seq, item }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.slots.push(Some(item));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 queued items")
+            }
+        };
+        self.heap.push(Reverse((rank, seq, slot)));
+    }
+
+    /// Empties `slot`, returning its item to the caller.
+    fn take(&mut self, slot: u32) -> T {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a queued key names a filled slot")
     }
 
     /// Pops the minimum-rank item.
     pub fn pop(&mut self) -> Option<T> {
-        let popped = self.heap.pop().map(|Reverse(e)| (e.rank, e.item));
-        popped.map(|(rank, item)| {
-            // Rank monotonicity: nothing still queued outranks what just
-            // popped — the heap invariant on full `u64` ranks.
-            debug_assert!(
-                self.peek_rank().is_none_or(|next| next >= rank),
-                "PIFO popped rank {rank} but a smaller rank remains queued"
-            );
-            item
-        })
+        let Reverse((rank, _, slot)) = self.heap.pop()?;
+        // Rank monotonicity: nothing still queued outranks what just
+        // popped — the heap invariant on full `u64` ranks.
+        debug_assert!(
+            self.peek_rank().is_none_or(|next| next >= rank),
+            "PIFO popped rank {rank} but a smaller rank remains queued"
+        );
+        Some(self.take(slot))
     }
 
     /// Rank of the element that would pop next.
     #[must_use]
     pub fn peek_rank(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.rank)
+        self.heap.peek().map(|Reverse((rank, _, _))| *rank)
     }
 
     /// Reference to the element that would pop next.
     #[must_use]
     pub fn peek(&self) -> Option<&T> {
-        self.heap.peek().map(|Reverse(e)| &e.item)
+        self.heap
+            .peek()
+            .and_then(|Reverse((_, _, slot))| self.slots[*slot as usize].as_ref())
     }
 
     /// Number of queued elements.
@@ -106,33 +112,16 @@ impl<T> Pifo<T> {
 
     /// Removes and returns the element with the *largest* rank — the
     /// victim of an intelligent drop (§4.3: shed the traffic that can
-    /// best afford to be shed). O(n); drops are off the fast path.
+    /// best afford to be shed). O(n) over the keys, in place: drops are
+    /// off the fast path, but they must not allocate.
     ///
     /// Within equal maximal ranks the *youngest* element is removed
     /// (largest seq), preserving FIFO fairness among the survivors.
     pub fn evict_max_rank(&mut self) -> Option<(u64, T)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entries: Vec<Entry<T>> = std::mem::take(&mut self.heap)
-            .into_iter()
-            .map(|Reverse(e)| e)
-            .collect();
-        let victim_idx = entries
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, e)| (e.rank, e.seq))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let mut victim = None;
-        for (i, e) in entries.into_iter().enumerate() {
-            if i == victim_idx {
-                victim = Some((e.rank, e.item));
-            } else {
-                self.heap.push(Reverse(e));
-            }
-        }
-        victim
+        let &Reverse(victim) = self.heap.iter().max_by_key(|Reverse(key)| *key)?;
+        self.heap.retain(|Reverse(key)| *key != victim);
+        let (rank, _, slot) = victim;
+        Some((rank, self.take(slot)))
     }
 }
 

@@ -23,6 +23,11 @@ struct Queued {
     enqueued_at: Cycle,
 }
 
+// Moved into and out of the PIFO's slots once per message: at most 128
+// bytes, the largest move LLVM does inline on baseline x86-64 rather
+// than through a `memcpy` call (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<Option<Queued>>() <= 128);
+
 /// Counters and distributions exposed by a [`SchedQueue`].
 #[derive(Debug)]
 pub struct SchedStats {

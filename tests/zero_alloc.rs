@@ -40,14 +40,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use bytes::Bytes;
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
-use engines::tile::TileConfig;
+use engines::tile::{EngineTile, TileConfig};
 use fabric::{Fabric, FabricBuilder, LinkSpec};
 use noc::router::RouterConfig;
 use noc::topology::Topology;
-use packet::chain::{EngineClass, EngineId};
-use packet::message::{Message, Priority, TenantId};
+use packet::chain::{ChainHeader, EngineClass, EngineId, Slack};
+use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
 use packet::phv::Field;
 use panic_core::nic::{NicBuilder, NicConfig, PanicNic};
 use panic_core::scenarios::{ChainScenario, ChainScenarioConfig};
@@ -57,6 +58,7 @@ use rmt::parse::ParseGraph;
 use rmt::pipeline::PipelineConfig;
 use rmt::program::ProgramBuilder;
 use rmt::table::{MatchKind, Table};
+use sched::AdmissionPolicy;
 use sim_core::clock::{drive, Advance, Driven};
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use tenancy::{TenancyConfig, VNicSpec};
@@ -160,6 +162,12 @@ enum Mesh {
 
 /// [`chain_nic`] before `build`, so a test can add a plane to it.
 fn chain_builder(mesh: Mesh) -> (NicBuilder, EngineId) {
+    chain_builder_of(mesh, 3)
+}
+
+/// [`chain_builder`] with a program that pushes `hops` hops: the two
+/// offloads alternately, then the port.
+fn chain_builder_of(mesh: Mesh, hops: usize) -> (NicBuilder, EngineId) {
     let freq = Freq::mhz(500);
     let topology = match mesh {
         Mesh::Small => Topology::mesh(3, 3),
@@ -204,28 +212,21 @@ fn chain_builder(mesh: Mesh) -> (NicBuilder, EngineId) {
             b.engine_at(coord, Box::new(spare), TileConfig::default());
         }
     }
+    let offloads = [off0, off1].into_iter().cycle().take(hops - 1);
+    let push = offloads
+        .map(|engine| (engine, 400))
+        .chain([(eth, 800)])
+        .map(|(engine, slack)| Primitive::PushHop {
+            engine,
+            slack: SlackExpr::Const(slack),
+        })
+        .collect();
     b.program(
         ProgramBuilder::new("zero-alloc-chain", ParseGraph::standard(6379))
             .stage(Table::new(
                 "route",
                 MatchKind::Exact(vec![Field::EthType]),
-                Action::named(
-                    "chain",
-                    vec![
-                        Primitive::PushHop {
-                            engine: off0,
-                            slack: SlackExpr::Const(400),
-                        },
-                        Primitive::PushHop {
-                            engine: off1,
-                            slack: SlackExpr::Const(400),
-                        },
-                        Primitive::PushHop {
-                            engine: eth,
-                            slack: SlackExpr::Const(800),
-                        },
-                    ],
-                ),
+                Action::named("chain", push),
             ))
             .build(),
     );
@@ -237,11 +238,13 @@ const WARMUP: u64 = 6_000;
 const MEASURE: u64 = 6_000;
 
 /// The measured component: the busy NIC plus a periodic injector, one
-/// frame every [`INJECT_EVERY`] cycles, driven by the production
-/// [`drive`] loop.
+/// frame every [`INJECT_EVERY`] cycles (unless `every` says otherwise),
+/// driven by the production [`drive`] loop.
 struct BusyNic {
     nic: PanicNic,
     eth: EngineId,
+    /// Injection period, cycles.
+    every: u64,
     factory: FrameFactory,
     /// Whether building a frame counts toward an armed window.
     count_frames: bool,
@@ -265,6 +268,7 @@ impl BusyNic {
         BusyNic {
             nic,
             eth,
+            every: INJECT_EVERY,
             factory: FrameFactory::for_nic_port(0),
             count_frames: false,
             scratch: Vec::new(),
@@ -278,7 +282,7 @@ impl Driven for BusyNic {
     /// counted only under `count_frames`), then hand it to the NIC,
     /// tick and drain the wire (all counted when armed).
     fn step(&mut self, now: Cycle) {
-        if now.0.is_multiple_of(INJECT_EVERY) {
+        if now.0.is_multiple_of(self.every) {
             let flow = (now.0 % 4096) as u16;
             let frame = if self.count_frames {
                 self.factory.min_frame(flow, 80)
@@ -299,7 +303,7 @@ impl Driven for BusyNic {
             post(t);
         }
         // The injection clock is a wake source the NIC can't see.
-        post(Cycle((now.0 / INJECT_EVERY + 1) * INJECT_EVERY));
+        post(Cycle((now.0 / self.every + 1) * self.every));
     }
 
     fn skip_idle(&mut self, from: Cycle, to: Cycle) {
@@ -323,7 +327,7 @@ fn measure(
     // Measurement: the same loop, counted.
     let (_, allocs, bytes) = counted(|| run(busy, now, MEASURE));
     assert!(
-        busy.delivered > MEASURE / INJECT_EVERY / 2,
+        busy.delivered > MEASURE / busy.every / 2,
         "measured window must stay busy (delivered {})",
         busy.delivered
     );
@@ -376,6 +380,109 @@ fn a_frame_costs_two_allocations_ingress_to_exit() {
              times ({bytes} bytes): more than the factory's two per frame"
         );
     }
+}
+
+/// Injection period for the long chains: each offload ejects a frame's
+/// flits four or five times per frame, so [`INJECT_EVERY`] would
+/// overload it.
+const LONG_CHAIN_EVERY: u64 = 128;
+
+/// A chain of nine hops — the longest a `ChainHeader` keeps inline —
+/// costs nothing more than three: the steady state still allocates
+/// nothing, stepped or fast-forwarded.
+#[test]
+fn nine_hop_chain_allocates_nothing() {
+    for advance in [Advance::Stepped, Advance::Merged] {
+        let (b, eth) = chain_builder_of(Mesh::Small, 9);
+        let mut busy = BusyNic::over(b.build(), eth);
+        busy.every = LONG_CHAIN_EVERY;
+        let (allocs, bytes) = measure(&mut busy, |busy, start, cycles| {
+            drive(busy, start, cycles, advance)
+        });
+        assert_eq!(
+            allocs, 0,
+            "{advance:?}: 9-hop chains allocated {allocs} times ({bytes} bytes) \
+             over {MEASURE} steady-state cycles"
+        );
+    }
+}
+
+/// A chain of ten hops spills out of the header into one boxed array:
+/// exactly one allocation per pipeline pass that installs one, and
+/// nothing else on the message's way to the wire.
+#[test]
+fn ten_hop_chain_costs_one_allocation_per_message() {
+    for advance in [Advance::Stepped, Advance::Merged] {
+        let (b, eth) = chain_builder_of(Mesh::Small, 10);
+        let mut busy = BusyNic::over(b.build(), eth);
+        busy.every = LONG_CHAIN_EVERY;
+        let mut passes = 0;
+        let (allocs, bytes) = measure(&mut busy, |busy, start, cycles| {
+            let before = busy.nic.pipeline().stats().accepted;
+            let end = drive(busy, start, cycles, advance);
+            passes = busy.nic.pipeline().stats().accepted - before;
+            end
+        });
+        assert!(passes > 0, "the window must run the pipeline");
+        assert_eq!(
+            allocs, passes,
+            "{advance:?}: {passes} 10-hop chains installed, {allocs} allocations \
+             ({bytes} bytes): the spill must be the only one"
+        );
+    }
+}
+
+/// The intelligent drop (§4.3) is the overload path, and it must not
+/// allocate either: an `EvictLargestRank` tile offered a message every
+/// cycle while it serves one every eight sheds most of them — sometimes
+/// the arrival, sometimes the queued message with the most slack — and
+/// the eviction scans the PIFO's keys in place.
+#[test]
+fn intelligent_drop_allocates_nothing() {
+    let id = EngineId(1);
+    let mut tile = EngineTile::new(
+        id,
+        Box::new(NullOffload::new("slow", EngineClass::Asic, Cycles(8))),
+        TileConfig {
+            queue_capacity: 8,
+            admission: AdmissionPolicy::EvictLargestRank,
+        },
+    );
+    let payload = Bytes::from(vec![0u8; 64]);
+    let mut out = Vec::new();
+    let mut run = |tile: &mut EngineTile, cycles: std::ops::Range<u64>| {
+        for c in cycles {
+            let slack = Slack((c * 7_919 % 1_000) as u32);
+            let msg = Message::builder(MessageId(c), MessageKind::EthernetFrame)
+                .payload(payload.clone())
+                .chain(ChainHeader::uniform(&[id, EngineId(2)], slack).unwrap())
+                .build();
+            tile.accept(msg, Cycle(c));
+            tile.tick_into(Cycle(c), &mut out);
+        }
+    };
+    // What a full queue admits beyond what service frees is what it
+    // evicted to make room.
+    let tally = |tile: &EngineTile| {
+        let q = tile.queue_stats();
+        (q.dropped, q.accepted - tile.stats().processed)
+    };
+    run(&mut tile, 0..WARMUP);
+    let (drops, admitted) = tally(&tile);
+    let ((), allocs, bytes) = counted(|| run(&mut tile, WARMUP..WARMUP + MEASURE));
+    let (drops, evicted) = {
+        let now = tally(&tile);
+        (now.0 - drops, now.1 - admitted)
+    };
+    assert!(
+        drops > MEASURE / 2 && evicted > MEASURE / 16,
+        "the window must shed both arrivals and queued messages \
+         ({drops} drops, {evicted} of them queued)"
+    );
+    assert_eq!(
+        allocs, 0,
+        "{drops} intelligent drops allocated {allocs} times ({bytes} bytes)"
+    );
 }
 
 /// Idle ticks are trivially allocation-free too (the cheap case the
