@@ -73,7 +73,8 @@ struct Crossing {
 }
 
 // A `Message` plus one word, moved by value through every boundary
-// exchange: at most 128 bytes, the largest move LLVM does inline on
+// exchange and onto every link (whose arrival cycles sit in a deque of
+// their own, so the link's entry is this): at most 128 bytes, the largest move LLVM does inline on
 // baseline x86-64 rather than through a `memcpy` call (see the pin in
 // `packet::message`).
 const _: () = assert!(std::mem::size_of::<Crossing>() <= 128);
@@ -107,9 +108,12 @@ fn remote_dest(msg: &Message) -> Option<usize> {
 #[derive(Debug)]
 struct Link {
     spec: LinkSpec,
-    /// `(arrival, copy)`, oldest first. Its length against
-    /// `spec.credits` is the credit check.
-    in_flight: VecDeque<(Cycle, Crossing)>,
+    /// The copies on the wire, oldest first, and beside them the cycle
+    /// each arrives on: pushed and popped together, and kept apart so
+    /// that a copy moves inline (see the pin on [`Crossing`]). Their
+    /// length against `spec.credits` is the credit check.
+    in_flight: VecDeque<Crossing>,
+    arrivals: VecDeque<Cycle>,
     /// Down until this cycle ([`FOREVER`] = for good).
     down_until: Cycle,
     /// `(until, factor)`: propagation latency multiplier window.
@@ -128,6 +132,12 @@ impl Link {
     /// the credit window really is full.
     fn shut(&self, now: Cycle) -> bool {
         now < self.freeze_until || self.in_flight.len() >= self.spec.credits
+    }
+
+    /// The oldest copy on the wire, if it arrives at or before `now`.
+    fn pop_due(&mut self, now: Cycle) -> Option<Crossing> {
+        self.arrivals.pop_front_if(|arrival| *arrival <= now)?;
+        self.in_flight.pop_front()
     }
 
     /// True when `member` is either end of the link.
@@ -219,6 +229,7 @@ impl Tor {
                 .map(|spec| Link {
                     spec,
                     in_flight: VecDeque::new(),
+                    arrivals: VecDeque::new(),
                     down_until: Cycle(0),
                     lag: (Cycle(0), 1),
                     freeze_until: Cycle(0),
@@ -403,8 +414,7 @@ impl Tor {
     pub fn deliver_due(&mut self, members: &mut [Member], now: Cycle) {
         for li in 0..self.links.len() {
             let to = self.links[li].spec.to;
-            let due = |(arrival, _): &mut (Cycle, Crossing)| *arrival <= now;
-            while let Some((_, mut copy)) = self.links[li].in_flight.pop_front_if(due) {
+            while let Some(mut copy) = self.links[li].pop_due(now) {
                 if remote_dest(&copy.msg).is_some_and(|d| d != to) {
                     // Hold at this member's ToR port; the next
                     // boundary exchange dispatches it onward.
@@ -583,6 +593,7 @@ impl Tor {
         link.down_until = link.down_until.max(until);
         self.chaos.lost_link += link.in_flight.len() as u64;
         link.in_flight.clear();
+        link.arrivals.clear();
         self.mark("fabric.link_down", now, li as u64);
     }
 
@@ -712,6 +723,7 @@ impl Tor {
             _ => 1,
         };
         let arrival = Cycle(departure.0 + ser + link.spec.latency.0 * lag);
-        link.in_flight.push_back((arrival, copy));
+        link.in_flight.push_back(copy);
+        link.arrivals.push_back(arrival);
     }
 }

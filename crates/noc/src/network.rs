@@ -14,7 +14,9 @@
 //! * [`MeshNetwork::next_activity`] and [`MeshNetwork::glide`] — the
 //!   fast-forward pair: while every message is in clear transit, the
 //!   cycle its first tail is polled, and the mesh advanced to any cycle
-//!   before it in one step (`network/glide.rs`).
+//!   before it in one step. Such messages are *gliders* until their
+//!   tails are polled: windows and ticks move their flit counts, and
+//!   the routers are written once a message (`network/glide.rs`).
 //!
 //! A message in the mesh is stored once, in the network's in-flight
 //! slab, from `send` until its tail is ejected. A source queue holds
@@ -387,12 +389,15 @@ pub struct MeshNetwork {
     deferred: Vec<u64>,
     /// Flit-hops moved by stream steps rather than by router plans.
     streamed: u64,
-    /// Flit-hops and cycles [`MeshNetwork::glide`] advanced without a
-    /// tick.
+    /// Flit-hops the gliders moved, in windows and in ticks of a mesh
+    /// that holds only gliders; cycles [`MeshNetwork::glide`] advanced
+    /// without a tick.
     glided_hops: u64,
     glided_cycles: u64,
-    /// The glide [`MeshNetwork::next_activity`] planned, for the
-    /// [`MeshNetwork::glide`] that follows it.
+    /// The messages in clear transit, while every live message is one:
+    /// planned by [`MeshNetwork::next_activity`] or
+    /// [`MeshNetwork::glide`], kept until each one's tail is polled
+    /// (`network/glide.rs`).
     plan: RefCell<glide::Gliders>,
     stats: NetworkStats,
     /// Trace handle (disabled by default; see [`MeshNetwork::attach_tracer`]).
@@ -508,6 +513,7 @@ impl MeshNetwork {
     /// ejected, on the destination tile). See `docs/TRACING.md`. A
     /// traced mesh plans every hop: no worm streams.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
+        self.settle();
         self.tracer = tracer.clone();
         self.tracks = self
             .config
@@ -593,6 +599,7 @@ impl MeshNetwork {
     /// Panics if `period < 2` (that would be a healthy link).
     pub fn fault_link_slow(&mut self, engine: EngineId, port: PortDir, until: Cycle, period: u64) {
         assert!(period >= 2, "slow-link period must be >= 2");
+        self.settle();
         let tile = self.tile_of(engine);
         self.faults_mut().slow.push(SlowLink {
             tile,
@@ -613,6 +620,7 @@ impl MeshNetwork {
         n: usize,
         until: Cycle,
     ) -> usize {
+        self.settle();
         let tile = self.tile_of(engine);
         let taken = self.routers[tile].fault_take_credits(port, n);
         if taken > 0 {
@@ -705,6 +713,7 @@ impl MeshNetwork {
             .unwrap_or_else(|| panic!("engine {to} not placed"));
         let total = Flit::flits_for(&msg, self.config.width_bits);
         let to_tile = self.tile_of(to);
+        let glides = self.admits(tile, to_tile, total);
         self.bound[to_tile] += 1;
         self.shared_dests += usize::from(self.bound[to_tile] == 2);
         let slot = self.slab_insert(InFlight { msg, sent: now });
@@ -718,6 +727,9 @@ impl MeshNetwork {
         });
         self.resident_flits += u64::from(total);
         self.source_pending[tile / 64] |= 1 << (tile % 64);
+        if glides {
+            self.admit(slot, total);
+        }
     }
 
     /// Stores `entry` in a vacant slab slot, growing the slab (and the
@@ -752,13 +764,13 @@ impl MeshNetwork {
     /// network is saturated for this sender).
     #[must_use]
     pub fn source_depth(&self, engine: EngineId) -> usize {
-        self.source[self.tile_of(engine)].flits
+        self.glided_depths(self.tile_of(engine)).0
     }
 
     /// Flits waiting in `engine`'s ejection buffer.
     #[must_use]
     pub fn ejection_depth(&self, engine: EngineId) -> usize {
-        self.ejection[self.tile_of(engine)].len()
+        self.glided_depths(self.tile_of(engine)).1
     }
 
     /// One word of the non-empty-ejection-buffer bitmask (bit `t % 64`
@@ -782,6 +794,9 @@ impl MeshNetwork {
     /// [`MeshNetwork::ejection_pending_word`]), for a caller that walks
     /// that mask and so already holds the index.
     pub fn poll_ejected_at(&mut self, tile: usize, now: Cycle) -> Option<Message> {
+        if self.plan.get_mut().any() && self.poll_glider(tile) {
+            return None;
+        }
         let flit = self.ejection[tile].pop_front()?;
         self.resident_flits -= 1;
         if self.ejection[tile].is_empty() {
@@ -870,6 +885,9 @@ impl MeshNetwork {
     /// committed a flit at a time. A traced mesh, or one with a slow
     /// link or a credit hold active, keeps no segment, so `noc.hop` and
     /// `noc.credit_stall` come from the plans alone.
+    ///
+    /// A mesh that holds only gliders moves their flit counts a cycle
+    /// instead, and none of this runs (`network/glide.rs`).
     pub fn tick(&mut self, now: Cycle) {
         if self.faults.is_some() {
             self.drive_faults(now);
@@ -880,6 +898,9 @@ impl MeshNetwork {
             return;
         }
         self.active_cycles += 1;
+        if self.plan.get_mut().any() && self.coast() {
+            return;
+        }
         let traced = self.tracer.enabled();
         let streamable = !traced
             && self
@@ -1425,13 +1446,7 @@ impl MeshNetwork {
         if self.is_quiescent() {
             return None;
         }
-        let mut plan = self.plan.borrow_mut();
-        match self.plan_into(&mut plan, &polled) {
-            Some(()) => plan
-                .horizon()
-                .map(|tail| Cycle(now.0 + 1 + u64::from(tail))),
-            None => Some(now.next()),
-        }
+        self.glide_hint(now, polled)
     }
 
     /// True when no flit is anywhere in the network (sources, router
@@ -1493,8 +1508,9 @@ impl MeshNetwork {
         self.streamed
     }
 
-    /// The part of [`MeshNetwork::total_flit_hops`] moved by
-    /// [`MeshNetwork::glide`], apart from the streamed part. Like it, no
+    /// The part of [`MeshNetwork::total_flit_hops`] the gliders moved
+    /// (in [`MeshNetwork::glide`] windows and in ticks of a mesh that
+    /// holds only gliders), apart from the streamed part. Like it, no
     /// metric exports it.
     #[must_use]
     pub fn glided_flit_hops(&self) -> u64 {

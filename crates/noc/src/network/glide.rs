@@ -1,5 +1,5 @@
-//! Gliding through clear transit: the mesh advanced over cycles in which
-//! nothing else acts, without ticking it.
+//! Gliding through clear transit: messages that move as conveyors while
+//! the mesh is skipped, or ticked without a walk.
 //!
 //! A message is in *clear transit* when its remaining XY route — from
 //! the first FIFO that holds any of it (its source's Local input while
@@ -20,15 +20,40 @@
 //! 0. Once no position below the first holds more than one flit, that is
 //! a shift: the flit at `p` is at `p − t` after `t` cycles, polled if
 //! that went below zero, the first position's queue feeding one a
-//! cycle. [`MeshNetwork::glide`] steps a message whose flits are bunched
-//! further ahead cycle by cycle on that count array until they are not,
-//! shifts the rest, and writes the result back — every FIFO, credit,
-//! owner and round-robin pointer on the route, the source queue and the
-//! ejection buffer — with the counters a stepped run would have moved.
-//! It never crosses the poll of a tail: that delivers a message, and the
-//! delivery is the caller's next activity. `reference.rs` glides random
-//! prefixes of these windows beside the flit-at-a-time mesh stepped
-//! through them.
+//! cycle; flits bunched further ahead are stepped cycle by cycle on the
+//! count array until they are not.
+//!
+//! Such a message is a *glider* until its tail is polled: from the hint
+//! that plans it, or from its send into a mesh that holds nothing or
+//! only gliders, when its route meets none of theirs (the route is then
+//! empty, so no buffer is read). The routers keep the state it had when
+//! it became one (its anchor); the glider carries its counts as they
+//! are now and the conveyor cycles it moved since.
+//! [`MeshNetwork::glide`] over a window, and [`MeshNetwork::tick`] of a
+//! mesh that holds only gliders, move those counts and, by arithmetic
+//! on them, every counter a stepped run would have moved:
+//! `delivered_flits`, the flit-hops, `active_cycles`, the resident
+//! flits and the ejection-pending bits. A poll of a glider's
+//! destination takes a flit off its count. A hint reads no route that
+//! was read before.
+//!
+//! The routers are written once a message, by `glide_one`:
+//!
+//! * at the poll of its tail — that glider alone, and the poll then
+//!   delivers from the buffers as a stepped run's would;
+//! * at a send whose route meets a glider's, or that the gliders cannot
+//!   take (a shared source or destination, a ninth message);
+//! * at a tick after a cycle on which a destination held a flit and was
+//!   not polled, unless the message is wholly in that buffer, where
+//!   nothing moves without a poll;
+//! * when a tracer, a slow link or a credit hold arrives;
+//! * at [`MeshNetwork::settle`], for a caller that reads the buffers.
+//!
+//! All but the first write every glider back, and the mesh is ticked
+//! as before until a hint plans again or it empties. `reference.rs` runs
+//! gliders under a NIC's pattern of sends, polls, windows and forced
+//! steps beside the flit-at-a-time mesh, and compares the buffers a
+//! write-back wrote as it writes them.
 
 use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
@@ -57,12 +82,12 @@ const MAX_FIFOS: usize = 32;
 /// by `*_in`.
 #[derive(Debug, Clone, Copy)]
 struct Route {
-    start: u32,
-    turn: u32,
-    along_x: u32,
-    along_y: u32,
-    x_step: i32,
-    y_step: i32,
+    start: u16,
+    turn: u16,
+    along_x: u8,
+    along_y: u8,
+    x_step: i8,
+    y_step: i16,
     port: u8,
     x_out: u8,
     x_in: u8,
@@ -88,7 +113,8 @@ impl Route {
     /// The route from input `port` of the tile at `from` to the tile at
     /// `to`, on a mesh `width` tiles wide.
     fn new(from: Coord, port: usize, to: Coord, width: u8) -> Route {
-        let index = |c: Coord| u32::from(c.y) * u32::from(width) + u32::from(c.x);
+        // At most 255 × 255 tiles, and 254 hops each way.
+        let index = |c: Coord| u16::from(c.y) * u16::from(width) + u16::from(c.x);
         let (dx, dy) = (
             i32::from(to.x) - i32::from(from.x),
             i32::from(to.y) - i32::from(from.y),
@@ -102,10 +128,10 @@ impl Route {
         Route {
             start: index(from),
             turn: index(Coord::new(to.x, from.y)),
-            along_x: dx.unsigned_abs(),
-            along_y: dy.unsigned_abs(),
-            x_step: dx.signum(),
-            y_step: dy.signum() * i32::from(width),
+            along_x: dx.unsigned_abs() as u8,
+            along_y: dy.unsigned_abs() as u8,
+            x_step: dx.signum() as i8,
+            y_step: (dy.signum() * i32::from(width)) as i16,
             port: port as u8,
             x_out: x_out as u8,
             x_in: x_in as u8,
@@ -118,20 +144,23 @@ impl Route {
     /// one's tile, its input, and the output it forwards through.
     #[inline]
     fn fifos(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        let last = self.along_x + self.along_y;
-        let mut tile = self.start as i32;
+        let (along_x, last) = (
+            u32::from(self.along_x),
+            u32::from(self.along_x) + u32::from(self.along_y),
+        );
+        let mut tile = i32::from(self.start);
         (0..=last).map(move |j| {
             let input = if j == 0 {
                 self.port
-            } else if j <= self.along_x {
+            } else if j <= along_x {
                 self.x_in
             } else {
                 self.y_in
             };
-            let (out, step) = if j < self.along_x {
-                (self.x_out, self.x_step)
+            let (out, step) = if j < along_x {
+                (self.x_out, i32::from(self.x_step))
             } else if j < last {
-                (self.y_out, self.y_step)
+                (self.y_out, i32::from(self.y_step))
             } else {
                 (LOCAL as u8, 0)
             };
@@ -143,28 +172,31 @@ impl Route {
 
     /// True when input `input` of tile `tile` is a FIFO of this route.
     fn crosses(&self, tile: usize, input: usize) -> bool {
-        let d = tile as i32 - self.start as i32;
+        let d = tile as i32 - i32::from(self.start);
         if d == 0 {
             return input == usize::from(self.port);
         }
-        if (1..=self.along_x as i32).contains(&(d * self.x_step)) {
+        if (1..=i32::from(self.along_x)).contains(&(d * i32::from(self.x_step))) {
             return input == usize::from(self.x_in);
         }
-        let d = tile as i32 - self.turn as i32;
-        self.y_step != 0
-            && d % self.y_step == 0
-            && (1..=self.along_y as i32).contains(&(d / self.y_step))
+        let (d, y_step) = (tile as i32 - i32::from(self.turn), i32::from(self.y_step));
+        y_step != 0
+            && d % y_step == 0
+            && (1..=i32::from(self.along_y)).contains(&(d / y_step))
             && input == usize::from(self.y_in)
     }
 }
 
-/// One live message, as a glide sees it.
+/// One message in clear transit: where it was at its anchor (what the
+/// routers still hold), and where its flits are now.
 #[derive(Debug, Clone, Copy)]
 struct Glider {
     slot: u32,
-    /// Its remaining route, from the first FIFO that holds any of it;
-    /// meaningless for a message wholly in its destination's ejection
-    /// buffer.
+    /// Its destination's tile index.
+    to: u32,
+    /// Its remaining route at the anchor, from the first FIFO that held
+    /// any of it; meaningless for a message wholly in its destination's
+    /// ejection buffer.
     route: Route,
     /// The route's corners, for a quick test of two routes apart.
     start: Coord,
@@ -173,21 +205,43 @@ struct Glider {
     /// one's position. 0 for a message wholly in its destination's
     /// ejection buffer.
     fifos: u32,
-    /// Flits in the first FIFO, and in the source queue behind it.
+    /// At the anchor: flits in the first FIFO, and in the source queue
+    /// behind it.
     local: u32,
     queued: u32,
-    /// Position of its frontmost flit, and whether that is its head.
+    /// At the anchor: the position of its frontmost flit, and whether
+    /// that is its head.
     front: u32,
     head: bool,
-    /// Cycles from the next one until its tail is polled.
+    /// Conveyor cycles moved since the anchor.
+    moved: u32,
+    /// Conveyor cycles left until its tail is polled.
     tail: u32,
-    /// Whether its destination polls (always, while it is in a FIFO).
+    /// Whether its destination was polled on the current cycle.
     polled: bool,
+    /// Its flits by position now (a message of more flits than a
+    /// `u16` counts is ticked).
+    count: [u16; MAX_FIFOS + 1],
+}
+
+// A glider is moved only when one leaves the array: at most 128 bytes,
+// the largest move LLVM does inline on baseline x86-64 rather than
+// through a `memcpy` call (see the pin in `packet::message`).
+const _: () = assert!(std::mem::size_of::<Glider>() <= 128);
+
+/// What a glider's conveyor cycles moved: flits polled, flits into the
+/// ejection buffer, flit-hops.
+#[derive(Debug, Default)]
+struct Moved {
+    polled: u64,
+    ejected: u64,
+    hops: u64,
 }
 
 impl Glider {
     const NONE: Glider = Glider {
         slot: 0,
+        to: 0,
         route: Route::NONE,
         start: Coord::new(0, 0),
         dest: Coord::new(0, 0),
@@ -196,13 +250,17 @@ impl Glider {
         queued: 0,
         front: 0,
         head: false,
+        moved: 0,
         tail: 0,
         polled: false,
+        count: [0; MAX_FIFOS + 1],
     };
 
-    /// True when this message and `other` need a FIFO in common. (Two
-    /// bound for one ejection buffer never get this far: the mesh counts
-    /// them, see [`MeshNetwork::must_tick`].)
+    /// True when this message and `other` need a FIFO in common, on the
+    /// routes they had at their anchors: a FIFO one has left still
+    /// holds its flits in the routers. (Two bound for one ejection
+    /// buffer never get this far: the mesh counts them, see
+    /// [`MeshNetwork::must_tick`].)
     fn meets(&self, other: &Glider) -> bool {
         if self.fifos == 0 || other.fifos == 0 {
             return false;
@@ -220,15 +278,50 @@ impl Glider {
             .fifos()
             .any(|(tile, input, _)| other.route.crosses(tile, input))
     }
+
+    /// Flits still in its source queue: the first FIFO keeps its count
+    /// while the source feeds it.
+    fn queued_now(&self) -> u32 {
+        let first = u32::from(self.count[self.fifos as usize]);
+        first - self.local.min(first)
+    }
+
+    /// True while a flit of it is in a FIFO or its source queue.
+    fn in_fifos(&self) -> bool {
+        self.count[1..=self.fifos as usize].iter().any(|&n| n > 0)
+    }
+
+    /// Moves it `t` conveyor cycles, its destination polled on each.
+    fn advance(&mut self, t: u32) -> Moved {
+        let count = &mut self.count[..=self.fifos as usize];
+        let tally = |count: &[u16]| {
+            count
+                .iter()
+                .enumerate()
+                .fold((0u64, 0u64), |(flits, hops), (q, &n)| {
+                    (flits + u64::from(n), hops + q as u64 * u64::from(n))
+                })
+        };
+        let (flits, distance) = tally(count);
+        let ejected = u64::from(count[0]);
+        // A flit moves at most a position a cycle, so none is below this.
+        let lo = self.front.saturating_sub(self.moved);
+        advance(count, lo as usize, t);
+        let (flits_after, distance_after) = tally(count);
+        self.moved += t;
+        self.tail -= t;
+        Moved {
+            polled: flits - flits_after,
+            ejected: (flits - ejected) - (flits_after - u64::from(count[0])),
+            hops: distance - distance_after,
+        }
+    }
 }
 
-/// The live messages of a mesh in clear transit, in a fixed array so
-/// that asking allocates nothing, under the `plan_key` they were found
-/// under: the plan [`MeshNetwork::next_activity`] makes for the
-/// [`MeshNetwork::glide`] that follows it.
+/// The gliders, in a fixed array so that planning and moving them
+/// allocates nothing: empty unless every live message is one.
 #[derive(Debug)]
 pub(super) struct Gliders {
-    key: Option<[u64; 3]>,
     /// The messages sent and the slab slots free when a plan last
     /// failed: until a message is sent or delivered, contention that
     /// stopped one plan is taken to stop the next, and none is tried.
@@ -237,9 +330,20 @@ pub(super) struct Gliders {
     all: [Glider; MAX_GLIDERS],
 }
 
+/// When the first tail is polled, as the gliders tell.
+enum Horizon {
+    /// In this many cycles from the next one.
+    Tail(u32),
+    /// Not before the next cycle: a message still in the routers heads
+    /// for a tile that is not polled.
+    Next,
+    /// Never without outside input: every message waits in the ejection
+    /// buffer of a tile that is not polled.
+    Never,
+}
+
 impl Gliders {
     pub(super) const NONE: Gliders = Gliders {
-        key: None,
         refused: None,
         len: 0,
         all: [Glider::NONE; MAX_GLIDERS],
@@ -247,6 +351,11 @@ impl Gliders {
 
     fn as_slice(&self) -> &[Glider] {
         &self.all[..self.len]
+    }
+
+    /// True while the mesh glides: every live message is a glider.
+    pub(super) fn any(&self) -> bool {
+        self.len > 0
     }
 
     /// True when a plan failed and no message was sent or delivered
@@ -259,38 +368,36 @@ impl Gliders {
         self.as_slice().iter().any(|g| g.slot == slot)
     }
 
-    /// Adds `g`; `None` when the array is full.
-    fn push(&mut self, g: Glider) -> Option<()> {
-        *self.all.get_mut(self.len)? = g;
+    /// Adds the glider `fill` writes in place (none when it says
+    /// `None`); `None` when the array is full.
+    fn push_with(&mut self, fill: impl FnOnce(&mut Glider) -> Option<()>) -> Option<()> {
+        fill(self.all.get_mut(self.len)?)?;
         self.len += 1;
         Some(())
     }
 
-    /// How many cycles from the next one the first tail is polled on,
-    /// or `None` when no message sits at a tile that polls.
-    pub(super) fn horizon(&self) -> Option<u32> {
-        self.as_slice()
-            .iter()
-            .filter(|g| g.polled)
-            .map(|g| g.tail)
-            .min()
+    /// When the first tail is polled, given which tiles poll.
+    fn horizon(&self, polled: &impl Fn(usize) -> bool) -> Horizon {
+        let mut first = None;
+        for g in self.as_slice() {
+            if polled(g.to as usize) {
+                first = Some(first.map_or(g.tail, |t: u32| t.min(g.tail)));
+            } else if g.in_fifos() {
+                return Horizon::Next;
+            }
+        }
+        first.map_or(Horizon::Never, Horizon::Tail)
+    }
+
+    /// The glider bound for `tile`, if any.
+    fn bound_for(&self, tile: usize) -> Option<usize> {
+        self.as_slice().iter().position(|g| g.to as usize == tile)
     }
 }
 
 impl MeshNetwork {
     fn tile_at(&self, at: Coord) -> usize {
         usize::from(at.y) * usize::from(self.config.topology.width()) + usize::from(at.x)
-    }
-
-    /// Counters that every move of a flit changes — a send, a poll, a
-    /// tick of a mesh that holds one, a glide — so a plan made under
-    /// them still holds while they stand.
-    pub(super) fn plan_key(&self) -> [u64; 3] {
-        [
-            self.stats.injected_messages,
-            self.resident_flits,
-            self.active_cycles,
-        ]
     }
 
     /// True when the mesh holds a flit and, as one look at its counters
@@ -328,20 +435,25 @@ impl MeshNetwork {
         !self.tracer.enabled() && !faulted && self.config.router.input_buffer_flits >= 2
     }
 
-    /// Plans a glide into `out`: every live message as a glider, the
-    /// plan keyed to the mesh as it stands, or `None` unless all of them
-    /// are in clear transit (`polled` says which tiles poll every cycle)
-    /// — then `out` holds no plan. The cheap refusals come first, so a
-    /// busy mesh fails before any buffer on a route is read: those of
-    /// [`MeshNetwork::must_tick`], then a message that shares its
-    /// ejection buffer, then two routes that meet.
-    pub(super) fn plan_into(
-        &self,
-        out: &mut Gliders,
-        polled: &impl Fn(usize) -> bool,
-    ) -> Option<()> {
-        out.key = None;
-        out.len = 0;
+    /// Plans the gliders into `out` from the routers: every live message
+    /// as one, or `None` unless all of them are in clear transit
+    /// (`polled` says which tiles poll every cycle) — then `out` holds
+    /// none. The cheap refusals come first, so a busy mesh fails before
+    /// any buffer on a route is read: those of [`MeshNetwork::must_tick`],
+    /// then a message that shares its ejection buffer, then two routes
+    /// that meet.
+    fn plan_into(&self, out: &mut Gliders, polled: &impl Fn(usize) -> bool) -> Option<()> {
+        debug_assert!(!out.any(), "planned over live gliders");
+        let planned = self.plan_gliders(out, polled);
+        if planned.is_none() {
+            out.len = 0;
+        }
+        planned
+    }
+
+    /// [`MeshNetwork::plan_into`], leaving what it planned before a
+    /// refusal in `out`.
+    fn plan_gliders(&self, out: &mut Gliders, polled: &impl Fn(usize) -> bool) -> Option<()> {
         if self.crowded() || out.refused_now(self) {
             return None;
         }
@@ -351,7 +463,9 @@ impl MeshNetwork {
             for bit in set_bits(self.source_pending[word]) {
                 let tile = word * 64 + bit;
                 let run = self.source[tile].front;
-                out.push(self.glider(run.slot, tile, LOCAL, run.dest, run.left, run.fresh)?)?;
+                out.push_with(|g| {
+                    self.glider(g, run.slot, tile, LOCAL, run.dest, run.left, run.fresh)
+                })?;
             }
         }
         // The other worms in the routers, from their tail-most run.
@@ -371,7 +485,7 @@ impl MeshNetwork {
                 return None;
             }
             let dest = router.front(port).dest;
-            out.push(self.glider(slot, tile, port, dest, 0, false)?)?;
+            out.push_with(|g| self.glider(g, slot, tile, port, dest, 0, false))?;
         }
         // Messages wholly ejected (a buffer holding parts of two shares
         // its poll).
@@ -387,13 +501,17 @@ impl MeshNetwork {
                 if last.slot != first.slot || !last.kind.is_tail() {
                     return None;
                 }
-                out.push(Glider {
-                    slot: first.slot,
-                    dest: first.dest,
-                    tail: ejection.len() as u32 - 1,
-                    head: first.kind.is_head(),
-                    polled: polled(tile),
-                    ..Glider::NONE
+                out.push_with(|g| {
+                    *g = Glider {
+                        slot: first.slot,
+                        to: tile as u32,
+                        dest: first.dest,
+                        tail: ejection.len() as u32 - 1,
+                        head: first.kind.is_head(),
+                        ..Glider::NONE
+                    };
+                    g.count[0] = ejection.len() as u16;
+                    Some(())
                 })?;
             }
         }
@@ -408,38 +526,43 @@ impl MeshNetwork {
                 self.read_route(g, polled)?;
             }
         }
-        out.key = Some(self.plan_key());
         out.refused = None;
         Some(())
     }
 
-    /// Message `slot` as a glider, its remaining route starting at input
-    /// `port` of `tile` toward `dest`, with `queued` flits still in the
-    /// source queue there (the next of them its head while `fresh`); its
-    /// buffers are not read yet (`read_route`). `None` for a route longer
-    /// than a glide models.
+    /// Writes message `slot` into `g` as a glider, its remaining route
+    /// starting at input `port` of `tile` toward `dest`, with `queued`
+    /// flits still in the source queue there (the next of them its head
+    /// while `fresh`); its buffers are not read yet (`read_route`).
+    /// `None` for a route longer than a glide models.
+    #[allow(clippy::too_many_arguments)]
     fn glider(
         &self,
+        g: &mut Glider,
         slot: u32,
         tile: usize,
         port: usize,
         dest: Coord,
         queued: u32,
         fresh: bool,
-    ) -> Option<Glider> {
+    ) -> Option<()> {
         let start = self.routers[tile].coord();
         let fifos = 1 + start.distance(dest);
-        (fifos as usize <= MAX_FIFOS).then(|| Glider {
+        if fifos as usize > MAX_FIFOS {
+            return None;
+        }
+        *g = Glider {
             slot,
+            to: self.tile_at(dest) as u32,
             route: Route::new(start, port, dest, self.config.topology.width()),
             start,
             dest,
             fifos,
             queued,
             head: fresh,
-            polled: true,
             ..Glider::NONE
-        })
+        };
+        Some(())
     }
 
     /// Reads the buffers on `g`'s route into it: where its flits are and
@@ -447,7 +570,7 @@ impl MeshNetwork {
     /// no FIFO on the route holds another message's flit at its front or
     /// is full where a flit could still enter.
     fn read_route(&self, g: &mut Glider, polled: &impl Fn(usize) -> bool) -> Option<()> {
-        let to = self.tile_at(g.dest);
+        let to = g.to as usize;
         if !polled(to) {
             return None;
         }
@@ -476,11 +599,13 @@ impl MeshNetwork {
                 }
                 front = Some((fifos - j, f.kind.is_head()));
             }
+            g.count[(fifos - j) as usize] = n;
             behind += u32::from(n);
             if behind > 0 && (n > 0 || j == 0) {
                 tail = tail.max(fifos - j + behind);
             }
         }
+        g.count[fifos as usize] = u16::try_from(g.local + queued).ok()?;
         let ejection = &self.ejection[to];
         if let Some(f) = ejection.front() {
             if f.slot != slot {
@@ -490,6 +615,7 @@ impl MeshNetwork {
             behind += ejection.len() as u32;
             tail = tail.max(behind);
         }
+        g.count[0] = ejection.len() as u16;
         // The last hop forwards every cycle only while the poll hands it
         // a Local credit back every cycle; and a tail-most run must be
         // where the worm's record says.
@@ -501,16 +627,33 @@ impl MeshNetwork {
         Some(())
     }
 
+    /// The fast-forward hint of a mesh holding flits: the gliders', or
+    /// those of a plan made now.
+    pub(super) fn glide_hint(&self, now: Cycle, polled: impl Fn(usize) -> bool) -> Option<Cycle> {
+        let mut plan = self.plan.borrow_mut();
+        if plan.refused_now(self) || (!plan.any() && self.plan_into(&mut plan, &polled).is_none()) {
+            return Some(now.next());
+        }
+        match plan.horizon(&polled) {
+            Horizon::Tail(tail) => Some(Cycle(now.0 + 1 + u64::from(tail))),
+            Horizon::Next => {
+                // What a plan made now would find: a route toward a tile
+                // that is not polled. Until a message is sent or
+                // delivered, `must_tick` says so in one look.
+                plan.refused = Some(self.messages_key());
+                Some(now.next())
+            }
+            Horizon::Never => None,
+        }
+    }
+
     /// Advances the mesh over the cycles `[from, to)` exactly as ticking
     /// it through them would, given that the caller polls the `polled`
     /// tiles' ejection buffers every one of those cycles, no other, and
     /// sends nothing: every message moves as a conveyor (see the module
     /// docs) and the mesh's counters, `active_cycles` included, move as
-    /// the ticks would have moved them. A worm whose FIFOs the window
-    /// changed then waits for the next tick's walk to find its segment
-    /// again; one that streamed through them as it was — each FIFO's
-    /// count the same, its head gone and its tail still queued — keeps
-    /// its segment.
+    /// the ticks would have moved them. Unless the mesh already glides,
+    /// the gliders are planned first; the routers are not written.
     ///
     /// The window must end by [`MeshNetwork::next_activity`]`(from − 1,
     /// polled)`, the first tail's poll; a quiescent mesh glides as a
@@ -532,18 +675,7 @@ impl MeshNetwork {
         if self.resident_flits == 0 {
             return;
         }
-        // The plan the hint just made, unless anything moved or changed
-        // its mind since.
-        let planned = {
-            let plan = self.plan.borrow();
-            plan.key == Some(self.plan_key())
-                && self.may_glide()
-                && plan
-                    .as_slice()
-                    .iter()
-                    .all(|g| g.polled == polled(self.tile_at(g.dest)))
-        };
-        if !planned {
+        if !self.plan.get_mut().any() {
             // A refusal only stops hints from trying: the caller's window
             // stands on a plan of its own.
             let mut plan = self.plan.borrow_mut();
@@ -552,76 +684,194 @@ impl MeshNetwork {
                 .expect("a glide over a mesh not in clear transit");
         }
         let span = to.0 - from.0;
-        let t = match self.plan.borrow().horizon() {
-            Some(tail) => {
-                assert!(span <= u64::from(tail), "a glide past the poll of a tail");
-                span as u32
+        let t = u32::try_from(span).unwrap_or(u32::MAX);
+        let mut moved = Moved::default();
+        let plan = self.plan.get_mut();
+        for g in &mut plan.all[..plan.len] {
+            debug_assert!(!g.polled, "a glide after a poll in the same cycle");
+            if !polled(g.to as usize) {
+                // Nothing moves toward a tile that does not poll.
+                assert!(!g.in_fifos(), "a glide toward a tile that does not poll");
+                continue;
             }
-            // Nothing can move: every message waits at a tile that does
-            // not poll.
-            None => 0,
-        };
-        let len = self.plan.borrow().len;
-        for k in 0..len {
-            let g = self.plan.borrow().all[k];
-            self.glide_one(&g, t);
+            assert!(t <= g.tail, "a glide past the poll of a tail");
+            let m = g.advance(t);
+            moved.polled += m.polled;
+            moved.ejected += m.ejected;
+            moved.hops += m.hops;
+            set_bit(&mut self.ejection_pending, g.to as usize, g.count[0] > 0);
         }
+        self.resident_flits -= moved.polled;
+        self.stats.delivered_flits += moved.ejected;
+        self.glided_hops += moved.hops;
         self.active_cycles += span;
         self.glided_cycles += span;
     }
 
-    /// Moves one message `t` cycles along its route.
-    fn glide_one(&mut self, g: &Glider, t: u32) {
-        let to = self.tile_at(g.dest);
-        if g.fifos == 0 {
-            // Wholly ejected: `t` polls, none of them the tail's.
-            if g.polled {
-                for _ in 0..t {
-                    self.ejection[to].pop_front();
-                    self.routers[to].refill_credit(PortDir::Local);
-                }
-                self.resident_flits -= u64::from(t);
+    /// [`MeshNetwork::tick`] of a mesh that holds only gliders: each moves
+    /// one conveyor cycle. False, with every glider written back, when a
+    /// destination held a flit and was not polled this cycle while that
+    /// message is still in the routers: then the mesh is ticked.
+    pub(super) fn coast(&mut self) -> bool {
+        let missed = self
+            .plan
+            .get_mut()
+            .as_slice()
+            .iter()
+            .any(|g| !g.polled && g.count[0] > 0 && g.in_fifos());
+        if missed {
+            self.settle();
+            return false;
+        }
+        let mut moved = Moved::default();
+        let plan = self.plan.get_mut();
+        for g in &mut plan.all[..plan.len] {
+            if std::mem::take(&mut g.polled) {
+                // The poll took its flit early; the cycle takes it again.
+                g.count[0] += 1;
+            } else if g.count[0] > 0 {
+                // Wholly in a buffer nobody polled: nothing moves.
+                continue;
+            }
+            let m = g.advance(1);
+            moved.ejected += m.ejected;
+            moved.hops += m.hops;
+            set_bit(&mut self.ejection_pending, g.to as usize, g.count[0] > 0);
+        }
+        self.stats.delivered_flits += moved.ejected;
+        self.glided_hops += moved.hops;
+        true
+    }
+
+    /// A poll of `tile` while the mesh glides. True when it was a
+    /// glider's and took a flit off its count, or found its buffer
+    /// empty; false when the buffers answer it: no glider is bound for
+    /// `tile`, or this is its tail's poll (the glider is then written
+    /// back and leaves), or the second poll in a cycle (every glider is
+    /// written back).
+    pub(super) fn poll_glider(&mut self, tile: usize) -> bool {
+        let plan = self.plan.get_mut();
+        let Some(k) = plan.bound_for(tile) else {
+            return false;
+        };
+        let g = &mut plan.all[k];
+        if g.count[0] == 0 {
+            return true;
+        }
+        if g.polled {
+            self.settle();
+            return false;
+        }
+        if g.tail == 0 {
+            self.glide_one(k);
+            let plan = self.plan.get_mut();
+            plan.len -= 1;
+            if k < plan.len {
+                plan.all.swap(k, plan.len);
+            }
+            return false;
+        }
+        g.polled = true;
+        g.count[0] -= 1;
+        let emptied = g.count[0] == 0;
+        self.resident_flits -= 1;
+        if emptied {
+            set_bit(&mut self.ejection_pending, tile, false);
+        }
+        true
+    }
+
+    /// Called by [`MeshNetwork::send`] before it queues a message from
+    /// `tile` for `to`: true when that message starts out as a glider,
+    /// which it may while the mesh glides or holds nothing (and may
+    /// glide at all): when nothing else uses its source or destination,
+    /// its route meets none of the gliders', and there is room for one
+    /// more. The glider is then written in place, and
+    /// [`MeshNetwork::admit`] finishes it. Otherwise false, with every
+    /// glider written back.
+    pub(super) fn admits(&mut self, tile: usize, to: usize, flits: u32) -> bool {
+        let gliding = self.plan.get_mut().any();
+        if !gliding && (self.resident_flits > 0 || !self.may_glide()) {
+            return false;
+        }
+        let dest = self.routers[to].coord();
+        let admitted = self.bound[to] == 0
+            && flits <= u32::from(u16::MAX)
+            && self.source[tile].flits == 0
+            && self.routers[to].credits(PortDir::Local) > 0
+            && {
+                let mut plan = self.plan.borrow_mut();
+                let len = plan.len;
+                let (gliders, rest) = plan.all.split_at_mut(len);
+                rest.first_mut().is_some_and(|fresh| {
+                    self.glider(fresh, 0, tile, LOCAL, dest, 0, true).is_some()
+                        && !gliders.iter().any(|g| fresh.meets(g))
+                })
+            };
+        if gliding && !admitted {
+            self.settle();
+        }
+        admitted
+    }
+
+    /// Finishes the glider [`MeshNetwork::admits`] wrote for the message
+    /// just queued in `slot`, `flits` long: its route is empty, so its
+    /// tail is polled once it has crossed it and every flit has
+    /// followed.
+    pub(super) fn admit(&mut self, slot: u32, flits: u32) {
+        let plan = self.plan.get_mut();
+        let g = &mut plan.all[plan.len];
+        plan.len += 1;
+        debug_assert!(
+            g.route.fifos().all(|(t, i, _)| self.routers[t].len(i) == 0),
+            "an admitted route holds a flit"
+        );
+        let m = g.fifos;
+        (g.slot, g.queued, g.front) = (slot, flits, m);
+        g.count[m as usize] = flits as u16;
+        g.tail = m + flits - 1;
+    }
+
+    /// Writes every glider into the routers and ends the glide: the mesh
+    /// is ticked from here as it would have been. For any caller about to
+    /// read or change the buffers.
+    pub(super) fn settle(&mut self) {
+        for k in 0..self.plan.get_mut().len {
+            self.glide_one(k);
+        }
+        self.plan.get_mut().len = 0;
+    }
+
+    /// Writes glider `k` into the routers as it is now: every FIFO,
+    /// credit, owner and round-robin pointer on its anchor route, the
+    /// source queue and the ejection buffer. Its counters have moved
+    /// already.
+    fn glide_one(&mut self, k: usize) {
+        let g = &self.plan.get_mut().all[k];
+        let (slot, to, m, t, dest) = (g.slot, g.to as usize, g.fifos as usize, g.moved, g.dest);
+        if m == 0 {
+            // Wholly ejected: polls, none of them the tail's.
+            for _ in usize::from(g.count[0])..self.ejection[to].len() {
+                self.ejection[to].pop_front();
+                self.routers[to].refill_credit(PortDir::Local);
             }
             return;
         }
-        let m = g.fifos as usize;
-        // Flits by position, the first FIFO's counting its source queue.
-        let mut count = [0u32; MAX_FIFOS + 1];
-        count[0] = self.ejection[to].len() as u32;
-        for (q, (tile, input, _)) in (1..m).rev().zip(g.route.fifos().skip(1)) {
-            count[q] = u32::from(self.routers[tile].len(input));
-        }
-        count[m] = g.local + g.queued;
-        let tally = |count: &[u32]| {
-            count[..=m]
-                .iter()
-                .enumerate()
-                .fold((0u64, 0u64), |(flits, hops), (q, &n)| {
-                    (flits + u64::from(n), hops + q as u64 * u64::from(n))
-                })
-        };
-        let (flits, distance) = tally(&count);
-        let ejected = u64::from(count[0]);
-        // Only the FIFOs between the ends decide steadiness: snapshot
-        // those, a fixed 128 bytes that move inline, not the whole
-        // 132-byte array (a `memcpy` call).
-        let between: [u32; MAX_FIFOS] = count[1..].try_into().expect("MAX_FIFOS positions");
-        advance(&mut count[..=m], g.front as usize, t);
-        let (flits_after, distance_after) = tally(&count);
-
+        let route = g.route;
         // What the source still holds, and where the head and the tail
-        // end up (the head moves freely, a position a cycle).
-        let local = g.local.min(count[m]);
-        let queued = count[m] - local;
-        let steady = local == g.local
-            && queued > 0
-            && !(g.head && g.front > 0)
-            && count[1..m] == between[..m - 1];
-        let head = (g.head && g.front >= t).then(|| (g.front - t) as usize);
-        let tail = (1..=m).rev().find(|&q| count[q] > 0).unwrap_or(0);
+        // are now (the head moves freely, a position a cycle; one
+        // polled on this cycle has left).
+        let queued = g.queued_now();
+        let local = u32::from(g.count[m]) - queued;
+        let injected = g.queued - queued;
+        let head = (g.head && g.front >= t)
+            .then(|| (g.front - t) as usize)
+            .filter(|&h| h > 0 || !g.polled);
+        let tail = (1..=m).rev().find(|&q| g.count[q] > 0).unwrap_or(0);
+        let (lo, ejected) = (g.front.saturating_sub(t) as usize, u32::from(g.count[0]));
         let flit = |q: usize, n: u32, k: u32| FlitHandle {
-            slot: g.slot,
-            dest: g.dest,
+            slot,
+            dest,
             kind: kind(
                 head == Some(q) && k == 0,
                 q == tail && k + 1 == n && queued == 0,
@@ -631,39 +881,39 @@ impl MeshNetwork {
         // at now, then the ejection buffer. Each buffer's credit moves by
         // what its pops returned and its pushes spent (a source is not
         // credited).
-        let lo = g.front.saturating_sub(t) as usize;
-        let port = usize::from(g.route.port);
+        let port = usize::from(route.port);
         let mut feeder = (port != LOCAL).then(|| {
-            let up = self.neighbor_idx[g.route.start as usize][port];
+            let up = self.neighbor_idx[route.start as usize][port];
             (usize::from(up), usize::from(OPPOSITE[port]))
         });
         let mut rearmost = None;
-        if !steady {
-            self.unlist(g.slot);
-        }
-        // A steady worm's FIFOs stand as they are.
-        let rewrite = if steady { m + 1 } else { lo.max(1) }..=m;
-        for (q, (tile, input, out)) in rewrite.rev().zip(g.route.fifos()) {
-            let n = if q == m { local } else { count[q] };
+        self.unlist(slot);
+        for (q, (tile, input, out)) in (lo.max(1)..=m).rev().zip(route.fifos()) {
+            let n = if q == m {
+                local
+            } else {
+                u32::from(self.plan.get_mut().all[k].count[q])
+            };
             let router = &mut self.routers[tile];
             let before = i32::from(router.len(input));
-            router.reset_input(input, n as usize, |k| flit(q, n, k as u32));
             if tail < q {
                 router.release(out, input);
             } else {
                 let passed = head.is_none_or(|h| h < q);
                 router.set_route(input, if passed { out as u8 } else { NO_PORT });
             }
-            let bit = 1 << (tile % 64);
-            if router.is_idle() {
-                self.active[tile / 64] &= !bit;
-            } else {
-                self.active[tile / 64] |= bit;
+            // A FIFO empty at the anchor and now (most of a fresh
+            // message's route) holds and owes nothing, but may still be
+            // a source-fed segment's first hop.
+            if before > 0 || n > 0 {
+                router.reset_input(input, n as usize, |k| flit(q, n, k as u32));
+                let idle = router.is_idle();
+                set_bit(&mut self.active, tile, !idle);
+                if let Some((up, o)) = feeder.filter(|_| before != n as i32) {
+                    self.routers[up].shift_credits(o, before - n as i32);
+                }
             }
             self.streaming[tile] &= !(1 << input);
-            if let Some((up, o)) = feeder.filter(|_| before != n as i32) {
-                self.routers[up].shift_credits(o, before - n as i32);
-            }
             if n > 0 && rearmost.is_none() {
                 rearmost = Some((tile, input));
             }
@@ -671,53 +921,31 @@ impl MeshNetwork {
         }
         if lo == 0 {
             let ejection = &mut self.ejection[to];
-            let (before, n) = (ejection.len() as i32, count[0]);
+            let before = ejection.len() as i32;
             ejection.clear();
-            ejection.extend((0..n).map(|k| flit(0, n, k)));
-            let bit = 1 << (to % 64);
-            if n > 0 {
-                self.ejection_pending[to / 64] |= bit;
-            } else {
-                self.ejection_pending[to / 64] &= !bit;
-            }
-            self.routers[to].shift_credits(LOCAL, before - n as i32);
+            ejection.extend((0..ejected).map(|k| flit(0, ejected, k)));
+            set_bit(&mut self.ejection_pending, to, ejected > 0);
+            self.routers[to].shift_credits(LOCAL, before - ejected as i32);
         }
-        if g.queued > 0 {
-            let s = g.route.start as usize;
-            let injected = g.queued - queued;
+        if injected > 0 {
+            let s = route.start as usize;
             let source = &mut self.source[s];
             source.front.left -= injected;
-            source.front.fresh &= injected == 0;
+            source.front.fresh = false;
             source.flits -= injected as usize;
             if source.flits == 0 {
-                self.source_pending[s / 64] &= !(1 << (s % 64));
+                set_bit(&mut self.source_pending, s, false);
             }
         }
-        // A flit's hops are the positions it went down; the ones that
-        // reached position 0 were delivered.
-        self.resident_flits -= flits - flits_after;
-        self.stats.delivered_flits += (flits - ejected) - (flits_after - u64::from(count[0]));
-        self.glided_hops += distance - distance_after;
-        let worm = &mut self.worms[g.slot as usize];
-        if steady {
-            // A blocked worm whose window let it move was not blocked.
-            if worm.state == WormState::Blocked {
-                worm.state = WormState::Waiting;
-            }
-            return;
+        if let Some((tile, input)) = rearmost {
+            self.waiting.push(slot);
+            self.worms[slot as usize] = Worm {
+                at: self.waiting.len() as u32 - 1,
+                tail_tile: tile as u16,
+                tail_port: input as u8,
+                state: WormState::Waiting,
+            };
         }
-        *worm = match rearmost {
-            Some((tile, input)) => {
-                self.waiting.push(g.slot);
-                Worm {
-                    at: self.waiting.len() as u32 - 1,
-                    tail_tile: tile as u16,
-                    tail_port: input as u8,
-                    state: WormState::Waiting,
-                }
-            }
-            None => Worm::OUT,
-        };
     }
 
     /// Takes worm `slot` off whichever list holds it, its segment's hops
@@ -742,6 +970,47 @@ impl MeshNetwork {
         }
         self.worms[slot as usize] = Worm::OUT;
     }
+
+    /// The FIFOs of the anchor route of the glider bound for `to` (each
+    /// one's tile, input and output), if one is: what its write-back
+    /// writes besides `to`'s ejection buffer. Empty for a message wholly
+    /// in that buffer.
+    #[cfg(test)]
+    pub(super) fn glider_route(&self, to: usize) -> Option<Vec<(usize, usize, usize)>> {
+        let plan = self.plan.borrow();
+        let g = &plan.all[plan.bound_for(to)?];
+        Some(if g.fifos == 0 {
+            Vec::new()
+        } else {
+            g.route.fifos().collect()
+        })
+    }
+
+    /// Flits in `tile`'s source queue and ejection buffer, as the
+    /// gliders have them now.
+    pub(super) fn glided_depths(&self, tile: usize) -> (usize, usize) {
+        let (mut source, mut ejection) = (self.source[tile].flits, self.ejection[tile].len());
+        for g in self.plan.borrow().as_slice() {
+            if g.to as usize == tile {
+                ejection = usize::from(g.count[0]);
+            }
+            if g.queued > 0 && usize::from(g.route.start) == tile {
+                source -= (g.queued - g.queued_now()) as usize;
+            }
+        }
+        (source, ejection)
+    }
+}
+
+/// Sets or clears tile `tile`'s bit in a per-tile mask.
+#[inline]
+fn set_bit(mask: &mut [u64], tile: usize, on: bool) {
+    let bit = 1 << (tile % 64);
+    if on {
+        mask[tile / 64] |= bit;
+    } else {
+        mask[tile / 64] &= !bit;
+    }
 }
 
 /// Runs `t` conveyor cycles over a message's flit counts by position
@@ -750,14 +1019,14 @@ impl MeshNetwork {
 /// one flit to the one below, and position 0 is polled. While a position
 /// below the last holds two or more, cycle by cycle; then in closed
 /// form, since the positions below the last just shift.
-fn advance(count: &mut [u32], front: usize, t: u32) {
+fn advance(count: &mut [u16], front: usize, t: u32) {
     let last = count.len() - 1;
     let (mut lo, mut left) = (front, t as usize);
     while left > 0 && count[lo..last].iter().any(|&n| n > 1) {
         lo = lo.saturating_sub(1);
         for q in lo..=last {
             let above = q < last && count[q + 1] > 0;
-            count[q] = count[q] - u32::from(count[q] > 0) + u32::from(above);
+            count[q] = count[q] - u16::from(count[q] > 0) + u16::from(above);
         }
         left -= 1;
     }
@@ -770,8 +1039,8 @@ fn advance(count: &mut [u32], front: usize, t: u32) {
         count[q] = if p < last {
             count[p]
         } else {
-            u32::from(p - last < feeding)
+            u16::from(p - last < feeding)
         };
     }
-    count[last] = count[last].saturating_sub(left as u32);
+    count[last] = count[last].saturating_sub(u16::try_from(left).unwrap_or(u16::MAX));
 }

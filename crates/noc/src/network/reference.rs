@@ -13,11 +13,18 @@
 //! input's flits in order, credits, owners, round-robin pointers, the
 //! ejection buffer and the source queue — plus the messages delivered,
 //! the network counters and `total_flit_hops`, naming the first cycle
-//! and tile that differ. A second proptest glides the worm mesh through
-//! random prefixes of the windows its hint opens while `RefMesh` steps
-//! the same cycles, and compares the same snapshot at every landing.
-//! (`RefMesh` counts `active_cycles` too; nothing else is added to the
-//! verbatim copy.)
+//! and tile that differ. Two more glide the worm mesh through random
+//! prefixes of the windows its hint opens while `RefMesh` steps the same
+//! cycles, the second under a NIC's pattern of sends, polls, forced
+//! steps, unpolled destinations, fault arrivals and readers of the
+//! buffers. Gliders keep their plan until their tails are polled and
+//! leave the routers as they were meanwhile, so those two compare every
+//! poll, the counters, every tile's source and ejection depths and the
+//! ejection-pending bits on every cycle; at a tail's poll that writes
+//! one glider back, that glider's route and ejection buffer; and the
+//! whole snapshot whenever no glider is left (at the write-back of the
+//! last, whatever triggered it, and after a reader's). (`RefMesh` counts
+//! `active_cycles` too; nothing else is added to the verbatim copy.)
 
 use bytes::Bytes;
 use packet::{MessageId, MessageKind};
@@ -733,35 +740,97 @@ fn tile_diff(net: &MeshNetwork, old: &RefMesh, t: usize) -> Option<String> {
     None
 }
 
-/// Network-wide state that must agree: counters, masks and hops.
-fn mesh_state(net: &MeshNetwork) -> [u64; 9] {
-    let word = |w: &[u64]| w.iter().fold(0u64, |h, &x| h.rotate_left(7) ^ x);
-    [
+/// The first way one route's FIFOs (each one's tile, input and output)
+/// and the ejection buffer of tile `to` at its end differ from the
+/// oracle's, if any: each FIFO's flits and owner, the credits and
+/// round-robin pointer of the output it forwards through, and the
+/// credits the first one's feeder holds for it. Another glider's route
+/// shares none of these, so they are exact while it still glides.
+fn route_diff(
+    net: &MeshNetwork,
+    old: &RefMesh,
+    to: usize,
+    fifos: &[(usize, usize, usize)],
+) -> Option<String> {
+    for (j, &(t, i, o)) in fifos.iter().enumerate() {
+        let (new, r) = (&net.routers[t], &old.routers[t]);
+        if !new.queued(i).eq(old.queued(t, i)) {
+            let ours: Vec<_> = new.queued(i).collect();
+            let theirs: Vec<_> = old.queued(t, i).collect();
+            return Some(format!("tile {t} input {i}: {ours:?} != {theirs:?}"));
+        }
+        let ours = (new.in_route(i), new.credits(PortDir::ALL[o]), new.rr(o));
+        let theirs = (r.in_route[i], usize::from(r.credit[o]), r.rr[o]);
+        if ours != theirs {
+            return Some(format!(
+                "tile {t} input {i} output {o} (owner, credit, rr): {ours:?} != {theirs:?}"
+            ));
+        }
+        if j == 0 && i != LOCAL {
+            let (up, back) = (
+                usize::from(net.neighbor_idx[t][i]),
+                usize::from(OPPOSITE[i]),
+            );
+            let ours = net.routers[up].credits(PortDir::ALL[back]);
+            let theirs = usize::from(old.routers[up].credit[back]);
+            if ours != theirs {
+                return Some(format!(
+                    "tile {up} output {back} (feeder credit): {ours} != {theirs}"
+                ));
+            }
+        }
+    }
+    if !net.ejection[to].iter().eq(old.ejection[to].iter()) {
+        return Some(format!(
+            "tile {to} ejection {:?} != {:?}",
+            net.ejection[to], old.ejection[to]
+        ));
+    }
+    None
+}
+
+/// Network-wide state that must agree on every cycle, gliders or not:
+/// the exported counters, the resident flits, the ejection-pending bits
+/// and every tile's source and ejection depths.
+fn mesh_counters(net: &MeshNetwork) -> Vec<u64> {
+    let mut counters = vec![
         net.stats.injected_messages,
         net.stats.delivered_messages,
         net.stats.delivered_flits,
+        net.stats.latency.count(),
         net.resident_flits,
         net.total_flit_hops(),
         net.active_cycles,
-        word(&net.active),
-        word(&net.source_pending),
         word(&net.ejection_pending),
-    ]
+    ];
+    // The meshes here are placed row-major: engine `t` is tile `t`.
+    for t in 0..net.routers.len() {
+        let e = EngineId(t as u16);
+        counters.extend([net.source_depth(e), net.ejection_depth(e)].map(|n| n as u64));
+    }
+    counters
 }
 
-fn ref_state(old: &RefMesh) -> [u64; 9] {
-    let word = |w: &[u64]| w.iter().fold(0u64, |h, &x| h.rotate_left(7) ^ x);
-    [
+fn ref_counters(old: &RefMesh) -> Vec<u64> {
+    let mut counters = vec![
         old.stats.injected_messages,
         old.stats.delivered_messages,
         old.stats.delivered_flits,
+        old.stats.latency.count(),
         old.resident_flits,
         old.total_flit_hops(),
         old.active_cycles,
-        word(&old.active),
-        word(&old.source_pending),
         word(&old.ejection_pending),
-    ]
+    ];
+    for t in 0..old.routers.len() {
+        counters.extend([old.source[t].len(), old.ejection[t].len()].map(|n| n as u64));
+    }
+    counters
+}
+
+/// A mask folded into one word.
+fn word(w: &[u64]) -> u64 {
+    w.iter().fold(0u64, |h, &x| h.rotate_left(7) ^ x)
 }
 
 /// A random mesh and its oracle twin, driven by one stream of random
@@ -868,20 +937,61 @@ impl Pair {
             .payload(Bytes::from(payload))
             .build();
         self.next_id += 1;
+        let gliding = self.gliding();
         self.old.send(from, to, msg.clone(), now);
         self.net.send(from, to, msg, now);
+        self.check_write_back(gliding, now, "a write-back at a send");
     }
 
-    /// Polls tile `t` of both meshes, which must deliver alike.
+    /// Polls tile `t` of both meshes, which must deliver alike. A tail's
+    /// poll that writes its glider back is checked there and then: that
+    /// glider's route and ejection buffer, or everything if it was the
+    /// last one.
     fn poll(&mut self, t: usize, now: Cycle) {
+        let gliding = self.gliding();
+        let route = self.net.glider_route(t);
         let ours = self.net.poll_ejected_at(t, now).map(|m| m.id);
         let theirs = self.old.poll_ejected_at(t, now).map(|m| m.id);
         prop_assert_eq!(ours, theirs, "cycle {} tile {}: delivered", now.0, t);
+        let written_back = self.gliding() && self.net.glider_route(t).is_none();
+        if let Some(fifos) = route.filter(|_| written_back) {
+            if let Some(diff) = route_diff(&self.net, &self.old, t, &fifos) {
+                panic!(
+                    "a tail's write-back at cycle {}, bound for tile {}: {}",
+                    now.0, t, diff
+                );
+            }
+        }
+        self.check_write_back(gliding, now, "a write-back at a poll");
+    }
+
+    /// True while the worm mesh holds gliders.
+    fn gliding(&self) -> bool {
+        self.net.plan.borrow().any()
+    }
+
+    /// [`Pair::check`] when the worm mesh held gliders before the call
+    /// that just ran and holds none now: it wrote the last of them back.
+    fn check_write_back(&self, gliding: bool, now: Cycle, what: &str) {
+        if gliding && !self.gliding() {
+            self.check(now, what);
+        }
     }
 
     /// Everything that must agree once the cycles before `now` have run,
-    /// the first difference named by cycle and tile.
+    /// the first difference named by cycle and tile: every buffer,
+    /// credit, owner and round-robin pointer, and the masks, so no
+    /// glider may be left unwritten.
     fn check(&self, now: Cycle, what: &str) {
+        assert!(!self.gliding(), "a check of a gliding mesh");
+        prop_assert_eq!(
+            [word(&self.net.active), word(&self.net.source_pending)],
+            [word(&self.old.active), word(&self.old.source_pending)],
+            "{} at cycle {}: active or source masks",
+            what,
+            now.0
+        );
+        self.check_counters(now, what);
         for t in 0..self.tiles() {
             if let Some(diff) = tile_diff(&self.net, &self.old, t) {
                 panic!(
@@ -891,10 +1001,14 @@ impl Pair {
                 );
             }
         }
+    }
+
+    /// What must agree on every cycle, gliders or not.
+    fn check_counters(&self, now: Cycle, what: &str) {
         prop_assert_eq!(
-            mesh_state(&self.net),
-            ref_state(&self.old),
-            "{} at cycle {}: counters or masks",
+            mesh_counters(&self.net),
+            ref_counters(&self.old),
+            "{} at cycle {}: counters or ejection-pending bits",
             what,
             now.0
         );
@@ -902,6 +1016,13 @@ impl Pair {
             self.net.lost_messages(),
             self.old.faults.as_ref().map_or(0, |f| f.lost_messages)
         );
+    }
+
+    /// [`Pair::check`] once the mesh holds no glider, or after writing
+    /// them all back (as any reader of the buffers does).
+    fn inspect(&mut self, now: Cycle, what: &str) {
+        self.net.settle();
+        self.check(now, what);
     }
 
     /// Past the send window and every fault, with nothing left.
@@ -928,7 +1049,7 @@ fn lockstep(seed: u64) -> u64 {
                 pair.poll(t, now);
             }
         }
-        pair.check(now, "stepped");
+        pair.inspect(now, "stepped");
         if pair.drained(now) {
             break;
         }
@@ -937,32 +1058,17 @@ fn lockstep(seed: u64) -> u64 {
     pair.net.streamed_flit_hops()
 }
 
-/// How a glide in [`glide_lockstep`] comes by its plan.
+/// How [`glide_lockstep`] drives the worm mesh between its hints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plan {
-    /// The one the hint just made.
-    Hinted,
-    /// None: the glide plans afresh.
-    Dropped,
-    /// One the hint made before this cycle's sends, polls and tick; the
-    /// window comes from a plan made on the side. The glide must notice
-    /// the mesh moved since and plan afresh.
-    Stale,
-}
-
-/// The hint [`MeshNetwork::next_activity`] would give, from a plan made
-/// on the side, leaving the mesh's own plan alone.
-fn side_hint(net: &MeshNetwork, now: Cycle, polled: &impl Fn(usize) -> bool) -> Option<Cycle> {
-    if net.is_quiescent() {
-        return None;
-    }
-    let mut side = super::glide::Gliders::NONE;
-    match net.plan_into(&mut side, polled) {
-        Some(()) => side
-            .horizon()
-            .map(|tail| Cycle(now.0 + 1 + u64::from(tail))),
-        None => Some(now.next()),
-    }
+enum Pattern {
+    /// Glide a random prefix of every window the hint opens.
+    Windows,
+    /// A NIC's pattern: besides the windows, forced steps inside a
+    /// glider's life (a window cut short, or none taken, as at a
+    /// `drive` re-entry), tiles that stop polling while they hold a
+    /// flit, slow links and credit holds that arrive while the mesh
+    /// glides, and readers of the buffers.
+    Nic,
 }
 
 /// One glide run; returns the flit-hops the mesh glided.
@@ -970,18 +1076,20 @@ fn side_hint(net: &MeshNetwork, now: Cycle, polled: &impl Fn(usize) -> bool) -> 
 /// Three runs in four offer a sparse load (a send every 20–200 executed
 /// cycles, of one to three messages whose routes may cross) for
 /// thousands of cycles after the fault windows close, which is where
-/// glides are long. Each executed cycle sends,
-/// polls every tile of a random mask and each other tile at random, and
-/// ticks both meshes. Wherever the worm mesh's hint for that mask then
-/// passes the next cycle, the worm mesh glides a random prefix of the
-/// window — with the hint's plan, with none, or with a stale one, at
-/// random — while the oracle steps the same cycles polling the mask's
-/// tiles, and no other; where the hint is `None` (nothing can move) it
-/// glides up to 64 cycles — over a quiescent mesh only now and then,
-/// which lets the fault windows expire inside a glide and still keeps
-/// the sends coming. Inside a window no oracle poll may deliver: a tail
-/// polled there is a late hint.
-fn glide_lockstep(seed: u64) -> u64 {
+/// glides are long. Each executed cycle sends, polls every tile whose
+/// ejection-pending bit is set that a random mask polls (and each other
+/// one at random), as a NIC's ejection pass does, and ticks both meshes;
+/// the counters and the ejection-pending bits must agree after it, and
+/// whenever the worm mesh holds no glider, so must every buffer,
+/// credit, owner and round-robin pointer. Wherever the worm mesh's hint
+/// for that mask then passes the next cycle, the worm mesh glides a
+/// random prefix of the window while the oracle steps the same cycles
+/// polling the mask's tiles, and no other; where the hint is `None`
+/// (nothing can move) it glides up to 64 cycles — over a quiescent mesh
+/// only now and then, which lets the fault windows expire inside a
+/// glide and still keeps the sends coming. Inside a window no oracle
+/// poll may deliver: a tail polled there is a late hint.
+fn glide_lockstep(seed: u64, pattern: Pattern) -> u64 {
     let mut rng = SimRng::new(seed);
     let mut pair = Pair::new(&mut rng);
     if rng.gen_range(4) != 0 {
@@ -989,6 +1097,7 @@ fn glide_lockstep(seed: u64) -> u64 {
         pair.burst = 1 + rng.gen_range(3);
         pair.send_window += 2000 + rng.gen_range(4000);
     }
+    let nic = pattern == Pattern::Nic;
     let mut mask = vec![false; pair.tiles()];
     let mut remask_at = Cycle(0);
     let mut now = Cycle(0);
@@ -997,38 +1106,43 @@ fn glide_lockstep(seed: u64) -> u64 {
             // Mostly polled: a tile that is not stops every glide toward
             // it, and a glide past one that is sits idle there.
             mask.iter_mut().for_each(|m| *m = rng.gen_range(4) != 0);
-            remask_at = Cycle(now.0 + 50 + rng.gen_range(300));
+            let hold = if nic {
+                5 + rng.gen_range(60)
+            } else {
+                50 + rng.gen_range(300)
+            };
+            remask_at = Cycle(now.0 + hold);
         }
-        let plan = [Plan::Hinted, Plan::Dropped, Plan::Stale][rng.gen_range(3) as usize];
+        if nic && now.0 < pair.send_window && rng.gen_range(300) == 0 {
+            pair.fault(&mut rng, now);
+        }
         let polled = |t: usize| mask[t];
-        if plan == Plan::Stale {
-            let _ = pair
-                .net
-                .next_activity(Cycle(now.0.saturating_sub(1)), polled);
-        }
         pair.send(&mut rng, now);
         for (t, &polled) in mask.iter().enumerate() {
-            if polled || rng.gen_range(2) == 0 {
+            // A NIC polls only tiles whose ejection-pending bit is set.
+            let pending = pair.net.ejection_pending_word(t / 64) & (1 << (t % 64)) != 0;
+            if (pending || !nic) && (polled || rng.gen_range(2) == 0) {
                 pair.poll(t, now);
             }
         }
         pair.net.tick(now);
         pair.old.tick(now);
         let next = now.next();
-        pair.check(next, "stepped");
-        let hint = match plan {
-            Plan::Stale => side_hint(&pair.net, now, &polled),
-            Plan::Hinted | Plan::Dropped => pair.net.next_activity(now, polled),
-        };
+        pair.check_counters(next, "stepped");
+        if !pair.gliding() {
+            pair.check(next, "stepped");
+        } else if nic && rng.gen_range(16) == 0 {
+            pair.inspect(next, "inspecting a gliding mesh");
+        }
+        let hint = pair.net.next_activity(now, polled);
         let to = match hint {
+            // A forced step: the window is not taken at all.
+            Some(_) if nic && rng.gen_range(4) == 0 => next,
             Some(hint) => Cycle(next.0 + rng.gen_range(hint.0 - now.0)),
             None if pair.net.is_quiescent() && rng.gen_range(4) != 0 => next,
             None => Cycle(next.0 + rng.gen_range(65)),
         };
         if to > next {
-            if plan == Plan::Dropped {
-                *pair.net.plan.borrow_mut() = super::glide::Gliders::NONE;
-            }
             pair.net.glide(next, to, polled);
             for c in (next.0..to.0).map(Cycle) {
                 for t in (0..pair.tiles()).filter(|&t| mask[t]) {
@@ -1037,7 +1151,10 @@ fn glide_lockstep(seed: u64) -> u64 {
                 }
                 pair.old.tick(c);
             }
-            pair.check(to, "landing a glide");
+            pair.check_counters(to, "landing a glide");
+            if !pair.gliding() {
+                pair.check(to, "landing a glide");
+            }
         }
         now = to;
         if pair.drained(now) {
@@ -1046,6 +1163,33 @@ fn glide_lockstep(seed: u64) -> u64 {
     }
     prop_assert!(pair.net.is_quiescent(), "mesh never drained");
     pair.net.glided_flit_hops()
+}
+
+impl Pair {
+    /// A slow link or a credit hold, arriving now in both meshes and
+    /// ending inside the send window.
+    fn fault(&mut self, rng: &mut SimRng, now: Cycle) {
+        let gliding = self.gliding();
+        let tiles = self.tiles() as u64;
+        let until = Cycle(now.0 + 1 + rng.gen_range(200));
+        self.faults_end = self.faults_end.max(until);
+        let (e, port) = (
+            EngineId(rng.gen_range(tiles) as u16),
+            PortDir::ALL[rng.gen_range(5) as usize],
+        );
+        if rng.gen_range(2) == 0 {
+            let period = 2 + rng.gen_range(3);
+            self.net.fault_link_slow(e, port, until, period);
+            self.old.fault_link_slow(e, port, until, period);
+        } else {
+            let n = 1 + rng.gen_range(8) as usize;
+            prop_assert_eq!(
+                self.net.fault_hold_credits(e, port, n, until),
+                self.old.fault_hold_credits(e, port, n, until)
+            );
+        }
+        self.check_write_back(gliding, now, "a write-back at a fault");
+    }
 }
 
 proptest! {
@@ -1063,12 +1207,22 @@ proptest! {
     }
 
     /// The same, with the worm mesh gliding wherever its hint allows:
-    /// at every landing its buffers, credits, owners, round-robin
-    /// pointers, source queues and counters are the stepped oracle's,
-    /// and no tail is polled inside a window.
+    /// every poll delivers alike and the counters agree on every cycle,
+    /// the buffers, credits, owners, round-robin pointers and source
+    /// queues whenever no glider is left, and no tail is polled inside a
+    /// window.
     #[test]
     fn a_glide_lands_where_the_flit_mesh_steps_to(seed in any::<u64>()) {
-        glide_lockstep(seed);
+        glide_lockstep(seed, Pattern::Windows);
+    }
+
+    /// The same under a NIC's pattern: gliders that keep their plan
+    /// through sends on clear and on meeting routes, forced steps,
+    /// destinations that stop polling, fault windows that open while
+    /// the mesh glides, and readers that write them back.
+    #[test]
+    fn gliders_keep_their_plan_under_a_nics_pattern(seed in any::<u64>()) {
+        glide_lockstep(seed, Pattern::Nic);
     }
 }
 
@@ -1084,6 +1238,13 @@ fn lock_step_runs_exercise_streaming() {
 /// idle cycles.
 #[test]
 fn glide_runs_exercise_gliding() {
-    let glided = (0..16u64).filter(|&seed| glide_lockstep(seed) > 0).count();
-    assert!(glided > 8, "only {glided} of 16 runs glided a flit");
+    for pattern in [Pattern::Windows, Pattern::Nic] {
+        let glided = (0..16u64)
+            .filter(|&seed| glide_lockstep(seed, pattern) > 0)
+            .count();
+        assert!(
+            glided > 8,
+            "only {glided} of 16 {pattern:?} runs glided a flit"
+        );
+    }
 }

@@ -145,7 +145,14 @@ impl KvsRequest {
         Self::HEADER_SIZE + self.value.len()
     }
 
+    /// The longest value the 16-bit length field carries.
+    pub const MAX_VALUE: usize = u16::MAX as usize;
+
     /// Encodes to bytes.
+    ///
+    /// # Panics
+    /// Panics if the value is longer than [`KvsRequest::MAX_VALUE`]
+    /// bytes: its length would not fit the wire's 16-bit field.
     #[must_use]
     pub fn encode(&self) -> Bytes {
         let mut out = BytesMut::with_capacity(self.wire_size());
@@ -153,7 +160,7 @@ impl KvsRequest {
         out.put_u16(self.tenant);
         out.put_u32(self.request_id);
         out.put_u64(self.key);
-        out.put_u16(self.value.len() as u16);
+        out.put_u16(u16::try_from(self.value.len()).expect("a KVS value fits its 16-bit length"));
         out.put_slice(&self.value);
         out.freeze()
     }
@@ -218,6 +225,21 @@ mod tests {
         let d = KvsRequest::decode(&bytes).unwrap();
         assert_eq!(d, r);
         assert_eq!(&d.value[..], b"hello world");
+    }
+
+    #[test]
+    fn the_longest_value_roundtrips() {
+        let r = KvsRequest::set(1, 2, 42, Bytes::from(vec![7; KvsRequest::MAX_VALUE]));
+        assert_eq!(KvsRequest::decode(&r.encode()).unwrap(), r);
+    }
+
+    /// A value one byte past the length field's range must not encode
+    /// as a request with a wrapped (here: empty) value.
+    #[test]
+    #[should_panic(expected = "a KVS value fits its 16-bit length")]
+    fn a_value_past_the_length_field_does_not_encode() {
+        let r = KvsRequest::set(1, 2, 42, Bytes::from(vec![7; KvsRequest::MAX_VALUE + 1]));
+        let _ = r.encode();
     }
 
     #[test]

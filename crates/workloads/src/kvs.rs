@@ -99,10 +99,21 @@ impl KvsWorkload {
     /// Builds the generator.
     ///
     /// # Panics
-    /// Panics if no tenants are configured.
+    /// Panics if no tenants are configured, or if a tenant's values are
+    /// longer than a request's 16-bit length field carries
+    /// ([`KvsRequest::MAX_VALUE`]).
     #[must_use]
     pub fn new(config: KvsWorkloadConfig) -> KvsWorkload {
         assert!(!config.tenants.is_empty(), "no tenants");
+        for t in &config.tenants {
+            assert!(
+                t.value_size <= KvsRequest::MAX_VALUE,
+                "tenant {}: value_size {} exceeds the {}-byte KVS value",
+                t.tenant.0,
+                t.value_size,
+                KvsRequest::MAX_VALUE
+            );
+        }
         let theta_of = |spec: &TenantSpec| -> f64 { spec.zipf_theta.unwrap_or(config.zipf_theta) };
         let zipfs = config
             .tenants
@@ -243,6 +254,23 @@ impl KvsWorkload {
 mod tests {
     use super::*;
     use packet::kvs::KvsOp;
+
+    /// The longest value the wire carries is accepted; one byte more is
+    /// refused up front, not encoded with a wrapped length.
+    #[test]
+    fn value_size_is_bounded_by_the_wire() {
+        let mut c = config();
+        c.tenants[0].value_size = KvsRequest::MAX_VALUE;
+        let _ = KvsWorkload::new(c);
+    }
+
+    #[test]
+    #[should_panic(expected = "value_size 65536 exceeds the 65535-byte KVS value")]
+    fn a_value_size_past_the_wire_is_refused() {
+        let mut c = config();
+        c.tenants[0].value_size = 65_536;
+        let _ = KvsWorkload::new(c);
+    }
 
     fn config() -> KvsWorkloadConfig {
         KvsWorkloadConfig {

@@ -27,11 +27,19 @@
 //! 5. **Fabric ring** (proptest): a 2–4-NIC ring with cross-NIC
 //!    chains, run stepped and fast-forwarded — identical metrics and
 //!    conservation. It is untraced, so its meshes glide.
-//! 6. **Untraced chain and KVS** (golden): a tracer stops the mesh
-//!    from gliding, so arms 1 and 2 never glide; `chain_gap`'s shape
-//!    and `kvs_mixed`'s three tenants run without one — identical
-//!    metrics, reports and conservation, and the fast-forwarded run
-//!    glided, like the ring's.
+//! 6. **Untraced chain, KVS and ring member** (golden): a tracer stops
+//!    the mesh from gliding, so arms 1 and 2 never glide; `chain_gap`'s
+//!    shape, `kvs_mixed`'s three tenants and a `rack_ring4` member's NIC
+//!    run without one — identical metrics, reports and conservation,
+//!    and the fast-forwarded run glided, like the ring's.
+//! 7. **Sliced fast-forward** (proptest): the untraced chain-gap NIC
+//!    and the ring member's NIC fast-forwarded in seeded random slices
+//!    of 1–300 cycles, each slice a `drive` re-entry whose first step is
+//!    forced even while the mesh glides — identical metrics, reports
+//!    and conservation to one long fast-forwarded run (which arm 6
+//!    holds equal to the stepped run), and the sliced mesh glided.
+
+use std::sync::OnceLock;
 
 use engines::engine::NullOffload;
 use engines::mac::MacEngine;
@@ -649,18 +657,54 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Untraced chain and KVS
+// Untraced chain, KVS and ring member; sliced fast-forward
 // ---------------------------------------------------------------------------
 
 /// What an untraced run leaves behind: (metrics JSON, report debug,
 /// conservation report, cycles the mesh glided).
 type Untraced = (String, String, String, u64);
 
-/// Compares an untraced run stepped with the same run fast-forwarded,
-/// and wants the fast-forwarded one to have glided.
-fn assert_untraced_equivalent(run: fn(Mode) -> Untraced) {
-    let (metrics_s, report_s, cons_s, glided_s) = run(Stepped);
-    let (metrics_f, report_f, cons_f, glided_f) = run(Ff);
+/// How a run is cut into calls: stepped, fast-forwarded in calls as long
+/// as the harness makes them, or fast-forwarded in random slices of
+/// 1–300 cycles drawn from the seed.
+#[derive(Debug, Clone, Copy)]
+enum Slicing {
+    Stepped,
+    Long,
+    Sliced(u64),
+}
+
+impl Slicing {
+    /// Runs `cycles` cycles through `run(cycles, mode)`, in the calls
+    /// this slicing makes; a sliced run draws from `rng`, seeded on its
+    /// first use.
+    fn run(
+        self,
+        cycles: u64,
+        rng: &mut Option<sim_core::rng::SimRng>,
+        mut run: impl FnMut(u64, Mode),
+    ) {
+        match self {
+            Slicing::Stepped => run(cycles, Stepped),
+            Slicing::Long => run(cycles, Ff),
+            Slicing::Sliced(seed) => {
+                let rng = rng.get_or_insert_with(|| sim_core::rng::SimRng::new(seed));
+                let mut left = cycles;
+                while left > 0 {
+                    let slice = (1 + rng.gen_range(300)).min(left);
+                    run(slice, Ff);
+                    left -= slice;
+                }
+            }
+        }
+    }
+}
+
+/// Compares an untraced run stepped with the same run fast-forwarded in
+/// long calls, and wants the fast-forwarded one to have glided.
+fn assert_untraced_equivalent(run: fn(Slicing) -> Untraced) {
+    let (metrics_s, report_s, cons_s, glided_s) = run(Slicing::Stepped);
+    let (metrics_f, report_f, cons_f, glided_f) = run(Slicing::Long);
     assert_eq!(report_s, report_f);
     assert_eq!(metrics_s, metrics_f);
     assert_eq!(cons_s, cons_f);
@@ -668,16 +712,30 @@ fn assert_untraced_equivalent(run: fn(Mode) -> Untraced) {
     assert!(glided_f > 0, "the fast-forwarded mesh never glided");
 }
 
+/// Compares one run cut into random slices with the same run in long
+/// calls — made once, into `long` — which [`assert_untraced_equivalent`]
+/// holds equal to the stepped run; the sliced mesh must have glided.
+fn assert_sliced_equivalent(run: fn(Slicing) -> Untraced, long: &OnceLock<Untraced>, seed: u64) {
+    let (metrics_l, report_l, cons_l, _) = long.get_or_init(|| run(Slicing::Long));
+    let (metrics_c, report_c, cons_c, glided_c) = run(Slicing::Sliced(seed));
+    prop_assert_eq!(report_l, &report_c);
+    prop_assert_eq!(metrics_l, &metrics_c);
+    prop_assert_eq!(cons_l, &cons_c);
+    prop_assert!(glided_c > 0, "the sliced mesh never glided");
+}
+
 /// `chain_gap`'s shape — two ports at 0.002 of line rate, two-hop
 /// chains — without a tracer, so its mesh may glide.
-fn chain_gap_untraced(mode: Mode) -> Untraced {
+fn chain_gap_untraced(slicing: Slicing) -> Untraced {
     let mut s = ChainScenario::new(ChainScenarioConfig {
         offered_fraction: 0.002,
         ports: 2,
         ..ChainScenarioConfig::default()
     });
-    s.set_fastforward(mode == Ff);
-    s.run(60_000);
+    slicing.run(60_000, &mut None, |cycles, mode| {
+        s.set_fastforward(mode == Ff);
+        s.run(cycles);
+    });
     s.drain(10_000);
     let mut m = trace::MetricsRegistry::new();
     s.export_metrics(&mut m);
@@ -697,7 +755,7 @@ fn untraced_chain_gap_glides_and_matches_stepped() {
 
 /// `kvs_mixed`'s shape — the two-tenant default plus a tenant of 512 B
 /// writes — without a tracer.
-fn kvs_mixed_untraced(mode: Mode) -> Untraced {
+fn kvs_mixed_untraced(slicing: Slicing) -> Untraced {
     use workloads::arrivals::ArrivalProcess;
     use workloads::kvs::TenantSpec;
     let mut config = KvsScenarioConfig::two_tenant_default();
@@ -711,8 +769,10 @@ fn kvs_mixed_untraced(mode: Mode) -> Untraced {
         zipf_theta: Some(0.0),
     });
     let mut s = KvsScenario::new(config);
-    s.set_fastforward(mode == Ff);
-    s.run(40_000);
+    slicing.run(40_000, &mut None, |cycles, mode| {
+        s.set_fastforward(mode == Ff);
+        s.run(cycles);
+    });
     let mut m = trace::MetricsRegistry::new();
     s.export_metrics(&mut m);
     let nic = s.nic();
@@ -727,4 +787,88 @@ fn kvs_mixed_untraced(mode: Mode) -> Untraced {
 #[test]
 fn untraced_kvs_mixed_glides_and_matches_stepped() {
     assert_untraced_equivalent(kvs_mixed_untraced);
+}
+
+/// A member of the benchmark's `rack_ring4`, alone and untraced: a 4×4
+/// mesh of 128-bit channels with a MAC, an 8-cycle offload run twice,
+/// two portals and 32 vNICs; one min-size frame every 120 cycles, over
+/// the vNICs in turn, each period run under `slicing`.
+fn ring_member_untraced(slicing: Slicing) -> Untraced {
+    use panic_core::programs::chain_program;
+    use tenancy::{TenancyConfig, VNicSpec};
+    const PERIOD: u64 = 120;
+    let freq = Freq::PANIC_DEFAULT;
+    let mut b = PanicNic::builder(NicConfig {
+        topology: Topology::mesh(4, 4),
+        width_bits: 128,
+        router: RouterConfig::default(),
+        pipeline: PipelineConfig {
+            parallel: 2,
+            depth: 18,
+            freq,
+        },
+        pcie_flush_interval: 0,
+    });
+    let eth = b.engine(
+        Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
+        TileConfig::default(),
+    );
+    let crc = b.engine(
+        Box::new(NullOffload::new("crc", EngineClass::Asic, Cycles(8))),
+        TileConfig {
+            queue_capacity: 256,
+            ..TileConfig::default()
+        },
+    );
+    let _ = b.rmt_portal();
+    let _ = b.rmt_portal();
+    b.program(chain_program(&[crc, crc], eth, Some(5_000)));
+    let vnics = (1..=32)
+        .map(|t| VNicSpec::new(TenantId(t), format!("vnic{t}"), 1).credit_quota(16))
+        .collect();
+    b.tenancy(TenancyConfig::new(vnics).shared_credits(256));
+    let mut nic = b.build();
+    let mut factory = FrameFactory::for_nic_port(0);
+    let (mut now, mut rng) = (Cycle(0), None);
+    for sent in 0..300u64 {
+        let frame = factory.min_frame((sent % 50) as u16, 80);
+        let tenant = TenantId(1 + (sent % 32) as u16);
+        nic.rx_frame(eth, frame, tenant, Priority::Normal, now);
+        slicing.run(PERIOD, &mut rng, |cycles, mode| {
+            now = drive(&mut nic, now, cycles, mode).0;
+        });
+    }
+    let mut m = trace::MetricsRegistry::new();
+    nic.export_metrics(&mut m);
+    (
+        m.to_json(),
+        format!("{:?}", nic.stats()),
+        nic.conservation().to_string(),
+        nic.network().glided_cycles(),
+    )
+}
+
+#[test]
+fn untraced_ring_member_glides_and_matches_stepped() {
+    assert_untraced_equivalent(ring_member_untraced);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every slice of a fast-forwarded run re-enters `drive` with a
+    /// forced step, where a gliding mesh meets an executed tick: the
+    /// chain-gap NIC cut anywhere ends where it ends in one piece.
+    #[test]
+    fn sliced_fast_forward_matches_one_long_run_on_chain_gap(seed in any::<u64>()) {
+        static LONG: OnceLock<Untraced> = OnceLock::new();
+        assert_sliced_equivalent(chain_gap_untraced, &LONG, seed);
+    }
+
+    /// The same on a ring member's NIC.
+    #[test]
+    fn sliced_fast_forward_matches_one_long_run_on_a_ring_member(seed in any::<u64>()) {
+        static LONG: OnceLock<Untraced> = OnceLock::new();
+        assert_sliced_equivalent(ring_member_untraced, &LONG, seed);
+    }
 }
