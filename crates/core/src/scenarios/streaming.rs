@@ -247,6 +247,19 @@ fn most_mesh_active_cycles_glide_on_a_ring_member() {
     assert!(got >= 0.70, "glided share {got:.3} < 0.70");
 }
 
+/// A fast-forwarded `kvs_mixed` skips a tile's queue waiting on its
+/// server and a mesh whose source queues hold followers: the share of
+/// cycles it skips past a warm-up.
+#[test]
+fn most_kvs_mixed_cycles_are_skipped() {
+    let mut s = kvs_mixed();
+    s.run(60_000);
+    let before = s.cycles_skipped();
+    s.run(80_000);
+    let got = (s.cycles_skipped() - before) as f64 / 80_000.0;
+    assert!(got >= 0.50, "skipped share {got:.3} < 0.50");
+}
+
 #[test]
 fn a_traced_mesh_streams_nothing() {
     let mut s = chain_saturated();

@@ -437,12 +437,14 @@ impl EngineTile {
     /// * A stalled tile wakes at `stall_until` (the first live tick —
     ///   a completion whose deadline passed during the stall fires
     ///   there, and an idle tile's progress clock resumes there).
-    /// * A parked RX message or a non-empty queue retries/pops every
-    ///   cycle — and each refused retry bumps the queue's `refused`
-    ///   counter, so those cycles cannot be skipped.
-    /// * A busy tile's next event is its service completion; the
-    ///   skipped cycles only accrue `busy_cycles`, which
+    /// * A parked RX message retries every cycle — and each refused
+    ///   retry bumps the queue's `refused` counter, so those cycles
+    ///   cannot be skipped.
+    /// * A busy tile's next event is its service completion, queued
+    ///   messages or not: the queue pops only when the server is free.
+    ///   The skipped cycles only accrue `busy_cycles`, which
     ///   [`EngineTile::skip_idle`] replays.
+    /// * An idle tile with a non-empty queue pops next cycle.
     #[must_use]
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         if self.down || self.crashed {
@@ -451,13 +453,13 @@ impl EngineTile {
         if self.stall_until > now {
             return Some(self.stall_until.max(now.next()));
         }
-        if self.pending.is_some() || !self.queue.is_empty() {
+        if self.pending.is_some() {
             return Some(now.next());
         }
         if let Some((_, _, done_at)) = &self.in_service {
             return Some((*done_at).max(now.next()));
         }
-        None
+        (!self.queue.is_empty()).then(|| now.next())
     }
 
     /// True when the tile holds any work: a parked RX message, queued
@@ -489,9 +491,9 @@ impl EngineTile {
     /// Replays the per-cycle bookkeeping of the skipped ticks
     /// `[from, to)` exactly as a stepped run would have performed it:
     /// a frozen tile does nothing; a busy tile accrues one
-    /// `busy_cycles` per cycle; an idle tile refreshes its progress
-    /// clock. Keeps fast-forwarded runs byte-identical to stepped ones
-    /// (see `docs/PERF.md`).
+    /// `busy_cycles` per cycle, whatever waits in its queue; an idle
+    /// tile refreshes its progress clock. Keeps fast-forwarded runs
+    /// byte-identical to stepped ones (see `docs/PERF.md`).
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         if self.down || self.crashed {
             return;
@@ -506,13 +508,14 @@ impl EngineTile {
             "skip window straddles a stall boundary (hint bug)"
         );
         debug_assert!(
-            self.pending.is_none() && self.queue.is_empty(),
-            "skip_idle with queued work (hint bug)"
+            self.pending.is_none(),
+            "skip_idle with a parked message (hint bug)"
         );
         if let Some((_, _, done_at)) = &self.in_service {
             debug_assert!(*done_at >= to, "skip window crosses a service completion");
             self.stats.busy_cycles += to.0 - from.0;
         } else {
+            debug_assert!(self.queue.is_empty(), "skip_idle with a pop due (hint bug)");
             self.last_progress = Cycle(to.0 - 1);
         }
     }
@@ -977,11 +980,17 @@ mod tests {
         // completion.
         let _ = t.tick(Cycle(0));
         assert_eq!(t.next_activity(Cycle(0)), Some(Cycle(4)));
-        // Completed: quiescent again.
-        for c in 1..=4u64 {
+        // A message queued behind it waits for the server: the queue
+        // pops only once the completion frees it.
+        t.accept(msg_with_chain(2, &[5], Slack::BULK), Cycle(0));
+        assert_eq!(t.next_activity(Cycle(0)), Some(Cycle(4)));
+        assert_eq!(t.next_activity(Cycle(3)), Some(Cycle(4)));
+        // Both completed: quiescent again.
+        for c in 1..=8u64 {
             let _ = t.tick(Cycle(c));
         }
-        assert_eq!(t.next_activity(Cycle(4)), None);
+        assert_eq!(t.stats().processed, 2);
+        assert_eq!(t.next_activity(Cycle(8)), None);
         // Crashed tiles are inert.
         t.fault_crash();
         assert_eq!(t.next_activity(Cycle(5)), None);
@@ -1038,6 +1047,60 @@ mod tests {
             (t.stats().busy_cycles, t.stats().processed)
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_queue_behind_a_busy_server_skips_to_its_completion() {
+        // Two slots under backpressure: message 3 parks until message 1
+        // enters service, then waits in the queue behind message 2.
+        let run = |skip: bool| {
+            let cfg = TileConfig {
+                queue_capacity: 2,
+                admission: AdmissionPolicy::Backpressure,
+            };
+            let mut t = EngineTile::new(
+                EngineId(5),
+                Box::new(NullOffload::new("slow", EngineClass::Asic, Cycles(10))),
+                cfg,
+            );
+            for id in 1..=3 {
+                t.accept(msg_with_chain(id, &[5], Slack::BULK), Cycle(0));
+            }
+            let (mut emitted, mut skipped, mut hints) = (Vec::new(), 0, Vec::new());
+            let mut now = Cycle(0);
+            while now < Cycle(40) {
+                for e in t.tick(now) {
+                    if let Emit::ToPipeline(m) = e {
+                        emitted.push((now, m.id.0));
+                    }
+                }
+                let next = t.next_activity(now).unwrap_or(Cycle(40)).min(Cycle(40));
+                hints.push((now, next));
+                if skip && next > now.next() {
+                    t.skip_idle(now.next(), next);
+                    skipped += next.0 - now.0 - 1;
+                    now = next;
+                } else {
+                    now = now.next();
+                }
+            }
+            let stats = format!("{:?}", t.queue_stats());
+            let books = (t.stats().busy_cycles, t.stats().processed, t.last_progress);
+            (emitted, stats, books, skipped, hints)
+        };
+        let (stepped, skipped) = (run(false), run(true));
+        // The park pins the next cycle (each refused retry counts); the
+        // queue behind the server does not.
+        assert_eq!(stepped.4[0], (Cycle(0), Cycle(1)));
+        assert_eq!(stepped.4[1], (Cycle(1), Cycle(10)));
+        assert!(skipped.3 > 0, "nothing was skipped");
+        assert_eq!(stepped.0, skipped.0, "emissions");
+        assert_eq!(stepped.1, skipped.1, "queue stats");
+        assert!(stepped.1.contains("refused: 2"), "{}", stepped.1);
+        assert_eq!(
+            stepped.2, skipped.2,
+            "busy cycles, processed, progress clock"
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   cycle its first tail is polled, and the mesh advanced to any cycle
 //!   before it in one step. Such messages are *gliders* until their
 //!   tails are polled: windows and ticks move their flit counts, and
-//!   the routers are written once a message (`network/glide.rs`).
+//!   the routers are written once a message (`network/glide.rs`). A
+//!   message queued behind a glider at its source *follows* it, inert,
+//!   until that glider's last flit has left the source.
 //!
 //! A message in the mesh is stored once, in the network's in-flight
 //! slab, from `send` until its tail is ejected. A source queue holds
@@ -355,13 +357,13 @@ pub struct MeshNetwork {
     /// experiments can detect source-queue growth (= saturation).
     source: Vec<Source>,
     /// Messages queued behind another in a source queue, all tiles
-    /// together: while any is, two messages share a Local input, and
-    /// nothing glides.
+    /// together: while the mesh glides, each one is a follower of the
+    /// glider injecting there.
     queued_behind: usize,
-    /// Per tile, the messages between `send` and the poll of their tail
-    /// bound for it; and how many tiles more than one is bound for.
-    /// While any is, two messages share an ejection buffer, and nothing
-    /// glides.
+    /// Per tile, the messages bound for it between the front of their
+    /// source queue and the poll of their tail; and how many tiles more
+    /// than one is bound for. While any is, two messages that are not
+    /// followers share an ejection buffer, and nothing glides.
     bound: Vec<u32>,
     shared_dests: usize,
     /// Per-tile ejection buffers, bounded in practice by Local credits.
@@ -714,11 +716,13 @@ impl MeshNetwork {
         let total = Flit::flits_for(&msg, self.config.width_bits);
         let to_tile = self.tile_of(to);
         let glides = self.admits(tile, to_tile, total);
-        self.bound[to_tile] += 1;
-        self.shared_dests += usize::from(self.bound[to_tile] == 2);
         let slot = self.slab_insert(InFlight { msg, sent: now });
         self.stats.injected_messages += 1;
-        self.queued_behind += usize::from(self.source[tile].flits > 0);
+        let behind = self.source[tile].flits > 0;
+        self.queued_behind += usize::from(behind);
+        if !behind {
+            self.bind(to_tile);
+        }
         self.source[tile].push(SourceRun {
             slot,
             left: total,
@@ -727,9 +731,17 @@ impl MeshNetwork {
         });
         self.resident_flits += u64::from(total);
         self.source_pending[tile / 64] |= 1 << (tile % 64);
-        if glides {
+        // A message queued behind a glider follows it, inert.
+        if glides && !behind {
             self.admit(slot, total);
         }
+    }
+
+    /// Counts one more message bound for `tile` and not queued behind
+    /// another: one at the front of its source queue or further on.
+    fn bind(&mut self, tile: usize) {
+        self.bound[tile] += 1;
+        self.shared_dests += usize::from(self.bound[tile] == 2);
     }
 
     /// Stores `entry` in a vacant slab slot, growing the slab (and the
@@ -886,8 +898,9 @@ impl MeshNetwork {
     /// link or a credit hold active, keeps no segment, so `noc.hop` and
     /// `noc.credit_stall` come from the plans alone.
     ///
-    /// A mesh that holds only gliders moves their flit counts a cycle
-    /// instead, and none of this runs (`network/glide.rs`).
+    /// A mesh that holds only gliders and their followers moves the
+    /// gliders' flit counts a cycle instead, and none of this runs
+    /// (`network/glide.rs`).
     pub fn tick(&mut self, now: Cycle) {
         if self.faults.is_some() {
             self.drive_faults(now);
@@ -1046,11 +1059,21 @@ impl MeshNetwork {
     fn take_source(&mut self, tile: usize) -> FlitHandle {
         let source = &mut self.source[tile];
         let (flit, moved_up) = source.pop();
-        self.queued_behind -= usize::from(moved_up);
         if source.flits == 0 {
             self.source_pending[tile / 64] &= !(1 << (tile % 64));
         }
+        if moved_up {
+            self.move_up(tile);
+        }
         flit
+    }
+
+    /// Books the message that just moved up to the front of `tile`'s
+    /// source queue: no longer behind another, and bound for its tile.
+    fn move_up(&mut self, tile: usize) {
+        self.queued_behind -= 1;
+        let to = self.config.topology.index(self.source[tile].front.dest);
+        self.bind(to);
     }
 
     /// Grows segment `s` from input `input` of `tile` toward the head
@@ -1434,8 +1457,9 @@ impl MeshNetwork {
     /// and while nothing in it can move: every message sits in the
     /// ejection buffer of a tile that is not polled. Otherwise, when
     /// every message is in *clear transit* (see [`MeshNetwork::glide`]),
-    /// the cycle on which the first tail is polled; and `Some(now + 1)`
-    /// when one is not.
+    /// the cycle on which the first tail is polled, or the first message
+    /// queued behind one of them would inject its head if that is
+    /// sooner; and `Some(now + 1)` when one is not.
     ///
     /// Pending fault expirations (slow-link unmask, credit-hold return)
     /// do not pin the hint: a slow link or credit hold still on the
@@ -1476,6 +1500,11 @@ impl MeshNetwork {
             self.shared_dests,
             self.bound.iter().filter(|&&n| n > 1).count(),
             "shared-destination counter out of sync with the bound counts"
+        );
+        debug_assert_eq!(
+            self.bound.iter().map(|&n| n as usize).sum::<usize>() + self.queued_behind,
+            self.slab.len() - self.free_slots.len(),
+            "bound counts out of sync with the messages in flight"
         );
         self.resident_flits == 0
     }

@@ -37,28 +37,43 @@
 //! destination takes a flit off its count. A hint reads no route that
 //! was read before.
 //!
+//! A message queued behind a glider in that glider's source queue is
+//! its *follower*, wherever it is bound: a plan takes every message
+//! behind a source queue's front as one, and a send into a gliding mesh
+//! queues one behind a glider still injecting there. Its flits stay in
+//! the source queue, where the routers' side counts them, and nothing of
+//! it moves until its leader's last flit has left the queue: the next
+//! tick would inject its head. A glide's horizon ends there, so no
+//! window reaches past it. A follower is never a glider and shares no
+//! FIFO with one while it waits, so the conveyors are the gliders'
+//! alone, and only followers may share a destination while the mesh
+//! glides. A follower costs a glide nothing, so any number may wait.
+//!
 //! The routers are written once a message, by `glide_one`:
 //!
 //! * at the poll of its tail — that glider alone, and the poll then
 //!   delivers from the buffers as a stepped run's would;
 //! * at a send whose route meets a glider's, or that the gliders cannot
-//!   take (a shared source or destination, a ninth message);
+//!   take (a destination a message that is not a follower is bound for,
+//!   a ninth glider, a source queue whose glider has left it);
 //! * at a tick after a cycle on which a destination held a flit and was
 //!   not polled, unless the message is wholly in that buffer, where
 //!   nothing moves without a poll;
+//! * at the tick on which a follower's head would be injected (or the
+//!   poll of its leader's tail just before it);
 //! * when a tracer, a slow link or a credit hold arrives;
 //! * at [`MeshNetwork::settle`], for a caller that reads the buffers.
 //!
 //! All but the first write every glider back, and the mesh is ticked
 //! as before until a hint plans again or it empties. `reference.rs` runs
-//! gliders under a NIC's pattern of sends, polls, windows and forced
-//! steps beside the flit-at-a-time mesh, and compares the buffers a
-//! write-back wrote as it writes them.
+//! gliders and their followers under a NIC's pattern of sends, polls,
+//! windows and forced steps beside the flit-at-a-time mesh, and
+//! compares the buffers a write-back wrote as it writes them.
 
 use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
 
-use super::{kind, MeshNetwork, Worm, WormState, LOCAL, OPPOSITE};
+use super::{kind, MeshNetwork, Source, Worm, WormState, LOCAL, OPPOSITE};
 use crate::router::{FlitHandle, PortDir, NO_PORT};
 use crate::topology::Coord;
 
@@ -70,7 +85,7 @@ const WEST: usize = 3;
 
 /// The most messages a glide considers. A mesh holding more is busy, and
 /// the clear-path test refuses it before it walks a route.
-const MAX_GLIDERS: usize = 8;
+pub(super) const MAX_GLIDERS: usize = 8;
 
 /// The most FIFOs on a route a glide models (a route across a mesh more
 /// than 16 tiles each way is ticked).
@@ -259,7 +274,8 @@ impl Glider {
     /// True when this message and `other` need a FIFO in common, on the
     /// routes they had at their anchors: a FIFO one has left still
     /// holds its flits in the routers. (Two bound for one ejection
-    /// buffer never get this far: the mesh counts them, see
+    /// buffer never get this far unless one is a follower, which is no
+    /// glider: the mesh counts the others, see
     /// [`MeshNetwork::must_tick`].)
     fn meets(&self, other: &Glider) -> bool {
         if self.fifos == 0 || other.fifos == 0 {
@@ -284,6 +300,25 @@ impl Glider {
     fn queued_now(&self) -> u32 {
         let first = u32::from(self.count[self.fifos as usize]);
         first - self.local.min(first)
+    }
+
+    /// True when it leads followers: it was still injecting at its
+    /// anchor, and messages wait behind it in that source queue (which
+    /// the routers' side keeps as it was at the anchor, followers
+    /// added).
+    fn leads(&self, source: &[Source]) -> bool {
+        self.queued > 0 && !source[usize::from(self.route.start)].behind.is_empty()
+    }
+
+    /// Conveyor cycles until its next event: its tail's poll, or, while
+    /// it leads followers, the cycle the first of them would inject its
+    /// head on (the one after its own last flit leaves the source).
+    fn until(&self, source: &[Source]) -> u32 {
+        if self.leads(source) {
+            self.queued_now()
+        } else {
+            self.tail
+        }
     }
 
     /// True while a flit of it is in a FIFO or its source queue.
@@ -332,7 +367,8 @@ pub(super) struct Gliders {
 
 /// When the first tail is polled, as the gliders tell.
 enum Horizon {
-    /// In this many cycles from the next one.
+    /// In this many cycles from the next one (or a follower injects
+    /// then).
     Tail(u32),
     /// Not before the next cycle: a message still in the routers heads
     /// for a tile that is not polled.
@@ -376,14 +412,19 @@ impl Gliders {
         Some(())
     }
 
-    /// When the first tail is polled, given which tiles poll.
-    fn horizon(&self, polled: &impl Fn(usize) -> bool) -> Horizon {
+    /// When the first tail is polled or the first follower would inject,
+    /// given which tiles poll.
+    fn horizon(&self, polled: &impl Fn(usize) -> bool, source: &[Source]) -> Horizon {
         let mut first = None;
         for g in self.as_slice() {
-            if polled(g.to as usize) {
-                first = Some(first.map_or(g.tail, |t: u32| t.min(g.tail)));
-            } else if g.in_fifos() {
+            let polled = polled(g.to as usize);
+            if !polled && g.in_fifos() {
                 return Horizon::Next;
+            }
+            // A follower injects whether or not its leader's tile polls.
+            if polled || g.leads(source) {
+                let until = g.until(source);
+                first = Some(first.map_or(until, |t: u32| t.min(until)));
             }
         }
         first.map_or(Horizon::Never, Horizon::Tail)
@@ -401,11 +442,12 @@ impl MeshNetwork {
     }
 
     /// True when the mesh holds a flit and, as one look at its counters
-    /// tells, will not glide: it may not glide at all, two messages share
-    /// a source queue or a destination, it holds more worms than a glide
-    /// considers, or no message was sent or delivered since a plan last
-    /// failed. Then [`MeshNetwork::next_activity`] is the next cycle,
-    /// whatever the caller polls.
+    /// tells, will not glide: it may not glide at all, two messages that
+    /// are not followers share a destination, it holds more worms than a
+    /// glide considers, or no message was sent or delivered since a plan
+    /// last failed. Then
+    /// [`MeshNetwork::next_activity`] is the next cycle, whatever the
+    /// caller polls.
     #[must_use]
     pub fn must_tick(&self) -> bool {
         self.resident_flits > 0 && (self.crowded() || self.plan.borrow().refused_now(self))
@@ -414,7 +456,6 @@ impl MeshNetwork {
     /// The counters' half of [`MeshNetwork::must_tick`].
     fn crowded(&self) -> bool {
         !self.may_glide()
-            || self.queued_behind > 0
             || self.shared_dests > 0
             || self.waiting.len() + self.segs.len() > MAX_GLIDERS
     }
@@ -436,12 +477,13 @@ impl MeshNetwork {
     }
 
     /// Plans the gliders into `out` from the routers: every live message
-    /// as one, or `None` unless all of them are in clear transit
-    /// (`polled` says which tiles poll every cycle) — then `out` holds
-    /// none. The cheap refusals come first, so a busy mesh fails before
-    /// any buffer on a route is read: those of [`MeshNetwork::must_tick`],
-    /// then a message that shares its ejection buffer, then two routes
-    /// that meet.
+    /// as one, each source queue's front message, and the messages
+    /// behind it as its followers; or `None` unless all of the gliders
+    /// are in clear transit (`polled` says which tiles poll every cycle)
+    /// — then `out` holds none. The cheap refusals come first, so a busy
+    /// mesh fails before any buffer on a route is read: those of
+    /// [`MeshNetwork::must_tick`], then a message that shares its
+    /// ejection buffer, then two routes that meet.
     fn plan_into(&self, out: &mut Gliders, polled: &impl Fn(usize) -> bool) -> Option<()> {
         debug_assert!(!out.any(), "planned over live gliders");
         let planned = self.plan_gliders(out, polled);
@@ -458,7 +500,8 @@ impl MeshNetwork {
             return None;
         }
         out.refused = Some(self.messages_key());
-        // Messages still injecting, from their source's Local input.
+        // Messages still injecting, from their source's Local input (the
+        // messages behind them follow).
         for word in 0..self.source_pending.len() {
             for bit in set_bits(self.source_pending[word]) {
                 let tile = word * 64 + bit;
@@ -634,7 +677,7 @@ impl MeshNetwork {
         if plan.refused_now(self) || (!plan.any() && self.plan_into(&mut plan, &polled).is_none()) {
             return Some(now.next());
         }
-        match plan.horizon(&polled) {
+        match plan.horizon(&polled, &self.source) {
             Horizon::Tail(tail) => Some(Cycle(now.0 + 1 + u64::from(tail))),
             Horizon::Next => {
                 // What a plan made now would find: a route toward a tile
@@ -656,12 +699,14 @@ impl MeshNetwork {
     /// the gliders are planned first; the routers are not written.
     ///
     /// The window must end by [`MeshNetwork::next_activity`]`(from − 1,
-    /// polled)`, the first tail's poll; a quiescent mesh glides as a
-    /// no-op over any window.
+    /// polled)`, the first tail's poll or the first cycle a follower
+    /// would inject on; a quiescent mesh glides as a no-op over any
+    /// window.
     ///
     /// # Panics
     /// Panics if some message is not in clear transit, or if the window
-    /// reaches past the poll of a tail.
+    /// reaches past the poll of a tail or a leader's last flit leaving
+    /// its source.
     pub fn glide(&mut self, from: Cycle, to: Cycle, polled: impl Fn(usize) -> bool) {
         if to <= from {
             return;
@@ -689,6 +734,10 @@ impl MeshNetwork {
         let plan = self.plan.get_mut();
         for g in &mut plan.all[..plan.len] {
             debug_assert!(!g.polled, "a glide after a poll in the same cycle");
+            assert!(
+                !g.leads(&self.source) || t <= g.queued_now(),
+                "a glide past a leader's last flit leaving its source"
+            );
             if !polled(g.to as usize) {
                 // Nothing moves toward a tile that does not poll.
                 assert!(!g.in_fifos(), "a glide toward a tile that does not poll");
@@ -708,18 +757,19 @@ impl MeshNetwork {
         self.glided_cycles += span;
     }
 
-    /// [`MeshNetwork::tick`] of a mesh that holds only gliders: each moves
-    /// one conveyor cycle. False, with every glider written back, when a
-    /// destination held a flit and was not polled this cycle while that
-    /// message is still in the routers: then the mesh is ticked.
+    /// [`MeshNetwork::tick`] of a mesh that holds only gliders and their
+    /// followers: each glider moves one conveyor cycle. False, with every
+    /// glider written back, when a destination held a flit and was not
+    /// polled this cycle while that message is still in the routers, or
+    /// when a follower would inject its head this cycle: then the mesh is
+    /// ticked.
     pub(super) fn coast(&mut self) -> bool {
-        let missed = self
-            .plan
-            .get_mut()
-            .as_slice()
-            .iter()
-            .any(|g| !g.polled && g.count[0] > 0 && g.in_fifos());
-        if missed {
+        let source = &self.source;
+        let write_back = self.plan.get_mut().as_slice().iter().any(|g| {
+            let missed = !g.polled && g.count[0] > 0 && g.in_fifos();
+            missed || g.until(source) == 0 && g.leads(source)
+        });
+        if write_back {
             self.settle();
             return false;
         }
@@ -747,8 +797,8 @@ impl MeshNetwork {
     /// glider's and took a flit off its count, or found its buffer
     /// empty; false when the buffers answer it: no glider is bound for
     /// `tile`, or this is its tail's poll (the glider is then written
-    /// back and leaves), or the second poll in a cycle (every glider is
-    /// written back).
+    /// back and leaves; every glider is if it leads followers), or the
+    /// second poll in a cycle (every glider is written back).
     pub(super) fn poll_glider(&mut self, tile: usize) -> bool {
         let plan = self.plan.get_mut();
         let Some(k) = plan.bound_for(tile) else {
@@ -758,7 +808,9 @@ impl MeshNetwork {
         if g.count[0] == 0 {
             return true;
         }
-        if g.polled {
+        // A second poll in a cycle, or the tail's poll of a leader: its
+        // first follower injects its head on this cycle's tick.
+        if g.polled || g.tail == 0 && g.leads(&self.source) {
             self.settle();
             return false;
         }
@@ -782,32 +834,41 @@ impl MeshNetwork {
     }
 
     /// Called by [`MeshNetwork::send`] before it queues a message from
-    /// `tile` for `to`: true when that message starts out as a glider,
-    /// which it may while the mesh glides or holds nothing (and may
-    /// glide at all): when nothing else uses its source or destination,
-    /// its route meets none of the gliders', and there is room for one
-    /// more. The glider is then written in place, and
-    /// [`MeshNetwork::admit`] finishes it. Otherwise false, with every
-    /// glider written back.
+    /// `tile` for `to`: true when the mesh keeps gliding with it, which
+    /// it may while the mesh glides or holds nothing (and may glide at
+    /// all). Queued behind a glider still injecting from `tile`, the
+    /// message is a *follower*, inert in the source queue until that
+    /// glider's last flit has left it, whatever its destination. At an
+    /// empty source queue it starts out as a glider when no message but
+    /// a follower is bound for its destination, its route meets none of
+    /// the gliders', and there is room for one more: the glider is then
+    /// written in place, and [`MeshNetwork::admit`] finishes it.
+    /// Otherwise false, with every glider written back.
     pub(super) fn admits(&mut self, tile: usize, to: usize, flits: u32) -> bool {
         let gliding = self.plan.get_mut().any();
         if !gliding && (self.resident_flits > 0 || !self.may_glide()) {
             return false;
         }
         let dest = self.routers[to].coord();
-        let admitted = self.bound[to] == 0
-            && flits <= u32::from(u16::MAX)
-            && self.source[tile].flits == 0
-            && self.routers[to].credits(PortDir::Local) > 0
-            && {
-                let mut plan = self.plan.borrow_mut();
-                let len = plan.len;
-                let (gliders, rest) = plan.all.split_at_mut(len);
-                rest.first_mut().is_some_and(|fresh| {
-                    self.glider(fresh, 0, tile, LOCAL, dest, 0, true).is_some()
-                        && !gliders.iter().any(|g| fresh.meets(g))
-                })
-            };
+        let admitted = if self.source[tile].flits > 0 {
+            let gliders = self.plan.get_mut().as_slice();
+            gliders
+                .iter()
+                .any(|g| g.queued > 0 && usize::from(g.route.start) == tile && g.queued_now() > 0)
+        } else {
+            self.bound[to] == 0
+                && flits <= u32::from(u16::MAX)
+                && self.routers[to].credits(PortDir::Local) > 0
+                && {
+                    let mut plan = self.plan.borrow_mut();
+                    let len = plan.len;
+                    let (gliders, rest) = plan.all.split_at_mut(len);
+                    rest.first_mut().is_some_and(|fresh| {
+                        self.glider(fresh, 0, tile, LOCAL, dest, 0, true).is_some()
+                            && !gliders.iter().any(|g| fresh.meets(g))
+                    })
+                }
+        };
         if gliding && !admitted {
             self.settle();
         }
@@ -936,6 +997,13 @@ impl MeshNetwork {
             if source.flits == 0 {
                 set_bit(&mut self.source_pending, s, false);
             }
+            if source.front.left == 0 {
+                // Its last flit has left: its first follower moves up.
+                if let Some(next) = source.behind.pop_front() {
+                    source.front = next;
+                    self.move_up(s);
+                }
+            }
         }
         if let Some((tile, input)) = rearmost {
             self.waiting.push(slot);
@@ -986,8 +1054,28 @@ impl MeshNetwork {
         })
     }
 
+    /// Messages that follow a glider: while the mesh glides, every one
+    /// queued behind another.
+    #[cfg(test)]
+    pub(super) fn followers(&self) -> usize {
+        if self.plan.borrow().any() {
+            self.queued_behind
+        } else {
+            0
+        }
+    }
+
+    /// Conveyor cycles until the first follower would inject its head,
+    /// if any follows a glider.
+    #[cfg(test)]
+    pub(super) fn source_exit(&self) -> Option<u32> {
+        let plan = self.plan.borrow();
+        let leaders = plan.as_slice().iter().filter(|g| g.leads(&self.source));
+        leaders.map(Glider::queued_now).min()
+    }
+
     /// Flits in `tile`'s source queue and ejection buffer, as the
-    /// gliders have them now.
+    /// gliders have them now (a follower's are all still queued).
     pub(super) fn glided_depths(&self, tile: usize) -> (usize, usize) {
         let (mut source, mut ejection) = (self.source[tile].flits, self.ejection[tile].len());
         for g in self.plan.borrow().as_slice() {

@@ -31,6 +31,7 @@ use packet::{MessageId, MessageKind};
 use proptest::prelude::*;
 use sim_core::rng::SimRng;
 
+use super::glide::MAX_GLIDERS;
 use super::*;
 
 /// `in_route` value of an input that holds no wormhole.
@@ -848,6 +849,36 @@ struct Pair {
     load: u64,
     burst: u64,
     next_id: u64,
+    /// Whether sends favour a source queue that holds a message already
+    /// (see [`Pattern::Followers`]).
+    follow: bool,
+    tally: Tally,
+}
+
+/// What a follower run went through, for [`follower_runs_exercise_every_case`]:
+/// followers admitted by a send into a gliding mesh and by a plan,
+/// windows that end on a leader's last flit leaving its source, the
+/// write-backs there and by any other trigger while followers waited,
+/// and hints that glide with more followers than a glide takes gliders.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    by_send: u64,
+    by_plan: u64,
+    exit_windows: u64,
+    at_exit: u64,
+    early: u64,
+    many: u64,
+}
+
+impl Tally {
+    fn add(&mut self, o: Tally) {
+        self.by_send += o.by_send;
+        self.by_plan += o.by_plan;
+        self.exit_windows += o.exit_windows;
+        self.at_exit += o.at_exit;
+        self.early += o.early;
+        self.many += o.many;
+    }
 }
 
 impl Pair {
@@ -906,6 +937,8 @@ impl Pair {
             load: 10 * (1 + rng.gen_range(60)),
             burst: 1,
             next_id: 0,
+            follow: false,
+            tally: Tally::default(),
         }
     }
 
@@ -926,21 +959,43 @@ impl Pair {
         }
     }
 
-    /// One random message, to both meshes.
+    /// One random message, to both meshes. A follower run sends half
+    /// of them from a source queue that holds a message already, half of
+    /// those to that message's destination, and one send in sixteen is
+    /// nine to twelve messages from one source.
     fn send_one(&mut self, rng: &mut SimRng, now: Cycle, tiles: u64) {
-        let (from, to) = (
-            EngineId(rng.gen_range(tiles) as u16),
-            EngineId(rng.gen_range(tiles) as u16),
-        );
-        let payload: Vec<u8> = (0..rng.gen_range(300)).map(|k| k as u8).collect();
-        let msg = Message::builder(MessageId(self.next_id), MessageKind::EthernetFrame)
-            .payload(Bytes::from(payload))
-            .build();
-        self.next_id += 1;
-        let gliding = self.gliding();
-        self.old.send(from, to, msg.clone(), now);
-        self.net.send(from, to, msg, now);
-        self.check_write_back(gliding, now, "a write-back at a send");
+        let (mut from, mut to) = (rng.gen_range(tiles) as usize, rng.gen_range(tiles) as usize);
+        let mut repeat = 1;
+        if self.follow {
+            let busy: Vec<usize> = (0..self.tiles())
+                .filter(|&t| !self.old.source[t].is_empty())
+                .collect();
+            if !busy.is_empty() && rng.gen_range(2) == 0 {
+                from = busy[rng.gen_range(busy.len() as u64) as usize];
+                if rng.gen_range(2) == 0 {
+                    to = self.topology.index(self.old.source[from][0].dest);
+                }
+            }
+            if rng.gen_range(16) == 0 {
+                repeat = 9 + rng.gen_range(4);
+            }
+        }
+        for k in 0..repeat {
+            if k > 0 {
+                to = rng.gen_range(tiles) as usize;
+            }
+            let payload: Vec<u8> = (0..rng.gen_range(300)).map(|k| k as u8).collect();
+            let msg = Message::builder(MessageId(self.next_id), MessageKind::EthernetFrame)
+                .payload(Bytes::from(payload))
+                .build();
+            self.next_id += 1;
+            let (gliding, followers) = (self.gliding(), self.net.followers());
+            let (e, d) = (EngineId(from as u16), EngineId(to as u16));
+            self.old.send(e, d, msg.clone(), now);
+            self.net.send(e, d, msg, now);
+            self.tally.by_send += u64::from(self.gliding() && self.net.followers() > followers);
+            self.check_write_back(gliding, now, "a write-back at a send");
+        }
     }
 
     /// Polls tile `t` of both meshes, which must deliver alike. A tail's
@@ -949,6 +1004,7 @@ impl Pair {
     /// last one.
     fn poll(&mut self, t: usize, now: Cycle) {
         let gliding = self.gliding();
+        let (followers, exit) = (self.net.followers(), self.net.source_exit());
         let route = self.net.glider_route(t);
         let ours = self.net.poll_ejected_at(t, now).map(|m| m.id);
         let theirs = self.old.poll_ejected_at(t, now).map(|m| m.id);
@@ -962,7 +1018,21 @@ impl Pair {
                 );
             }
         }
+        self.tally_write_back(followers, exit);
         self.check_write_back(gliding, now, "a write-back at a poll");
+    }
+
+    /// Tallies a write-back of a mesh whose followers were `followers`,
+    /// its soonest source exit `exit` cycles out, before the call that
+    /// just ran: at the exit, or early.
+    fn tally_write_back(&mut self, followers: usize, exit: Option<u32>) {
+        if followers > 0 && !self.gliding() {
+            if exit == Some(0) {
+                self.tally.at_exit += 1;
+            } else {
+                self.tally.early += 1;
+            }
+        }
     }
 
     /// True while the worm mesh holds gliders.
@@ -1069,9 +1139,15 @@ enum Pattern {
     /// flit, slow links and credit holds that arrive while the mesh
     /// glides, and readers of the buffers.
     Nic,
+    /// The NIC's pattern with sends that queue behind a message in a
+    /// source queue, to its destination or another, and bursts of more
+    /// followers than a glide takes gliders; half the windows are taken
+    /// whole, so many end on a leader's last flit leaving its source.
+    Followers,
 }
 
-/// One glide run; returns the flit-hops the mesh glided.
+/// One glide run; returns the flit-hops the mesh glided, and what its
+/// followers went through.
 ///
 /// Three runs in four offer a sparse load (a send every 20–200 executed
 /// cycles, of one to three messages whose routes may cross) for
@@ -1089,7 +1165,7 @@ enum Pattern {
 /// only now and then, which lets the fault windows expire inside a
 /// glide and still keeps the sends coming. Inside a window no oracle
 /// poll may deliver: a tail polled there is a late hint.
-fn glide_lockstep(seed: u64, pattern: Pattern) -> u64 {
+fn glide_lockstep(seed: u64, pattern: Pattern) -> (u64, Tally) {
     let mut rng = SimRng::new(seed);
     let mut pair = Pair::new(&mut rng);
     if rng.gen_range(4) != 0 {
@@ -1097,7 +1173,8 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> u64 {
         pair.burst = 1 + rng.gen_range(3);
         pair.send_window += 2000 + rng.gen_range(4000);
     }
-    let nic = pattern == Pattern::Nic;
+    let nic = pattern != Pattern::Windows;
+    pair.follow = pattern == Pattern::Followers;
     let mut mask = vec![false; pair.tiles()];
     let mut remask_at = Cycle(0);
     let mut now = Cycle(0);
@@ -1125,24 +1202,36 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> u64 {
                 pair.poll(t, now);
             }
         }
+        let (followers, exit) = (pair.net.followers(), pair.net.source_exit());
         pair.net.tick(now);
         pair.old.tick(now);
+        pair.tally_write_back(followers, exit);
         let next = now.next();
         pair.check_counters(next, "stepped");
         if !pair.gliding() {
             pair.check(next, "stepped");
         } else if nic && rng.gen_range(16) == 0 {
+            let followers = pair.net.followers();
             pair.inspect(next, "inspecting a gliding mesh");
+            pair.tally_write_back(followers, None);
         }
+        let gliding = pair.gliding();
         let hint = pair.net.next_activity(now, polled);
+        if !gliding && pair.gliding() && pair.net.followers() > 0 {
+            pair.tally.by_plan += 1;
+        }
+        pair.tally.many += u64::from(pair.net.followers() > MAX_GLIDERS);
         let to = match hint {
             // A forced step: the window is not taken at all.
             Some(_) if nic && rng.gen_range(4) == 0 => next,
+            Some(hint) if pair.follow && rng.gen_range(2) == 0 => hint,
             Some(hint) => Cycle(next.0 + rng.gen_range(hint.0 - now.0)),
             None if pair.net.is_quiescent() && rng.gen_range(4) != 0 => next,
             None => Cycle(next.0 + rng.gen_range(65)),
         };
         if to > next {
+            let exit = pair.net.source_exit().map(|e| next.0 + u64::from(e));
+            pair.tally.exit_windows += u64::from(exit == Some(to.0));
             pair.net.glide(next, to, polled);
             for c in (next.0..to.0).map(Cycle) {
                 for t in (0..pair.tiles()).filter(|&t| mask[t]) {
@@ -1162,7 +1251,7 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> u64 {
         }
     }
     prop_assert!(pair.net.is_quiescent(), "mesh never drained");
-    pair.net.glided_flit_hops()
+    (pair.net.glided_flit_hops(), pair.tally)
 }
 
 impl Pair {
@@ -1170,6 +1259,7 @@ impl Pair {
     /// ending inside the send window.
     fn fault(&mut self, rng: &mut SimRng, now: Cycle) {
         let gliding = self.gliding();
+        let followers = self.net.followers();
         let tiles = self.tiles() as u64;
         let until = Cycle(now.0 + 1 + rng.gen_range(200));
         self.faults_end = self.faults_end.max(until);
@@ -1188,6 +1278,7 @@ impl Pair {
                 self.old.fault_hold_credits(e, port, n, until)
             );
         }
+        self.tally_write_back(followers, None);
         self.check_write_back(gliding, now, "a write-back at a fault");
     }
 }
@@ -1224,6 +1315,16 @@ proptest! {
     fn gliders_keep_their_plan_under_a_nics_pattern(seed in any::<u64>()) {
         glide_lockstep(seed, Pattern::Nic);
     }
+
+    /// The same with messages queued behind gliders: each follows its
+    /// leader inert in the source queue, admitted by a send or by a
+    /// plan, whatever its destination, until the leader's last flit has
+    /// left, where the mesh is written back and ticked; or earlier, by
+    /// any other write-back; however many wait.
+    #[test]
+    fn followers_wait_inert_under_a_nics_pattern(seed in any::<u64>()) {
+        glide_lockstep(seed, Pattern::Followers);
+    }
 }
 
 /// The lock-step runs above are only worth something if worms do
@@ -1240,11 +1341,35 @@ fn lock_step_runs_exercise_streaming() {
 fn glide_runs_exercise_gliding() {
     for pattern in [Pattern::Windows, Pattern::Nic] {
         let glided = (0..16u64)
-            .filter(|&seed| glide_lockstep(seed, pattern) > 0)
+            .filter(|&seed| glide_lockstep(seed, pattern).0 > 0)
             .count();
         assert!(
             glided > 8,
             "only {glided} of 16 {pattern:?} runs glided a flit"
         );
     }
+}
+
+/// And the follower runs: over sixteen seeds, every case of the
+/// follower rules happens.
+#[test]
+fn follower_runs_exercise_every_case() {
+    let mut tally = Tally::default();
+    for seed in 0..16u64 {
+        tally.add(glide_lockstep(seed, Pattern::Followers).1);
+    }
+    let Tally {
+        by_send,
+        by_plan,
+        exit_windows,
+        at_exit,
+        early,
+        many,
+    } = tally;
+    assert!(
+        [by_send, by_plan, exit_windows, at_exit, early, many]
+            .iter()
+            .all(|&n| n > 0),
+        "{tally:?}"
+    );
 }

@@ -32,12 +32,13 @@
 //!    shape, `kvs_mixed`'s three tenants and a `rack_ring4` member's NIC
 //!    run without one — identical metrics, reports and conservation,
 //!    and the fast-forwarded run glided, like the ring's.
-//! 7. **Sliced fast-forward** (proptest): the untraced chain-gap NIC
-//!    and the ring member's NIC fast-forwarded in seeded random slices
-//!    of 1–300 cycles, each slice a `drive` re-entry whose first step is
-//!    forced even while the mesh glides — identical metrics, reports
-//!    and conservation to one long fast-forwarded run (which arm 6
-//!    holds equal to the stepped run), and the sliced mesh glided.
+//! 7. **Sliced fast-forward** (proptest): the untraced chain-gap NIC,
+//!    `kvs_mixed`'s and the ring member's NIC fast-forwarded in seeded
+//!    random slices of 1–300 cycles, each slice a `drive` re-entry whose
+//!    first step is forced even while the mesh glides — identical
+//!    metrics, reports and conservation to one long fast-forwarded run
+//!    (which arm 6 holds equal to the stepped run), and the sliced run
+//!    skipped and its mesh glided.
 
 use std::sync::OnceLock;
 
@@ -661,8 +662,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// What an untraced run leaves behind: (metrics JSON, report debug,
-/// conservation report, cycles the mesh glided).
-type Untraced = (String, String, String, u64);
+/// conservation report, (cycles skipped, cycles the mesh glided)).
+type Untraced = (String, String, String, (u64, u64));
 
 /// How a run is cut into calls: stepped, fast-forwarded in calls as long
 /// as the harness makes them, or fast-forwarded in random slices of
@@ -708,20 +709,23 @@ fn assert_untraced_equivalent(run: fn(Slicing) -> Untraced) {
     assert_eq!(report_s, report_f);
     assert_eq!(metrics_s, metrics_f);
     assert_eq!(cons_s, cons_f);
-    assert_eq!(glided_s, 0, "stepped runs never glide");
-    assert!(glided_f > 0, "the fast-forwarded mesh never glided");
+    assert_eq!(glided_s, (0, 0), "stepped runs never skip or glide");
+    assert!(glided_f.0 > 0, "the fast-forwarded run never skipped");
+    assert!(glided_f.1 > 0, "the fast-forwarded mesh never glided");
 }
 
 /// Compares one run cut into random slices with the same run in long
 /// calls — made once, into `long` — which [`assert_untraced_equivalent`]
-/// holds equal to the stepped run; the sliced mesh must have glided.
+/// holds equal to the stepped run; the sliced run must have skipped and
+/// its mesh glided.
 fn assert_sliced_equivalent(run: fn(Slicing) -> Untraced, long: &OnceLock<Untraced>, seed: u64) {
     let (metrics_l, report_l, cons_l, _) = long.get_or_init(|| run(Slicing::Long));
     let (metrics_c, report_c, cons_c, glided_c) = run(Slicing::Sliced(seed));
     prop_assert_eq!(report_l, &report_c);
     prop_assert_eq!(metrics_l, &metrics_c);
     prop_assert_eq!(cons_l, &cons_c);
-    prop_assert!(glided_c > 0, "the sliced mesh never glided");
+    prop_assert!(glided_c.0 > 0, "the sliced run never skipped");
+    prop_assert!(glided_c.1 > 0, "the sliced mesh never glided");
 }
 
 /// `chain_gap`'s shape — two ports at 0.002 of line rate, two-hop
@@ -744,7 +748,7 @@ fn chain_gap_untraced(slicing: Slicing) -> Untraced {
         m.to_json(),
         format!("{:?}", s.report()),
         nic.conservation().to_string(),
-        nic.network().glided_cycles(),
+        (s.cycles_skipped(), nic.network().glided_cycles()),
     )
 }
 
@@ -780,7 +784,7 @@ fn kvs_mixed_untraced(slicing: Slicing) -> Untraced {
         m.to_json(),
         format!("{:?}", s.report()),
         nic.conservation().to_string(),
-        nic.network().glided_cycles(),
+        (s.cycles_skipped(), nic.network().glided_cycles()),
     )
 }
 
@@ -829,13 +833,15 @@ fn ring_member_untraced(slicing: Slicing) -> Untraced {
     b.tenancy(TenancyConfig::new(vnics).shared_credits(256));
     let mut nic = b.build();
     let mut factory = FrameFactory::for_nic_port(0);
-    let (mut now, mut rng) = (Cycle(0), None);
+    let (mut now, mut rng, mut skipped) = (Cycle(0), None, 0);
     for sent in 0..300u64 {
         let frame = factory.min_frame((sent % 50) as u16, 80);
         let tenant = TenantId(1 + (sent % 32) as u16);
         nic.rx_frame(eth, frame, tenant, Priority::Normal, now);
         slicing.run(PERIOD, &mut rng, |cycles, mode| {
-            now = drive(&mut nic, now, cycles, mode).0;
+            let skip;
+            (now, skip) = drive(&mut nic, now, cycles, mode);
+            skipped += skip;
         });
     }
     let mut m = trace::MetricsRegistry::new();
@@ -844,7 +850,7 @@ fn ring_member_untraced(slicing: Slicing) -> Untraced {
         m.to_json(),
         format!("{:?}", nic.stats()),
         nic.conservation().to_string(),
-        nic.network().glided_cycles(),
+        (skipped, nic.network().glided_cycles()),
     )
 }
 
@@ -870,5 +876,14 @@ proptest! {
     fn sliced_fast_forward_matches_one_long_run_on_a_ring_member(seed in any::<u64>()) {
         static LONG: OnceLock<Untraced> = OnceLock::new();
         assert_sliced_equivalent(ring_member_untraced, &LONG, seed);
+    }
+
+    /// The same on `kvs_mixed`'s shape, where tiles queue behind a
+    /// message in service and messages follow a glider out of a source
+    /// queue.
+    #[test]
+    fn sliced_fast_forward_matches_one_long_run_on_kvs_mixed(seed in any::<u64>()) {
+        static LONG: OnceLock<Untraced> = OnceLock::new();
+        assert_sliced_equivalent(kvs_mixed_untraced, &LONG, seed);
     }
 }
