@@ -25,7 +25,10 @@
 //!    cursor — every name compared every step, as bytes wherever the
 //!    exporter holds it as a string — so a step in which nothing
 //!    subscribed changed formats nothing and allocates nothing, and a
-//!    step that emits writes its frame straight from the cursor.
+//!    step that emits writes its frame straight from the cursor. A
+//!    subscription inside `tenancy.` reads that plane's change stamps
+//!    first and skips the visit, or the name comparisons, when they
+//!    say nothing of the kind moved.
 //!
 //! An armed but silent endpoint is a pure no-op: a run with a
 //! [`endpoint::CtrlEndpoint`] attached and no messages is

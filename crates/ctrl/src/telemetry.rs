@@ -24,6 +24,15 @@
 //!   counter appearing, a fresh `Subscribe`) are names materialised and
 //!   previous values looked up by name. A counter that is no longer
 //!   exported is forgotten, so one that comes back is streamed in full.
+//! * **Stamps.** A subscription whose every prefix lies inside
+//!   `tenancy.` (decided at `Subscribe`) can only see counters the
+//!   tenancy plane exports, and that plane stamps its changes
+//!   ([`tenancy::Stamps`]). Such a step reads the two stamps first: if
+//!   both stand where the last step left them it returns `None`
+//!   without visiting; if only the counter stamp moved it visits the
+//!   values and trusts the remembered names. Otherwise — and for every
+//!   other subscription — the cursor runs. Debug builds run the cursor
+//!   behind both shortcuts too and assert what they assumed.
 //!
 //! Updates leave in counter-name order, one per distinct name with the
 //! last visit winning — exactly what iterating a registry produced —
@@ -35,7 +44,19 @@ use std::fmt::{self, Write as _};
 
 use panic_core::PanicNic;
 use sim_core::stats::Histogram;
+use tenancy::Stamps;
 use trace::MetricSink;
+
+/// How a step learned what changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Visit {
+    /// Both stamps stood: nothing was visited.
+    Stamped,
+    /// Only the counter stamp moved: values visited, names trusted.
+    Values,
+    /// The comparing cursor.
+    Cursor,
+}
 
 /// An active subscription and what it last streamed.
 #[derive(Debug, Default)]
@@ -55,6 +76,19 @@ pub(crate) struct Telemetry {
     /// Formatting buffer for names the cursor did not expect; kept for
     /// its capacity.
     scratch: String,
+    /// Every prefix lies inside `tenancy.`, so the tenancy plane's
+    /// stamps cover everything the subscription can select.
+    tenancy_only: bool,
+    /// The tenancy plane's stamps when the memory was last brought up
+    /// to date; `None` when the memory was not built under them.
+    stamps: Option<Stamps>,
+    /// The cursor's values behind a shortcut (debug self-check); kept
+    /// for its capacity.
+    #[cfg(debug_assertions)]
+    check: Vec<u64>,
+    /// Steps served by each [`Visit`], in declaration order.
+    #[cfg(test)]
+    tally: [u64; 3],
 }
 
 impl Telemetry {
@@ -66,31 +100,63 @@ impl Telemetry {
     /// Replaces the subscription; everything streamed so far is
     /// forgotten, so the next step baselines every matching counter.
     pub(crate) fn subscribe(&mut self, prefixes: Vec<String>) {
+        self.tenancy_only = tenancy_only(&prefixes);
         self.subs = prefixes;
         self.names.clear();
         self.values.clear();
         self.order.clear();
+        self.stamps = None;
     }
 
     /// The counters that changed since the last step, as `(name,
     /// value, delta)` in name order. `None` — and no allocation — when
-    /// every subscribed counter is where it was with the value it had;
+    /// every subscribed counter is where it was with the value it had
+    /// (known without a visit when the tenancy plane's stamps stand);
     /// `Some` of nothing when what changed is not a distinct name's
     /// winning visit.
     pub(crate) fn step(
         &mut self,
         nic: &PanicNic,
     ) -> Option<impl Iterator<Item = (&str, u64, u64)> + '_> {
-        self.seen.clear();
-        let mut cursor = Cursor {
-            subs: &self.subs,
-            names: &self.names,
-            seen: &mut self.seen,
-            scratch: &mut self.scratch,
-            moved: false,
+        let stamps = self
+            .tenancy_only
+            .then(|| nic.tenancy().map(|tn| tn.stamps()))
+            .flatten();
+        let visit = match (std::mem::replace(&mut self.stamps, stamps), stamps) {
+            (Some(last), Some(now)) if last == now => Visit::Stamped,
+            (Some(last), Some(now)) if last.names == now.names => Visit::Values,
+            _ => Visit::Cursor,
         };
-        nic.export_metrics(&mut cursor);
-        let moved = cursor.moved || self.seen.len() != self.names.len();
+        #[cfg(test)]
+        {
+            self.tally[visit as usize] += 1;
+        }
+        if visit == Visit::Stamped {
+            #[cfg(debug_assertions)]
+            self.self_check(nic, visit);
+            return None;
+        }
+        self.seen.clear();
+        let moved = if visit == Visit::Values {
+            let mut values = Values {
+                subs: &self.subs,
+                seen: &mut self.seen,
+            };
+            nic.export_metrics(&mut values);
+            #[cfg(debug_assertions)]
+            self.self_check(nic, visit);
+            false
+        } else {
+            let mut cursor = Cursor {
+                subs: &self.subs,
+                names: &self.names,
+                seen: &mut self.seen,
+                scratch: &mut self.scratch,
+                moved: false,
+            };
+            nic.export_metrics(&mut cursor);
+            cursor.moved || self.seen.len() != self.names.len()
+        };
         if !moved {
             if self.seen == self.values {
                 return None;
@@ -135,11 +201,49 @@ impl Telemetry {
         })
     }
 
+    /// Runs the comparing cursor behind a stamp shortcut and asserts
+    /// what the shortcut assumed: no name moved, and — when both stamps
+    /// stood — no value either; when only the counter stamp moved, the
+    /// values visit read what the cursor reads.
+    #[cfg(debug_assertions)]
+    fn self_check(&mut self, nic: &PanicNic, visit: Visit) {
+        let mut seen = std::mem::take(&mut self.check);
+        seen.clear();
+        let mut cursor = Cursor {
+            subs: &self.subs,
+            names: &self.names,
+            seen: &mut seen,
+            scratch: &mut self.scratch,
+            moved: false,
+        };
+        nic.export_metrics(&mut cursor);
+        debug_assert!(
+            !cursor.moved && seen.len() == self.names.len(),
+            "the tenancy name stamp stood but a subscribed name moved"
+        );
+        let trusted = if visit == Visit::Stamped {
+            &self.values
+        } else {
+            &self.seen
+        };
+        debug_assert!(
+            seen == *trusted,
+            "a tenancy stamp shortcut ({visit:?}) missed a value change"
+        );
+        self.check = seen;
+    }
+
     /// Counters currently remembered (tests: bounded-state check).
     #[cfg(test)]
     pub(crate) fn remembered(&self) -> usize {
         self.names.len()
     }
+}
+
+/// Does every prefix lie inside `tenancy.`, so that the subscription
+/// selects nothing the tenancy plane does not export (and stamp)?
+fn tenancy_only(subs: &[String]) -> bool {
+    !subs.is_empty() && subs.iter().all(|p| p.starts_with("tenancy."))
 }
 
 /// What each remembered position last streamed, going into a step.
@@ -259,6 +363,32 @@ impl MetricSink for Cursor<'_> {
         }
         // As in `counter`: unselected, or the layout moved.
         self.moved = selects(self.subs, name);
+    }
+
+    fn histogram(&mut self, _name: fmt::Arguments<'_>, _h: &Histogram) {}
+}
+
+/// The values-only sink, for a step whose names are known not to have
+/// moved: records each subscribed counter's value, comparing no name.
+struct Values<'a> {
+    subs: &'a [String],
+    seen: &'a mut Vec<u64>,
+}
+
+impl MetricSink for Values<'_> {
+    fn wants(&self, subtree: &str) -> bool {
+        overlaps(self.subs, subtree)
+    }
+
+    fn counter(&mut self, name: fmt::Arguments<'_>, value: u64) {
+        // The tenancy plane hands every name over as a string.
+        self.counter_str(&name.to_string(), value);
+    }
+
+    fn counter_str(&mut self, name: &str, value: u64) {
+        if selects(self.subs, name) {
+            self.seen.push(value);
+        }
     }
 
     fn histogram(&mut self, _name: fmt::Arguments<'_>, _h: &Histogram) {}
@@ -419,6 +549,118 @@ mod tests {
         assert!(!overlaps(&subs(&["tenancy."]), "noc."));
         assert!(!overlaps(&subs(&["nic."]), "nic0."));
         assert!(!overlaps(&[], "noc."));
+    }
+
+    #[test]
+    fn only_prefixes_inside_tenancy_take_the_stamps() {
+        assert!(tenancy_only(&subs(&["tenancy."])));
+        assert!(tenancy_only(&subs(&[
+            "tenancy.web.",
+            "tenancy.victim-kvs.tx"
+        ])));
+        assert!(!tenancy_only(&subs(&[])));
+        assert!(!tenancy_only(&subs(&[""])));
+        assert!(!tenancy_only(&subs(&["tenancy"])));
+        assert!(!tenancy_only(&subs(&["tenancy.", "nic."])));
+        assert!(!tenancy_only(&subs(&["perf.layer.tenancy"])));
+    }
+
+    /// A `Subscribe` forgets the stamps with the names: the step after
+    /// it baselines every counter although nothing moved in between.
+    #[test]
+    fn a_fresh_subscribe_baselines_while_the_stamps_stand() {
+        let rig = crate::test_rig::rig();
+        let mut telemetry = Telemetry::default();
+        for _ in 0..2 {
+            telemetry.subscribe(subs(&["tenancy."]));
+            let baseline = telemetry.step(&rig.nic).expect("a baseline").count();
+            assert_eq!(baseline, 15, "every counter of the build-time vNIC");
+            assert!(telemetry.step(&rig.nic).is_none());
+        }
+        assert_eq!(telemetry.tally, [2, 0, 2], "[stamped, values, cursor]");
+    }
+
+    /// A `ctl_churn`-shaped session — the build-time tenant sending
+    /// every 40 cycles, the live-added one every 60, one request every
+    /// 2,000 cycles through the benchmark's six-step script, twice — with
+    /// a `tenancy.` subscription stepped at every cycle boundary. The
+    /// stamps must answer most steps without a visit, and the values
+    /// visit most of the rest.
+    #[test]
+    fn stamps_answer_most_steps_of_a_churned_session() {
+        use crate::proto::{CtrlFrame, CtrlRequest};
+        use crate::test_rig::{LATE, TENANT};
+        use crate::CtrlEndpoint;
+        use panic_core::programs::chain_program;
+        use sim_core::time::Cycle;
+        use tenancy::{RateSpec, VNicSpec};
+
+        let mut rig = crate::test_rig::rig();
+        // Mutations go through an endpoint; the telemetry under test
+        // is stepped beside it, where `service` would step it.
+        let mut ep = CtrlEndpoint::new(rig.spec.clone());
+        let mut telemetry = Telemetry::default();
+        telemetry.subscribe(subs(&["tenancy."]));
+        let (eth, crypto, comp) = (rig.eth, rig.crypto, rig.comp);
+        let request = |step: u64| {
+            let odd = (step / 6) % 2 == 1;
+            match step % 6 {
+                0 => CtrlRequest::SetRate {
+                    tenant: TENANT,
+                    rate: (!odd).then(|| RateSpec::per_cycles(1, 20, 4)),
+                },
+                1 => CtrlRequest::SetWeight {
+                    tenant: TENANT,
+                    weight: if odd { 8 } else { 4 },
+                },
+                2 => CtrlRequest::AddVnic(VNicSpec::new(LATE, "late-tenant", 4).credit_quota(16)),
+                3 => {
+                    let chain = if odd { vec![crypto, comp] } else { vec![comp] };
+                    CtrlRequest::SwapProgram(chain_program(&chain, eth, Some(5_000)))
+                }
+                4 => CtrlRequest::SetCreditQuota {
+                    tenant: TENANT,
+                    quota: 500,
+                },
+                _ => CtrlRequest::RemoveVnic { tenant: LATE },
+            }
+        };
+        let (mut now, mut frames) = (Cycle(0), 0u64);
+        let mut late_since = None;
+        for t in 0..24_000u64 {
+            if t.is_multiple_of(40) {
+                rig.inject(TENANT, t, now);
+            }
+            if late_since.is_some_and(|since: u64| (t - since).is_multiple_of(60)) {
+                rig.inject(LATE, t, now);
+            }
+            if t > 0 && t.is_multiple_of(2_000) {
+                let step = t / 2_000 - 1;
+                let seq = u32::try_from(step).expect("a short script") + 1;
+                ep.submit(&CtrlFrame::request(0, seq, request(step)).encode());
+                late_since = match step % 6 {
+                    2 => Some(t),
+                    5 => None,
+                    _ => late_since,
+                };
+            }
+            ep.service(&mut rig.nic, now);
+            while ep.poll_response().is_some() {}
+            frames += u64::from(telemetry.step(&rig.nic).is_some());
+            now = rig.tick(now);
+        }
+        let [stamped, values, cursor] = telemetry.tally;
+        let steps = stamped + values + cursor;
+        assert_eq!(steps, 24_000);
+        assert!(frames > 1_000, "the session streams: {frames} frames");
+        assert!(
+            stamped * 10 >= steps * 7,
+            "the stamps answered {stamped} of {steps} steps"
+        );
+        assert!(
+            values > cursor,
+            "values-only visits {values}, cursor walks {cursor}"
+        );
     }
 
     #[test]

@@ -18,21 +18,38 @@
 //!   from nothing, like a first `Subscribe` — and so does a vNIC that
 //!   takes another's place within one service call, where names are
 //!   all that differ.
+//! * **Across the fabric**, where the tenancy plane changes what it
+//!   exports outside any single-NIC session: a vNIC's first crossing
+//!   makes its `remote_*` counters appear mid-stream, and fast-forward
+//!   accrues `rate_stalls` over skipped windows. Each member's endpoint
+//!   is serviced between fabric runs of random length and held to the
+//!   reference after every service.
 
 mod common;
 
 use std::collections::BTreeMap;
 
 use common::{Rig, LATE, TENANT};
+use engines::engine::NullOffload;
+use engines::mac::MacEngine;
+use engines::tile::TileConfig;
+use fabric::{Fabric, FabricBuilder, LinkSpec};
 use faults::FaultPlan;
-use packet::message::TenantId;
-use panic_core::nic::PanicNic;
+use noc::router::RouterConfig;
+use noc::topology::Topology;
+use packet::chain::EngineClass;
+use packet::message::{Priority, TenantId};
+use packet::EngineId;
+use panic_core::nic::{NicConfig, PanicNic};
 use panic_core::programs::chain_program;
 use panic_ctrl::{CtrlBody, CtrlEndpoint, CtrlFrame, CtrlRequest, CtrlResponse, MetricUpdate};
 use proptest::prelude::*;
-use sim_core::time::Cycle;
-use tenancy::{RateSpec, VNicSpec};
+use rmt::pipeline::PipelineConfig;
+use sim_core::rng::SimRng;
+use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
+use tenancy::{RateSpec, TenancyConfig, VNicSpec};
 use trace::MetricsRegistry;
+use workloads::frames::FrameFactory;
 
 // ---------------------------------------------------------------------------
 // The reference: what the endpoint did before the cursor
@@ -42,6 +59,8 @@ use trace::MetricsRegistry;
 /// exported. Slow (a registry per step) and obviously right.
 #[derive(Default)]
 struct RefTelemetry {
+    /// The fabric member the frames answer for (0 standalone).
+    member: u16,
     subs: Vec<String>,
     last: BTreeMap<String, u64>,
 }
@@ -77,8 +96,9 @@ impl RefTelemetry {
         }
         // A counter that is no longer exported is forgotten.
         self.last = live;
-        (!updates.is_empty())
-            .then(|| CtrlFrame::response(0, 0, CtrlResponse::Telemetry { updates }).encode())
+        (!updates.is_empty()).then(|| {
+            CtrlFrame::response(self.member, 0, CtrlResponse::Telemetry { updates }).encode()
+        })
     }
 }
 
@@ -416,6 +436,198 @@ fn a_vnic_replaced_within_one_service_call_is_baselined_in_that_step() {
     let names: Vec<&str> = baseline.iter().map(|u| u.name.as_str()).collect();
     assert_eq!(names, want, "every counter of the newcomer, in name order");
     assert!(baseline.iter().all(|u| u.value == 0 && u.delta == 0));
+}
+
+// ---------------------------------------------------------------------------
+// Across the fabric
+// ---------------------------------------------------------------------------
+
+/// The tenant both ring members host. Member 0 shapes it to one frame
+/// every [`CROSSING_GAP`] cycles, so a burst there backs up behind its
+/// tokens and fast-forward skips the wait, accruing `rate_stalls`.
+const CROSSING: TenantId = TenantId(5);
+const CROSSING_GAP: u64 = 40;
+
+/// Subscriptions the fabric sessions draw from; each selects the
+/// `remote_*` counters that appear at a vNIC's first crossing.
+const FABRIC_PREFIXES: &[&[&str]] = &[
+    &["tenancy."],
+    &["tenancy.crossing.remote_", "tenancy.crossing.rate_stalls"],
+    &["tenancy.", "nic.remote_"],
+];
+
+/// A 2-member ring, both members tenanted: a frame runs `crc` on the
+/// member it arrives at, then `crc` and the uplink on the other one.
+/// Returns the fabric, each member's spec and the uplink id.
+fn tenanted_ring() -> (Fabric, Vec<panic_verify::NicSpec>, EngineId) {
+    let freq = Freq::PANIC_DEFAULT;
+    let mut fb = FabricBuilder::new();
+    let (mut specs, mut uplink) = (Vec::new(), None);
+    for i in 0..2usize {
+        let mut b = PanicNic::builder(NicConfig {
+            topology: Topology::mesh(4, 4),
+            width_bits: 128,
+            router: RouterConfig::default(),
+            pipeline: PipelineConfig {
+                parallel: 2,
+                depth: 18,
+                freq,
+            },
+            pcie_flush_interval: 0,
+        });
+        let eth = b.engine(
+            Box::new(MacEngine::new("eth", Bandwidth::gbps(100), freq)),
+            TileConfig::default(),
+        );
+        let crc = b.engine(
+            Box::new(NullOffload::new("crc", EngineClass::Asic, Cycles(8))),
+            TileConfig {
+                queue_capacity: 256,
+                ..TileConfig::default()
+            },
+        );
+        let _ = b.rmt_portal();
+        let _ = b.rmt_portal();
+        let next = 1 - i;
+        b.program(chain_program(
+            &[crc, EngineId::remote(next, crc)],
+            EngineId::remote(next, eth),
+            Some(5_000),
+        ));
+        let mut crossing = VNicSpec::new(CROSSING, "crossing", 2).credit_quota(8);
+        if i == 0 {
+            crossing = crossing.rate(RateSpec::one_per(CROSSING_GAP));
+        }
+        let local = VNicSpec::new(TENANT, "local", 1).credit_quota(8);
+        b.tenancy(TenancyConfig::new(vec![crossing, local]).shared_credits(32));
+        specs.push(b.to_spec());
+        uplink = Some(eth);
+        fb.member(b, eth);
+    }
+    fb.link_pair(0, 1, LinkSpec::new(0, 0).latency(12).credits(8));
+    (fb.build(), specs, uplink.expect("two members"))
+}
+
+/// What one fabric session saw.
+#[derive(Debug, Default)]
+struct FabricRun {
+    /// Cycles fast-forward skipped.
+    skipped: u64,
+    /// Member 0's `rate_stalls` for [`CROSSING`] at the end.
+    rate_stalls: u64,
+    /// Per member: whether a `remote_*` counter first showed up in a
+    /// frame after that member's first.
+    remote_mid_stream: [bool; 2],
+}
+
+/// One seeded session: both members' endpoints subscribed from cycle
+/// 0, bursts of [`CROSSING`] frames offered on either member, the ring
+/// run in chunks of 1–300 cycles (stepped or fast-forwarded, at
+/// random), and every service checked against the reference.
+fn fabric_session(seed: u64) -> FabricRun {
+    let (mut fabric, specs, eth) = tenanted_ring();
+    let mut rng = SimRng::new(seed).derive("fabric-telemetry");
+    let prefixes = FABRIC_PREFIXES[(seed % FABRIC_PREFIXES.len() as u64) as usize];
+    let mut eps: Vec<CtrlEndpoint> = specs
+        .into_iter()
+        .zip(0u16..)
+        .map(|(spec, i)| CtrlEndpoint::for_member(spec, i))
+        .collect();
+    let mut oracles: Vec<RefTelemetry> = (0u16..2)
+        .map(|member| RefTelemetry {
+            member,
+            ..RefTelemetry::default()
+        })
+        .collect();
+    for (ep, i) in eps.iter_mut().zip(0u16..) {
+        ep.submit(&CtrlFrame::request(i, 1, subscribe(prefixes)).encode());
+    }
+    let mut factory = FrameFactory::for_nic_port(9);
+    let mut run = FabricRun::default();
+    let mut frames = [0usize; 2];
+    let mut now = Cycle(0);
+    let mut service = |fabric: &mut Fabric, now: Cycle, run: &mut FabricRun| {
+        for (i, ep) in eps.iter_mut().enumerate() {
+            ep.service(fabric.member_mut(i), now);
+            let mut got = Vec::new();
+            while let Some(raw) = ep.poll_response() {
+                match CtrlFrame::decode(&raw)
+                    .expect("endpoint frames decode")
+                    .body
+                {
+                    CtrlBody::Response(CtrlResponse::Telemetry { .. }) => got.push(raw),
+                    CtrlBody::Response(resp) => {
+                        assert!(matches!(resp, CtrlResponse::Ok { .. }));
+                        oracles[i].subscribe(prefixes.iter().map(|p| (*p).to_string()).collect());
+                    }
+                    CtrlBody::Request(_) => panic!("endpoint emitted a request"),
+                }
+            }
+            let want: Vec<Vec<u8>> = oracles[i].step(fabric.member(i)).into_iter().collect();
+            assert!(
+                got == want,
+                "seed {seed}, member {i}, cycle {}: telemetry diverges from the reference\n \
+                 got: {:?}\nwant: {:?}",
+                now.0,
+                telemetry_of(&got),
+                telemetry_of(&want),
+            );
+            let remote = telemetry_of(&got)
+                .iter()
+                .flatten()
+                .any(|u| u.name.starts_with("tenancy.crossing.remote_"));
+            if remote && frames[i] > 0 && !run.remote_mid_stream[i] {
+                run.remote_mid_stream[i] = true;
+            }
+            frames[i] += got.len();
+        }
+    };
+    while now.0 < 6_000 {
+        service(&mut fabric, now, &mut run);
+        for (member, p) in [(0, 0.15), (1, 0.05)] {
+            if rng.gen_bool(p) {
+                for _ in 0..2 + rng.gen_range(4) {
+                    let frame = factory.min_frame(rng.gen_range(50) as u16, 80);
+                    fabric
+                        .member_mut(member)
+                        .rx_frame(eth, frame, CROSSING, Priority::Normal, now);
+                }
+            }
+        }
+        let chunk = 1 + rng.gen_range(300);
+        now = if rng.gen_bool(0.5) {
+            let (next, skipped) = fabric.run_ff(now, chunk);
+            run.skipped += skipped;
+            next
+        } else {
+            fabric.run(now, chunk)
+        };
+    }
+    now = fabric.drain(now).expect("the ring drains");
+    service(&mut fabric, now, &mut run);
+    let tn = fabric.member(0).tenancy().expect("tenanted");
+    run.rate_stalls = tn.ledger(CROSSING).expect("a vNIC").rate_stalls;
+    assert!(fabric.conservation().holds());
+    run
+}
+
+/// The fabric arm: sessions over a tenanted ring match the reference
+/// after every service, and between them cross both ways mid-stream
+/// and skip rate-blocked windows.
+#[test]
+fn fabric_telemetry_matches_the_reference() {
+    let runs: Vec<FabricRun> = (0..16).map(fabric_session).collect();
+    for (seed, run) in runs.iter().enumerate() {
+        assert!(
+            run.remote_mid_stream == [true, true],
+            "seed {seed}: remote counters did not appear mid-stream on both members: {run:?}"
+        );
+        assert!(run.rate_stalls > 0, "seed {seed}: no rate stall: {run:?}");
+    }
+    assert!(
+        runs.iter().all(|run| run.skipped > 0),
+        "fast-forward skipped nothing in some session: {runs:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------

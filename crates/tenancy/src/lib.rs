@@ -43,6 +43,6 @@ pub mod runtime;
 pub mod spec;
 
 pub use runtime::{
-    ExitKind, SubmitSource, TenancyRuntime, TenantConservation, TenantLedger, COUNTER_KEYS,
+    ExitKind, Stamps, SubmitSource, TenancyRuntime, TenantConservation, TenantLedger, COUNTER_KEYS,
 };
 pub use spec::{RateSpec, TenancyConfig, VNicSpec};

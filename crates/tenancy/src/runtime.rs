@@ -33,6 +33,13 @@
 //! on a cycle where the components' total moved. The walk-everything
 //! versions live on in `runtime/reference.rs` as a test oracle.
 //!
+//! Two [`Stamps`] tell a reader of the exported counters whether it
+//! needs to look: the counter stamp moves with every change to a
+//! counter's value, the name stamp with every change to the list of
+//! exported names. The control endpoint's telemetry step reads them
+//! before it visits (`docs/TENANCY.md` lists every site that bumps
+//! each).
+//!
 //! The per-tenant ledger closes a conservation identity
 //! ([`TenantConservation`]) extending the fault plane's copy-level
 //! invariant, and the runtime implements the
@@ -120,6 +127,18 @@ impl CounterNames {
     }
 }
 
+/// Change counters over what [`TenancyRuntime::export_metrics`]
+/// exports. Each only ever grows; equal stamps read from one runtime at
+/// two moments mean nothing of that kind changed in between.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Stamps {
+    /// Moves with every change to an exported counter's value.
+    pub counters: u64,
+    /// Moves with every change to the list of exported counter names
+    /// (a vNIC added or removed, a vNIC's first fabric crossing).
+    pub names: u64,
+}
+
 /// Where a submitted message came from, for the ledger's source side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitSource {
@@ -203,6 +222,12 @@ impl TenantLedger {
     #[must_use]
     pub fn submitted(&self) -> u64 {
         self.submitted_rx + self.submitted_injected
+    }
+
+    /// True once the tenant saw a fabric crossing, either way: from
+    /// then on its `remote_*` counters are exported.
+    fn crossed(&self) -> bool {
+        self.remote_tx > 0 || self.remote_rx > 0
     }
 }
 
@@ -481,14 +506,15 @@ impl TenantState {
     }
 
     /// Brings the ledger up to a *cumulative* implicit-exit count and
-    /// returns the credits the new exits gave back.
-    fn reconcile_implicit(&mut self, cumulative: u64) -> u64 {
+    /// returns the credits the new exits gave back; `None` when there
+    /// were no new exits.
+    fn reconcile_implicit(&mut self, cumulative: u64) -> Option<u64> {
         let delta = cumulative.saturating_sub(self.ledger.implicit_exits);
         if delta == 0 {
-            return 0;
+            return None;
         }
         self.ledger.implicit_exits = cumulative;
-        self.return_credits(delta)
+        Some(self.return_credits(delta))
     }
 }
 
@@ -521,6 +547,8 @@ pub struct TenancyRuntime {
     /// Rank-spreading PIFO; always drained by the end of `release`.
     pifo: Pifo<(TenantId, Message)>,
     tracer: Tracer,
+    /// Bumped wherever an exported counter or name changes.
+    stamps: Stamps,
 }
 
 // The entries of the vNIC queues and of the spreading PIFO, each moved
@@ -556,6 +584,7 @@ impl TenancyRuntime {
             vnow: 0,
             pifo: Pifo::new(),
             tracer: Tracer::disabled(),
+            stamps: Stamps::default(),
         }
     }
 
@@ -588,6 +617,13 @@ impl TenancyRuntime {
         self.tenants.keys().copied()
     }
 
+    /// The change stamps of what [`TenancyRuntime::export_metrics`]
+    /// exports.
+    #[must_use]
+    pub fn stamps(&self) -> Stamps {
+        self.stamps
+    }
+
     // -- live mutations (management plane) -----------------------------
     //
     // These are the primitives `panic-ctrl`'s endpoint drives. Each
@@ -614,6 +650,7 @@ impl TenancyRuntime {
         }
         self.tenants.insert(spec.tenant, state);
         self.config.vnics.push(spec);
+        self.stamps.names += 1;
         true
     }
 
@@ -651,6 +688,7 @@ impl TenancyRuntime {
         self.tenants.remove(&tenant);
         self.shaped.retain(|&t| t != tenant);
         self.config.vnics.retain(|v| v.tenant != tenant);
+        self.stamps.names += 1;
         true
     }
 
@@ -734,6 +772,7 @@ impl TenancyRuntime {
         }
         state.pending.push_back((now, msg));
         self.pending += 1;
+        self.stamps.counters += 1;
         if !state.in_active {
             state.in_active = true;
             self.active.push_back(tenant);
@@ -780,6 +819,7 @@ impl TenancyRuntime {
                 if let Some(r) = state.spec.rate {
                     if state.tokens < r.den {
                         state.ledger.rate_stalls += 1;
+                        self.stamps.counters += 1;
                         break;
                     }
                 }
@@ -787,6 +827,7 @@ impl TenancyRuntime {
                     || self.shared_in_use >= self.config.shared_credits
                 {
                     state.ledger.credit_stalls += 1;
+                    self.stamps.counters += 1;
                     break;
                 }
                 if state.deficit < bytes {
@@ -802,6 +843,7 @@ impl TenancyRuntime {
                 self.shared_in_use += 1;
                 state.deficit -= bytes;
                 state.ledger.released += 1;
+                self.stamps.counters += 1;
                 state
                     .queue_wait
                     .record(now.saturating_since(submitted_at).0);
@@ -840,6 +882,10 @@ impl TenancyRuntime {
         let Some(state) = self.tenants.get_mut(&tenant) else {
             return;
         };
+        self.stamps.counters += 1;
+        if kind == ExitKind::Remote && !state.ledger.crossed() {
+            self.stamps.names += 1;
+        }
         match kind {
             ExitKind::Wire => state.ledger.tx_wire += 1,
             ExitKind::Host => state.ledger.host += 1,
@@ -867,6 +913,10 @@ impl TenancyRuntime {
     /// free more credits than this NIC's tenants hold.
     pub fn note_remote_rx(&mut self, tenant: TenantId) {
         if let Some(state) = self.tenants.get_mut(&tenant) {
+            self.stamps.counters += 1;
+            if !state.ledger.crossed() {
+                self.stamps.names += 1;
+            }
             state.ledger.remote_rx += 1;
         }
     }
@@ -876,6 +926,7 @@ impl TenancyRuntime {
     pub fn note_reissued(&mut self, tenant: TenantId) {
         if let Some(state) = self.tenants.get_mut(&tenant) {
             state.ledger.reissued += 1;
+            self.stamps.counters += 1;
         }
     }
 
@@ -884,8 +935,13 @@ impl TenancyRuntime {
     /// reads out of component stats. The delta since the last sync
     /// returns that many credits.
     pub fn sync_implicit(&mut self, tenant: TenantId, cumulative: u64) {
-        if let Some(state) = self.tenants.get_mut(&tenant) {
-            self.shared_in_use -= state.reconcile_implicit(cumulative);
+        if let Some(returned) = self
+            .tenants
+            .get_mut(&tenant)
+            .and_then(|state| state.reconcile_implicit(cumulative))
+        {
+            self.shared_in_use -= returned;
+            self.stamps.counters += 1;
         }
     }
 
@@ -909,7 +965,10 @@ impl TenancyRuntime {
         }
         self.implicit_seen = total;
         for (&t, state) in &mut self.tenants {
-            self.shared_in_use -= state.reconcile_implicit(cumulative_of(t));
+            if let Some(returned) = state.reconcile_implicit(cumulative_of(t)) {
+                self.shared_in_use -= returned;
+                self.stamps.counters += 1;
+            }
         }
     }
 
@@ -1016,6 +1075,10 @@ impl TenancyRuntime {
         let any_positive_backlogged = self.active.iter().any(|t| self.tenants[t].spec.weight > 0);
         let quantum = self.config.quantum_bytes;
         self.refill_shaped(cycles);
+        if !self.active.is_empty() {
+            // Every backlogged tenant's `rate_stalls` grows.
+            self.stamps.counters += 1;
+        }
         for t in &self.active {
             self.tenants
                 .get_mut(t)
@@ -1034,10 +1097,9 @@ impl TenancyRuntime {
         }
         for state in self.tenants.values() {
             let name = &state.spec.name;
-            let l = &state.ledger;
             // Fabric crossings exist only once one happened, keeping
             // single-NIC metrics output byte-identical.
-            let crossed = l.remote_tx > 0 || l.remote_rx > 0;
+            let crossed = state.ledger.crossed();
             for (i, (counter, value)) in state.names.iter().zip(state.counter_values()).enumerate()
             {
                 if crossed || !REMOTE_KEYS.contains(&i) {
