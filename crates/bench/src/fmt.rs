@@ -89,12 +89,6 @@ pub fn mpps(pps: f64) -> String {
     format!("{:.1}Mpps", pps / 1e6)
 }
 
-/// Formats cycles as microseconds at 500 MHz.
-#[must_use]
-pub fn us_at_500mhz(cycles: f64) -> String {
-    format!("{:.2}us", cycles * 0.002)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +117,5 @@ mod tests {
     fn helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(mpps(59_523_809.0), "59.5Mpps");
-        assert_eq!(us_at_500mhz(5000.0), "10.00us");
     }
 }

@@ -287,8 +287,6 @@ impl NicBuilder {
             pipeline: RmtPipeline::new(self.config.pipeline, program),
             config: self.config,
             network,
-            implicit_seen: vec![0; tiles.len()],
-            implicit_in_tiles: 0,
             tiles,
             slot_noc_tile,
             noc_tile_slot,

@@ -7,22 +7,11 @@
 //! terminal to it (both in `datapath.rs`); this file runs its release
 //! scheduler and sums the *implicit* exits components count themselves.
 
-use engines::tile::EngineTile;
 use packet::message::TenantId;
-use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
 use tenancy::{TenancyRuntime, TenantConservation};
 
 use super::{PanicNic, TileSlot};
-
-/// Brings one slot's share of the running implicit-exit total up to
-/// date: `seen` is the tile's drop + flush count at its last reckoning.
-#[inline]
-pub(super) fn reckon_implicit(tile: &EngineTile, seen: &mut u64, in_tiles: &mut u64) {
-    let count = tile.queue_stats().dropped + tile.stats().flushed;
-    *in_tiles += count - *seen;
-    *seen = count;
-}
 
 impl PanicNic {
     /// True while the tenancy plane holds pending messages.
@@ -54,35 +43,8 @@ impl PanicNic {
     /// each component keeps beside its per-tenant map and bumps at the
     /// same `record_*` site, so it is `Σ implicit_exit_count(t)` over
     /// every tenant id ever seen, without a map probe. Runs every
-    /// executed tick of a tenanted NIC, so it reads the network's
-    /// scalar and a running total over tiles, reckoning only the
-    /// occupied ones (see [`PanicNic::implicit_seen`]).
-    pub(super) fn implicit_exit_total(&mut self) -> u64 {
-        for w in 0..self.occupied.len() {
-            for bit in set_bits(self.occupied[w]) {
-                let i = w * 64 + bit;
-                if let Some(tile) = self.tiles[i].as_engine() {
-                    reckon_implicit(
-                        tile,
-                        &mut self.implicit_seen[i],
-                        &mut self.implicit_in_tiles,
-                    );
-                }
-            }
-        }
-        let total = self.network.lost_messages() + self.implicit_in_tiles;
-        debug_assert_eq!(
-            total,
-            self.implicit_exit_walk(),
-            "a tile's drop or flush count moved while its occupancy bit was clear"
-        );
-        total
-    }
-
-    /// [`PanicNic::implicit_exit_total`] by reading every tile: what the
-    /// running total must equal on every tick (asserted there in debug
-    /// builds, and by `implicit_exit_gate` in any build).
-    pub(super) fn implicit_exit_walk(&self) -> u64 {
+    /// executed tick of a tenanted NIC.
+    pub(super) fn implicit_exit_total(&self) -> u64 {
         let mut total = self.network.lost_messages();
         for slot in &self.tiles {
             if let TileSlot::Engine(tile) = slot {

@@ -30,7 +30,7 @@
 //! memory and its write address wraps there (a payload that straddles
 //! the end lands in two runs), so a long run neither spills into ring
 //! `q + 1` nor grows host memory by a page per 4 KiB delivered.
-//! [`DmaEngine::ring_fill`] stays cumulative. No simulated result reads
+//! Each ring's byte cursor stays cumulative. No simulated result reads
 //! ring memory — service time, completions and egress depend on the
 //! payload's length, never on where it landed — so every report is
 //! byte-identical to the unwrapped cursor's.
@@ -182,12 +182,6 @@ impl DmaEngine {
     /// pre-populating the KVS store) and verification.
     pub fn host_mut(&mut self) -> &mut HostMemory {
         &mut self.host
-    }
-
-    /// Bytes written into ring `q` so far.
-    #[must_use]
-    pub fn ring_fill(&self, q: usize) -> u64 {
-        self.rx_cursor.get(q).copied().unwrap_or(0)
     }
 
     /// Deterministic contention draw for an operation: keyed on the
@@ -387,8 +381,8 @@ mod tests {
         ));
         assert!(matches!(&out[1], Output::Egress(EgressKind::Host, _)));
         assert_eq!(dma.deliveries, 1);
-        assert_eq!(dma.ring_fill(2), 100);
-        assert_eq!(dma.ring_fill(0), 0);
+        assert_eq!(dma.rx_cursor[2], 100);
+        assert_eq!(dma.rx_cursor[0], 0);
     }
 
     #[test]
@@ -405,8 +399,7 @@ mod tests {
             }
             dma.process(msg, Cycle(0));
         }
-        let fills: Vec<u64> = (0..4).map(|q| dma.ring_fill(q)).collect();
-        assert_eq!(fills, [10, 0, 20, 30]);
+        assert_eq!(dma.rx_cursor, [10, 0, 20, 30]);
     }
 
     #[test]
@@ -429,8 +422,8 @@ mod tests {
         }
         let total = frames * 1500;
         assert!(total > 2 * stride);
-        assert_eq!(dma.ring_fill(0), total, "fill stays cumulative");
-        assert_eq!(dma.ring_fill(1), 300);
+        assert_eq!(dma.rx_cursor[0], total, "fill stays cumulative");
+        assert_eq!(dma.rx_cursor[1], 300);
         let pages = (stride / 4096) as usize;
         assert_eq!(
             dma.host_mut().resident_pages(),

@@ -200,12 +200,6 @@ impl KvsCacheEngine {
         self.cache.insert(key, addr, len);
     }
 
-    /// Number of cached locations.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Parses a frame down to its KVS request, if it is one.
     fn parse_kvs(frame: &[u8]) -> Option<(KvsRequest, usize)> {
         let (_, n1) = EthernetHeader::parse(frame).ok()?;
@@ -468,7 +462,7 @@ mod tests {
         for k in 0..6u64 {
             e.install(k, k * 0x100, 8);
         }
-        assert_eq!(e.entries(), 4);
+        assert_eq!(e.cache.len(), 4);
         // Keys 0 and 1 evicted.
         assert!(e.cache.get(0).is_none());
         assert!(e.cache.get(1).is_none());

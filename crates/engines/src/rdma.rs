@@ -71,12 +71,6 @@ impl RdmaEngine {
         }
     }
 
-    /// Work elements currently awaiting DMA data.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Builds the reply frame for `frame` carrying `value`: L2/L3/L4
     /// addresses swapped, KVS op rewritten to Reply.
     fn build_reply(frame: &[u8], value: Bytes) -> Option<Bytes> {
@@ -267,7 +261,7 @@ mod tests {
             }
             other => panic!("expected ForwardTo dma, got {other:?}"),
         }
-        assert_eq!(e.in_flight(), 1);
+        assert_eq!(e.pending.len(), 1);
     }
 
     #[test]
@@ -302,7 +296,7 @@ mod tests {
             other => panic!("expected ToPipeline reply, got {other:?}"),
         }
         assert_eq!(e.replies, 1);
-        assert_eq!(e.in_flight(), 0);
+        assert_eq!(e.pending.len(), 0);
     }
 
     #[test]
@@ -339,7 +333,7 @@ mod tests {
             _ => panic!("expected ForwardTo"),
         };
         assert_ne!(tag(&o1[0]), tag(&o2[0]));
-        assert_eq!(e.in_flight(), 2);
+        assert_eq!(e.pending.len(), 2);
     }
 
     #[test]

@@ -71,7 +71,7 @@ const _: () = assert!(std::mem::size_of::<Emit>() <= 128);
 /// Drop/refusal accounting lives in the scheduling queue's
 /// [`sched::queue::SchedStats`] — the queue is the only component of a
 /// tile that can drop or refuse, so the tile re-exposes those counters
-/// via [`EngineTile::drops`] / [`EngineTile::refusals`] instead of
+/// via [`EngineTile::drops`] and [`EngineTile::queue_stats`] instead of
 /// keeping a shadow copy that could drift. (An earlier revision
 /// double-booked `dropped` here; the two counters were provably always
 /// equal, so the shadow was removed.)
@@ -217,12 +217,6 @@ impl EngineTile {
         self.queue.export_metrics(m, format_args!("{prefix}.sched"));
     }
 
-    /// The tile's engine address.
-    #[must_use]
-    pub fn id(&self) -> EngineId {
-        self.id
-    }
-
     /// Name of the wrapped offload.
     #[must_use]
     pub fn offload_name(&self) -> &str {
@@ -260,14 +254,6 @@ impl EngineTile {
     #[must_use]
     pub fn drops(&self) -> u64 {
         self.queue.stats().dropped
-    }
-
-    /// Offers refused with backpressure at this tile (same single
-    /// source of truth as [`EngineTile::drops`]). Refusals are *not*
-    /// losses: the refused message stays with the offerer.
-    #[must_use]
-    pub fn refusals(&self) -> u64 {
-        self.queue.stats().refused
     }
 
     /// Scheduling-queue statistics.
@@ -934,7 +920,7 @@ mod tests {
         t.accept(msg_with_chain(1, &[5], Slack::BULK), Cycle(0));
         // The queue refused, so the message parked in the RX slot.
         assert!(!t.rx_ready());
-        assert_eq!(t.refusals(), 1);
+        assert_eq!(t.queue_stats().refused, 1);
         // After the window the pending retry drains into the queue.
         let _ = t.tick(Cycle(50));
         assert!(t.rx_ready());
@@ -1124,7 +1110,7 @@ mod tests {
     #[test]
     fn debug_and_accessors() {
         let t = tile(1);
-        assert_eq!(t.id(), EngineId(5));
+        assert_eq!(t.id, EngineId(5));
         assert_eq!(t.offload_name(), "null");
         assert_eq!(t.offload().class(), EngineClass::Asic);
         let s = format!("{t:?}");

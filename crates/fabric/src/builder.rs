@@ -56,11 +56,6 @@ impl FabricBuilder {
         self.drivers[member] = Some(driver);
     }
 
-    /// Declares one directed link.
-    pub fn link(&mut self, spec: LinkSpec) {
-        self.links.push(spec);
-    }
-
     /// Arms the fabric fault plane: crossings are tracked in their
     /// origin's hop ledger and `Fabric::chaos_stats` reports. An empty
     /// plan still arms it, which the golden tests use to prove the

@@ -11,7 +11,6 @@ use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricSink, Tracer};
 
-use crate::builder::FabricBuilder;
 use crate::conservation::{ChaosStats, FleetConservation, FleetStats};
 use crate::driver::NicDriver;
 use crate::tor::{Phase, Tor};
@@ -94,12 +93,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Starts building a fabric.
-    #[must_use]
-    pub fn builder() -> FabricBuilder {
-        FabricBuilder::new()
-    }
-
     pub(crate) fn new(members: Vec<Member>, tor: Tor) -> Fabric {
         Fabric { members, tor }
     }

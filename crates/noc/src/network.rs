@@ -562,12 +562,6 @@ impl MeshNetwork {
         &self.config
     }
 
-    /// The engine placement.
-    #[must_use]
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
     /// Traffic statistics so far.
     #[must_use]
     pub fn stats(&self) -> &NetworkStats {
@@ -854,19 +848,6 @@ impl MeshNetwork {
         }
         self.stats.delivered_messages += 1;
         Some(msg)
-    }
-
-    /// Drains everything already in `engine`'s ejection buffer,
-    /// ignoring the per-cycle RX limit. Test/measurement helper — NIC
-    /// models must use [`Self::poll_ejected`].
-    pub fn drain_ejected(&mut self, engine: EngineId, now: Cycle) -> Vec<Message> {
-        let mut out = Vec::new();
-        while self.ejection_depth(engine) > 0 {
-            if let Some(m) = self.poll_ejected(engine, now) {
-                out.push(m);
-            }
-        }
-        out
     }
 
     /// Advances the network one cycle.
@@ -1782,7 +1763,10 @@ mod tests {
         let mut net = net_3x3();
         net.send(EngineId(3), EngineId(4), msg(5, 32), Cycle(0));
         let now = run(&mut net, Cycle(0), 30);
-        let msgs = net.drain_ejected(EngineId(4), now);
+        let mut msgs = Vec::new();
+        while net.ejection_depth(EngineId(4)) > 0 {
+            msgs.extend(net.poll_ejected(EngineId(4), now));
+        }
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].id, MessageId(5));
     }

@@ -14,9 +14,10 @@
 //! * one flit per output per cycle, one cycle per hop (§3.1.2: "the
 //!   routers add one cycle of latency at each hop").
 //!
-//! The router decides in [`Router::plan`] which input drains through
-//! which output; the owning [`MeshNetwork`](crate::network::MeshNetwork)
-//! pops the winners ([`Router::commit_pop`]) and moves flits and credits
+//! The router decides in `Router::plan_inputs` which input drains
+//! through which output; the owning
+//! [`MeshNetwork`](crate::network::MeshNetwork) pops the winners
+//! (`Router::pop`) and moves flits and credits
 //! between routers in the commit phase, preserving the two-phase
 //! discipline of [`sim_core::clock`]. What moves is an 8-byte
 //! [`FlitHandle`]; the message it belongs to stays put in the network's
@@ -166,7 +167,7 @@ const _: () = assert!(std::mem::size_of::<Router>() <= 128);
 ///
 /// The router only records *which* input won each output; the network
 /// moves each flit once, straight from the winning input FIFO to the
-/// downstream buffer, in the commit phase ([`Router::commit_pop`]).
+/// downstream buffer, in the commit phase (`Router::pop`).
 /// Credits to return upstream are implied (a grant to input `i` means
 /// input `i` drains one flit).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -538,21 +539,16 @@ impl Router {
         self.nonempty == 0
     }
 
-    /// Pops the flit a [`Router::plan`] winner promised for this cycle
-    /// (commit phase; the network moves it downstream).
+    /// Pops the flit a plan winner promised for this cycle (commit
+    /// phase; the network moves it downstream), also saying whether
+    /// input `i` holds no more of the flit's message: the flit was its
+    /// tail, or the input ran dry (a message's flits arrive
+    /// contiguously, so a flit behind a non-tail one is its message's
+    /// next).
     ///
     /// # Panics
     /// Panics if input `i` is empty — the plan staged a flit that is no
     /// longer there, which is a commit-ordering bug.
-    #[inline]
-    pub fn commit_pop(&mut self, i: usize) -> FlitHandle {
-        self.pop(i).0
-    }
-
-    /// [`Router::commit_pop`], also saying whether input `i` holds no
-    /// more of the flit's message: the flit was its tail, or the input
-    /// ran dry (a message's flits arrive contiguously, so a flit behind
-    /// a non-tail one is its message's next).
     #[inline]
     pub(crate) fn pop(&mut self, i: usize) -> (FlitHandle, bool) {
         assert!(self.len[i] > 0, "planned winner input non-empty");
@@ -657,15 +653,15 @@ impl Router {
         plan.granted |= 1 << o;
     }
 
-    /// Phase 1: switch allocation for one cycle, by reference.
+    /// Phase 1: switch allocation for one cycle, by reference, over
+    /// the non-empty inputs in `inputs` only.
     ///
     /// Decides which input (if any) traverses each output port this
     /// cycle, updating wormhole ownership, round-robin pointers, and
     /// output credits, and returns the winners. Flits are *not* popped
     /// here — the commit phase pops each winner exactly once via
-    /// [`Router::commit_pop`], so a flit is moved a single time per
-    /// hop. Reads only pre-tick input state, preserving the two-phase
-    /// discipline.
+    /// `Router::pop`, so a flit is moved a single time per hop. Reads
+    /// only pre-tick input state, preserving the two-phase discipline.
     ///
     /// The allocation is input-centric, because a router holds a flit
     /// or two, not twenty-five input × output candidates. Every front
@@ -682,15 +678,11 @@ impl Router {
     ///
     /// The `stalled` flags fall out of the same passes, so the traced
     /// and untraced runs share one planner.
-    pub fn plan(&mut self) -> RoutePlan {
-        self.plan_inputs(self.nonempty)
-    }
-
-    /// [`Router::plan`] over the non-empty inputs in `inputs` only. The
-    /// network leaves out the inputs a streaming worm moves this cycle:
-    /// each is a wormhole continuation with a credit, which neither
-    /// stalls nor competes for an output a head wants, so leaving it out
-    /// changes nothing else.
+    ///
+    /// The network leaves out of `inputs` the inputs a streaming worm
+    /// moves this cycle: each is a wormhole continuation with a credit,
+    /// which neither stalls nor competes for an output a head wants, so
+    /// leaving it out changes nothing else.
     pub(crate) fn plan_inputs(&mut self, inputs: u8) -> RoutePlan {
         // Runtime shadow of the static credit lints: a credit counter
         // must stay within [0, buffer capacity] (capacity 0 would make
@@ -795,11 +787,11 @@ mod tests {
     /// One cycle as the network runs it: plan, then pop every winner.
     /// Returns the plan and the flit that left through each output.
     fn step(r: &mut Router) -> (RoutePlan, [Option<FlitHandle>; PortDir::COUNT]) {
-        let plan = r.plan();
+        let plan = r.plan_inputs(u8::MAX);
         let mut out = [None; PortDir::COUNT];
         for (o, sent) in out.iter_mut().enumerate() {
             if plan.granted & (1 << o) != 0 {
-                *sent = Some(r.commit_pop(usize::from(plan.winner[o])));
+                *sent = Some(r.pop(usize::from(plan.winner[o])).0);
             }
         }
         (plan, out)

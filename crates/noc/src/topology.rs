@@ -78,12 +78,6 @@ impl Topology {
         self.width
     }
 
-    /// Mesh height (rows).
-    #[must_use]
-    pub fn height(self) -> u8 {
-        self.height
-    }
-
     /// Number of tiles.
     #[must_use]
     pub fn nodes(self) -> usize {
@@ -187,16 +181,6 @@ impl Topology {
     #[must_use]
     pub fn bisection_directed_channels(self) -> u64 {
         2 * u64::from(self.height.min(self.width))
-    }
-
-    /// Mean Manhattan distance between two uniformly random tiles:
-    /// `(w²−1)/(3w) + (h²−1)/(3h)` — the k-ary 2-mesh average from
-    /// Dally & Towles \[10\].
-    #[must_use]
-    pub fn mean_distance(self) -> f64 {
-        let w = f64::from(self.width);
-        let h = f64::from(self.height);
-        (w * w - 1.0) / (3.0 * w) + (h * h - 1.0) / (3.0 * h)
     }
 
     /// Tiles on the mesh perimeter — where the paper places engines
@@ -454,15 +438,6 @@ mod tests {
         let t8 = Topology::mesh8x8();
         assert_eq!(t8.directed_channels(), 224);
         assert_eq!(t8.bisection_directed_channels(), 16);
-    }
-
-    #[test]
-    fn mean_distance_matches_closed_form() {
-        // k=6 per dimension: (36-1)/(18) = 1.9444; two dims = 3.888…
-        let t = Topology::mesh6x6();
-        assert!((t.mean_distance() - 3.8888).abs() < 1e-3);
-        let t8 = Topology::mesh8x8();
-        assert!((t8.mean_distance() - 5.25).abs() < 1e-9);
     }
 
     #[test]

@@ -153,19 +153,6 @@ pub struct Slack(pub u32);
 impl Slack {
     /// Effectively-infinite slack: bulk traffic that never preempts.
     pub const BULK: Slack = Slack(u32::MAX);
-    /// Zero slack: must go next.
-    pub const URGENT: Slack = Slack(0);
-
-    /// Consumes `waited` cycles of budget, saturating at zero.
-    #[must_use]
-    pub fn spend(self, waited: u32) -> Slack {
-        if self == Slack::BULK {
-            // Bulk never becomes urgent by waiting.
-            Slack::BULK
-        } else {
-            Slack(self.0.saturating_sub(waited))
-        }
-    }
 }
 
 impl fmt::Display for Slack {
@@ -789,14 +776,6 @@ mod tests {
         c.advance();
         assert_eq!(c.rewrite_pending_nic(3, 0), 2, "only pending hops");
         assert_eq!(c.hops()[1].engine, EngineId::remote(0, EngineId(9)));
-    }
-
-    #[test]
-    fn slack_spend_saturates_and_bulk_is_sticky() {
-        assert_eq!(Slack(100).spend(30), Slack(70));
-        assert_eq!(Slack(10).spend(30), Slack(0));
-        assert_eq!(Slack::BULK.spend(u32::MAX), Slack::BULK);
-        assert_eq!(Slack::URGENT.spend(1), Slack(0));
     }
 
     #[test]

@@ -80,25 +80,6 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// Segments `msg` into flits for a `width_bits`-wide channel headed
-    /// to `dest`. Always produces at least one flit.
-    ///
-    /// Convenience wrapper over [`Flit::segment_with`] for call sites
-    /// that don't care about steady-state allocation; hot paths should
-    /// use [`Flit::segment_with`] with a long-lived [`MessagePool`] and
-    /// a reused output buffer.
-    ///
-    /// # Panics
-    /// Panics if `width_bits` is zero.
-    #[must_use]
-    pub fn segment(msg: Message, dest: EngineId, width_bits: u64) -> Vec<Flit> {
-        let total = Self::flits_for(&msg, width_bits);
-        let mut pool = MessagePool::new();
-        let mut flits = Vec::with_capacity(total as usize);
-        Self::segment_with(msg, dest, width_bits, &mut pool, |f| flits.push(f));
-        flits
-    }
-
     /// Number of flits `msg` occupies on a `width_bits`-wide channel.
     ///
     /// # Panics
@@ -108,10 +89,11 @@ impl Flit {
         msg.wire_size().beats(width_bits).max(1) as u32
     }
 
-    /// Segments `msg` into flits, handing each to `push` in sequence
-    /// order. The tail flit's box comes from `pool`, so a warm pool
-    /// makes segmentation allocation-free apart from whatever `push`
-    /// itself does.
+    /// Segments `msg` into flits for a `width_bits`-wide channel headed
+    /// to `dest`, handing each to `push` in sequence order; always at
+    /// least one flit. The tail flit's box comes from `pool`, so a warm
+    /// pool makes segmentation allocation-free apart from whatever
+    /// `push` itself does.
     ///
     /// # Panics
     /// Panics if `width_bits` is zero.
@@ -148,24 +130,13 @@ impl Flit {
         });
     }
 
-    /// Extracts the message from a tail flit.
+    /// Extracts the message from a tail flit, returning the box to
+    /// `pool` for reuse, which keeps the steady-state datapath
+    /// allocation-free.
     ///
     /// # Panics
     /// Panics if called on a non-tail flit — that is a protocol bug in
     /// the router model, not a recoverable condition.
-    #[must_use]
-    pub fn into_message(self) -> Message {
-        assert!(self.kind.is_tail(), "into_message on non-tail flit");
-        *self.message.expect("tail flit must carry its message")
-    }
-
-    /// Extracts the message from a tail flit, returning the box to
-    /// `pool` for reuse. Semantically identical to
-    /// [`Flit::into_message`]; this variant keeps the steady-state
-    /// datapath allocation-free.
-    ///
-    /// # Panics
-    /// Panics if called on a non-tail flit.
     #[must_use]
     pub fn take_message(self, pool: &mut MessagePool) -> Message {
         assert!(self.kind.is_tail(), "take_message on non-tail flit");
@@ -176,12 +147,12 @@ impl Flit {
 /// Free-list arena for the boxed in-flight message copies that tail
 /// flits carry.
 ///
-/// Every [`Flit::segment`] used to pay one `Box::new` per message and
-/// every [`Flit::into_message`] one deallocation — per-message churn on
-/// the hottest path in the NoC. The pool recycles the boxes instead:
-/// [`MessagePool::boxed`] overwrites a spare box in place (falling back
-/// to a real allocation only while the pool is cold), and
-/// [`MessagePool::unbox`] swaps the message out against
+/// Without it every [`Flit::segment_with`] would pay one `Box::new` per
+/// message and every [`Flit::take_message`] one deallocation —
+/// per-message churn on the hottest path in the NoC. The pool recycles
+/// the boxes instead: [`MessagePool::boxed`] overwrites a spare box in
+/// place (falling back to a real allocation only while the pool is
+/// cold), and [`MessagePool::unbox`] swaps the message out against
 /// [`Message::placeholder`] and keeps the box. After warm-up the
 /// steady-state datapath performs no heap allocation for flit carriage;
 /// see `docs/PERF.md`.
@@ -219,12 +190,6 @@ impl MessagePool {
         self.free.push(b);
         msg
     }
-
-    /// Number of spare boxes currently pooled.
-    #[must_use]
-    pub fn spare(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
@@ -239,24 +204,36 @@ mod tests {
             .build()
     }
 
+    fn segment(msg: Message, dest: EngineId, width_bits: u64) -> Vec<Flit> {
+        let mut flits = Vec::new();
+        Flit::segment_with(msg, dest, width_bits, &mut MessagePool::new(), |f| {
+            flits.push(f);
+        });
+        flits
+    }
+
     #[test]
     fn single_flit_message() {
         // Empty chain header is 2 bytes; payload 4 bytes => 48 bits,
         // one 64-bit flit.
-        let flits = Flit::segment(msg(4), EngineId(3), 64);
+        let flits = segment(msg(4), EngineId(3), 64);
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head() && flits[0].kind.is_tail());
         assert_eq!(flits[0].dest, EngineId(3));
         assert_eq!(flits[0].total, 1);
-        let m = flits.into_iter().next().unwrap().into_message();
+        let m = flits
+            .into_iter()
+            .next()
+            .unwrap()
+            .take_message(&mut MessagePool::new());
         assert_eq!(m.id, MessageId(9));
     }
 
     #[test]
     fn multi_flit_structure() {
         // 64B payload + 2B chain = 66B = 528 bits => 9 flits at 64 bits.
-        let flits = Flit::segment(msg(64), EngineId(1), 64);
+        let flits = segment(msg(64), EngineId(1), 64);
         assert_eq!(flits.len(), 9);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert!(flits[1..8].iter().all(|f| f.kind == FlitKind::Body));
@@ -281,8 +258,8 @@ mod tests {
 
     #[test]
     fn wider_channel_fewer_flits() {
-        let narrow = Flit::segment(msg(64), EngineId(0), 64).len();
-        let wide = Flit::segment(msg(64), EngineId(0), 128).len();
+        let narrow = segment(msg(64), EngineId(0), 64).len();
+        let wide = segment(msg(64), EngineId(0), 128).len();
         assert_eq!(narrow, 9);
         assert_eq!(wide, 5); // 528 bits / 128 = 4.125 -> 5
     }
@@ -296,31 +273,15 @@ mod tests {
         let tail = sink.pop().unwrap();
         let m = tail.take_message(&mut pool);
         assert_eq!(m.id, MessageId(9));
-        assert_eq!(pool.spare(), 1);
+        assert_eq!(pool.free.len(), 1);
         // The next segmentation reuses the pooled box.
         sink.clear();
         Flit::segment_with(msg(4), EngineId(2), 64, &mut pool, |f| sink.push(f));
-        assert_eq!(pool.spare(), 0);
+        assert_eq!(pool.free.len(), 0);
         let m2 = sink.pop().unwrap().take_message(&mut pool);
         assert_eq!(m2.id, MessageId(9));
         assert_eq!(m2.wire_size().0, 6);
-        assert_eq!(pool.spare(), 1);
-    }
-
-    #[test]
-    fn segment_with_matches_segment() {
-        let a = Flit::segment(msg(64), EngineId(1), 64);
-        let mut pool = MessagePool::new();
-        let mut b = Vec::new();
-        Flit::segment_with(msg(64), EngineId(1), 64, &mut pool, |f| b.push(f));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.kind, y.kind);
-            assert_eq!(x.seq, y.seq);
-            assert_eq!(x.total, y.total);
-            assert_eq!(x.dest, y.dest);
-            assert_eq!(x.message.is_some(), y.message.is_some());
-        }
+        assert_eq!(pool.free.len(), 1);
     }
 
     #[test]
@@ -329,7 +290,7 @@ mod tests {
             .tenant(TenantId(7))
             .payload(Bytes::from(vec![0u8; 64]))
             .build();
-        let flits = Flit::segment(m, EngineId(1), 64);
+        let flits = segment(m, EngineId(1), 64);
         assert!(flits.len() > 1);
         assert!(flits.iter().all(|f| f.tenant == TenantId(7)));
     }
@@ -343,9 +304,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "non-tail flit")]
-    fn into_message_rejects_head() {
-        let flits = Flit::segment(msg(64), EngineId(0), 64);
+    fn take_message_rejects_head() {
+        let flits = segment(msg(64), EngineId(0), 64);
         let head = flits.into_iter().next().unwrap();
-        let _ = head.into_message();
+        let _ = head.take_message(&mut MessagePool::new());
     }
 }

@@ -58,9 +58,6 @@ impl std::error::Error for ParseError {}
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// Broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// A deterministic locally-administered address for simulated port
     /// `n` (`02:00:00:00:00:nn` style, spilling into higher octets).
     #[must_use]

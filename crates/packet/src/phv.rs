@@ -106,19 +106,6 @@ impl Field {
     fn index(self) -> usize {
         self as usize
     }
-
-    /// True for intra-NIC metadata fields the deparser never emits.
-    #[must_use]
-    pub fn is_metadata(self) -> bool {
-        matches!(
-            self,
-            Field::MetaIngress
-                | Field::MetaSlack
-                | Field::MetaRxQueue
-                | Field::MetaPriority
-                | Field::MetaPasses
-        )
-    }
 }
 
 impl fmt::Display for Field {
@@ -172,12 +159,6 @@ impl Phv {
         self.slots[field.index()] = None;
     }
 
-    /// Number of populated fields.
-    #[must_use]
-    pub fn populated(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Iterates `(field, value)` over populated fields in declaration
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Field, FieldValue)> + '_ {
@@ -209,7 +190,7 @@ mod tests {
     #[test]
     fn empty_phv_has_nothing() {
         let phv = Phv::new();
-        assert_eq!(phv.populated(), 0);
+        assert_eq!(phv.iter().count(), 0);
         for f in Field::ALL {
             assert!(!phv.has(f));
             assert_eq!(phv.get(f), None);
@@ -224,10 +205,10 @@ mod tests {
         phv.set(Field::MetaSlack, 500);
         assert_eq!(phv.get(Field::IpDst), Some(0x0a000001));
         assert!(phv.has(Field::MetaSlack));
-        assert_eq!(phv.populated(), 2);
+        assert_eq!(phv.iter().count(), 2);
         phv.clear(Field::IpDst);
         assert!(!phv.has(Field::IpDst));
-        assert_eq!(phv.populated(), 1);
+        assert_eq!(phv.iter().count(), 1);
     }
 
     #[test]
@@ -236,16 +217,6 @@ mod tests {
         let mut idxs: Vec<usize> = Field::ALL.iter().map(|f| *f as usize).collect();
         idxs.sort_unstable();
         assert_eq!(idxs, (0..Field::COUNT).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn metadata_classification() {
-        assert!(Field::MetaSlack.is_metadata());
-        assert!(Field::MetaPasses.is_metadata());
-        assert!(!Field::IpDst.is_metadata());
-        assert!(!Field::KvsKey.is_metadata());
-        let wire_fields = Field::ALL.iter().filter(|f| !f.is_metadata()).count();
-        assert_eq!(wire_fields, Field::COUNT - 5);
     }
 
     #[test]

@@ -354,7 +354,6 @@ impl Stage for CompiledStage {
 /// remains the reference the tests diff against.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
-    name: String,
     parser: CompiledParser,
     stages: Vec<CompiledStage>,
 }
@@ -364,7 +363,6 @@ impl CompiledProgram {
     #[must_use]
     pub fn compile(program: &RmtProgram) -> CompiledProgram {
         CompiledProgram {
-            name: program.name().to_string(),
             parser: CompiledParser::compile(program),
             stages: program
                 .tables()
@@ -372,12 +370,6 @@ impl CompiledProgram {
                 .map(CompiledStage::compile)
                 .collect(),
         }
-    }
-
-    /// Program name (diagnostics).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Number of match+action stages.

@@ -125,15 +125,6 @@ impl ParseOutcome {
     pub fn has_layer(&self, layer: Layer) -> bool {
         self.layers.iter().any(|&(l, _)| l == layer)
     }
-
-    /// Byte offset of `layer`, if recognized.
-    #[must_use]
-    pub fn offset_of(&self, layer: Layer) -> Option<usize> {
-        self.layers
-            .iter()
-            .find(|&&(l, _)| l == layer)
-            .map(|&(_, o)| o)
-    }
 }
 
 impl ParseGraph {
@@ -372,7 +363,7 @@ mod tests {
         assert_eq!(out.phv.get(Field::KvsRequestId), Some(123));
         // Payload offset: 14 + 20 + 8 + 17 (KVS header).
         assert_eq!(out.payload_offset, 59);
-        assert_eq!(out.offset_of(Layer::Kvs), Some(42));
+        assert_eq!(out.layers.last(), Some(&(Layer::Kvs, 42)));
     }
 
     #[test]

@@ -159,18 +159,6 @@ impl RmtPipeline {
         self.track = tracer.track("rmt.pipeline");
     }
 
-    /// Per-stage table hits since construction, indexed by stage.
-    #[must_use]
-    pub fn stage_hits(&self) -> &[u64] {
-        &self.stage_hits
-    }
-
-    /// Per-stage table misses (default action) since construction.
-    #[must_use]
-    pub fn stage_misses(&self) -> &[u64] {
-        &self.stage_misses
-    }
-
     /// Exports pipeline statistics into `m` under `prefix` (usually
     /// `"rmt"`): counters `<prefix>.accepted`, `<prefix>.emitted`,
     /// `<prefix>.dropped`, `<prefix>.recirculated`,
@@ -615,8 +603,8 @@ mod tests {
         assert_eq!(span.kind, EventKind::Complete { dur: 4 });
         assert_eq!(span.args[0], Some(("msg", 2)), "dropped msg never emerges");
 
-        assert_eq!(p.stage_hits(), &[1]);
-        assert_eq!(p.stage_misses(), &[1]);
+        assert_eq!(p.stage_hits, [1]);
+        assert_eq!(p.stage_misses, [1]);
         let mut m = MetricsRegistry::new();
         p.export_metrics(&mut m, "rmt");
         assert_eq!(m.counter("rmt.accepted"), Some(2));
@@ -635,8 +623,8 @@ mod tests {
             let _ = p.tick(now);
             now = now.next();
         }
-        assert_eq!(p.stage_misses(), &[4], "default action is a miss");
-        assert_eq!(p.stage_hits(), &[0]);
+        assert_eq!(p.stage_misses, [4], "default action is a miss");
+        assert_eq!(p.stage_hits, [0]);
     }
 
     #[test]
@@ -668,11 +656,11 @@ mod tests {
             now = now.next();
         }
         assert_eq!(p.stats().dropped, 1);
-        assert_eq!(p.stage_hits(), &[1]);
+        assert_eq!(p.stage_hits, [1]);
         // Drained: swap in the routing program.
         p.set_program(route_all_program());
         assert_eq!(p.program().name(), "route-all");
-        assert_eq!(p.stage_hits(), &[0], "stage counters reset on swap");
+        assert_eq!(p.stage_hits, [0], "stage counters reset on swap");
         p.submit(msg(2, 23)); // the new program routes instead of dropping
         let mut routed = false;
         for _ in 0..10 {

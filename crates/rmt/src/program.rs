@@ -157,25 +157,16 @@ impl RmtProgram {
     /// queue and pass count are updated in place; on `Drop` the message
     /// is left untouched except for the pass count.
     pub fn process(&self, msg: &mut Message) -> Verdict {
-        self.process_observed(msg, &mut |_, _, _| {})
+        self.process_scratch(msg, &mut ProgramScratch::default(), &mut |_, _, _| {})
     }
 
     /// Like [`RmtProgram::process`], but calls
     /// `observer(stage_index, table_name, hit)` after each stage's
-    /// table lookup (before the action applies). This is the hook the
-    /// traced [`RmtPipeline`](crate::pipeline::RmtPipeline) uses to
-    /// count per-stage matches and misses and to emit `rmt.match` /
-    /// `rmt.miss` trace events. Stages skipped by an earlier `Drop`
-    /// short-circuit are not observed.
-    pub fn process_observed(
-        &self,
-        msg: &mut Message,
-        observer: &mut dyn FnMut(usize, &str, bool),
-    ) -> Verdict {
-        self.process_scratch(msg, &mut ProgramScratch::default(), observer)
-    }
-
-    /// Like [`RmtProgram::process_observed`], but works through a
+    /// table lookup (before the action applies) — the hook the traced
+    /// [`RmtPipeline`](crate::pipeline::RmtPipeline) uses to count
+    /// per-stage matches and misses and to emit `rmt.match` /
+    /// `rmt.miss` trace events; stages skipped by an earlier `Drop`
+    /// short-circuit are not observed — and works through a
     /// caller-owned reusable [`ProgramScratch`] so a warm pipeline
     /// processes messages without heap allocation. The only remaining
     /// allocation is for payloads the program *actually rewrites*

@@ -5,7 +5,7 @@
 //! people usually reach for (it is byte-fair, not deadline-driven), so
 //! we implement it directly as an alternative engine scheduler. The
 //! scheduler-ablation bench compares LSTF, FIFO, and DRR at a
-//! contended engine; DRR also shows what per-tenant weighted sharing
+//! contended engine; DRR also shows what per-tenant byte-fair sharing
 //! (§3.1.3's "share on-NIC resources according to some high-level
 //! policy") looks like without slack.
 
@@ -18,69 +18,53 @@ use packet::message::{Message, TenantId};
 struct TenantQueue {
     queue: VecDeque<Message>,
     deficit: u64,
-    quantum: u64,
 }
 
 /// A deficit round-robin scheduler over tenant queues.
 ///
-/// Each round, the active tenant's deficit grows by its quantum; it
+/// Each round, the active tenant's deficit grows by the quantum; it
 /// may dequeue messages while its deficit covers their size in bytes.
-/// Weights are expressed through quanta.
 #[derive(Debug)]
 pub struct DrrScheduler {
     tenants: HashMap<TenantId, TenantQueue>,
     /// Round-robin order (insertion order of first appearance).
     order: Vec<TenantId>,
     cursor: usize,
-    default_quantum: u64,
+    quantum: u64,
     queued: usize,
 }
 
 impl DrrScheduler {
-    /// Builds a scheduler where unknown tenants get `default_quantum`
-    /// bytes per round.
+    /// Builds a scheduler where every tenant gets `quantum` bytes per
+    /// round.
     ///
     /// # Panics
     /// Panics on a zero quantum (no tenant could ever send).
     #[must_use]
-    pub fn new(default_quantum: u64) -> DrrScheduler {
-        assert!(default_quantum > 0, "zero quantum");
+    pub fn new(quantum: u64) -> DrrScheduler {
+        assert!(quantum > 0, "zero quantum");
         DrrScheduler {
             tenants: HashMap::new(),
             order: Vec::new(),
             cursor: 0,
-            default_quantum,
+            quantum,
             queued: 0,
-        }
-    }
-
-    /// Sets `tenant`'s quantum (its weight), creating the queue if new.
-    pub fn set_quantum(&mut self, tenant: TenantId, quantum: u64) {
-        assert!(quantum > 0, "zero quantum");
-        self.ensure(tenant);
-        self.tenants.get_mut(&tenant).expect("just ensured").quantum = quantum;
-    }
-
-    fn ensure(&mut self, tenant: TenantId) {
-        if !self.tenants.contains_key(&tenant) {
-            self.tenants.insert(
-                tenant,
-                TenantQueue {
-                    queue: VecDeque::new(),
-                    deficit: 0,
-                    quantum: self.default_quantum,
-                },
-            );
-            self.order.push(tenant);
         }
     }
 
     /// Enqueues a message on its tenant's queue.
     pub fn push(&mut self, msg: Message) {
-        self.ensure(msg.tenant);
+        let tenant = msg.tenant;
+        let order = &mut self.order;
         self.tenants
-            .get_mut(&msg.tenant)
-            .expect("just ensured")
+            .entry(tenant)
+            .or_insert_with(|| {
+                order.push(tenant);
+                TenantQueue {
+                    queue: VecDeque::new(),
+                    deficit: 0,
+                }
+            })
             .queue
             .push_back(msg);
         self.queued += 1;
@@ -131,7 +115,7 @@ impl DrrScheduler {
                     return Some(msg);
                 }
                 // Not enough deficit: top up and move on.
-                tq.deficit += tq.quantum;
+                tq.deficit += self.quantum;
                 self.cursor = (self.cursor + 1) % self.order.len();
             }
         }
@@ -170,27 +154,6 @@ mod tests {
             "{counts:?}"
         );
         assert_eq!(s.len(), 10);
-    }
-
-    #[test]
-    fn weights_bias_throughput() {
-        let mut s = DrrScheduler::new(66);
-        s.set_quantum(TenantId(0), 198); // 3x weight
-        s.set_quantum(TenantId(1), 66);
-        for i in 0..40 {
-            s.push(msg(i, 0, 64));
-            s.push(msg(100 + i, 1, 64));
-        }
-        let mut counts = [0u32; 2];
-        for _ in 0..40 {
-            let m = s.pop().unwrap();
-            counts[m.tenant.0 as usize] += 1;
-        }
-        // Tenant 0 should get roughly 3x tenant 1.
-        assert!(
-            counts[0] > counts[1] * 2,
-            "weighted share not honored: {counts:?}"
-        );
     }
 
     #[test]

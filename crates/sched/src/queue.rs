@@ -157,12 +157,6 @@ impl SchedQueue {
         m.histogram(format_args!("{prefix}.wait"), &self.stats.wait);
     }
 
-    /// The admission policy.
-    #[must_use]
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
     /// Current occupancy.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -429,7 +423,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         assert!(!q.is_full());
-        assert_eq!(q.policy(), AdmissionPolicy::TailDrop);
+        assert_eq!(q.policy, AdmissionPolicy::TailDrop);
     }
 
     #[test]

@@ -27,21 +27,6 @@ pub fn deadline_rank(arrival: Cycle, slack: Slack) -> u64 {
     }
 }
 
-/// Remaining slack of a message at `now`: negative values (deadline
-/// already missed) saturate to zero.
-#[must_use]
-pub fn remaining_slack(arrival: Cycle, slack: Slack, now: Cycle) -> Slack {
-    if slack == Slack::BULK {
-        return Slack::BULK;
-    }
-    let waited = now.saturating_since(arrival).count();
-    Slack(
-        slack
-            .0
-            .saturating_sub(waited.min(u64::from(u32::MAX)) as u32),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,24 +49,10 @@ mod tests {
         // Message A: arrives t=0 with slack 100 (deadline 100).
         // Message B: arrives t=80 with slack 10 (deadline 90).
         // At any observation time both are queued, B has less remaining
-        // slack, and indeed B's deadline rank is smaller.
+        // slack (at t=85: 15 against 5), and indeed B's deadline rank is
+        // smaller.
         let a = deadline_rank(Cycle(0), Slack(100));
         let b = deadline_rank(Cycle(80), Slack(10));
         assert!(b < a);
-        let now = Cycle(85);
-        let ra = remaining_slack(Cycle(0), Slack(100), now);
-        let rb = remaining_slack(Cycle(80), Slack(10), now);
-        assert!(rb < ra);
-    }
-
-    #[test]
-    fn remaining_slack_saturates_at_zero() {
-        assert_eq!(remaining_slack(Cycle(0), Slack(10), Cycle(5)), Slack(5));
-        assert_eq!(remaining_slack(Cycle(0), Slack(10), Cycle(10)), Slack(0));
-        assert_eq!(remaining_slack(Cycle(0), Slack(10), Cycle(999)), Slack(0));
-        assert_eq!(
-            remaining_slack(Cycle(0), Slack::BULK, Cycle(u64::MAX)),
-            Slack::BULK
-        );
     }
 }

@@ -120,16 +120,8 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Drains every event due at or before `now` into a `Vec`, in firing
+    /// Appends every event due at or before `now` to `out`, in firing
     /// order.
-    pub fn drain_due(&mut self, now: Cycle) -> Vec<E> {
-        let mut out = Vec::new();
-        self.drain_due_into(now, &mut out);
-        out
-    }
-
-    /// Like [`EventQueue::drain_due`], but appends into a caller-owned
-    /// buffer so steady-state tick loops can reuse one allocation.
     pub fn drain_due_into(&mut self, now: Cycle, out: &mut Vec<E>) {
         while let Some(e) = self.pop_due(now) {
             out.push(e);
@@ -148,7 +140,8 @@ mod tests {
         q.schedule(Cycle(1), 'a');
         q.schedule(Cycle(3), 'd');
         q.schedule(Cycle(2), 'b');
-        let fired = q.drain_due(Cycle(100));
+        let mut fired = Vec::new();
+        q.drain_due_into(Cycle(100), &mut fired);
         assert_eq!(fired, vec!['a', 'b', 'c', 'd']);
     }
 
@@ -192,7 +185,8 @@ mod tests {
         for (i, &c) in cycles.iter().enumerate() {
             q.schedule(Cycle(c), (c, i));
         }
-        let fired = q.drain_due(Cycle(100));
+        let mut fired = Vec::new();
+        q.drain_due_into(Cycle(100), &mut fired);
         let mut expect: Vec<(u64, usize)> = cycles
             .iter()
             .copied()

@@ -13,8 +13,8 @@
 //!   function of its configuration.
 //! * [`events`] — a deterministic future-event queue for long-latency
 //!   completions (DMA round trips, host interrupts).
-//! * [`stats`] — counters and log-bucketed histograms used to report
-//!   totals and latency percentiles.
+//! * [`stats`] — log-bucketed histograms used to report latency
+//!   percentiles.
 //! * [`clock`] — the one clock driver: the `Driven` component trait and
 //!   `drive`, which steps or fast-forwards it.
 //! * [`wheel`] — a hierarchical timer wheel nothing in the simulator
@@ -41,5 +41,5 @@ pub mod wheel;
 pub use clock::{drive, Advance, Driven};
 pub use events::EventQueue;
 pub use rng::{SimRng, SplitMix64};
-pub use stats::{Counter, Histogram, Summary};
+pub use stats::{Histogram, Summary};
 pub use time::{Bandwidth, ByteSize, Cycle, Cycles, Freq, Time};

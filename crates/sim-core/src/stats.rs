@@ -1,4 +1,4 @@
-//! Measurement: counters and latency histograms.
+//! Measurement: latency histograms.
 //!
 //! Experiments report totals (packets forwarded, drops) and latency
 //! distributions (mean, p50/p99/max in cycles or µs); rates are a
@@ -7,36 +7,6 @@
 //! memory regardless of range, with relative quantile error under ~6%.
 
 use crate::time::Cycles;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// New counter at zero.
-    #[must_use]
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(self) -> u64 {
-        self.value
-    }
-}
 
 /// Number of linear sub-buckets per power-of-two bucket. 32 gives a
 /// worst-case relative error of 1/32 ≈ 3.1% on recovered quantiles.
@@ -242,14 +212,6 @@ impl std::fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_exact_for_small_values() {

@@ -70,25 +70,11 @@ impl Cycle {
 impl Cycles {
     /// Zero-length duration.
     pub const ZERO: Cycles = Cycles(0);
-    /// One cycle.
-    pub const ONE: Cycles = Cycles(1);
 
     /// Duration in raw cycle count.
     #[must_use]
     pub fn count(self) -> u64 {
         self.0
-    }
-
-    /// `ceil(self / divisor)` — how many `divisor`-sized steps cover this
-    /// duration. Used for e.g. "how many cycles to serialize N bits over
-    /// a W-bit channel".
-    ///
-    /// # Panics
-    /// Panics if `divisor` is zero.
-    #[must_use]
-    pub fn div_ceil(self, divisor: u64) -> u64 {
-        assert!(divisor != 0, "division by zero");
-        self.0.div_ceil(divisor)
     }
 }
 
@@ -200,12 +186,6 @@ impl Freq {
         Freq::hz(mhz * 1_000_000)
     }
 
-    /// Frequency in gigahertz.
-    #[must_use]
-    pub const fn ghz(ghz: u64) -> Freq {
-        Freq::hz(ghz * 1_000_000_000)
-    }
-
     /// Raw hertz.
     #[must_use]
     pub fn as_hz(self) -> u64 {
@@ -225,14 +205,6 @@ impl Freq {
     #[must_use]
     pub fn cycles_to_time(self, cycles: Cycles) -> Time {
         Time::from_picos(u128::from(cycles.0) * u128::from(self.cycle_picos()))
-    }
-
-    /// Converts a simulated duration into cycles at this frequency,
-    /// rounding up (a partial cycle still occupies the whole cycle).
-    #[must_use]
-    pub fn time_to_cycles(self, time: Time) -> Cycles {
-        let ps = self.cycle_picos() as u128;
-        Cycles(time.as_picos().div_ceil(ps) as u64)
     }
 
     /// Events per second for something that happens once per cycle.
@@ -267,35 +239,10 @@ pub struct Time {
 }
 
 impl Time {
-    /// Zero duration.
-    pub const ZERO: Time = Time { picos: 0 };
-
     /// From picoseconds.
     #[must_use]
     pub const fn from_picos(picos: u128) -> Time {
         Time { picos }
-    }
-
-    /// From nanoseconds.
-    #[must_use]
-    pub const fn from_nanos(nanos: u64) -> Time {
-        Time {
-            picos: nanos as u128 * 1_000,
-        }
-    }
-
-    /// From microseconds.
-    #[must_use]
-    pub const fn from_micros(micros: u64) -> Time {
-        Time {
-            picos: micros as u128 * 1_000_000,
-        }
-    }
-
-    /// Picoseconds.
-    #[must_use]
-    pub fn as_picos(self) -> u128 {
-        self.picos
     }
 }
 
@@ -344,15 +291,6 @@ pub struct Bandwidth {
 }
 
 impl Bandwidth {
-    /// Zero bandwidth.
-    pub const ZERO: Bandwidth = Bandwidth { bits_per_sec: 0 };
-
-    /// From bits per second.
-    #[must_use]
-    pub const fn bps(bits_per_sec: u64) -> Bandwidth {
-        Bandwidth { bits_per_sec }
-    }
-
     /// From gigabits per second (decimal, as line-rates are quoted).
     #[must_use]
     pub const fn gbps(gbps: u64) -> Bandwidth {
@@ -392,14 +330,6 @@ impl Bandwidth {
     pub fn packets_per_second(self, wire_bytes: u64) -> u64 {
         assert!(wire_bytes > 0, "zero-size packet");
         self.bits_per_sec / (wire_bytes * 8)
-    }
-
-    /// Sum of two rates.
-    #[must_use]
-    pub fn saturating_add(self, rhs: Bandwidth) -> Bandwidth {
-        Bandwidth {
-            bits_per_sec: self.bits_per_sec.saturating_add(rhs.bits_per_sec),
-        }
     }
 
     /// Scales the rate by an integer factor (e.g. ports × directions).
@@ -494,7 +424,6 @@ mod tests {
         assert_eq!(Cycles(7) - Cycles(3), Cycles(4));
         assert_eq!(Cycles(7) * 3, Cycles(21));
         assert_eq!(Cycles(7) / 2, Cycles(3));
-        assert_eq!(Cycles(7).div_ceil(2), 4);
         let total: Cycles = [Cycles(1), Cycles(2), Cycles(3)].into_iter().sum();
         assert_eq!(total, Cycles(6));
     }
@@ -505,11 +434,8 @@ mod tests {
         assert_eq!(f.cycle_picos(), 2000);
         assert_eq!(
             f.cycles_to_time(Cycles(500_000_000)),
-            Time::from_micros(1_000_000)
+            Time::from_picos(1_000_000_000_000)
         );
-        assert_eq!(f.time_to_cycles(Time::from_nanos(10)), Cycles(5));
-        // Partial cycles round up.
-        assert_eq!(f.time_to_cycles(Time::from_nanos(11)), Cycles(6));
     }
 
     #[test]
@@ -555,10 +481,10 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(Freq::mhz(500).to_string(), "500MHz");
-        assert_eq!(Freq::ghz(1).to_string(), "1GHz");
+        assert_eq!(Freq::hz(1_000_000_000).to_string(), "1GHz");
         assert_eq!(Bandwidth::gbps(100).to_string(), "100Gbps");
-        assert_eq!(Time::from_micros(10).to_string(), "10.000us");
-        assert_eq!(Time::from_nanos(5).to_string(), "5.000ns");
+        assert_eq!(Time::from_picos(10_000_000).to_string(), "10.000us");
+        assert_eq!(Time::from_picos(5_000).to_string(), "5.000ns");
         assert_eq!(ByteSize(84).to_string(), "84B");
         assert_eq!(Cycle(3).to_string(), "cycle 3");
         assert_eq!(Cycles(3).to_string(), "3 cycles");

@@ -61,6 +61,11 @@ use crate::spec::{TenancyConfig, VNicSpec};
 /// eventually clear the deficit gate.
 const DEFICIT_HEADROOM_BYTES: u64 = 16_384;
 
+/// Start-time-fair rank spreading scale: a released message advances
+/// its tenant's virtual time by `wire_bytes * SPREAD_SCALE / weight`,
+/// and PIFO ranks are those virtual start times.
+const SPREAD_SCALE: u64 = 64;
+
 /// The counter keys a vNIC exports, in export order: vNIC `web` reports
 /// them as `tenancy.web.<key>` (`docs/TENANCY.md` "Observability" says
 /// what each one counts). `remote_tx` and `remote_rx` appear only once
@@ -850,7 +855,7 @@ impl TenancyRuntime {
                 // Start-time fair queueing: rank is the virtual start
                 // time; the tenant's clock advances by cost/weight.
                 let rank = state.vtime.max(self.vnow);
-                state.vtime = rank + bytes * self.config.spread_scale / state.spec.weight.max(1);
+                state.vtime = rank + bytes * SPREAD_SCALE / state.spec.weight.max(1);
                 self.tracer
                     .instant_arg(state.track, "tenancy.release", now, "msg", msg.id.0);
                 self.pifo.push(rank, (tenant, msg));
@@ -988,14 +993,6 @@ impl TenancyRuntime {
     #[must_use]
     pub fn name(&self, tenant: TenantId) -> Option<&str> {
         self.tenants.get(&tenant).map(|s| s.spec.name.as_str())
-    }
-
-    /// Messages parked in `tenant`'s vNIC queue right now.
-    #[must_use]
-    pub fn pending_of(&self, tenant: TenantId) -> u64 {
-        self.tenants
-            .get(&tenant)
-            .map_or(0, |s| s.pending.len() as u64)
     }
 
     /// Messages parked across all vNIC queues.
@@ -1166,7 +1163,7 @@ mod tests {
         // Quota 1: only the first message releases; nothing drops.
         let out = release_ids(&mut rt, Cycle(0));
         assert_eq!(out, vec![(TenantId(1), 0)]);
-        assert_eq!(rt.pending_of(TenantId(1)), 2);
+        assert_eq!(rt.tenants[&TenantId(1)].pending.len(), 2);
         assert_eq!(rt.ledger(TenantId(1)).unwrap().credit_stalls, 1);
         // Still blocked next cycle.
         assert!(release_ids(&mut rt, Cycle(1)).is_empty());

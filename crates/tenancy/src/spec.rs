@@ -153,25 +153,17 @@ pub struct TenancyConfig {
     pub shared_credits: u64,
     /// Deficit-round-robin quantum in bytes per weight unit per cycle.
     pub quantum_bytes: u64,
-    /// Start-time-fair rank spreading scale: a released message
-    /// advances its tenant's virtual time by
-    /// `wire_bytes * spread_scale / weight`, and PIFO ranks are those
-    /// virtual start times. Larger scales separate tenants harder
-    /// within a cycle's release batch.
-    pub spread_scale: u64,
 }
 
 impl TenancyConfig {
     /// A config over `vnics` with the reference shared budgets:
-    /// 64 in-flight credits, a 2048-byte DRR quantum, and ×64 rank
-    /// spreading.
+    /// 64 in-flight credits and a 2048-byte DRR quantum.
     #[must_use]
     pub fn new(vnics: Vec<VNicSpec>) -> TenancyConfig {
         TenancyConfig {
             vnics,
             shared_credits: 64,
             quantum_bytes: 2048,
-            spread_scale: 64,
         }
     }
 
@@ -186,13 +178,6 @@ impl TenancyConfig {
     #[must_use]
     pub fn quantum_bytes(mut self, bytes: u64) -> TenancyConfig {
         self.quantum_bytes = bytes;
-        self
-    }
-
-    /// Sets the rank-spreading scale.
-    #[must_use]
-    pub fn spread_scale(mut self, scale: u64) -> TenancyConfig {
-        self.spread_scale = scale;
         self
     }
 

@@ -105,16 +105,6 @@ impl Event {
         }
         self
     }
-
-    /// The cycle at which the event *ends* (start + duration for
-    /// spans; `ts` otherwise). Useful for monotonicity checks.
-    #[must_use]
-    pub fn end_ts(&self) -> u64 {
-        match self.kind {
-            EventKind::Complete { dur } => self.ts + dur,
-            _ => self.ts,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,11 +116,10 @@ mod tests {
         let e = Event::instant(TrackId(3), "noc.hop", Cycle(9));
         assert_eq!(e.ts, 9);
         assert_eq!(e.kind, EventKind::Instant);
-        assert_eq!(e.end_ts(), 9);
 
         let e = Event::complete(TrackId(1), "engine.service", Cycle(5), Cycles(7));
+        assert_eq!(e.ts, 5);
         assert_eq!(e.kind, EventKind::Complete { dur: 7 });
-        assert_eq!(e.end_ts(), 12);
 
         let e = Event::counter(TrackId(1), "sched.depth", Cycle(2), 4);
         assert_eq!(e.kind, EventKind::Counter { value: 4 });

@@ -13,10 +13,10 @@
 //!   into. A disabled tracer ([`Tracer::disabled`]) is a single
 //!   `Option` check per call site: zero allocation, no formatting, no
 //!   measurable slowdown.
-//! * [`TraceSink`] — where events go: [`NullSink`] (discard),
-//!   [`RingSink`] (bounded in-memory ring for tests and ad-hoc
-//!   inspection), or [`ChromeTraceSink`] (Chrome `trace_event` JSON
-//!   loadable in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
+//! * [`TraceSink`] — where events go: [`RingSink`] (bounded in-memory
+//!   ring for tests and ad-hoc inspection) or [`ChromeTraceSink`]
+//!   (Chrome `trace_event` JSON loadable in `chrome://tracing` /
+//!   [Perfetto](https://ui.perfetto.dev)).
 //! * [`MetricsRegistry`] — named counters and cycle histograms
 //!   (p50/p99/max), the uniform end-of-run schema every experiment
 //!   reports through (`repro ... --metrics out.json`).
@@ -88,5 +88,5 @@ pub mod tracer;
 
 pub use event::{Event, EventKind, TrackId};
 pub use metrics::{MetricSink, MetricsRegistry};
-pub use sink::{ChromeTraceSink, NullSink, RingSink, TraceSink};
+pub use sink::{ChromeTraceSink, RingSink, TraceSink};
 pub use tracer::Tracer;

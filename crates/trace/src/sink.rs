@@ -1,8 +1,8 @@
 //! Trace sinks: where events go.
 //!
-//! A sink is chosen once when a run is set up ([`NullSink`] by
-//! default); components never know which one is behind their
-//! [`Tracer`](crate::Tracer) handle.
+//! A sink is chosen once when a run is set up (none by default:
+//! [`Tracer::disabled`](crate::Tracer::disabled)); components never know
+//! which one is behind their [`Tracer`](crate::Tracer) handle.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -32,20 +32,6 @@ pub trait TraceSink: std::fmt::Debug + Send {
     /// Downcast support so [`Tracer`](crate::Tracer) can hand back
     /// sink-specific results (ring snapshots, Chrome JSON).
     fn as_any(&self) -> &dyn Any;
-}
-
-/// Discards everything. The explicit-object counterpart of
-/// [`Tracer::disabled`](crate::Tracer::disabled), for call sites that
-/// need a `Box<dyn TraceSink>`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn register_track(&mut self, _id: TrackId, _name: &str) {}
-    fn record(&mut self, _event: Event) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// Keeps the last `capacity` events in memory. Useful in tests and for
@@ -275,13 +261,5 @@ mod tests {
         let span = out.find("engine.service").unwrap();
         let inst = out.find("sched.drop").unwrap();
         assert!(span < inst, "events not ts-sorted:\n{out}");
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut n = NullSink;
-        n.register_track(TrackId(1), "x");
-        n.record(Event::instant(TrackId(1), "x", Cycle(0)));
-        assert!(n.as_any().downcast_ref::<NullSink>().is_some());
     }
 }

@@ -29,9 +29,8 @@ impl std::fmt::Debug for Inner {
 /// Every instrumented component (router mesh, engine tile, scheduling
 /// queue, RMT pipeline, baselines) holds a `Tracer`. The default is
 /// [`Tracer::disabled`]: a `None` inside, so every emit method is a
-/// single branch and **no event is ever constructed** — this is the
-/// "zero cost when disabled" contract the `NullSink` builds are
-/// benchmarked against.
+/// single branch and **no event is ever constructed** — the "zero
+/// cost when disabled" contract.
 ///
 /// Clones share the same sink behind a mutex, so a `Tracer` (and any
 /// component holding one — a NIC, a rack) is `Send` and may be built on

@@ -309,13 +309,6 @@ impl FabricSpec {
     pub fn link(&self, from: usize, to: usize) -> Option<&LinkSpec> {
         self.links.iter().find(|l| l.from == from && l.to == to)
     }
-
-    /// The smallest declared link latency — the upper bound on the
-    /// fabric's synchronization epoch ([`LinkSpec::latency`]).
-    #[must_use]
-    pub fn min_link_latency(&self) -> Option<Cycles> {
-        self.links.iter().map(|l| l.latency).min()
-    }
 }
 
 #[cfg(test)]
@@ -370,8 +363,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(f.min_link_latency(), Some(Cycles(4)));
-        assert_eq!(FabricSpec::new(Vec::new()).min_link_latency(), None);
+        assert!(f.links.iter().all(|l| l.latency == Cycles(4)));
     }
 
     #[test]

@@ -56,16 +56,6 @@ impl Zipf {
         let u = rng.gen_f64();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Probability mass of rank `r`.
-    #[must_use]
-    pub fn pmf(&self, r: usize) -> f64 {
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
-        }
-    }
 }
 
 /// A per-tenant Zipf sampler over a seeded partition of one shared
@@ -176,8 +166,8 @@ mod tests {
     #[test]
     fn uniform_when_theta_zero() {
         let z = Zipf::new(10, 0.0);
-        for r in 0..10 {
-            assert!((z.pmf(r) - 0.1).abs() < 1e-12);
+        for (r, c) in z.cdf.iter().enumerate() {
+            assert!((c - 0.1 * (r + 1) as f64).abs() < 1e-12);
         }
     }
 
@@ -213,9 +203,10 @@ mod tests {
 
     #[test]
     fn pmf_sums_to_one() {
+        // Every rank holds mass, and the masses add up to exactly 1.
         let z = Zipf::new(100, 0.8);
-        let total: f64 = (0..100).map(|r| z.pmf(r)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
+        assert!(z.cdf.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(z.cdf.last(), Some(&1.0));
         assert_eq!(z.len(), 100);
         assert!(!z.is_empty());
     }

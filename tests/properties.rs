@@ -11,7 +11,7 @@ use packet::headers::{
 };
 use packet::kvs::KvsRequest;
 use packet::message::{Message, MessageId, MessageKind};
-use packet::Flit;
+use packet::{Flit, MessagePool};
 use rmt::parse::ParseGraph;
 use sched::pifo::Pifo;
 use sim_core::stats::Histogram;
@@ -125,7 +125,9 @@ proptest! {
             .payload(Bytes::from(vec![0u8; payload_len]))
             .build();
         let wire_bits = msg.wire_size().bits();
-        let flits = Flit::segment(msg, EngineId(3), width);
+        let mut pool = MessagePool::new();
+        let mut flits = Vec::new();
+        Flit::segment_with(msg, EngineId(3), width, &mut pool, |f| flits.push(f));
         let expect = wire_bits.div_ceil(width).max(1) as usize;
         prop_assert_eq!(flits.len(), expect);
         prop_assert_eq!(flits.iter().filter(|f| f.kind.is_head()).count(), 1);
@@ -135,7 +137,7 @@ proptest! {
             prop_assert_eq!(f.total as usize, expect);
         }
         let tail = flits.into_iter().next_back().unwrap();
-        prop_assert_eq!(tail.into_message().payload.len(), payload_len);
+        prop_assert_eq!(tail.take_message(&mut pool).payload.len(), payload_len);
     }
 
     /// PIFO pop order equals a stable sort by rank of the pushes.
