@@ -186,18 +186,6 @@ impl RmtPipeline {
         }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> PipelineConfig {
-        self.config
-    }
-
-    /// The loaded program.
-    #[must_use]
-    pub fn program(&self) -> &RmtProgram {
-        &self.program
-    }
-
     /// Counters.
     #[must_use]
     pub fn stats(&self) -> PipelineStats {
@@ -634,13 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn config_and_program_accessors() {
-        let p = RmtPipeline::new(PipelineConfig::panic_default(), route_all_program());
-        assert_eq!(p.config().parallel, 2);
-        assert_eq!(p.program().name(), "route-all");
-    }
-
-    #[test]
     #[should_panic(expected = "zero pipelines")]
     fn zero_parallel_rejected() {
         let _ = RmtPipeline::new(cfg(0, 3), route_all_program());
@@ -659,7 +640,7 @@ mod tests {
         assert_eq!(p.stage_hits, [1]);
         // Drained: swap in the routing program.
         p.set_program(route_all_program());
-        assert_eq!(p.program().name(), "route-all");
+        assert_eq!(p.program.name(), "route-all");
         assert_eq!(p.stage_hits, [0], "stage counters reset on swap");
         p.submit(msg(2, 23)); // the new program routes instead of dropping
         let mut routed = false;
