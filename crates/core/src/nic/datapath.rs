@@ -352,12 +352,6 @@ impl PanicNic {
                     TileSlot::Engine(tile) => {
                         if tile.rx_ready() {
                             if let Some(msg) = self.network.poll_ejected_at(t, now) {
-                                // Work landing on a workless tile: its
-                                // skipped ticks refreshed no progress
-                                // clock, so replay that first.
-                                if !tile.has_work() {
-                                    tile.catch_up_idle(now);
-                                }
                                 tile.accept(msg, now);
                                 self.occupied[w] |= 1 << bit;
                             }
@@ -384,13 +378,8 @@ impl PanicNic {
         self.step_pipeline(now);
 
         // 3. Tiles (one reused emission buffer across all tiles), the
-        //    occupied ones only: a workless tile's tick is a pure no-op
-        //    apart from the progress-clock refresh, which
-        //    `catch_up_idle` replays when work next lands on it (the
-        //    watchdog cannot observe the deferred clock meanwhile
-        //    because `wedged` gates on held work). A tile gives up its
-        //    bit the moment it holds no work — unless it is stalled,
-        //    because a stall's end is a wake `next_activity` owes.
+        //    occupied ones only: a workless tile's tick is a pure no-op,
+        //    so a tile gives up its bit the moment it holds no work.
         let mut emits = std::mem::take(&mut self.emit_scratch);
         let mut any_engine = false;
         let mut any_sched = false;
@@ -405,7 +394,7 @@ impl PanicNic {
                     any_sched |= tile.queue_depth() > 0;
                     tile.tick_into(now, &mut emits);
                 }
-                if !tile.has_work() && tile.next_activity(now).is_none() {
+                if !tile.has_work() {
                     self.occupied[w] &= !(1 << bit);
                 }
                 let id = self.tile_ids[i];

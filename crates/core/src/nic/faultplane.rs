@@ -248,12 +248,12 @@ impl PanicNic {
         match kind {
             FaultKind::EngineCrash { engine } => {
                 if let Some(t) = self.tile_mut(engine) {
-                    t.fault_crash();
+                    t.fault_crash(now);
                 }
             }
             FaultKind::EngineStall { engine, duration } => {
                 if let Some(t) = self.tile_mut(engine) {
-                    t.fault_stall(until(duration));
+                    t.fault_stall(now, until(duration));
                 }
             }
             FaultKind::EngineDegrade { engine, factor } => {

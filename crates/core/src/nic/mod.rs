@@ -216,11 +216,9 @@ pub struct PanicNic {
     /// set wherever a tile can hold work — an accepted message, or
     /// anything done through [`PanicNic::tile_mut`], the fault plane
     /// included — and cleared by the tile pass once the tile holds
-    /// none and no stall still owes [`PanicNic::next_activity`] a wake.
-    /// Every per-tick and per-wake walk over tiles visits set bits
-    /// only, in slot order; a tile whose bit is clear is workless, is
-    /// not ticked, and has its progress clock replayed
-    /// ([`EngineTile::catch_up_idle`]) when work next lands on it.
+    /// none. Every per-tick and per-wake walk over tiles visits set
+    /// bits only, in slot order; a tile whose bit is clear is workless
+    /// and is not ticked.
     occupied: Vec<u64>,
     /// The ejection pass's pending mask in slot order, all zero
     /// between ticks (reused so the translation allocates nothing).
@@ -355,11 +353,8 @@ impl PanicNic {
     }
 
     /// Mutable tile access (scenario setup, fault injection). Marks
-    /// the tile occupied, since the caller may hand it work or a stall:
-    /// the next tick visits it and clears the mark again if it holds
-    /// neither. Work accepted this way skips the idle-clock replay a
-    /// message arriving over the mesh gets — inject through
-    /// [`PanicNic::inject_from`] where engine-health timing matters.
+    /// the tile occupied, since the caller may hand it work: the next
+    /// tick visits it and clears the mark again if it holds none.
     pub fn tile_mut(&mut self, id: EngineId) -> Option<&mut EngineTile> {
         let i = self.tile_index(id)?;
         let tile = self.tiles[i].as_engine_mut()?;
@@ -378,8 +373,8 @@ impl PanicNic {
     }
 
     /// The tiles whose occupancy bit is set, in slot (= id) order:
-    /// every tile that holds work or a pending stall, and possibly a
-    /// few freshly marked ones that hold neither.
+    /// every tile that holds work, and possibly a few freshly marked
+    /// ones that hold none.
     fn occupied_tiles(&self) -> impl Iterator<Item = &EngineTile> {
         self.occupied
             .iter()
@@ -444,8 +439,9 @@ impl PanicNic {
     /// * the heavyweight pipeline (backlog → next cycle; in-flight
     ///   only → its earliest completion);
     /// * every occupied engine tile (queue/pending → next cycle; in
-    ///   service → completion; stalled → wake; DOWN/crashed → never) —
-    ///   a tile whose occupancy bit is clear has nothing to wake for;
+    ///   service → completion; stalled → wake; workless, DOWN or
+    ///   crashed → never) — a tile whose bit is clear has nothing to
+    ///   wake for;
     /// * the fault plane (next planned event; next watchdog check
     ///   while anything is tracked, striking, or holding work);
     /// * the PCIe flush timer (next multiple of the flush interval
@@ -484,15 +480,14 @@ impl PanicNic {
     /// glides its messages through them ([`MeshNetwork::glide`]) — the
     /// one plane whose skipped steps move functional state — and every
     /// other plane replays its per-cycle bookkeeping (pipeline idle-slot
-    /// accounting and traced backlog samples, tile busy/progress clocks,
+    /// accounting and traced backlog samples, tile busy cycles,
     /// tenancy accrual, per-layer cycle attribution).
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         let polled = polled_tiles(&self.tiles, &self.noc_tile_slot, self.pipeline_gated);
         self.network.glide(from, to, polled);
         self.pipeline.skip_idle(from, to);
         // Only a tile that holds work has ticks to replay — the stepped
-        // tile pass does not tick a workless one either; its progress
-        // clock is replayed when work next lands on it.
+        // tile pass does not tick a workless one either.
         let (mut any_engine, mut any_sched) = (false, false);
         for w in 0..self.occupied.len() {
             for bit in set_bits(self.occupied[w]) {

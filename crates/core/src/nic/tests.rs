@@ -649,6 +649,46 @@ fn stall_fault_recovers_without_failover() {
     assert_eq!(nic.stats().tx_wire, 30, "everything still delivered");
 }
 
+/// `tiny_nic` under the chaos watchdog and `plan`, a frame sent at each
+/// of `frames`, run to `end`: the engines DOWN and descriptors re-issued.
+fn faulted_after_idle(plan: &str, frames: &[u64], end: u64, how: Advance) -> (Vec<EngineId>, u64) {
+    let (mut b, eth, _, _) = tiny_builder();
+    b.watchdog(chaos_watchdog());
+    let mut nic = b.build();
+    nic.enable_faults(faults::FaultPlan::parse(plan).unwrap());
+    let (mut f, mut now) = (FrameFactory::for_nic_port(0), Cycle(0));
+    for &at in frames {
+        now = drive(&mut nic, now, at - now.0, how).0;
+        nic.rx_frame(eth, f.min_frame(1, 80), TenantId(1), Priority::Normal, now);
+    }
+    drive(&mut nic, now, end - now.0, how);
+    (nic.downed_engines().to_vec(), nic.stats().reissued)
+}
+
+#[test]
+fn progress_clock_starts_when_work_or_a_freeze_reaches_a_workless_tile() {
+    // Frozen at 1,000 after idling, the tile's clock reads 999 (64-cycle
+    // timeout, a check every 16 cycles, DOWN on strike two): a 62-cycle
+    // stall stays healthy with the frame landing at 1,025, a crash goes
+    // DOWN at 1,088. A stall from the first one's end keeps 999 for the
+    // frame landing at ~1,065; arrivals at a busy tile do not move it.
+    let arrivals: Vec<u64> = (1000..1200).step_by(20).collect();
+    let down = &[EngineId(1)][..];
+    let cases: [(&str, &[u64], u64, &[EngineId]); 5] = [
+        ("stall:1@1000+62", &[1000], 2000, &[]),
+        ("crash:1@1000", &[1000], 1088, &[]),
+        ("crash:1@1000", &[1000], 1089, down),
+        ("stall:1@1000+50,stall:1@1050+50", &[1040], 1089, down),
+        ("degrade:1@1000x100", &arrivals, 1200, down),
+    ];
+    for how in [Advance::Stepped, Advance::Merged] {
+        for (plan, frames, end, downed) in cases {
+            let got = faulted_after_idle(plan, frames, end, how);
+            assert_eq!(got, (downed.to_vec(), 0), "{plan} to {end}, {how:?}");
+        }
+    }
+}
+
 #[test]
 fn explicit_placement_is_respected() {
     let mut b = PanicNic::builder(NicConfig::small());

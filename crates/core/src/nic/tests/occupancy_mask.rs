@@ -4,7 +4,7 @@
 //! [`ScanEverything`] keeps the pre-mask ejection pass, tile pass,
 //! PCIe flush test and `next_activity` verbatim: every slot bit-tested,
 //! every tile asked `has_work()`, every tile consulted for the wake
-//! hint and `downcast` for the flush, one `tile_idle` flag per slot.
+//! hint and `downcast` for the flush.
 //! The proptest below builds one generated NIC three times — chain
 //! length, load, 0 / 2 / 32 vNICs, a seeded fault plan with the
 //! watchdog armed, a program hot-swap that shuts the pipeline gate
@@ -15,23 +15,16 @@
 //! must agree on every cycle a NIC executes, and the trace ring, the
 //! metrics JSON and the conservation report at the end.
 //!
-//! The fast-forwarded NIC is held to the *stepped* oracle on purpose.
-//! The oracle's own fast-forward replayed a progress-clock refresh for
-//! workless tiles that its stepped tile pass never performed, so a
-//! stall landing on a long-idle tile could end in DOWN stepped and not
-//! fast-forwarded (docs/PERF.md §10); the mask replays only tiles that
-//! hold work, which is what stepping does.
-//!
 //! Mutants this file kills, each applied alone, debug and release
 //! (docs/PERF.md §10 has the table with the first failing assertion):
-//! no bit set on `accept`; no mark from `tile_mut` (so none on
-//! `fault_stall` of an idle tile); bit cleared before `tick_into`;
-//! pending bits visited in mesh order; early-out at `now + 2`;
-//! `catch_up_idle` skipped; the stall hold dropped; the flush firing on
-//! a non-multiple after a jump; the flush deadline drifting; the flush
-//! hint returning a stale deadline. One survives because it is
-//! equivalent: `skip_idle` replaying marked-but-workless tiles (after
-//! a tick every set bit holds work or a stall).
+//! no bit set on `accept`; no mark from `tile_mut`; bit cleared before
+//! `tick_into`; pending bits visited in mesh order; early-out at
+//! `now + 2`; a workless stalled tile hinting its stall's end; the
+//! flush firing on a non-multiple after a jump; the flush deadline
+//! drifting; the flush hint returning a stale deadline.
+//! One survives because it is equivalent: `skip_idle` replaying
+//! marked-but-workless tiles (after a tick every set bit holds work,
+//! and a workless tile replays nothing).
 
 use engines::engine::{Offload, Output};
 use engines::pcie::PcieEngine;
@@ -49,9 +42,6 @@ use tenancy::ExitKind;
 /// The NIC as it ticked before the occupancy mask.
 struct ScanEverything {
     nic: PanicNic,
-    /// Per-slot flag: the tile was skipped as workless and owes a
-    /// `catch_up_idle` replay before its next tick.
-    tile_idle: Vec<bool>,
 }
 
 impl ScanEverything {
@@ -63,14 +53,13 @@ impl ScanEverything {
         for i in 0..nic.tiles.len() {
             nic.occupied[i / 64] |= 1 << (i % 64);
         }
-        let tile_idle = vec![false; nic.tiles.len()];
-        ScanEverything { nic, tile_idle }
+        ScanEverything { nic }
     }
 
     /// `PanicNic::tick` as of 56120d7, steps 1, 3 and 3b verbatim.
     #[allow(clippy::needless_range_loop)] // verbatim beats idiomatic here
     fn tick(&mut self, now: Cycle) {
-        let ScanEverything { nic, tile_idle } = self;
+        let nic = &mut self.nic;
         if nic.faults.is_some() {
             nic.drive_fault_plane(now);
         }
@@ -116,15 +105,10 @@ impl ScanEverything {
             match &mut nic.tiles[i] {
                 TileSlot::Engine(tile) => {
                     if !tile.has_work() {
-                        tile_idle[i] = true;
                         continue;
                     }
                     any_engine = true;
                     any_sched |= tile.queue_depth() > 0;
-                    if tile_idle[i] {
-                        tile_idle[i] = false;
-                        tile.catch_up_idle(now);
-                    }
                     tile.tick_into(now, &mut emits);
                 }
                 TileSlot::RmtPortal => continue,
@@ -677,21 +661,17 @@ fn occupancy_mask_work_handed_in_through_tile_mut_is_not_stranded() {
 }
 
 #[test]
-fn occupancy_mask_stalled_idle_tile_keeps_its_bit_until_the_stall_ends() {
+fn occupancy_mask_stalled_idle_tile_gives_up_its_bit() {
+    // A workless tile owes no wake, stalled or not: the stall's own
+    // tick releases the bit the fault plane's `tile_mut` set.
     let (mut nic, _, off, _) = tiny_nic();
     nic.enable_faults(FaultPlan::parse("stall:1@10+30").unwrap());
     let slot = nic.tile_index(off).unwrap();
-    let occupied = |nic: &PanicNic| nic.occupied[slot / 64] & (1 << (slot % 64)) != 0;
-
     assert_eq!(nic.next_activity(Cycle(0)), Some(Cycle(10)), "the plan");
     nic.run(Cycle(0), 11);
-    assert!(occupied(&nic), "stall pending");
-    assert_eq!(nic.next_activity(Cycle(10)), Some(Cycle(40)), "stall end");
-    nic.run(Cycle(11), 29);
-    assert!(occupied(&nic), "still stalled at 39");
-    nic.run(Cycle(40), 1);
-    assert!(!occupied(&nic), "released at the wake");
-    assert_eq!(nic.next_activity(Cycle(40)), None);
+    assert_eq!(nic.occupied[slot / 64] & (1 << (slot % 64)), 0);
+    assert_eq!(nic.tile(off).unwrap().next_activity(Cycle(10)), None);
+    assert_eq!(nic.next_activity(Cycle(10)), None);
 }
 
 #[test]
@@ -752,7 +732,7 @@ fn occupancy_mask_flush_hint_is_the_next_multiple_wherever_it_is_asked() {
         now = nic.run(now, 1);
     }
     assert!(now < Cycle(1800));
-    nic.tile_mut(pcie).unwrap().fault_stall(Cycle(1805));
+    nic.tile_mut(pcie).unwrap().fault_stall(now, Cycle(1805));
     let (now, skipped) = nic.run_ff(now, 1806 - now.0);
     assert!(skipped > 0 && now == Cycle(1806));
     assert_eq!(nic.stats().host_deliveries, 1, "1805 is not a flush cycle");

@@ -143,9 +143,9 @@ pub struct EngineTile {
     /// Marked DOWN by the watchdog: queue flushed, future accepts
     /// absorbed, tick inert.
     down: bool,
-    /// Last cycle this tile made progress (completed a service, or was
-    /// verifiably idle). Engine-health tracking compares this against
-    /// the watchdog's `engine_timeout`.
+    /// The progress clock: the last cycle this tile started or completed
+    /// a service, or the one before work or a freeze reached it workless.
+    /// The watchdog reads it only while the tile holds work (`wedged`).
     last_progress: Cycle,
     /// True once any fault/watchdog API touched this tile; gates the
     /// fault-only metrics so fault-free output stays byte-identical.
@@ -275,7 +275,8 @@ impl EngineTile {
         self.pending.is_none()
     }
 
-    /// Hands the tile a message from the network.
+    /// Hands the tile a message from the network, starting the progress
+    /// clock of a workless tile.
     ///
     /// # Panics
     /// Panics if called while `rx_ready()` is false — the NIC must
@@ -293,6 +294,7 @@ impl EngineTile {
             self.stats.record_flush(msg.tenant);
             return;
         }
+        self.set_idle_clock(now);
         match self.queue.offer(msg, now) {
             // Queue drops/refusals are counted by the queue itself
             // (see [`EngineTile::drops`]); the tile only parks refused
@@ -390,12 +392,6 @@ impl EngineTile {
 
         if self.in_service.is_some() {
             self.stats.busy_cycles += 1;
-        } else if self.queue.is_empty() && self.pending.is_none() {
-            // Verifiably idle: an idle tile is healthy, not wedged —
-            // keep the progress clock current so the watchdog's
-            // engine-health check only fires on tiles that hold work
-            // without advancing it.
-            self.last_progress = now;
         }
     }
 
@@ -418,11 +414,10 @@ impl EngineTile {
     /// anything observable, or `None` when it never will without
     /// external input.
     ///
-    /// * DOWN / crashed tiles are inert until an external actor (the
-    ///   watchdog, the fault plane) touches them: `None`.
-    /// * A stalled tile wakes at `stall_until` (the first live tick —
-    ///   a completion whose deadline passed during the stall fires
-    ///   there, and an idle tile's progress clock resumes there).
+    /// * DOWN, crashed and workless tiles are inert until something
+    ///   outside touches them: `None`.
+    /// * A stalled tile wakes at `stall_until`, where a completion whose
+    ///   deadline passed during the stall fires.
     /// * A parked RX message retries every cycle — and each refused
     ///   retry bumps the queue's `refused` counter, so those cycles
     ///   cannot be skipped.
@@ -433,7 +428,7 @@ impl EngineTile {
     /// * An idle tile with a non-empty queue pops next cycle.
     #[must_use]
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
-        if self.down || self.crashed {
+        if self.down || self.crashed || !self.has_work() {
             return None;
         }
         if self.stall_until > now {
@@ -445,32 +440,25 @@ impl EngineTile {
         if let Some((_, _, done_at)) = &self.in_service {
             return Some((*done_at).max(now.next()));
         }
-        (!self.queue.is_empty()).then(|| now.next())
+        Some(now.next())
     }
 
     /// True when the tile holds any work: a parked RX message, queued
     /// messages, or a message in service. A workless tile's tick is a
-    /// pure no-op apart from refreshing the progress clock, which
-    /// [`EngineTile::catch_up_idle`] replays — the NIC's tick loop uses
-    /// this pair to visit only tiles that can act this cycle.
+    /// pure no-op, so the NIC's tick loop visits only tiles that hold
+    /// work.
     #[inline]
     #[must_use]
     pub fn has_work(&self) -> bool {
         self.pending.is_some() || self.in_service.is_some() || !self.queue.is_empty()
     }
 
-    /// Replays the only stepped effect of workless skipped ticks
-    /// ending at `to` (exclusive): each tick at `t >= stall_until`
-    /// refreshed the progress clock to `t`; frozen or stalled ticks
-    /// were inert. Safe only for a span in which the tile held no work
-    /// (see [`EngineTile::has_work`]); the watchdog cannot observe the
-    /// deferred clock meanwhile because `wedged` gates on held work.
-    pub fn catch_up_idle(&mut self, to: Cycle) {
-        if self.down || self.crashed {
-            return;
-        }
-        if to.0 > self.stall_until.0 {
-            self.last_progress = self.last_progress.max(Cycle(to.0 - 1));
+    /// Work or a freeze reaching a workless, live tile at `now` sets its
+    /// progress clock to `now - 1`, as if it had been ticked all along;
+    /// a tile already frozen at `now - 1` keeps the clock it froze with.
+    fn set_idle_clock(&mut self, now: Cycle) {
+        if !self.has_work() && !self.crashed && now > self.stall_until {
+            self.last_progress = Cycle(now.0 - 1);
         }
     }
 
@@ -478,8 +466,8 @@ impl EngineTile {
     /// `[from, to)` exactly as a stepped run would have performed it:
     /// a frozen tile does nothing; a busy tile accrues one
     /// `busy_cycles` per cycle, whatever waits in its queue; an idle
-    /// tile refreshes its progress clock. Keeps fast-forwarded runs
-    /// byte-identical to stepped ones (see `docs/PERF.md`).
+    /// tile does nothing. Keeps fast-forwarded runs byte-identical to
+    /// stepped ones (see `docs/PERF.md`).
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
         if self.down || self.crashed {
             return;
@@ -502,24 +490,26 @@ impl EngineTile {
             self.stats.busy_cycles += to.0 - from.0;
         } else {
             debug_assert!(self.queue.is_empty(), "skip_idle with a pop due (hint bug)");
-            self.last_progress = Cycle(to.0 - 1);
         }
     }
 
     // ---- fault plane -----------------------------------------------
 
-    /// Fault injection: freeze the tile until `until` (max-extends an
-    /// existing stall). While stalled, `tick` is inert: in-flight work
-    /// neither completes nor advances.
-    pub fn fault_stall(&mut self, until: Cycle) {
+    /// Fault injection at `now`: freeze the tile until `until`
+    /// (max-extends an existing stall). While stalled, `tick` is inert:
+    /// in-flight work neither completes nor advances.
+    pub fn fault_stall(&mut self, now: Cycle, until: Cycle) {
         self.faulted = true;
+        self.set_idle_clock(now);
         self.stall_until = self.stall_until.max(until);
     }
 
-    /// Fault injection: permanently freeze the tile. Only watchdog
-    /// recovery ([`EngineTile::watchdog_down`]) applies afterwards.
-    pub fn fault_crash(&mut self) {
+    /// Fault injection at `now`: permanently freeze the tile. Only
+    /// watchdog recovery ([`EngineTile::watchdog_down`]) applies
+    /// afterwards.
+    pub fn fault_crash(&mut self, now: Cycle) {
         self.faulted = true;
+        self.set_idle_clock(now);
         self.crashed = true;
     }
 
@@ -579,13 +569,12 @@ impl EngineTile {
     }
 
     /// Engine-health probe: true when the tile *holds work* but has
-    /// not made progress for longer than `timeout`. Idle tiles are
-    /// never wedged (their progress clock tracks `now`).
+    /// not made progress for longer than `timeout`. A workless tile is
+    /// never wedged; its progress clock is set when work or a freeze
+    /// reaches it.
     #[must_use]
     pub fn wedged(&self, now: Cycle, timeout: Cycles) -> bool {
-        let has_work =
-            !self.queue.is_empty() || self.in_service.is_some() || self.pending.is_some();
-        has_work && now.saturating_since(self.last_progress) > timeout
+        self.has_work() && now.saturating_since(self.last_progress) > timeout
     }
 
     /// The local lookup table: maps an offload output to a NIC-level
@@ -801,7 +790,7 @@ mod tests {
     fn stall_freezes_then_resumes() {
         let mut t = tile(2);
         t.accept(msg_with_chain(1, &[5], Slack::BULK), Cycle(0));
-        t.fault_stall(Cycle(10));
+        t.fault_stall(Cycle(0), Cycle(10));
         // Frozen: nothing happens while the stall holds.
         for c in 0..10u64 {
             assert!(t.tick(Cycle(c)).is_empty(), "frozen at cycle {c}");
@@ -821,7 +810,7 @@ mod tests {
         t.accept(msg_with_chain(1, &[5], Slack::BULK), Cycle(0));
         let _ = t.tick(Cycle(0)); // msg 1 enters service
         t.accept(msg_with_chain(2, &[5], Slack::BULK), Cycle(1));
-        t.fault_crash();
+        t.fault_crash(Cycle(1));
         assert!(t.is_crashed());
         for c in 1..200u64 {
             assert!(t.tick(Cycle(c)).is_empty(), "crashed tile stays frozen");
@@ -977,22 +966,23 @@ mod tests {
         }
         assert_eq!(t.stats().processed, 2);
         assert_eq!(t.next_activity(Cycle(8)), None);
-        // Crashed tiles are inert.
-        t.fault_crash();
-        assert_eq!(t.next_activity(Cycle(5)), None);
+        // Crashed tiles are inert, work or not.
+        t.accept(msg_with_chain(3, &[5], Slack::BULK), Cycle(8));
+        t.fault_crash(Cycle(8));
+        assert_eq!(t.next_activity(Cycle(8)), None);
     }
 
     #[test]
     fn stalled_tile_hints_wake_cycle() {
         let mut t = tile(4);
         t.accept(msg_with_chain(1, &[5], Slack::BULK), Cycle(0));
-        t.fault_stall(Cycle(10));
+        t.fault_stall(Cycle(0), Cycle(10));
         assert_eq!(t.next_activity(Cycle(0)), Some(Cycle(10)));
         // Skipping the frozen window replays nothing (stepped ticks
         // were no-ops) and the tile resumes identically.
         let mut stepped = tile(4);
         stepped.accept(msg_with_chain(1, &[5], Slack::BULK), Cycle(0));
-        stepped.fault_stall(Cycle(10));
+        stepped.fault_stall(Cycle(0), Cycle(10));
         for c in 0..10u64 {
             let _ = stepped.tick(Cycle(c));
         }
