@@ -79,7 +79,6 @@ pub fn chaos_watchdog() -> WatchdogConfig {
     WatchdogConfig {
         deadline: Cycles(256),
         max_retries: 4,
-        backoff: 2,
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),

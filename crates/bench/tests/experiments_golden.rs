@@ -15,14 +15,28 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// The experiments that attach a tracer and export metrics when
-/// observed.
-const OBSERVED: [&str; 5] = ["table3", "hol", "fault-recovery", "rack", "rack-chaos"];
+/// The observed runs: every experiment that attaches a tracer and
+/// exports metrics when observed, under its own plans, and
+/// `fault-recovery` also under two `--faults` plans — a seeded one and
+/// a spec whose stall lands on a workless tile.
+const OBSERVED: [(&str, Option<&str>); 7] = [
+    ("table3", None),
+    ("hol", None),
+    ("fault-recovery", None),
+    ("rack", None),
+    ("rack-chaos", None),
+    ("fault-recovery", Some("1")),
+    (
+        "fault-recovery",
+        Some("crash:1@500,drop:2@800,stall:2@1200+64"),
+    ),
+];
 
 /// `(row, hash)`; printed by fde0af6, except the `rack` and
 /// `rack-chaos` report rows, re-pinned when their notes dropped the
-/// "for any --threads value" clauses (a mismatch prints the whole table
-/// as this commit computes it).
+/// "for any --threads value" clauses, and the `--faults` rows, printed
+/// by 5c9a0f0 (a mismatch prints the whole table as this commit
+/// computes it).
 const GOLDEN: &[(&str, u64)] = &[
     ("table1", 0x8a8b13a35a5ad1e1),
     ("table2", 0x16794f1dd39b763f),
@@ -62,6 +76,21 @@ const GOLDEN: &[(&str, u64)] = &[
     ("rack-chaos observed", 0x9e20599f16188623),
     ("rack-chaos metrics", 0x314574d9d38a685c),
     ("rack-chaos trace", 0xd7b523235e2dc1fa),
+    ("fault-recovery --faults 1 observed", 0xc5e73b3d182b846d),
+    ("fault-recovery --faults 1 metrics", 0x6e45cb66a256c84f),
+    ("fault-recovery --faults 1 trace", 0xa4e4a4fc942d397a),
+    (
+        "fault-recovery --faults crash:1@500,drop:2@800,stall:2@1200+64 observed",
+        0x84003c94ea9f9345,
+    ),
+    (
+        "fault-recovery --faults crash:1@500,drop:2@800,stall:2@1200+64 metrics",
+        0x5e6d7e319100a88e,
+    ),
+    (
+        "fault-recovery --faults crash:1@500,drop:2@800,stall:2@1200+64 trace",
+        0xb048723e88698ca1,
+    ),
 ];
 
 #[test]
@@ -71,13 +100,16 @@ fn every_experiment_matches_the_parent_bytes() {
         .iter()
         .map(|e| (e.id.to_string(), fnv1a(&(e.run)(&mut RunCtx::new(true)))))
         .collect();
-    for e in all.iter().filter(|e| OBSERVED.contains(&e.id)) {
+    for (id, faults) in OBSERVED {
+        let e = all.iter().find(|e| e.id == id).expect("experiment exists");
         let mut ctx = RunCtx::observed(true, Tracer::chrome(), true);
+        ctx.faults = faults.map(|plan| plan.parse().expect("plan parses"));
+        let row = faults.map_or(id.to_string(), |plan| format!("{id} --faults {plan}"));
         let report = (e.run)(&mut ctx);
         let trace = ctx.tracer.chrome_json().expect("a chrome tracer renders");
-        actual.push((format!("{} observed", e.id), fnv1a(&report)));
-        actual.push((format!("{} metrics", e.id), fnv1a(&ctx.metrics.to_json())));
-        actual.push((format!("{} trace", e.id), fnv1a(&trace)));
+        actual.push((format!("{row} observed"), fnv1a(&report)));
+        actual.push((format!("{row} metrics"), fnv1a(&ctx.metrics.to_json())));
+        actual.push((format!("{row} trace"), fnv1a(&trace)));
     }
     let golden: Vec<(String, u64)> = GOLDEN.iter().map(|&(r, h)| (r.to_string(), h)).collect();
     if actual != golden {

@@ -8,7 +8,7 @@
 //! 2. **a logical switch** — the [`noc`] 2D mesh plus the heavyweight
 //!    [`rmt`] pipeline, reachable through *portal tiles* on the mesh;
 //! 3. **a logical scheduler** — slack values computed by the pipeline
-//!    program and enforced by every tile's [`sched`] queue.
+//!    program and enforced by every tile's `sched` queue.
 //!
 //! * [`nic`] — [`nic::PanicNic`], a *datapath* plus optional *planes*,
 //!   one file per question:

@@ -145,15 +145,13 @@ impl NicBuilder {
         let mut line_rate = None;
         for (id, coord, slot) in &self.slots {
             let mut e = match slot {
-                SlotSpec::Engine(offload, cfg) => {
+                SlotSpec::Engine(offload, _) => {
                     if let Some(mac) = offload.as_any().downcast_ref::<MacEngine>() {
                         ports += 1;
                         line_rate = line_rate.max(Some(mac.line_rate()));
                     }
                     let mut e = panic_verify::EngineSpec::new(*id, offload.name(), offload.class());
                     e.service_cycles = offload.nominal_service_cycles();
-                    e.queue_capacity = cfg.queue_capacity;
-                    e.admission = cfg.admission;
                     e
                 }
                 SlotSpec::Portal => {

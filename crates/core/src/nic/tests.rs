@@ -488,7 +488,6 @@ pub(super) fn chaos_watchdog() -> WatchdogConfig {
     WatchdogConfig {
         deadline: sim_core::time::Cycles(256),
         max_retries: 4,
-        backoff: 2,
         engine_timeout: sim_core::time::Cycles(64),
         down_after: 2,
         check_interval: sim_core::time::Cycles(16),

@@ -36,7 +36,6 @@ use packet::headers::{build_udp_frame, EthernetHeader, Ipv4Addr, Ipv4Header, Mac
 use packet::kvs::{KvsOp, KvsRequest};
 use packet::message::{Message, MessageKind, Priority, TenantId};
 use rmt::pipeline::PipelineConfig;
-use sched::admission::AdmissionPolicy;
 use sim_core::clock::{drive, Driven};
 use sim_core::events::EventQueue;
 use sim_core::stats::{Histogram, Summary};
@@ -46,31 +45,27 @@ use workloads::kvs::{KvsWorkload, KvsWorkloadConfig, TenantSpec};
 use crate::nic::{NicBuilder, NicConfig, PanicNic};
 use crate::programs::{kvs_program, KvsProgramSpec, SlackProfile};
 
-/// KVS scenario configuration.
+/// Parallel RMT pipelines, one portal each.
+const PIPELINES: u32 = 2;
+
+/// Zipf exponent of every tenant that does not set its own.
+const ZIPF_THETA: f64 = 0.99;
+
+/// Host software service time for GET misses, in cycles (5 us at
+/// 500 MHz).
+const HOST_SERVICE_CYCLES: u64 = 2500;
+
+/// KVS scenario configuration. The NIC itself is fixed: a 6×6 mesh of
+/// 64-bit channels, two RMT pipelines, the default DMA model and slack
+/// budgets, and a 256-entry tail-drop queue at the DMA engine.
 #[derive(Debug, Clone)]
 pub struct KvsScenarioConfig {
-    /// Mesh shape.
-    pub topology: Topology,
-    /// Channel width in bits.
-    pub width_bits: u64,
-    /// Parallel pipelines.
-    pub pipelines: u32,
     /// Tenant traffic specs (see [`workloads::kvs`]).
     pub tenants: Vec<TenantSpec>,
     /// Keys per tenant.
     pub keys_per_tenant: usize,
-    /// Zipf exponent.
-    pub zipf_theta: f64,
     /// Hot keys per tenant warmed into the on-NIC cache.
     pub cached_hot_keys: usize,
-    /// DMA engine model (contention knobs live here).
-    pub dma: DmaConfig,
-    /// Host software service time for GET misses, in cycles.
-    pub host_service_cycles: u64,
-    /// Slack budgets for the pipeline program.
-    pub slack: SlackProfile,
-    /// Admission policy at the DMA engine's scheduling queue.
-    pub dma_admission: AdmissionPolicy,
     /// Seed.
     pub seed: u64,
 }
@@ -82,9 +77,6 @@ impl KvsScenarioConfig {
     pub fn two_tenant_default() -> KvsScenarioConfig {
         use workloads::arrivals::ArrivalProcess;
         KvsScenarioConfig {
-            topology: Topology::mesh6x6(),
-            width_bits: 64,
-            pipelines: 2,
             tenants: vec![
                 TenantSpec {
                     tenant: TenantId(1),
@@ -106,12 +98,7 @@ impl KvsScenarioConfig {
                 },
             ],
             keys_per_tenant: 1000,
-            zipf_theta: 0.99,
             cached_hot_keys: 100,
-            dma: DmaConfig::default(),
-            host_service_cycles: 2500, // 5 us at 500 MHz
-            slack: SlackProfile::default(),
-            dma_admission: AdmissionPolicy::TailDrop,
             seed: 7,
         }
     }
@@ -238,11 +225,11 @@ impl KvsScenario {
     fn builder_for(config: &KvsScenarioConfig) -> NicBuilder {
         let freq = Freq::PANIC_DEFAULT;
         let mut b = PanicNic::builder(NicConfig {
-            topology: config.topology,
-            width_bits: config.width_bits,
+            topology: Topology::mesh6x6(),
+            width_bits: 64,
             router: RouterConfig::default(),
             pipeline: PipelineConfig {
-                parallel: config.pipelines,
+                parallel: PIPELINES,
                 depth: 18,
                 freq,
             },
@@ -298,12 +285,13 @@ impl KvsScenario {
             ),
             rdma_id
         );
+        let dma = DmaEngine::new("dma", 5, DmaConfig::default(), 8, Some(pcie_id));
         assert_eq!(
             b.engine(
-                Box::new(DmaEngine::new("dma", 5, config.dma, 8, Some(pcie_id))),
+                Box::new(dma),
                 TileConfig {
                     queue_capacity: 256,
-                    admission: config.dma_admission,
+                    ..TileConfig::default()
                 },
             ),
             dma_id
@@ -315,7 +303,7 @@ impl KvsScenario {
             ),
             pcie_id
         );
-        for _ in 0..config.pipelines {
+        for _ in 0..PIPELINES {
             let _ = b.rmt_portal();
         }
 
@@ -331,7 +319,7 @@ impl KvsScenario {
                 .filter(|t| t.priority == Priority::Latency)
                 .map(|t| t.tenant.0)
                 .collect(),
-            slack: config.slack,
+            slack: SlackProfile::default(),
         }));
         b
     }
@@ -417,7 +405,7 @@ impl KvsScenario {
         let workload = KvsWorkload::new(KvsWorkloadConfig {
             tenants: config.tenants.clone(),
             keys_per_tenant: config.keys_per_tenant,
-            zipf_theta: config.zipf_theta,
+            zipf_theta: ZIPF_THETA,
             seed: config.seed,
             partitioned_keys: false,
         });
@@ -592,7 +580,7 @@ impl KvsScenario {
                     let value = key_value(req.key, idx);
                     if let Some((reply, tenant)) = Self::build_host_reply(&msg.payload, value) {
                         self.host_events.schedule(
-                            now + Cycles(self.config.host_service_cycles),
+                            now + Cycles(HOST_SERVICE_CYCLES),
                             (reply, TenantId(tenant), msg.priority),
                         );
                     }

@@ -173,9 +173,6 @@ pub(crate) struct Tor {
     /// Whether `FabricBuilder::fault_plane` was called: crossings are
     /// tracked in hop ledgers and `chaos_stats()` reports.
     pub armed: bool,
-    /// Failover policy (the default when unarmed, where nothing
-    /// consults it); its plan has moved into `schedule`.
-    config: FabricFaultConfig,
     /// What is left to fire of the plan.
     schedule: Schedule<FabricFaultKind>,
     links: Vec<Link>,
@@ -218,11 +215,9 @@ impl Tor {
         sigs: Vec<MemberSig>,
     ) -> Tor {
         let n = sigs.len();
-        let armed = faults.is_some();
-        let mut config = faults.unwrap_or_default();
         Tor {
-            armed,
-            schedule: Schedule::new(std::mem::take(&mut config.plan)),
+            armed: faults.is_some(),
+            schedule: Schedule::new(faults.map(|f| f.plan).unwrap_or_default()),
             epoch: links.iter().map(|l| l.latency.0.max(1)).min(),
             links: links
                 .into_iter()
@@ -236,11 +231,10 @@ impl Tor {
                 })
                 .collect(),
             phases: vec![Phase::Up; n],
-            ledgers: (0..n).map(|_| HopLedger::new(config.retry)).collect(),
+            ledgers: (0..n).map(|_| HopLedger::default()).collect(),
             parked: (0..n).map(|_| VecDeque::new()).collect(),
             uplink_free_at: vec![Cycle(0); n],
             sigs,
-            config,
             fleet: FleetStats::default(),
             chaos: ChaosStats::default(),
             reroute_wait: Histogram::new(),
@@ -349,20 +343,15 @@ impl Tor {
     }
 
     /// The replica a crossing held at `from` and addressed to `member`
-    /// should be re-pointed at: the pinned replica if it will do, else
-    /// the lowest-indexed member with the same engine signature that
-    /// will — Up, and not cut off from `from` for good.
+    /// should be re-pointed at: the lowest-indexed member with the same
+    /// engine signature that will take it — Up, and not cut off from
+    /// `from` for good.
     fn replica_for(&self, member: usize, from: usize) -> Option<usize> {
         let cut_off = self.isolated(from);
         let ok = |j: usize| {
             j != member && self.is_up(j) && (j == from || !(cut_off || self.isolated(j)))
         };
-        let pinned = self.config.pinned_replica(member);
-        pinned
-            .filter(|&r| r < self.phases.len() && ok(r))
-            .or_else(|| {
-                (0..self.phases.len()).find(|&j| ok(j) && self.sigs[j] == self.sigs[member])
-            })
+        (0..self.phases.len()).find(|&j| ok(j) && self.sigs[j] == self.sigs[member])
     }
 
     /// BFS over currently-up links (in declaration order, so the

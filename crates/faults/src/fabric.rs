@@ -26,7 +26,7 @@ use packet::message::{Message, MessageId};
 use sim_core::rng::SimRng;
 use sim_core::time::{Cycle, Cycles};
 
-use crate::ledger::{self, Ledger, Terminal};
+use crate::ledger::{Ledger, Terminal};
 use crate::schedule::{Clause, Event, Grammar, Kind, Plan};
 
 /// One kind of injected fabric fault.
@@ -418,78 +418,33 @@ impl Plan<FabricFaultKind> {
     }
 }
 
-/// Retry policy for cross-NIC hops: how long the [`HopLedger`] waits
-/// for a crossing to be delivered before retransmitting from the
-/// origin, and how the wait grows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HopRetryConfig {
-    /// Deadline for the first delivery attempt. Must comfortably
-    /// exceed the link round-trip implied by `LinkSpec`
-    /// (serialization plus 2× propagation) or every crossing
-    /// retransmits spuriously — the PV804 lint.
-    pub timeout: Cycles,
-    /// Retransmissions per crossing after the original copy (0 =
-    /// timeout tracking only, no retry).
-    pub max_retries: u32,
-    /// Deadline multiplier per retry (exponential backoff; 1 = flat).
-    pub backoff: u32,
-}
+/// How long the [`HopLedger`] waits for a crossing to be delivered
+/// before retransmitting it from the origin; each retry doubles the
+/// wait. It must comfortably exceed the link round trip implied by
+/// `LinkSpec` (serialization plus 2× propagation) or every crossing
+/// retransmits spuriously — the PV804 lint.
+pub const HOP_TIMEOUT: Cycles = Cycles(1024);
 
-impl Default for HopRetryConfig {
-    fn default() -> HopRetryConfig {
-        HopRetryConfig {
-            timeout: Cycles(1024),
-            max_retries: 4,
-            backoff: 2,
-        }
-    }
-}
+/// Retransmissions per crossing after the original copy.
+pub const HOP_MAX_RETRIES: u32 = 4;
 
-impl HopRetryConfig {
-    /// The deadline for attempt `retries` (0 = original copy):
-    /// `timeout × backoff^retries`, saturating.
-    #[must_use]
-    pub fn deadline_after(&self, retries: u32) -> Cycles {
-        ledger::deadline_after(self.timeout, self.backoff, retries)
-    }
-}
-
-/// The complete fabric fault configuration: the schedule plus the
-/// recovery policy. Attaching one (even with an empty plan) arms the
-/// fabric fault plane; fault-free armed runs stay byte-identical to
-/// unarmed ones.
+/// The fabric fault configuration: the schedule the ToR fires. The
+/// recovery policy is fixed ([`HOP_TIMEOUT`], [`HOP_MAX_RETRIES`];
+/// a crashed member fails over to the lowest-indexed live member that
+/// declares the same engine set). Attaching one (even with an empty
+/// plan) arms the fabric fault plane; fault-free armed runs stay
+/// byte-identical to unarmed ones.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FabricFaultConfig {
     /// The fault schedule (may be empty).
     pub plan: FabricFaultPlan,
-    /// Cross-NIC hop retry policy.
-    pub retry: HopRetryConfig,
-    /// Explicit replica pins `(member, replica)`: chains addressed to
-    /// a crashed `member` are rewritten to `replica`. Members without
-    /// a pin fail over to the lowest-indexed live member that declares
-    /// the same engine set. PV802 lints pins that name unreachable
-    /// replicas.
-    pub replicas: Vec<(usize, usize)>,
 }
 
 impl FabricFaultConfig {
-    /// A config running `plan` with the default retry policy and no
-    /// replica pins.
+    /// A config running `plan`.
     #[must_use]
     pub fn new(plan: FabricFaultPlan) -> FabricFaultConfig {
-        FabricFaultConfig {
-            plan,
-            ..FabricFaultConfig::default()
-        }
-    }
-
-    /// The pinned replica for `member`, if any.
-    #[must_use]
-    pub fn pinned_replica(&self, member: usize) -> Option<usize> {
-        self.replicas
-            .iter()
-            .find(|(m, _)| *m == member)
-            .map(|&(_, r)| r)
+        FabricFaultConfig { plan }
     }
 }
 
@@ -545,24 +500,21 @@ pub struct HopLedger {
     /// Each entry carries whether the ToR redirected the crossing.
     ledger: Ledger<bool>,
     retries_issued: u64,
-    exhausted: u64,
-    completed: u64,
     duplicates: u64,
 }
 
-impl HopLedger {
-    /// A ledger enforcing `config`.
-    #[must_use]
-    pub fn new(config: HopRetryConfig) -> HopLedger {
+impl Default for HopLedger {
+    /// An empty ledger: [`HOP_TIMEOUT`], [`HOP_MAX_RETRIES`].
+    fn default() -> HopLedger {
         HopLedger {
-            ledger: Ledger::new(config.timeout, config.max_retries, config.backoff, false),
+            ledger: Ledger::new(HOP_TIMEOUT, HOP_MAX_RETRIES, false),
             retries_issued: 0,
-            exhausted: 0,
-            completed: 0,
             duplicates: 0,
         }
     }
+}
 
+impl HopLedger {
     /// Starts (or re-arms, for a later crossing of the same message)
     /// deadline tracking for `msg`, serialized at `now`. Returns the
     /// crossing generation the wire copy must carry.
@@ -571,12 +523,11 @@ impl HopLedger {
     }
 
     /// Collects retransmissions due at or before `now`. Crossings past
-    /// their budget are disarmed (counted exhausted) but stay eligible
-    /// for late delivery.
+    /// their budget are disarmed but stay eligible for late delivery.
     pub fn expired(&mut self, now: Cycle) -> Vec<HopRetry> {
         let mut due = Vec::new();
-        self.ledger.expire(now, |_, entry, attempt| match attempt {
-            Some(attempt) => {
+        self.ledger.expire(now, |_, entry, attempt| {
+            if let Some(attempt) = attempt {
                 self.retries_issued += 1;
                 due.push(HopRetry {
                     msg: entry.template().clone(),
@@ -584,7 +535,6 @@ impl HopLedger {
                     attempt,
                 });
             }
-            None => self.exhausted += 1,
         });
         due
     }
@@ -599,14 +549,11 @@ impl HopLedger {
                 self.duplicates += 1;
                 HopOutcome::Duplicate
             }
-            Terminal::First(entry) => {
-                self.completed += 1;
-                HopOutcome::First {
-                    waited: now.saturating_since(entry.tracked_at),
-                    retried: entry.retries > 0,
-                    redirected: entry.extra,
-                }
-            }
+            Terminal::First(entry) => HopOutcome::First {
+                waited: now.saturating_since(entry.tracked_at),
+                retried: entry.retries > 0,
+                redirected: entry.extra,
+            },
         }
     }
 
@@ -643,18 +590,6 @@ impl HopLedger {
         self.retries_issued
     }
 
-    /// Crossings whose retry budget ran out undelivered.
-    #[must_use]
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted
-    }
-
-    /// Crossings delivered (first copies).
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// Duplicate copies suppressed.
     #[must_use]
     pub fn duplicates(&self) -> u64 {
@@ -665,7 +600,7 @@ impl HopLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::reference;
+    use crate::ledger::{self, reference};
     use packet::message::MessageKind;
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
@@ -676,6 +611,15 @@ mod tests {
 
     fn msg(id: u64) -> Message {
         Message::builder(MessageId(id), MessageKind::Internal).build()
+    }
+
+    /// A hop ledger with its own timeout and retry budget, built from
+    /// the shared core: the fabric only ever runs the fixed policy.
+    fn hop_ledger(timeout: u64, max_retries: u32) -> HopLedger {
+        HopLedger {
+            ledger: Ledger::new(Cycles(timeout), max_retries, false),
+            ..HopLedger::default()
+        }
     }
 
     #[test]
@@ -758,12 +702,7 @@ mod tests {
 
     #[test]
     fn ledger_retries_with_backoff_then_exhausts() {
-        let cfg = HopRetryConfig {
-            timeout: Cycles(100),
-            max_retries: 2,
-            backoff: 2,
-        };
-        let mut ledger = HopLedger::new(cfg);
+        let mut ledger = hop_ledger(100, 2);
         let m = msg(1);
         let generation = ledger.track(&m, Cycle(0));
         assert_eq!(generation, 0);
@@ -778,9 +717,10 @@ mod tests {
         assert_eq!(ledger.next_deadline(), Some(Cycle(300)));
         // Second retransmit; then the budget is gone.
         assert_eq!(ledger.expired(Cycle(300)).len(), 1);
+        assert_eq!(ledger.next_deadline(), Some(Cycle(700)));
         assert!(ledger.expired(Cycle(10_000)).is_empty());
-        assert_eq!(ledger.exhausted(), 1);
         assert_eq!(ledger.armed(), 0, "disarmed after exhaustion");
+        assert_eq!(ledger.next_deadline(), None);
         // A late copy still delivers (recovery), then duplicates.
         assert!(matches!(
             ledger.on_delivered(m.id, generation, Cycle(11_000)),
@@ -795,7 +735,7 @@ mod tests {
 
     #[test]
     fn ledger_first_delivery_wins_and_stale_generations_are_duplicates() {
-        let mut ledger = HopLedger::new(HopRetryConfig::default());
+        let mut ledger = HopLedger::default();
         let m = msg(9);
         let g0 = ledger.track(&m, Cycle(10));
         match ledger.on_delivered(m.id, g0, Cycle(40)) {
@@ -828,7 +768,7 @@ mod tests {
             }
         ));
         assert_eq!(ledger.duplicates(), 1);
-        assert_eq!(ledger.completed(), 2);
+        assert_eq!(ledger.armed(), 0);
         // Unknown ids pass through untracked.
         assert_eq!(
             ledger.on_delivered(MessageId(404), 0, Cycle(1)),
@@ -838,10 +778,7 @@ mod tests {
 
     #[test]
     fn ledger_terminal_completion_stops_retries() {
-        let mut ledger = HopLedger::new(HopRetryConfig {
-            timeout: Cycles(50),
-            ..HopRetryConfig::default()
-        });
+        let mut ledger = hop_ledger(50, HOP_MAX_RETRIES);
         let m = msg(3);
         ledger.track(&m, Cycle(0));
         ledger.complete_terminal(m.id);
@@ -855,20 +792,14 @@ mod tests {
 
     #[test]
     fn deadline_after_backs_off_and_saturates() {
-        let cfg = HopRetryConfig {
-            timeout: Cycles(100),
-            max_retries: 3,
-            backoff: 4,
-        };
-        assert_eq!(cfg.deadline_after(0), Cycles(100));
-        assert_eq!(cfg.deadline_after(1), Cycles(400));
-        assert_eq!(cfg.deadline_after(2), Cycles(1600));
-        let big = HopRetryConfig {
-            timeout: Cycles(u64::MAX / 2),
-            backoff: 3,
-            ..cfg
-        };
-        assert_eq!(big.deadline_after(5), Cycles(u64::MAX));
+        assert_eq!(ledger::deadline_after(HOP_TIMEOUT, 0), Cycles(1024));
+        assert_eq!(ledger::deadline_after(HOP_TIMEOUT, 1), Cycles(2048));
+        let last = ledger::deadline_after(HOP_TIMEOUT, HOP_MAX_RETRIES);
+        assert_eq!(last, Cycles(16_384));
+        assert_eq!(
+            ledger::deadline_after(Cycles(u64::MAX / 3), 5),
+            Cycles(u64::MAX)
+        );
     }
 
     proptest! {
@@ -881,16 +812,10 @@ mod tests {
         fn ledger_matches_the_parent_hop_ledger_step_for_step(
             timeout in 0u64..6,
             max_retries in 0u32..4,
-            backoff in 1u32..5,
             script in proptest::collection::vec((0u8..8, 0u64..6, 0u32..3, 0u64..5), 0..128),
         ) {
-            let config = HopRetryConfig {
-                timeout: Cycles(timeout),
-                max_retries,
-                backoff,
-            };
-            let mut new = HopLedger::new(config);
-            let mut old = reference::HopLedger::new(config);
+            let mut new = hop_ledger(timeout, max_retries);
+            let mut old = reference::HopLedger::new(Cycles(timeout), max_retries);
             let mut now = Cycle(0);
             // Crossings tracked and not yet done — re-tracking one of
             // those is a caller bug both ledgers assert on — and the
@@ -936,8 +861,8 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(
-                    (new.retries_issued(), new.exhausted(), new.completed(), new.duplicates()),
-                    (old.retries_issued(), old.exhausted(), old.completed(), old.duplicates())
+                    (new.retries_issued(), new.duplicates()),
+                    (old.retries_issued(), old.duplicates())
                 );
                 prop_assert_eq!(new.armed(), old.armed());
                 prop_assert_eq!(new.next_deadline(), old.next_deadline());

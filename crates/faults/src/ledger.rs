@@ -17,12 +17,14 @@ use std::collections::{BTreeMap, HashMap};
 use packet::message::{Message, MessageId};
 use sim_core::time::{Cycle, Cycles};
 
+/// The deadline multiplier per retry, for both ledgers: retry `n`
+/// waits `base × BACKOFF^n`.
+pub(crate) const BACKOFF: u64 = 2;
+
 /// The deadline for attempt `retries` (0 = the original copy):
-/// `base × backoff^retries`, saturating. A `backoff` of 0 is read as 1
-/// (flat) — a deadline never shrinks to nothing.
-pub(crate) fn deadline_after(base: Cycles, backoff: u32, retries: u32) -> Cycles {
-    let mult = u64::from(backoff.max(1)).saturating_pow(retries);
-    Cycles(base.0.saturating_mul(mult))
+/// `base × BACKOFF^retries`, saturating.
+pub(crate) fn deadline_after(base: Cycles, retries: u32) -> Cycles {
+    Cycles(base.0.saturating_mul(BACKOFF.saturating_pow(retries)))
 }
 
 /// One tracked id; `X` is what the owning ledger keeps beside it.
@@ -74,7 +76,6 @@ pub(crate) enum Terminal<'a, X> {
 pub(crate) struct Ledger<X> {
     base: Cycles,
     max_retries: u32,
-    backoff: u32,
     /// Exhaustion closes the entry (a later report is a duplicate)
     /// instead of only disarming it (a late first report still wins).
     sticky: bool,
@@ -89,11 +90,10 @@ pub(crate) struct Ledger<X> {
 }
 
 impl<X> Ledger<X> {
-    pub fn new(base: Cycles, max_retries: u32, backoff: u32, sticky: bool) -> Ledger<X> {
+    pub fn new(base: Cycles, max_retries: u32, sticky: bool) -> Ledger<X> {
         Ledger {
             base,
             max_retries,
-            backoff,
             sticky,
             entries: HashMap::new(),
             wheel: BTreeMap::new(),
@@ -155,7 +155,7 @@ impl<X> Ledger<X> {
                 }
                 if entry.retries < self.max_retries {
                     entry.retries += 1;
-                    let wait = deadline_after(self.base, self.backoff, entry.retries);
+                    let wait = deadline_after(self.base, entry.retries);
                     entry.deadline = Cycle(now.0.saturating_add(wait.0));
                     self.wheel.entry(entry.deadline).or_default().push(id);
                     visit(id, entry, Some(entry.retries));

@@ -1,10 +1,13 @@
 //! The two ledgers as they stood before they shared [`super`]: the
 //! `Watchdog` of `watchdog.rs` and the `HopLedger` of `fabric.rs` at
-//! commit a803a06, bodies verbatim (only each config's
-//! `deadline_after` is inlined as a free function, since the configs
-//! now share one). Test-only: the differential proptests in
-//! `watchdog.rs` and `fabric.rs` replay random scripts against these
-//! and demand the same answers, step for step.
+//! commit a803a06, bodies verbatim except that each config's
+//! `deadline_after` is inlined as a free function over the backoff
+//! of 2 every caller configured, the hop ledger takes its timeout
+//! and budget as arguments, and the totals no caller reads (the
+//! watchdog's four, the hop ledger's exhausted and completed counts)
+//! are gone. Test-only: the differential proptests in `watchdog.rs`
+//! and `fabric.rs` replay random scripts against these and demand the
+//! same answers, step for step.
 // Verbatim copies: not every accessor they carry is exercised.
 #![allow(dead_code)]
 
@@ -13,19 +16,20 @@ use std::collections::{BTreeMap, HashMap};
 use packet::{EngineId, Message, MessageId};
 use sim_core::time::{Cycle, Cycles};
 
-use crate::{
-    CompleteOutcome, Expiry, ExpiryAction, HopOutcome, HopRetry, HopRetryConfig, WatchdogConfig,
-};
+use crate::{CompleteOutcome, Expiry, ExpiryAction, HopOutcome, HopRetry, WatchdogConfig};
+
+/// The backoff every caller of the pre-merge ledgers configured.
+const BACKOFF: u64 = 2;
 
 fn watchdog_deadline_after(config: &WatchdogConfig, retries: u32) -> Cycles {
-    let mult = u64::from(config.backoff).saturating_pow(retries);
+    let mult = BACKOFF.saturating_pow(retries);
     Cycles(config.deadline.0.saturating_mul(mult))
 }
 
-fn hop_deadline_after(config: &HopRetryConfig, retries: u32) -> Cycles {
-    let mut d = config.timeout.0;
+fn hop_deadline_after(timeout: Cycles, retries: u32) -> Cycles {
+    let mut d = timeout.0;
     for _ in 0..retries {
-        d = d.saturating_mul(u64::from(config.backoff.max(1)));
+        d = d.saturating_mul(BACKOFF);
     }
     Cycles(d)
 }
@@ -69,10 +73,6 @@ pub struct Watchdog {
     /// cycle. Entries are lazily invalidated (completion does not
     /// unlink), so `expired` re-checks the ledger before acting.
     wheel: BTreeMap<Cycle, Vec<MessageId>>,
-    tracked: u64,
-    completed: u64,
-    failed: u64,
-    reissued: u64,
 }
 
 impl Watchdog {
@@ -83,10 +83,6 @@ impl Watchdog {
             config,
             entries: HashMap::new(),
             wheel: BTreeMap::new(),
-            tracked: 0,
-            completed: 0,
-            failed: 0,
-            reissued: 0,
         }
     }
 
@@ -117,7 +113,6 @@ impl Watchdog {
         );
         debug_assert!(prev.is_none(), "descriptor {:?} tracked twice", msg.id);
         self.wheel.entry(deadline).or_default().push(msg.id);
-        self.tracked += 1;
     }
 
     /// Collects every descriptor whose deadline has passed as of `now`
@@ -145,7 +140,6 @@ impl Watchdog {
                 let deadline = now + watchdog_deadline_after(&self.config, entry.retries);
                 entry.deadline = deadline;
                 self.wheel.entry(deadline).or_default().push(id);
-                self.reissued += 1;
                 out.push(Expiry {
                     id,
                     action: ExpiryAction::Reissue {
@@ -156,7 +150,6 @@ impl Watchdog {
                 });
             } else {
                 entry.state = EntryState::Failed;
-                self.failed += 1;
                 out.push(Expiry {
                     id,
                     action: ExpiryAction::Fail,
@@ -173,7 +166,6 @@ impl Watchdog {
             None => CompleteOutcome::Untracked,
             Some(entry) if entry.state == EntryState::Pending => {
                 entry.state = EntryState::Completed;
-                self.completed += 1;
                 CompleteOutcome::First {
                     recovery: entry.first_timeout.map(|t| now.saturating_since(t)),
                 }
@@ -199,30 +191,6 @@ impl Watchdog {
             .filter(|e| e.state == EntryState::Pending)
             .map(|e| e.deadline)
             .min()
-    }
-
-    /// Total descriptors ever tracked.
-    #[must_use]
-    pub fn tracked(&self) -> u64 {
-        self.tracked
-    }
-
-    /// Descriptors that reached a first completion.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Descriptors that exhausted their retry budget.
-    #[must_use]
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Total re-issues performed (counts every retry, not descriptors).
-    #[must_use]
-    pub fn reissued(&self) -> u64 {
-        self.reissued
     }
 }
 
@@ -263,7 +231,8 @@ struct HopEntry {
 /// one copy per crossing enters the destination mesh.
 #[derive(Debug)]
 pub struct HopLedger {
-    config: HopRetryConfig,
+    timeout: Cycles,
+    max_retries: u32,
     entries: HashMap<MessageId, HopEntry>,
     /// Deadline wheel with lazy invalidation, exactly like the
     /// watchdog's: completions leave stale slots that are skipped when
@@ -272,23 +241,20 @@ pub struct HopLedger {
     /// Entries with a live deadline (Pending + armed).
     armed: usize,
     retries_issued: u64,
-    exhausted: u64,
-    completed: u64,
     duplicates: u64,
 }
 
 impl HopLedger {
-    /// A ledger enforcing `config`.
+    /// A ledger with this timeout and retry budget.
     #[must_use]
-    pub fn new(config: HopRetryConfig) -> HopLedger {
+    pub fn new(timeout: Cycles, max_retries: u32) -> HopLedger {
         HopLedger {
-            config,
+            timeout,
+            max_retries,
             entries: HashMap::new(),
             wheel: BTreeMap::new(),
             armed: 0,
             retries_issued: 0,
-            exhausted: 0,
-            completed: 0,
             duplicates: 0,
         }
     }
@@ -297,7 +263,7 @@ impl HopLedger {
     /// deadline tracking for `msg`, serialized at `now`. Returns the
     /// crossing generation the wire copy must carry.
     pub fn track(&mut self, msg: &Message, now: Cycle) -> u32 {
-        let deadline = Cycle(now.0 + self.config.timeout.0);
+        let deadline = Cycle(now.0 + self.timeout.0);
         let entry = self
             .entries
             .entry(msg.id)
@@ -333,8 +299,7 @@ impl HopLedger {
     }
 
     /// Collects retransmissions due at or before `now`. Crossings past
-    /// their budget are disarmed (counted exhausted) but stay eligible
-    /// for late delivery.
+    /// their budget are disarmed but stay eligible for late delivery.
     pub fn expired(&mut self, now: Cycle) -> Vec<HopRetry> {
         let mut due = Vec::new();
         let still_due = self.wheel.split_off(&Cycle(now.0 + 1));
@@ -350,9 +315,9 @@ impl HopLedger {
                     continue;
                 }
                 self.armed -= 1;
-                if entry.retries < self.config.max_retries {
+                if entry.retries < self.max_retries {
                     entry.retries += 1;
-                    let rearm = Cycle(now.0 + hop_deadline_after(&self.config, entry.retries).0);
+                    let rearm = Cycle(now.0 + hop_deadline_after(self.timeout, entry.retries).0);
                     entry.deadline = rearm;
                     entry.armed = true;
                     self.armed += 1;
@@ -369,7 +334,6 @@ impl HopLedger {
                     });
                 } else {
                     entry.armed = false;
-                    self.exhausted += 1;
                 }
             }
         }
@@ -393,7 +357,6 @@ impl HopLedger {
             entry.armed = false;
             self.armed -= 1;
         }
-        self.completed += 1;
         HopOutcome::First {
             waited: Cycles(now.0 - entry.tracked_at.0),
             retried: entry.retries > 0,
@@ -450,18 +413,6 @@ impl HopLedger {
     #[must_use]
     pub fn retries_issued(&self) -> u64 {
         self.retries_issued
-    }
-
-    /// Crossings whose retry budget ran out undelivered.
-    #[must_use]
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted
-    }
-
-    /// Crossings delivered (first copies).
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 
     /// Duplicate copies suppressed.

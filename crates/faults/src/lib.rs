@@ -21,14 +21,18 @@
 //!   credit freezes / partitions, whole-member crashes) are the two
 //!   kind enums plus their seeded generators.
 //! * **Retry ledger** (private `ledger`): per-id deadlines on a wheel,
-//!   bounded exponential-backoff re-issue, first terminal report wins.
+//!   bounded re-issue with the deadline doubling per retry, first
+//!   terminal report wins.
 //!   [`Watchdog`] tracks descriptors inside a NIC and *fails* one whose
 //!   budget runs out; [`HopLedger`] tracks cross-NIC crossings, only
 //!   disarms them, and opens a new generation when a message crosses
 //!   again.
-//! * **Policy knobs**: [`WatchdogConfig`] (deadlines, retry budget,
-//!   engine health; PV4xx lints) and [`FabricFaultConfig`] (plan,
-//!   [`HopRetryConfig`], replica pins; PV8xx lints). `crates/fabric` threads the latter through the ToR.
+//! * **Policy**: [`WatchdogConfig`] (deadlines, retry budget, engine
+//!   health; PV4xx lints) for the NIC; for the rack a
+//!   [`FabricFaultConfig`] carries only the plan, and the hop ledger
+//!   runs the fixed [`HOP_TIMEOUT`] and [`HOP_MAX_RETRIES`] (PV804
+//!   lints the timeout). `crates/fabric` threads the config through
+//!   the ToR.
 //!
 //! The crate is deliberately *mechanism only*: it owns no simulator
 //! state. `panic-core` threads the plan into the datapath and drives
@@ -49,7 +53,7 @@ pub mod watchdog;
 
 pub use fabric::{
     FabricFaultConfig, FabricFaultEvent, FabricFaultKind, FabricFaultPlan, FabricFaultUniverse,
-    HopLedger, HopOutcome, HopRetry, HopRetryConfig,
+    HopLedger, HopOutcome, HopRetry, HOP_MAX_RETRIES, HOP_TIMEOUT,
 };
 pub use plan::{FaultArg, FaultEvent, FaultKind, FaultPlan, FaultUniverse};
 pub use schedule::{Event, Kind, Plan, Schedule};

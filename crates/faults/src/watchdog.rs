@@ -10,7 +10,7 @@
 //!   clone of the original message (same [`MessageId`], same
 //!   `injected_at`, pristine chain) to re-inject from its original
 //!   source port, with the *next* deadline pushed out by the backoff
-//!   multiplier;
+//!   multiplier (2: retry `n` waits `deadline × 2^n`);
 //! * once the retry budget is exhausted, an [`ExpiryAction::Fail`] —
 //!   the descriptor is charged to the `failed` bucket of the
 //!   conservation identity and never retried again.
@@ -22,8 +22,9 @@
 //! descriptor had ever timed out), every later copy is a
 //! [`CompleteOutcome::Duplicate`] the caller must suppress and count.
 //! A completion after [`ExpiryAction::Fail`] is likewise a duplicate:
-//! terminal states are sticky, so the descriptor-level identity
-//! `tracked == completed + failed` always closes.
+//! terminal states are sticky. The ledger keeps no totals of its own;
+//! `panic-core` counts re-issues and failures into `NicStats` from the
+//! actions it applies.
 //!
 //! The ledger is pure bookkeeping — it never touches the datapath
 //! itself. `panic-core` owns re-injection, tracing, and the decision
@@ -37,7 +38,7 @@
 use packet::{EngineId, Message, MessageId};
 use sim_core::time::{Cycle, Cycles};
 
-use crate::ledger::{self, Ledger, Terminal};
+use crate::ledger::{Ledger, Terminal};
 
 /// Watchdog policy knobs.
 ///
@@ -49,16 +50,13 @@ use crate::ledger::{self, Ledger, Terminal};
 pub struct WatchdogConfig {
     /// Base completion deadline per descriptor: a frame must complete
     /// within this many cycles of injection (or of its latest retry,
-    /// scaled by `backoff`).
+    /// doubled per retry).
     pub deadline: Cycles,
     /// Retry budget per descriptor. After this many re-issues the
     /// descriptor is failed. `0` disables re-issue entirely (every
     /// timeout is an immediate failure), so re-issued traffic never
     /// reaches a failover replica — what lint PV402 catches.
     pub max_retries: u32,
-    /// Deadline multiplier per retry: retry `n` waits
-    /// `deadline × backoff^n`. Must be ≥ 1; 2 is the classic choice.
-    pub backoff: u32,
     /// An engine that has work queued (or in service) but makes no
     /// progress for this long is *wedged* — one strike.
     pub engine_timeout: Cycles,
@@ -75,20 +73,10 @@ impl Default for WatchdogConfig {
         WatchdogConfig {
             deadline: Cycles(4096),
             max_retries: 3,
-            backoff: 2,
             engine_timeout: Cycles(512),
             down_after: 3,
             check_interval: Cycles(64),
         }
-    }
-}
-
-impl WatchdogConfig {
-    /// The deadline for a descriptor that has already been retried
-    /// `retries` times: `deadline × backoff^retries`, saturating.
-    #[must_use]
-    pub fn deadline_after(&self, retries: u32) -> Cycles {
-        ledger::deadline_after(self.deadline, self.backoff, retries)
     }
 }
 
@@ -154,10 +142,6 @@ struct Descriptor {
 pub struct Watchdog {
     config: WatchdogConfig,
     ledger: Ledger<Descriptor>,
-    tracked: u64,
-    completed: u64,
-    failed: u64,
-    reissued: u64,
 }
 
 impl Watchdog {
@@ -166,11 +150,7 @@ impl Watchdog {
     pub fn new(config: WatchdogConfig) -> Watchdog {
         Watchdog {
             config,
-            ledger: Ledger::new(config.deadline, config.max_retries, config.backoff, true),
-            tracked: 0,
-            completed: 0,
-            failed: 0,
-            reissued: 0,
+            ledger: Ledger::new(config.deadline, config.max_retries, true),
         }
     }
 
@@ -193,7 +173,6 @@ impl Watchdog {
         };
         let generation = self.ledger.track(msg, now, descriptor);
         debug_assert_eq!(generation, 0, "descriptor {:?} tracked twice", msg.id);
-        self.tracked += 1;
     }
 
     /// Collects every descriptor whose deadline has passed as of `now`
@@ -205,18 +184,12 @@ impl Watchdog {
         self.ledger.expire(now, |id, entry, attempt| {
             entry.extra.first_timeout.get_or_insert(now);
             let action = match attempt {
-                Some(attempt) => {
-                    self.reissued += 1;
-                    ExpiryAction::Reissue {
-                        msg: Box::new(entry.template().clone()),
-                        source: entry.extra.source,
-                        attempt,
-                    }
-                }
-                None => {
-                    self.failed += 1;
-                    ExpiryAction::Fail
-                }
+                Some(attempt) => ExpiryAction::Reissue {
+                    msg: Box::new(entry.template().clone()),
+                    source: entry.extra.source,
+                    attempt,
+                },
+                None => ExpiryAction::Fail,
             };
             out.push(Expiry { id, action });
         });
@@ -229,12 +202,9 @@ impl Watchdog {
         match self.ledger.terminate(id, None) {
             Terminal::Unknown => CompleteOutcome::Untracked,
             Terminal::Late => CompleteOutcome::Duplicate,
-            Terminal::First(entry) => {
-                self.completed += 1;
-                CompleteOutcome::First {
-                    recovery: entry.extra.first_timeout.map(|t| now.saturating_since(t)),
-                }
-            }
+            Terminal::First(entry) => CompleteOutcome::First {
+                recovery: entry.extra.first_timeout.map(|t| now.saturating_since(t)),
+            },
         }
     }
 
@@ -242,30 +212,6 @@ impl Watchdog {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.ledger.live()
-    }
-
-    /// Total descriptors ever tracked.
-    #[must_use]
-    pub fn tracked(&self) -> u64 {
-        self.tracked
-    }
-
-    /// Descriptors that reached a first completion.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Descriptors that exhausted their retry budget.
-    #[must_use]
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Total re-issues performed (counts every retry, not descriptors).
-    #[must_use]
-    pub fn reissued(&self) -> u64 {
-        self.reissued
     }
 }
 
@@ -288,7 +234,6 @@ mod tests {
         WatchdogConfig {
             deadline: Cycles(10),
             max_retries: 2,
-            backoff: 2,
             ..WatchdogConfig::default()
         }
     }
@@ -304,7 +249,10 @@ mod tests {
         );
         assert!(wd.expired(Cycle(100)).is_empty(), "completed never expires");
         assert_eq!(wd.pending(), 0);
-        assert_eq!((wd.tracked(), wd.completed(), wd.failed()), (1, 1, 0));
+        assert_eq!(
+            wd.on_complete(MessageId(1), Cycle(5)),
+            CompleteOutcome::Duplicate
+        );
     }
 
     #[test]
@@ -340,13 +288,13 @@ mod tests {
         let e = wd.expired(Cycle(70));
         assert_eq!(e.len(), 1);
         assert!(matches!(e[0].action, ExpiryAction::Fail));
-        assert_eq!((wd.failed(), wd.reissued(), wd.pending()), (1, 2, 0));
+        assert_eq!(wd.pending(), 0);
         // Terminal is sticky: late arrival of a retried copy is a dup.
         assert_eq!(
             wd.on_complete(MessageId(7), Cycle(80)),
             CompleteOutcome::Duplicate
         );
-        assert_eq!(wd.completed(), 0, "failed stays failed");
+        assert!(wd.expired(Cycle(1_000)).is_empty(), "failed stays failed");
     }
 
     #[test]
@@ -369,7 +317,7 @@ mod tests {
         );
         // Its stale wheel slot must not fire either.
         assert!(wd.expired(Cycle(100)).is_empty());
-        assert_eq!((wd.completed(), wd.failed()), (1, 0));
+        assert_eq!(wd.pending(), 0);
     }
 
     #[test]
@@ -390,19 +338,30 @@ mod tests {
         });
         wd.track(&msg(1), EngineId(0), Cycle(0));
         let e = wd.expired(Cycle(10));
+        assert_eq!(e.len(), 1);
         assert!(matches!(e[0].action, ExpiryAction::Fail));
-        assert_eq!(wd.reissued(), 0);
+        assert_eq!(wd.pending(), 0);
     }
 
     #[test]
     fn deadline_after_saturates() {
-        let cfg = WatchdogConfig {
+        let mut wd = Watchdog::new(WatchdogConfig {
             deadline: Cycles(u64::MAX / 2),
-            backoff: 2,
             ..WatchdogConfig::default()
-        };
-        assert_eq!(cfg.deadline_after(0), Cycles(u64::MAX / 2));
-        assert_eq!(cfg.deadline_after(40), Cycles(u64::MAX));
+        });
+        wd.track(&msg(1), EngineId(0), Cycle(0));
+        let e = wd.expired(Cycle(u64::MAX / 2));
+        assert!(matches!(
+            e[..],
+            [Expiry {
+                action: ExpiryAction::Reissue { attempt: 1, .. },
+                ..
+            }]
+        ));
+        // The re-armed deadline saturates at the end of the clock, where
+        // it never fires.
+        assert!(wd.expired(Cycle(u64::MAX)).is_empty());
+        assert_eq!(wd.pending(), 1);
     }
 
     #[test]
@@ -419,16 +378,27 @@ mod tests {
         // One that fails instead of completing drops its template too.
         wd.track(&msg(1000), EngineId(0), Cycle(2000));
         assert_eq!(wd.pending(), 1);
-        for now in [2010, 2030, 2070] {
-            assert_eq!(wd.expired(Cycle(now)).len(), 1);
+        for now in [2010, 2030] {
+            let e = wd.expired(Cycle(now));
+            assert!(matches!(
+                e[..],
+                [Expiry {
+                    action: ExpiryAction::Reissue { .. },
+                    ..
+                }]
+            ));
         }
+        let e = wd.expired(Cycle(2070));
+        assert!(matches!(
+            e[..],
+            [Expiry {
+                action: ExpiryAction::Fail,
+                ..
+            }]
+        ));
         assert_eq!(wd.pending(), 0);
         assert_eq!(wd.ledger.templates(), 0, "memory follows what is pending");
         assert_eq!(wd.ledger.next_deadline(), None);
-        assert_eq!(
-            (wd.tracked(), wd.completed(), wd.failed(), wd.reissued()),
-            (1001, 1000, 1, 2)
-        );
         // The ids stay: that is the duplicate filter.
         for id in [0, 999, 1000] {
             assert_eq!(
@@ -463,18 +433,17 @@ mod tests {
 
         /// Random scripts against the watchdog as it stood before it
         /// shared the ledger core: the same answer to every call, in
-        /// the same order, and the same books after every step.
+        /// the same order, and the same pending count and next deadline
+        /// after every step.
         #[test]
         fn matches_the_parent_watchdog_step_for_step(
             deadline in 0u64..6,
             max_retries in 0u32..4,
-            backoff in 1u32..5,
             script in proptest::collection::vec((0u8..6, 0u64..64, 0u64..5), 0..96),
         ) {
             let config = WatchdogConfig {
                 deadline: Cycles(deadline),
                 max_retries,
-                backoff,
                 ..WatchdogConfig::default()
             };
             let mut new = Watchdog::new(config);
@@ -498,10 +467,6 @@ mod tests {
                         prop_assert_eq!(new.on_complete(id, now), old.on_complete(id, now));
                     }
                 }
-                prop_assert_eq!(
-                    (new.tracked(), new.completed(), new.failed(), new.reissued()),
-                    (old.tracked(), old.completed(), old.failed(), old.reissued())
-                );
                 prop_assert_eq!(new.pending(), old.pending());
                 prop_assert_eq!(new.ledger.next_deadline(), old.next_deadline());
             }

@@ -28,12 +28,10 @@
 //! When the spec arms a fabric fault plane ([`FabricSpec::faults`]),
 //! the `PV8xx` family lints the chaos configuration itself:
 //!
-//! * **PV802** (Error): a pinned failover replica that cannot take
-//!   traffic — out of range, the failed member itself, or a member no
-//!   other member has a link into.
-//! * **PV804** (Error): the hop retry timeout is shorter than the
-//!   round trip the slowest declared link implies, so every crossing
-//!   on that link would retransmit spuriously.
+//! * **PV804** (Error): the hop retry timeout
+//!   ([`faults::HOP_TIMEOUT`]) is shorter than the round trip the
+//!   slowest declared link implies, so every crossing on that link
+//!   would retransmit spuriously.
 //!
 //! [`verify_fabric`] additionally runs the full single-NIC [`verify`]
 //! pass over every member, prefixing each finding's subject with
@@ -201,9 +199,27 @@ pub fn check_fabric(spec: &FabricSpec) -> Vec<Diagnostic> {
         }
     }
 
-    // PV8xx: the fault-plane configuration, when one is armed.
-    if let Some(cfg) = &spec.faults {
-        check_fault_plane(spec, cfg, &directions, &mut out);
+    // PV804: with a fault plane armed, the hop retry clock must
+    // outlast the slowest declared link's round trip, or every crossing
+    // on that link retransmits before its first copy can possibly
+    // arrive.
+    let slowest = spec.links.iter().map(|l| l.latency.0).max();
+    if let (Some(_), Some(worst)) = (&spec.faults, slowest) {
+        let rtt = worst.saturating_mul(2);
+        let timeout = faults::HOP_TIMEOUT.0;
+        if timeout < rtt {
+            out.push(Diagnostic::new(
+                Code::PV804,
+                Severity::Error,
+                Span::at("fabric", "faults.retry"),
+                format!(
+                    "hop retry timeout of {timeout} cycles is shorter than the \
+                     {rtt}-cycle round trip the slowest link (latency \
+                     {worst}) implies: healthy crossings would retransmit \
+                     spuriously"
+                ),
+            ));
+        }
     }
 
     // PV701/PV704: remote hops in declared chains — per-tenant vNIC
@@ -242,85 +258,6 @@ pub fn check_fabric(spec: &FabricSpec) -> Vec<Diagnostic> {
     }
 
     out
-}
-
-/// The `PV8xx` lints over an armed fault plane. `directions` is the
-/// set of valid directed links (the PV702-clean subset), so a fabric
-/// with broken links is not double-flagged here.
-fn check_fault_plane(
-    spec: &FabricSpec,
-    cfg: &faults::FabricFaultConfig,
-    directions: &BTreeSet<(usize, usize)>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let n = spec.members.len();
-
-    // PV802: every pinned replica must be a distinct, in-range member
-    // that at least one *other* member has a link into — otherwise the
-    // redirect target can never receive the redirected traffic.
-    for &(member, replica) in &cfg.replicas {
-        let subject = format!("faults.replica[nic{member}]");
-        if member >= n || replica >= n {
-            out.push(Diagnostic::new(
-                Code::PV802,
-                Severity::Error,
-                Span::at("fabric", subject),
-                format!(
-                    "failover pin nic{member} -> nic{replica} falls outside \
-                     the {n}-member fabric"
-                ),
-            ));
-        } else if replica == member {
-            out.push(Diagnostic::new(
-                Code::PV802,
-                Severity::Error,
-                Span::at("fabric", subject),
-                format!("failover pin nic{member} -> nic{replica} names the failed member itself"),
-            ));
-        } else {
-            // Surviving senders are every member other than the
-            // crashed one; the replica itself delivers locally. If any
-            // third member exists, at least one must have a wire in.
-            let outsider = |s: &usize| *s != member && *s != replica;
-            let has_outsider = (0..n).any(|s| outsider(&s));
-            let reachable = (0..n)
-                .filter(outsider)
-                .any(|s| directions.contains(&(s, replica)));
-            if has_outsider && !reachable {
-                out.push(Diagnostic::new(
-                    Code::PV802,
-                    Severity::Error,
-                    Span::at("fabric", subject),
-                    format!(
-                        "failover pin nic{member} -> nic{replica}, but no \
-                         surviving member has a link into nic{replica}: \
-                         redirected traffic could never reach it"
-                    ),
-                ));
-            }
-        }
-    }
-
-    // PV804: the retry clock must outlast the slowest declared link's
-    // round trip, or every crossing on that link retransmits before
-    // its first copy can possibly arrive.
-    if let Some(worst) = spec.links.iter().map(|l| l.latency.0).max() {
-        let rtt = worst.saturating_mul(2);
-        if cfg.retry.timeout.0 < rtt {
-            out.push(Diagnostic::new(
-                Code::PV804,
-                Severity::Error,
-                Span::at("fabric", "faults.retry"),
-                format!(
-                    "hop retry timeout of {} cycles is shorter than the \
-                     {rtt}-cycle round trip the slowest link (latency \
-                     {worst}) implies: healthy crossings would retransmit \
-                     spuriously",
-                    cfg.retry.timeout.0
-                ),
-            ));
-        }
-    }
 }
 
 /// Runs every single-NIC check family against every member (findings
@@ -511,56 +448,19 @@ mod tests {
     }
 
     #[test]
-    fn pv802_flags_bad_replica_pins() {
-        // Three members, links only 0<->1: pinning 0 -> 2 leaves the
-        // redirect target with no wire in from the survivor (nic1).
-        let mut fabric = two_nic_fabric();
-        fabric.members.push(member());
-        let cfg = faults::FabricFaultConfig {
-            replicas: vec![(0, 2)],
-            ..Default::default()
-        };
-        let diags = check_fabric(&armed(fabric.clone(), cfg));
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.code == Code::PV802 && d.message.contains("no")),
-            "{diags:?}"
-        );
-
-        // Out of range and self-pins are flat errors.
-        for pin in [(0, 9), (7, 1), (1, 1)] {
-            let cfg = faults::FabricFaultConfig {
-                replicas: vec![pin],
-                ..Default::default()
-            };
-            let diags = check_fabric(&armed(fabric.clone(), cfg));
-            assert!(
-                diags.iter().any(|d| d.code == Code::PV802),
-                "pin {pin:?}: {diags:?}"
-            );
-        }
-
-        // In the 2-member rack the survivor IS the replica — local
-        // delivery, nothing to lint.
-        let cfg = faults::FabricFaultConfig {
-            replicas: vec![(0, 1)],
-            ..Default::default()
-        };
-        assert!(check_fabric(&armed(two_nic_fabric(), cfg)).is_empty());
-    }
-
-    #[test]
     fn pv804_flags_timeout_under_link_rtt() {
         let mut fabric = two_nic_fabric();
         for l in &mut fabric.links {
             l.latency = sim_core::time::Cycles(600);
         }
-        let cfg = faults::FabricFaultConfig::default(); // timeout 1024 < 1200
-        let diags = check_fabric(&armed(fabric, cfg));
+        // The hop timeout (1024) is under the 1200-cycle round trip.
+        let diags = check_fabric(&armed(fabric, faults::FabricFaultConfig::default()));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::PV804);
-        assert!(diags[0].message.contains("1200"), "{}", diags[0].message);
+        let message = &diags[0].message;
+        let timeout = format!("timeout of {} cycles", faults::HOP_TIMEOUT.0);
+        assert!(message.contains(&timeout), "{message}");
+        assert!(message.contains("1200"), "{message}");
     }
 
     #[test]

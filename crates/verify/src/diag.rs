@@ -23,8 +23,7 @@ use trace::json::escape;
 /// * `PV5xx` — simulator-performance checks (fast-forward efficacy),
 /// * `PV6xx` — tenancy-plane checks (vNIC catalog soundness),
 /// * `PV7xx` — rack-fabric checks (inter-NIC links and remote hops),
-/// * `PV8xx` — fabric fault-plane checks (failover reachability, hop
-///   retry timeout).
+/// * `PV8xx` — fabric fault-plane checks (hop retry timeout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // the variants are documented by `explain`
 pub enum Code {
@@ -52,13 +51,12 @@ pub enum Code {
     PV702,
     PV703,
     PV704,
-    PV802,
     PV804,
 }
 
 impl Code {
     /// Every code the verifier can emit, in numeric order.
-    pub const ALL: [Code; 26] = [
+    pub const ALL: [Code; 25] = [
         Code::PV001,
         Code::PV002,
         Code::PV003,
@@ -83,7 +81,6 @@ impl Code {
         Code::PV702,
         Code::PV703,
         Code::PV704,
-        Code::PV802,
         Code::PV804,
     ];
 
@@ -115,7 +112,6 @@ impl Code {
             Code::PV702 => "PV702",
             Code::PV703 => "PV703",
             Code::PV704 => "PV704",
-            Code::PV802 => "PV802",
             Code::PV804 => "PV804",
         }
     }
@@ -190,11 +186,6 @@ impl Code {
             Code::PV704 => {
                 "a remote hop crosses between two fabric members that no \
                  declared link connects"
-            }
-            Code::PV802 => {
-                "replica redirect target with no route: a failover pin names a \
-                 member that is out of range, the member itself, or one no \
-                 other member has a link to"
             }
             Code::PV804 => {
                 "hop retry timeout shorter than the round trip implied by \

@@ -41,9 +41,8 @@
 //!   (PV702), declared in both directions (PV703), and every remote
 //!   crossing has a link to carry it (PV704); see `docs/FABRIC.md`.
 //! * **`PV8xx` — fabric fault plane** ([`checks::fabric`], armed
-//!   [`FabricSpec::faults`] only): failover pins name a reachable
-//!   replica (PV802), and the hop retry timeout clears the slowest
-//!   link's round trip (PV804).
+//!   [`FabricSpec::faults`] only): the hop retry timeout clears the
+//!   slowest link's round trip (PV804).
 //!
 //! Severities: an `Error` means the simulation would deadlock, panic,
 //! or silently break a modeled hardware invariant; a `Warn` means the

@@ -14,7 +14,6 @@ use faults::WatchdogConfig;
 use noc::{Coord, RouterConfig, Topology};
 use packet::{EngineClass, EngineId};
 use rmt::{PipelineConfig, RmtProgram};
-use sched::AdmissionPolicy;
 use sim_core::{Bandwidth, Cycles, Freq};
 
 /// One engine (compute tile) on the mesh.
@@ -31,15 +30,11 @@ pub struct EngineSpec {
     /// Nominal per-message service time, used by the slack-feasibility
     /// check (PV003). Zero means "unknown / data-dependent".
     pub service_cycles: Cycles,
-    /// Local scheduling-queue capacity in messages.
-    pub queue_capacity: usize,
-    /// What the local queue does when full.
-    pub admission: AdmissionPolicy,
 }
 
 impl EngineSpec {
     /// An engine spec with the common defaults: auto placement,
-    /// unknown service time, a 64-entry tail-drop queue.
+    /// unknown service time.
     #[must_use]
     pub fn new(id: EngineId, name: impl Into<String>, class: EngineClass) -> EngineSpec {
         EngineSpec {
@@ -48,8 +43,6 @@ impl EngineSpec {
             class,
             coord: None,
             service_cycles: Cycles(0),
-            queue_capacity: 64,
-            admission: AdmissionPolicy::TailDrop,
         }
     }
 
@@ -262,9 +255,8 @@ pub struct FabricSpec {
     pub members: Vec<NicSpec>,
     /// Directed inter-NIC links through the ToR.
     pub links: Vec<LinkSpec>,
-    /// Fabric fault plane, when armed: the fault schedule, the hop
-    /// retry policy, and the failover pins. `None` = fault-free fabric
-    /// (the PV8xx checks are skipped).
+    /// Fabric fault plane, when armed: the fault schedule. `None` =
+    /// fault-free fabric (the PV8xx checks are skipped).
     pub faults: Option<faults::FabricFaultConfig>,
 }
 

@@ -15,7 +15,7 @@
 //!
 //! `--check-fixtures` lints a set of deliberately broken
 //! configurations — tenancy (one per PV601–PV605), rack-fabric (one
-//! per PV701–PV704), and fabric fault plane (PV802 and PV804) — and
+//! per PV701–PV704), and fabric fault plane (PV804) — and
 //! *fails unless each one fires its expected diagnostic* — the lint
 //! pass's own negative test, runnable in CI against the shipped
 //! binary.
@@ -185,20 +185,6 @@ fn fabric_fixtures() -> Vec<FabricFixture> {
             let mut fabric = fabric_with_chain(vec![EngineId::remote(1, EngineId(0))]);
             fabric.links.clear();
             fabric
-        }),
-        ("fixture-pv802", "PV802", Severity::Error, || {
-            // Member 0 pinned to fail over to member 2, but the only
-            // other member (1) has no link into the replica: failed-over
-            // crossings from it could never be delivered.
-            let member = || KvsScenario::lint_spec(&KvsScenarioConfig::two_tenant_default());
-            FabricSpec {
-                members: vec![member(), member(), member()],
-                links: vec![LinkSpec::new(0, 1), LinkSpec::new(1, 0)],
-                faults: Some(faults::FabricFaultConfig {
-                    replicas: vec![(0, 2)],
-                    ..faults::FabricFaultConfig::default()
-                }),
-            }
         }),
         ("fixture-pv804", "PV804", Severity::Error, || {
             // A hop-retry timeout shorter than the round trip the

@@ -232,7 +232,6 @@ fn watchdog_nic() -> (PanicNic, EngineId) {
     b.watchdog(WatchdogConfig {
         deadline: Cycles(256),
         max_retries: 4,
-        backoff: 2,
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
@@ -446,7 +445,6 @@ fn tenanted_watchdog_nic(shaped_gap: u64) -> (PanicNic, EngineId) {
         b.watchdog(WatchdogConfig {
             deadline: Cycles(256),
             max_retries: 4,
-            backoff: 2,
             engine_timeout: Cycles(64),
             down_after: 2,
             check_interval: Cycles(16),

@@ -83,7 +83,6 @@ fn replicated_nic() -> (PanicNic, EngineId) {
     b.watchdog(WatchdogConfig {
         deadline: Cycles(256),
         max_retries: 4,
-        backoff: 2,
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
@@ -215,7 +214,6 @@ fn tenanted_nic() -> (PanicNic, EngineId) {
     b.watchdog(WatchdogConfig {
         deadline: Cycles(256),
         max_retries: 4,
-        backoff: 2,
         engine_timeout: Cycles(64),
         down_after: 2,
         check_interval: Cycles(16),
