@@ -72,13 +72,9 @@ pub struct Manycore {
 pub type ManycoreNic = Baseline<Manycore>;
 
 fn flow_hash(msg: &Message) -> u64 {
-    use packet::headers::{EthernetHeader, Ipv4Header};
-    let h = EthernetHeader::parse(&msg.payload)
-        .ok()
-        .and_then(|(_, n1)| Ipv4Header::parse(&msg.payload[n1..]).ok())
-        .map_or(msg.id.0, |(ip, _)| {
-            u64::from(ip.src.as_u32()) ^ (u64::from(ip.ident) << 32)
-        });
+    let h = packet::headers::parse_ipv4(&msg.payload).map_or(msg.id.0, |(_, ip, _)| {
+        u64::from(ip.src.as_u32()) ^ (u64::from(ip.ident) << 32)
+    });
     // A bare multiply never mixes high bits into the low bits that
     // `% cores` uses; run a full SplitMix64 finalizer instead.
     sim_core::rng::SplitMix64::new(h).next_u64()

@@ -265,15 +265,8 @@ impl<D: Design> Baseline<D> {
 /// everything, otherwise the frame must be Ethernet/IPv4/UDP to one of
 /// the listed destination ports.
 pub(crate) fn applies(ports: &Option<Vec<u16>>, frame: &[u8]) -> bool {
-    use packet::headers::{ipproto, EthernetHeader, Ipv4Header, UdpHeader};
     let Some(ports) = ports else {
         return true;
     };
-    let udp_dst_port = || {
-        let (_, n1) = EthernetHeader::parse(frame).ok()?;
-        let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-        let (udp, _) = UdpHeader::parse(&frame[n1 + n2..]).ok()?;
-        (ip.protocol == ipproto::UDP).then_some(udp.dst_port)
-    };
-    udp_dst_port().is_some_and(|p| ports.contains(&p))
+    packet::headers::parse_udp(frame).is_some_and(|(_, _, udp, _)| ports.contains(&udp.dst_port))
 }

@@ -37,9 +37,9 @@ pub struct RunCtx {
     /// Whether the caller wants [`RunCtx::metrics`] populated.
     pub collect_metrics: bool,
     /// Fault schedule override from `repro --faults <seed|spec>`.
-    /// Experiments that model the fault plane (today: `fault-recovery`)
-    /// seed their [`faults::FaultPlan`] from this; everything else
-    /// ignores it.
+    /// Which experiments read it, and as a NIC or a fabric plan, is
+    /// each registry entry's [`crate::experiments::FaultScope`];
+    /// experiments scoped `None` ignore it.
     pub faults: Option<faults::FaultArg>,
 }
 

@@ -278,7 +278,8 @@ pub fn host_delivery_program(dma: EngineId, slack: SlackProfile) -> RmtProgram {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use packet::kvs::KvsRequest;
+    use packet::headers::Ipv4Addr;
+    use packet::kvs::{KvsFrame, KvsRequest};
     use packet::message::{Message, MessageId, MessageKind, TenantId};
     use rmt::action::Verdict;
     use workloads::frames::FrameFactory;
@@ -371,35 +372,22 @@ mod tests {
         assert_eq!(m.chain.hops()[0].engine, EngineId(10));
     }
 
+    /// The NIC's reply to a GET from `client`, as the RDMA engine or
+    /// the host sends it.
+    fn reply_to(client: Ipv4Addr) -> Message {
+        let get = KvsRequest::get(1, 5, 42).encode();
+        let frame = FrameFactory::for_nic_port(0).inbound_udp(client, 9, ports::KVS, &get, 64);
+        msg_of(
+            KvsFrame::parse(&frame)
+                .expect("a GET")
+                .reply(Bytes::from_static(b"v")),
+        )
+    }
+
     #[test]
     fn reply_to_wan_gets_encrypt_hop() {
         let prog = kvs_program(&spec());
-        // Build a reply frame addressed to a WAN client.
-        let reply = KvsRequest::get(1, 5, 42).reply_with(Bytes::from_static(b"v"));
-        let frame = packet::headers::build_udp_frame(
-            packet::headers::EthernetHeader {
-                dst: packet::headers::MacAddr::for_port(9),
-                src: packet::headers::MacAddr::for_port(0),
-                ethertype: packet::headers::ethertype::IPV4,
-            },
-            packet::headers::Ipv4Header {
-                tos: 0,
-                total_len: 0,
-                ident: 0,
-                ttl: 64,
-                protocol: 0,
-                src: packet::headers::Ipv4Addr::new(10, 1, 0, 0),
-                dst: packet::headers::Ipv4Addr::new(198, 51, 0, 7),
-            },
-            packet::headers::UdpHeader {
-                src_port: ports::KVS,
-                dst_port: 9,
-                len: 0,
-                checksum: 0,
-            },
-            &reply.encode(),
-        );
-        let mut m = msg_of(frame);
+        let mut m = reply_to(FrameFactory::wan_client_ip(7));
         prog.process(&mut m);
         assert_eq!(m.chain.len(), 2);
         assert_eq!(m.chain.hops()[0].engine, EngineId(10)); // ipsec
@@ -409,31 +397,7 @@ mod tests {
     #[test]
     fn reply_to_lan_goes_straight_out() {
         let prog = kvs_program(&spec());
-        let reply = KvsRequest::get(1, 5, 42).reply_with(Bytes::from_static(b"v"));
-        let frame = packet::headers::build_udp_frame(
-            packet::headers::EthernetHeader {
-                dst: packet::headers::MacAddr::for_port(9),
-                src: packet::headers::MacAddr::for_port(0),
-                ethertype: packet::headers::ethertype::IPV4,
-            },
-            packet::headers::Ipv4Header {
-                tos: 0,
-                total_len: 0,
-                ident: 0,
-                ttl: 64,
-                protocol: 0,
-                src: packet::headers::Ipv4Addr::new(10, 1, 0, 0),
-                dst: packet::headers::Ipv4Addr::new(10, 0, 0, 7),
-            },
-            packet::headers::UdpHeader {
-                src_port: ports::KVS,
-                dst_port: 9,
-                len: 0,
-                checksum: 0,
-            },
-            &reply.encode(),
-        );
-        let mut m = msg_of(frame);
+        let mut m = reply_to(FrameFactory::lan_client_ip(7));
         prog.process(&mut m);
         assert_eq!(m.chain.len(), 1);
         assert_eq!(m.chain.hops()[0].engine, EngineId(0)); // eth_lan

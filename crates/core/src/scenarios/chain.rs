@@ -7,7 +7,7 @@
 //! latency as functions of chain length are the simulated counterpart
 //! of Table 3's analytic chain-length model.
 
-use engines::engine::NullOffload;
+use engines::engine::{NullOffload, Offload};
 use engines::mac::MacEngine;
 use engines::tile::TileConfig;
 use noc::router::RouterConfig;
@@ -52,23 +52,29 @@ pub enum PlacementStrategy {
     RowMajor,
 }
 
-/// Chain-scenario configuration.
+/// Parallel RMT pipelines.
+const PIPELINES: u32 = 2;
+
+/// Line rate of every Ethernet port.
+const LINE_RATE: Bandwidth = Bandwidth::gbps(100);
+
+/// Slack of every chain hop, in cycles.
+const SLACK: u32 = 500;
+
+/// Chain-scenario configuration. Some of the NIC is fixed: two RMT
+/// pipelines, 100 Gbps ports and 500 cycles of slack on every hop.
 #[derive(Debug, Clone)]
 pub struct ChainScenarioConfig {
     /// Mesh shape.
     pub topology: Topology,
     /// Channel width in bits.
     pub width_bits: u64,
-    /// Pipeline parallelism.
-    pub pipelines: u32,
     /// RMT portal tiles on the mesh (Figure 3c shows a column of RMT
     /// tiles; more portals spread pipeline entry/exit traffic so no
     /// single local port saturates).
     pub portals: usize,
     /// Ethernet ports (ingress and egress).
     pub ports: usize,
-    /// Port line rate.
-    pub line_rate: Bandwidth,
     /// Offload engines available on the mesh.
     pub num_offloads: usize,
     /// Hops per frame through those offloads.
@@ -78,8 +84,6 @@ pub struct ChainScenarioConfig {
     /// Offered load per port, as a fraction of min-frame line rate
     /// (1.0 = Table 2's per-port-direction rate).
     pub offered_fraction: f64,
-    /// Per-hop slack (None = bulk).
-    pub slack: Option<u32>,
     /// Engine-to-tile assignment strategy.
     pub placement: PlacementStrategy,
     /// Inert: chain traffic is periodic, so nothing reads it. Kept only
@@ -93,15 +97,12 @@ impl Default for ChainScenarioConfig {
         ChainScenarioConfig {
             topology: Topology::mesh6x6(),
             width_bits: 64,
-            pipelines: 2,
             portals: 4,
             ports: 2,
-            line_rate: Bandwidth::gbps(100),
             num_offloads: 8,
             chain_len: 2,
             offload_service: Cycles::ZERO,
             offered_fraction: 0.5,
-            slack: Some(500),
             placement: PlacementStrategy::Spread,
             seed: 1,
         }
@@ -174,12 +175,8 @@ fn multi_port_chain_program(
     pairs: &[(EngineId, EngineId)],
     offloads: &[EngineId],
     chain_len: usize,
-    slack: Option<u32>,
 ) -> RmtProgram {
-    let expr = match slack {
-        Some(s) => SlackExpr::Const(s),
-        None => SlackExpr::Bulk,
-    };
+    let expr = SlackExpr::Const(SLACK);
     let mut table = Table::new(
         "by-ingress-and-flow",
         MatchKind::Ternary(vec![Field::MetaIngress, Field::IpIdent]),
@@ -217,62 +214,14 @@ fn multi_port_chain_program(
 }
 
 impl ChainScenario {
-    /// Assembles the NIC builder (placement, engines, program) without
-    /// building: the shared seam between [`ChainScenario::new`] and
-    /// [`ChainScenario::lint_spec`]. Returns the builder plus the port
-    /// and offload ids in declaration order.
-    fn builder_for(config: &ChainScenarioConfig) -> (NicBuilder, Vec<EngineId>, Vec<EngineId>) {
-        assert!(
-            config.chain_len == 0 || config.num_offloads > 0,
-            "chains need offloads"
-        );
-        let freq = Freq::PANIC_DEFAULT;
-        let mut b = PanicNic::builder(NicConfig {
-            topology: config.topology,
-            width_bits: config.width_bits,
-            router: RouterConfig::default(),
-            pipeline: PipelineConfig {
-                parallel: config.pipelines,
-                depth: 18,
-                freq,
-            },
-            pcie_flush_interval: 0,
-        });
+    /// Where `config`'s placement strategy puts each port, offload and
+    /// portal, in declaration order (`None` = the next free tile,
+    /// row-major).
+    fn tile_coords(config: &ChainScenarioConfig) -> [Vec<Option<Coord>>; 3] {
+        let n_portals = config.portals.max(1);
         if config.placement == PlacementStrategy::RowMajor {
             // Naive fill: consecutive tiles in declaration order.
-            let ports: Vec<EngineId> = (0..config.ports)
-                .map(|i| {
-                    b.engine(
-                        Box::new(MacEngine::new(format!("eth{i}"), config.line_rate, freq)),
-                        TileConfig::default(),
-                    )
-                })
-                .collect();
-            let offloads: Vec<EngineId> = (0..config.num_offloads)
-                .map(|i| {
-                    b.engine(
-                        Box::new(NullOffload::new(
-                            format!("off{i}"),
-                            EngineClass::Asic,
-                            config.offload_service,
-                        )),
-                        TileConfig::default(),
-                    )
-                })
-                .collect();
-            for _ in 0..config.portals.max(1) {
-                let _ = b.rmt_portal();
-            }
-            let pairs: Vec<(EngineId, EngineId)> = (0..config.ports)
-                .map(|i| (ports[i], ports[(i + 1) % config.ports]))
-                .collect();
-            b.program(multi_port_chain_program(
-                &pairs,
-                &offloads,
-                config.chain_len,
-                config.slack,
-            ));
-            return (b, ports, offloads);
+            return [config.ports, config.num_offloads, n_portals].map(|n| vec![None; n]);
         }
 
         // Placement mirrors Figure 3c: external interfaces (Ethernet
@@ -286,7 +235,6 @@ impl ChainScenario {
             .filter(|c| !perimeter.contains(c))
             .collect();
         let port_coords = spread(&perimeter, config.ports);
-        let n_portals = config.portals.max(1);
         // On skinny meshes every tile is on the perimeter; in that case
         // portals draw from whatever tiles the ports didn't take.
         let interior_free: Vec<Coord> = interior
@@ -321,31 +269,57 @@ impl ChainScenario {
             .filter(|c| !port_coords.contains(c) && !portal_coords.contains(c))
             .collect();
         let offload_coords = spread(&offload_pool, config.num_offloads);
+        [port_coords, offload_coords, portal_coords].map(|c| c.into_iter().map(Some).collect())
+    }
 
-        let ports: Vec<EngineId> = (0..config.ports)
-            .map(|i| {
-                b.engine_at(
-                    port_coords[i],
-                    Box::new(MacEngine::new(format!("eth{i}"), config.line_rate, freq)),
-                    TileConfig::default(),
-                )
+    /// Assembles the NIC builder (placement, engines, program) without
+    /// building: the shared seam between [`ChainScenario::new`] and
+    /// [`ChainScenario::lint_spec`]. Returns the builder plus the port
+    /// and offload ids in declaration order.
+    fn builder_for(config: &ChainScenarioConfig) -> (NicBuilder, Vec<EngineId>, Vec<EngineId>) {
+        assert!(
+            config.chain_len == 0 || config.num_offloads > 0,
+            "chains need offloads"
+        );
+        let freq = Freq::PANIC_DEFAULT;
+        let mut b = PanicNic::builder(NicConfig {
+            topology: config.topology,
+            width_bits: config.width_bits,
+            router: RouterConfig::default(),
+            pipeline: PipelineConfig {
+                parallel: PIPELINES,
+                depth: 18,
+                freq,
+            },
+            pcie_flush_interval: 0,
+        });
+        let [port_at, offload_at, portal_at] = Self::tile_coords(config);
+        let engine = |b: &mut NicBuilder, at: Option<Coord>, offload: Box<dyn Offload>| match at {
+            Some(c) => b.engine_at(c, offload, TileConfig::default()),
+            None => b.engine(offload, TileConfig::default()),
+        };
+        let ports: Vec<EngineId> = port_at
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let mac = MacEngine::new(format!("eth{i}"), LINE_RATE, freq);
+                engine(&mut b, c, Box::new(mac))
             })
             .collect();
-        let offloads: Vec<EngineId> = (0..config.num_offloads)
-            .map(|i| {
-                b.engine_at(
-                    offload_coords[i],
-                    Box::new(NullOffload::new(
-                        format!("off{i}"),
-                        EngineClass::Asic,
-                        config.offload_service,
-                    )),
-                    TileConfig::default(),
-                )
+        let offloads: Vec<EngineId> = offload_at
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let off =
+                    NullOffload::new(format!("off{i}"), EngineClass::Asic, config.offload_service);
+                engine(&mut b, c, Box::new(off))
             })
             .collect();
-        for c in &portal_coords {
-            let _ = b.rmt_portal_at(*c);
+        for c in portal_at {
+            let _ = match c {
+                Some(c) => b.rmt_portal_at(c),
+                None => b.rmt_portal(),
+            };
         }
 
         // Frames from port i leave port i+1; chains rotate across the
@@ -358,7 +332,6 @@ impl ChainScenario {
             &pairs,
             &offloads,
             config.chain_len,
-            config.slack,
         ));
         (b, ports, offloads)
     }
@@ -384,7 +357,7 @@ impl ChainScenario {
     /// fraction of min-frame line rate, expressed exactly as a
     /// periodic per-cycle rate.
     fn arrival_processes(config: &ChainScenarioConfig) -> Vec<ArrivalProcess> {
-        let mac_probe = MacEngine::new("probe", config.line_rate, Freq::PANIC_DEFAULT);
+        let mac_probe = MacEngine::new("probe", LINE_RATE, Freq::PANIC_DEFAULT);
         let ser = mac_probe.serialization_cycles(64).count();
         // rate per cycle = offered_fraction / ser  -> periodic(num, den)
         let den = (ser as f64 * 1000.0 / config.offered_fraction).round() as u64;

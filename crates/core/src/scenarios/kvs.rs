@@ -32,8 +32,8 @@ use engines::tile::TileConfig;
 use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::EngineId;
-use packet::headers::{build_udp_frame, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr, UdpHeader};
-use packet::kvs::{KvsOp, KvsRequest};
+use packet::headers::{Ipv4Addr, MacAddr};
+use packet::kvs::{KvsFrame, KvsOp};
 use packet::message::{Message, MessageKind, Priority, TenantId};
 use rmt::pipeline::PipelineConfig;
 use sim_core::clock::{drive, Driven};
@@ -479,45 +479,6 @@ impl KvsScenario {
         self.nic.export_metrics(m);
     }
 
-    /// Builds a host reply for a delivered GET frame.
-    fn build_host_reply(frame: &[u8], value: Bytes) -> Option<(Bytes, u16)> {
-        let (eth, n1) = EthernetHeader::parse(frame).ok()?;
-        let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-        let (udp, n3) = UdpHeader::parse(&frame[n1 + n2..]).ok()?;
-        let req = KvsRequest::decode(&frame[n1 + n2 + n3..]).ok()?;
-        if req.op != KvsOp::Get {
-            return None;
-        }
-        let reply = req.reply_with(value);
-        let tenant = req.tenant;
-        Some((
-            build_udp_frame(
-                EthernetHeader {
-                    dst: eth.src,
-                    src: eth.dst,
-                    ethertype: eth.ethertype,
-                },
-                Ipv4Header {
-                    tos: ip.tos,
-                    total_len: 0,
-                    ident: ip.ident,
-                    ttl: 64,
-                    protocol: 0,
-                    src: ip.dst,
-                    dst: ip.src,
-                },
-                UdpHeader {
-                    src_port: udp.dst_port,
-                    dst_port: udp.src_port,
-                    len: 0,
-                    checksum: 0,
-                },
-                &reply.encode(),
-            ),
-            tenant,
-        ))
-    }
-
     /// One simulation cycle.
     fn tick(&mut self, now: Cycle) {
         // 1. New client requests.
@@ -565,27 +526,22 @@ impl KvsScenario {
             if msg.kind != MessageKind::EthernetFrame {
                 continue; // interrupts etc.
             }
-            let key_value = |key: u64, idx: usize| {
-                KvsWorkload::value_for(key, self.config.tenants[idx].value_size)
+            let Some(get) = KvsFrame::parse(&msg.payload).filter(|f| f.request.op == KvsOp::Get)
+            else {
+                continue;
             };
-            // Peek the request to find the tenant's value size.
-            if let Some(req) = Self::peek_kvs(&msg.payload) {
-                if req.op == KvsOp::Get {
-                    let idx = self
-                        .config
-                        .tenants
-                        .iter()
-                        .position(|t| t.tenant.0 == req.tenant)
-                        .unwrap_or(0);
-                    let value = key_value(req.key, idx);
-                    if let Some((reply, tenant)) = Self::build_host_reply(&msg.payload, value) {
-                        self.host_events.schedule(
-                            now + Cycles(HOST_SERVICE_CYCLES),
-                            (reply, TenantId(tenant), msg.priority),
-                        );
-                    }
-                }
-            }
+            let req = &get.request;
+            let idx = self
+                .config
+                .tenants
+                .iter()
+                .position(|t| t.tenant.0 == req.tenant)
+                .unwrap_or(0);
+            let value = KvsWorkload::value_for(req.key, self.config.tenants[idx].value_size);
+            self.host_events.schedule(
+                now + Cycles(HOST_SERVICE_CYCLES),
+                (get.reply(value), TenantId(req.tenant), msg.priority),
+            );
         }
         self.host_scratch.clear();
         while let Some((reply, tenant, priority)) = self.host_events.pop_due(now) {
@@ -599,7 +555,7 @@ impl KvsScenario {
                 Some(plain) => plain,
                 None => msg.payload.clone(), // plaintext LAN reply
             };
-            let Some(req) = Self::peek_kvs(&inner) else {
+            let Some(req) = KvsFrame::parse(&inner).map(|f| f.request) else {
                 continue;
             };
             if req.op != KvsOp::Reply {
@@ -625,16 +581,6 @@ impl KvsScenario {
             }
         }
         self.wire_scratch.clear();
-    }
-
-    fn peek_kvs(frame: &[u8]) -> Option<KvsRequest> {
-        let (_, n1) = EthernetHeader::parse(frame).ok()?;
-        let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-        if ip.protocol != packet::headers::ipproto::UDP {
-            return None;
-        }
-        let (_, n3) = UdpHeader::parse(&frame[n1 + n2..]).ok()?;
-        KvsRequest::decode(&frame[n1 + n2 + n3..]).ok()
     }
 
     /// Runs `cycles` cycles, fast-forwarding over provably idle gaps

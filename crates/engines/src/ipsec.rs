@@ -14,7 +14,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use packet::chain::EngineClass;
-use packet::headers::{build_esp_frame, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr};
+use packet::headers::{
+    build_esp_frame, parse_ipv4, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr,
+};
 use packet::message::{Message, MessageKind};
 use sim_core::rng::SplitMix64;
 use sim_core::time::{Cycle, Cycles};
@@ -110,11 +112,10 @@ pub fn encrypt_frame(inner_frame: &[u8], tunnel: &TunnelConfig, seq: u32) -> Byt
 /// `None` on parse failure, unknown SPI, or integrity-tag mismatch.
 #[must_use]
 pub fn decrypt_frame(outer: &[u8], sas: &HashMap<u32, SecurityAssoc>) -> Option<Bytes> {
-    let (_, n1) = EthernetHeader::parse(outer).ok()?;
-    let (_, n2) = Ipv4Header::parse(&outer[n1..]).ok()?;
-    let (esp, n3) = EspHeader::parse(&outer[n1 + n2..]).ok()?;
+    let (_, _, n) = parse_ipv4(outer)?;
+    let (esp, n3) = EspHeader::parse(&outer[n..]).ok()?;
     let sa = sas.get(&esp.spi)?;
-    let ciphertext = &outer[n1 + n2 + n3..];
+    let ciphertext = &outer[n + n3..];
     let inner_len = ciphertext.len().checked_sub(4)?;
     let mut plaintext = ciphertext.to_vec();
     keystream_xor(sa.key, esp.seq, &mut plaintext);
@@ -188,10 +189,7 @@ impl IpsecEngine {
     }
 
     fn is_esp(frame: &[u8]) -> bool {
-        EthernetHeader::parse(frame)
-            .ok()
-            .and_then(|(_, n1)| Ipv4Header::parse(&frame[n1..]).ok())
-            .is_some_and(|(ip, _)| ip.protocol == packet::headers::ipproto::ESP)
+        parse_ipv4(frame).is_some_and(|(_, ip, _)| ip.protocol == packet::headers::ipproto::ESP)
     }
 }
 
@@ -262,8 +260,8 @@ impl Offload for IpsecEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use packet::headers::{build_udp_frame, ethertype, UdpHeader};
     use packet::message::MessageId;
+    use workloads::frames::FrameFactory;
 
     fn tunnel() -> TunnelConfig {
         TunnelConfig {
@@ -279,29 +277,8 @@ mod tests {
     }
 
     fn inner_frame() -> Bytes {
-        build_udp_frame(
-            EthernetHeader {
-                dst: MacAddr::for_port(0),
-                src: MacAddr::for_port(1),
-                ethertype: ethertype::IPV4,
-            },
-            Ipv4Header {
-                tos: 0,
-                total_len: 0,
-                ident: 0,
-                ttl: 64,
-                protocol: 0,
-                src: Ipv4Addr::new(10, 0, 0, 1),
-                dst: Ipv4Addr::new(10, 0, 0, 2),
-            },
-            UdpHeader {
-                src_port: 1,
-                dst_port: 6379,
-                len: 0,
-                checksum: 0,
-            },
-            b"GET key",
-        )
+        let client = FrameFactory::lan_client_ip(1);
+        FrameFactory::for_nic_port(0).inbound_udp(client, 1, 6379, b"GET key", 0)
     }
 
     /// `keystream_xor` as it stood at commit d3c94ba, body verbatim:

@@ -22,8 +22,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use packet::chain::{ChainHeader, EngineClass, EngineId};
-use packet::headers::{EthernetHeader, Ipv4Header, UdpHeader};
-use packet::kvs::{KvsOp, KvsRequest};
+use packet::kvs::{KvsFrame, KvsOp};
 use packet::message::{Message, MessageKind};
 use sim_core::time::{Cycle, Cycles};
 use std::collections::{HashMap, VecDeque};
@@ -199,18 +198,6 @@ impl KvsCacheEngine {
     pub fn install(&mut self, key: u64, addr: u64, len: u32) {
         self.cache.insert(key, addr, len);
     }
-
-    /// Parses a frame down to its KVS request, if it is one.
-    fn parse_kvs(frame: &[u8]) -> Option<(KvsRequest, usize)> {
-        let (_, n1) = EthernetHeader::parse(frame).ok()?;
-        let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-        if ip.protocol != packet::headers::ipproto::UDP {
-            return None;
-        }
-        let (_, n3) = UdpHeader::parse(&frame[n1 + n2..]).ok()?;
-        let off = n1 + n2 + n3;
-        KvsRequest::decode(&frame[off..]).ok().map(|r| (r, off))
-    }
 }
 
 impl Offload for KvsCacheEngine {
@@ -251,7 +238,7 @@ impl Offload for KvsCacheEngine {
             out.push(Output::Forward(msg));
             return;
         }
-        let Some((req, _)) = Self::parse_kvs(&msg.payload) else {
+        let Some(req) = KvsFrame::parse(&msg.payload).map(|f| f.request) else {
             // Not KVS traffic: continue along the chain untouched.
             out.push(Output::Forward(msg));
             return;
@@ -312,8 +299,9 @@ impl Offload for KvsCacheEngine {
 mod tests {
     use super::*;
     use packet::chain::Slack;
-    use packet::headers::{build_udp_frame, ethertype, Ipv4Addr, MacAddr};
+    use packet::kvs::KvsRequest;
     use packet::message::MessageId;
+    use workloads::frames::FrameFactory;
 
     const KVS_PORT: u16 = 6379;
     const RDMA: EngineId = EngineId(11);
@@ -321,29 +309,8 @@ mod tests {
     const SELF: EngineId = EngineId(10);
 
     fn frame_for(req: &KvsRequest) -> Bytes {
-        build_udp_frame(
-            EthernetHeader {
-                dst: MacAddr::for_port(0),
-                src: MacAddr::for_port(1),
-                ethertype: ethertype::IPV4,
-            },
-            Ipv4Header {
-                tos: 0,
-                total_len: 0,
-                ident: 0,
-                ttl: 64,
-                protocol: 0,
-                src: Ipv4Addr::new(10, 0, 0, 1),
-                dst: Ipv4Addr::new(10, 0, 0, 2),
-            },
-            UdpHeader {
-                src_port: 555,
-                dst_port: KVS_PORT,
-                len: 0,
-                checksum: 0,
-            },
-            &req.encode(),
-        )
+        let client = FrameFactory::lan_client_ip(1);
+        FrameFactory::for_nic_port(0).inbound_udp(client, 555, KVS_PORT, &req.encode(), 0)
     }
 
     fn engine() -> KvsCacheEngine {

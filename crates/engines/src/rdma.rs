@@ -18,8 +18,7 @@
 
 use bytes::Bytes;
 use packet::chain::{ChainHeader, EngineClass, EngineId};
-use packet::headers::{build_udp_frame, EthernetHeader, Ipv4Header, UdpHeader};
-use packet::kvs::KvsRequest;
+use packet::kvs::KvsFrame;
 use packet::message::{Message, MessageKind};
 use sim_core::time::{Cycle, Cycles};
 use std::collections::HashMap;
@@ -69,39 +68,6 @@ impl RdmaEngine {
             replies: 0,
             orphan_completions: 0,
         }
-    }
-
-    /// Builds the reply frame for `frame` carrying `value`: L2/L3/L4
-    /// addresses swapped, KVS op rewritten to Reply.
-    fn build_reply(frame: &[u8], value: Bytes) -> Option<Bytes> {
-        let (eth, n1) = EthernetHeader::parse(frame).ok()?;
-        let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
-        let (udp, n3) = UdpHeader::parse(&frame[n1 + n2..]).ok()?;
-        let req = KvsRequest::decode(&frame[n1 + n2 + n3..]).ok()?;
-        let reply = req.reply_with(value);
-        Some(build_udp_frame(
-            EthernetHeader {
-                dst: eth.src,
-                src: eth.dst,
-                ethertype: eth.ethertype,
-            },
-            Ipv4Header {
-                tos: ip.tos,
-                total_len: 0,
-                ident: ip.ident,
-                ttl: 64,
-                protocol: 0,
-                src: ip.dst,
-                dst: ip.src,
-            },
-            UdpHeader {
-                src_port: udp.dst_port,
-                dst_port: udp.src_port,
-                len: 0,
-                checksum: 0,
-            },
-            &reply.encode(),
-        ))
     }
 }
 
@@ -167,12 +133,12 @@ impl Offload for RdmaEngine {
                     out.push(Output::Consumed);
                     return;
                 };
-                match Self::build_reply(&frame, value) {
-                    Some(reply_frame) => {
+                match KvsFrame::parse(&frame) {
+                    Some(request) => {
                         self.replies += 1;
                         let mut reply = msg;
                         reply.kind = MessageKind::EthernetFrame;
-                        reply.payload = reply_frame;
+                        reply.payload = request.reply(value);
                         reply.chain = ChainHeader::empty();
                         // "inject this new response into the pipeline".
                         out.push(Output::ToPipeline(reply));
@@ -192,37 +158,19 @@ impl Offload for RdmaEngine {
 mod tests {
     use super::*;
     use packet::chain::Slack;
-    use packet::headers::{ethertype, Ipv4Addr, MacAddr};
-    use packet::kvs::KvsOp;
+    use packet::headers::Ipv4Addr;
+    use packet::kvs::{KvsOp, KvsRequest};
     use packet::message::MessageId;
+    use workloads::frames::FrameFactory;
 
     const SELF: EngineId = EngineId(11);
     const DMA: EngineId = EngineId(9);
 
+    const CLIENT: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 9);
+
     fn request_frame() -> Bytes {
-        build_udp_frame(
-            EthernetHeader {
-                dst: MacAddr::for_port(0),
-                src: MacAddr::for_port(7),
-                ethertype: ethertype::IPV4,
-            },
-            Ipv4Header {
-                tos: 0,
-                total_len: 0,
-                ident: 3,
-                ttl: 60,
-                protocol: 0,
-                src: Ipv4Addr::new(172, 16, 0, 9),
-                dst: Ipv4Addr::new(10, 0, 0, 2),
-            },
-            UdpHeader {
-                src_port: 3333,
-                dst_port: 6379,
-                len: 0,
-                checksum: 0,
-            },
-            &KvsRequest::get(4, 77, key_placeholder()).encode(),
-        )
+        let get = KvsRequest::get(4, 77, key_placeholder()).encode();
+        FrameFactory::for_nic_port(0).inbound_udp(CLIENT, 3333, 6379, &get, 0)
     }
 
     const fn key_placeholder() -> u64 {
@@ -280,14 +228,12 @@ mod tests {
             Output::ToPipeline(m) => {
                 assert_eq!(m.kind, MessageKind::EthernetFrame);
                 // Reply is addressed back to the requester.
-                let (eth, n1) = EthernetHeader::parse(&m.payload).unwrap();
-                assert_eq!(eth.dst, MacAddr::for_port(7));
-                let (ip, n2) = Ipv4Header::parse(&m.payload[n1..]).unwrap();
-                assert_eq!(ip.dst, Ipv4Addr::new(172, 16, 0, 9));
-                assert_eq!(ip.src, Ipv4Addr::new(10, 0, 0, 2));
-                let (udp, n3) = UdpHeader::parse(&m.payload[n1 + n2..]).unwrap();
-                assert_eq!(udp.dst_port, 3333);
-                let reply = KvsRequest::decode(&m.payload[n1 + n2 + n3..]).unwrap();
+                let get = KvsFrame::parse(&request_frame()).unwrap();
+                let f = KvsFrame::parse(&m.payload).unwrap();
+                assert_eq!(f.eth.dst, get.eth.src);
+                assert_eq!((f.ip.src, f.ip.dst), (get.ip.dst, CLIENT));
+                assert_eq!(f.udp.dst_port, 3333);
+                let reply = f.request;
                 assert_eq!(reply.op, KvsOp::Reply);
                 assert_eq!(reply.key, key_placeholder());
                 assert_eq!(reply.request_id, 77);

@@ -100,7 +100,8 @@ impl FabricBuilder {
     /// # Panics
     /// Panics if the verifier finds an error-severity diagnostic (any
     /// member-level `PVxxx`, or a fabric-level `PV701`/`PV702`/`PV704`),
-    /// or if a member's uplink tile does not exist.
+    /// if a member's uplink tile does not exist, or if the fault plan
+    /// names a member or link the fabric lacks.
     #[must_use]
     pub fn build(self) -> Fabric {
         let report = self.validate();
@@ -114,6 +115,16 @@ impl FabricBuilder {
                 b.to_spec().engine(*uplink).is_some(),
                 "member {i}'s uplink {uplink} is not one of its tiles"
             );
+        }
+        if let Some(f) = &self.faults {
+            let pairs: Vec<(usize, usize)> = self
+                .links
+                .iter()
+                .map(|l| (l.from.min(l.to), l.from.max(l.to)))
+                .collect();
+            if let Err(e) = f.plan.validate(self.members.len(), &pairs) {
+                panic!("FabricBuilder::build: {e} (FabricFaultPlan::validate)");
+            }
         }
         self.build_unvalidated()
     }

@@ -243,3 +243,21 @@ fn unroutable_crossing_is_counted_not_lost() {
     let c = fabric.conservation();
     assert!(c.holds(), "conservation must count ToR drops:\n{c}");
 }
+
+/// A fabric fault plan naming a member the rack lacks is refused at
+/// build time, not left to index past the member list mid-run.
+#[test]
+#[should_panic(expected = "names member 7, but the fabric has 2 member(s)")]
+fn build_refuses_a_fault_plan_naming_an_absent_member() {
+    let plan = faults::FabricFaultPlan::parse("mcrash:7@100+4").unwrap();
+    let _ = common::ring_of(2, 0, Some(faults::FabricFaultConfig::new(plan)));
+}
+
+/// The same for a link: a 4-member ring joins 0-1, 1-2, 2-3 and 3-0,
+/// so `0-2` is absent.
+#[test]
+#[should_panic(expected = "names link 0-2, but the fabric declares no link")]
+fn build_refuses_a_fault_plan_naming_an_absent_link() {
+    let plan = faults::FabricFaultPlan::parse("flap:0-2@100+64").unwrap();
+    let _ = common::ring_of(4, 0, Some(faults::FabricFaultConfig::new(plan)));
+}

@@ -431,11 +431,32 @@ impl EspHeader {
     }
 }
 
+/// Walks the Ethernet and IPv4 headers at the front of `frame`,
+/// returning both and the offset of the IPv4 payload. The EtherType is
+/// not checked: IPv4 is the only network layer the engines read.
+#[must_use]
+pub fn parse_ipv4(frame: &[u8]) -> Option<(EthernetHeader, Ipv4Header, usize)> {
+    let (eth, n1) = EthernetHeader::parse(frame).ok()?;
+    let (ip, n2) = Ipv4Header::parse(&frame[n1..]).ok()?;
+    Some((eth, ip, n1 + n2))
+}
+
+/// [`parse_ipv4`] one layer further: `None` unless the IPv4 payload is
+/// UDP. Returns the three headers and the offset of the UDP payload.
+#[must_use]
+pub fn parse_udp(frame: &[u8]) -> Option<(EthernetHeader, Ipv4Header, UdpHeader, usize)> {
+    let (eth, ip, n) = parse_ipv4(frame)?;
+    if ip.protocol != ipproto::UDP {
+        return None;
+    }
+    let (udp, n3) = UdpHeader::parse(&frame[n..]).ok()?;
+    Some((eth, ip, udp, n + n3))
+}
+
 /// Builds a complete Ethernet/IPv4/UDP frame around `payload`.
 ///
 /// This is the encoder the workload generators use; the result parses
-/// back through [`EthernetHeader::parse`] → [`Ipv4Header::parse`] →
-/// [`UdpHeader::parse`] and is what the RMT parser sees.
+/// back through [`parse_udp`] and is what the RMT parser sees.
 #[must_use]
 pub fn build_udp_frame(
     eth: EthernetHeader,
@@ -680,6 +701,9 @@ mod tests {
         assert_eq!(udp.dst_port, 9999);
         assert_eq!(udp.len as usize, UdpHeader::SIZE + payload.len());
         assert_eq!(&frame[n1 + n2 + n3..], payload);
+        // The frame walk agrees with the layer-by-layer one.
+        assert_eq!(parse_ipv4(&frame), Some((eth, ip, n1 + n2)));
+        assert_eq!(parse_udp(&frame), Some((eth, ip, udp, n1 + n2 + n3)));
     }
 
     #[test]

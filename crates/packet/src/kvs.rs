@@ -12,6 +12,8 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
+use crate::headers::{build_udp_frame, parse_udp, EthernetHeader, Ipv4Header, UdpHeader};
+
 /// Operation codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KvsOp {
@@ -127,18 +129,6 @@ impl KvsRequest {
         }
     }
 
-    /// Builds the reply to this request carrying `value`.
-    #[must_use]
-    pub fn reply_with(&self, value: Bytes) -> KvsRequest {
-        KvsRequest {
-            op: KvsOp::Reply,
-            tenant: self.tenant,
-            request_id: self.request_id,
-            key: self.key,
-            value,
-        }
-    }
-
     /// Total encoded size.
     #[must_use]
     pub fn wire_size(&self) -> usize {
@@ -191,6 +181,71 @@ impl KvsRequest {
     }
 }
 
+/// A KVS request together with the Ethernet/IPv4/UDP headers of the
+/// frame that carried it: what the cache, the RDMA engine, the host
+/// and the client read off a KVS frame.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KvsFrame {
+    /// Ethernet header.
+    pub eth: EthernetHeader,
+    /// IPv4 header.
+    pub ip: Ipv4Header,
+    /// UDP header.
+    pub udp: UdpHeader,
+    /// The request (or reply) in the UDP payload.
+    pub request: KvsRequest,
+}
+
+impl KvsFrame {
+    /// Walks `frame` down to its KVS request; `None` unless it is an
+    /// Ethernet/IPv4/UDP frame whose payload decodes as one.
+    #[must_use]
+    pub fn parse(frame: &[u8]) -> Option<KvsFrame> {
+        let (eth, ip, udp, n) = parse_udp(frame)?;
+        let request = KvsRequest::decode(&frame[n..]).ok()?;
+        Some(KvsFrame {
+            eth,
+            ip,
+            udp,
+            request,
+        })
+    }
+
+    /// The reply frame carrying `value` back to the requester: MACs,
+    /// IPs and ports swapped, TTL reset to 64, op set to `Reply`.
+    #[must_use]
+    pub fn reply(&self, value: Bytes) -> Bytes {
+        build_udp_frame(
+            EthernetHeader {
+                dst: self.eth.src,
+                src: self.eth.dst,
+                ethertype: self.eth.ethertype,
+            },
+            Ipv4Header {
+                tos: self.ip.tos,
+                total_len: 0,
+                ident: self.ip.ident,
+                ttl: 64,
+                protocol: 0,
+                src: self.ip.dst,
+                dst: self.ip.src,
+            },
+            UdpHeader {
+                src_port: self.udp.dst_port,
+                dst_port: self.udp.src_port,
+                len: 0,
+                checksum: 0,
+            },
+            &KvsRequest {
+                op: KvsOp::Reply,
+                value,
+                ..self.request.clone()
+            }
+            .encode(),
+        )
+    }
+}
+
 impl fmt::Display for KvsRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -208,6 +263,9 @@ impl fmt::Display for KvsRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::headers::{
+        build_esp_frame, ethertype, ipproto, parse_ipv4, EspHeader, Ipv4Addr, MacAddr,
+    };
 
     #[test]
     fn get_roundtrip() {
@@ -244,12 +302,97 @@ mod tests {
 
     #[test]
     fn reply_preserves_correlation() {
-        let req = KvsRequest::get(5, 99, 1234);
-        let rep = req.reply_with(Bytes::from_static(b"v"));
-        assert_eq!(rep.op, KvsOp::Reply);
-        assert_eq!(rep.tenant, 5);
-        assert_eq!(rep.request_id, 99);
-        assert_eq!(rep.key, 1234);
+        let [(frame, value), _] = gets();
+        let get = KvsFrame::parse(&frame).unwrap();
+        let rep = KvsFrame::parse(&get.reply(value.clone())).unwrap();
+        assert_eq!((rep.eth.src, rep.eth.dst), (get.eth.dst, get.eth.src));
+        assert_eq!((rep.ip.src, rep.ip.dst), (get.ip.dst, get.ip.src));
+        let udp = (get.udp.dst_port, get.udp.src_port);
+        assert_eq!((rep.udp.src_port, rep.udp.dst_port), udp);
+        let op = KvsOp::Reply;
+        assert_eq!(
+            rep.request,
+            KvsRequest {
+                op,
+                value,
+                ..get.request
+            }
+        );
+    }
+
+    /// Two GET frames and the values their replies carry: a LAN GET
+    /// answered with 64 bytes, as the RDMA engine answers a cache hit,
+    /// and a second tenant's GET answered with 256, as the host answers
+    /// a miss.
+    fn gets() -> [(Bytes, Bytes); 2] {
+        let mut eth = EthernetHeader {
+            dst: MacAddr::for_port(0),
+            src: MacAddr::for_port(7),
+            ethertype: ethertype::IPV4,
+        };
+        let mut ip = Ipv4Header {
+            tos: 0,
+            total_len: 0,
+            ident: 3,
+            ttl: 60,
+            protocol: 0,
+            src: Ipv4Addr::new(172, 16, 0, 9),
+            dst: Ipv4Addr::new(10, 0, 0, 2),
+        };
+        let mut udp = UdpHeader {
+            src_port: 3333,
+            dst_port: 6379,
+            len: 0,
+            checksum: 0,
+        };
+        let lan = build_udp_frame(eth, ip, udp, &KvsRequest::get(4, 77, 0xabcd).encode());
+        (eth.src, ip.tos, ip.ident, ip.ttl) = (MacAddr::for_port(0x0a01), 0x20, 0x1234, 63);
+        (ip.src, udp.src_port) = (Ipv4Addr::new(10, 1, 0, 7), 40001);
+        let wan = build_udp_frame(
+            eth,
+            ip,
+            udp,
+            &KvsRequest::get(2, 0xdead_beef, 2 << 32 | 17).encode(),
+        );
+        let value = |len: usize, mul: usize| (0..len).map(|i| (i * mul + 1) as u8).collect();
+        [(lan, value(64, 3)), (wan, value(256, 7))]
+    }
+
+    /// FNV-1a over the reply to each of [`gets`]. The constants were
+    /// printed at commit 10675b3 by the two reply builders `reply`
+    /// replaced, in `RdmaEngine` and in `KvsScenario`; both gave these
+    /// bytes.
+    #[test]
+    fn reply_bytes_are_pinned_to_the_parent_commit() {
+        let pinned = [0x1a61_bcd4_3403_7ec8u64, 0xa438_725c_4530_df94];
+        for ((frame, value), pinned) in gets().into_iter().zip(pinned) {
+            let reply = KvsFrame::parse(&frame).expect("a KVS frame").reply(value);
+            let h = reply.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(h, pinned, "reply bytes moved: {h:#018x}");
+        }
+    }
+
+    /// An ESP frame walks to IPv4 and no further; a frame cut short
+    /// walks no further than the headers it still holds.
+    #[test]
+    fn esp_and_truncated_frames_walk_to_none() {
+        let [(frame, _), _] = gets();
+        let get = KvsFrame::parse(&frame).expect("a KVS frame");
+        let esp = build_esp_frame(get.eth, get.ip, EspHeader { spi: 1, seq: 1 }, &frame);
+        assert_eq!(
+            parse_ipv4(&esp).map(|(_, ip, _)| ip.protocol),
+            Some(ipproto::ESP)
+        );
+        assert_eq!((parse_udp(&esp), KvsFrame::parse(&esp)), (None, None));
+        let ipv4 = EthernetHeader::SIZE + Ipv4Header::SIZE;
+        for cut in 0..frame.len() {
+            let short = &frame[..cut];
+            assert_eq!(parse_ipv4(short).is_some(), cut >= ipv4, "cut at {cut}");
+            assert_eq!(parse_udp(short).is_some(), cut >= ipv4 + UdpHeader::SIZE);
+            assert_eq!(KvsFrame::parse(short), None, "cut at {cut}");
+        }
     }
 
     #[test]

@@ -108,19 +108,17 @@ impl FrameFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use packet::headers::UdpHeader as Udp;
+    use packet::headers::{parse_ipv4, parse_udp, UdpHeader as Udp};
 
     #[test]
     fn min_frame_is_64_bytes_and_parses() {
         let mut f = FrameFactory::for_nic_port(1);
         let frame = f.min_frame(7, ports::ECHO);
         assert_eq!(frame.len(), 64);
-        let (eth, n1) = EthernetHeader::parse(&frame).unwrap();
+        let (eth, ip, udp, _) = parse_udp(&frame).unwrap();
         assert_eq!(eth.dst, MacAddr::for_port(1));
-        let (ip, n2) = Ipv4Header::parse(&frame[n1..]).unwrap();
         assert_eq!(ip.src, Ipv4Addr::new(10, 0, 0, 7));
         assert_eq!(ip.dst, Ipv4Addr::new(10, 1, 0, 1));
-        let (udp, _) = Udp::parse(&frame[n1 + n2..]).unwrap();
         assert_eq!(udp.dst_port, ports::ECHO);
         assert_eq!(udp.src_port, 1031);
     }
@@ -200,10 +198,7 @@ mod tests {
         let mut f = FrameFactory::for_nic_port(0);
         let a = f.min_frame(1, 80);
         let b = f.min_frame(1, 80);
-        let ident = |fr: &Bytes| {
-            let (_, n1) = EthernetHeader::parse(fr).unwrap();
-            Ipv4Header::parse(&fr[n1..]).unwrap().0.ident
-        };
+        let ident = |fr: &Bytes| parse_ipv4(fr).unwrap().1.ident;
         assert_eq!(ident(&b), ident(&a) + 1);
     }
 

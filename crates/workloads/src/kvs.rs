@@ -253,7 +253,7 @@ impl KvsWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use packet::kvs::KvsOp;
+    use packet::kvs::{KvsFrame, KvsOp};
 
     /// The longest value the wire carries is accepted; one byte more is
     /// refused up front, not encoded with a wrapped length.
@@ -342,7 +342,7 @@ mod tests {
             for e in w.tick() {
                 // Frame is >= 64B and the embedded request matches.
                 assert!(e.frame.len() >= 64);
-                let decoded = KvsRequest::decode(&e.frame[42..]).unwrap();
+                let decoded = KvsFrame::parse(&e.frame).unwrap().request;
                 assert_eq!(decoded, e.request);
             }
         }

@@ -1,9 +1,10 @@
 //! The byte front doors: every decoder that reads bytes from outside
-//! the NIC — a frame's headers, its chain header, a KVS request, a DMA
-//! descriptor, an RDMA work element — returns its typed error or
-//! `None` on any input: arbitrary bytes, a valid encoding cut short,
-//! or a valid encoding with one byte flipped. Never a panic, and never
-//! a header that claims more bytes than it was given.
+//! the NIC — a frame's headers, the frame walks down to IPv4, UDP and
+//! a KVS request, its chain header, a KVS request, a DMA descriptor,
+//! an RDMA work element — returns its typed error or `None` on any
+//! input: arbitrary bytes, a valid encoding cut short, or a valid
+//! encoding with one byte flipped. Never a panic, and never a header
+//! that claims more bytes than it was given.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -12,10 +13,12 @@ use engines::dma::DmaDescriptor;
 use engines::kvs_cache::RdmaWorkDesc;
 use packet::chain::{ChainHeader, EngineId, Hop, Slack};
 use packet::headers::{
-    EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr, TcpHeader, UdpHeader,
+    parse_ipv4, parse_udp, EspHeader, EthernetHeader, Ipv4Addr, Ipv4Header, MacAddr, TcpHeader,
+    UdpHeader,
 };
-use packet::kvs::KvsRequest;
+use packet::kvs::{KvsFrame, KvsRequest};
 use sim_core::rng::SplitMix64;
+use workloads::frames::FrameFactory;
 
 /// Every front door on one input. A decoder that accepts must not
 /// claim to have consumed, or to carry, more than `data` holds.
@@ -25,14 +28,20 @@ fn check(data: &[u8]) {
         assert!(chain.encode().len() <= used, "{data:?}");
     }
     let used = [
-        EthernetHeader::parse(data).map(|(_, n)| n),
-        Ipv4Header::parse(data).map(|(_, n)| n),
-        UdpHeader::parse(data).map(|(_, n)| n),
-        TcpHeader::parse(data).map(|(_, n)| n),
-        EspHeader::parse(data).map(|(_, n)| n),
+        EthernetHeader::parse(data).map(|(_, n)| n).ok(),
+        Ipv4Header::parse(data).map(|(_, n)| n).ok(),
+        UdpHeader::parse(data).map(|(_, n)| n).ok(),
+        TcpHeader::parse(data).map(|(_, n)| n).ok(),
+        EspHeader::parse(data).map(|(_, n)| n).ok(),
+        parse_ipv4(data).map(|(.., n)| n),
+        parse_udp(data).map(|(.., n)| n),
     ];
     for n in used.into_iter().flatten() {
         assert!(n <= data.len(), "{data:?}");
+    }
+    if let Some(f) = KvsFrame::parse(data) {
+        let headers = EthernetHeader::SIZE + Ipv4Header::SIZE + UdpHeader::SIZE;
+        assert!(headers + f.request.wire_size() <= data.len(), "{data:?}");
     }
     if let Ok(req) = KvsRequest::decode(data) {
         assert!(req.wire_size() <= data.len(), "{data:?}");
@@ -50,13 +59,26 @@ fn noise(rng: &mut SplitMix64, len: usize) -> Bytes {
     (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 
+/// Kinds of valid encoding [`valid`] draws from.
+const FRONT_DOORS: usize = 10;
+
+/// An Ethernet/IPv4/UDP frame carrying a KVS request, its fields drawn
+/// from `r`: what [`parse_ipv4`], [`parse_udp`] and [`KvsFrame::parse`]
+/// all accept.
+fn kvs_frame(r: &mut impl FnMut() -> u64) -> Bytes {
+    let (client, src_port, dst_port) = (Ipv4Addr::from_u32(r() as u32), r() as u16, r() as u16);
+    let value = noise(&mut SplitMix64::new(r()), (r() % 64) as usize);
+    let request = KvsRequest::set(r() as u16, r() as u32, r(), value).encode();
+    FrameFactory::for_nic_port(r() as u32).inbound_udp(client, src_port, dst_port, &request, 0)
+}
+
 /// One valid encoding of front door `which`, its fields drawn from
 /// `seed`.
 fn valid(which: usize, seed: u64) -> Bytes {
     let mut rng = SplitMix64::new(seed);
     let mut r = || rng.next_u64();
     let mut out = BytesMut::new();
-    match which % 9 {
+    match which % FRONT_DOORS {
         0 => {
             let hops = (0..r() % 17)
                 .map(|_| Hop {
@@ -126,7 +148,7 @@ fn valid(which: usize, seed: u64) -> Bytes {
             }
             .encode();
         }
-        _ => {
+        8 => {
             let len = (r() % 96) as usize;
             let addr = r();
             let frame = noise(&mut SplitMix64::new(r()), len);
@@ -137,6 +159,7 @@ fn valid(which: usize, seed: u64) -> Bytes {
             }
             .encode();
         }
+        _ => return kvs_frame(&mut r),
     }
     out.freeze()
 }
@@ -152,7 +175,7 @@ proptest! {
     /// Every prefix a valid encoding can be cut to, including the whole
     /// of it and nothing at all.
     #[test]
-    fn truncated_encodings_never_panic(which in 0usize..9, seed in any::<u64>()) {
+    fn truncated_encodings_never_panic(which in 0usize..FRONT_DOORS, seed in any::<u64>()) {
         let bytes = valid(which, seed);
         for cut in 0..=bytes.len() {
             check(&bytes[..cut]);
@@ -160,7 +183,7 @@ proptest! {
     }
 
     #[test]
-    fn flipped_encodings_never_panic(which in 0usize..9, seed in any::<u64>(),
+    fn flipped_encodings_never_panic(which in 0usize..FRONT_DOORS, seed in any::<u64>(),
                                      at in any::<usize>(), flip in 1u8..=255) {
         let mut bytes = valid(which, seed).to_vec();
         if !bytes.is_empty() {
