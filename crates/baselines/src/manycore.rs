@@ -130,11 +130,11 @@ impl Design for Manycore {
     fn tick(&mut self, now: Cycle, ledger: &mut Ledger, trace: &Trace) {
         // Hardware engines.
         for i in 0..self.hw.len() {
-            if let Some(((msg, next), started_at)) = self.hw[i].complete(now) {
+            if let Some(((mut msg, next), started_at)) = self.hw[i].complete(now) {
                 let track = self.cores.len() + i;
                 trace.span(track, "baseline.service", started_at, now, &msg);
-                let outputs = self.config.engines[i].0.process(msg, now);
-                ledger.settle(outputs, now, |m, ledger| {
+                let outputs = self.config.engines[i].0.process(&mut msg, now);
+                ledger.settle(msg, outputs, now, |m, ledger| {
                     self.dispatch(m, next, now, ledger)
                 });
             }

@@ -135,8 +135,11 @@ impl Design for Pipeline {
                 };
                 trace.span(i, name, started_at, now, &msg);
                 if applied {
-                    let outputs = self.config.stages[i].offload.process(msg, now);
-                    ledger.settle(outputs, now, |m, ledger| self.pass_on(i, m, now, ledger));
+                    let mut msg = msg;
+                    let outputs = self.config.stages[i].offload.process(&mut msg, now);
+                    ledger.settle(msg, outputs, now, |m, ledger| {
+                        self.pass_on(i, m, now, ledger);
+                    });
                 } else {
                     self.pass_on(i, msg, now, ledger);
                 }
@@ -291,7 +294,7 @@ mod tests {
             fn service_time(&self, _m: &Message) -> Cycles {
                 Cycles(1)
             }
-            fn process_into(&mut self, _m: Message, _now: Cycle, out: &mut Vec<Output>) {
+            fn process_into(&mut self, _m: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
                 out.push(Output::Consumed);
             }
         }

@@ -58,22 +58,30 @@ impl Ledger {
         self.egress.push(msg);
     }
 
-    /// Settles what an offload produced at `now`. The incumbents have a
-    /// fixed topology, so every flavour of "continue" means `onward`
-    /// (the design's next hop); egress and consumption end here.
+    /// Settles what an offload produced from `msg` at `now`. The
+    /// incumbents have a fixed topology, so every flavour of "continue"
+    /// — and every message the offload spawned — means `onward` (the
+    /// design's next hop); egress and consumption end here.
     pub fn settle(
         &mut self,
+        msg: Message,
         outputs: Vec<Output>,
         now: Cycle,
         mut onward: impl FnMut(Message, &mut Ledger),
     ) {
+        let mut msg = Some(msg);
+        let mut take = || msg.take().expect("one disposition per processed message");
         for out in outputs {
             match out {
-                Output::Forward(m) | Output::ForwardTo(_, m) | Output::ToPipeline(m) => {
-                    onward(m, self);
+                Output::Forward | Output::ForwardTo(_) | Output::ToPipeline => {
+                    onward(take(), self);
                 }
-                Output::Egress(_, m) => self.finish(m, now),
-                Output::Consumed => self.counts.consumed += 1,
+                Output::Egress(_) => self.finish(take(), now),
+                Output::Consumed => {
+                    take();
+                    self.counts.consumed += 1;
+                }
+                Output::Spawn(_, m) => onward(m, self),
             }
         }
     }

@@ -41,13 +41,13 @@ impl Offload for Sieve {
     fn service_time(&self, _m: &Message) -> Cycles {
         Cycles(2)
     }
-    fn process_into(&mut self, m: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, m: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         out.push(if m.id.0.is_multiple_of(4) {
             Output::Consumed
         } else if m.id.0.is_multiple_of(7) {
-            Output::Egress(EgressKind::Wire, m)
+            Output::Egress(EgressKind::Wire)
         } else {
-            Output::Forward(m)
+            Output::Forward
         });
     }
 }

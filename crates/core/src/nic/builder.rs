@@ -11,6 +11,7 @@ use faults::{FaultPlan, Watchdog, WatchdogConfig};
 use noc::network::{MeshNetwork, NetworkConfig};
 use noc::topology::{Coord, Placement};
 use packet::chain::EngineId;
+use packet::store::MsgStore;
 use rmt::pipeline::RmtPipeline;
 use rmt::program::RmtProgram;
 use tenancy::{TenancyConfig, TenancyRuntime};
@@ -284,6 +285,7 @@ impl NicBuilder {
         PanicNic {
             pipeline: RmtPipeline::new(self.config.pipeline, program),
             config: self.config,
+            store: MsgStore::default(),
             network,
             tiles,
             slot_noc_tile,
@@ -298,6 +300,7 @@ impl NicBuilder {
             pcie_slots,
             tile_ids,
             pipeline_scratch: Vec::new(),
+            release_scratch: Vec::new(),
             emit_scratch: Vec::new(),
             portals,
             pipeline_gated: false,

@@ -5,6 +5,7 @@
 //! asserted rather than awaited — the endpoint owns the waiting
 //! (see docs/CONTROL.md).
 
+use packet::store::MsgRef;
 use rmt::program::RmtProgram;
 use tenancy::{TenancyConfig, TenancyRuntime, VNicSpec};
 
@@ -15,7 +16,7 @@ impl PanicNic {
     /// rewrites (rate / weight / quota / removal). `None` when the
     /// tenancy plane is off — use [`PanicNic::ctrl_add_vnic`] to
     /// engage it.
-    pub fn tenancy_mut(&mut self) -> Option<&mut TenancyRuntime> {
+    pub fn tenancy_mut(&mut self) -> Option<&mut TenancyRuntime<MsgRef>> {
         self.tenancy.as_deref_mut()
     }
 

@@ -5,15 +5,17 @@
 //! `inject_from`) and one way out: every terminal of a copy's life
 //! goes through [`PanicNic::exit`], the single place where the NIC
 //! counters, latency histograms, tenant ledger, watchdog descriptors
-//! and boundary trace instants are kept consistent with each other.
+//! and boundary trace instants are kept consistent with each other, and
+//! where a copy that crossed the datapath is taken out of the store.
 //! In between, [`PanicNic::tick`] advances mesh, pipeline and tiles.
 
 use bytes::Bytes;
-use engines::engine::{EgressKind, Output};
+use engines::engine::EgressKind;
 use engines::pcie::PcieEngine;
 use engines::tile::{Emit, EngineTile};
 use packet::chain::{EngineId, Hop, Slack};
 use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
+use packet::store::MsgRef;
 use rmt::action::Verdict;
 use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
@@ -23,8 +25,8 @@ use super::{PanicNic, TileSlot};
 
 /// What is leaving the NIC in a [`PanicNic::exit`].
 pub(super) enum Leaving {
-    /// A copy that crossed the datapath.
-    Copy(Message),
+    /// A copy that crossed the datapath, still in the store.
+    Copy(MsgRef),
     /// A message the NIC originated itself (a coalesced PCIe
     /// interrupt): counted and delivered, but it never came through
     /// `ingress`, so there is no descriptor to complete, no
@@ -105,6 +107,7 @@ impl PanicNic {
             }
             SubmitSource::Injected => self.stats.injected_internal += 1,
         }
+        let msg = self.store.put(msg);
         // Tenancy interception: frames belonging to a configured vNIC
         // park in its pending queue and enter the datapath when the
         // tenancy scheduler releases them (admission + rate + DRR).
@@ -115,7 +118,7 @@ impl PanicNic {
             // removal stops admitting while its in-flight copies keep
             // settling through the accounting paths.
             if tn.admits(tenant) {
-                tn.submit(via, msg, now);
+                tn.submit_in(via, msg, &self.store, now);
                 return id;
             }
         }
@@ -126,17 +129,17 @@ impl PanicNic {
     /// Starts a fresh message's journey: arms its watchdog deadline
     /// and sends it from its source tile into the pipeline. Shared by
     /// the direct ingress path and the tenancy release scheduler.
-    pub(super) fn launch(&mut self, msg: Message, now: Cycle) {
-        let source = msg.source;
-        self.watchdog_track(&msg, source, now);
+    pub(super) fn launch(&mut self, msg: MsgRef, now: Cycle) {
+        let source = self.store.get(msg).source;
+        self.watchdog_track(msg, source, now);
         self.send_to_pipeline(source, msg, now);
     }
 
     /// Sends `msg` from mesh position `from` to the next portal, for a
     /// (further) pass through the heavyweight pipeline.
-    pub(super) fn send_to_pipeline(&mut self, from: EngineId, msg: Message, now: Cycle) {
+    pub(super) fn send_to_pipeline(&mut self, from: EngineId, msg: MsgRef, now: Cycle) {
         let portal = self.next_portal();
-        self.network.send(from, portal, msg, now);
+        self.network.send_in(from, portal, msg, &self.store, now);
     }
 
     /// The one way out: closes the NIC's books on a copy leaving as
@@ -155,7 +158,10 @@ impl PanicNic {
     ///    the copy here.
     pub(super) fn exit(&mut self, leaving: Leaving, requested: ExitKind, now: Cycle) {
         let (tenant, msg, crossed) = match leaving {
-            Leaving::Copy(m) => (m.tenant, Some(m), true),
+            Leaving::Copy(r) => {
+                let m = self.store.take(r);
+                (m.tenant, Some(m), true)
+            }
             Leaving::Originated(m) => (m.tenant, Some(m), false),
             Leaving::Absorbed(t) => (t, None, false),
         };
@@ -214,8 +220,8 @@ impl PanicNic {
 
     /// Routes a message that is leaving the pipeline or a tile toward
     /// its next chain hop, from mesh position `from`.
-    fn route_onward(&mut self, from: EngineId, msg: Message, now: Cycle) {
-        match msg.next_engine() {
+    fn route_onward(&mut self, from: EngineId, msg: MsgRef, now: Cycle) {
+        match self.store.get(msg).next_engine() {
             Some(next) => self.send_resolved(from, next, msg, now),
             None => self.exit(Leaving::Copy(msg), ExitKind::Unrouted, now),
         }
@@ -232,7 +238,7 @@ impl PanicNic {
     /// books close on it here (a `remote_tx` sink, a tenancy
     /// [`ExitKind::Remote`], a completed watchdog descriptor — the
     /// destination NIC owns the copy from the link onward).
-    fn send_resolved(&mut self, from: EngineId, dest: EngineId, mut msg: Message, now: Cycle) {
+    fn send_resolved(&mut self, from: EngineId, dest: EngineId, msg: MsgRef, now: Cycle) {
         if dest.is_remote() {
             // Remote-addressed to *this* member: localize and stay on
             // the mesh — no ToR crossing, no remote_tx. This is how the
@@ -245,7 +251,7 @@ impl PanicNic {
                     self.exit(Leaving::Copy(msg), ExitKind::Unrouted, now);
                     return;
                 }
-                msg.chain.localize_current(local);
+                self.store.get_mut(msg).chain.localize_current(local);
                 self.send_resolved(from, local, msg, now);
                 return;
             }
@@ -253,12 +259,13 @@ impl PanicNic {
             return;
         }
         match self.failover_for(dest) {
-            None => self.network.send(from, dest, msg, now),
+            None => self.network.send_in(from, dest, msg, &self.store, now),
             Some(Some(replica)) => {
-                msg.chain.rewrite_pending(dest, replica);
+                let m = self.store.get_mut(msg);
+                m.chain.rewrite_pending(dest, replica);
                 self.tracer
-                    .instant_arg(self.track, "failover.redirect", now, "msg", msg.id.0);
-                self.network.send(from, replica, msg, now);
+                    .instant_arg(self.track, "failover.redirect", now, "msg", m.id.0);
+                self.network.send_in(from, replica, msg, &self.store, now);
             }
             // Host fallback: the offload service is gone; hand the
             // packet to software instead of blackholing it.
@@ -267,10 +274,10 @@ impl PanicNic {
     }
 
     /// Handles a tile emission.
-    pub(super) fn handle_emit(&mut self, from: EngineId, emit: Emit, now: Cycle) {
+    pub(super) fn handle_emit(&mut self, from: EngineId, emit: Emit<MsgRef>, now: Cycle) {
         match emit {
             Emit::To(dest, msg) => self.send_resolved(from, dest, msg, now),
-            Emit::ToPipeline(msg) if msg.kind == MessageKind::EthernetFrame => {
+            Emit::ToPipeline(msg) if self.store.get(msg).kind == MessageKind::EthernetFrame => {
                 self.send_to_pipeline(from, msg, now);
             }
             // A control message whose chain is complete has simply
@@ -293,16 +300,16 @@ impl PanicNic {
     pub(super) fn step_pipeline(&mut self, now: Cycle) {
         self.stats.layer.rmt += u64::from(self.pipeline_holds_work());
         let mut outputs = std::mem::take(&mut self.pipeline_scratch);
-        self.pipeline.tick_into(now, &mut outputs);
+        self.pipeline.tick_in(now, &mut self.store, &mut outputs);
         for out in outputs.drain(..) {
-            let mut msg = out.msg;
             if out.verdict == Verdict::Recirculate {
                 // §3.1.2: "the RMT pipeline includes itself as a nexthop
                 // in the chain so that it can generate the remainder of
                 // the chain."
                 let portal = self.next_portal();
-                let slack = msg.chain.hops().last().map_or(Slack::BULK, |h| h.slack);
-                msg.chain
+                let chain = &mut self.store.get_mut(out.msg).chain;
+                let slack = chain.hops().last().map_or(Slack::BULK, |h| h.slack);
+                chain
                     .extend(&[Hop {
                         engine: portal,
                         slack,
@@ -310,7 +317,7 @@ impl PanicNic {
                     .expect("chain extension within MAX_HOPS");
             }
             let exit = self.next_portal();
-            self.route_onward(exit, msg, now);
+            self.route_onward(exit, out.msg, now);
         }
         self.pipeline_scratch = outputs;
     }
@@ -351,8 +358,9 @@ impl PanicNic {
                 match &mut self.tiles[i] {
                     TileSlot::Engine(tile) => {
                         if tile.rx_ready() {
-                            if let Some(msg) = self.network.poll_ejected_at(t, now) {
-                                tile.accept(msg, now);
+                            let store = &mut self.store;
+                            if let Some(msg) = self.network.poll_ejected_at(t, now, store) {
+                                tile.accept_in(msg, store, now);
                                 self.occupied[w] |= 1 << bit;
                             }
                         }
@@ -365,7 +373,8 @@ impl PanicNic {
                         // visibly non-quiescent so fast-forward hints
                         // remain conservative).
                         if !self.pipeline_gated {
-                            if let Some(msg) = self.network.poll_ejected_at(t, now) {
+                            let store = &mut self.store;
+                            if let Some(msg) = self.network.poll_ejected_at(t, now, store) {
                                 self.pipeline.submit(msg);
                             }
                         }
@@ -392,7 +401,7 @@ impl PanicNic {
                 if tile.has_work() {
                     any_engine = true;
                     any_sched |= tile.queue_depth() > 0;
-                    tile.tick_into(now, &mut emits);
+                    tile.tick_in(now, &mut self.store, &mut emits);
                 }
                 if !tile.has_work() {
                     self.occupied[w] &= !(1 << bit);
@@ -419,7 +428,7 @@ impl PanicNic {
                     let pcie = self.tiles[self.pcie_slots[k] as usize]
                         .as_engine_mut()
                         .and_then(|tile| tile.offload_as_mut::<PcieEngine>());
-                    if let Some(Output::Egress(_, msg)) = pcie.and_then(PcieEngine::flush) {
+                    if let Some(msg) = pcie.and_then(PcieEngine::flush) {
                         self.exit(Leaving::Originated(msg), ExitKind::Host, now);
                     }
                 }
@@ -566,14 +575,17 @@ mod tests {
                 .tenant(TENANT)
                 .injected_at(Cycle(7))
                 .build();
-            nic.watchdog_track(&msg, eth, Cycle(7));
-            msg
+            let r = nic.store.put(msg);
+            nic.watchdog_track(r, eth, Cycle(7));
+            nic.store.take(r)
         };
+        let copy = |nic: &mut PanicNic, msg: &Message| Leaving::Copy(nic.store.put(msg.clone()));
 
         for (kind, row, sampled, instant, buffer) in table {
             let msg = tracked(&mut nic);
             let before = books(&nic);
-            nic.exit(Leaving::Copy(msg.clone()), kind, now);
+            let leaving = copy(&mut nic, &msg);
+            nic.exit(leaving, kind, now);
             assert_eq!(books(&nic), moved(before, row, sampled, buffer), "{kind:?}");
             assert_eq!(
                 instants_since(&tracer, &mut seen),
@@ -585,7 +597,8 @@ mod tests {
             // and nothing else — no sample, no buffer, no boundary
             // instant except the host-fallback steering decision.
             let before = books(&nic);
-            nic.exit(Leaving::Copy(msg), kind, now);
+            let leaving = copy(&mut nic, &msg);
+            nic.exit(leaving, kind, now);
             assert_eq!(
                 books(&nic),
                 moved(before, DUPLICATE, false, None),
@@ -607,7 +620,8 @@ mod tests {
         let msg = tracked(&mut nic);
         for _ in 0..2 {
             let before = books(&nic);
-            nic.exit(Leaving::Copy(msg.clone()), ExitKind::Unrouted, now);
+            let leaving = copy(&mut nic, &msg);
+            nic.exit(leaving, ExitKind::Unrouted, now);
             assert_eq!(books(&nic), moved(before, 5, false, None));
         }
         let before = books(&nic);

@@ -46,7 +46,7 @@ impl PanicNic {
     /// Returns `false` (counting the copy as `unrouted`) when the
     /// current hop is missing, not remote, or targets an engine this
     /// NIC doesn't have — the dynamic counterpart of the PV701 lint.
-    pub fn rx_remote(&mut self, mut msg: Message, uplink: EngineId, now: Cycle) -> bool {
+    pub fn rx_remote(&mut self, msg: Message, uplink: EngineId, now: Cycle) -> bool {
         self.stats.remote_rx += 1;
         if let Some(tn) = self.tenancy.as_mut() {
             tn.note_remote_rx(msg.tenant);
@@ -58,15 +58,17 @@ impl PanicNic {
             .filter(|t| t.is_remote())
             .map(EngineId::local_part)
             .filter(|&l| self.has_tile(l));
+        let msg = self.store.put(msg);
         let Some(local) = local else {
             self.exit(Leaving::Copy(msg), ExitKind::Unrouted, now);
             return false;
         };
-        msg.chain.localize_current(local);
+        let m = self.store.get_mut(msg);
+        m.chain.localize_current(local);
         self.tracer
-            .instant_arg(self.track, "nic.remote_rx", now, "msg", msg.id.0);
-        self.watchdog_track(&msg, uplink, now);
-        self.network.send(uplink, local, msg, now);
+            .instant_arg(self.track, "nic.remote_rx", now, "msg", m.id.0);
+        self.watchdog_track(msg, uplink, now);
+        self.network.send_in(uplink, local, msg, &self.store, now);
         true
     }
 

@@ -28,7 +28,8 @@ use engines::tile::EngineTile;
 use faults::{CompleteOutcome, ExpiryAction, FaultKind, FaultPlan, Schedule, Watchdog};
 use noc::router::PortDir;
 use packet::chain::EngineId;
-use packet::message::{Message, MessageId};
+use packet::message::MessageId;
+use packet::store::MsgRef;
 use sim_core::time::{Cycle, Cycles};
 use trace::{Tracer, TrackId};
 
@@ -164,9 +165,9 @@ impl PanicNic {
 
     /// Registers a freshly injected message with the watchdog ledger,
     /// when one is armed.
-    pub(super) fn watchdog_track(&mut self, msg: &Message, source: EngineId, now: Cycle) {
-        if let Some(wd) = self.watchdog_mut() {
-            wd.track(msg, source, now);
+    pub(super) fn watchdog_track(&mut self, msg: MsgRef, source: EngineId, now: Cycle) {
+        if let Some(wd) = self.faults.as_mut().and_then(|fr| fr.watchdog.as_mut()) {
+            wd.track(self.store.get(msg), source, now);
         }
     }
 
@@ -334,7 +335,9 @@ impl PanicNic {
                 .time_to_failover
                 .record(now.saturating_since(first_wedge).count());
             let replica = self.find_replica(id);
-            let flushed = self.tile_mut(id).map_or(0, EngineTile::watchdog_down);
+            let flushed = self
+                .tile_and_store(id)
+                .map_or(0, |(tile, store)| tile.watchdog_down_in(store));
             fr.downed.push(id);
             fr.failover.insert(id, replica);
             let tracer = &self.tracer;
@@ -368,7 +371,8 @@ impl PanicNic {
                         "attempt",
                         u64::from(attempt),
                     );
-                    self.send_to_pipeline(source, *msg, now);
+                    let msg = self.store.put(*msg);
+                    self.send_to_pipeline(source, msg, now);
                 }
                 ExpiryAction::Fail => {
                     self.stats.failed += 1;

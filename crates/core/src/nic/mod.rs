@@ -27,6 +27,17 @@
 //! composition every plane contributes a term to; each plane's hooks
 //! are an `impl PanicNic` block in a file of its own (the crate root
 //! lists which file answers which question).
+//!
+//! # The message store
+//!
+//! The NIC keeps every message it holds in one [`MsgStore`]: a message
+//! is written in once, when it enters (`rx_frame`, `inject_from`,
+//! `rx_remote`, a watchdog re-issue, or an offload that emits a new
+//! one), and taken out once, when it leaves (wire, host, fabric
+//! egress, consumed, dropped, flushed or lost). In between, the mesh,
+//! the tiles, the pipeline and the tenancy queues carry a 4-byte
+//! [`MsgRef`], and the offloads and the pipeline rewrite the message in
+//! place.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -37,6 +48,7 @@ use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::EngineId;
 use packet::message::{Message, Priority};
+use packet::store::{MsgRef, MsgStore};
 use rmt::pipeline::{PipelineConfig, RmtPipeline};
 use sim_core::bits::set_bits;
 use sim_core::clock::{drive, Advance, Driven};
@@ -92,14 +104,14 @@ impl NicConfig {
 /// is ~1.2 kB of queues and histograms, and portals carry nothing.
 enum TileSlot {
     /// A wrapped offload engine.
-    Engine(Box<EngineTile>),
+    Engine(Box<EngineTile<MsgRef>>),
     /// A portal into the shared heavyweight pipeline.
     RmtPortal,
 }
 
 impl TileSlot {
     /// The engine wrapper, unless this slot is a portal.
-    fn as_engine(&self) -> Option<&EngineTile> {
+    fn as_engine(&self) -> Option<&EngineTile<MsgRef>> {
         match self {
             TileSlot::Engine(t) => Some(t),
             TileSlot::RmtPortal => None,
@@ -107,7 +119,7 @@ impl TileSlot {
     }
 
     /// Mutable [`TileSlot::as_engine`].
-    fn as_engine_mut(&mut self) -> Option<&mut EngineTile> {
+    fn as_engine_mut(&mut self) -> Option<&mut EngineTile<MsgRef>> {
         match self {
             TileSlot::Engine(t) => Some(t),
             TileSlot::RmtPortal => None,
@@ -202,7 +214,9 @@ impl NicStats {
 /// The PANIC NIC.
 pub struct PanicNic {
     config: NicConfig,
-    network: MeshNetwork,
+    /// Every message the NIC holds; the planes carry handles into it.
+    store: MsgStore,
+    network: MeshNetwork<MsgRef>,
     /// Tile slots, parallel to `tile_ids` (id-sorted, fixed at build).
     tiles: Vec<TileSlot>,
     /// Slot index -> NoC tile index, parallel to `tile_ids`: where the
@@ -231,7 +245,7 @@ pub struct PanicNic {
     /// when the timer is off or there is nothing to flush.
     next_flush: u64,
     portals: Vec<EngineId>,
-    pipeline: RmtPipeline,
+    pipeline: RmtPipeline<MsgRef>,
     /// True while the management plane holds the pipeline gate shut
     /// (a program hot-swap is draining): portals stop submitting, and
     /// arriving flits backpressure losslessly in the NoC ejection
@@ -261,16 +275,18 @@ pub struct PanicNic {
     /// Tenancy runtime. Same contract as `faults`: `None` (the
     /// default) costs one `is_some` check per tick and keeps every
     /// trace, metric, and report byte-identical to an untenanted NIC.
-    tenancy: Option<Box<TenancyRuntime>>,
+    tenancy: Option<Box<TenancyRuntime<MsgRef>>>,
     /// Tile ids in iteration order, cached at build time (the tile set
     /// is fixed after construction) so the tick loop doesn't rebuild a
     /// `Vec` every cycle.
     tile_ids: Vec<EngineId>,
     /// Reusable buffer for pipeline outputs (zero-alloc steady state;
     /// see `docs/PERF.md`).
-    pipeline_scratch: Vec<rmt::pipeline::PipelineOutput>,
+    pipeline_scratch: Vec<rmt::pipeline::PipelineOutput<MsgRef>>,
     /// Reusable buffer for tile emissions.
-    emit_scratch: Vec<Emit>,
+    emit_scratch: Vec<Emit<MsgRef>>,
+    /// Reusable buffer for the messages the tenancy plane releases.
+    release_scratch: Vec<MsgRef>,
 }
 
 impl fmt::Debug for PanicNic {
@@ -305,14 +321,22 @@ impl PanicNic {
 
     /// The underlying mesh network (for traffic statistics).
     #[must_use]
-    pub fn network(&self) -> &MeshNetwork {
+    pub fn network(&self) -> &MeshNetwork<MsgRef> {
         &self.network
     }
 
     /// The heavyweight pipeline (for throughput statistics).
     #[must_use]
-    pub fn pipeline(&self) -> &RmtPipeline {
+    pub fn pipeline(&self) -> &RmtPipeline<MsgRef> {
         &self.pipeline
+    }
+
+    /// Messages in the NIC's store: every message between its way in
+    /// and its way out. At a quiescent point this is the in-flight
+    /// count the conservation identity leaves, and zero once drained.
+    #[must_use]
+    pub fn live_messages(&self) -> usize {
+        self.store.live()
     }
 
     /// Attaches `tracer` to every instrumented component at once: the
@@ -348,24 +372,29 @@ impl PanicNic {
 
     /// A tile's engine wrapper, if `id` is an engine tile.
     #[must_use]
-    pub fn tile(&self, id: EngineId) -> Option<&EngineTile> {
+    pub fn tile(&self, id: EngineId) -> Option<&EngineTile<MsgRef>> {
         self.tiles[self.tile_index(id)?].as_engine()
     }
 
     /// Mutable tile access (scenario setup, fault injection). Marks
     /// the tile occupied, since the caller may hand it work: the next
     /// tick visits it and clears the mark again if it holds none.
-    pub fn tile_mut(&mut self, id: EngineId) -> Option<&mut EngineTile> {
+    pub fn tile_mut(&mut self, id: EngineId) -> Option<&mut EngineTile<MsgRef>> {
+        self.tile_and_store(id).map(|(tile, _)| tile)
+    }
+
+    /// [`PanicNic::tile_mut`] with the store its messages live in.
+    fn tile_and_store(&mut self, id: EngineId) -> Option<(&mut EngineTile<MsgRef>, &mut MsgStore)> {
         let i = self.tile_index(id)?;
         let tile = self.tiles[i].as_engine_mut()?;
         self.occupied[i / 64] |= 1 << (i % 64);
-        Some(tile)
+        Some((tile, &mut self.store))
     }
 
     /// Every engine tile with its id, in id order (portals skipped).
     /// For build-time, export and conservation walks; anything that
     /// runs per tick or per wake uses [`PanicNic::occupied_tiles`].
-    fn engine_tiles(&self) -> impl Iterator<Item = (EngineId, &EngineTile)> {
+    fn engine_tiles(&self) -> impl Iterator<Item = (EngineId, &EngineTile<MsgRef>)> {
         self.tile_ids
             .iter()
             .zip(&self.tiles)
@@ -375,7 +404,7 @@ impl PanicNic {
     /// The tiles whose occupancy bit is set, in slot (= id) order:
     /// every tile that holds work, and possibly a few freshly marked
     /// ones that hold none.
-    fn occupied_tiles(&self) -> impl Iterator<Item = &EngineTile> {
+    fn occupied_tiles(&self) -> impl Iterator<Item = &EngineTile<MsgRef>> {
         self.occupied
             .iter()
             .enumerate()

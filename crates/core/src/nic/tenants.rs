@@ -8,6 +8,7 @@
 //! scheduler and sums the *implicit* exits components count themselves.
 
 use packet::message::TenantId;
+use packet::store::MsgRef;
 use sim_core::time::Cycle;
 use tenancy::{TenancyRuntime, TenantConservation};
 
@@ -71,14 +72,19 @@ impl PanicNic {
         };
         let total = self.implicit_exit_total();
         tn.sync_implicit_all(total, |t| self.implicit_exit_count(t));
-        tn.release(now, |_, msg| self.launch(msg, now));
+        let mut released = std::mem::take(&mut self.release_scratch);
+        tn.release_in(now, &self.store, |_, msg| released.push(msg));
+        for msg in released.drain(..) {
+            self.launch(msg, now);
+        }
+        self.release_scratch = released;
         self.tenancy = Some(tn);
     }
 
     /// The tenancy runtime (ledgers, latency histograms, vNIC
     /// catalog), when the tenancy plane is engaged.
     #[must_use]
-    pub fn tenancy(&self) -> Option<&TenancyRuntime> {
+    pub fn tenancy(&self) -> Option<&TenancyRuntime<MsgRef>> {
         self.tenancy.as_deref()
     }
 

@@ -146,16 +146,16 @@ impl engines::Offload for Answerer {
     fn service_time(&self, _msg: &Message) -> Cycles {
         Cycles(2)
     }
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<engines::Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<engines::Output>) {
         // Workload ids count up from zero; the answers' do not.
         if msg.id.0 < 1 << 40 {
             let mut answer = msg.clone();
             answer.id = self.ids.next_id();
             answer.chain = packet::chain::ChainHeader::empty();
             self.answered += 1;
-            out.push(engines::Output::ToPipeline(answer));
+            out.push(engines::Output::Spawn(None, answer));
         }
-        out.push(engines::Output::Forward(msg));
+        out.push(engines::Output::Forward);
     }
 }
 

@@ -74,18 +74,18 @@ impl ScanEverything {
             if nic.network.ejection_pending_word(t / 64) & (1 << (t % 64)) == 0 {
                 continue;
             }
-            let id = nic.tile_ids[i];
+            let store = &mut nic.store;
             match &mut nic.tiles[i] {
                 TileSlot::Engine(tile) => {
                     if tile.rx_ready() {
-                        if let Some(msg) = nic.network.poll_ejected(id, now) {
-                            tile.accept(msg, now);
+                        if let Some(msg) = nic.network.poll_ejected_at(t, now, store) {
+                            tile.accept_in(msg, store, now);
                         }
                     }
                 }
                 TileSlot::RmtPortal => {
                     if !nic.pipeline_gated {
-                        if let Some(msg) = nic.network.poll_ejected(id, now) {
+                        if let Some(msg) = nic.network.poll_ejected_at(t, now, store) {
                             nic.pipeline.submit(msg);
                         }
                     }
@@ -109,7 +109,7 @@ impl ScanEverything {
                     }
                     any_engine = true;
                     any_sched |= tile.queue_depth() > 0;
-                    tile.tick_into(now, &mut emits);
+                    tile.tick_in(now, &mut nic.store, &mut emits);
                 }
                 TileSlot::RmtPortal => continue,
             }
@@ -128,7 +128,7 @@ impl ScanEverything {
                 let pcie = nic.tiles[i]
                     .as_engine_mut()
                     .and_then(|tile| tile.offload_as_mut::<PcieEngine>());
-                if let Some(Output::Egress(_, msg)) = pcie.and_then(PcieEngine::flush) {
+                if let Some(msg) = pcie.and_then(PcieEngine::flush) {
                     nic.exit(Leaving::Originated(msg), ExitKind::Host, now);
                 }
             }
@@ -189,9 +189,9 @@ impl Offload for Doorbell {
     fn service_time(&self, _msg: &Message) -> Cycles {
         Cycles(1)
     }
-    fn process_into(&mut self, mut msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         msg.kind = MessageKind::PcieEvent;
-        out.push(Output::ForwardTo(self.pcie, msg));
+        out.push(Output::ForwardTo(self.pcie));
     }
 }
 
@@ -645,7 +645,9 @@ fn occupancy_mask_work_handed_in_through_tile_mut_is_not_stranded() {
     // Counted as if it had come through the front door, so the
     // conservation identity has a source for it.
     nic.stats.injected_internal += 1;
-    nic.tile_mut(off).unwrap().accept(msg, Cycle(0));
+    let (tile, store) = nic.tile_and_store(off).unwrap();
+    let msg = store.put(msg);
+    tile.accept_in(msg, store, Cycle(0));
     assert!(!nic.is_quiescent());
     assert_eq!(nic.next_activity(Cycle(0)), Some(Cycle(1)));
 

@@ -13,6 +13,7 @@ use noc::router::RouterConfig;
 use noc::topology::Topology;
 use packet::chain::EngineClass;
 use packet::message::{Priority, TenantId};
+use packet::store::MsgRef;
 use rmt::pipeline::PipelineConfig;
 use sim_core::time::{Bandwidth, Cycle, Cycles, Freq};
 use tenancy::{TenancyConfig, VNicSpec};
@@ -37,7 +38,7 @@ struct Window {
 }
 
 impl Window {
-    fn counters(net: &MeshNetwork) -> [u64; 5] {
+    fn counters(net: &MeshNetwork<MsgRef>) -> [u64; 5] {
         [
             net.total_flit_hops(),
             net.streamed_flit_hops(),

@@ -230,7 +230,7 @@ impl Offload for DmaEngine {
         self.config.base_latency + self.transfer_cycles(bytes) + self.contention(msg.id.0)
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         match msg.kind {
             MessageKind::DmaRead => {
                 let Some(desc) = DmaDescriptor::decode(&msg.payload) else {
@@ -242,10 +242,9 @@ impl Offload for DmaEngine {
                 let mut completion = BytesMut::with_capacity(8 + len);
                 completion.put_u64(desc.tag);
                 self.host.read_into(desc.addr, len, &mut completion);
-                let mut fwd = msg;
-                fwd.kind = MessageKind::DmaCompletion;
-                fwd.payload = completion.freeze();
-                out.push(Output::Forward(fwd));
+                msg.kind = MessageKind::DmaCompletion;
+                msg.payload = completion.freeze();
+                out.push(Output::Forward);
             }
             MessageKind::DmaWrite => {
                 let Some(desc) = DmaDescriptor::decode(&msg.payload) else {
@@ -256,10 +255,9 @@ impl Offload for DmaEngine {
                 self.host.write(desc.addr, &desc.data);
                 let mut completion = BytesMut::with_capacity(8);
                 completion.put_u64(desc.tag);
-                let mut fwd = msg;
-                fwd.kind = MessageKind::DmaCompletion;
-                fwd.payload = completion.freeze();
-                out.push(Output::Forward(fwd));
+                msg.kind = MessageKind::DmaCompletion;
+                msg.payload = completion.freeze();
+                out.push(Output::Forward);
             }
             MessageKind::EthernetFrame => {
                 // Host delivery: append to the ring the pipeline chose.
@@ -282,11 +280,11 @@ impl Offload for DmaEngine {
                         .priority(msg.priority)
                         .injected_at(msg.injected_at)
                         .build();
-                    out.push(Output::ForwardTo(pcie, event));
+                    out.push(Output::Spawn(Some(pcie), event));
                 }
-                out.push(Output::Egress(EgressKind::Host, msg));
+                out.push(Output::Egress(EgressKind::Host));
             }
-            _ => out.push(Output::Forward(msg)),
+            _ => out.push(Output::Forward),
         }
     }
 }
@@ -334,17 +332,13 @@ mod tests {
         let mut dma = dma();
         let addr = dma.host_mut().alloc(64);
         dma.host_mut().write(addr, b"the value bytes");
-        let msg = read_msg(1, addr, 15, &[9, 11]); // chain: dma(9) -> rdma(11)
-        let out = dma.process(msg, Cycle(0));
+        let mut m = read_msg(1, addr, 15, &[9, 11]); // chain: dma(9) -> rdma(11)
+        let out = dma.process(&mut m, Cycle(0));
         assert_eq!(out.len(), 1);
-        match &out[0] {
-            Output::Forward(m) => {
-                assert_eq!(m.kind, MessageKind::DmaCompletion);
-                assert_eq!(&m.payload[0..8], &10u64.to_be_bytes());
-                assert_eq!(&m.payload[8..], b"the value bytes");
-            }
-            other => panic!("expected Forward, got {other:?}"),
-        }
+        assert!(matches!(out[0], Output::Forward), "{out:?}");
+        assert_eq!(m.kind, MessageKind::DmaCompletion);
+        assert_eq!(&m.payload[0..8], &10u64.to_be_bytes());
+        assert_eq!(&m.payload[8..], b"the value bytes");
         assert_eq!(dma.reads, 1);
     }
 
@@ -357,11 +351,12 @@ mod tests {
             tag: 7,
             data: Bytes::from_static(b"data"),
         };
-        let msg = Message::builder(MessageId(2), MessageKind::DmaWrite)
+        let mut msg = Message::builder(MessageId(2), MessageKind::DmaWrite)
             .payload(desc.encode())
             .build();
-        let out = dma.process(msg, Cycle(0));
-        assert!(matches!(&out[0], Output::Forward(m) if m.kind == MessageKind::DmaCompletion));
+        let out = dma.process(&mut msg, Cycle(0));
+        assert!(matches!(out[0], Output::Forward));
+        assert_eq!(msg.kind, MessageKind::DmaCompletion);
         assert_eq!(dma.host_mut().read(0x5000_0000, 4), b"data");
         assert_eq!(dma.writes, 1);
     }
@@ -373,13 +368,13 @@ mod tests {
             .payload(Bytes::from(vec![0xAB; 100]))
             .build();
         msg.rx_queue = 2;
-        let out = dma.process(msg, Cycle(0));
+        let out = dma.process(&mut msg, Cycle(0));
         assert_eq!(out.len(), 2);
         assert!(matches!(
             &out[0],
-            Output::ForwardTo(dest, m) if *dest == EngineId(13) && m.kind == MessageKind::PcieEvent
+            Output::Spawn(Some(dest), m) if *dest == EngineId(13) && m.kind == MessageKind::PcieEvent
         ));
-        assert!(matches!(&out[1], Output::Egress(EgressKind::Host, _)));
+        assert!(matches!(&out[1], Output::Egress(EgressKind::Host)));
         assert_eq!(dma.deliveries, 1);
         assert_eq!(dma.rx_cursor[2], 100);
         assert_eq!(dma.rx_cursor[0], 0);
@@ -397,7 +392,7 @@ mod tests {
             if let Some(q) = rx_queue {
                 msg.rx_queue = q;
             }
-            dma.process(msg, Cycle(0));
+            dma.process(&mut msg, Cycle(0));
         }
         assert_eq!(dma.rx_cursor, [10, 0, 20, 30]);
     }
@@ -411,7 +406,7 @@ mod tests {
                 .payload(Bytes::from(vec![fill; len]))
                 .build();
             msg.rx_queue = q;
-            dma.process(msg, Cycle(0));
+            dma.process(&mut msg, Cycle(0));
         };
         // Ring 1 first; then more than two laps of ring 0 in frames
         // whose length does not divide the stride, so some straddle.
@@ -485,20 +480,23 @@ mod tests {
     #[test]
     fn truncated_descriptor_is_consumed() {
         let mut dma = dma();
-        let msg = Message::builder(MessageId(1), MessageKind::DmaRead)
+        let mut msg = Message::builder(MessageId(1), MessageKind::DmaRead)
             .payload(Bytes::from_static(&[1, 2, 3]))
             .build();
-        assert!(matches!(dma.process(msg, Cycle(0))[0], Output::Consumed));
+        assert!(matches!(
+            dma.process(&mut msg, Cycle(0))[0],
+            Output::Consumed
+        ));
     }
 
     #[test]
     fn polling_mode_has_no_pcie_event() {
         let mut dma = DmaEngine::new("dma", 9, DmaConfig::default(), 1, None);
-        let msg = Message::builder(MessageId(3), MessageKind::EthernetFrame)
+        let mut msg = Message::builder(MessageId(3), MessageKind::EthernetFrame)
             .payload(Bytes::from(vec![0; 10]))
             .build();
-        let out = dma.process(msg, Cycle(0));
+        let out = dma.process(&mut msg, Cycle(0));
         assert_eq!(out.len(), 1);
-        assert!(matches!(&out[0], Output::Egress(EgressKind::Host, _)));
+        assert!(matches!(&out[0], Output::Egress(EgressKind::Host)));
     }
 }

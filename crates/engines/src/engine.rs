@@ -20,32 +20,31 @@ pub enum EgressKind {
     Host,
 }
 
-/// What an offload produces for one processed message.
+/// What an offload produces for one processed message: exactly one of
+/// the first five, which say where the processed message goes, and any
+/// number of [`Output::Spawn`]s, in the order they leave.
 #[derive(Debug)]
 pub enum Output {
     /// The message continues along its chain (the tile advances the
     /// cursor; an exhausted chain falls back to the pipeline, §3.1.2).
-    Forward(Message),
+    Forward,
     /// The message goes to a specific engine chosen by this engine's
     /// *local lookup table* (§3.1.2) — e.g. a cache routing hits to the
     /// RDMA engine and misses to the DMA engine — without a heavyweight
     /// pipeline traversal.
-    ForwardTo(packet::chain::EngineId, Message),
-    /// A message that needs (re)classification by the heavyweight RMT
-    /// pipeline — either newly generated, or transformed such that its
-    /// old chain is meaningless (e.g. just-decrypted).
-    ToPipeline(Message),
+    ForwardTo(packet::chain::EngineId),
+    /// The message needs (re)classification by the heavyweight RMT
+    /// pipeline: it was transformed such that its old chain is
+    /// meaningless (e.g. just-decrypted).
+    ToPipeline,
     /// The message leaves the NIC.
-    Egress(EgressKind, Message),
+    Egress(EgressKind),
     /// The message is absorbed (e.g. failed verification).
     Consumed,
+    /// A new message the engine generated beside the processed one,
+    /// for engine `Some(e)`, or for the pipeline to classify (`None`).
+    Spawn(Option<packet::chain::EngineId>, Message),
 }
-
-// A `Message` plus the tag word, moved by value out of every offload:
-// at most 128 bytes, the largest move LLVM does inline on baseline
-// x86-64 rather than through a `memcpy` call (see the pin in
-// `packet::message`).
-const _: () = assert!(std::mem::size_of::<Output>() <= 128);
 
 /// Deterministic id source for engine-generated messages. Each engine
 /// gets a disjoint id space (`engine_id << 40 | counter`) so generated
@@ -110,17 +109,17 @@ pub trait Offload: Send {
         Cycles::ZERO
     }
 
-    /// Transforms the message after `service_time` elapsed, pushing
-    /// zero, one, or several outputs into `out` (e.g. a DMA engine
-    /// producing both a completion and an interrupt request). `out` is
-    /// *appended to*, never cleared — the caller owns the buffer so the
-    /// steady-state tick loop performs no allocation (see
-    /// `docs/PERF.md`).
-    fn process_into(&mut self, msg: Message, now: Cycle, out: &mut Vec<Output>);
+    /// Transforms the message in place after `service_time` elapsed,
+    /// pushing where it goes into `out`, and any message it generates
+    /// (e.g. a DMA engine producing both a host delivery and an
+    /// interrupt request) — see [`Output`]. `out` is *appended to*,
+    /// never cleared — the caller owns the buffer so the steady-state
+    /// tick loop performs no allocation (see `docs/PERF.md`).
+    fn process_into(&mut self, msg: &mut Message, now: Cycle, out: &mut Vec<Output>);
 
     /// Allocating convenience wrapper over
     /// [`Offload::process_into`] for tests and cold paths.
-    fn process(&mut self, msg: Message, now: Cycle) -> Vec<Output> {
+    fn process(&mut self, msg: &mut Message, now: Cycle) -> Vec<Output> {
         let mut out = Vec::new();
         self.process_into(msg, now, &mut out);
         out
@@ -182,9 +181,9 @@ impl Offload for NullOffload {
         self.service
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, _msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         self.processed += 1;
-        out.push(Output::Forward(msg));
+        out.push(Output::Forward);
     }
 }
 
@@ -199,16 +198,14 @@ mod tests {
         let mut o = NullOffload::new("null", EngineClass::Asic, Cycles(3));
         assert_eq!(o.name(), "null");
         assert_eq!(o.class(), EngineClass::Asic);
-        let msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+        let mut msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
             .payload(Bytes::from_static(b"abc"))
             .build();
         assert_eq!(o.service_time(&msg), Cycles(3));
-        let out = o.process(msg, Cycle(0));
+        let out = o.process(&mut msg, Cycle(0));
         assert_eq!(out.len(), 1);
-        match &out[0] {
-            Output::Forward(m) => assert_eq!(&m.payload[..], b"abc"),
-            other => panic!("expected Forward, got {other:?}"),
-        }
+        assert!(matches!(out[0], Output::Forward), "{out:?}");
+        assert_eq!(&msg.payload[..], b"abc");
         assert_eq!(o.processed(), 1);
     }
 }

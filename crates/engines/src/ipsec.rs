@@ -109,10 +109,14 @@ pub fn encrypt_frame(inner_frame: &[u8], tunnel: &TunnelConfig, seq: u32) -> Byt
 }
 
 /// Decrypts a tunnel-mode ESP frame back to its inner frame. Returns
-/// `None` on parse failure, unknown SPI, or integrity-tag mismatch.
+/// `None` for a frame that is not ESP, on parse failure, unknown SPI,
+/// or integrity-tag mismatch.
 #[must_use]
 pub fn decrypt_frame(outer: &[u8], sas: &HashMap<u32, SecurityAssoc>) -> Option<Bytes> {
-    let (_, _, n) = parse_ipv4(outer)?;
+    let (_, ip, n) = parse_ipv4(outer)?;
+    if ip.protocol != packet::headers::ipproto::ESP {
+        return None;
+    }
     let (esp, n3) = EspHeader::parse(&outer[n..]).ok()?;
     let sa = sas.get(&esp.spi)?;
     let ciphertext = &outer[n + n3..];
@@ -215,20 +219,19 @@ impl Offload for IpsecEngine {
         Cycles(self.base_cycles + blocks * self.cycles_per_32b)
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         if msg.kind != MessageKind::EthernetFrame {
-            out.push(Output::Forward(msg));
+            out.push(Output::Forward);
             return;
         }
         if Self::is_esp(&msg.payload) {
             match decrypt_frame(&msg.payload, &self.sas) {
                 Some(inner) => {
                     self.decrypted += 1;
-                    let mut fwd = msg;
-                    fwd.payload = inner;
+                    msg.payload = inner;
                     // The inner headers are new to the NIC: second pass
                     // through the heavyweight pipeline (§3.1.2).
-                    out.push(Output::ToPipeline(fwd));
+                    out.push(Output::ToPipeline);
                 }
                 None => {
                     self.auth_failures += 1;
@@ -242,9 +245,8 @@ impl Offload for IpsecEngine {
                     self.tx_seq += 1;
                     let enc = encrypt_frame(&msg.payload, t, seq);
                     self.encrypted += 1;
-                    let mut fwd = msg;
-                    fwd.payload = enc;
-                    out.push(Output::Forward(fwd));
+                    msg.payload = enc;
+                    out.push(Output::Forward);
                 }
                 None => {
                     // No tunnel: a plaintext frame at a decrypt-only
@@ -380,6 +382,40 @@ mod tests {
     }
 
     #[test]
+    fn a_udp_frame_whose_ports_spell_an_spi_is_not_decrypted() {
+        // An ESP frame that authenticates, retyped as UDP: its UDP ports
+        // read `src_port << 16 | dst_port` = the client's SPI, and the
+        // rest of its bytes would pass the integrity check.
+        let t = tunnel();
+        let sas = HashMap::from([(t.sa.spi, t.sa)]);
+        let outer = encrypt_frame(&inner_frame(), &t, 7);
+        assert!(decrypt_frame(&outer, &sas).is_some());
+        let (_, mut ip, n) = parse_ipv4(&outer).unwrap();
+        ip.protocol = packet::headers::ipproto::UDP;
+        let mut header = BytesMut::new();
+        ip.emit(&mut header);
+        let mut plain = outer.to_vec();
+        plain[n - Ipv4Header::SIZE..n].copy_from_slice(&header);
+        let (_, _, udp, _) = packet::headers::parse_udp(&plain).expect("a UDP frame");
+        assert_eq!(
+            u32::from(udp.src_port) << 16 | u32::from(udp.dst_port),
+            t.sa.spi
+        );
+        assert!(!IpsecEngine::is_esp(&plain));
+        assert!(decrypt_frame(&plain, &sas).is_none());
+
+        // A decrypt-and-encrypt engine treats it as plaintext to tunnel.
+        let mut e = IpsecEngine::new("ipsec", 1, 4);
+        e.install_sa(t.sa);
+        e.set_tunnel(t);
+        let mut m = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+            .payload(Bytes::from(plain))
+            .build();
+        assert!(matches!(e.process(&mut m, Cycle(0))[0], Output::Forward));
+        assert_eq!((e.decrypted, e.encrypted), (0, 1));
+    }
+
+    #[test]
     fn unknown_spi_fails() {
         let t = tunnel();
         let outer = encrypt_frame(&inner_frame(), &t, 7);
@@ -403,14 +439,12 @@ mod tests {
         let mut e = IpsecEngine::new("ipsec", 1, 4);
         e.install_sa(t.sa);
         let outer = encrypt_frame(&inner_frame(), &t, 3);
-        let msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+        let mut m = Message::builder(MessageId(1), MessageKind::EthernetFrame)
             .payload(outer)
             .build();
-        let out = e.process(msg, Cycle(0));
-        match &out[0] {
-            Output::ToPipeline(m) => assert_eq!(&m.payload[..], &inner_frame()[..]),
-            other => panic!("expected ToPipeline, got {other:?}"),
-        }
+        let out = e.process(&mut m, Cycle(0));
+        assert!(matches!(out[0], Output::ToPipeline), "{out:?}");
+        assert_eq!(&m.payload[..], &inner_frame()[..]);
         assert_eq!(e.decrypted, 1);
     }
 
@@ -419,33 +453,29 @@ mod tests {
         let t = tunnel();
         let mut e = IpsecEngine::new("ipsec", 1, 4);
         e.set_tunnel(t);
-        let msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+        let mut m = Message::builder(MessageId(1), MessageKind::EthernetFrame)
             .payload(inner_frame())
             .build();
-        let out = e.process(msg, Cycle(0));
-        match &out[0] {
-            Output::Forward(m) => {
-                assert!(IpsecEngine::is_esp(&m.payload));
-                // And it decrypts back.
-                let mut sas = HashMap::new();
-                sas.insert(t.sa.spi, t.sa);
-                assert_eq!(
-                    &decrypt_frame(&m.payload, &sas).unwrap()[..],
-                    &inner_frame()[..]
-                );
-            }
-            other => panic!("expected Forward, got {other:?}"),
-        }
+        let out = e.process(&mut m, Cycle(0));
+        assert!(matches!(out[0], Output::Forward), "{out:?}");
+        assert!(IpsecEngine::is_esp(&m.payload));
+        // And it decrypts back.
+        let mut sas = HashMap::new();
+        sas.insert(t.sa.spi, t.sa);
+        assert_eq!(
+            &decrypt_frame(&m.payload, &sas).unwrap()[..],
+            &inner_frame()[..]
+        );
         assert_eq!(e.encrypted, 1);
     }
 
     #[test]
     fn plaintext_without_tunnel_is_consumed() {
         let mut e = IpsecEngine::new("ipsec", 1, 4);
-        let msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+        let mut msg = Message::builder(MessageId(1), MessageKind::EthernetFrame)
             .payload(inner_frame())
             .build();
-        assert!(matches!(e.process(msg, Cycle(0))[0], Output::Consumed));
+        assert!(matches!(e.process(&mut msg, Cycle(0))[0], Output::Consumed));
         assert_eq!(e.auth_failures, 1);
     }
 
@@ -463,7 +493,7 @@ mod tests {
     #[test]
     fn non_frames_pass_through() {
         let mut e = IpsecEngine::new("ipsec", 1, 4);
-        let msg = Message::builder(MessageId(1), MessageKind::DmaRead).build();
-        assert!(matches!(e.process(msg, Cycle(0))[0], Output::Forward(_)));
+        let mut msg = Message::builder(MessageId(1), MessageKind::DmaRead).build();
+        assert!(matches!(e.process(&mut msg, Cycle(0))[0], Output::Forward));
     }
 }

@@ -221,7 +221,7 @@ impl Offload for KvsCacheEngine {
         Cycles(self.lookup_cycles)
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         if msg.kind == MessageKind::DmaCompletion {
             // A SET's log write finished: the location is now safe to
             // serve, so install it.
@@ -235,12 +235,12 @@ impl Offload for KvsCacheEngine {
             return;
         }
         if msg.kind != MessageKind::EthernetFrame {
-            out.push(Output::Forward(msg));
+            out.push(Output::Forward);
             return;
         }
         let Some(req) = KvsFrame::parse(&msg.payload).map(|f| f.request) else {
             // Not KVS traffic: continue along the chain untouched.
-            out.push(Output::Forward(msg));
+            out.push(Output::Forward);
             return;
         };
         match req.op {
@@ -252,14 +252,13 @@ impl Offload for KvsCacheEngine {
                         len,
                         frame: msg.payload.clone(),
                     };
-                    let mut work_msg = msg;
-                    work_msg.kind = MessageKind::RdmaWork;
-                    work_msg.payload = work.encode();
-                    out.push(Output::ForwardTo(self.rdma, work_msg));
+                    msg.kind = MessageKind::RdmaWork;
+                    msg.payload = work.encode();
+                    out.push(Output::ForwardTo(self.rdma));
                 }
                 None => {
                     self.misses += 1;
-                    out.push(Output::ForwardTo(self.dma, msg));
+                    out.push(Output::ForwardTo(self.dma));
                 }
             },
             KvsOp::Set => {
@@ -277,20 +276,18 @@ impl Offload for KvsCacheEngine {
                     tag: u64::from(req.request_id),
                     data: req.value.slice(..len as usize),
                 };
-                let mut write = msg;
-                write.kind = MessageKind::DmaWrite;
-                write.payload = desc.encode();
-                write.chain =
-                    ChainHeader::uniform(&[self.dma, self.self_id], write.current_slack())
-                        .expect("2 hops");
-                out.push(Output::ForwardTo(self.dma, write));
+                msg.kind = MessageKind::DmaWrite;
+                msg.payload = desc.encode();
+                msg.chain = ChainHeader::uniform(&[self.dma, self.self_id], msg.current_slack())
+                    .expect("2 hops");
+                out.push(Output::ForwardTo(self.dma));
             }
             KvsOp::Del => {
                 self.dels += 1;
                 self.cache.remove(req.key);
-                out.push(Output::ForwardTo(self.dma, msg));
+                out.push(Output::ForwardTo(self.dma));
             }
-            KvsOp::Reply => out.push(Output::Forward(msg)),
+            KvsOp::Reply => out.push(Output::Forward),
         }
     }
 }
@@ -317,6 +314,12 @@ mod tests {
         KvsCacheEngine::new("kvs", SELF, 4, RDMA, DMA)
     }
 
+    /// The outputs of processing `msg` at `now`, and what it became.
+    fn process(e: &mut KvsCacheEngine, mut msg: Message, now: u64) -> (Vec<Output>, Message) {
+        let out = e.process(&mut msg, Cycle(now));
+        (out, msg)
+    }
+
     fn msg_of(frame: Bytes) -> Message {
         Message::builder(MessageId(1), MessageKind::EthernetFrame)
             .payload(frame)
@@ -330,18 +333,13 @@ mod tests {
         e.install(42, 0x9000, 16);
         let req = KvsRequest::get(1, 7, 42);
         let frame = frame_for(&req);
-        let out = e.process(msg_of(frame.clone()), Cycle(0));
-        match &out[0] {
-            Output::ForwardTo(dest, m) => {
-                assert_eq!(*dest, RDMA);
-                assert_eq!(m.kind, MessageKind::RdmaWork);
-                let work = RdmaWorkDesc::decode(&m.payload).unwrap();
-                assert_eq!(work.addr, 0x9000);
-                assert_eq!(work.len, 16);
-                assert_eq!(&work.frame[..], &frame[..]);
-            }
-            other => panic!("expected ForwardTo rdma, got {other:?}"),
-        }
+        let (out, m) = process(&mut e, msg_of(frame.clone()), 0);
+        assert!(matches!(out[0], Output::ForwardTo(RDMA)), "{out:?}");
+        assert_eq!(m.kind, MessageKind::RdmaWork);
+        let work = RdmaWorkDesc::decode(&m.payload).unwrap();
+        assert_eq!(work.addr, 0x9000);
+        assert_eq!(work.len, 16);
+        assert_eq!(&work.frame[..], &frame[..]);
         assert_eq!(e.hits, 1);
     }
 
@@ -349,14 +347,9 @@ mod tests {
     fn get_miss_goes_to_host() {
         let mut e = engine();
         let req = KvsRequest::get(1, 7, 999);
-        let out = e.process(msg_of(frame_for(&req)), Cycle(0));
-        match &out[0] {
-            Output::ForwardTo(dest, m) => {
-                assert_eq!(*dest, DMA);
-                assert_eq!(m.kind, MessageKind::EthernetFrame);
-            }
-            other => panic!("expected ForwardTo dma, got {other:?}"),
-        }
+        let (out, m) = process(&mut e, msg_of(frame_for(&req)), 0);
+        assert!(matches!(out[0], Output::ForwardTo(DMA)), "{out:?}");
+        assert_eq!(m.kind, MessageKind::EthernetFrame);
         assert_eq!(e.misses, 1);
     }
 
@@ -364,25 +357,20 @@ mod tests {
     fn set_installs_only_after_write_completion() {
         let mut e = engine();
         let req = KvsRequest::set(1, 7, 5, Bytes::from_static(b"hello"));
-        let out = e.process(msg_of(frame_for(&req)), Cycle(0));
-        match &out[0] {
-            Output::ForwardTo(dest, m) => {
-                assert_eq!(*dest, DMA);
-                assert_eq!(m.kind, MessageKind::DmaWrite);
-                let desc = DmaDescriptor::decode(&m.payload).unwrap();
-                assert_eq!(desc.addr, e.slot_addr(5));
-                assert_eq!(&desc.data[..], b"hello");
-                // Completion routes back to the cache engine.
-                assert_eq!(m.chain.hops()[0].engine, DMA);
-                assert_eq!(m.chain.hops()[1].engine, SELF);
-            }
-            other => panic!("expected ForwardTo dma, got {other:?}"),
-        }
+        let (out, m) = process(&mut e, msg_of(frame_for(&req)), 0);
+        assert!(matches!(out[0], Output::ForwardTo(DMA)), "{out:?}");
+        assert_eq!(m.kind, MessageKind::DmaWrite);
+        let desc = DmaDescriptor::decode(&m.payload).unwrap();
+        assert_eq!(desc.addr, e.slot_addr(5));
+        assert_eq!(&desc.data[..], b"hello");
+        // Completion routes back to the cache engine.
+        assert_eq!(m.chain.hops()[0].engine, DMA);
+        assert_eq!(m.chain.hops()[1].engine, SELF);
         // A GET racing the in-flight write must MISS (read-after-write
         // hazard avoidance).
         let get = KvsRequest::get(1, 8, 5);
-        let out = e.process(msg_of(frame_for(&get)), Cycle(1));
-        assert!(matches!(&out[0], Output::ForwardTo(d, _) if *d == DMA));
+        let (out, _) = process(&mut e, msg_of(frame_for(&get)), 1);
+        assert!(matches!(out[0], Output::ForwardTo(DMA)));
         assert_eq!(e.misses, 1);
 
         // The DMA write completion installs the entry.
@@ -390,16 +378,15 @@ mod tests {
             .payload(Bytes::copy_from_slice(&7u64.to_be_bytes()))
             .build();
         assert!(matches!(
-            e.process(completion, Cycle(2))[0],
+            process(&mut e, completion, 2).0[0],
             Output::Consumed
         ));
 
         // Now the GET hits.
         let get = KvsRequest::get(1, 9, 5);
-        let out = e.process(msg_of(frame_for(&get)), Cycle(3));
-        assert!(
-            matches!(&out[0], Output::ForwardTo(d, m) if *d == RDMA && m.kind == MessageKind::RdmaWork)
-        );
+        let (out, m) = process(&mut e, msg_of(frame_for(&get)), 3);
+        assert!(matches!(out[0], Output::ForwardTo(RDMA)));
+        assert_eq!(m.kind, MessageKind::RdmaWork);
         assert_eq!(e.sets, 1);
         assert_eq!(e.hits, 1);
     }
@@ -415,11 +402,11 @@ mod tests {
             key: 5,
             value: Bytes::new(),
         };
-        let _ = e.process(msg_of(frame_for(&del)), Cycle(0));
+        let _ = process(&mut e, msg_of(frame_for(&del)), 0);
         assert_eq!(e.dels, 1);
         let get = KvsRequest::get(1, 10, 5);
-        let out = e.process(msg_of(frame_for(&get)), Cycle(1));
-        assert!(matches!(&out[0], Output::ForwardTo(d, _) if *d == DMA));
+        let (out, _) = process(&mut e, msg_of(frame_for(&get)), 1);
+        assert!(matches!(out[0], Output::ForwardTo(DMA)));
         assert_eq!(e.misses, 1);
     }
 
@@ -441,8 +428,8 @@ mod tests {
         let mut e = engine();
         let mut m = msg_of(Bytes::from_static(b"not a frame"));
         m.chain = ChainHeader::uniform(&[SELF, DMA], Slack(1)).unwrap();
-        let out = e.process(m, Cycle(0));
-        assert!(matches!(out[0], Output::Forward(_)));
+        let (out, _) = process(&mut e, m, 0);
+        assert!(matches!(out[0], Output::Forward));
     }
 
     #[test]

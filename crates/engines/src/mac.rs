@@ -86,10 +86,10 @@ impl Offload for MacEngine {
         self.serialization_cycles(msg.payload.len() as u64)
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         self.tx_frames += 1;
         self.tx_bytes += msg.payload.len() as u64;
-        out.push(Output::Egress(EgressKind::Wire, msg));
+        out.push(Output::Egress(EgressKind::Wire));
     }
 }
 
@@ -133,12 +133,12 @@ mod tests {
     #[test]
     fn process_egresses_and_counts() {
         let mut mac = mac_100g();
-        let m = Message::builder(MessageId(1), MessageKind::EthernetFrame)
+        let mut m = Message::builder(MessageId(1), MessageKind::EthernetFrame)
             .payload(Bytes::from(vec![0u8; 64]))
             .build();
         assert_eq!(mac.service_time(&m), Cycles(4));
-        let out = mac.process(m, Cycle(0));
-        assert!(matches!(out[0], Output::Egress(EgressKind::Wire, _)));
+        let out = mac.process(&mut m, Cycle(0));
+        assert!(matches!(out[0], Output::Egress(EgressKind::Wire)));
         assert_eq!(mac.tx_frames, 1);
         assert_eq!(mac.tx_bytes, 64);
         assert_eq!(mac.class(), EngineClass::EthernetPort);

@@ -51,17 +51,15 @@ impl PcieEngine {
     }
 
     /// Flushes the coalescer: if events are pending, raise an
-    /// interrupt now (the NIC calls this on a coalescing timer).
-    pub fn flush(&mut self) -> Option<Output> {
+    /// interrupt now (the NIC calls this on a coalescing timer) — a
+    /// message for the host.
+    pub fn flush(&mut self) -> Option<Message> {
         if self.pending == 0 {
             return None;
         }
         self.pending = 0;
         self.interrupts += 1;
-        Some(Output::Egress(
-            EgressKind::Host,
-            Message::builder(self.ids.next_id(), MessageKind::PcieEvent).build(),
-        ))
+        Some(Message::builder(self.ids.next_id(), MessageKind::PcieEvent).build())
     }
 }
 
@@ -87,7 +85,7 @@ impl Offload for PcieEngine {
         Cycles(1)
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         match msg.kind {
             MessageKind::PcieEvent => {
                 self.events += 1;
@@ -95,14 +93,14 @@ impl Offload for PcieEngine {
                 if self.pending >= self.threshold {
                     self.pending = 0;
                     self.interrupts += 1;
-                    out.push(Output::Egress(EgressKind::Host, msg));
+                    out.push(Output::Egress(EgressKind::Host));
                 } else {
                     out.push(Output::Consumed);
                 }
             }
             // Anything else passes through (e.g. a descriptor doorbell
             // heading host->NIC in a TX model).
-            _ => out.push(Output::Forward(msg)),
+            _ => out.push(Output::Forward),
         }
     }
 }
@@ -120,12 +118,12 @@ mod tests {
     fn coalesces_to_threshold() {
         let mut p = PcieEngine::new("pcie", 13, 4);
         for i in 0..3 {
-            let out = p.process(event(i), Cycle(0));
+            let out = p.process(&mut event(i), Cycle(0));
             assert!(matches!(out[0], Output::Consumed));
         }
         assert_eq!(p.pending(), 3);
-        let out = p.process(event(3), Cycle(0));
-        assert!(matches!(out[0], Output::Egress(EgressKind::Host, _)));
+        let out = p.process(&mut event(3), Cycle(0));
+        assert!(matches!(out[0], Output::Egress(EgressKind::Host)));
         assert_eq!(p.interrupts, 1);
         assert_eq!(p.pending(), 0);
         assert_eq!(p.events, 4);
@@ -135,8 +133,8 @@ mod tests {
     fn threshold_one_interrupts_every_event() {
         let mut p = PcieEngine::new("pcie", 13, 1);
         for i in 0..5 {
-            let out = p.process(event(i), Cycle(0));
-            assert!(matches!(out[0], Output::Egress(EgressKind::Host, _)));
+            let out = p.process(&mut event(i), Cycle(0));
+            assert!(matches!(out[0], Output::Egress(EgressKind::Host)));
         }
         assert_eq!(p.interrupts, 5);
     }
@@ -145,9 +143,9 @@ mod tests {
     fn flush_raises_pending_interrupt() {
         let mut p = PcieEngine::new("pcie", 13, 100);
         assert!(p.flush().is_none());
-        let _ = p.process(event(1), Cycle(0));
+        let _ = p.process(&mut event(1), Cycle(0));
         let out = p.flush().expect("pending event flushes");
-        assert!(matches!(out, Output::Egress(EgressKind::Host, _)));
+        assert_eq!(out.kind, MessageKind::PcieEvent);
         assert_eq!(p.interrupts, 1);
         assert!(p.flush().is_none());
     }
@@ -155,8 +153,8 @@ mod tests {
     #[test]
     fn non_events_pass_through() {
         let mut p = PcieEngine::new("pcie", 13, 4);
-        let m = Message::builder(MessageId(9), MessageKind::Internal).build();
-        assert!(matches!(p.process(m, Cycle(0))[0], Output::Forward(_)));
+        let mut m = Message::builder(MessageId(9), MessageKind::Internal).build();
+        assert!(matches!(p.process(&mut m, Cycle(0))[0], Output::Forward));
         assert_eq!(p.events, 0);
     }
 

@@ -92,7 +92,7 @@ impl Offload for RdmaEngine {
         Cycles(self.work_cycles)
     }
 
-    fn process_into(&mut self, msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+    fn process_into(&mut self, msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
         match msg.kind {
             MessageKind::RdmaWork => {
                 let Some(work) = RdmaWorkDesc::decode(&msg.payload) else {
@@ -108,17 +108,15 @@ impl Offload for RdmaEngine {
                     tag,
                     data: Bytes::new(),
                 };
-                let mut read = msg;
-                read.kind = MessageKind::DmaRead;
-                read.payload = desc.encode();
+                msg.kind = MessageKind::DmaRead;
+                msg.payload = desc.encode();
                 // Chain [dma, rdma]: the completion comes straight back
                 // here over the mesh — no pipeline pass (§3.1.2's
                 // lightweight chaining), and the DMA hop inherits the
                 // request's urgency.
-                let slack = read.current_slack();
-                read.chain =
-                    ChainHeader::uniform(&[self.dma, self.self_id], slack).expect("2 hops");
-                out.push(Output::ForwardTo(self.dma, read));
+                let slack = msg.current_slack();
+                msg.chain = ChainHeader::uniform(&[self.dma, self.self_id], slack).expect("2 hops");
+                out.push(Output::ForwardTo(self.dma));
             }
             MessageKind::DmaCompletion => {
                 if msg.payload.len() < 8 {
@@ -136,12 +134,11 @@ impl Offload for RdmaEngine {
                 match KvsFrame::parse(&frame) {
                     Some(request) => {
                         self.replies += 1;
-                        let mut reply = msg;
-                        reply.kind = MessageKind::EthernetFrame;
-                        reply.payload = request.reply(value);
-                        reply.chain = ChainHeader::empty();
+                        msg.kind = MessageKind::EthernetFrame;
+                        msg.payload = request.reply(value);
+                        msg.chain = ChainHeader::empty();
                         // "inject this new response into the pipeline".
-                        out.push(Output::ToPipeline(reply));
+                        out.push(Output::ToPipeline);
                     }
                     None => {
                         self.orphan_completions += 1;
@@ -149,7 +146,7 @@ impl Offload for RdmaEngine {
                     }
                 }
             }
-            _ => out.push(Output::Forward(msg)),
+            _ => out.push(Output::Forward),
         }
     }
 }
@@ -192,55 +189,47 @@ mod tests {
     #[test]
     fn work_issues_dma_read_with_return_chain() {
         let mut e = RdmaEngine::new("rdma", SELF, DMA);
-        let out = e.process(work_msg(), Cycle(0));
-        match &out[0] {
-            Output::ForwardTo(dest, m) => {
-                assert_eq!(*dest, DMA);
-                assert_eq!(m.kind, MessageKind::DmaRead);
-                let desc = DmaDescriptor::decode(&m.payload).unwrap();
-                assert_eq!(desc.addr, 0x9000);
-                assert_eq!(desc.len, 5);
-                assert_eq!(desc.tag, 1);
-                // Chain routes the completion back to this engine.
-                assert_eq!(m.chain.hops()[0].engine, DMA);
-                assert_eq!(m.chain.hops()[1].engine, SELF);
-                // Slack inherited from the request.
-                assert_eq!({ m.chain.hops()[0].slack }, Slack(40));
-            }
-            other => panic!("expected ForwardTo dma, got {other:?}"),
-        }
+        let mut m = work_msg();
+        let out = e.process(&mut m, Cycle(0));
+        assert!(matches!(out[0], Output::ForwardTo(DMA)), "{out:?}");
+        assert_eq!(m.kind, MessageKind::DmaRead);
+        let desc = DmaDescriptor::decode(&m.payload).unwrap();
+        assert_eq!(desc.addr, 0x9000);
+        assert_eq!(desc.len, 5);
+        assert_eq!(desc.tag, 1);
+        // Chain routes the completion back to this engine.
+        assert_eq!(m.chain.hops()[0].engine, DMA);
+        assert_eq!(m.chain.hops()[1].engine, SELF);
+        // Slack inherited from the request.
+        assert_eq!({ m.chain.hops()[0].slack }, Slack(40));
         assert_eq!(e.pending.len(), 1);
     }
 
     #[test]
     fn completion_builds_addressed_reply() {
         let mut e = RdmaEngine::new("rdma", SELF, DMA);
-        let _ = e.process(work_msg(), Cycle(0));
+        let _ = e.process(&mut work_msg(), Cycle(0));
         // Craft the completion the DMA engine would send: tag + value.
         let mut payload = Vec::new();
         payload.extend_from_slice(&1u64.to_be_bytes());
         payload.extend_from_slice(b"VALUE");
-        let completion = Message::builder(MessageId(2), MessageKind::DmaCompletion)
+        let mut m = Message::builder(MessageId(2), MessageKind::DmaCompletion)
             .payload(Bytes::from(payload))
             .build();
-        let out = e.process(completion, Cycle(10));
-        match &out[0] {
-            Output::ToPipeline(m) => {
-                assert_eq!(m.kind, MessageKind::EthernetFrame);
-                // Reply is addressed back to the requester.
-                let get = KvsFrame::parse(&request_frame()).unwrap();
-                let f = KvsFrame::parse(&m.payload).unwrap();
-                assert_eq!(f.eth.dst, get.eth.src);
-                assert_eq!((f.ip.src, f.ip.dst), (get.ip.dst, CLIENT));
-                assert_eq!(f.udp.dst_port, 3333);
-                let reply = f.request;
-                assert_eq!(reply.op, KvsOp::Reply);
-                assert_eq!(reply.key, key_placeholder());
-                assert_eq!(reply.request_id, 77);
-                assert_eq!(&reply.value[..], b"VALUE");
-            }
-            other => panic!("expected ToPipeline reply, got {other:?}"),
-        }
+        let out = e.process(&mut m, Cycle(10));
+        assert!(matches!(out[0], Output::ToPipeline), "{out:?}");
+        assert_eq!(m.kind, MessageKind::EthernetFrame);
+        // Reply is addressed back to the requester.
+        let get = KvsFrame::parse(&request_frame()).unwrap();
+        let f = KvsFrame::parse(&m.payload).unwrap();
+        assert_eq!(f.eth.dst, get.eth.src);
+        assert_eq!((f.ip.src, f.ip.dst), (get.ip.dst, CLIENT));
+        assert_eq!(f.udp.dst_port, 3333);
+        let reply = f.request;
+        assert_eq!(reply.op, KvsOp::Reply);
+        assert_eq!(reply.key, key_placeholder());
+        assert_eq!(reply.request_id, 77);
+        assert_eq!(&reply.value[..], b"VALUE");
         assert_eq!(e.replies, 1);
         assert_eq!(e.pending.len(), 0);
     }
@@ -250,11 +239,11 @@ mod tests {
         let mut e = RdmaEngine::new("rdma", SELF, DMA);
         let mut payload = Vec::new();
         payload.extend_from_slice(&99u64.to_be_bytes());
-        let completion = Message::builder(MessageId(2), MessageKind::DmaCompletion)
+        let mut completion = Message::builder(MessageId(2), MessageKind::DmaCompletion)
             .payload(Bytes::from(payload))
             .build();
         assert!(matches!(
-            e.process(completion, Cycle(0))[0],
+            e.process(&mut completion, Cycle(0))[0],
             Output::Consumed
         ));
         assert_eq!(e.orphan_completions, 1);
@@ -263,29 +252,27 @@ mod tests {
     #[test]
     fn truncated_work_is_consumed() {
         let mut e = RdmaEngine::new("rdma", SELF, DMA);
-        let m = Message::builder(MessageId(1), MessageKind::RdmaWork)
+        let mut m = Message::builder(MessageId(1), MessageKind::RdmaWork)
             .payload(Bytes::from_static(&[1, 2]))
             .build();
-        assert!(matches!(e.process(m, Cycle(0))[0], Output::Consumed));
+        assert!(matches!(e.process(&mut m, Cycle(0))[0], Output::Consumed));
     }
 
     #[test]
     fn concurrent_works_use_distinct_tags() {
         let mut e = RdmaEngine::new("rdma", SELF, DMA);
-        let o1 = e.process(work_msg(), Cycle(0));
-        let o2 = e.process(work_msg(), Cycle(1));
-        let tag = |o: &Output| match o {
-            Output::ForwardTo(_, m) => DmaDescriptor::decode(&m.payload).unwrap().tag,
-            _ => panic!("expected ForwardTo"),
-        };
-        assert_ne!(tag(&o1[0]), tag(&o2[0]));
+        let (mut m1, mut m2) = (work_msg(), work_msg());
+        let _ = e.process(&mut m1, Cycle(0));
+        let _ = e.process(&mut m2, Cycle(1));
+        let tag = |m: &Message| DmaDescriptor::decode(&m.payload).unwrap().tag;
+        assert_ne!(tag(&m1), tag(&m2));
         assert_eq!(e.pending.len(), 2);
     }
 
     #[test]
     fn other_kinds_pass_through() {
         let mut e = RdmaEngine::new("rdma", SELF, DMA);
-        let m = Message::builder(MessageId(1), MessageKind::Internal).build();
-        assert!(matches!(e.process(m, Cycle(0))[0], Output::Forward(_)));
+        let mut m = Message::builder(MessageId(1), MessageKind::Internal).build();
+        assert!(matches!(e.process(&mut m, Cycle(0))[0], Output::Forward));
     }
 }

@@ -13,12 +13,17 @@
 //! pressure propagates losslessly into the mesh exactly as §3.1.2
 //! requires. Loss, when permitted, happens only in the scheduling
 //! queue's admission policy (§4.3).
+//!
+//! A tile carries a whole [`Message`] by default and a handle into the
+//! NIC's store inside a NIC ([`Carry`]); its offload works on the
+//! message in place either way.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use packet::chain::EngineId;
 use packet::message::{Message, TenantId};
+use packet::store::Carry;
 use sched::admission::{Admission, AdmissionPolicy};
 use sched::queue::SchedQueue;
 use sim_core::stats::Histogram;
@@ -47,24 +52,21 @@ impl Default for TileConfig {
 
 /// A message leaving a tile, addressed for the NIC to route.
 #[derive(Debug)]
-pub enum Emit {
+pub enum Emit<M = Message> {
     /// Send over the NoC to the next chain engine.
-    To(EngineId, Message),
+    To(EngineId, M),
     /// Send to the heavyweight pipeline for (re)classification.
-    ToPipeline(Message),
+    ToPipeline(M),
     /// The message left the NIC.
-    Egress(EgressKind, Message),
+    Egress(EgressKind, M),
     /// The message was absorbed by the offload (e.g. failed a check).
     /// Carries the consumed message's tenant tag so the tenancy plane
     /// can account the exit and return the admission credit.
     Consumed(TenantId),
 }
 
-// A `Message` plus the tag word, moved by value out of every tile tick:
-// at most 128 bytes, the largest move LLVM does inline on baseline
-// x86-64 rather than through a `memcpy` call (see the pin in
-// `packet::message`).
-const _: () = assert!(std::mem::size_of::<Emit>() <= 128);
+// What a NIC's tile emits: a handle, its destination and the tag.
+const _: () = assert!(std::mem::size_of::<Emit<packet::MsgRef>>() == 8);
 
 /// Tile counters.
 ///
@@ -116,15 +118,16 @@ impl TileStats {
     }
 }
 
-/// An offload wrapped with its local queue and lookup-table logic.
-pub struct EngineTile {
+/// An offload wrapped with its local queue and lookup-table logic,
+/// carrying `M`s.
+pub struct EngineTile<M = Message> {
     id: EngineId,
     offload: Box<dyn Offload>,
-    queue: SchedQueue,
+    queue: SchedQueue<M>,
     /// A message currently in service: `(msg, started_at, done_at)`.
-    in_service: Option<(Message, Cycle, Cycle)>,
+    in_service: Option<(M, Cycle, Cycle)>,
     /// RX holding slot for a message the queue refused (backpressure).
-    pending: Option<Message>,
+    pending: Option<M>,
     stats: TileStats,
     /// Trace handle (disabled by default; see [`EngineTile::attach_tracer`]).
     tracer: Tracer,
@@ -155,7 +158,7 @@ pub struct EngineTile {
     out_scratch: Vec<Output>,
 }
 
-impl std::fmt::Debug for EngineTile {
+impl<M: Carry> std::fmt::Debug for EngineTile<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineTile")
             .field("id", &self.id)
@@ -166,9 +169,41 @@ impl std::fmt::Debug for EngineTile {
 }
 
 impl EngineTile {
+    /// Hands the tile a message from the network
+    /// ([`EngineTile::accept_in`]).
+    ///
+    /// # Panics
+    /// Panics if called while `rx_ready()` is false.
+    pub fn accept(&mut self, msg: Message, now: Cycle) {
+        self.accept_in(msg, &mut (), now);
+    }
+
+    /// Advances one cycle. Returns everything the tile emits.
+    ///
+    /// Convenience wrapper over [`EngineTile::tick_into`]; hot loops
+    /// reuse a caller-owned buffer instead.
+    pub fn tick(&mut self, now: Cycle) -> Vec<Emit> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// [`EngineTile::tick_in`] for a tile that carries whole messages.
+    pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<Emit>) {
+        self.tick_in(now, &mut (), out);
+    }
+
+    /// [`EngineTile::watchdog_down_in`] for a tile that carries whole
+    /// messages.
+    pub fn watchdog_down(&mut self) -> u64 {
+        self.watchdog_down_in(&mut ())
+    }
+}
+
+impl<M: Carry> EngineTile<M> {
     /// Wraps `offload` as tile `id`.
     #[must_use]
-    pub fn new(id: EngineId, offload: Box<dyn Offload>, config: TileConfig) -> EngineTile {
+    pub fn new(id: EngineId, offload: Box<dyn Offload>, config: TileConfig) -> EngineTile<M> {
         EngineTile {
             id,
             offload,
@@ -275,13 +310,15 @@ impl EngineTile {
         self.pending.is_none()
     }
 
-    /// Hands the tile a message from the network, starting the progress
-    /// clock of a workless tile.
+    /// Hands the tile a message from the network, which lives in
+    /// `store`, starting the progress clock of a workless tile. A
+    /// message the tile destroys (a queue drop, a DOWN tile's
+    /// absorption) is taken out of `store`.
     ///
     /// # Panics
     /// Panics if called while `rx_ready()` is false — the NIC must
     /// check first; ignoring backpressure would silently drop.
-    pub fn accept(&mut self, msg: Message, now: Cycle) {
+    pub fn accept_in(&mut self, msg: M, store: &mut M::Store, now: Cycle) {
         assert!(
             self.pending.is_none(),
             "tile {}: accept while busy",
@@ -291,17 +328,27 @@ impl EngineTile {
             // A DOWN tile is a black hole: anything still addressed to
             // it (in-flight before failover rewrote the chains) is
             // absorbed and charged to the flushed bucket.
-            self.stats.record_flush(msg.tenant);
+            self.flush(msg, store);
             return;
         }
         self.set_idle_clock(now);
-        match self.queue.offer(msg, now) {
-            // Queue drops/refusals are counted by the queue itself
-            // (see [`EngineTile::drops`]); the tile only parks refused
-            // messages for backpressure.
-            Admission::Accepted | Admission::Dropped { .. } => {}
+        self.offer(msg, store, now);
+    }
+
+    /// Offers `msg` to the queue. Drops and refusals are counted by the
+    /// queue itself (see [`EngineTile::drops`]); the tile destroys a
+    /// dropped victim and parks a refused message for backpressure.
+    fn offer(&mut self, msg: M, store: &mut M::Store, now: Cycle) {
+        match self.queue.offer_in(msg, store, now) {
+            Admission::Accepted => {}
+            Admission::Dropped { victim } => drop(victim.take(store)),
             Admission::Refused(m) => self.pending = Some(m),
         }
+    }
+
+    /// Destroys `msg`, charging it to the flushed bucket.
+    fn flush(&mut self, msg: M, store: &mut M::Store) {
+        self.stats.record_flush(msg.take(store).tenant);
     }
 
     /// True when a message is being serviced.
@@ -310,19 +357,10 @@ impl EngineTile {
         self.in_service.is_some()
     }
 
-    /// Advances one cycle. Returns everything the tile emits.
-    ///
-    /// Convenience wrapper over [`EngineTile::tick_into`]; hot loops
-    /// reuse a caller-owned buffer instead.
-    pub fn tick(&mut self, now: Cycle) -> Vec<Emit> {
-        let mut out = Vec::new();
-        self.tick_into(now, &mut out);
-        out
-    }
-
-    /// [`EngineTile::tick`] into a caller-owned buffer (cleared first),
-    /// so the steady-state tick loop performs no allocation.
-    pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<Emit>) {
+    /// Advances one cycle, emitting into a caller-owned buffer (cleared
+    /// first), so the steady-state tick loop performs no allocation.
+    /// The messages the tile carries live in `store`.
+    pub fn tick_in(&mut self, now: Cycle, store: &mut M::Store, out: &mut Vec<Emit<M>>) {
         out.clear();
         // Fault states: a DOWN tile is inert; a crashed or stalled
         // tile is frozen (work in flight neither completes nor
@@ -334,10 +372,7 @@ impl EngineTile {
         // Retry a refused RX message first: its slot blocks the
         // network until the queue admits it.
         if let Some(msg) = self.pending.take() {
-            match self.queue.offer(msg, now) {
-                Admission::Accepted | Admission::Dropped { .. } => {}
-                Admission::Refused(m) => self.pending = Some(m),
-            }
+            self.offer(msg, store, now);
         }
 
         // Complete service.
@@ -353,21 +388,21 @@ impl EngineTile {
                         started_at,
                         now.since(started_at),
                         "msg",
-                        msg.id.0,
+                        msg.msg(store).id.0,
                     );
                 }
-                self.process_and_route(msg, now, out);
+                self.process_and_route(msg, store, now, out);
             }
         }
 
         // Start service.
         if self.in_service.is_none() {
-            if let Some(msg) = self.queue.pop(now) {
+            if let Some(msg) = self.queue.pop_in(now, store) {
                 // Degradation fault: every service started while the
                 // fault holds takes `degrade_mult`× nominal. The
                 // recorded service time is the degraded one — that is
                 // what the packet experienced.
-                let st = self.offload.service_time(&msg) * u64::from(self.degrade_mult);
+                let st = self.offload.service_time(msg.msg(store)) * u64::from(self.degrade_mult);
                 self.stats.service.record(st.count());
                 self.last_progress = now;
                 if st == Cycles::ZERO {
@@ -380,10 +415,10 @@ impl EngineTile {
                             now,
                             Cycles::ZERO,
                             "msg",
-                            msg.id.0,
+                            msg.msg(store).id.0,
                         );
                     }
-                    self.process_and_route(msg, now, out);
+                    self.process_and_route(msg, store, now, out);
                 } else {
                     self.in_service = Some((msg, now, now + st));
                 }
@@ -395,17 +430,55 @@ impl EngineTile {
         }
     }
 
-    /// Runs the offload on `msg` and routes every output, reusing the
-    /// tile's scratch buffer for the offload outputs. The input
-    /// message's tenant tag is captured first so a `Consumed` output —
-    /// which carries no message — can still be attributed.
-    fn process_and_route(&mut self, msg: Message, now: Cycle, out: &mut Vec<Emit>) {
-        let tenant = msg.tenant;
+    /// Runs the offload on `msg` in place and routes every output
+    /// through the local lookup table, reusing the tile's scratch
+    /// buffer for the offload outputs: the chain cursor advances for a
+    /// forward, and an exhausted chain falls back to the pipeline
+    /// (§3.1.2's "default route back to the heavyweight RMT
+    /// pipeline"). A consumed message is destroyed here, its tenant
+    /// tag kept for the NIC's books; a spawned one is written into
+    /// `store`.
+    ///
+    /// # Panics
+    /// Panics unless the offload disposed of `msg` exactly once.
+    fn process_and_route(
+        &mut self,
+        mut msg: M,
+        store: &mut M::Store,
+        now: Cycle,
+        out: &mut Vec<Emit<M>>,
+    ) {
+        let m = msg.msg_mut(store);
+        let tenant = m.tenant;
         let mut scratch = std::mem::take(&mut self.out_scratch);
-        self.offload.process_into(msg, now, &mut scratch);
+        self.offload.process_into(m, now, &mut scratch);
+        let mut this = Some(msg);
+        let mut take = || this.take().expect("one disposition per processed message");
         for o in scratch.drain(..) {
-            out.push(self.route_output(o, tenant));
+            out.push(match o {
+                Output::Forward => {
+                    let mut msg = take();
+                    match msg.msg_mut(store).chain.advance() {
+                        Some(hop) => Emit::To(hop.engine, msg),
+                        None => Emit::ToPipeline(msg),
+                    }
+                }
+                Output::ForwardTo(dest) => Emit::To(dest, take()),
+                Output::ToPipeline => Emit::ToPipeline(take()),
+                Output::Egress(kind) => Emit::Egress(kind, take()),
+                Output::Consumed => {
+                    drop(take().take(store));
+                    Emit::Consumed(tenant)
+                }
+                Output::Spawn(Some(dest), new) => Emit::To(dest, M::put(new, store)),
+                Output::Spawn(None, new) => Emit::ToPipeline(M::put(new, store)),
+            });
         }
+        assert!(
+            this.is_none(),
+            "offload {} left a message without a disposition",
+            self.offload.name()
+        );
         self.out_scratch = scratch;
     }
 
@@ -533,27 +606,22 @@ impl EngineTile {
     }
 
     /// Watchdog recovery: marks the tile DOWN, flushes everything it
-    /// holds (queue, RX pending slot, in-service message) and returns
-    /// the number of messages destroyed. The flush is charged to
-    /// [`TileStats::flushed`] so NIC-level conservation still closes.
-    /// A DOWN tile absorbs (and counts) any message still routed to it.
-    pub fn watchdog_down(&mut self) -> u64 {
+    /// holds (queue, RX pending slot, in-service message) out of
+    /// `store` and returns the number of messages destroyed. The flush
+    /// is charged to [`TileStats::flushed`] so NIC-level conservation
+    /// still closes. A DOWN tile absorbs (and counts) any message still
+    /// routed to it.
+    pub fn watchdog_down_in(&mut self, store: &mut M::Store) -> u64 {
         self.faulted = true;
         self.down = true;
-        let mut flushed = 0u64;
-        for msg in self.queue.drain_for_flush() {
-            self.stats.record_flush(msg.tenant);
-            flushed += 1;
+        let mut flushed = self.queue.drain_for_flush();
+        flushed.extend(self.pending.take());
+        flushed.extend(self.in_service.take().map(|(msg, _, _)| msg));
+        let count = flushed.len() as u64;
+        for msg in flushed {
+            self.flush(msg, store);
         }
-        if let Some(msg) = self.pending.take() {
-            self.stats.record_flush(msg.tenant);
-            flushed += 1;
-        }
-        if let Some((msg, _, _)) = self.in_service.take() {
-            self.stats.record_flush(msg.tenant);
-            flushed += 1;
-        }
-        flushed
+        count
     }
 
     /// True when the watchdog marked this tile DOWN.
@@ -575,23 +643,6 @@ impl EngineTile {
     #[must_use]
     pub fn wedged(&self, now: Cycle, timeout: Cycles) -> bool {
         self.has_work() && now.saturating_since(self.last_progress) > timeout
-    }
-
-    /// The local lookup table: maps an offload output to a NIC-level
-    /// emission, advancing the chain cursor for forwards and falling
-    /// back to the pipeline when the chain is exhausted (§3.1.2's
-    /// "default route back to the heavyweight RMT pipeline").
-    fn route_output(&mut self, out: Output, tenant: TenantId) -> Emit {
-        match out {
-            Output::Forward(mut msg) => match msg.chain.advance() {
-                Some(hop) => Emit::To(hop.engine, msg),
-                None => Emit::ToPipeline(msg),
-            },
-            Output::ForwardTo(dest, msg) => Emit::To(dest, msg),
-            Output::ToPipeline(msg) => Emit::ToPipeline(msg),
-            Output::Egress(kind, msg) => Emit::Egress(kind, msg),
-            Output::Consumed => Emit::Consumed(tenant),
-        }
     }
 }
 
@@ -870,7 +921,7 @@ mod tests {
             fn service_time(&self, _msg: &Message) -> Cycles {
                 Cycles::ZERO
             }
-            fn process_into(&mut self, _msg: Message, _now: Cycle, out: &mut Vec<Output>) {
+            fn process_into(&mut self, _msg: &mut Message, _now: Cycle, out: &mut Vec<Output>) {
                 out.push(Output::Consumed);
             }
         }

@@ -72,11 +72,11 @@ struct Crossing {
     via: bool,
 }
 
-// A `Message` plus one word, moved by value through every boundary
-// exchange and onto every link (whose arrival cycles sit in a deque of
-// their own, so the link's entry is this): at most 128 bytes, the largest move LLVM does inline on
-// baseline x86-64 rather than through a `memcpy` call (see the pin in
-// `packet::message`).
+// A `Message` plus one word: between two NICs' stores the copy itself
+// travels, through every boundary exchange and onto every link (whose
+// arrival cycles sit in a deque of their own, so the link's entry is
+// this). At most 128 bytes, the largest move LLVM does inline on
+// baseline x86-64 rather than through a `memcpy` call.
 const _: () = assert!(std::mem::size_of::<Crossing>() <= 128);
 
 impl Crossing {

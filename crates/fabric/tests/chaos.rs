@@ -21,14 +21,35 @@ use sim_core::time::Cycle;
 use trace::{Event, MetricsRegistry, TraceSink, Tracer, TrackId};
 
 /// Runs to full quiescence — including the fault plane's deferred
-/// work — and asserts the conservation identity.
+/// work — and asserts the conservation identity, and that no member's
+/// message store still holds a message.
 fn drain(fabric: &mut Fabric) {
     // Nothing is injected yet at cycle 0, so the fabric is quiescent
     // there: start the drivers first.
     let now = fabric.run_ff(Cycle(0), 10_000).0;
+    assert_no_leaks(fabric);
     fabric.drain(now).expect("fabric failed to drain");
     let c = fabric.conservation();
     assert!(c.holds(), "fleet conservation violated:\n{c}");
+    assert_no_leaks(fabric);
+    for i in 0..fabric.len() {
+        assert_eq!(fabric.member(i).live_messages(), 0, "member {i} leaked");
+    }
+}
+
+/// Every member's message store holds exactly the copies its books
+/// call in flight: a copy taken out of the store on no exit, or on two,
+/// opens the difference.
+fn assert_no_leaks(fabric: &Fabric) {
+    for i in 0..fabric.len() {
+        let nic = fabric.member(i);
+        let c = nic.conservation();
+        assert_eq!(
+            nic.live_messages() as u64,
+            c.sources() - c.sinks(),
+            "member {i}: store and books disagree:\n{c}"
+        );
+    }
 }
 
 /// An armed fault plane with an empty plan.
@@ -584,6 +605,7 @@ proptest! {
             // The members' own identities only settle at quiescence
             // (a copy on a mesh is on neither side); the closure that
             // ties them together never opens.
+            assert_no_leaks(&fabric);
             let c = fabric.conservation();
             prop_assert_eq!(
                 c.remote_tx + c.retries,

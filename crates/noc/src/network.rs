@@ -21,7 +21,10 @@
 //!   until that glider's last flit has left the source.
 //!
 //! A message in the mesh is stored once, in the network's in-flight
-//! slab, from `send` until its tail is ejected. A source queue holds
+//! slab, from `send` until its tail is ejected. What the slab holds is
+//! what the mesh carries: a whole [`Message`] when it runs alone, a
+//! 4-byte [`packet::MsgRef`] into the NIC's store inside a NIC
+//! ([`Carry`]). A source queue holds
 //! each waiting message as one run (what is left of it, in flits);
 //! router FIFOs and ejection buffers hold 8-byte [`FlitHandle`]s naming
 //! its slot. Which routers hold a flit is an `active` tile bitmask, so a
@@ -44,7 +47,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
-use packet::{EngineId, Flit, FlitKind, Message, TenantId};
+use packet::{Carry, EngineId, Flit, FlitKind, Message, MessageId, TenantId};
 use sim_core::bits::set_bits;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
@@ -155,17 +158,16 @@ const LOCAL: usize = 4;
 /// One in-flight message: stored once in the slab while its flits —
 /// handles naming this slot — cross the mesh.
 #[derive(Debug)]
-struct InFlight {
-    msg: Message,
+struct InFlight<M> {
+    msg: M,
     /// When `send` accepted it (for `noc.latency` / `noc.msg`).
     sent: Cycle,
+    /// Its id, for the `noc.hop` instants a traced tick emits.
+    id: MessageId,
 }
 
-// A slab entry is a `Message` plus one word; the slab is written once
-// and read once per NoC leg: at most 128 bytes, the largest move LLVM
-// does inline on baseline x86-64 rather than through a `memcpy` call
-// (see the pin in `packet::message`).
-const _: () = assert!(std::mem::size_of::<InFlight>() <= 128);
+// Inside a NIC a slab entry is a handle, its send stamp and its id.
+const _: () = assert!(std::mem::size_of::<InFlight<packet::MsgRef>>() == 24);
 
 /// Where a message is among the routers, per slab slot.
 ///
@@ -340,9 +342,10 @@ impl Source {
     }
 }
 
-/// The mesh network of routers.
+/// The mesh network of routers, carrying `M`: a whole [`Message`] by
+/// default, a handle inside a NIC.
 #[derive(Debug)]
-pub struct MeshNetwork {
+pub struct MeshNetwork<M = Message> {
     config: NetworkConfig,
     placement: Placement,
     /// Dense engine→coord/tile tables snapshotted from `placement` —
@@ -372,7 +375,7 @@ pub struct MeshNetwork {
     /// ejection of its tail, indexed by [`FlitHandle::slot`]. Each copy
     /// of a message has its own slot, so a re-issued duplicate racing
     /// its original keeps its own send stamp.
-    slab: Vec<Option<InFlight>>,
+    slab: Vec<Option<InFlight<M>>>,
     /// Vacant slab slots, reused LIFO; sized with the slab so a
     /// steady-state eject → send cycle never allocates.
     free_slots: Vec<u32>,
@@ -436,11 +439,29 @@ pub struct MeshNetwork {
 }
 
 impl MeshNetwork {
+    /// Queues `msg` for transmission from `from` toward `to` (see
+    /// [`MeshNetwork::send_in`]).
+    ///
+    /// # Panics
+    /// Panics if either engine is not placed.
+    pub fn send(&mut self, from: EngineId, to: EngineId, msg: Message, now: Cycle) {
+        self.send_in(from, to, msg, &(), now);
+    }
+
+    /// Drains one flit from `engine`'s ejection buffer (the tile's
+    /// one-flit-per-cycle RX interface). Returns the assembled message
+    /// when the drained flit is a tail.
+    pub fn poll_ejected(&mut self, engine: EngineId, now: Cycle) -> Option<Message> {
+        self.poll_ejected_at(self.tile_of(engine), now, &mut ())
+    }
+}
+
+impl<M: Carry> MeshNetwork<M> {
     /// Builds the network. `placement` must place every engine that
     /// will ever be addressed; tiles without engines simply route
     /// through.
     #[must_use]
-    pub fn new(config: NetworkConfig, placement: Placement) -> MeshNetwork {
+    pub fn new(config: NetworkConfig, placement: Placement) -> MeshNetwork<M> {
         let routers = config
             .topology
             .coords()
@@ -692,13 +713,13 @@ impl MeshNetwork {
             .unwrap_or_else(|| panic!("engine {engine} not placed"))
     }
 
-    /// Queues `msg` for transmission from `from` toward
-    /// `msg.next_engine()` (or `to` explicitly). Segments into flits at
-    /// the configured channel width.
+    /// Queues `msg`, which lives in `store`, for transmission from
+    /// `from` to `to`. Segments into flits at the configured channel
+    /// width.
     ///
     /// # Panics
     /// Panics if either engine is not placed.
-    pub fn send(&mut self, from: EngineId, to: EngineId, msg: Message, now: Cycle) {
+    pub fn send_in(&mut self, from: EngineId, to: EngineId, msg: M, store: &M::Store, now: Cycle) {
         let tile = self.tile_of(from);
         // The destination is resolved to a coordinate once, here, where
         // an unplaced engine is attributable to the sender; routers
@@ -707,10 +728,11 @@ impl MeshNetwork {
             .lut
             .coord_of(to)
             .unwrap_or_else(|| panic!("engine {to} not placed"));
-        let total = Flit::flits_for(&msg, self.config.width_bits);
+        let m = msg.msg(store);
+        let (total, id) = (Flit::flits_for(m, self.config.width_bits), m.id);
         let to_tile = self.tile_of(to);
         let glides = self.admits(tile, to_tile, total);
-        let slot = self.slab_insert(InFlight { msg, sent: now });
+        let slot = self.slab_insert(InFlight { msg, sent: now, id });
         self.stats.injected_messages += 1;
         let behind = self.source[tile].flits > 0;
         self.queued_behind += usize::from(behind);
@@ -741,7 +763,7 @@ impl MeshNetwork {
     /// Stores `entry` in a vacant slab slot, growing the slab (and the
     /// free list, worm records, waiting list and segment list with it)
     /// only when none is vacant.
-    fn slab_insert(&mut self, entry: InFlight) -> u32 {
+    fn slab_insert(&mut self, entry: InFlight<M>) -> u32 {
         if let Some(slot) = self.free_slots.pop() {
             self.slab[slot as usize] = Some(entry);
             return slot;
@@ -758,7 +780,7 @@ impl MeshNetwork {
     }
 
     /// Vacates `slot`, returning the message a tail flit closes.
-    fn slab_remove(&mut self, slot: u32) -> InFlight {
+    fn slab_remove(&mut self, slot: u32) -> InFlight<M> {
         let entry = self.slab[slot as usize]
             .take()
             .expect("tail flit names a live slab slot");
@@ -789,17 +811,11 @@ impl MeshNetwork {
         self.ejection_pending[word]
     }
 
-    /// Drains one flit from `engine`'s ejection buffer (the tile's
-    /// one-flit-per-cycle RX interface). Returns the assembled message
-    /// when the drained flit is a tail.
-    pub fn poll_ejected(&mut self, engine: EngineId, now: Cycle) -> Option<Message> {
-        self.poll_ejected_at(self.tile_of(engine), now)
-    }
-
     /// [`MeshNetwork::poll_ejected`] by tile index (a bit position in
     /// [`MeshNetwork::ejection_pending_word`]), for a caller that walks
-    /// that mask and so already holds the index.
-    pub fn poll_ejected_at(&mut self, tile: usize, now: Cycle) -> Option<Message> {
+    /// that mask and so already holds the index. A message an armed
+    /// ejection drop destroys is taken out of `store`.
+    pub fn poll_ejected_at(&mut self, tile: usize, now: Cycle, store: &mut M::Store) -> Option<M> {
         if self.plan.get_mut().any() && self.poll_glider(tile) {
             return None;
         }
@@ -814,7 +830,7 @@ impl MeshNetwork {
         }
         self.bound[tile] -= 1;
         self.shared_dests -= usize::from(self.bound[tile] == 1);
-        let InFlight { msg, sent } = self.slab_remove(flit.slot);
+        let InFlight { msg, sent, id } = self.slab_remove(flit.slot);
         // Injected ejection drop: destroy the message at the tail (the
         // earlier flits of the message were drained and credited
         // normally) and leak the tail's Local credit — the canonical
@@ -825,15 +841,11 @@ impl MeshNetwork {
                     *armed -= 1;
                     faults.lost_messages += 1;
                     faults.leaked_credits += 1;
-                    *faults.lost_by_tenant.entry(msg.tenant).or_insert(0) += 1;
+                    let lost = msg.take(store);
+                    *faults.lost_by_tenant.entry(lost.tenant).or_insert(0) += 1;
                     if self.tracer.enabled() {
-                        self.tracer.instant_arg(
-                            self.tracks[tile],
-                            "fault.drop",
-                            now,
-                            "msg",
-                            msg.id.0,
-                        );
+                        self.tracer
+                            .instant_arg(self.tracks[tile], "fault.drop", now, "msg", id.0);
                     }
                     return None;
                 }
@@ -844,7 +856,7 @@ impl MeshNetwork {
         self.stats.latency.record(dur.count());
         if self.tracer.enabled() {
             self.tracer
-                .complete_arg(self.tracks[tile], "noc.msg", sent, dur, "msg", msg.id.0);
+                .complete_arg(self.tracks[tile], "noc.msg", sent, dur, "msg", id.0);
         }
         self.stats.delivered_messages += 1;
         Some(msg)
@@ -990,12 +1002,12 @@ impl MeshNetwork {
                         self.run_left(flit.slot, tile, i, o);
                     }
                     if traced {
-                        let msg = &self.slab[flit.slot as usize]
+                        let id = self.slab[flit.slot as usize]
                             .as_ref()
                             .expect("flit in the mesh names a live slab slot")
-                            .msg;
+                            .id;
                         self.tracer
-                            .instant_arg(self.tracks[tile], "noc.hop", now, "msg", msg.id.0);
+                            .instant_arg(self.tracks[tile], "noc.hop", now, "msg", id.0);
                     }
                     self.forward(tile, o, flit);
                 }

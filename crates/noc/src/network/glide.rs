@@ -70,6 +70,7 @@
 //! windows and forced steps beside the flit-at-a-time mesh, and
 //! compares the buffers a write-back wrote as it writes them.
 
+use packet::Carry;
 use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
 
@@ -241,7 +242,7 @@ struct Glider {
 
 // A glider is moved only when one leaves the array: at most 128 bytes,
 // the largest move LLVM does inline on baseline x86-64 rather than
-// through a `memcpy` call (see the pin in `packet::message`).
+// through a `memcpy` call.
 const _: () = assert!(std::mem::size_of::<Glider>() <= 128);
 
 /// What a glider's conveyor cycles moved: flits polled, flits into the
@@ -396,7 +397,7 @@ impl Gliders {
 
     /// True when a plan failed and no message was sent or delivered
     /// since.
-    fn refused_now(&self, net: &MeshNetwork) -> bool {
+    fn refused_now<M: Carry>(&self, net: &MeshNetwork<M>) -> bool {
         self.refused == Some(net.messages_key())
     }
 
@@ -436,7 +437,7 @@ impl Gliders {
     }
 }
 
-impl MeshNetwork {
+impl<M: Carry> MeshNetwork<M> {
     fn tile_at(&self, at: Coord) -> usize {
         usize::from(at.y) * usize::from(self.config.topology.width()) + usize::from(at.x)
     }

@@ -445,7 +445,7 @@ struct RefMesh {
     routers: Vec<RefRouter>,
     source: Vec<VecDeque<FlitHandle>>,
     ejection: Vec<VecDeque<FlitHandle>>,
-    slab: Vec<Option<InFlight>>,
+    slab: Vec<Option<InFlight<Message>>>,
     free_slots: Vec<u32>,
     stats: NetworkStats,
     faults: Option<Box<NetFaults>>,
@@ -564,7 +564,8 @@ impl RefMesh {
         let tile = self.tile_of(from);
         let dest = self.lut.coord_of(to).expect("placed");
         let total = Flit::flits_for(&msg, self.width_bits);
-        let slot = self.slab_insert(InFlight { msg, sent: now });
+        let id = msg.id;
+        let slot = self.slab_insert(InFlight { msg, sent: now, id });
         self.stats.injected_messages += 1;
         self.source[tile].extend((0..total).map(|seq| FlitHandle {
             slot,
@@ -575,7 +576,7 @@ impl RefMesh {
         self.source_pending[tile / 64] |= 1 << (tile % 64);
     }
 
-    fn slab_insert(&mut self, entry: InFlight) -> u32 {
+    fn slab_insert(&mut self, entry: InFlight<Message>) -> u32 {
         if let Some(slot) = self.free_slots.pop() {
             self.slab[slot as usize] = Some(entry);
             return slot;
@@ -586,7 +587,7 @@ impl RefMesh {
         slot
     }
 
-    fn slab_remove(&mut self, slot: u32) -> InFlight {
+    fn slab_remove(&mut self, slot: u32) -> InFlight<Message> {
         let entry = self.slab[slot as usize]
             .take()
             .expect("tail flit names a live slab slot");
@@ -604,7 +605,7 @@ impl RefMesh {
             self.routers[tile].refill_credit(PortDir::Local);
             return None;
         }
-        let InFlight { msg, sent } = self.slab_remove(flit.slot);
+        let InFlight { msg, sent, .. } = self.slab_remove(flit.slot);
         if let Some(faults) = self.faults.as_deref_mut() {
             if let Some(armed) = faults.drop_armed.get_mut(&tile) {
                 if *armed > 0 {
@@ -1006,7 +1007,7 @@ impl Pair {
         let gliding = self.gliding();
         let (followers, exit) = (self.net.followers(), self.net.source_exit());
         let route = self.net.glider_route(t);
-        let ours = self.net.poll_ejected_at(t, now).map(|m| m.id);
+        let ours = self.net.poll_ejected_at(t, now, &mut ()).map(|m| m.id);
         let theirs = self.old.poll_ejected_at(t, now).map(|m| m.id);
         prop_assert_eq!(ours, theirs, "cycle {} tile {}: delivered", now.0, t);
         let written_back = self.gliding() && self.net.glider_route(t).is_none();

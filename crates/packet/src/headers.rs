@@ -12,6 +12,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from parsing any of the header formats in this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,11 +137,19 @@ impl EthernetHeader {
         ))
     }
 
+    /// The encoded header.
+    #[must_use]
+    pub fn to_bytes(&self) -> [u8; Self::SIZE] {
+        let mut h = [0u8; Self::SIZE];
+        h[0..6].copy_from_slice(&self.dst.0);
+        h[6..12].copy_from_slice(&self.src.0);
+        h[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
+        h
+    }
+
     /// Appends the encoded header to `out`.
     pub fn emit(&self, out: &mut BytesMut) {
-        out.put_slice(&self.dst.0);
-        out.put_slice(&self.src.0);
-        out.put_u16(self.ethertype);
+        out.put_slice(&self.to_bytes());
     }
 }
 
@@ -257,19 +266,26 @@ impl Ipv4Header {
 
     /// Appends the encoded header (with computed checksum) to `out`.
     pub fn emit(&self, out: &mut BytesMut) {
-        let start = out.len();
-        out.put_u8(0x45); // version 4, IHL 5
-        out.put_u8(self.tos);
-        out.put_u16(self.total_len);
-        out.put_u16(self.ident);
-        out.put_u16(0); // flags/fragment: never fragmented in-sim
-        out.put_u8(self.ttl);
-        out.put_u8(self.protocol);
-        out.put_u16(0); // checksum placeholder
-        out.put_slice(&self.src.0);
-        out.put_slice(&self.dst.0);
-        let csum = internet_checksum(&out[start..start + Self::SIZE]);
-        out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+        out.put_slice(&self.to_bytes());
+    }
+
+    /// The encoded header, checksum included.
+    #[must_use]
+    pub fn to_bytes(&self) -> [u8; Self::SIZE] {
+        let mut h = [0u8; Self::SIZE];
+        h[0] = 0x45; // version 4, IHL 5
+        h[1] = self.tos;
+        h[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        // 6..8: flags/fragment, never fragmented in-sim.
+        h[8] = self.ttl;
+        h[9] = self.protocol;
+        // 10..12: the checksum, over the header with it zero.
+        h[12..16].copy_from_slice(&self.src.0);
+        h[16..20].copy_from_slice(&self.dst.0);
+        let csum = internet_checksum(&h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
+        h
     }
 }
 
@@ -313,10 +329,20 @@ impl UdpHeader {
 
     /// Appends the encoded header to `out`.
     pub fn emit(&self, out: &mut BytesMut) {
-        out.put_u16(self.src_port);
-        out.put_u16(self.dst_port);
-        out.put_u16(self.len);
-        out.put_u16(self.checksum);
+        out.put_slice(&self.to_bytes());
+    }
+
+    /// The encoded header.
+    #[must_use]
+    pub fn to_bytes(&self) -> [u8; Self::SIZE] {
+        let mut h = [0u8; Self::SIZE];
+        for (i, field) in [self.src_port, self.dst_port, self.len, self.checksum]
+            .into_iter()
+            .enumerate()
+        {
+            h[2 * i..2 * i + 2].copy_from_slice(&field.to_be_bytes());
+        }
+        h
     }
 }
 
@@ -483,14 +509,19 @@ pub fn build_udp_frame_padded(
     ip.protocol = ipproto::UDP;
     ip.total_len = (Ipv4Header::SIZE + UdpHeader::SIZE + body) as u16;
     udp.len = (UdpHeader::SIZE + body) as u16;
-    let mut out = BytesMut::with_capacity(EthernetHeader::SIZE + ip.total_len as usize);
-    eth.emit(&mut out);
-    ip.emit(&mut out);
-    udp.emit(&mut out);
-    out.put_slice(payload);
-    // Not `put_bytes`: the vendored stand-in builds a `vec![0; pad]`.
-    out.resize(out.len() + pad, 0);
-    out.freeze()
+    // One allocation: the frame's shared buffer, zeroed (the padding),
+    // then the headers and payload written into it in place.
+    let headers = EthernetHeader::SIZE + Ipv4Header::SIZE + UdpHeader::SIZE;
+    let mut frame: Arc<[u8]> = std::iter::repeat_n(0, headers + body).collect();
+    let buf = Arc::get_mut(&mut frame).expect("a fresh buffer is unshared");
+    let (eth_buf, rest) = buf.split_at_mut(EthernetHeader::SIZE);
+    let (ip_buf, rest) = rest.split_at_mut(Ipv4Header::SIZE);
+    let (udp_buf, rest) = rest.split_at_mut(UdpHeader::SIZE);
+    eth_buf.copy_from_slice(&eth.to_bytes());
+    ip_buf.copy_from_slice(&ip.to_bytes());
+    udp_buf.copy_from_slice(&udp.to_bytes());
+    rest[..payload.len()].copy_from_slice(payload);
+    Bytes::from(frame)
 }
 
 /// Builds an Ethernet/IPv4/ESP frame whose ESP payload is `ciphertext`.

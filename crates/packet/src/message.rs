@@ -112,18 +112,16 @@ pub struct Message {
     pub source: EngineId,
 }
 
-// A `Message` is moved by value about 27 times per NoC leg (NoC slab →
-// portal → pipeline → slab → tile queue → service → emit), and so is
-// every type that carries one. LLVM moves a value of at most 128 bytes
-// with inline loads and stores on the workspace's baseline x86-64
-// target and calls `memcpy` above that; the call, not the bytes, is what
-// costs (docs/PERF.md §16). So a `Message` is 120 bytes: id 8 + `Bytes`
+// Inside a NIC a `Message` is written into the store once and taken out
+// once; the planes between carry a 4-byte `store::MsgRef` (their
+// carriers are pinned at the sizes they have with one). What still moves
+// a whole `Message` is the rack: `fabric::tor::Crossing`, a `Message`
+// plus one word, crosses every boundary exchange and link by value.
+// LLVM moves a value of at most 128 bytes with inline loads and stores
+// on the workspace's baseline x86-64 target and calls `memcpy` above
+// that (docs/PERF.md §16). So a `Message` is 120 bytes: id 8 + `Bytes`
 // 24 + `ChainHeader` 64 + stamp 8 + the 12 bytes of descriptor fields
-// above, which leaves a word for the tag or stamp of each carrier
-// (`noc::network::InFlight`, `engines::engine::Output`,
-// `engines::tile::Emit`, `rmt::pipeline::PipelineOutput`,
-// `sched::queue::Queued`, the tenancy queues' entries), each pinned at
-// 128. A new field shows up at compile time in all of them.
+// above, and a new field shows up at compile time in the crossing's pin.
 const _: () = assert!(std::mem::size_of::<Message>() <= 120);
 
 impl Message {

@@ -14,11 +14,16 @@
 //! Neighboring RMT engines "may be configured to independently process
 //! messages or be chained to form a longer pipeline" (§3.1.2) — that is
 //! the `parallel` / `depth` trade-off in [`PipelineConfig`].
+//!
+//! The pipeline carries whole [`Message`]s by default and handles into
+//! the NIC's store inside a NIC ([`Carry`]); the program rewrites the
+//! message in place either way.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use packet::message::Message;
+use packet::store::Carry;
 use sim_core::time::{Cycle, Cycles, Freq};
 use trace::{MetricSink, Tracer, TrackId};
 
@@ -75,22 +80,19 @@ pub struct PipelineStats {
 
 /// A message emerging from the pipeline with its verdict.
 #[derive(Debug)]
-pub struct PipelineOutput {
+pub struct PipelineOutput<M = Message> {
     /// The processed message (payload deparsed, chain installed).
-    pub msg: Message,
+    pub msg: M,
     /// Forward or Recirculate (drops never emerge).
     pub verdict: Verdict,
 }
 
-// A `Message` plus the verdict word, moved into and out of the
-// in-flight queue once per pass: at most 128 bytes, the largest move
-// LLVM does inline on baseline x86-64 rather than through a `memcpy`
-// call (see the pin in `packet::message`).
-const _: () = assert!(std::mem::size_of::<PipelineOutput>() <= 128);
+// An in-flight entry inside a NIC: a handle and the verdict.
+const _: () = assert!(std::mem::size_of::<PipelineOutput<packet::MsgRef>>() == 8);
 
-/// The heavyweight RMT pipeline.
+/// The heavyweight RMT pipeline, carrying `M`s.
 #[derive(Debug)]
-pub struct RmtPipeline {
+pub struct RmtPipeline<M = Message> {
     config: PipelineConfig,
     program: RmtProgram,
     /// The program lowered into monomorphized dispatch at construction
@@ -103,13 +105,12 @@ pub struct RmtPipeline {
     /// admission control is the *caller's* job (in PANIC, upstream
     /// engines see backpressure through the NoC; in the RMT-only
     /// baseline this queue's growth is itself the measurement).
-    input: VecDeque<Message>,
+    input: VecDeque<M>,
     /// In-flight messages, completing `depth` cycles after acceptance.
     /// Every message takes the same `depth`, so they complete in the
     /// order they were accepted: a FIFO, not a priority queue.
-    in_flight: VecDeque<PipelineOutput>,
-    /// Completion cycle of each `in_flight` entry, front to back (kept
-    /// apart so an entry stays within the inline-move size).
+    in_flight: VecDeque<PipelineOutput<M>>,
+    /// Completion cycle of each `in_flight` entry, front to back.
     due: VecDeque<Cycle>,
     stats: PipelineStats,
     /// Per-stage table hits, indexed by stage ([`PipelineStats`] is
@@ -128,9 +129,30 @@ pub struct RmtPipeline {
 }
 
 impl RmtPipeline {
+    /// Advances one cycle: accepts up to `P` messages from the input
+    /// queue (processing them functionally, completion scheduled
+    /// `depth` cycles out) and returns the messages whose latency
+    /// elapsed this cycle.
+    ///
+    /// Convenience wrapper over [`RmtPipeline::tick_into`]; hot loops
+    /// reuse a caller-owned buffer instead.
+    pub fn tick(&mut self, now: Cycle) -> Vec<PipelineOutput> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// [`RmtPipeline::tick_in`] for a pipeline that carries whole
+    /// messages.
+    pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<PipelineOutput>) {
+        self.tick_in(now, &mut (), out);
+    }
+}
+
+impl<M: Carry> RmtPipeline<M> {
     /// Builds a pipeline running `program`.
     #[must_use]
-    pub fn new(config: PipelineConfig, program: RmtProgram) -> RmtPipeline {
+    pub fn new(config: PipelineConfig, program: RmtProgram) -> RmtPipeline<M> {
         assert!(config.parallel > 0, "zero pipelines");
         assert!(config.depth > 0, "zero depth");
         let stages = program.stages();
@@ -230,21 +252,8 @@ impl RmtPipeline {
     }
 
     /// Queues a message for processing.
-    pub fn submit(&mut self, msg: Message) {
+    pub fn submit(&mut self, msg: M) {
         self.input.push_back(msg);
-    }
-
-    /// Advances one cycle: accepts up to `P` messages from the input
-    /// queue (processing them functionally, completion scheduled
-    /// `depth` cycles out) and returns the messages whose latency
-    /// elapsed this cycle.
-    ///
-    /// Convenience wrapper over [`RmtPipeline::tick_into`]; hot loops
-    /// reuse a caller-owned buffer instead.
-    pub fn tick(&mut self, now: Cycle) -> Vec<PipelineOutput> {
-        let mut out = Vec::new();
-        self.tick_into(now, &mut out);
-        out
     }
 
     /// Fast-forward hint (see [`sim_core::Driven::wakes`] for
@@ -294,16 +303,20 @@ impl RmtPipeline {
         }
     }
 
-    /// [`RmtPipeline::tick`] into a caller-owned buffer (cleared
-    /// first), so the steady-state tick loop performs no allocation.
-    pub fn tick_into(&mut self, now: Cycle, out: &mut Vec<PipelineOutput>) {
+    /// Advances one cycle into a caller-owned buffer (cleared first),
+    /// so the steady-state tick loop performs no allocation: accepts up
+    /// to `P` messages from the input queue (the program rewrites each
+    /// in `store`; a dropped one is taken out of it), and emits the
+    /// messages whose latency elapsed this cycle.
+    pub fn tick_in(&mut self, now: Cycle, store: &mut M::Store, out: &mut Vec<PipelineOutput<M>>) {
         out.clear();
         // Accept.
         for _ in 0..self.config.parallel {
             match self.input.pop_front() {
                 Some(mut msg) => {
                     self.stats.accepted += 1;
-                    let msg_id = msg.id.0;
+                    let m = msg.msg_mut(store);
+                    let msg_id = m.id.0;
                     // Split borrows: the observer mutates the stage
                     // counters while the compiled program runs over the
                     // pipeline-owned scratch.
@@ -315,27 +328,27 @@ impl RmtPipeline {
                         &self.tracer,
                         self.track,
                     );
-                    let verdict =
-                        compiled.process_scratch(&mut msg, scratch, &mut |stage, _name, hit| {
-                            if hit {
-                                hits[stage] += 1;
-                            } else {
-                                misses[stage] += 1;
-                            }
-                            if tracer.enabled() {
-                                let name = if hit { "rmt.match" } else { "rmt.miss" };
-                                tracer.emit(
-                                    trace::Event::instant(track, name, now)
-                                        .with_arg("stage", stage as u64)
-                                        .with_arg("msg", msg_id),
-                                );
-                            }
-                        });
+                    let verdict = compiled.process_scratch(m, scratch, &mut |stage, _name, hit| {
+                        if hit {
+                            hits[stage] += 1;
+                        } else {
+                            misses[stage] += 1;
+                        }
+                        if tracer.enabled() {
+                            let name = if hit { "rmt.match" } else { "rmt.miss" };
+                            tracer.emit(
+                                trace::Event::instant(track, name, now)
+                                    .with_arg("stage", stage as u64)
+                                    .with_arg("msg", msg_id),
+                            );
+                        }
+                    });
                     match verdict {
                         Verdict::Drop => {
                             self.stats.dropped += 1;
                             // Dropped messages still occupied the slot —
                             // they are simply not emitted.
+                            drop(msg.take(store));
                         }
                         v => {
                             if v == Verdict::Recirculate {
@@ -374,7 +387,7 @@ impl RmtPipeline {
                     start,
                     Cycles(depth),
                     "msg",
-                    o.msg.id.0,
+                    o.msg.msg(store).id.0,
                 );
             }
             self.tracer
@@ -624,7 +637,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero pipelines")]
     fn zero_parallel_rejected() {
-        let _ = RmtPipeline::new(cfg(0, 3), route_all_program());
+        let _: RmtPipeline = RmtPipeline::new(cfg(0, 3), route_all_program());
     }
 
     #[test]

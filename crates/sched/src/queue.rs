@@ -2,12 +2,15 @@
 //!
 //! [`SchedQueue`] is what a PANIC engine tile instantiates (Figure 3a's
 //! "Local Scheduling" block): a bounded PIFO ranked by LSTF deadline,
-//! with a configurable admission policy and wait-time accounting.
+//! with a configurable admission policy and wait-time accounting. It
+//! carries a whole [`Message`] by default and a handle inside a NIC
+//! ([`Carry`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use packet::message::{Message, TenantId};
+use packet::store::Carry;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
 use trace::{MetricSink, Tracer, TrackId};
@@ -18,15 +21,13 @@ use crate::slack::deadline_rank;
 
 /// A queued message with its enqueue timestamp (for wait accounting).
 #[derive(Debug)]
-struct Queued {
-    msg: Message,
+struct Queued<M> {
+    msg: M,
     enqueued_at: Cycle,
 }
 
-// Moved into and out of the PIFO's slots once per message: at most 128
-// bytes, the largest move LLVM does inline on baseline x86-64 rather
-// than through a `memcpy` call (see the pin in `packet::message`).
-const _: () = assert!(std::mem::size_of::<Option<Queued>>() <= 128);
+// A PIFO slot inside a NIC: a handle and its enqueue stamp.
+const _: () = assert!(std::mem::size_of::<Option<Queued<packet::MsgRef>>>() == 24);
 
 /// Counters and distributions exposed by a [`SchedQueue`].
 #[derive(Debug)]
@@ -73,10 +74,10 @@ impl SchedStats {
     }
 }
 
-/// A bounded, slack-ordered scheduling queue.
+/// A bounded, slack-ordered scheduling queue of `M`s.
 #[derive(Debug)]
-pub struct SchedQueue {
-    pifo: Pifo<Queued>,
+pub struct SchedQueue<M = Message> {
+    pifo: Pifo<Queued<M>>,
     capacity: usize,
     policy: AdmissionPolicy,
     stats: SchedStats,
@@ -91,13 +92,25 @@ pub struct SchedQueue {
 }
 
 impl SchedQueue {
+    /// Offers `msg` at time `now` ([`SchedQueue::offer_in`]).
+    pub fn offer(&mut self, msg: Message, now: Cycle) -> Admission<Message> {
+        self.offer_in(msg, &(), now)
+    }
+
+    /// Pops the most urgent message.
+    pub fn pop(&mut self, now: Cycle) -> Option<Message> {
+        self.pop_in(now, &())
+    }
+}
+
+impl<M: Carry> SchedQueue<M> {
     /// Builds a queue holding at most `capacity` messages with the
     /// given full-queue `policy`.
     ///
     /// # Panics
     /// Panics on zero capacity.
     #[must_use]
-    pub fn new(capacity: usize, policy: AdmissionPolicy) -> SchedQueue {
+    pub fn new(capacity: usize, policy: AdmissionPolicy) -> SchedQueue<M> {
         assert!(capacity > 0, "zero-capacity scheduling queue");
         SchedQueue {
             pifo: Pifo::new(),
@@ -124,7 +137,7 @@ impl SchedQueue {
     /// samples — used by the watchdog when an engine is marked DOWN and
     /// its queue is flushed. The flushed messages never *popped* in the
     /// scheduling sense, so they must not pollute the `wait` histogram.
-    pub fn drain_for_flush(&mut self) -> Vec<Message> {
+    pub fn drain_for_flush(&mut self) -> Vec<M> {
         let mut out = Vec::with_capacity(self.pifo.len());
         while let Some(q) = self.pifo.pop() {
             out.push(q.msg);
@@ -181,8 +194,9 @@ impl SchedQueue {
         &self.stats
     }
 
-    /// Offers `msg` at time `now`. The rank is the LSTF deadline of the
-    /// message's *current* chain hop (the hop naming this engine).
+    /// Offers `msg`, which lives in `store`, at time `now`. The rank is
+    /// the LSTF deadline of the message's *current* chain hop (the hop
+    /// naming this engine). A dropped victim is the caller's to destroy.
     ///
     /// Control-class messages (`msg.kind.is_control()`) are never
     /// dropped, whatever the configured policy: a full queue refuses
@@ -190,17 +204,20 @@ impl SchedQueue {
     /// requirement that "important messages like DMA requests for
     /// descriptors are never dropped" while ordinary traffic stays
     /// droppable.
-    pub fn offer(&mut self, msg: Message, now: Cycle) -> Admission<Message> {
+    pub fn offer_in(&mut self, msg: M, store: &M::Store, now: Cycle) -> Admission<M> {
+        let m = msg.msg(store);
+        let (id, tenant, control, slack) =
+            (m.id.0, m.tenant, m.kind.is_control(), m.current_slack());
         if now < self.refuse_until {
             // Injected refusal burst: behave exactly like admission
             // backpressure so callers exercise their real slow paths.
             self.stats.refused += 1;
-            self.trace_instant("sched.refuse", &msg, now);
+            self.trace_instant("sched.refuse", id, now);
             return Admission::Refused(msg);
         }
-        let rank = deadline_rank(now, msg.current_slack());
+        let rank = deadline_rank(now, slack);
         if !self.is_full() {
-            self.trace_push(&msg, rank, now);
+            self.trace_push(id, rank, now);
             self.pifo.push(
                 rank,
                 Queued {
@@ -213,15 +230,15 @@ impl SchedQueue {
             self.trace_depth(now);
             return Admission::Accepted;
         }
-        if msg.kind.is_control() && self.policy != AdmissionPolicy::Backpressure {
+        if control && self.policy != AdmissionPolicy::Backpressure {
             self.stats.refused += 1;
-            self.trace_instant("sched.refuse", &msg, now);
+            self.trace_instant("sched.refuse", id, now);
             return Admission::Refused(msg);
         }
         match self.policy {
             AdmissionPolicy::TailDrop => {
-                self.stats.record_drop(msg.tenant);
-                self.trace_instant("sched.drop", &msg, now);
+                self.stats.record_drop(tenant);
+                self.trace_instant("sched.drop", id, now);
                 Admission::Dropped { victim: msg }
             }
             AdmissionPolicy::EvictLargestRank => {
@@ -232,11 +249,11 @@ impl SchedQueue {
                 if rank >= max_rank {
                     // Arrival is the victim; put the evicted one back.
                     self.pifo.push(max_rank, victim);
-                    self.stats.record_drop(msg.tenant);
-                    self.trace_instant("sched.drop", &msg, now);
+                    self.stats.record_drop(tenant);
+                    self.trace_instant("sched.drop", id, now);
                     Admission::Dropped { victim: msg }
                 } else {
-                    self.trace_push(&msg, rank, now);
+                    self.trace_push(id, rank, now);
                     self.pifo.push(
                         rank,
                         Queued {
@@ -245,21 +262,22 @@ impl SchedQueue {
                         },
                     );
                     self.stats.accepted += 1;
-                    self.stats.record_drop(victim.msg.tenant);
-                    self.trace_instant("sched.drop", &victim.msg, now);
+                    let v = victim.msg.msg(store);
+                    self.stats.record_drop(v.tenant);
+                    self.trace_instant("sched.drop", v.id.0, now);
                     Admission::Dropped { victim: victim.msg }
                 }
             }
             AdmissionPolicy::Backpressure => {
                 self.stats.refused += 1;
-                self.trace_instant("sched.refuse", &msg, now);
+                self.trace_instant("sched.refuse", id, now);
                 Admission::Refused(msg)
             }
         }
     }
 
-    /// Pops the most urgent message.
-    pub fn pop(&mut self, now: Cycle) -> Option<Message> {
+    /// Pops the most urgent message (`store` names it in the trace).
+    pub fn pop_in(&mut self, now: Cycle, store: &M::Store) -> Option<M> {
         let rank = self.pifo.peek_rank();
         let q = self.pifo.pop()?;
         self.stats
@@ -268,7 +286,7 @@ impl SchedQueue {
         if self.tracer.enabled() {
             self.tracer.emit(
                 trace::Event::instant(self.track, "sched.pop", now)
-                    .with_arg("msg", q.msg.id.0)
+                    .with_arg("msg", q.msg.msg(store).id.0)
                     .with_arg("rank", rank.unwrap_or(u64::MAX)),
             );
             self.trace_depth(now);
@@ -277,20 +295,19 @@ impl SchedQueue {
     }
 
     /// Emits a `sched.push` instant carrying the message id and rank.
-    fn trace_push(&self, msg: &Message, rank: u64, now: Cycle) {
+    fn trace_push(&self, id: u64, rank: u64, now: Cycle) {
         if self.tracer.enabled() {
             self.tracer.emit(
                 trace::Event::instant(self.track, "sched.push", now)
-                    .with_arg("msg", msg.id.0)
+                    .with_arg("msg", id)
                     .with_arg("rank", rank),
             );
         }
     }
 
     /// Emits a named instant carrying the message id.
-    fn trace_instant(&self, name: &'static str, msg: &Message, now: Cycle) {
-        self.tracer
-            .instant_arg(self.track, name, now, "msg", msg.id.0);
+    fn trace_instant(&self, name: &'static str, id: u64, now: Cycle) {
+        self.tracer.instant_arg(self.track, name, now, "msg", id);
     }
 
     /// Samples the occupancy as a `sched.depth` counter.
@@ -442,7 +459,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-capacity")]
     fn zero_capacity_rejected() {
-        let _ = SchedQueue::new(0, AdmissionPolicy::TailDrop);
+        let _: SchedQueue = SchedQueue::new(0, AdmissionPolicy::TailDrop);
     }
 
     #[test]

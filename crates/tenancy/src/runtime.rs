@@ -49,7 +49,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use packet::{Message, TenantId};
+use packet::{Carry, Message, TenantId};
 use sched::Pifo;
 use sim_core::{Cycle, Cycles, Histogram};
 use trace::{MetricSink, Tracer, TrackId};
@@ -366,7 +366,7 @@ impl fmt::Display for TenantConservation {
 /// Per-tenant live state: the vNIC queue plus every enforcement
 /// accumulator.
 #[derive(Debug)]
-struct TenantState {
+struct TenantState<M> {
     spec: VNicSpec,
     /// True once a live removal began: the vNIC stops admitting new
     /// traffic but keeps draining its queue and settling in-flight
@@ -374,7 +374,7 @@ struct TenantState {
     draining: bool,
     /// Parked messages with their submission cycle (for queue-wait
     /// accounting). Unbounded: backpressure, never drop.
-    pending: VecDeque<(Cycle, Message)>,
+    pending: VecDeque<(Cycle, M)>,
     /// True while this tenant is queued in the DRR active list.
     in_active: bool,
     /// Token-bucket balance in `1/den`-message units.
@@ -395,8 +395,8 @@ struct TenantState {
     names: CounterNames,
 }
 
-impl TenantState {
-    fn new(spec: VNicSpec) -> TenantState {
+impl<M> TenantState<M> {
+    fn new(spec: VNicSpec) -> TenantState<M> {
         // Token buckets start full so an idle-start tenant is not
         // penalized for cycles before its first message.
         let tokens = spec.rate.map_or(0, |r| r.burst * r.den);
@@ -526,11 +526,13 @@ impl TenantState {
 /// The live tenancy plane. Construct from a validated
 /// [`TenancyConfig`]; drive with [`submit`](TenancyRuntime::submit) /
 /// [`release`](TenancyRuntime::release) /
-/// [`note_exit`](TenancyRuntime::note_exit).
+/// [`note_exit`](TenancyRuntime::note_exit). Its queues carry whole
+/// [`Message`]s by default and handles into the NIC's store inside a
+/// NIC ([`Carry`]).
 #[derive(Debug)]
-pub struct TenancyRuntime {
+pub struct TenancyRuntime<M = Message> {
     config: TenancyConfig,
-    tenants: BTreeMap<TenantId, TenantState>,
+    tenants: BTreeMap<TenantId, TenantState<M>>,
     /// Backlogged tenants in DRR visit order. Between `release` calls
     /// this is exactly the set of tenants with a non-empty queue, so
     /// the hint and the skip replay walk it instead of `tenants`.
@@ -550,24 +552,38 @@ pub struct TenancyRuntime {
     /// the spreading PIFO.
     vnow: u64,
     /// Rank-spreading PIFO; always drained by the end of `release`.
-    pifo: Pifo<(TenantId, Message)>,
+    pifo: Pifo<(TenantId, M)>,
     tracer: Tracer,
     /// Bumped wherever an exported counter or name changes.
     stamps: Stamps,
 }
 
-// The entries of the vNIC queues and of the spreading PIFO, each moved
-// once in and once out per admitted message: at most 128 bytes, the
-// largest move LLVM does inline on baseline x86-64 rather than through a
-// `memcpy` call (see the pin in `packet::message`).
-const _: () = assert!(std::mem::size_of::<(Cycle, Message)>() <= 128);
-const _: () = assert!(std::mem::size_of::<Option<(TenantId, Message)>>() <= 128);
+// The entries of a NIC's vNIC queues and of its spreading PIFO.
+const _: () = assert!(std::mem::size_of::<(Cycle, packet::MsgRef)>() == 16);
+const _: () = assert!(std::mem::size_of::<Option<(TenantId, packet::MsgRef)>>() == 12);
 
 impl TenancyRuntime {
+    /// Parks `msg` in its tenant's vNIC queue
+    /// ([`TenancyRuntime::submit_in`]).
+    ///
+    /// # Panics
+    /// Panics if the tenant has no vNIC.
+    pub fn submit(&mut self, source: SubmitSource, msg: Message, now: Cycle) {
+        self.submit_in(source, msg, &(), now);
+    }
+
+    /// One cycle of the release scheduler
+    /// ([`TenancyRuntime::release_in`]).
+    pub fn release(&mut self, now: Cycle, emit: impl FnMut(TenantId, Message)) {
+        self.release_in(now, &(), emit);
+    }
+}
+
+impl<M: Carry> TenancyRuntime<M> {
     /// Builds the runtime. Duplicate tenant ids (lint PV601) keep the
     /// first vNIC and ignore the rest, deterministically.
     #[must_use]
-    pub fn new(config: TenancyConfig) -> TenancyRuntime {
+    pub fn new(config: TenancyConfig) -> TenancyRuntime<M> {
         let mut tenants = BTreeMap::new();
         for vnic in &config.vnics {
             tenants
@@ -760,13 +776,13 @@ impl TenancyRuntime {
         }
     }
 
-    /// Parks `msg` in its tenant's vNIC queue.
+    /// Parks `msg`, which lives in `store`, in its tenant's vNIC queue.
     ///
     /// # Panics
     /// Panics if the tenant has no vNIC — callers must check
     /// [`TenancyRuntime::knows`] and bypass unknown tenants.
-    pub fn submit(&mut self, source: SubmitSource, msg: Message, now: Cycle) {
-        let tenant = msg.tenant;
+    pub fn submit_in(&mut self, source: SubmitSource, msg: M, store: &M::Store, now: Cycle) {
+        let tenant = msg.msg(store).tenant;
         let state = self
             .tenants
             .get_mut(&tenant)
@@ -787,12 +803,12 @@ impl TenancyRuntime {
     /// One cycle of the release scheduler: refill token buckets, grant
     /// DRR deficits, release every head that clears rate + credit +
     /// deficit, then drain the rank-spreading PIFO into `emit` in
-    /// weighted-fair order.
-    pub fn release(&mut self, now: Cycle, emit: impl FnMut(TenantId, Message)) {
+    /// weighted-fair order. The parked messages live in `store`.
+    pub fn release_in(&mut self, now: Cycle, store: &M::Store, emit: impl FnMut(TenantId, M)) {
         // Token refill happens for every shaped tenant every cycle,
         // backlogged or not (mirrored by `skip_idle`).
         self.refill_shaped(1);
-        self.serve(now, emit);
+        self.serve(now, store, emit);
     }
 
     /// `cycles` worth of token refill for every tenant that has a rate.
@@ -807,7 +823,7 @@ impl TenancyRuntime {
 
     /// The part of [`TenancyRuntime::release`] after the refill: one
     /// DRR round, then the spreading PIFO drained into `emit`.
-    fn serve(&mut self, now: Cycle, mut emit: impl FnMut(TenantId, Message)) {
+    fn serve(&mut self, now: Cycle, store: &M::Store, mut emit: impl FnMut(TenantId, M)) {
         let any_positive_backlogged = self.active.iter().any(|t| self.tenants[t].spec.weight > 0);
 
         // One DRR round over the tenants that were backlogged at the
@@ -820,7 +836,7 @@ impl TenancyRuntime {
             state.deficit = (state.deficit + grant).min(grant + DEFICIT_HEADROOM_BYTES);
 
             while let Some((submitted_at, head)) = state.pending.front() {
-                let bytes = head.wire_size().get();
+                let bytes = head.msg(store).wire_size().get();
                 if let Some(r) = state.spec.rate {
                     if state.tokens < r.den {
                         state.ledger.rate_stalls += 1;
@@ -856,8 +872,13 @@ impl TenancyRuntime {
                 // time; the tenant's clock advances by cost/weight.
                 let rank = state.vtime.max(self.vnow);
                 state.vtime = rank + bytes * SPREAD_SCALE / state.spec.weight.max(1);
-                self.tracer
-                    .instant_arg(state.track, "tenancy.release", now, "msg", msg.id.0);
+                self.tracer.instant_arg(
+                    state.track,
+                    "tenancy.release",
+                    now,
+                    "msg",
+                    msg.msg(store).id.0,
+                );
                 self.pifo.push(rank, (tenant, msg));
             }
 
@@ -1049,7 +1070,7 @@ impl TenancyRuntime {
     /// The invariant the hint and the skip replay rest on: outside
     /// `release`, `active` holds exactly the backlogged tenants, once.
     fn active_is_exact(&self) -> bool {
-        let backlogged = |s: &TenantState| !s.pending.is_empty();
+        let backlogged = |s: &TenantState<M>| !s.pending.is_empty();
         self.active.len() == self.tenants.values().filter(|s| backlogged(s)).count()
             && self.active.iter().all(|t| backlogged(&self.tenants[t]))
             && self.tenants.values().all(|s| s.in_active == backlogged(s))
@@ -1598,7 +1619,7 @@ mod tests {
 
     #[test]
     fn duplicate_vnic_keeps_first() {
-        let rt = TenancyRuntime::new(TenancyConfig::new(vec![
+        let rt: TenancyRuntime = TenancyRuntime::new(TenancyConfig::new(vec![
             VNicSpec::new(TenantId(1), "first", 1),
             VNicSpec::new(TenantId(1), "second", 9),
         ]));

@@ -32,7 +32,7 @@ impl TenancyRuntime {
                 state.tokens = (state.tokens + r.num).min(r.burst * r.den);
             }
         }
-        self.serve(now, emit);
+        self.serve(now, &(), emit);
     }
 
     /// Ungated: asks `cumulative_of` for every tenant, every time.

@@ -83,8 +83,9 @@ pub struct PartitionedZipf {
     zipf: Option<Zipf>,
     theta: f64,
     rng: SimRng,
-    /// Rank → global key (seeded permutation of the stripe).
-    slots: Vec<u64>,
+    /// Rank → the key's index in the stripe (a seeded permutation); the
+    /// global key is `index * num_partitions + partition`.
+    slots: Vec<u32>,
     num_partitions: u64,
     partition: u64,
 }
@@ -94,8 +95,8 @@ impl PartitionedZipf {
     /// `keys` keys per partition and Zipf exponent `theta`.
     ///
     /// # Panics
-    /// Panics if `partition >= num_partitions`, or on the [`Zipf::new`]
-    /// preconditions.
+    /// Panics if `partition >= num_partitions`, if `keys` exceeds
+    /// `u32::MAX`, or on the [`Zipf::new`] preconditions.
     #[must_use]
     pub fn new(seed: u64, partition: u64, num_partitions: u64, keys: usize, theta: f64) -> Self {
         assert!(
@@ -106,12 +107,13 @@ impl PartitionedZipf {
         // built later.
         assert!(keys > 0, "empty key space");
         assert!(theta >= 0.0, "negative exponent");
+        let keys = u32::try_from(keys).expect("at most u32::MAX keys a partition");
         // The permutation stays eager: Fisher–Yates fixes rank 0 last,
-        // so even `key_of_rank(0)` needs the whole shuffle.
+        // so even `key_of_rank(0)` needs the whole shuffle. Its draws
+        // depend on the length alone, and the key is monotone in the
+        // index, so shuffling indices permutes the keys the same way.
         let mut rng = SimRng::new(seed).derive(&format!("kvs-partition-{partition}"));
-        let mut slots: Vec<u64> = (0..keys as u64)
-            .map(|r| r * num_partitions + partition)
-            .collect();
+        let mut slots: Vec<u32> = (0..keys).collect();
         rng.shuffle(&mut slots);
         PartitionedZipf {
             zipf: None,
@@ -128,7 +130,8 @@ impl PartitionedZipf {
         let zipf = self
             .zipf
             .get_or_insert_with(|| Zipf::new(self.slots.len(), self.theta));
-        self.slots[zipf.sample(&mut self.rng)]
+        let r = zipf.sample(&mut self.rng);
+        self.key_of_rank(r)
     }
 
     /// The global key this partition maps rank `r` to.
@@ -137,7 +140,7 @@ impl PartitionedZipf {
     /// Panics if `r` is out of range.
     #[must_use]
     pub fn key_of_rank(&self, r: usize) -> u64 {
-        self.slots[r]
+        u64::from(self.slots[r]) * self.num_partitions + self.partition
     }
 
     /// True when `key` belongs to this partition's stripe.
@@ -275,31 +278,41 @@ mod tests {
 
     /// `PartitionedZipf::new` as it stood at commit d3c94ba, body
     /// verbatim: CDF and permutation both built up front.
-    fn eager(
-        seed: u64,
-        partition: u64,
-        num_partitions: u64,
-        keys: usize,
-        theta: f64,
-    ) -> PartitionedZipf {
+    /// The sampler as it was before the CDF went lazy and the
+    /// permutation went to `u32` indices: a CDF built up front and a
+    /// shuffled `Vec<u64>` of global keys.
+    struct Eager {
+        zipf: Zipf,
+        rng: SimRng,
+        slots: Vec<u64>,
+    }
+
+    impl Eager {
+        fn next_key(&mut self) -> u64 {
+            self.slots[self.zipf.sample(&mut self.rng)]
+        }
+
+        fn key_of_rank(&self, r: usize) -> u64 {
+            self.slots[r]
+        }
+    }
+
+    fn eager(seed: u64, partition: u64, num_partitions: u64, keys: usize, theta: f64) -> Eager {
         let mut rng = SimRng::new(seed).derive(&format!("kvs-partition-{partition}"));
         let mut slots: Vec<u64> = (0..keys as u64)
             .map(|r| r * num_partitions + partition)
             .collect();
         rng.shuffle(&mut slots);
-        PartitionedZipf {
-            zipf: Some(Zipf::new(keys, theta)),
-            theta,
+        Eager {
+            zipf: Zipf::new(keys, theta),
             rng,
             slots,
-            num_partitions,
-            partition,
         }
     }
 
     #[test]
     fn lazy_cdf_samples_like_its_eager_twin() {
-        let cases: [(u64, u64, u64, usize, f64); 12] = [
+        let cases: [(u64, u64, u64, usize, f64); 13] = [
             (0, 0, 1, 1, 0.0),
             (1, 0, 1, 2, 0.99),
             (7, 1, 3, 64, 0.9),
@@ -312,14 +325,17 @@ mod tests {
             (6, 4, 5, 17, 2.0),
             (1201, 1, 4, 2500, 0.99),
             (9, 15, 16, 50, 0.7),
+            // Rack-sized: one of four 250,000-key stripes.
+            (0xACE, 2, 4, 250_000, 0.99),
         ];
         for (seed, partition, n, keys, theta) in cases {
             let mut lazy = PartitionedZipf::new(seed, partition, n, keys, theta);
             let mut twin = eager(seed, partition, n, keys, theta);
             assert!(lazy.zipf.is_none(), "construction builds no CDF");
             // Ranks first, as the rack asks: they must not need (or
-            // build) the CDF.
-            for r in 0..keys {
+            // build) the CDF. A rack-sized stripe compares its first 32.
+            let ranks = if keys > 10_000 { 32 } else { keys };
+            for r in 0..ranks {
                 assert_eq!(lazy.key_of_rank(r), twin.key_of_rank(r));
             }
             assert!(lazy.zipf.is_none(), "key_of_rank builds no CDF");

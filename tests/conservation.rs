@@ -1,15 +1,22 @@
 //! Message-conservation and losslessness invariants under randomized
 //! traffic — the NoC must never lose, duplicate, or reorder within a
-//! wormhole, no matter what the workload does.
+//! wormhole, no matter what the workload does — and, for planes that
+//! carry handles into a message store, no handle leaks: every message a
+//! plane destroys is taken out of the store.
 
 use bytes::Bytes;
+use engines::engine::NullOffload;
+use engines::tile::{Emit, EngineTile, TileConfig};
 use noc::network::{MeshNetwork, NetworkConfig};
 use noc::router::RouterConfig;
 use noc::topology::{Placement, Topology};
-use packet::{EngineId, Message, MessageId, MessageKind};
+use packet::{
+    ChainHeader, EngineClass, EngineId, Message, MessageId, MessageKind, MsgRef, MsgStore, Slack,
+};
 use proptest::prelude::*;
+use sched::admission::AdmissionPolicy;
 use sim_core::rng::SimRng;
-use sim_core::time::Cycle;
+use sim_core::time::{Cycle, Cycles};
 
 /// Drives a mesh with a randomized traffic script and checks exact
 /// conservation: every injected message is delivered exactly once, to
@@ -107,4 +114,104 @@ fn wormholes_never_interleave() {
         sends.push((rng.gen_range(9) as u8, 8u8, 300 + rng.gen_range(200) as u16));
     }
     run_conservation(3, 64, &sends, 2);
+}
+
+/// A mesh carrying handles, with an ejection drop armed at every tile:
+/// after every cycle the store holds exactly the messages sent and
+/// neither delivered nor destroyed, and nothing once drained.
+#[test]
+fn a_mesh_of_handles_frees_what_an_ejection_drop_destroys() {
+    let topo = Topology::mesh(3, 3);
+    let config = NetworkConfig {
+        topology: topo,
+        width_bits: 64,
+        router: RouterConfig::default(),
+    };
+    let mut net: MeshNetwork<MsgRef> = MeshNetwork::new(config, Placement::row_major(topo));
+    let mut store = MsgStore::default();
+    let tiles = topo.nodes();
+    for t in 0..tiles {
+        net.fault_drop_next_ejection(EngineId(t as u16));
+    }
+    let mut rng = SimRng::new(7);
+    let (mut sent, mut delivered) = (0u64, 0u64);
+    let mut now = Cycle(0);
+    for cycle in 0..6_000u64 {
+        if cycle < 3_000 && cycle.is_multiple_of(3) {
+            let src = rng.gen_range(tiles as u64) as u16;
+            let dst = rng.gen_range(tiles as u64) as u16;
+            let msg = Message::builder(MessageId(sent), MessageKind::Internal)
+                .payload(Bytes::from(vec![0u8; rng.gen_range(200) as usize]))
+                .build();
+            let msg = store.put(msg);
+            net.send_in(EngineId(src), EngineId(dst), msg, &store, now);
+            sent += 1;
+        }
+        net.tick(now);
+        now = now.next();
+        for t in 0..tiles {
+            if let Some(msg) = net.poll_ejected_at(t, now, &mut store) {
+                store.take(msg);
+                delivered += 1;
+            }
+        }
+        assert_eq!(
+            store.live() as u64,
+            sent - delivered - net.lost_messages(),
+            "cycle {cycle}"
+        );
+    }
+    assert!(net.is_quiescent(), "drained");
+    assert_eq!(net.lost_messages(), tiles as u64, "every armed drop fired");
+    assert_eq!(store.live(), 0, "a drained mesh holds no handle");
+}
+
+/// A tile carrying handles, fed faster than it serves: after every
+/// cycle the store holds exactly what the tile holds (its queue, its
+/// server, its parked RX message), so every tail drop and every
+/// intelligent-drop eviction took its victim out; a DOWN flush empties
+/// the store.
+#[test]
+fn a_tile_of_handles_frees_what_it_drops_and_flushes() {
+    for admission in [AdmissionPolicy::TailDrop, AdmissionPolicy::EvictLargestRank] {
+        let mut tile: EngineTile<MsgRef> = EngineTile::new(
+            EngineId(5),
+            Box::new(NullOffload::new("null", EngineClass::Asic, Cycles(4))),
+            TileConfig {
+                queue_capacity: 4,
+                admission,
+            },
+        );
+        let mut store = MsgStore::default();
+        let mut emits = Vec::new();
+        for c in 0..400u32 {
+            let now = Cycle(u64::from(c));
+            if tile.rx_ready() {
+                // Slack shrinks faster than time passes, so each arrival
+                // outranks everything queued: an intelligent drop
+                // evicts a queued message, not the arrival.
+                let slack = Slack(2_000 - 4 * c);
+                let chain = ChainHeader::uniform(&[EngineId(5), EngineId(9)], slack).unwrap();
+                let msg = Message::builder(MessageId(u64::from(c)), MessageKind::EthernetFrame)
+                    .chain(chain)
+                    .build();
+                let msg = store.put(msg);
+                tile.accept_in(msg, &mut store, now);
+            }
+            tile.tick_in(now, &mut store, &mut emits);
+            for emit in emits.drain(..) {
+                let Emit::To(_, msg) = emit else {
+                    panic!("a forward leaves for the next hop: {emit:?}");
+                };
+                store.take(msg);
+            }
+            let held =
+                tile.queue_depth() + usize::from(tile.is_busy()) + usize::from(!tile.rx_ready());
+            assert_eq!(store.live(), held, "{admission} at cycle {c}");
+        }
+        assert!(tile.drops() > 0, "{admission}: the queue never overflowed");
+        let flushed = tile.watchdog_down_in(&mut store);
+        assert!(flushed > 0, "{admission}: nothing to flush");
+        assert_eq!(store.live(), 0, "{admission}: the flush left a handle");
+    }
 }

@@ -7,7 +7,11 @@
 //!    exactly one sink bucket (wire, host, consumed, dropped, lost,
 //!    flushed, duplicate). No copy is created or destroyed off the
 //!    books, no matter what breaks.
-//! 2. **Determinism** (golden): the same seed yields a byte-identical
+//! 2. **No handle leaks**: after every tick the NIC's message store
+//!    holds exactly the copies the identity leaves in flight, and
+//!    nothing once drained — a copy taken out on no exit, or on two,
+//!    opens the difference at once.
+//! 3. **Determinism** (golden): the same seed yields a byte-identical
 //!    Chrome trace and conservation report across runs. Chaos testing
 //!    is only useful if a failing seed replays exactly.
 
@@ -20,7 +24,7 @@ use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
 use packet::message::{Priority, TenantId};
 use packet::phv::Field;
-use panic_core::nic::{NicConfig, PanicNic};
+use panic_core::nic::{Conservation, NicConfig, PanicNic};
 use proptest::prelude::*;
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
@@ -90,9 +94,22 @@ fn replicated_nic() -> (PanicNic, EngineId) {
     (b.build(), eth)
 }
 
+/// Asserts the NIC's message store holds exactly the copies its books
+/// call in flight (sources not yet in a sink), and none once drained.
+fn assert_store_matches_books(nic: &PanicNic, now: Cycle) {
+    let c = nic.conservation();
+    assert_eq!(
+        nic.live_messages() as u64,
+        c.sources() - c.sinks(),
+        "cycle {}: store and books disagree:\n{c}",
+        now.0
+    );
+}
+
 /// Feeds `frames` frames one per `gap` cycles and drives the NIC to
-/// quiescence with the fault plane settled. Returns `None` on success
-/// or the cycle bound on failure to drain.
+/// quiescence with the fault plane settled, holding the store to the
+/// books after every tick. Returns `None` on success or the cycle bound
+/// on failure to drain.
 fn drive(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64) -> Option<u64> {
     let mut factory = FrameFactory::for_nic_port(0);
     let mut now = Cycle(0);
@@ -110,8 +127,10 @@ fn drive(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64) -> Option<u64
             sent += 1;
         }
         nic.tick(now);
+        assert_store_matches_books(nic, now);
         now = now.next();
         if sent == frames && nic.is_quiescent() && nic.faults_settled() {
+            assert_eq!(nic.live_messages(), 0, "a drained NIC holds no message");
             return None;
         }
     }
@@ -245,8 +264,10 @@ fn drive_two_tenants(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64) -
             sent += 1;
         }
         nic.tick(now);
+        assert_store_matches_books(nic, now);
         now = now.next();
         if sent == frames && nic.is_quiescent() && nic.faults_settled() {
+            assert_eq!(nic.live_messages(), 0, "a drained NIC holds no message");
             return None;
         }
     }
@@ -293,6 +314,35 @@ proptest! {
             s.tx_wire + s.host_fallback <= FRAMES,
             "more egress than offered frames: {s:?}"
         );
+    }
+}
+
+/// Each way a copy ends inside the NIC returns its handle: a plan per
+/// way, each required to take it, drains with the store empty and the
+/// store held to the books after every tick on the way.
+#[test]
+fn every_way_a_copy_ends_returns_its_handle() {
+    type Took = fn(&Conservation) -> bool;
+    let cases: [(&str, u64, u64, Took); 3] = [
+        // A sixteenfold slower offload overflows its queue: PIFO tail
+        // drops.
+        ("degrade:1@0x16", 200, 2, |c| c.sched_drops > 0),
+        // An ejection drop loses a copy in the mesh; the watchdog
+        // re-issues it.
+        ("drop:1@300", FRAMES, GAP, |c| {
+            c.lost_noc > 0 && c.reissued > 0
+        }),
+        // A crashed offload wedges and goes DOWN: its queue is flushed.
+        ("crash:1@500", FRAMES, GAP, |c| c.flushed > 0),
+    ];
+    for (spec, frames, gap, took) in cases {
+        let (mut nic, eth) = replicated_nic();
+        nic.enable_faults(FaultPlan::parse(spec).unwrap());
+        let stuck = drive(&mut nic, eth, frames, gap);
+        let c = nic.conservation();
+        assert!(stuck.is_none(), "`{spec}` did not drain:\n{c}");
+        assert!(c.holds(), "`{spec}` violates conservation:\n{c}");
+        assert!(took(&c), "`{spec}` never took the exit it is for:\n{c}");
     }
 }
 

@@ -17,9 +17,9 @@
 //! * scratch buffers growing to their steady-state capacity (router
 //!   route scratch, network stage buffers, the NIC's wire/host drain
 //!   buffers);
-//! * the NoC's in-flight slab, its free list and the per-tile source
-//!   rings growing to their working set (slots are reused, never
-//!   freed, thereafter);
+//! * the NIC's message store and the NoC's in-flight slab, their free
+//!   lists and the per-tile source rings growing to their working set
+//!   (slots are reused, never freed, thereafter);
 //! * per-tile queue and scheduler storage reaching peak occupancy;
 //! * lazily built engine state (e.g. a MAC's first-use histograms).
 //!
@@ -30,10 +30,10 @@
 //! for the frame's bytes.
 //!
 //! Building a frame allocates by design (fresh payload bytes per frame
-//! — that is workload state, not simulator state): exactly twice, the
-//! frame buffer and the `Bytes` it freezes into (`docs/PERF.md` §4).
-//! The factory call is excluded from the counted region; `rx_frame` is
-//! inside it, and `a_frame_costs_two_allocations_ingress_to_exit`
+//! — that is workload state, not simulator state): exactly once, the
+//! shared buffer the frame is written into (`docs/PERF.md` §4). The
+//! factory call is excluded from the counted region; `rx_frame` is
+//! inside it, and `a_frame_costs_one_allocation_ingress_to_exit`
 //! counts the factory too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -358,12 +358,12 @@ fn steady_state_tick_allocates_nothing() {
 }
 
 /// A frame, ingress to exit, with the injection *inside* the counted
-/// window: the frame factory allocates twice per frame (the frame
-/// buffer, and the `Bytes` it freezes into) and the simulator adds
-/// nothing between `rx_frame` and the wire — so the window's count is
-/// exactly two per injected frame.
+/// window: the frame factory allocates once per frame (the shared
+/// buffer the frame is built in) and the simulator adds nothing between
+/// `rx_frame` and the wire — so the window's count is exactly one per
+/// injected frame.
 #[test]
-fn a_frame_costs_two_allocations_ingress_to_exit() {
+fn a_frame_costs_one_allocation_ingress_to_exit() {
     for advance in [Advance::Stepped, Advance::Merged] {
         let mut busy = BusyNic::new();
         busy.count_frames = true;
@@ -374,10 +374,9 @@ fn a_frame_costs_two_allocations_ingress_to_exit() {
         // of injection periods long.
         let frames = MEASURE / INJECT_EVERY;
         assert_eq!(
-            allocs,
-            2 * frames,
+            allocs, frames,
             "{advance:?}: {frames} frames, injection counted, allocated {allocs} \
-             times ({bytes} bytes): more than the factory's two per frame"
+             times ({bytes} bytes): not the factory's one per frame"
         );
     }
 }
@@ -504,8 +503,8 @@ fn idle_tick_allocates_nothing() {
 
 /// The gap regime: `chain_gap`'s configuration (the 6×6 chain NIC at
 /// 0.2 % of line rate) fast-forwarded, its mesh gliding through clear
-/// transit between the NIC's events. Each frame costs the factory's two
-/// allocations, which `ChainScenario::run` makes inside the counted
+/// transit between the NIC's events. Each frame costs the factory's one
+/// allocation, which `ChainScenario::run` makes inside the counted
 /// window; the glides — the plan the hint makes, the count arrays, the
 /// worms left to find their segments again — add none.
 #[test]
@@ -533,10 +532,9 @@ fn gliding_gap_regime_allocates_only_its_frames() {
     );
     assert!(glided > 0, "the window must glide");
     assert_eq!(
-        allocs,
-        2 * frames,
+        allocs, frames,
         "{frames} frames glided through {glided} cycles allocated {allocs} times \
-         ({bytes} bytes): more than the factory's two per frame"
+         ({bytes} bytes): not the factory's one per frame"
     );
 }
 
