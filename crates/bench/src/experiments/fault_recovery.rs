@@ -192,10 +192,10 @@ pub fn run_plan(
         events: plan.len(),
         offered: frames,
         goodput: stats.tx_wire as f64 / frames.max(1) as f64,
-        host_fallback: stats.host_fallback,
-        reissued: stats.reissued,
+        host_fallback: c.host_fallback,
+        reissued: c.reissued,
         failed: stats.failed,
-        duplicates: stats.duplicates,
+        duplicates: c.duplicates,
         downed: nic.downed_engines().len(),
         mean_ttf: stats.time_to_failover.mean(),
         recovery_p50: stats.recovery.p50(),

@@ -22,12 +22,12 @@ impl PanicNic {
 
     /// Adds a tenant vNIC live, engaging the tenancy plane (with
     /// default pool parameters) if the NIC was untenanted. The new
-    /// vNIC's implicit-exit baseline is seeded from the component
-    /// stats *now*, so drops or losses attributed to this tenant id
-    /// before the vNIC existed cannot return credits it never charged.
+    /// vNIC's implicit-exit baseline is seeded from the store's losses
+    /// of this tenant id *now*, so copies destroyed before the vNIC
+    /// existed cannot return credits it never charged.
     /// Returns `false` if the tenant already has a vNIC.
     pub fn ctrl_add_vnic(&mut self, spec: VNicSpec) -> bool {
-        let baseline = self.implicit_exit_count(spec.tenant);
+        let baseline = self.store.losses_of(spec.tenant);
         let tn = self.tenancy.get_or_insert_with(|| {
             let mut tn = Box::new(TenancyRuntime::new(TenancyConfig::new(Vec::new())));
             tn.attach_tracer(&self.tracer);

@@ -3,11 +3,11 @@
 //!
 //! There is one way in ([`PanicNic::ingress`], behind `rx_frame` and
 //! `inject_from`) and one way out: every terminal of a copy's life
-//! goes through [`PanicNic::exit`], the single place where the NIC
-//! counters, latency histograms, tenant ledger, watchdog descriptors
-//! and boundary trace instants are kept consistent with each other, and
-//! where a copy that crossed the datapath is taken out of the store.
-//! In between, [`PanicNic::tick`] advances mesh, pipeline and tiles.
+//! outside a plane goes through [`PanicNic::exit`], the single place
+//! where the store's exit count, latency histograms, tenant ledger,
+//! watchdog descriptors and boundary trace instants are kept consistent
+//! with each other. In between, [`PanicNic::tick`] advances mesh,
+//! pipeline and tiles.
 
 use bytes::Bytes;
 use engines::engine::EgressKind;
@@ -15,25 +15,23 @@ use engines::pcie::PcieEngine;
 use engines::tile::{Emit, EngineTile};
 use packet::chain::{EngineId, Hop, Slack};
 use packet::message::{Message, MessageId, MessageKind, Priority, TenantId};
-use packet::store::MsgRef;
+use packet::store::{Entry, ExitKind, MsgRef};
 use rmt::action::Verdict;
 use sim_core::bits::set_bits;
 use sim_core::time::Cycle;
-use tenancy::{ExitKind, SubmitSource};
+use tenancy::SubmitSource;
 
 use super::{PanicNic, TileSlot};
 
-/// What is leaving the NIC in a [`PanicNic::exit`].
+/// What is leaving the NIC in a [`PanicNic::exit`], still in the store.
 pub(super) enum Leaving {
-    /// A copy that crossed the datapath, still in the store.
+    /// A copy that crossed the datapath.
     Copy(MsgRef),
     /// A message the NIC originated itself (a coalesced PCIe
     /// interrupt): counted and delivered, but it never came through
     /// `ingress`, so there is no descriptor to complete, no
     /// injection-to-exit latency and no boundary instant.
-    Originated(Message),
-    /// A copy an engine absorbed; only its tenant outlives it.
-    Absorbed(TenantId),
+    Originated(MsgRef),
 }
 
 impl PanicNic {
@@ -80,7 +78,7 @@ impl PanicNic {
     }
 
     /// The one way in: mints a message for `frame` at mesh position
-    /// `source`, counts it as the conservation source `via` names, and
+    /// `source`, writes it into the store as the entry `via` names, and
     /// parks it with its tenant's vNIC or launches it.
     fn ingress(
         &mut self,
@@ -99,15 +97,16 @@ impl PanicNic {
             .source(source)
             .injected_at(now)
             .build();
-        match via {
+        let entry = match via {
             SubmitSource::Rx => {
                 self.stats.rx_frames += 1;
                 self.tracer
                     .instant_arg(self.track, "nic.rx_frame", now, "msg", id.0);
+                Entry::Rx
             }
-            SubmitSource::Injected => self.stats.injected_internal += 1,
-        }
-        let msg = self.store.put(msg);
+            SubmitSource::Injected => Entry::Injected,
+        };
+        let msg = self.store.put(msg, entry);
         // Tenancy interception: frames belonging to a configured vNIC
         // park in its pending queue and enter the datapath when the
         // tenancy scheduler releases them (admission + rate + DRR).
@@ -150,42 +149,30 @@ impl PanicNic {
     ///    whatever was requested. Dead letters and absorbed copies are
     ///    losses, not completions: their descriptor stays armed so the
     ///    watchdog re-issues it;
-    /// 2. the one NIC counter for the kind;
+    /// 2. the store's count for the kind, as the message is taken out;
     /// 3. latency sample — wire, host and host fallback only;
     /// 4. tenant ledger (which also returns the buffer credit);
     /// 5. trace instant on the `nic` track;
     /// 6. egress buffer — wire, host or fabric; every other kind drops
     ///    the copy here.
     pub(super) fn exit(&mut self, leaving: Leaving, requested: ExitKind, now: Cycle) {
-        let (tenant, msg, crossed) = match leaving {
-            Leaving::Copy(r) => {
-                let m = self.store.take(r);
-                (m.tenant, Some(m), true)
-            }
-            Leaving::Originated(m) => (m.tenant, Some(m), false),
-            Leaving::Absorbed(t) => (t, None, false),
+        let (r, crossed) = match leaving {
+            Leaving::Copy(r) => (r, true),
+            Leaving::Originated(r) => (r, false),
         };
-        let copy = msg.as_ref().filter(|_| crossed);
-
-        let completes = !matches!(requested, ExitKind::Unrouted | ExitKind::Consumed);
-        let kind = match copy {
-            Some(m) if completes && self.complete_descriptor(m.id, now) => ExitKind::Duplicate,
-            _ => requested,
+        let completes = crossed && !matches!(requested, ExitKind::Unrouted | ExitKind::Consumed);
+        let kind = if completes && self.complete_descriptor(self.store.get(r).id, now) {
+            ExitKind::Duplicate
+        } else {
+            requested
         };
+        let m = self.store.take(r, kind);
+        if kind == ExitKind::Wire {
+            self.stats.tx_wire += 1;
+        }
 
-        *match kind {
-            ExitKind::Wire => &mut self.stats.tx_wire,
-            ExitKind::Host => &mut self.stats.host_deliveries,
-            ExitKind::HostFallback => &mut self.stats.host_fallback,
-            ExitKind::Consumed => &mut self.stats.consumed,
-            ExitKind::Control => &mut self.stats.control_completed,
-            ExitKind::Unrouted => &mut self.stats.unrouted,
-            ExitKind::Duplicate => &mut self.stats.duplicates,
-            ExitKind::Remote => &mut self.stats.remote_tx,
-        } += 1;
-
-        let latency = match (copy, kind) {
-            (Some(m), ExitKind::Wire | ExitKind::Host | ExitKind::HostFallback) => {
+        let latency = match kind {
+            ExitKind::Wire | ExitKind::Host | ExitKind::HostFallback if crossed => {
                 let latency = now.saturating_since(m.injected_at);
                 self.stats.latency[m.priority as usize].record(latency.count());
                 Some(latency)
@@ -193,7 +180,7 @@ impl PanicNic {
             _ => None,
         };
         if let Some(tn) = self.tenancy.as_mut() {
-            tn.note_exit(tenant, kind, latency);
+            tn.note_exit(m.tenant, kind, latency);
         }
 
         // `failover.host` marks the steering decision, so it is traced
@@ -205,15 +192,15 @@ impl PanicNic {
             (_, ExitKind::Remote) => Some("nic.remote_tx"),
             _ => None,
         };
-        if let (Some(m), Some(name)) = (copy, instant) {
+        if let Some(name) = instant.filter(|_| crossed) {
             self.tracer
                 .instant_arg(self.track, name, now, "msg", m.id.0);
         }
 
-        match (msg, kind) {
-            (Some(m), ExitKind::Wire) => self.wire_tx.push(m),
-            (Some(m), ExitKind::Host | ExitKind::HostFallback) => self.host_rx.push(m),
-            (Some(m), ExitKind::Remote) => self.remote_egress.push_back(m),
+        match kind {
+            ExitKind::Wire => self.wire_tx.push(m),
+            ExitKind::Host | ExitKind::HostFallback => self.host_rx.push(m),
+            ExitKind::Remote => self.remote_egress.push_back(m),
             _ => {}
         }
     }
@@ -289,9 +276,7 @@ impl PanicNic {
             Emit::Egress(EgressKind::Host, msg) => {
                 self.exit(Leaving::Copy(msg), ExitKind::Host, now);
             }
-            Emit::Consumed(tenant) => {
-                self.exit(Leaving::Absorbed(tenant), ExitKind::Consumed, now);
-            }
+            Emit::Consumed(msg) => self.exit(Leaving::Copy(msg), ExitKind::Consumed, now),
         }
     }
 
@@ -429,6 +414,7 @@ impl PanicNic {
                         .as_engine_mut()
                         .and_then(|tile| tile.offload_as_mut::<PcieEngine>());
                     if let Some(msg) = pcie.and_then(PcieEngine::flush) {
+                        let msg = self.store.put(msg, Entry::Interrupt);
                         self.exit(Leaving::Originated(msg), ExitKind::Host, now);
                     }
                 }
@@ -481,8 +467,9 @@ mod tests {
     }
 
     /// Everything an exit may move, in [`ExitKind`] declaration order:
-    /// the per-kind NIC counters, the tenant-ledger fields, the two
-    /// latency histograms' sample counts, the egress buffers' lengths.
+    /// the store's per-kind exit counts, the tenant-ledger fields, the
+    /// two latency histograms' sample counts, the egress buffers'
+    /// lengths.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct Books {
         nic: [u64; 8],
@@ -496,16 +483,7 @@ mod tests {
         let tn = nic.tenancy().unwrap();
         let l = tn.ledger(TENANT).unwrap();
         Books {
-            nic: [
-                s.tx_wire,
-                s.host_deliveries,
-                s.host_fallback,
-                s.consumed,
-                s.control_completed,
-                s.unrouted,
-                s.duplicates,
-                s.remote_tx,
-            ],
+            nic: std::array::from_fn(|i| nic.store.exited(ExitKind::ALL[i])),
             ledger: [
                 l.tx_wire,
                 l.host,
@@ -575,11 +553,13 @@ mod tests {
                 .tenant(TENANT)
                 .injected_at(Cycle(7))
                 .build();
-            let r = nic.store.put(msg);
+            let r = nic.store.put(msg, Entry::Injected);
             nic.watchdog_track(r, eth, Cycle(7));
-            nic.store.take(r)
+            nic.store.take(r, ExitKind::Control)
         };
-        let copy = |nic: &mut PanicNic, msg: &Message| Leaving::Copy(nic.store.put(msg.clone()));
+        let copy = |nic: &mut PanicNic, msg: &Message| {
+            Leaving::Copy(nic.store.put(msg.clone(), Entry::Injected))
+        };
 
         for (kind, row, sampled, instant, buffer) in table {
             let msg = tracked(&mut nic);
@@ -625,14 +605,16 @@ mod tests {
             assert_eq!(books(&nic), moved(before, 5, false, None));
         }
         let before = books(&nic);
-        nic.exit(Leaving::Absorbed(TENANT), ExitKind::Consumed, now);
+        let leaving = copy(&mut nic, &msg);
+        nic.exit(leaving, ExitKind::Consumed, now);
         assert_eq!(books(&nic), moved(before, 3, false, None));
         assert_eq!(nic.watchdog().unwrap().pending(), pending + 1);
 
         // A NIC-originated interrupt is delivered and counted, but even
         // with a tracked id it completes nothing and samples nothing.
         let before = books(&nic);
-        nic.exit(Leaving::Originated(msg), ExitKind::Host, now);
+        let interrupt = nic.store.put(msg, Entry::Interrupt);
+        nic.exit(Leaving::Originated(interrupt), ExitKind::Host, now);
         assert_eq!(books(&nic), moved(before, 1, false, Some(1)));
         assert_eq!(nic.watchdog().unwrap().pending(), pending + 1);
         assert!(instants_since(&tracer, &mut seen).is_empty());
@@ -660,12 +642,9 @@ mod tests {
         let (rx, rx_events) = run(false);
         let (inj, inj_events) = run(true);
 
-        assert_eq!((rx.stats().rx_frames, rx.stats().injected_internal), (2, 0));
-        assert_eq!(
-            (inj.stats().rx_frames, inj.stats().injected_internal),
-            (0, 2)
-        );
         let (mut a, mut b) = (rx.conservation(), inj.conservation());
+        assert_eq!((a.rx_frames, a.injected_internal), (2, 0));
+        assert_eq!((b.rx_frames, b.injected_internal), (0, 2));
         assert!(a.holds() && b.holds());
         (a.rx_frames, a.injected_internal) = (0, 0);
         (b.rx_frames, b.injected_internal) = (0, 0);

@@ -8,8 +8,8 @@ use std::collections::VecDeque;
 
 use packet::chain::EngineId;
 use packet::message::Message;
+use packet::store::{Entry, ExitKind};
 use sim_core::time::Cycle;
-use tenancy::ExitKind;
 
 use super::datapath::Leaving;
 use super::PanicNic;
@@ -47,7 +47,6 @@ impl PanicNic {
     /// current hop is missing, not remote, or targets an engine this
     /// NIC doesn't have — the dynamic counterpart of the PV701 lint.
     pub fn rx_remote(&mut self, msg: Message, uplink: EngineId, now: Cycle) -> bool {
-        self.stats.remote_rx += 1;
         if let Some(tn) = self.tenancy.as_mut() {
             tn.note_remote_rx(msg.tenant);
         }
@@ -58,7 +57,7 @@ impl PanicNic {
             .filter(|t| t.is_remote())
             .map(EngineId::local_part)
             .filter(|&l| self.has_tile(l));
-        let msg = self.store.put(msg);
+        let msg = self.store.put(msg, Entry::RemoteRx);
         let Some(local) = local else {
             self.exit(Leaving::Copy(msg), ExitKind::Unrouted, now);
             return false;

@@ -15,11 +15,11 @@
 //! * the **failover table**: engines marked DOWN and the replica (or
 //!   host fallback) traffic addressed to them is steered to.
 //!
-//! The companion [`Conservation`] report extends the fault-free
-//! identity (`rx == tx + host + consumed + …`) with every loss and
-//! duplication channel the fault plane can open, so tests can assert
-//! that *nothing vanishes unaccounted under any fault plan*. See
-//! `docs/FAULTS.md`.
+//! The companion [`Conservation`] report reads the NIC's message store,
+//! which counts every copy where it enters and where it leaves —
+//! including every loss and duplication channel the fault plane can
+//! open — so tests can assert that *nothing vanishes unaccounted under
+//! any fault plan*. See `docs/FAULTS.md`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -29,7 +29,7 @@ use faults::{CompleteOutcome, ExpiryAction, FaultKind, FaultPlan, Schedule, Watc
 use noc::router::PortDir;
 use packet::chain::EngineId;
 use packet::message::MessageId;
-use packet::store::MsgRef;
+use packet::store::{Entry, ExitKind, MsgRef};
 use sim_core::time::{Cycle, Cycles};
 use trace::{Tracer, TrackId};
 
@@ -129,33 +129,32 @@ impl PanicNic {
     }
 
     /// Snapshot of the copy-level conservation identity (see
-    /// [`Conservation`]). Meaningful once
-    /// `is_quiescent() && faults_settled()`; mid-run the in-flight
-    /// copies sit in neither column.
+    /// [`Conservation`]): the store's count of every entry and exit
+    /// reason, and the copies it holds. Holds on every cycle; once the
+    /// NIC is quiescent and the fault plane settled, `live` is zero.
     #[must_use]
     pub fn conservation(&self) -> Conservation {
-        let mut sched_drops = 0;
-        let mut flushed = 0;
-        for (_, t) in self.engine_tiles() {
-            sched_drops += t.drops();
-            flushed += t.stats().flushed;
-        }
+        let s = &self.store;
         Conservation {
-            rx_frames: self.stats.rx_frames,
-            injected_internal: self.stats.injected_internal,
-            reissued: self.stats.reissued,
-            tx_wire: self.stats.tx_wire,
-            host_deliveries: self.stats.host_deliveries,
-            host_fallback: self.stats.host_fallback,
-            consumed: self.stats.consumed,
-            control_completed: self.stats.control_completed,
-            unrouted: self.stats.unrouted,
-            sched_drops,
-            lost_noc: self.network.lost_messages(),
-            flushed,
-            duplicates: self.stats.duplicates,
-            remote_rx: self.stats.remote_rx,
-            remote_tx: self.stats.remote_tx,
+            rx_frames: s.entered(Entry::Rx),
+            injected_internal: s.entered(Entry::Injected),
+            reissued: s.entered(Entry::Reissued),
+            remote_rx: s.entered(Entry::RemoteRx),
+            spawned: s.entered(Entry::Spawned),
+            interrupts: s.entered(Entry::Interrupt),
+            tx_wire: s.exited(ExitKind::Wire),
+            host_deliveries: s.exited(ExitKind::Host),
+            host_fallback: s.exited(ExitKind::HostFallback),
+            consumed: s.exited(ExitKind::Consumed),
+            control_completed: s.exited(ExitKind::Control),
+            unrouted: s.exited(ExitKind::Unrouted),
+            duplicates: s.exited(ExitKind::Duplicate),
+            remote_tx: s.exited(ExitKind::Remote),
+            sched_drops: s.exited(ExitKind::SchedDrop),
+            flushed: s.exited(ExitKind::Flushed),
+            lost_noc: s.exited(ExitKind::LostNoc),
+            pipeline_drops: s.exited(ExitKind::PipelineDrop),
+            live: s.live() as u64,
         }
     }
 
@@ -360,7 +359,6 @@ impl PanicNic {
                     source,
                     attempt,
                 } => {
-                    self.stats.reissued += 1;
                     if let Some(tn) = self.tenancy.as_mut() {
                         tn.note_reissued(msg.tenant);
                     }
@@ -371,7 +369,7 @@ impl PanicNic {
                         "attempt",
                         u64::from(attempt),
                     );
-                    let msg = self.store.put(*msg);
+                    let msg = self.store.put(*msg, Entry::Reissued);
                     self.send_to_pipeline(source, msg, now);
                 }
                 ExpiryAction::Fail => {
@@ -428,27 +426,34 @@ impl PanicNic {
 }
 
 /// Copy-level conservation report: every message copy the NIC ever
-/// held, bucketed by where it went. Meaningful once the NIC is
-/// quiescent and the fault plane settled
-/// ([`crate::nic::PanicNic::is_quiescent`] &&
-/// [`crate::nic::PanicNic::faults_settled`]); mid-flight copies are in
-/// neither side.
+/// held, bucketed by why it entered and where it went, read from the
+/// NIC's message store — the one place a copy is counted in and out.
 ///
-/// Identity ([`Conservation::holds`]):
+/// Identity ([`Conservation::holds`]), on every cycle:
 ///
 /// ```text
-/// rx_frames + injected_internal + reissued + remote_rx ==
+/// rx_frames + injected_internal + reissued + remote_rx + spawned
+///   + interrupts ==
 ///     tx_wire + host_deliveries + host_fallback + consumed
-///   + control_completed + unrouted + sched_drops + lost_noc
-///   + flushed + duplicates + remote_tx
+///   + control_completed + unrouted + duplicates + remote_tx
+///   + sched_drops + flushed + lost_noc + pipeline_drops
+///   + live
 /// ```
+///
+/// `live` is the copies in the store now — on the mesh, in a tile or
+/// the pipeline, or parked with a vNIC — and zero once the NIC is
+/// quiescent ([`crate::nic::PanicNic::is_quiescent`]) and the fault
+/// plane settled ([`crate::nic::PanicNic::faults_settled`]): a copy
+/// destroyed off the books is one that stays live.
 ///
 /// On a rack-fabric member, copies arriving over an inter-NIC link are
 /// a source (`remote_rx`) and copies handed to the fabric are a sink
 /// (`remote_tx`); summed over every member plus the copies still on
 /// the links, the per-NIC identities compose into the fleet-wide one
 /// (`fabric::FleetConservation`, docs/FABRIC.md). Both are always zero
-/// on a standalone NIC.
+/// on a standalone NIC. `spawned` (events a DMA engine raises) and
+/// `interrupts` (coalesced PCIe interrupts the flush timer raises) are
+/// zero on a NIC without PCIe engines.
 ///
 /// Watchdog re-issues mint *copies* of a descriptor, so they appear on
 /// the source side; late copies suppressed at egress appear on the
@@ -456,8 +461,8 @@ impl PanicNic {
 /// budget is *not* a copy sink — each of its copies already landed in
 /// a loss bucket — which is why `failed` (descriptor-level) is
 /// reported by [`crate::nic::NicStats`] but absent here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // field names mirror NicStats / component counters
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // one column per `Entry` and `ExitKind`, and `live`
 pub struct Conservation {
     pub rx_frames: u64,
     pub injected_internal: u64,
@@ -474,13 +479,22 @@ pub struct Conservation {
     pub duplicates: u64,
     pub remote_rx: u64,
     pub remote_tx: u64,
+    pub spawned: u64,
+    pub interrupts: u64,
+    pub pipeline_drops: u64,
+    pub live: u64,
 }
 
 impl Conservation {
     /// Copies that entered the NIC boundary.
     #[must_use]
     pub fn sources(&self) -> u64 {
-        self.rx_frames + self.injected_internal + self.reissued + self.remote_rx
+        self.rx_frames
+            + self.injected_internal
+            + self.reissued
+            + self.remote_rx
+            + self.spawned
+            + self.interrupts
     }
 
     /// Copies that left (or were destroyed inside) the NIC boundary.
@@ -492,52 +506,66 @@ impl Conservation {
             + self.consumed
             + self.control_completed
             + self.unrouted
-            + self.sched_drops
-            + self.lost_noc
-            + self.flushed
             + self.duplicates
             + self.remote_tx
+            + self.sched_drops
+            + self.flushed
+            + self.lost_noc
+            + self.pipeline_drops
     }
 
-    /// True when every copy is accounted for.
+    /// True when every copy is accounted for: it left, or is live.
     #[must_use]
     pub fn holds(&self) -> bool {
-        self.sources() == self.sinks()
+        self.sources() == self.sinks() + self.live
+    }
+}
+
+/// The last four columns appear only when nonzero, as the `nic.*`
+/// metrics of a plane appear only once it is engaged: a drained NIC
+/// without PCIe engines or `Drop` verdicts prints the fifteen columns
+/// the fabric goldens hash, and nothing else.
+impl fmt::Debug for Conservation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("Conservation");
+        d.field("rx_frames", &self.rx_frames)
+            .field("injected_internal", &self.injected_internal)
+            .field("reissued", &self.reissued)
+            .field("tx_wire", &self.tx_wire)
+            .field("host_deliveries", &self.host_deliveries)
+            .field("host_fallback", &self.host_fallback)
+            .field("consumed", &self.consumed)
+            .field("control_completed", &self.control_completed)
+            .field("unrouted", &self.unrouted)
+            .field("sched_drops", &self.sched_drops)
+            .field("lost_noc", &self.lost_noc)
+            .field("flushed", &self.flushed)
+            .field("duplicates", &self.duplicates)
+            .field("remote_rx", &self.remote_rx)
+            .field("remote_tx", &self.remote_tx);
+        for (name, v) in [
+            ("spawned", self.spawned),
+            ("interrupts", self.interrupts),
+            ("pipeline_drops", self.pipeline_drops),
+            ("live", self.live),
+        ] {
+            if v > 0 {
+                d.field(name, &v);
+            }
+        }
+        d.finish()
     }
 }
 
 impl fmt::Display for Conservation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "sources {} = rx {} + injected {} + reissued {} + remote_rx {}",
-            self.sources(),
-            self.rx_frames,
-            self.injected_internal,
-            self.reissued,
-            self.remote_rx
-        )?;
-        writeln!(
-            f,
-            "sinks   {} = tx {} + host {} + fallback {} + consumed {} + control {} \
-             + unrouted {} + sched_drops {} + lost_noc {} + flushed {} + duplicates {} \
-             + remote_tx {}",
-            self.sinks(),
-            self.tx_wire,
-            self.host_deliveries,
-            self.host_fallback,
-            self.consumed,
-            self.control_completed,
-            self.unrouted,
-            self.sched_drops,
-            self.lost_noc,
-            self.flushed,
-            self.duplicates,
-            self.remote_tx
-        )?;
+        writeln!(f, "{self:?}")?;
         write!(
             f,
-            "identity {}",
+            "sources {} = sinks {} + live {}: identity {}",
+            self.sources(),
+            self.sinks(),
+            self.live,
             if self.holds() { "HOLDS" } else { "VIOLATED" }
         )
     }
@@ -565,15 +593,23 @@ mod tests {
             duplicates: 1,
             remote_rx: 2,
             remote_tx: 2,
+            spawned: 1,
+            interrupts: 1,
+            pipeline_drops: 1,
+            live: 1,
         };
-        assert_eq!(c.sources(), 17);
-        assert_eq!(c.sinks(), 17);
+        assert_eq!(c.sources(), 19);
+        assert_eq!(c.sinks(), 18);
         assert!(c.holds());
         let shown = c.to_string();
         assert!(shown.contains("HOLDS"), "{shown}");
-        c.tx_wire -= 1;
+        assert!(format!("{c:?}").ends_with("pipeline_drops: 1, live: 1 }"));
+        c.live -= 1;
         assert!(!c.holds());
         assert!(c.to_string().contains("VIOLATED"));
+        // Zero in the last four columns is left out of `Debug`.
+        (c.spawned, c.interrupts, c.pipeline_drops) = (0, 0, 0);
+        assert!(format!("{c:?}").ends_with("remote_rx: 2, remote_tx: 2 }"));
     }
 
     #[test]

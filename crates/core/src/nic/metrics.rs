@@ -52,23 +52,25 @@ impl PanicNic {
         }
     }
 
-    /// The `nic.*` subtree of [`PanicNic::export_metrics`].
+    /// The `nic.*` subtree of [`PanicNic::export_metrics`]: the copy
+    /// counters are the store's ([`PanicNic::conservation`]).
     fn export_nic_metrics<S: MetricSink + ?Sized>(&self, m: &mut S) {
         let s = &self.stats;
+        let c = self.conservation();
         m.counter(format_args!("nic.rx_frames"), s.rx_frames);
         m.counter(format_args!("nic.tx_wire"), s.tx_wire);
-        m.counter(format_args!("nic.host_deliveries"), s.host_deliveries);
-        m.counter(format_args!("nic.consumed"), s.consumed);
-        m.counter(format_args!("nic.control_completed"), s.control_completed);
-        m.counter(format_args!("nic.unrouted"), s.unrouted);
+        m.counter(format_args!("nic.host_deliveries"), c.host_deliveries);
+        m.counter(format_args!("nic.consumed"), c.consumed);
+        m.counter(format_args!("nic.control_completed"), c.control_completed);
+        m.counter(format_args!("nic.unrouted"), c.unrouted);
         // Fault-plane counters exist only when the fault plane is
         // engaged, keeping fault-free metrics output byte-identical.
         if self.faults.is_some() {
-            m.counter(format_args!("nic.injected_internal"), s.injected_internal);
-            m.counter(format_args!("nic.reissued"), s.reissued);
+            m.counter(format_args!("nic.injected_internal"), c.injected_internal);
+            m.counter(format_args!("nic.reissued"), c.reissued);
             m.counter(format_args!("nic.failed"), s.failed);
-            m.counter(format_args!("nic.duplicates"), s.duplicates);
-            m.counter(format_args!("nic.host_fallback"), s.host_fallback);
+            m.counter(format_args!("nic.duplicates"), c.duplicates);
+            m.counter(format_args!("nic.host_fallback"), c.host_fallback);
             m.counter(
                 format_args!("nic.downed_engines"),
                 self.downed_engines().len() as u64,
@@ -82,9 +84,9 @@ impl PanicNic {
         }
         // Fabric counters exist only once fabric traffic flowed, so a
         // 1-NIC fabric run exports byte-identically to a bare NIC.
-        if s.remote_tx > 0 || s.remote_rx > 0 {
-            m.counter(format_args!("nic.remote_tx"), s.remote_tx);
-            m.counter(format_args!("nic.remote_rx"), s.remote_rx);
+        if c.remote_tx > 0 || c.remote_rx > 0 {
+            m.counter(format_args!("nic.remote_tx"), c.remote_tx);
+            m.counter(format_args!("nic.remote_rx"), c.remote_rx);
         }
         for (name, p) in [
             ("latency", Priority::Latency),

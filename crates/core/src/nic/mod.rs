@@ -32,10 +32,14 @@
 //!
 //! The NIC keeps every message it holds in one [`MsgStore`]: a message
 //! is written in once, when it enters (`rx_frame`, `inject_from`,
-//! `rx_remote`, a watchdog re-issue, or an offload that emits a new
-//! one), and taken out once, when it leaves (wire, host, fabric
-//! egress, consumed, dropped, flushed or lost). In between, the mesh,
-//! the tiles, the pipeline and the tenancy queues carry a 4-byte
+//! `rx_remote`, a watchdog re-issue, an offload that emits a new one,
+//! or a coalesced PCIe interrupt), and taken out once, when it leaves
+//! (wire, host, fabric egress, consumed, dropped, flushed or lost).
+//! Each `put` and `take` names its reason ([`packet::Entry`],
+//! [`packet::ExitKind`]) and the store counts it, so the store is the
+//! NIC's copy ledger: [`PanicNic::conservation`] and the tenancy
+//! plane's credit reconciliation read it. In between, the mesh, the
+//! tiles, the pipeline and the tenancy queues carry a 4-byte
 //! [`MsgRef`], and the offloads and the pipeline rewrite the message in
 //! place.
 
@@ -150,46 +154,20 @@ pub struct LayerCycles {
     pub tenancy: u64,
 }
 
-/// NIC-level counters.
+/// NIC-level counters. Where every other copy went is the store's to
+/// count ([`PanicNic::conservation`]); these two — frames in from and
+/// out to the wire, which the store counts as well — are the delivery
+/// rate's, read on their own.
 #[derive(Debug, Default)]
 pub struct NicStats {
     /// Frames handed to `rx_frame`.
     pub rx_frames: u64,
     /// Frames transmitted on the wire.
     pub tx_wire: u64,
-    /// Frames/messages delivered to the host.
-    pub host_deliveries: u64,
-    /// Messages absorbed by engines (verification failures, policing).
-    pub consumed: u64,
-    /// Control messages (completions, events) that finished their
-    /// chains — normal end of life, counted for conservation checks.
-    pub control_completed: u64,
-    /// Pipeline outputs with an empty chain (program bug or policy
-    /// gap; these messages are dropped).
-    pub unrouted: u64,
-    /// Messages injected from inside the NIC boundary
-    /// ([`PanicNic::inject_from`]) — a conservation source alongside
-    /// `rx_frames`.
-    pub injected_internal: u64,
-    /// Watchdog re-issues: fresh copies of timed-out descriptors
-    /// (fault plane only; always 0 without a watchdog).
-    pub reissued: u64,
     /// Descriptors that exhausted their retry budget (fault plane
     /// only). Descriptor-level — the copies themselves are in the
     /// loss buckets.
     pub failed: u64,
-    /// Late copies of already-completed descriptors suppressed at
-    /// egress (fault plane only).
-    pub duplicates: u64,
-    /// Messages steered to the host because their next engine was
-    /// DOWN with no replica available (fault plane only).
-    pub host_fallback: u64,
-    /// Messages handed to the rack fabric because their current chain
-    /// hop addresses another NIC (fabric only; always 0 standalone).
-    pub remote_tx: u64,
-    /// Messages accepted from the rack fabric via
-    /// [`PanicNic::rx_remote`] (fabric only; always 0 standalone).
-    pub remote_rx: u64,
     /// Recovery latency: first descriptor timeout → eventual
     /// completion (fault plane only).
     pub recovery: Histogram,
@@ -331,14 +309,6 @@ impl PanicNic {
         &self.pipeline
     }
 
-    /// Messages in the NIC's store: every message between its way in
-    /// and its way out. At a quiescent point this is the in-flight
-    /// count the conservation identity leaves, and zero once drained.
-    #[must_use]
-    pub fn live_messages(&self) -> usize {
-        self.store.live()
-    }
-
     /// Attaches `tracer` to every instrumented component at once: the
     /// mesh (per-router tracks), each engine tile (service spans and
     /// `sched.*` events), the heavyweight pipeline (per-stage
@@ -392,8 +362,8 @@ impl PanicNic {
     }
 
     /// Every engine tile with its id, in id order (portals skipped).
-    /// For build-time, export and conservation walks; anything that
-    /// runs per tick or per wake uses [`PanicNic::occupied_tiles`].
+    /// For build-time, export and watchdog walks; anything that runs
+    /// per tick or per wake uses [`PanicNic::occupied_tiles`].
     fn engine_tiles(&self) -> impl Iterator<Item = (EngineId, &EngineTile<MsgRef>)> {
         self.tile_ids
             .iter()

@@ -218,8 +218,8 @@ fn many_frames_all_accounted() {
     // Conservation: everything injected egressed.
     assert_eq!(nic.stats().rx_frames as usize, n);
     assert_eq!(nic.stats().tx_wire as usize, n);
-    assert_eq!(nic.stats().unrouted, 0);
-    assert_eq!(nic.stats().consumed, 0);
+    assert_eq!(nic.conservation().unrouted, 0);
+    assert_eq!(nic.conservation().consumed, 0);
 }
 
 #[test]
@@ -544,7 +544,7 @@ fn crash_watchdog_failover_to_replica_conserves() {
     assert_eq!(nic.stats().time_to_failover.count(), 1);
     // Lost descriptors were re-issued and completed via the
     // replica: both offloads did real work.
-    assert!(nic.stats().reissued > 0, "{:?}", nic.stats());
+    assert!(nic.conservation().reissued > 0, "{}", nic.conservation());
     assert!(nic.tile(off1).unwrap().stats().processed > 0);
     assert!(nic.tile(off0).unwrap().stats().processed > 0);
     assert_eq!(nic.stats().failed, 0, "replica recovered everything");
@@ -557,13 +557,13 @@ fn crash_watchdog_failover_to_replica_conserves() {
     assert!(c.holds(), "{c}");
     assert!(c.flushed > 0, "DOWN-flush destroyed stranded copies:\n{c}");
     // Every descriptor reached the wire exactly once.
-    assert_eq!(nic.stats().tx_wire + nic.stats().host_fallback, 40);
+    assert_eq!(nic.stats().tx_wire + nic.conservation().host_fallback, 40);
 
     // Fault-plane metrics are present (and only because the fault
     // plane is engaged).
     let mut m = MetricsRegistry::new();
     nic.export_metrics(&mut m);
-    assert_eq!(m.counter("nic.reissued"), Some(nic.stats().reissued));
+    assert_eq!(m.counter("nic.reissued"), Some(nic.conservation().reissued));
     assert_eq!(m.counter("nic.downed_engines"), Some(1));
     assert!(m.histogram("nic.time_to_failover").is_some());
 }
@@ -579,7 +579,11 @@ fn crash_without_replica_degrades_to_host_fallback() {
     feed_and_drain(&mut nic, eth, 30, 25);
 
     assert_eq!(nic.downed_engines(), &[off0]);
-    assert!(nic.stats().host_fallback > 0, "{:?}", nic.stats());
+    assert!(
+        nic.conservation().host_fallback > 0,
+        "{}",
+        nic.conservation()
+    );
     assert_eq!(
         nic.tile(off1).unwrap().stats().processed,
         0,
@@ -587,7 +591,7 @@ fn crash_without_replica_degrades_to_host_fallback() {
     );
     let c = nic.conservation();
     assert!(c.holds(), "{c}");
-    assert_eq!(nic.stats().tx_wire + nic.stats().host_fallback, 30);
+    assert_eq!(nic.stats().tx_wire + nic.conservation().host_fallback, 30);
 }
 
 #[test]
@@ -661,7 +665,7 @@ fn faulted_after_idle(plan: &str, frames: &[u64], end: u64, how: Advance) -> (Ve
         nic.rx_frame(eth, f.min_frame(1, 80), TenantId(1), Priority::Normal, now);
     }
     drive(&mut nic, now, end - now.0, how);
-    (nic.downed_engines().to_vec(), nic.stats().reissued)
+    (nic.downed_engines().to_vec(), nic.conservation().reissued)
 }
 
 #[test]
@@ -750,7 +754,7 @@ fn unrouted_pipeline_output_is_counted() {
         nic.tick(now);
         now = now.next();
     }
-    assert_eq!(nic.stats().unrouted, 1);
+    assert_eq!(nic.conservation().unrouted, 1);
 }
 
 // ---- tenancy plane ---------------------------------------------
@@ -796,6 +800,57 @@ fn tenanted_frames_flow_and_conservation_closes() {
     }
     // Credits fully returned.
     assert_eq!(nic.tenancy().unwrap().shared_in_use(), 0);
+}
+
+/// A program that drops every frame: each `Drop` verdict is a pipeline
+/// loss the store charges to the frame's tenant, so the vNIC gets the
+/// credit back at its next step and drains instead of wedging once its
+/// quota is in the pipeline's bin.
+#[test]
+fn a_drop_verdict_returns_its_tenants_credit() {
+    let (mut b, eth, _, _) = tiny_builder();
+    let table = Table::new(
+        "drop",
+        MatchKind::Exact(vec![packet::phv::Field::EthType]),
+        Action::drop_msg(),
+    );
+    b.program(
+        ProgramBuilder::new("drop-all", ParseGraph::standard(6379))
+            .stage(table)
+            .build(),
+    );
+    b.tenancy(two_tenant_config()); // tenant 1 ("alpha"): quota 8
+    let mut nic = b.build();
+    let mut f = FrameFactory::for_nic_port(0);
+    for i in 0..20u16 {
+        nic.rx_frame(
+            eth,
+            f.min_frame(i, 80),
+            TenantId(1),
+            Priority::Normal,
+            Cycle(0),
+        );
+    }
+    nic.run(Cycle(0), 20_000);
+
+    let (c, tn) = (nic.conservation(), nic.tenancy().unwrap());
+    assert!(
+        nic.is_quiescent(),
+        "{} frames still pending\n{c}",
+        tn.pending_total()
+    );
+    assert_eq!(tn.shared_in_use(), 0);
+    assert!(c.holds() && c.live == 0, "{c}");
+    let tc = nic.tenant_conservation(TenantId(1)).unwrap();
+    assert!(tc.holds(), "{tc}");
+    assert_eq!(tc.pipeline_drops, 20, "{tc}");
+    let mut m = MetricsRegistry::new();
+    nic.export_metrics(&mut m);
+    assert_eq!(m.counter("tenancy.alpha.implicit_exits"), Some(20));
+    assert_eq!(m.counter("rmt.dropped"), Some(c.pipeline_drops));
+    // The two wire counters `NicStats` keeps are the store's.
+    let s = nic.stats();
+    assert_eq!((s.rx_frames, s.tx_wire), (c.rx_frames, c.tx_wire));
 }
 
 #[test]
@@ -892,7 +947,7 @@ fn untenanted_nic_has_no_tenancy_artifacts() {
 fn tick_ungated(nic: &mut PanicNic, now: Cycle) {
     let mut tn = nic.tenancy.take().expect("tenanted NIC");
     for t in tn.tenants().collect::<Vec<_>>() {
-        tn.sync_implicit(t, nic.implicit_exit_count(t));
+        tn.sync_implicit(t, nic.store.losses_of(t));
     }
     nic.tenancy = Some(tn);
     nic.tick(now);
@@ -950,7 +1005,7 @@ fn implicit_exit_gate_matches_the_ungated_reconciliation() {
             let late = tenancy::VNicSpec::new(TenantId(9), "late", 2).credit_quota(4);
             let plan = format!("drop:1@{},crash:1@{}", now.0 + 100, now.0 + 400);
             for nic in [&mut gated, &mut ungated] {
-                baseline = Some(nic.implicit_exit_count(TenantId(9)));
+                baseline = Some(nic.store.losses_of(TenantId(9)));
                 assert!(nic.ctrl_add_vnic(late.clone()));
                 nic.enable_faults(faults::FaultPlan::parse(&plan).unwrap());
             }
@@ -1000,38 +1055,31 @@ fn implicit_exit_gate_matches_the_ungated_reconciliation() {
     }
     assert!(removed, "tenant 2's removal drained and finalized");
 
-    // All three implicit-exit kinds happened, and every component's
-    // scalar total — what the gate watches — is the sum of the
-    // per-tenant counts the walk reads.
+    // All three implicit-exit kinds happened; each plane's own scalar
+    // counts what the store charged to its kind, and the total the gate
+    // watches is the sum of the per-tenant counts the walk reads.
     let (mut drops, mut flushes) = (0, 0);
     for (_, tile) in gated.engine_tiles() {
-        let (q, s) = (tile.queue_stats(), tile.stats());
-        assert_eq!(q.dropped, q.dropped_by_tenant.values().sum::<u64>());
-        assert_eq!(s.flushed, s.flushed_by_tenant.values().sum::<u64>());
-        drops += q.dropped;
-        flushes += s.flushed;
+        drops += tile.drops();
+        flushes += tile.stats().flushed;
     }
     let lost = gated.network().lost_messages();
+    let c = gated.conservation();
     assert_eq!(
-        lost,
-        ids.iter().map(|&t| gated.network().lost_of(t)).sum::<u64>()
+        (c.sched_drops, c.flushed, c.lost_noc),
+        (drops, flushes, lost)
     );
-    assert!(
-        drops > 0 && flushes > 0 && lost > 0,
-        "{drops} {flushes} {lost}"
-    );
+    assert!(drops > 0 && flushes > 0 && lost > 0, "{c}");
     assert_eq!(
-        gated.implicit_exit_total(),
-        ids.iter()
-            .map(|&t| gated.implicit_exit_count(t))
-            .sum::<u64>()
+        gated.store.losses(),
+        ids.iter().map(|&t| gated.store.losses_of(t)).sum::<u64>()
     );
 
     let c = gated.tenant_conservation(TenantId(1)).unwrap();
     assert!(c.holds(), "{c}");
     assert!(c.sched_drops > 0 && c.flushed > 0 && c.lost_noc > 0, "{c}");
     // Tenant 9's books open at its baseline: the copies its id lost
-    // before the vNIC existed are in the component counts only.
+    // before the vNIC existed are in the store's losses only.
     let c = gated.tenant_conservation(TenantId(9)).unwrap();
     assert_eq!(c.sources() + baseline.unwrap(), c.sinks(), "{c}");
     assert_eq!(gated.tenancy().unwrap().shared_in_use(), 0);

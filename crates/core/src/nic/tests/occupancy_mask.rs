@@ -37,7 +37,7 @@ use sim_core::rng::SimRng;
 use super::*;
 use crate::nic::datapath::Leaving;
 use crate::nic::TileSlot;
-use tenancy::ExitKind;
+use packet::store::{Entry, ExitKind};
 
 /// The NIC as it ticked before the occupancy mask.
 struct ScanEverything {
@@ -129,6 +129,7 @@ impl ScanEverything {
                     .as_engine_mut()
                     .and_then(|tile| tile.offload_as_mut::<PcieEngine>());
                 if let Some(msg) = pcie.and_then(PcieEngine::flush) {
+                    let msg = nic.store.put(msg, Entry::Interrupt);
                     nic.exit(Leaving::Originated(msg), ExitKind::Host, now);
                 }
             }
@@ -416,17 +417,17 @@ impl Swap {
 /// Counters cheap enough to compare every cycle, so a divergence is
 /// reported where it starts rather than at the end of the run.
 fn books(nic: &PanicNic) -> ([u64; 9], usize, usize, bool) {
-    let s = nic.stats();
+    let c = nic.conservation();
     (
         [
-            s.tx_wire,
-            s.host_deliveries,
-            s.host_fallback,
-            s.consumed,
-            s.reissued,
-            s.failed,
-            s.duplicates,
-            s.unrouted,
+            c.tx_wire,
+            c.host_deliveries,
+            c.host_fallback,
+            c.consumed,
+            c.reissued,
+            nic.stats().failed,
+            c.duplicates,
+            c.unrouted,
             nic.network().lost_messages(),
         ],
         nic.downed_engines().len(),
@@ -644,9 +645,8 @@ fn occupancy_mask_work_handed_in_through_tile_mut_is_not_stranded() {
         .build();
     // Counted as if it had come through the front door, so the
     // conservation identity has a source for it.
-    nic.stats.injected_internal += 1;
     let (tile, store) = nic.tile_and_store(off).unwrap();
-    let msg = store.put(msg);
+    let msg = store.put(msg, Entry::Injected);
     tile.accept_in(msg, store, Cycle(0));
     assert!(!nic.is_quiescent());
     assert_eq!(nic.next_activity(Cycle(0)), Some(Cycle(1)));
@@ -706,7 +706,7 @@ fn occupancy_mask_flush_hint_is_the_next_multiple_wherever_it_is_asked() {
     nic.rx_frame(ports[0], frame, TenantId(1), Priority::Normal, Cycle(1234));
     let now = nic.run(Cycle(1234), 200);
     assert!(nic.is_quiescent(), "the event is absorbed, not in flight");
-    assert_eq!(nic.stats().host_deliveries, 0);
+    assert_eq!(nic.conservation().host_deliveries, 0);
     // Right after a tick the stored deadline answers; asked about a
     // cycle the clock has not reached, the hint still has to be the
     // first multiple after *that* cycle.
@@ -716,7 +716,7 @@ fn occupancy_mask_flush_hint_is_the_next_multiple_wherever_it_is_asked() {
     assert_eq!(nic.next_activity(Cycle(4321)), Some(Cycle(4500)));
     nic.skip_idle(now, Cycle(1500));
     nic.run(Cycle(1500), 1);
-    assert_eq!(nic.stats().host_deliveries, 1, "flushed at 1500");
+    assert_eq!(nic.conservation().host_deliveries, 1, "flushed at 1500");
     assert_eq!(nic.next_activity(Cycle(1500)), None);
 
     // The one way a clock crosses a deadline and finds an event on the
@@ -737,8 +737,12 @@ fn occupancy_mask_flush_hint_is_the_next_multiple_wherever_it_is_asked() {
     nic.tile_mut(pcie).unwrap().fault_stall(now, Cycle(1805));
     let (now, skipped) = nic.run_ff(now, 1806 - now.0);
     assert!(skipped > 0 && now == Cycle(1806));
-    assert_eq!(nic.stats().host_deliveries, 1, "1805 is not a flush cycle");
+    assert_eq!(
+        nic.conservation().host_deliveries,
+        1,
+        "1805 is not a flush cycle"
+    );
     assert_eq!(nic.next_activity(Cycle(1805)), Some(Cycle(2100)));
     nic.run_ff(now, 2101 - now.0);
-    assert_eq!(nic.stats().host_deliveries, 2, "flushed at 2100");
+    assert_eq!(nic.conservation().host_deliveries, 2, "flushed at 2100");
 }

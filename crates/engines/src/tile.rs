@@ -18,12 +18,11 @@
 //! NIC's store inside a NIC ([`Carry`]); its offload works on the
 //! message in place either way.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use packet::chain::EngineId;
-use packet::message::{Message, TenantId};
-use packet::store::Carry;
+use packet::message::Message;
+use packet::store::{Carry, Entry, ExitKind};
 use sched::admission::{Admission, AdmissionPolicy};
 use sched::queue::SchedQueue;
 use sim_core::stats::Histogram;
@@ -59,10 +58,9 @@ pub enum Emit<M = Message> {
     ToPipeline(M),
     /// The message left the NIC.
     Egress(EgressKind, M),
-    /// The message was absorbed by the offload (e.g. failed a check).
-    /// Carries the consumed message's tenant tag so the tenancy plane
-    /// can account the exit and return the admission credit.
-    Consumed(TenantId),
+    /// The message was absorbed by the offload (e.g. failed a check);
+    /// the NIC books its exit and returns its tenant's credit.
+    Consumed(M),
 }
 
 // What a NIC's tile emits: a handle, its destination and the tag.
@@ -86,10 +84,6 @@ pub struct TileStats {
     /// Messages destroyed by a watchdog DOWN-flush or absorbed by a
     /// DOWN tile (fault plane only; always 0 in fault-free runs).
     pub flushed: u64,
-    /// Flushes attributed per tenant, for the tenancy plane's
-    /// conservation identity. Cold path: only touched when a flush
-    /// actually happens.
-    pub flushed_by_tenant: BTreeMap<TenantId, u64>,
     /// Observed service times.
     pub service: Histogram,
 }
@@ -100,21 +94,8 @@ impl TileStats {
             processed: 0,
             busy_cycles: 0,
             flushed: 0,
-            flushed_by_tenant: BTreeMap::new(),
             service: Histogram::new(),
         }
-    }
-
-    /// Records one flushed/absorbed message of `tenant`.
-    fn record_flush(&mut self, tenant: TenantId) {
-        self.flushed += 1;
-        *self.flushed_by_tenant.entry(tenant).or_insert(0) += 1;
-    }
-
-    /// Flushes attributed to `tenant` so far.
-    #[must_use]
-    pub fn flushed_of(&self, tenant: TenantId) -> u64 {
-        self.flushed_by_tenant.get(&tenant).copied().unwrap_or(0)
     }
 }
 
@@ -341,14 +322,15 @@ impl<M: Carry> EngineTile<M> {
     fn offer(&mut self, msg: M, store: &mut M::Store, now: Cycle) {
         match self.queue.offer_in(msg, store, now) {
             Admission::Accepted => {}
-            Admission::Dropped { victim } => drop(victim.take(store)),
+            Admission::Dropped { victim } => drop(victim.take(ExitKind::SchedDrop, store)),
             Admission::Refused(m) => self.pending = Some(m),
         }
     }
 
     /// Destroys `msg`, charging it to the flushed bucket.
     fn flush(&mut self, msg: M, store: &mut M::Store) {
-        self.stats.record_flush(msg.take(store).tenant);
+        self.stats.flushed += 1;
+        drop(msg.take(ExitKind::Flushed, store));
     }
 
     /// True when a message is being serviced.
@@ -435,9 +417,7 @@ impl<M: Carry> EngineTile<M> {
     /// buffer for the offload outputs: the chain cursor advances for a
     /// forward, and an exhausted chain falls back to the pipeline
     /// (§3.1.2's "default route back to the heavyweight RMT
-    /// pipeline"). A consumed message is destroyed here, its tenant
-    /// tag kept for the NIC's books; a spawned one is written into
-    /// `store`.
+    /// pipeline"). A spawned message is written into `store`.
     ///
     /// # Panics
     /// Panics unless the offload disposed of `msg` exactly once.
@@ -449,7 +429,6 @@ impl<M: Carry> EngineTile<M> {
         out: &mut Vec<Emit<M>>,
     ) {
         let m = msg.msg_mut(store);
-        let tenant = m.tenant;
         let mut scratch = std::mem::take(&mut self.out_scratch);
         self.offload.process_into(m, now, &mut scratch);
         let mut this = Some(msg);
@@ -466,12 +445,11 @@ impl<M: Carry> EngineTile<M> {
                 Output::ForwardTo(dest) => Emit::To(dest, take()),
                 Output::ToPipeline => Emit::ToPipeline(take()),
                 Output::Egress(kind) => Emit::Egress(kind, take()),
-                Output::Consumed => {
-                    drop(take().take(store));
-                    Emit::Consumed(tenant)
+                Output::Consumed => Emit::Consumed(take()),
+                Output::Spawn(Some(dest), new) => {
+                    Emit::To(dest, M::put(new, Entry::Spawned, store))
                 }
-                Output::Spawn(Some(dest), new) => Emit::To(dest, M::put(new, store)),
-                Output::Spawn(None, new) => Emit::ToPipeline(M::put(new, store)),
+                Output::Spawn(None, new) => Emit::ToPipeline(M::put(new, Entry::Spawned, store)),
             });
         }
         assert!(
@@ -652,7 +630,8 @@ mod tests {
     use crate::engine::NullOffload;
     use bytes::Bytes;
     use packet::chain::{ChainHeader, EngineClass, Slack};
-    use packet::message::{MessageId, MessageKind};
+    use packet::message::{MessageId, MessageKind, TenantId};
+    use packet::store::{MsgRef, MsgStore};
     use trace::MetricsRegistry;
 
     fn tile(service: u64) -> EngineTile {
@@ -882,22 +861,33 @@ mod tests {
 
     #[test]
     fn flushes_attribute_to_tenants() {
-        let mut t = tile(1000);
-        let tagged = |id: u64, tenant: u16| {
-            Message::builder(MessageId(id), MessageKind::EthernetFrame)
+        let mut t: EngineTile<MsgRef> = EngineTile::new(
+            EngineId(5),
+            Box::new(NullOffload::new("null", EngineClass::Asic, Cycles(1000))),
+            TileConfig::default(),
+        );
+        let mut store = MsgStore::default();
+        let mut tagged = |id: u64, tenant: u16| {
+            let m = Message::builder(MessageId(id), MessageKind::EthernetFrame)
                 .tenant(TenantId(tenant))
                 .chain(ChainHeader::uniform(&[EngineId(5)], Slack::BULK).unwrap())
-                .build()
+                .build();
+            store.put(m, Entry::Rx)
         };
-        t.accept(tagged(1, 3), Cycle(0));
-        t.accept(tagged(2, 4), Cycle(0));
-        assert_eq!(t.watchdog_down(), 2);
+        let (a, b) = (tagged(1, 3), tagged(2, 4));
+        let c = tagged(3, 3);
+        t.accept_in(a, &mut store, Cycle(0));
+        t.accept_in(b, &mut store, Cycle(0));
+        assert_eq!(t.watchdog_down_in(&mut store), 2);
         assert_eq!(t.stats().flushed, 2);
-        assert_eq!(t.stats().flushed_of(TenantId(3)), 1);
-        assert_eq!(t.stats().flushed_of(TenantId(4)), 1);
+        let flushed_of = |store: &MsgStore, tenant| store.lost_of(TenantId(tenant))[1];
+        assert_eq!(flushed_of(&store, 3), 1);
+        assert_eq!(flushed_of(&store, 4), 1);
         // DOWN-absorption attributes too.
-        t.accept(tagged(3, 3), Cycle(1));
-        assert_eq!(t.stats().flushed_of(TenantId(3)), 2);
+        t.accept_in(c, &mut store, Cycle(1));
+        assert_eq!(flushed_of(&store, 3), 2);
+        assert_eq!(store.exited(ExitKind::Flushed), 3);
+        assert_eq!(store.live(), 0);
     }
 
     #[test]
@@ -932,7 +922,10 @@ mod tests {
             .build();
         t.accept(m, Cycle(0));
         let emits = t.tick(Cycle(0));
-        assert!(matches!(emits[0], Emit::Consumed(TenantId(9))), "{emits:?}");
+        assert!(
+            matches!(&emits[0], Emit::Consumed(m) if m.tenant == TenantId(9)),
+            "{emits:?}"
+        );
     }
 
     #[test]

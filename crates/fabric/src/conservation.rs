@@ -89,10 +89,10 @@ impl ChaosStats {
 /// ```
 ///
 /// Every term is zero on a fault-free run, collapsing the identity
-/// back to the fabric closure above. The closure holds at *every
-/// instant*, not just at quiescence — mid-flap, mid-drain, mid-retry;
-/// the per-NIC identities settle at quiescence (a copy on a member's
-/// mesh is on neither side of one).
+/// back to the fabric closure above. Both levels hold at *every
+/// instant*, not just at quiescence — mid-flap, mid-drain, mid-retry:
+/// the closure by the ToR's own counts, each per-NIC identity because
+/// a copy on a member's mesh is in its store's `live` column.
 #[derive(Debug, Clone)]
 pub struct FleetConservation {
     /// Per-member conservation reports, by fabric index.

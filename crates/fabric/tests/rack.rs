@@ -53,9 +53,9 @@ fn cross_nic_chain_completes_and_fleet_conservation_closes() {
 
     // Every frame injected at member 0 crossed and egressed at member 1.
     assert_eq!(fabric.member(0).stats().rx_frames, 50);
-    assert_eq!(fabric.member(0).stats().remote_tx, 50);
+    assert_eq!(fabric.member(0).conservation().remote_tx, 50);
     assert_eq!(fabric.member(0).stats().tx_wire, 0);
-    assert_eq!(fabric.member(1).stats().remote_rx, 50);
+    assert_eq!(fabric.member(1).conservation().remote_rx, 50);
     assert_eq!(fabric.member(1).stats().tx_wire, 50);
     assert_eq!(fabric.stats().forwarded, 50);
     assert_eq!(fabric.stats().delivered, 50);

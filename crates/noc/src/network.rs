@@ -44,10 +44,10 @@
 //! (§4.3).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use packet::{Carry, EngineId, Flit, FlitKind, Message, MessageId, TenantId};
+use packet::{Carry, EngineId, ExitKind, Flit, FlitKind, Message, MessageId};
 use sim_core::bits::set_bits;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
@@ -140,10 +140,6 @@ struct NetFaults {
     lost_messages: u64,
     /// Local credits leaked by ejection drops (never returned).
     leaked_credits: u64,
-    /// Losses attributed per tenant, for the tenancy plane's
-    /// conservation identity. Cold path: only touched when a message
-    /// is actually destroyed.
-    lost_by_tenant: BTreeMap<TenantId, u64>,
 }
 
 /// `neighbor_idx` entry of a port with no link.
@@ -664,16 +660,6 @@ impl<M: Carry> MeshNetwork<M> {
         self.faults.as_ref().map_or(0, |f| f.leaked_credits)
     }
 
-    /// Messages destroyed by injected ejection drops, attributed to
-    /// `tenant` via the flit tenant tag (0 when no fault API has been
-    /// used or the tenant never lost a message).
-    #[must_use]
-    pub fn lost_of(&self, tenant: TenantId) -> u64 {
-        self.faults
-            .as_ref()
-            .map_or(0, |f| f.lost_by_tenant.get(&tenant).copied().unwrap_or(0))
-    }
-
     /// Applies time-varying fault state for this cycle: expires and
     /// applies link slowdowns, returns credits whose hold elapsed.
     /// Called at the top of [`MeshNetwork::tick`] when faults exist.
@@ -841,8 +827,7 @@ impl<M: Carry> MeshNetwork<M> {
                     *armed -= 1;
                     faults.lost_messages += 1;
                     faults.leaked_credits += 1;
-                    let lost = msg.take(store);
-                    *faults.lost_by_tenant.entry(lost.tenant).or_insert(0) += 1;
+                    drop(msg.take(ExitKind::LostNoc, store));
                     if self.tracer.enabled() {
                         self.tracer
                             .instant_arg(self.tracks[tile], "fault.drop", now, "msg", id.0);

@@ -612,7 +612,6 @@ impl RefMesh {
                     *armed -= 1;
                     faults.lost_messages += 1;
                     faults.leaked_credits += 1;
-                    *faults.lost_by_tenant.entry(msg.tenant).or_insert(0) += 1;
                     return None;
                 }
             }

@@ -24,9 +24,10 @@
 //!   bytes, pinned at compile time.
 //! * [`flit`] — segmentation of messages into link-width flits for the
 //!   wormhole-routed on-chip network.
-//! * [`store`] — [`store::MsgStore`], where a NIC keeps its messages,
-//!   and [`store::Carry`]: a plane carries a whole message, or a 4-byte
-//!   handle to one in a store.
+//! * [`store`] — [`store::MsgStore`], where a NIC keeps its messages
+//!   and counts why each entered and left, and [`store::Carry`]: a
+//!   plane carries a whole message, or a 4-byte handle to one in a
+//!   store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,4 +45,4 @@ pub use chain::{ChainHeader, EngineClass, EngineId, Slack};
 pub use flit::{Flit, FlitKind, MessagePool};
 pub use message::{Message, MessageBuilder, MessageId, MessageKind, Priority, TenantId};
 pub use phv::{Field, FieldValue, Phv};
-pub use store::{Carry, MsgRef, MsgStore};
+pub use store::{Carry, Entry, ExitKind, MsgRef, MsgStore};

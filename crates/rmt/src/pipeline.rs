@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use packet::message::Message;
-use packet::store::Carry;
+use packet::store::{Carry, ExitKind};
 use sim_core::time::{Cycle, Cycles, Freq};
 use trace::{MetricSink, Tracer, TrackId};
 
@@ -348,7 +348,7 @@ impl<M: Carry> RmtPipeline<M> {
                             self.stats.dropped += 1;
                             // Dropped messages still occupied the slot —
                             // they are simply not emitted.
-                            drop(msg.take(store));
+                            drop(msg.take(ExitKind::PipelineDrop, store));
                         }
                         v => {
                             if v == Verdict::Recirculate {

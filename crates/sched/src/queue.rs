@@ -6,10 +6,9 @@
 //! carries a whole [`Message`] by default and a handle inside a NIC
 //! ([`Carry`]).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use packet::message::{Message, TenantId};
+use packet::message::Message;
 use packet::store::Carry;
 use sim_core::stats::Histogram;
 use sim_core::time::Cycle;
@@ -42,11 +41,6 @@ pub struct SchedStats {
     pub wait: Histogram,
     /// High-water mark of queue occupancy.
     pub peak_depth: usize,
-    /// Drops attributed per tenant — the tenancy plane's conservation
-    /// identity needs to know *whose* message was shed. Cold path:
-    /// only touched when a drop actually happens, so untenanted runs
-    /// pay nothing beyond an empty map.
-    pub dropped_by_tenant: BTreeMap<TenantId, u64>,
 }
 
 impl SchedStats {
@@ -57,20 +51,7 @@ impl SchedStats {
             refused: 0,
             wait: Histogram::new(),
             peak_depth: 0,
-            dropped_by_tenant: BTreeMap::new(),
         }
-    }
-
-    /// Records one drop of a `tenant`-tagged message.
-    fn record_drop(&mut self, tenant: TenantId) {
-        self.dropped += 1;
-        *self.dropped_by_tenant.entry(tenant).or_insert(0) += 1;
-    }
-
-    /// Drops attributed to `tenant` so far.
-    #[must_use]
-    pub fn dropped_of(&self, tenant: TenantId) -> u64 {
-        self.dropped_by_tenant.get(&tenant).copied().unwrap_or(0)
     }
 }
 
@@ -206,8 +187,7 @@ impl<M: Carry> SchedQueue<M> {
     /// droppable.
     pub fn offer_in(&mut self, msg: M, store: &M::Store, now: Cycle) -> Admission<M> {
         let m = msg.msg(store);
-        let (id, tenant, control, slack) =
-            (m.id.0, m.tenant, m.kind.is_control(), m.current_slack());
+        let (id, control, slack) = (m.id.0, m.kind.is_control(), m.current_slack());
         if now < self.refuse_until {
             // Injected refusal burst: behave exactly like admission
             // backpressure so callers exercise their real slow paths.
@@ -237,7 +217,7 @@ impl<M: Carry> SchedQueue<M> {
         }
         match self.policy {
             AdmissionPolicy::TailDrop => {
-                self.stats.record_drop(tenant);
+                self.stats.dropped += 1;
                 self.trace_instant("sched.drop", id, now);
                 Admission::Dropped { victim: msg }
             }
@@ -249,7 +229,7 @@ impl<M: Carry> SchedQueue<M> {
                 if rank >= max_rank {
                     // Arrival is the victim; put the evicted one back.
                     self.pifo.push(max_rank, victim);
-                    self.stats.record_drop(tenant);
+                    self.stats.dropped += 1;
                     self.trace_instant("sched.drop", id, now);
                     Admission::Dropped { victim: msg }
                 } else {
@@ -263,7 +243,7 @@ impl<M: Carry> SchedQueue<M> {
                     );
                     self.stats.accepted += 1;
                     let v = victim.msg.msg(store);
-                    self.stats.record_drop(v.tenant);
+                    self.stats.dropped += 1;
                     self.trace_instant("sched.drop", v.id.0, now);
                     Admission::Dropped { victim: victim.msg }
                 }
@@ -328,7 +308,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use packet::chain::{ChainHeader, EngineId, Slack};
-    use packet::message::{MessageId, MessageKind};
+    use packet::message::{MessageId, MessageKind, TenantId};
     use trace::MetricsRegistry;
 
     fn msg(id: u64, slack: Slack) -> Message {
@@ -526,13 +506,16 @@ mod tests {
                 .chain(ChainHeader::uniform(&[EngineId(1)], Slack(5)).unwrap())
                 .build()
         };
+        // The victim goes back to the caller, who destroys it (and a
+        // NIC's store charges the loss to its tenant).
+        let victim_tenant = |a: Admission<Message>| match a {
+            Admission::Dropped { victim } => victim.tenant,
+            other => panic!("expected a drop, got {other:?}"),
+        };
         assert!(q.offer(tagged(1, 7), Cycle(0)).is_accepted());
-        let _ = q.offer(tagged(2, 7), Cycle(0)); // tail drop
-        let _ = q.offer(tagged(3, 9), Cycle(0)); // tail drop
+        assert_eq!(victim_tenant(q.offer(tagged(2, 7), Cycle(0))), TenantId(7));
+        assert_eq!(victim_tenant(q.offer(tagged(3, 9), Cycle(0))), TenantId(9));
         assert_eq!(q.stats().dropped, 2);
-        assert_eq!(q.stats().dropped_of(TenantId(7)), 1);
-        assert_eq!(q.stats().dropped_of(TenantId(9)), 1);
-        assert_eq!(q.stats().dropped_of(TenantId(0)), 0);
     }
 
     #[test]

@@ -42,7 +42,8 @@
 pub mod runtime;
 pub mod spec;
 
+pub use packet::ExitKind;
 pub use runtime::{
-    ExitKind, Stamps, SubmitSource, TenancyRuntime, TenantConservation, TenantLedger, COUNTER_KEYS,
+    Stamps, SubmitSource, TenancyRuntime, TenantConservation, TenantLedger, COUNTER_KEYS,
 };
 pub use spec::{RateSpec, TenancyConfig, VNicSpec};

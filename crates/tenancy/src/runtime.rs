@@ -21,16 +21,17 @@
 //! 3. **Credits return at exits.** The NIC shell reports every
 //!    terminal event ([`TenancyRuntime::note_exit`] for explicit
 //!    egress/consumption, [`TenancyRuntime::sync_implicit_all`] for
-//!    fault-plane drops/flushes/losses it discovers in component
-//!    stats), which frees the credit and feeds the per-tenant ledger
-//!    and latency histograms.
+//!    the in-plane losses — scheduler drops, DOWN flushes, NoC losses,
+//!    pipeline drops — its message store counts per tenant), which
+//!    frees the credit and feeds the per-tenant ledger and latency
+//!    histograms.
 //!
 //! A vNIC with no backlog and no new loss costs nothing per cycle:
 //! the release round, the fast-forward hint and the skip replay walk
 //! the backlogged tenants (`active`), refills walk the rate-limited
 //! ones (`shaped`), [`TenancyRuntime::pending_total`] is a maintained
 //! count, and the implicit-exit reconciliation walks every tenant only
-//! on a cycle where the components' total moved. The walk-everything
+//! on a cycle where the store's loss total moved. The walk-everything
 //! versions live on in `runtime/reference.rs` as a test oracle.
 //!
 //! Two [`Stamps`] tell a reader of the exported counters whether it
@@ -49,7 +50,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use packet::{Carry, Message, TenantId};
+use packet::{Carry, ExitKind, Message, TenantId};
 use sched::Pifo;
 use sim_core::{Cycle, Cycles, Histogram};
 use trace::{MetricSink, Tracer, TrackId};
@@ -153,33 +154,6 @@ pub enum SubmitSource {
     Injected,
 }
 
-/// A terminal event for one in-flight message copy, reported by the
-/// NIC shell when the copy leaves the datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExitKind {
-    /// Egressed to the wire.
-    Wire,
-    /// Delivered to the host.
-    Host,
-    /// Failed over to host fallback (fault plane).
-    HostFallback,
-    /// Consumed by an engine (e.g. KVS cache hit absorbed on-NIC).
-    Consumed,
-    /// A control/descriptor completion.
-    Control,
-    /// Dead-lettered: no route for the message.
-    Unrouted,
-    /// A duplicate copy suppressed at egress (watchdog reissue raced
-    /// the original). Does **not** return a credit: the surviving
-    /// copy's exit already did.
-    Duplicate,
-    /// Handed to the rack fabric: the current chain hop addresses an
-    /// engine on another NIC, so this NIC's books close on the copy
-    /// here (the destination member owns it from the link onward —
-    /// see docs/FABRIC.md). Returns the credit like a wire exit.
-    Remote,
-}
-
 /// Cumulative per-tenant event counts — the tenancy plane's half of
 /// the conservation identity. All fields count *message copies*, like
 /// the fault plane's ledger.
@@ -213,8 +187,9 @@ pub struct TenantLedger {
     /// like `submitted`; no credit is charged — admission happened at
     /// the tenant's home NIC).
     pub remote_rx: u64,
-    /// Implicit exits discovered in component stats (scheduler drops +
-    /// tile flushes + NoC losses), synced by the NIC shell.
+    /// Implicit exits: the in-plane losses the NIC's store counted
+    /// against the tenant (scheduler drops + DOWN flushes + NoC losses
+    /// + pipeline drops), synced by the NIC shell.
     pub implicit_exits: u64,
     /// Cycles a backlogged head was blocked by the rate limiter.
     pub rate_stalls: u64,
@@ -237,14 +212,14 @@ impl TenantLedger {
 }
 
 /// The per-tenant conservation identity, assembled by the NIC shell
-/// from the tenancy ledger plus the per-tenant drop/flush/loss
-/// attribution in component stats:
+/// from the tenancy ledger plus the tenant's in-plane losses its
+/// message store counted:
 ///
 /// ```text
 /// submitted + reissued + remote_rx ==
 ///     tx_wire + host + host_fallback + consumed + control + unrouted
-///   + duplicates + sched_drops + flushed + lost_noc + remote_tx
-///   + pending
+///   + duplicates + sched_drops + flushed + lost_noc + pipeline_drops
+///   + remote_tx + pending
 /// ```
 ///
 /// `remote_rx`/`remote_tx` count fabric crossings (always zero on a
@@ -289,6 +264,8 @@ pub struct TenantConservation {
     pub flushed: u64,
     /// Lost in the NoC under fault injection.
     pub lost_noc: u64,
+    /// Dropped by a `Drop` verdict of the RMT pipeline.
+    pub pipeline_drops: u64,
     /// Still parked in the vNIC queue.
     pub pending: u64,
 }
@@ -314,6 +291,7 @@ impl TenantConservation {
             + self.sched_drops
             + self.flushed
             + self.lost_noc
+            + self.pipeline_drops
             + self.pending
     }
 
@@ -326,40 +304,16 @@ impl TenantConservation {
 
 impl fmt::Display for TenantConservation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.holds() { "HOLDS" } else { "VIOLATED" };
         writeln!(
             f,
-            "tenant {} ({}): {}",
+            "tenant {} ({}): sources {} = sinks {}: {verdict}",
             self.tenant.0,
             self.name,
-            if self.holds() { "HOLDS" } else { "VIOLATED" }
-        )?;
-        writeln!(
-            f,
-            "  sources {} = submitted {} + reissued {} + remote_rx {}",
             self.sources(),
-            self.submitted,
-            self.reissued,
-            self.remote_rx
+            self.sinks()
         )?;
-        write!(
-            f,
-            "  sinks   {} = wire {} + host {} + fallback {} + consumed {} + control {} \
-             + unrouted {} + dup {} + remote_tx {} + sched_drops {} + flushed {} \
-             + lost_noc {} + pending {}",
-            self.sinks(),
-            self.tx_wire,
-            self.host,
-            self.host_fallback,
-            self.consumed,
-            self.control,
-            self.unrouted,
-            self.duplicates,
-            self.remote_tx,
-            self.sched_drops,
-            self.flushed,
-            self.lost_noc,
-            self.pending
-        )
+        write!(f, "  {self:?}")
     }
 }
 
@@ -653,8 +607,8 @@ impl<M: Carry> TenancyRuntime<M> {
     // spec snapshot taken for admission control matches reality).
 
     /// Adds a vNIC live. `implicit_baseline` must be the tenant's
-    /// *current* cumulative implicit-exit count from component stats
-    /// (drops + flushes + NoC losses attributed to this tenant id):
+    /// *current* cumulative implicit-exit count (the in-plane losses the
+    /// NIC's store charged to this tenant id):
     /// traffic carrying this tenant id may have flowed — and died —
     /// before the vNIC existed, and those stale exits must not return
     /// credits the new vNIC never charged. Returns `false` (no-op) if
@@ -904,6 +858,11 @@ impl<M: Carry> TenancyRuntime<M> {
     /// ledger, the latency histogram (when `latency` is known), and —
     /// except for [`ExitKind::Duplicate`] — returns the credit.
     /// Unknown tenants are ignored (their messages bypassed the plane).
+    ///
+    /// # Panics
+    /// Panics on an in-plane loss ([`ExitKind::is_loss`]) of a known
+    /// tenant: those return their credits through
+    /// [`TenancyRuntime::sync_implicit_all`].
     pub fn note_exit(&mut self, tenant: TenantId, kind: ExitKind, latency: Option<Cycles>) {
         let Some(state) = self.tenants.get_mut(&tenant) else {
             return;
@@ -924,6 +883,7 @@ impl<M: Carry> TenancyRuntime<M> {
                 state.ledger.duplicates += 1;
                 return; // the surviving copy's exit returned the credit
             }
+            loss => unreachable!("{loss:?} is reconciled, not reported"),
         }
         if let Some(lat) = latency {
             state.latency.record(lat.0);
@@ -956,10 +916,10 @@ impl<M: Carry> TenancyRuntime<M> {
         }
     }
 
-    /// Reconciles implicit exits — scheduler drops, tile flushes, NoC
-    /// losses — from a *cumulative* per-tenant count the NIC shell
-    /// reads out of component stats. The delta since the last sync
-    /// returns that many credits.
+    /// Reconciles implicit exits — scheduler drops, DOWN flushes, NoC
+    /// losses, pipeline drops — from a *cumulative* per-tenant count
+    /// the NIC shell reads out of its message store. The delta since
+    /// the last sync returns that many credits.
     pub fn sync_implicit(&mut self, tenant: TenantId, cumulative: u64) {
         if let Some(returned) = self
             .tenants
@@ -973,11 +933,11 @@ impl<M: Carry> TenancyRuntime<M> {
 
     /// Runs [`TenancyRuntime::sync_implicit`] for every configured
     /// tenant — but only when an implicit exit happened since the last
-    /// walk. `total` is the component-wide implicit-exit count (every
-    /// scheduler drop, tile flush and NoC loss, whoever it belonged
-    /// to); the components bump it at the same site as the per-tenant
-    /// counts `cumulative_of` reads, so an unmoved total means every
-    /// per-tenant delta is zero and the walk is skipped. A vNIC added
+    /// walk. `total` is the NIC-wide implicit-exit count (every in-plane
+    /// loss, whoever it belonged to); the store bumps it at the same
+    /// take as the per-tenant counts `cumulative_of` reads, so an
+    /// unmoved total means every per-tenant delta is zero and the walk
+    /// is skipped. A vNIC added
     /// in between is covered too: its baseline *is* its current count.
     /// Allocation-free, for the per-tick reconciliation in the NIC
     /// shell.
@@ -1029,8 +989,8 @@ impl<M: Carry> TenancyRuntime<M> {
     }
 
     /// Starts a [`TenantConservation`] from the runtime's ledger; the
-    /// NIC shell fills in the component-stat attributions
-    /// (`sched_drops`, `flushed`, `lost_noc`).
+    /// NIC shell fills in the in-plane losses from its store
+    /// (`sched_drops`, `flushed`, `lost_noc`, `pipeline_drops`).
     #[must_use]
     pub fn conservation_base(&self, tenant: TenantId) -> Option<TenantConservation> {
         let state = self.tenants.get(&tenant)?;
@@ -1052,6 +1012,7 @@ impl<M: Carry> TenancyRuntime<M> {
             sched_drops: 0,
             flushed: 0,
             lost_noc: 0,
+            pipeline_drops: 0,
             pending: state.pending.len() as u64,
         })
     }
@@ -1340,7 +1301,7 @@ mod tests {
         rt.submit(SubmitSource::Rx, msg(1, TenantId(1), 32), Cycle(0));
         assert_eq!(release_ids(&mut rt, Cycle(0)), vec![(TenantId(1), 0)]);
         // Copies of tenant 2 that never charged a credit here — one
-        // that entered over the fabric, two destroyed in components —
+        // that entered over the fabric, two destroyed in a plane —
         // leave: tenant 2 holds nothing, so the pool gets nothing back.
         rt.note_remote_rx(TenantId(2));
         rt.note_exit(TenantId(2), ExitKind::Wire, None);

@@ -116,17 +116,6 @@ impl TenancyRuntime {
 /// every `note_*` and implicit exit also hits ids without a vNIC.
 const IDS: u64 = 12;
 
-const EXIT_KINDS: [ExitKind; 8] = [
-    ExitKind::Wire,
-    ExitKind::Host,
-    ExitKind::HostFallback,
-    ExitKind::Consumed,
-    ExitKind::Control,
-    ExitKind::Unrouted,
-    ExitKind::Duplicate,
-    ExitKind::Remote,
-];
-
 fn tenant(rng: &mut SimRng) -> TenantId {
     TenantId(1 + rng.gen_range(IDS) as u16)
 }
@@ -241,7 +230,9 @@ impl Pair {
                 }
             }
             4..=6 => {
-                let kind = EXIT_KINDS[rng.gen_range(EXIT_KINDS.len() as u64) as usize];
+                // One of the eight reported exits (the four losses after
+                // them are reconciled, not reported).
+                let kind = ExitKind::ALL[rng.gen_range(8) as usize];
                 let latency = (rng.gen_range(2) == 0).then(|| Cycles(rng.gen_range(500)));
                 self.new.note_exit(t, kind, latency);
                 self.old.note_exit(t, kind, latency);

@@ -28,17 +28,6 @@ use trace::{MetricsRegistry, Tracer};
 /// Tenant ids the sequences use; the last never gets a vNIC.
 const IDS: [u16; 5] = [1, 2, 3, 4, 9];
 
-const EXITS: [ExitKind; 8] = [
-    ExitKind::Wire,
-    ExitKind::Host,
-    ExitKind::HostFallback,
-    ExitKind::Consumed,
-    ExitKind::Control,
-    ExitKind::Unrouted,
-    ExitKind::Duplicate,
-    ExitKind::Remote,
-];
-
 /// Every exported counter, by name.
 fn exported(rt: &TenancyRuntime) -> BTreeMap<String, u64> {
     let mut m = MetricsRegistry::new();
@@ -147,7 +136,8 @@ fn run(seed: u64, ops: u64, seen: &mut Seen) {
                 seen.call("release");
             }
             7 | 8 => {
-                let kind = *rng.choose(&EXITS).expect("kinds");
+                // The eight reported exits; the losses are reconciled.
+                let kind = *rng.choose(&ExitKind::ALL[..8]).expect("kinds");
                 let latency = rng.gen_bool(0.5).then_some(Cycles(rng.gen_range(100)));
                 rt.note_exit(tenant, kind, latency);
                 if known && kind == ExitKind::Remote && !crossed_before {

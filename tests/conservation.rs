@@ -11,7 +11,8 @@ use noc::network::{MeshNetwork, NetworkConfig};
 use noc::router::RouterConfig;
 use noc::topology::{Placement, Topology};
 use packet::{
-    ChainHeader, EngineClass, EngineId, Message, MessageId, MessageKind, MsgRef, MsgStore, Slack,
+    ChainHeader, EngineClass, EngineId, Entry, ExitKind, Message, MessageId, MessageKind, MsgRef,
+    MsgStore, Slack,
 };
 use proptest::prelude::*;
 use sched::admission::AdmissionPolicy;
@@ -143,7 +144,7 @@ fn a_mesh_of_handles_frees_what_an_ejection_drop_destroys() {
             let msg = Message::builder(MessageId(sent), MessageKind::Internal)
                 .payload(Bytes::from(vec![0u8; rng.gen_range(200) as usize]))
                 .build();
-            let msg = store.put(msg);
+            let msg = store.put(msg, Entry::Injected);
             net.send_in(EngineId(src), EngineId(dst), msg, &store, now);
             sent += 1;
         }
@@ -151,7 +152,7 @@ fn a_mesh_of_handles_frees_what_an_ejection_drop_destroys() {
         now = now.next();
         for t in 0..tiles {
             if let Some(msg) = net.poll_ejected_at(t, now, &mut store) {
-                store.take(msg);
+                store.take(msg, ExitKind::Control);
                 delivered += 1;
             }
         }
@@ -163,6 +164,7 @@ fn a_mesh_of_handles_frees_what_an_ejection_drop_destroys() {
     }
     assert!(net.is_quiescent(), "drained");
     assert_eq!(net.lost_messages(), tiles as u64, "every armed drop fired");
+    assert_eq!(store.exited(ExitKind::LostNoc), net.lost_messages());
     assert_eq!(store.live(), 0, "a drained mesh holds no handle");
 }
 
@@ -195,7 +197,7 @@ fn a_tile_of_handles_frees_what_it_drops_and_flushes() {
                 let msg = Message::builder(MessageId(u64::from(c)), MessageKind::EthernetFrame)
                     .chain(chain)
                     .build();
-                let msg = store.put(msg);
+                let msg = store.put(msg, Entry::Rx);
                 tile.accept_in(msg, &mut store, now);
             }
             tile.tick_in(now, &mut store, &mut emits);
@@ -203,7 +205,7 @@ fn a_tile_of_handles_frees_what_it_drops_and_flushes() {
                 let Emit::To(_, msg) = emit else {
                     panic!("a forward leaves for the next hop: {emit:?}");
                 };
-                store.take(msg);
+                store.take(msg, ExitKind::Wire);
             }
             let held =
                 tile.queue_depth() + usize::from(tile.is_busy()) + usize::from(!tile.rx_ready());
@@ -213,5 +215,7 @@ fn a_tile_of_handles_frees_what_it_drops_and_flushes() {
         let flushed = tile.watchdog_down_in(&mut store);
         assert!(flushed > 0, "{admission}: nothing to flush");
         assert_eq!(store.live(), 0, "{admission}: the flush left a handle");
+        assert_eq!(store.exited(ExitKind::SchedDrop), tile.drops());
+        assert_eq!(store.exited(ExitKind::Flushed), flushed);
     }
 }

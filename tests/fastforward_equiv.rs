@@ -335,14 +335,14 @@ fn fault_artifacts(seed: u64, intensity: u32, mode: Mode) -> (String, String, St
     nic.enable_faults(plan);
     let settled = |nic: &PanicNic| nic.is_quiescent() && nic.faults_settled();
     let skipped = drive_injected(&mut nic, eth, 1, settled, mode);
-    let s = nic.stats();
+    let c = nic.conservation();
     let counters = format!(
         "tx={} fb={} re={} fail={} dup={} down={:?}",
-        s.tx_wire,
-        s.host_fallback,
-        s.reissued,
-        s.failed,
-        s.duplicates,
+        c.tx_wire,
+        c.host_fallback,
+        c.reissued,
+        nic.stats().failed,
+        c.duplicates,
         nic.downed_engines()
     );
     (

@@ -7,10 +7,10 @@
 //!    exactly one sink bucket (wire, host, consumed, dropped, lost,
 //!    flushed, duplicate). No copy is created or destroyed off the
 //!    books, no matter what breaks.
-//! 2. **No handle leaks**: after every tick the NIC's message store
-//!    holds exactly the copies the identity leaves in flight, and
-//!    nothing once drained — a copy taken out on no exit, or on two,
-//!    opens the difference at once.
+//! 2. **No handle leaks**: the identity holds after every tick — the
+//!    copies the NIC's message store holds are exactly the entries it
+//!    counted and no exit matched — and the store is empty once
+//!    drained: a copy destroyed off the books is one that stays live.
 //! 3. **Determinism** (golden): the same seed yields a byte-identical
 //!    Chrome trace and conservation report across runs. Chaos testing
 //!    is only useful if a failing seed replays exactly.
@@ -24,7 +24,7 @@ use noc::topology::Topology;
 use packet::chain::{EngineClass, EngineId};
 use packet::message::{Priority, TenantId};
 use packet::phv::Field;
-use panic_core::nic::{Conservation, NicConfig, PanicNic};
+use panic_core::nic::{Conservation, NicBuilder, NicConfig, PanicNic};
 use proptest::prelude::*;
 use rmt::action::{Action, Primitive, SlackExpr};
 use rmt::parse::ParseGraph;
@@ -37,7 +37,7 @@ use workloads::frames::FrameFactory;
 /// The replicated-offload NIC the fault plane is exercised on:
 /// `eth0 -> off0 -> eth0`, with `off1` as the same-stem replica, and a
 /// watchdog tight enough to detect and fail over inside a short run.
-fn replicated_nic() -> (PanicNic, EngineId) {
+fn replicated_builder(program: &str) -> (NicBuilder, EngineId) {
     let freq = Freq::mhz(500);
     let mut b = PanicNic::builder(NicConfig {
         topology: Topology::mesh(3, 3),
@@ -64,7 +64,7 @@ fn replicated_nic() -> (PanicNic, EngineId) {
     );
     let _ = b.rmt_portal();
     b.program(
-        ProgramBuilder::new("fault-prop", ParseGraph::standard(6379))
+        ProgramBuilder::new(program, ParseGraph::standard(6379))
             .stage(Table::new(
                 "route",
                 MatchKind::Exact(vec![Field::EthType]),
@@ -91,46 +91,46 @@ fn replicated_nic() -> (PanicNic, EngineId) {
         down_after: 2,
         check_interval: Cycles(16),
     });
+    (b, eth)
+}
+
+fn replicated_nic() -> (PanicNic, EngineId) {
+    let (b, eth) = replicated_builder("fault-prop");
     (b.build(), eth)
 }
 
-/// Asserts the NIC's message store holds exactly the copies its books
-/// call in flight (sources not yet in a sink), and none once drained.
-fn assert_store_matches_books(nic: &PanicNic, now: Cycle) {
+/// Asserts the copy-conservation identity, mid-run included.
+fn assert_holds(nic: &PanicNic, now: Cycle) {
     let c = nic.conservation();
-    assert_eq!(
-        nic.live_messages() as u64,
-        c.sources() - c.sinks(),
-        "cycle {}: store and books disagree:\n{c}",
-        now.0
-    );
+    assert!(c.holds(), "cycle {}: the books do not close:\n{c}", now.0);
 }
 
-/// Feeds `frames` frames one per `gap` cycles and drives the NIC to
-/// quiescence with the fault plane settled, holding the store to the
-/// books after every tick. Returns `None` on success or the cycle bound
-/// on failure to drain.
-fn drive(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64) -> Option<u64> {
+/// Feeds `frames` frames one per `gap` cycles, tenant ids 1 to
+/// `tenants` in rotation, and drives the NIC to quiescence with the
+/// fault plane settled, holding it to the identity after every tick.
+/// Returns `None` on success or the cycle bound on failure to drain.
+fn drive(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64, tenants: u64) -> Option<u64> {
     let mut factory = FrameFactory::for_nic_port(0);
     let mut now = Cycle(0);
     let mut sent = 0u64;
     let bound = frames * gap + 200_000;
     while now.0 < bound {
         if sent < frames && now.0.is_multiple_of(gap) {
+            let tenant = TenantId(1 + (sent % tenants) as u16);
             nic.rx_frame(
                 eth,
                 factory.min_frame(sent as u16, 80),
-                TenantId(1),
+                tenant,
                 Priority::Normal,
                 now,
             );
             sent += 1;
         }
         nic.tick(now);
-        assert_store_matches_books(nic, now);
+        assert_holds(nic, now);
         now = now.next();
         if sent == frames && nic.is_quiescent() && nic.faults_settled() {
-            assert_eq!(nic.live_messages(), 0, "a drained NIC holds no message");
+            assert_eq!(nic.conservation().live, 0, "a drained NIC holds no message");
             return None;
         }
     }
@@ -158,7 +158,7 @@ proptest! {
         let plan = FaultPlan::generate(seed, &test_universe(), intensity);
         let (mut nic, eth) = replicated_nic();
         nic.enable_faults(plan.clone());
-        let stuck = drive(&mut nic, eth, FRAMES, GAP);
+        let stuck = drive(&mut nic, eth, FRAMES, GAP, 1);
         prop_assert!(
             stuck.is_none(),
             "plan `{plan}` did not drain within {:?} cycles:\n{}",
@@ -169,10 +169,9 @@ proptest! {
         prop_assert!(c.holds(), "plan `{plan}` violates conservation:\n{c}");
         // Dedupe caps wire egress at the offered load: re-issues must
         // never inflate goodput past 100%.
-        let s = nic.stats();
         prop_assert!(
-            s.tx_wire + s.host_fallback <= FRAMES,
-            "more egress than offered frames: {s:?}"
+            c.tx_wire + c.host_fallback <= FRAMES,
+            "more egress than offered frames:\n{c}"
         );
     }
 }
@@ -184,94 +183,12 @@ proptest! {
 /// *each tenant's* books balanced, not just the NIC's.
 fn tenanted_nic() -> (PanicNic, EngineId) {
     use tenancy::{TenancyConfig, VNicSpec};
-    let freq = Freq::mhz(500);
-    let mut b = PanicNic::builder(NicConfig {
-        topology: Topology::mesh(3, 3),
-        width_bits: 64,
-        router: RouterConfig::default(),
-        pipeline: PipelineConfig {
-            parallel: 1,
-            depth: 3,
-            freq,
-        },
-        pcie_flush_interval: 0,
-    });
-    let eth = b.engine(
-        Box::new(MacEngine::new("eth0", Bandwidth::gbps(100), freq)),
-        TileConfig::default(),
-    );
-    let off0 = b.engine(
-        Box::new(NullOffload::new("off0", EngineClass::Asic, Cycles(2))),
-        TileConfig::default(),
-    );
-    let _off1 = b.engine(
-        Box::new(NullOffload::new("off1", EngineClass::Asic, Cycles(2))),
-        TileConfig::default(),
-    );
-    let _ = b.rmt_portal();
-    b.program(
-        ProgramBuilder::new("fault-prop-tn", ParseGraph::standard(6379))
-            .stage(Table::new(
-                "route",
-                MatchKind::Exact(vec![Field::EthType]),
-                Action::named(
-                    "chain",
-                    vec![
-                        Primitive::PushHop {
-                            engine: off0,
-                            slack: SlackExpr::Const(100),
-                        },
-                        Primitive::PushHop {
-                            engine: eth,
-                            slack: SlackExpr::Const(200),
-                        },
-                    ],
-                ),
-            ))
-            .build(),
-    );
-    b.watchdog(WatchdogConfig {
-        deadline: Cycles(256),
-        max_retries: 4,
-        engine_timeout: Cycles(64),
-        down_after: 2,
-        check_interval: Cycles(16),
-    });
+    let (mut b, eth) = replicated_builder("fault-prop-tn");
     b.tenancy(TenancyConfig::new(vec![
         VNicSpec::new(TenantId(1), "heavy", 3).credit_quota(12),
         VNicSpec::new(TenantId(2), "light", 1).credit_quota(4),
     ]));
     (b.build(), eth)
-}
-
-/// Like [`drive`], but alternates submissions between the two tenants
-/// (even frames → tenant 1, odd → tenant 2).
-fn drive_two_tenants(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64) -> Option<u64> {
-    let mut factory = FrameFactory::for_nic_port(0);
-    let mut now = Cycle(0);
-    let mut sent = 0u64;
-    let bound = frames * gap + 200_000;
-    while now.0 < bound {
-        if sent < frames && now.0.is_multiple_of(gap) {
-            let tenant = TenantId(1 + (sent % 2) as u16);
-            nic.rx_frame(
-                eth,
-                factory.min_frame(sent as u16, 80),
-                tenant,
-                Priority::Normal,
-                now,
-            );
-            sent += 1;
-        }
-        nic.tick(now);
-        assert_store_matches_books(nic, now);
-        now = now.next();
-        if sent == frames && nic.is_quiescent() && nic.faults_settled() {
-            assert_eq!(nic.live_messages(), 0, "a drained NIC holds no message");
-            return None;
-        }
-    }
-    Some(bound)
 }
 
 proptest! {
@@ -287,7 +204,7 @@ proptest! {
         let plan = FaultPlan::generate(seed, &test_universe(), intensity);
         let (mut nic, eth) = tenanted_nic();
         nic.enable_faults(plan.clone());
-        let stuck = drive_two_tenants(&mut nic, eth, FRAMES, GAP);
+        let stuck = drive(&mut nic, eth, FRAMES, GAP, 2);
         prop_assert!(
             stuck.is_none(),
             "plan `{plan}` did not drain within {:?} cycles:\n{}",
@@ -309,17 +226,16 @@ proptest! {
         }
         prop_assert_eq!(submitted_total, FRAMES, "every offered frame reached a vNIC");
         // Dedupe still caps egress at offered load with the plane on.
-        let s = nic.stats();
         prop_assert!(
-            s.tx_wire + s.host_fallback <= FRAMES,
-            "more egress than offered frames: {s:?}"
+            c.tx_wire + c.host_fallback <= FRAMES,
+            "more egress than offered frames:\n{c}"
         );
     }
 }
 
 /// Each way a copy ends inside the NIC returns its handle: a plan per
 /// way, each required to take it, drains with the store empty and the
-/// store held to the books after every tick on the way.
+/// identity held after every tick on the way.
 #[test]
 fn every_way_a_copy_ends_returns_its_handle() {
     type Took = fn(&Conservation) -> bool;
@@ -338,7 +254,7 @@ fn every_way_a_copy_ends_returns_its_handle() {
     for (spec, frames, gap, took) in cases {
         let (mut nic, eth) = replicated_nic();
         nic.enable_faults(FaultPlan::parse(spec).unwrap());
-        let stuck = drive(&mut nic, eth, frames, gap);
+        let stuck = drive(&mut nic, eth, frames, gap, 1);
         let c = nic.conservation();
         assert!(stuck.is_none(), "`{spec}` did not drain:\n{c}");
         assert!(c.holds(), "`{spec}` violates conservation:\n{c}");
@@ -355,17 +271,17 @@ fn traced_run(seed: u64) -> (String, String, String) {
     nic.attach_tracer(&tracer);
     nic.enable_faults(plan);
     assert!(
-        drive(&mut nic, eth, FRAMES, GAP).is_none(),
+        drive(&mut nic, eth, FRAMES, GAP, 1).is_none(),
         "traced run drains"
     );
-    let s = nic.stats();
+    let c = nic.conservation();
     let counters = format!(
         "tx={} fb={} re={} fail={} dup={} down={:?}",
-        s.tx_wire,
-        s.host_fallback,
-        s.reissued,
-        s.failed,
-        s.duplicates,
+        c.tx_wire,
+        c.host_fallback,
+        c.reissued,
+        nic.stats().failed,
+        c.duplicates,
         nic.downed_engines()
     );
     (

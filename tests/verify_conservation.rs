@@ -133,26 +133,19 @@ fn accepted_configs_conserve(d: &Drawn) -> bool {
     // Conservation: every injected frame either egressed, was consumed
     // by an engine, was dropped by a scheduling queue, or left the
     // pipeline unrouted. Nothing vanishes.
-    let stats = nic.stats();
+    let c = nic.conservation();
     let sched_drops: u64 = offloads
         .iter()
         .filter_map(|&id| nic.tile(id).map(engines::tile::EngineTile::drops))
         .sum();
-    let accounted =
-        stats.tx_wire + stats.host_deliveries + stats.consumed + stats.unrouted + sched_drops;
+    let accounted = c.tx_wire + c.host_deliveries + c.consumed + c.unrouted + sched_drops;
     assert_eq!(
-        stats.rx_frames,
-        accounted,
+        c.rx_frames, accounted,
         "conservation: in == out + consumed + dropped + unrouted \
          (in={}, wire={}, host={}, consumed={}, unrouted={}, sched_drops={})",
-        stats.rx_frames,
-        stats.tx_wire,
-        stats.host_deliveries,
-        stats.consumed,
-        stats.unrouted,
-        sched_drops
+        c.rx_frames, c.tx_wire, c.host_deliveries, c.consumed, c.unrouted, sched_drops
     );
-    assert_eq!(stats.rx_frames, injected);
+    assert_eq!(c.rx_frames, injected);
     true
 }
 
