@@ -130,8 +130,7 @@ impl PanicNic {
 
     /// Snapshot of the copy-level conservation identity (see
     /// [`Conservation`]): the store's count of every entry and exit
-    /// reason, and the copies it holds. Holds on every cycle; once the
-    /// NIC is quiescent and the fault plane settled, `live` is zero.
+    /// reason, and the copies the planes hold. Holds on every cycle.
     #[must_use]
     pub fn conservation(&self) -> Conservation {
         let s = &self.store;
@@ -154,8 +153,19 @@ impl PanicNic {
             flushed: s.exited(ExitKind::Flushed),
             lost_noc: s.exited(ExitKind::LostNoc),
             pipeline_drops: s.exited(ExitKind::PipelineDrop),
-            live: s.live() as u64,
+            live: self.held(),
         }
+    }
+
+    /// Copies the planes hold, counted where they sit, not in the store.
+    fn held(&self) -> u64 {
+        let tile = |t: &EngineTile<_>| {
+            t.queue_depth() + usize::from(t.is_busy()) + usize::from(!t.rx_ready())
+        };
+        let tiles: usize = self.occupied_tiles().map(tile).sum();
+        let pipeline = self.pipeline.backlog() + self.pipeline.occupancy();
+        let tenancy = self.tenancy.as_ref().map_or(0, |tn| tn.pending_total());
+        (self.network.messages_in_flight() + pipeline + tiles) as u64 + tenancy
     }
 
     fn watchdog_mut(&mut self) -> Option<&mut Watchdog> {
@@ -440,11 +450,11 @@ impl PanicNic {
 ///   + live
 /// ```
 ///
-/// `live` is the copies in the store now — on the mesh, in a tile or
-/// the pipeline, or parked with a vNIC — and zero once the NIC is
-/// quiescent ([`crate::nic::PanicNic::is_quiescent`]) and the fault
-/// plane settled ([`crate::nic::PanicNic::faults_settled`]): a copy
-/// destroyed off the books is one that stays live.
+/// `live` counts the copies the planes hold — on the mesh, in a tile or
+/// the pipeline, parked with a vNIC — not the store's, so a plane that
+/// drops a handle without taking its copy out, or takes one out twice,
+/// breaks the identity on that cycle. `live` is zero once the NIC is
+/// quiescent ([`crate::nic::PanicNic::is_quiescent`]).
 ///
 /// On a rack-fabric member, copies arriving over an inter-NIC link are
 /// a source (`remote_rx`) and copies handed to the fabric are a sink
@@ -514,7 +524,7 @@ impl Conservation {
             + self.pipeline_drops
     }
 
-    /// True when every copy is accounted for: it left, or is live.
+    /// True when every copy left or is held by a plane.
     #[must_use]
     pub fn holds(&self) -> bool {
         self.sources() == self.sinks() + self.live
@@ -559,14 +569,12 @@ impl fmt::Debug for Conservation {
 
 impl fmt::Display for Conservation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.holds() { "HOLDS" } else { "VIOLATED" };
+        let (sources, sinks, live) = (self.sources(), self.sinks(), self.live);
         writeln!(f, "{self:?}")?;
         write!(
             f,
-            "sources {} = sinks {} + live {}: identity {}",
-            self.sources(),
-            self.sinks(),
-            self.live,
-            if self.holds() { "HOLDS" } else { "VIOLATED" }
+            "sources {sources} = sinks {sinks} + live {live}: identity {verdict}"
         )
     }
 }

@@ -445,7 +445,8 @@ impl PanicNic {
     ///   while anything is tracked, striking, or holding work);
     /// * the PCIe flush timer (next multiple of the flush interval
     ///   while any coalescer holds pending events);
-    /// * the tenancy plane;
+    /// * the tenancy plane (next cycle while an in-plane loss waits to
+    ///   return its credit; else the release scheduler's hint);
     /// * the mesh: the poll of the first tail while every message in
     ///   it is in clear transit toward a tile the ejection pass polls
     ///   every cycle, else the next cycle ([`MeshNetwork::next_activity`]).
@@ -470,7 +471,7 @@ impl PanicNic {
             || self.occupied_tiles().any(|t| settled(t.next_activity(now)))
             || settled(self.fault_plane_next_activity(now))
             || settled(self.pcie_flush_next_activity(now))
-            || settled(self.tenancy.as_ref().and_then(|t| t.next_activity(now)))
+            || settled(self.tenancy_next_activity(now))
             || settled(self.network.next_activity(now, polled));
         hint
     }

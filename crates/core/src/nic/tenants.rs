@@ -49,6 +49,16 @@ impl PanicNic {
         self.tenancy = Some(tn);
     }
 
+    /// Tenancy term of [`PanicNic::next_activity`]: the next cycle
+    /// while a counted loss has yet to return its credit.
+    pub(super) fn tenancy_next_activity(&self, now: Cycle) -> Option<Cycle> {
+        let tn = self.tenancy.as_ref()?;
+        if !tn.implicit_synced(self.store.losses()) {
+            return Some(now.next());
+        }
+        tn.next_activity(now)
+    }
+
     /// The tenancy runtime (ledgers, latency histograms, vNIC
     /// catalog), when the tenancy plane is engaged.
     #[must_use]

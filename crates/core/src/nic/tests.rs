@@ -805,52 +805,58 @@ fn tenanted_frames_flow_and_conservation_closes() {
 /// A program that drops every frame: each `Drop` verdict is a pipeline
 /// loss the store charges to the frame's tenant, so the vNIC gets the
 /// credit back at its next step and drains instead of wedging once its
-/// quota is in the pipeline's bin.
+/// quota is in the pipeline's bin, stepped or fast-forwarded.
 #[test]
 fn a_drop_verdict_returns_its_tenants_credit() {
-    let (mut b, eth, _, _) = tiny_builder();
-    let table = Table::new(
-        "drop",
-        MatchKind::Exact(vec![packet::phv::Field::EthType]),
-        Action::drop_msg(),
-    );
-    b.program(
-        ProgramBuilder::new("drop-all", ParseGraph::standard(6379))
-            .stage(table)
-            .build(),
-    );
-    b.tenancy(two_tenant_config()); // tenant 1 ("alpha"): quota 8
-    let mut nic = b.build();
-    let mut f = FrameFactory::for_nic_port(0);
-    for i in 0..20u16 {
-        nic.rx_frame(
-            eth,
-            f.min_frame(i, 80),
-            TenantId(1),
-            Priority::Normal,
-            Cycle(0),
+    for ff in [false, true] {
+        let (mut b, eth, _, _) = tiny_builder();
+        let table = Table::new(
+            "drop",
+            MatchKind::Exact(vec![packet::phv::Field::EthType]),
+            Action::drop_msg(),
         );
-    }
-    nic.run(Cycle(0), 20_000);
+        b.program(
+            ProgramBuilder::new("drop-all", ParseGraph::standard(6379))
+                .stage(table)
+                .build(),
+        );
+        b.tenancy(two_tenant_config()); // tenant 1 ("alpha"): quota 8
+        let mut nic = b.build();
+        let mut f = FrameFactory::for_nic_port(0);
+        for i in 0..20u16 {
+            nic.rx_frame(
+                eth,
+                f.min_frame(i, 80),
+                TenantId(1),
+                Priority::Normal,
+                Cycle(0),
+            );
+        }
+        let _ = if ff {
+            nic.run_ff(Cycle(0), 20_000).0
+        } else {
+            nic.run(Cycle(0), 20_000)
+        };
 
-    let (c, tn) = (nic.conservation(), nic.tenancy().unwrap());
-    assert!(
-        nic.is_quiescent(),
-        "{} frames still pending\n{c}",
-        tn.pending_total()
-    );
-    assert_eq!(tn.shared_in_use(), 0);
-    assert!(c.holds() && c.live == 0, "{c}");
-    let tc = nic.tenant_conservation(TenantId(1)).unwrap();
-    assert!(tc.holds(), "{tc}");
-    assert_eq!(tc.pipeline_drops, 20, "{tc}");
-    let mut m = MetricsRegistry::new();
-    nic.export_metrics(&mut m);
-    assert_eq!(m.counter("tenancy.alpha.implicit_exits"), Some(20));
-    assert_eq!(m.counter("rmt.dropped"), Some(c.pipeline_drops));
-    // The two wire counters `NicStats` keeps are the store's.
-    let s = nic.stats();
-    assert_eq!((s.rx_frames, s.tx_wire), (c.rx_frames, c.tx_wire));
+        let (c, tn) = (nic.conservation(), nic.tenancy().unwrap());
+        assert!(
+            nic.is_quiescent(),
+            "ff {ff}: {} frames still pending\n{c}",
+            tn.pending_total()
+        );
+        assert_eq!(tn.shared_in_use(), 0, "ff {ff}");
+        assert!(c.holds() && c.live == 0, "{c}");
+        let tc = nic.tenant_conservation(TenantId(1)).unwrap();
+        assert!(tc.holds(), "{tc}");
+        assert_eq!(tc.pipeline_drops, 20, "{tc}");
+        let mut m = MetricsRegistry::new();
+        nic.export_metrics(&mut m);
+        assert_eq!(m.counter("tenancy.alpha.implicit_exits"), Some(20));
+        assert_eq!(m.counter("rmt.dropped"), Some(c.pipeline_drops));
+        // The two wire counters `NicStats` keeps are the store's.
+        let s = nic.stats();
+        assert_eq!((s.rx_frames, s.tx_wire), (c.rx_frames, c.tx_wire));
+    }
 }
 
 #[test]

@@ -140,7 +140,9 @@ impl ScanEverything {
     }
 
     /// `PanicNic::next_activity` and `pcie_flush_next_activity` as of
-    /// 56120d7, with the mesh told which tiles the ejection pass polls.
+    /// 56120d7, with the mesh told which tiles the ejection pass polls
+    /// and the tenancy term the NIC's own (it wakes for a credit an
+    /// in-plane loss has yet to return; the mask plays no part in it).
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         let nic = &self.nic;
         let polled = polled_tiles(&nic.tiles, &nic.noc_tile_slot, nic.pipeline_gated);
@@ -159,11 +161,7 @@ impl ScanEverything {
                     .is_some_and(|p| p.pending() > 0)
             });
         hint = Cycle::earliest(hint, pending.then(|| Cycle((now.0 / flush + 1) * flush)));
-        hint = Cycle::earliest(
-            hint,
-            nic.tenancy.as_ref().and_then(|t| t.next_activity(now)),
-        );
-        hint
+        Cycle::earliest(hint, nic.tenancy_next_activity(now))
     }
 }
 

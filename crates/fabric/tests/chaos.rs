@@ -21,8 +21,8 @@ use sim_core::time::Cycle;
 use trace::{Event, MetricsRegistry, TraceSink, Tracer, TrackId};
 
 /// Runs to full quiescence — including the fault plane's deferred
-/// work — and asserts the conservation identity, mid-run and drained,
-/// and that no member's message store still holds a message.
+/// work — and asserts the conservation identity, mid-run and drained:
+/// drained, a member's identity holds only with its store empty.
 fn drain(fabric: &mut Fabric) {
     // Nothing is injected yet at cycle 0, so the fabric is quiescent
     // there: start the drivers first.
@@ -32,9 +32,6 @@ fn drain(fabric: &mut Fabric) {
     fabric.drain(now).expect("fabric failed to drain");
     let c = fabric.conservation();
     assert!(c.holds(), "fleet conservation violated:\n{c}");
-    for i in 0..fabric.len() {
-        assert_eq!(fabric.member(i).conservation().live, 0, "member {i} leaked");
-    }
 }
 
 /// An armed fault plane with an empty plan.

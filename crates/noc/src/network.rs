@@ -774,6 +774,12 @@ impl<M: Carry> MeshNetwork<M> {
         entry
     }
 
+    /// Messages sent and not yet ejected.
+    #[must_use]
+    pub fn messages_in_flight(&self) -> usize {
+        self.slab.len() - self.free_slots.len()
+    }
+
     /// Flits waiting in `engine`'s source queue (growth here means the
     /// network is saturated for this sender).
     #[must_use]
@@ -1481,7 +1487,7 @@ impl<M: Carry> MeshNetwork<M> {
         );
         debug_assert_eq!(
             self.bound.iter().map(|&n| n as usize).sum::<usize>() + self.queued_behind,
-            self.slab.len() - self.free_slots.len(),
+            self.messages_in_flight(),
             "bound counts out of sync with the messages in flight"
         );
         self.resident_flits == 0

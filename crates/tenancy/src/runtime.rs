@@ -305,13 +305,11 @@ impl TenantConservation {
 impl fmt::Display for TenantConservation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let verdict = if self.holds() { "HOLDS" } else { "VIOLATED" };
+        let (tenant, name, sources, sinks) =
+            (self.tenant.0, &self.name, self.sources(), self.sinks());
         writeln!(
             f,
-            "tenant {} ({}): sources {} = sinks {}: {verdict}",
-            self.tenant.0,
-            self.name,
-            self.sources(),
-            self.sinks()
+            "tenant {tenant} ({name}): sources {sources} = sinks {sinks}: {verdict}"
         )?;
         write!(f, "  {self:?}")
     }
@@ -946,7 +944,7 @@ impl<M: Carry> TenancyRuntime<M> {
         total: u64,
         mut cumulative_of: impl FnMut(TenantId) -> u64,
     ) {
-        if total == self.implicit_seen {
+        if self.implicit_synced(total) {
             return;
         }
         self.implicit_seen = total;
@@ -956,6 +954,12 @@ impl<M: Carry> TenancyRuntime<M> {
                 self.stamps.counters += 1;
             }
         }
+    }
+
+    /// True when no credit waits on a reconciliation of `total`.
+    #[must_use]
+    pub fn implicit_synced(&self, total: u64) -> bool {
+        total == self.implicit_seen
     }
 
     /// The tenant's cumulative ledger.

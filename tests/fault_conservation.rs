@@ -8,9 +8,8 @@
 //!    flushed, duplicate). No copy is created or destroyed off the
 //!    books, no matter what breaks.
 //! 2. **No handle leaks**: the identity holds after every tick — the
-//!    copies the NIC's message store holds are exactly the entries it
-//!    counted and no exit matched — and the store is empty once
-//!    drained: a copy destroyed off the books is one that stays live.
+//!    copies the NIC's message store holds are exactly those its
+//!    planes hold — and the store is empty once drained.
 //! 3. **Determinism** (golden): the same seed yields a byte-identical
 //!    Chrome trace and conservation report across runs. Chaos testing
 //!    is only useful if a failing seed replays exactly.
@@ -99,16 +98,11 @@ fn replicated_nic() -> (PanicNic, EngineId) {
     (b.build(), eth)
 }
 
-/// Asserts the copy-conservation identity, mid-run included.
-fn assert_holds(nic: &PanicNic, now: Cycle) {
-    let c = nic.conservation();
-    assert!(c.holds(), "cycle {}: the books do not close:\n{c}", now.0);
-}
-
 /// Feeds `frames` frames one per `gap` cycles, tenant ids 1 to
 /// `tenants` in rotation, and drives the NIC to quiescence with the
-/// fault plane settled, holding it to the identity after every tick.
-/// Returns `None` on success or the cycle bound on failure to drain.
+/// fault plane settled, holding it to the identity after every tick
+/// (so, drained, to an empty store). Returns `None` on success or the
+/// cycle bound on failure to drain.
 fn drive(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64, tenants: u64) -> Option<u64> {
     let mut factory = FrameFactory::for_nic_port(0);
     let mut now = Cycle(0);
@@ -127,10 +121,10 @@ fn drive(nic: &mut PanicNic, eth: EngineId, frames: u64, gap: u64, tenants: u64)
             sent += 1;
         }
         nic.tick(now);
-        assert_holds(nic, now);
+        let c = nic.conservation();
+        assert!(c.holds(), "cycle {}: the books do not close:\n{c}", now.0);
         now = now.next();
         if sent == frames && nic.is_quiescent() && nic.faults_settled() {
-            assert_eq!(nic.conservation().live, 0, "a drained NIC holds no message");
             return None;
         }
     }
