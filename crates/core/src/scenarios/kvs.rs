@@ -565,9 +565,8 @@ impl KvsScenario {
                 continue;
             };
             let m = &mut self.metrics[out.tenant_idx];
-            let expect =
-                KvsWorkload::value_for(out.key, self.config.tenants[out.tenant_idx].value_size);
-            if req.value == expect {
+            let size = self.config.tenants[out.tenant_idx].value_size;
+            if req.value.len() == size && KvsWorkload::value_matches(out.key, &req.value) {
                 m.replies_ok += 1;
             } else {
                 m.replies_bad += 1;

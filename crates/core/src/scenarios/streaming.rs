@@ -235,6 +235,29 @@ fn most_mesh_active_cycles_glide_in_the_gap_regime() {
     assert!(got >= 0.70, "glided share {got:.3} < 0.70");
 }
 
+/// `chain_gap`'s two ports arrive in phase, so each frame pair's two
+/// messages from (1,2) and (5,2) meet at (1,2)'s West output, and two
+/// frames meet at an egress port's ejection buffer: the later one
+/// follows the earlier one there and glides. Over the same window as
+/// above, the glided share of mesh-active cycles and the executed ticks
+/// per frame: 0.819 and 6.880 when meeting routes and shared
+/// destinations were ticked through, 0.871 and 5.380 with followers.
+#[test]
+fn joined_routes_glide_on_chain_gap() {
+    let mut s = chain_gap();
+    s.run(20_000);
+    let (skipped, frames) = (s.cycles_skipped(), s.nic().stats().rx_frames);
+    let glided = Window::of(&mut s, ChainScenario::nic, ChainScenario::run, 0, 200_000);
+    let frames = s.nic().stats().rx_frames - frames;
+    let executed = 200_000 - (s.cycles_skipped() - skipped);
+    let (share, per_frame) = (glided.glided_share(), executed as f64 / frames as f64);
+    assert!(share >= 0.85, "glided share {share:.3} < 0.85");
+    assert!(
+        per_frame <= 6.0,
+        "executed ticks a frame {per_frame:.3} > 6.0"
+    );
+}
+
 #[test]
 fn most_mesh_active_cycles_glide_on_a_ring_member() {
     let got = Window::of(

@@ -18,7 +18,8 @@
 //!   tails are polled: windows and ticks move their flit counts, and
 //!   the routers are written once a message (`network/glide.rs`). A
 //!   message queued behind a glider at its source *follows* it, inert,
-//!   until that glider's last flit has left the source.
+//!   until that glider's last flit has left the source; a glider whose
+//!   route joins another's follows it from the router where they join.
 //!
 //! A message in the mesh is stored once, in the network's in-flight
 //! slab, from `send` until its tail is ejected. What the slab holds is
@@ -360,11 +361,9 @@ pub struct MeshNetwork<M = Message> {
     /// glider injecting there.
     queued_behind: usize,
     /// Per tile, the messages bound for it between the front of their
-    /// source queue and the poll of their tail; and how many tiles more
-    /// than one is bound for. While any is, two messages that are not
-    /// followers share an ejection buffer, and nothing glides.
+    /// source queue and the poll of their tail: a send into a gliding
+    /// mesh glides only toward a tile none is bound for.
     bound: Vec<u32>,
-    shared_dests: usize,
     /// Per-tile ejection buffers, bounded in practice by Local credits.
     ejection: Vec<VecDeque<FlitHandle>>,
     /// The in-flight slab: every message between `send` and the
@@ -395,6 +394,9 @@ pub struct MeshNetwork<M = Message> {
     /// without a tick.
     glided_hops: u64,
     glided_cycles: u64,
+    /// Heads a router plan moved on (a plan refused while one waited may
+    /// succeed once it has).
+    heads: u64,
     /// The messages in clear transit, while every live message is one:
     /// planned by [`MeshNetwork::next_activity`] or
     /// [`MeshNetwork::glide`], kept until each one's tail is polled
@@ -498,7 +500,6 @@ impl<M: Carry> MeshNetwork<M> {
             source: (0..n).map(|_| Source::new()).collect(),
             queued_behind: 0,
             bound: vec![0; n],
-            shared_dests: 0,
             ejection: (0..n).map(|_| VecDeque::with_capacity(eject_cap)).collect(),
             slab: Vec::new(),
             free_slots: Vec::new(),
@@ -510,6 +511,7 @@ impl<M: Carry> MeshNetwork<M> {
             streamed: 0,
             glided_hops: 0,
             glided_cycles: 0,
+            heads: 0,
             plan: RefCell::new(glide::Gliders::NONE),
             stats: NetworkStats::new(),
             tracer: Tracer::disabled(),
@@ -735,7 +737,7 @@ impl<M: Carry> MeshNetwork<M> {
         self.source_pending[tile / 64] |= 1 << (tile % 64);
         // A message queued behind a glider follows it, inert.
         if glides && !behind {
-            self.admit(slot, total);
+            self.admit(slot);
         }
     }
 
@@ -743,7 +745,6 @@ impl<M: Carry> MeshNetwork<M> {
     /// another: one at the front of its source queue or further on.
     fn bind(&mut self, tile: usize) {
         self.bound[tile] += 1;
-        self.shared_dests += usize::from(self.bound[tile] == 2);
     }
 
     /// Stores `entry` in a vacant slab slot, growing the slab (and the
@@ -821,7 +822,6 @@ impl<M: Carry> MeshNetwork<M> {
             return None;
         }
         self.bound[tile] -= 1;
-        self.shared_dests -= usize::from(self.bound[tile] == 1);
         let InFlight { msg, sent, id } = self.slab_remove(flit.slot);
         // Injected ejection drop: destroy the message at the tail (the
         // earlier flits of the message were drained and credited
@@ -984,6 +984,7 @@ impl<M: Carry> MeshNetwork<M> {
                     let (flit, emptied) = self.routers[tile].pop(i);
                     self.vacate(tile, i);
                     self.wake_back(tile, i);
+                    self.heads += u64::from(flit.kind.is_head());
                     if flit.kind == FlitKind::Head {
                         // The flits behind it now follow an open
                         // wormhole.
@@ -1479,11 +1480,6 @@ impl<M: Carry> MeshNetwork<M> {
             self.queued_behind,
             self.source.iter().map(|s| s.behind.len()).sum::<usize>(),
             "backlog counter out of sync with the source queues"
-        );
-        debug_assert_eq!(
-            self.shared_dests,
-            self.bound.iter().filter(|&&n| n > 1).count(),
-            "shared-destination counter out of sync with the bound counts"
         );
         debug_assert_eq!(
             self.bound.iter().map(|&n| n as usize).sum::<usize>() + self.queued_behind,

@@ -4,8 +4,9 @@
 //! A message is in *clear transit* when its remaining XY route — from
 //! the first FIFO that holds any of it (its source's Local input while
 //! it still injects) to its destination's ejection buffer — shares no
-//! buffer with another message's route, ends at a tile that polls every
-//! cycle, and has no full FIFO that a flit could still enter. Nothing
+//! buffer with another message's route but its leader's (below), ends
+//! at a tile that polls every cycle, and has no full FIFO that a flit
+//! could still enter. Nothing
 //! contends with such a message and no hop waits for a credit (the poll
 //! hands the last one a Local credit back every cycle), so it moves as a
 //! conveyor: each cycle the source injects one flit, every FIFO that
@@ -20,15 +21,16 @@
 //! 0. Once no position below the first holds more than one flit, that is
 //! a shift: the flit at `p` is at `p − t` after `t` cycles, polled if
 //! that went below zero, the first position's queue feeding one a
-//! cycle; flits bunched further ahead are stepped cycle by cycle on the
-//! count array until they are not.
+//! cycle; flits bunched further ahead, a head held where it waits, and
+//! a full FIFO's upstream are stepped cycle by cycle on the count array
+//! by the routers' own rule until they are not.
 //!
 //! Such a message is a *glider* until its tail is polled: from the hint
 //! that plans it, or from its send into a mesh that holds nothing or
 //! only gliders, when its route meets none of theirs (the route is then
 //! empty, so no buffer is read). The routers keep the state it had when
-//! it became one (its anchor); the glider carries its counts as they
-//! are now and the conveyor cycles it moved since.
+//! it became one (its anchor); the glider carries its counts and its
+//! front's position as they are now.
 //! [`MeshNetwork::glide`] over a window, and [`MeshNetwork::tick`] of a
 //! mesh that holds only gliders, move those counts and, by arithmetic
 //! on them, every counter a stepped run would have moved:
@@ -44,18 +46,35 @@
 //! the source queue, where the routers' side counts them, and nothing of
 //! it moves until its leader's last flit has left the queue: the next
 //! tick would inject its head. A glide's horizon ends there, so no
-//! window reaches past it. A follower is never a glider and shares no
-//! FIFO with one while it waits, so the conveyors are the gliders'
-//! alone, and only followers may share a destination while the mesh
-//! glides. A follower costs a glide nothing, so any number may wait.
+//! window reaches past it. Such a follower is never a glider and shares
+//! no FIFO with one while it waits, and costs a glide nothing, so any
+//! number may wait.
+//!
+//! A glider whose route joins another's — at a router whose output both
+//! take into the first FIFO they share, or at the destination they
+//! share — is that glider's *follower at the router where they join*
+//! when the other (its *leader*) is past that output or holds it and
+//! the follower has not reached it. Its head waits there until the
+//! leader's tail has passed, `held` conveyor cycles from the plan by
+//! the leader's counts, its flits bunching behind it, then it glides a
+//! position behind the leader's tail, which runs free from there. Bound
+//! for the leader's destination, it is polled only once the leader's
+//! tail has been. A leader comes before its followers in the array, so
+//! their write-backs and polls come in that order. A plan ties every
+//! two gliders whose routes meet this way, or refuses: both past the
+//! join, neither, a leader that itself waits, one that may still be
+//! caught. A send at an empty source queue may also start out tied to
+//! the one glider it meets.
 //!
 //! The routers are written once a message, by `glide_one`:
 //!
-//! * at the poll of its tail — that glider alone, and the poll then
-//!   delivers from the buffers as a stepped run's would;
-//! * at a send whose route meets a glider's, or that the gliders cannot
-//!   take (a destination a message that is not a follower is bound for,
-//!   a ninth glider, a source queue whose glider has left it);
+//! * at the poll of its tail — that glider alone (its followers' ties
+//!   cut), and the poll then delivers from the buffers as a stepped
+//!   run's would; unless it follows a leader, or an armed ejection drop
+//!   would keep the Local credit a follower behind it takes;
+//! * at a send whose route meets a glider's but does not follow it, or
+//!   that the gliders cannot take (a destination another message is
+//!   bound for, a ninth glider, a source queue a message waits in);
 //! * at a tick after a cycle on which a destination held a flit and was
 //!   not polled, unless the message is wholly in that buffer, where
 //!   nothing moves without a poll;
@@ -221,24 +240,36 @@ struct Glider {
     /// one's position. 0 for a message wholly in its destination's
     /// ejection buffer.
     fifos: u32,
-    /// At the anchor: flits in the first FIFO, and in the source queue
-    /// behind it.
+    /// Flits in the first FIFO (now, while the source still feeds it),
+    /// and in the source queue behind it at the anchor.
     local: u32,
     queued: u32,
-    /// At the anchor: the position of its frontmost flit, and whether
-    /// that is its head.
+    /// The position of its frontmost flit now (0 once that flit was
+    /// polled), and whether that is its head.
     front: u32,
     head: bool,
-    /// Conveyor cycles moved since the anchor.
-    moved: u32,
-    /// Conveyor cycles left until its tail is polled.
+    /// Conveyor cycles left until its tail is polled; `u32::MAX` while
+    /// it waits behind its leader's flits in a shared ejection buffer.
     tail: u32,
     /// Whether its destination was polled on the current cycle.
     polled: bool,
+    /// A follower's leader, the message ahead of it on the route they
+    /// share ([`NO_LEADER`] for none): the position where its head waits
+    /// at the router where they join, the conveyor cycles left until the
+    /// leader's tail has passed there (its head leaves that position no
+    /// sooner), and whether the two share a destination, where it is not
+    /// polled while the leader lives.
+    leader: u32,
+    wait: u8,
+    held: u32,
+    shares: bool,
     /// Its flits by position now (a message of more flits than a
     /// `u16` counts is ticked).
     count: [u16; MAX_FIFOS + 1],
 }
+
+/// `Glider::leader` of a message that follows none.
+const NO_LEADER: u32 = u32::MAX;
 
 // A glider is moved only when one leaves the array: at most 128 bytes,
 // the largest move LLVM does inline on baseline x86-64 rather than
@@ -254,6 +285,14 @@ struct Moved {
     hops: u64,
 }
 
+impl Moved {
+    fn add(&mut self, m: Moved) {
+        self.polled += m.polled;
+        self.ejected += m.ejected;
+        self.hops += m.hops;
+    }
+}
+
 impl Glider {
     const NONE: Glider = Glider {
         slot: 0,
@@ -266,9 +305,12 @@ impl Glider {
         queued: 0,
         front: 0,
         head: false,
-        moved: 0,
         tail: 0,
         polled: false,
+        leader: NO_LEADER,
+        wait: 0,
+        held: 0,
+        shares: false,
         count: [0; MAX_FIFOS + 1],
     };
 
@@ -327,9 +369,10 @@ impl Glider {
         self.count[1..=self.fifos as usize].iter().any(|&n| n > 0)
     }
 
-    /// Moves it `t` conveyor cycles, its destination polled on each.
-    fn advance(&mut self, t: u32) -> Moved {
-        let count = &mut self.count[..=self.fifos as usize];
+    /// Moves it `t` conveyor cycles, its destination polled on each
+    /// unless `poll` is false, `cap` flits to a FIFO.
+    fn advance(&mut self, t: u32, poll: bool, cap: u16) -> Moved {
+        let m = self.fifos as usize;
         let tally = |count: &[u16]| {
             count
                 .iter()
@@ -338,18 +381,82 @@ impl Glider {
                     (flits + u64::from(n), hops + q as u64 * u64::from(n))
                 })
         };
-        let (flits, distance) = tally(count);
-        let ejected = u64::from(count[0]);
-        // A flit moves at most a position a cycle, so none is below this.
-        let lo = self.front.saturating_sub(self.moved);
-        advance(count, lo as usize, t);
-        let (flits_after, distance_after) = tally(count);
-        self.moved += t;
+        let (flits, distance) = tally(&self.count[..=m]);
+        let ejected = u64::from(self.count[0]);
+        let (mut left, wait) = (t, u32::from(self.wait));
+        while left > 0 {
+            // Held, its head does not leave the FIFO where it waits; it
+            // shifts on its way there, and once the hold is over.
+            let held = self.held > 0 && self.front == wait;
+            let k = if held || !self.shifts(poll, cap) {
+                self.step(if held { wait } else { 0 }, poll, cap);
+                1
+            } else {
+                let k = if self.held > 0 {
+                    left.min(self.front - wait)
+                } else {
+                    left
+                };
+                shift(&mut self.count[..=m], self.front as usize, k);
+                self.head &= self.front >= k;
+                self.front = self.front.saturating_sub(k);
+                k
+            };
+            self.held = self.held.saturating_sub(k);
+            left -= k;
+        }
+        let (flits_after, distance_after) = tally(&self.count[..=m]);
         self.tail -= t;
         Moved {
             polled: flits - flits_after,
-            ejected: (flits - ejected) - (flits_after - u64::from(count[0])),
+            ejected: (flits - ejected) - (flits_after - u64::from(self.count[0])),
             hops: distance - distance_after,
+        }
+    }
+
+    /// True when its next cycles are a shift: it is polled, no position
+    /// below the first holds two flits, and its source may feed the
+    /// first FIFO (so none fills and none waits).
+    fn shifts(&self, poll: bool, cap: u16) -> bool {
+        let m = self.fifos as usize;
+        poll && self.count[self.front as usize..m].iter().all(|&n| n <= 1)
+            && (self.local < u32::from(cap) || self.queued_now() == 0)
+    }
+
+    /// One conveyor cycle as the routers run it: the source injects
+    /// while the first FIFO has room, and every occupied position passes
+    /// a flit to the one below unless it holds the head at `hold` or the
+    /// FIFO below was full (a Local credit is always there, and position
+    /// 0 passes by a poll).
+    fn step(&mut self, hold: u32, poll: bool, cap: u16) {
+        let m = self.fifos as usize;
+        let first = u32::from(self.count[m]);
+        self.local = self.local.min(first);
+        if m > 0 && first > self.local && self.local < u32::from(cap) {
+            self.local += 1;
+        }
+        let mut above = false;
+        for q in (self.front.saturating_sub(1) as usize..=m).rev() {
+            let n = self.count[q];
+            let passes = n > 0
+                && (hold == 0 || q as u32 != hold)
+                && if q == 0 {
+                    poll
+                } else {
+                    q == 1 || self.count[q - 1] < cap
+                };
+            self.count[q] = n - u16::from(passes) + u16::from(above);
+            if passes && q == m {
+                self.local -= 1;
+            }
+            above = passes;
+        }
+        if hold == 0 || self.front != hold {
+            if self.front > 0 {
+                self.front -= 1;
+            } else {
+                self.head &= !poll;
+            }
         }
     }
 }
@@ -358,10 +465,15 @@ impl Glider {
 /// allocates nothing: empty unless every live message is one.
 #[derive(Debug)]
 pub(super) struct Gliders {
-    /// The messages sent and the slab slots free when a plan last
-    /// failed: until a message is sent or delivered, contention that
-    /// stopped one plan is taken to stop the next, and none is tried.
-    refused: Option<[u64; 2]>,
+    /// The messages sent, the slab slots free and the heads moved on
+    /// when a plan last failed: until a message is sent or delivered or
+    /// a head wins an output (a waiting follower's among them),
+    /// contention that stopped one plan is taken to stop the next, and
+    /// none is tried.
+    refused: Option<[u64; 3]>,
+    /// Whether a glider was tied to a leader since the array was last
+    /// empty.
+    followed: bool,
     len: usize,
     all: [Glider; MAX_GLIDERS],
 }
@@ -382,6 +494,7 @@ enum Horizon {
 impl Gliders {
     pub(super) const NONE: Gliders = Gliders {
         refused: None,
+        followed: false,
         len: 0,
         all: [Glider::NONE; MAX_GLIDERS],
     };
@@ -395,8 +508,8 @@ impl Gliders {
         self.len > 0
     }
 
-    /// True when a plan failed and no message was sent or delivered
-    /// since.
+    /// True when a plan failed and no message was sent or delivered and
+    /// no head won an output since.
     fn refused_now<M: Carry>(&self, net: &MeshNetwork<M>) -> bool {
         self.refused == Some(net.messages_key())
     }
@@ -431,9 +544,66 @@ impl Gliders {
         first.map_or(Horizon::Never, Horizon::Tail)
     }
 
-    /// The glider bound for `tile`, if any.
+    /// The glider bound for `tile` whose flits come first there, if any:
+    /// a leader is ahead of its followers in the array.
     fn bound_for(&self, tile: usize) -> Option<usize> {
         self.as_slice().iter().position(|g| g.to as usize == tile)
+    }
+
+    /// Whether `a` leads `b` through a chain of followers (`None` when
+    /// it does, toward `b`'s destination, but not every link in between
+    /// shares that destination).
+    fn chain(&self, a: &Glider, b: &Glider) -> Option<bool> {
+        let (mut g, mut shared) = (b, true);
+        for _ in 0..self.len {
+            shared &= g.shares;
+            let Some(l) = self.leader_of(g) else {
+                return Some(false);
+            };
+            if l.slot == a.slot {
+                return (a.to != b.to || shared).then_some(true);
+            }
+            g = l;
+        }
+        None
+    }
+
+    /// The live glider `g` follows, if any.
+    fn leader_of(&self, g: &Glider) -> Option<&Glider> {
+        (g.leader != NO_LEADER)
+            .then(|| self.as_slice().iter().find(|l| l.slot == g.leader))
+            .flatten()
+    }
+
+    /// Takes glider `k` out of the array at its tail's poll, its
+    /// followers' ties with it cut, the rest in their order.
+    fn remove(&mut self, k: usize) {
+        let slot = self.all[k].slot;
+        let ties = if self.followed { self.len } else { 0 };
+        for g in &mut self.all[..ties] {
+            if g.leader == slot {
+                g.leader = NO_LEADER;
+                g.held = 0;
+                if g.shares {
+                    // The poll on this cycle took its leader's tail, so
+                    // its own flits there are polled a cycle later (the
+                    // rest of this cycle does not poll it, see `coast`).
+                    let flits: u32 = g.count.iter().map(|&n| u32::from(n)).sum();
+                    let late = flits + u32::from(g.count[0] > 0);
+                    g.tail = tandem(&g.count[..=g.fifos as usize], 0).max(late) - 1;
+                }
+            }
+        }
+        self.len -= 1;
+        self.followed &= self.len > 0;
+        // The last one takes its place unless it would come before its
+        // leader.
+        let leader = self.all[self.len].leader;
+        if leader == NO_LEADER || self.all[..k].iter().any(|l| l.slot == leader) {
+            self.all.swap(k, self.len);
+        } else {
+            self.all.copy_within(k + 1..=self.len, k);
+        }
     }
 }
 
@@ -443,10 +613,9 @@ impl<M: Carry> MeshNetwork<M> {
     }
 
     /// True when the mesh holds a flit and, as one look at its counters
-    /// tells, will not glide: it may not glide at all, two messages that
-    /// are not followers share a destination, it holds more worms than a
-    /// glide considers, or no message was sent or delivered since a plan
-    /// last failed. Then
+    /// tells, will not glide: it may not glide at all, it holds more
+    /// worms than a glide considers, or no message was sent or delivered
+    /// and no head won an output since a plan last failed. Then
     /// [`MeshNetwork::next_activity`] is the next cycle, whatever the
     /// caller polls.
     #[must_use]
@@ -456,15 +625,18 @@ impl<M: Carry> MeshNetwork<M> {
 
     /// The counters' half of [`MeshNetwork::must_tick`].
     fn crowded(&self) -> bool {
-        !self.may_glide()
-            || self.shared_dests > 0
-            || self.waiting.len() + self.segs.len() > MAX_GLIDERS
+        !self.may_glide() || self.waiting.len() + self.segs.len() > MAX_GLIDERS
     }
 
-    /// Messages sent, and slab slots free: the one grows with every
-    /// send, the other with every delivery in between.
-    fn messages_key(&self) -> [u64; 2] {
-        [self.stats.injected_messages, self.free_slots.len() as u64]
+    /// Messages sent, slab slots free, and heads that won an output: the
+    /// first grows with every send, the second with every delivery in
+    /// between, the third with every head a router plan moves on.
+    fn messages_key(&self) -> [u64; 3] {
+        [
+            self.stats.injected_messages,
+            self.free_slots.len() as u64,
+            self.heads,
+        ]
     }
 
     /// False for a traced mesh, one with a slow link or credit hold
@@ -481,12 +653,15 @@ impl<M: Carry> MeshNetwork<M> {
     /// as one, each source queue's front message, and the messages
     /// behind it as its followers; or `None` unless all of the gliders
     /// are in clear transit (`polled` says which tiles poll every cycle)
-    /// — then `out` holds none. The cheap refusals come first, so a busy
+    /// — then `out` holds none; gliders whose routes join are tied as
+    /// leader and follower. The cheap refusals come first, so a busy
     /// mesh fails before any buffer on a route is read: those of
-    /// [`MeshNetwork::must_tick`], then a message that shares its
-    /// ejection buffer, then two routes that meet.
+    /// [`MeshNetwork::must_tick`], then an ejection buffer that holds
+    /// parts of two messages, then two routes that meet with neither
+    /// ahead of the other.
     fn plan_into(&self, out: &mut Gliders, polled: &impl Fn(usize) -> bool) -> Option<()> {
         debug_assert!(!out.any(), "planned over live gliders");
+        out.followed = false;
         let planned = self.plan_gliders(out, polled);
         if planned.is_none() {
             out.len = 0;
@@ -559,19 +734,140 @@ impl<M: Carry> MeshNetwork<M> {
                 })?;
             }
         }
-        let all = out.as_slice();
-        for (k, a) in all.iter().enumerate() {
-            if all[k + 1..].iter().any(|b| a.meets(b)) {
-                return None;
-            }
-        }
-        for g in &mut out.all[..out.len] {
+        self.tie(out)?;
+        for k in 0..out.len {
+            let (read, rest) = out.all.split_at_mut(k);
+            let g = &mut rest[0];
             if g.fifos > 0 {
                 self.read_route(g, polled)?;
+            }
+            if g.leader == NO_LEADER {
+                continue;
+            }
+            let l = read.iter().find(|l| l.slot == g.leader)?;
+            follow(g, l)?;
+            if l.leader == NO_LEADER {
+                continue;
+            }
+            // Another message ahead of it on its route (its leader's
+            // leader, and so on) must be wholly past where they join and
+            // run free: its tail is beyond the follower's reach.
+            for a in read.iter().filter(|a| a.slot != g.leader && near(a, g)) {
+                let (ahead, gate, _) = self.join(a, g)?;
+                let past = u32::from(gate) > a.fifos;
+                if !ahead || !past || a.count[1..=a.fifos as usize].iter().any(|&n| n > 1) {
+                    return None;
+                }
             }
         }
         out.refused = None;
         Some(())
+    }
+
+    /// Ties every two gliders whose routes meet or that share a
+    /// destination as a leader and its follower (see [`MeshNetwork::join`]):
+    /// a follower follows the one ahead whose route it joins first, and
+    /// the others ahead must lead that one, a chain bound for one tile
+    /// all the way if the follower shares their destination. Then puts
+    /// each leader ahead of its followers in the array. `None` when two
+    /// are not such a pair, or their chain is not one.
+    fn tie(&self, out: &mut Gliders) -> Option<()> {
+        let (len, mut pairs, mut ties) = (out.len, 0, 0);
+        for k in 0..len {
+            for l in k + 1..len {
+                let (a, b) = (&out.all[k], &out.all[l]);
+                if !near(a, b) {
+                    continue;
+                }
+                let (a_leads, gate, wait) = self.join(a, b)?;
+                let (f, leader) = if a_leads { (l, a.slot) } else { (k, b.slot) };
+                let shares = a.to == b.to;
+                let g = &mut out.all[f];
+                pairs += 1;
+                if g.leader == NO_LEADER {
+                    ties += 1;
+                } else if wait <= g.wait {
+                    continue;
+                }
+                // Until `follow` reckons its hold: the leader's position
+                // of the FIFO it joins from.
+                (g.leader, g.held, g.wait, g.shares) = (leader, u32::from(gate), wait, shares);
+            }
+        }
+        if ties == 0 {
+            return Some(());
+        }
+        out.followed = true;
+        // Every pair is a leader and its follower, unless one follower
+        // had two to choose from.
+        for k in (0..len).filter(|_| pairs > ties) {
+            for l in k + 1..len {
+                let (a, b) = (&out.all[k], &out.all[l]);
+                if near(a, b) && !out.chain(a, b)? && !out.chain(b, a)? {
+                    return None;
+                }
+            }
+        }
+        let (mut k, mut moves) = (0, 0);
+        while k < len {
+            let leader = out.all[k].leader;
+            match out.all[k + 1..len].iter().position(|l| l.slot == leader) {
+                Some(d) if moves < len * len => {
+                    out.all[k..=k + 1 + d].rotate_right(1);
+                    moves += 1;
+                }
+                Some(_) => return None,
+                None => k += 1,
+            }
+        }
+        Some(())
+    }
+
+    /// Where the routes of `a` and `b` join — the output through which
+    /// both enter the first buffer they share, the ejection buffer if
+    /// only their destination is — and whether `a` is ahead there. One
+    /// is ahead when it has passed that output or holds it and the other
+    /// has not reached it: the other then follows it. Also the positions
+    /// of the FIFO each one joins from, the leader's first and the
+    /// follower's second (one past the leader's first FIFO when it has
+    /// passed). `None` when neither is ahead, or both.
+    fn join(&self, a: &Glider, b: &Glider) -> Option<(bool, u8, u8)> {
+        let (xa, xb) = self.shared(a, b);
+        // Past the output (no FIFO before that buffer), or holding it.
+        let ahead = |g: &Glider, x: u32| {
+            x >= g.fifos
+                || g.route
+                    .fifos()
+                    .nth((g.fifos - x - 1) as usize)
+                    .is_some_and(|(t, i, o)| usize::from(self.routers[t].in_route(i)) == o)
+        };
+        let a_leads = match (ahead(a, xa), ahead(b, xb)) {
+            (true, false) => true,
+            (false, true) => false,
+            _ => return None,
+        };
+        let (lead, follow) = if a_leads { (xa, xb) } else { (xb, xa) };
+        Some((
+            a_leads,
+            u8::try_from(lead + 1).ok()?,
+            u8::try_from(follow + 1).ok()?,
+        ))
+    }
+
+    /// The first buffer the routes of `a` and `b` cross, as a position
+    /// on each: the ejection buffer when they share only a destination.
+    fn shared(&self, a: &Glider, b: &Glider) -> (u32, u32) {
+        let shared = (a.fifos > 0 && b.fifos > 0)
+            .then(|| {
+                (0..)
+                    .zip(a.route.fifos())
+                    .find(|(_, (t, i, _))| b.route.crosses(*t, *i))
+            })
+            .flatten();
+        shared.map_or((0, 0), |(ja, (t, i, _))| {
+            let jb = b.route.fifos().position(|(u, v, _)| (u, v) == (t, i));
+            (a.fifos - ja, b.fifos - jb.unwrap_or(0) as u32)
+        })
     }
 
     /// Writes message `slot` into `g` as a glider, its remaining route
@@ -612,61 +908,58 @@ impl<M: Carry> MeshNetwork<M> {
     /// Reads the buffers on `g`'s route into it: where its flits are and
     /// when its tail is polled. `None` unless its destination polls and
     /// no FIFO on the route holds another message's flit at its front or
-    /// is full where a flit could still enter.
+    /// is full where a flit could still enter. A follower's flits must all
+    /// be at or behind the FIFO where its head waits, past which its
+    /// leader's may be; any of its FIFOs may be full.
     fn read_route(&self, g: &mut Glider, polled: &impl Fn(usize) -> bool) -> Option<()> {
         let to = g.to as usize;
         if !polled(to) {
             return None;
         }
-        let (slot, fifos, queued) = (g.slot, g.fifos, g.queued);
+        let (slot, fifos, queued, wait) = (g.slot, g.fifos, g.queued, u32::from(g.wait));
         let cap = self.config.router.input_buffer_flits;
-        // From the first FIFO down to the ejection buffer: the tail is
-        // polled `max(q + behind(q)) − 1` cycles out, over the occupied
-        // positions `q` and the flits `behind(q)` at or behind each.
-        let (mut behind, mut tail) = (queued, 0);
         let mut front = None;
         for (j, (tile, input, _)) in (0..).zip(g.route.fifos()) {
-            let router = &self.routers[tile];
-            let n = router.len(input);
+            let (router, q) = (&self.routers[tile], fifos - j);
+            let mut n = router.len(input);
+            if n > 0 {
+                let f = router.front(input);
+                if f.slot == slot && q >= wait {
+                    front = Some((q, f.kind.is_head()));
+                } else if f.slot == g.leader && q < wait {
+                    n = 0;
+                } else {
+                    return None;
+                }
+            }
             // A FIFO a flit may still enter must have room for it: the
             // first one only while its source injects.
-            if usize::from(n) >= cap && (j > 0 || queued > 0) {
+            if usize::from(n) >= cap && (j > 0 || queued > 0) && wait == 0 {
                 return None;
             }
             if j == 0 {
                 g.local = u32::from(n);
             }
-            if n > 0 {
-                let f = router.front(input);
-                if f.slot != slot {
-                    return None;
-                }
-                front = Some((fifos - j, f.kind.is_head()));
-            }
-            g.count[(fifos - j) as usize] = n;
-            behind += u32::from(n);
-            if behind > 0 && (n > 0 || j == 0) {
-                tail = tail.max(fifos - j + behind);
-            }
+            g.count[q as usize] = n;
         }
         g.count[fifos as usize] = u16::try_from(g.local + queued).ok()?;
         let ejection = &self.ejection[to];
+        g.count[0] = 0;
         if let Some(f) = ejection.front() {
-            if f.slot != slot {
+            if f.slot == slot {
+                front = Some((0, f.kind.is_head()));
+                g.count[0] = ejection.len() as u16;
+            } else if !g.shares || f.slot != g.leader {
                 return None;
             }
-            front = Some((0, f.kind.is_head()));
-            behind += ejection.len() as u32;
-            tail = tail.max(behind);
         }
-        g.count[0] = ejection.len() as u16;
         // The last hop forwards every cycle only while the poll hands it
         // a Local credit back every cycle; and a tail-most run must be
         // where the worm's record says.
         if self.routers[to].credits(PortDir::Local) + ejection.len() == 0 || g.local + queued == 0 {
             return None;
         }
-        g.tail = tail - 1;
+        g.tail = tandem(&g.count[..=fifos as usize], 0) - 1;
         (g.front, g.head) = front.unwrap_or((fifos, g.head));
         Some(())
     }
@@ -731,25 +1024,26 @@ impl<M: Carry> MeshNetwork<M> {
         }
         let span = to.0 - from.0;
         let t = u32::try_from(span).unwrap_or(u32::MAX);
+        let cap = self.config.router.input_buffer_flits as u16;
         let mut moved = Moved::default();
         let plan = self.plan.get_mut();
-        for g in &mut plan.all[..plan.len] {
+        for k in 0..plan.len {
+            let g = &plan.all[k];
             debug_assert!(!g.polled, "a glide after a poll in the same cycle");
             assert!(
                 !g.leads(&self.source) || t <= g.queued_now(),
                 "a glide past a leader's last flit leaving its source"
             );
-            if !polled(g.to as usize) {
+            if polled(g.to as usize) {
+                assert!(t <= g.tail, "a glide past the poll of a tail");
+                // One bound behind its leader's flits is not polled.
+                let poll = !g.shares;
+                moved.add(plan.all[k].advance(t, poll, cap));
+            } else {
                 // Nothing moves toward a tile that does not poll.
                 assert!(!g.in_fifos(), "a glide toward a tile that does not poll");
-                continue;
             }
-            assert!(t <= g.tail, "a glide past the poll of a tail");
-            let m = g.advance(t);
-            moved.polled += m.polled;
-            moved.ejected += m.ejected;
-            moved.hops += m.hops;
-            set_bit(&mut self.ejection_pending, g.to as usize, g.count[0] > 0);
+            mark(&mut self.ejection_pending, &plan.all[k]);
         }
         self.resident_flits -= moved.polled;
         self.stats.delivered_flits += moved.ejected;
@@ -761,33 +1055,42 @@ impl<M: Carry> MeshNetwork<M> {
     /// [`MeshNetwork::tick`] of a mesh that holds only gliders and their
     /// followers: each glider moves one conveyor cycle. False, with every
     /// glider written back, when a destination held a flit and was not
-    /// polled this cycle while that message is still in the routers, or
-    /// when a follower would inject its head this cycle: then the mesh is
-    /// ticked.
+    /// polled this cycle while a message bound for it is still in the
+    /// routers, or when a follower would inject its head this cycle: then
+    /// the mesh is ticked.
     pub(super) fn coast(&mut self) -> bool {
-        let source = &self.source;
-        let write_back = self.plan.get_mut().as_slice().iter().any(|g| {
-            let missed = !g.polled && g.count[0] > 0 && g.in_fifos();
+        let (source, plan) = (&self.source, self.plan.get_mut());
+        let write_back = plan.as_slice().iter().any(|g| {
+            // The glider first in line at its destination: its leader,
+            // for one that shares it. A follower first in line already
+            // had its leader's tail polled.
+            let first = if g.shares {
+                &plan.all[plan.bound_for(g.to as usize).unwrap_or(0)]
+            } else {
+                g
+            };
+            let missed = !first.polled && !first.shares && first.count[0] > 0 && g.in_fifos();
             missed || g.until(source) == 0 && g.leads(source)
         });
         if write_back {
             self.settle();
             return false;
         }
+        let cap = self.config.router.input_buffer_flits as u16;
         let mut moved = Moved::default();
         let plan = self.plan.get_mut();
         for g in &mut plan.all[..plan.len] {
+            let poll = !g.shares;
+            g.shares &= g.leader != NO_LEADER;
             if std::mem::take(&mut g.polled) {
                 // The poll took its flit early; the cycle takes it again.
                 g.count[0] += 1;
-            } else if g.count[0] > 0 {
+            } else if poll && g.count[0] > 0 && !g.in_fifos() {
                 // Wholly in a buffer nobody polled: nothing moves.
                 continue;
             }
-            let m = g.advance(1);
-            moved.ejected += m.ejected;
-            moved.hops += m.hops;
-            set_bit(&mut self.ejection_pending, g.to as usize, g.count[0] > 0);
+            moved.add(g.advance(1, poll, cap));
+            mark(&mut self.ejection_pending, g);
         }
         self.stats.delivered_flits += moved.ejected;
         self.glided_hops += moved.hops;
@@ -798,32 +1101,47 @@ impl<M: Carry> MeshNetwork<M> {
     /// glider's and took a flit off its count, or found its buffer
     /// empty; false when the buffers answer it: no glider is bound for
     /// `tile`, or this is its tail's poll (the glider is then written
-    /// back and leaves; every glider is if it leads followers), or the
-    /// second poll in a cycle (every glider is written back).
+    /// back and leaves; every glider is if it leads followers at its
+    /// source, follows a leader, or shares its destination with a
+    /// follower), or the second poll in a cycle (every glider is written
+    /// back).
     pub(super) fn poll_glider(&mut self, tile: usize) -> bool {
         let plan = self.plan.get_mut();
         let Some(k) = plan.bound_for(tile) else {
             return false;
         };
-        let g = &mut plan.all[k];
+        let g = &plan.all[k];
         if g.count[0] == 0 {
             return true;
         }
-        // A second poll in a cycle, or the tail's poll of a leader: its
-        // first follower injects its head on this cycle's tick.
-        if g.polled || g.tail == 0 && g.leads(&self.source) {
+        if g.tail == 0 {
+            // Unless its first follower injects its head on this cycle's
+            // tick, its write-back must come after its leader's, or an
+            // armed drop keeps the Local credit a follower behind it
+            // would take.
+            let drops = self
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.drop_armed.get(&tile) > Some(&0));
+            let dropped_on = drops
+                && plan
+                    .as_slice()
+                    .iter()
+                    .any(|f| f.leader == g.slot && f.shares);
+            let alone = !(g.polled || g.leads(&self.source) || g.leader != NO_LEADER || dropped_on);
+            if alone {
+                self.glide_one(k);
+                self.plan.get_mut().remove(k);
+                return false;
+            }
+        }
+        if g.polled || g.shares || g.tail == 0 {
+            // A second poll in a cycle (one behind a leader's tail
+            // polled on it too), or a tail's that is not alone.
             self.settle();
             return false;
         }
-        if g.tail == 0 {
-            self.glide_one(k);
-            let plan = self.plan.get_mut();
-            plan.len -= 1;
-            if k < plan.len {
-                plan.all.swap(k, plan.len);
-            }
-            return false;
-        }
+        let g = &mut plan.all[k];
         g.polled = true;
         g.count[0] -= 1;
         let emptied = g.count[0] == 0;
@@ -840,35 +1158,56 @@ impl<M: Carry> MeshNetwork<M> {
     /// all). Queued behind a glider still injecting from `tile`, the
     /// message is a *follower*, inert in the source queue until that
     /// glider's last flit has left it, whatever its destination. At an
-    /// empty source queue it starts out as a glider when no message but
-    /// a follower is bound for its destination, its route meets none of
-    /// the gliders', and there is room for one more: the glider is then
-    /// written in place, and [`MeshNetwork::admit`] finishes it.
-    /// Otherwise false, with every glider written back.
+    /// empty source queue (or one that holds only what its glider has
+    /// injected since), it starts out as a glider when there is room for
+    /// one more and either its route meets none of the gliders' and no
+    /// message but a follower is bound for its destination, or it meets
+    /// one glider's only and follows it ([`MeshNetwork::follow_fresh`]):
+    /// the glider is then written in place, and [`MeshNetwork::admit`]
+    /// finishes it. Otherwise false, with every glider written back.
     pub(super) fn admits(&mut self, tile: usize, to: usize, flits: u32) -> bool {
         let gliding = self.plan.get_mut().any();
         if !gliding && (self.resident_flits > 0 || !self.may_glide()) {
             return false;
         }
         let dest = self.routers[to].coord();
-        let admitted = if self.source[tile].flits > 0 {
+        let busy = self.source[tile].flits > 0 && !self.drained(tile);
+        let admitted = if busy {
             let gliders = self.plan.get_mut().as_slice();
             gliders
                 .iter()
                 .any(|g| g.queued > 0 && usize::from(g.route.start) == tile && g.queued_now() > 0)
         } else {
-            self.bound[to] == 0
-                && flits <= u32::from(u16::MAX)
-                && self.routers[to].credits(PortDir::Local) > 0
-                && {
-                    let mut plan = self.plan.borrow_mut();
-                    let len = plan.len;
-                    let (gliders, rest) = plan.all.split_at_mut(len);
-                    rest.first_mut().is_some_and(|fresh| {
-                        self.glider(fresh, 0, tile, LOCAL, dest, 0, true).is_some()
-                            && !gliders.iter().any(|g| fresh.meets(g))
-                    })
-                }
+            flits <= u32::from(u16::MAX) && {
+                let mut plan = self.plan.borrow_mut();
+                let len = plan.len;
+                let (gliders, rest) = plan.all.split_at_mut(len);
+                rest.first_mut().is_some_and(|fresh| {
+                    self.glider(fresh, 0, tile, LOCAL, dest, flits, true)
+                        .is_some()
+                        && {
+                            let m = fresh.fifos;
+                            (fresh.front, fresh.count[m as usize]) = (m, flits as u16);
+                            fresh.tail = m + flits - 1;
+                            let mut near = gliders.iter().filter(|g| near(fresh, g));
+                            // A destination it shares has a leader's polls to
+                            // hand its flits Local credits.
+                            let credit = self.routers[to].credits(PortDir::Local) > 0;
+                            match (near.next(), near.next()) {
+                                (None, _) => self.bound[to] == 0 && credit,
+                                (Some(l), None) if l.to == fresh.to => {
+                                    self.bound[to] == 1 && self.follow_fresh(fresh, l).is_some()
+                                }
+                                (Some(l), None) => {
+                                    self.bound[to] == 0
+                                        && credit
+                                        && self.follow_fresh(fresh, l).is_some()
+                                }
+                                _ => false,
+                            }
+                        }
+                })
+            }
         };
         if gliding && !admitted {
             self.settle();
@@ -877,21 +1216,67 @@ impl<M: Carry> MeshNetwork<M> {
     }
 
     /// Finishes the glider [`MeshNetwork::admits`] wrote for the message
-    /// just queued in `slot`, `flits` long: its route is empty, so its
-    /// tail is polled once it has crossed it and every flit has
+    /// just queued in `slot`: its route is empty (but where it follows),
+    /// so its tail is polled once it has crossed it and every flit has
     /// followed.
-    pub(super) fn admit(&mut self, slot: u32, flits: u32) {
+    pub(super) fn admit(&mut self, slot: u32) {
         let plan = self.plan.get_mut();
         let g = &mut plan.all[plan.len];
         plan.len += 1;
+        plan.followed |= g.leader != NO_LEADER;
+        // A follower's route from the join on is its leader's.
         debug_assert!(
-            g.route.fifos().all(|(t, i, _)| self.routers[t].len(i) == 0),
+            g.leader != NO_LEADER || g.route.fifos().all(|(t, i, _)| self.routers[t].len(i) == 0),
             "an admitted route holds a flit"
         );
-        let m = g.fifos;
-        (g.slot, g.queued, g.front) = (slot, flits, m);
-        g.count[m as usize] = flits as u16;
-        g.tail = m + flits - 1;
+        g.slot = slot;
+    }
+
+    /// True when `tile`'s source queue holds only what a glider has
+    /// injected since its anchor: the queue is then brought up to date
+    /// (the glider's write-back leaves it be), and a message sent there
+    /// starts at an empty queue.
+    fn drained(&mut self, tile: usize) -> bool {
+        let plan = self.plan.get_mut();
+        let source = &mut self.source[tile];
+        let at = |g: &&mut Glider| g.queued > 0 && usize::from(g.route.start) == tile;
+        let Some(g) = plan.all[..plan.len].iter_mut().find(at) else {
+            return false;
+        };
+        if !source.behind.is_empty() || g.queued_now() > 0 {
+            return false;
+        }
+        debug_assert_eq!(
+            source.flits, g.queued as usize,
+            "a source holds more than its glider"
+        );
+        (
+            source.flits,
+            source.front.left,
+            source.front.fresh,
+            g.queued,
+        ) = (0, 0, false, 0);
+        set_bit(&mut self.source_pending, tile, false);
+        true
+    }
+
+    /// Ties `fresh`, a message about to be queued at an empty source whose
+    /// route meets `l`'s or shares its destination, to `l` as its
+    /// follower (see [`follow`]), when `l` is past the join already: its
+    /// head has left the FIFO it joins from, as its counts tell (the
+    /// routers hold the anchor).
+    fn follow_fresh(&self, fresh: &mut Glider, l: &Glider) -> Option<()> {
+        let (xl, xf) = self.shared(l, fresh);
+        // From one source, `l`'s last flit has left the first FIFO too,
+        // and nothing holds `fresh` there.
+        let same = xf == fresh.fifos;
+        if l.front > xl || same && l.count[l.fifos as usize] > 0 {
+            return None;
+        }
+        let wait = u8::try_from(xf + u32::from(!same)).ok()?;
+        fresh.leader = l.slot;
+        (fresh.held, fresh.wait, fresh.shares) = (xl + 1, wait, l.to == fresh.to);
+        follow(fresh, l)
     }
 
     /// Writes every glider into the routers and ends the glide: the mesh
@@ -901,7 +1286,8 @@ impl<M: Carry> MeshNetwork<M> {
         for k in 0..self.plan.get_mut().len {
             self.glide_one(k);
         }
-        self.plan.get_mut().len = 0;
+        let plan = self.plan.get_mut();
+        (plan.len, plan.followed) = (0, false);
     }
 
     /// Writes glider `k` into the routers as it is now: every FIFO,
@@ -910,7 +1296,7 @@ impl<M: Carry> MeshNetwork<M> {
     /// already.
     fn glide_one(&mut self, k: usize) {
         let g = &self.plan.get_mut().all[k];
-        let (slot, to, m, t, dest) = (g.slot, g.to as usize, g.fifos as usize, g.moved, g.dest);
+        let (slot, to, m, dest) = (g.slot, g.to as usize, g.fifos as usize, g.dest);
         if m == 0 {
             // Wholly ejected: polls, none of them the tail's.
             for _ in usize::from(g.count[0])..self.ejection[to].len() {
@@ -921,16 +1307,16 @@ impl<M: Carry> MeshNetwork<M> {
         }
         let route = g.route;
         // What the source still holds, and where the head and the tail
-        // are now (the head moves freely, a position a cycle; one
-        // polled on this cycle has left).
+        // are now (a head polled on this cycle has left).
         let queued = g.queued_now();
         let local = u32::from(g.count[m]) - queued;
         let injected = g.queued - queued;
-        let head = (g.head && g.front >= t)
-            .then(|| (g.front - t) as usize)
+        let head = g
+            .head
+            .then_some(g.front as usize)
             .filter(|&h| h > 0 || !g.polled);
         let tail = (1..=m).rev().find(|&q| g.count[q] > 0).unwrap_or(0);
-        let (lo, ejected) = (g.front.saturating_sub(t) as usize, u32::from(g.count[0]));
+        let (lo, ejected) = (g.front as usize, u32::from(g.count[0]));
         let flit = |q: usize, n: u32, k: u32| FlitHandle {
             slot,
             dest,
@@ -939,8 +1325,9 @@ impl<M: Carry> MeshNetwork<M> {
                 q == tail && k + 1 == n && queued == 0,
             ),
         };
-        // From the first FIFO down to the lowest position a flit can be
-        // at now, then the ejection buffer. Each buffer's credit moves by
+        // From the first FIFO down to its front, then the ejection buffer
+        // (behind a leader's flits there): a follower's leader wrote the
+        // buffers further on. Each buffer's credit moves by
         // what its pops returned and its pushes spent (a source is not
         // credited).
         let port = usize::from(route.port);
@@ -984,10 +1371,11 @@ impl<M: Carry> MeshNetwork<M> {
         if lo == 0 {
             let ejection = &mut self.ejection[to];
             let before = ejection.len() as i32;
-            ejection.clear();
+            ejection.retain(|f| f.slot != slot);
             ejection.extend((0..ejected).map(|k| flit(0, ejected, k)));
-            set_bit(&mut self.ejection_pending, to, ejected > 0);
-            self.routers[to].shift_credits(LOCAL, before - ejected as i32);
+            set_bit(&mut self.ejection_pending, to, !ejection.is_empty());
+            let after = ejection.len() as i32;
+            self.routers[to].shift_credits(LOCAL, before - after);
         }
         if injected > 0 {
             let s = route.start as usize;
@@ -1055,6 +1443,31 @@ impl<M: Carry> MeshNetwork<M> {
         })
     }
 
+    /// The FIFOs on every glider's anchor route (each one's tile and
+    /// input) and their destinations: what the next write-backs write.
+    #[cfg(test)]
+    pub(super) fn glided_buffers(&self) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let plan = self.plan.borrow();
+        let routes = plan.as_slice().iter().filter(|g| g.fifos > 0);
+        let fifos = routes.flat_map(|g| g.route.fifos().map(|(t, i, _)| (t, i)));
+        let dests = plan.as_slice().iter().map(|g| g.to as usize);
+        (fifos.collect(), dests.collect())
+    }
+
+    /// Every follower at a router (see [`MeshNetwork::join`]): its
+    /// destination, whether its head still waits, whether it shares its
+    /// leader's destination, and whether its leader follows another.
+    #[cfg(test)]
+    pub(super) fn ties(&self) -> Vec<(usize, bool, bool, bool)> {
+        let plan = self.plan.borrow();
+        let tied = plan.as_slice().iter().filter(|g| g.leader != NO_LEADER);
+        tied.map(|g| {
+            let chained = plan.leader_of(g).is_some_and(|l| l.leader != NO_LEADER);
+            (g.to as usize, g.held > 0, g.shares, chained)
+        })
+        .collect()
+    }
+
     /// Messages that follow a glider: while the mesh glides, every one
     /// queued behind another.
     #[cfg(test)]
@@ -1078,16 +1491,78 @@ impl<M: Carry> MeshNetwork<M> {
     /// Flits in `tile`'s source queue and ejection buffer, as the
     /// gliders have them now (a follower's are all still queued).
     pub(super) fn glided_depths(&self, tile: usize) -> (usize, usize) {
-        let (mut source, mut ejection) = (self.source[tile].flits, self.ejection[tile].len());
+        let (mut source, mut ejection) = (self.source[tile].flits, None);
         for g in self.plan.borrow().as_slice() {
             if g.to as usize == tile {
-                ejection = usize::from(g.count[0]);
+                *ejection.get_or_insert(0) += usize::from(g.count[0]);
             }
             if g.queued > 0 && usize::from(g.route.start) == tile {
                 source -= (g.queued - g.queued_now()) as usize;
             }
         }
-        (source, ejection)
+        (source, ejection.unwrap_or(self.ejection[tile].len()))
+    }
+}
+
+/// True when `a` and `b` share a FIFO or their destination.
+fn near(a: &Glider, b: &Glider) -> bool {
+    a.to == b.to || a.meets(b)
+}
+
+/// Checks follower `g` against its leader `l`, both read from the
+/// routers, and sets when its tail is polled. `None` unless the leader
+/// waits for nobody, its tail moves a position every cycle once past the
+/// join (no position below it holds two flits), and `g` has not reached
+/// the join. A follower whose leader's tail has passed already waits for
+/// nothing; one bound for its leader's destination is polled only once
+/// the leader is gone, so its tail's cycle is not known before. On
+/// entry `g.held` is the leader's position of the FIFO it joins from
+/// (its *gate*, see [`MeshNetwork::join`]).
+fn follow(g: &mut Glider, l: &Glider) -> Option<()> {
+    let (gate, wait) = (g.held, u32::from(g.wait));
+    let past = gate.min(l.fifos + 1) as usize;
+    if l.held > 0 || l.count[1..past].iter().any(|&n| n > 1) || g.front < wait {
+        return None;
+    }
+    // The cycle the leader's tail leaves the FIFO at its gate on; the
+    // follower's head leaves the one at `wait` no sooner than the next.
+    let gone = tandem(&l.count[..=l.fifos as usize], gate);
+    g.held = gone;
+    g.tail = if g.shares {
+        u32::MAX
+    } else {
+        // Its flits leave that FIFO a cycle apart from its head's, and
+        // none sooner than it would unheld; then the tail runs free.
+        let flits: u32 = g.count.iter().map(|&n| u32::from(n)).sum();
+        let head = (gone + 1).max(g.front - wait + 1);
+        let out = (head + flits - 1).max(tandem(&g.count[..=g.fifos as usize], wait));
+        out + wait - 1
+    };
+    Some(())
+}
+
+/// The cycle on which the last flit at or behind position `from` leaves
+/// it, as a conveyor runs: over the occupied positions `q ≥ from` and the
+/// flits `behind(q)` at or behind each, `max(q − from + behind(q))`; 0
+/// when none is there.
+fn tandem(count: &[u16], from: u32) -> u32 {
+    let mut behind = 0;
+    let mut out = 0;
+    for q in (from as usize..count.len()).rev() {
+        behind += u32::from(count[q]);
+        if count[q] > 0 {
+            out = out.max(q as u32 - from + behind);
+        }
+    }
+    out
+}
+
+/// Sets glider `g`'s destination's ejection-pending bit from its count
+/// there, or only sets it for a follower behind its leader's flits (a
+/// leader comes first in the array).
+fn mark(pending: &mut [u64], g: &Glider) {
+    if !g.shares || g.count[0] > 0 {
+        set_bit(pending, g.to as usize, g.count[0] > 0);
     }
 }
 
@@ -1104,26 +1579,14 @@ fn set_bit(mask: &mut [u64], tile: usize, on: bool) {
 
 /// Runs `t` conveyor cycles over a message's flit counts by position
 /// (`count[0]` the ejection buffer, the last the first FIFO with its
-/// source queue; nothing below `front`): every occupied position passes
-/// one flit to the one below, and position 0 is polled. While a position
-/// below the last holds two or more, cycle by cycle; then in closed
-/// form, since the positions below the last just shift.
-fn advance(count: &mut [u16], front: usize, t: u32) {
+/// source queue; nothing below `front`) where no position below the last
+/// holds two: the positions below the last shift, position 0 is polled,
+/// and the last feeds one a cycle.
+fn shift(count: &mut [u16], front: usize, t: u32) {
     let last = count.len() - 1;
-    let (mut lo, mut left) = (front, t as usize);
-    while left > 0 && count[lo..last].iter().any(|&n| n > 1) {
-        lo = lo.saturating_sub(1);
-        for q in lo..=last {
-            let above = q < last && count[q + 1] > 0;
-            count[q] = count[q] - u16::from(count[q] > 0) + u16::from(above);
-        }
-        left -= 1;
-    }
-    if left == 0 {
-        return;
-    }
+    let left = t as usize;
     let feeding = count[last] as usize;
-    for q in lo.saturating_sub(left)..last {
+    for q in front.saturating_sub(left)..last {
         let p = q + left;
         count[q] = if p < last {
             count[p]

@@ -745,15 +745,22 @@ fn tile_diff(net: &MeshNetwork, old: &RefMesh, t: usize) -> Option<String> {
 /// and the ejection buffer of tile `to` at its end differ from the
 /// oracle's, if any: each FIFO's flits and owner, the credits and
 /// round-robin pointer of the output it forwards through, and the
-/// credits the first one's feeder holds for it. Another glider's route
-/// shares none of these, so they are exact while it still glides.
+/// credits the first one's feeder holds for it. What a live glider's
+/// write-back still writes — a follower's FIFOs past the join, the
+/// output into them, a shared ejection buffer — is left out; the rest
+/// is exact while others glide.
 fn route_diff(
     net: &MeshNetwork,
     old: &RefMesh,
     to: usize,
     fifos: &[(usize, usize, usize)],
 ) -> Option<String> {
+    let (live, dests) = net.glided_buffers();
     for (j, &(t, i, o)) in fifos.iter().enumerate() {
+        let next = fifos.get(j + 1).map(|&(t, i, _)| (t, i));
+        if live.contains(&(t, i)) || next.is_some_and(|f| live.contains(&f)) {
+            continue;
+        }
         let (new, r) = (&net.routers[t], &old.routers[t]);
         if !new.queued(i).eq(old.queued(t, i)) {
             let ours: Vec<_> = new.queued(i).collect();
@@ -781,7 +788,7 @@ fn route_diff(
             }
         }
     }
-    if !net.ejection[to].iter().eq(old.ejection[to].iter()) {
+    if !dests.contains(&to) && !net.ejection[to].iter().eq(old.ejection[to].iter()) {
         return Some(format!(
             "tile {to} ejection {:?} != {:?}",
             net.ejection[to], old.ejection[to]
@@ -850,8 +857,13 @@ struct Pair {
     burst: u64,
     next_id: u64,
     /// Whether sends favour a source queue that holds a message already
-    /// (see [`Pattern::Followers`]).
+    /// (see [`Pattern::Followers`]), or routes that join (see
+    /// [`Pattern::Joins`]); the last destination sent to.
     follow: bool,
+    join: bool,
+    last_to: usize,
+    /// Joined sends still to come: cycle, source, destination, bytes.
+    later: Vec<(u64, usize, usize, usize)>,
     tally: Tally,
 }
 
@@ -860,6 +872,10 @@ struct Pair {
 /// windows that end on a leader's last flit leaving its source, the
 /// write-backs there and by any other trigger while followers waited,
 /// and hints that glide with more followers than a glide takes gliders.
+/// And for [`join_runs_exercise_every_case`], the cycles on which the
+/// mesh glides with a follower at a router, one whose head waits, one
+/// bound for its leader's destination, one whose leader follows
+/// another, and one whose destination is not polled.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tally {
     by_send: u64,
@@ -868,6 +884,11 @@ struct Tally {
     at_exit: u64,
     early: u64,
     many: u64,
+    tied: u64,
+    held: u64,
+    sharing: u64,
+    chained: u64,
+    unpolled: u64,
 }
 
 impl Tally {
@@ -878,18 +899,36 @@ impl Tally {
         self.at_exit += o.at_exit;
         self.early += o.early;
         self.many += o.many;
+        self.tied += o.tied;
+        self.held += o.held;
+        self.sharing += o.sharing;
+        self.chained += o.chained;
+        self.unpolled += o.unpolled;
+    }
+
+    /// Counts the followers at routers of a gliding mesh whose tiles
+    /// `polled` says poll.
+    fn ties(&mut self, net: &MeshNetwork, polled: impl Fn(usize) -> bool) {
+        for (to, held, shares, chained) in net.ties() {
+            self.tied += 1;
+            self.held += u64::from(held);
+            self.sharing += u64::from(shares);
+            self.chained += u64::from(chained);
+            self.unpolled += u64::from(!polled(to));
+        }
     }
 }
 
 impl Pair {
-    /// 3×3 to 8×8, 64- or 128-bit channels, 2–16-flit input buffers;
+    /// 3×3 to 8×8, 64- or 128-bit channels, 2–16-flit input buffers
+    /// (or, when `nic`, a NIC's mesh: 6×6, 64-bit, 8 and 16 flits);
     /// fault windows that end inside the send window (streaming and
     /// gliding wait for the last one), and at most one drop per tile on
     /// a few tiles (fewer than any tile's Local credits).
-    fn new(rng: &mut SimRng) -> Pair {
-        let topology = Topology::mesh(3 + rng.gen_range(6) as u8, 3 + rng.gen_range(6) as u8);
+    fn new(rng: &mut SimRng, nic: bool) -> Pair {
+        let mut topology = Topology::mesh(3 + rng.gen_range(6) as u8, 3 + rng.gen_range(6) as u8);
         let input_buffer_flits = 2 + rng.gen_range(15) as usize;
-        let config = NetworkConfig {
+        let mut config = NetworkConfig {
             topology,
             width_bits: if rng.gen_range(2) == 0 { 64 } else { 128 },
             router: RouterConfig {
@@ -897,6 +936,10 @@ impl Pair {
                 ejection_buffer_flits: 2 + rng.gen_range(2 * input_buffer_flits as u64) as usize,
             },
         };
+        if nic {
+            config = NetworkConfig::panic_6x6_64b();
+            topology = config.topology;
+        }
         let mut net = MeshNetwork::new(config, Placement::row_major(topology));
         let mut old = RefMesh::beside(&net);
         let tiles = topology.nodes() as u64;
@@ -938,6 +981,9 @@ impl Pair {
             burst: 1,
             next_id: 0,
             follow: false,
+            join: false,
+            last_to: 0,
+            later: Vec::new(),
             tally: Tally::default(),
         }
     }
@@ -950,6 +996,10 @@ impl Pair {
     fn send(&mut self, rng: &mut SimRng, now: Cycle) {
         if now.0 >= self.send_window {
             return;
+        }
+        while let Some(k) = self.later.iter().position(|s| s.0 <= now.0) {
+            let (_, from, to, bytes) = self.later.swap_remove(k);
+            self.send_to(from, to, bytes, now);
         }
         let tiles = self.tiles() as u64;
         while rng.gen_range(1000) < self.load {
@@ -964,6 +1014,9 @@ impl Pair {
     /// those to that message's destination, and one send in sixteen is
     /// nine to twelve messages from one source.
     fn send_one(&mut self, rng: &mut SimRng, now: Cycle, tiles: u64) {
+        if self.join {
+            return self.send_joined(rng, now);
+        }
         let (mut from, mut to) = (rng.gen_range(tiles) as usize, rng.gen_range(tiles) as usize);
         let mut repeat = 1;
         if self.follow {
@@ -984,17 +1037,76 @@ impl Pair {
             if k > 0 {
                 to = rng.gen_range(tiles) as usize;
             }
-            let payload: Vec<u8> = (0..rng.gen_range(300)).map(|k| k as u8).collect();
-            let msg = Message::builder(MessageId(self.next_id), MessageKind::EthernetFrame)
-                .payload(Bytes::from(payload))
-                .build();
-            self.next_id += 1;
-            let (gliding, followers) = (self.gliding(), self.net.followers());
-            let (e, d) = (EngineId(from as u16), EngineId(to as u16));
-            self.old.send(e, d, msg.clone(), now);
-            self.net.send(e, d, msg, now);
-            self.tally.by_send += u64::from(self.gliding() && self.net.followers() > followers);
-            self.check_write_back(gliding, now, "a write-back at a send");
+            self.send_to(from, to, rng.gen_range(300) as usize, now);
+        }
+    }
+
+    /// One message of `bytes` bytes from tile `from` to tile `to`, to
+    /// both meshes.
+    fn send_to(&mut self, from: usize, to: usize, bytes: usize, now: Cycle) {
+        let payload: Vec<u8> = (0..bytes).map(|k| k as u8).collect();
+        let msg = Message::builder(MessageId(self.next_id), MessageKind::EthernetFrame)
+            .payload(Bytes::from(payload))
+            .build();
+        self.next_id += 1;
+        self.last_to = to;
+        let (gliding, followers) = (self.gliding(), self.net.followers());
+        let (e, d) = (EngineId(from as u16), EngineId(to as u16));
+        self.old.send(e, d, msg.clone(), now);
+        self.net.send(e, d, msg, now);
+        self.tally.by_send += u64::from(self.gliding() && self.net.followers() > followers);
+        self.check_write_back(gliding, now, "a write-back at a send");
+    }
+
+    /// Messages whose routes join (see [`Pattern::Joins`]): one send in
+    /// four is `chain_gap`'s pair on a mesh 6 wide — (1,2) to (0,3) and
+    /// (5,2) to (0,0), 9–11 flits each, which join at (1,2)'s West
+    /// output; one is a message for the last destination sent to, which
+    /// may still hold the one before; the rest are two or three messages
+    /// from one row, each source further from a column than the last,
+    /// all bound past it to that column (each route joins the one ahead
+    /// at a random router), to one tile or several, each sent up to 15
+    /// cycles after the one before.
+    fn send_joined(&mut self, rng: &mut SimRng, now: Cycle) {
+        let w = u64::from(self.topology.width());
+        let h = self.topology.nodes() as u64 / w;
+        let topology = self.topology;
+        let at = |x: u64, y: u64| topology.index(Coord::new(x as u8, y as u8));
+        let chain_gap = w >= 6 && h >= 4;
+        match rng.gen_range(4) {
+            0 if chain_gap => {
+                for (from, to) in [(at(1, 2), at(0, 3)), (at(5, 2), at(0, 0))] {
+                    self.send_to(from, to, 56 + rng.gen_range(24) as usize, now);
+                }
+            }
+            1 => {
+                let from = rng.gen_range(w * h) as usize;
+                self.send_to(from, self.last_to, rng.gen_range(200) as usize, now);
+            }
+            _ => {
+                let (row, col) = (rng.gen_range(h), rng.gen_range(w));
+                let east = col + 1 < w && (col == 0 || rng.gen_range(2) == 0);
+                let room = if east { w - 1 - col } else { col };
+                let shared = rng.gen_range(2) == 0;
+                let to = at(col, rng.gen_range(h));
+                let (mut x, mut at_cycle) = (col, now.0);
+                for _ in 0..(2 + rng.gen_range(2)).min(room) {
+                    let step = 1 + rng.gen_range(2);
+                    x = if east {
+                        (x + step).min(w - 1)
+                    } else {
+                        x.saturating_sub(step)
+                    };
+                    let dest = if shared {
+                        to
+                    } else {
+                        at(col, rng.gen_range(h))
+                    };
+                    let bytes = 40 + rng.gen_range(120) as usize;
+                    self.later.push((at_cycle, at(x, row), dest, bytes));
+                    at_cycle += rng.gen_range(16);
+                }
+            }
         }
     }
 
@@ -1104,7 +1216,7 @@ impl Pair {
 /// One lock-step run; returns the flit-hops the mesh streamed.
 fn lockstep(seed: u64) -> u64 {
     let mut rng = SimRng::new(seed);
-    let mut pair = Pair::new(&mut rng);
+    let mut pair = Pair::new(&mut rng, false);
     // A receiver that polls each tile on some cycles only, so ejection
     // buffers fill and Local credits run out.
     let poll = 3 + rng.gen_range(8);
@@ -1144,6 +1256,10 @@ enum Pattern {
     /// followers than a glide takes gliders; half the windows are taken
     /// whole, so many end on a leader's last flit leaving its source.
     Followers,
+    /// The NIC's pattern with sends whose routes join at a router or a
+    /// destination (see [`Pair::send_joined`]), half the runs on a NIC's
+    /// 6×6 mesh; half the windows are taken whole.
+    Joins,
 }
 
 /// One glide run; returns the flit-hops the mesh glided, and what its
@@ -1167,7 +1283,8 @@ enum Pattern {
 /// poll may deliver: a tail polled there is a late hint.
 fn glide_lockstep(seed: u64, pattern: Pattern) -> (u64, Tally) {
     let mut rng = SimRng::new(seed);
-    let mut pair = Pair::new(&mut rng);
+    let nic_mesh = pattern == Pattern::Joins && seed.is_multiple_of(2);
+    let mut pair = Pair::new(&mut rng, nic_mesh);
     if rng.gen_range(4) != 0 {
         pair.load = 5 + rng.gen_range(45);
         pair.burst = 1 + rng.gen_range(3);
@@ -1175,6 +1292,7 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> (u64, Tally) {
     }
     let nic = pattern != Pattern::Windows;
     pair.follow = pattern == Pattern::Followers;
+    pair.join = pattern == Pattern::Joins;
     let mut mask = vec![false; pair.tiles()];
     let mut remask_at = Cycle(0);
     let mut now = Cycle(0);
@@ -1183,7 +1301,9 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> (u64, Tally) {
             // Mostly polled: a tile that is not stops every glide toward
             // it, and a glide past one that is sits idle there.
             mask.iter_mut().for_each(|m| *m = rng.gen_range(4) != 0);
-            let hold = if nic {
+            let hold = if pair.join {
+                5 + rng.gen_range(20)
+            } else if nic {
                 5 + rng.gen_range(60)
             } else {
                 50 + rng.gen_range(300)
@@ -1221,10 +1341,11 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> (u64, Tally) {
             pair.tally.by_plan += 1;
         }
         pair.tally.many += u64::from(pair.net.followers() > MAX_GLIDERS);
+        pair.tally.ties(&pair.net, polled);
         let to = match hint {
             // A forced step: the window is not taken at all.
             Some(_) if nic && rng.gen_range(4) == 0 => next,
-            Some(hint) if pair.follow && rng.gen_range(2) == 0 => hint,
+            Some(hint) if (pair.follow || pair.join) && rng.gen_range(2) == 0 => hint,
             Some(hint) => Cycle(next.0 + rng.gen_range(hint.0 - now.0)),
             None if pair.net.is_quiescent() && rng.gen_range(4) != 0 => next,
             None => Cycle(next.0 + rng.gen_range(65)),
@@ -1325,6 +1446,17 @@ proptest! {
     fn followers_wait_inert_under_a_nics_pattern(seed in any::<u64>()) {
         glide_lockstep(seed, Pattern::Followers);
     }
+
+    /// The same with routes that join: a message whose head reaches a
+    /// router whose output another holds, or a destination another is
+    /// bound for, follows it, its head held until the leader's tail has
+    /// passed and its flits bunched behind, and is polled only after the
+    /// leader's tail; chains of three, and destinations that stop
+    /// polling mid-window.
+    #[test]
+    fn followers_join_at_routers_under_a_nics_pattern(seed in any::<u64>()) {
+        glide_lockstep(seed, Pattern::Joins);
+    }
 }
 
 /// The lock-step runs above are only worth something if worms do
@@ -1350,6 +1482,31 @@ fn glide_runs_exercise_gliding() {
     }
 }
 
+/// And the join runs: over sixteen seeds, the mesh glides with followers
+/// at routers, whose heads wait, that share their leader's destination,
+/// whose leader follows another, and whose destination does not poll.
+#[test]
+fn join_runs_exercise_every_case() {
+    let mut tally = Tally::default();
+    for seed in 0..16u64 {
+        tally.add(glide_lockstep(seed, Pattern::Joins).1);
+    }
+    let Tally {
+        tied,
+        held,
+        sharing,
+        chained,
+        unpolled,
+        ..
+    } = tally;
+    assert!(
+        [tied, held, sharing, chained, unpolled]
+            .iter()
+            .all(|&n| n > 0),
+        "{tally:?}"
+    );
+}
+
 /// And the follower runs: over sixteen seeds, every case of the
 /// follower rules happens.
 #[test]
@@ -1365,6 +1522,7 @@ fn follower_runs_exercise_every_case() {
         at_exit,
         early,
         many,
+        ..
     } = tally;
     assert!(
         [by_send, by_plan, exit_windows, at_exit, early, many]

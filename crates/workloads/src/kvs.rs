@@ -163,13 +163,18 @@ impl KvsWorkload {
     /// Deterministic value bytes for a key (verifiable end to end).
     #[must_use]
     pub fn value_for(key: u64, len: usize) -> Bytes {
-        let mut v = Vec::with_capacity(len);
-        let mut x = key ^ 0x0a1_0000 ^ 0x5555_5555;
-        for _ in 0..len {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            v.push((x >> 56) as u8);
+        let mut v = vec![0; len];
+        for (b, x) in v.iter_mut().zip(value_bytes(key)) {
+            *b = x;
         }
         Bytes::from(v)
+    }
+
+    /// True when `value` is [`KvsWorkload::value_for`]`(key,
+    /// value.len())`, checked without building it.
+    #[must_use]
+    pub fn value_matches(key: u64, value: &[u8]) -> bool {
+        value.iter().zip(value_bytes(key)).all(|(&a, b)| a == b)
     }
 
     /// Fast-forward hint: how many ticks from now until the next
@@ -248,6 +253,15 @@ impl KvsWorkload {
         }
         events
     }
+}
+
+/// The value bytes of `key`, one per step of an LCG (its top byte).
+fn value_bytes(key: u64) -> impl Iterator<Item = u8> {
+    let mut x = key ^ 0x0a1_0000 ^ 0x5555_5555;
+    std::iter::repeat_with(move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (x >> 56) as u8
+    })
 }
 
 #[cfg(test)]
@@ -375,6 +389,22 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 64);
+    }
+
+    #[test]
+    fn value_matches_agrees_with_value_for() {
+        for len in 0..=1500 {
+            let key = 7 + len as u64;
+            let mut v = KvsWorkload::value_for(key, len).to_vec();
+            assert!(KvsWorkload::value_matches(key, &v), "length {len}");
+            if len > 0 {
+                v[len / 2] ^= 1;
+                assert!(
+                    !KvsWorkload::value_matches(key, &v),
+                    "a flip at length {len}"
+                );
+            }
+        }
     }
 
     #[test]
