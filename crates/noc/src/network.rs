@@ -394,9 +394,6 @@ pub struct MeshNetwork<M = Message> {
     /// without a tick.
     glided_hops: u64,
     glided_cycles: u64,
-    /// Heads a router plan moved on (a plan refused while one waited may
-    /// succeed once it has).
-    heads: u64,
     /// The messages in clear transit, while every live message is one:
     /// planned by [`MeshNetwork::next_activity`] or
     /// [`MeshNetwork::glide`], kept until each one's tail is polled
@@ -511,7 +508,6 @@ impl<M: Carry> MeshNetwork<M> {
             streamed: 0,
             glided_hops: 0,
             glided_cycles: 0,
-            heads: 0,
             plan: RefCell::new(glide::Gliders::NONE),
             stats: NetworkStats::new(),
             tracer: Tracer::disabled(),
@@ -984,7 +980,6 @@ impl<M: Carry> MeshNetwork<M> {
                     let (flit, emptied) = self.routers[tile].pop(i);
                     self.vacate(tile, i);
                     self.wake_back(tile, i);
-                    self.heads += u64::from(flit.kind.is_head());
                     if flit.kind == FlitKind::Head {
                         // The flits behind it now follow an open
                         // wormhole.

@@ -59,16 +59,17 @@
 //! the leader's counts, its flits bunching behind it, then it glides a
 //! position behind the leader's tail, which runs free from there. Bound
 //! for the leader's destination, it is polled only once the leader's
-//! tail has been. A leader comes before its followers in the array, so
+//! tail has been. A leader comes before its follower in the array, so
 //! their write-backs and polls come in that order. A plan ties every
 //! two gliders whose routes meet this way, or refuses: both past the
-//! join, neither, a leader that itself waits, one that may still be
-//! caught. A send at an empty source queue may also start out tied to
-//! the one glider it meets.
+//! join, neither, one that may still be caught, or a glider near two
+//! others (a chain of followers is ticked). A send at an empty source
+//! queue may also start out tied to the one glider it meets, if that
+//! one is in no tie yet.
 //!
 //! The routers are written once a message, by `glide_one`:
 //!
-//! * at the poll of its tail — that glider alone (its followers' ties
+//! * at the poll of its tail — that glider alone (its follower's tie
 //!   cut), and the poll then delivers from the buffers as a stepped
 //!   run's would; unless it follows a leader, or an armed ejection drop
 //!   would keep the Local credit a follower behind it takes;
@@ -383,6 +384,28 @@ impl Glider {
         };
         let (flits, distance) = tally(&self.count[..=m]);
         let ejected = u64::from(self.count[0]);
+        if self.held == 0 && self.shifts(poll, cap) {
+            shift(&mut self.count[..=m], self.front as usize, t);
+            self.head &= self.front >= t;
+            self.front = self.front.saturating_sub(t);
+        } else {
+            self.hold(t, poll, cap);
+        }
+        let (flits_after, distance_after) = tally(&self.count[..=m]);
+        self.tail -= t;
+        Moved {
+            polled: flits - flits_after,
+            ejected: (flits - ejected) - (flits_after - u64::from(self.count[0])),
+            hops: distance - distance_after,
+        }
+    }
+
+    /// [`Glider::advance`]'s cycles while its head is held or its flits
+    /// bunch: stepped until they shift. Out of line, so that the common
+    /// case, one shift, stays small.
+    #[inline(never)]
+    fn hold(&mut self, t: u32, poll: bool, cap: u16) {
+        let m = self.fifos as usize;
         let (mut left, wait) = (t, u32::from(self.wait));
         while left > 0 {
             // Held, its head does not leave the FIFO where it waits; it
@@ -404,13 +427,6 @@ impl Glider {
             };
             self.held = self.held.saturating_sub(k);
             left -= k;
-        }
-        let (flits_after, distance_after) = tally(&self.count[..=m]);
-        self.tail -= t;
-        Moved {
-            polled: flits - flits_after,
-            ejected: (flits - ejected) - (flits_after - u64::from(self.count[0])),
-            hops: distance - distance_after,
         }
     }
 
@@ -465,15 +481,16 @@ impl Glider {
 /// allocates nothing: empty unless every live message is one.
 #[derive(Debug)]
 pub(super) struct Gliders {
-    /// The messages sent, the slab slots free and the heads moved on
-    /// when a plan last failed: until a message is sent or delivered or
-    /// a head wins an output (a waiting follower's among them),
-    /// contention that stopped one plan is taken to stop the next, and
-    /// none is tried.
-    refused: Option<[u64; 3]>,
+    /// The messages sent and the slab slots free when a plan last
+    /// failed: until a message is sent or delivered, contention that
+    /// stopped one plan is taken to stop the next, and none is tried.
+    refused: Option<[u64; 2]>,
     /// Whether a glider was tied to a leader since the array was last
     /// empty.
     followed: bool,
+    /// Plans refused because a glider was near two others.
+    #[cfg(test)]
+    chains: u64,
     len: usize,
     all: [Glider; MAX_GLIDERS],
 }
@@ -495,6 +512,8 @@ impl Gliders {
     pub(super) const NONE: Gliders = Gliders {
         refused: None,
         followed: false,
+        #[cfg(test)]
+        chains: 0,
         len: 0,
         all: [Glider::NONE; MAX_GLIDERS],
     };
@@ -508,8 +527,8 @@ impl Gliders {
         self.len > 0
     }
 
-    /// True when a plan failed and no message was sent or delivered and
-    /// no head won an output since.
+    /// True when a plan failed and no message was sent or delivered
+    /// since.
     fn refused_now<M: Carry>(&self, net: &MeshNetwork<M>) -> bool {
         self.refused == Some(net.messages_key())
     }
@@ -545,38 +564,13 @@ impl Gliders {
     }
 
     /// The glider bound for `tile` whose flits come first there, if any:
-    /// a leader is ahead of its followers in the array.
+    /// a leader is ahead of its follower in the array.
     fn bound_for(&self, tile: usize) -> Option<usize> {
         self.as_slice().iter().position(|g| g.to as usize == tile)
     }
 
-    /// Whether `a` leads `b` through a chain of followers (`None` when
-    /// it does, toward `b`'s destination, but not every link in between
-    /// shares that destination).
-    fn chain(&self, a: &Glider, b: &Glider) -> Option<bool> {
-        let (mut g, mut shared) = (b, true);
-        for _ in 0..self.len {
-            shared &= g.shares;
-            let Some(l) = self.leader_of(g) else {
-                return Some(false);
-            };
-            if l.slot == a.slot {
-                return (a.to != b.to || shared).then_some(true);
-            }
-            g = l;
-        }
-        None
-    }
-
-    /// The live glider `g` follows, if any.
-    fn leader_of(&self, g: &Glider) -> Option<&Glider> {
-        (g.leader != NO_LEADER)
-            .then(|| self.as_slice().iter().find(|l| l.slot == g.leader))
-            .flatten()
-    }
-
     /// Takes glider `k` out of the array at its tail's poll, its
-    /// followers' ties with it cut, the rest in their order.
+    /// follower's tie with it cut, the rest in their order.
     fn remove(&mut self, k: usize) {
         let slot = self.all[k].slot;
         let ties = if self.followed { self.len } else { 0 };
@@ -596,6 +590,9 @@ impl Gliders {
         }
         self.len -= 1;
         self.followed &= self.len > 0;
+        if k == self.len {
+            return;
+        }
         // The last one takes its place unless it would come before its
         // leader.
         let leader = self.all[self.len].leader;
@@ -615,7 +612,7 @@ impl<M: Carry> MeshNetwork<M> {
     /// True when the mesh holds a flit and, as one look at its counters
     /// tells, will not glide: it may not glide at all, it holds more
     /// worms than a glide considers, or no message was sent or delivered
-    /// and no head won an output since a plan last failed. Then
+    /// since a plan last failed. Then
     /// [`MeshNetwork::next_activity`] is the next cycle, whatever the
     /// caller polls.
     #[must_use]
@@ -628,15 +625,10 @@ impl<M: Carry> MeshNetwork<M> {
         !self.may_glide() || self.waiting.len() + self.segs.len() > MAX_GLIDERS
     }
 
-    /// Messages sent, slab slots free, and heads that won an output: the
-    /// first grows with every send, the second with every delivery in
-    /// between, the third with every head a router plan moves on.
-    fn messages_key(&self) -> [u64; 3] {
-        [
-            self.stats.injected_messages,
-            self.free_slots.len() as u64,
-            self.heads,
-        ]
+    /// Messages sent, and slab slots free: the one grows with every
+    /// send, the other with every delivery in between.
+    fn messages_key(&self) -> [u64; 2] {
+        [self.stats.injected_messages, self.free_slots.len() as u64]
     }
 
     /// False for a traced mesh, one with a slow link or credit hold
@@ -746,78 +738,49 @@ impl<M: Carry> MeshNetwork<M> {
             }
             let l = read.iter().find(|l| l.slot == g.leader)?;
             follow(g, l)?;
-            if l.leader == NO_LEADER {
-                continue;
-            }
-            // Another message ahead of it on its route (its leader's
-            // leader, and so on) must be wholly past where they join and
-            // run free: its tail is beyond the follower's reach.
-            for a in read.iter().filter(|a| a.slot != g.leader && near(a, g)) {
-                let (ahead, gate, _) = self.join(a, g)?;
-                let past = u32::from(gate) > a.fifos;
-                if !ahead || !past || a.count[1..=a.fifos as usize].iter().any(|&n| n > 1) {
-                    return None;
-                }
-            }
         }
         out.refused = None;
         Some(())
     }
 
     /// Ties every two gliders whose routes meet or that share a
-    /// destination as a leader and its follower (see [`MeshNetwork::join`]):
-    /// a follower follows the one ahead whose route it joins first, and
-    /// the others ahead must lead that one, a chain bound for one tile
-    /// all the way if the follower shares their destination. Then puts
-    /// each leader ahead of its followers in the array. `None` when two
-    /// are not such a pair, or their chain is not one.
+    /// destination as a leader and its follower (see [`MeshNetwork::join`]),
+    /// the leader put ahead in the array. `None` when two are not such a
+    /// pair, or a glider is near two others: a chain of followers is
+    /// ticked.
     fn tie(&self, out: &mut Gliders) -> Option<()> {
-        let (len, mut pairs, mut ties) = (out.len, 0, 0);
-        for k in 0..len {
-            for l in k + 1..len {
+        let mut tied = 0u32;
+        for k in 0..out.len {
+            for l in k + 1..out.len {
                 let (a, b) = (&out.all[k], &out.all[l]);
                 if !near(a, b) {
                     continue;
                 }
+                if tied & (1 << k | 1 << l) != 0 {
+                    #[cfg(test)]
+                    {
+                        out.chains += 1;
+                    }
+                    return None;
+                }
+                tied |= 1 << k | 1 << l;
                 let (a_leads, gate, wait) = self.join(a, b)?;
                 let (f, leader) = if a_leads { (l, a.slot) } else { (k, b.slot) };
                 let shares = a.to == b.to;
-                let g = &mut out.all[f];
-                pairs += 1;
-                if g.leader == NO_LEADER {
-                    ties += 1;
-                } else if wait <= g.wait {
-                    continue;
-                }
+                out.followed = true;
                 // Until `follow` reckons its hold: the leader's position
                 // of the FIFO it joins from.
+                let g = &mut out.all[f];
                 (g.leader, g.held, g.wait, g.shares) = (leader, u32::from(gate), wait, shares);
             }
         }
-        if ties == 0 {
-            return Some(());
-        }
-        out.followed = true;
-        // Every pair is a leader and its follower, unless one follower
-        // had two to choose from.
-        for k in (0..len).filter(|_| pairs > ties) {
-            for l in k + 1..len {
-                let (a, b) = (&out.all[k], &out.all[l]);
-                if near(a, b) && !out.chain(a, b)? && !out.chain(b, a)? {
-                    return None;
-                }
-            }
-        }
-        let (mut k, mut moves) = (0, 0);
-        while k < len {
+        for k in (0..out.len).filter(|_| out.followed) {
             let leader = out.all[k].leader;
-            match out.all[k + 1..len].iter().position(|l| l.slot == leader) {
-                Some(d) if moves < len * len => {
-                    out.all[k..=k + 1 + d].rotate_right(1);
-                    moves += 1;
-                }
-                Some(_) => return None,
-                None => k += 1,
+            if let Some(d) = out.all[k + 1..out.len]
+                .iter()
+                .position(|l| l.slot == leader)
+            {
+                out.all.swap(k, k + 1 + d);
             }
         }
         Some(())
@@ -1027,8 +990,7 @@ impl<M: Carry> MeshNetwork<M> {
         let cap = self.config.router.input_buffer_flits as u16;
         let mut moved = Moved::default();
         let plan = self.plan.get_mut();
-        for k in 0..plan.len {
-            let g = &plan.all[k];
+        for g in &mut plan.all[..plan.len] {
             debug_assert!(!g.polled, "a glide after a poll in the same cycle");
             assert!(
                 !g.leads(&self.source) || t <= g.queued_now(),
@@ -1038,12 +1000,12 @@ impl<M: Carry> MeshNetwork<M> {
                 assert!(t <= g.tail, "a glide past the poll of a tail");
                 // One bound behind its leader's flits is not polled.
                 let poll = !g.shares;
-                moved.add(plan.all[k].advance(t, poll, cap));
+                moved.add(g.advance(t, poll, cap));
             } else {
                 // Nothing moves toward a tile that does not poll.
                 assert!(!g.in_fifos(), "a glide toward a tile that does not poll");
             }
-            mark(&mut self.ejection_pending, &plan.all[k]);
+            mark(&mut self.ejection_pending, g);
         }
         self.resident_flits -= moved.polled;
         self.stats.delivered_flits += moved.ejected;
@@ -1195,6 +1157,7 @@ impl<M: Carry> MeshNetwork<M> {
                             let credit = self.routers[to].credits(PortDir::Local) > 0;
                             match (near.next(), near.next()) {
                                 (None, _) => self.bound[to] == 0 && credit,
+                                (Some(l), None) if tied(gliders, l) => false,
                                 (Some(l), None) if l.to == fresh.to => {
                                     self.bound[to] == 1 && self.follow_fresh(fresh, l).is_some()
                                 }
@@ -1444,28 +1407,31 @@ impl<M: Carry> MeshNetwork<M> {
     }
 
     /// The FIFOs on every glider's anchor route (each one's tile and
-    /// input) and their destinations: what the next write-backs write.
+    /// input) and the gliders' slots: what the next write-backs write.
     #[cfg(test)]
-    pub(super) fn glided_buffers(&self) -> (Vec<(usize, usize)>, Vec<usize>) {
+    pub(super) fn glided_buffers(&self) -> (Vec<(usize, usize)>, Vec<u32>) {
         let plan = self.plan.borrow();
         let routes = plan.as_slice().iter().filter(|g| g.fifos > 0);
         let fifos = routes.flat_map(|g| g.route.fifos().map(|(t, i, _)| (t, i)));
-        let dests = plan.as_slice().iter().map(|g| g.to as usize);
-        (fifos.collect(), dests.collect())
+        let slots = plan.as_slice().iter().map(|g| g.slot);
+        (fifos.collect(), slots.collect())
     }
 
     /// Every follower at a router (see [`MeshNetwork::join`]): its
-    /// destination, whether its head still waits, whether it shares its
-    /// leader's destination, and whether its leader follows another.
+    /// destination, whether its head still waits, and whether it shares
+    /// its leader's destination.
     #[cfg(test)]
-    pub(super) fn ties(&self) -> Vec<(usize, bool, bool, bool)> {
+    pub(super) fn ties(&self) -> Vec<(usize, bool, bool)> {
         let plan = self.plan.borrow();
         let tied = plan.as_slice().iter().filter(|g| g.leader != NO_LEADER);
-        tied.map(|g| {
-            let chained = plan.leader_of(g).is_some_and(|l| l.leader != NO_LEADER);
-            (g.to as usize, g.held > 0, g.shares, chained)
-        })
-        .collect()
+        tied.map(|g| (g.to as usize, g.held > 0, g.shares))
+            .collect()
+    }
+
+    /// Plans refused so far because a glider was near two others.
+    #[cfg(test)]
+    pub(super) fn chains_refused(&self) -> u64 {
+        self.plan.borrow().chains
     }
 
     /// Messages that follow a glider: while the mesh glides, every one
@@ -1509,19 +1475,24 @@ fn near(a: &Glider, b: &Glider) -> bool {
     a.to == b.to || a.meets(b)
 }
 
+/// True when `g` leads one of `gliders` or follows one.
+fn tied(gliders: &[Glider], g: &Glider) -> bool {
+    g.leader != NO_LEADER || gliders.iter().any(|f| f.leader == g.slot)
+}
+
 /// Checks follower `g` against its leader `l`, both read from the
-/// routers, and sets when its tail is polled. `None` unless the leader
-/// waits for nobody, its tail moves a position every cycle once past the
-/// join (no position below it holds two flits), and `g` has not reached
-/// the join. A follower whose leader's tail has passed already waits for
-/// nothing; one bound for its leader's destination is polled only once
-/// the leader is gone, so its tail's cycle is not known before. On
+/// routers, and sets when its tail is polled. `None` unless the leader's
+/// tail moves a position every cycle once past the join (no position
+/// below it holds two flits), and `g` has not reached the join. A
+/// follower whose leader's tail has passed already waits for nothing;
+/// one bound for its leader's destination is polled only once the
+/// leader is gone, so its tail's cycle is not known before. On
 /// entry `g.held` is the leader's position of the FIFO it joins from
 /// (its *gate*, see [`MeshNetwork::join`]).
 fn follow(g: &mut Glider, l: &Glider) -> Option<()> {
     let (gate, wait) = (g.held, u32::from(g.wait));
     let past = gate.min(l.fifos + 1) as usize;
-    if l.held > 0 || l.count[1..past].iter().any(|&n| n > 1) || g.front < wait {
+    if l.count[1..past].iter().any(|&n| n > 1) || g.front < wait {
         return None;
     }
     // The cycle the leader's tail leaves the FIFO at its gate on; the

@@ -745,20 +745,20 @@ fn tile_diff(net: &MeshNetwork, old: &RefMesh, t: usize) -> Option<String> {
 /// and the ejection buffer of tile `to` at its end differ from the
 /// oracle's, if any: each FIFO's flits and owner, the credits and
 /// round-robin pointer of the output it forwards through, and the
-/// credits the first one's feeder holds for it. What a live glider's
-/// write-back still writes — a follower's FIFOs past the join, the
-/// output into them, a shared ejection buffer — is left out; the rest
-/// is exact while others glide.
+/// credits the first one's feeder holds for it. What a live follower's
+/// write-back still writes is left out: its FIFOs from where it joins
+/// this route on, the credits and round-robin pointer of the output
+/// into the first of them, and its flits behind these in the ejection
+/// buffer. The rest is exact while others glide.
 fn route_diff(
     net: &MeshNetwork,
     old: &RefMesh,
     to: usize,
     fifos: &[(usize, usize, usize)],
 ) -> Option<String> {
-    let (live, dests) = net.glided_buffers();
+    let (live, slots) = net.glided_buffers();
     for (j, &(t, i, o)) in fifos.iter().enumerate() {
-        let next = fifos.get(j + 1).map(|&(t, i, _)| (t, i));
-        if live.contains(&(t, i)) || next.is_some_and(|f| live.contains(&f)) {
+        if live.contains(&(t, i)) {
             continue;
         }
         let (new, r) = (&net.routers[t], &old.routers[t]);
@@ -767,8 +767,15 @@ fn route_diff(
             let theirs: Vec<_> = old.queued(t, i).collect();
             return Some(format!("tile {t} input {i}: {ours:?} != {theirs:?}"));
         }
-        let ours = (new.in_route(i), new.credits(PortDir::ALL[o]), new.rr(o));
-        let theirs = (r.in_route[i], usize::from(r.credit[o]), r.rr[o]);
+        let joined = fifos
+            .get(j + 1)
+            .is_some_and(|&(t, i, _)| live.contains(&(t, i)));
+        let output = |credit: usize, rr: u8| (!joined).then_some((credit, rr));
+        let ours = (
+            new.in_route(i),
+            output(new.credits(PortDir::ALL[o]), new.rr(o)),
+        );
+        let theirs = (r.in_route[i], output(usize::from(r.credit[o]), r.rr[o]));
         if ours != theirs {
             return Some(format!(
                 "tile {t} input {i} output {o} (owner, credit, rr): {ours:?} != {theirs:?}"
@@ -788,7 +795,10 @@ fn route_diff(
             }
         }
     }
-    if !dests.contains(&to) && !net.ejection[to].iter().eq(old.ejection[to].iter()) {
+    let settled = |f: &&FlitHandle| !slots.contains(&f.slot);
+    let ejected =
+        |buffer: &VecDeque<FlitHandle>| buffer.iter().filter(settled).copied().collect::<Vec<_>>();
+    if ejected(&net.ejection[to]) != ejected(&old.ejection[to]) {
         return Some(format!(
             "tile {to} ejection {:?} != {:?}",
             net.ejection[to], old.ejection[to]
@@ -874,8 +884,8 @@ struct Pair {
 /// and hints that glide with more followers than a glide takes gliders.
 /// And for [`join_runs_exercise_every_case`], the cycles on which the
 /// mesh glides with a follower at a router, one whose head waits, one
-/// bound for its leader's destination, one whose leader follows
-/// another, and one whose destination is not polled.
+/// bound for its leader's destination, and one whose destination is not
+/// polled; and the plans refused because a glider was near two others.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tally {
     by_send: u64,
@@ -887,8 +897,8 @@ struct Tally {
     tied: u64,
     held: u64,
     sharing: u64,
-    chained: u64,
     unpolled: u64,
+    chains: u64,
 }
 
 impl Tally {
@@ -902,18 +912,17 @@ impl Tally {
         self.tied += o.tied;
         self.held += o.held;
         self.sharing += o.sharing;
-        self.chained += o.chained;
         self.unpolled += o.unpolled;
+        self.chains += o.chains;
     }
 
     /// Counts the followers at routers of a gliding mesh whose tiles
     /// `polled` says poll.
     fn ties(&mut self, net: &MeshNetwork, polled: impl Fn(usize) -> bool) {
-        for (to, held, shares, chained) in net.ties() {
+        for (to, held, shares) in net.ties() {
             self.tied += 1;
             self.held += u64::from(held);
             self.sharing += u64::from(shares);
-            self.chained += u64::from(chained);
             self.unpolled += u64::from(!polled(to));
         }
     }
@@ -1372,6 +1381,7 @@ fn glide_lockstep(seed: u64, pattern: Pattern) -> (u64, Tally) {
         }
     }
     prop_assert!(pair.net.is_quiescent(), "mesh never drained");
+    pair.tally.chains = pair.net.chains_refused();
     (pair.net.glided_flit_hops(), pair.tally)
 }
 
@@ -1484,7 +1494,8 @@ fn glide_runs_exercise_gliding() {
 
 /// And the join runs: over sixteen seeds, the mesh glides with followers
 /// at routers, whose heads wait, that share their leader's destination,
-/// whose leader follows another, and whose destination does not poll.
+/// and whose destination does not poll; and the chains of three that
+/// the sends make are refused.
 #[test]
 fn join_runs_exercise_every_case() {
     let mut tally = Tally::default();
@@ -1495,12 +1506,12 @@ fn join_runs_exercise_every_case() {
         tied,
         held,
         sharing,
-        chained,
         unpolled,
+        chains,
         ..
     } = tally;
     assert!(
-        [tied, held, sharing, chained, unpolled]
+        [tied, held, sharing, unpolled, chains]
             .iter()
             .all(|&n| n > 0),
         "{tally:?}"
